@@ -108,24 +108,47 @@ pub fn sw_full<M: CellMask>(a: &[u8], b: &[u8], scoring: &Scoring, mask: M) -> F
     let open = scoring.gaps.open;
     let ext = scoring.gaps.extend;
     let mut maxy = vec![NEG_INF; cols];
+    let border = vec![0 as Score; cols]; // the virtual row above row 0
     for y in 0..rows {
         let exch_row = scoring.exchange.row(a[y]);
+        // Slice the two rows once, so the cell loops index plain slices
+        // of known length instead of `y * cols + x` into the matrix.
+        let (above, below) = data.split_at_mut(y * cols);
+        let prev = if y == 0 {
+            &border[..]
+        } else {
+            &above[(y - 1) * cols..]
+        };
+        let cur = &mut below[..cols];
         let mut maxx = NEG_INF;
         let mut diag = 0;
-        for x in 0..cols {
-            let up = if y > 0 { data[(y - 1) * cols + x] } else { 0 };
-            let mut v = max3(diag, maxx, maxy[x]) + exch_row[b[x] as usize];
-            if v < 0 {
-                v = 0;
+        // The plain recurrence over the segments between the row's
+        // overridden columns; at each of them the forced zero (`cur`
+        // starts out zero, so only the gap state advances there).
+        let mut hits = mask.row_hits(y, 0, cols);
+        let mut x0 = 0;
+        loop {
+            let hit = hits.next();
+            let stop = hit.unwrap_or(cols);
+            let segment = cur[x0..stop]
+                .iter_mut()
+                .zip(&prev[x0..stop])
+                .zip(&mut maxy[x0..stop])
+                .zip(&b[x0..stop]);
+            for (((cell, &up), my), &bx) in segment {
+                let v = max3(diag, maxx, *my) + exch_row[bx as usize];
+                *cell = v.max(0);
+                let cand = diag - open;
+                maxx = cand.max(maxx) - ext;
+                *my = cand.max(*my) - ext;
+                diag = up;
             }
-            if mask.is_overridden(y, x) {
-                v = 0;
-            }
-            data[y * cols + x] = v;
+            let Some(hit) = hit else { break };
             let cand = diag - open;
             maxx = cand.max(maxx) - ext;
-            maxy[x] = cand.max(maxy[x]) - ext;
-            diag = up;
+            maxy[hit] = cand.max(maxy[hit]) - ext;
+            diag = prev[hit];
+            x0 = hit + 1;
         }
     }
     FullMatrix { rows, cols, data }

@@ -24,68 +24,11 @@ use crate::{Score, NEG_INF};
 /// assert_eq!(r.best, 6);
 /// assert_eq!(r.row, vec![0, 0, 0, 2, 0, 4, 3, 6]); // Figure 2's last row
 /// ```
-#[allow(clippy::needless_range_loop)] // index loops mirror the paper's pseudo code
 pub fn sw_last_row<M: CellMask>(a: &[u8], b: &[u8], scoring: &Scoring, mask: M) -> LastRow {
-    let rows = a.len();
-    let cols = b.len();
-    if rows == 0 || cols == 0 {
-        return LastRow::empty(cols);
-    }
-
-    let open = scoring.gaps.open;
-    let ext = scoring.gaps.extend;
-
     // m[x] holds M[y−1][x] while row y is being computed, M[y][x] after.
-    let mut m = vec![0 as Score; cols];
-    let mut maxy = vec![NEG_INF; cols];
-
-    let mut best = 0;
-    let mut best_cell = None;
-
-    for y in 0..rows {
-        let exch_row = scoring.exchange.row(a[y]);
-        let mut maxx = NEG_INF;
-        let mut diag = 0; // M[y−1][−1]: the virtual zero column.
-        for x in 0..cols {
-            let up = m[x];
-            let mut v = max3(diag, maxx, maxy[x]) + exch_row[b[x] as usize];
-            if v < 0 {
-                v = 0;
-            }
-            if mask.is_overridden(y, x) {
-                v = 0;
-            }
-            m[x] = v;
-            // Enter M[y−1][x−1] as a gap-start candidate (length 1) and
-            // extend all existing candidates by one (Figure 3).
-            let cand = diag - open;
-            maxx = cand.max(maxx) - ext;
-            maxy[x] = cand.max(maxy[x]) - ext;
-            diag = up;
-            if v > best {
-                best = v;
-                best_cell = Some((y, x));
-            }
-        }
-    }
-
-    let mut best_in_row = 0;
-    let mut best_in_row_col = None;
-    for (x, &v) in m.iter().enumerate() {
-        if v > best_in_row {
-            best_in_row = v;
-            best_in_row_col = Some(x);
-        }
-    }
-
-    LastRow {
-        best,
-        best_cell,
-        row: m,
-        best_in_row,
-        best_in_row_col,
-        cells: rows as u64 * cols as u64,
-    }
+    let m = vec![0 as Score; b.len()];
+    let mut maxy = vec![NEG_INF; b.len()];
+    sw_last_row_resume(a, b, scoring, mask, 0, m, &mut maxy, &[], &mut |_, _, _| {})
 }
 
 /// Convenience wrapper returning only the best score in the matrix.
@@ -152,24 +95,45 @@ pub fn sw_last_row_resume<M: CellMask>(
         let exch_row = scoring.exchange.row(a[y]);
         let mut maxx = NEG_INF;
         let mut diag = 0; // M[y−1][−1]: the virtual zero column.
-        for x in 0..cols {
-            let up = m[x];
-            let mut v = max3(diag, maxx, maxy[x]) + exch_row[b[x] as usize];
-            if v < 0 {
-                v = 0;
+        let mut row_best = 0;
+
+        // The plain recurrence over the segments between the row's
+        // overridden columns, the forced zero at each of them.
+        let mut hits = mask.row_hits(y, 0, cols);
+        let mut x0 = 0;
+        loop {
+            let hit = hits.next();
+            let stop = hit.unwrap_or(cols);
+            let segment = m[x0..stop]
+                .iter_mut()
+                .zip(&mut maxy[x0..stop])
+                .zip(&b[x0..stop]);
+            for ((mx, my), &bx) in segment {
+                let up = *mx;
+                let v = (max3(diag, maxx, *my) + exch_row[bx as usize]).max(0);
+                *mx = v;
+                // Enter M[y−1][x−1] as a gap-start candidate (length 1) and
+                // extend all existing candidates by one (Figure 3).
+                let cand = diag - open;
+                maxx = cand.max(maxx) - ext;
+                *my = cand.max(*my) - ext;
+                diag = up;
+                row_best = row_best.max(v);
             }
-            if mask.is_overridden(y, x) {
-                v = 0;
-            }
-            m[x] = v;
+            let Some(hit) = hit else { break };
+            // No score to compute, but the gap maxima and the diagonal
+            // advance exactly as for any other cell.
             let cand = diag - open;
             maxx = cand.max(maxx) - ext;
-            maxy[x] = cand.max(maxy[x]) - ext;
-            diag = up;
-            if v > best {
-                best = v;
-                best_cell = Some((y, x));
-            }
+            maxy[hit] = cand.max(maxy[hit]) - ext;
+            diag = std::mem::replace(&mut m[hit], 0);
+            x0 = hit + 1;
+        }
+        // Only a row that raises the best looks for where (its first
+        // such column: the row-major-first tie-break).
+        if row_best > best {
+            best = row_best;
+            best_cell = m.iter().position(|&v| v == best).map(|x| (y, x));
         }
     }
 

@@ -26,8 +26,8 @@ use crate::{Score, NEG_INF};
 
 /// One row of the triangular self-comparison sweep, resumable.
 ///
-/// `codes` is the sequence against itself; `mask.is_overridden(i, j)`
-/// is queried in **pair coordinates** (`i < j`, both positions into
+/// `codes` is the sequence against itself; `mask` is queried in **pair
+/// coordinates** (row `i`, columns `j ∈ (i, len)`, both positions into
 /// `codes`), matching the override triangle's convention.
 ///
 /// State contract (identical in shape to `sw_last_row_resume`): on
@@ -70,20 +70,32 @@ pub fn tri_self_sweep_resume<M: CellMask>(
         // no later row touches it); the untouched initial zero is the
         // virtual boundary row for i == 0.
         let mut diag = m[i];
-        for j in i + 1..len {
-            let up = m[j];
-            let mut v = diag.max(maxx).max(maxy[j]) + exch_row[codes[j] as usize];
-            if v < 0 {
-                v = 0;
+        // Segments between the row's overridden columns, the forced
+        // zero at each of them.
+        let mut hits = mask.row_hits(i, i + 1, len);
+        let mut j0 = i + 1;
+        loop {
+            let hit = hits.next();
+            let stop = hit.unwrap_or(len);
+            let segment = m[j0..stop]
+                .iter_mut()
+                .zip(&mut maxy[j0..stop])
+                .zip(&codes[j0..stop]);
+            for ((mj, my), &cj) in segment {
+                let up = *mj;
+                let v = diag.max(maxx).max(*my) + exch_row[cj as usize];
+                *mj = v.max(0);
+                let cand = diag - open;
+                maxx = cand.max(maxx) - ext;
+                *my = cand.max(*my) - ext;
+                diag = up;
             }
-            if mask.is_overridden(i, j) {
-                v = 0;
-            }
-            m[j] = v;
+            let Some(hit) = hit else { break };
             let cand = diag - open;
             maxx = cand.max(maxx) - ext;
-            maxy[j] = cand.max(maxy[j]) - ext;
-            diag = up;
+            maxy[hit] = cand.max(maxy[hit]) - ext;
+            diag = std::mem::replace(&mut m[hit], 0);
+            j0 = hit + 1;
         }
         cells += (len - i - 1) as u64;
         on_row(i, m, maxy);

@@ -7,6 +7,15 @@
 //! belongs to a top alignment. The zero then cascades right and down
 //! through the ordinary recurrence.
 //!
+//! Masks are sparse — a few thousand cells in matrices of millions — so
+//! the production kernels never ask about single cells. They ask once per
+//! row for that row's overridden columns ([`CellMask::row_hits`]) and run
+//! the plain recurrence over the segments between them, writing the zero
+//! at each hit. [`CellMask::is_overridden`] is the per-cell contract the
+//! reference kernel, the cold adapters and the default row query rest on;
+//! a mask that can enumerate a row faster than by probing every column
+//! overrides `row_hits`.
+//!
 //! The mask works in **matrix coordinates** (`row` into the vertical
 //! sequence, `col` into the horizontal one, both 0-based); callers that
 //! track overridden pairs in sequence coordinates (the override triangle in
@@ -17,6 +26,13 @@ pub trait CellMask {
     /// `true` iff the cell aligning vertical residue `row` with horizontal
     /// residue `col` (0-based matrix coordinates) must be forced to zero.
     fn is_overridden(&self, row: usize, col: usize) -> bool;
+
+    /// The overridden columns of `row` within `lo..hi`, strictly
+    /// ascending: exactly the `col` with `is_overridden(row, col)`.
+    #[inline]
+    fn row_hits(&self, row: usize, lo: usize, hi: usize) -> impl Iterator<Item = usize> {
+        (lo..hi).filter(move |&col| self.is_overridden(row, col))
+    }
 
     /// `true` iff this mask provably masks nothing. Kernels may use this
     /// to skip per-cell checks entirely; the default is conservative.
@@ -35,6 +51,11 @@ impl CellMask for NoMask {
     #[inline(always)]
     fn is_overridden(&self, _row: usize, _col: usize) -> bool {
         false
+    }
+
+    #[inline(always)]
+    fn row_hits(&self, _row: usize, _lo: usize, _hi: usize) -> impl Iterator<Item = usize> {
+        std::iter::empty()
     }
 
     #[inline(always)]
@@ -94,6 +115,11 @@ impl<M: CellMask + ?Sized> CellMask for &M {
     }
 
     #[inline(always)]
+    fn row_hits(&self, row: usize, lo: usize, hi: usize) -> impl Iterator<Item = usize> {
+        (**self).row_hits(row, lo, hi)
+    }
+
+    #[inline(always)]
     fn is_empty_hint(&self) -> bool {
         (**self).is_empty_hint()
     }
@@ -108,6 +134,20 @@ mod tests {
         assert!(!NoMask.is_overridden(0, 0));
         assert!(!NoMask.is_overridden(1000, 1000));
         assert!(NoMask.is_empty_hint());
+    }
+
+    #[test]
+    fn default_row_query_lists_the_overridden_columns_in_range() {
+        let m = SetMask::from_cells([(1, 0), (1, 2), (1, 3), (1, 7), (3, 4)]);
+        assert_eq!(m.row_hits(1, 0, 8).collect::<Vec<_>>(), vec![0, 2, 3, 7]);
+        assert_eq!(m.row_hits(1, 1, 7).collect::<Vec<_>>(), vec![2, 3]);
+        let by_ref: &SetMask = &m;
+        assert_eq!(
+            CellMask::row_hits(&by_ref, 3, 0, 8).collect::<Vec<_>>(),
+            vec![4]
+        );
+        assert_eq!(m.row_hits(2, 0, 8).count(), 0);
+        assert_eq!(NoMask.row_hits(1, 0, 8).count(), 0);
     }
 
     #[test]

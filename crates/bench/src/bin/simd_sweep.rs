@@ -3,22 +3,26 @@
 //!
 //! Measures lane-cells/second for every selectable `i16` kernel
 //! (lookup-based and query-profile-based sweeps, at 4/8/16 lanes, on
-//! every dispatch path the host CPU supports), the promoted `i32` wide
-//! sweeps, and the engine-level composition (sequential vs
-//! auto-dispatched SIMD vs SIMD × SMP). Emits `BENCH_simd.json` — the
-//! checked-in copy lives under `results/`.
+//! every dispatch path the host CPU supports), each both unmasked (the
+//! first pass) and **masked** (a realignment: an override triangle
+//! holding one diagonal alignment path through the measured group), the
+//! promoted `i32` wide sweeps, and the engine-level composition
+//! (sequential vs auto-dispatched SIMD vs SIMD × SMP). Emits
+//! `BENCH_simd.json` — the checked-in copy lives under `results/`.
 //!
 //! Usage: `cargo run --release -p repro-bench --bin simd_sweep --
-//! [--scale small|medium|full] [--out results/BENCH_simd.json]`.
+//! [--scale small|medium|full] [--out results/BENCH_simd.json] [--check]`.
+//! `--check` exits non-zero if any masked sweep runs below
+//! [`MIN_MASKED_OVER_UNMASKED`] of its unmasked twin.
 
 use repro::align::QueryProfile;
-use repro::core::find_top_alignments;
+use repro::core::{find_top_alignments, OverrideTriangle};
 use repro::simd::dispatch::{
     available, max_width, sweep_group_lookup_i16, sweep_group_profile_i16, sweep_group_wide,
 };
 use repro::simd::{find_top_alignments_simd_sel, select, DispatchPath, LaneWidth};
 use repro::{find_top_alignments_parallel_simd, Scoring};
-use repro_bench::{time_min, Scale};
+use repro_bench::{time_min, time_min_pair, Scale};
 use std::time::Duration;
 
 const PATHS: [DispatchPath; 3] = [
@@ -27,6 +31,11 @@ const PATHS: [DispatchPath; 3] = [
     DispatchPath::Avx2,
 ];
 const WIDTHS: [LaneWidth; 3] = [LaneWidth::X4, LaneWidth::X8, LaneWidth::X16];
+
+/// Floor, under `--check`, on a masked sweep's lane-cells/s relative to
+/// the same kernel unmasked: the override triangle is sparse, so a
+/// realignment sweep must cost about what a first pass costs.
+const MIN_MASKED_OVER_UNMASKED: f64 = 0.80;
 
 fn out_path() -> String {
     let args: Vec<String> = std::env::args().collect();
@@ -69,6 +78,16 @@ fn main() {
         QueryProfile::<i16>::new_narrow(&scoring, seq.codes()).expect("protein defaults fit i16");
     let prof32 = QueryProfile::<i32>::new_wide(&scoring, seq.codes());
 
+    // The masked legs' triangle: one accepted alignment, an ungapped
+    // diagonal of m/4 pairs crossing every split of the measured groups
+    // (prefix rows just above the widest group, suffix columns just
+    // below it) — one overridden cell in each of m/4 consecutive rows.
+    let mut masked = OverrideTriangle::new(m);
+    let path_len = m / 4;
+    for i in 0..path_len {
+        masked.set(r_mid - 16 - path_len + i, r_mid + 16 + i);
+    }
+
     eprintln!("SIMD sweep: {m}-residue titin-like, central group, budget {budget:?} per point");
 
     // Kernel matrix: every (path, width, kernel) the host can run.
@@ -90,17 +109,17 @@ fn main() {
             // `vector_cells` counts vector ops; each covers `lanes` cells.
             let lane_cells = (sample.vector_cells * lanes as u64) as f64;
 
-            let t_lookup = time_min(budget, || {
+            let lookup = |tri: Option<&OverrideTriangle>| {
                 std::hint::black_box(sweep_group_lookup_i16(
                     sel,
                     seq.codes(),
                     &scoring,
                     r0,
                     lanes,
-                    None,
+                    tri,
                 ));
-            });
-            let t_profile = time_min(budget, || {
+            };
+            let profile = |tri: Option<&OverrideTriangle>| {
                 std::hint::black_box(sweep_group_profile_i16(
                     sel,
                     seq.codes(),
@@ -108,10 +127,21 @@ fn main() {
                     &prof16,
                     r0,
                     lanes,
-                    None,
+                    tri,
                 ));
-            });
-            for (kernel, secs) in [("lookup", t_lookup), ("profile", t_profile)] {
+            };
+            // Unmasked and masked alternate rep by rep: their ratio is
+            // what `--check` gates.
+            let (t_lookup, t_lookup_masked) =
+                time_min_pair(budget, || lookup(None), || lookup(Some(&masked)));
+            let (t_profile, t_profile_masked) =
+                time_min_pair(budget, || profile(None), || profile(Some(&masked)));
+            for (kernel, secs) in [
+                ("lookup", t_lookup),
+                ("lookup_masked", t_lookup_masked),
+                ("profile", t_profile),
+                ("profile_masked", t_profile_masked),
+            ] {
                 eprintln!(
                     "  {path} x{lanes} {kernel}: {:.0} M lane-cells/s",
                     lane_cells / secs / 1e6
@@ -217,6 +247,16 @@ fn main() {
         }
     });
 
+    // The slowest masked sweep relative to its unmasked twin, over every
+    // path × width × kernel measured.
+    let masked_over_unmasked = points
+        .iter()
+        .filter_map(|p| {
+            let twin = rate(p.path, p.lanes, &format!("{}_masked", p.kernel))?;
+            Some(twin / p.lane_cells_per_sec)
+        })
+        .fold(f64::INFINITY, f64::min);
+
     let json = format!(
         "{{\n  \"bench\": \"simd_sweep\",\n  \"scale\": \"{scale:?}\",\n  \
          \"sequence\": {{\"kind\": \"titin_like\", \"residues\": {m}}},\n  \
@@ -225,7 +265,8 @@ fn main() {
          \"wide_i32\": [\n    {}\n  ],\n  \
          \"engines\": [\n    {}\n  ],\n  \
          \"checks\": {{\n    \"avx2_x16_over_sse2_x8\": {},\n    \
-         \"profile_beats_lookup_at_every_width\": {}\n  }}\n}}\n",
+         \"profile_beats_lookup_at_every_width\": {},\n    \
+         \"min_masked_over_unmasked\": {:.2}\n  }}\n}}\n",
         PATHS
             .iter()
             .filter(|&&p| available(p))
@@ -243,6 +284,7 @@ fn main() {
             .map(|r| format!("{r:.2}"))
             .unwrap_or_else(|| "null".into()),
         profile_beats_lookup,
+        masked_over_unmasked,
     );
 
     let out = out_path();
@@ -253,4 +295,12 @@ fn main() {
         eprintln!("check: avx2 x16 / sse2 x8 = {r:.2}x (target >= 1.5x)");
     }
     eprintln!("check: profile >= lookup at every width: {profile_beats_lookup}");
+    eprintln!(
+        "check: slowest masked / unmasked = {masked_over_unmasked:.2}x \
+         (floor {MIN_MASKED_OVER_UNMASKED:.2}x)"
+    );
+    if std::env::args().any(|a| a == "--check") && masked_over_unmasked < MIN_MASKED_OVER_UNMASKED {
+        eprintln!("CHECK FAILED: a masked sweep runs below the floor");
+        std::process::exit(1);
+    }
 }

@@ -35,8 +35,8 @@ pub enum RowMode {
     /// Recompute a split's clean (unmasked) bottom row on demand:
     /// Appendix A's "on-demand recomputation ... at the expense of extra
     /// work; this would allow an implementation that requires only a
-    /// linear amount of memory". Combine with
-    /// [`OverrideTriangle::new_sparse`] for the fully linear-memory
+    /// linear amount of memory". The override triangle is row-sorted
+    /// (`O(pairs + m)` bytes), so this is the fully linear-memory
     /// configuration.
     Recompute,
 }
@@ -52,8 +52,6 @@ pub struct FinderConfig {
     pub stripe: Option<usize>,
     /// Bottom-row storage strategy.
     pub row_mode: RowMode,
-    /// Use the compressed (sparse) override triangle.
-    pub sparse_triangle: bool,
     /// Byte budget for the incremental realignment layer's checkpoint
     /// store (`None` disables the layer entirely; `Some(0)` enables the
     /// accounting but never stores state, so every sweep is a miss).
@@ -72,13 +70,12 @@ pub struct FinderConfig {
 
 impl FinderConfig {
     /// Find `count` top alignments with default settings (stored rows,
-    /// dense triangle, row-major kernel).
+    /// row-major kernel).
     pub fn new(count: usize) -> Self {
         FinderConfig {
             count,
             stripe: None,
             row_mode: RowMode::Store,
-            sparse_triangle: false,
             checkpoint_budget: None,
             seed: None,
         }
@@ -101,16 +98,12 @@ impl FinderConfig {
         }
     }
 
-    /// The linear-memory configuration of Appendix A: sparse triangle
-    /// plus on-demand row recomputation.
+    /// The linear-memory configuration of Appendix A: on-demand row
+    /// recomputation (the override triangle is compressed always).
     pub fn linear_memory(count: usize) -> Self {
         FinderConfig {
-            count,
-            stripe: None,
             row_mode: RowMode::Recompute,
-            sparse_triangle: true,
-            checkpoint_budget: None,
-            seed: None,
+            ..FinderConfig::new(count)
         }
     }
 }
@@ -382,11 +375,7 @@ impl<'a> TopAlignmentFinder<'a> {
     /// Set up a search over `seq`.
     pub fn new(seq: &'a Seq, scoring: &'a Scoring, config: FinderConfig) -> Self {
         let m = seq.len();
-        let triangle = if config.sparse_triangle {
-            OverrideTriangle::new_sparse(m)
-        } else {
-            OverrideTriangle::new(m)
-        };
+        let triangle = OverrideTriangle::new(m);
         let bottom = match config.row_mode {
             RowMode::Store => Some(BottomRowStore::new(m)),
             RowMode::Recompute => None,
@@ -1108,9 +1097,9 @@ mod tests {
 
     #[test]
     fn linear_memory_mode_matches_default() {
-        // Appendix A's linear-memory option (sparse triangle + on-demand
-        // row recomputation) must find the exact same alignments, paying
-        // extra recomputation work.
+        // Appendix A's linear-memory option (on-demand row recomputation)
+        // must find the exact same alignments, paying extra
+        // recomputation work.
         let scoring = atgc_scoring();
         for text in ["ATGCATGCATGC", "ACGTTGCAACGTACGTTGCAGGTT", "AAAAAAAAAA"] {
             let seq = Seq::dna(text).unwrap();
@@ -1119,7 +1108,6 @@ mod tests {
                 TopAlignmentFinder::new(&seq, &scoring, FinderConfig::linear_memory(5)).run();
             assert_eq!(default.alignments, linmem.alignments, "on {text}");
             assert_eq!(default.triangle, linmem.triangle);
-            assert!(linmem.triangle.is_sparse());
             if !linmem.alignments.is_empty() {
                 assert!(
                     linmem.stats.row_recomputations > 0,
@@ -1145,20 +1133,6 @@ mod tests {
         // only the extra recompute passes differ.
         assert_eq!(default.stats.alignments, recompute.stats.alignments);
         assert!(recompute.stats.row_recompute_cells > 0);
-    }
-
-    #[test]
-    fn sparse_triangle_alone_matches_default() {
-        let scoring = atgc_scoring();
-        let seq = Seq::dna(&"ACGGT".repeat(10)).unwrap();
-        let default = find_top_alignments(&seq, &scoring, 6);
-        let cfg = FinderConfig {
-            sparse_triangle: true,
-            ..FinderConfig::new(6)
-        };
-        let sparse = TopAlignmentFinder::new(&seq, &scoring, cfg).run();
-        assert_eq!(default.alignments, sparse.alignments);
-        assert_eq!(default.triangle, sparse.triangle);
     }
 
     #[test]

@@ -83,6 +83,11 @@ impl CellMask for PairMask<'_> {
     }
 
     #[inline(always)]
+    fn row_hits(&self, p: usize, lo: usize, hi: usize) -> impl Iterator<Item = usize> {
+        self.0.row_range(p, lo, hi).iter().map(|&q| q as usize)
+    }
+
+    #[inline(always)]
     fn is_empty_hint(&self) -> bool {
         self.0.is_empty()
     }

@@ -1,8 +1,9 @@
 //! Appendix A's memory trade-off, live: the default configuration
 //! stores every first-pass bottom row (`m(m−1)/2` scores — 1.5 GB at
 //! the paper's length-40 000 limit), while the linear-memory
-//! configuration recomputes rows on demand and compresses the override
-//! triangle — same alignments, extra work, tiny footprint.
+//! configuration recomputes rows on demand (the override triangle is
+//! stored compressed either way) — same alignments, extra work, tiny
+//! footprint.
 //!
 //! Run with: `cargo run --release -p repro --example memory_modes`
 
@@ -33,12 +34,12 @@ fn main() {
     let row_store_bytes = m * (m - 1) / 2 * std::mem::size_of::<i32>();
     println!("titin-like {m} aa, 20 top alignments — identical results, different footprints:\n");
     println!(
-        "default     : {t_default:>10.2?}  rows {:>8.1} MiB  triangle {:>7.1} KiB (dense)",
+        "default     : {t_default:>10.2?}  rows {:>8.1} MiB  triangle {:>7.1} KiB",
         row_store_bytes as f64 / (1 << 20) as f64,
         default.tops.triangle.heap_bytes() as f64 / 1024.0,
     );
     println!(
-        "low_memory  : {t_low:>10.2?}  rows {:>8.1} KiB  triangle {:>7.1} KiB (sparse)",
+        "low_memory  : {t_low:>10.2?}  rows {:>8.1} KiB  triangle {:>7.1} KiB",
         (m * 4) as f64 / 1024.0, // one transient row at a time
         low.tops.triangle.heap_bytes() as f64 / 1024.0,
     );

@@ -45,8 +45,10 @@
 //!   row is captured when that row completes, and deeper rows of the
 //!   lane are dead weight (the paper's speculation cost).
 //! * **override**: cell `(p, q)` represents sequence pair `(p, q)` in
-//!   *every* lane, so the triangle mask is lane-uniform — one scalar
-//!   bit test zeroes all lanes.
+//!   *every* lane, so the triangle mask is lane-uniform — one zero
+//!   serves all lanes. The overridden columns of every swept row are
+//!   tabulated once per sweep (`RowHits`); a row then runs the plain
+//!   recurrence over the segments between its hits.
 
 use crate::lanes::{SimdElem, SimdVec};
 use repro_align::{stripe_for_bytes, QueryProfile, Score, Scoring};
@@ -363,6 +365,7 @@ fn sweep_prologue_at<'a, V: SimdVec>(
     (st, geom)
 }
 
+#[inline(always)]
 fn finish<V: SimdVec>(
     st: SweepState<V>,
     geom: &Geom<'_, V>,
@@ -373,33 +376,39 @@ fn finish<V: SimdVec>(
         .iter()
         .map(|&r| (r - geom.start) as u64 * (m - r) as u64)
         .sum();
-    let captures = geom
-        .capture_rows
-        .iter()
-        .zip(&st.captures)
-        .map(|(&row, (mbuf, ybuf))| GroupCapture {
-            row,
-            lanes: geom
-                .rs
-                .iter()
-                .enumerate()
-                .map(|(l, &r)| {
-                    if row >= r {
-                        return None;
-                    }
-                    let off = r - geom.r0;
-                    let cols = m - r;
-                    let mut mj = Vec::with_capacity(cols);
-                    let mut yj = Vec::with_capacity(cols);
-                    for qi in off..st.width {
-                        mj.push(mbuf[qi].get(l).to_score());
-                        yj.push(ybuf[qi].get(l).to_score());
-                    }
-                    Some((mj, yj))
-                })
-                .collect(),
-        })
-        .collect();
+    // De-interleave the capture buffers into per-lane scalar state,
+    // column by column (one vector, all its live lanes). Plain loops on
+    // purpose: a closure here would be a function of its own outside
+    // the `#[target_feature]` trampoline this is inlined into, and
+    // every lane read in it a call.
+    let mut captures = Vec::with_capacity(geom.capture_rows.len());
+    for (&row, (mbuf, ybuf)) in geom.capture_rows.iter().zip(&st.captures) {
+        let mut lanes: Vec<Option<(Vec<Score>, Vec<Score>)>> = Vec::with_capacity(geom.rs.len());
+        for &r in geom.rs {
+            lanes.push(if row < r {
+                Some((vec![0; m - r], vec![0; m - r]))
+            } else {
+                None
+            });
+        }
+        for qi in 0..st.width {
+            let (mv, yv) = (mbuf[qi], ybuf[qi]);
+            // Lane l owns column q iff q ≥ rs[l]: a prefix of the lanes.
+            let active = if qi < geom.border_cols {
+                geom.keep[qi]
+            } else {
+                geom.rs.len()
+            };
+            for (l, lane) in lanes[..active].iter_mut().enumerate() {
+                if let Some((mj, yj)) = lane {
+                    let x = geom.r0 + qi - geom.rs[l];
+                    mj[x] = mv.get(l).to_score();
+                    yj[x] = yv.get(l).to_score();
+                }
+            }
+        }
+        captures.push(GroupCapture { row, lanes });
+    }
     let result = GroupResult {
         r0: geom.r0,
         lanes: geom.rs.len(),
@@ -411,35 +420,119 @@ fn finish<V: SimdVec>(
     (result, captures)
 }
 
-/// Per-cell override probe, monomorphised so the first pass (no
-/// triangle — the overwhelmingly common case) compiles to a loop with
-/// no mask test at all. Mirrors the scalar kernel's `NoMask` /
-/// `SplitMask` split: keeping the probe out of the unmasked loop frees
-/// enough vector registers that the whole recurrence stays resident
-/// (with the probe inline, LLVM spills every `ymm` value to the stack
-/// and the 16-lane kernel runs at less than half speed).
-trait TriProbe: Copy {
-    /// `true` iff cell `(p, q)` is overridden to zero.
-    fn hit(self, p: usize, q: usize) -> bool;
+/// Where a sweep reads its overridden cells from, monomorphised so the
+/// first pass (no triangle — the overwhelmingly common case) compiles
+/// to the bare recurrence: with [`NoHits`] the row loop folds to the
+/// single column loop and no table is ever built. Mirrors the scalar
+/// kernels' `NoMask` / `SplitMask` split.
+trait HitCursor {
+    /// The next overridden column index `qi < x1` of the sweep's
+    /// `row`-th row (counted from the sweep's first row), if any. Within
+    /// a row, calls come with non-decreasing `x1` (stripes run left to
+    /// right) and each hit is returned once.
+    fn next_hit(&mut self, row: usize, x1: usize) -> Option<usize>;
 }
 
-/// First-pass probe: nothing is ever overridden.
-#[derive(Clone, Copy)]
-struct NoTri;
+/// First-pass cursor: nothing is ever overridden.
+struct NoHits;
 
-impl TriProbe for NoTri {
+impl HitCursor for NoHits {
     #[inline(always)]
-    fn hit(self, _p: usize, _q: usize) -> bool {
-        false
+    fn next_hit(&mut self, _row: usize, _x1: usize) -> Option<usize> {
+        None
     }
 }
 
-impl TriProbe for &OverrideTriangle {
-    #[inline(always)]
-    fn hit(self, p: usize, q: usize) -> bool {
-        // p < q holds for every cell that belongs to any live lane.
-        p < q && self.get(p, q)
+/// The overridden cells of one masked sweep: for each row `start..rmax`,
+/// the column indices `qi = q − r0` of the pairs `(p, q)` in the
+/// triangle, ascending (CSR), plus a per-row read position.
+///
+/// Built once per sweep, before the stripe loop, so the row loop reads
+/// flat arrays and calls nothing: inside the
+/// `#[target_feature(enable = "avx2")]` trampolines every `ymm` value is
+/// caller-saved and a call out of AVX code costs a `vzeroupper`, so a
+/// single call per row spills the whole recurrence (gap constants,
+/// carries, the saturation accumulator) and halves the rate even of
+/// rows that have no hit at all.
+struct RowHits {
+    /// Row `i`'s hits are `qi[row_end[i − 1]..row_end[i]]`.
+    row_end: Vec<u32>,
+    qi: Vec<u32>,
+    /// Per-row position in `qi`; only ever advances.
+    cursor: Vec<u32>,
+}
+
+impl RowHits {
+    /// Tabulate the rows a sweep of the ascending split set `rs` from
+    /// row `start` visits (`start..rs[last]`), over its columns
+    /// (`rs[0]..`). Every tabulated pair has `p < q`, so it belongs to a
+    /// live lane or to a border column that is zeroed anyway.
+    fn tabulate(triangle: &OverrideTriangle, rs: &[usize], start: usize) -> Self {
+        let (r0, rmax) = match (rs.first(), rs.last()) {
+            (Some(&r0), Some(&rmax)) => (r0, rmax),
+            _ => (0, 0), // rejected by the sweep prologue
+        };
+        let rows = rmax.saturating_sub(start);
+        let mut cursor = Vec::with_capacity(rows);
+        let mut row_end = Vec::with_capacity(rows);
+        let mut qi = Vec::with_capacity(triangle.len()); // no regrowth mid-tabulation
+        for p in start..rmax {
+            cursor.push(qi.len() as u32);
+            let hits = triangle.row_range(p, r0, usize::MAX);
+            qi.extend(hits.iter().map(|&q| q - r0 as u32));
+            row_end.push(qi.len() as u32);
+        }
+        RowHits {
+            row_end,
+            qi,
+            cursor,
+        }
     }
+}
+
+impl HitCursor for RowHits {
+    #[inline(always)]
+    fn next_hit(&mut self, row: usize, x1: usize) -> Option<usize> {
+        let k = self.cursor[row];
+        if k == self.row_end[row] {
+            return None;
+        }
+        let hit = self.qi[k as usize] as usize;
+        if hit >= x1 {
+            return None;
+        }
+        self.cursor[row] = k + 1;
+        Some(hit)
+    }
+}
+
+/// The recurrence over columns `$lo..$hi` of one row, none of them
+/// overridden. `$maxx`/`$diag` name the row's running state in the
+/// caller ([`sweep_body`]).
+macro_rules! sweep_cells {
+    ($V:ty, $st:ident, $geom:ident, $maxx:ident, $diag:ident,
+     $qi:ident in $lo:expr, $hi:expr, $cell_exch:expr) => {
+        for $qi in $lo..$hi {
+            let up = $st.mrow[$qi];
+            let exch = $cell_exch;
+            let mut v = $diag
+                .max($maxx)
+                .max($st.maxy[$qi])
+                .adds(<$V>::splat(exch))
+                .max(<$V>::splat(SimdElem::ZERO));
+            // Left-border correction (lane l is active iff q ≥ rs[l];
+            // active lanes are a prefix because rs is ascending).
+            if $qi < $geom.border_cols {
+                v = v.zero_lanes_from($geom.keep[$qi]);
+            }
+            $st.sat_acc = $st.sat_acc.max(v);
+            $st.mrow[$qi] = v;
+            let cand = $diag.subs($st.vopen);
+            $maxx = cand.max($maxx).subs($st.vext);
+            $st.maxy[$qi] = cand.max($st.maxy[$qi]).subs($st.vext);
+            $diag = up;
+        }
+    };
 }
 
 /// The two sweep bodies are textually parallel; this macro holds the
@@ -449,7 +542,7 @@ impl TriProbe for &OverrideTriangle {
 /// keeps everything monomorphic and `inline(always)`-friendly for the
 /// `#[target_feature]` trampolines in [`crate::dispatch`].
 macro_rules! sweep_body {
-    ($V:ty, $st:ident, $geom:ident, $tri:ident, $stripe:ident,
+    ($V:ty, $st:ident, $geom:ident, $hits:ident, $stripe:ident,
      |$p:ident| $row_setup:expr, |$rowctx:ident, $qi:ident| $cell_exch:expr) => {{
         let start = $geom.start;
         let mut x0 = 0;
@@ -482,31 +575,26 @@ macro_rules! sweep_body {
                 } else {
                     above_old_edge
                 };
-                for $qi in x0..x1 {
-                    let up = $st.mrow[$qi];
-                    let exch = $cell_exch;
-                    let mut v = diag
-                        .max(maxx)
-                        .max($st.maxy[$qi])
-                        .adds(<$V>::splat(exch))
-                        .max(<$V>::splat(SimdElem::ZERO));
-                    // Lane-uniform override masking (monomorphised away on
-                    // the first pass) and the left-border correction (lane
-                    // l is active iff q ≥ rs[l]; active lanes are a prefix
-                    // because rs is ascending); both fire on a sparse
-                    // subset of cells.
-                    if $tri.hit($p, $geom.r0 + $qi) {
-                        v = <$V>::splat(SimdElem::ZERO);
+                // Lane-uniform override masking, monomorphised away on
+                // the first pass: the plain cells up to each hit of this
+                // row inside the stripe, then the hit itself — all lanes
+                // zero, so nothing reaches `sat_acc`, while the gap
+                // maxima and the diagonal advance as for any cell.
+                let mut seg0 = x0;
+                loop {
+                    let hit = $hits.next_hit($p - start, x1);
+                    let stop = hit.unwrap_or(x1);
+                    sweep_cells!($V, $st, $geom, maxx, diag, $qi in seg0, stop, $cell_exch);
+                    if hit.is_none() {
+                        break;
                     }
-                    if $qi < $geom.border_cols {
-                        v = v.zero_lanes_from($geom.keep[$qi]);
-                    }
-                    $st.sat_acc = $st.sat_acc.max(v);
-                    $st.mrow[$qi] = v;
+                    let up = $st.mrow[stop];
+                    $st.mrow[stop] = <$V>::splat(SimdElem::ZERO);
                     let cand = diag.subs($st.vopen);
                     maxx = cand.max(maxx).subs($st.vext);
-                    $st.maxy[$qi] = cand.max($st.maxy[$qi]).subs($st.vext);
+                    $st.maxy[stop] = cand.max($st.maxy[stop]).subs($st.vext);
                     diag = up;
+                    seg0 = stop + 1;
                 }
                 $st.maxx_carry[$p] = maxx;
                 $st.edge[$p] = $st.mrow[x1 - 1];
@@ -547,17 +635,17 @@ pub(crate) fn align_group_lookup_impl<V: SimdVec>(
 ) -> GroupResult {
     let rs: Vec<usize> = (0..lanes).map(|l| r0 + l).collect();
     match triangle.filter(|t| !t.is_empty()) {
-        None => lookup_sweep::<V, NoTri>(seq, scoring, &rs, NoTri, stripe),
-        Some(t) => lookup_sweep::<V, &OverrideTriangle>(seq, scoring, &rs, t, stripe),
+        None => lookup_sweep::<V, _>(seq, scoring, &rs, NoHits, stripe),
+        Some(t) => lookup_sweep::<V, _>(seq, scoring, &rs, RowHits::tabulate(t, &rs, 0), stripe),
     }
 }
 
 #[inline(always)]
-fn lookup_sweep<V: SimdVec, T: TriProbe>(
+fn lookup_sweep<V: SimdVec, H: HitCursor>(
     seq: &[u8],
     scoring: &Scoring,
     rs: &[usize],
-    tri: T,
+    mut hits: H,
     stripe: usize,
 ) -> GroupResult {
     let m = seq.len();
@@ -577,7 +665,7 @@ fn lookup_sweep<V: SimdVec, T: TriProbe>(
         V,
         st,
         geom,
-        tri,
+        hits,
         stripe,
         |p| &exch[seq[p] as usize * k..(seq[p] as usize + 1) * k],
         |exch_row, qi| exch_row[seq[geom.r0 + qi] as usize]
@@ -612,22 +700,22 @@ pub(crate) fn align_group_profile_at_impl<V: SimdVec>(
     capture_rows: &[usize],
 ) -> (GroupResult, Vec<GroupCapture>) {
     match triangle.filter(|t| !t.is_empty()) {
-        None => profile_sweep::<V, NoTri>(
+        None => profile_sweep::<V, _>(
             seq,
             scoring,
             profile,
             rs,
-            NoTri,
+            NoHits,
             stripe,
             resume,
             capture_rows,
         ),
-        Some(t) => profile_sweep::<V, &OverrideTriangle>(
+        Some(t) => profile_sweep::<V, _>(
             seq,
             scoring,
             profile,
             rs,
-            t,
+            RowHits::tabulate(t, rs, resume.map_or(0, |rsm| rsm.row)),
             stripe,
             resume,
             capture_rows,
@@ -637,12 +725,12 @@ pub(crate) fn align_group_profile_at_impl<V: SimdVec>(
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // mirrors the kernel's full state
-fn profile_sweep<V: SimdVec, T: TriProbe>(
+fn profile_sweep<V: SimdVec, H: HitCursor>(
     seq: &[u8],
     scoring: &Scoring,
     profile: &QueryProfile<V::Elem>,
     rs: &[usize],
-    tri: T,
+    mut hits: H,
     stripe: usize,
     resume: Option<&GroupResume<'_>>,
     capture_rows: &[usize],
@@ -655,7 +743,7 @@ fn profile_sweep<V: SimdVec, T: TriProbe>(
         V,
         st,
         geom,
-        tri,
+        hits,
         stripe,
         |p| profile.row(seq[p], geom.r0),
         |prow, qi| prow[qi]
@@ -1032,6 +1120,257 @@ mod tests {
             );
             assert!(!narrow.saturated);
             assert_eq!(narrow.rows, scratch.rows, "narrow resume at {}", cap.row);
+        }
+    }
+
+    fn rng(seed: &mut u64) -> u64 {
+        *seed ^= *seed << 13;
+        *seed ^= *seed >> 7;
+        *seed ^= *seed << 17;
+        *seed
+    }
+
+    /// Row `rows − 1` of split `r`'s matrix from the per-cell `naive`
+    /// kernel probing a plain cell set — no row index, no segment walk.
+    fn naive_row(
+        seq: &Seq,
+        scoring: &Scoring,
+        r: usize,
+        rows: usize,
+        t: &OverrideTriangle,
+    ) -> Vec<Score> {
+        let cells = repro_align::SetMask::from_cells(
+            t.iter()
+                .filter(|&(p, q)| p < r && q >= r)
+                .map(|(p, q)| (p, q - r)),
+        );
+        let (prefix, suffix) = seq.split(r);
+        repro_align::sw_last_row_naive(&prefix[..rows], suffix, scoring, &cells).row
+    }
+
+    /// Masked sweeps of lane type `V` against the naive oracle: a
+    /// consecutive and a compacted split set, a stripe of `STRIPE`
+    /// columns, captures at every row and a resume from mid-matrix, on
+    /// triangles built to hit every position the segment walk treats
+    /// specially, then on random ones.
+    fn check_masked_sweeps<V: SimdVec>(
+        profile_of: impl Fn(&Scoring, &[u8]) -> QueryProfile<V::Elem>,
+    ) {
+        const STRIPE: usize = 5;
+        let scoring = Scoring::dna_example();
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64 ^ V::LANES as u64;
+        // Mostly `A`: nearly every cell is positive, so a zero in the
+        // wrong place (or missing) changes the rows below it.
+        let codes = (0..38)
+            .map(|_| (rng(&mut seed) % 16).saturating_sub(12) as u8)
+            .collect();
+        let seq = Seq::from_codes(repro_align::Alphabet::Dna, codes);
+        let m = seq.len();
+        let prof = profile_of(&scoring, seq.codes());
+        let lanes = V::LANES.min(6);
+        let r0 = 9;
+        let rmax = r0 + lanes - 1;
+        let consecutive: Vec<usize> = (r0..=rmax).collect();
+        let compacted: Vec<usize> =
+            [r0, r0 + 2, r0 + 7, r0 + 8, r0 + 13, r0 + 20][..lanes].to_vec();
+
+        let mut triangles: Vec<Vec<(usize, usize)>> = vec![
+            // An empty triangle passed as `Some`.
+            vec![],
+            // Column 0 of the group (inside the left border) and the
+            // last column.
+            vec![(0, r0), (3, r0), (1, m - 1), (r0 - 1, m - 1)],
+            // Adjacent hits, and hits on both sides of stripe boundaries.
+            vec![
+                (2, r0 + 11),
+                (2, r0 + 12),
+                (4, r0 + STRIPE - 1),
+                (4, r0 + STRIPE),
+            ],
+            vec![
+                (5, r0 + 2 * STRIPE - 1),
+                (6, r0 + 2 * STRIPE),
+                (6, r0 + 3 * STRIPE),
+            ],
+            // Inside the left-border columns, rows above and inside the
+            // group's own splits.
+            vec![(1, r0 + 1), (2, r0 + 2), (r0, r0 + 1), (r0 + 1, r0 + 3)],
+            // Several hits in one row, across three stripes.
+            vec![
+                (3, r0),
+                (3, r0 + 1),
+                (3, r0 + 4),
+                (3, r0 + 5),
+                (3, r0 + 6),
+                (3, r0 + 13),
+                (3, m - 1),
+            ],
+            // Hits left of the group are ignored, in rows that have
+            // nothing else and in a row that also has a real hit.
+            vec![
+                (0, 3),
+                (1, r0 - 1),
+                (2, 5),
+                (2, r0 - 1),
+                (2, r0 + 4),
+                (7, 8),
+            ],
+        ];
+        for n in [4usize, 12, 30] {
+            triangles.push(
+                (0..n)
+                    .map(|_| {
+                        let p = rng(&mut seed) as usize % (m - 1);
+                        (p, p + 1 + rng(&mut seed) as usize % (m - p - 1))
+                    })
+                    .collect(),
+            );
+        }
+
+        for pairs in &triangles {
+            let mut t = OverrideTriangle::new(m);
+            for &(p, q) in pairs {
+                t.set(p, q);
+            }
+            let lookup =
+                align_group_striped::<V>(seq.codes(), &scoring, r0, lanes, Some(&t), STRIPE);
+            for rs in [&consecutive, &compacted] {
+                let want: Vec<Vec<Score>> = rs
+                    .iter()
+                    .map(|&r| naive_row(&seq, &scoring, r, r, &t))
+                    .collect();
+                if rs == &consecutive {
+                    assert_eq!(lookup.rows, want, "lookup sweep, triangle {pairs:?}");
+                }
+                let capture_rows: Vec<usize> = (1..*rs.last().unwrap()).collect();
+                let (scratch, caps) = align_group_profile_at::<V>(
+                    seq.codes(),
+                    &scoring,
+                    &prof,
+                    rs,
+                    Some(&t),
+                    STRIPE,
+                    None,
+                    &capture_rows,
+                );
+                assert!(!scratch.saturated);
+                assert_eq!(scratch.rows, want, "splits {rs:?}, triangle {pairs:?}");
+                // Every captured row, not only the bottom ones: the whole
+                // matrix of every lane agrees with the oracle.
+                for cap in &caps {
+                    for (lane, &r) in cap.lanes.iter().zip(rs) {
+                        if let Some((m_row, _)) = lane {
+                            let want = naive_row(&seq, &scoring, r, cap.row, &t);
+                            assert_eq!(m_row, &want, "row {} of split {r}, {pairs:?}", cap.row - 1);
+                        }
+                    }
+                }
+                // Resume every lane from the capture halfway down the
+                // shallowest split.
+                let cap = &caps[rs[0] / 2];
+                let state: Vec<LaneResume<'_>> = cap
+                    .lanes
+                    .iter()
+                    .map(|l| {
+                        let (m, maxy) = l.as_ref().expect("capture above every split");
+                        LaneResume { m, maxy }
+                    })
+                    .collect();
+                let resume = GroupResume {
+                    row: cap.row,
+                    lanes: state,
+                };
+                for stripe in [STRIPE, usize::MAX] {
+                    let (resumed, _) = align_group_profile_at::<V>(
+                        seq.codes(),
+                        &scoring,
+                        &prof,
+                        rs,
+                        Some(&t),
+                        stripe,
+                        Some(&resume),
+                        &[],
+                    );
+                    assert_eq!(
+                        resumed.rows, want,
+                        "resume at row {} stripe {stripe}, splits {rs:?}, triangle {pairs:?}",
+                        cap.row
+                    );
+                }
+            }
+        }
+    }
+
+    fn narrow(scoring: &Scoring, codes: &[u8]) -> QueryProfile<i16> {
+        QueryProfile::new_narrow(scoring, codes).expect("DNA scores fit i16")
+    }
+
+    #[test]
+    fn masked_sweeps_match_naive_at_every_portable_width() {
+        check_masked_sweeps::<I16x4>(narrow);
+        check_masked_sweeps::<I16x8>(narrow);
+        check_masked_sweeps::<I16x16>(narrow);
+        check_masked_sweeps::<crate::lanes::I32x4>(QueryProfile::new_wide);
+        check_masked_sweeps::<I32x8>(QueryProfile::new_wide);
+        check_masked_sweeps::<I32x16>(QueryProfile::new_wide);
+    }
+
+    #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
+    #[test]
+    fn masked_sweeps_match_naive_on_core_arch_lanes() {
+        use crate::lanes::{avx2::I16x16Avx2, sse2::I16x4Sse2, sse2::I16x8Sse2};
+        check_masked_sweeps::<I16x4Sse2>(narrow);
+        check_masked_sweeps::<I16x8Sse2>(narrow);
+        if crate::test_support::require_avx2("masked_sweeps_match_naive_on_core_arch_lanes") {
+            check_masked_sweeps::<I16x16Avx2>(narrow);
+        }
+    }
+
+    /// The only cell that would reach `i16::MAX` is overridden: the
+    /// forced zero, not the value the recurrence would have produced,
+    /// is what the saturation accumulator sees — no promotion sweep.
+    #[test]
+    fn overridden_cell_never_trips_saturation() {
+        // One exact 8-residue repeat on a single diagonal, 4096 per
+        // match: the running score saturates at the 8th match only,
+        // cell (7, 19), and every other cell stays below 7 × 4096.
+        let seq = Seq::protein("ACDEFGHIKLMNACDEFGHI").unwrap();
+        let scoring = Scoring::new(
+            repro_align::ExchangeMatrix::match_mismatch(repro_align::Alphabet::Protein, 4096, -1),
+            repro_align::GapPenalties::new(2, 1),
+        );
+        let prof = QueryProfile::new_narrow(&scoring, seq.codes()).unwrap();
+        let rs = [8usize, 9, 10, 11, 12];
+        let sweep = |t: &OverrideTriangle, stripe| {
+            align_group_profile_at::<I16x8>(
+                seq.codes(),
+                &scoring,
+                &prof,
+                &rs,
+                Some(t),
+                stripe,
+                None,
+                &[],
+            )
+            .0
+        };
+        let mut elsewhere = OverrideTriangle::new(seq.len());
+        elsewhere.set(0, 13);
+        let mut on_it = OverrideTriangle::new(seq.len());
+        on_it.set(7, 19);
+        for stripe in [4usize, 64] {
+            assert!(
+                sweep(&elsewhere, stripe).saturated,
+                "control: (7, 19) saturates"
+            );
+            let g = sweep(&on_it, stripe);
+            assert!(!g.saturated, "an overridden cell leaked into sat_acc");
+            for (l, &r) in rs.iter().enumerate() {
+                assert_eq!(g.rows[l], scalar_row(&seq, &scoring, r, Some(&on_it)));
+            }
+            let lookup =
+                align_group_striped::<I16x8>(seq.codes(), &scoring, 8, 5, Some(&on_it), stripe);
+            assert!(!lookup.saturated);
         }
     }
 
