@@ -2,23 +2,31 @@
 //!
 //! Sweeps the strict upper triangle `{(i, j) : i < j < m}` of a
 //! sequence against itself with exactly the [`super::gotoh`]
-//! recurrence. One such sweep dominates **every** split matrix at once:
-//! a split-`r` cell `(y, x)` aligns residues `(y, x + r)` with
-//! `y < r ≤ x + r`, so the same residue pair exists in the triangle
+//! recurrence. One such sweep dominates **every** split matrix at once,
+//! cell by cell: a split-`r` cell `(y, x)` aligns residues `(y, x + r)`
+//! with `y < r ≤ x + r`, so the same residue pair exists in the triangle
 //! domain under the same override mask, and every predecessor the split
 //! matrix offers that cell is also offered (with a value at least as
 //! large) by the triangle — the triangle merely adds predecessors, and
 //! the recurrence is monotone in its inputs. By induction,
-//! `H_tri(i, j) ≥ H_split_r(i, j − r)` for every `r` with `i < r ≤ j`,
-//! which is what makes the per-split bounds of `repro-core::seed`
-//! admissible.
+//! `H_tri(i, j) ≥ H_split_r(i, j − r)` for every `r` with `i < r ≤ j`.
+//!
+//! `repro-core::seed` folds the rows two ways. Row `r − 1` alone
+//! (`max_{j ≥ r} H_tri(r − 1, j)`) dominates split `r`'s **bottom row**
+//! — the only row a queued task score reads — but not the split
+//! matrix's overall maximum. The running column maxima over rows
+//! `0..r` (`max {H_tri(i, j) : i < r ≤ j}`) dominate the whole split
+//! matrix; swept over the *reversed* sequence, that fold bounds every
+//! path *starting* in the mirrored split's rectangle. The tests below
+//! check the cell-wise domination through the column fold, the
+//! stronger of the two statements.
 //!
 //! The sweep is resumable from any row boundary, mirroring
 //! [`super::gotoh::sw_last_row_resume`]: `(m, maxy)` after rows
 //! `0..i` is the complete inter-row state (the per-row `MaxX` and
-//! diagonal reset each row), so bound recomputation after an accepted
-//! top alignment can restart below the dirty row instead of resweeping
-//! the whole triangle.
+//! diagonal reset each row), so a bound refresh under a grown override
+//! triangle can restart below the dirty row instead of resweeping the
+//! whole triangle.
 
 use crate::mask::CellMask;
 use crate::scoring::Scoring;
@@ -41,7 +49,8 @@ use crate::{Score, NEG_INF};
 ///
 /// After each row `i` completes, `on_row(i, &m, &maxy)` fires with the
 /// exact resume state for `start_row = i + 1`; callers use it to fold
-/// column maxima into per-split bounds and to snapshot checkpoints.
+/// row or column maxima into per-split bounds and to snapshot
+/// checkpoints.
 ///
 /// Returns the number of cells computed.
 #[allow(clippy::type_complexity)] // the row hook signature IS the contract

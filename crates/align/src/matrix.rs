@@ -135,6 +135,15 @@ impl ExchangeMatrix {
     /// `#` comments, a header line of letters, then one labelled row per
     /// letter). Letters absent from `alphabet` are ignored; alphabet
     /// letters absent from the file default to −1.
+    ///
+    /// The table must come out symmetric — a file that is not, or that
+    /// lists a letter's column but not its row (one side then keeps the
+    /// −1 default), is rejected with [`MatrixParseError::Asymmetric`].
+    /// This is where symmetry is enforced for user input ([`Self::from_fn`]
+    /// enforces it for built-in tables): the reversed-sweep split bound
+    /// of `repro-core::seed` is admissible only because reversing a path
+    /// swaps the two residues of every matched pair without changing
+    /// its score.
     pub fn parse_ncbi(alphabet: Alphabet, text: &str) -> Result<Self, MatrixParseError> {
         let mut header: Option<Vec<u8>> = None;
         let k = alphabet.len();
@@ -193,8 +202,16 @@ impl ExchangeMatrix {
             return Err(MatrixParseError::Empty);
         }
         let m = ExchangeMatrix { alphabet, k, table };
-        m.assert_symmetric();
-        Ok(m)
+        match m.first_asymmetry() {
+            Some((i, j)) => {
+                let letter = |code: usize| alphabet.letters()[code] as char;
+                Err(MatrixParseError::Asymmetric {
+                    a: letter(j),
+                    b: letter(i),
+                })
+            }
+            None => Ok(m),
+        }
     }
 
     /// The alphabet this matrix scores.
@@ -224,15 +241,17 @@ impl ExchangeMatrix {
         self.table.iter().copied().max().unwrap_or(0)
     }
 
+    /// The first code pair `(i, j)`, `j < i`, scored differently in the
+    /// two orders (row-major), if any.
+    fn first_asymmetry(&self) -> Option<(usize, usize)> {
+        (0..self.k)
+            .flat_map(|i| (0..i).map(move |j| (i, j)))
+            .find(|&(i, j)| self.table[i * self.k + j] != self.table[j * self.k + i])
+    }
+
     fn assert_symmetric(&self) {
-        for i in 0..self.k {
-            for j in 0..i {
-                assert_eq!(
-                    self.table[i * self.k + j],
-                    self.table[j * self.k + i],
-                    "exchange matrix must be symmetric (violated at {i},{j})"
-                );
-            }
+        if let Some((i, j)) = self.first_asymmetry() {
+            panic!("exchange matrix must be symmetric (violated at {i},{j})");
         }
     }
 }
@@ -266,6 +285,14 @@ pub enum MatrixParseError {
     BadValue(usize),
     /// No header line found at all.
     Empty,
+    /// Letters `a` and `b` score differently in the two orders (also
+    /// what a file listing a letter's column but not its row produces).
+    Asymmetric {
+        /// The offending pair's earlier letter in alphabet code order.
+        a: char,
+        /// The later letter.
+        b: char,
+    },
 }
 
 impl fmt::Display for MatrixParseError {
@@ -275,6 +302,9 @@ impl fmt::Display for MatrixParseError {
             MatrixParseError::BadRow(l) => write!(f, "line {l}: bad matrix row"),
             MatrixParseError::BadValue(l) => write!(f, "line {l}: bad score value"),
             MatrixParseError::Empty => write!(f, "no matrix header found"),
+            MatrixParseError::Asymmetric { a, b } => {
+                write!(f, "matrix is not symmetric: {a}/{b} and {b}/{a} differ")
+            }
         }
     }
 }
@@ -354,6 +384,24 @@ mod tests {
             ExchangeMatrix::parse_ncbi(Alphabet::Protein, bad),
             Err(MatrixParseError::BadValue(_))
         ));
+    }
+
+    #[test]
+    fn parse_ncbi_rejects_asymmetric_and_truncated_tables() {
+        let skewed = "   A  R\nA  4 -1\nR  2  5\n";
+        assert_eq!(
+            ExchangeMatrix::parse_ncbi(Alphabet::Protein, skewed),
+            Err(MatrixParseError::Asymmetric { a: 'A', b: 'R' })
+        );
+        // Column N present, row N missing: N/A keeps the −1 default
+        // while A/N reads −2.
+        let truncated = "   A  R  N\nA  4 -1 -2\nR -1  5  0\n";
+        let err = ExchangeMatrix::parse_ncbi(Alphabet::Protein, truncated).unwrap_err();
+        assert_eq!(err, MatrixParseError::Asymmetric { a: 'A', b: 'N' });
+        assert_eq!(
+            err.to_string(),
+            "matrix is not symmetric: A/N and N/A differ"
+        );
     }
 
     #[test]

@@ -42,13 +42,23 @@ use std::time::Duration;
 /// for noisy CI machines.
 const ABLATION_THRESHOLD: f64 = 1.25;
 
-/// Band for the *seeded* sequential run's prune-aware
-/// `realignments_avoided`. Pruning removes the easy-reject splits from
-/// the denominator ([`repro::Stats::realignment_fraction_effective`]),
-/// so the surviving split population is enriched in hard,
-/// frequently-realigned splits and the honest fraction reads a few
-/// points below the paper's unpruned 90–97 % band. The floor is
-/// calibrated on the deterministic titin-like workload.
+/// Band for the *seeded* sequential run's `realignments_avoided`.
+/// Pruning removes the easy-reject splits from the denominator
+/// ([`repro::Stats::realignment_fraction_effective`]), so the honest
+/// fraction reads below the paper's unpruned 90–97 % band — and the
+/// better the bounds prune, the further below, because the denominator
+/// shrinks with every split pruned while each survivor's (late) first
+/// pass stays in the numerator. The two ends are therefore held on two
+/// readings of the same run:
+///
+/// * the **ceiling** on the report's prune-aware fraction — the claim a
+///   plain denominator would silently inflate past 97 %;
+/// * the **floor** on the fraction of the naive `rounds × splits`
+///   budget avoided, whose denominator does not depend on how many
+///   splits were pruned (better pruning can only raise it) — next to
+///   an absolute count: the seeded run may not make more score-only
+///   alignments than the unseeded baseline (its
+///   `extra_alignment_overhead` must not be positive).
 const SEEDED_AVOIDED_BAND: std::ops::RangeInclusive<f64> = 0.85..=0.97;
 
 fn validate_file(path: &str) -> Result<usize, String> {
@@ -199,7 +209,11 @@ fn main() {
             run.set_baseline(base);
         }
         let avoided = run.claims.realignments_avoided;
-        if !SEEDED_AVOIDED_BAND.contains(&avoided) {
+        let avoided_of_naive = 1.0 - analysis.tops.stats.realignment_fraction(seq.len() - 1);
+        if avoided > *SEEDED_AVOIDED_BAND.end()
+            || avoided_of_naive < *SEEDED_AVOIDED_BAND.start()
+            || run.claims.extra_alignment_overhead.is_some_and(|o| o > 0.0)
+        {
             claims_ok = false;
         }
         table.row(&[
@@ -210,7 +224,11 @@ fn main() {
                 Some(o) => format!("{:+.1}%", 100.0 * o),
                 None => "(baseline)".to_string(),
             },
-            format!("pruned {}", run.splits_pruned),
+            format!(
+                "pruned {}, {:.1}% of naive budget avoided",
+                run.splits_pruned,
+                100.0 * avoided_of_naive
+            ),
         ]);
         reports.push(run.to_json());
     }
@@ -338,8 +356,9 @@ fn main() {
         }
         if !claims_ok {
             eprintln!(
-                "CHECK FAILED: sequential (plain or seeded) realignments_avoided \
-                 left the paper's 0.90..=0.97 band"
+                "CHECK FAILED: sequential realignments_avoided left the paper's \
+                 0.90..=0.97 band, or the seeded run left SEEDED_AVOIDED_BAND \
+                 (prune-aware ceiling, naive-budget floor, no more alignments than unseeded)"
             );
             failed = true;
         }

@@ -38,8 +38,8 @@
 //!                              only; results identical either way)
 //!   --no-prune                 disable seeded split pruning (on by
 //!                              default; results identical either way)
-//!   --seed-k K                 k-mer width of the seed index used for
-//!                              split pruning            [default: 6]
+//!   --seed-k K                 validated, otherwise a no-op (the k-mer
+//!                              index it sized is gone)   [default: 6]
 //!   --quiet                    suppress the per-alignment listing
 //!   --report FILE              write a structured JSON run report
 //!                              (`{"reports":[…]}`, one per record)

@@ -352,6 +352,37 @@ fn custom_matrix_file() {
     let _ = std::fs::remove_file(matrix);
 }
 
+/// A matrix file with a column whose row is missing used to panic in
+/// the parser's symmetry assertion; it must be the usual one-line error.
+#[test]
+fn asymmetric_matrix_file_is_a_typed_error() {
+    let matrix = std::env::temp_dir().join(format!(
+        "repro-cli-skewed-matrix-{}.txt",
+        std::process::id()
+    ));
+    std::fs::write(
+        &matrix,
+        "   A  C  G  T\nA  5 -4 -4 -4\nC -4  5 -4 -4\nG -4 -4  5 -4\n",
+    )
+    .unwrap();
+    let path = write_fasta("skewed-matrix", ">m\nATGCATGCATGC\n");
+    let out = repro_bin()
+        .args(["--alphabet", "dna", "--tops", "1", "--matrix"])
+        .arg(&matrix)
+        .arg(&path)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "stderr: {stderr}");
+    assert!(
+        stderr.contains("bad matrix file") && stderr.contains("not symmetric: A/T and T/A differ"),
+        "stderr: {stderr}"
+    );
+    let _ = std::fs::remove_file(path);
+    let _ = std::fs::remove_file(matrix);
+}
+
 #[test]
 fn proc_transport_agrees_with_sim_end_to_end() {
     let path = write_fasta("proc-vs-sim", ">toy repeat\nATGCATGCATGCATGC\n");

@@ -23,7 +23,7 @@ use crate::protocol::{tag, AcceptedMsg, ResultMsg, ResyncMsg, TaskItem, TaskMsg,
 use crate::recovery::{
     already_deferred, idle_payload, master_loop, RecoveryConfig, BEACON_PERIOD, WORKER_POLL,
 };
-use repro_align::{NoMask, Score, Scoring, Seq};
+use repro_align::{Score, Scoring, Seq};
 use repro_core::seed::SeedConfig;
 use repro_core::{DirtyLog, IncrementalSweeper, OverrideTriangle, SplitMask, TopAlignments};
 use repro_obs::{Counter, FlightRecorder, Metric, NoopRecorder, Recorder};
@@ -479,10 +479,13 @@ fn run_task<C: Comm>(
     }
     let sweep_t0 = Instant::now();
     // The incremental path serves realignments, and first passes while
-    // the replica is still pristine. A first pass re-run under a newer
-    // replica (a retransmitted attempt racing an acceptance) takes the
-    // plain path: the sweeper's memo must only ever describe the
-    // version-stamped state the dirty log can account for.
+    // the replica is still pristine. A first pass under a grown replica
+    // — a late one behind the master's seed bounds, or a retransmitted
+    // attempt racing an acceptance — takes the plain path and leaves
+    // the sweeper alone: seeding it there was measured (EXPERIMENTS.md,
+    // PR 13) to buy a few checkpoint hits and no wall time on the
+    // tandem inputs this engine is benchmarked on, for 20–30 % more
+    // resident memory.
     let use_incr = incr.is_some() && (!task.first || applied == 0);
     let (score, shadow_rejections, cells, incr_tallies, first_row) = if use_incr {
         let sweeper = incr.as_mut().expect("checked incr.is_some()");
@@ -519,41 +522,24 @@ fn run_task<C: Comm>(
                 None,
             )
         }
+    } else if task.first {
+        // Possibly under a grown replica — the master prunes with seed
+        // bounds, so accepts can precede a first pass. The row every
+        // later realignment diffs against must be the CLEAN bottom row;
+        // the score reflects the mask.
+        let res = repro_core::late_first_pass(seq, scoring, task.r, triangle, None);
+        let row = res.first_row.expect("first pass returns its row");
+        rows.insert(task.r, row.clone());
+        (res.score, res.shadow_rejections, res.cells, [0; 4], Some(row))
     } else {
         let (prefix, suffix) = seq.split(task.r);
         let mask = SplitMask::new(triangle, task.r);
         let last = repro_align::sw_last_row(prefix, suffix, scoring, mask);
-        if task.first {
-            if triangle.is_empty() {
-                rows.insert(task.r, last.row.clone());
-                (last.best_in_row, 0, last.cells, [0; 4], Some(last.row))
-            } else {
-                // A first pass under a grown replica — possible when the
-                // master prunes with seed bounds (accepts then precede
-                // some first passes). The row every later realignment
-                // diffs against must be the CLEAN bottom row, so sweep
-                // unmasked for the row and shadow-score the masked
-                // sweep against it.
-                let clean = repro_align::sw_last_row(prefix, suffix, scoring, NoMask);
-                let (score, _, shadows) =
-                    repro_core::bottom::best_valid_entry_counted(&last.row, &clean.row);
-                rows.insert(task.r, clean.row.clone());
-                (
-                    score,
-                    shadows,
-                    last.cells + clean.cells,
-                    [0; 4],
-                    Some(clean.row),
-                )
-            }
-        } else {
-            let original = rows
-                .get(&task.r)
-                .expect("realignment without cached or attached row");
-            let (score, _, shadows) =
-                repro_core::bottom::best_valid_entry_counted(&last.row, original);
-            (score, shadows, last.cells, [0; 4], None)
-        }
+        let original = rows
+            .get(&task.r)
+            .expect("realignment without cached or attached row");
+        let (score, _, shadows) = repro_core::bottom::best_valid_entry_counted(&last.row, original);
+        (score, shadows, last.cells, [0; 4], None)
     };
     wrec.observe(Metric::SweepNs, sweep_t0.elapsed().as_nanos() as u64);
     // The shipped bound dominates any score computed at or past the

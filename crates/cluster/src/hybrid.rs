@@ -30,7 +30,7 @@ use crate::recovery::{
     already_deferred, idle_payload, master_loop, RecoveryConfig, BEACON_PERIOD, WORKER_POLL,
 };
 use parking_lot::{Condvar, Mutex};
-use repro_align::{NoMask, Score, Scoring, Seq};
+use repro_align::{Score, Scoring, Seq};
 use repro_core::seed::SeedConfig;
 use repro_core::{DirtyLog, IncrementalSweeper, OverrideTriangle, SplitMask, TopAlignments};
 use repro_obs::{NoopRecorder, Recorder};
@@ -527,8 +527,8 @@ fn run_task<C: Comm>(
 ) {
     // Same routing rule as the flat cluster worker: incremental for
     // realignments, and for first passes only while the replica is
-    // pristine (a re-run first pass under a newer replica would seed
-    // the memo with unaccounted state).
+    // pristine; a first pass under a grown replica takes the plain
+    // path.
     let use_incr = incr.is_some() && (!task.first || applied == 0);
     let (score, shadow_rejections, cells, incr_tallies, first_row) = if use_incr {
         let sweeper = incr.as_mut().expect("checked incr.is_some()");
@@ -573,56 +573,39 @@ fn run_task<C: Comm>(
                 None,
             )
         }
+    } else if task.first {
+        // Possibly under a grown replica (seed pruning lets accepts
+        // precede some first passes): cache and return the CLEAN bottom
+        // row, score under the mask — same as the flat engine's worker.
+        let res = repro_core::late_first_pass(seq, scoring, task.r, triangle, None);
+        let row = Arc::new(res.first_row.expect("first pass returns its row"));
+        shared.inner.lock().rows.insert(task.r, Arc::clone(&row));
+        (
+            res.score,
+            res.shadow_rejections,
+            res.cells,
+            [0; 4],
+            Some((*row).clone()),
+        )
     } else {
         let (prefix, suffix) = seq.split(task.r);
         let mask = SplitMask::new(triangle, task.r);
         let last = repro_align::sw_last_row(prefix, suffix, scoring, mask);
-        if task.first {
-            if triangle.is_empty() {
-                let row = Arc::new(last.row);
-                shared.inner.lock().rows.insert(task.r, Arc::clone(&row));
-                (
-                    last.best_in_row,
-                    0,
-                    last.cells,
-                    [0; 4],
-                    Some((*row).clone()),
-                )
-            } else {
-                // First pass under a grown replica (seed pruning lets
-                // accepts precede some first passes): cache and return
-                // the CLEAN bottom row, score the masked sweep against
-                // it — same as the flat engine's worker.
-                let clean = repro_align::sw_last_row(prefix, suffix, scoring, NoMask);
-                let (score, _, shadows) =
-                    repro_core::bottom::best_valid_entry_counted(&last.row, &clean.row);
-                let row = Arc::new(clean.row);
-                shared.inner.lock().rows.insert(task.r, Arc::clone(&row));
-                (
-                    score,
-                    shadows,
-                    last.cells + clean.cells,
-                    [0; 4],
-                    Some((*row).clone()),
-                )
+        let original = {
+            let mut inner = shared.inner.lock();
+            if let Some(row) = &task.row {
+                inner.rows.insert(task.r, Arc::new(row.clone()));
             }
-        } else {
-            let original = {
-                let mut inner = shared.inner.lock();
-                if let Some(row) = &task.row {
-                    inner.rows.insert(task.r, Arc::new(row.clone()));
-                }
-                Arc::clone(
-                    inner
-                        .rows
-                        .get(&task.r)
-                        .expect("realignment without cached or attached row"),
-                )
-            };
-            let (score, _, shadows) =
-                repro_core::bottom::best_valid_entry_counted(&last.row, &original);
-            (score, shadows, last.cells, [0; 4], None)
-        }
+            Arc::clone(
+                inner
+                    .rows
+                    .get(&task.r)
+                    .expect("realignment without cached or attached row"),
+            )
+        };
+        let (score, _, shadows) =
+            repro_core::bottom::best_valid_entry_counted(&last.row, &original);
+        (score, shadows, last.cells, [0; 4], None)
     };
     debug_assert!(
         score <= task.bound,

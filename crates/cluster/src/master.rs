@@ -27,9 +27,11 @@
 //!   the search with the exact sequential result instead of stalling.
 
 use crate::protocol::{AcceptedMsg, ResultMsg, TaskItem, TaskMsg};
-use repro_align::{sw_last_row, NoMask, Score, Scoring, Seq};
+use repro_align::{sw_last_row, Score, Scoring, Seq};
 use repro_core::seed::{SeedConfig, SplitBounds};
-use repro_core::{accept_task_with_row, OverrideTriangle, SplitMask, Stats, TopAlignment};
+use repro_core::{
+    accept_task_with_row, late_first_pass, OverrideTriangle, SplitMask, Stats, TopAlignment,
+};
 use std::collections::{HashMap, HashSet};
 
 /// The worker id the master uses for itself when it falls back to
@@ -97,9 +99,9 @@ pub struct MasterState<'a> {
     idle: Vec<(usize, usize)>,
     in_flight: usize,
     done: bool,
-    /// Seed bounds (pruning on): the master owns the only seed index in
-    /// the cluster; workers receive the per-task bound inside
-    /// [`TaskMsg`] and never build one themselves.
+    /// Seed bounds (pruning on): the master owns the only ones in the
+    /// cluster — told of each accept, refreshed on demand — and workers
+    /// receive the per-task bound inside [`TaskMsg`].
     bounds: Option<SplitBounds>,
     /// Splits whose first pass has settled — the complement of the
     /// splits pruning kept seedless forever.
@@ -379,44 +381,54 @@ impl<'a> MasterState<'a> {
     /// version `tops.len()`, which equals every locally issued stamp.
     fn compute_local(&self, stamp: usize, task: &TaskItem) -> (Score, u64, u64, Option<Vec<Score>>) {
         debug_assert_eq!(stamp, self.tops.len());
+        if task.first {
+            // Possibly after accepts (under seed pruning): clean row
+            // for the store, masked score.
+            let res = late_first_pass(self.seq, self.scoring, task.r, &self.triangle, None);
+            return (res.score, res.cells, res.shadow_rejections, res.first_row);
+        }
         let (prefix, suffix) = self.seq.split(task.r);
         let mask = SplitMask::new(&self.triangle, task.r);
         let last = sw_last_row(prefix, suffix, self.scoring, mask);
-        if task.first {
-            if self.triangle.is_empty() {
-                (last.best_in_row, last.cells, 0, Some(last.row))
-            } else {
-                // A first pass after accepts (possible only under seed
-                // pruning): the stored row must be the CLEAN bottom
-                // row — later realignments diff against it — so sweep
-                // unmasked for the row and score the masked sweep
-                // against it, shadow-filtered like any realignment.
-                let clean = sw_last_row(prefix, suffix, self.scoring, NoMask);
-                let (score, _, shadows) =
-                    repro_core::bottom::best_valid_entry_counted(&last.row, &clean.row);
-                (score, last.cells + clean.cells, shadows, Some(clean.row))
-            }
-        } else {
-            let original = self.rows[task.r - 1]
-                .as_deref()
-                .expect("realignment of a split with no stored row");
-            let (score, _, shadows) =
-                repro_core::bottom::best_valid_entry_counted(&last.row, original);
-            (score, last.cells, shadows, None)
-        }
+        let original = self.rows[task.r - 1]
+            .as_deref()
+            .expect("realignment of a split with no stored row");
+        let (score, _, shadows) = repro_core::bottom::best_valid_entry_counted(&last.row, original);
+        (score, last.cells, shadows, None)
     }
 
-    /// Advance: accept while possible, then hand work to idle workers.
+    /// Advance: accept while possible, then hand work to idle workers —
+    /// and again if handing out work refreshed the seed bounds, which
+    /// can leave a fresh task at the head.
     fn pump(&mut self) -> Vec<MasterAction> {
         let mut actions = Vec::new();
         if self.done {
             return actions;
         }
-        // Accept as long as the global argmax is fresh (acceptance can
-        // make the next argmax fresh too, when a prior realignment
-        // already ran against the triangle the acceptance produced —
-        // impossible by monotonicity, but the loop shape matches the
-        // sequential engine's).
+        loop {
+            self.accept_ready(&mut actions);
+            if !self.assign_idle(&mut actions) {
+                break;
+            }
+        }
+
+        // Finished? The search ends when the target is reached or no
+        // positive alignment remains, and — for a tidy deterministic
+        // shutdown — nothing is still in flight.
+        let exhausted = self.argmax().is_none_or(|(s, _)| s <= 0);
+        if (self.tops.len() >= self.count || exhausted) && self.in_flight == 0 {
+            self.done = true;
+            actions.push(MasterAction::Done);
+        }
+        actions
+    }
+
+    /// Accept as long as the global argmax is fresh (acceptance can
+    /// make the next argmax fresh too, when a prior realignment already
+    /// ran against the triangle the acceptance produced — impossible by
+    /// monotonicity, but the loop shape matches the sequential
+    /// engine's).
+    fn accept_ready(&mut self, actions: &mut Vec<MasterAction>) {
         while self.tops.len() < self.count {
             let Some((best_score, best_i)) = self.argmax() else {
                 break;
@@ -444,20 +456,8 @@ impl<'a> MasterState<'a> {
             );
             self.stats.record_traceback(cells);
             self.stats.fresh_pops += 1;
-            // Seeded: tighten the bounds of every still-seedless split
-            // under the grown triangle, so splits whose (now masked)
-            // bound falls off the frontier are never assigned. Skipped
-            // once every split has had its first pass — from there the
-            // bounds can prune nothing.
-            if self.first_passes < self.state.len() {
-                if let (Some(bounds), Some(&(p, _))) = (self.bounds.as_mut(), top.pairs.first()) {
-                    bounds.recompute(self.seq.codes(), self.scoring, &self.triangle, p);
-                    for (i, t) in self.state.iter_mut().enumerate() {
-                        if t.aligned_with == NEVER && t.assigned.is_none() {
-                            t.score = bounds.bound(i + 1);
-                        }
-                    }
-                }
+            if let Some(bounds) = self.bounds.as_mut() {
+                bounds.note_accept(&top.pairs);
             }
             actions.push(MasterAction::Broadcast(AcceptedMsg {
                 index,
@@ -465,14 +465,42 @@ impl<'a> MasterState<'a> {
             }));
             self.tops.push(top);
         }
+    }
 
-        // Hand the best stale unassigned tasks to idle capacity, up to
-        // MAX_BATCH per slot token. The batch size adapts to the
-        // supply/demand ratio so a thin backlog still spreads across
-        // every idle slot instead of piling onto the first one; each
-        // batch is sorted by split index so consecutive items land in
-        // neighbouring checkpoint and row-cache state on the worker
-        // (bound locality).
+    /// The next task to hand out. A never-aligned pick is about to be
+    /// swept: the moment the seed bounds may spend a refresh — if they
+    /// do, every still-seedless unassigned split drops to its tightened
+    /// bound (so splits that fall off the frontier are never assigned)
+    /// and the pick is made again.
+    fn next_assignment(&mut self) -> Option<usize> {
+        let (_, i) = self.best_stale_unassigned()?;
+        if self.state[i].aligned_with == NEVER {
+            if let Some(bounds) = self.bounds.as_mut() {
+                let stake = ((i + 1) * (self.seq.len() - i - 1)) as u64;
+                let codes = self.seq.codes();
+                if bounds.refresh_before_sweep(codes, self.scoring, &self.triangle, stake) {
+                    for (j, t) in self.state.iter_mut().enumerate() {
+                        if t.aligned_with == NEVER && t.assigned.is_none() {
+                            t.score = bounds.bound(j + 1);
+                        }
+                    }
+                    return self.best_stale_unassigned().map(|(_, j)| j);
+                }
+            }
+        }
+        Some(i)
+    }
+
+    /// Hand the best stale unassigned tasks to idle capacity, up to
+    /// MAX_BATCH per slot token. The batch size adapts to the
+    /// supply/demand ratio so a thin backlog still spreads across every
+    /// idle slot instead of piling onto the first one; each batch is
+    /// sorted by split index so consecutive items land in neighbouring
+    /// checkpoint and row-cache state on the worker (bound locality).
+    /// Returns `true` if the seed bounds were refreshed on the way.
+    fn assign_idle(&mut self, actions: &mut Vec<MasterAction>) -> bool {
+        let refreshes = |m: &Self| m.bounds.as_ref().map_or(0, SplitBounds::recomputes);
+        let refreshes_before = refreshes(self);
         while let Some(&(worker, slot)) = self.idle.last() {
             let tops = self.tops.len();
             let avail = if tops >= self.count {
@@ -494,11 +522,10 @@ impl<'a> MasterState<'a> {
             } else {
                 (avail / self.idle.len()).clamp(1, MAX_BATCH)
             };
-            self.idle.pop();
             let stamp = tops;
             let mut items = Vec::with_capacity(k);
             for _ in 0..k {
-                let Some((_, i)) = self.best_stale_unassigned() else {
+                let Some(i) = self.next_assignment() else {
                     break;
                 };
                 let attempt = self.state[i].attempts + 1;
@@ -532,22 +559,18 @@ impl<'a> MasterState<'a> {
                     row,
                 });
             }
+            if items.is_empty() {
+                // A refresh dropped every candidate off the frontier.
+                break;
+            }
+            self.idle.pop();
             items.sort_by_key(|it| it.r);
             actions.push(MasterAction::Assign {
                 worker,
                 task: TaskMsg { stamp, items },
             });
         }
-
-        // Finished? The search ends when the target is reached or no
-        // positive alignment remains, and — for a tidy deterministic
-        // shutdown — nothing is still in flight.
-        let exhausted = self.argmax().is_none_or(|(s, _)| s <= 0);
-        if (self.tops.len() >= self.count || exhausted) && self.in_flight == 0 {
-            self.done = true;
-            actions.push(MasterAction::Done);
-        }
-        actions
+        refreshes(self) != refreshes_before
     }
 
     fn argmax(&self) -> Option<(Score, usize)> {
@@ -654,7 +677,8 @@ mod tests {
                 } else {
                     // Late first pass (seeded): store the clean row,
                     // score masked-vs-clean — same as a real worker.
-                    let clean = repro_align::sw_last_row(prefix, suffix, scoring, NoMask);
+                    let clean =
+                        repro_align::sw_last_row(prefix, suffix, scoring, repro_align::NoMask);
                     let (s, _, shadows) =
                         repro_core::bottom::best_valid_entry_counted(&last.row, &clean.row);
                     worker_caches[w].insert(task.r, clean.row.clone());

@@ -14,7 +14,7 @@
 
 use crate::bottom::{best_valid_entry, best_valid_entry_counted, BottomRowStore};
 use crate::dirty::DirtyLog;
-use crate::incremental::IncrementalSweeper;
+use crate::incremental::{late_first_pass, IncrementalSweeper};
 use crate::seed::{SeedConfig, SplitBounds};
 use crate::split_mask::SplitMask;
 use crate::stats::Stats;
@@ -534,13 +534,25 @@ impl<'a> TopAlignmentFinder<'a> {
             return Step::Done;
         }
         let tops_found = self.alignments.len();
-        // Bound-fresh fast path: a never-aligned head whose seed bound
-        // has tightened since it was queued re-enters at the tighter
-        // bound without any sweep. (Bounds only ever decrease, so the
+        // A never-aligned head is the one place seed bounds act. If its
+        // queued bound is still the current one it is about to be
+        // swept — the moment `SplitBounds` may spend a refresh on the
+        // accepts noted since the last one. Either way, a bound now
+        // below the queued one re-enters the queue without any sweep
+        // (the bound-fresh fast path: bounds only ever decrease, so the
         // queued entry was admissible all along; this just avoids
-        // aligning a split the tightened bound may keep buried forever.)
-        if let Some(bounds) = &self.bounds {
+        // aligning a split the tighter bound may keep buried forever).
+        if let Some(bounds) = self.bounds.as_mut() {
             if task.aligned_with == NEVER_ALIGNED {
+                if bounds.bound(task.r) >= task.score {
+                    let stake = (task.r * (self.seq.len() - task.r)) as u64;
+                    bounds.refresh_before_sweep(
+                        self.seq.codes(),
+                        self.scoring,
+                        &self.triangle,
+                        stake,
+                    );
+                }
                 let bound = bounds.bound(task.r);
                 if bound < task.score {
                     self.stats.pruned_pops += 1;
@@ -600,18 +612,8 @@ impl<'a> TopAlignmentFinder<'a> {
             if self.incr.is_some() {
                 self.dirty.record_accept(&top.pairs);
             }
-            // Tighten the seed bounds under the grown triangle instead
-            // of resetting anything to infinity. Once every split has
-            // first-passed, never-aligned tasks no longer exist and the
-            // bounds can't influence the schedule — skip the resweep
-            // (this is what keeps repeat-dense inputs at parity).
             if let Some(bounds) = self.bounds.as_mut() {
-                let splits = self.seq.len().saturating_sub(1);
-                if self.first_passes < splits {
-                    if let Some(&(p, _)) = top.pairs.first() {
-                        bounds.recompute(self.seq.codes(), self.scoring, &self.triangle, p);
-                    }
-                }
+                bounds.note_accept(&top.pairs);
             }
             let (r, score) = (top.r, top.score);
             self.alignments.push(top);
@@ -633,38 +635,21 @@ impl<'a> TopAlignmentFinder<'a> {
                 Phase::Drain
             };
             let sweep_t0 = R::ENABLED.then(Instant::now);
-            let result = if first_pass && !self.triangle.is_empty() {
+            let result = if self.incr.is_some() {
+                self.incremental_sweep(&task, first_pass, sweep_phase, rec)
+            } else if first_pass && !self.triangle.is_empty() {
                 // Late first pass — only reachable with seed pruning,
                 // which can delay a split's first sweep past an accept.
-                // The stored row must be the *clean* first-pass row
-                // (the shadow filter's reference), but the task's score
-                // must reflect the current mask: sweep clean, then
-                // masked, shadow-filtering like a realignment.
                 rec.phase_start(sweep_phase);
-                let (prefix, suffix) = self.seq.split(task.r);
-                let clean = match self.config.stripe {
-                    Some(w) => sw_last_row_striped(prefix, suffix, self.scoring, NoMask, w),
-                    None => sw_last_row(prefix, suffix, self.scoring, NoMask),
-                };
-                let masked = align_task(
+                let out = late_first_pass(
                     self.seq,
                     self.scoring,
                     task.r,
                     &self.triangle,
-                    Some(&clean.row),
                     self.config.stripe,
                 );
-                let out = TaskResult {
-                    score: masked.score,
-                    col: masked.col,
-                    cells: clean.cells + masked.cells,
-                    first_row: Some(clean.row),
-                    shadow_rejections: masked.shadow_rejections,
-                };
                 rec.phase_end(sweep_phase);
                 out
-            } else if self.incr.is_some() {
-                self.incremental_sweep(&task, first_pass, sweep_phase, rec)
             } else {
                 match self.config.row_mode {
                     RowMode::Store => {
@@ -922,6 +907,19 @@ mod tests {
         )
         .run();
         assert_eq!(plain.alignments, striped.alignments);
+        // Seeded as well: late first passes go through the striped
+        // kernel too.
+        let seeded = TopAlignmentFinder::new(
+            &seq,
+            &atgc_scoring(),
+            FinderConfig {
+                stripe: Some(3),
+                seed: Some(SeedConfig::default()),
+                ..FinderConfig::new(5)
+            },
+        )
+        .run();
+        assert_eq!(plain.alignments, seeded.alignments);
     }
 
     /// Golden trace of Figure 5's scheduling on the Figure 4 example:

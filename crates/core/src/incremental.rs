@@ -21,11 +21,11 @@
 //! directly.
 
 use crate::dirty::DirtyLog;
-use crate::finder::TaskResult;
+use crate::finder::{align_task, TaskResult};
 use crate::split_mask::SplitMask;
 use crate::triangle::OverrideTriangle;
 use repro_align::checkpoint::{Checkpoint, CheckpointStore, ScratchPool};
-use repro_align::{sw_last_row_resume, NoMask, Score, Scoring, Seq, NEG_INF};
+use repro_align::{sw_last_row_resume, sw_last_row_striped, NoMask, Score, Scoring, Seq, NEG_INF};
 use std::collections::HashMap;
 
 /// Result of the previous sweep of one split, replayed verbatim on a
@@ -123,10 +123,25 @@ impl IncrementalSweeper {
         self.pool.give(buf);
     }
 
-    /// First (empty-triangle) sweep of split `r`: always sweeps every
-    /// row, but seeds the memo and captures checkpoints so later
-    /// realignments can resume. Returns the ordinary first-pass
-    /// [`TaskResult`] (with the bottom row attached for storage).
+    /// First sweep of split `r`: always sweeps every row, but seeds the
+    /// memo and captures checkpoints so later realignments can resume.
+    /// Returns the ordinary first-pass [`TaskResult`] (with the clean
+    /// bottom row attached for storage).
+    ///
+    /// The triangle may already have **grown** (`version` accepts in) —
+    /// with seeded pruning a split's first sweep can come after accepts.
+    /// The stored row must still be the *clean* (empty-triangle) bottom
+    /// row, the shadow filter's reference, while the score must reflect
+    /// the current mask, shadow-filtered like any realignment: two
+    /// sweeps, but they agree on every row above the first one the mask
+    /// touches, so the clean sweep snapshots its state there and the
+    /// masked sweep resumes from the snapshot instead of row 0 — and
+    /// the checkpoints the clean sweep took on the way down serve the
+    /// masked recurrence as they are. A split no accepted pair
+    /// straddles sweeps once.
+    ///
+    /// Bit-identical to a clean `sw_last_row` for the row plus
+    /// `align_task(.., Some(&clean_row), None)` for the score.
     pub fn first_pass(
         &mut self,
         seq: &Seq,
@@ -135,30 +150,79 @@ impl IncrementalSweeper {
         triangle: &OverrideTriangle,
         version: u64,
     ) -> TaskResult {
-        debug_assert!(
-            triangle.is_empty(),
-            "first pass of split {r} must see an empty triangle"
-        );
-        let (best, col, row, cells, merged) = self.sweep(seq, scoring, r, triangle, version);
+        let (score, col, shadows, cells, first_row, merged) =
+            match triangle.first_straddling_row(r) {
+                None => {
+                    let (best, col, row, cells, merged) =
+                        self.sweep(seq, scoring, r, triangle, version);
+                    (best, col, 0, cells, row, merged)
+                }
+                Some(dirty) => {
+                    let (prefix, suffix) = seq.split(r);
+                    let cols = suffix.len();
+                    // One first pass's worth of checkpoints, wherever
+                    // they are taken: above the dirty row by the clean
+                    // sweep (plus the snapshot there), below it by the
+                    // masked one.
+                    let grid = self.planned_captures(0, r, None);
+                    let mut rows: Vec<usize> =
+                        grid.iter().copied().filter(|&c| c < dirty).collect();
+                    if dirty > 0 {
+                        rows.push(dirty);
+                    }
+                    let below: Vec<usize> = grid.into_iter().filter(|&c| c > dirty).collect();
+                    let mut above: Vec<Checkpoint> = Vec::new();
+                    let m = self.pool.take(cols, 0);
+                    let mut maxy = self.pool.take(cols, NEG_INF);
+                    let clean = {
+                        let pool = &mut self.pool;
+                        sw_last_row_resume(
+                            prefix,
+                            suffix,
+                            scoring,
+                            NoMask,
+                            0,
+                            m,
+                            &mut maxy,
+                            &rows,
+                            &mut |row, m, my| above.push(snapshot(pool, row, version, m, my)),
+                        )
+                    };
+                    let mut m = self.pool.take(cols, 0);
+                    match above.last() {
+                        Some(at_dirty) if dirty > 0 => {
+                            m.copy_from_slice(&at_dirty.m);
+                            maxy.copy_from_slice(&at_dirty.maxy);
+                        }
+                        _ => maxy.fill(NEG_INF),
+                    }
+                    let (row, cells, merged) = self.sweep_from(
+                        seq, scoring, r, triangle, version, dirty, m, maxy, above, &below,
+                    );
+                    let (score, col, shadows) = best_valid(&row, &clean.row);
+                    self.pool.give(row);
+                    (score, col, shadows, clean.cells + cells, clean.row, merged)
+                }
+            };
         // Store under the swept score: it is the bound the queue
         // reinserts this split with, so eviction order tracks pop order
         // — the splits realigned soonest keep their checkpoints.
-        self.store.put_split(r, best, merged);
+        self.store.put_split(r, score, merged);
         self.memo.insert(
             r,
             SweepMemo {
                 version,
-                score: best,
+                score,
                 col,
-                shadows: 0,
+                shadows,
             },
         );
         TaskResult {
-            score: best,
+            score,
             col,
             cells,
-            first_row: Some(row),
-            shadow_rejections: 0,
+            first_row: Some(first_row),
+            shadow_rejections: shadows,
         }
     }
 
@@ -241,8 +305,9 @@ impl IncrementalSweeper {
             m.copy_from_slice(&seed.m);
             let mut maxy = self.pool.take(seed.maxy.len(), 0);
             maxy.copy_from_slice(&seed.maxy);
+            let captures = self.planned_captures(start, rows, frontier);
             let out = self.sweep_from(
-                seq, scoring, r, triangle, version, start, m, maxy, kept, frontier,
+                seq, scoring, r, triangle, version, start, m, maxy, kept, &captures,
             );
             let (s, c, sh) = best_valid(&out.0, original);
             (s, c, out.0, out.1, sh, out.2)
@@ -322,14 +387,33 @@ impl IncrementalSweeper {
         let cols = seq.len() - r;
         let m = self.pool.take(cols, 0);
         let maxy = self.pool.take(cols, NEG_INF);
+        let captures = self.planned_captures(0, r, frontier);
         self.sweep_from(
-            seq, scoring, r, triangle, version, 0, m, maxy, kept, frontier,
+            seq, scoring, r, triangle, version, 0, m, maxy, kept, &captures,
         )
     }
 
+    /// Checkpoint rows for a sweep of `start..rows`: the grid of
+    /// [`capture_rows`] plus the dirty `frontier` when it lies inside
+    /// the swept region; nothing when the budget stores nothing.
+    fn planned_captures(&self, start: usize, rows: usize, frontier: Option<usize>) -> Vec<usize> {
+        if self.store.budget() == 0 {
+            return Vec::new();
+        }
+        let mut c = capture_rows(start, rows);
+        if let Some(f) = frontier {
+            if f > start && f < rows {
+                if let Err(at) = c.binary_search(&f) {
+                    c.insert(at, f);
+                }
+            }
+        }
+        c
+    }
+
     /// The one real sweep: resume at `start` with state `(m, maxy)`,
-    /// capture fresh checkpoints, and merge them with the surviving old
-    /// ones. Returns (bottom row, cells swept, merged checkpoint set);
+    /// capture fresh checkpoints at `captures`, and merge them with the
+    /// surviving old ones. Returns (bottom row, cells swept, merged checkpoint set);
     /// the caller stores the set under the post-sweep score so eviction
     /// order tracks the queue's pop order.
     #[allow(clippy::too_many_arguments)]
@@ -344,38 +428,15 @@ impl IncrementalSweeper {
         m: Vec<Score>,
         mut maxy: Vec<Score>,
         mut kept: Vec<Checkpoint>,
-        frontier: Option<usize>,
+        captures: &[usize],
     ) -> (Vec<Score>, u64, Vec<Checkpoint>) {
-        let rows = r;
         let (prefix, suffix) = seq.split(r);
         let enabled = self.store.budget() > 0;
-        let captures = if enabled {
-            let mut c = capture_rows(start, rows);
-            if let Some(f) = frontier {
-                if f > start && f < rows {
-                    if let Err(at) = c.binary_search(&f) {
-                        c.insert(at, f);
-                    }
-                }
-            }
-            c
-        } else {
-            Vec::new()
-        };
         let mut fresh: Vec<Checkpoint> = Vec::new();
         {
             let pool = &mut self.pool;
             let mut capture = |row: usize, m: &[Score], my: &[Score]| {
-                let mut cm = pool.take(m.len(), 0);
-                cm.copy_from_slice(m);
-                let mut cy = pool.take(my.len(), 0);
-                cy.copy_from_slice(my);
-                fresh.push(Checkpoint {
-                    row,
-                    stamp: version,
-                    m: cm,
-                    maxy: cy,
-                });
+                fresh.push(snapshot(pool, row, version, m, my));
             };
             // An empty triangle masks nothing: use the zero-cost mask,
             // exactly as the plain first-pass path does.
@@ -388,7 +449,7 @@ impl IncrementalSweeper {
                     start,
                     m,
                     &mut maxy,
-                    &captures,
+                    captures,
                     &mut capture,
                 )
             } else {
@@ -400,7 +461,7 @@ impl IncrementalSweeper {
                     start,
                     m,
                     &mut maxy,
-                    &captures,
+                    captures,
                     &mut capture,
                 )
             };
@@ -430,6 +491,45 @@ impl IncrementalSweeper {
             };
             (last.row, last.cells, merged)
         }
+    }
+}
+
+/// Copy the inter-row state entering `row` into pooled buffers.
+fn snapshot(pool: &mut ScratchPool, row: usize, stamp: u64, m: &[Score], my: &[Score]) -> Checkpoint {
+    let mut cm = pool.take(m.len(), 0);
+    cm.copy_from_slice(m);
+    let mut cy = pool.take(my.len(), 0);
+    cy.copy_from_slice(my);
+    Checkpoint {
+        row,
+        stamp,
+        m: cm,
+        maxy: cy,
+    }
+}
+
+/// [`IncrementalSweeper::first_pass`] under an already **grown**
+/// triangle for the engines that run without the incremental layer:
+/// the clean bottom row plus the shadow-filtered masked score, nothing
+/// kept. The striped kernel has no mid-matrix entry, so with a `stripe`
+/// both sweeps start at row 0.
+pub fn late_first_pass(
+    seq: &Seq,
+    scoring: &Scoring,
+    r: usize,
+    triangle: &OverrideTriangle,
+    stripe: Option<usize>,
+) -> TaskResult {
+    let Some(w) = stripe else {
+        return IncrementalSweeper::new(0).first_pass(seq, scoring, r, triangle, 0);
+    };
+    let (prefix, suffix) = seq.split(r);
+    let clean = sw_last_row_striped(prefix, suffix, scoring, NoMask, w);
+    let masked = align_task(seq, scoring, r, triangle, Some(&clean.row), stripe);
+    TaskResult {
+        first_row: Some(clean.row),
+        cells: clean.cells + masked.cells,
+        ..masked
     }
 }
 
@@ -528,6 +628,68 @@ mod tests {
         let oracle = align_task(&seq, &scoring, 4, &triangle, Some(&orig), None);
         assert_eq!(inc.result.score, oracle.score);
         assert_eq!(inc.result.shadow_rejections, oracle.shadow_rejections);
+    }
+
+    /// A first pass under a grown triangle is the clean sweep plus the
+    /// masked `align_task`, bit for bit — with and without a checkpoint
+    /// budget, striped or not — for splits the accepts straddle high,
+    /// low, and not at all; the masked sweep resumes at the first
+    /// straddled row, and the state it leaves serves the next
+    /// realignment exactly.
+    #[test]
+    fn late_first_pass_matches_clean_plus_masked_sweeps() {
+        let seq = dna(&"ATGCATGCATGC".repeat(3));
+        let scoring = Scoring::dna_example();
+        let mut triangle = OverrideTriangle::new(seq.len());
+        let mut dirty = DirtyLog::new();
+        for pairs in [vec![(8, 20), (9, 21), (10, 22)], vec![(2, 30)]] {
+            for &(p, q) in &pairs {
+                triangle.set(p, q);
+            }
+            dirty.record_accept(&pairs);
+        }
+        let mut grown = triangle.clone();
+        grown.set(12, 26);
+        let mut grown_dirty = dirty.clone();
+        grown_dirty.record_accept(&[(12, 26)]);
+        let empty = OverrideTriangle::new(seq.len());
+        let mut sweeper = IncrementalSweeper::new(1 << 20);
+        for r in 1..seq.len() {
+            let clean = align_task(&seq, &scoring, r, &empty, None, None);
+            let clean_row = clean.first_row.unwrap();
+            let masked = align_task(&seq, &scoring, r, &triangle, Some(&clean_row), None);
+            let first_dirty = triangle.first_straddling_row(r);
+            let resumed = first_dirty.map_or(0, |d| (r - d) * (seq.len() - r));
+            let lates = [
+                ("plain", late_first_pass(&seq, &scoring, r, &triangle, None)),
+                ("striped", late_first_pass(&seq, &scoring, r, &triangle, Some(3))),
+                ("sweeper", sweeper.first_pass(&seq, &scoring, r, &triangle, 2)),
+            ];
+            for (what, late) in lates {
+                assert_eq!(late.first_row.as_deref(), Some(&clean_row[..]), "{what} {r}");
+                assert_eq!(
+                    (late.score, late.col, late.shadow_rejections),
+                    (masked.score, masked.col, masked.shadow_rejections),
+                    "{what} split {r}"
+                );
+                if what != "striped" {
+                    assert_eq!(late.cells, clean.cells + resumed as u64, "{what} split {r}");
+                }
+            }
+            let inc = sweeper.realign(&seq, &scoring, r, &grown, &clean_row, &grown_dirty, 3);
+            let oracle = align_task(&seq, &scoring, r, &grown, Some(&clean_row), None);
+            assert_eq!(
+                (inc.result.score, inc.result.col, inc.result.shadow_rejections),
+                (oracle.score, oracle.col, oracle.shadow_rejections),
+                "realignment after a late first pass, split {r}"
+            );
+            // The late first pass seeded the checkpoints: the new pair
+            // dirties splits 13..=26 from row 12, the snapshot at their
+            // first straddled row (2) is the shallowest one to resume.
+            if (13..=26).contains(&r) {
+                assert!((2..=12).contains(&inc.resumed_at), "split {r}: {}", inc.resumed_at);
+            }
+        }
     }
 
     /// Deep splits resume from a checkpoint instead of row 0 when the

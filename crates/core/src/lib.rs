@@ -20,9 +20,10 @@
 //!   plus the task-alignment primitive shared with the parallel engines.
 //! * [`dirty`] — per-accept **dirty bounds**: for each split, where the
 //!   newly overridden pairs can first perturb the DP matrix.
-//! * [`seed`] — seeded split pruning: a k-mer/diagonal index plus
-//!   admissible per-split score bounds from one triangular self-sweep,
-//!   so seedless splits are never aligned at all.
+//! * [`seed`] — seeded split pruning: admissible two-sided per-split
+//!   score bounds from two triangular self-sweeps (forward and
+//!   reversed), refreshed on demand, so splits that cannot hold a top
+//!   are never aligned at all; plus a diagnostic k-mer/diagonal index.
 //! * [`incremental`] — the checkpointed incremental realignment layer:
 //!   budget-capped DP-row snapshots plus sweep memoisation, resuming
 //!   realignments below the dirty boundary (bit-identical by
@@ -57,8 +58,8 @@ pub use finder::{
     find_top_alignments_recorded, FinderConfig, RowMode, Step, TaskResult, TopAlignment,
     TopAlignmentFinder, TopAlignments,
 };
-pub use incremental::{IncrementalSweep, IncrementalSweeper};
-pub use seed::{PairMask, SeedConfig, SeedIndex, SplitBounds};
+pub use incremental::{late_first_pass, IncrementalSweep, IncrementalSweeper};
+pub use seed::{PairMask, SeedConfig, SplitBounds};
 pub use split_mask::SplitMask;
 pub use stats::Stats;
 pub use tasks::{Task, TaskQueue, NEVER_ALIGNED, SCORE_INFINITY};

@@ -4,52 +4,77 @@
 //! [`crate::tasks::SCORE_INFINITY`], so even a low-repeat sequence pays
 //! one full Gotoh sweep per split before the queue learns anything.
 //! This module replaces those infinite initial bounds with **finite
-//! admissible** ones, computed once per sequence:
+//! admissible** ones.
 //!
-//! * [`SeedIndex`] — a k-mer index with diagonal bucketing (the classic
-//!   seed-and-extend localisation device). It is a *diagnostic*: its
-//!   seed-mass statistics localise repeat structure and feed the prune
-//!   bench, but they are **not** the bound source. A pure seed-mass
-//!   ceiling (matched-seed mass at max substitution value plus a cap on
-//!   unseeded stretches) is *not* admissible for the scoring models
-//!   used here: a sequence of `n` disjoint runs of `k − 1` matches each
-//!   carries zero k-mer seeds yet scores `Θ(n)` — no seed-blind
-//!   constant cap can dominate it. DESIGN.md records the counterexample.
-//! * [`SplitBounds`] — the bound source that *is* exact: one triangular
-//!   self-comparison sweep ([`repro_align::tri_self_sweep_resume`])
-//!   dominates every split matrix at once, because each split-`r` cell
-//!   `(i, j)` is the triangle cell `(i, j + r)` with a subset of the
-//!   triangle's predecessors (see the kernel's module docs for the
-//!   induction). `B(r) = max {H(i, j) : i < r ≤ j}` is therefore an
-//!   upper bound on split `r`'s true masked Smith–Waterman score —
-//!   *the bound lattice is `∞ → B(r) → exact score`*, each step a
-//!   refinement the queue can rely on.
+//! What the queue holds for split `r` is the *task score*: the best
+//! valid entry of the split matrix's **bottom row** (row `r − 1`,
+//! Appendix A) under the current override triangle. Any optimal path
+//! behind that entry lies wholly inside the split's rectangle
+//! `{(p, q) : p < r ≤ q}`, ends in row `r − 1` and starts somewhere in
+//! the rectangle. [`SplitBounds`] bounds it from both ends, with two
+//! runs of the one triangular self-sweep kernel
+//! ([`repro_align::tri_self_sweep_resume`]) — each triangle cell
+//! dominates the same cell of every split matrix that contains it (see
+//! the kernel's module docs for the induction):
 //!
-//! The sweep is checkpointed at row strides, so when an accepted top
-//! alignment grows the override triangle the bounds are **recomputed
-//! from the masked sweep** (never reset to infinity): the dirty row of
-//! the new pairs (their minimal `p`, exactly the [`crate::DirtyLog`]
-//! boundary) selects the deepest clean checkpoint, and only rows below
-//! it are reswept. Masking is monotone — cells only get zeroed — so
-//! recomputed bounds only tighten, and stale heap entries carrying the
-//! older, larger bound remain admissible.
+//! * **`F(r) = max_{j ≥ r} H→(r − 1, j)`** — row `r − 1` of the forward
+//!   sweep: the best path *ending* in the split's bottom row. It does
+//!   not dominate the split matrix's overall maximum (a path may peak
+//!   above the bottom row), and need not: the queue never holds that.
+//! * **`G(r) = max {H←(i, j) : i < r ≤ j}`** — the column-max fold over
+//!   the split's rectangle of the sweep of the **reversed sequence
+//!   under the mirrored triangle**, i.e. the best path *starting*
+//!   inside the rectangle. Reversal maps pair `(p, q)` to
+//!   `(m − 1 − q, m − 1 − p)` and split `r` to `m − r`; a path keeps its
+//!   score because exchange matrices are symmetric (enforced where
+//!   they are built and parsed, see `repro_align::ExchangeMatrix`) and
+//!   a gap of length `g` costs `open + g·ext` on either side.
+//!
+//! `bound(r) = min(F(r), G(r))`. The minimum is what makes the bound
+//! tight on the flanks of a repeat: a high-scoring path (above all the
+//! overlap-inflated alignment of tandem copies 1+2 against 2+3, about
+//! twice any legal top) decays slowly past its *end* — down-right,
+//! lifting `F` over the splits to its right — and, read backwards,
+//! past its *start* — up-left, lifting `G` over the splits to its
+//! left — but never both over the same split.
+//!
+//! *The bound lattice is `∞ → bound(r) → exact score`*, each step a
+//! refinement the queue can rely on.
+//!
+//! ## Refresh on demand
+//!
+//! Both sweeps are checkpointed at row strides, so when accepted top
+//! alignments grow the override triangle the bounds can be
+//! **recomputed from the masked sweeps** (never reset to infinity) from
+//! the deepest checkpoint above the first dirty row. Masking is
+//! monotone — cells only get zeroed — so recomputed bounds only
+//! tighten, and bounds computed under an *older* triangle stay
+//! admissible. That makes the refresh optional, and
+//! [`SplitBounds::refresh_before_sweep`] spends it only where it can
+//! pay: [`SplitBounds::note_accept`] records an accept in `O(pairs)`,
+//! and the engine asks for a refresh when a never-aligned split is
+//! about to be swept — it happens iff the resweep costs no more cells
+//! than that sweep plus the sweeps already made on stale bounds since
+//! the last refresh (a ski-rental rule on deterministic cell counts).
+//!
+//! No k-mer seed index is involved, the module's name notwithstanding:
+//! a pure seed-mass ceiling is not admissible for the scoring models
+//! used here — a sequence of `n` disjoint runs of `k − 1` matches each
+//! carries zero k-mer seeds yet scores `Θ(n)`, so no seed-blind
+//! constant cap can dominate it. DESIGN.md records the counterexample.
 
 use crate::triangle::OverrideTriangle;
 use repro_align::{
-    kmer_keys, tri_initial_state, tri_self_sweep_resume, CellMask, Score, Scoring, MAX_KMER_K,
+    tri_initial_state, tri_self_sweep_resume, CellMask, NoMask, Score, Scoring, MAX_KMER_K,
 };
-use std::collections::HashMap;
 use std::time::Instant;
-
-/// Occurrence-list cap: k-mers more frequent than this are skipped when
-/// pairing occurrences (quadratic blow-up guard; such k-mers carry no
-/// localisation signal anyway).
-const OCC_CAP: usize = 64;
 
 /// Configuration of the seed-and-bound layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeedConfig {
-    /// k-mer width of the diagnostic [`SeedIndex`] (`1 ..= MAX_KMER_K`).
+    /// A k-mer width (`1 ..= MAX_KMER_K`). Validated and carried for the
+    /// callers that set it; nothing reads it — the bounds come from the
+    /// sweeps alone.
     pub k: usize,
 }
 
@@ -93,164 +118,115 @@ impl CellMask for PairMask<'_> {
     }
 }
 
-/// k-mer self-match index with diagonal bucketing.
-///
-/// For every pair of occurrences `(p, q)`, `p < q`, of the same k-mer,
-/// the pair sits on diagonal `q − p` and *supports* split `r` iff both
-/// copies survive the split intact: `p + k ≤ r ≤ q`. The index answers
-/// "how many seed pairs support split `r`?" in `O(1)` via a prefix-sum
-/// table, and exposes the heaviest diagonal — the period estimate the
-/// prune bench reports next to the measured prune fraction.
-#[derive(Debug, Clone)]
-pub struct SeedIndex {
-    k: usize,
-    /// `straddle[r]` = seed pairs supporting split `r` (index 0 unused).
-    straddle: Vec<u32>,
-    /// Seed-pair count per diagonal `q − p`.
-    diagonals: HashMap<usize, u32>,
-    /// `true` if any occurrence list hit [`OCC_CAP`] (counts are then
-    /// lower bounds).
-    capped: bool,
-}
-
-impl SeedIndex {
-    /// Index the k-mer self-matches of `codes`.
-    pub fn build(codes: &[u8], k: usize) -> Self {
-        let len = codes.len();
-        let mut occ: HashMap<u64, Vec<u32>> = HashMap::new();
-        for (i, key) in kmer_keys(codes, k).into_iter().enumerate() {
-            occ.entry(key).or_default().push(i as u32);
-        }
-        let mut diff = vec![0i64; len + 2];
-        let mut diagonals: HashMap<usize, u32> = HashMap::new();
-        let mut capped = false;
-        for positions in occ.values() {
-            if positions.len() > OCC_CAP {
-                capped = true;
-                continue;
-            }
-            for (a, &p) in positions.iter().enumerate() {
-                for &q in &positions[a + 1..] {
-                    let (p, q) = (p as usize, q as usize);
-                    *diagonals.entry(q - p).or_insert(0) += 1;
-                    // Supports r ∈ [p + k, q] (both copies intact).
-                    if p + k <= q {
-                        diff[p + k] += 1;
-                        diff[q + 1] -= 1;
-                    }
-                }
-            }
-        }
-        let mut straddle = vec![0u32; len.max(1)];
-        let mut running = 0i64;
-        for (r, s) in straddle.iter_mut().enumerate() {
-            running += diff[r];
-            *s = running as u32;
-        }
-        SeedIndex {
-            k,
-            straddle,
-            diagonals,
-            capped,
-        }
-    }
-
-    /// The indexed k-mer width.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Seed pairs whose two copies both survive split `r` intact.
-    pub fn seeds_straddling(&self, r: usize) -> u32 {
-        self.straddle.get(r).copied().unwrap_or(0)
-    }
-
-    /// Heaviest diagonal and its seed-pair count (ties: smaller
-    /// diagonal) — the dominant period estimate. `None` if seedless.
-    pub fn top_diagonal(&self) -> Option<(usize, u32)> {
-        self.diagonals
-            .iter()
-            .map(|(&d, &c)| (d, c))
-            .max_by_key(|&(d, c)| (c, std::cmp::Reverse(d)))
-    }
-
-    /// Number of distinct diagonals carrying at least one seed pair.
-    pub fn distinct_diagonals(&self) -> usize {
-        self.diagonals.len()
-    }
-
-    /// `true` if an occurrence cap truncated the pair counts.
-    pub fn capped(&self) -> bool {
-        self.capped
-    }
-}
-
-/// Stride-aligned snapshot of the triangular sweep's resume state.
+/// Stride-aligned snapshot of one triangular sweep's resume state.
 #[derive(Debug, Clone)]
 struct Checkpoint {
     /// Rows `0..start_row` are folded into this snapshot.
     start_row: usize,
     m: Vec<Score>,
     maxy: Vec<Score>,
+    /// Column maxima over rows `0..start_row` (empty for the row fold).
     colmax: Vec<Score>,
 }
 
-/// Admissible per-split score bounds from the triangular self-sweep,
-/// recomputable under a growing override triangle.
+/// How a sweep's rows become per-split values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fold {
+    /// `vals[i + 1] = max_{j > i} H(i, j)`: the best path *ending* in
+    /// split `i + 1`'s bottom row (`F`).
+    Row,
+    /// `vals[i + 1] = max {H(i', j) : i' ≤ i < j}`: the best path ending
+    /// anywhere in split `i + 1`'s rectangle (`G`, on the reversed
+    /// sequence).
+    Column,
+}
+
+/// One checkpointed triangular sweep and the per-split values folded
+/// from it, in the sweep's own coordinates.
 #[derive(Debug, Clone)]
-pub struct SplitBounds {
-    config: SeedConfig,
-    index: SeedIndex,
-    /// `bounds[r] = B(r)`, `1 ≤ r < m` (index 0 unused).
-    bounds: Vec<Score>,
+struct TriSide {
+    fold: Fold,
+    /// Indexed by split, `1 ≤ r < len` (entry 0 unused).
+    vals: Vec<Score>,
     checkpoints: Vec<Checkpoint>,
-    stride: usize,
-    build_ns: u64,
-    recomputes: u64,
 }
 
 fn stride_for(len: usize) -> usize {
     (len / 8).max(4)
 }
 
-/// Fold one completed sweep row into the column maxima and emit the
-/// next split's bound: after row `i`, `colmax[j] = max_{i' ≤ i} H(i', j)`,
-/// so `B(i + 1) = max_{j ≥ i + 1} colmax[j]`.
-fn fold_row(i: usize, row: &[Score], colmax: &mut [Score], bounds: &mut [Score]) {
-    let len = row.len();
-    for j in i + 1..len {
-        colmax[j] = colmax[j].max(row[j]);
-    }
-    if i + 1 < len {
-        let mut best = 0;
-        for &c in &colmax[i + 1..] {
-            best = best.max(c);
-        }
-        bounds[i + 1] = best;
-    }
+/// Cells of a triangular sweep resumed at row `start` of `len`.
+fn tri_cells(len: usize, start: usize) -> u64 {
+    let rows = (len - start) as u64;
+    rows * rows.saturating_sub(1) / 2
 }
 
-impl SplitBounds {
-    /// One full (empty-triangle) sweep: bounds, checkpoints, and the
-    /// diagnostic seed index, with the build timed for `Stats`.
-    pub fn build(codes: &[u8], scoring: &Scoring, config: SeedConfig) -> Self {
-        let t0 = Instant::now();
-        let index = SeedIndex::build(codes, config.k);
-        let len = codes.len();
+impl TriSide {
+    fn new(fold: Fold, len: usize) -> Self {
+        TriSide {
+            fold,
+            vals: vec![0; len],
+            checkpoints: Vec::new(),
+        }
+    }
+
+    /// The row a resweep for `dirty_row` restarts from: the deepest
+    /// checkpoint at or above it (row 0 if none).
+    fn resume_row(&self, dirty_row: usize) -> usize {
+        self.checkpoints
+            .iter()
+            .map(|c| c.start_row)
+            .filter(|&s| s <= dirty_row)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// (Re)sweep under `mask` from the deepest checkpoint at or above
+    /// `dirty_row` — the first row the mask changed since the previous
+    /// sweep — refreshing the values and checkpoints below it. Values
+    /// of splits `r ≤ dirty_row` depend only on clean rows and are
+    /// untouched.
+    fn sweep<M: CellMask>(&mut self, codes: &[u8], scoring: &Scoring, mask: M, dirty_row: usize) {
+        let len = self.vals.len();
+        let start = self.resume_row(dirty_row);
+        let (mut m, mut maxy, mut colmax) =
+            match self.checkpoints.iter().find(|c| c.start_row == start) {
+                Some(c) => (c.m.clone(), c.maxy.clone(), c.colmax.clone()),
+                None => {
+                    let (m, maxy) = tri_initial_state(len);
+                    let colmax = match self.fold {
+                        Fold::Row => Vec::new(),
+                        Fold::Column => vec![0; len],
+                    };
+                    (m, maxy, colmax)
+                }
+            };
+        self.checkpoints.retain(|c| c.start_row <= start);
         let stride = stride_for(len);
-        let (mut m, mut maxy) = tri_initial_state(len);
-        let mut colmax = vec![0 as Score; len];
-        let mut bounds = vec![0 as Score; len];
-        let mut checkpoints = Vec::new();
+        let fold = self.fold;
+        let vals = &mut self.vals;
+        let checkpoints = &mut self.checkpoints;
         tri_self_sweep_resume(
             codes,
             scoring,
-            repro_align::NoMask,
-            0,
+            mask,
+            start,
             &mut m,
             &mut maxy,
             &mut |i, row, my| {
-                fold_row(i, row, &mut colmax, &mut bounds);
+                if i + 1 < len {
+                    vals[i + 1] = match fold {
+                        Fold::Row => row[i + 1..].iter().copied().max().unwrap_or(0),
+                        Fold::Column => {
+                            let mut best = 0;
+                            for (c, &h) in colmax[i + 1..].iter_mut().zip(&row[i + 1..]) {
+                                *c = (*c).max(h);
+                                best = best.max(*c);
+                            }
+                            best
+                        }
+                    };
+                }
                 if (i + 1) % stride == 0 && i + 1 < len {
                     checkpoints.push(Checkpoint {
                         start_row: i + 1,
@@ -261,25 +237,74 @@ impl SplitBounds {
                 }
             },
         );
-        SplitBounds {
+    }
+}
+
+/// Admissible two-sided per-split score bounds from the triangular
+/// self-sweep, refreshable on demand under a growing override triangle
+/// (see the module docs for the construction and both admissibility
+/// arguments).
+#[derive(Debug, Clone)]
+pub struct SplitBounds {
+    config: SeedConfig,
+    /// `bounds[r] = min(F(r), G(r))`, `1 ≤ r < m` (index 0 unused).
+    bounds: Vec<Score>,
+    /// `F`: row fold of the sweep of the sequence itself.
+    forward: TriSide,
+    /// `G`, mirrored: column fold of the sweep of `rev_codes` under
+    /// `mirror`; `G(r) = reverse.vals[m − r]`.
+    reverse: TriSide,
+    rev_codes: Vec<u8>,
+    /// Every noted pair `(p, q)` as `(m − 1 − q, m − 1 − p)`.
+    mirror: OverrideTriangle,
+    /// `(min p, max q)` over the pairs noted since the last refresh;
+    /// `None` while the bounds are current.
+    pending: Option<(usize, usize)>,
+    /// Cells the engine swept on stale bounds since the last refresh.
+    stale_cells: u64,
+    build_ns: u64,
+    recomputes: u64,
+}
+
+impl SplitBounds {
+    /// Two full (empty-triangle) sweeps: bounds and checkpoints, with
+    /// the build timed for `Stats`.
+    pub fn build(codes: &[u8], scoring: &Scoring, config: SeedConfig) -> Self {
+        let t0 = Instant::now();
+        let len = codes.len();
+        let rev_codes: Vec<u8> = codes.iter().rev().copied().collect();
+        let mut forward = TriSide::new(Fold::Row, len);
+        let mut reverse = TriSide::new(Fold::Column, len);
+        forward.sweep(codes, scoring, NoMask, 0);
+        reverse.sweep(&rev_codes, scoring, NoMask, 0);
+        let mut sb = SplitBounds {
             config,
-            index,
-            bounds,
-            checkpoints,
-            stride,
-            build_ns: t0.elapsed().as_nanos() as u64,
+            bounds: vec![0; len],
+            forward,
+            reverse,
+            rev_codes,
+            mirror: OverrideTriangle::new(len),
+            pending: None,
+            stale_cells: 0,
+            build_ns: 0,
             recomputes: 0,
+        };
+        sb.combine();
+        sb.build_ns = t0.elapsed().as_nanos() as u64;
+        sb
+    }
+
+    /// `bounds[r] = min(F(r), G(r))` from the two sides' current values.
+    fn combine(&mut self) {
+        let len = self.bounds.len();
+        for r in 1..len {
+            self.bounds[r] = self.forward.vals[r].min(self.reverse.vals[len - r]);
         }
     }
 
     /// The config this was built with.
     pub fn config(&self) -> SeedConfig {
         self.config
-    }
-
-    /// The diagnostic k-mer index.
-    pub fn index(&self) -> &SeedIndex {
-        &self.index
     }
 
     /// The admissible bound for split `r` (0 — the exact score of an
@@ -293,88 +318,112 @@ impl SplitBounds {
         &self.bounds
     }
 
+    /// The loosest bound over `splits` — what a lane-pack swept as a
+    /// unit enters a queue with.
+    pub fn max_bound(&self, splits: std::ops::Range<usize>) -> Score {
+        splits.map(|r| self.bound(r)).max().unwrap_or(0)
+    }
+
+    /// `F(r)`: the forward-sweep side of [`Self::bound`] on its own.
+    pub fn end_bound(&self, r: usize) -> Score {
+        self.forward.vals.get(r).copied().unwrap_or(0)
+    }
+
+    /// `G(r)`: the reversed-sweep side of [`Self::bound`] on its own.
+    pub fn start_bound(&self, r: usize) -> Score {
+        let len = self.bounds.len();
+        if (1..len).contains(&r) {
+            self.reverse.vals[len - r]
+        } else {
+            0
+        }
+    }
+
     /// Sequence length the bounds cover.
     pub fn seq_len(&self) -> usize {
         self.bounds.len()
     }
 
-    /// Nanoseconds the initial build took (index + full sweep).
+    /// Nanoseconds the initial build took (both full sweeps).
     pub fn build_ns(&self) -> u64 {
         self.build_ns
     }
 
-    /// Number of post-accept bound recomputations performed.
+    /// Number of post-accept bound refreshes (masked resweeps) performed.
     pub fn recomputes(&self) -> u64 {
         self.recomputes
     }
 
-    /// Tighten the bounds after the override triangle grew.
+    /// Record that the override triangle grew by `pairs` (one accepted
+    /// alignment): `O(pairs)` bookkeeping, no sweep. The bounds stay
+    /// admissible as they are; [`Self::refresh_before_sweep`] decides
+    /// when tightening them is worth a resweep.
+    pub fn note_accept(&mut self, pairs: &[(usize, usize)]) {
+        let len = self.bounds.len();
+        for &(p, q) in pairs {
+            self.mirror.set(len - 1 - q, len - 1 - p);
+            self.pending = Some(match self.pending {
+                Some((lo, hi)) => (lo.min(p), hi.max(q)),
+                None => (p, q),
+            });
+        }
+    }
+
+    /// The one refresh entry point: call when a **never-aligned** split
+    /// (or lane-pack) whose queued bound is still current is about to be
+    /// swept at a cost of `stake_cells` — steps of the caller's kernel,
+    /// so a lane-pack counts *vector* cells — with `triangle` holding
+    /// exactly the pairs noted so far. Resweeps both sides under the grown
+    /// triangle — and returns `true`, the caller re-reads its bounds —
+    /// iff accepts are pending and the resweep costs no more cells than
+    /// the sweep at stake plus the cells already swept on stale bounds
+    /// since the last refresh. Otherwise the stake joins that tally.
     ///
-    /// `dirty_row` is the minimal `p` over the newly overridden pairs
-    /// `(p, q)` — the first triangle-sweep row whose cells the new mask
-    /// entries can touch (identical to the [`crate::DirtyLog`] row
-    /// bound). Resumes from the deepest checkpoint at or above that
-    /// row, resweeps under [`PairMask`], and refreshes later
-    /// checkpoints. Bounds for `r ≤ dirty_row` depend only on clean
-    /// rows and are untouched.
-    ///
-    /// Masking only zeroes cells, so every bound is non-increasing
-    /// across recomputations; entries already sitting in a task queue
-    /// with an older bound stay admissible.
-    pub fn recompute(
+    /// The rule is ski rental on deterministic counts: stale sweeps are
+    /// the rent, the refresh is the purchase, and buying once the rent
+    /// paid matches the price keeps the total within twice the best
+    /// schedule without a clock or a knob. Skipping a refresh is always
+    /// safe — masking only zeroes cells, so a bound computed under an
+    /// older triangle still dominates — and refreshed bounds never rise.
+    pub fn refresh_before_sweep(
         &mut self,
         codes: &[u8],
         scoring: &Scoring,
         triangle: &OverrideTriangle,
-        dirty_row: usize,
-    ) {
+        stake_cells: u64,
+    ) -> bool {
+        let Some((min_p, max_q)) = self.pending else {
+            return false;
+        };
         let len = self.bounds.len();
         debug_assert_eq!(codes.len(), len, "bounds built for another sequence");
-        if len < 2 {
-            return;
+        debug_assert_eq!(triangle.len(), self.mirror.len(), "an accept was not noted");
+        // Forward rows above min p and reversed rows above the mirror
+        // of max q see none of the new pairs.
+        let rev_dirty = len - 1 - max_q;
+        let refresh_cells = tri_cells(len, self.forward.resume_row(min_p))
+            + tri_cells(len, self.reverse.resume_row(rev_dirty));
+        let rent = stake_cells.saturating_add(self.stale_cells);
+        if refresh_cells > rent {
+            self.stale_cells = rent;
+            return false;
         }
-        let (start, mut m, mut maxy, mut colmax) = match self
-            .checkpoints
-            .iter()
-            .filter(|c| c.start_row <= dirty_row)
-            .max_by_key(|c| c.start_row)
-        {
-            Some(c) => (c.start_row, c.m.clone(), c.maxy.clone(), c.colmax.clone()),
-            None => {
-                let (m, maxy) = tri_initial_state(len);
-                (0, m, maxy, vec![0 as Score; len])
-            }
-        };
-        self.checkpoints.retain(|c| c.start_row <= start);
-        let stride = self.stride;
-        let bounds = &mut self.bounds;
-        let checkpoints = &mut self.checkpoints;
-        tri_self_sweep_resume(
-            codes,
-            scoring,
-            PairMask(triangle),
-            start,
-            &mut m,
-            &mut maxy,
-            &mut |i, row, my| {
-                fold_row(i, row, &mut colmax, bounds);
-                if (i + 1) % stride == 0 && i + 1 < len && i + 1 > start {
-                    checkpoints.push(Checkpoint {
-                        start_row: i + 1,
-                        m: row.to_vec(),
-                        maxy: my.to_vec(),
-                        colmax: colmax.clone(),
-                    });
-                }
-            },
-        );
+        self.forward
+            .sweep(codes, scoring, PairMask(triangle), min_p);
+        self.reverse
+            .sweep(&self.rev_codes, scoring, PairMask(&self.mirror), rev_dirty);
+        self.combine();
+        self.pending = None;
+        self.stale_cells = 0;
         self.recomputes += 1;
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::finder::align_task;
     use crate::split_mask::SplitMask;
     use repro_align::{sw_last_row, Seq};
 
@@ -406,128 +455,139 @@ mod tests {
         pairs
     }
 
+    /// Grow `triangle` by the not-yet-set `pairs` and note them.
+    fn accept(sb: &mut SplitBounds, triangle: &mut OverrideTriangle, pairs: &[(usize, usize)]) {
+        let fresh: Vec<(usize, usize)> = pairs
+            .iter()
+            .copied()
+            .filter(|&(p, q)| triangle.set(p, q))
+            .collect();
+        sb.note_accept(&fresh);
+    }
+
+    /// Each side and the minimum dominate the masked bottom-row best —
+    /// itself at least the shadow-filtered task score — of every split.
+    fn assert_admissible(sb: &SplitBounds, seq: &Seq, scoring: &Scoring, tri: &OverrideTriangle) {
+        for r in 1..seq.len() {
+            let (prefix, suffix) = seq.split(r);
+            let exact = sw_last_row(prefix, suffix, scoring, SplitMask::new(tri, r));
+            assert!(sb.end_bound(r) >= exact.best_in_row, "F({r}) on {seq}");
+            // G bounds every path starting in the rectangle, so it also
+            // dominates the whole-matrix maximum.
+            assert!(sb.start_bound(r) >= exact.best, "G({r}) on {seq}");
+            assert_eq!(sb.bound(r), sb.end_bound(r).min(sb.start_bound(r)));
+        }
+    }
+
     #[test]
-    fn bounds_dominate_every_split_on_empty_triangle() {
+    fn both_sides_dominate_every_split_on_empty_triangle() {
         let scoring = Scoring::dna_example();
         let mut seed = 0x9e3779b97f4a7c15u64;
         for case in 0..6 {
             let seq = random_dna(14 + case * 9, &mut seed);
             let sb = SplitBounds::build(seq.codes(), &scoring, SeedConfig::default());
             let triangle = OverrideTriangle::new(seq.len());
-            for r in 1..seq.len() {
-                let (prefix, suffix) = seq.split(r);
-                let exact = sw_last_row(prefix, suffix, &scoring, SplitMask::new(&triangle, r));
-                assert!(
-                    sb.bound(r) >= exact.best,
-                    "case {case}: bound {} < split-{r} best {}",
-                    sb.bound(r),
-                    exact.best
-                );
-            }
+            assert_admissible(&sb, &seq, &scoring, &triangle);
         }
     }
 
+    /// `bound(r)` may sit *below* the split matrix's overall maximum:
+    /// here split 4's best path (`AC`/`AC`, 4) ends two rows above the
+    /// bottom row, whose best entry — the task score the queue holds —
+    /// is what is left of it after two mismatches. This is why
+    /// admissibility is stated against `best_in_row`, not `best`.
     #[test]
-    fn recompute_matches_full_masked_resweep_and_stays_admissible() {
+    fn bound_may_undercut_the_matrix_maximum() {
+        let scoring = Scoring::dna_example();
+        let seq = Seq::dna("ACGGACTT").unwrap();
+        let r = 4;
+        let sb = SplitBounds::build(seq.codes(), &scoring, SeedConfig::default());
+        let (prefix, suffix) = seq.split(r);
+        let exact = sw_last_row(prefix, suffix, &scoring, NoMask);
+        let task = align_task(
+            &seq,
+            &scoring,
+            r,
+            &OverrideTriangle::new(seq.len()),
+            None,
+            None,
+        );
+        assert_eq!((exact.best, exact.best_in_row, task.score), (4, 2, 2));
+        assert_eq!((sb.end_bound(r), sb.start_bound(r), sb.bound(r)), (2, 4, 2));
+    }
+
+    #[test]
+    fn demand_refresh_matches_full_masked_resweep_and_stays_admissible() {
         let scoring = Scoring::dna_example();
         let mut seed = 0xfeedfacecafebeefu64;
         for case in 0..6 {
             let seq = random_dna(40 + case * 11, &mut seed);
             let mut triangle = OverrideTriangle::new(seq.len());
-            let pairs = random_pairs(seq.len(), &mut seed);
-            for &(p, q) in &pairs {
-                triangle.set(p, q);
-            }
-            let dirty_row = pairs.iter().map(|&(p, _)| p).min().unwrap();
-
             let mut incremental = SplitBounds::build(seq.codes(), &scoring, SeedConfig::new(4));
+            let mut full = incremental.clone();
             let before = incremental.bounds().to_vec();
-            incremental.recompute(seq.codes(), &scoring, &triangle, dirty_row);
-
-            // Oracle: full masked resweep from row 0.
-            let mut full = SplitBounds::build(seq.codes(), &scoring, SeedConfig::new(4));
-            full.recompute(seq.codes(), &scoring, &triangle, 0);
+            // Two accepts accumulate into one (min p, max q).
+            for _ in 0..2 {
+                let pairs = random_pairs(seq.len(), &mut seed);
+                accept(&mut incremental, &mut triangle, &pairs);
+            }
+            full.mirror = incremental.mirror.clone();
+            full.pending = Some((0, seq.len() - 1));
+            // Oracle: both sides reswept from row 0.
+            full.forward.checkpoints.clear();
+            full.reverse.checkpoints.clear();
+            assert!(full.refresh_before_sweep(seq.codes(), &scoring, &triangle, u64::MAX));
+            assert!(incremental.refresh_before_sweep(seq.codes(), &scoring, &triangle, u64::MAX));
 
             assert_eq!(incremental.bounds(), full.bounds(), "case {case}");
+            assert_eq!(incremental.forward.vals, full.forward.vals, "case {case}");
+            assert_eq!(incremental.reverse.vals, full.reverse.vals, "case {case}");
             assert_eq!(incremental.recomputes(), 1);
             for (r, &prev) in before.iter().enumerate().skip(1) {
-                assert!(
-                    incremental.bound(r) <= prev,
-                    "case {case}: bound for split {r} grew under masking"
-                );
-                let (prefix, suffix) = seq.split(r);
-                let exact = sw_last_row(prefix, suffix, &scoring, SplitMask::new(&triangle, r));
-                assert!(
-                    incremental.bound(r) >= exact.best,
-                    "case {case}: recomputed bound {} < masked split-{r} best {}",
-                    incremental.bound(r),
-                    exact.best
-                );
+                assert!(incremental.bound(r) <= prev, "case {case}: split {r} rose");
             }
+            assert_admissible(&incremental, &seq, &scoring, &triangle);
         }
     }
 
+    /// The ski-rental rule: no pending accept → nothing to do; a stake
+    /// below the resweep's cost is rent (and leaves the stale bounds in
+    /// place); once rent paid reaches the price the refresh happens.
     #[test]
-    fn repeated_recomputes_track_a_growing_triangle() {
+    fn refresh_waits_until_stale_sweeps_match_its_cost() {
         let scoring = Scoring::dna_example();
         let mut seed = 0x0123456789abcdefu64;
         let seq = random_dna(64, &mut seed);
         let mut triangle = OverrideTriangle::new(seq.len());
         let mut sb = SplitBounds::build(seq.codes(), &scoring, SeedConfig::default());
-        for accept in 0..4 {
+        assert!(!sb.refresh_before_sweep(seq.codes(), &scoring, &triangle, u64::MAX));
+        accept(&mut sb, &mut triangle, &[(3, 55), (4, 56), (5, 58)]);
+        let stale = sb.bounds().to_vec();
+        // Both sides resume from row 0 (the first checkpoint is at row
+        // 8, below rows 3 and 64 − 1 − 58): the price is two full
+        // triangles.
+        let price = 2 * tri_cells(64, 0);
+        assert!(!sb.refresh_before_sweep(seq.codes(), &scoring, &triangle, price - 1));
+        assert_eq!((sb.recomputes(), sb.bounds()), (0, &stale[..]));
+        assert_admissible(&sb, &seq, &scoring, &triangle);
+        assert!(sb.refresh_before_sweep(seq.codes(), &scoring, &triangle, 1));
+        assert_eq!(sb.recomputes(), 1);
+        assert!(!sb.refresh_before_sweep(seq.codes(), &scoring, &triangle, u64::MAX));
+    }
+
+    #[test]
+    fn repeated_refreshes_track_a_growing_triangle() {
+        let scoring = Scoring::dna_example();
+        let mut seed = 0x0123456789abcdefu64;
+        let seq = random_dna(64, &mut seed);
+        let mut triangle = OverrideTriangle::new(seq.len());
+        let mut sb = SplitBounds::build(seq.codes(), &scoring, SeedConfig::default());
+        for round in 0..4 {
             let pairs = random_pairs(seq.len(), &mut seed);
-            for &(p, q) in &pairs {
-                if !triangle.get(p, q) {
-                    triangle.set(p, q);
-                }
-            }
-            let dirty_row = pairs.iter().map(|&(p, _)| p).min().unwrap();
-            sb.recompute(seq.codes(), &scoring, &triangle, dirty_row);
-            assert_eq!(sb.recomputes(), accept + 1);
-            for r in 1..seq.len() {
-                let (prefix, suffix) = seq.split(r);
-                let exact = sw_last_row(prefix, suffix, &scoring, SplitMask::new(&triangle, r));
-                assert!(
-                    sb.bound(r) >= exact.best,
-                    "accept {accept}: bound {} < split-{r} best {}",
-                    sb.bound(r),
-                    exact.best
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn seed_index_straddle_counts_match_brute_force() {
-        let seq = Seq::dna("ACGTACGTTTACGTA").unwrap();
-        let k = 4;
-        let index = SeedIndex::build(seq.codes(), k);
-        let keys = kmer_keys(seq.codes(), k);
-        for r in 0..seq.len() {
-            let mut expect = 0u32;
-            for p in 0..keys.len() {
-                for q in p + 1..keys.len() {
-                    if keys[p] == keys[q] && p + k <= r && r <= q {
-                        expect += 1;
-                    }
-                }
-            }
-            assert_eq!(index.seeds_straddling(r), expect, "split {r}");
-        }
-        assert!(!index.capped());
-        // ACGT repeats on diagonals 4 (within the first two copies) and
-        // beyond; the heaviest diagonal must carry at least one pair.
-        assert!(index.top_diagonal().is_some());
-        assert!(index.distinct_diagonals() >= 1);
-    }
-
-    #[test]
-    fn seedless_sequence_indexes_empty() {
-        let seq = Seq::dna("ACGTAGCATGCTAAC").unwrap();
-        let index = SeedIndex::build(seq.codes(), 8);
-        assert_eq!(index.top_diagonal(), None);
-        for r in 0..seq.len() {
-            assert_eq!(index.seeds_straddling(r), 0);
+            accept(&mut sb, &mut triangle, &pairs);
+            sb.refresh_before_sweep(seq.codes(), &scoring, &triangle, u64::MAX);
+            assert!(sb.recomputes() <= round + 1);
+            assert_admissible(&sb, &seq, &scoring, &triangle);
         }
     }
 
@@ -538,9 +598,10 @@ mod tests {
             let seq = Seq::dna(text).unwrap();
             let mut sb = SplitBounds::build(seq.codes(), &scoring, SeedConfig::default());
             assert_eq!(sb.seq_len(), seq.len());
-            assert_eq!(sb.bound(0), 0);
+            assert_eq!((sb.bound(0), sb.start_bound(0), sb.end_bound(0)), (0, 0, 0));
+            assert_eq!(sb.max_bound(1..seq.len().max(1)), 0);
             let triangle = OverrideTriangle::new(seq.len());
-            sb.recompute(seq.codes(), &scoring, &triangle, 0);
+            assert!(!sb.refresh_before_sweep(seq.codes(), &scoring, &triangle, u64::MAX));
         }
     }
 }

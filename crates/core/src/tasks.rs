@@ -17,13 +17,14 @@
 //!
 //! 1. `SCORE_INFINITY` — the paper's initial bound: trivially
 //!    admissible, totally uninformative.
-//! 2. **seed bound** `B(r)` — from [`crate::seed::SplitBounds`]
+//! 2. **seed bound** `bound(r)` — from [`crate::seed::SplitBounds`]
 //!    ([`Task::initial_bounded`] /
 //!    [`TaskQueue::for_sequence_len_bounded`]): admissible by the
-//!    triangular-sweep dominance argument, finite, and recomputed
-//!    (only ever tightening) as the override triangle grows. A task
-//!    can re-enter the queue with a tighter seed bound without being
-//!    aligned — that is the "pruned pop" fast path.
+//!    triangular-sweep dominance argument (from both ends of the
+//!    path), finite, and refreshed on demand (only ever tightening)
+//!    as the override triangle grows. A task can re-enter the queue
+//!    with a tighter seed bound without being aligned — that is the
+//!    "pruned pop" fast path.
 //! 3. **exact score** — after a (re)alignment; still an upper bound
 //!    later because masking is monotone.
 //!

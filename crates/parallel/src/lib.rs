@@ -32,7 +32,8 @@ use parking_lot::{Condvar, Mutex};
 use repro_align::{Score, Scoring, Seq};
 use repro_core::bottom::best_valid_entry_counted;
 use repro_core::{
-    accept_task_with_row, DirtyLog, IncrementalSweeper, OverrideTriangle, SeedConfig, SplitBounds,
+    accept_task_with_row, late_first_pass, DirtyLog, IncrementalSweeper, OverrideTriangle,
+    SeedConfig, SplitBounds,
     SplitMask, Stats, TopAlignment, TopAlignments,
 };
 use repro_obs::{HistSet, Metric};
@@ -84,7 +85,7 @@ struct Shared {
     accept_in_progress: bool,
     done: bool,
     /// `Some` with seeded pruning: the admissible per-split bounds,
-    /// recomputed (tightened) under the lock after each accept.
+    /// told of each accept and refreshed on demand, under the lock.
     bounds: Option<SplitBounds>,
     /// Splits that have completed their first alignment pass.
     first_passes: usize,
@@ -146,11 +147,12 @@ pub fn find_top_alignments_parallel_checkpointed(
 /// [`find_top_alignments_parallel_checkpointed`] with seeded split
 /// pruning: every task starts at its admissible seed bound instead of
 /// infinity, and never-aligned tasks whose bound stays below every
-/// acceptance are never swept by any worker. Bounds are recomputed
-/// (only ever tightening) under the shared lock after each accept and
-/// folded straight into the task state — the in-place analogue of the
-/// sequential engine's bound-refresh pops. Alignments are bit-identical
-/// with pruning on or off.
+/// acceptance are never swept by any worker. Bounds are refreshed (only
+/// ever tightening) under the shared lock when a never-aligned task is
+/// about to be claimed and [`SplitBounds`] judges the resweep worth it,
+/// and folded straight into the task state — the in-place analogue of
+/// the sequential engine's bound-refresh pops. Alignments are
+/// bit-identical with pruning on or off.
 pub fn find_top_alignments_parallel_seeded(
     seq: &Seq,
     scoring: &Scoring,
@@ -264,64 +266,82 @@ enum Decision {
 impl Engine<'_> {
     /// Pick the next action under the lock.
     fn decide(&self, shared: &mut Shared) -> Decision {
-        if shared.done || shared.tops.len() >= self.count {
-            shared.done = true;
-            return Decision::Finished;
-        }
-        let tops_found = shared.tops.len();
-        // Global argmax over ALL tasks (assigned ones hold their stale
-        // upper bound), ties to the smaller split.
-        let mut best: Option<(Score, usize)> = None;
-        for (i, t) in shared.state.iter().enumerate() {
-            if best.is_none_or(|(bs, _)| t.score > bs) {
-                best = Some((t.score, i));
+        loop {
+            if shared.done || shared.tops.len() >= self.count {
+                shared.done = true;
+                return Decision::Finished;
             }
-        }
-        let Some((best_score, best_i)) = best else {
-            shared.done = true;
-            return Decision::Finished;
-        };
-        if best_score <= 0 {
-            shared.done = true;
-            return Decision::Finished;
-        }
-        let best_task = shared.state[best_i];
-        if best_task.aligned_with == tops_found && !best_task.assigned {
-            if shared.accept_in_progress {
-                // Someone is already accepting; speculate below.
-            } else {
-                shared.accept_in_progress = true;
-                shared.claims += 1;
-                shared.stats.fresh_pops += 1;
-                return Decision::Accept {
-                    r: best_i + 1,
-                    score: best_score,
-                };
-            }
-        }
-        // Speculate: best stale unassigned task, if any.
-        let mut pick: Option<(Score, usize)> = None;
-        for (i, t) in shared.state.iter().enumerate() {
-            if !t.assigned
-                && t.aligned_with != tops_found
-                && t.score > 0
-                && pick.is_none_or(|(ps, _)| t.score > ps)
-            {
-                pick = Some((t.score, i));
-            }
-        }
-        match pick {
-            Some((_prior, i)) => {
-                shared.state[i].assigned = true;
-                shared.claims += 1;
-                shared.stats.stale_pops += 1;
-                Decision::Realign {
-                    r: i + 1,
-                    stamp: tops_found,
-                    triangle: Arc::clone(&shared.triangle),
+            let tops_found = shared.tops.len();
+            // Global argmax over ALL tasks (assigned ones hold their stale
+            // upper bound), ties to the smaller split.
+            let mut best: Option<(Score, usize)> = None;
+            for (i, t) in shared.state.iter().enumerate() {
+                if best.is_none_or(|(bs, _)| t.score > bs) {
+                    best = Some((t.score, i));
                 }
             }
-            None => Decision::Wait,
+            let Some((best_score, best_i)) = best else {
+                shared.done = true;
+                return Decision::Finished;
+            };
+            if best_score <= 0 {
+                shared.done = true;
+                return Decision::Finished;
+            }
+            let best_task = shared.state[best_i];
+            if best_task.aligned_with == tops_found && !best_task.assigned {
+                if shared.accept_in_progress {
+                    // Someone is already accepting; speculate below.
+                } else {
+                    shared.accept_in_progress = true;
+                    shared.claims += 1;
+                    shared.stats.fresh_pops += 1;
+                    return Decision::Accept {
+                        r: best_i + 1,
+                        score: best_score,
+                    };
+                }
+            }
+            // Speculate: best stale unassigned task, if any.
+            let mut pick: Option<(Score, usize)> = None;
+            for (i, t) in shared.state.iter().enumerate() {
+                if !t.assigned
+                    && t.aligned_with != tops_found
+                    && t.score > 0
+                    && pick.is_none_or(|(ps, _)| t.score > ps)
+                {
+                    pick = Some((t.score, i));
+                }
+            }
+            let Some((_prior, i)) = pick else {
+                return Decision::Wait;
+            };
+            // A never-aligned pick is about to be swept: the moment the
+            // seed bounds may spend a refresh. If they do, fold them
+            // straight into every never-aligned unassigned task and
+            // decide again under the tightened bounds.
+            if shared.state[i].aligned_with == NEVER {
+                let stake = ((i + 1) * (self.seq.len() - i - 1)) as u64;
+                if let Some(bounds) = shared.bounds.as_mut() {
+                    let codes = self.seq.codes();
+                    if bounds.refresh_before_sweep(codes, self.scoring, &shared.triangle, stake) {
+                        for (j, t) in shared.state.iter_mut().enumerate() {
+                            if t.aligned_with == NEVER && !t.assigned {
+                                t.score = bounds.bound(j + 1);
+                            }
+                        }
+                        continue;
+                    }
+                }
+            }
+            shared.state[i].assigned = true;
+            shared.claims += 1;
+            shared.stats.stale_pops += 1;
+            return Decision::Realign {
+                r: i + 1,
+                stamp: tops_found,
+                triangle: Arc::clone(&shared.triangle),
+            };
         }
     }
 
@@ -373,24 +393,8 @@ impl Engine<'_> {
                     guard = self.shared.lock();
                     guard.stats.record_traceback(cells);
                     guard.triangle = Arc::new(triangle);
-                    // Tighten the seed bounds under the grown triangle
-                    // and fold them straight into every never-aligned
-                    // unassigned task — the in-place analogue of the
-                    // sequential bound-refresh pop. Skipped once every
-                    // split has first-passed (bounds can no longer
-                    // influence the schedule).
-                    let shared = &mut *guard;
-                    if shared.first_passes < shared.state.len() {
-                        if let (Some(bounds), Some(&(p, _))) =
-                            (shared.bounds.as_mut(), top.pairs.first())
-                        {
-                            bounds.recompute(self.seq.codes(), self.scoring, &shared.triangle, p);
-                            for (i, t) in shared.state.iter_mut().enumerate() {
-                                if t.aligned_with == NEVER && !t.assigned {
-                                    t.score = bounds.bound(i + 1);
-                                }
-                            }
-                        }
+                    if let Some(bounds) = guard.bounds.as_mut() {
+                        bounds.note_accept(&top.pairs);
                     }
                     guard.tops.push(top);
                     guard.accept_in_progress = false;
@@ -416,84 +420,50 @@ impl Engine<'_> {
                     let is_first = self.rows[r - 1].get().is_none();
                     // (hit, rows swept, rows skipped) — realignments only.
                     let mut inc_stats: Option<(bool, u64, u64)> = None;
-                    let (score, shadows, cells) = if is_first && !triangle.is_empty() {
-                        // Late first pass: with seeded pruning a split's
-                        // first sweep can happen after accepts have grown
-                        // the triangle. The shadow store needs the CLEAN
-                        // (unmasked) bottom row, so sweep twice — unmasked
-                        // for the store, masked for the score. Bypasses
-                        // the incremental layer (a later checkpoint miss
-                        // at worst, never a correctness issue).
-                        let (prefix, suffix) = self.seq.split(r);
-                        let clean = repro_align::sw_last_row(
-                            prefix,
-                            suffix,
-                            self.scoring,
-                            repro_align::NoMask,
-                        );
-                        let mask = SplitMask::new(&triangle, r);
-                        let masked = repro_align::sw_last_row(prefix, suffix, self.scoring, mask);
-                        let (s, _, shadows) = best_valid_entry_counted(&masked.row, &clean.row);
-                        let cells = clean.cells + masked.cells;
-                        self.rows[r - 1]
-                            .set(clean.row)
-                            .expect("first pass runs exactly once per split");
-                        (s, shadows, cells)
-                    } else {
-                        match (&mut incr, self.rows[r - 1].get()) {
-                            (Some(sweeper), None) => {
-                                let res = sweeper.first_pass(
+                    let (score, shadows, cells) = match (&mut incr, self.rows[r - 1].get()) {
+                        (sweeper, None) => {
+                            // First pass — with seeded pruning possibly a
+                            // late one, after accepts have grown the
+                            // triangle: the stored row is the clean one,
+                            // the score is masked and shadow-filtered.
+                            let res = match sweeper {
+                                Some(sweeper) => sweeper.first_pass(
                                     self.seq,
                                     self.scoring,
                                     r,
                                     &triangle,
                                     stamp as u64,
-                                );
-                                self.rows[r - 1]
-                                    .set(res.first_row.expect("first pass returns its row"))
-                                    .expect("first pass runs exactly once per split");
-                                (res.score, 0, res.cells)
-                            }
-                            (Some(sweeper), Some(original)) => {
-                                let sweep = sweeper.realign(
-                                    self.seq,
-                                    self.scoring,
-                                    r,
-                                    &triangle,
-                                    original,
-                                    &local_dirty,
-                                    stamp as u64,
-                                );
-                                inc_stats =
-                                    Some((sweep.hit(), sweep.rows_swept, sweep.rows_skipped));
-                                (
-                                    sweep.result.score,
-                                    sweep.result.shadow_rejections,
-                                    sweep.result.cells,
-                                )
-                            }
-                            (None, row) => {
-                                let (prefix, suffix) = self.seq.split(r);
-                                let mask = SplitMask::new(&triangle, r);
-                                let last =
-                                    repro_align::sw_last_row(prefix, suffix, self.scoring, mask);
-                                let cells = last.cells;
-                                match row {
-                                    None => {
-                                        debug_assert!(triangle.is_empty());
-                                        let s = last.best_in_row;
-                                        self.rows[r - 1]
-                                            .set(last.row)
-                                            .expect("first pass runs exactly once per split");
-                                        (s, 0, cells)
-                                    }
-                                    Some(original) => {
-                                        let (s, _, shadows) =
-                                            best_valid_entry_counted(&last.row, original);
-                                        (s, shadows, cells)
-                                    }
-                                }
-                            }
+                                ),
+                                None => late_first_pass(self.seq, self.scoring, r, &triangle, None),
+                            };
+                            self.rows[r - 1]
+                                .set(res.first_row.expect("first pass returns its row"))
+                                .expect("first pass runs exactly once per split");
+                            (res.score, res.shadow_rejections, res.cells)
+                        }
+                        (Some(sweeper), Some(original)) => {
+                            let sweep = sweeper.realign(
+                                self.seq,
+                                self.scoring,
+                                r,
+                                &triangle,
+                                original,
+                                &local_dirty,
+                                stamp as u64,
+                            );
+                            inc_stats = Some((sweep.hit(), sweep.rows_swept, sweep.rows_skipped));
+                            (
+                                sweep.result.score,
+                                sweep.result.shadow_rejections,
+                                sweep.result.cells,
+                            )
+                        }
+                        (None, Some(original)) => {
+                            let (prefix, suffix) = self.seq.split(r);
+                            let mask = SplitMask::new(&triangle, r);
+                            let last = repro_align::sw_last_row(prefix, suffix, self.scoring, mask);
+                            let (s, _, shadows) = best_valid_entry_counted(&last.row, original);
+                            (s, shadows, last.cells)
                         }
                     };
 
@@ -518,6 +488,12 @@ impl Engine<'_> {
                         guard.superseded += 1;
                     }
                     let t = &mut guard.state[r - 1];
+                    // Masking monotonicity for realignments, seed-bound
+                    // admissibility for first passes.
+                    debug_assert!(
+                        score <= t.score,
+                        "sweep of split {r} rose above its upper bound"
+                    );
                     t.score = score;
                     t.aligned_with = stamp;
                     t.assigned = false;

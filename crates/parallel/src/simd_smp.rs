@@ -25,7 +25,8 @@
 //!   (a never-swept group holds score `Score::MAX` and can never be
 //!   fresh); with seeded pruning a group's first sweep can happen after
 //!   accepts, in which case the worker sweeps twice — clean for the
-//!   shadow store, masked for the exact scores.
+//!   shadow store, masked (resumed from the pack's first dirty row) for
+//!   the exact scores.
 
 use parking_lot::{Condvar, Mutex};
 use repro_align::{Score, Scoring, Seq};
@@ -104,7 +105,7 @@ struct Shared {
     /// itself runs on taken-out owned state.
     incr: GroupIncremental,
     /// `Some` with seeded pruning: the admissible per-split bounds,
-    /// recomputed (tightened) under the lock after each accept.
+    /// told of each accept and refreshed on demand, under the lock.
     bounds: Option<SplitBounds>,
     /// Splits (not groups) that have completed a first alignment pass.
     first_passes: usize,
@@ -182,9 +183,10 @@ pub fn find_top_alignments_parallel_simd_checkpointed(
 /// [`find_top_alignments_parallel_simd_checkpointed`] with seeded split
 /// pruning: every group enters the schedule at the maximum of its
 /// members' seed bounds, and whole lane-packs whose bound stays below
-/// every acceptance are never swept by any worker. Bounds are
-/// recomputed (only ever tightening) under the shared lock after each
-/// accept and folded straight into the group state. Alignments are
+/// every acceptance are never swept by any worker. Bounds are refreshed
+/// (only ever tightening) under the shared lock when a never-swept
+/// group is about to be claimed and [`SplitBounds`] judges the resweep
+/// worth it, and folded straight into the group state. Alignments are
 /// bit-identical with pruning on or off.
 pub fn find_top_alignments_parallel_simd_seeded(
     seq: &Seq,
@@ -223,10 +225,7 @@ pub fn find_top_alignments_parallel_simd_seeded(
                     // A group's admissible bound is the max of its
                     // members' split bounds (swept as a unit).
                     score: match &bounds {
-                        Some(b) => (0..group_lanes(gi))
-                            .map(|l| b.bound(group_r0(gi) + l))
-                            .max()
-                            .unwrap_or(0),
+                        Some(b) => b.max_bound(group_r0(gi)..group_r0(gi) + group_lanes(gi)),
                         None => Score::MAX,
                     },
                     members: vec![Score::MAX; group_lanes(gi)],
@@ -306,74 +305,102 @@ impl Engine<'_> {
         self.lanes.min(self.splits - gi * self.lanes)
     }
 
+    /// The splits of group `gi`.
+    fn group_splits(&self, gi: usize) -> std::ops::Range<usize> {
+        self.group_r0(gi)..self.group_r0(gi) + self.group_lanes(gi)
+    }
+
     /// Pick the next action under the lock.
     fn decide(&self, shared: &mut Shared) -> Decision {
-        if shared.done || shared.tops.len() >= self.count {
-            shared.done = true;
-            return Decision::Finished;
-        }
-        let tops_found = shared.tops.len();
-        // Global argmax over ALL groups (assigned ones hold their stale
-        // upper bound), ties to the smaller group index — which, because
-        // groups partition the splits in order, is the smaller split.
-        let mut best: Option<(Score, usize)> = None;
-        for (gi, g) in shared.groups.iter().enumerate() {
-            if best.is_none_or(|(bs, _)| g.score > bs) {
-                best = Some((g.score, gi));
+        loop {
+            if shared.done || shared.tops.len() >= self.count {
+                shared.done = true;
+                return Decision::Finished;
             }
-        }
-        let Some((best_score, best_gi)) = best else {
-            shared.done = true;
-            return Decision::Finished;
-        };
-        if best_score <= 0 {
-            shared.done = true;
-            return Decision::Finished;
-        }
-        let best_group = &shared.groups[best_gi];
-        if best_group.aligned_with == tops_found && !best_group.assigned {
-            if shared.accept_in_progress {
-                // Someone is already accepting; speculate below.
-            } else {
-                // Best member, lowest lane on ties ⇒ smallest split.
-                let (best_l, &score) = best_group
-                    .members
-                    .iter()
-                    .enumerate()
-                    .max_by(|(la, sa), (lb, sb)| sa.cmp(sb).then(lb.cmp(la)))
-                    .expect("groups are never empty");
-                shared.accept_in_progress = true;
-                shared.claims += 1;
-                shared.stats.fresh_pops += 1;
-                return Decision::Accept {
-                    r: self.group_r0(best_gi) + best_l,
-                    score,
-                };
-            }
-        }
-        // Speculate: best stale unassigned group, if any.
-        let mut pick: Option<(Score, usize)> = None;
-        for (gi, g) in shared.groups.iter().enumerate() {
-            if !g.assigned
-                && g.aligned_with != tops_found
-                && g.score > 0
-                && pick.is_none_or(|(ps, _)| g.score > ps)
-            {
-                pick = Some((g.score, gi));
-            }
-        }
-        match pick {
-            Some((_, gi)) => {
-                shared.groups[gi].assigned = true;
-                shared.claims += 1;
-                shared.stats.stale_pops += 1;
-                Decision::Sweep {
-                    gi,
-                    stamp: tops_found,
-                    triangle: Arc::clone(&shared.triangle),
+            let tops_found = shared.tops.len();
+            // Global argmax over ALL groups (assigned ones hold their stale
+            // upper bound), ties to the smaller group index — which, because
+            // groups partition the splits in order, is the smaller split.
+            let mut best: Option<(Score, usize)> = None;
+            for (gi, g) in shared.groups.iter().enumerate() {
+                if best.is_none_or(|(bs, _)| g.score > bs) {
+                    best = Some((g.score, gi));
                 }
             }
-            None => Decision::Wait,
+            let Some((best_score, best_gi)) = best else {
+                shared.done = true;
+                return Decision::Finished;
+            };
+            if best_score <= 0 {
+                shared.done = true;
+                return Decision::Finished;
+            }
+            let best_group = &shared.groups[best_gi];
+            if best_group.aligned_with == tops_found && !best_group.assigned {
+                if shared.accept_in_progress {
+                    // Someone is already accepting; speculate below.
+                } else {
+                    // Best member, lowest lane on ties ⇒ smallest split.
+                    let (best_l, &score) = best_group
+                        .members
+                        .iter()
+                        .enumerate()
+                        .max_by(|(la, sa), (lb, sb)| sa.cmp(sb).then(lb.cmp(la)))
+                        .expect("groups are never empty");
+                    shared.accept_in_progress = true;
+                    shared.claims += 1;
+                    shared.stats.fresh_pops += 1;
+                    return Decision::Accept {
+                        r: self.group_r0(best_gi) + best_l,
+                        score,
+                    };
+                }
+            }
+            // Speculate: best stale unassigned group, if any.
+            let mut pick: Option<(Score, usize)> = None;
+            for (gi, g) in shared.groups.iter().enumerate() {
+                if !g.assigned
+                    && g.aligned_with != tops_found
+                    && g.score > 0
+                    && pick.is_none_or(|(ps, _)| g.score > ps)
+                {
+                    pick = Some((g.score, gi));
+                }
+            }
+            let Some((_, gi)) = pick else {
+                return Decision::Wait;
+            };
+            // A never-swept pick is about to be swept: the moment the
+            // seed bounds may spend a refresh. If they do, lower every
+            // never-swept unassigned group to its new (max-member)
+            // bound and decide again.
+            if shared.groups[gi].aligned_with == NEVER {
+                let m = self.seq.len();
+                if let Some(bounds) = shared.bounds.as_mut() {
+                    // The stake in *vector* cells (rows × width): one
+                    // kernel step each, like a cell of the scalar
+                    // resweep it is weighed against.
+                    let splits = self.group_splits(gi);
+                    let stake = ((splits.end - 1) * (m - splits.start)) as u64;
+                    let codes = self.seq.codes();
+                    if bounds.refresh_before_sweep(codes, self.scoring, &shared.triangle, stake) {
+                        for (gj, g) in shared.groups.iter_mut().enumerate() {
+                            if g.aligned_with == NEVER && !g.assigned {
+                                g.score = bounds.max_bound(self.group_splits(gj));
+                            }
+                        }
+                        continue;
+                    }
+                }
+            }
+            shared.groups[gi].assigned = true;
+            shared.claims += 1;
+            shared.stats.stale_pops += 1;
+            return Decision::Sweep {
+                gi,
+                stamp: tops_found,
+                triangle: Arc::clone(&shared.triangle),
+            };
         }
     }
 
@@ -418,25 +445,8 @@ impl Engine<'_> {
                     if self.checkpoint_budget.is_some() {
                         guard.dirty.record_accept(&top.pairs);
                     }
-                    // Tighten the seed bounds under the grown triangle
-                    // and lower every never-swept unassigned group to
-                    // its new (max-member) bound. Skipped once every
-                    // split has first-passed.
-                    let shared = &mut *guard;
-                    if shared.first_passes < self.splits {
-                        if let (Some(bounds), Some(&(p, _))) =
-                            (shared.bounds.as_mut(), top.pairs.first())
-                        {
-                            bounds.recompute(self.seq.codes(), self.scoring, &shared.triangle, p);
-                            for (gi, g) in shared.groups.iter_mut().enumerate() {
-                                if g.aligned_with == NEVER && !g.assigned {
-                                    g.score = (0..self.group_lanes(gi))
-                                        .map(|l| bounds.bound(self.group_r0(gi) + l))
-                                        .max()
-                                        .unwrap_or(0);
-                                }
-                            }
-                        }
+                    if let Some(bounds) = guard.bounds.as_mut() {
+                        bounds.note_accept(&top.pairs);
                     }
                     guard.tops.push(top);
                     guard.accept_in_progress = false;
@@ -516,33 +526,13 @@ impl Engine<'_> {
                     let sweep_t0 = Instant::now();
                     if first_pass {
                         let rs_full: Vec<usize> = (0..nl).map(|l| r0 + l).collect();
-                        // Checkpoints must reflect the recurrence the
-                        // realignments will resume: masked when the
-                        // triangle is non-empty, clean otherwise.
-                        let clean_caps: &[usize] = if triangle.is_empty() {
-                            &fp_capture_rows
-                        } else {
-                            &[]
-                        };
-                        let (outcome, mut caps) =
-                            self.sweeper.sweep_at(&rs_full, None, None, clean_caps);
-                        // Late first pass: under seeded pruning a group's
-                        // first sweep can happen after accepts have grown
-                        // the triangle. The clean sweep above feeds the
-                        // shadow store; this masked resweep yields the
-                        // exact current scores.
-                        let masked = if !triangle.is_empty() {
-                            let (mo, mcaps) = self.sweeper.sweep_at(
-                                &rs_full,
-                                Some(&*triangle),
-                                None,
-                                &fp_capture_rows,
-                            );
-                            caps = mcaps;
-                            Some(mo)
-                        } else {
-                            None
-                        };
+                        // Possibly a late first pass: under seeded pruning
+                        // a group's first sweep can happen after accepts
+                        // have grown the triangle.
+                        let fp = self
+                            .sweeper
+                            .first_pass(&rs_full, &triangle, &fp_capture_rows);
+                        let (outcome, masked, caps) = (fp.clean, fp.masked, fp.caps);
                         let g = outcome.group;
                         let total_cells = g.cells + masked.as_ref().map_or(0, |mo| mo.group.cells);
                         let per_lane_cells = total_cells / nl as u64;
@@ -562,7 +552,6 @@ impl Engine<'_> {
                                 shadows += sh;
                                 s
                             } else {
-                                debug_assert!(triangle.is_empty());
                                 g.rows[l].iter().copied().max().unwrap_or(0).max(0)
                             };
                             lane_memo.push(LaneMemo {
@@ -612,6 +601,12 @@ impl Engine<'_> {
                             shared.superseded += 1;
                         }
                         let state = &mut shared.groups[gi];
+                        // The live admissibility check: the bound this
+                        // pack was claimed at dominates its task scores.
+                        debug_assert!(
+                            members.iter().all(|&s| s <= state.score),
+                            "first sweep of group {gi} rose above its bound"
+                        );
                         state.score = members.iter().copied().max().unwrap_or(0);
                         state.members = members;
                         state.aligned_with = stamp;

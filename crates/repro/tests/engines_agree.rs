@@ -133,6 +133,20 @@ fn assert_pruning_is_transparent(seq: &Seq, scoring: &Scoring, count: usize) {
                 &seq.to_text()[..seq.len().min(30)]
             );
         }
+        // Both exact shortcuts at once: pruning delays first passes
+        // past accepts, and those late first passes seed the
+        // checkpoints the realignments then resume from.
+        let analysis = Repro::new(scoring.clone())
+            .top_alignments(count)
+            .engine(engine)
+            .seed_config(Some(SeedConfig::default()))
+            .checkpoint_budget(Some(1 << 20))
+            .run(seq);
+        assert_eq!(
+            analysis.tops.alignments, base.tops.alignments,
+            "{engine:?} seeded and checkpointed disagrees on {}…",
+            &seq.to_text()[..seq.len().min(30)]
+        );
     }
 }
 

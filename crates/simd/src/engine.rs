@@ -39,6 +39,7 @@ use repro_obs::{Counter, Metric, NoopRecorder, Phase, Progress, Recorder};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Per-group sweep memo: one [`LaneMemo`] per lane. Lane-granular — a
 /// lane untouched by accepts since *its* stamp replays its exact score
@@ -263,6 +264,78 @@ impl<'a> GroupSweeper<'a> {
     }
 }
 
+/// A lane pack's first sweep, see [`GroupSweeper::first_pass`].
+#[derive(Debug)]
+pub struct FirstPass {
+    /// The clean (unmasked) sweep: its bottom rows are the pack's
+    /// shadow-store originals.
+    pub clean: SweepOutcome,
+    /// The masked resweep holding the current bottom rows; `None` when
+    /// no accepted pair straddles the pack and `clean` is both.
+    pub masked: Option<SweepOutcome>,
+    /// Snapshots at the requested capture rows, of the *masked*
+    /// recurrence — what realignments resume.
+    pub caps: Vec<GroupCapture>,
+    /// Wall time of the clean and of the masked sweep, nanoseconds.
+    pub sweep_ns: (u64, Option<u64>),
+}
+
+impl GroupSweeper<'_> {
+    /// First sweep of the ascending lane pack `rs`, capturing at
+    /// `capture_rows`, once accepts may already have grown `triangle`
+    /// (seeded pruning delays first sweeps). The clean sweep feeds the
+    /// shadow store; when an accepted pair straddles a lane, a masked
+    /// resweep yields the exact current rows. The two agree above the
+    /// pack's first dirty row, so the clean sweep takes the captures
+    /// down to it plus a snapshot there — capped below the smallest
+    /// split, where every lane still has state — and the masked sweep
+    /// resumes from that snapshot and takes the rest.
+    pub fn first_pass(
+        &self,
+        rs: &[usize],
+        triangle: &OverrideTriangle,
+        capture_rows: &[usize],
+    ) -> FirstPass {
+        let t0 = Instant::now();
+        let dirty = rs
+            .iter()
+            .filter_map(|&r| triangle.first_straddling_row(r))
+            .min();
+        let Some(dirty) = dirty else {
+            let (clean, caps) = self.sweep_at(rs, None, None, capture_rows);
+            return FirstPass {
+                clean,
+                masked: None,
+                caps,
+                sweep_ns: (t0.elapsed().as_nanos() as u64, None),
+            };
+        };
+        let d = dirty.min(rs[0] - 1);
+        let mut clean_rows: Vec<usize> = capture_rows.iter().copied().filter(|&c| c < d).collect();
+        if d > 0 {
+            clean_rows.push(d);
+        }
+        let (clean, mut caps) = self.sweep_at(rs, None, None, &clean_rows);
+        let clean_ns = t0.elapsed().as_nanos() as u64;
+        let t1 = Instant::now();
+        let masked_rows: Vec<usize> = capture_rows.iter().copied().filter(|&c| c > d).collect();
+        let (masked, masked_caps) = {
+            let resume = (d > 0).then(|| caps.last().expect("captured at d").as_resume());
+            self.sweep_at(rs, Some(triangle), resume.as_ref(), &masked_rows)
+        };
+        if d > 0 && !capture_rows.contains(&d) {
+            caps.pop();
+        }
+        caps.extend(masked_caps);
+        FirstPass {
+            clean,
+            masked: Some(masked),
+            caps,
+            sweep_ns: (clean_ns, Some(t1.elapsed().as_nanos() as u64)),
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct GroupTask {
     score: Score,
@@ -418,10 +491,7 @@ fn run<R: Recorder>(
         stats.seed_index_build_ns = b.build_ns();
     }
     let group_bound = |b: &SplitBounds, gi: usize| -> Score {
-        (0..group_lanes(gi))
-            .map(|l| b.bound(group_r0(gi) + l))
-            .max()
-            .unwrap_or(0)
+        b.max_bound(group_r0(gi)..group_r0(gi) + group_lanes(gi))
     };
     // Splits (not groups) that have completed a first alignment pass.
     let mut first_passes = 0usize;
@@ -457,7 +527,7 @@ fn run<R: Recorder>(
         if task.score <= 0 {
             break;
         }
-        let pop_t0 = R::ENABLED.then(std::time::Instant::now);
+        let pop_t0 = R::ENABLED.then(Instant::now);
         if R::ENABLED {
             rec.progress(&Progress {
                 splits_done: first_passes as u64,
@@ -471,13 +541,23 @@ fn run<R: Recorder>(
         let Reverse(gi) = task.gi;
         let tops_found = alignments.len();
 
-        // Bound-refresh fast path: a never-swept group whose bound has
-        // tightened since it was queued is requeued at the new bound
-        // without sweeping — a whole lane-pack resolved with zero DP
-        // work. Only never-swept groups qualify: exact scores must not
-        // be replaced by bounds.
+        // A never-swept group is where seed bounds act. If its queued
+        // bound is still current it is about to be swept — the moment
+        // the bounds may spend a refresh on the accepts noted since the
+        // last one. A group whose bound now sits below the queued one
+        // is requeued at it without sweeping — a whole lane-pack
+        // resolved with zero DP work. Only never-swept groups qualify:
+        // exact scores must not be replaced by bounds.
         if task.aligned_with == usize::MAX {
-            if let Some(b) = &bounds {
+            if let Some(b) = bounds.as_mut() {
+                if group_bound(b, gi) >= task.score {
+                    // The stake in *vector* cells (rows × width): one
+                    // kernel step each, like a cell of the scalar
+                    // resweep it is weighed against.
+                    let rmax = group_r0(gi) + group_lanes(gi) - 1;
+                    let stake = (rmax * (m - group_r0(gi))) as u64;
+                    b.refresh_before_sweep(seq.codes(), scoring, &triangle, stake);
+                }
                 let gb = group_bound(b, gi);
                 if gb < task.score {
                     stats.pruned_pops += 1;
@@ -521,14 +601,10 @@ fn run<R: Recorder>(
             if incremental {
                 dirty.record_accept(&top.pairs);
             }
-            // Tighten the seed bounds under the grown triangle; stale
-            // queue entries keep their old (looser) bound and stay
-            // admissible, the bound-refresh fast path lowers them on
-            // pop. Skipped once every split has first-passed.
-            if first_passes < splits {
-                if let (Some(b), Some(&(p, _))) = (bounds.as_mut(), top.pairs.first()) {
-                    b.recompute(seq.codes(), scoring, &triangle, p);
-                }
+            // Queued bounds stay admissible as they are; the bounds
+            // tighten on demand, when a never-swept group comes up.
+            if let Some(b) = bounds.as_mut() {
+                b.note_accept(&top.pairs);
             }
             alignments.push(top);
             queue.push(GroupTask {
@@ -612,41 +688,23 @@ fn run<R: Recorder>(
                 } else {
                     Vec::new()
                 };
-                // Checkpoints must reflect the *masked* recurrence, so
-                // capture from the clean sweep only when no masked
-                // resweep follows (empty triangle: they coincide).
-                let clean_cap_rows: &[usize] = if triangle.is_empty() {
-                    &capture_rows
-                } else {
-                    &[]
-                };
-                let sweep_t0 = R::ENABLED.then(std::time::Instant::now);
-                let (outcome, mut caps) = sweeper.sweep_at(&rs_full, None, None, clean_cap_rows);
-                let clean_ns = sweep_t0.map(|t0| t0.elapsed().as_nanos() as u64);
-                count_sweep(&outcome, nl);
-                // Late first pass: under seeded pruning a group's first
-                // sweep can happen after accepts have grown the
-                // triangle. The clean (unmasked) sweep above feeds the
-                // shadow store; this masked resweep yields the exact
-                // current scores.
-                let mut masked_ns = None;
-                let masked = if !triangle.is_empty() {
-                    let masked_t0 = R::ENABLED.then(std::time::Instant::now);
-                    let (mo, mcaps) =
-                        sweeper.sweep_at(&rs_full, Some(&triangle), None, &capture_rows);
-                    masked_ns = masked_t0.map(|t0| t0.elapsed().as_nanos() as u64);
-                    count_sweep(&mo, nl);
-                    caps = mcaps;
-                    Some(mo.group)
-                } else {
-                    None
-                };
-                if let Some(ns) = clean_ns {
-                    rec.observe(Metric::SweepNs, ns);
+                // Possibly a late first pass: under seeded pruning a
+                // group's first sweep can happen after accepts have
+                // grown the triangle.
+                let fp = sweeper.first_pass(&rs_full, &triangle, &capture_rows);
+                count_sweep(&fp.clean, nl);
+                if let Some(mo) = &fp.masked {
+                    count_sweep(mo, nl);
                 }
-                if let Some(ns) = masked_ns {
-                    rec.observe(Metric::SweepNs, ns);
+                if R::ENABLED {
+                    rec.observe(Metric::SweepNs, fp.sweep_ns.0);
+                    if let Some(ns) = fp.sweep_ns.1 {
+                        rec.observe(Metric::SweepNs, ns);
+                    }
                 }
+                let caps = fp.caps;
+                let masked = fp.masked.map(|mo| mo.group);
+                let outcome = fp.clean;
                 let g = outcome.group;
                 let total_cells = g.cells + masked.as_ref().map_or(0, |mg| mg.cells);
                 let per_lane_cells = total_cells / nl as u64;
@@ -662,7 +720,6 @@ fn run<R: Recorder>(
                         lane_shadows = shadows;
                         s
                     } else {
-                        debug_assert!(triangle.is_empty());
                         g.rows[l].iter().copied().max().unwrap_or(0).max(0)
                     };
                     stats.record_alignment(per_lane_cells, tops_found);
@@ -681,6 +738,12 @@ fn run<R: Recorder>(
                     incr.commit(&rs_full, Vec::new(), caps, version, &lane_scores);
                     group_memo[gi] = Some(lane_memo);
                 }
+                // The live admissibility check: the bound this pack was
+                // queued with dominates every member's task score.
+                debug_assert!(
+                    group_best <= task.score,
+                    "first sweep of group {gi} rose above its queued bound"
+                );
                 first_passes += nl;
             } else {
                 let mut p = plan.take().unwrap_or_else(|| {
@@ -697,7 +760,7 @@ fn run<R: Recorder>(
                 });
                 let npack = p.packed.len();
                 let start = p.resume_row;
-                let sweep_t0 = R::ENABLED.then(std::time::Instant::now);
+                let sweep_t0 = R::ENABLED.then(Instant::now);
                 let (outcome, caps) = {
                     let resume = p.resume();
                     sweeper.sweep_at(&p.rs, Some(&triangle), resume.as_ref(), &p.capture_rows)
@@ -829,6 +892,46 @@ mod tests {
                 simd.result.alignments, seq_result.alignments,
                 "{width:?} disagrees with the sequential engine"
             );
+        }
+    }
+
+    /// A pack's first pass under a grown triangle — clean sweep down to
+    /// the first dirty row, masked sweep resumed there — returns the
+    /// rows and *every* requested capture of two full sweeps from row 0.
+    #[test]
+    fn late_first_pass_equals_two_full_sweeps() {
+        let seq = Seq::dna(&"ACGGTACGTTACGGAACGT".repeat(4)).unwrap();
+        let scoring = Scoring::dna_example();
+        let sel = select(Some(LaneWidth::X4), Some(DispatchPath::Portable)).unwrap();
+        let sweeper = GroupSweeper::new(&seq, &scoring, sel);
+        let rs = [40usize, 41, 42, 43];
+        let capture_rows = [5usize, 12, 20, 30, 41];
+        let empty = OverrideTriangle::new(seq.len());
+        // First dirty row: none, 0, between captures, on a capture,
+        // below the smallest split (capped to it).
+        for pairs in [
+            vec![(50, 60)],
+            vec![(0, 45), (20, 50)],
+            vec![(8, 41)],
+            vec![(12, 70), (13, 71)],
+            vec![(41, 43)],
+        ] {
+            let mut triangle = OverrideTriangle::new(seq.len());
+            for &(p, q) in &pairs {
+                triangle.set(p, q);
+            }
+            let fp = sweeper.first_pass(&rs, &triangle, &capture_rows);
+            let (clean, _) = sweeper.sweep_at(&rs, Some(&empty), None, &[]);
+            let (masked, caps) = sweeper.sweep_at(&rs, Some(&triangle), None, &capture_rows);
+            assert_eq!(fp.clean.group.rows, clean.group.rows, "{pairs:?}");
+            let straddled = rs.iter().any(|&r| triangle.first_straddling_row(r).is_some());
+            assert_eq!(fp.masked.is_some(), straddled, "{pairs:?}");
+            let current = fp.masked.as_ref().unwrap_or(&fp.clean);
+            assert_eq!(current.group.rows, masked.group.rows, "{pairs:?}");
+            assert_eq!(fp.caps.len(), caps.len(), "{pairs:?}");
+            for (got, want) in fp.caps.iter().zip(&caps) {
+                assert_eq!((got.row, &got.lanes), (want.row, &want.lanes), "{pairs:?}");
+            }
         }
     }
 

@@ -112,6 +112,24 @@ pub struct GroupCapture {
     pub lanes: Vec<Option<(Vec<Score>, Vec<Score>)>>,
 }
 
+impl GroupCapture {
+    /// This snapshot as the resume input of a later sweep of the same
+    /// pack. Every lane must extend below the captured row.
+    pub fn as_resume(&self) -> GroupResume<'_> {
+        GroupResume {
+            row: self.row,
+            lanes: self
+                .lanes
+                .iter()
+                .map(|lane| {
+                    let (m, maxy) = lane.as_ref().expect("lane ends above the captured row");
+                    LaneResume { m, maxy }
+                })
+                .collect(),
+        }
+    }
+}
+
 /// Stripe width for a group sweep of `lanes` lanes of `elem_bytes`-byte
 /// elements: the interleaved previous-row and `MaxY` arrays carry
 /// `lanes × elem_bytes` bytes per column each, and the L1 rule

@@ -48,7 +48,8 @@ pub use dispatch::{auto_path, select, DispatchError, DispatchPath, SimdSel};
 pub use engine::{
     find_top_alignments_simd, find_top_alignments_simd_auto, find_top_alignments_simd_checkpointed,
     find_top_alignments_simd_recorded, find_top_alignments_simd_seeded,
-    find_top_alignments_simd_sel, GroupSweeper, SimdFinderResult, SimdStats, SweepOutcome,
+    find_top_alignments_simd_sel, FirstPass, GroupSweeper, SimdFinderResult, SimdStats,
+    SweepOutcome,
 };
 pub use group::{
     align_group, align_group_profile, align_group_striped, group_stripe, GroupCapture,
