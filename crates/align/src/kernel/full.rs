@@ -7,8 +7,10 @@
 //! (`O(rows + cols)` per traceback step, negligible next to the fill).
 
 use crate::alignment::{AlignedPair, Alignment};
-use crate::kernel::{max3, LastRow};
+use crate::kernel::row::Body;
+use crate::kernel::{LastRow, Sides};
 use crate::mask::CellMask;
+use crate::profile::QueryProfile;
 use crate::scoring::Scoring;
 use crate::{Score, NEG_INF};
 
@@ -97,61 +99,41 @@ impl FullMatrix {
     }
 }
 
-/// Compute the full matrix with the `O(1)`-per-cell recurrence.
+/// Compute the full matrix with the `O(1)`-per-cell recurrence, over a
+/// throwaway profile of `b` (see [`Sides::full`]).
 pub fn sw_full<M: CellMask>(a: &[u8], b: &[u8], scoring: &Scoring, mask: M) -> FullMatrix {
-    let rows = a.len();
-    let cols = b.len();
-    let mut data = vec![0 as Score; rows * cols];
-    if rows == 0 || cols == 0 {
-        return FullMatrix { rows, cols, data };
-    }
-    let open = scoring.gaps.open;
-    let ext = scoring.gaps.extend;
-    let mut maxy = vec![NEG_INF; cols];
-    let border = vec![0 as Score; cols]; // the virtual row above row 0
-    for y in 0..rows {
-        let exch_row = scoring.exchange.row(a[y]);
-        // Slice the two rows once, so the cell loops index plain slices
-        // of known length instead of `y * cols + x` into the matrix.
-        let (above, below) = data.split_at_mut(y * cols);
-        let prev = if y == 0 {
-            &border[..]
-        } else {
-            &above[(y - 1) * cols..]
-        };
-        let cur = &mut below[..cols];
-        let mut maxx = NEG_INF;
-        let mut diag = 0;
-        // The plain recurrence over the segments between the row's
-        // overridden columns; at each of them the forced zero (`cur`
-        // starts out zero, so only the gap state advances there).
-        let mut hits = mask.row_hits(y, 0, cols);
-        let mut x0 = 0;
-        loop {
-            let hit = hits.next();
-            let stop = hit.unwrap_or(cols);
-            let segment = cur[x0..stop]
-                .iter_mut()
-                .zip(&prev[x0..stop])
-                .zip(&mut maxy[x0..stop])
-                .zip(&b[x0..stop]);
-            for (((cell, &up), my), &bx) in segment {
-                let v = max3(diag, maxx, *my) + exch_row[bx as usize];
-                *cell = v.max(0);
-                let cand = diag - open;
-                maxx = cand.max(maxx) - ext;
-                *my = cand.max(*my) - ext;
-                diag = up;
-            }
-            let Some(hit) = hit else { break };
-            let cand = diag - open;
-            maxx = cand.max(maxx) - ext;
-            maxy[hit] = cand.max(maxy[hit]) - ext;
-            diag = prev[hit];
-            x0 = hit + 1;
+    let profile = QueryProfile::new_wide(scoring, b);
+    Sides::whole(a, &profile, scoring.gaps).full(mask)
+}
+
+impl Sides<'_> {
+    /// The fully materialised matrix, `mask`ed cells forced to zero:
+    /// one [`super::row`] step per row, straight into the matrix.
+    pub fn full<M: CellMask>(&self, mask: M) -> FullMatrix {
+        let rows = self.rows.len();
+        let cols = self.cols();
+        let mut data = vec![0 as Score; rows * cols];
+        if rows == 0 || cols == 0 {
+            return FullMatrix { rows, cols, data };
         }
+        let body = Body::selected();
+        let mut maxy = vec![NEG_INF; cols];
+        let border = vec![0 as Score; cols]; // the virtual row above row 0
+        for y in 0..rows {
+            let (above, below) = data.split_at_mut(y * cols);
+            let prev = if y == 0 {
+                &border[..]
+            } else {
+                &above[(y - 1) * cols..]
+            };
+            let cur = &mut below[..cols];
+            body.step(prev, 0, cur, &mut maxy, self.scores(y), self.gaps);
+            for hit in mask.row_hits(y, 0, cols) {
+                cur[hit] = 0;
+            }
+        }
+        FullMatrix { rows, cols, data }
     }
-    FullMatrix { rows, cols, data }
 }
 
 /// Trace the alignment ending at `end` back through `matrix`.

@@ -1,18 +1,24 @@
 //! The `O(1)`-per-cell score pass — the paper's Figure 3.
 //!
 //! Computes the local alignment matrix row by row keeping only the
-//! previous row, the per-row running horizontal-gap maximum `MaxX` and the
-//! per-column vertical-gap maxima `MaxY[x]`, and returns the bottom row
-//! (all the top-alignment machinery ever needs, per Appendix A).
+//! previous row and the per-column vertical-gap maxima `MaxY[x]` — each
+//! row is one [`super::row`] step, which owns the per-row horizontal-gap
+//! maximum `MaxX` — and returns the bottom row (all the top-alignment
+//! machinery ever needs, per Appendix A).
 
-use crate::kernel::{max3, LastRow};
+use crate::kernel::row::Body;
+use crate::kernel::{LastRow, Sides};
 use crate::mask::CellMask;
+use crate::profile::QueryProfile;
 use crate::scoring::Scoring;
 use crate::{Score, NEG_INF};
 
 /// Score-only local alignment of `a` (vertical, rows) against `b`
 /// (horizontal, columns) under `scoring`, with `mask`ed cells forced to
 /// zero. Linear memory: `O(cols)`.
+///
+/// Builds a throwaway profile of `b`; to sweep many matrices against
+/// one sequence, build the profile once and use [`Sides::last_row`].
 ///
 /// ```
 /// use repro_align::{sw_last_row, NoMask, Scoring, Seq};
@@ -25,10 +31,8 @@ use crate::{Score, NEG_INF};
 /// assert_eq!(r.row, vec![0, 0, 0, 2, 0, 4, 3, 6]); // Figure 2's last row
 /// ```
 pub fn sw_last_row<M: CellMask>(a: &[u8], b: &[u8], scoring: &Scoring, mask: M) -> LastRow {
-    // m[x] holds M[y−1][x] while row y is being computed, M[y][x] after.
-    let m = vec![0 as Score; b.len()];
-    let mut maxy = vec![NEG_INF; b.len()];
-    sw_last_row_resume(a, b, scoring, mask, 0, m, &mut maxy, &[], &mut |_, _, _| {})
+    let profile = QueryProfile::new_wide(scoring, b);
+    Sides::whole(a, &profile, scoring.gaps).last_row(mask)
 }
 
 /// Convenience wrapper returning only the best score in the matrix.
@@ -36,123 +40,135 @@ pub fn sw_score<M: CellMask>(a: &[u8], b: &[u8], scoring: &Scoring, mask: M) -> 
     sw_last_row(a, b, scoring, mask).best
 }
 
-/// [`sw_last_row`] restarted mid-matrix from checkpointed inter-row
-/// state — the incremental-realignment entry point.
-///
-/// `m` and `maxy` must hold the kernel's exact state after rows
-/// `0..start_row` (for `start_row == 0`: all zeros and all
-/// [`NEG_INF`]); the sweep then replays rows `start_row..rows`
-/// **bit-identically** to the corresponding tail of a full sweep — the
-/// per-row `MaxX` and diagonal reset each row, so `(m, maxy)` is the
-/// complete inter-row state. `m` is consumed and becomes the returned
-/// bottom row; `maxy` is updated in place so the caller can recycle it.
-///
-/// `capture_rows` (strictly ascending, each in `start_row..rows`) asks
-/// for state snapshots: `capture(y, m, maxy)` runs *before* row `y` is
-/// computed, i.e. with the state after rows `0..y` — exactly what a
-/// later call needs to resume at `start_row = y`.
-///
-/// Caveats versus a full sweep: `best`/`best_cell` only cover the swept
-/// rows, and `cells` counts only `(rows − start_row) × cols`. The
-/// realignment machinery consumes only `row`/`best_in_row`/
-/// `best_in_row_col`/`cells`, which are exact.
+/// [`Sides::last_row_resume`] over a throwaway profile of `b`.
 #[allow(clippy::too_many_arguments)] // mirrors the kernel's full state
 #[allow(clippy::type_complexity)] // the capture hook signature IS the contract
-#[allow(clippy::needless_range_loop)] // index loops mirror the paper's pseudo code
 pub fn sw_last_row_resume<M: CellMask>(
     a: &[u8],
     b: &[u8],
     scoring: &Scoring,
     mask: M,
     start_row: usize,
-    mut m: Vec<Score>,
+    m: Vec<Score>,
     maxy: &mut [Score],
     capture_rows: &[usize],
     capture: &mut dyn FnMut(usize, &[Score], &[Score]),
 ) -> LastRow {
-    let rows = a.len();
-    let cols = b.len();
-    if rows == 0 || cols == 0 {
-        return LastRow::empty(cols);
+    let profile = QueryProfile::new_wide(scoring, b);
+    Sides::whole(a, &profile, scoring.gaps).last_row_resume(
+        mask,
+        start_row,
+        m,
+        maxy,
+        capture_rows,
+        capture,
+    )
+}
+
+impl Sides<'_> {
+    /// Score-only sweep of the whole matrix from fresh state: the
+    /// bottom row, with `mask`ed cells forced to zero.
+    pub fn last_row<M: CellMask>(&self, mask: M) -> LastRow {
+        let cols = self.cols();
+        // m[x] holds M[y−1][x] while row y is being computed.
+        let m = vec![0 as Score; cols];
+        let mut maxy = vec![NEG_INF; cols];
+        self.last_row_resume(mask, 0, m, &mut maxy, &[], &mut |_, _, _| {})
     }
-    assert!(start_row <= rows, "resume row {start_row} past {rows} rows");
-    assert_eq!(m.len(), cols, "resume state width mismatch");
-    assert_eq!(maxy.len(), cols, "resume state width mismatch");
-    debug_assert!(capture_rows.windows(2).all(|w| w[0] < w[1]));
 
-    let open = scoring.gaps.open;
-    let ext = scoring.gaps.extend;
-
-    let mut best = 0;
-    let mut best_cell = None;
-    let mut next_capture = 0usize;
-
-    for y in start_row..rows {
-        while next_capture < capture_rows.len() && capture_rows[next_capture] == y {
-            capture(y, &m, maxy);
-            next_capture += 1;
+    /// [`Self::last_row`] restarted mid-matrix from checkpointed
+    /// inter-row state — the incremental-realignment entry point.
+    ///
+    /// `m` and `maxy` must hold the kernel's exact state after rows
+    /// `0..start_row` (for `start_row == 0`: all zeros and all
+    /// [`NEG_INF`]); the sweep then replays rows `start_row..rows`
+    /// **bit-identically** to the corresponding tail of a full sweep — the
+    /// per-row `MaxX` and diagonal reset each row, so `(m, maxy)` is the
+    /// complete inter-row state. `m` is consumed (the returned bottom row
+    /// is it or a buffer of its size); `maxy` is updated in place so the
+    /// caller can recycle it.
+    ///
+    /// `capture_rows` (strictly ascending, each in `start_row..rows`) asks
+    /// for state snapshots: `capture(y, m, maxy)` runs *before* row `y` is
+    /// computed, i.e. with the state after rows `0..y` — exactly what a
+    /// later call needs to resume at `start_row = y`.
+    ///
+    /// Caveats versus a full sweep: `best`/`best_cell` only cover the swept
+    /// rows, and `cells` counts only `(rows − start_row) × cols`. The
+    /// realignment machinery consumes only `row`/`best_in_row`/
+    /// `best_in_row_col`/`cells`, which are exact.
+    #[allow(clippy::type_complexity)] // the capture hook signature IS the contract
+    pub fn last_row_resume<M: CellMask>(
+        &self,
+        mask: M,
+        start_row: usize,
+        mut m: Vec<Score>,
+        maxy: &mut [Score],
+        capture_rows: &[usize],
+        capture: &mut dyn FnMut(usize, &[Score], &[Score]),
+    ) -> LastRow {
+        let rows = self.rows.len();
+        let cols = self.cols();
+        if rows == 0 || cols == 0 {
+            return LastRow::empty(cols);
         }
-        let exch_row = scoring.exchange.row(a[y]);
-        let mut maxx = NEG_INF;
-        let mut diag = 0; // M[y−1][−1]: the virtual zero column.
-        let mut row_best = 0;
+        assert!(start_row <= rows, "resume row {start_row} past {rows} rows");
+        assert_eq!(m.len(), cols, "resume state width mismatch");
+        assert_eq!(maxy.len(), cols, "resume state width mismatch");
+        debug_assert!(capture_rows.windows(2).all(|w| w[0] < w[1]));
 
-        // The plain recurrence over the segments between the row's
-        // overridden columns, the forced zero at each of them.
-        let mut hits = mask.row_hits(y, 0, cols);
-        let mut x0 = 0;
-        loop {
-            let hit = hits.next();
-            let stop = hit.unwrap_or(cols);
-            let segment = m[x0..stop]
-                .iter_mut()
-                .zip(&mut maxy[x0..stop])
-                .zip(&b[x0..stop]);
-            for ((mx, my), &bx) in segment {
-                let up = *mx;
-                let v = (max3(diag, maxx, *my) + exch_row[bx as usize]).max(0);
-                *mx = v;
-                // Enter M[y−1][x−1] as a gap-start candidate (length 1) and
-                // extend all existing candidates by one (Figure 3).
-                let cand = diag - open;
-                maxx = cand.max(maxx) - ext;
-                *my = cand.max(*my) - ext;
-                diag = up;
-                row_best = row_best.max(v);
+        let body = Body::selected();
+        let mut next = vec![0 as Score; cols];
+        let mut best = 0;
+        let mut best_cell = None;
+        let mut next_capture = 0usize;
+
+        for y in start_row..rows {
+            while next_capture < capture_rows.len() && capture_rows[next_capture] == y {
+                capture(y, &m, maxy);
+                next_capture += 1;
             }
-            let Some(hit) = hit else { break };
-            // No score to compute, but the gap maxima and the diagonal
-            // advance exactly as for any other cell.
-            let cand = diag - open;
-            maxx = cand.max(maxx) - ext;
-            maxy[hit] = cand.max(maxy[hit]) - ext;
-            diag = std::mem::replace(&mut m[hit], 0);
-            x0 = hit + 1;
+            // The virtual zero column seeds the row.
+            let row_best = body.step(&m, 0, &mut next, maxy, self.scores(y), self.gaps);
+            let mut masked = false;
+            for hit in mask.row_hits(y, 0, cols) {
+                next[hit] = 0;
+                masked = true;
+            }
+            std::mem::swap(&mut m, &mut next);
+            // Only a row that raises the best looks for where (its first
+            // such column: the row-major-first tie-break).
+            if row_best > best {
+                // A cell zeroed after the step may have been its maximum.
+                let row_best = if masked {
+                    m.iter().copied().max().unwrap_or(0)
+                } else {
+                    row_best
+                };
+                if row_best > best {
+                    best = row_best;
+                    best_cell = m.iter().position(|&v| v == best).map(|x| (y, x));
+                }
+            }
         }
-        // Only a row that raises the best looks for where (its first
-        // such column: the row-major-first tie-break).
-        if row_best > best {
-            best = row_best;
-            best_cell = m.iter().position(|&v| v == best).map(|x| (y, x));
-        }
-    }
 
-    let mut best_in_row = 0;
-    let mut best_in_row_col = None;
-    for (x, &v) in m.iter().enumerate() {
-        if v > best_in_row {
-            best_in_row = v;
-            best_in_row_col = Some(x);
+        let mut best_in_row = 0;
+        let mut best_in_row_col = None;
+        for (x, &v) in m.iter().enumerate() {
+            if v > best_in_row {
+                best_in_row = v;
+                best_in_row_col = Some(x);
+            }
         }
-    }
 
-    LastRow {
-        best,
-        best_cell,
-        row: m,
-        best_in_row,
-        best_in_row_col,
-        cells: (rows - start_row) as u64 * cols as u64,
+        LastRow {
+            best,
+            best_cell,
+            row: m,
+            best_in_row,
+            best_in_row_col,
+            cells: (rows - start_row) as u64 * cols as u64,
+        }
     }
 }
 

@@ -5,24 +5,74 @@
 //!
 //! | module | per-cell cost | memory | role |
 //! |---|---|---|---|
-//! | [`gotoh`] | `O(1)` (Figure 3's `MaxX`/`MaxY`) | one row | the production score pass |
+//! | [`row`] | `O(1)`, vectorised along the row | — | the one recurrence body: a row from the row above it |
+//! | [`gotoh`] | `O(1)` (Figure 3's `MaxX`/`MaxY`) | two rows | the production score pass |
 //! | [`naive`] | `O(n)` (Equation 1 verbatim) | full matrix | the old-algorithm baseline and a differential oracle |
 //! | [`full`] | `O(1)` | full matrix | traceback |
 //! | [`striped`] | `O(1)`, cache-aware vertical stripes | one row + per-row carries | paper §4.1 |
 //! | [`nw`] | `O(1)` | full matrix | global alignment (paper §2.1 background) |
 //! | [`linmem`] | `O(1)` | bounding box only | linear-memory traceback (paper App. A's "on-demand recomputation") |
 //! | [`tri`] | `O(1)` | one row | triangular self-sweep: admissible per-split bounds for seed pruning |
+//!
+//! [`gotoh`], [`full`] and [`tri`] are row loops around [`row`]; they
+//! read substitution scores from a [`QueryProfile`] through [`Sides`].
+//! Each keeps an `(a, b, scoring, mask)` form that builds a throwaway
+//! profile; whoever sweeps many matrices of one sequence builds the
+//! profile once (`repro_core::ScoredSeq`).
 
 pub mod full;
 pub mod gotoh;
 pub mod linmem;
 pub mod naive;
 pub mod nw;
+pub mod row;
 pub mod striped;
 pub mod tri;
 pub mod waterman_eggert;
 
+use crate::profile::QueryProfile;
+use crate::scoring::GapPenalties;
 use crate::Score;
+
+/// One local-alignment matrix as the row-vectorised kernels read it:
+/// the vertical residues, the horizontal side as contiguous
+/// substitution scores, and the gap model.
+#[derive(Debug, Clone, Copy)]
+pub struct Sides<'a> {
+    /// The vertical sequence: one matrix row per residue code.
+    pub rows: &'a [u8],
+    /// Wide profile of the sequence the columns are taken from.
+    pub profile: &'a QueryProfile<Score>,
+    /// First profiled position that is a matrix column; the columns are
+    /// positions `q0..profile.len()`.
+    pub q0: usize,
+    /// Affine gap penalties.
+    pub gaps: GapPenalties,
+}
+
+impl<'a> Sides<'a> {
+    /// `rows` against every profiled position.
+    pub fn whole(rows: &'a [u8], profile: &'a QueryProfile<Score>, gaps: GapPenalties) -> Self {
+        Sides {
+            rows,
+            profile,
+            q0: 0,
+            gaps,
+        }
+    }
+
+    /// Number of matrix columns.
+    #[inline]
+    pub fn cols(&self) -> usize {
+        self.profile.len() - self.q0
+    }
+
+    /// Row `y`'s substitution scores, one per column.
+    #[inline(always)]
+    pub fn scores(&self, y: usize) -> &'a [Score] {
+        self.profile.row(self.rows[y], self.q0)
+    }
+}
 
 /// Result of a score-only local alignment pass.
 ///

@@ -28,31 +28,14 @@
 //! triangle can restart below the dirty row instead of resweeping the
 //! whole triangle.
 
+use crate::kernel::row::Body;
+use crate::kernel::Sides;
 use crate::mask::CellMask;
+use crate::profile::QueryProfile;
 use crate::scoring::Scoring;
 use crate::{Score, NEG_INF};
 
-/// One row of the triangular self-comparison sweep, resumable.
-///
-/// `codes` is the sequence against itself; `mask` is queried in **pair
-/// coordinates** (row `i`, columns `j ∈ (i, len)`, both positions into
-/// `codes`), matching the override triangle's convention.
-///
-/// State contract (identical in shape to `sw_last_row_resume`): on
-/// entry `m[j]` must hold `H(start_row − 1, j)` for `j ≥ start_row`
-/// (for `start_row == 0`: all zeros) and `maxy` the per-column gap
-/// maxima after rows `0..start_row` (for `start_row == 0`: all
-/// [`NEG_INF`]). Entries at columns `j < start_row` are never read.
-/// Row `i` computes `m[j] = H(i, j)` for `j ∈ (i, len)`; columns
-/// `j ≤ i` are left untouched, which keeps `m[i]` holding
-/// `H(i − 1, i)` — the diagonal seed of row `i`.
-///
-/// After each row `i` completes, `on_row(i, &m, &maxy)` fires with the
-/// exact resume state for `start_row = i + 1`; callers use it to fold
-/// row or column maxima into per-split bounds and to snapshot
-/// checkpoints.
-///
-/// Returns the number of cells computed.
+/// [`Sides::tri_self_sweep_resume`] over a throwaway profile of `codes`.
 #[allow(clippy::type_complexity)] // the row hook signature IS the contract
 pub fn tri_self_sweep_resume<M: CellMask>(
     codes: &[u8],
@@ -63,53 +46,78 @@ pub fn tri_self_sweep_resume<M: CellMask>(
     maxy: &mut [Score],
     on_row: &mut dyn FnMut(usize, &[Score], &[Score]),
 ) -> u64 {
-    let len = codes.len();
-    assert_eq!(m.len(), len, "tri resume state width mismatch");
-    assert_eq!(maxy.len(), len, "tri resume state width mismatch");
-    assert!(start_row <= len, "resume row {start_row} past {len} rows");
+    let profile = QueryProfile::new_wide(scoring, codes);
+    Sides::whole(codes, &profile, scoring.gaps)
+        .tri_self_sweep_resume(mask, start_row, m, maxy, on_row)
+}
 
-    let open = scoring.gaps.open;
-    let ext = scoring.gaps.extend;
-    let mut cells: u64 = 0;
+impl Sides<'_> {
+    /// The triangular self-comparison sweep, resumable: `rows` against
+    /// the profile of that same sequence (`q0 == 0`).
+    ///
+    /// `mask` is queried in **pair coordinates** (row `i`, columns
+    /// `j ∈ (i, len)`, both positions into the sequence), matching the
+    /// override triangle's convention.
+    ///
+    /// State contract (identical in shape to [`Self::last_row_resume`]):
+    /// on entry `m[j]` must hold `H(start_row − 1, j)` for
+    /// `j ≥ start_row` (for `start_row == 0`: all zeros) and `maxy` the
+    /// per-column gap maxima after rows `0..start_row` (for
+    /// `start_row == 0`: all [`NEG_INF`]). Entries at columns
+    /// `j < start_row` are never read. Row `i` computes
+    /// `m[j] = H(i, j)` for `j ∈ (i, len)`; columns `j ≤ i` are left
+    /// untouched, which keeps `m[i]` holding `H(i − 1, i)` — the
+    /// diagonal seed of row `i`.
+    ///
+    /// After each row `i` completes, `on_row(i, &m, &maxy)` fires with
+    /// the exact resume state for `start_row = i + 1`; callers use it to
+    /// fold row or column maxima into per-split bounds and to snapshot
+    /// checkpoints.
+    ///
+    /// Returns the number of cells computed.
+    #[allow(clippy::type_complexity)] // the row hook signature IS the contract
+    pub fn tri_self_sweep_resume<M: CellMask>(
+        &self,
+        mask: M,
+        start_row: usize,
+        m: &mut [Score],
+        maxy: &mut [Score],
+        on_row: &mut dyn FnMut(usize, &[Score], &[Score]),
+    ) -> u64 {
+        let len = self.rows.len();
+        assert_eq!(self.q0, 0, "the triangular sweep covers the whole profile");
+        assert_eq!(self.profile.len(), len, "profile of another sequence");
+        assert_eq!(m.len(), len, "tri resume state width mismatch");
+        assert_eq!(maxy.len(), len, "tri resume state width mismatch");
+        assert!(start_row <= len, "resume row {start_row} past {len} rows");
 
-    for i in start_row..len {
-        let exch_row = scoring.exchange.row(codes[i]);
-        let mut maxx = NEG_INF;
-        // H(i − 1, i): in-domain for i ≥ 1 (row i − 1 wrote column i and
-        // no later row touches it); the untouched initial zero is the
-        // virtual boundary row for i == 0.
-        let mut diag = m[i];
-        // Segments between the row's overridden columns, the forced
-        // zero at each of them.
-        let mut hits = mask.row_hits(i, i + 1, len);
-        let mut j0 = i + 1;
-        loop {
-            let hit = hits.next();
-            let stop = hit.unwrap_or(len);
-            let segment = m[j0..stop]
-                .iter_mut()
-                .zip(&mut maxy[j0..stop])
-                .zip(&codes[j0..stop]);
-            for ((mj, my), &cj) in segment {
-                let up = *mj;
-                let v = diag.max(maxx).max(*my) + exch_row[cj as usize];
-                *mj = v.max(0);
-                let cand = diag - open;
-                maxx = cand.max(maxx) - ext;
-                *my = cand.max(*my) - ext;
-                diag = up;
+        let body = Body::selected();
+        let mut next = vec![0 as Score; len];
+        let mut cells: u64 = 0;
+
+        for i in start_row..len {
+            let j0 = i + 1;
+            // m[i] is H(i − 1, i): in-domain for i ≥ 1 (row i − 1 wrote
+            // column i and no later row touches it); the untouched
+            // initial zero is the virtual boundary row for i == 0.
+            let next = &mut next[j0..];
+            body.step(
+                &m[j0..],
+                m[i],
+                next,
+                &mut maxy[j0..],
+                &self.scores(i)[j0..],
+                self.gaps,
+            );
+            m[j0..].copy_from_slice(next);
+            for hit in mask.row_hits(i, j0, len) {
+                m[hit] = 0;
             }
-            let Some(hit) = hit else { break };
-            let cand = diag - open;
-            maxx = cand.max(maxx) - ext;
-            maxy[hit] = cand.max(maxy[hit]) - ext;
-            diag = std::mem::replace(&mut m[hit], 0);
-            j0 = hit + 1;
+            cells += (len - j0) as u64;
+            on_row(i, m, maxy);
         }
-        cells += (len - i - 1) as u64;
-        on_row(i, m, maxy);
+        cells
     }
-    cells
 }
 
 /// Fresh initial state for [`tri_self_sweep_resume`] at `start_row = 0`.

@@ -124,7 +124,7 @@ mod tests {
     #[test]
     fn empty_inputs() {
         let s = Scoring::dna_example();
-        assert!(waterman_eggert(&[], b"AA", &s, 3, 1).is_empty());
+        assert!(waterman_eggert(&[], &[0, 0], &s, 3, 1).is_empty());
         let a = Seq::dna("AC").unwrap();
         let b = Seq::dna("GT").unwrap();
         assert!(waterman_eggert(a.codes(), b.codes(), &s, 3, 1).is_empty());

@@ -12,6 +12,9 @@
 //! * [`scoring`] — the affine gap model used throughout the paper
 //!   (`gap(len) = open + extend * len`);
 //! * [`kernel`] — the alignment kernels themselves:
+//!   * [`kernel::row`] — one row of the paper's Figure-3 recurrence from
+//!     the row above it, vectorised along the row (the one recurrence body
+//!     under `gotoh`, `full` and `tri`),
 //!   * [`kernel::gotoh`] — the `O(1)`-per-cell Smith–Waterman recurrence of
 //!     the paper's Figure 3 (score-only, linear memory, returns the bottom
 //!     row needed by the top-alignment machinery),
@@ -77,11 +80,11 @@ pub use kernel::striped::{
 };
 pub use kernel::tri::{tri_initial_state, tri_self_sweep_resume};
 pub use kernel::waterman_eggert::{is_shadow, waterman_eggert};
-pub use kernel::LastRow;
+pub use kernel::{LastRow, Sides};
 pub use mask::{CellMask, NoMask, SetMask};
 pub use matrix::ExchangeMatrix;
 pub use profile::{kmer_keys, QueryProfile, MAX_KMER_K};
-pub use scoring::{GapPenalties, Scoring};
+pub use scoring::{GapPenalties, ScoreRangeError, Scoring};
 pub use seq::Seq;
 
 /// Scalar score type used by the reference kernels.
@@ -91,7 +94,34 @@ pub use seq::Seq;
 /// detect saturation instead of silently agreeing on clamped values.
 pub type Score = i32;
 
-/// Sentinel for "no predecessor yet" in running gap maxima.
+/// Sentinel for "no predecessor yet" in running gap maxima: `−2²⁹`.
 ///
-/// Chosen so that subtracting any realistic gap penalty cannot wrap.
+/// ## Value ranges
+///
+/// Why no kernel sum can wrap and the sentinel can never change a
+/// result, given [`Scoring::check_range`] (which the facade and the job
+/// decoder enforce, with `s` the largest exchange-score magnitude and
+/// `len` the sequence length): `s·len + open + ext·(len + 8) < 2²⁹`.
+///
+/// * Every matrix value is in `0 ..= s·len` — a cell is clamped at 0 and
+///   a path has at most `len` pairs — and so is every diagonal `D` the
+///   row step reads, seeds included.
+/// * A real gap candidate is some `D − open − ext·g` with `1 ≤ g ≤ len`,
+///   so it lies in `−(open + ext·len) ..= s·len`: strictly above
+///   `NEG_INF`, and negative `MaxX`/`MaxY` values never win the `max3`
+///   against `D ≥ 0`. The sentinel itself only ever meets `max`: the
+///   first update of a gap maximum is `max(D − open, NEG_INF) − ext`,
+///   which takes the real candidate. It is never decremented, so it
+///   cannot drift towards `i32::MIN` however long the row or column.
+/// * Both row-step bodies enter a candidate into the running maximum as
+///   `D + ext·k`, with `k` counted from the start of the current chunk
+///   (AVX2: 8 cells) or block (portable: 128 cells, and never more than
+///   the row has) — at most `s·len + ext·len` — and carry the maximum
+///   across that boundary already decayed, a real candidate from the
+///   row's first cell on. No `ext·x` ramp over a whole row is formed.
+/// * `pred + E ≥ −(open + ext·len) − s` and `≤ s·len + s`.
+///
+/// All of these are below `2²⁹` in magnitude, so every addition is
+/// exact and the vectorised prefix maximum — `max` being associative —
+/// equals the per-cell loop's bit for bit.
 pub const NEG_INF: Score = i32::MIN / 4;

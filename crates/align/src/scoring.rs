@@ -1,7 +1,8 @@
 //! The affine gap model and the combined scoring parameters.
 
 use crate::matrix::ExchangeMatrix;
-use crate::Score;
+use crate::{Score, NEG_INF};
+use std::fmt;
 
 /// Affine gap penalties, exactly as in the paper (§2.1): a gap of length
 /// `g ≥ 1` costs `open + extend · g`.
@@ -70,7 +71,66 @@ impl Scoring {
     pub fn exch(&self, a: u8, b: u8) -> Score {
         self.exchange.score(a, b)
     }
+
+    /// Can every score the `i32` kernels form over a sequence of `len`
+    /// residues be represented exactly? Requires
+    /// `s·len + open + extend·(len + 8) < 2²⁹` with `s` the largest
+    /// exchange-score magnitude (the derivation sits at
+    /// [`crate::NEG_INF`]). The facade and the cluster job decoder call
+    /// this before any kernel runs, so an overflowing scoring/length
+    /// pair is a typed error, never a wrap or a panic.
+    pub fn check_range(&self, len: usize) -> Result<(), ScoreRangeError> {
+        let alphabet = self.exchange.alphabet();
+        let max_abs_score = (0..alphabet.len() as u8)
+            .flat_map(|a| self.exchange.row(a))
+            .map(|s| s.unsigned_abs())
+            .max()
+            .unwrap_or(0);
+        // i128: `len` is caller-supplied and may be anything a usize holds.
+        let len_wide = len as i128;
+        let (open, extend) = (i128::from(self.gaps.open), i128::from(self.gaps.extend));
+        let reach = i128::from(max_abs_score) * len_wide + open + extend * (len_wide + 8);
+        if reach < -i128::from(NEG_INF) {
+            Ok(())
+        } else {
+            Err(ScoreRangeError {
+                len,
+                max_abs_score,
+                gaps: self.gaps,
+            })
+        }
+    }
 }
+
+/// A scoring scheme and sequence length whose scores could leave the
+/// range the `i32` kernels compute exactly in
+/// ([`Scoring::check_range`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScoreRangeError {
+    /// Sequence length the check was made for.
+    pub len: usize,
+    /// Largest exchange-score magnitude of the rejected scoring.
+    pub max_abs_score: u32,
+    /// Its gap penalties.
+    pub gaps: GapPenalties,
+}
+
+impl fmt::Display for ScoreRangeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "scores could overflow 32 bits: {} residues at up to {} per pair with gap open {} \
+             and extend {} reach past {}",
+            self.len,
+            self.max_abs_score,
+            self.gaps.open,
+            self.gaps.extend,
+            -i64::from(NEG_INF),
+        )
+    }
+}
+
+impl std::error::Error for ScoreRangeError {}
 
 #[cfg(test)]
 mod tests {
@@ -92,6 +152,29 @@ mod tests {
         // The worked alignment TTACAGA / TTGC-GA scores
         // 5 matches, 1 mismatch, 1 gap of length 1: 10 - 1 - 3 = 6.
         assert_eq!(5 * 2 - 1 - s.gaps.cost(1), 6);
+    }
+
+    #[test]
+    fn range_check_accepts_real_inputs_and_rejects_the_i32_edge() {
+        // BLOSUM62 on a 10-Mb sequence is far inside the range.
+        assert!(Scoring::protein_default().check_range(10_000_000).is_ok());
+        assert!(Scoring::dna_example().check_range(0).is_ok());
+        let big = |score, open, extend| {
+            Scoring::new(
+                ExchangeMatrix::match_mismatch(crate::Alphabet::Dna, score, -score),
+                GapPenalties::new(open, extend),
+            )
+        };
+        // 2²⁹ = 536 870 912: the first rejected reach.
+        assert!(big(1 << 19, 0, 1).check_range(1023).is_ok());
+        let err = big(1 << 19, 0, 1).check_range(1024).unwrap_err();
+        assert_eq!((err.len, err.max_abs_score), (1024, 1 << 19));
+        assert!(err.to_string().contains("overflow 32 bits"), "{err}");
+        // Each term alone can trip it, magnitudes and usize::MAX included.
+        assert!(big(1, i32::MAX, 1).check_range(10).is_err());
+        assert!(big(1, 0, i32::MAX).check_range(10).is_err());
+        assert!(big(i32::MIN + 1, 0, 1).check_range(1).is_err());
+        assert!(big(1, 0, 1).check_range(usize::MAX).is_err());
     }
 
     #[test]

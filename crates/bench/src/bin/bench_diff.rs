@@ -122,6 +122,21 @@ fn extract(doc: &Json) -> Vec<MetricVal> {
                     ));
                 }
             }
+            for r in doc.get("row").and_then(Json::as_arr).unwrap_or(&[]) {
+                let kernel = s(r.get("kernel"));
+                let cols = f(r.get("cols")).unwrap_or(0.0) as u64;
+                let masked = match r.get("masked") {
+                    Some(Json::Bool(true)) => ":masked",
+                    _ => "",
+                };
+                if let Some(v) = f(r.get("cells_per_sec")) {
+                    out.push(m(
+                        format!("simd:row:{kernel}:{cols}{masked}:cells_per_sec"),
+                        v,
+                        true,
+                    ));
+                }
+            }
         }
         _ => {}
     }

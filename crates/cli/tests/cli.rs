@@ -384,6 +384,27 @@ fn asymmetric_matrix_file_is_a_typed_error() {
 }
 
 #[test]
+fn overflowing_scoring_is_a_one_line_error() {
+    let path = write_fasta("score-range", ">m\nATGCATGCATGC\n");
+    for engine in ["seq", "simd16", "cluster:2"] {
+        let out = repro_bin()
+            .args(["--alphabet", "dna", "--tops", "1", "--engine", engine])
+            .args(["--match", "2000000000", "--extend", "1000000000"])
+            .arg(&path)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "engine {engine}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "stderr: {stderr}");
+        assert!(
+            stderr.contains("could overflow 32 bits"),
+            "stderr: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
 fn proc_transport_agrees_with_sim_end_to_end() {
     let path = write_fasta("proc-vs-sim", ">toy repeat\nATGCATGCATGCATGC\n");
     let base = ["--alphabet", "dna", "--tops", "3", "--engine", "cluster:2"];

@@ -25,7 +25,7 @@ use crate::recovery::{
 };
 use repro_align::{Score, Scoring, Seq};
 use repro_core::seed::SeedConfig;
-use repro_core::{DirtyLog, IncrementalSweeper, OverrideTriangle, SplitMask, TopAlignments};
+use repro_core::{DirtyLog, IncrementalSweeper, OverrideTriangle, ScoredSeq, TopAlignments};
 use repro_obs::{Counter, FlightRecorder, Metric, NoopRecorder, Recorder};
 use repro_xmpi::thread::{FaultPlan, ThreadComm};
 use repro_xmpi::{Comm, RecvError};
@@ -268,6 +268,7 @@ pub(crate) fn worker_loop<C: Comm>(
     deadline: Duration,
     checkpoint_budget: Option<usize>,
 ) {
+    let input = ScoredSeq::new(seq, scoring);
     let mut triangle = OverrideTriangle::new(seq.len());
     let mut applied = 0usize; // ACCEPTED broadcasts applied so far
     let mut rows: HashMap<usize, Vec<Score>> = HashMap::new();
@@ -307,8 +308,8 @@ pub(crate) fn worker_loop<C: Comm>(
             let repeat = !sent.insert((item.r, item.attempt));
             wrec.observe(Metric::QueueWaitNs, idle_since.elapsed().as_nanos() as u64);
             if !run_task(
-                seq, scoring, &comm, &triangle, &mut rows, &mut incr, &dirty, applied, stamp,
-                item, repeat, &mut wrec,
+                &input, &comm, &triangle, &mut rows, &mut incr, &dirty, applied, stamp, item,
+                repeat, &mut wrec,
             ) {
                 return; // endpoint (ours or the master's) is dead
             }
@@ -380,8 +381,8 @@ pub(crate) fn worker_loop<C: Comm>(
                             idle_since.elapsed().as_nanos() as u64,
                         );
                         if !run_task(
-                            seq, scoring, &comm, &triangle, &mut rows, &mut incr, &dirty,
-                            applied, stamp, item, repeat, &mut wrec,
+                            &input, &comm, &triangle, &mut rows, &mut incr, &dirty, applied, stamp,
+                            item, repeat, &mut wrec,
                         ) {
                             dead = true;
                             break;
@@ -459,8 +460,7 @@ pub(crate) fn worker_loop<C: Comm>(
 /// by the master's retransmission.
 #[allow(clippy::too_many_arguments)] // the worker loop threads its whole replica state
 fn run_task<C: Comm>(
-    seq: &Seq,
-    scoring: &Scoring,
+    input: &ScoredSeq,
     comm: &C,
     triangle: &OverrideTriangle,
     rows: &mut HashMap<usize, Vec<Score>>,
@@ -490,7 +490,7 @@ fn run_task<C: Comm>(
     let (score, shadow_rejections, cells, incr_tallies, first_row) = if use_incr {
         let sweeper = incr.as_mut().expect("checked incr.is_some()");
         if task.first {
-            let res = sweeper.first_pass(seq, scoring, task.r, triangle, 0);
+            let res = sweeper.first_pass(input, task.r, triangle, 0);
             let row = res.first_row.expect("first pass returns its row");
             rows.insert(task.r, row.clone());
             (res.score, 0, res.cells, [0; 4], Some(row))
@@ -498,15 +498,7 @@ fn run_task<C: Comm>(
             let original = rows
                 .get(&task.r)
                 .expect("realignment without cached or attached row");
-            let sweep = sweeper.realign(
-                seq,
-                scoring,
-                task.r,
-                triangle,
-                original,
-                dirty,
-                applied as u64,
-            );
+            let sweep = sweeper.realign(input, task.r, triangle, original, dirty, applied as u64);
             let tallies = [
                 u64::from(sweep.hit()),
                 u64::from(!sweep.hit()),
@@ -527,19 +519,16 @@ fn run_task<C: Comm>(
         // bounds, so accepts can precede a first pass. The row every
         // later realignment diffs against must be the CLEAN bottom row;
         // the score reflects the mask.
-        let res = repro_core::late_first_pass(seq, scoring, task.r, triangle, None);
+        let res = repro_core::late_first_pass(input, task.r, triangle, None);
         let row = res.first_row.expect("first pass returns its row");
         rows.insert(task.r, row.clone());
         (res.score, res.shadow_rejections, res.cells, [0; 4], Some(row))
     } else {
-        let (prefix, suffix) = seq.split(task.r);
-        let mask = SplitMask::new(triangle, task.r);
-        let last = repro_align::sw_last_row(prefix, suffix, scoring, mask);
         let original = rows
             .get(&task.r)
             .expect("realignment without cached or attached row");
-        let (score, _, shadows) = repro_core::bottom::best_valid_entry_counted(&last.row, original);
-        (score, shadows, last.cells, [0; 4], None)
+        let res = input.align_task(task.r, triangle, Some(original), None);
+        (res.score, res.shadow_rejections, res.cells, [0; 4], None)
     };
     wrec.observe(Metric::SweepNs, sweep_t0.elapsed().as_nanos() as u64);
     // The shipped bound dominates any score computed at or past the

@@ -32,7 +32,7 @@ use crate::recovery::{
 use parking_lot::{Condvar, Mutex};
 use repro_align::{Score, Scoring, Seq};
 use repro_core::seed::SeedConfig;
-use repro_core::{DirtyLog, IncrementalSweeper, OverrideTriangle, SplitMask, TopAlignments};
+use repro_core::{DirtyLog, IncrementalSweeper, OverrideTriangle, ScoredSeq, TopAlignments};
 use repro_obs::{NoopRecorder, Recorder};
 use repro_xmpi::thread::ThreadComm;
 use repro_xmpi::{Comm, RecvError};
@@ -231,6 +231,9 @@ fn run_hybrid<R: Recorder>(
     let mut world = ThreadComm::world(nodes + 1);
     let master_comm = world.remove(0);
 
+    // Read-only, so the simulated nodes' threads all sweep from one.
+    let input = ScoredSeq::new(seq, scoring);
+    let input = &input;
     rec.phase_start(repro_obs::Phase::Recovery);
     let result = std::thread::scope(|scope| {
         for (node_idx, comm) in world.into_iter().enumerate() {
@@ -263,15 +266,7 @@ fn run_hybrid<R: Recorder>(
                 let shared = Arc::clone(&shared);
                 let comm = Arc::clone(&comm);
                 scope.spawn(move || {
-                    node_worker(
-                        seq,
-                        scoring,
-                        comm,
-                        shared,
-                        slot,
-                        deadline,
-                        checkpoint_budget,
-                    )
+                    node_worker(input, comm, shared, slot, deadline, checkpoint_budget)
                 });
             }
         }
@@ -294,10 +289,8 @@ fn run_hybrid<R: Recorder>(
     })
 }
 
-#[allow(clippy::too_many_arguments)] // per-thread replica state, threaded explicitly
 fn node_worker<C: Comm>(
-    seq: &Seq,
-    scoring: &Scoring,
+    input: &ScoredSeq,
     comm: Arc<Mutex<C>>,
     shared: Arc<NodeShared>,
     slot: usize,
@@ -340,8 +333,7 @@ fn node_worker<C: Comm>(
         };
         if let Some((stamp, item, triangle, repeat, applied)) = runnable {
             run_task(
-                seq,
-                scoring,
+                input,
                 &comm,
                 &shared,
                 &triangle,
@@ -441,8 +433,7 @@ fn node_worker<C: Comm>(
                 if let Some((triangle, repeats, applied)) = snapshot {
                     for (item, repeat) in task.items.into_iter().zip(repeats) {
                         run_task(
-                            seq,
-                            scoring,
+                            input,
                             &comm,
                             &shared,
                             &triangle,
@@ -513,8 +504,7 @@ fn sync_dirty(local: &mut DirtyLog, inner: &NodeInner) {
 
 #[allow(clippy::too_many_arguments)] // per-thread replica state, threaded explicitly
 fn run_task<C: Comm>(
-    seq: &Seq,
-    scoring: &Scoring,
+    input: &ScoredSeq,
     comm: &Arc<Mutex<C>>,
     shared: &Arc<NodeShared>,
     triangle: &OverrideTriangle,
@@ -533,7 +523,7 @@ fn run_task<C: Comm>(
     let (score, shadow_rejections, cells, incr_tallies, first_row) = if use_incr {
         let sweeper = incr.as_mut().expect("checked incr.is_some()");
         if task.first {
-            let res = sweeper.first_pass(seq, scoring, task.r, triangle, 0);
+            let res = sweeper.first_pass(input, task.r, triangle, 0);
             let row = Arc::new(res.first_row.expect("first pass returns its row"));
             shared.inner.lock().rows.insert(task.r, Arc::clone(&row));
             (res.score, 0, res.cells, [0; 4], Some((*row).clone()))
@@ -550,15 +540,7 @@ fn run_task<C: Comm>(
                         .expect("realignment without cached or attached row"),
                 )
             };
-            let sweep = sweeper.realign(
-                seq,
-                scoring,
-                task.r,
-                triangle,
-                &original,
-                dirty,
-                applied as u64,
-            );
+            let sweep = sweeper.realign(input, task.r, triangle, &original, dirty, applied as u64);
             let tallies = [
                 u64::from(sweep.hit()),
                 u64::from(!sweep.hit()),
@@ -577,7 +559,7 @@ fn run_task<C: Comm>(
         // Possibly under a grown replica (seed pruning lets accepts
         // precede some first passes): cache and return the CLEAN bottom
         // row, score under the mask — same as the flat engine's worker.
-        let res = repro_core::late_first_pass(seq, scoring, task.r, triangle, None);
+        let res = repro_core::late_first_pass(input, task.r, triangle, None);
         let row = Arc::new(res.first_row.expect("first pass returns its row"));
         shared.inner.lock().rows.insert(task.r, Arc::clone(&row));
         (
@@ -588,9 +570,6 @@ fn run_task<C: Comm>(
             Some((*row).clone()),
         )
     } else {
-        let (prefix, suffix) = seq.split(task.r);
-        let mask = SplitMask::new(triangle, task.r);
-        let last = repro_align::sw_last_row(prefix, suffix, scoring, mask);
         let original = {
             let mut inner = shared.inner.lock();
             if let Some(row) = &task.row {
@@ -603,9 +582,8 @@ fn run_task<C: Comm>(
                     .expect("realignment without cached or attached row"),
             )
         };
-        let (score, _, shadows) =
-            repro_core::bottom::best_valid_entry_counted(&last.row, &original);
-        (score, shadows, last.cells, [0; 4], None)
+        let res = input.align_task(task.r, triangle, Some(&original), None);
+        (res.score, res.shadow_rejections, res.cells, [0; 4], None)
     };
     debug_assert!(
         score <= task.bound,

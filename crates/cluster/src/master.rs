@@ -27,11 +27,9 @@
 //!   the search with the exact sequential result instead of stalling.
 
 use crate::protocol::{AcceptedMsg, ResultMsg, TaskItem, TaskMsg};
-use repro_align::{sw_last_row, Score, Scoring, Seq};
+use repro_align::{Score, Scoring, Seq};
 use repro_core::seed::{SeedConfig, SplitBounds};
-use repro_core::{
-    accept_task_with_row, late_first_pass, OverrideTriangle, SplitMask, Stats, TopAlignment,
-};
+use repro_core::{late_first_pass, OverrideTriangle, ScoredSeq, Stats, TopAlignment};
 use std::collections::{HashMap, HashSet};
 
 /// The worker id the master uses for itself when it falls back to
@@ -83,8 +81,7 @@ const NEVER: usize = usize::MAX;
 
 /// The master's complete state.
 pub struct MasterState<'a> {
-    seq: &'a Seq,
-    scoring: &'a Scoring,
+    input: ScoredSeq<'a>,
     count: usize,
     state: Vec<TaskState>, // index r − 1
     rows: Vec<Option<Vec<Score>>>,
@@ -95,6 +92,8 @@ pub struct MasterState<'a> {
     triangle: OverrideTriangle,
     tops: Vec<TopAlignment>,
     stats: Stats,
+    /// Seconds spent in acceptance recomputation and traceback.
+    traceback_secs: f64,
     /// Free capacity tokens: (worker, slot).
     idle: Vec<(usize, usize)>,
     in_flight: usize,
@@ -140,8 +139,7 @@ impl<'a> MasterState<'a> {
             })
             .collect();
         MasterState {
-            seq,
-            scoring,
+            input: ScoredSeq::new(seq, scoring),
             count,
             state,
             rows: vec![None; splits],
@@ -150,6 +148,7 @@ impl<'a> MasterState<'a> {
             triangle: OverrideTriangle::new(m),
             tops: Vec::new(),
             stats,
+            traceback_secs: 0.0,
             idle: Vec::new(),
             in_flight: 0,
             done: false,
@@ -171,6 +170,13 @@ impl<'a> MasterState<'a> {
     /// Work counters (live view).
     pub fn stats(&self) -> &Stats {
         &self.stats
+    }
+
+    /// Seconds the acceptances so far spent recomputing and tracing
+    /// back their matrices — the master's serial step, which the
+    /// transport loop reports as the `traceback` phase.
+    pub fn traceback_secs(&self) -> f64 {
+        self.traceback_secs
     }
 
     /// A live progress snapshot in the same units the shared-memory
@@ -384,17 +390,16 @@ impl<'a> MasterState<'a> {
         if task.first {
             // Possibly after accepts (under seed pruning): clean row
             // for the store, masked score.
-            let res = late_first_pass(self.seq, self.scoring, task.r, &self.triangle, None);
+            let res = late_first_pass(&self.input, task.r, &self.triangle, None);
             return (res.score, res.cells, res.shadow_rejections, res.first_row);
         }
-        let (prefix, suffix) = self.seq.split(task.r);
-        let mask = SplitMask::new(&self.triangle, task.r);
-        let last = sw_last_row(prefix, suffix, self.scoring, mask);
         let original = self.rows[task.r - 1]
             .as_deref()
             .expect("realignment of a split with no stored row");
-        let (score, _, shadows) = repro_core::bottom::best_valid_entry_counted(&last.row, original);
-        (score, last.cells, shadows, None)
+        let res = self
+            .input
+            .align_task(task.r, &self.triangle, Some(original), None);
+        (res.score, res.cells, res.shadow_rejections, None)
     }
 
     /// Advance: accept while possible, then hand work to idle workers —
@@ -445,15 +450,11 @@ impl<'a> MasterState<'a> {
             let original = self.rows[r - 1]
                 .as_deref()
                 .expect("accepted split must have a stored row");
-            let (top, cells) = accept_task_with_row(
-                self.seq,
-                self.scoring,
-                r,
-                best_score,
-                &mut self.triangle,
-                original,
-                index,
-            );
+            let t0 = std::time::Instant::now();
+            let (top, cells) =
+                self.input
+                    .accept_task_with_row(r, best_score, &mut self.triangle, original, index);
+            self.traceback_secs += t0.elapsed().as_secs_f64();
             self.stats.record_traceback(cells);
             self.stats.fresh_pops += 1;
             if let Some(bounds) = self.bounds.as_mut() {
@@ -476,9 +477,9 @@ impl<'a> MasterState<'a> {
         let (_, i) = self.best_stale_unassigned()?;
         if self.state[i].aligned_with == NEVER {
             if let Some(bounds) = self.bounds.as_mut() {
-                let stake = ((i + 1) * (self.seq.len() - i - 1)) as u64;
-                let codes = self.seq.codes();
-                if bounds.refresh_before_sweep(codes, self.scoring, &self.triangle, stake) {
+                let stake = ((i + 1) * (self.input.seq.len() - i - 1)) as u64;
+                let codes = self.input.seq.codes();
+                if bounds.refresh_before_sweep(codes, self.input.scoring, &self.triangle, stake) {
                     for (j, t) in self.state.iter_mut().enumerate() {
                         if t.aligned_with == NEVER && t.assigned.is_none() {
                             t.score = bounds.bound(j + 1);

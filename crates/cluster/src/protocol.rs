@@ -321,8 +321,10 @@ impl JobMsg {
     }
 
     /// Decode from a framed payload. The gap penalties are re-validated
-    /// (non-negative open, positive extend) so a frame from a buggy
-    /// peer fails typed instead of tripping an assert downstream.
+    /// (non-negative open, positive extend), and the scoring against the
+    /// sequence length ([`Scoring::check_range`]), so a frame from a
+    /// buggy peer fails typed instead of tripping an assert — or
+    /// wrapping a score — downstream.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
         let mut d = Decoder::new_framed(payload)?;
         let count = d.usize()?;
@@ -357,10 +359,14 @@ impl JobMsg {
         let exchange = ExchangeMatrix::from_fn(alphabet, |a, b| {
             table[a as usize * k + b as usize]
         });
+        let scoring = Scoring::new(exchange, GapPenalties::new(open, extend));
+        if scoring.check_range(codes.len()).is_err() {
+            return Err(WireError::BadFrame);
+        }
         Ok(JobMsg {
             count,
             seq: Seq::from_codes(alphabet, codes),
-            scoring: Scoring::new(exchange, GapPenalties::new(open, extend)),
+            scoring,
             deadline_ms,
             checkpoint_budget,
         })
@@ -729,6 +735,18 @@ mod tests {
             .u64(0)
             .finish_framed();
         assert!(JobMsg::decode(&bad_table).is_err());
+        // Scores that would wrap an i32 over this sequence.
+        let bad_range = Encoder::new()
+            .usize(2)
+            .u32(0)
+            .bytes(good.seq.codes())
+            .i32_slice(&[i32::MAX / 2; 25])
+            .i32(2)
+            .i32(1)
+            .u64(10)
+            .u64(0)
+            .finish_framed();
+        assert!(JobMsg::decode(&bad_range).is_err());
     }
 
     #[test]

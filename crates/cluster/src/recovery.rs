@@ -30,7 +30,7 @@ use crate::protocol::{tag, ResultMsg, ResyncMsg, TaskMsg, TelemetryMsg};
 use repro_align::{Scoring, Seq};
 use repro_core::seed::SeedConfig;
 use repro_core::TopAlignments;
-use repro_obs::{Counter, Event, Metric, Recorder, TelemetrySnapshot};
+use repro_obs::{Counter, Event, Metric, Phase, Recorder, TelemetrySnapshot};
 use repro_xmpi::{Comm, RecvError, SendError};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -195,16 +195,22 @@ fn drain_final_telemetry<C: Comm, R: Recorder>(
     }
 }
 
-/// Patch the transport-level recovery tallies into the result's stats
-/// before handing it back (the state machine itself never sees them).
+/// Finish the machine: report its acceptance time as the `traceback`
+/// phase and patch the transport-level recovery tallies into the
+/// result's stats (the state machine itself never sees them).
 /// `pool_reuses` is the ledger's fold of the workers' scratch-pool
 /// tallies, which otherwise never leave the worker ranks.
-fn finalize(
-    mut tops: TopAlignments,
+fn finalize<R: Recorder>(
+    master: MasterState,
+    rec: &mut R,
     retries: u64,
     reassigns: u64,
     pool_reuses: u64,
 ) -> TopAlignments {
+    if !master.alignments().is_empty() {
+        rec.add_phase_secs(Phase::Traceback, master.traceback_secs());
+    }
+    let mut tops = master.into_result();
     tops.stats.cluster_retries = retries;
     tops.stats.cluster_reassignments = reassigns;
     tops.stats.pool_reuses += pool_reuses;
@@ -247,7 +253,8 @@ fn local_finish<C: Comm, R: Recorder>(
         }
         drain_final_telemetry(comm, ledger, rec);
         Ok(finalize(
-            master.into_result(),
+            master,
+            rec,
             retries,
             reassigns,
             ledger.pool_reuses,
@@ -478,7 +485,8 @@ pub(crate) fn master_loop<C: Comm, R: Recorder>(
             )? {
                 drain_final_telemetry(&comm, &mut ledger, rec);
                 return Ok(finalize(
-                    master.into_result(),
+                    master,
+                    rec,
                     retries_total,
                     reassigns_total,
                     ledger.pool_reuses,
@@ -589,7 +597,8 @@ pub(crate) fn master_loop<C: Comm, R: Recorder>(
         )? {
             drain_final_telemetry(&comm, &mut ledger, rec);
             return Ok(finalize(
-                master.into_result(),
+                master,
+                rec,
                 retries_total,
                 reassigns_total,
                 ledger.pool_reuses,

@@ -8,7 +8,7 @@
 //! is realigned and requeued. This skips the 90–97 % of realignments a
 //! naive per-top full sweep would perform.
 //!
-//! The free functions [`align_task`] and [`accept_task`] are the two
+//! [`ScoredSeq::align_task`] and [`ScoredSeq::accept_task`] are the two
 //! primitives; the shared-memory and distributed engines reuse them with
 //! their own schedulers so all engines produce identical output.
 
@@ -20,8 +20,10 @@ use crate::split_mask::SplitMask;
 use crate::stats::Stats;
 use crate::tasks::{Task, TaskQueue, NEVER_ALIGNED};
 use crate::triangle::OverrideTriangle;
-use repro_align::kernel::full::{sw_full, traceback};
-use repro_align::{sw_last_row, sw_last_row_striped, NoMask, Score, Scoring, Seq};
+use repro_align::kernel::full::traceback;
+use repro_align::{
+    sw_last_row_striped, CellMask, LastRow, NoMask, QueryProfile, Score, Scoring, Seq, Sides,
+};
 use repro_obs::{Counter, Metric, NoopRecorder, Phase, Progress, Recorder};
 use std::time::Instant;
 
@@ -210,13 +212,160 @@ pub struct TaskResult {
     pub shadow_rejections: u64,
 }
 
-/// Score-only (re)alignment of split `r` under `triangle`.
-///
-/// `original` is the stored first-pass bottom row; pass `None` for the
-/// first pass (which must, and is asserted to, run with an empty
-/// triangle — Figure 5 guarantees this because every initial task has
-/// infinite priority). For realignments, entries differing from
-/// `original` are shadow alignments and are skipped (Appendix A).
+/// A sequence under a scoring with its wide query profile built: what
+/// the row-vectorised scalar kernels read of the pair. Whoever sweeps
+/// many splits of one sequence — a finder, a worker, an acceptance loop
+/// — builds this once (`O(k·m)`) and hands it to every sweep.
+#[derive(Debug, Clone)]
+pub struct ScoredSeq<'a> {
+    /// The sequence.
+    pub seq: &'a Seq,
+    /// Its scoring scheme.
+    pub scoring: &'a Scoring,
+    profile: QueryProfile<Score>,
+}
+
+impl<'a> ScoredSeq<'a> {
+    /// Profile `seq` under `scoring`.
+    pub fn new(seq: &'a Seq, scoring: &'a Scoring) -> Self {
+        ScoredSeq {
+            seq,
+            scoring,
+            profile: QueryProfile::new_wide(scoring, seq.codes()),
+        }
+    }
+
+    /// Split `r`'s matrix: prefix `seq[..r]` down the rows, suffix
+    /// `seq[r..]` along the columns.
+    pub fn split(&self, r: usize) -> Sides<'_> {
+        Sides {
+            rows: &self.seq.codes()[..r],
+            profile: &self.profile,
+            q0: r,
+            gaps: self.scoring.gaps,
+        }
+    }
+
+    /// Score-only sweep of split `r` under `mask`: the striped kernel
+    /// (which reads the exchange matrix, not the profile) when a stripe
+    /// width is given, the row-vectorised one otherwise.
+    pub(crate) fn last_row<M: CellMask>(
+        &self,
+        r: usize,
+        mask: M,
+        stripe: Option<usize>,
+    ) -> LastRow {
+        match stripe {
+            Some(w) => {
+                let (prefix, suffix) = self.seq.split(r);
+                sw_last_row_striped(prefix, suffix, self.scoring, mask, w)
+            }
+            None => self.split(r).last_row(mask),
+        }
+    }
+
+    /// Score-only (re)alignment of split `r` under `triangle`.
+    ///
+    /// `original` is the stored first-pass bottom row; pass `None` for the
+    /// first pass (which must, and is asserted to, run with an empty
+    /// triangle — Figure 5 guarantees this because every initial task has
+    /// infinite priority). For realignments, entries differing from
+    /// `original` are shadow alignments and are skipped (Appendix A).
+    pub fn align_task(
+        &self,
+        r: usize,
+        triangle: &OverrideTriangle,
+        original: Option<&[Score]>,
+        stripe: Option<usize>,
+    ) -> TaskResult {
+        let last = self.last_row(r, SplitMask::new(triangle, r), stripe);
+        match original {
+            None => {
+                debug_assert!(
+                    triangle.is_empty(),
+                    "first pass of split {r} must see an empty triangle"
+                );
+                TaskResult {
+                    score: last.best_in_row,
+                    col: last.best_in_row_col,
+                    cells: last.cells,
+                    first_row: Some(last.row),
+                    shadow_rejections: 0,
+                }
+            }
+            Some(orig) => {
+                let (score, col, shadows) = best_valid_entry_counted(&last.row, orig);
+                TaskResult {
+                    score,
+                    col,
+                    cells: last.cells,
+                    first_row: None,
+                    shadow_rejections: shadows,
+                }
+            }
+        }
+    }
+
+    /// Accept split `r` as top alignment number `index`: recompute its
+    /// matrix under the current triangle, trace back from the best valid
+    /// bottom-row end point, and mark every matched pair in the triangle.
+    ///
+    /// Returns the alignment and the number of cells the traceback pass
+    /// computed. The caller must have just verified (via a fresh
+    /// [`Self::align_task`]) that `r` holds the best score; this function
+    /// asserts the score it finds matches `expected_score`.
+    pub fn accept_task(
+        &self,
+        r: usize,
+        expected_score: Score,
+        triangle: &mut OverrideTriangle,
+        bottom: &BottomRowStore,
+        index: usize,
+    ) -> (TopAlignment, u64) {
+        let original = bottom
+            .get(r)
+            .expect("accepted split must have a stored first-pass row");
+        self.accept_task_with_row(r, expected_score, triangle, original, index)
+    }
+
+    /// [`Self::accept_task`] against an explicitly provided first-pass
+    /// bottom row (the parallel engines keep rows in their own shared
+    /// storage).
+    pub fn accept_task_with_row(
+        &self,
+        r: usize,
+        expected_score: Score,
+        triangle: &mut OverrideTriangle,
+        original: &[Score],
+        index: usize,
+    ) -> (TopAlignment, u64) {
+        let (prefix, suffix) = self.seq.split(r);
+        let matrix = self.split(r).full(SplitMask::new(triangle, r));
+        let (score, col) = best_valid_entry(matrix.last_row(), original);
+        assert_eq!(
+            score, expected_score,
+            "acceptance recomputation of split {r} disagrees with its queue score"
+        );
+        let col = col.expect("accepted task must have a positive valid entry");
+        let al = traceback(&matrix, (r - 1, col), prefix, suffix, self.scoring);
+        let pairs: Vec<(usize, usize)> = al.pairs.iter().map(|p| (p.row, r + p.col)).collect();
+        for &(p, q) in &pairs {
+            triangle.set(p, q);
+        }
+        (
+            TopAlignment {
+                index,
+                r,
+                score,
+                pairs,
+            },
+            matrix.rows() as u64 * matrix.cols() as u64,
+        )
+    }
+}
+
+/// [`ScoredSeq::align_task`] over a throwaway profile: the one-off form
+/// for tests and tools.
 pub fn align_task(
     seq: &Seq,
     scoring: &Scoring,
@@ -225,95 +374,7 @@ pub fn align_task(
     original: Option<&[Score]>,
     stripe: Option<usize>,
 ) -> TaskResult {
-    let (prefix, suffix) = seq.split(r);
-    let mask = SplitMask::new(triangle, r);
-    let last = match stripe {
-        Some(w) => sw_last_row_striped(prefix, suffix, scoring, mask, w),
-        None => sw_last_row(prefix, suffix, scoring, mask),
-    };
-    match original {
-        None => {
-            debug_assert!(
-                triangle.is_empty(),
-                "first pass of split {r} must see an empty triangle"
-            );
-            TaskResult {
-                score: last.best_in_row,
-                col: last.best_in_row_col,
-                cells: last.cells,
-                first_row: Some(last.row),
-                shadow_rejections: 0,
-            }
-        }
-        Some(orig) => {
-            let (score, col, shadows) = best_valid_entry_counted(&last.row, orig);
-            TaskResult {
-                score,
-                col,
-                cells: last.cells,
-                first_row: None,
-                shadow_rejections: shadows,
-            }
-        }
-    }
-}
-
-/// Accept split `r` as top alignment number `index`: recompute its matrix
-/// under the current triangle, trace back from the best valid bottom-row
-/// end point, and mark every matched pair in the triangle.
-///
-/// Returns the alignment and the number of cells the traceback pass
-/// computed. The caller must have just verified (via a fresh
-/// [`align_task`]) that `r` holds the best score; this function asserts
-/// the score it finds matches `expected_score`.
-pub fn accept_task(
-    seq: &Seq,
-    scoring: &Scoring,
-    r: usize,
-    expected_score: Score,
-    triangle: &mut OverrideTriangle,
-    bottom: &BottomRowStore,
-    index: usize,
-) -> (TopAlignment, u64) {
-    let original = bottom
-        .get(r)
-        .expect("accepted split must have a stored first-pass row");
-    accept_task_with_row(seq, scoring, r, expected_score, triangle, original, index)
-}
-
-/// [`accept_task`] against an explicitly provided first-pass bottom row
-/// (the parallel engines keep rows in their own shared storage).
-pub fn accept_task_with_row(
-    seq: &Seq,
-    scoring: &Scoring,
-    r: usize,
-    expected_score: Score,
-    triangle: &mut OverrideTriangle,
-    original: &[Score],
-    index: usize,
-) -> (TopAlignment, u64) {
-    let (prefix, suffix) = seq.split(r);
-    let matrix = sw_full(prefix, suffix, scoring, SplitMask::new(triangle, r));
-    let (score, col) = best_valid_entry(matrix.last_row(), original);
-    assert_eq!(
-        score, expected_score,
-        "acceptance recomputation of split {r} disagrees with its queue score"
-    );
-    let col = col.expect("accepted task must have a positive valid entry");
-    let al = traceback(&matrix, (r - 1, col), prefix, suffix, scoring);
-    let pairs: Vec<(usize, usize)> = al.pairs.iter().map(|p| (p.row, r + p.col)).collect();
-    for &(p, q) in &pairs {
-        triangle.set(p, q);
-    }
-    (
-        TopAlignment {
-            index,
-            r,
-            score,
-            pairs,
-        },
-        matrix.rows() as u64 * matrix.cols() as u64,
-    )
+    ScoredSeq::new(seq, scoring).align_task(r, triangle, original, stripe)
 }
 
 /// What one [`TopAlignmentFinder::step`] did.
@@ -350,8 +411,7 @@ pub enum Step {
 /// Incremental driver for the sequential algorithm. [`Self::run`] is the
 /// one-shot entry point; `step` exposes the loop for tests and tools.
 pub struct TopAlignmentFinder<'a> {
-    seq: &'a Seq,
-    scoring: &'a Scoring,
+    input: ScoredSeq<'a>,
     config: FinderConfig,
     queue: TaskQueue,
     triangle: OverrideTriangle,
@@ -393,8 +453,7 @@ impl<'a> TopAlignmentFinder<'a> {
             stats.seed_index_build_ns = b.build_ns();
         }
         TopAlignmentFinder {
-            seq,
-            scoring,
+            input: ScoredSeq::new(seq, scoring),
             config,
             queue,
             triangle,
@@ -412,11 +471,7 @@ impl<'a> TopAlignmentFinder<'a> {
     /// the on-demand path of [`RowMode::Recompute`].
     fn recompute_clean_row<R: Recorder>(&mut self, r: usize, rec: &mut R) -> Vec<Score> {
         rec.phase_start(Phase::RowRecompute);
-        let (prefix, suffix) = self.seq.split(r);
-        let last = match self.config.stripe {
-            Some(w) => sw_last_row_striped(prefix, suffix, self.scoring, NoMask, w),
-            None => sw_last_row(prefix, suffix, self.scoring, NoMask),
-        };
+        let last = self.input.last_row(r, NoMask, self.config.stripe);
         self.stats.record_row_recompute(last.cells);
         rec.phase_end(Phase::RowRecompute);
         last.row
@@ -442,7 +497,7 @@ impl<'a> TopAlignmentFinder<'a> {
         let incr = self.incr.as_mut().expect("caller checked incr.is_some()");
         rec.phase_start(sweep_phase);
         let result = if first_pass {
-            incr.first_pass(self.seq, self.scoring, task.r, &self.triangle, version)
+            incr.first_pass(&self.input, task.r, &self.triangle, version)
         } else {
             let original = match &clean {
                 Some(row) => &row[..],
@@ -454,8 +509,7 @@ impl<'a> TopAlignmentFinder<'a> {
                     .expect("realignment implies a stored first-pass row"),
             };
             let sweep = incr.realign(
-                self.seq,
-                self.scoring,
+                &self.input,
                 task.r,
                 &self.triangle,
                 original,
@@ -508,7 +562,7 @@ impl<'a> TopAlignmentFinder<'a> {
                     rec.observe(Metric::TaskRoundTripNs, t0.elapsed().as_nanos() as u64);
                 }
             }
-            let splits_total = self.seq.len().saturating_sub(1) as u64;
+            let splits_total = self.input.seq.len().saturating_sub(1) as u64;
             rec.progress(&Progress {
                 splits_done: self.first_passes as u64,
                 splits_total,
@@ -545,10 +599,10 @@ impl<'a> TopAlignmentFinder<'a> {
         if let Some(bounds) = self.bounds.as_mut() {
             if task.aligned_with == NEVER_ALIGNED {
                 if bounds.bound(task.r) >= task.score {
-                    let stake = (task.r * (self.seq.len() - task.r)) as u64;
+                    let stake = (task.r * (self.input.seq.len() - task.r)) as u64;
                     bounds.refresh_before_sweep(
-                        self.seq.codes(),
-                        self.scoring,
+                        self.input.seq.codes(),
+                        self.input.scoring,
                         &self.triangle,
                         stake,
                     );
@@ -580,9 +634,7 @@ impl<'a> TopAlignmentFinder<'a> {
                         .expect("store mode keeps rows")
                         .get(task.r)
                         .expect("accepted split must have a stored row");
-                    let out = accept_task_with_row(
-                        self.seq,
-                        self.scoring,
+                    let out = self.input.accept_task_with_row(
                         task.r,
                         task.score,
                         &mut self.triangle,
@@ -595,9 +647,7 @@ impl<'a> TopAlignmentFinder<'a> {
                 RowMode::Recompute => {
                     let clean = self.recompute_clean_row(task.r, rec);
                     rec.phase_start(Phase::Traceback);
-                    let out = accept_task_with_row(
-                        self.seq,
-                        self.scoring,
+                    let out = self.input.accept_task_with_row(
                         task.r,
                         task.score,
                         &mut self.triangle,
@@ -641,13 +691,7 @@ impl<'a> TopAlignmentFinder<'a> {
                 // Late first pass — only reachable with seed pruning,
                 // which can delay a split's first sweep past an accept.
                 rec.phase_start(sweep_phase);
-                let out = late_first_pass(
-                    self.seq,
-                    self.scoring,
-                    task.r,
-                    &self.triangle,
-                    self.config.stripe,
-                );
+                let out = late_first_pass(&self.input, task.r, &self.triangle, self.config.stripe);
                 rec.phase_end(sweep_phase);
                 out
             } else {
@@ -660,9 +704,7 @@ impl<'a> TopAlignmentFinder<'a> {
                             .get(task.r);
                         debug_assert_eq!(original.is_none(), first_pass);
                         rec.phase_start(sweep_phase);
-                        let out = align_task(
-                            self.seq,
-                            self.scoring,
+                        let out = self.input.align_task(
                             task.r,
                             &self.triangle,
                             original,
@@ -673,23 +715,16 @@ impl<'a> TopAlignmentFinder<'a> {
                     }
                     RowMode::Recompute if first_pass => {
                         rec.phase_start(sweep_phase);
-                        let out = align_task(
-                            self.seq,
-                            self.scoring,
-                            task.r,
-                            &self.triangle,
-                            None,
-                            self.config.stripe,
-                        );
+                        let out =
+                            self.input
+                                .align_task(task.r, &self.triangle, None, self.config.stripe);
                         rec.phase_end(sweep_phase);
                         out
                     }
                     RowMode::Recompute => {
                         let clean = self.recompute_clean_row(task.r, rec);
                         rec.phase_start(sweep_phase);
-                        let out = align_task(
-                            self.seq,
-                            self.scoring,
+                        let out = self.input.align_task(
                             task.r,
                             &self.triangle,
                             Some(&clean),
@@ -753,7 +788,7 @@ impl<'a> TopAlignmentFinder<'a> {
             rec.add(Counter::PoolReuses, self.stats.pool_reuses);
         }
         if let Some(bounds) = &self.bounds {
-            let splits = self.seq.len().saturating_sub(1);
+            let splits = self.input.seq.len().saturating_sub(1);
             self.stats.splits_pruned = splits.saturating_sub(self.first_passes) as u64;
             self.stats.bound_recomputes = bounds.recomputes();
             rec.add(Counter::SplitsPruned, self.stats.splits_pruned);
@@ -1411,7 +1446,7 @@ mod tests {
             // moment this top was accepted.
             let (prefix, suffix) = seq.split(top.r);
             let mask = SplitMask::new(&triangle, top.r);
-            let last = sw_last_row(prefix, suffix, &scoring, mask);
+            let last = repro_align::sw_last_row(prefix, suffix, &scoring, mask);
             assert!(
                 top.score <= last.best_in_row,
                 "accepted score exceeds what the split can produce"

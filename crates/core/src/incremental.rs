@@ -21,11 +21,11 @@
 //! directly.
 
 use crate::dirty::DirtyLog;
-use crate::finder::{align_task, TaskResult};
+use crate::finder::{ScoredSeq, TaskResult};
 use crate::split_mask::SplitMask;
 use crate::triangle::OverrideTriangle;
 use repro_align::checkpoint::{Checkpoint, CheckpointStore, ScratchPool};
-use repro_align::{sw_last_row_resume, sw_last_row_striped, NoMask, Score, Scoring, Seq, NEG_INF};
+use repro_align::{NoMask, Score, NEG_INF};
 use std::collections::HashMap;
 
 /// Result of the previous sweep of one split, replayed verbatim on a
@@ -144,8 +144,7 @@ impl IncrementalSweeper {
     /// `align_task(.., Some(&clean_row), None)` for the score.
     pub fn first_pass(
         &mut self,
-        seq: &Seq,
-        scoring: &Scoring,
+        input: &ScoredSeq,
         r: usize,
         triangle: &OverrideTriangle,
         version: u64,
@@ -153,13 +152,11 @@ impl IncrementalSweeper {
         let (score, col, shadows, cells, first_row, merged) =
             match triangle.first_straddling_row(r) {
                 None => {
-                    let (best, col, row, cells, merged) =
-                        self.sweep(seq, scoring, r, triangle, version);
+                    let (best, col, row, cells, merged) = self.sweep(input, r, triangle, version);
                     (best, col, 0, cells, row, merged)
                 }
                 Some(dirty) => {
-                    let (prefix, suffix) = seq.split(r);
-                    let cols = suffix.len();
+                    let cols = input.seq.len() - r;
                     // One first pass's worth of checkpoints, wherever
                     // they are taken: above the dirty row by the clean
                     // sweep (plus the snapshot there), below it by the
@@ -176,10 +173,7 @@ impl IncrementalSweeper {
                     let mut maxy = self.pool.take(cols, NEG_INF);
                     let clean = {
                         let pool = &mut self.pool;
-                        sw_last_row_resume(
-                            prefix,
-                            suffix,
-                            scoring,
+                        input.split(r).last_row_resume(
                             NoMask,
                             0,
                             m,
@@ -196,9 +190,8 @@ impl IncrementalSweeper {
                         }
                         _ => maxy.fill(NEG_INF),
                     }
-                    let (row, cells, merged) = self.sweep_from(
-                        seq, scoring, r, triangle, version, dirty, m, maxy, above, &below,
-                    );
+                    let (row, cells, merged) =
+                        self.sweep_from(input, r, triangle, version, dirty, m, maxy, above, &below);
                     let (score, col, shadows) = best_valid(&row, &clean.row);
                     self.pool.give(row);
                     (score, col, shadows, clean.cells + cells, clean.row, merged)
@@ -230,13 +223,11 @@ impl IncrementalSweeper {
     /// accept count is `version`), shadow-filtered against `original`.
     ///
     /// Bit-identical to
-    /// `align_task(seq, scoring, r, triangle, Some(original), None)`,
+    /// `input.align_task(r, triangle, Some(original), None)`,
     /// but skipping every row the dirty log proves unchanged.
-    #[allow(clippy::too_many_arguments)] // the engines thread all of this anyway
     pub fn realign(
         &mut self,
-        seq: &Seq,
-        scoring: &Scoring,
+        input: &ScoredSeq,
         r: usize,
         triangle: &OverrideTriangle,
         original: &[Score],
@@ -306,13 +297,11 @@ impl IncrementalSweeper {
             let mut maxy = self.pool.take(seed.maxy.len(), 0);
             maxy.copy_from_slice(&seed.maxy);
             let captures = self.planned_captures(start, rows, frontier);
-            let out = self.sweep_from(
-                seq, scoring, r, triangle, version, start, m, maxy, kept, &captures,
-            );
+            let out = self.sweep_from(input, r, triangle, version, start, m, maxy, kept, &captures);
             let (s, c, sh) = best_valid(&out.0, original);
             (s, c, out.0, out.1, sh, out.2)
         } else {
-            let out = self.sweep_with_kept(seq, scoring, r, triangle, version, kept, frontier);
+            let out = self.sweep_with_kept(input, r, triangle, version, kept, frontier);
             let (s, c, sh) = best_valid(&out.0, original);
             (s, c, out.0, out.1, sh, out.2)
         };
@@ -354,14 +343,13 @@ impl IncrementalSweeper {
     #[allow(clippy::type_complexity)]
     fn sweep(
         &mut self,
-        seq: &Seq,
-        scoring: &Scoring,
+        input: &ScoredSeq,
         r: usize,
         triangle: &OverrideTriangle,
         version: u64,
     ) -> (Score, Option<usize>, Vec<Score>, u64, Vec<Checkpoint>) {
         let (row, cells, merged) =
-            self.sweep_with_kept(seq, scoring, r, triangle, version, Vec::new(), None);
+            self.sweep_with_kept(input, r, triangle, version, Vec::new(), None);
         let mut best = 0;
         let mut col = None;
         for (x, &v) in row.iter().enumerate() {
@@ -373,24 +361,20 @@ impl IncrementalSweeper {
         (best, col, row, cells, merged)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn sweep_with_kept(
         &mut self,
-        seq: &Seq,
-        scoring: &Scoring,
+        input: &ScoredSeq,
         r: usize,
         triangle: &OverrideTriangle,
         version: u64,
         kept: Vec<Checkpoint>,
         frontier: Option<usize>,
     ) -> (Vec<Score>, u64, Vec<Checkpoint>) {
-        let cols = seq.len() - r;
+        let cols = input.seq.len() - r;
         let m = self.pool.take(cols, 0);
         let maxy = self.pool.take(cols, NEG_INF);
         let captures = self.planned_captures(0, r, frontier);
-        self.sweep_from(
-            seq, scoring, r, triangle, version, 0, m, maxy, kept, &captures,
-        )
+        self.sweep_from(input, r, triangle, version, 0, m, maxy, kept, &captures)
     }
 
     /// Checkpoint rows for a sweep of `start..rows`: the grid of
@@ -419,8 +403,7 @@ impl IncrementalSweeper {
     #[allow(clippy::too_many_arguments)]
     fn sweep_from(
         &mut self,
-        seq: &Seq,
-        scoring: &Scoring,
+        input: &ScoredSeq,
         r: usize,
         triangle: &OverrideTriangle,
         version: u64,
@@ -430,7 +413,7 @@ impl IncrementalSweeper {
         mut kept: Vec<Checkpoint>,
         captures: &[usize],
     ) -> (Vec<Score>, u64, Vec<Checkpoint>) {
-        let (prefix, suffix) = seq.split(r);
+        let sides = input.split(r);
         let enabled = self.store.budget() > 0;
         let mut fresh: Vec<Checkpoint> = Vec::new();
         {
@@ -441,29 +424,10 @@ impl IncrementalSweeper {
             // An empty triangle masks nothing: use the zero-cost mask,
             // exactly as the plain first-pass path does.
             let last = if triangle.is_empty() {
-                sw_last_row_resume(
-                    prefix,
-                    suffix,
-                    scoring,
-                    NoMask,
-                    start,
-                    m,
-                    &mut maxy,
-                    captures,
-                    &mut capture,
-                )
+                sides.last_row_resume(NoMask, start, m, &mut maxy, captures, &mut capture)
             } else {
-                sw_last_row_resume(
-                    prefix,
-                    suffix,
-                    scoring,
-                    SplitMask::new(triangle, r),
-                    start,
-                    m,
-                    &mut maxy,
-                    captures,
-                    &mut capture,
-                )
+                let mask = SplitMask::new(triangle, r);
+                sides.last_row_resume(mask, start, m, &mut maxy, captures, &mut capture)
             };
             self.pool.give(maxy);
             let merged = if enabled {
@@ -514,18 +478,16 @@ fn snapshot(pool: &mut ScratchPool, row: usize, stamp: u64, m: &[Score], my: &[S
 /// kept. The striped kernel has no mid-matrix entry, so with a `stripe`
 /// both sweeps start at row 0.
 pub fn late_first_pass(
-    seq: &Seq,
-    scoring: &Scoring,
+    input: &ScoredSeq,
     r: usize,
     triangle: &OverrideTriangle,
     stripe: Option<usize>,
 ) -> TaskResult {
-    let Some(w) = stripe else {
-        return IncrementalSweeper::new(0).first_pass(seq, scoring, r, triangle, 0);
-    };
-    let (prefix, suffix) = seq.split(r);
-    let clean = sw_last_row_striped(prefix, suffix, scoring, NoMask, w);
-    let masked = align_task(seq, scoring, r, triangle, Some(&clean.row), stripe);
+    if stripe.is_none() {
+        return IncrementalSweeper::new(0).first_pass(input, r, triangle, 0);
+    }
+    let clean = input.last_row(r, NoMask, stripe);
+    let masked = input.align_task(r, triangle, Some(&clean.row), stripe);
     TaskResult {
         first_row: Some(clean.row),
         cells: clean.cells + masked.cells,
@@ -542,7 +504,7 @@ fn best_valid(current: &[Score], original: &[Score]) -> (Score, Option<usize>, u
 mod tests {
     use super::*;
     use crate::finder::align_task;
-    use repro_align::Seq;
+    use repro_align::{Scoring, Seq};
 
     fn dna(text: &str) -> Seq {
         Seq::dna(text).unwrap()
@@ -554,6 +516,7 @@ mod tests {
     fn incremental_matches_from_scratch_under_growing_triangle() {
         let seq = dna(&"ATGCATGCATGC".repeat(3));
         let scoring = Scoring::dna_example();
+        let input = ScoredSeq::new(&seq, &scoring);
         let m = seq.len();
         for budget in [0usize, 512, 1 << 20] {
             let mut sweeper = IncrementalSweeper::new(budget);
@@ -563,7 +526,7 @@ mod tests {
             let splits = [4usize, 8, 12, 18, 24, 30];
             let mut originals = std::collections::HashMap::new();
             for &r in &splits {
-                let res = sweeper.first_pass(&seq, &scoring, r, &triangle, 0);
+                let res = sweeper.first_pass(&input, r, &triangle, 0);
                 let oracle = align_task(&seq, &scoring, r, &triangle, None, None);
                 assert_eq!(res.score, oracle.score, "budget {budget} first pass r={r}");
                 assert_eq!(res.first_row, oracle.first_row);
@@ -583,7 +546,7 @@ mod tests {
                 let v = dirty.version();
                 for &r in &splits {
                     let orig = &originals[&r];
-                    let inc = sweeper.realign(&seq, &scoring, r, &triangle, orig, &dirty, v);
+                    let inc = sweeper.realign(&input, r, &triangle, orig, &dirty, v);
                     let oracle = align_task(&seq, &scoring, r, &triangle, Some(orig), None);
                     assert_eq!(
                         (
@@ -612,16 +575,17 @@ mod tests {
     fn untouched_split_full_skips() {
         let seq = dna("ATGCATGCATGCATGC");
         let scoring = Scoring::dna_example();
+        let input = ScoredSeq::new(&seq, &scoring);
         let mut sweeper = IncrementalSweeper::new(1 << 20);
         let mut triangle = OverrideTriangle::new(seq.len());
         let mut dirty = DirtyLog::new();
-        let first = sweeper.first_pass(&seq, &scoring, 4, &triangle, 0);
+        let first = sweeper.first_pass(&input, 4, &triangle, 0);
         let orig = first.first_row.unwrap();
         // Accept far away: pairs entirely above split 4? No — straddles
         // need p < 4 ≤ q. Use p ≥ 4 so split 4 stays clean.
         triangle.set(8, 12);
         dirty.record_accept(&[(8, 12)]);
-        let inc = sweeper.realign(&seq, &scoring, 4, &triangle, &orig, &dirty, 1);
+        let inc = sweeper.realign(&input, 4, &triangle, &orig, &dirty, 1);
         assert!(inc.full_skip);
         assert_eq!(inc.result.cells, 0);
         assert_eq!(inc.rows_skipped, 4);
@@ -640,6 +604,7 @@ mod tests {
     fn late_first_pass_matches_clean_plus_masked_sweeps() {
         let seq = dna(&"ATGCATGCATGC".repeat(3));
         let scoring = Scoring::dna_example();
+        let input = ScoredSeq::new(&seq, &scoring);
         let mut triangle = OverrideTriangle::new(seq.len());
         let mut dirty = DirtyLog::new();
         for pairs in [vec![(8, 20), (9, 21), (10, 22)], vec![(2, 30)]] {
@@ -661,9 +626,9 @@ mod tests {
             let first_dirty = triangle.first_straddling_row(r);
             let resumed = first_dirty.map_or(0, |d| (r - d) * (seq.len() - r));
             let lates = [
-                ("plain", late_first_pass(&seq, &scoring, r, &triangle, None)),
-                ("striped", late_first_pass(&seq, &scoring, r, &triangle, Some(3))),
-                ("sweeper", sweeper.first_pass(&seq, &scoring, r, &triangle, 2)),
+                ("plain", late_first_pass(&input, r, &triangle, None)),
+                ("striped", late_first_pass(&input, r, &triangle, Some(3))),
+                ("sweeper", sweeper.first_pass(&input, r, &triangle, 2)),
             ];
             for (what, late) in lates {
                 assert_eq!(late.first_row.as_deref(), Some(&clean_row[..]), "{what} {r}");
@@ -676,7 +641,7 @@ mod tests {
                     assert_eq!(late.cells, clean.cells + resumed as u64, "{what} split {r}");
                 }
             }
-            let inc = sweeper.realign(&seq, &scoring, r, &grown, &clean_row, &grown_dirty, 3);
+            let inc = sweeper.realign(&input, r, &grown, &clean_row, &grown_dirty, 3);
             let oracle = align_task(&seq, &scoring, r, &grown, Some(&clean_row), None);
             assert_eq!(
                 (inc.result.score, inc.result.col, inc.result.shadow_rejections),
@@ -698,16 +663,17 @@ mod tests {
     fn dirty_tail_resumes_from_a_checkpoint() {
         let seq = dna(&"ACGT".repeat(16)); // 64 residues
         let scoring = Scoring::dna_example();
+        let input = ScoredSeq::new(&seq, &scoring);
         let mut sweeper = IncrementalSweeper::new(1 << 20);
         let mut triangle = OverrideTriangle::new(seq.len());
         let mut dirty = DirtyLog::new();
         let r = 48;
-        let first = sweeper.first_pass(&seq, &scoring, r, &triangle, 0);
+        let first = sweeper.first_pass(&input, r, &triangle, 0);
         let orig = first.first_row.unwrap();
         // Dirty only rows ≥ 40 of split 48 (pair p=40 < 48 ≤ q=50).
         triangle.set(40, 50);
         dirty.record_accept(&[(40, 50)]);
-        let inc = sweeper.realign(&seq, &scoring, r, &triangle, &orig, &dirty, 1);
+        let inc = sweeper.realign(&input, r, &triangle, &orig, &dirty, 1);
         assert!(!inc.full_skip);
         assert!(inc.resumed_at > 0, "expected a checkpoint resume");
         assert!(inc.resumed_at <= 40, "resume must stay above the dirty row");

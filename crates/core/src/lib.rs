@@ -54,9 +54,8 @@ pub use consensus::{unit_consensus, Consensus};
 pub use delineate::{delineate, RepeatReport, RepeatUnit};
 pub use dirty::DirtyLog;
 pub use finder::{
-    accept_task, accept_task_with_row, align_task, find_top_alignments,
-    find_top_alignments_recorded, FinderConfig, RowMode, Step, TaskResult, TopAlignment,
-    TopAlignmentFinder, TopAlignments,
+    align_task, find_top_alignments, find_top_alignments_recorded, FinderConfig, RowMode,
+    ScoredSeq, Step, TaskResult, TopAlignment, TopAlignmentFinder, TopAlignments,
 };
 pub use incremental::{late_first_pass, IncrementalSweep, IncrementalSweeper};
 pub use seed::{PairMask, SeedConfig, SplitBounds};

@@ -65,7 +65,8 @@
 
 use crate::triangle::OverrideTriangle;
 use repro_align::{
-    tri_initial_state, tri_self_sweep_resume, CellMask, NoMask, Score, Scoring, MAX_KMER_K,
+    tri_initial_state, CellMask, GapPenalties, NoMask, QueryProfile, Score, Scoring, Sides,
+    MAX_KMER_K,
 };
 use std::time::Instant;
 
@@ -146,6 +147,10 @@ enum Fold {
 #[derive(Debug, Clone)]
 struct TriSide {
     fold: Fold,
+    /// The swept sequence (reversed for `G`) and its wide profile,
+    /// built once: every refresh sweeps against them again.
+    codes: Vec<u8>,
+    profile: QueryProfile<Score>,
     /// Indexed by split, `1 ≤ r < len` (entry 0 unused).
     vals: Vec<Score>,
     checkpoints: Vec<Checkpoint>,
@@ -162,10 +167,12 @@ fn tri_cells(len: usize, start: usize) -> u64 {
 }
 
 impl TriSide {
-    fn new(fold: Fold, len: usize) -> Self {
+    fn new(fold: Fold, codes: Vec<u8>, scoring: &Scoring) -> Self {
         TriSide {
             fold,
-            vals: vec![0; len],
+            profile: QueryProfile::new_wide(scoring, &codes),
+            vals: vec![0; codes.len()],
+            codes,
             checkpoints: Vec::new(),
         }
     }
@@ -186,7 +193,7 @@ impl TriSide {
     /// sweep — refreshing the values and checkpoints below it. Values
     /// of splits `r ≤ dirty_row` depend only on clean rows and are
     /// untouched.
-    fn sweep<M: CellMask>(&mut self, codes: &[u8], scoring: &Scoring, mask: M, dirty_row: usize) {
+    fn sweep<M: CellMask>(&mut self, gaps: GapPenalties, mask: M, dirty_row: usize) {
         let len = self.vals.len();
         let start = self.resume_row(dirty_row);
         let (mut m, mut maxy, mut colmax) =
@@ -206,9 +213,7 @@ impl TriSide {
         let fold = self.fold;
         let vals = &mut self.vals;
         let checkpoints = &mut self.checkpoints;
-        tri_self_sweep_resume(
-            codes,
-            scoring,
+        Sides::whole(&self.codes, &self.profile, gaps).tri_self_sweep_resume(
             mask,
             start,
             &mut m,
@@ -251,10 +256,9 @@ pub struct SplitBounds {
     bounds: Vec<Score>,
     /// `F`: row fold of the sweep of the sequence itself.
     forward: TriSide,
-    /// `G`, mirrored: column fold of the sweep of `rev_codes` under
-    /// `mirror`; `G(r) = reverse.vals[m − r]`.
+    /// `G`, mirrored: column fold of the sweep of the reversed sequence
+    /// under `mirror`; `G(r) = reverse.vals[m − r]`.
     reverse: TriSide,
-    rev_codes: Vec<u8>,
     /// Every noted pair `(p, q)` as `(m − 1 − q, m − 1 − p)`.
     mirror: OverrideTriangle,
     /// `(min p, max q)` over the pairs noted since the last refresh;
@@ -273,16 +277,15 @@ impl SplitBounds {
         let t0 = Instant::now();
         let len = codes.len();
         let rev_codes: Vec<u8> = codes.iter().rev().copied().collect();
-        let mut forward = TriSide::new(Fold::Row, len);
-        let mut reverse = TriSide::new(Fold::Column, len);
-        forward.sweep(codes, scoring, NoMask, 0);
-        reverse.sweep(&rev_codes, scoring, NoMask, 0);
+        let mut forward = TriSide::new(Fold::Row, codes.to_vec(), scoring);
+        let mut reverse = TriSide::new(Fold::Column, rev_codes, scoring);
+        forward.sweep(scoring.gaps, NoMask, 0);
+        reverse.sweep(scoring.gaps, NoMask, 0);
         let mut sb = SplitBounds {
             config,
             bounds: vec![0; len],
             forward,
             reverse,
-            rev_codes,
             mirror: OverrideTriangle::new(len),
             pending: None,
             stale_cells: 0,
@@ -408,10 +411,9 @@ impl SplitBounds {
             self.stale_cells = rent;
             return false;
         }
-        self.forward
-            .sweep(codes, scoring, PairMask(triangle), min_p);
+        self.forward.sweep(scoring.gaps, PairMask(triangle), min_p);
         self.reverse
-            .sweep(&self.rev_codes, scoring, PairMask(&self.mirror), rev_dirty);
+            .sweep(scoring.gaps, PairMask(&self.mirror), rev_dirty);
         self.combine();
         self.pending = None;
         self.stale_cells = 0;

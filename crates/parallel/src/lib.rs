@@ -30,11 +30,9 @@ pub use simd_smp::{
 
 use parking_lot::{Condvar, Mutex};
 use repro_align::{Score, Scoring, Seq};
-use repro_core::bottom::best_valid_entry_counted;
 use repro_core::{
-    accept_task_with_row, late_first_pass, DirtyLog, IncrementalSweeper, OverrideTriangle,
-    SeedConfig, SplitBounds,
-    SplitMask, Stats, TopAlignment, TopAlignments,
+    late_first_pass, DirtyLog, IncrementalSweeper, OverrideTriangle, ScoredSeq, SeedConfig,
+    SplitBounds, Stats, TopAlignment, TopAlignments,
 };
 use repro_obs::{HistSet, Metric};
 use std::sync::Arc;
@@ -59,6 +57,9 @@ pub struct ParallelResult {
     /// Total seconds worker threads spent blocked waiting for claimable
     /// work, summed across workers (reported as the `worker_idle` phase).
     pub idle_secs: f64,
+    /// Total seconds of acceptance recomputation and traceback (the
+    /// serial master-side step; reported as the `traceback` phase).
+    pub traceback_secs: f64,
     /// Latency histograms measured across all workers (sweep duration,
     /// task round trip, queue wait, resume rows). Like `idle_secs`,
     /// these are measured unconditionally — a couple of clock reads per
@@ -81,6 +82,7 @@ struct Shared {
     superseded: u64,
     claims: u64,
     idle_secs: f64,
+    traceback_secs: f64,
     hists: HistSet,
     accept_in_progress: bool,
     done: bool,
@@ -92,8 +94,7 @@ struct Shared {
 }
 
 struct Engine<'a> {
-    seq: &'a Seq,
-    scoring: &'a Scoring,
+    input: ScoredSeq<'a>,
     count: usize,
     /// Incremental realignment layer budget (`None` = off). Each worker
     /// keeps its own sweeper and dirty-log replica, synced from the
@@ -182,8 +183,7 @@ pub fn find_top_alignments_parallel_seeded(
     }
 
     let engine = Engine {
-        seq,
-        scoring,
+        input: ScoredSeq::new(seq, scoring),
         count,
         checkpoint_budget,
         shared: Mutex::new(Shared {
@@ -194,6 +194,7 @@ pub fn find_top_alignments_parallel_seeded(
             superseded: 0,
             claims: 0,
             idle_secs: 0.0,
+            traceback_secs: 0.0,
             hists: HistSet::new(),
             accept_in_progress: false,
             done: false,
@@ -220,6 +221,7 @@ pub fn find_top_alignments_parallel_seeded(
             superseded_alignments: 0,
             task_claims: 0,
             idle_secs: 0.0,
+            traceback_secs: 0.0,
             hists: HistSet::new(),
         };
     }
@@ -245,6 +247,7 @@ pub fn find_top_alignments_parallel_seeded(
         superseded_alignments: shared.superseded,
         task_claims: shared.claims,
         idle_secs: shared.idle_secs,
+        traceback_secs: shared.traceback_secs,
         hists: shared.hists,
     }
 }
@@ -321,10 +324,15 @@ impl Engine<'_> {
             // straight into every never-aligned unassigned task and
             // decide again under the tightened bounds.
             if shared.state[i].aligned_with == NEVER {
-                let stake = ((i + 1) * (self.seq.len() - i - 1)) as u64;
+                let stake = ((i + 1) * (self.input.seq.len() - i - 1)) as u64;
                 if let Some(bounds) = shared.bounds.as_mut() {
-                    let codes = self.seq.codes();
-                    if bounds.refresh_before_sweep(codes, self.scoring, &shared.triangle, stake) {
+                    let codes = self.input.seq.codes();
+                    if bounds.refresh_before_sweep(
+                        codes,
+                        self.input.scoring,
+                        &shared.triangle,
+                        stake,
+                    ) {
                         for (j, t) in shared.state.iter_mut().enumerate() {
                             if t.aligned_with == NEVER && !t.assigned {
                                 t.score = bounds.bound(j + 1);
@@ -380,17 +388,14 @@ impl Engine<'_> {
                     let original = self.rows[r - 1]
                         .get()
                         .expect("accepted split must have a first-pass row");
-                    let (top, cells) = accept_task_with_row(
-                        self.seq,
-                        self.scoring,
-                        r,
-                        score,
-                        &mut triangle,
-                        original,
-                        index,
-                    );
+                    let traceback_t0 = Instant::now();
+                    let (top, cells) =
+                        self.input
+                            .accept_task_with_row(r, score, &mut triangle, original, index);
+                    let traceback_secs = traceback_t0.elapsed().as_secs_f64();
 
                     guard = self.shared.lock();
+                    guard.traceback_secs += traceback_secs;
                     guard.stats.record_traceback(cells);
                     guard.triangle = Arc::new(triangle);
                     if let Some(bounds) = guard.bounds.as_mut() {
@@ -427,14 +432,10 @@ impl Engine<'_> {
                             // triangle: the stored row is the clean one,
                             // the score is masked and shadow-filtered.
                             let res = match sweeper {
-                                Some(sweeper) => sweeper.first_pass(
-                                    self.seq,
-                                    self.scoring,
-                                    r,
-                                    &triangle,
-                                    stamp as u64,
-                                ),
-                                None => late_first_pass(self.seq, self.scoring, r, &triangle, None),
+                                Some(sweeper) => {
+                                    sweeper.first_pass(&self.input, r, &triangle, stamp as u64)
+                                }
+                                None => late_first_pass(&self.input, r, &triangle, None),
                             };
                             self.rows[r - 1]
                                 .set(res.first_row.expect("first pass returns its row"))
@@ -443,8 +444,7 @@ impl Engine<'_> {
                         }
                         (Some(sweeper), Some(original)) => {
                             let sweep = sweeper.realign(
-                                self.seq,
-                                self.scoring,
+                                &self.input,
                                 r,
                                 &triangle,
                                 original,
@@ -459,11 +459,8 @@ impl Engine<'_> {
                             )
                         }
                         (None, Some(original)) => {
-                            let (prefix, suffix) = self.seq.split(r);
-                            let mask = SplitMask::new(&triangle, r);
-                            let last = repro_align::sw_last_row(prefix, suffix, self.scoring, mask);
-                            let (s, _, shadows) = best_valid_entry_counted(&last.row, original);
-                            (s, shadows, last.cells)
+                            let res = self.input.align_task(r, &triangle, Some(original), None);
+                            (res.score, res.shadow_rejections, res.cells)
                         }
                     };
 

@@ -32,7 +32,7 @@ use parking_lot::{Condvar, Mutex};
 use repro_align::{Score, Scoring, Seq};
 use repro_core::bottom::best_valid_entry_counted;
 use repro_core::{
-    accept_task_with_row, DirtyLog, OverrideTriangle, SeedConfig, SplitBounds, Stats, TopAlignment,
+    DirtyLog, OverrideTriangle, ScoredSeq, SeedConfig, SplitBounds, Stats, TopAlignment,
     TopAlignments,
 };
 use repro_obs::{HistSet, Metric};
@@ -65,6 +65,9 @@ pub struct ParallelSimdResult {
     /// Total seconds workers spent blocked waiting for claimable work,
     /// summed across workers.
     pub idle_secs: f64,
+    /// Total seconds of acceptance recomputation and traceback (the
+    /// serial master-side step; reported as the `traceback` phase).
+    pub traceback_secs: f64,
     /// Latency histograms measured across all workers (group sweep
     /// duration, task round trip, queue wait, resume rows), folded into
     /// the recorder by the facade.
@@ -90,6 +93,7 @@ struct Shared {
     superseded: u64,
     claims: u64,
     idle_secs: f64,
+    traceback_secs: f64,
     hists: HistSet,
     accept_in_progress: bool,
     done: bool,
@@ -112,8 +116,8 @@ struct Shared {
 }
 
 struct Engine<'a> {
-    seq: &'a Seq,
-    scoring: &'a Scoring,
+    /// Acceptance traces back through the scalar full-matrix kernel.
+    input: ScoredSeq<'a>,
     sweeper: GroupSweeper<'a>,
     count: usize,
     lanes: usize,
@@ -212,8 +216,7 @@ pub fn find_top_alignments_parallel_simd_seeded(
     }
 
     let engine = Engine {
-        seq,
-        scoring,
+        input: ScoredSeq::new(seq, scoring),
         sweeper: GroupSweeper::new(seq, scoring, sel),
         count,
         lanes,
@@ -240,6 +243,7 @@ pub fn find_top_alignments_parallel_simd_seeded(
             superseded: 0,
             claims: 0,
             idle_secs: 0.0,
+            traceback_secs: 0.0,
             hists: HistSet::new(),
             accept_in_progress: false,
             done: false,
@@ -278,6 +282,7 @@ pub fn find_top_alignments_parallel_simd_seeded(
         superseded_sweeps: shared.superseded,
         task_claims: shared.claims,
         idle_secs: shared.idle_secs,
+        traceback_secs: shared.traceback_secs,
         hists: shared.hists,
     }
 }
@@ -375,15 +380,20 @@ impl Engine<'_> {
             // never-swept unassigned group to its new (max-member)
             // bound and decide again.
             if shared.groups[gi].aligned_with == NEVER {
-                let m = self.seq.len();
+                let m = self.input.seq.len();
                 if let Some(bounds) = shared.bounds.as_mut() {
                     // The stake in *vector* cells (rows × width): one
                     // kernel step each, like a cell of the scalar
                     // resweep it is weighed against.
                     let splits = self.group_splits(gi);
                     let stake = ((splits.end - 1) * (m - splits.start)) as u64;
-                    let codes = self.seq.codes();
-                    if bounds.refresh_before_sweep(codes, self.scoring, &shared.triangle, stake) {
+                    let codes = self.input.seq.codes();
+                    if bounds.refresh_before_sweep(
+                        codes,
+                        self.input.scoring,
+                        &shared.triangle,
+                        stake,
+                    ) {
                         for (gj, g) in shared.groups.iter_mut().enumerate() {
                             if g.aligned_with == NEVER && !g.assigned {
                                 g.score = bounds.max_bound(self.group_splits(gj));
@@ -429,17 +439,14 @@ impl Engine<'_> {
                     let original = self.rows[r - 1]
                         .get()
                         .expect("accepted split must have a first-pass row");
-                    let (top, cells) = accept_task_with_row(
-                        self.seq,
-                        self.scoring,
-                        r,
-                        score,
-                        &mut triangle,
-                        original,
-                        index,
-                    );
+                    let traceback_t0 = Instant::now();
+                    let (top, cells) =
+                        self.input
+                            .accept_task_with_row(r, score, &mut triangle, original, index);
+                    let traceback_secs = traceback_t0.elapsed().as_secs_f64();
 
                     guard = self.shared.lock();
+                    guard.traceback_secs += traceback_secs;
                     guard.stats.record_traceback(cells);
                     guard.triangle = Arc::new(triangle);
                     if self.checkpoint_budget.is_some() {

@@ -52,7 +52,7 @@ pub use repro_seqgen as seqgen;
 pub use repro_simd as simd;
 pub use repro_xmpi as xmpi;
 
-pub use repro_align::{Alphabet, ExchangeMatrix, GapPenalties, Scoring, Seq};
+pub use repro_align::{Alphabet, ExchangeMatrix, GapPenalties, ScoreRangeError, Scoring, Seq};
 pub use repro_cluster::ClusterError;
 pub use repro_core::{
     delineate, find_top_alignments, unit_consensus, Consensus, RepeatReport, Stats, TopAlignment,
@@ -77,15 +77,18 @@ use repro_obs::{
 };
 use std::time::Duration;
 
-/// Why a run could not start or finish: either the distributed engine
-/// hit an unrecoverable world, or a SIMD kernel request cannot be
-/// satisfied on the running CPU (e.g. forcing SSE2 at 16 lanes).
+/// Why a run could not start or finish: the distributed engine hit an
+/// unrecoverable world, a SIMD kernel request cannot be satisfied on
+/// the running CPU (e.g. forcing SSE2 at 16 lanes), or the scoring
+/// scheme could overflow 32-bit scores on a sequence this long.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReproError {
     /// A message-passing engine failed unrecoverably.
     Cluster(ClusterError),
     /// The requested SIMD lane width / dispatch path is impossible here.
     Dispatch(DispatchError),
+    /// The scoring/length pair fails [`Scoring::check_range`].
+    ScoreRange(ScoreRangeError),
 }
 
 impl std::fmt::Display for ReproError {
@@ -93,6 +96,7 @@ impl std::fmt::Display for ReproError {
         match self {
             ReproError::Cluster(e) => write!(f, "{e}"),
             ReproError::Dispatch(e) => write!(f, "{e}"),
+            ReproError::ScoreRange(e) => write!(f, "{e}"),
         }
     }
 }
@@ -108,6 +112,12 @@ impl From<ClusterError> for ReproError {
 impl From<DispatchError> for ReproError {
     fn from(e: DispatchError) -> Self {
         ReproError::Dispatch(e)
+    }
+}
+
+impl From<ScoreRangeError> for ReproError {
+    fn from(e: ScoreRangeError) -> Self {
+        ReproError::ScoreRange(e)
     }
 }
 
@@ -328,12 +338,15 @@ impl Repro {
     /// Run the analysis. All engines return identical alignments.
     ///
     /// Panics if a distributed engine fails outright (its master rank
-    /// dying — impossible without fault injection) or an explicit SIMD
-    /// dispatch request is unsatisfiable on this CPU; use
-    /// [`Repro::try_run`] to handle those cases as values.
+    /// dying — impossible without fault injection), an explicit SIMD
+    /// dispatch request is unsatisfiable on this CPU, or the scoring
+    /// could overflow 32-bit scores on `seq`; use [`Repro::try_run`] to
+    /// handle those cases as values.
     pub fn run(&self, seq: &Seq) -> Analysis {
-        self.try_run(seq)
-            .expect("engine cannot fail without fault injection or an impossible dispatch request")
+        self.try_run(seq).expect(
+            "engine cannot fail without fault injection, an impossible dispatch request \
+             or an overflowing scoring",
+        )
     }
 
     /// Run the analysis, surfacing distributed-engine failures as a
@@ -341,9 +354,12 @@ impl Repro {
     /// tolerate message loss, duplication, corruption, delay and worker
     /// crashes (retrying, reassigning and finally degrading to local
     /// computation); `Err` is reserved for genuinely unrecoverable
-    /// worlds (e.g. the master's own endpoint dying) and for SIMD
-    /// dispatch requests the running CPU cannot honour.
+    /// worlds (e.g. the master's own endpoint dying), for SIMD
+    /// dispatch requests the running CPU cannot honour, and for a
+    /// scoring/length pair outside [`Scoring::check_range`] — checked
+    /// before any kernel runs, on every engine.
     pub fn try_run(&self, seq: &Seq) -> Result<Analysis, ReproError> {
+        self.scoring.check_range(seq.len())?;
         let mut rec = if self.trace {
             FlightRecorder::with_events(DEFAULT_EVENT_CAP)
         } else {
@@ -418,6 +434,9 @@ impl Repro {
                 // outlive any one borrow of the recorder); fold them in.
                 rec.add(Counter::TaskClaims, out.task_claims);
                 rec.add_phase_secs(Phase::WorkerIdle, out.idle_secs);
+                if out.result.stats.tracebacks > 0 {
+                    rec.add_phase_secs(Phase::Traceback, out.traceback_secs);
+                }
                 rec.add(Counter::SupersededWork, out.superseded_sweeps);
                 rec.add(Counter::GroupSweeps, out.simd.group_sweeps);
                 rec.add(Counter::NarrowSaturations, out.simd.saturation_fallbacks);
@@ -440,6 +459,9 @@ impl Repro {
                 );
                 rec.add(Counter::TaskClaims, out.task_claims);
                 rec.add_phase_secs(Phase::WorkerIdle, out.idle_secs);
+                if out.result.stats.tracebacks > 0 {
+                    rec.add_phase_secs(Phase::Traceback, out.traceback_secs);
+                }
                 rec.add(Counter::SupersededWork, out.superseded_alignments);
                 for m in Metric::ALL {
                     rec.observe_hist(m, out.hists.get(m));
@@ -581,6 +603,37 @@ mod tests {
             panic!("expected a dispatch error, got {err:?}");
         };
         assert!(e.to_string().contains("sse2"), "{e}");
+    }
+
+    #[test]
+    fn overflowing_scoring_is_a_typed_error_on_every_engine() {
+        let seq = Seq::dna(&"ATGC".repeat(8)).unwrap();
+        let huge = Scoring::new(
+            ExchangeMatrix::match_mismatch(Alphabet::Dna, i32::MAX / 16, -1),
+            GapPenalties::new(2, 1),
+        );
+        for engine in [
+            Engine::Sequential,
+            Engine::Threads(2),
+            Engine::SimdDispatch {
+                width: None,
+                path: None,
+            },
+            Engine::Cluster { workers: 2 },
+        ] {
+            let err = Repro::new(huge.clone())
+                .engine(engine)
+                .try_run(&seq)
+                .unwrap_err();
+            let ReproError::ScoreRange(e) = err else {
+                panic!("expected a score-range error, got {err:?}");
+            };
+            assert_eq!(e.len, seq.len());
+            assert!(e.to_string().contains("overflow 32 bits"), "{e}");
+        }
+        // The same matrix on one residue pair is representable.
+        let tiny = Seq::dna("AA").unwrap();
+        assert!(Repro::new(huge).try_run(&tiny).is_ok());
     }
 
     #[test]

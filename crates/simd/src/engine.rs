@@ -32,7 +32,7 @@ use crate::LaneWidth;
 use repro_align::{QueryProfile, Score, Scoring, Seq};
 use repro_core::bottom::best_valid_entry_counted;
 use repro_core::{
-    accept_task, BottomRowStore, DirtyLog, OverrideTriangle, SeedConfig, SplitBounds, Stats,
+    BottomRowStore, DirtyLog, OverrideTriangle, ScoredSeq, SeedConfig, SplitBounds, Stats,
     TopAlignment, TopAlignments,
 };
 use repro_obs::{Counter, Metric, NoopRecorder, Phase, Progress, Recorder};
@@ -476,6 +476,8 @@ fn run<R: Recorder>(
     let group_lanes = |gi: usize| lanes.min(splits - gi * lanes);
 
     let sweeper = GroupSweeper::new(seq, scoring, sel);
+    // Acceptance traces back through the scalar full-matrix kernel.
+    let scalar = ScoredSeq::new(seq, scoring);
 
     let mut triangle = OverrideTriangle::new(m);
     let mut bottomstore = BottomRowStore::new(m);
@@ -588,15 +590,8 @@ fn run<R: Recorder>(
                 .expect("groups are never empty");
             let r = group_r0(gi) + best_l;
             let index = tops_found;
-            let (top, cells) = accept_task(
-                seq,
-                scoring,
-                r,
-                best_score,
-                &mut triangle,
-                &bottomstore,
-                index,
-            );
+            let (top, cells) =
+                scalar.accept_task(r, best_score, &mut triangle, &bottomstore, index);
             stats.record_traceback(cells);
             if incremental {
                 dirty.record_accept(&top.pairs);
