@@ -108,6 +108,11 @@ fn extract(doc: &Json) -> Vec<MetricVal> {
                     out.push(m(format!("cluster:{workers}w:proc_overhead"), v, false));
                 }
             }
+            for key in ["proc_over_seq", "result_frames_per_task"] {
+                if let Some(v) = f(doc.get("small_task").and_then(|t| t.get(key))) {
+                    out.push(m(format!("cluster:small_task:{key}"), v, false));
+                }
+            }
         }
         "simd_sweep" => {
             for k in doc.get("kernels").and_then(Json::as_arr).unwrap_or(&[]) {
@@ -300,8 +305,19 @@ mod tests {
             "prune:sparse_island:sequential:wall_ratio"
         );
 
-        let cluster = doc(r#"{"bench":"cluster_real","transports":[{"workers":2,"overhead":1.0}]}"#);
-        assert_eq!(extract(&cluster)[0].name, "cluster:2w:proc_overhead");
+        let cluster = doc(
+            r#"{"bench":"cluster_real","transports":[{"workers":2,"overhead":1.0}],
+                "small_task":{"proc_over_seq":1.2,"result_frames_per_task":0.4}}"#,
+        );
+        let names: Vec<String> = extract(&cluster).into_iter().map(|m| m.name).collect();
+        assert_eq!(
+            names,
+            [
+                "cluster:2w:proc_overhead",
+                "cluster:small_task:proc_over_seq",
+                "cluster:small_task:result_frames_per_task"
+            ]
+        );
 
         let simd = doc(
             r#"{"bench":"simd_sweep","kernels":[

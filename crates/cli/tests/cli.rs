@@ -445,7 +445,7 @@ fn worker_subcommand_requires_connect() {
 /// protocol, driven from the master's side of the wire.
 #[test]
 fn worker_subcommand_serves_a_real_master_over_sockets() {
-    use repro::cluster::protocol::{tag, JobMsg, ResultMsg, TaskItem, TaskMsg};
+    use repro::cluster::protocol::{tag, JobMsg, ResultsMsg, TaskItem, TaskMsg};
     use repro::xmpi::socket::SocketHub;
     use repro::xmpi::Comm;
     use repro::{Scoring, Seq};
@@ -496,7 +496,11 @@ fn worker_subcommand_serves_a_real_master_over_sockets() {
     hub.send(1, tag::TASK, task.encode()).unwrap();
     let res = loop {
         match hub.recv_timeout(Duration::from_millis(200)) {
-            Ok(m) if m.tag == tag::RESULT => break ResultMsg::decode(&m.payload).unwrap(),
+            Ok(m) if m.tag == tag::RESULT => {
+                let mut frame = ResultsMsg::decode(&m.payload).unwrap();
+                assert_eq!(frame.items.len(), 1, "one task, one result");
+                break frame.items.remove(0);
+            }
             Ok(_) => {}
             Err(_) if Instant::now() < deadline => {}
             Err(e) => panic!("no RESULT from the worker process: {e:?}"),

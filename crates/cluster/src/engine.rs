@@ -3,13 +3,21 @@
 //!
 //! Rank 0 is the sacrificed master (paper §4.3); ranks `1..P` are
 //! workers holding a replicated override triangle and a cache of
-//! first-pass bottom rows. A worker defers any task stamped with a
-//! triangle version its replica has not reached yet — an ACCEPTED
-//! broadcast and a TASK travel independently, and computing under a
-//! too-old triangle would inflate a score that the master would then
-//! trust as exact. (Computing under a *newer* replica is provably safe:
-//! the result is still a valid upper bound and can never be mistaken for
-//! fresh.)
+//! first-pass bottom rows. A worker handles its inbox strictly in
+//! arrival order and reads the next message only when nothing it holds
+//! can run: every task item goes into one run queue, and an item
+//! stamped with a triangle version the replica has not reached yet
+//! waits there — an ACCEPTED broadcast and a TASK travel independently,
+//! and a sweep under a too-old triangle is work the master could only
+//! file as stale. What an item is computed against is therefore decided
+//! by the order of the master's messages, never by how their arrival
+//! interleaves with the sweeps, and a result reports that version (the
+//! replica's, at or past the task's stamp): the master trusts a score
+//! as exact only when the version is its own. The worker announces
+//! `PREFETCH_SLOTS` capacity slots, so the next batch is already in its
+//! inbox when the current one ends, and it sends a batch's results in
+//! as few frames as the acceptance rule and the master's liveness clock
+//! allow.
 //!
 //! The master side runs the recovery loop of [`crate::recovery`]:
 //! per-task deadlines with retransmission and exponential backoff,
@@ -19,17 +27,17 @@
 //! ACCEPTED broadcast went missing, and watches its own deadline so a
 //! dead master never leaves a thread hanging.
 
-use crate::protocol::{tag, AcceptedMsg, ResultMsg, ResyncMsg, TaskItem, TaskMsg, TelemetryMsg};
-use crate::recovery::{
-    already_deferred, idle_payload, master_loop, RecoveryConfig, BEACON_PERIOD, WORKER_POLL,
+use crate::protocol::{
+    tag, AcceptedMsg, ResultMsg, ResultsMsg, ResyncMsg, TaskItem, TaskMsg, TelemetryMsg,
 };
+use crate::recovery::{idle_payload, master_loop, RecoveryConfig, BEACON_PERIOD, WORKER_POLL};
 use repro_align::{Score, Scoring, Seq};
 use repro_core::seed::SeedConfig;
 use repro_core::{DirtyLog, IncrementalSweeper, OverrideTriangle, ScoredSeq, TopAlignments};
 use repro_obs::{Counter, FlightRecorder, Metric, NoopRecorder, Recorder};
 use repro_xmpi::thread::{FaultPlan, ThreadComm};
-use repro_xmpi::{Comm, RecvError};
-use std::collections::{HashMap, HashSet};
+use repro_xmpi::{Comm, Message, RecvError, SendError};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
 /// Distributed-engine failure modes.
@@ -257,10 +265,72 @@ fn run_cluster<R: Recorder>(
     result.map(|r| ClusterResult { result: r, ranks })
 }
 
+/// Task frames a worker asks the master to keep with it, each a
+/// capacity slot announced by IDLE: one batch being swept and one
+/// waiting in the inbox behind it, so the end of a batch never waits a
+/// master round trip. Depth 3 measured slower than 2 (EXPERIMENTS.md,
+/// PR 15).
+pub(crate) const PREFETCH_SLOTS: usize = 2;
+
+/// One item of a received task frame, waiting its turn.
+struct Queued {
+    /// Replica version the item must at least run under.
+    stamp: usize,
+    /// Which received frame it came in (a worker-local count): results
+    /// are coalesced per task frame.
+    frame: u64,
+    item: TaskItem,
+}
+
+/// A worker rank's whole state: replica, caches, run queue, telemetry.
+struct Worker<'a, C: Comm> {
+    input: ScoredSeq<'a>,
+    comm: C,
+    triangle: OverrideTriangle,
+    /// ACCEPTED broadcasts applied so far: the replica's version.
+    applied: usize,
+    rows: HashMap<usize, Vec<Score>>,
+    // Incremental realignment state, tracking this worker's replica:
+    // the dirty log records exactly the ACCEPTED broadcasts applied, so
+    // its version always equals `applied`.
+    incr: Option<IncrementalSweeper>,
+    dirty: DirtyLog,
+    /// Every received task item not yet run, in arrival order. An item
+    /// runs once the replica has reached its stamp.
+    queue: VecDeque<Queued>,
+    frames_seen: u64,
+    /// Results computed and not yet sent, all of the task frame being
+    /// run: a frame's items share one stamp and nothing is read while an
+    /// item can run, so a frame runs to its end once it starts.
+    held: Vec<ResultMsg>,
+    /// Some held result answers an attempt that was answered before.
+    held_repeat: bool,
+    /// When this worker last sent the master a result or a beacon — any
+    /// of its traffic refreshes the master's liveness clock, and held
+    /// results must not stop it.
+    last_sent: Instant,
+    /// Attempts whose result we already sent once: receiving them again
+    /// means that result was lost, so its replacement is sent twice (a
+    /// single copy can phase-lock with a deterministic loss pattern).
+    sent: HashSet<(usize, u64)>,
+    last_master: Instant,
+    // This worker's own telemetry: sweep/resume/queue-wait samples and
+    // the scratch-pool tally, shipped home as cumulative snapshots on
+    // the beacon cadence. Pure observability — every frame may be lost
+    // without changing the search result.
+    wrec: FlightRecorder,
+    tele_seq: u64,
+    pool_sent: u64,
+    idle_since: Instant,
+    /// Test hook: extra wall time every sweep takes.
+    #[cfg(test)]
+    sweep_pad: Duration,
+}
+
 /// The worker body, generic over the transport: the exact same loop
 /// serves a simulator thread (rank = a `ThreadComm` endpoint) and a
 /// worker process (rank = a `SocketPeer`). See the module docs for the
-/// defer/resync discipline.
+/// message-order/hold-back/resync discipline.
 pub(crate) fn worker_loop<C: Comm>(
     seq: &Seq,
     scoring: &Scoring,
@@ -268,140 +338,92 @@ pub(crate) fn worker_loop<C: Comm>(
     deadline: Duration,
     checkpoint_budget: Option<usize>,
 ) {
-    let input = ScoredSeq::new(seq, scoring);
-    let mut triangle = OverrideTriangle::new(seq.len());
-    let mut applied = 0usize; // ACCEPTED broadcasts applied so far
-    let mut rows: HashMap<usize, Vec<Score>> = HashMap::new();
-    // Incremental realignment state, tracking this worker's replica:
-    // the dirty log records exactly the ACCEPTED broadcasts applied, so
-    // its version always equals `applied`.
-    let mut incr = checkpoint_budget.map(IncrementalSweeper::new);
-    let mut dirty = DirtyLog::new();
-    let mut deferred: Vec<TaskMsg> = Vec::new();
-    // Attempts whose result we already sent once: receiving them again
-    // means that result was lost, so its replacement is sent twice (a
-    // single copy can phase-lock with a deterministic loss pattern).
-    let mut sent: HashSet<(usize, u64)> = HashSet::new();
-    let mut last_master = Instant::now();
-    let mut next_beacon = Instant::now(); // fires immediately: first IDLE
-    // This worker's own telemetry: sweep/resume/queue-wait samples and
-    // the scratch-pool tally, shipped home as cumulative snapshots on
-    // the beacon cadence. Pure observability — every frame may be lost
-    // without changing the search result.
-    let mut wrec = FlightRecorder::new();
-    let mut tele_seq: u64 = 0;
-    let mut pool_sent: u64 = 0;
-    let mut idle_since = Instant::now();
+    Worker::new(seq, scoring, comm, checkpoint_budget).serve(deadline);
+}
 
-    loop {
-        // Run any deferred task whose stamp the replica has reached.
-        // Deferred frames are single-item (batches are exploded at
-        // receipt), so one pop runs one split.
-        if let Some(pos) = deferred.iter().position(|t| t.stamp <= applied) {
-            let task = deferred.swap_remove(pos);
-            let stamp = task.stamp;
-            let item = task
-                .items
-                .into_iter()
-                .next()
-                .expect("deferred frames are single-item");
-            let repeat = !sent.insert((item.r, item.attempt));
-            wrec.observe(Metric::QueueWaitNs, idle_since.elapsed().as_nanos() as u64);
-            if !run_task(
-                &input, &comm, &triangle, &mut rows, &mut incr, &dirty, applied, stamp, item,
-                repeat, &mut wrec,
-            ) {
-                return; // endpoint (ours or the master's) is dead
-            }
-            idle_since = Instant::now();
-            continue;
-        }
+impl<'a, C: Comm> Worker<'a, C> {
+    fn new(
+        seq: &'a Seq,
+        scoring: &'a Scoring,
+        comm: C,
+        checkpoint_budget: Option<usize>,
+    ) -> Self {
         let now = Instant::now();
-        if now.duration_since(last_master) > deadline {
-            return; // master has gone silent for the whole budget
+        Worker {
+            input: ScoredSeq::new(seq, scoring),
+            comm,
+            triangle: OverrideTriangle::new(seq.len()),
+            applied: 0,
+            rows: HashMap::new(),
+            incr: checkpoint_budget.map(IncrementalSweeper::new),
+            dirty: DirtyLog::new(),
+            queue: VecDeque::new(),
+            frames_seen: 0,
+            held: Vec::new(),
+            held_repeat: false,
+            last_sent: now,
+            sent: HashSet::new(),
+            last_master: now,
+            wrec: FlightRecorder::new(),
+            tele_seq: 0,
+            pool_sent: 0,
+            idle_since: now,
+            #[cfg(test)]
+            sweep_pad: Duration::ZERO,
         }
-        if now >= next_beacon {
-            // Free workers re-announce IDLE (idempotent at the master —
-            // it dedupes per slot — and robust to a lost first one);
-            // workers stuck on deferred work send a liveness heartbeat
-            // and ask for the acceptances their replica is missing.
-            let beacon = if deferred.is_empty() {
-                comm.send(0, tag::IDLE, idle_payload(0))
-            } else {
-                // Sent as a pair: a lone copy each period can land on
-                // the same phase of a deterministic loss pattern every
-                // time, starving the replica forever. Any received
-                // traffic refreshes liveness at the master, so the
-                // resync request doubles as the heartbeat.
-                let _ = comm.send(0, tag::RESYNC, ResyncMsg { applied }.encode());
-                comm.send(0, tag::RESYNC, ResyncMsg { applied }.encode())
-            };
-            if beacon.is_err() {
-                return;
+    }
+
+    /// Serve the master until DONE, a dead endpoint, or `deadline` of
+    /// silence from it.
+    fn serve(mut self, deadline: Duration) {
+        let mut next_beacon = Instant::now(); // fires immediately: first IDLE
+        loop {
+            if let Some(pos) = self.queue.iter().position(|q| q.stamp <= self.applied) {
+                if !self.run(pos) {
+                    return; // endpoint (ours or the master's) is dead
+                }
+                continue;
             }
-            // Ship the cumulative telemetry snapshot alongside the
-            // beacon. The sweeper's pool tally lives outside the
-            // recorder, so fold its growth in first.
-            let pool = incr.as_ref().map_or(0, |s| s.pool_reuses());
-            wrec.add(Counter::PoolReuses, pool - pool_sent);
-            pool_sent = pool;
-            tele_seq += 1;
-            let frame = TelemetryMsg {
-                seq: tele_seq,
-                fin: false,
-                snap: wrec.telemetry_snapshot(),
-            };
-            if comm.send(0, tag::TELEMETRY, frame.encode()).is_err() {
-                return;
+            let now = Instant::now();
+            if now.duration_since(self.last_master) > deadline {
+                return; // master has gone silent for the whole budget
             }
-            next_beacon = now + BEACON_PERIOD;
+            if now >= next_beacon {
+                if !self.beacon() {
+                    return;
+                }
+                next_beacon = now + BEACON_PERIOD;
+            }
+            match self.comm.recv_timeout(WORKER_POLL) {
+                Ok(msg) => {
+                    if !self.on_message(msg) {
+                        return;
+                    }
+                }
+                Err(RecvError::Timeout) => {}
+                Err(RecvError::Disconnected) => return,
+            }
         }
-        let msg = match comm.recv_timeout(WORKER_POLL) {
-            Ok(m) => m,
-            Err(RecvError::Timeout) => continue,
-            Err(RecvError::Disconnected) => return,
-        };
-        last_master = Instant::now();
+    }
+
+    /// Handle one message from the master. Returns `false` on DONE.
+    fn on_message(&mut self, msg: Message) -> bool {
+        self.last_master = Instant::now();
         match msg.tag {
             tag::TASK => {
                 let Ok(task) = TaskMsg::decode(&msg.payload) else {
-                    continue; // corrupted; the master will retransmit
+                    return true; // corrupted; the master will retransmit
                 };
-                let stamp = task.stamp;
-                if stamp <= applied {
-                    // Run the batch back to back, streaming one result
-                    // per item — consecutive items are neighbouring
-                    // splits (bound locality), so their checkpoint and
-                    // row-cache state stays hot between runs.
-                    let mut dead = false;
-                    for item in task.items {
-                        let repeat = !sent.insert((item.r, item.attempt));
-                        wrec.observe(
-                            Metric::QueueWaitNs,
-                            idle_since.elapsed().as_nanos() as u64,
-                        );
-                        if !run_task(
-                            &input, &comm, &triangle, &mut rows, &mut incr, &dirty, applied, stamp,
-                            item, repeat, &mut wrec,
-                        ) {
-                            dead = true;
-                            break;
-                        }
-                        idle_since = Instant::now();
-                    }
-                    if dead {
-                        return;
-                    }
-                } else {
-                    // Replica lags the whole batch (one stamp per
-                    // frame: all-run-or-all-defer). Defer each item as
-                    // its own single-item frame so per-item
-                    // retransmissions dedupe against it.
-                    for item in task.items {
-                        let single = TaskMsg::single(stamp, item);
-                        if !already_deferred(&deferred, &single) {
-                            deferred.push(single);
-                        }
+                self.frames_seen += 1;
+                for item in task.items {
+                    // A retransmission of an item still waiting here
+                    // will be answered when that one runs.
+                    if !self.queue.iter().any(|q| q.item.same_attempt(&item)) {
+                        self.queue.push_back(Queued {
+                            stamp: task.stamp,
+                            frame: self.frames_seen,
+                            item,
+                        });
                     }
                 }
             }
@@ -409,163 +431,247 @@ pub(crate) fn worker_loop<C: Comm>(
                 let Ok(acc) = AcceptedMsg::decode(&msg.payload) else {
                     // A corrupted acceptance would leave the replica
                     // behind forever; ask for it again right away.
-                    let _ = comm.send(0, tag::RESYNC, ResyncMsg { applied }.encode());
-                    continue;
+                    let _ = self.request_resync();
+                    return true;
                 };
                 // Acceptances must be applied *in order*: if index k
                 // was lost and k+1 arrives first, applying it and
-                // claiming stamp k+2 would leave k's override pairs
+                // claiming version k+2 would leave k's override pairs
                 // silently missing — and every score computed under
                 // that replica would be wrongly trusted as fresh.
-                if acc.index > applied {
-                    let _ = comm.send(0, tag::RESYNC, ResyncMsg { applied }.encode());
-                    continue;
-                }
-                if acc.index < applied {
-                    continue; // duplicate of an already-applied acceptance
-                }
-                for &(p, q) in &acc.pairs {
-                    triangle.set(p, q);
-                }
-                if incr.is_some() {
-                    dirty.record_accept(&acc.pairs);
-                }
-                applied += 1;
+                if acc.index > self.applied {
+                    let _ = self.request_resync();
+                } else if acc.index == self.applied {
+                    for &(p, q) in &acc.pairs {
+                        self.triangle.set(p, q);
+                    }
+                    if self.incr.is_some() {
+                        self.dirty.record_accept(&acc.pairs);
+                    }
+                    self.applied += 1;
+                } // else: duplicate of an already-applied acceptance
             }
             tag::DONE => {
                 // Final (`fin`) snapshot, sent twice so a period-2 loss
                 // pattern cannot swallow the worker's whole telemetry
                 // tail. Failures are moot: we are exiting either way.
-                let pool = incr.as_ref().map_or(0, |s| s.pool_reuses());
-                wrec.add(Counter::PoolReuses, pool - pool_sent);
-                tele_seq += 1;
-                let frame = TelemetryMsg {
-                    seq: tele_seq,
-                    fin: true,
-                    snap: wrec.telemetry_snapshot(),
-                };
-                let payload = frame.encode();
-                let _ = comm.send(0, tag::TELEMETRY, payload.clone());
-                let _ = comm.send(0, tag::TELEMETRY, payload);
-                return;
+                let payload = self.telemetry(true);
+                let _ = self.comm.send(0, tag::TELEMETRY, payload.clone());
+                let _ = self.comm.send(0, tag::TELEMETRY, payload);
+                return false;
             }
             _ => {} // stray tag: ignore
         }
+        true
     }
-}
 
-/// Compute one task and send its result. Returns `false` when the
-/// send proves an endpoint dead (ours or the master's), which is the
-/// worker's cue to exit; injected drops stay invisible and are healed
-/// by the master's retransmission.
-#[allow(clippy::too_many_arguments)] // the worker loop threads its whole replica state
-fn run_task<C: Comm>(
-    input: &ScoredSeq,
-    comm: &C,
-    triangle: &OverrideTriangle,
-    rows: &mut HashMap<usize, Vec<Score>>,
-    incr: &mut Option<IncrementalSweeper>,
-    dirty: &DirtyLog,
-    applied: usize,
-    stamp: usize,
-    task: TaskItem,
-    repeat: bool,
-    wrec: &mut FlightRecorder,
-) -> bool {
-    if !task.first {
-        if let Some(row) = &task.row {
-            rows.insert(task.r, row.clone());
-        }
+    fn request_resync(&self) -> Result<(), SendError> {
+        let applied = self.applied;
+        self.comm
+            .send(0, tag::RESYNC, ResyncMsg { applied }.encode())
     }
-    let sweep_t0 = Instant::now();
-    // The incremental path serves realignments, and first passes while
-    // the replica is still pristine. A first pass under a grown replica
-    // — a late one behind the master's seed bounds, or a retransmitted
-    // attempt racing an acceptance — takes the plain path and leaves
-    // the sweeper alone: seeding it there was measured (EXPERIMENTS.md,
-    // PR 13) to buy a few checkpoint hits and no wall time on the
-    // tandem inputs this engine is benchmarked on, for 20–30 % more
-    // resident memory.
-    let use_incr = incr.is_some() && (!task.first || applied == 0);
-    let (score, shadow_rejections, cells, incr_tallies, first_row) = if use_incr {
-        let sweeper = incr.as_mut().expect("checked incr.is_some()");
-        if task.first {
-            let res = sweeper.first_pass(input, task.r, triangle, 0);
-            let row = res.first_row.expect("first pass returns its row");
-            rows.insert(task.r, row.clone());
-            (res.score, 0, res.cells, [0; 4], Some(row))
+
+    /// The beacon of a worker with nothing to run. Returns `false` when
+    /// a send proves an endpoint dead.
+    fn beacon(&mut self) -> bool {
+        // A free worker re-announces every slot as IDLE (idempotent at
+        // the master — it dedupes per slot — and robust to a lost first
+        // one); a worker whose whole queue waits for acceptances sends
+        // a liveness heartbeat and asks for the ones its replica is
+        // missing.
+        let sent = if self.queue.is_empty() {
+            (0..PREFETCH_SLOTS)
+                .try_for_each(|slot| self.comm.send(0, tag::IDLE, idle_payload(slot)))
         } else {
-            let original = rows
-                .get(&task.r)
-                .expect("realignment without cached or attached row");
-            let sweep = sweeper.realign(input, task.r, triangle, original, dirty, applied as u64);
-            let tallies = [
-                u64::from(sweep.hit()),
-                u64::from(!sweep.hit()),
-                sweep.rows_swept,
-                sweep.rows_skipped,
-            ];
-            wrec.observe(Metric::ResumeRows, sweep.rows_swept);
-            (
-                sweep.result.score,
-                sweep.result.shadow_rejections,
-                sweep.result.cells,
-                tallies,
-                None,
-            )
+            // Sent as a pair: a lone copy each period can land on
+            // the same phase of a deterministic loss pattern every
+            // time, starving the replica forever. Any received
+            // traffic refreshes liveness at the master, so the
+            // resync request doubles as the heartbeat.
+            self.request_resync().and_then(|()| self.request_resync())
+        };
+        self.last_sent = Instant::now();
+        // Ship the cumulative telemetry snapshot alongside the beacon.
+        let payload = self.telemetry(false);
+        sent.is_ok() && self.comm.send(0, tag::TELEMETRY, payload).is_ok()
+    }
+
+    /// The next cumulative telemetry frame. The sweeper's pool tally
+    /// lives outside the recorder, so its growth is folded in first.
+    fn telemetry(&mut self, fin: bool) -> Vec<u8> {
+        let pool = self.incr.as_ref().map_or(0, |s| s.pool_reuses());
+        self.wrec.add(Counter::PoolReuses, pool - self.pool_sent);
+        self.pool_sent = pool;
+        self.tele_seq += 1;
+        TelemetryMsg {
+            seq: self.tele_seq,
+            fin,
+            snap: self.wrec.telemetry_snapshot(),
         }
-    } else if task.first {
-        // Possibly under a grown replica — the master prunes with seed
-        // bounds, so accepts can precede a first pass. The row every
-        // later realignment diffs against must be the CLEAN bottom row;
-        // the score reflects the mask.
-        let res = repro_core::late_first_pass(input, task.r, triangle, None);
-        let row = res.first_row.expect("first pass returns its row");
-        rows.insert(task.r, row.clone());
-        (res.score, res.shadow_rejections, res.cells, [0; 4], Some(row))
-    } else {
-        let original = rows
-            .get(&task.r)
-            .expect("realignment without cached or attached row");
-        let res = input.align_task(task.r, triangle, Some(original), None);
-        (res.score, res.shadow_rejections, res.cells, [0; 4], None)
-    };
-    wrec.observe(Metric::SweepNs, sweep_t0.elapsed().as_nanos() as u64);
-    // The shipped bound dominates any score computed at or past the
-    // task's stamp (masking monotonicity); a violation would mean the
-    // master's seed index is broken.
-    debug_assert!(
-        score <= task.bound,
-        "split {}: score {} above shipped bound {}",
-        task.r,
-        score,
-        task.bound
-    );
-    let res = ResultMsg {
-        r: task.r,
-        stamp,
-        attempt: task.attempt,
-        score,
-        cells,
-        shadow_rejections,
-        incr: incr_tallies,
-        first_row,
-    };
-    let payload = res.encode();
-    // A repeat means the first copy was lost en route: send two copies
-    // back to back so a period-2 loss pattern cannot swallow both.
-    for _ in 0..if repeat { 2 } else { 1 } {
-        if comm.send(0, tag::RESULT, payload.clone()).is_err() {
+        .encode()
+    }
+
+    /// Run the queued item at `pos` and hold or send its result.
+    /// Returns `false` when a send proves an endpoint dead (ours or the
+    /// master's), which is the worker's cue to exit; injected drops
+    /// stay invisible and are healed by the master's retransmission.
+    fn run(&mut self, pos: usize) -> bool {
+        let Queued { frame, item, .. } = self.queue.remove(pos).expect("position is in range");
+        // Held results wait only while the master has heard from this
+        // worker within a beacon period: a busy worker sends nothing
+        // else, and a frame of slow sweeps held to its end would look
+        // like a dead rank.
+        let overdue = self.last_sent.elapsed() >= BEACON_PERIOD;
+        if !self.held.is_empty() && overdue && !self.flush() {
             return false;
         }
+        self.held_repeat |= !self.sent.insert((item.r, item.attempt));
+        self.wrec.observe(
+            Metric::QueueWaitNs,
+            self.idle_since.elapsed().as_nanos() as u64,
+        );
+        let res = self.sweep(item);
+        // The master cannot accept this split while a higher stale
+        // bound of the same frame is outstanding, and the frame's slot
+        // is not credited before its last item settles: until the score
+        // reaches every bound still queued from the frame, holding the
+        // result delays neither this split's acceptance nor the refill.
+        let score = res.score;
+        let mut rest = self.queue.iter().filter(|q| q.frame == frame);
+        let send_now = rest.all(|q| score >= q.item.bound);
+        self.held.push(res);
+        let alive = !send_now || self.flush();
+        self.idle_since = Instant::now();
+        alive
     }
-    true
+
+    /// Send the held results as one frame. A repeat among them means an
+    /// earlier copy was lost en route: send two copies back to back so
+    /// a period-2 loss pattern cannot swallow both.
+    fn flush(&mut self) -> bool {
+        self.last_sent = Instant::now();
+        let payload = ResultsMsg {
+            items: std::mem::take(&mut self.held),
+        }
+        .encode();
+        if std::mem::take(&mut self.held_repeat)
+            && self.comm.send(0, tag::RESULT, payload.clone()).is_err()
+        {
+            return false;
+        }
+        self.comm.send(0, tag::RESULT, payload).is_ok()
+    }
+
+    /// Compute one task against the replica as it stands.
+    fn sweep(&mut self, task: TaskItem) -> ResultMsg {
+        let (input, triangle, applied) = (&self.input, &self.triangle, self.applied);
+        if !task.first {
+            if let Some(row) = task.row {
+                self.rows.insert(task.r, row);
+            }
+        }
+        let sweep_t0 = Instant::now();
+        #[cfg(test)]
+        std::thread::sleep(self.sweep_pad);
+        // The incremental path serves realignments, and first passes while
+        // the replica is still pristine. A first pass under a grown replica
+        // — a late one behind the master's seed bounds, or a retransmitted
+        // attempt racing an acceptance — takes the plain path and leaves
+        // the sweeper alone: seeding it there was measured (EXPERIMENTS.md,
+        // PR 13) to buy a few checkpoint hits and no wall time on the
+        // tandem inputs this engine is benchmarked on, for 20–30 % more
+        // resident memory.
+        let use_incr = self.incr.is_some() && (!task.first || applied == 0);
+        let (score, shadow_rejections, cells, incr_tallies, first_row) = if use_incr {
+            let sweeper = self.incr.as_mut().expect("checked incr.is_some()");
+            if task.first {
+                let res = sweeper.first_pass(input, task.r, triangle, 0);
+                let row = res.first_row.expect("first pass returns its row");
+                self.rows.insert(task.r, row.clone());
+                (res.score, 0, res.cells, [0; 4], Some(row))
+            } else {
+                let original = self
+                    .rows
+                    .get(&task.r)
+                    .expect("realignment without cached or attached row");
+                let sweep = sweeper.realign(
+                    input,
+                    task.r,
+                    triangle,
+                    original,
+                    &self.dirty,
+                    applied as u64,
+                );
+                let tallies = [
+                    u64::from(sweep.hit()),
+                    u64::from(!sweep.hit()),
+                    sweep.rows_swept,
+                    sweep.rows_skipped,
+                ];
+                self.wrec.observe(Metric::ResumeRows, sweep.rows_swept);
+                (
+                    sweep.result.score,
+                    sweep.result.shadow_rejections,
+                    sweep.result.cells,
+                    tallies,
+                    None,
+                )
+            }
+        } else if task.first {
+            // Possibly under a grown replica — the master prunes with seed
+            // bounds, so accepts can precede a first pass. The row every
+            // later realignment diffs against must be the CLEAN bottom row;
+            // the score reflects the mask.
+            let res = repro_core::late_first_pass(input, task.r, triangle, None);
+            let row = res.first_row.expect("first pass returns its row");
+            self.rows.insert(task.r, row.clone());
+            (
+                res.score,
+                res.shadow_rejections,
+                res.cells,
+                [0; 4],
+                Some(row),
+            )
+        } else {
+            let original = self
+                .rows
+                .get(&task.r)
+                .expect("realignment without cached or attached row");
+            let res = input.align_task(task.r, triangle, Some(original), None);
+            (res.score, res.shadow_rejections, res.cells, [0; 4], None)
+        };
+        self.wrec
+            .observe(Metric::SweepNs, sweep_t0.elapsed().as_nanos() as u64);
+        // The shipped bound dominates any score computed at or past the
+        // task's stamp (masking monotonicity); a violation would mean the
+        // master's seed index is broken.
+        debug_assert!(
+            score <= task.bound,
+            "split {}: score {} above shipped bound {}",
+            task.r,
+            score,
+            task.bound
+        );
+        ResultMsg {
+            r: task.r,
+            stamp: applied,
+            attempt: task.attempt,
+            score,
+            cells,
+            shadow_rejections,
+            incr: incr_tallies,
+            first_row,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use repro_core::find_top_alignments;
+    use crate::master::MAX_BATCH;
+    use std::cell::RefCell;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     const DL: Duration = Duration::from_secs(10);
 
@@ -998,6 +1104,262 @@ mod tests {
             }
         }
         assert!(folds > 0, "telemetry events must appear in the log");
+    }
+
+    /// A scripted master end for `worker_loop`, run on the test thread:
+    /// every blocking receive — the worker has nothing left it can run —
+    /// is served the next scripted message, DONE once the script is
+    /// exhausted, and every receive and every RESULT frame is logged in
+    /// order.
+    struct Scripted {
+        script: RefCell<VecDeque<Message>>,
+        log: RefCell<Vec<Logged>>,
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Logged {
+        /// The worker read a message with this tag.
+        Received(u32),
+        /// A RESULT frame went out: `(r, attempt, stamp)` per item.
+        Results(Vec<(usize, u64, usize)>),
+    }
+
+    impl Comm for Scripted {
+        fn rank(&self) -> usize {
+            1
+        }
+        fn size(&self) -> usize {
+            2
+        }
+        fn send(&self, _to: usize, tag: u32, payload: Vec<u8>) -> Result<(), SendError> {
+            if tag == tag::RESULT {
+                let frame = ResultsMsg::decode(&payload).expect("worker frames decode");
+                let items = frame.items.iter().map(|i| (i.r, i.attempt, i.stamp));
+                self.log.borrow_mut().push(Logged::Results(items.collect()));
+            }
+            Ok(())
+        }
+        fn recv_timeout(&self, _timeout: Duration) -> Result<Message, RecvError> {
+            let msg = self.script.borrow_mut().pop_front().unwrap_or(Message {
+                from: 0,
+                tag: tag::DONE,
+                payload: Vec::new(),
+            });
+            self.log.borrow_mut().push(Logged::Received(msg.tag));
+            Ok(msg)
+        }
+        fn try_recv(&self) -> Option<Message> {
+            None
+        }
+    }
+
+    #[test]
+    fn message_order_alone_decides_what_an_item_is_computed_against() {
+        let seq = Seq::dna("ATGCATGCATGC").unwrap();
+        let scoring = Scoring::dna_example();
+        let tops = find_top_alignments(&seq, &scoring, 2).alignments;
+        let input = ScoredSeq::new(&seq, &scoring);
+        let clean = |r| {
+            input
+                .align_task(r, &OverrideTriangle::new(seq.len()), None, None)
+                .score
+        };
+        let task = |stamp, items: &[(usize, Score)]| {
+            let items = items.iter().map(|&(r, bound)| TaskItem {
+                r,
+                attempt: 1,
+                first: true,
+                bound,
+                row: None,
+            });
+            let payload = TaskMsg {
+                stamp,
+                items: items.collect(),
+            }
+            .encode();
+            Message {
+                from: 0,
+                tag: tag::TASK,
+                payload,
+            }
+        };
+        let accepted = |index: usize| Message {
+            from: 0,
+            tag: tag::ACCEPTED,
+            payload: AcceptedMsg {
+                index,
+                pairs: tops[index].pairs.clone(),
+            }
+            .encode(),
+        };
+        // Split 4's score equals split 8's bound (the sequence is its
+        // own mirror image there), so 4's result may not wait for 8.
+        assert_eq!(clean(4), clean(8));
+        let comm = Scripted {
+            script: RefCell::new(VecDeque::from([
+                task(0, &[(4, clean(4)), (8, clean(8))]),
+                // The prefetched batch, and the acceptance that lands
+                // behind it while the first batch is being swept.
+                // Unseeded bounds: 2's result waits for 6.
+                task(0, &[(2, Score::MAX), (6, Score::MAX)]),
+                accepted(0),
+                // Ahead of the replica: waits, and its retransmitted
+                // twin is dropped on receipt.
+                task(2, &[(10, Score::MAX)]),
+                task(2, &[(10, Score::MAX)]),
+                accepted(1),
+                // Behind the replica: reports the version it ran under.
+                task(1, &[(3, Score::MAX)]),
+            ])),
+            log: RefCell::new(Vec::new()),
+        };
+        worker_loop(&seq, &scoring, &comm, DL, None);
+        use Logged::{Received, Results};
+        assert_eq!(
+            *comm.log.borrow(),
+            [
+                Received(tag::TASK),
+                Results(vec![(4, 1, 0)]),
+                Results(vec![(8, 1, 0)]),
+                // Nothing is read while an item can run, so the second
+                // batch runs under its own stamp on every schedule.
+                Received(tag::TASK),
+                Results(vec![(2, 1, 0), (6, 1, 0)]),
+                Received(tag::ACCEPTED),
+                Received(tag::TASK),
+                Received(tag::TASK),
+                Received(tag::ACCEPTED),
+                Results(vec![(10, 1, 2)]),
+                Received(tag::TASK),
+                Results(vec![(3, 1, 2)]),
+                Received(tag::DONE),
+            ]
+        );
+    }
+
+    #[test]
+    fn slow_sweeps_never_silence_a_worker_past_the_liveness_window() {
+        // Every sweep outlasts a beacon period and a whole frame of them
+        // outlasts the liveness window: a worker that held a frame's
+        // results to its end would be written off at the first retry
+        // check. Results go out between sweeps instead, so the master
+        // keeps hearing from both workers.
+        let seq = Seq::dna(&"ATGC".repeat(5)).unwrap();
+        let scoring = Scoring::dna_example();
+        let want = find_top_alignments(&seq, &scoring, 2);
+        let mut world = ThreadComm::world(3);
+        let master_comm = world.remove(0);
+        let overall = Duration::from_secs(60);
+        let config = RecoveryConfig {
+            retry_base: Duration::from_millis(150),
+            max_retries: 0,
+            retry_cap: Duration::from_secs(5),
+            liveness: Duration::from_millis(120),
+            ..RecoveryConfig::with_overall(overall)
+        };
+        let pad = Duration::from_millis(45);
+        assert!(pad >= BEACON_PERIOD && pad * MAX_BATCH as u32 > config.liveness);
+        let got = std::thread::scope(|scope| {
+            for comm in world {
+                let mut worker = Worker::new(&seq, &scoring, comm, None);
+                worker.sweep_pad = pad;
+                scope.spawn(move || worker.serve(overall));
+            }
+            master_loop(
+                &seq,
+                &scoring,
+                2,
+                master_comm,
+                config,
+                &mut NoopRecorder,
+                None,
+            )
+        })
+        .unwrap();
+        assert_eq!(got.alignments, want.alignments);
+        assert_eq!(
+            got.stats.cluster_reassignments, 0,
+            "a healthy worker was written off"
+        );
+    }
+
+    /// A worker endpoint that loses every second result frame carrying
+    /// more than one item.
+    struct DropCoalesced {
+        inner: ThreadComm,
+        coalesced: AtomicU64,
+    }
+
+    impl Comm for DropCoalesced {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+        fn size(&self) -> usize {
+            self.inner.size()
+        }
+        fn send(&self, to: usize, tag: u32, payload: Vec<u8>) -> Result<(), SendError> {
+            let coalesced = tag == tag::RESULT
+                && ResultsMsg::decode(&payload).is_ok_and(|frame| frame.items.len() > 1);
+            if coalesced && self.coalesced.fetch_add(1, Ordering::Relaxed) % 2 == 1 {
+                return Ok(()); // lost: invisible to the sender
+            }
+            self.inner.send(to, tag, payload)
+        }
+        fn recv_timeout(&self, timeout: Duration) -> Result<Message, RecvError> {
+            self.inner.recv_timeout(timeout)
+        }
+        fn try_recv(&self) -> Option<Message> {
+            self.inner.try_recv()
+        }
+    }
+
+    #[test]
+    fn every_second_coalesced_result_frame_lost_heals_item_by_item() {
+        let seq = Seq::dna(&"ATGC".repeat(10)).unwrap();
+        let scoring = Scoring::dna_example();
+        let want = find_top_alignments(&seq, &scoring, 5);
+        let mut world = ThreadComm::world(3);
+        let master_comm = world.remove(0);
+        let workers: Vec<DropCoalesced> = world
+            .into_iter()
+            .map(|inner| DropCoalesced {
+                inner,
+                coalesced: AtomicU64::new(0),
+            })
+            .collect();
+        let deadline = Duration::from_secs(30);
+        let got = std::thread::scope(|scope| {
+            for comm in &workers {
+                let (seq, scoring) = (&seq, &scoring);
+                scope.spawn(move || worker_loop(seq, scoring, comm, deadline, None));
+            }
+            master_loop(
+                &seq,
+                &scoring,
+                5,
+                master_comm,
+                RecoveryConfig::with_overall(deadline),
+                &mut NoopRecorder,
+                None,
+            )
+        })
+        .expect("lost result frames must be healed, not fatal");
+        assert_eq!(got.alignments, want.alignments);
+        let lost: u64 = workers
+            .iter()
+            .map(|w| w.coalesced.load(Ordering::Relaxed) / 2)
+            .sum();
+        assert!(lost > 0, "the schedule must have lost coalesced frames");
+        assert!(
+            got.stats.cluster_retries >= lost,
+            "each lost frame's items come back through per-item retransmission: \
+             {lost} lost, {} retries",
+            got.stats.cluster_retries
+        );
+        assert_eq!(
+            got.stats.cluster_reassignments, 0,
+            "no worker was written off"
+        );
     }
 
     #[test]

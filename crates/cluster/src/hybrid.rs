@@ -25,10 +25,8 @@
 //! node's work migrates to the surviving nodes.
 
 use crate::engine::ClusterError;
-use crate::protocol::{tag, AcceptedMsg, ResultMsg, ResyncMsg, TaskItem, TaskMsg};
-use crate::recovery::{
-    already_deferred, idle_payload, master_loop, RecoveryConfig, BEACON_PERIOD, WORKER_POLL,
-};
+use crate::protocol::{tag, AcceptedMsg, ResultMsg, ResultsMsg, ResyncMsg, TaskItem, TaskMsg};
+use crate::recovery::{idle_payload, master_loop, RecoveryConfig, BEACON_PERIOD, WORKER_POLL};
 use parking_lot::{Condvar, Mutex};
 use repro_align::{Score, Scoring, Seq};
 use repro_core::seed::SeedConfig;
@@ -66,7 +64,8 @@ struct NodeInner {
     /// Only populated when the incremental layer is on.
     accepts: Vec<Vec<(usize, usize)>>,
     rows: HashMap<usize, Arc<Vec<Score>>>,
-    deferred: Vec<TaskMsg>,
+    /// Items whose stamp the replica has not reached, with that stamp.
+    deferred: Vec<(usize, TaskItem)>,
     /// Attempts whose result already went out once (node-wide — the
     /// retransmit may be polled by a different thread than the one
     /// that answered the original). A repeat means that result was
@@ -310,28 +309,21 @@ fn node_worker<C: Comm>(
             if inner.done {
                 return;
             }
-            match inner.deferred.iter().position(|t| t.stamp <= inner.applied) {
+            let applied = inner.applied;
+            match inner.deferred.iter().position(|&(s, _)| s <= applied) {
                 Some(pos) => {
-                    // Deferred frames are single-item (batches are
-                    // exploded at receipt), so one pop runs one split.
-                    let task = inner.deferred.swap_remove(pos);
-                    let stamp = task.stamp;
-                    let item = task
-                        .items
-                        .into_iter()
-                        .next()
-                        .expect("deferred frames are single-item");
+                    let (_, item) = inner.deferred.swap_remove(pos);
                     let snapshot = Arc::clone(&inner.triangle);
                     let repeat = !inner.sent.insert((item.r, item.attempt));
                     if incr.is_some() {
                         sync_dirty(&mut local_dirty, &inner);
                     }
-                    Some((stamp, item, snapshot, repeat, inner.applied))
+                    Some((item, snapshot, repeat, applied))
                 }
                 None => None,
             }
         };
-        if let Some((stamp, item, triangle, repeat, applied)) = runnable {
+        if let Some((item, triangle, repeat, applied)) = runnable {
             run_task(
                 input,
                 &comm,
@@ -340,7 +332,6 @@ fn node_worker<C: Comm>(
                 &mut incr,
                 &local_dirty,
                 applied,
-                stamp,
                 item,
                 repeat,
             );
@@ -418,13 +409,12 @@ fn node_worker<C: Comm>(
                         Some((Arc::clone(&inner.triangle), repeats, inner.applied))
                     } else {
                         // Replica lags the whole batch (one stamp per
-                        // frame: all-run-or-all-defer). Defer each item
-                        // as its own single-item frame so per-item
-                        // retransmissions dedupe against it.
+                        // frame: all-run-or-all-defer). Defer item by
+                        // item, so a per-item retransmission finds its
+                        // twin already waiting.
                         for item in task.items.drain(..) {
-                            let single = TaskMsg::single(stamp, item);
-                            if !already_deferred(&inner.deferred, &single) {
-                                inner.deferred.push(single);
+                            if !inner.deferred.iter().any(|(_, d)| d.same_attempt(&item)) {
+                                inner.deferred.push((stamp, item));
                             }
                         }
                         None
@@ -440,7 +430,6 @@ fn node_worker<C: Comm>(
                             &mut incr,
                             &local_dirty,
                             applied,
-                            stamp,
                             item,
                             repeat,
                         );
@@ -511,7 +500,6 @@ fn run_task<C: Comm>(
     incr: &mut Option<IncrementalSweeper>,
     dirty: &DirtyLog,
     applied: usize,
-    stamp: usize,
     task: TaskItem,
     repeat: bool,
 ) {
@@ -592,9 +580,11 @@ fn run_task<C: Comm>(
         score,
         task.bound
     );
+    // `applied` is the version of the snapshot swept, at or past the
+    // task's stamp.
     let res = ResultMsg {
         r: task.r,
-        stamp,
+        stamp: applied,
         attempt: task.attempt,
         score,
         cells,
@@ -602,7 +592,7 @@ fn run_task<C: Comm>(
         incr: incr_tallies,
         first_row,
     };
-    let payload = res.encode();
+    let payload = ResultsMsg { items: vec![res] }.encode();
     // A repeat means the first copy was lost: double-send so a
     // period-2 loss pattern cannot swallow both copies.
     for _ in 0..if repeat { 2 } else { 1 } {

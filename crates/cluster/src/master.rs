@@ -79,6 +79,14 @@ struct TaskState {
 
 const NEVER: usize = usize::MAX;
 
+impl TaskState {
+    /// `true` iff this task is work the master could hand out with
+    /// `tops` alignments accepted: unassigned, stale, still positive.
+    fn assignable(&self, tops: usize) -> bool {
+        self.assigned.is_none() && self.aligned_with != tops && self.score > 0
+    }
+}
+
 /// The master's complete state.
 pub struct MasterState<'a> {
     input: ScoredSeq<'a>,
@@ -96,7 +104,16 @@ pub struct MasterState<'a> {
     traceback_secs: f64,
     /// Free capacity tokens: (worker, slot).
     idle: Vec<(usize, usize)>,
+    /// Unsettled assignments per consumed token; a token with no entry
+    /// is free or was never announced.
+    outstanding: HashMap<(usize, usize), usize>,
+    /// Tasks that are [`TaskState::assignable`] right now, kept in step
+    /// with every change to a task or to `tops`.
+    assignable: usize,
     in_flight: usize,
+    /// Results discarded because they claimed a replica version the
+    /// master has not reached (only a corrupt frame can).
+    rejected_results: u64,
     done: bool,
     /// Seed bounds (pruning on): the master owns the only ones in the
     /// cluster — told of each accept, refreshed on demand — and workers
@@ -130,7 +147,7 @@ impl<'a> MasterState<'a> {
         if let Some(b) = &bounds {
             stats.seed_index_build_ns = b.build_ns();
         }
-        let state = (0..splits)
+        let state: Vec<TaskState> = (0..splits)
             .map(|i| TaskState {
                 score: bounds.as_ref().map_or(Score::MAX, |b| b.bound(i + 1)),
                 aligned_with: NEVER,
@@ -138,6 +155,7 @@ impl<'a> MasterState<'a> {
                 attempts: 0,
             })
             .collect();
+        let assignable = state.iter().filter(|t| t.assignable(0)).count();
         MasterState {
             input: ScoredSeq::new(seq, scoring),
             count,
@@ -150,7 +168,10 @@ impl<'a> MasterState<'a> {
             stats,
             traceback_secs: 0.0,
             idle: Vec::new(),
+            outstanding: HashMap::new(),
+            assignable,
             in_flight: 0,
+            rejected_results: 0,
             done: false,
             bounds,
             first_passes: 0,
@@ -177,6 +198,12 @@ impl<'a> MasterState<'a> {
     /// transport loop reports as the `traceback` phase.
     pub fn traceback_secs(&self) -> f64 {
         self.traceback_secs
+    }
+
+    /// Results discarded for claiming a replica version above the
+    /// master's own acceptance count.
+    pub fn rejected_results(&self) -> u64 {
+        self.rejected_results
     }
 
     /// A live progress snapshot in the same units the shared-memory
@@ -237,10 +264,15 @@ impl<'a> MasterState<'a> {
     /// `true` iff capacity token (`worker`, `slot`) is consumed by an
     /// in-flight assignment.
     fn slot_busy(&self, worker: usize, slot: usize) -> bool {
-        self.state.iter().any(|t| {
-            t.assigned
-                .is_some_and(|a| a.worker == worker && a.slot == slot)
-        })
+        let busy = self.outstanding.contains_key(&(worker, slot));
+        debug_assert_eq!(
+            busy,
+            self.state.iter().any(|t| t
+                .assigned
+                .is_some_and(|a| a.worker == worker && a.slot == slot)),
+            "outstanding count of slot ({worker}, {slot}) out of step"
+        );
+        busy
     }
 
     /// Return capacity token (`worker`, `slot`) to the pool, unless it
@@ -270,6 +302,16 @@ impl<'a> MasterState<'a> {
         if self.dead.contains(&worker) || res.r == 0 || res.r > self.state.len() {
             return Vec::new(); // zombie, or a frame that decoded to nonsense
         }
+        if res.stamp > self.tops.len() {
+            // No replica can be ahead of the master that feeds it. A
+            // stamp from the future would be trusted as fresh once the
+            // master caught up with it, and a huge one would size the
+            // per-top statistics to match: only corruption that got
+            // past the checksum claims one. The flight's retransmission
+            // fetches the real result.
+            self.rejected_results += 1;
+            return Vec::new();
+        }
         let current = self.state[res.r - 1].assigned;
         let Some(a) = current.filter(|a| a.worker == worker && a.attempt == res.attempt) else {
             // Stale: a duplicate delivery, or an attempt that was
@@ -298,12 +340,23 @@ impl<'a> MasterState<'a> {
                 flags[res.r - 1] = true; // the computing worker caches its row
             }
         }
+        let tops = self.tops.len();
         let t = &mut self.state[res.r - 1];
         t.score = res.score;
         t.aligned_with = res.stamp;
         t.assigned = None;
+        self.assignable += usize::from(t.assignable(tops));
         self.in_flight -= 1;
-        self.credit_idle(worker, a.slot);
+        let left = self
+            .outstanding
+            .get_mut(&(worker, a.slot))
+            .expect("a settling assignment holds its slot");
+        *left -= 1;
+        if *left == 0 {
+            // The batch's last item: only now is the slot's token back.
+            self.outstanding.remove(&(worker, a.slot));
+            self.credit_idle(worker, a.slot);
+        }
         self.pump()
     }
 
@@ -316,10 +369,13 @@ impl<'a> MasterState<'a> {
         self.dead.insert(worker);
         self.worker_has_row.remove(&worker);
         self.idle.retain(|&(w, _)| w != worker);
+        self.outstanding.retain(|&(w, _), _| w != worker);
+        let tops = self.tops.len();
         for t in &mut self.state {
             if t.assigned.is_some_and(|a| a.worker == worker) {
                 t.assigned = None;
                 self.in_flight -= 1;
+                self.assignable += usize::from(t.assignable(tops));
             }
         }
     }
@@ -465,6 +521,10 @@ impl<'a> MasterState<'a> {
                 pairs: top.pairs.clone(),
             }));
             self.tops.push(top);
+            // Every task fresh a moment ago is stale now: the one event
+            // that moves the count wholesale.
+            let tops = self.tops.len();
+            self.assignable = self.state.iter().filter(|t| t.assignable(tops)).count();
         }
     }
 
@@ -480,9 +540,12 @@ impl<'a> MasterState<'a> {
                 let stake = ((i + 1) * (self.input.seq.len() - i - 1)) as u64;
                 let codes = self.input.seq.codes();
                 if bounds.refresh_before_sweep(codes, self.input.scoring, &self.triangle, stake) {
+                    let tops = self.tops.len();
                     for (j, t) in self.state.iter_mut().enumerate() {
                         if t.aligned_with == NEVER && t.assigned.is_none() {
+                            self.assignable -= usize::from(t.assignable(tops));
                             t.score = bounds.bound(j + 1);
+                            self.assignable += usize::from(t.assignable(tops));
                         }
                     }
                     return self.best_stale_unassigned().map(|(_, j)| j);
@@ -504,13 +567,15 @@ impl<'a> MasterState<'a> {
         let refreshes_before = refreshes(self);
         while let Some(&(worker, slot)) = self.idle.last() {
             let tops = self.tops.len();
+            debug_assert_eq!(
+                self.assignable,
+                self.state.iter().filter(|t| t.assignable(tops)).count(),
+                "assignable count out of step"
+            );
             let avail = if tops >= self.count {
                 0
             } else {
-                self.state
-                    .iter()
-                    .filter(|t| t.assigned.is_none() && t.aligned_with != tops && t.score > 0)
-                    .count()
+                self.assignable
             };
             if avail == 0 {
                 break;
@@ -536,6 +601,7 @@ impl<'a> MasterState<'a> {
                     slot,
                     attempt,
                 });
+                self.assignable -= 1;
                 self.in_flight += 1;
                 self.stats.stale_pops += 1;
                 let first = self.rows[i].is_none();
@@ -565,6 +631,7 @@ impl<'a> MasterState<'a> {
                 break;
             }
             self.idle.pop();
+            self.outstanding.insert((worker, slot), items.len());
             items.sort_by_key(|it| it.r);
             actions.push(MasterAction::Assign {
                 worker,
@@ -591,11 +658,7 @@ impl<'a> MasterState<'a> {
         let tops = self.tops.len();
         let mut best: Option<(Score, usize)> = None;
         for (i, t) in self.state.iter().enumerate() {
-            if t.assigned.is_none()
-                && t.aligned_with != tops
-                && t.score > 0
-                && best.is_none_or(|(bs, _)| t.score > bs)
-            {
+            if t.assignable(tops) && best.is_none_or(|(bs, _)| t.score > bs) {
                 best = Some((t.score, i));
             }
         }
@@ -895,6 +958,92 @@ mod tests {
         assert_eq!(assigns(&second), 1, "second slot is real capacity");
     }
 
+    /// A settling result for `item` that leaves its split unassignable
+    /// (score 0), so the state stays easy to audit.
+    fn settled(item: &TaskItem, stamp: usize, len: usize) -> ResultMsg {
+        ResultMsg {
+            r: item.r,
+            stamp,
+            attempt: item.attempt,
+            score: 0,
+            cells: 1,
+            shadow_rejections: 0,
+            incr: [0; 4],
+            first_row: Some(vec![0; len]),
+        }
+    }
+
+    fn assigned_batches(actions: &[MasterAction]) -> Vec<TaskMsg> {
+        actions
+            .iter()
+            .filter_map(|a| match a {
+                MasterAction::Assign { task, .. } => Some(task.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn two_slots_hold_two_batches_and_each_is_credited_by_its_own_last_item() {
+        let scoring = Scoring::dna_example();
+        let seq = Seq::dna("ATGCATGCATGCATGC").unwrap(); // 15 splits
+        let mut master = MasterState::new(&seq, &scoring, 3);
+        let a = assigned_batches(&master.worker_idle(1, 0));
+        let b = assigned_batches(&master.worker_idle(1, 1));
+        assert_eq!((a.len(), b.len()), (1, 1), "one batch per announced slot");
+        let (a, b) = (&a[0], &b[0]);
+        assert_eq!((a.items.len(), b.items.len()), (MAX_BATCH, MAX_BATCH));
+        assert!(
+            a.items.iter().all(|x| b.items.iter().all(|y| x.r != y.r)),
+            "the second batch is queued work, not a copy of the first"
+        );
+        // Re-announcing either busy slot hands out nothing.
+        for slot in [0, 1, 0, 1] {
+            assert!(assigned_batches(&master.worker_idle(1, slot)).is_empty());
+        }
+        // Slot 1's batch settles completely while slot 0's has one item
+        // left: only slot 1's token comes back, with its last item.
+        for item in &a.items[..MAX_BATCH - 1] {
+            assert!(master.result(1, settled(item, 0, seq.len())).is_empty());
+        }
+        for item in &b.items[..MAX_BATCH - 1] {
+            assert!(master.result(1, settled(item, 0, seq.len())).is_empty());
+        }
+        let refill = master.result(1, settled(&b.items[MAX_BATCH - 1], 0, seq.len()));
+        assert_eq!(assigned_batches(&refill).len(), 1, "slot 1 refilled");
+        assert!(
+            assigned_batches(&master.worker_idle(1, 0)).is_empty(),
+            "slot 0 still owes an item: its IDLE is a duplicate"
+        );
+        let refill = master.result(1, settled(&a.items[MAX_BATCH - 1], 0, seq.len()));
+        assert_eq!(assigned_batches(&refill).len(), 1, "slot 0 refilled");
+        for slot in [0, 1] {
+            assert!(assigned_batches(&master.worker_idle(1, slot)).is_empty());
+        }
+    }
+
+    #[test]
+    fn results_stamped_ahead_of_the_master_are_discarded_and_counted() {
+        let scoring = Scoring::dna_example();
+        let seq = Seq::dna("ATGCATGC").unwrap();
+        let mut master = MasterState::new(&seq, &scoring, 2);
+        let batch = assigned_batches(&master.worker_idle(1, 0)).remove(0);
+        let item = &batch.items[0];
+        // One past the master's acceptance count would later be trusted
+        // as fresh; usize::MAX would size the per-top statistics.
+        for stamp in [1, usize::MAX] {
+            let mut res = settled(item, stamp, seq.len());
+            res.score = 999_999;
+            assert!(master.result(1, res).is_empty());
+        }
+        assert_eq!(master.rejected_results(), 2);
+        assert_eq!(master.stats().alignments, 0, "nothing was settled");
+        // The assignment is still open: the honest result settles it.
+        let _ = master.result(1, settled(item, 0, seq.len()));
+        assert_eq!(master.stats().alignments, 1);
+        assert_eq!(master.rejected_results(), 2);
+    }
+
     #[test]
     fn assignments_are_batched_and_bound_local() {
         let scoring = Scoring::dna_example();
@@ -930,19 +1079,7 @@ mod tests {
         );
         // Settle all but the last item: still busy.
         for item in &batch.items[..MAX_BATCH - 1] {
-            let _ = master.result(
-                1,
-                ResultMsg {
-                    r: item.r,
-                    stamp: batch.stamp,
-                    attempt: item.attempt,
-                    score: 0,
-                    cells: 1,
-                    shadow_rejections: 0,
-                    incr: [0; 4],
-                    first_row: Some(vec![0; seq.len()]),
-                },
-            );
+            let _ = master.result(1, settled(item, batch.stamp, seq.len()));
         }
         let still = master.worker_idle(1, 0);
         assert!(
@@ -954,19 +1091,7 @@ mod tests {
         // The last item settles the batch: the slot comes back and the
         // master immediately hands out the next batch.
         let last = &batch.items[MAX_BATCH - 1];
-        let next = master.result(
-            1,
-            ResultMsg {
-                r: last.r,
-                stamp: batch.stamp,
-                attempt: last.attempt,
-                score: 0,
-                cells: 1,
-                shadow_rejections: 0,
-                incr: [0; 4],
-                first_row: Some(vec![0; seq.len()]),
-            },
-        );
+        let next = master.result(1, settled(last, batch.stamp, seq.len()));
         assert!(
             next.iter()
                 .any(|a| matches!(a, MasterAction::Assign { .. })),

@@ -20,7 +20,8 @@ pub mod tag {
     pub const IDLE: u32 = 1;
     /// Master → worker: a task assignment (or a retransmission of one).
     pub const TASK: u32 = 2;
-    /// Worker → master: task result.
+    /// Worker → master: the results of one or more items of one task
+    /// frame ([`super::ResultsMsg`]).
     pub const RESULT: u32 = 3;
     /// Master → all workers: a top alignment was accepted; apply these
     /// pairs to the local triangle replica.
@@ -74,6 +75,13 @@ pub struct TaskItem {
 }
 
 impl TaskItem {
+    /// `true` iff `other` is this very assignment (same split, same
+    /// attempt) — a retransmitted copy of an item still waiting on a
+    /// worker is answered when that one runs, so the copy is dropped.
+    pub(crate) fn same_attempt(&self, other: &TaskItem) -> bool {
+        self.r == other.r && self.attempt == other.attempt
+    }
+
     fn encode_into(&self, e: Encoder) -> Encoder {
         let e = e
             .usize(self.r)
@@ -110,17 +118,16 @@ impl TaskItem {
 /// one triangle version. Batching whole assignments into a single
 /// frame is the wire-v4 layout change ([`repro_xmpi::wire::VERSION`]):
 /// a v3 peer is rejected at hello with a typed version error. Workers
-/// answer each item with its own [`ResultMsg`] (results stream back;
-/// there is no batched result), and a retransmission may re-ship any
-/// subset of the original batch as smaller `TaskMsg`s — the per-item
-/// `attempt` numbers, not batch boundaries, are what results are
-/// matched on.
+/// answer in [`ResultsMsg`] frames holding one or more of the batch's
+/// results, and a retransmission may re-ship any subset of the original
+/// batch as smaller `TaskMsg`s — the per-item `attempt` numbers, not
+/// batch boundaries, are what results are matched on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskMsg {
     /// Triangle version (top alignments accepted so far) every item in
-    /// the batch must be aligned under. One stamp for the whole batch:
-    /// a worker either runs the batch or defers all of it, so batching
-    /// never lets items of one frame run under different replicas.
+    /// the batch must *at least* be aligned under: a worker holds an
+    /// item back until its replica has reached the stamp, and reports
+    /// the version it actually computed against in the result.
     pub stamp: usize,
     /// The batched assignments, sorted by split index ascending (the
     /// bound-locality order: consecutive splits share checkpoint and
@@ -167,14 +174,19 @@ impl TaskMsg {
     }
 }
 
-/// A task result.
+/// One task's result. Results travel in [`ResultsMsg`] frames, never
+/// alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResultMsg {
     /// Split that was aligned.
     pub r: usize,
-    /// Version it was aligned under.
+    /// Replica version the score was computed against: the ACCEPTED
+    /// broadcasts the worker had applied when the sweep started — at or
+    /// past the task's stamp, never the task's stamp echoed back. The
+    /// master trusts the score as exact only when this equals its own
+    /// acceptance count.
     pub stamp: usize,
-    /// The attempt number echoed from the [`TaskMsg`].
+    /// The attempt number echoed from the [`TaskItem`].
     pub attempt: u64,
     /// Valid (shadow-filtered) score.
     pub score: Score,
@@ -193,9 +205,12 @@ pub struct ResultMsg {
 }
 
 impl ResultMsg {
-    /// Encode to a framed payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let e = Encoder::new()
+    /// Encoded size of an item without a row: what a frame must still
+    /// hold per claimed item.
+    const MIN_BYTES: usize = 3 * 8 + 4 + 2 * 8 + 4 * 8 + 8;
+
+    fn encode_into(&self, e: Encoder) -> Encoder {
+        let e = e
             .usize(self.r)
             .usize(self.stamp)
             .u64(self.attempt)
@@ -210,12 +225,9 @@ impl ResultMsg {
             Some(row) => e.u64(1).i32_slice(row),
             None => e.u64(0),
         }
-        .finish_framed()
     }
 
-    /// Decode from a framed payload.
-    pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let mut d = Decoder::new_framed(payload)?;
+    fn decode_from(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         let r = d.usize()?;
         let stamp = d.usize()?;
         let attempt = d.u64()?;
@@ -228,7 +240,6 @@ impl ResultMsg {
         } else {
             None
         };
-        d.expect_exhausted()?;
         Ok(ResultMsg {
             r,
             stamp,
@@ -239,6 +250,48 @@ impl ResultMsg {
             incr,
             first_row,
         })
+    }
+}
+
+/// The result frame: the results of one or more items of one
+/// [`TaskMsg`], in the order they were computed. Replacing the
+/// one-result frame with this list is the wire-v5 layout change
+/// ([`repro_xmpi::wire::VERSION`]). A worker flushes the frame when the
+/// task frame's last item finishes, or earlier when the score just
+/// computed is at least every bound still queued from that task frame
+/// or the worker has sent nothing for a beacon period (DESIGN.md,
+/// "Batched task assignment"). The master settles each item
+/// on its own `attempt`, so a lost frame is healed item by item.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResultsMsg {
+    /// The results, at least one.
+    pub items: Vec<ResultMsg>,
+}
+
+impl ResultsMsg {
+    /// Encode to a framed payload.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut e = Encoder::new().usize(self.items.len());
+        for item in &self.items {
+            e = item.encode_into(e);
+        }
+        e.finish_framed()
+    }
+
+    /// Decode from a framed payload. An empty list is malformed (no
+    /// worker sends one), and a count the remaining bytes cannot hold
+    /// is rejected before anything is allocated for it.
+    pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
+        let mut d = Decoder::new_framed(payload)?;
+        let n = d.usize()?;
+        if n == 0 || n > d.remaining() / ResultMsg::MIN_BYTES {
+            return Err(WireError::BadLength { claimed: n });
+        }
+        let items = (0..n)
+            .map(|_| ResultMsg::decode_from(&mut d))
+            .collect::<Result<Vec<_>, _>>()?;
+        d.expect_exhausted()?;
+        Ok(ResultsMsg { items })
     }
 }
 
@@ -530,31 +583,108 @@ mod tests {
         ));
     }
 
+    fn sample_results() -> ResultsMsg {
+        ResultsMsg {
+            items: vec![
+                ResultMsg {
+                    r: 9,
+                    stamp: 4,
+                    attempt: 2,
+                    score: 123,
+                    cells: 1 << 40,
+                    shadow_rejections: 7,
+                    incr: [1, 2, 30, 40],
+                    first_row: None,
+                },
+                ResultMsg {
+                    r: 2,
+                    stamp: 0,
+                    attempt: 1,
+                    score: 0,
+                    cells: 0,
+                    shadow_rejections: 0,
+                    incr: [0; 4],
+                    first_row: Some(vec![]),
+                },
+                ResultMsg {
+                    r: 3,
+                    stamp: 5,
+                    attempt: 7,
+                    score: -4,
+                    cells: 12,
+                    shadow_rejections: 1,
+                    incr: [0; 4],
+                    first_row: Some(vec![3, -1, 0, 99]),
+                },
+            ],
+        }
+    }
+
     #[test]
-    fn result_roundtrip() {
-        for msg in [
-            ResultMsg {
-                r: 9,
-                stamp: 4,
-                attempt: 2,
-                score: 123,
-                cells: 1 << 40,
-                shadow_rejections: 7,
-                incr: [1, 2, 30, 40],
-                first_row: None,
-            },
-            ResultMsg {
-                r: 2,
-                stamp: 0,
-                attempt: 1,
-                score: 0,
-                cells: 0,
-                shadow_rejections: 0,
-                incr: [0; 4],
-                first_row: Some(vec![]),
-            },
-        ] {
-            assert_eq!(ResultMsg::decode(&msg.encode()).unwrap(), msg);
+    fn results_roundtrip() {
+        let msg = sample_results();
+        assert_eq!(ResultsMsg::decode(&msg.encode()).unwrap(), msg);
+        for item in msg.items {
+            let one = ResultsMsg { items: vec![item] };
+            assert_eq!(ResultsMsg::decode(&one.encode()).unwrap(), one);
+        }
+    }
+
+    #[test]
+    fn empty_and_hostile_result_counts_are_rejected_before_allocation() {
+        let empty = Encoder::new().usize(0).finish_framed();
+        assert_eq!(
+            ResultsMsg::decode(&empty),
+            Err(WireError::BadLength { claimed: 0 })
+        );
+        // A count no allocator could serve, in front of one real item:
+        // rejected on the count alone.
+        let one = sample_results().items.remove(0);
+        for claimed in [2, 1 << 20, usize::MAX] {
+            let frame = one
+                .encode_into(Encoder::new().usize(claimed))
+                .finish_framed();
+            assert_eq!(
+                ResultsMsg::decode(&frame),
+                Err(WireError::BadLength { claimed })
+            );
+        }
+    }
+
+    /// `payload` in a well-formed frame, as `finish_framed` would.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        use repro_xmpi::wire::{fnv1a64, MAGIC, VERSION};
+        let mut out = Vec::new();
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(payload);
+        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn truncated_result_item_is_rejected() {
+        // Two items claimed and the second cut short at every length,
+        // re-framed so the checksum holds: the item decoder must fail.
+        let items = sample_results().items;
+        let body = items[1]
+            .encode_into(items[0].encode_into(Encoder::new().usize(2)))
+            .finish();
+        let first_len = items[0].encode_into(Encoder::new().usize(2)).finish().len();
+        for cut in first_len..body.len() {
+            assert!(
+                matches!(
+                    ResultsMsg::decode(&framed(&body[..cut])),
+                    Err(WireError::Truncated { .. } | WireError::BadLength { .. })
+                ),
+                "cut at {cut} decoded"
+            );
+        }
+        // And a frame cut on the wire fails its framing.
+        let frame = sample_results().encode();
+        for cut in 0..frame.len() {
+            assert!(ResultsMsg::decode(&frame[..cut]).is_err());
         }
     }
 
@@ -772,17 +902,7 @@ mod tests {
                 ],
             }
             .encode(),
-            ResultMsg {
-                r: 4,
-                stamp: 1,
-                attempt: 2,
-                score: 17,
-                cells: 99,
-                shadow_rejections: 3,
-                incr: [0; 4],
-                first_row: None,
-            }
-            .encode(),
+            sample_results().encode(),
             AcceptedMsg {
                 index: 0,
                 pairs: vec![(1, 2)],
@@ -797,7 +917,7 @@ mod tests {
                 bad[i] ^= 0xA5; // the injector's corruption pattern
                 assert!(
                     TaskMsg::decode(&bad).is_err()
-                        && ResultMsg::decode(&bad).is_err()
+                        && ResultsMsg::decode(&bad).is_err()
                         && AcceptedMsg::decode(&bad).is_err()
                         && ResyncMsg::decode(&bad).is_err()
                         && TelemetryMsg::decode(&bad).is_err(),

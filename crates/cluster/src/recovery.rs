@@ -26,7 +26,7 @@
 
 use crate::engine::ClusterError;
 use crate::master::{MasterAction, MasterState};
-use crate::protocol::{tag, ResultMsg, ResyncMsg, TaskMsg, TelemetryMsg};
+use crate::protocol::{tag, ResultsMsg, ResyncMsg, TaskItem, TaskMsg, TelemetryMsg};
 use repro_align::{Scoring, Seq};
 use repro_core::seed::SeedConfig;
 use repro_core::TopAlignments;
@@ -83,9 +83,10 @@ impl RecoveryConfig {
 /// An assignment the master is still waiting on.
 struct Flight {
     worker: usize,
-    attempt: u64,
-    /// Encoded task, kept for retransmission.
-    payload: Vec<u8>,
+    /// The batch's stamp and this flight's item of it: re-shipped alone
+    /// (and only then encoded) if the result does not arrive in time.
+    stamp: usize,
+    item: TaskItem,
     retry_at: Instant,
     backoff: Duration,
     retries: u32,
@@ -210,6 +211,7 @@ fn finalize<R: Recorder>(
     if !master.alignments().is_empty() {
         rec.add_phase_secs(Phase::Traceback, master.traceback_secs());
     }
+    rec.add(Counter::ClusterRejectedResults, master.rejected_results());
     let mut tops = master.into_result();
     tops.stats.cluster_retries = retries;
     tops.stats.cluster_reassignments = reassigns;
@@ -297,28 +299,30 @@ fn act<C: Comm, R: Recorder>(
                         });
                     }
                 }
-                // One flight per batched item, each with a single-item
-                // retransmit payload: an unanswered item is re-shipped
-                // alone, so a partially-answered batch is healed
-                // piecewise and settled items never recompute.
-                for item in &task.items {
-                    flights.insert(
-                        item.r,
-                        Flight {
-                            worker,
-                            attempt: item.attempt,
-                            payload: TaskMsg::single(task.stamp, item.clone()).encode(),
-                            retry_at: now + config.retry_base,
-                            backoff: config.retry_base,
-                            retries: 0,
-                            sent_at: now,
-                        },
-                    );
-                }
                 match comm.send(worker, tag::TASK, payload) {
-                    Ok(()) => {}
+                    // One flight per batched item: an unanswered item is
+                    // re-shipped alone, so a partially-answered batch is
+                    // healed piecewise and settled items never recompute.
+                    Ok(()) => {
+                        for item in task.items {
+                            flights.insert(
+                                item.r,
+                                Flight {
+                                    worker,
+                                    stamp: task.stamp,
+                                    item,
+                                    retry_at: now + config.retry_base,
+                                    backoff: config.retry_base,
+                                    retries: 0,
+                                    sent_at: now,
+                                },
+                            );
+                        }
+                    }
                     Err(SendError::SelfDead) => return Err(ClusterError::MasterDead),
                     Err(SendError::PeerDead(_)) => {
+                        // Flights these splits still hold are from
+                        // assignments that were withdrawn: drop them.
                         let dropped = task.items.len() as u64;
                         for item in &task.items {
                             flights.remove(&item.r);
@@ -431,13 +435,10 @@ pub(crate) fn master_loop<C: Comm, R: Recorder>(
             // loop's regular cadence and swallow every single-copy
             // retransmission; two consecutive copies straddle any
             // period-2 lock, and recomputation is idempotent anyway.
-            let mut fate = Ok(());
-            for _ in 0..2 {
-                fate = comm.send(flight.worker, tag::TASK, flight.payload.clone());
-                if fate.is_err() {
-                    break;
-                }
-            }
+            let payload = TaskMsg::single(flight.stamp, flight.item.clone()).encode();
+            let fate = comm
+                .send(flight.worker, tag::TASK, payload.clone())
+                .and_then(|()| comm.send(flight.worker, tag::TASK, payload));
             match fate {
                 Ok(()) => {
                     flight.retries += 1;
@@ -449,7 +450,7 @@ pub(crate) fn master_loop<C: Comm, R: Recorder>(
                         rec.event(Event::Retry {
                             worker: flight.worker,
                             r,
-                            attempt: flight.attempt,
+                            attempt: flight.item.attempt,
                             retries: flight.retries,
                         });
                     }
@@ -526,29 +527,33 @@ pub(crate) fn master_loop<C: Comm, R: Recorder>(
                 Err(_) => Vec::new(), // corrupted announcement; it repeats
             },
             tag::HEARTBEAT => Vec::new(),
-            tag::RESULT => match ResultMsg::decode(&msg.payload) {
-                Ok(res) => {
-                    if flights
-                        .get(&res.r)
-                        .is_some_and(|f| f.worker == msg.from && f.attempt == res.attempt)
-                    {
-                        let flight = flights.remove(&res.r).expect("checked above");
-                        if R::ENABLED {
-                            rec.observe(
-                                Metric::TaskRoundTripNs,
-                                flight.sent_at.elapsed().as_nanos() as u64,
-                            );
+            tag::RESULT => match ResultsMsg::decode(&msg.payload) {
+                Ok(frame) => {
+                    rec.add(Counter::ClusterResultFrames, 1);
+                    let mut acts = Vec::new();
+                    for res in frame.items {
+                        if flights
+                            .get(&res.r)
+                            .is_some_and(|f| f.worker == msg.from && f.item.attempt == res.attempt)
+                        {
+                            let flight = flights.remove(&res.r).expect("checked above");
+                            if R::ENABLED {
+                                rec.observe(
+                                    Metric::TaskRoundTripNs,
+                                    flight.sent_at.elapsed().as_nanos() as u64,
+                                );
+                            }
                         }
+                        if R::ENABLED {
+                            rec.event(Event::Result {
+                                worker: msg.from,
+                                r: res.r,
+                                attempt: res.attempt,
+                                score: res.score as i64,
+                            });
+                        }
+                        acts.extend(master.result(msg.from, res));
                     }
-                    if R::ENABLED {
-                        rec.event(Event::Result {
-                            worker: msg.from,
-                            r: res.r,
-                            attempt: res.attempt,
-                            score: res.score as i64,
-                        });
-                    }
-                    let acts = master.result(msg.from, res);
                     if R::ENABLED {
                         rec.progress(&master.progress());
                     }
@@ -619,7 +624,8 @@ pub(crate) fn master_loop<C: Comm, R: Recorder>(
 }
 
 /// How often a worker beacons (IDLE while free, a paired RESYNC while
-/// it has deferred work) so the master can tell "slow" from "gone".
+/// it has deferred work) so the master can tell "slow" from "gone" —
+/// and the longest a busy worker holds computed results back.
 pub(crate) const BEACON_PERIOD: Duration = Duration::from_millis(40);
 
 /// Worker-side receive poll granularity.
@@ -629,20 +635,6 @@ pub(crate) const WORKER_POLL: Duration = Duration::from_millis(15);
 /// [`ResyncMsg`] frame — both are a single `usize`).
 pub(crate) fn idle_payload(slot: usize) -> Vec<u8> {
     ResyncMsg { applied: slot }.encode()
-}
-
-/// `true` if `task` duplicates an entry already deferred (any shared
-/// split + attempt) — re-deferring it would just burn compute later.
-/// Workers explode received batches into single-item frames before
-/// deferring, so in practice both sides hold exactly one item.
-pub(crate) fn already_deferred(deferred: &[TaskMsg], task: &TaskMsg) -> bool {
-    deferred.iter().any(|t| {
-        t.items.iter().any(|ti| {
-            task.items
-                .iter()
-                .any(|si| ti.r == si.r && ti.attempt == si.attempt)
-        })
-    })
 }
 
 #[cfg(test)]

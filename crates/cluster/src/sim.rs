@@ -16,7 +16,7 @@
 //! compute; the rest replay it under different schedules.
 
 use crate::master::{MasterAction, MasterState};
-use crate::protocol::{AcceptedMsg, ResultMsg, TaskItem, TaskMsg};
+use crate::protocol::{AcceptedMsg, ResultMsg, ResultsMsg, TaskItem, TaskMsg};
 use repro_align::{Score, Scoring, Seq};
 use repro_core::{OverrideTriangle, SplitMask, TopAlignments};
 use repro_xmpi::virtual_time::{run, Actor, Ctx, LinkModel};
@@ -135,7 +135,8 @@ struct WorkerSim<'a> {
     triangle: OverrideTriangle,
     applied: usize,
     rows: HashMap<usize, Vec<Score>>,
-    deferred: Vec<TaskMsg>,
+    /// Items whose stamp the replica has not reached, with that stamp.
+    deferred: Vec<(usize, TaskItem)>,
     cache: Rc<RefCell<AlignCache>>,
 }
 
@@ -180,7 +181,7 @@ impl MasterSim<'_> {
 }
 
 impl WorkerSim<'_> {
-    fn run_task(&mut self, stamp: usize, task: TaskItem, ctx: &mut Ctx) {
+    fn run_task(&mut self, task: TaskItem, ctx: &mut Ctx) {
         let version = self.applied;
         let key = (task.r, version);
         let cached = self.cache.borrow().entries.get(&key).cloned();
@@ -223,7 +224,7 @@ impl WorkerSim<'_> {
         ctx.compute(cells as f64 / self.cost.worker_cells_per_sec);
         let res = ResultMsg {
             r: task.r,
-            stamp,
+            stamp: version,
             attempt: task.attempt,
             score,
             cells,
@@ -231,21 +232,13 @@ impl WorkerSim<'_> {
             incr: [0; 4],
             first_row: row,
         };
-        ctx.send(0, sim_tag::RESULT, res.encode());
+        ctx.send(0, sim_tag::RESULT, ResultsMsg { items: vec![res] }.encode());
     }
 
     fn drain_deferred(&mut self, ctx: &mut Ctx) {
-        // Deferred frames are single-item (batches are exploded at
-        // receipt), so each pop runs one split.
-        while let Some(pos) = self.deferred.iter().position(|t| t.stamp <= self.applied) {
-            let task = self.deferred.swap_remove(pos);
-            let stamp = task.stamp;
-            let item = task
-                .items
-                .into_iter()
-                .next()
-                .expect("deferred frames are single-item");
-            self.run_task(stamp, item, ctx);
+        while let Some(pos) = self.deferred.iter().position(|&(s, _)| s <= self.applied) {
+            let (_, item) = self.deferred.swap_remove(pos);
+            self.run_task(item, ctx);
         }
     }
 }
@@ -267,9 +260,13 @@ impl Actor for SimActor<'_> {
                 let actions = match tag {
                     sim_tag::IDLE => m.state.worker_idle(from, 0),
                     sim_tag::RESULT => {
-                        let res = ResultMsg::decode(payload)
+                        let frame = ResultsMsg::decode(payload)
                             .expect("simulator transport cannot corrupt frames");
-                        m.state.result(from, res)
+                        frame
+                            .items
+                            .into_iter()
+                            .flat_map(|res| m.state.result(from, res))
+                            .collect()
                     }
                     other => unreachable!("master got tag {other}"),
                 };
@@ -282,15 +279,12 @@ impl Actor for SimActor<'_> {
                     let stamp = task.stamp;
                     if stamp <= w.applied {
                         for item in task.items {
-                            w.run_task(stamp, item, ctx);
+                            w.run_task(item, ctx);
                         }
                     } else {
                         // One stamp per frame: all-run-or-all-defer.
-                        // Keep deferred frames single-item so draining
-                        // stays one-split-at-a-time.
-                        for item in task.items {
-                            w.deferred.push(TaskMsg::single(stamp, item));
-                        }
+                        w.deferred
+                            .extend(task.items.into_iter().map(|item| (stamp, item)));
                     }
                 }
                 sim_tag::ACCEPTED => {

@@ -1,6 +1,7 @@
-//! Wire-version skew regression: a v3 peer (the protocol before batched
-//! task assignment reshaped `TaskMsg`) must be rejected with a *typed*
-//! [`WireError::Version`] on its very first frame — never a garbage
+//! Wire-version skew regression: a v4 peer (the protocol before result
+//! frames became lists and result stamps became the computed-against
+//! version) must be rejected with a *typed* [`WireError::Version`] on
+//! its very first frame — never a garbage
 //! decode deep inside a message codec — on both transports:
 //!
 //! * the in-process backends (thread simulator, virtual-time sim) hand
@@ -9,13 +10,22 @@
 //!   it is ever admitted to a rank.
 
 use repro_align::{Scoring, Seq};
-use repro_cluster::protocol::{AcceptedMsg, JobMsg, ResultMsg, ResyncMsg, TaskItem, TaskMsg};
+use repro_cluster::protocol::{
+    AcceptedMsg, JobMsg, ResultMsg, ResultsMsg, ResyncMsg, TaskItem, TaskMsg,
+};
 use repro_xmpi::socket::{envelope, SocketHub, SocketPeer};
 use repro_xmpi::wire::{WireError, VERSION};
 use repro_xmpi::Comm;
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
+
+/// The version the skewed peer speaks: the one this build replaced.
+const V4: u32 = 4;
+const _: () = assert!(
+    VERSION > V4,
+    "the result-frame change must bump the wire version"
+);
 
 /// Rewrite a framed buffer's version word (bytes 4..8) to `v`. The
 /// checksum only covers the payload, so the frame stays otherwise
@@ -27,7 +37,7 @@ fn reversion(mut frame: Vec<u8>, v: u32) -> Vec<u8> {
 }
 
 #[test]
-fn v3_frames_are_rejected_typed_by_every_message_codec() {
+fn v4_frames_are_rejected_typed_by_every_message_codec() {
     let seq = Seq::dna("ATGCATGC").unwrap();
     let scoring = Scoring::dna_example();
     let frames: Vec<(&str, Vec<u8>)> = vec![
@@ -46,16 +56,18 @@ fn v3_frames_are_rejected_typed_by_every_message_codec() {
             .encode(),
         ),
         (
-            "ResultMsg",
-            ResultMsg {
-                r: 3,
-                stamp: 0,
-                attempt: 1,
-                score: 7,
-                cells: 12,
-                shadow_rejections: 0,
-                incr: [0; 4],
-                first_row: Some(vec![0, 1, 2]),
+            "ResultsMsg",
+            ResultsMsg {
+                items: vec![ResultMsg {
+                    r: 3,
+                    stamp: 0,
+                    attempt: 1,
+                    score: 7,
+                    cells: 12,
+                    shadow_rejections: 0,
+                    incr: [0; 4],
+                    first_row: Some(vec![0, 1, 2]),
+                }],
             }
             .encode(),
         ),
@@ -81,32 +93,32 @@ fn v3_frames_are_rejected_typed_by_every_message_codec() {
         ),
     ];
     let want = WireError::Version {
-        got: VERSION - 1,
+        got: V4,
         want: VERSION,
     };
     for (kind, frame) in frames {
-        let stale = reversion(frame, VERSION - 1);
+        let stale = reversion(frame, V4);
         let got = match kind {
             "TaskMsg" => TaskMsg::decode(&stale).unwrap_err(),
-            "ResultMsg" => ResultMsg::decode(&stale).unwrap_err(),
+            "ResultsMsg" => ResultsMsg::decode(&stale).unwrap_err(),
             "AcceptedMsg" => AcceptedMsg::decode(&stale).unwrap_err(),
             "ResyncMsg" => ResyncMsg::decode(&stale).unwrap_err(),
             "JobMsg" => JobMsg::decode(&stale).unwrap_err(),
             _ => unreachable!(),
         };
-        assert_eq!(got, want, "{kind} did not reject the v3 frame typed");
+        assert_eq!(got, want, "{kind} did not reject the v4 frame typed");
     }
 }
 
 #[test]
-fn v3_worker_hello_is_rejected_at_the_socket_hub() {
+fn v4_worker_hello_is_rejected_at_the_socket_hub() {
     let hub = SocketHub::bind("127.0.0.1:0").expect("bind hub");
     assert_eq!(hub.version_rejects(), 0);
 
     // A stale worker's admission request: a well-formed HELLO envelope
     // (reserved tag 0xFFFF_FF01) whose frame declares the previous
     // protocol version.
-    let hello = reversion(envelope(0xFFFF_FF01, 1, &[]), VERSION - 1);
+    let hello = reversion(envelope(0xFFFF_FF01, 1, &[]), V4);
     let mut stream = TcpStream::connect(hub.addr()).expect("connect");
     stream.write_all(&hello).expect("send stale hello");
 
@@ -123,7 +135,7 @@ fn v3_worker_hello_is_rejected_at_the_socket_hub() {
     assert_eq!(hub.size(), 1, "a skewed worker must not be admitted");
 
     // The hub stays healthy: a current-version worker is admitted.
-    let peer = SocketPeer::connect(&hub.addr().to_string()).expect("v4 worker admitted");
+    let peer = SocketPeer::connect(&hub.addr().to_string()).expect("v5 worker admitted");
     assert_eq!(peer.rank(), 1);
     assert_eq!(hub.version_rejects(), 1);
 }

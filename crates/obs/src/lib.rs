@@ -119,6 +119,13 @@ pub enum Counter {
     ClusterBroadcasts,
     /// Times the master degraded to finishing the search locally.
     ClusterLocalFallbacks,
+    /// Result frames the cluster master decoded; results settled per
+    /// frame is alignments over this.
+    ClusterResultFrames,
+    /// Results the cluster master discarded for claiming a replica
+    /// version it has not reached itself (a corrupt frame that got past
+    /// the checksum).
+    ClusterRejectedResults,
     /// Realignment sweeps served by the incremental layer (memoised
     /// full skip or checkpointed mid-matrix resume).
     CheckpointHits,
@@ -153,7 +160,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 24] = [
+    pub const ALL: [Counter; 26] = [
         Counter::LanesActive,
         Counter::LanesPadded,
         Counter::GroupSweeps,
@@ -167,6 +174,8 @@ impl Counter {
         Counter::ClusterResyncs,
         Counter::ClusterBroadcasts,
         Counter::ClusterLocalFallbacks,
+        Counter::ClusterResultFrames,
+        Counter::ClusterRejectedResults,
         Counter::CheckpointHits,
         Counter::CheckpointMisses,
         Counter::RealignRowsSwept,
@@ -196,6 +205,8 @@ impl Counter {
             Counter::ClusterResyncs => "cluster_resyncs",
             Counter::ClusterBroadcasts => "cluster_broadcasts",
             Counter::ClusterLocalFallbacks => "cluster_local_fallbacks",
+            Counter::ClusterResultFrames => "cluster_result_frames",
+            Counter::ClusterRejectedResults => "cluster_rejected_results",
             Counter::CheckpointHits => "checkpoint_hits",
             Counter::CheckpointMisses => "checkpoint_misses",
             Counter::RealignRowsSwept => "realign_rows_swept",

@@ -33,7 +33,10 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"rpro");
 /// v4: batched task assignment — `TaskMsg` became `{stamp, items}`
 /// with per-item `{r, attempt, first, bound, row}`, so a v3 peer
 /// would mis-frame every task in both directions.
-pub const VERSION: u32 = 4;
+/// v5: list-valued result frames — `RESULT` carries `{n, items}` and a
+/// result's `stamp` is the replica version it was computed against, so
+/// a v4 peer would mis-frame every result.
+pub const VERSION: u32 = 5;
 
 /// Bytes of frame header (`magic + version + len`) before the payload.
 pub const FRAME_HEADER: usize = 12;
@@ -340,6 +343,12 @@ impl<'a> Decoder<'a> {
             return Err(WireError::BadLength { claimed: n });
         }
         (0..n).map(|_| Ok((self.usize()?, self.usize()?))).collect()
+    }
+
+    /// Bytes not yet consumed: the bound a list decoder checks a
+    /// claimed element count against before allocating for it.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     /// `true` iff every byte has been consumed.
