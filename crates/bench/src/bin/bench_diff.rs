@@ -127,6 +127,18 @@ fn extract(doc: &Json) -> Vec<MetricVal> {
                     ));
                 }
             }
+            for c in doc.get("chain").and_then(Json::as_arr).unwrap_or(&[]) {
+                let path = s(c.get("path"));
+                let lanes = f(c.get("lanes")).unwrap_or(0.0) as u64;
+                let leg = s(c.get("leg"));
+                if let Some(v) = f(c.get("useful_cells_per_sec")) {
+                    out.push(m(
+                        format!("simd:chain:{path}:x{lanes}:{leg}:useful_cells_per_sec"),
+                        v,
+                        true,
+                    ));
+                }
+            }
             for r in doc.get("row").and_then(Json::as_arr).unwrap_or(&[]) {
                 let kernel = s(r.get("kernel"));
                 let cols = f(r.get("cols")).unwrap_or(0.0) as u64;
@@ -321,11 +333,17 @@ mod tests {
 
         let simd = doc(
             r#"{"bench":"simd_sweep","kernels":[
-                {"path":"sse2","lanes":8,"kernel":"profile","lane_cells_per_sec":3.0e9}]}"#,
+                {"path":"sse2","lanes":8,"kernel":"profile","lane_cells_per_sec":3.0e9}],
+                "chain":[
+                {"path":"avx2","lanes":16,"leg":"narrowest","useful_cells_per_sec":4.0e9}]}"#,
         );
+        let names: Vec<String> = extract(&simd).into_iter().map(|m| m.name).collect();
         assert_eq!(
-            extract(&simd)[0].name,
-            "simd:sse2:x8:profile:lane_cells_per_sec"
+            names,
+            [
+                "simd:sse2:x8:profile:lane_cells_per_sec",
+                "simd:chain:avx2:x16:narrowest:useful_cells_per_sec"
+            ]
         );
 
         assert!(extract(&doc(r#"{"bench":"novel"}"#)).is_empty());

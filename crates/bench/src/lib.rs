@@ -63,45 +63,37 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, t0.elapsed().as_secs_f64())
 }
 
-/// Time two closures head-to-head until `budget` elapses (each runs at
-/// least once), returning each one's minimum per-iteration seconds.
+/// Time several closures head-to-head until `budget` elapses (each runs
+/// at least once), returning each one's minimum per-iteration seconds.
 /// The arms alternate rep-by-rep so slow frequency/thermal drift hits
-/// both equally instead of biasing whichever arm ran second — on
-/// sub-20 ms workloads that drift alone was measured moving a ratio of
-/// the two minima by ±5 %.
-pub fn time_min_pair(
-    budget: Duration,
-    mut a: impl FnMut(),
-    mut b: impl FnMut(),
-) -> (f64, f64) {
+/// all equally instead of biasing whichever arm ran last — on sub-20 ms
+/// workloads that drift alone was measured moving a ratio of two minima
+/// by ±5 %.
+pub fn time_min_each(budget: Duration, arms: &mut [&mut dyn FnMut()]) -> Vec<f64> {
     let start = Instant::now();
-    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    let mut best = vec![f64::INFINITY; arms.len()];
     loop {
-        let t0 = Instant::now();
-        a();
-        best_a = best_a.min(t0.elapsed().as_secs_f64());
-        let t1 = Instant::now();
-        b();
-        best_b = best_b.min(t1.elapsed().as_secs_f64());
+        for (arm, best) in arms.iter_mut().zip(&mut best) {
+            let t0 = Instant::now();
+            arm();
+            *best = best.min(t0.elapsed().as_secs_f64());
+        }
         if start.elapsed() >= budget {
-            return (best_a, best_b);
+            return best;
         }
     }
+}
+
+/// [`time_min_each`] for two closures.
+pub fn time_min_pair(budget: Duration, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let best = time_min_each(budget, &mut [&mut a, &mut b]);
+    (best[0], best[1])
 }
 
 /// Time a closure repeatedly until `budget` elapses (at least once),
 /// returning the minimum per-iteration seconds.
 pub fn time_min(budget: Duration, mut f: impl FnMut()) -> f64 {
-    let start = Instant::now();
-    let mut best = f64::INFINITY;
-    loop {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        if start.elapsed() >= budget {
-            return best;
-        }
-    }
+    time_min_each(budget, &mut [&mut f])[0]
 }
 
 /// Right-aligned table printer: header once, then rows.

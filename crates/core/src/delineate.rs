@@ -141,7 +141,9 @@ fn estimate_period(tops: &[TopAlignment]) -> Option<usize> {
             })
             .sum()
     };
-    let best_score = candidates.iter().map(|&d| score(d)).fold(0.0f64, f64::max);
+    // The fit is O(offsets) per candidate: score each candidate once.
+    let scores: Vec<f64> = candidates.iter().map(|&d| score(d)).collect();
+    let best_score = scores.iter().copied().fold(0.0f64, f64::max);
     // Periodicity must explain a substantial share of the offsets, or
     // the offsets simply are not periodic.
     if best_score < 0.4 * offsets.len() as f64 {
@@ -150,11 +152,8 @@ fn estimate_period(tops: &[TopAlignment]) -> Option<usize> {
     // Largest candidate achieving (almost) the best score wins: for an
     // exact ATGC tandem, 2 and 4 both explain everything — 4 is the unit.
     let threshold = best_score * 0.95;
-    candidates
-        .into_iter()
-        .rev()
-        .find(|&d| score(d) >= threshold)
-        .map(|d| d as usize)
+    let winner = scores.iter().rposition(|&s| s >= threshold)?;
+    Some(candidates[winner] as usize)
 }
 
 /// Delineate repeats in `seq` from its top alignments.
@@ -342,6 +341,108 @@ mod tests {
         assert_eq!(cols[4], "4");
         assert!(cols[8].contains("period=4"));
         assert_eq!(gff.lines().count(), 1 + report.copies());
+    }
+
+    /// `estimate_period` as it was before its candidate scores were
+    /// kept: the fit evaluated over every candidate for the best score,
+    /// then again from the largest candidate down.
+    fn estimate_period_scoring_twice(tops: &[TopAlignment]) -> Option<usize> {
+        let mut medians: Vec<i64> = tops
+            .iter()
+            .filter(|t| !t.pairs.is_empty())
+            .map(|t| {
+                let mut offs: Vec<i64> = t.pairs.iter().map(|&(p, q)| (q - p) as i64).collect();
+                offs.sort_unstable();
+                offs[offs.len() / 2]
+            })
+            .collect();
+        if medians.is_empty() {
+            return None;
+        }
+        medians.sort_unstable();
+        medians.dedup();
+        let offsets: Vec<i64> = tops
+            .iter()
+            .flat_map(|t| t.pairs.iter().map(|&(p, q)| (q - p) as i64))
+            .collect();
+        let mut candidates: Vec<i64> = Vec::new();
+        for (i, &a) in medians.iter().enumerate() {
+            for k in 1..=8 {
+                candidates.push(a / k);
+            }
+            for &b in &medians[i + 1..] {
+                let d = b - a;
+                for k in 1..=4 {
+                    candidates.push(d / k);
+                }
+            }
+        }
+        candidates.retain(|&d| d >= 2);
+        candidates.sort_unstable();
+        candidates.dedup();
+        if candidates.is_empty() {
+            return None;
+        }
+        let score = |d: i64| -> f64 {
+            let tol = (d as f64 * 0.12).max(1.0);
+            offsets
+                .iter()
+                .map(|&o| {
+                    let k = ((o as f64 / d as f64).round() as i64).max(1);
+                    let dev = (o - k * d).abs() as f64;
+                    (1.0 - dev / tol).max(0.0)
+                })
+                .sum()
+        };
+        let best_score = candidates.iter().map(|&d| score(d)).fold(0.0f64, f64::max);
+        if best_score < 0.4 * offsets.len() as f64 {
+            return None;
+        }
+        let threshold = best_score * 0.95;
+        candidates
+            .into_iter()
+            .rev()
+            .find(|&d| score(d) >= threshold)
+            .map(|d| d as usize)
+    }
+
+    #[test]
+    fn period_estimate_equals_the_double_evaluation() {
+        use repro_seqgen::{PlantedRepeats, RepeatSpec};
+        let dna = Scoring::dna_example();
+        let protein = Scoring::protein_default();
+        let inputs = [
+            (Seq::dna(&"ATGC".repeat(20)).unwrap(), &dna, 12),
+            (repro_seqgen::titin_like(240, 1), &protein, 12),
+            (repro_seqgen::titin_like(200, 9), &protein, 5),
+            (
+                PlantedRepeats::generate(&RepeatSpec::dna_tandem(25, 8), 3).seq,
+                &dna,
+                10,
+            ),
+            (
+                PlantedRepeats::generate(&RepeatSpec::protein_sparse_island(12, 3), 7).seq,
+                &protein,
+                3,
+            ),
+            (
+                PlantedRepeats::generate(&RepeatSpec::dna_sparse_island(12, 4), 2).seq,
+                &dna,
+                6,
+            ),
+        ];
+        let mut periodic = 0;
+        for (seq, scoring, count) in &inputs {
+            let tops = find_top_alignments(seq, scoring, *count).alignments;
+            // Every prefix of the tops: more candidate sets, including
+            // the empty and the single-alignment one.
+            for n in 0..=tops.len() {
+                let got = estimate_period(&tops[..n]);
+                assert_eq!(got, estimate_period_scoring_twice(&tops[..n]), "{n} tops");
+                periodic += usize::from(got.is_some());
+            }
+        }
+        assert!(periodic > 10, "only {periodic} periodic cases exercised");
     }
 
     #[test]

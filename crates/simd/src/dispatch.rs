@@ -27,8 +27,8 @@
 //! kernel would be slower than the 8-lane one.
 
 use crate::group::{
-    align_group_lookup_impl, align_group_profile_at_impl, align_group_profile_impl, group_stripe,
-    GroupCapture, GroupResult, GroupResume,
+    align_group_lookup_impl, align_group_profile_at_impl, group_stripe, GroupCapture, GroupResult,
+    GroupResume,
 };
 use crate::LaneWidth;
 use repro_align::{QueryProfile, Scoring};
@@ -214,20 +214,6 @@ pub fn select(
 
 #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
 #[target_feature(enable = "avx2")]
-unsafe fn profile_i16_avx2(
-    seq: &[u8],
-    scoring: &Scoring,
-    profile: &QueryProfile<i16>,
-    r0: usize,
-    lanes: usize,
-    triangle: Option<&OverrideTriangle>,
-    stripe: usize,
-) -> GroupResult {
-    align_group_profile_impl::<I16x16Avx2>(seq, scoring, profile, r0, lanes, triangle, stripe)
-}
-
-#[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
-#[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)] // mirrors the kernel's full state
 unsafe fn profile_i16_at_avx2(
     seq: &[u8],
@@ -264,9 +250,10 @@ unsafe fn lookup_i16_avx2(
     align_group_lookup_impl::<I16x16Avx2>(seq, scoring, r0, lanes, triangle, stripe)
 }
 
-/// The narrow (`i16`) query-profile sweep, routed to the selected
-/// kernel. Bit-identical results on every path; stripe width derives
-/// from the L1 rule for the selected lane count.
+/// The narrow (`i16`) query-profile sweep of the `lanes` consecutive
+/// splits from `r0`, routed to the selected kernel: exactly what
+/// [`sweep_group_profile_i16_at`] runs for that pack from row 0 with
+/// no captures — the same code the engines execute.
 pub fn sweep_group_profile_i16(
     sel: SimdSel,
     seq: &[u8],
@@ -276,44 +263,15 @@ pub fn sweep_group_profile_i16(
     lanes: usize,
     triangle: Option<&OverrideTriangle>,
 ) -> GroupResult {
-    let stripe = group_stripe(sel.width.lanes(), 2);
-    match (sel.path, sel.width) {
-        (DispatchPath::Portable, LaneWidth::X4) => {
-            align_group_profile_impl::<I16x4>(seq, scoring, profile, r0, lanes, triangle, stripe)
-        }
-        (DispatchPath::Portable, LaneWidth::X8) => {
-            align_group_profile_impl::<I16x8>(seq, scoring, profile, r0, lanes, triangle, stripe)
-        }
-        (DispatchPath::Portable, LaneWidth::X16) => {
-            align_group_profile_impl::<I16x16>(seq, scoring, profile, r0, lanes, triangle, stripe)
-        }
-        #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
-        (DispatchPath::Sse2 | DispatchPath::Avx2, LaneWidth::X4) => {
-            align_group_profile_impl::<I16x4Sse2>(
-                seq, scoring, profile, r0, lanes, triangle, stripe,
-            )
-        }
-        #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
-        (DispatchPath::Sse2 | DispatchPath::Avx2, LaneWidth::X8) => {
-            align_group_profile_impl::<I16x8Sse2>(
-                seq, scoring, profile, r0, lanes, triangle, stripe,
-            )
-        }
-        #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
-        (DispatchPath::Avx2, LaneWidth::X16) => {
-            // SAFETY: sel.path == Avx2 implies `available(Avx2)` held when
-            // the selection was made (select() is the only constructor used
-            // by the engines, and tests that build SimdSel by hand gate on
-            // the same probe).
-            unsafe { profile_i16_avx2(seq, scoring, profile, r0, lanes, triangle, stripe) }
-        }
-        _ => unreachable!("select() never yields {:?}", sel),
-    }
+    let rs: Vec<usize> = (r0..r0 + lanes).collect();
+    sweep_group_profile_i16_at(sel, seq, scoring, profile, &rs, triangle, None, &[]).0
 }
 
-/// [`sweep_group_profile_i16`] generalised to an arbitrary ascending
-/// split set with optional mid-matrix resume and inter-row capture —
-/// the compacted-resume entry point of the incremental layer.
+/// The narrow (`i16`) query-profile sweep of an arbitrary ascending
+/// split set, with optional mid-matrix resume and inter-row capture —
+/// the entry point of every engine sweep. Bit-identical results on
+/// every path; stripe width derives from the L1 rule for the selected
+/// lane count.
 #[allow(clippy::too_many_arguments)] // mirrors the kernel's full state
 pub fn sweep_group_profile_i16_at(
     sel: SimdSel,
@@ -385,7 +343,10 @@ pub fn sweep_group_profile_i16_at(
         }
         #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
         (DispatchPath::Avx2, LaneWidth::X16) => {
-            // SAFETY: as in `sweep_group_profile_i16`.
+            // SAFETY: sel.path == Avx2 implies `available(Avx2)` held when
+            // the selection was made (select() is the only constructor used
+            // by the engines, and tests that build SimdSel by hand gate on
+            // the same probe).
             unsafe {
                 profile_i16_at_avx2(
                     seq,
@@ -435,16 +396,16 @@ pub fn sweep_group_lookup_i16(
         }
         #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
         (DispatchPath::Avx2, LaneWidth::X16) => {
-            // SAFETY: as in `sweep_group_profile_i16`.
+            // SAFETY: as in `sweep_group_profile_i16_at`.
             unsafe { lookup_i16_avx2(seq, scoring, r0, lanes, triangle, stripe) }
         }
         _ => unreachable!("select() never yields {:?}", sel),
     }
 }
 
-/// The wide (`i32`) promotion sweep: always the portable kernels (the
-/// wrapping `i32` arithmetic autovectorises to plain `PADDD`/`PMAXSD`),
-/// bit-identical to the scalar reference at any width.
+/// The wide (`i32`) promotion sweep of the `lanes` consecutive splits
+/// from `r0`: [`sweep_group_wide_at`] for that pack from row 0 with no
+/// captures.
 pub fn sweep_group_wide(
     width: LaneWidth,
     seq: &[u8],
@@ -454,22 +415,15 @@ pub fn sweep_group_wide(
     lanes: usize,
     triangle: Option<&OverrideTriangle>,
 ) -> GroupResult {
-    let stripe = group_stripe(width.lanes(), 4);
-    match width {
-        LaneWidth::X4 => {
-            align_group_profile_impl::<I32x4>(seq, scoring, profile, r0, lanes, triangle, stripe)
-        }
-        LaneWidth::X8 => {
-            align_group_profile_impl::<I32x8>(seq, scoring, profile, r0, lanes, triangle, stripe)
-        }
-        LaneWidth::X16 => {
-            align_group_profile_impl::<I32x16>(seq, scoring, profile, r0, lanes, triangle, stripe)
-        }
-    }
+    let rs: Vec<usize> = (r0..r0 + lanes).collect();
+    sweep_group_wide_at(width, seq, scoring, profile, &rs, triangle, None, &[]).0
 }
 
-/// [`sweep_group_wide`] generalised to an arbitrary ascending split set
-/// with optional mid-matrix resume and inter-row capture.
+/// The wide (`i32`) promotion sweep of an arbitrary ascending split set
+/// with optional mid-matrix resume and inter-row capture: always the
+/// portable kernels (the wrapping `i32` arithmetic autovectorises to
+/// plain `PADDD`/`PMAXSD`), bit-identical to the scalar reference at
+/// any width.
 #[allow(clippy::too_many_arguments)] // mirrors the kernel's full state
 pub fn sweep_group_wide_at(
     width: LaneWidth,

@@ -22,10 +22,7 @@
 //! only the *work grouping* differs. The extra lane-alignments performed
 //! are reported in [`SimdStats`] (the paper measured < 0.70 % extra).
 
-use crate::dispatch::{
-    select, sweep_group_profile_i16, sweep_group_profile_i16_at, sweep_group_wide,
-    sweep_group_wide_at, SimdSel,
-};
+use crate::dispatch::{select, sweep_group_profile_i16_at, sweep_group_wide_at, SimdSel};
 use crate::group::{GroupCapture, GroupResult, GroupResume};
 use crate::resume::{GroupIncremental, LaneMemo};
 use crate::LaneWidth;
@@ -123,68 +120,12 @@ impl<'a> GroupSweeper<'a> {
         self.sel
     }
 
-    /// Sweep the group of `lanes` splits starting at `r0`, exactly.
+    /// Sweep the ascending split pack `rs` exactly, optionally resuming
+    /// mid-matrix and capturing inter-row state.
     ///
     /// The chain is: narrow `i16` profile sweep; on saturation (or an
     /// un-narrowable scoring) the wide `i32` profile sweep, which is the
     /// scalar recurrence verbatim and cannot clamp.
-    pub fn sweep(
-        &self,
-        r0: usize,
-        lanes: usize,
-        triangle: Option<&OverrideTriangle>,
-    ) -> SweepOutcome {
-        let mut vector_cells = 0;
-        let mut saturated_narrow = false;
-        if let Some(p16) = &self.prof16 {
-            let g = sweep_group_profile_i16(
-                self.sel,
-                self.seq.codes(),
-                self.scoring,
-                p16,
-                r0,
-                lanes,
-                triangle,
-            );
-            vector_cells += g.vector_cells;
-            if !g.saturated {
-                return SweepOutcome {
-                    group: g,
-                    saturated_narrow: false,
-                    promoted: false,
-                    vector_cells,
-                };
-            }
-            saturated_narrow = true;
-        }
-        let p32 = self
-            .prof32
-            .get_or_init(|| QueryProfile::new_wide(self.scoring, self.seq.codes()));
-        let g = sweep_group_wide(
-            self.sel.width,
-            self.seq.codes(),
-            self.scoring,
-            p32,
-            r0,
-            lanes,
-            triangle,
-        );
-        // The wide element wraps exactly like the scalar kernel; a score
-        // actually reaching i32::MAX would be wrong scalarly too.
-        debug_assert!(!g.saturated);
-        vector_cells += g.vector_cells;
-        SweepOutcome {
-            group: g,
-            saturated_narrow,
-            promoted: true,
-            vector_cells,
-        }
-    }
-
-    /// Sweep an arbitrary ascending split pack `rs`, optionally resuming
-    /// mid-matrix and capturing inter-row state — the compacted-resume
-    /// form of [`GroupSweeper::sweep`], same narrow → wide promotion
-    /// chain, bit-identical results.
     ///
     /// Resume states above `i16` range force the wide path directly:
     /// values *below* the narrow range pin to `i16::MIN` on restore,
@@ -250,6 +191,8 @@ impl<'a> GroupSweeper<'a> {
             resume,
             capture_rows,
         );
+        // The wide element wraps exactly like the scalar kernel; a score
+        // actually reaching i32::MAX would be wrong scalarly too.
         debug_assert!(!g.saturated);
         vector_cells += g.vector_cells;
         (

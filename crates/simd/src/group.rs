@@ -40,7 +40,11 @@
 //! Border corrections:
 //! * **left**: lane `l` has no column `q < rs[l]`; those cells are
 //!   forced to 0, which doubles as the virtual zero column for the
-//!   lane's first real column (only columns `q < rs[last]` need this);
+//!   lane's first real column. Only columns `q < rs[last]` need this:
+//!   each has a *kill vector* (`MAX` in its dead lanes, built once per
+//!   sweep) that the clamped cell value is reduced by and clamped
+//!   again, two vector ops, in a loop of their own ahead of the row's
+//!   interior;
 //! * **bottom**: lane `l`'s matrix ends at row `rs[l] − 1`; its bottom
 //!   row is captured when that row completes, and deeper rows of the
 //!   lane are dead weight (the paper's speculation cost).
@@ -190,7 +194,8 @@ pub fn align_group_profile<V: SimdVec>(
     triangle: Option<&OverrideTriangle>,
     stripe: usize,
 ) -> GroupResult {
-    align_group_profile_impl::<V>(seq, scoring, profile, r0, lanes, triangle, stripe)
+    let rs: Vec<usize> = (r0..r0 + lanes).collect();
+    align_group_profile_at_impl::<V>(seq, scoring, profile, &rs, triangle, stripe, None, &[]).0
 }
 
 /// The generalised profile sweep: an arbitrary strictly ascending split
@@ -242,11 +247,11 @@ struct SweepState<V: SimdVec> {
 struct Geom<'a, V: SimdVec> {
     rs: &'a [usize],
     r0: usize,
-    /// Columns `qi < border_cols` have at least one inactive lane.
-    border_cols: usize,
-    /// Active-lane count per bordered column (`rs` is ascending, so the
-    /// active lanes are always a prefix).
-    keep: Vec<usize>,
+    /// Left-border kill vectors, one per bordered column (`qi <
+    /// kill.len() = rs[last] − r0`, the columns with at least one
+    /// inactive lane; at most `LANES − 1` of them for a consecutive
+    /// group): see [`border_kill`].
+    kill: Vec<V>,
     /// `bottom[p] = Some(l)` iff row `p` is lane `l`'s bottom row
     /// (`rs[l] == p + 1`).
     bottom: Vec<Option<usize>>,
@@ -258,8 +263,27 @@ struct Geom<'a, V: SimdVec> {
     capture_rows: &'a [usize],
 }
 
+/// The kill vector of a bordered column whose first `keep` lanes are
+/// live (`rs` is ascending, so the live lanes are always a prefix):
+/// `MAX` in the dead lanes, zero in the live ones.
 #[inline(always)]
-#[allow(clippy::needless_range_loop)] // index loops mirror the paper's pseudo code
+fn border_kill<V: SimdVec>(keep: usize) -> V {
+    let mut kill = V::splat(V::Elem::ZERO);
+    kill.lanes_mut()[keep..].fill(V::Elem::MAX);
+    kill
+}
+
+/// The left-border correction: force the dead lanes of a cell value to
+/// zero, leave the live ones alone. `v` must already be clamped at
+/// zero: `v − MAX ≤ 0` then holds in either overflow discipline, while
+/// on the wrapping `i32` element a negative pre-clamp value minus
+/// `i32::MAX` would wrap around to a positive one.
+#[inline(always)]
+fn kill_dead_lanes<V: SimdVec>(v: V, kill: V) -> V {
+    v.subs(kill).max(V::splat(V::Elem::ZERO))
+}
+
+#[inline(always)]
 fn sweep_prologue_at<'a, V: SimdVec>(
     m: usize,
     scoring: &Scoring,
@@ -299,9 +323,9 @@ fn sweep_prologue_at<'a, V: SimdVec>(
         "capture rows must lie strictly between the resume row and rmax"
     );
 
-    let border_cols = rmax - r0;
-    let keep: Vec<usize> = (0..border_cols)
-        .map(|qi| rs.partition_point(|&r| r <= r0 + qi))
+    // Lane l is live in column q iff q ≥ rs[l].
+    let kill: Vec<V> = (r0..rmax)
+        .map(|q| border_kill(rs.partition_point(|&r| r <= q)))
         .collect();
     let mut bottom: Vec<Option<usize>> = vec![None; rmax];
     for (l, &r) in rs.iter().enumerate() {
@@ -313,33 +337,24 @@ fn sweep_prologue_at<'a, V: SimdVec>(
         Some(rsm) => {
             assert!(rsm.row >= 1, "resume row must be at least 1");
             assert_eq!(rsm.lanes.len(), lanes, "one resume state per lane");
-            for (l, st) in rsm.lanes.iter().enumerate() {
-                assert_eq!(st.m.len(), m - rs[l], "lane {l} resume width");
-                assert_eq!(st.maxy.len(), m - rs[l], "lane {l} resume width");
-            }
             // Inactive columns (q < rs[l]) are forced to zero every row,
             // so after ≥ 1 rows their running vertical-gap maximum is
             // the constant `(0 − open) − ext` — reconstructed here, no
             // interleaved state needed.
             let inactive_maxy = V::Elem::ZERO.vsub(gap_open).vsub(gap_ext);
-            let mut mrow = Vec::with_capacity(width);
-            let mut maxy = Vec::with_capacity(width);
-            for qi in 0..width {
-                let q = r0 + qi;
-                mrow.push(V::from_fn(|l| {
-                    if l < lanes && q >= rs[l] {
-                        V::Elem::from_score_sat(rsm.lanes[l].m[q - rs[l]])
-                    } else {
-                        V::Elem::ZERO
-                    }
-                }));
-                maxy.push(V::from_fn(|l| {
-                    if l < lanes && q >= rs[l] {
-                        V::Elem::from_score_sat(rsm.lanes[l].maxy[q - rs[l]])
-                    } else {
-                        inactive_maxy
-                    }
-                }));
+            let mut mrow = vec![zero; width];
+            let mut maxy = vec![V::splat(inactive_maxy); width];
+            // Lane by lane: one strided pass over the lane's own
+            // columns per array, no per-element liveness test.
+            for (l, (st, &r)) in rsm.lanes.iter().zip(rs).enumerate() {
+                assert_eq!(st.m.len(), m - r, "lane {l} resume width");
+                assert_eq!(st.maxy.len(), m - r, "lane {l} resume width");
+                for (v, &x) in mrow[r - r0..].iter_mut().zip(st.m) {
+                    v.lanes_mut()[l] = V::Elem::from_score_sat(x);
+                }
+                for (v, &x) in maxy[r - r0..].iter_mut().zip(st.maxy) {
+                    v.lanes_mut()[l] = V::Elem::from_score_sat(x);
+                }
             }
             let init_m = mrow.clone();
             // Seed the saturation accumulator from the restored row so a
@@ -373,8 +388,7 @@ fn sweep_prologue_at<'a, V: SimdVec>(
     let geom = Geom {
         rs,
         r0,
-        border_cols,
-        keep,
+        kill,
         bottom,
         start,
         init_m,
@@ -394,39 +408,28 @@ fn finish<V: SimdVec>(
         .iter()
         .map(|&r| (r - geom.start) as u64 * (m - r) as u64)
         .sum();
-    // De-interleave the capture buffers into per-lane scalar state,
-    // column by column (one vector, all its live lanes). Plain loops on
-    // purpose: a closure here would be a function of its own outside
-    // the `#[target_feature]` trampoline this is inlined into, and
-    // every lane read in it a call.
-    let mut captures = Vec::with_capacity(geom.capture_rows.len());
-    for (&row, (mbuf, ybuf)) in geom.capture_rows.iter().zip(&st.captures) {
-        let mut lanes: Vec<Option<(Vec<Score>, Vec<Score>)>> = Vec::with_capacity(geom.rs.len());
-        for &r in geom.rs {
-            lanes.push(if row < r {
-                Some((vec![0; m - r], vec![0; m - r]))
-            } else {
-                None
-            });
-        }
-        for qi in 0..st.width {
-            let (mv, yv) = (mbuf[qi], ybuf[qi]);
-            // Lane l owns column q iff q ≥ rs[l]: a prefix of the lanes.
-            let active = if qi < geom.border_cols {
-                geom.keep[qi]
-            } else {
-                geom.rs.len()
-            };
-            for (l, lane) in lanes[..active].iter_mut().enumerate() {
-                if let Some((mj, yj)) = lane {
-                    let x = geom.r0 + qi - geom.rs[l];
-                    mj[x] = mv.get(l).to_score();
-                    yj[x] = yv.get(l).to_score();
-                }
-            }
-        }
-        captures.push(GroupCapture { row, lanes });
-    }
+    // De-interleave the capture buffers into per-lane scalar state, lane
+    // by lane: one strided pass over the lane's own columns per array.
+    let lane_of = |buf: &[V], l: usize, r: usize| -> Vec<Score> {
+        buf[r - geom.r0..]
+            .iter()
+            .map(|v| v.lanes()[l].to_score())
+            .collect()
+    };
+    let captures = geom
+        .capture_rows
+        .iter()
+        .zip(&st.captures)
+        .map(|(&row, (mbuf, ybuf))| GroupCapture {
+            row,
+            lanes: geom
+                .rs
+                .iter()
+                .enumerate()
+                .map(|(l, &r)| (row < r).then(|| (lane_of(mbuf, l, r), lane_of(ybuf, l, r))))
+                .collect(),
+        })
+        .collect();
     let result = GroupResult {
         r0: geom.r0,
         lanes: geom.rs.len(),
@@ -440,9 +443,9 @@ fn finish<V: SimdVec>(
 
 /// Where a sweep reads its overridden cells from, monomorphised so the
 /// first pass (no triangle — the overwhelmingly common case) compiles
-/// to the bare recurrence: with [`NoHits`] the row loop folds to the
-/// single column loop and no table is ever built. Mirrors the scalar
-/// kernels' `NoMask` / `SplitMask` split.
+/// to the bare recurrence: with [`NoHits`] a row is one run of cells
+/// and no table is ever built. Mirrors the scalar kernels' `NoMask` /
+/// `SplitMask` split.
 trait HitCursor {
     /// The next overridden column index `qi < x1` of the sweep's
     /// `row`-th row (counted from the sweep's first row), if any. Within
@@ -524,122 +527,202 @@ impl HitCursor for RowHits {
     }
 }
 
-/// The recurrence over columns `$lo..$hi` of one row, none of them
-/// overridden. `$maxx`/`$diag` name the row's running state in the
-/// caller ([`sweep_body`]).
-macro_rules! sweep_cells {
-    ($V:ty, $st:ident, $geom:ident, $maxx:ident, $diag:ident,
-     $qi:ident in $lo:expr, $hi:expr, $cell_exch:expr) => {
-        for $qi in $lo..$hi {
-            let up = $st.mrow[$qi];
-            let exch = $cell_exch;
-            let mut v = $diag
-                .max($maxx)
-                .max($st.maxy[$qi])
-                .adds(<$V>::splat(exch))
-                .max(<$V>::splat(SimdElem::ZERO));
-            // Left-border correction (lane l is active iff q ≥ rs[l];
-            // active lanes are a prefix because rs is ascending).
-            if $qi < $geom.border_cols {
-                v = v.zero_lanes_from($geom.keep[$qi]);
-            }
-            $st.sat_acc = $st.sat_acc.max(v);
-            $st.mrow[$qi] = v;
-            let cand = $diag.subs($st.vopen);
-            $maxx = cand.max($maxx).subs($st.vext);
-            $st.maxy[$qi] = cand.max($st.maxy[$qi]).subs($st.vext);
-            $diag = up;
-        }
-    };
+/// Where a sweep reads its exchange values from — the one thing the
+/// lookup and the query-profile sweep differ in.
+trait Exchange<E> {
+    /// `E(S[p], S[q])` for the columns `q ∈ lo..hi` of row `p`.
+    fn cells(&self, p: usize, lo: usize, hi: usize) -> impl Iterator<Item = E>;
 }
 
-/// The two sweep bodies are textually parallel; this macro holds the
-/// shared stripe/row/column loop so the lookup and profile variants
-/// differ only in how `exch` is produced (`$row_setup` runs once per
-/// row, `$cell_exch` once per cell). A macro rather than a closure
-/// keeps everything monomorphic and `inline(always)`-friendly for the
-/// `#[target_feature]` trampolines in [`crate::dispatch`].
-macro_rules! sweep_body {
-    ($V:ty, $st:ident, $geom:ident, $hits:ident, $stripe:ident,
-     |$p:ident| $row_setup:expr, |$rowctx:ident, $qi:ident| $cell_exch:expr) => {{
-        let start = $geom.start;
-        let mut x0 = 0;
-        while x0 < $st.width {
-            let x1 = x0.saturating_add($stripe).min($st.width);
-            // Row p consumes row p−1's *old* edge value; rows run top to
-            // bottom, so carry it across one iteration. For a resumed
-            // sweep the first computed row's diagonal input is the
-            // restored row's previous-stripe edge.
-            let mut above_old_edge = if start > 0 && x0 > 0 {
-                $geom.init_m[x0 - 1]
+/// The query profile: one contiguous load per cell.
+struct ProfileExchange<'a, E> {
+    profile: &'a QueryProfile<E>,
+    seq: &'a [u8],
+}
+
+impl<E: SimdElem> Exchange<E> for ProfileExchange<'_, E> {
+    #[inline(always)]
+    fn cells(&self, p: usize, lo: usize, hi: usize) -> impl Iterator<Item = E> {
+        self.profile.row(self.seq[p], 0)[lo..hi].iter().copied()
+    }
+}
+
+/// The exchange table narrowed to the lane element once per sweep (the
+/// hot loop stays free of checked conversions): each cell gathers
+/// through it, two dependent loads.
+struct LookupExchange<'a, E> {
+    table: Vec<E>,
+    k: usize,
+    seq: &'a [u8],
+}
+
+impl<E: SimdElem> Exchange<E> for LookupExchange<'_, E> {
+    #[inline(always)]
+    fn cells(&self, p: usize, lo: usize, hi: usize) -> impl Iterator<Item = E> {
+        let row = &self.table[self.seq[p] as usize * self.k..][..self.k];
+        self.seq[lo..hi].iter().map(move |&c| row[c as usize])
+    }
+}
+
+/// What the recurrence carries along a row, plus the sweep-long gap
+/// constants and saturation accumulator: locals of the row loop, so
+/// that inside the trampolines they stay in registers from the first
+/// cell of a segment to the last.
+struct RowRegs<V> {
+    vopen: V,
+    vext: V,
+    maxx: V,
+    diag: V,
+    sat: V,
+}
+
+impl<V: SimdVec> RowRegs<V> {
+    /// One cell of the recurrence: `m`/`y` are the column's `mrow`/`maxy`
+    /// entries, `e` its exchange value, `kill` its left-border kill
+    /// vector if it is a bordered column.
+    #[inline(always)]
+    fn cell(&mut self, m: &mut V, y: &mut V, e: V::Elem, kill: Option<V>) {
+        let up = *m;
+        let mut v = self
+            .diag
+            .max(self.maxx)
+            .max(*y)
+            .adds(V::splat(e))
+            .max(V::splat(V::Elem::ZERO));
+        if let Some(kill) = kill {
+            v = kill_dead_lanes(v, kill);
+        }
+        self.sat = self.sat.max(v);
+        *m = v;
+        self.gaps(y, up);
+    }
+
+    /// An overridden cell: every lane zero (nothing reaches `sat`),
+    /// while the gap maxima and the diagonal advance as for any cell.
+    #[inline(always)]
+    fn overridden(&mut self, m: &mut V, y: &mut V) {
+        let up = std::mem::replace(m, V::splat(V::Elem::ZERO));
+        self.gaps(y, up);
+    }
+
+    #[inline(always)]
+    fn gaps(&mut self, y: &mut V, up: V) {
+        let cand = self.diag.subs(self.vopen);
+        self.maxx = cand.max(self.maxx).subs(self.vext);
+        *y = cand.max(*y).subs(self.vext);
+        self.diag = up;
+    }
+}
+
+/// The stripe/row/segment loop every sweep runs — lookup or profile,
+/// any element, masked or not, from row 0 or resumed: it is
+/// `#[inline(always)]` all the way down so each `#[target_feature]`
+/// trampoline in [`crate::dispatch`] gets its own monomorphic copy.
+#[inline(always)]
+fn sweep_rows<V: SimdVec, H: HitCursor, X: Exchange<V::Elem>>(
+    st: &mut SweepState<V>,
+    geom: &Geom<'_, V>,
+    hits: &mut H,
+    stripe: usize,
+    exch: &X,
+) {
+    let zero = V::splat(V::Elem::ZERO);
+    let (start, r0) = (geom.start, geom.r0);
+    let border = geom.kill.len();
+    let (mrow, maxy) = (&mut st.mrow[..], &mut st.maxy[..]);
+    let mut regs = RowRegs {
+        vopen: st.vopen,
+        vext: st.vext,
+        maxx: zero,
+        diag: zero,
+        sat: st.sat_acc,
+    };
+    let mut x0 = 0;
+    while x0 < st.width {
+        let x1 = x0.saturating_add(stripe).min(st.width);
+        // Row p consumes row p−1's *old* edge value; rows run top to
+        // bottom, so carry it across one iteration. For a resumed
+        // sweep the first computed row's diagonal input is the
+        // restored row's previous-stripe edge.
+        let mut above_old_edge = if start > 0 && x0 > 0 {
+            geom.init_m[x0 - 1]
+        } else {
+            zero
+        };
+        let mut cap_idx = 0usize;
+        for p in start..st.rmax {
+            let my_old_edge = st.edge[p];
+            // At x0 == 0 the diagonal input is the virtual zero
+            // column; elsewhere it is the row above's previous-stripe
+            // edge (seeded before the loop for the first row: zero at
+            // the matrix top, the restored row's edge on a resume).
+            (regs.maxx, regs.diag) = if x0 == 0 {
+                (V::splat(V::Elem::NEG_INF), zero)
             } else {
-                <$V>::splat(SimdElem::ZERO)
+                (st.maxx_carry[p], above_old_edge)
             };
-            let mut cap_idx = 0usize;
-            for $p in start..$st.rmax {
-                let my_old_edge = $st.edge[$p];
-                let $rowctx = $row_setup;
-                let mut maxx = if x0 == 0 {
-                    <$V>::splat(SimdElem::NEG_INF)
-                } else {
-                    $st.maxx_carry[$p]
-                };
-                // At x0 == 0 the diagonal input is the virtual zero
-                // column; elsewhere it is the row above's previous-stripe
-                // edge (seeded before the loop for the first row: zero at
-                // the matrix top, the restored row's edge on a resume).
-                let mut diag = if x0 == 0 {
-                    <$V>::splat(SimdElem::ZERO)
-                } else {
-                    above_old_edge
-                };
-                // Lane-uniform override masking, monomorphised away on
-                // the first pass: the plain cells up to each hit of this
-                // row inside the stripe, then the hit itself — all lanes
-                // zero, so nothing reaches `sat_acc`, while the gap
-                // maxima and the diagonal advance as for any cell.
-                let mut seg0 = x0;
-                loop {
-                    let hit = $hits.next_hit($p - start, x1);
-                    let stop = hit.unwrap_or(x1);
-                    sweep_cells!($V, $st, $geom, maxx, diag, $qi in seg0, stop, $cell_exch);
-                    if hit.is_none() {
-                        break;
-                    }
-                    let up = $st.mrow[stop];
-                    $st.mrow[stop] = <$V>::splat(SimdElem::ZERO);
-                    let cand = diag.subs($st.vopen);
-                    maxx = cand.max(maxx).subs($st.vext);
-                    $st.maxy[stop] = cand.max($st.maxy[stop]).subs($st.vext);
-                    diag = up;
-                    seg0 = stop + 1;
-                }
-                $st.maxx_carry[$p] = maxx;
-                $st.edge[$p] = $st.mrow[x1 - 1];
-                above_old_edge = my_old_edge;
-                // Bottom-border capture for this stripe's segment: row p is
-                // the bottom row of lane l iff rs[l] = p + 1, and segment
-                // values are final once computed.
-                if let Some(l) = $geom.bottom[$p] {
-                    let rl = $geom.rs[l];
-                    for qi in x0.max(rl - $geom.r0)..x1 {
-                        $st.rows[l][$geom.r0 + qi - rl] = $st.mrow[qi].get(l).to_score();
+            // Lane-uniform override masking, monomorphised away on the
+            // first pass: the plain cells up to each hit of this row
+            // inside the stripe, then the hit itself. Each run of plain
+            // cells is its bordered columns, then an interior that
+            // carries no border test.
+            let mut seg0 = x0;
+            loop {
+                let hit = hits.next_hit(p - start, x1);
+                let stop = hit.unwrap_or(x1);
+                let mut inner = seg0;
+                if seg0 < border {
+                    inner = stop.min(border);
+                    let bordered = mrow[seg0..inner]
+                        .iter_mut()
+                        .zip(&mut maxy[seg0..inner])
+                        .zip(&geom.kill[seg0..inner])
+                        .zip(exch.cells(p, r0 + seg0, r0 + inner));
+                    for (((m, y), &kill), e) in bordered {
+                        regs.cell(m, y, e, Some(kill));
                     }
                 }
-                // Checkpoint capture: after row p the state reflects rows
-                // 0..p+1 — exactly what a resume at row p+1 needs.
-                while cap_idx < $geom.capture_rows.len()
-                    && $geom.capture_rows[cap_idx] == $p + 1
-                {
-                    let (mbuf, ybuf) = &mut $st.captures[cap_idx];
-                    mbuf[x0..x1].copy_from_slice(&$st.mrow[x0..x1]);
-                    ybuf[x0..x1].copy_from_slice(&$st.maxy[x0..x1]);
-                    cap_idx += 1;
+                let interior = mrow[inner..stop]
+                    .iter_mut()
+                    .zip(&mut maxy[inner..stop])
+                    .zip(exch.cells(p, r0 + inner, r0 + stop));
+                for ((m, y), e) in interior {
+                    regs.cell(m, y, e, None);
+                }
+                if hit.is_none() {
+                    break;
+                }
+                regs.overridden(&mut mrow[stop], &mut maxy[stop]);
+                seg0 = stop + 1;
+            }
+            st.maxx_carry[p] = regs.maxx;
+            st.edge[p] = mrow[x1 - 1];
+            above_old_edge = my_old_edge;
+            // Bottom-border capture for this stripe's segment: row p is
+            // the bottom row of lane l iff rs[l] = p + 1, and segment
+            // values are final once computed. The lane's first own
+            // column may lie right of this stripe: nothing to copy yet.
+            if let Some(l) = geom.bottom[p] {
+                let own = geom.rs[l] - r0;
+                let lo = x0.max(own);
+                if lo < x1 {
+                    for (out, v) in st.rows[l][lo - own..x1 - own].iter_mut().zip(&mrow[lo..x1]) {
+                        *out = v.lanes()[l].to_score();
+                    }
                 }
             }
-            x0 = x1;
+            // Checkpoint capture: after row p the state reflects rows
+            // 0..p+1 — exactly what a resume at row p+1 needs.
+            while cap_idx < geom.capture_rows.len() && geom.capture_rows[cap_idx] == p + 1 {
+                let (mbuf, ybuf) = &mut st.captures[cap_idx];
+                mbuf[x0..x1].copy_from_slice(&mrow[x0..x1]);
+                ybuf[x0..x1].copy_from_slice(&maxy[x0..x1]);
+                cap_idx += 1;
+            }
         }
-    }};
+        x0 = x1;
+    }
+    st.sat_acc = regs.sat;
 }
 
 #[inline(always)]
@@ -651,58 +734,16 @@ pub(crate) fn align_group_lookup_impl<V: SimdVec>(
     triangle: Option<&OverrideTriangle>,
     stripe: usize,
 ) -> GroupResult {
-    let rs: Vec<usize> = (0..lanes).map(|l| r0 + l).collect();
-    match triangle.filter(|t| !t.is_empty()) {
-        None => lookup_sweep::<V, _>(seq, scoring, &rs, NoHits, stripe),
-        Some(t) => lookup_sweep::<V, _>(seq, scoring, &rs, RowHits::tabulate(t, &rs, 0), stripe),
-    }
-}
-
-#[inline(always)]
-fn lookup_sweep<V: SimdVec, H: HitCursor>(
-    seq: &[u8],
-    scoring: &Scoring,
-    rs: &[usize],
-    mut hits: H,
-    stripe: usize,
-) -> GroupResult {
-    let m = seq.len();
-    let (mut st, geom) = sweep_prologue_at::<V>(m, scoring, rs, stripe, None, &[]);
-
-    // One-time narrowing of the exchange table to the lane element keeps
-    // the hot loop free of checked conversions.
+    let rs: Vec<usize> = (r0..r0 + lanes).collect();
     let k = scoring.exchange.alphabet().len();
-    let exch: Vec<V::Elem> = (0..k * k)
+    let table = (0..k * k)
         .map(|i| {
             V::Elem::from_score(scoring.exchange.score((i / k) as u8, (i % k) as u8))
                 .expect("exchange scores must fit the SIMD element")
         })
         .collect();
-
-    sweep_body!(
-        V,
-        st,
-        geom,
-        hits,
-        stripe,
-        |p| &exch[seq[p] as usize * k..(seq[p] as usize + 1) * k],
-        |exch_row, qi| exch_row[seq[geom.r0 + qi] as usize]
-    );
-    finish(st, &geom, m).0
-}
-
-#[inline(always)]
-pub(crate) fn align_group_profile_impl<V: SimdVec>(
-    seq: &[u8],
-    scoring: &Scoring,
-    profile: &QueryProfile<V::Elem>,
-    r0: usize,
-    lanes: usize,
-    triangle: Option<&OverrideTriangle>,
-    stripe: usize,
-) -> GroupResult {
-    let rs: Vec<usize> = (0..lanes).map(|l| r0 + l).collect();
-    align_group_profile_at_impl::<V>(seq, scoring, profile, &rs, triangle, stripe, None, &[]).0
+    let exch = LookupExchange { table, k, seq };
+    sweep::<V, _>(seq.len(), scoring, &rs, triangle, stripe, None, &[], &exch).0
 }
 
 #[inline(always)]
@@ -717,55 +758,46 @@ pub(crate) fn align_group_profile_at_impl<V: SimdVec>(
     resume: Option<&GroupResume<'_>>,
     capture_rows: &[usize],
 ) -> (GroupResult, Vec<GroupCapture>) {
-    match triangle.filter(|t| !t.is_empty()) {
-        None => profile_sweep::<V, _>(
-            seq,
-            scoring,
-            profile,
-            rs,
-            NoHits,
-            stripe,
-            resume,
-            capture_rows,
-        ),
-        Some(t) => profile_sweep::<V, _>(
-            seq,
-            scoring,
-            profile,
-            rs,
-            RowHits::tabulate(t, rs, resume.map_or(0, |rsm| rsm.row)),
-            stripe,
-            resume,
-            capture_rows,
-        ),
-    }
+    assert_eq!(
+        profile.len(),
+        seq.len(),
+        "profile must cover the whole sequence"
+    );
+    let exch = ProfileExchange { profile, seq };
+    sweep::<V, _>(
+        seq.len(),
+        scoring,
+        rs,
+        triangle,
+        stripe,
+        resume,
+        capture_rows,
+        &exch,
+    )
 }
 
+/// One whole sweep: prologue, the row loop under the hit cursor the
+/// triangle calls for, epilogue.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // mirrors the kernel's full state
-fn profile_sweep<V: SimdVec, H: HitCursor>(
-    seq: &[u8],
+fn sweep<V: SimdVec, X: Exchange<V::Elem>>(
+    m: usize,
     scoring: &Scoring,
-    profile: &QueryProfile<V::Elem>,
     rs: &[usize],
-    mut hits: H,
+    triangle: Option<&OverrideTriangle>,
     stripe: usize,
     resume: Option<&GroupResume<'_>>,
     capture_rows: &[usize],
+    exch: &X,
 ) -> (GroupResult, Vec<GroupCapture>) {
-    let m = seq.len();
-    assert_eq!(profile.len(), m, "profile must cover the whole sequence");
     let (mut st, geom) = sweep_prologue_at::<V>(m, scoring, rs, stripe, resume, capture_rows);
-
-    sweep_body!(
-        V,
-        st,
-        geom,
-        hits,
-        stripe,
-        |p| profile.row(seq[p], geom.r0),
-        |prow, qi| prow[qi]
-    );
+    match triangle.filter(|t| !t.is_empty()) {
+        None => sweep_rows(&mut st, &geom, &mut NoHits, stripe, exch),
+        Some(t) => {
+            let mut hits = RowHits::tabulate(t, rs, geom.start);
+            sweep_rows(&mut st, &geom, &mut hits, stripe, exch)
+        }
+    }
     finish(st, &geom, m)
 }
 
@@ -1041,11 +1073,7 @@ mod tests {
             for cap in &caps {
                 // Only lanes whose split exceeds the capture row can be
                 // resumed from it.
-                let live: Vec<usize> = rs
-                    .iter()
-                    .copied()
-                    .filter(|&r| r > cap.row)
-                    .collect();
+                let live: Vec<usize> = rs.iter().copied().filter(|&r| r > cap.row).collect();
                 let lanes: Vec<LaneResume<'_>> = cap
                     .lanes
                     .iter()
@@ -1071,7 +1099,8 @@ mod tests {
                     for (l, &r) in live.iter().enumerate() {
                         let fl = rs.iter().position(|&x| x == r).unwrap();
                         assert_eq!(
-                            resumed.rows[l], scratch.rows[fl],
+                            resumed.rows[l],
+                            scratch.rows[fl],
                             "split {r} resumed at {} stripe {stripe} mask {}",
                             cap.row,
                             tri.is_some()
@@ -1321,6 +1350,310 @@ mod tests {
 
     fn narrow(scoring: &Scoring, codes: &[u8]) -> QueryProfile<i16> {
         QueryProfile::new_narrow(scoring, codes).expect("DNA scores fit i16")
+    }
+
+    /// One lane's scalar checkpoint: `(m, maxy)` over its own columns.
+    type LaneState = (Vec<Score>, Vec<Score>);
+
+    /// Split `r` through the scalar kernel: its bottom row, and its
+    /// checkpoint at each of `capture_rows` (`None` at and below its
+    /// bottom row, as in a [`GroupCapture`]) — from row 0, or resumed
+    /// from `resume = (row, m, maxy)`.
+    fn scalar_sweep(
+        seq: &Seq,
+        scoring: &Scoring,
+        r: usize,
+        tri: Option<&OverrideTriangle>,
+        resume: Option<(usize, &LaneState)>,
+        capture_rows: &[usize],
+    ) -> (Vec<Score>, Vec<Option<LaneState>>) {
+        let (prefix, suffix) = seq.split(r);
+        let (start, m, mut maxy) = match resume {
+            Some((row, (m, maxy))) => (row, m.clone(), maxy.clone()),
+            None => (
+                0,
+                vec![0; suffix.len()],
+                vec![repro_align::NEG_INF; suffix.len()],
+            ),
+        };
+        let own_rows: Vec<usize> = capture_rows.iter().copied().filter(|&c| c < r).collect();
+        let mut caps: Vec<Option<LaneState>> = Vec::new();
+        let mut hook =
+            |_: usize, m: &[Score], y: &[Score]| caps.push(Some((m.to_vec(), y.to_vec())));
+        let empty = OverrideTriangle::new(seq.len());
+        let row = repro_align::sw_last_row_resume(
+            prefix,
+            suffix,
+            scoring,
+            SplitMask::new(tri.unwrap_or(&empty), r),
+            start,
+            m,
+            &mut maxy,
+            &own_rows,
+            &mut hook,
+        )
+        .row;
+        caps.resize(capture_rows.len(), None);
+        (row, caps)
+    }
+
+    /// `n` distinct rows of `lo..hi`, ascending (fewer if the range is
+    /// shorter).
+    fn pick_rows(seed: &mut u64, lo: usize, hi: usize, n: usize) -> Vec<usize> {
+        let mut rows: Vec<usize> = (lo..hi).collect();
+        while rows.len() > n {
+            rows.remove(rng(seed) as usize % rows.len());
+        }
+        rows
+    }
+
+    /// Sweeps of lane type `V` against the scalar kernel, bottom rows
+    /// and every captured checkpoint: compacted (ascending,
+    /// non-consecutive) packs plus the shapes the border code treats
+    /// specially, × stripe 1 / 7 / wider than the matrix × unmasked and
+    /// masked × from row 0 and resumed from a scalar checkpoint × 0, 1
+    /// and 3 captures.
+    fn check_compacted_sweeps<V: SimdVec>(
+        profile_of: impl Fn(&Scoring, &[u8]) -> QueryProfile<V::Elem>,
+    ) {
+        let scoring = Scoring::dna_example();
+        let mut seed = 0x2545_f491_4f6c_dd1du64 ^ (V::LANES * 8 + V::Elem::BYTES) as u64;
+        let codes = (0..46)
+            .map(|_| (rng(&mut seed) % 16).saturating_sub(12) as u8)
+            .collect();
+        let seq = Seq::from_codes(repro_align::Alphabet::Dna, codes);
+        let m = seq.len();
+        let prof = profile_of(&scoring, seq.codes());
+
+        let mut packs: Vec<Vec<usize>> = vec![
+            // A stripe of 7 ends left of the deep lane's first own
+            // column (44 − 2): its bottom-row copy has nothing to do
+            // there.
+            vec![2, m - 2],
+            // Groups narrower than a full border: the last lanes of the
+            // sequence, as many as fit below a full vector.
+            (m - (V::LANES - 1).min(m - 2)..m).collect(),
+            vec![m - 3, m - 2, m - 1],
+        ];
+        for full in [true, false, false, false] {
+            // Random gaps of 1–4 between splits: compacted packs, with
+            // far more bordered columns than a consecutive group has.
+            let lanes = if full {
+                V::LANES
+            } else {
+                1 + rng(&mut seed) as usize % V::LANES
+            };
+            let mut r = 2 + rng(&mut seed) as usize % 3;
+            let mut rs = Vec::new();
+            while rs.len() < lanes && r < m {
+                rs.push(r);
+                r += 1 + rng(&mut seed) as usize % 4;
+            }
+            packs.push(rs);
+        }
+        let mut triangle = OverrideTriangle::new(m);
+        for _ in 0..14 {
+            let p = rng(&mut seed) as usize % (m - 1);
+            triangle.set(p, p + 1 + rng(&mut seed) as usize % (m - p - 1));
+        }
+
+        for rs in &packs {
+            let (r0, rmax) = (rs[0], rs[rs.len() - 1]);
+            for tri in [None, Some(&triangle)] {
+                // The oracle: every lane's row, and its checkpoint at
+                // every row.
+                let all_rows: Vec<usize> = (1..rmax).collect();
+                let (want_rows, ckpts): (Vec<_>, Vec<_>) = rs
+                    .iter()
+                    .map(|&r| scalar_sweep(&seq, &scoring, r, tri, None, &all_rows))
+                    .unzip();
+                let check = |g: &GroupResult, caps: &[GroupCapture], rows: &[usize], what: &str| {
+                    assert!(!g.saturated);
+                    assert_eq!(g.rows, want_rows, "{what}");
+                    assert_eq!(caps.len(), rows.len(), "{what}");
+                    for (cap, &row) in caps.iter().zip(rows) {
+                        assert_eq!(cap.row, row);
+                        for (l, lane) in cap.lanes.iter().enumerate() {
+                            assert_eq!(lane, &ckpts[l][row - 1], "{what}: row {row} lane {l}");
+                        }
+                    }
+                };
+                for stripe in [1usize, 7, m + 3] {
+                    for ncap in [0usize, 1, 3] {
+                        let what = format!(
+                            "splits {rs:?} stripe {stripe} mask {} captures {ncap}",
+                            tri.is_some()
+                        );
+                        let rows = pick_rows(&mut seed, 1, rmax, ncap);
+                        let (g, caps) = align_group_profile_at::<V>(
+                            seq.codes(),
+                            &scoring,
+                            &prof,
+                            rs,
+                            tri,
+                            stripe,
+                            None,
+                            &rows,
+                        );
+                        check(&g, &caps, &rows, &what);
+
+                        // Resumed from the *scalar* checkpoints of a row
+                        // above the shallowest split.
+                        let start = 1 + rng(&mut seed) as usize % (r0 - 1);
+                        let state: Vec<LaneResume<'_>> = ckpts
+                            .iter()
+                            .map(|lane| {
+                                let (m, maxy) =
+                                    lane[start - 1].as_ref().expect("above every split");
+                                LaneResume { m, maxy }
+                            })
+                            .collect();
+                        let resume = GroupResume {
+                            row: start,
+                            lanes: state,
+                        };
+                        let rows = pick_rows(&mut seed, start + 1, rmax, ncap);
+                        let (g, caps) = align_group_profile_at::<V>(
+                            seq.codes(),
+                            &scoring,
+                            &prof,
+                            rs,
+                            tri,
+                            stripe,
+                            Some(&resume),
+                            &rows,
+                        );
+                        check(&g, &caps, &rows, &format!("{what}, resumed at {start}"));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compacted_sweeps_match_scalar_at_every_portable_width() {
+        check_compacted_sweeps::<I16x4>(narrow);
+        check_compacted_sweeps::<I16x8>(narrow);
+        check_compacted_sweeps::<I16x16>(narrow);
+        check_compacted_sweeps::<crate::lanes::I32x4>(QueryProfile::new_wide);
+        check_compacted_sweeps::<I32x8>(QueryProfile::new_wide);
+        check_compacted_sweeps::<I32x16>(QueryProfile::new_wide);
+    }
+
+    #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
+    #[test]
+    fn compacted_sweeps_match_scalar_on_core_arch_lanes() {
+        use crate::lanes::{avx2::I16x16Avx2, sse2::I16x4Sse2, sse2::I16x8Sse2};
+        check_compacted_sweeps::<I16x4Sse2>(narrow);
+        check_compacted_sweeps::<I16x8Sse2>(narrow);
+        if crate::test_support::require_avx2("compacted_sweeps_match_scalar_on_core_arch_lanes") {
+            check_compacted_sweeps::<I16x16Avx2>(narrow);
+        }
+    }
+
+    /// The left-border correction against a per-lane oracle, at every
+    /// live-lane count: live lanes keep their (clamped) value, dead
+    /// lanes end at zero — whatever they held, including the element's
+    /// extremes before the clamp, where a kill applied *ahead* of the
+    /// clamp would wrap `i32` lanes around to positive values.
+    fn check_border_kill<V: SimdVec>() {
+        let e = |x: Score| V::Elem::from_score_sat(x);
+        let zero = V::splat(V::Elem::ZERO);
+        let patterns: [&dyn Fn(usize) -> V::Elem; 6] = [
+            &|_| V::Elem::MAX,
+            &|_| V::Elem::ZERO,
+            &|l| e(1 + 37 * l as Score),
+            &|l| V::Elem::MAX.vsub(e(l as Score)),
+            &|l| V::Elem::NEG_INF.vadd(e(l as Score % 3)),
+            &|l| e(-1 - l as Score),
+        ];
+        for keep in 0..=V::LANES {
+            let kill = border_kill::<V>(keep);
+            for pattern in patterns {
+                let mut pre = zero;
+                for (l, slot) in pre.lanes_mut().iter_mut().enumerate() {
+                    *slot = pattern(l);
+                }
+                let clamped = pre.max(zero);
+                let got = kill_dead_lanes(clamped, kill);
+                for l in 0..V::LANES {
+                    let want = if l < keep {
+                        clamped.lanes()[l]
+                    } else {
+                        V::Elem::ZERO
+                    };
+                    assert_eq!(got.lanes()[l], want, "keep {keep} lane {l} of {pre:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn border_kill_matches_per_lane_oracle() {
+        check_border_kill::<I16x4>();
+        check_border_kill::<I16x8>();
+        check_border_kill::<I16x16>();
+        check_border_kill::<crate::lanes::I32x4>();
+        check_border_kill::<I32x8>();
+        check_border_kill::<I32x16>();
+        #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
+        {
+            use crate::lanes::{avx2::I16x16Avx2, sse2::I16x4Sse2, sse2::I16x8Sse2};
+            check_border_kill::<I16x4Sse2>();
+            check_border_kill::<I16x8Sse2>();
+            if crate::test_support::require_avx2("border_kill_matches_per_lane_oracle") {
+                check_border_kill::<I16x16Avx2>();
+            }
+        }
+    }
+
+    /// Wide lanes resumed from a state whose `maxy` still sits at
+    /// `NEG_INF` (legal input: the scalar kernel takes it too), over a
+    /// sequence of mismatches: bordered cells are negative before the
+    /// clamp, and each lane's dead columns must still read as the zero
+    /// border the scalar kernel starts from.
+    #[test]
+    fn dead_wide_lanes_stay_zero_under_a_neg_inf_resume_state() {
+        fn check<V: SimdVec<Elem = i32>>() {
+            // BLOSUM mismatches reach −4: far enough below zero for a
+            // subtraction of `i32::MAX` to wrap.
+            let seq = Seq::protein(&"MGEKALVPYRLQHCWSTFNDI".repeat(3)).unwrap();
+            let scoring = Scoring::protein_default();
+            let prof = QueryProfile::new_wide(&scoring, seq.codes());
+            let m = seq.len();
+            let rs: Vec<usize> = (0..V::LANES).map(|l| 3 + 2 * l + l / 3).collect();
+            let state: Vec<LaneState> = rs
+                .iter()
+                .map(|&r| (vec![0; m - r], vec![repro_align::NEG_INF; m - r]))
+                .collect();
+            let resume = GroupResume {
+                row: 2,
+                lanes: state
+                    .iter()
+                    .map(|(m, maxy)| LaneResume { m, maxy })
+                    .collect(),
+            };
+            for stripe in [7usize, 64] {
+                let (g, _) = align_group_profile_at::<V>(
+                    seq.codes(),
+                    &scoring,
+                    &prof,
+                    &rs,
+                    None,
+                    stripe,
+                    Some(&resume),
+                    &[],
+                );
+                for (l, &r) in rs.iter().enumerate() {
+                    let (want, _) =
+                        scalar_sweep(&seq, &scoring, r, None, Some((2, &state[l])), &[]);
+                    assert_eq!(g.rows[l], want, "split {r} stripe {stripe}");
+                }
+            }
+        }
+        check::<crate::lanes::I32x4>();
+        check::<I32x8>();
+        check::<I32x16>();
     }
 
     #[test]

@@ -136,11 +136,14 @@ pub trait SimdVec: Copy + std::fmt::Debug {
     /// All lanes set to `v`.
     fn splat(v: Self::Elem) -> Self;
 
-    /// Build from a per-lane function.
-    fn from_fn(f: impl FnMut(usize) -> Self::Elem) -> Self;
+    /// The `LANES` lanes in place, as plain elements: how single lanes
+    /// of a vector sitting in memory are read (bottom rows, checkpoint
+    /// capture) without a round trip through a register.
+    fn lanes(&self) -> &[Self::Elem];
 
-    /// Read one lane.
-    fn get(self, lane: usize) -> Self::Elem;
+    /// [`SimdVec::lanes`], writable (checkpoint restore, building the
+    /// left-border kill vectors).
+    fn lanes_mut(&mut self) -> &mut [Self::Elem];
 
     /// Lane-wise addition under the element's overflow discipline.
     fn adds(self, o: Self) -> Self;
@@ -153,14 +156,10 @@ pub trait SimdVec: Copy + std::fmt::Debug {
     /// available in the conventional instruction set").
     fn max(self, o: Self) -> Self;
 
-    /// Zero every lane with index `>= keep` (left-border correction for
-    /// partially active columns).
-    fn zero_lanes_from(self, keep: usize) -> Self;
-
     /// `true` iff any lane equals `Elem::MAX` (saturation sentinel; only
     /// meaningful for the saturating `i16` element).
     fn any_saturated(self) -> bool {
-        (0..Self::LANES).any(|l| self.get(l) == Self::Elem::MAX)
+        self.lanes().contains(&Self::Elem::MAX)
     }
 }
 
@@ -180,17 +179,13 @@ macro_rules! portable_lanes {
             }
 
             #[inline(always)]
-            fn from_fn(mut f: impl FnMut(usize) -> $elem) -> Self {
-                let mut a = [0 as $elem; $n];
-                for (l, slot) in a.iter_mut().enumerate() {
-                    *slot = f(l);
-                }
-                $name(a)
+            fn lanes(&self) -> &[$elem] {
+                &self.0
             }
 
             #[inline(always)]
-            fn get(self, lane: usize) -> $elem {
-                self.0[lane]
+            fn lanes_mut(&mut self) -> &mut [$elem] {
+                &mut self.0
             }
 
             #[inline(always)]
@@ -216,15 +211,6 @@ macro_rules! portable_lanes {
                 let mut a = [0 as $elem; $n];
                 for i in 0..$n {
                     a[i] = self.0[i].max(o.0[i]);
-                }
-                $name(a)
-            }
-
-            #[inline(always)]
-            fn zero_lanes_from(self, keep: usize) -> Self {
-                let mut a = self.0;
-                for slot in a.iter_mut().skip(keep) {
-                    *slot = 0;
                 }
                 $name(a)
             }
@@ -279,45 +265,49 @@ pub mod sse2 {
     use super::SimdVec;
     use core::arch::x86_64::*;
 
+    // The layout the in-place lane views below rely on.
+    const _: () = assert!(
+        size_of::<__m128i>() == size_of::<[i16; 8]>()
+            && align_of::<__m128i>() >= align_of::<[i16; 8]>()
+    );
+
+    #[inline(always)]
+    fn slots(v: &__m128i) -> &[i16; 8] {
+        // SAFETY: `__m128i` is 16 bytes of plain integer data — no
+        // padding, every bit pattern valid as eight `i16` — and at least
+        // as aligned as the array (both asserted above); the borrow is
+        // handed on unchanged.
+        unsafe { &*(v as *const __m128i as *const [i16; 8]) }
+    }
+
+    #[inline(always)]
+    fn slots_mut(v: &mut __m128i) -> &mut [i16; 8] {
+        // SAFETY: as in `slots`, and every `[i16; 8]` is a valid
+        // `__m128i`, so writes through the view cannot break it.
+        unsafe { &mut *(v as *mut __m128i as *mut [i16; 8]) }
+    }
+
     /// Eight saturating `i16` lanes backed by a literal `__m128i`.
     #[derive(Clone, Copy)]
     pub struct I16x8Sse2(pub __m128i);
 
     impl std::fmt::Debug for I16x8Sse2 {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            let a = self.to_array();
-            write!(f, "I16x8Sse2({a:?})")
+            write!(f, "I16x8Sse2({:?})", self.lanes())
         }
     }
 
-    impl I16x8Sse2 {
-        fn to_array(self) -> [i16; 8] {
-            // SAFETY: SSE2 is a baseline feature of x86-64.
-            unsafe {
-                let mut a = [0i16; 8];
-                _mm_storeu_si128(a.as_mut_ptr() as *mut __m128i, self.0);
-                a
-            }
-        }
-
-        fn from_array(a: [i16; 8]) -> Self {
-            // SAFETY: SSE2 is a baseline feature of x86-64.
-            unsafe { I16x8Sse2(_mm_loadu_si128(a.as_ptr() as *const __m128i)) }
-        }
-    }
-
-    /// Four saturating `i16` lanes on a full-width `__m128i`: lanes 4–7
-    /// carry dead values that are never read (extraction, saturation and
-    /// border masking all respect `LANES = 4`). This models the paper's
-    /// SSE configuration at intrinsics speed — [`super::I16x4`]'s 64-bit
-    /// array form scalarises poorly.
+    /// Four saturating `i16` lanes on a full-width `__m128i`: slots 4–7
+    /// carry dead values that are never read ([`SimdVec::lanes`] is the
+    /// first four slots only, and every operation is lane-wise). This
+    /// models the paper's SSE configuration at intrinsics speed —
+    /// [`super::I16x4`]'s 64-bit array form scalarises poorly.
     #[derive(Clone, Copy)]
     pub struct I16x4Sse2(pub __m128i);
 
     impl std::fmt::Debug for I16x4Sse2 {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            let a = I16x8Sse2(self.0).to_array();
-            write!(f, "I16x4Sse2({:?})", &a[..4])
+            write!(f, "I16x4Sse2({:?})", self.lanes())
         }
     }
 
@@ -331,14 +321,13 @@ pub mod sse2 {
         }
 
         #[inline(always)]
-        fn from_fn(mut f: impl FnMut(usize) -> i16) -> Self {
-            I16x4Sse2(I16x8Sse2::from_fn(|l| if l < 4 { f(l) } else { 0 }).0)
+        fn lanes(&self) -> &[i16] {
+            &slots(&self.0)[..4]
         }
 
         #[inline(always)]
-        fn get(self, lane: usize) -> i16 {
-            debug_assert!(lane < 4);
-            I16x8Sse2(self.0).get(lane)
+        fn lanes_mut(&mut self) -> &mut [i16] {
+            &mut slots_mut(&mut self.0)[..4]
         }
 
         #[inline(always)]
@@ -355,11 +344,6 @@ pub mod sse2 {
         fn max(self, o: Self) -> Self {
             I16x4Sse2(I16x8Sse2(self.0).max(I16x8Sse2(o.0)).0)
         }
-
-        #[inline(always)]
-        fn zero_lanes_from(self, keep: usize) -> Self {
-            I16x4Sse2(I16x8Sse2(self.0).zero_lanes_from(keep.min(4)).0)
-        }
     }
 
     impl SimdVec for I16x8Sse2 {
@@ -373,17 +357,13 @@ pub mod sse2 {
         }
 
         #[inline(always)]
-        fn from_fn(mut f: impl FnMut(usize) -> i16) -> Self {
-            let mut a = [0i16; 8];
-            for (l, slot) in a.iter_mut().enumerate() {
-                *slot = f(l);
-            }
-            Self::from_array(a)
+        fn lanes(&self) -> &[i16] {
+            slots(&self.0)
         }
 
         #[inline(always)]
-        fn get(self, lane: usize) -> i16 {
-            self.to_array()[lane]
+        fn lanes_mut(&mut self) -> &mut [i16] {
+            slots_mut(&mut self.0)
         }
 
         #[inline(always)]
@@ -403,15 +383,6 @@ pub mod sse2 {
             // SAFETY: SSE2 is a baseline feature of x86-64.
             unsafe { I16x8Sse2(_mm_max_epi16(self.0, o.0)) }
         }
-
-        #[inline(always)]
-        fn zero_lanes_from(self, keep: usize) -> Self {
-            let mut a = self.to_array();
-            for slot in a.iter_mut().skip(keep.min(8)) {
-                *slot = 0;
-            }
-            Self::from_array(a)
-        }
     }
 }
 
@@ -428,6 +399,12 @@ pub mod avx2 {
     use super::SimdVec;
     use core::arch::x86_64::*;
 
+    // The layout the in-place lane views below rely on.
+    const _: () = assert!(
+        size_of::<__m256i>() == size_of::<[i16; 16]>()
+            && align_of::<__m256i>() >= align_of::<[i16; 16]>()
+    );
+
     /// Sixteen saturating `i16` lanes backed by a literal `__m256i`.
     /// Requires AVX2 at runtime (see the module docs).
     #[derive(Clone, Copy)]
@@ -435,25 +412,7 @@ pub mod avx2 {
 
     impl std::fmt::Debug for I16x16Avx2 {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            let a = self.to_array();
-            write!(f, "I16x16Avx2({a:?})")
-        }
-    }
-
-    impl I16x16Avx2 {
-        fn to_array(self) -> [i16; 16] {
-            // SAFETY: caller of any I16x16Avx2 operation guarantees AVX
-            // support (dispatch gates on AVX2, which implies AVX).
-            unsafe {
-                let mut a = [0i16; 16];
-                _mm256_storeu_si256(a.as_mut_ptr() as *mut __m256i, self.0);
-                a
-            }
-        }
-
-        fn from_array(a: [i16; 16]) -> Self {
-            // SAFETY: as in `to_array`.
-            unsafe { I16x16Avx2(_mm256_loadu_si256(a.as_ptr() as *const __m256i)) }
+            write!(f, "I16x16Avx2({:?})", self.lanes())
         }
     }
 
@@ -468,17 +427,20 @@ pub mod avx2 {
         }
 
         #[inline(always)]
-        fn from_fn(mut f: impl FnMut(usize) -> i16) -> Self {
-            let mut a = [0i16; 16];
-            for (l, slot) in a.iter_mut().enumerate() {
-                *slot = f(l);
-            }
-            Self::from_array(a)
+        fn lanes(&self) -> &[i16] {
+            // SAFETY: `__m256i` is 32 bytes of plain integer data — no
+            // padding, every bit pattern valid as sixteen `i16` — and at
+            // least as aligned as the array (both asserted above); the
+            // borrow is handed on unchanged. A plain memory view: no
+            // AVX instruction is involved.
+            unsafe { &*(&self.0 as *const __m256i as *const [i16; 16]) }
         }
 
         #[inline(always)]
-        fn get(self, lane: usize) -> i16 {
-            self.to_array()[lane]
+        fn lanes_mut(&mut self) -> &mut [i16] {
+            // SAFETY: as in `lanes`, and every `[i16; 16]` is a valid
+            // `__m256i`, so writes through the view cannot break it.
+            unsafe { &mut *(&mut self.0 as *mut __m256i as *mut [i16; 16]) }
         }
 
         #[inline(always)]
@@ -497,15 +459,6 @@ pub mod avx2 {
         fn max(self, o: Self) -> Self {
             // SAFETY: dispatch guarantees AVX2 before this type is used.
             unsafe { I16x16Avx2(_mm256_max_epi16(self.0, o.0)) }
-        }
-
-        #[inline(always)]
-        fn zero_lanes_from(self, keep: usize) -> Self {
-            let mut a = self.to_array();
-            for slot in a.iter_mut().skip(keep.min(16)) {
-                *slot = 0;
-            }
-            Self::from_array(a)
         }
 
         #[inline(always)]
@@ -546,20 +499,28 @@ mod tests {
         V::Elem::from_score(x).expect("test constant fits the element")
     }
 
+    fn from_fn<V: SimdVec>(mut f: impl FnMut(usize) -> V::Elem) -> V {
+        let mut v = V::splat(V::Elem::ZERO);
+        for (l, slot) in v.lanes_mut().iter_mut().enumerate() {
+            *slot = f(l);
+        }
+        v
+    }
+
     fn check_basic<V: SimdVec>() {
-        let a = V::from_fn(|l| e::<V>(l as Score));
+        let a: V = from_fn(|l| e::<V>(l as Score));
         let b = V::splat(e::<V>(10));
         let sum = a.adds(b);
         for l in 0..V::LANES {
-            assert_eq!(sum.get(l).to_score(), l as Score + 10);
+            assert_eq!(sum.lanes()[l].to_score(), l as Score + 10);
         }
         let diff = b.subs(a);
         for l in 0..V::LANES {
-            assert_eq!(diff.get(l).to_score(), 10 - l as Score);
+            assert_eq!(diff.lanes()[l].to_score(), 10 - l as Score);
         }
         let m = a.max(V::splat(e::<V>(2)));
         for l in 0..V::LANES {
-            assert_eq!(m.get(l).to_score(), (l as Score).max(2));
+            assert_eq!(m.lanes()[l].to_score(), (l as Score).max(2));
         }
     }
 
@@ -568,25 +529,37 @@ mod tests {
         let sum = big.adds(V::splat(100));
         assert!(sum.any_saturated());
         for l in 0..V::LANES {
-            assert_eq!(sum.get(l), i16::MAX);
+            assert_eq!(sum.lanes()[l], i16::MAX);
         }
         let small = V::splat(i16::MIN + 1);
         let diff = small.subs(V::splat(100));
         for l in 0..V::LANES {
-            assert_eq!(diff.get(l), i16::MIN);
+            assert_eq!(diff.lanes()[l], i16::MIN);
         }
         assert!(!V::splat(5).any_saturated());
     }
 
-    fn check_zeroing<V: SimdVec>() {
-        let a = V::splat(e::<V>(7));
-        let z = a.zero_lanes_from(2);
+    /// The in-place views are exactly `LANES` long, and a write to one
+    /// lane is seen by the vector ops in that lane and in no other —
+    /// inside a slice of vectors as well as on a lone one.
+    fn check_lane_views<V: SimdVec>() {
+        let mut vs = [V::splat(e::<V>(7)); 3];
+        assert_eq!(vs[1].lanes().len(), V::LANES);
+        assert_eq!(vs[1].lanes_mut().len(), V::LANES);
         for l in 0..V::LANES {
-            assert_eq!(z.get(l).to_score(), if l < 2 { 7 } else { 0 });
+            vs[1].lanes_mut()[l] = e::<V>(100 + l as Score);
+            let sum = vs[1].adds(V::splat(e::<V>(1)));
+            for k in 0..V::LANES {
+                let want = if k <= l { 101 + k as Score } else { 8 };
+                assert_eq!(
+                    sum.lanes()[k].to_score(),
+                    want,
+                    "lane {k} after writing {l}"
+                );
+            }
         }
-        let all = a.zero_lanes_from(V::LANES);
-        for l in 0..V::LANES {
-            assert_eq!(all.get(l).to_score(), 7);
+        for v in [vs[0], vs[2]] {
+            assert!(v.lanes().iter().all(|x| x.to_score() == 7));
         }
     }
 
@@ -594,31 +567,31 @@ mod tests {
     fn portable_x4() {
         check_basic::<I16x4>();
         check_saturation::<I16x4>();
-        check_zeroing::<I16x4>();
+        check_lane_views::<I16x4>();
     }
 
     #[test]
     fn portable_x8() {
         check_basic::<I16x8>();
         check_saturation::<I16x8>();
-        check_zeroing::<I16x8>();
+        check_lane_views::<I16x8>();
     }
 
     #[test]
     fn portable_x16() {
         check_basic::<I16x16>();
         check_saturation::<I16x16>();
-        check_zeroing::<I16x16>();
+        check_lane_views::<I16x16>();
     }
 
     #[test]
     fn portable_wide() {
         check_basic::<I32x4>();
-        check_zeroing::<I32x4>();
+        check_lane_views::<I32x4>();
         check_basic::<I32x8>();
-        check_zeroing::<I32x8>();
+        check_lane_views::<I32x8>();
         check_basic::<I32x16>();
-        check_zeroing::<I32x16>();
+        check_lane_views::<I32x16>();
     }
 
     #[test]
@@ -627,7 +600,7 @@ mod tests {
         // wrapping, not saturating.
         let a = I32x8::splat(i32::MAX - 1);
         let sum = a.adds(I32x8::splat(100));
-        assert_eq!(sum.get(0), (i32::MAX - 1).wrapping_add(100));
+        assert_eq!(sum.lanes()[0], (i32::MAX - 1).wrapping_add(100));
         assert_eq!(i32::NEG_INF, repro_align::NEG_INF);
     }
 
@@ -637,7 +610,7 @@ mod tests {
         use super::sse2::I16x8Sse2;
         check_basic::<I16x8Sse2>();
         check_saturation::<I16x8Sse2>();
-        check_zeroing::<I16x8Sse2>();
+        check_lane_views::<I16x8Sse2>();
         // Differential: random-ish op sequences agree lane-for-lane.
         let mut x: i32 = 12345;
         let mut next = move || {
@@ -649,14 +622,14 @@ mod tests {
             let pa = I16x8::splat(a).adds(I16x8::splat(b));
             let ia = I16x8Sse2::splat(a).adds(I16x8Sse2::splat(b));
             for l in 0..8 {
-                assert_eq!(pa.get(l), ia.get(l));
+                assert_eq!(pa.lanes()[l], ia.lanes()[l]);
             }
             let pm = I16x8::splat(a).max(I16x8::splat(b)).subs(I16x8::splat(3));
             let im = I16x8Sse2::splat(a)
                 .max(I16x8Sse2::splat(b))
                 .subs(I16x8Sse2::splat(3));
             for l in 0..8 {
-                assert_eq!(pm.get(l), im.get(l));
+                assert_eq!(pm.lanes()[l], im.lanes()[l]);
             }
         }
     }
@@ -670,7 +643,7 @@ mod tests {
         }
         check_basic::<I16x16Avx2>();
         check_saturation::<I16x16Avx2>();
-        check_zeroing::<I16x16Avx2>();
+        check_lane_views::<I16x16Avx2>();
         let mut x: i32 = 987;
         let mut next = move || {
             x = x.wrapping_mul(1103515245).wrapping_add(12345);
@@ -678,16 +651,16 @@ mod tests {
         };
         for _ in 0..100 {
             let (a, b) = (next(), next());
-            let pa = I16x16::from_fn(|l| a.wrapping_add(l as i16))
+            let pa = from_fn::<I16x16>(|l| a.wrapping_add(l as i16))
                 .adds(I16x16::splat(b))
                 .max(I16x16::splat(3))
                 .subs(I16x16::splat(a / 2));
-            let ia = I16x16Avx2::from_fn(|l| a.wrapping_add(l as i16))
+            let ia = from_fn::<I16x16Avx2>(|l| a.wrapping_add(l as i16))
                 .adds(I16x16Avx2::splat(b))
                 .max(I16x16Avx2::splat(3))
                 .subs(I16x16Avx2::splat(a / 2));
             for l in 0..16 {
-                assert_eq!(pa.get(l), ia.get(l), "lane {l}");
+                assert_eq!(pa.lanes()[l], ia.lanes()[l], "lane {l}");
             }
         }
     }

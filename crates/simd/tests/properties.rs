@@ -22,37 +22,56 @@ use repro_simd::{
 /// *via* the element ops, so for them this is a consistency check; for
 /// the `core::arch` types it proves the intrinsics implement the same
 /// semantics (saturating `i16`, wrapping `i32`).
-fn check_lane_ops<V: SimdVec>(a16: &[i16], b16: &[i16], keep: usize) -> Result<(), TestCaseError> {
+fn check_lane_ops<V: SimdVec>(a16: &[i16], b16: &[i16]) -> Result<(), TestCaseError> {
     let conv =
         |x: i16| <V::Elem as SimdElem>::from_score(x as Score).expect("i16 fits every element");
-    let keep = keep % (V::LANES + 2); // exercise keep == LANES and beyond
-    let a = V::from_fn(|l| conv(a16[l % a16.len()]));
-    let b = V::from_fn(|l| conv(b16[l % b16.len()]));
+    let zero = V::splat(V::Elem::ZERO);
+    let fill = |xs: &[i16]| {
+        let mut v = zero;
+        for (l, slot) in v.lanes_mut().iter_mut().enumerate() {
+            *slot = conv(xs[l % xs.len()]);
+        }
+        v
+    };
+    let (a, b) = (fill(a16), fill(b16));
 
-    // from_fn / get round-trip, and splat.
+    // Lane views round-trip, and splat.
     let s = V::splat(conv(a16[0]));
+    prop_assert_eq!(a.lanes().len(), V::LANES);
     for l in 0..V::LANES {
-        prop_assert_eq!(a.get(l), conv(a16[l % a16.len()]), "from_fn lane {}", l);
-        prop_assert_eq!(s.get(l), conv(a16[0]), "splat lane {}", l);
+        prop_assert_eq!(a.lanes()[l], conv(a16[l % a16.len()]), "written lane {}", l);
+        prop_assert_eq!(s.lanes()[l], conv(a16[0]), "splat lane {}", l);
     }
 
     let (add, sub, max) = (a.adds(b), a.subs(b), a.max(b));
-    let zeroed = a.zero_lanes_from(keep.min(V::LANES));
     for l in 0..V::LANES {
-        let (x, y) = (a.get(l), b.get(l));
-        prop_assert_eq!(add.get(l), x.vadd(y), "adds lane {}", l);
-        prop_assert_eq!(sub.get(l), x.vsub(y), "subs lane {}", l);
-        prop_assert_eq!(max.get(l), x.max(y), "max lane {}", l);
-        let want = if l >= keep.min(V::LANES) {
-            V::Elem::ZERO
-        } else {
-            x
-        };
-        prop_assert_eq!(zeroed.get(l), want, "zero_lanes_from({}) lane {}", keep, l);
+        let (x, y) = (a.lanes()[l], b.lanes()[l]);
+        prop_assert_eq!(add.lanes()[l], x.vadd(y), "adds lane {}", l);
+        prop_assert_eq!(sub.lanes()[l], x.vsub(y), "subs lane {}", l);
+        prop_assert_eq!(max.lanes()[l], x.max(y), "max lane {}", l);
     }
 
-    for v in [a, b, add, sub, max, zeroed] {
-        let oracle = (0..V::LANES).any(|l| v.get(l) == V::Elem::MAX);
+    // The group kernel's left-border correction — clamp at zero, then
+    // `subs` a vector holding `MAX` in the dead lanes, `max` with zero —
+    // at every live-lane count: live lanes keep the clamped value, dead
+    // lanes read zero.
+    let clamped = a.max(zero);
+    for keep in 0..=V::LANES {
+        let mut kill = zero;
+        kill.lanes_mut()[keep..].fill(V::Elem::MAX);
+        let killed = clamped.subs(kill).max(zero);
+        for l in 0..V::LANES {
+            let want = if l < keep {
+                clamped.lanes()[l]
+            } else {
+                V::Elem::ZERO
+            };
+            prop_assert_eq!(killed.lanes()[l], want, "keep {} lane {}", keep, l);
+        }
+    }
+
+    for v in [a, b, add, sub, max, clamped] {
+        let oracle = v.lanes().contains(&V::Elem::MAX);
         prop_assert_eq!(v.any_saturated(), oracle, "any_saturated");
     }
     Ok(())
@@ -87,21 +106,20 @@ proptest! {
     fn lane_ops_match_scalar_oracle(
         a in prop::collection::vec(any::<i16>(), 16),
         b in prop::collection::vec(any::<i16>(), 16),
-        keep in 0usize..64,
     ) {
-        check_lane_ops::<I16x4>(&a, &b, keep)?;
-        check_lane_ops::<I16x8>(&a, &b, keep)?;
-        check_lane_ops::<I16x16>(&a, &b, keep)?;
-        check_lane_ops::<I32x4>(&a, &b, keep)?;
-        check_lane_ops::<I32x8>(&a, &b, keep)?;
-        check_lane_ops::<I32x16>(&a, &b, keep)?;
+        check_lane_ops::<I16x4>(&a, &b)?;
+        check_lane_ops::<I16x8>(&a, &b)?;
+        check_lane_ops::<I16x16>(&a, &b)?;
+        check_lane_ops::<I32x4>(&a, &b)?;
+        check_lane_ops::<I32x8>(&a, &b)?;
+        check_lane_ops::<I32x16>(&a, &b)?;
         // On x86-64 these alias the SSE2 intrinsics types; elsewhere
         // (and under `portable-only`) they re-check the arrays.
-        check_lane_ops::<NativeI16x4>(&a, &b, keep)?;
-        check_lane_ops::<NativeI16x8>(&a, &b, keep)?;
+        check_lane_ops::<NativeI16x4>(&a, &b)?;
+        check_lane_ops::<NativeI16x8>(&a, &b)?;
         #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
         if std::arch::is_x86_feature_detected!("avx2") {
-            check_lane_ops::<repro_simd::lanes::avx2::I16x16Avx2>(&a, &b, keep)?;
+            check_lane_ops::<repro_simd::lanes::avx2::I16x16Avx2>(&a, &b)?;
         }
     }
 
@@ -213,12 +231,19 @@ proptest! {
             })
             .collect();
 
-        for width in [LaneWidth::X4, LaneWidth::X8, LaneWidth::X16] {
-            let sel = select(Some(width), Some(DispatchPath::Portable))
-                .expect("portable supports every width");
+        // Every kernel the dispatcher can route to on this CPU, through
+        // its own entry point (the AVX2 one behind its trampoline).
+        let kernels = [DispatchPath::Portable, DispatchPath::Sse2, DispatchPath::Avx2]
+            .into_iter()
+            .flat_map(|path| {
+                [LaneWidth::X4, LaneWidth::X8, LaneWidth::X16]
+                    .into_iter()
+                    .filter_map(move |width| select(Some(width), Some(path)).ok())
+            });
+        for sel in kernels {
             let sweeper = GroupSweeper::new(&seq, &scoring, sel);
             // A pack never exceeds the kernel's lane count.
-            let rs = &rs[..rs.len().min(width.lanes())];
+            let rs = &rs[..rs.len().min(sel.width.lanes())];
             let scalar_rows = &scalar_rows[..rs.len()];
 
             // From scratch, capturing a mid-matrix row to resume from.
@@ -230,7 +255,7 @@ proptest! {
                 Vec::new()
             };
             let (scratch, caps) = sweeper.sweep_at(rs, triangle, None, &capture_rows);
-            prop_assert_eq!(&scratch.group.rows[..], scalar_rows, "{:?} scratch", width);
+            prop_assert_eq!(&scratch.group.rows[..], scalar_rows, "{} scratch", sel);
 
             // Resume from the captured state: every lane restarts at the
             // shared row, and the bottom rows must not change by a bit.
@@ -247,7 +272,7 @@ proptest! {
                 let (resumed, _) = sweeper.sweep_at(rs, triangle, Some(&resume), &[]);
                 prop_assert_eq!(
                     &resumed.group.rows[..], scalar_rows,
-                    "{:?} resume at row {}", width, cap.row
+                    "{} resume at row {}", sel, cap.row
                 );
             }
         }
