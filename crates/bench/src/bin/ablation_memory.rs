@@ -8,7 +8,7 @@
 //! work". The triangle is stored compressed (row-sorted pairs) in both
 //! modes; this binary quantifies the row trade on the same workload.
 
-use repro::core::{FinderConfig, TopAlignmentFinder};
+use repro::core::{FinderConfig, Search, TopAlignmentFinder};
 use repro::{find_top_alignments, Scoring};
 use repro_bench::{secs, time, Scale, Table};
 
@@ -26,8 +26,14 @@ fn main() {
     println!("paper reference (App. A): stored rows = m(m−1)/2 scores; on-demand recomputation trades work for linear memory\n");
 
     let (store, t_store) = time(|| find_top_alignments(&seq, &scoring, count));
-    let (linmem, t_linmem) =
-        time(|| TopAlignmentFinder::new(&seq, &scoring, FinderConfig::linear_memory(count)).run());
+    let (linmem, t_linmem) = time(|| {
+        TopAlignmentFinder::new(
+            &seq,
+            &scoring,
+            FinderConfig::linear_memory(Search::new(count)),
+        )
+        .run()
+    });
     assert_eq!(store.alignments, linmem.alignments, "modes must agree");
 
     let row_bytes = m * (m - 1) / 2 * std::mem::size_of::<i32>();

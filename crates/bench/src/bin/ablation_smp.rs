@@ -12,8 +12,9 @@
 //! *scheduling* claim is tested regardless of the host.
 
 use repro::cluster::{simulate_cluster, AlignCache, CostModel};
+use repro::obs::{Counter, FlightRecorder};
 use repro::xmpi::virtual_time::LinkModel;
-use repro::{find_top_alignments, find_top_alignments_parallel, Scoring};
+use repro::{find_top_alignments, find_top_alignments_parallel, Scoring, Search};
 use repro_bench::{secs, time, Scale, Table};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -45,16 +46,19 @@ fn main() {
     ]);
     let mut t1 = None;
     for threads in [1usize, 2, 4] {
-        let (run, t) = time(|| find_top_alignments_parallel(&seq, &scoring, count, threads));
-        assert_eq!(run.result.alignments, base.alignments);
+        let mut rec = FlightRecorder::new();
+        let search = Search::new(count);
+        let (run, t) =
+            time(|| find_top_alignments_parallel(&seq, &scoring, &search, threads, &mut rec));
+        assert_eq!(run.alignments, base.alignments);
         let t1v = *t1.get_or_insert(t);
-        let extra = run.result.stats.alignments as f64 / base.stats.alignments as f64 - 1.0;
+        let extra = run.stats.alignments as f64 / base.stats.alignments as f64 - 1.0;
         table.row(&[
             threads.to_string(),
             secs(t),
             format!("{:.2}x", t1v / t),
             format!("{:+.2}%", 100.0 * extra),
-            run.superseded_alignments.to_string(),
+            rec.counter(Counter::SupersededWork).to_string(),
         ]);
     }
     println!("\nsequential reference: {}", secs(t_seq));

@@ -5,7 +5,8 @@
 //! neighbouring matrix is worth realigning, its group mates almost
 //! always are too.
 
-use repro::{find_top_alignments, find_top_alignments_simd, LaneWidth, Scoring};
+use repro::obs::{Counter, FlightRecorder};
+use repro::{find_top_alignments, find_top_alignments_simd, select, LaneWidth, Scoring, Search};
 use repro_bench::{Scale, Table};
 
 fn main() {
@@ -30,14 +31,16 @@ fn main() {
         "—".into(),
     ]);
     for width in [LaneWidth::X4, LaneWidth::X8] {
-        let simd = find_top_alignments_simd(&seq, &scoring, count, width);
-        assert_eq!(simd.result.alignments, base.alignments);
-        let extra = simd.result.stats.alignments as f64 / base.stats.alignments as f64 - 1.0;
+        let sel = select(Some(width), None).expect("width-only selection always resolves");
+        let mut rec = FlightRecorder::new();
+        let simd = find_top_alignments_simd(&seq, &scoring, &Search::new(count), sel, &mut rec);
+        assert_eq!(simd.alignments, base.alignments);
+        let extra = simd.stats.alignments as f64 / base.stats.alignments as f64 - 1.0;
         table.row(&[
             format!("{width:?}"),
-            simd.result.stats.alignments.to_string(),
+            simd.stats.alignments.to_string(),
             format!("{:+.2}%", 100.0 * extra),
-            simd.simd.group_sweeps.to_string(),
+            rec.counter(Counter::GroupSweeps).to_string(),
         ]);
     }
     println!(

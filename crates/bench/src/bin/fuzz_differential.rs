@@ -9,7 +9,7 @@
 //! Usage: `cargo run --release -p repro-bench --bin fuzz_differential
 //! -- [--cases N] [--seed S]`.
 
-use repro::core::{FinderConfig, TopAlignmentFinder};
+use repro::core::{FinderConfig, Search, TopAlignmentFinder};
 use repro::{Engine, LaneWidth, LegacyKernel, Repro, Scoring, Seq};
 use repro_seqgen::Rng;
 
@@ -26,14 +26,12 @@ fn main() {
     let seed = arg("--seed", 2026);
     let mut rng = Rng::new(seed);
 
+    let simd = |width| Engine::SimdDispatch { width, path: None };
     let engines = [
-        Engine::Simd(LaneWidth::X4),
-        Engine::Simd(LaneWidth::X8),
-        Engine::Simd(LaneWidth::X16),
-        Engine::SimdDispatch {
-            width: None,
-            path: None,
-        },
+        simd(Some(LaneWidth::X4)),
+        simd(Some(LaneWidth::X8)),
+        simd(Some(LaneWidth::X16)),
+        simd(None),
         Engine::SimdDispatch {
             width: Some(LaneWidth::X16),
             path: Some(repro::DispatchPath::Portable),
@@ -86,8 +84,12 @@ fn main() {
 
         let base = Repro::new(scoring.clone()).top_alignments(count).run(&seq);
         // Linear-memory configuration through the core API.
-        let linmem =
-            TopAlignmentFinder::new(&seq, &scoring, FinderConfig::linear_memory(count)).run();
+        let linmem = TopAlignmentFinder::new(
+            &seq,
+            &scoring,
+            FinderConfig::linear_memory(Search::new(count)),
+        )
+        .run();
         assert_eq!(
             linmem.alignments, base.tops.alignments,
             "case {case}: linear-memory diverged on {seq}"

@@ -29,6 +29,7 @@
 //! [--scale small|medium|full] [--out BENCH_report.json] [--check] |
 //! [--validate FILE]`.
 
+use repro::core::{FinderConfig, Search, TopAlignmentFinder};
 use repro::obs::json::Json;
 use repro::obs::{FlightRecorder, NoopRecorder, DEFAULT_EVENT_CAP};
 use repro::{Engine, Repro, RunReport, Scoring, SeedConfig, Transport};
@@ -81,17 +82,13 @@ fn validate_file(path: &str) -> Result<usize, String> {
 /// flight recorder; returns `(noop_secs, flight_secs)`.
 fn ablation(seq: &repro::Seq, scoring: &Scoring, count: usize) -> (f64, f64) {
     let budget = Duration::from_millis(400);
+    let finder = || TopAlignmentFinder::new(seq, scoring, FinderConfig::new(Search::new(count)));
     let noop = time_min(budget, || {
-        let mut rec = NoopRecorder;
-        std::hint::black_box(repro::core::find_top_alignments_recorded(
-            seq, scoring, count, &mut rec,
-        ));
+        std::hint::black_box(finder().run_recorded(&mut NoopRecorder));
     });
     let flight = time_min(budget, || {
         let mut rec = FlightRecorder::with_events(DEFAULT_EVENT_CAP);
-        std::hint::black_box(repro::core::find_top_alignments_recorded(
-            seq, scoring, count, &mut rec,
-        ));
+        std::hint::black_box(finder().run_recorded(&mut rec));
     });
     (noop, flight)
 }

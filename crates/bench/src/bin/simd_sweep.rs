@@ -27,13 +27,13 @@
 
 use repro::align::kernel::row::Body;
 use repro::align::{CellMask, NoMask, QueryProfile, Score, Sides, NEG_INF};
-use repro::core::{find_top_alignments, OverrideTriangle, SplitMask};
+use repro::core::{find_top_alignments, OverrideTriangle, Search, SplitMask};
+use repro::obs::NoopRecorder;
 use repro::simd::dispatch::{
     available, max_width, sweep_group_lookup_i16, sweep_group_profile_i16, sweep_group_wide,
 };
 use repro::simd::{
-    find_top_alignments_simd_sel, select, DispatchPath, GroupCapture, GroupSweeper, LaneWidth,
-    SimdSel,
+    find_top_alignments_simd, select, DispatchPath, GroupCapture, GroupSweeper, LaneWidth, SimdSel,
 };
 use repro::{find_top_alignments_parallel_simd, Scoring};
 use repro_bench::{time_min, time_min_each, time_min_pair, Scale};
@@ -542,17 +542,23 @@ fn main() {
     // O(m³) per engine).
     let em = (m / 4).max(120);
     let eseq = repro_seqgen::titin_like(em, 7);
-    let count = 6;
+    let search = Search::new(6);
     let mut engines: Vec<String> = Vec::new();
     let t_seq = time_min(budget, || {
-        std::hint::black_box(find_top_alignments(&eseq, &scoring, count));
+        std::hint::black_box(find_top_alignments(&eseq, &scoring, search.count));
     });
     engines.push(format!(
         "{{\"engine\": \"seq\", \"secs\": {t_seq:e}, \"vs_seq\": 1.00}}"
     ));
     let auto = select(None, None).expect("auto selection never fails");
     let t_simd = time_min(budget, || {
-        std::hint::black_box(find_top_alignments_simd_sel(&eseq, &scoring, count, auto));
+        std::hint::black_box(find_top_alignments_simd(
+            &eseq,
+            &scoring,
+            &search,
+            auto,
+            &mut NoopRecorder,
+        ));
     });
     engines.push(format!(
         "{{\"engine\": \"simd {auto}\", \"secs\": {t_simd:e}, \"vs_seq\": {:.2}}}",
@@ -561,7 +567,12 @@ fn main() {
     for threads in [1usize, 2, 4] {
         let t = time_min(budget, || {
             std::hint::black_box(find_top_alignments_parallel_simd(
-                &eseq, &scoring, count, threads, auto,
+                &eseq,
+                &scoring,
+                &search,
+                threads,
+                auto,
+                &mut NoopRecorder,
             ));
         });
         engines.push(format!(

@@ -38,8 +38,6 @@
 //!                              only; results identical either way)
 //!   --no-prune                 disable seeded split pruning (on by
 //!                              default; results identical either way)
-//!   --seed-k K                 validated, otherwise a no-op (the k-mer
-//!                              index it sized is gone)   [default: 6]
 //!   --quiet                    suppress the per-alignment listing
 //!   --report FILE              write a structured JSON run report
 //!                              (`{"reports":[…]}`, one per record)
@@ -93,7 +91,6 @@ struct Options {
     low_memory: bool,
     checkpoint_budget: Option<usize>,
     no_prune: bool,
-    seed_k: Option<usize>,
     quiet: bool,
     report: Option<String>,
     trace: Option<String>,
@@ -109,11 +106,17 @@ fn usage() -> &'static str {
      [--lanes auto|4|8|16] [--dispatch auto|portable|sse2|avx2] \
      [--match N] [--mismatch N] [--open N] [--extend N] [--matrix FILE] \
      [--pairs] [--cigar] [--consensus] [--low-memory] [--checkpoint-budget BYTES] \
-     [--no-prune] [--seed-k K] [--quiet] \
+     [--no-prune] [--quiet] \
      [--report FILE] [--trace FILE] [--progress FILE|-] [--chrome FILE] \
      <input.fasta | -> | repro --generate titin:LEN:SEED | \
      repro worker --connect HOST:PORT | \
      repro trace --chrome out.json [OPTIONS] <input.fasta | ->"
+}
+
+/// `--engine simd[4|8|16]`: the SIMD engine at `width` (`None` = the
+/// widest the kernel path supports), the path auto-probed.
+fn simd_engine(width: Option<LaneWidth>) -> Engine {
+    Engine::SimdDispatch { width, path: None }
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -137,7 +140,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         low_memory: false,
         checkpoint_budget: None,
         no_prune: false,
-        seed_k: None,
         quiet: false,
         report: None,
         trace: None,
@@ -168,13 +170,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 let v = next("--engine")?;
                 opts.engine = match v.as_str() {
                     "seq" => Engine::Sequential,
-                    "simd" => Engine::SimdDispatch {
-                        width: None,
-                        path: None,
-                    },
-                    "simd4" => Engine::Simd(LaneWidth::X4),
-                    "simd8" => Engine::Simd(LaneWidth::X8),
-                    "simd16" => Engine::Simd(LaneWidth::X16),
+                    "simd" => simd_engine(None),
+                    "simd4" => simd_engine(Some(LaneWidth::X4)),
+                    "simd8" => simd_engine(Some(LaneWidth::X8)),
+                    "simd16" => simd_engine(Some(LaneWidth::X16)),
                     "legacy" => Engine::Legacy(LegacyKernel::Gotoh),
                     "legacy-naive" => Engine::Legacy(LegacyKernel::Naive),
                     other => {
@@ -281,18 +280,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 )
             }
             "--no-prune" => opts.no_prune = true,
-            "--seed-k" => {
-                let k: usize = next("--seed-k")?
-                    .parse()
-                    .map_err(|_| "--seed-k needs an integer".to_string())?;
-                if !(1..=repro::align::MAX_KMER_K).contains(&k) {
-                    return Err(format!(
-                        "--seed-k {k} out of range 1..={}",
-                        repro::align::MAX_KMER_K
-                    ));
-                }
-                opts.seed_k = Some(k);
-            }
             "--quiet" => opts.quiet = true,
             "--report" => opts.report = Some(next("--report")?.clone()),
             "--trace" => opts.trace = Some(next("--trace")?.clone()),
@@ -559,10 +546,7 @@ fn analyze_one(
         } else {
             // The CLI defaults pruning ON (the library default is off,
             // keeping its golden tests on the plain path).
-            Some(match opts.seed_k {
-                Some(k) => repro::SeedConfig::new(k),
-                None => repro::SeedConfig::default(),
-            })
+            Some(repro::SeedConfig::default())
         })
         .trace(opts.trace.is_some() || opts.chrome.is_some())
         .progress(progress)
@@ -763,9 +747,15 @@ mod tests {
                     path: None,
                 },
             ),
-            ("simd4", Engine::Simd(LaneWidth::X4)),
-            ("simd8", Engine::Simd(LaneWidth::X8)),
-            ("simd16", Engine::Simd(LaneWidth::X16)),
+            (
+                "simd8",
+                Engine::SimdDispatch {
+                    width: Some(LaneWidth::X8),
+                    path: None,
+                },
+            ),
+            ("simd4", simd_engine(Some(LaneWidth::X4))),
+            ("simd16", simd_engine(Some(LaneWidth::X16))),
             (
                 "simd-threads:3",
                 Engine::SimdThreads {
@@ -908,16 +898,11 @@ mod tests {
     fn parses_prune_flags() {
         let o = parse_args(&args(&["x.fa"])).unwrap();
         assert!(!o.no_prune, "pruning defaults on");
-        assert_eq!(o.seed_k, None);
         let o = parse_args(&args(&["--no-prune", "x.fa"])).unwrap();
         assert!(o.no_prune);
-        let o = parse_args(&args(&["--seed-k", "4", "x.fa"])).unwrap();
-        assert_eq!(o.seed_k, Some(4));
-        let err = parse_args(&args(&["--seed-k", "0", "x.fa"])).unwrap_err();
-        assert!(err.contains("out of range"), "{err}");
-        let err = parse_args(&args(&["--seed-k", "99", "x.fa"])).unwrap_err();
-        assert!(err.contains("out of range"), "{err}");
-        assert!(parse_args(&args(&["x.fa", "--seed-k"])).is_err());
+        // The k-mer width selected nothing and its flag is gone.
+        let err = parse_args(&args(&["--seed-k", "4", "x.fa"])).unwrap_err();
+        assert!(err.contains("unknown option --seed-k"), "{err}");
     }
 
     #[test]

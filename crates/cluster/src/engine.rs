@@ -32,9 +32,10 @@ use crate::protocol::{
 };
 use crate::recovery::{idle_payload, master_loop, RecoveryConfig, BEACON_PERIOD, WORKER_POLL};
 use repro_align::{Score, Scoring, Seq};
-use repro_core::seed::SeedConfig;
-use repro_core::{DirtyLog, IncrementalSweeper, OverrideTriangle, ScoredSeq, TopAlignments};
-use repro_obs::{Counter, FlightRecorder, Metric, NoopRecorder, Recorder};
+use repro_core::{
+    DirtyLog, IncrementalSweeper, OverrideTriangle, ScoredSeq, Search, TopAlignments,
+};
+use repro_obs::{Counter, FlightRecorder, Metric, Recorder};
 use repro_xmpi::thread::{FaultPlan, ThreadComm};
 use repro_xmpi::{Comm, Message, RecvError, SendError};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -61,204 +62,61 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// Result of a distributed run.
+/// Result of a message-passing run ([`run_cluster`],
+/// [`crate::run_cluster_proc`], [`crate::run_hybrid`]).
 #[derive(Debug, Clone)]
 pub struct ClusterResult {
     /// Alignments, stats and triangle — identical alignments to the
     /// sequential engine.
     pub result: TopAlignments,
-    /// Total ranks (1 master + workers).
+    /// Total ranks (1 master + workers or nodes). Over sockets this
+    /// counts every worker ever admitted, so elastic joins are visible
+    /// to the caller.
     pub ranks: usize,
 }
 
 /// Run the distributed engine with `workers` worker ranks (plus the
 /// master), using real threads. `deadline` bounds the total time the
 /// master spends waiting on the cluster before it degrades to local
-/// computation.
-pub fn find_top_alignments_cluster(
+/// computation; `faults` injects message faults on every endpoint (the
+/// chaos-test hook — [`FaultPlan::default`] is a clean world).
+///
+/// With `search.checkpoint_budget` set, each worker keeps a checkpoint
+/// store and a dirty-log replica fed by the ACCEPTED broadcasts it
+/// applies, and its per-task tallies travel home inside [`ResultMsg`].
+/// With `search.seed` set the master — which owns the only seed index —
+/// never assigns a split whose bound stays below the acceptance
+/// frontier; per-task bounds ship inside the [`TaskMsg`]. Alignments
+/// are bit-identical with either layer on or off.
+///
+/// `rec` runs on the master's (calling) thread only, so it needs no
+/// synchronisation: every assign/result/retry/death/resync/fallback
+/// incident is mirrored into it as a structured event (what makes a
+/// chaos failure replayable from its JSONL log), worker telemetry is
+/// folded in as it arrives, and the final `Stats` are mirrored at the
+/// end.
+pub fn run_cluster<R: Recorder>(
     seq: &Seq,
     scoring: &Scoring,
-    count: usize,
-    workers: usize,
-    deadline: Duration,
-) -> Result<ClusterResult, ClusterError> {
-    find_top_alignments_cluster_faulty(seq, scoring, count, workers, deadline, FaultPlan::default())
-}
-
-/// [`find_top_alignments_cluster`] with the incremental realignment
-/// layer on every worker rank: each worker keeps a checkpoint store and
-/// a dirty-log replica fed by the ACCEPTED broadcasts it applies, and
-/// its per-task tallies travel home inside [`ResultMsg`]. Alignments
-/// are bit-identical either way.
-pub fn find_top_alignments_cluster_checkpointed(
-    seq: &Seq,
-    scoring: &Scoring,
-    count: usize,
-    workers: usize,
-    deadline: Duration,
-    checkpoint_budget: Option<usize>,
-) -> Result<ClusterResult, ClusterError> {
-    run_cluster(
-        seq,
-        scoring,
-        count,
-        workers,
-        deadline,
-        FaultPlan::default(),
-        &mut NoopRecorder,
-        checkpoint_budget,
-        None,
-    )
-}
-
-/// [`find_top_alignments_cluster_checkpointed`] with seeded split
-/// pruning on the master: splits whose seed bound never reaches the
-/// acceptance frontier are never assigned to any worker (the master
-/// owns the only seed index; per-task bounds ship inside the
-/// [`TaskMsg`]). Alignments are bit-identical to the unseeded run.
-#[allow(clippy::too_many_arguments)] // thin wrapper over run_cluster
-pub fn find_top_alignments_cluster_seeded<R: Recorder>(
-    seq: &Seq,
-    scoring: &Scoring,
-    count: usize,
-    workers: usize,
-    deadline: Duration,
-    checkpoint_budget: Option<usize>,
-    seed: Option<SeedConfig>,
-    rec: &mut R,
-) -> Result<ClusterResult, ClusterError> {
-    run_cluster(
-        seq,
-        scoring,
-        count,
-        workers,
-        deadline,
-        FaultPlan::default(),
-        rec,
-        checkpoint_budget,
-        seed,
-    )
-}
-
-/// [`find_top_alignments_cluster_checkpointed`] with a flight recorder
-/// attached to the master (see
-/// [`find_top_alignments_cluster_recorded`]).
-pub fn find_top_alignments_cluster_checkpointed_recorded<R: Recorder>(
-    seq: &Seq,
-    scoring: &Scoring,
-    count: usize,
-    workers: usize,
-    deadline: Duration,
-    checkpoint_budget: Option<usize>,
-    rec: &mut R,
-) -> Result<ClusterResult, ClusterError> {
-    run_cluster(
-        seq,
-        scoring,
-        count,
-        workers,
-        deadline,
-        FaultPlan::default(),
-        rec,
-        checkpoint_budget,
-        None,
-    )
-}
-
-/// [`find_top_alignments_cluster`] with fault injection on every
-/// endpoint (the chaos-test hook).
-pub fn find_top_alignments_cluster_faulty(
-    seq: &Seq,
-    scoring: &Scoring,
-    count: usize,
-    workers: usize,
-    deadline: Duration,
-    faults: FaultPlan,
-) -> Result<ClusterResult, ClusterError> {
-    find_top_alignments_cluster_faulty_recorded(
-        seq,
-        scoring,
-        count,
-        workers,
-        deadline,
-        faults,
-        &mut NoopRecorder,
-    )
-}
-
-/// [`find_top_alignments_cluster`] with a flight recorder attached to
-/// the master: every assign/result/retry/death/resync/fallback incident
-/// is mirrored into `rec` as a structured event, which is what makes a
-/// chaos-test failure replayable from its JSONL event log.
-pub fn find_top_alignments_cluster_recorded<R: Recorder>(
-    seq: &Seq,
-    scoring: &Scoring,
-    count: usize,
-    workers: usize,
-    deadline: Duration,
-    rec: &mut R,
-) -> Result<ClusterResult, ClusterError> {
-    find_top_alignments_cluster_faulty_recorded(
-        seq,
-        scoring,
-        count,
-        workers,
-        deadline,
-        FaultPlan::default(),
-        rec,
-    )
-}
-
-/// The fully general entry point: fault injection *and* a recorder.
-/// The recorder runs on the master's (calling) thread only, so it needs
-/// no synchronisation; worker-side tallies travel home inside
-/// [`ResultMsg`] and are folded into the master's stats.
-pub fn find_top_alignments_cluster_faulty_recorded<R: Recorder>(
-    seq: &Seq,
-    scoring: &Scoring,
-    count: usize,
+    search: &Search,
     workers: usize,
     deadline: Duration,
     faults: FaultPlan,
     rec: &mut R,
-) -> Result<ClusterResult, ClusterError> {
-    run_cluster(
-        seq, scoring, count, workers, deadline, faults, rec, None, None,
-    )
-}
-
-/// The engine body every public entry point funnels into.
-#[allow(clippy::too_many_arguments)] // the thin pub wrappers pick the knobs
-fn run_cluster<R: Recorder>(
-    seq: &Seq,
-    scoring: &Scoring,
-    count: usize,
-    workers: usize,
-    deadline: Duration,
-    faults: FaultPlan,
-    rec: &mut R,
-    checkpoint_budget: Option<usize>,
-    seed: Option<SeedConfig>,
 ) -> Result<ClusterResult, ClusterError> {
     assert!(workers >= 1, "need at least one worker rank");
     let ranks = workers + 1;
     let mut world = ThreadComm::world_with_faults(ranks, faults);
     let master_comm = world.remove(0);
+    let budget = search.checkpoint_budget;
 
     rec.phase_start(repro_obs::Phase::Recovery);
     let result = std::thread::scope(|scope| {
         for comm in world {
-            scope.spawn(move || worker_loop(seq, scoring, comm, deadline, checkpoint_budget));
+            scope.spawn(move || worker_loop(seq, scoring, comm, deadline, budget));
         }
-        master_loop(
-            seq,
-            scoring,
-            count,
-            master_comm,
-            RecoveryConfig::with_overall(deadline),
-            rec,
-            seed,
-        )
+        let config = RecoveryConfig::with_overall(deadline);
+        master_loop(seq, scoring, search, master_comm, config, rec)
     });
     rec.phase_end(repro_obs::Phase::Recovery);
 
@@ -668,12 +526,39 @@ impl<'a, C: Comm> Worker<'a, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repro_core::find_top_alignments;
     use crate::master::MAX_BATCH;
+    use repro_core::{find_top_alignments, SeedConfig};
+    use repro_obs::NoopRecorder;
     use std::cell::RefCell;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     const DL: Duration = Duration::from_secs(10);
+
+    /// `count` tops under `faults`, both layers off, nothing recorded.
+    fn faulty(
+        seq: &Seq,
+        scoring: &Scoring,
+        count: usize,
+        workers: usize,
+        deadline: Duration,
+        faults: FaultPlan,
+    ) -> Result<ClusterResult, ClusterError> {
+        let search = Search::new(count);
+        run_cluster(
+            seq,
+            scoring,
+            &search,
+            workers,
+            deadline,
+            faults,
+            &mut NoopRecorder,
+        )
+    }
+
+    /// [`faulty`] on a clean world under the default test deadline.
+    fn plain(seq: &Seq, scoring: &Scoring, count: usize, workers: usize) -> ClusterResult {
+        faulty(seq, scoring, count, workers, DL, FaultPlan::default()).unwrap()
+    }
 
     #[test]
     fn figure4_example_matches_sequential() {
@@ -681,7 +566,7 @@ mod tests {
         let scoring = Scoring::dna_example();
         let want = find_top_alignments(&seq, &scoring, 3);
         for workers in [1, 2, 4] {
-            let got = find_top_alignments_cluster(&seq, &scoring, 3, workers, DL).unwrap();
+            let got = plain(&seq, &scoring, 3, workers);
             assert_eq!(
                 got.result.alignments, want.alignments,
                 "{workers} workers disagree with sequential"
@@ -701,7 +586,7 @@ mod tests {
             let seq = Seq::dna(text).unwrap();
             let want = find_top_alignments(&seq, &scoring, 5);
             for workers in [1, 3] {
-                let got = find_top_alignments_cluster(&seq, &scoring, 5, workers, DL).unwrap();
+                let got = plain(&seq, &scoring, 5, workers);
                 assert_eq!(
                     got.result.alignments, want.alignments,
                     "{workers} on {text}"
@@ -715,7 +600,7 @@ mod tests {
         let seq = Seq::protein("MGEKALVPYRLQHCMGEKALVPYRWWMGEKALVPYR").unwrap();
         let scoring = Scoring::protein_default();
         let want = find_top_alignments(&seq, &scoring, 4);
-        let got = find_top_alignments_cluster(&seq, &scoring, 4, 2, DL).unwrap();
+        let got = plain(&seq, &scoring, 4, 2);
         assert_eq!(got.result.alignments, want.alignments);
     }
 
@@ -728,8 +613,18 @@ mod tests {
         let want = find_top_alignments(&seq, &scoring, 6);
         for budget in [Some(0), Some(1 << 20)] {
             for workers in [1, 2] {
-                let got = find_top_alignments_cluster_checkpointed(
-                    &seq, &scoring, 6, workers, DL, budget,
+                let search = Search {
+                    checkpoint_budget: budget,
+                    ..Search::new(6)
+                };
+                let got = run_cluster(
+                    &seq,
+                    &scoring,
+                    &search,
+                    workers,
+                    DL,
+                    FaultPlan::default(),
+                    &mut NoopRecorder,
                 )
                 .unwrap();
                 assert_eq!(
@@ -760,14 +655,18 @@ mod tests {
             let want = find_top_alignments(&seq, &scoring, 4);
             for workers in [1, 2] {
                 for budget in [None, Some(1 << 20)] {
-                    let got = find_top_alignments_cluster_seeded(
+                    let search = Search {
+                        count: 4,
+                        checkpoint_budget: budget,
+                        seed: Some(SeedConfig::default()),
+                    };
+                    let got = run_cluster(
                         &seq,
                         &scoring,
-                        4,
+                        &search,
                         workers,
                         DL,
-                        budget,
-                        Some(SeedConfig::default()),
+                        FaultPlan::default(),
                         &mut NoopRecorder,
                     )
                     .unwrap();
@@ -787,14 +686,17 @@ mod tests {
         let seq = Seq::dna(&text).unwrap();
         let scoring = Scoring::dna_example();
         let want = find_top_alignments(&seq, &scoring, 1);
-        let got = find_top_alignments_cluster_seeded(
+        let search = Search {
+            seed: Some(SeedConfig::default()),
+            ..Search::new(1)
+        };
+        let got = run_cluster(
             &seq,
             &scoring,
-            1,
+            &search,
             2,
             DL,
-            None,
-            Some(SeedConfig::default()),
+            FaultPlan::default(),
             &mut NoopRecorder,
         )
         .unwrap();
@@ -809,7 +711,7 @@ mod tests {
     fn exhaustion_terminates() {
         let seq = Seq::dna("ACGT").unwrap();
         let scoring = Scoring::dna_example();
-        let got = find_top_alignments_cluster(&seq, &scoring, 10, 2, DL).unwrap();
+        let got = plain(&seq, &scoring, 10, 2);
         assert!(got.result.alignments.len() < 10);
     }
 
@@ -821,7 +723,7 @@ mod tests {
         // Drop every 5th message on every endpoint: the retry layer
         // must recover every lost task, result and acceptance, and the
         // alignments must still be exactly the sequential ones.
-        let got = find_top_alignments_cluster_faulty(
+        let got = faulty(
             &seq,
             &scoring,
             5,
@@ -843,7 +745,7 @@ mod tests {
         let seq = Seq::dna(&"ATGC".repeat(6)).unwrap();
         let scoring = Scoring::dna_example();
         let want = find_top_alignments(&seq, &scoring, 3);
-        let got = find_top_alignments_cluster_faulty(
+        let got = faulty(
             &seq,
             &scoring,
             3,
@@ -863,7 +765,7 @@ mod tests {
         let seq = Seq::dna(&"ATGC".repeat(8)).unwrap();
         let scoring = Scoring::dna_example();
         let want = find_top_alignments(&seq, &scoring, 4);
-        let got = find_top_alignments_cluster_faulty(
+        let got = faulty(
             &seq,
             &scoring,
             4,
@@ -883,7 +785,7 @@ mod tests {
         let seq = Seq::dna(&"ATGC".repeat(8)).unwrap();
         let scoring = Scoring::dna_example();
         let want = find_top_alignments(&seq, &scoring, 4);
-        let got = find_top_alignments_cluster_faulty(
+        let got = faulty(
             &seq,
             &scoring,
             4,
@@ -905,7 +807,7 @@ mod tests {
         let want = find_top_alignments(&seq, &scoring, 4);
         // Rank 2 (a worker) dies after its first few sends; the master
         // must reassign its work to the survivor and still finish.
-        let got = find_top_alignments_cluster_faulty(
+        let got = faulty(
             &seq,
             &scoring,
             4,
@@ -927,7 +829,7 @@ mod tests {
         let scoring = Scoring::dna_example();
         let want = find_top_alignments(&seq, &scoring, 3);
         // The only worker dies almost immediately.
-        let got = find_top_alignments_cluster_faulty(
+        let got = faulty(
             &seq,
             &scoring,
             3,
@@ -954,7 +856,7 @@ mod tests {
         let scoring = Scoring::dna_example();
         let want = find_top_alignments(&seq, &scoring, 4);
         let start = Instant::now();
-        let got = find_top_alignments_cluster_faulty(
+        let got = faulty(
             &seq,
             &scoring,
             4,
@@ -977,7 +879,7 @@ mod tests {
     fn crashed_master_is_a_typed_error() {
         let seq = Seq::dna(&"ATGC".repeat(6)).unwrap();
         let scoring = Scoring::dna_example();
-        let out = find_top_alignments_cluster_faulty(
+        let out = faulty(
             &seq,
             &scoring,
             3,
@@ -1001,10 +903,10 @@ mod tests {
         let mut rec = FlightRecorder::with_events(10_000);
         // Crash one of two workers mid-run: the event log must show the
         // death and the reassignments that healed it.
-        let got = find_top_alignments_cluster_faulty_recorded(
+        let got = run_cluster(
             &seq,
             &scoring,
-            4,
+            &Search::new(4),
             2,
             Duration::from_secs(20),
             FaultPlan {
@@ -1066,13 +968,17 @@ mod tests {
         let scoring = Scoring::dna_example();
         let want = find_top_alignments(&seq, &scoring, 6);
         let mut rec = FlightRecorder::with_events(10_000);
-        let got = find_top_alignments_cluster_checkpointed_recorded(
+        let search = Search {
+            checkpoint_budget: Some(1 << 20),
+            ..Search::new(6)
+        };
+        let got = run_cluster(
             &seq,
             &scoring,
-            6,
+            &search,
             2,
             DL,
-            Some(1 << 20),
+            FaultPlan::default(),
             &mut rec,
         )
         .unwrap();
@@ -1265,14 +1171,14 @@ mod tests {
                 worker.sweep_pad = pad;
                 scope.spawn(move || worker.serve(overall));
             }
+            let search = Search::new(2);
             master_loop(
                 &seq,
                 &scoring,
-                2,
+                &search,
                 master_comm,
                 config,
                 &mut NoopRecorder,
-                None,
             )
         })
         .unwrap();
@@ -1333,14 +1239,14 @@ mod tests {
                 let (seq, scoring) = (&seq, &scoring);
                 scope.spawn(move || worker_loop(seq, scoring, comm, deadline, None));
             }
+            let config = RecoveryConfig::with_overall(deadline);
             master_loop(
                 &seq,
                 &scoring,
-                5,
+                &Search::new(5),
                 master_comm,
-                RecoveryConfig::with_overall(deadline),
+                config,
                 &mut NoopRecorder,
-                None,
             )
         })
         .expect("lost result frames must be healed, not fatal");
@@ -1367,7 +1273,7 @@ mod tests {
         let seq = Seq::dna(&"ATGC".repeat(8)).unwrap();
         let scoring = Scoring::dna_example();
         let want = find_top_alignments(&seq, &scoring, 4);
-        let got = find_top_alignments_cluster_faulty(
+        let got = faulty(
             &seq,
             &scoring,
             4,

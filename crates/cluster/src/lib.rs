@@ -10,6 +10,21 @@
 //! copy (the paper has workers *pull* replicas; pushing with the task is
 //! the same caching behaviour minus one round trip).
 //!
+//! Three entry points, one shape — the shared [`repro_core::Search`]
+//! says *what* to find, the rest says where it runs:
+//! [`run_cluster`]`(seq, scoring, &search, workers, deadline, faults, rec)`
+//! on in-process rank threads,
+//! [`run_cluster_proc`]`(.., workers, deadline, &ProcOptions, rec)` over
+//! real sockets, and
+//! [`run_hybrid`]`(.., nodes, threads_per_node, deadline, rec)` for the
+//! cluster of SMPs. All three drive the same master loop on the calling
+//! thread — which is why the recorder needs no synchronisation: events
+//! are recorded live, worker telemetry frames are folded as they arrive
+//! and the final stats are mirrored at the end — and return a
+//! [`ClusterResult`]: the plain top alignments plus the ranks that took
+//! part ([`DEFAULT_DEADLINE`] is the budget to pass when there is no
+//! reason to pick another).
+//!
 //! The crate is layered so the scheduling logic exists once:
 //!
 //! * [`master`] — the pure master state machine (no I/O): feed it worker
@@ -45,21 +60,12 @@ pub mod protocol;
 pub mod recovery;
 pub mod sim;
 
-pub use engine::{
-    find_top_alignments_cluster, find_top_alignments_cluster_checkpointed,
-    find_top_alignments_cluster_checkpointed_recorded, find_top_alignments_cluster_faulty,
-    find_top_alignments_cluster_faulty_recorded, find_top_alignments_cluster_recorded,
-    find_top_alignments_cluster_seeded, ClusterError, ClusterResult,
-};
-pub use hybrid::{
-    find_top_alignments_hybrid, find_top_alignments_hybrid_checkpointed,
-    find_top_alignments_hybrid_checkpointed_recorded, find_top_alignments_hybrid_recorded,
-    find_top_alignments_hybrid_seeded, HybridResult,
-};
+pub use engine::{run_cluster, ClusterError, ClusterResult};
+pub use hybrid::run_hybrid;
 pub use master::{MasterAction, MasterState, LOCAL_WORKER};
 pub use proc::{
-    find_top_alignments_proc, maybe_run_worker_from_env, run_cluster_proc, socket_worker,
-    ProcOptions, SpawnMode, WorkerError, WORKER_ENV,
+    maybe_run_worker_from_env, run_cluster_proc, socket_worker, ProcOptions, SpawnMode,
+    WorkerError, WORKER_ENV,
 };
-pub use recovery::RecoveryConfig;
+pub use recovery::{RecoveryConfig, DEFAULT_DEADLINE};
 pub use sim::{simulate_cluster, AlignCache, CostModel, SimReport};

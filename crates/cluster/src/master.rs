@@ -28,8 +28,9 @@
 
 use crate::protocol::{AcceptedMsg, ResultMsg, TaskItem, TaskMsg};
 use repro_align::{Score, Scoring, Seq};
-use repro_core::seed::{SeedConfig, SplitBounds};
-use repro_core::{late_first_pass, OverrideTriangle, ScoredSeq, Stats, TopAlignment};
+use repro_core::{
+    late_first_pass, OverrideTriangle, ScoredSeq, Search, SplitBounds, Stats, TopAlignment,
+};
 use std::collections::{HashMap, HashSet};
 
 /// The worker id the master uses for itself when it falls back to
@@ -125,21 +126,13 @@ pub struct MasterState<'a> {
 }
 
 impl<'a> MasterState<'a> {
-    /// A master searching for `count` top alignments of `seq`.
-    pub fn new(seq: &'a Seq, scoring: &'a Scoring, count: usize) -> Self {
-        Self::new_seeded(seq, scoring, count, None)
-    }
-
-    /// [`MasterState::new`] with seeded split pruning: every split
-    /// starts at its seed bound instead of `Score::MAX`, so splits
+    /// A master running `search` on `seq`. With `search.seed` set every
+    /// split starts at its seed bound instead of `Score::MAX`, so splits
     /// whose bound never reaches the acceptance frontier are never
-    /// assigned to any worker at all.
-    pub fn new_seeded(
-        seq: &'a Seq,
-        scoring: &'a Scoring,
-        count: usize,
-        seed: Option<SeedConfig>,
-    ) -> Self {
+    /// assigned to any worker at all. (`search.checkpoint_budget` is the
+    /// workers' business; the master never sweeps incrementally.)
+    pub fn new(seq: &'a Seq, scoring: &'a Scoring, search: &Search) -> Self {
+        let Search { count, seed, .. } = *search;
         let m = seq.len();
         let splits = m.saturating_sub(1);
         let bounds = seed.map(|sc| SplitBounds::build(seq.codes(), scoring, sc));
@@ -670,7 +663,7 @@ impl<'a> MasterState<'a> {
 mod tests {
     use super::*;
     use crate::protocol::tag;
-    use repro_core::{find_top_alignments, SplitMask};
+    use repro_core::{find_top_alignments, SeedConfig, SplitMask};
 
     /// Drive the state machine synchronously with a perfect in-process
     /// "worker" that computes results immediately — a transport-free
@@ -686,7 +679,11 @@ mod tests {
         workers: usize,
         seed: Option<SeedConfig>,
     ) -> repro_core::TopAlignments {
-        let mut master = MasterState::new_seeded(seq, scoring, count, seed);
+        let search = Search {
+            seed,
+            ..Search::new(count)
+        };
+        let mut master = MasterState::new(seq, scoring, &search);
         let mut worker_triangles: Vec<OverrideTriangle> = (0..workers)
             .map(|_| OverrideTriangle::new(seq.len()))
             .collect();
@@ -838,7 +835,7 @@ mod tests {
     fn stale_attempt_results_are_discarded() {
         let scoring = Scoring::dna_example();
         let seq = Seq::dna("ATGCATGCATGC").unwrap();
-        let mut master = MasterState::new(&seq, &scoring, 2);
+        let mut master = MasterState::new(&seq, &scoring, &Search::new(2));
         let actions = master.worker_idle(1, 0);
         let Some(MasterAction::Assign { worker, task }) = actions.first().cloned() else {
             panic!("one idle worker must receive an assignment");
@@ -885,7 +882,7 @@ mod tests {
         // is discarded on every later one by the attempt-stamp check.
         let scoring = Scoring::dna_example();
         let seq = Seq::dna("ATGCATGC").unwrap();
-        let mut master = MasterState::new(&seq, &scoring, 2);
+        let mut master = MasterState::new(&seq, &scoring, &Search::new(2));
         let actions = master.worker_idle(1, 0);
         let Some(MasterAction::Assign { task, .. }) = actions.first().cloned() else {
             panic!("one idle worker must receive an assignment");
@@ -922,7 +919,7 @@ mod tests {
         for text in ["ATGCATGCATGC", "ACGGTACGGTAACGGTTTTTACGGT"] {
             let seq = Seq::dna(text).unwrap();
             let want = find_top_alignments(&seq, &scoring, 3).alignments;
-            let mut master = MasterState::new(&seq, &scoring, 3);
+            let mut master = MasterState::new(&seq, &scoring, &Search::new(3));
             // Two workers register, take work, and vanish mid-search.
             let _ = master.worker_idle(1, 0);
             let _ = master.worker_idle(2, 0);
@@ -940,7 +937,7 @@ mod tests {
     fn repeated_idle_does_not_inflate_capacity() {
         let scoring = Scoring::dna_example();
         let seq = Seq::dna("ATGCATGC").unwrap();
-        let mut master = MasterState::new(&seq, &scoring, 2);
+        let mut master = MasterState::new(&seq, &scoring, &Search::new(2));
         let first = master.worker_idle(1, 0);
         let assigns = |v: &[MasterAction]| {
             v.iter()
@@ -987,7 +984,7 @@ mod tests {
     fn two_slots_hold_two_batches_and_each_is_credited_by_its_own_last_item() {
         let scoring = Scoring::dna_example();
         let seq = Seq::dna("ATGCATGCATGCATGC").unwrap(); // 15 splits
-        let mut master = MasterState::new(&seq, &scoring, 3);
+        let mut master = MasterState::new(&seq, &scoring, &Search::new(3));
         let a = assigned_batches(&master.worker_idle(1, 0));
         let b = assigned_batches(&master.worker_idle(1, 1));
         assert_eq!((a.len(), b.len()), (1, 1), "one batch per announced slot");
@@ -1026,7 +1023,7 @@ mod tests {
     fn results_stamped_ahead_of_the_master_are_discarded_and_counted() {
         let scoring = Scoring::dna_example();
         let seq = Seq::dna("ATGCATGC").unwrap();
-        let mut master = MasterState::new(&seq, &scoring, 2);
+        let mut master = MasterState::new(&seq, &scoring, &Search::new(2));
         let batch = assigned_batches(&master.worker_idle(1, 0)).remove(0);
         let item = &batch.items[0];
         // One past the master's acceptance count would later be trusted
@@ -1048,7 +1045,7 @@ mod tests {
     fn assignments_are_batched_and_bound_local() {
         let scoring = Scoring::dna_example();
         let seq = Seq::dna("ATGCATGCATGCATGC").unwrap(); // 15 splits
-        let mut master = MasterState::new(&seq, &scoring, 3);
+        let mut master = MasterState::new(&seq, &scoring, &Search::new(3));
         let actions = master.worker_idle(1, 0);
         let tasks: Vec<&TaskMsg> = actions
             .iter()
@@ -1106,7 +1103,7 @@ mod tests {
         // the first slot hoard it.
         let scoring = Scoring::dna_example();
         let seq = Seq::dna("ATGCATGC").unwrap(); // 7 splits
-        let mut master = MasterState::new(&seq, &scoring, 3);
+        let mut master = MasterState::new(&seq, &scoring, &Search::new(3));
         // Register 4 slots on a dead-letter pattern: hold the actions.
         let mut all = Vec::new();
         for w in 0..4 {

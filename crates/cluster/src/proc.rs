@@ -38,7 +38,8 @@ use crate::protocol::{tag, JobMsg};
 use crate::recovery::{master_loop, RecoveryConfig};
 use parking_lot::Mutex;
 use repro_align::{Scoring, Seq};
-use repro_obs::{NoopRecorder, Recorder};
+use repro_core::Search;
+use repro_obs::Recorder;
 use repro_xmpi::socket::{ConnectError, FaultProxy, ProxyFaults, SocketHub, SocketPeer};
 use repro_xmpi::{Comm, RecvError};
 use std::process::{Child, Command, Stdio};
@@ -74,9 +75,6 @@ pub enum SpawnMode {
 /// Knobs for a multi-process run.
 #[derive(Debug, Clone, Copy)]
 pub struct ProcOptions {
-    /// Checkpoint budget shipped to every worker inside the job
-    /// description (see the incremental-realignment layer).
-    pub checkpoint_budget: Option<usize>,
     /// How workers are launched.
     pub spawn: SpawnMode,
     /// Socket-level fault plan; anything non-clean routes all workers
@@ -88,22 +86,15 @@ pub struct ProcOptions {
     /// Cut every worker connection at once this long into the run (the
     /// whole-world-death fault; forces a proxy even with clean faults).
     pub sever_all_after: Option<Duration>,
-    /// Seeded split pruning on the master (`None` = off). Only the
-    /// master builds the seed index; workers receive per-task bounds
-    /// inside their [`crate::protocol::TaskMsg`]s, so nothing
-    /// seed-related ships in the job greeting.
-    pub seed: Option<repro_core::seed::SeedConfig>,
 }
 
 impl Default for ProcOptions {
     fn default() -> Self {
         ProcOptions {
-            checkpoint_budget: None,
             spawn: SpawnMode::Thread,
             faults: ProxyFaults::default(),
             late_join_after: None,
             sever_all_after: None,
-            seed: None,
         }
     }
 }
@@ -222,16 +213,21 @@ fn reap(children: &Arc<Mutex<Vec<Child>>>) {
     kids.clear();
 }
 
-/// Run the distributed engine over real sockets: the general
-/// multi-process entry point. `workers` processes are spawned up
-/// front (see [`ProcOptions::spawn`]); more may join late and any may
-/// die — the run completes with exactly the sequential alignments
-/// regardless, or fails typed. `ranks` in the result counts every
-/// worker ever admitted, so elastic joins are visible to the caller.
+/// Run the distributed engine over real sockets: the multi-process
+/// entry point. `workers` processes are spawned up front (see
+/// [`ProcOptions::spawn`]); more may join late and any may die — the
+/// run completes with exactly the sequential alignments regardless, or
+/// fails typed. `ranks` in the result counts every worker ever
+/// admitted, so elastic joins are visible to the caller.
+///
+/// `search.checkpoint_budget` ships to every worker inside the job
+/// greeting; `search.seed` stays on the master, which builds the only
+/// seed index and sends per-task bounds inside its
+/// [`crate::protocol::TaskMsg`]s.
 pub fn run_cluster_proc<R: Recorder>(
     seq: &Seq,
     scoring: &Scoring,
-    count: usize,
+    search: &Search,
     workers: usize,
     deadline: Duration,
     opts: &ProcOptions,
@@ -243,11 +239,11 @@ pub fn run_cluster_proc<R: Recorder>(
     );
     let hub = SocketHub::bind("127.0.0.1:0").map_err(|_| ClusterError::Stalled)?;
     let job = JobMsg {
-        count,
+        count: search.count,
         seq: seq.clone(),
         scoring: scoring.clone(),
         deadline_ms: deadline.as_millis() as u64,
-        checkpoint_budget: opts.checkpoint_budget,
+        checkpoint_budget: search.checkpoint_budget,
     };
     let payload = job.encode();
     // The job greeting rides twice back to back: two consecutive
@@ -289,15 +285,8 @@ pub fn run_cluster_proc<R: Recorder>(
     }
 
     rec.phase_start(repro_obs::Phase::Recovery);
-    let result = master_loop(
-        seq,
-        scoring,
-        count,
-        &hub,
-        RecoveryConfig::with_overall(deadline),
-        rec,
-        opts.seed,
-    );
+    let config = RecoveryConfig::with_overall(deadline);
+    let result = master_loop(seq, scoring, search, &hub, config, rec);
     rec.phase_end(repro_obs::Phase::Recovery);
 
     // Every admitted worker counts toward `ranks`, late joiners
@@ -311,31 +300,11 @@ pub fn run_cluster_proc<R: Recorder>(
     result.map(|r| ClusterResult { result: r, ranks })
 }
 
-/// [`run_cluster_proc`] with defaults: thread-spawned socket workers,
-/// no faults, no recorder.
-pub fn find_top_alignments_proc(
-    seq: &Seq,
-    scoring: &Scoring,
-    count: usize,
-    workers: usize,
-    deadline: Duration,
-) -> Result<ClusterResult, ClusterError> {
-    run_cluster_proc(
-        seq,
-        scoring,
-        count,
-        workers,
-        deadline,
-        &ProcOptions::default(),
-        &mut NoopRecorder,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repro_core::find_top_alignments;
-    use repro_obs::{Counter, FlightRecorder};
+    use repro_core::{find_top_alignments, SeedConfig};
+    use repro_obs::{Counter, FlightRecorder, NoopRecorder};
 
     const DL: Duration = Duration::from_secs(20);
 
@@ -345,7 +314,16 @@ mod tests {
         let scoring = Scoring::dna_example();
         let want = find_top_alignments(&seq, &scoring, 3);
         for workers in [1, 2] {
-            let got = find_top_alignments_proc(&seq, &scoring, 3, workers, DL).unwrap();
+            let got = run_cluster_proc(
+                &seq,
+                &scoring,
+                &Search::new(3),
+                workers,
+                DL,
+                &ProcOptions::default(),
+                &mut NoopRecorder,
+            )
+            .unwrap();
             assert_eq!(
                 got.result.alignments, want.alignments,
                 "{workers} socket workers disagree with sequential"
@@ -366,7 +344,7 @@ mod tests {
         let got = run_cluster_proc(
             &seq,
             &scoring,
-            4,
+            &Search::new(4),
             0,
             DL,
             &ProcOptions {
@@ -395,19 +373,13 @@ mod tests {
         let seq = Seq::dna(&text).unwrap();
         let scoring = Scoring::dna_example();
         let want = find_top_alignments(&seq, &scoring, 6);
-        let got = run_cluster_proc(
-            &seq,
-            &scoring,
-            6,
-            2,
-            DL,
-            &ProcOptions {
-                checkpoint_budget: Some(1 << 20),
-                ..ProcOptions::default()
-            },
-            &mut NoopRecorder,
-        )
-        .unwrap();
+        let search = Search {
+            checkpoint_budget: Some(1 << 20),
+            ..Search::new(6)
+        };
+        let opts = ProcOptions::default();
+        let got =
+            run_cluster_proc(&seq, &scoring, &search, 2, DL, &opts, &mut NoopRecorder).unwrap();
         assert_eq!(got.result.alignments, want.alignments);
         assert!(got.result.stats.checkpoint_hits > 0);
         assert!(got.result.stats.realign_rows_skipped > 0);
@@ -427,19 +399,13 @@ mod tests {
         let seq = Seq::dna(&text).unwrap();
         let scoring = Scoring::dna_example();
         let want = find_top_alignments(&seq, &scoring, 2);
-        let got = run_cluster_proc(
-            &seq,
-            &scoring,
-            2,
-            2,
-            DL,
-            &ProcOptions {
-                seed: Some(repro_core::seed::SeedConfig::default()),
-                ..ProcOptions::default()
-            },
-            &mut NoopRecorder,
-        )
-        .unwrap();
+        let search = Search {
+            seed: Some(SeedConfig::default()),
+            ..Search::new(2)
+        };
+        let opts = ProcOptions::default();
+        let got =
+            run_cluster_proc(&seq, &scoring, &search, 2, DL, &opts, &mut NoopRecorder).unwrap();
         assert_eq!(got.result.alignments, want.alignments);
         assert!(
             got.result.stats.splits_pruned > 0,
@@ -455,7 +421,7 @@ mod tests {
         let got = run_cluster_proc(
             &seq,
             &scoring,
-            4,
+            &Search::new(4),
             2,
             DL,
             &ProcOptions {
@@ -479,7 +445,7 @@ mod tests {
         let got = run_cluster_proc(
             &seq,
             &scoring,
-            4,
+            &Search::new(4),
             2,
             DL,
             &ProcOptions {
@@ -508,7 +474,7 @@ mod tests {
         let got = run_cluster_proc(
             &seq,
             &scoring,
-            4,
+            &Search::new(4),
             2,
             DL,
             &ProcOptions {
@@ -536,7 +502,7 @@ mod tests {
         let got = run_cluster_proc(
             &seq,
             &scoring,
-            4,
+            &Search::new(4),
             2,
             Duration::from_secs(60),
             &ProcOptions {

@@ -28,12 +28,16 @@ use crate::engine::ClusterError;
 use crate::master::{MasterAction, MasterState};
 use crate::protocol::{tag, ResultsMsg, ResyncMsg, TaskItem, TaskMsg, TelemetryMsg};
 use repro_align::{Scoring, Seq};
-use repro_core::seed::SeedConfig;
-use repro_core::TopAlignments;
+use repro_core::{Search, TopAlignments};
 use repro_obs::{Counter, Event, Metric, Phase, Recorder, TelemetrySnapshot};
 use repro_xmpi::{Comm, RecvError, SendError};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
+
+/// The overall budget a run gets when its caller has no reason to pick
+/// another (the facade, for every message-passing engine): far above any
+/// real run, so only a genuinely stuck world ever meets it.
+pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(600);
 
 /// Knobs for the recovery loop. The defaults are tuned for in-process
 /// test worlds (short timeouts); `overall` is set per run.
@@ -197,10 +201,11 @@ fn drain_final_telemetry<C: Comm, R: Recorder>(
 }
 
 /// Finish the machine: report its acceptance time as the `traceback`
-/// phase and patch the transport-level recovery tallies into the
-/// result's stats (the state machine itself never sees them).
-/// `pool_reuses` is the ledger's fold of the workers' scratch-pool
-/// tallies, which otherwise never leave the worker ranks.
+/// phase, patch the transport-level recovery tallies into the result's
+/// stats (the state machine itself never sees them) and mirror the
+/// final stats into the recorder. `pool_reuses` is the ledger's fold of
+/// the workers' scratch-pool tallies, which otherwise never leave the
+/// worker ranks.
 fn finalize<R: Recorder>(
     master: MasterState,
     rec: &mut R,
@@ -216,6 +221,7 @@ fn finalize<R: Recorder>(
     tops.stats.cluster_retries = retries;
     tops.stats.cluster_reassignments = reassigns;
     tops.stats.pool_reuses += pool_reuses;
+    tops.stats.mirror_into(rec);
     tops
 }
 
@@ -364,17 +370,15 @@ fn act<C: Comm, R: Recorder>(
 /// (assign, result, retransmit, death, resync, fallback) is mirrored
 /// into `rec` as a structured [`Event`], which is what makes chaos
 /// failures replayable from the JSONL event log.
-#[allow(clippy::too_many_arguments)] // transport loop knobs, threaded explicitly
 pub(crate) fn master_loop<C: Comm, R: Recorder>(
     seq: &Seq,
     scoring: &Scoring,
-    count: usize,
+    search: &Search,
     comm: C,
     config: RecoveryConfig,
     rec: &mut R,
-    seed: Option<SeedConfig>,
 ) -> Result<TopAlignments, ClusterError> {
-    let mut master = MasterState::new_seeded(seq, scoring, count, seed);
+    let mut master = MasterState::new(seq, scoring, search);
     let mut flights: HashMap<usize, Flight> = HashMap::new();
     let start = Instant::now();
     let mut last_heard: HashMap<usize, Instant> = (1..comm.size()).map(|r| (r, start)).collect();
@@ -656,14 +660,21 @@ mod tests {
         // Endpoints for ranks 1 and 2 exist but nobody ever runs them.
         let mut world = ThreadComm::world(3);
         let master = world.remove(0);
-        let mut config = RecoveryConfig::with_overall(Duration::from_secs(600));
+        let mut config = RecoveryConfig::with_overall(DEFAULT_DEADLINE);
         config.join_grace = Duration::from_millis(150);
         let start = Instant::now();
-        let got = master_loop(&seq, &scoring, 3, master, config, &mut NoopRecorder, None)
-            .expect("a silent world must still produce the local result");
+        let got = master_loop(
+            &seq,
+            &scoring,
+            &Search::new(3),
+            master,
+            config,
+            &mut NoopRecorder,
+        )
+        .expect("a silent world must still produce the local result");
         assert!(
             start.elapsed() < Duration::from_secs(30),
-            "must not idle out the 600s overall budget"
+            "must not idle out the overall budget"
         );
         assert_eq!(got.alignments, want.alignments);
         drop(world);

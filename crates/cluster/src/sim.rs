@@ -18,7 +18,7 @@
 use crate::master::{MasterAction, MasterState};
 use crate::protocol::{AcceptedMsg, ResultMsg, ResultsMsg, TaskItem, TaskMsg};
 use repro_align::{Score, Scoring, Seq};
-use repro_core::{OverrideTriangle, SplitMask, TopAlignments};
+use repro_core::{OverrideTriangle, Search, SplitMask, TopAlignments};
 use repro_xmpi::virtual_time::{run, Actor, Ctx, LinkModel};
 use repro_xmpi::Rank;
 use std::cell::RefCell;
@@ -323,7 +323,7 @@ pub fn simulate_cluster(
 
     let mut actors: Vec<SimActor> = Vec::with_capacity(processors);
     actors.push(SimActor::Master(Box::new(MasterSim {
-        state: MasterState::new(seq, scoring, count),
+        state: MasterState::new(seq, scoring, &Search::new(count)),
         cost,
     })));
     for _ in 0..workers {

@@ -8,9 +8,11 @@ use proptest::prelude::*;
 use repro_align::{sw_last_row, Alphabet, Score, Scoring, Seq};
 use repro_cluster::protocol::{ResultMsg, TaskItem};
 use repro_cluster::{
-    find_top_alignments_cluster, simulate_cluster, AlignCache, CostModel, MasterAction, MasterState,
+    run_cluster, simulate_cluster, AlignCache, CostModel, MasterAction, MasterState,
 };
-use repro_core::{find_top_alignments, OverrideTriangle, SplitMask};
+use repro_core::{find_top_alignments, OverrideTriangle, Search, SplitMask};
+use repro_obs::NoopRecorder;
+use repro_xmpi::thread::FaultPlan;
 use repro_xmpi::virtual_time::LinkModel;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -32,8 +34,9 @@ proptest! {
     ) {
         let scoring = Scoring::dna_example();
         let want = find_top_alignments(&seq, &scoring, count);
-        let got = find_top_alignments_cluster(
-            &seq, &scoring, count, workers, Duration::from_secs(30),
+        let got = run_cluster(
+            &seq, &scoring, &Search::new(count), workers, Duration::from_secs(30),
+            FaultPlan::default(), &mut NoopRecorder,
         ).expect("lossless in-process run cannot stall");
         prop_assert_eq!(&got.result.alignments, &want.alignments);
     }
@@ -73,7 +76,7 @@ proptest! {
     ) {
         let scoring = Scoring::dna_example();
         let want = find_top_alignments(&seq, &scoring, count);
-        let mut master = MasterState::new(&seq, &scoring, count);
+        let mut master = MasterState::new(&seq, &scoring, &Search::new(count));
         let mut chaos = chaos.into_iter().cycle();
 
         // Honest worker replicas, kept in lockstep with the master's

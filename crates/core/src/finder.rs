@@ -24,7 +24,7 @@ use repro_align::kernel::full::traceback;
 use repro_align::{
     sw_last_row_striped, CellMask, LastRow, NoMask, QueryProfile, Score, Scoring, Seq, Sides,
 };
-use repro_obs::{Counter, Metric, NoopRecorder, Phase, Progress, Recorder};
+use repro_obs::{Metric, NoopRecorder, Phase, Progress, Recorder};
 use std::time::Instant;
 
 /// How first-pass bottom rows are kept for shadow filtering.
@@ -43,69 +43,72 @@ pub enum RowMode {
     Recompute,
 }
 
-/// Configuration of a top-alignment search.
-#[derive(Debug, Clone)]
-pub struct FinderConfig {
+/// What a run searches for: the one spec every engine takes. The
+/// engines differ only in *how* they schedule this work (paper
+/// §4.1–4.3), so these three values are declared here once and borrowed
+/// by every entry point, the facade and the cluster internals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Search {
     /// Number of top alignments to find (the paper uses 10–100; Table 1
     /// uses 50).
     pub count: usize,
+    /// Byte budget for the incremental realignment layer's checkpoint
+    /// store (`None` disables the layer entirely; `Some(0)` enables the
+    /// accounting but never stores state, so every sweep is a miss).
+    /// Results are bit-identical either way.
+    pub checkpoint_budget: Option<usize>,
+    /// Seeded split pruning: replace the infinite initial task bounds
+    /// with admissible [`SplitBounds`] so splits that cannot beat the
+    /// accepted alignments are never aligned at all. `None` reproduces
+    /// the paper's schedule exactly; `Some` keeps the accepted
+    /// alignments bit-identical but skips sweeps (the pop-level
+    /// accounting moves to `pruned_pops`/`splits_pruned`).
+    pub seed: Option<SeedConfig>,
+}
+
+impl Search {
+    /// `count` top alignments on the paper's schedule: no checkpoints,
+    /// no pruning.
+    pub fn new(count: usize) -> Self {
+        Search {
+            count,
+            checkpoint_budget: None,
+            seed: None,
+        }
+    }
+}
+
+/// Configuration of the sequential finder: the shared [`Search`] plus
+/// the two knobs only this engine has.
+#[derive(Debug, Clone)]
+pub struct FinderConfig {
+    /// What to search for. With checkpointing on, realignments use the
+    /// plain row-major kernel — `stripe` then only affects the
+    /// clean-row recomputations.
+    pub search: Search,
     /// Optional cache-aware stripe width for the score kernel
     /// (`None` = plain row-major; see paper §4.1).
     pub stripe: Option<usize>,
     /// Bottom-row storage strategy.
     pub row_mode: RowMode,
-    /// Byte budget for the incremental realignment layer's checkpoint
-    /// store (`None` disables the layer entirely; `Some(0)` enables the
-    /// accounting but never stores state, so every sweep is a miss).
-    /// When enabled, realignments use the plain row-major kernel — the
-    /// `stripe` option only affects the clean-row recomputations.
-    /// Results are bit-identical either way.
-    pub checkpoint_budget: Option<usize>,
-    /// Seeded split pruning: replace the infinite initial task bounds
-    /// with admissible [`SplitBounds`] so splits that cannot beat the
-    /// accepted alignments are never aligned at all. `None` (the
-    /// default) reproduces the paper's schedule exactly; `Some` keeps
-    /// the accepted alignments bit-identical but skips sweeps (the
-    /// pop-level accounting moves to `pruned_pops`/`splits_pruned`).
-    pub seed: Option<SeedConfig>,
 }
 
 impl FinderConfig {
-    /// Find `count` top alignments with default settings (stored rows,
-    /// row-major kernel).
-    pub fn new(count: usize) -> Self {
+    /// Default settings (stored rows, row-major kernel).
+    pub fn new(search: Search) -> Self {
         FinderConfig {
-            count,
+            search,
             stripe: None,
             row_mode: RowMode::Store,
-            checkpoint_budget: None,
-            seed: None,
-        }
-    }
-
-    /// [`Self::new`] with the incremental realignment layer enabled
-    /// under a checkpoint byte budget.
-    pub fn checkpointed(count: usize, budget: usize) -> Self {
-        FinderConfig {
-            checkpoint_budget: Some(budget),
-            ..FinderConfig::new(count)
-        }
-    }
-
-    /// [`Self::new`] with seeded split pruning enabled.
-    pub fn seeded(count: usize, seed: SeedConfig) -> Self {
-        FinderConfig {
-            seed: Some(seed),
-            ..FinderConfig::new(count)
         }
     }
 
     /// The linear-memory configuration of Appendix A: on-demand row
     /// recomputation (the override triangle is compressed always).
-    pub fn linear_memory(count: usize) -> Self {
+    pub fn linear_memory(search: Search) -> Self {
         FinderConfig {
             row_mode: RowMode::Recompute,
-            ..FinderConfig::new(count)
+            ..FinderConfig::new(search)
         }
     }
 }
@@ -396,7 +399,7 @@ pub enum Step {
     },
     /// A never-aligned head task was requeued with its tightened seed
     /// bound **without aligning it** — the bound-fresh fast path. Only
-    /// produced with [`FinderConfig::seed`] set.
+    /// produced with [`Search::seed`] set.
     Pruned {
         /// The split whose bound was tightened.
         r: usize,
@@ -422,9 +425,10 @@ pub struct TopAlignmentFinder<'a> {
     /// Dirty-bound log feeding the incremental layer (empty while
     /// `incr` is `None`).
     dirty: DirtyLog,
-    /// `Some` iff `config.checkpoint_budget` is set.
+    /// `Some` iff `config.search.checkpoint_budget` is set.
     incr: Option<IncrementalSweeper>,
-    /// `Some` iff `config.seed` is set: the admissible per-split bounds.
+    /// `Some` iff `config.search.seed` is set: the admissible per-split
+    /// bounds.
     bounds: Option<SplitBounds>,
     /// Splits that have completed their first alignment pass (with
     /// seeding, not all of them ever do).
@@ -440,8 +444,9 @@ impl<'a> TopAlignmentFinder<'a> {
             RowMode::Store => Some(BottomRowStore::new(m)),
             RowMode::Recompute => None,
         };
-        let incr = config.checkpoint_budget.map(IncrementalSweeper::new);
+        let incr = config.search.checkpoint_budget.map(IncrementalSweeper::new);
         let bounds = config
+            .search
             .seed
             .map(|sc| SplitBounds::build(seq.codes(), scoring, sc));
         let queue = match &bounds {
@@ -569,14 +574,14 @@ impl<'a> TopAlignmentFinder<'a> {
                 splits_pruned: splits_total.saturating_sub(self.first_passes as u64),
                 realignments_avoided: self.stats.pruned_pops + self.stats.checkpoint_hits,
                 tops_found: self.alignments.len() as u64,
-                tops_requested: self.config.count as u64,
+                tops_requested: self.config.search.count as u64,
             });
         }
         step
     }
 
     fn step_inner<R: Recorder>(&mut self, rec: &mut R) -> Step {
-        if self.alignments.len() >= self.config.count {
+        if self.alignments.len() >= self.config.search.count {
             return Step::Done;
         }
         let Some(task) = self.queue.pop() else {
@@ -781,21 +786,13 @@ impl<'a> TopAlignmentFinder<'a> {
         while !matches!(self.step_recorded(rec), Step::Done) {}
         if let Some(incr) = &self.incr {
             self.stats.pool_reuses = incr.pool_reuses();
-            rec.add(Counter::CheckpointHits, self.stats.checkpoint_hits);
-            rec.add(Counter::CheckpointMisses, self.stats.checkpoint_misses);
-            rec.add(Counter::RealignRowsSwept, self.stats.realign_rows_swept);
-            rec.add(Counter::RealignRowsSkipped, self.stats.realign_rows_skipped);
-            rec.add(Counter::PoolReuses, self.stats.pool_reuses);
         }
         if let Some(bounds) = &self.bounds {
             let splits = self.input.seq.len().saturating_sub(1);
             self.stats.splits_pruned = splits.saturating_sub(self.first_passes) as u64;
             self.stats.bound_recomputes = bounds.recomputes();
-            rec.add(Counter::SplitsPruned, self.stats.splits_pruned);
-            rec.add(Counter::PrunedPops, self.stats.pruned_pops);
-            rec.add(Counter::BoundRecomputes, self.stats.bound_recomputes);
-            rec.add(Counter::SeedIndexBuildNs, self.stats.seed_index_build_ns);
         }
+        self.stats.mirror_into(rec);
         TopAlignments {
             alignments: self.alignments,
             stats: self.stats,
@@ -818,27 +815,26 @@ impl<'a> TopAlignmentFinder<'a> {
 /// assert_eq!(tops.alignments[0].pairs, vec![(0, 4), (1, 5), (2, 6), (3, 7)]);
 /// ```
 pub fn find_top_alignments(seq: &Seq, scoring: &Scoring, count: usize) -> TopAlignments {
-    TopAlignmentFinder::new(seq, scoring, FinderConfig::new(count)).run()
-}
-
-/// [`find_top_alignments`] with a recorder capturing phase timings and
-/// pop/shadow accounting (see [`TopAlignmentFinder::step_recorded`]).
-pub fn find_top_alignments_recorded<R: Recorder>(
-    seq: &Seq,
-    scoring: &Scoring,
-    count: usize,
-    rec: &mut R,
-) -> TopAlignments {
-    TopAlignmentFinder::new(seq, scoring, FinderConfig::new(count)).run_recorded(rec)
+    TopAlignmentFinder::new(seq, scoring, FinderConfig::new(Search::new(count))).run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use repro_align::Alphabet;
+    use repro_obs::Counter;
 
     fn atgc_scoring() -> Scoring {
         Scoring::dna_example()
+    }
+
+    /// `count` tops with the given layers on, default kernel and rows.
+    fn config(count: usize, budget: Option<usize>, seed: Option<SeedConfig>) -> FinderConfig {
+        FinderConfig::new(Search {
+            count,
+            checkpoint_budget: budget,
+            seed,
+        })
     }
 
     /// The paper's Figure 4 example: ATGCATGCATGC has three equivalent
@@ -937,7 +933,7 @@ mod tests {
             &atgc_scoring(),
             FinderConfig {
                 stripe: Some(3),
-                ..FinderConfig::new(5)
+                ..config(5, None, None)
             },
         )
         .run();
@@ -949,8 +945,7 @@ mod tests {
             &atgc_scoring(),
             FinderConfig {
                 stripe: Some(3),
-                seed: Some(SeedConfig::default()),
-                ..FinderConfig::new(5)
+                ..config(5, None, Some(SeedConfig::default()))
             },
         )
         .run();
@@ -965,7 +960,7 @@ mod tests {
     fn figure5_scheduling_golden_trace() {
         let seq = Seq::dna("ATGCATGCATGC").unwrap();
         let scoring = atgc_scoring();
-        let mut finder = TopAlignmentFinder::new(&seq, &scoring, FinderConfig::new(3));
+        let mut finder = TopAlignmentFinder::new(&seq, &scoring, config(3, None, None));
         let mut trace = Vec::new();
         loop {
             let step = finder.step();
@@ -1013,7 +1008,9 @@ mod tests {
         use repro_obs::FlightRecorder;
         let seq = Seq::dna("ATGCATGCATGC").unwrap();
         let mut rec = FlightRecorder::new();
-        let result = find_top_alignments_recorded(&seq, &atgc_scoring(), 3, &mut rec);
+        let scoring = atgc_scoring();
+        let result =
+            TopAlignmentFinder::new(&seq, &scoring, config(3, None, None)).run_recorded(&mut rec);
         assert_eq!(result.alignments.len(), 3);
         // Pops: 11 first passes + 6 drain realignments are stale, the
         // 3 acceptances are fresh.
@@ -1053,8 +1050,9 @@ mod tests {
         let seq = Seq::dna("ATGCATGCATGC").unwrap();
         let scoring = atgc_scoring();
         let mut rec = FlightRecorder::new();
-        let result = TopAlignmentFinder::new(&seq, &scoring, FinderConfig::linear_memory(3))
-            .run_recorded(&mut rec);
+        let result =
+            TopAlignmentFinder::new(&seq, &scoring, FinderConfig::linear_memory(Search::new(3)))
+                .run_recorded(&mut rec);
         assert_eq!(result.alignments.len(), 3);
         assert_eq!(
             rec.phase_entries(Phase::RowRecompute),
@@ -1078,7 +1076,7 @@ mod tests {
     fn all_tasks_aligned_before_first_acceptance() {
         let seq = Seq::dna("ATGCATGCATGC").unwrap();
         let scoring = atgc_scoring();
-        let mut finder = TopAlignmentFinder::new(&seq, &scoring, FinderConfig::new(1));
+        let mut finder = TopAlignmentFinder::new(&seq, &scoring, config(1, None, None));
         let mut realigned = 0;
         loop {
             match finder.step() {
@@ -1137,8 +1135,12 @@ mod tests {
         for text in ["ATGCATGCATGC", "ACGTTGCAACGTACGTTGCAGGTT", "AAAAAAAAAA"] {
             let seq = Seq::dna(text).unwrap();
             let default = find_top_alignments(&seq, &scoring, 5);
-            let linmem =
-                TopAlignmentFinder::new(&seq, &scoring, FinderConfig::linear_memory(5)).run();
+            let linmem = TopAlignmentFinder::new(
+                &seq,
+                &scoring,
+                FinderConfig::linear_memory(Search::new(5)),
+            )
+            .run();
             assert_eq!(default.alignments, linmem.alignments, "on {text}");
             assert_eq!(default.triangle, linmem.triangle);
             if !linmem.alignments.is_empty() {
@@ -1158,7 +1160,7 @@ mod tests {
         let default = find_top_alignments(&seq, &scoring, 8);
         let cfg = FinderConfig {
             row_mode: RowMode::Recompute,
-            ..FinderConfig::new(8)
+            ..config(8, None, None)
         };
         let recompute = TopAlignmentFinder::new(&seq, &scoring, cfg).run();
         assert_eq!(default.alignments, recompute.alignments);
@@ -1191,7 +1193,7 @@ mod tests {
             let seq = Seq::dna(&text).unwrap();
             let base = find_top_alignments(&seq, &scoring, 10);
             for budget in [0usize, 4096, repro_align::DEFAULT_CHECKPOINT_BUDGET] {
-                let cfg = FinderConfig::checkpointed(10, budget);
+                let cfg = config(10, Some(budget), None);
                 let incr = TopAlignmentFinder::new(&seq, &scoring, cfg).run();
                 assert_eq!(
                     base.alignments, incr.alignments,
@@ -1243,7 +1245,7 @@ mod tests {
         let motif = "ATGCATGCATGC";
         let text = format!("GGTTCCAA{motif}CCAAGGTT{motif}TGCATTGG");
         let seq = Seq::dna(&text).unwrap();
-        let cfg = FinderConfig::checkpointed(10, repro_align::DEFAULT_CHECKPOINT_BUDGET);
+        let cfg = config(10, Some(repro_align::DEFAULT_CHECKPOINT_BUDGET), None);
         let result = TopAlignmentFinder::new(&seq, &scoring, cfg).run();
         assert!(!result.alignments.is_empty());
         assert!(result.stats.checkpoint_hits > 0, "no sweep was served");
@@ -1258,8 +1260,8 @@ mod tests {
         let seq = Seq::dna(&"ACGGT".repeat(10)).unwrap();
         let base = find_top_alignments(&seq, &scoring, 6);
         let cfg = FinderConfig {
-            checkpoint_budget: Some(repro_align::DEFAULT_CHECKPOINT_BUDGET),
-            ..FinderConfig::linear_memory(6)
+            row_mode: RowMode::Recompute,
+            ..config(6, Some(repro_align::DEFAULT_CHECKPOINT_BUDGET), None)
         };
         let incr = TopAlignmentFinder::new(&seq, &scoring, cfg).run();
         assert_eq!(base.alignments, incr.alignments);
@@ -1276,7 +1278,7 @@ mod tests {
         let base = find_top_alignments(&seq, &scoring, 5);
         let cfg = FinderConfig {
             stripe: Some(3),
-            ..FinderConfig::checkpointed(5, repro_align::DEFAULT_CHECKPOINT_BUDGET)
+            ..config(5, Some(repro_align::DEFAULT_CHECKPOINT_BUDGET), None)
         };
         let incr = TopAlignmentFinder::new(&seq, &scoring, cfg).run();
         assert_eq!(base.alignments, incr.alignments);
@@ -1290,7 +1292,7 @@ mod tests {
         use repro_obs::FlightRecorder;
         let seq = Seq::dna("ATGCATGCATGC").unwrap();
         let mut rec = FlightRecorder::new();
-        let cfg = FinderConfig::checkpointed(3, repro_align::DEFAULT_CHECKPOINT_BUDGET);
+        let cfg = config(3, Some(repro_align::DEFAULT_CHECKPOINT_BUDGET), None);
         let result = TopAlignmentFinder::new(&seq, &atgc_scoring(), cfg).run_recorded(&mut rec);
         assert_eq!(result.alignments.len(), 3);
         assert_eq!(result.stats.stale_pops, 17);
@@ -1344,7 +1346,7 @@ mod tests {
             let seq = Seq::dna(&text).unwrap();
             let base = find_top_alignments(&seq, &scoring, 10);
             for k in [3usize, 6] {
-                let cfg = FinderConfig::seeded(10, crate::seed::SeedConfig::new(k));
+                let cfg = config(10, None, Some(crate::seed::SeedConfig::new(k)));
                 let pruned = TopAlignmentFinder::new(&seq, &scoring, cfg).run();
                 assert_eq!(base.alignments, pruned.alignments, "k {k} on {text}");
                 assert_eq!(base.triangle, pruned.triangle, "k {k} on {text}");
@@ -1363,7 +1365,7 @@ mod tests {
         let text = format!("GGTTCCAACCGGTTAACCAGTGCA{motif}{motif}CAGTCCGGAATTCCGGTAACCGT");
         let seq = Seq::dna(&text).unwrap();
         let base = find_top_alignments(&seq, &scoring, 1);
-        let cfg = FinderConfig::seeded(1, crate::seed::SeedConfig::default());
+        let cfg = config(1, None, Some(crate::seed::SeedConfig::default()));
         let pruned = TopAlignmentFinder::new(&seq, &scoring, cfg).run();
         assert_eq!(base.alignments, pruned.alignments);
         assert!(
@@ -1389,17 +1391,18 @@ mod tests {
         let base = find_top_alignments(&seq, &scoring, 4);
         let seeded = crate::seed::SeedConfig::default();
         let combos = [
+            config(
+                4,
+                Some(repro_align::DEFAULT_CHECKPOINT_BUDGET),
+                Some(seeded),
+            ),
             FinderConfig {
-                checkpoint_budget: Some(repro_align::DEFAULT_CHECKPOINT_BUDGET),
-                ..FinderConfig::seeded(4, seeded)
-            },
-            FinderConfig {
-                seed: Some(seeded),
-                ..FinderConfig::linear_memory(4)
+                row_mode: RowMode::Recompute,
+                ..config(4, None, Some(seeded))
             },
             FinderConfig {
                 stripe: Some(3),
-                ..FinderConfig::seeded(4, seeded)
+                ..config(4, None, Some(seeded))
             },
         ];
         for cfg in combos {
@@ -1418,7 +1421,7 @@ mod tests {
         let text = format!("GGTTCCAACCGGTTAACCAGTGCA{motif}{motif}CAGTCCGGAATTCCGGTAACCGT");
         let seq = Seq::dna(&text).unwrap();
         let mut rec = FlightRecorder::new();
-        let cfg = FinderConfig::seeded(1, crate::seed::SeedConfig::default());
+        let cfg = config(1, None, Some(crate::seed::SeedConfig::default()));
         let result = TopAlignmentFinder::new(&seq, &scoring, cfg).run_recorded(&mut rec);
         assert_eq!(rec.counter(Counter::SplitsPruned), result.stats.splits_pruned);
         assert_eq!(rec.counter(Counter::PrunedPops), result.stats.pruned_pops);

@@ -54,8 +54,8 @@ pub use consensus::{unit_consensus, Consensus};
 pub use delineate::{delineate, RepeatReport, RepeatUnit};
 pub use dirty::DirtyLog;
 pub use finder::{
-    align_task, find_top_alignments, find_top_alignments_recorded, FinderConfig, RowMode,
-    ScoredSeq, Step, TaskResult, TopAlignment, TopAlignmentFinder, TopAlignments,
+    align_task, find_top_alignments, FinderConfig, RowMode, ScoredSeq, Search, Step, TaskResult,
+    TopAlignment, TopAlignmentFinder, TopAlignments,
 };
 pub use incremental::{late_first_pass, IncrementalSweep, IncrementalSweeper};
 pub use seed::{PairMask, SeedConfig, SplitBounds};

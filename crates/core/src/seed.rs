@@ -71,6 +71,10 @@ use repro_align::{
 use std::time::Instant;
 
 /// Configuration of the seed-and-bound layer.
+///
+/// `k` selects nothing (the CLI's `--seed-k` is gone for that reason),
+/// but [`SeedConfig::new`] and `SplitBounds::build(.., SeedConfig)` keep
+/// their signatures: `benchmark/` pins both and must not be edited.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeedConfig {
     /// A k-mer width (`1 ..= MAX_KMER_K`). Validated and carried for the

@@ -7,6 +7,8 @@
 //! of realignments avoided" claim for the task-queue heuristic all reduce
 //! to these counts.
 
+use repro_obs::{Counter, Recorder};
+
 /// Counters accumulated while finding top alignments.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Stats {
@@ -153,6 +155,26 @@ impl Stats {
         self.pool_reuses += other.pool_reuses;
         self.lanes_skipped += other.lanes_skipped;
         self.lanes_compacted += other.lanes_compacted;
+    }
+
+    /// Mirror the nine tallies that are both a `Stats` field and a
+    /// recorder [`Counter`] into `rec`. Every engine calls this exactly
+    /// once, on its final stats, so a run report's
+    /// `counters[name] == stats.name` on every engine by construction.
+    pub fn mirror_into<R: Recorder>(&self, rec: &mut R) {
+        for (counter, n) in [
+            (Counter::CheckpointHits, self.checkpoint_hits),
+            (Counter::CheckpointMisses, self.checkpoint_misses),
+            (Counter::RealignRowsSwept, self.realign_rows_swept),
+            (Counter::RealignRowsSkipped, self.realign_rows_skipped),
+            (Counter::PoolReuses, self.pool_reuses),
+            (Counter::SplitsPruned, self.splits_pruned),
+            (Counter::PrunedPops, self.pruned_pops),
+            (Counter::BoundRecomputes, self.bound_recomputes),
+            (Counter::SeedIndexBuildNs, self.seed_index_build_ns),
+        ] {
+            rec.add(counter, n);
+        }
     }
 
     /// Fraction of realignment DP rows the incremental layer skipped

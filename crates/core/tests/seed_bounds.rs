@@ -21,7 +21,7 @@ use repro_align::{
 };
 use repro_core::seed::{PairMask, SeedConfig, SplitBounds};
 use repro_core::{
-    align_task, find_top_alignments, FinderConfig, OverrideTriangle, TopAlignmentFinder,
+    align_task, find_top_alignments, FinderConfig, OverrideTriangle, Search, TopAlignmentFinder,
 };
 
 fn arb_dna(max: usize) -> impl Strategy<Value = Seq> {
@@ -218,7 +218,10 @@ proptest! {
         k in 2usize..8,
     ) {
         let base = find_top_alignments(&seq, &scoring, count);
-        let cfg = FinderConfig::seeded(count, SeedConfig::new(k));
+        let cfg = FinderConfig::new(Search {
+            seed: Some(SeedConfig::new(k)),
+            ..Search::new(count)
+        });
         let pruned = TopAlignmentFinder::new(&seq, &scoring, cfg).run();
         prop_assert_eq!(&base.alignments, &pruned.alignments, "k {} on {}", k, seq);
         prop_assert_eq!(&base.triangle, &pruned.triangle);

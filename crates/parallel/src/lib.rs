@@ -18,53 +18,56 @@
 //! [`simd_smp`] composes this scheme with the SIMD kernels: workers
 //! claim *groups* of neighbouring splits and realign them with the
 //! runtime-dispatched vector sweep — the paper's SIMD × SMP stacking.
+//!
+//! Each engine is one function —
+//! [`find_top_alignments_parallel`]`(seq, scoring, &search, threads, rec)`
+//! and [`find_top_alignments_parallel_simd`]`(.., threads, sel, rec)` —
+//! taking the shared [`repro_core::Search`] and returning plain
+//! [`repro_core::TopAlignments`]. Workers tally under the shared lock
+//! and the engine folds the tallies into `rec` after the thread scope
+//! joins: a worker thread cannot hold the caller's `&mut` recorder.
 
 #![warn(missing_docs)]
 
 pub mod simd_smp;
 
-pub use simd_smp::{
-    find_top_alignments_parallel_simd, find_top_alignments_parallel_simd_checkpointed,
-    find_top_alignments_parallel_simd_seeded, ParallelSimdResult,
-};
+pub use simd_smp::find_top_alignments_parallel_simd;
 
 use parking_lot::{Condvar, Mutex};
 use repro_align::{Score, Scoring, Seq};
 use repro_core::{
-    late_first_pass, DirtyLog, IncrementalSweeper, OverrideTriangle, ScoredSeq, SeedConfig,
+    late_first_pass, DirtyLog, IncrementalSweeper, OverrideTriangle, ScoredSeq, Search,
     SplitBounds, Stats, TopAlignment, TopAlignments,
 };
-use repro_obs::{HistSet, Metric};
+use repro_obs::{Counter, HistSet, Metric, Phase, Recorder};
 use std::sync::Arc;
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Result of the threaded engine.
-#[derive(Debug, Clone)]
-pub struct ParallelResult {
-    /// Alignments, stats and triangle — identical alignments to the
-    /// sequential engine.
-    pub result: TopAlignments,
-    /// Number of worker threads used.
-    pub workers: usize,
-    /// Alignments that were computed against an already-superseded
-    /// triangle version (the speculation overhead; paper: ≤ 8.4 %).
-    pub superseded_alignments: u64,
-    /// Tasks claimed by workers (acceptances + realignments) — the
-    /// scheduling-churn figure the flight recorder reports as
-    /// `task_claims`.
-    pub task_claims: u64,
-    /// Total seconds worker threads spent blocked waiting for claimable
-    /// work, summed across workers (reported as the `worker_idle` phase).
-    pub idle_secs: f64,
-    /// Total seconds of acceptance recomputation and traceback (the
-    /// serial master-side step; reported as the `traceback` phase).
-    pub traceback_secs: f64,
-    /// Latency histograms measured across all workers (sweep duration,
-    /// task round trip, queue wait, resume rows). Like `idle_secs`,
-    /// these are measured unconditionally — a couple of clock reads per
-    /// coarse-grained task — and folded into the recorder by the facade.
-    pub hists: HistSet,
+/// The end-of-run fold both SMP engines share: the tallies their workers
+/// keep under the shared lock — measured unconditionally, a couple of
+/// clock reads per coarse-grained task — plus the `Stats` mirror, into
+/// the caller's recorder. It runs after the thread scope has joined
+/// because worker threads outlive any one borrow of `rec`.
+fn fold_worker_tallies<R: Recorder>(
+    rec: &mut R,
+    stats: &Stats,
+    claims: u64,
+    superseded: u64,
+    idle_secs: f64,
+    traceback_secs: f64,
+    hists: &HistSet,
+) {
+    rec.add(Counter::TaskClaims, claims);
+    rec.add(Counter::SupersededWork, superseded);
+    rec.add_phase_secs(Phase::WorkerIdle, idle_secs);
+    if stats.tracebacks > 0 {
+        rec.add_phase_secs(Phase::Traceback, traceback_secs);
+    }
+    for m in Metric::ALL {
+        rec.observe_hist(m, hists.get(m));
+    }
+    stats.mirror_into(rec);
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -79,10 +82,18 @@ struct Shared {
     triangle: Arc<OverrideTriangle>,
     tops: Vec<TopAlignment>,
     stats: Stats,
+    /// Alignments computed against an already-superseded triangle
+    /// version (the speculation overhead; paper: ≤ 8.4 %).
     superseded: u64,
+    /// Tasks claimed by workers (acceptances + realignments).
     claims: u64,
+    /// Seconds workers spent blocked waiting for claimable work, summed
+    /// across workers.
     idle_secs: f64,
+    /// Seconds of acceptance recomputation and traceback (the serial
+    /// master-side step).
     traceback_secs: f64,
+    /// Sweep duration, task round trip, queue wait, resume rows.
     hists: HistSet,
     accept_in_progress: bool,
     done: bool,
@@ -107,66 +118,54 @@ struct Engine<'a> {
 
 const NEVER: usize = usize::MAX;
 
-/// Find `count` top alignments using `threads` worker threads.
-/// Produces exactly the same alignments as the sequential engine.
+/// Find the top alignments `search` asks for using `threads` worker
+/// threads. Produces exactly the same alignments as the sequential
+/// engine.
 ///
-/// ```
-/// use repro_parallel::find_top_alignments_parallel;
-/// use repro_align::{Scoring, Seq};
-///
-/// let seq = Seq::dna("ATGCATGCATGC").unwrap();
-/// let run = find_top_alignments_parallel(&seq, &Scoring::dna_example(), 3, 2);
-/// assert_eq!(run.result.alignments.len(), 3);
-/// assert_eq!(run.workers, 2);
-/// ```
-pub fn find_top_alignments_parallel(
-    seq: &Seq,
-    scoring: &Scoring,
-    count: usize,
-    threads: usize,
-) -> ParallelResult {
-    find_top_alignments_parallel_checkpointed(seq, scoring, count, threads, None)
-}
-
-/// [`find_top_alignments_parallel`] with the incremental realignment
-/// layer: `checkpoint_budget` bytes of DP checkpoints per worker
-/// (`None` disables; `Some(0)` enables the accounting but every sweep
-/// misses). Alignments are bit-identical either way — each worker keeps
-/// a private dirty-log replica synced from the shared top list under
-/// the lock, so the stamp a sweep runs under always matches the
-/// triangle snapshot it cloned.
-pub fn find_top_alignments_parallel_checkpointed(
-    seq: &Seq,
-    scoring: &Scoring,
-    count: usize,
-    threads: usize,
-    checkpoint_budget: Option<usize>,
-) -> ParallelResult {
-    find_top_alignments_parallel_seeded(seq, scoring, count, threads, checkpoint_budget, None)
-}
-
-/// [`find_top_alignments_parallel_checkpointed`] with seeded split
-/// pruning: every task starts at its admissible seed bound instead of
+/// With `search.checkpoint_budget` set, each worker keeps that many
+/// bytes of DP checkpoints and a private dirty-log replica synced from
+/// the shared top list under the lock, so the stamp a sweep runs under
+/// always matches the triangle snapshot it cloned. With `search.seed`
+/// set, every task starts at its admissible seed bound instead of
 /// infinity, and never-aligned tasks whose bound stays below every
-/// acceptance are never swept by any worker. Bounds are refreshed (only
+/// acceptance are never swept by any worker; bounds are refreshed (only
 /// ever tightening) under the shared lock when a never-aligned task is
 /// about to be claimed and [`SplitBounds`] judges the resweep worth it,
 /// and folded straight into the task state — the in-place analogue of
 /// the sequential engine's bound-refresh pops. Alignments are
-/// bit-identical with pruning on or off.
-pub fn find_top_alignments_parallel_seeded(
+/// bit-identical with either layer on or off.
+///
+/// `rec` receives the workers' tallies once they have joined: task
+/// claims, superseded work, the `worker_idle` and `traceback` phases,
+/// the latency histograms and the `Stats` mirror.
+///
+/// ```
+/// use repro_parallel::find_top_alignments_parallel;
+/// use repro_align::{Scoring, Seq};
+/// use repro_core::Search;
+/// use repro_obs::{Counter, FlightRecorder};
+///
+/// let seq = Seq::dna("ATGCATGCATGC").unwrap();
+/// let mut rec = FlightRecorder::new();
+/// let tops =
+///     find_top_alignments_parallel(&seq, &Scoring::dna_example(), &Search::new(3), 2, &mut rec);
+/// assert_eq!(tops.alignments.len(), 3);
+/// assert!(rec.counter(Counter::TaskClaims) > 0);
+/// ```
+pub fn find_top_alignments_parallel<R: Recorder>(
     seq: &Seq,
     scoring: &Scoring,
-    count: usize,
+    search: &Search,
     threads: usize,
-    checkpoint_budget: Option<usize>,
-    seed: Option<SeedConfig>,
-) -> ParallelResult {
+    rec: &mut R,
+) -> TopAlignments {
     assert!(threads >= 1, "need at least one worker");
     let m = seq.len();
     let splits = m.saturating_sub(1);
 
-    let bounds = seed.map(|sc| SplitBounds::build(seq.codes(), scoring, sc));
+    let bounds = search
+        .seed
+        .map(|sc| SplitBounds::build(seq.codes(), scoring, sc));
     let state: Vec<TaskState> = (0..splits)
         .map(|i| TaskState {
             score: match &bounds {
@@ -184,8 +183,8 @@ pub fn find_top_alignments_parallel_seeded(
 
     let engine = Engine {
         input: ScoredSeq::new(seq, scoring),
-        count,
-        checkpoint_budget,
+        count: search.count,
+        checkpoint_budget: search.checkpoint_budget,
         shared: Mutex::new(Shared {
             state,
             triangle: Arc::new(OverrideTriangle::new(m)),
@@ -205,50 +204,32 @@ pub fn find_top_alignments_parallel_seeded(
         rows: (0..splits).map(|_| OnceLock::new()).collect(),
     };
 
-    if splits == 0 || count == 0 {
-        let mut shared = engine.shared.into_inner();
-        if let Some(b) = &shared.bounds {
-            shared.stats.splits_pruned = splits as u64;
-            shared.stats.bound_recomputes = b.recomputes();
-        }
-        return ParallelResult {
-            result: TopAlignments {
-                alignments: shared.tops,
-                stats: shared.stats,
-                triangle: Arc::try_unwrap(shared.triangle).unwrap_or_else(|a| (*a).clone()),
-            },
-            workers: threads,
-            superseded_alignments: 0,
-            task_claims: 0,
-            idle_secs: 0.0,
-            traceback_secs: 0.0,
-            hists: HistSet::new(),
-        };
+    if splits > 0 && search.count > 0 {
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| engine.worker());
+            }
+        });
     }
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| engine.worker());
-        }
-    });
 
     let mut shared = engine.shared.into_inner();
     if let Some(b) = &shared.bounds {
         shared.stats.splits_pruned = splits.saturating_sub(shared.first_passes) as u64;
         shared.stats.bound_recomputes = b.recomputes();
     }
-    ParallelResult {
-        result: TopAlignments {
-            alignments: shared.tops,
-            stats: shared.stats,
-            triangle: Arc::try_unwrap(shared.triangle).unwrap_or_else(|a| (*a).clone()),
-        },
-        workers: threads,
-        superseded_alignments: shared.superseded,
-        task_claims: shared.claims,
-        idle_secs: shared.idle_secs,
-        traceback_secs: shared.traceback_secs,
-        hists: shared.hists,
+    fold_worker_tallies(
+        rec,
+        &shared.stats,
+        shared.claims,
+        shared.superseded,
+        shared.idle_secs,
+        shared.traceback_secs,
+        &shared.hists,
+    );
+    TopAlignments {
+        alignments: shared.tops,
+        stats: shared.stats,
+        triangle: Arc::try_unwrap(shared.triangle).unwrap_or_else(|a| (*a).clone()),
     }
 }
 
@@ -507,7 +488,26 @@ impl Engine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repro_core::find_top_alignments;
+    use repro_core::{find_top_alignments, SeedConfig};
+    use repro_obs::{FlightRecorder, NoopRecorder};
+
+    /// `count` tops on `threads` workers, both layers off, nothing recorded.
+    fn plain(seq: &Seq, scoring: &Scoring, count: usize, threads: usize) -> TopAlignments {
+        let search = Search::new(count);
+        find_top_alignments_parallel(seq, scoring, &search, threads, &mut NoopRecorder)
+    }
+
+    /// A run under `search` together with the recorder it filled.
+    fn recorded(
+        seq: &Seq,
+        scoring: &Scoring,
+        search: Search,
+        threads: usize,
+    ) -> (TopAlignments, FlightRecorder) {
+        let mut rec = FlightRecorder::new();
+        let tops = find_top_alignments_parallel(seq, scoring, &search, threads, &mut rec);
+        (tops, rec)
+    }
 
     #[test]
     fn figure4_example_matches_sequential() {
@@ -515,9 +515,9 @@ mod tests {
         let scoring = Scoring::dna_example();
         let want = find_top_alignments(&seq, &scoring, 3);
         for threads in [1, 2, 4] {
-            let got = find_top_alignments_parallel(&seq, &scoring, 3, threads);
+            let got = plain(&seq, &scoring, 3, threads);
             assert_eq!(
-                got.result.alignments, want.alignments,
+                got.alignments, want.alignments,
                 "{threads} threads disagree with sequential"
             );
         }
@@ -535,9 +535,9 @@ mod tests {
             let seq = Seq::dna(text).unwrap();
             let want = find_top_alignments(&seq, &scoring, 6);
             for threads in [1, 2, 3, 8] {
-                let got = find_top_alignments_parallel(&seq, &scoring, 6, threads);
+                let got = plain(&seq, &scoring, 6, threads);
                 assert_eq!(
-                    got.result.alignments, want.alignments,
+                    got.alignments, want.alignments,
                     "{threads} threads on {text}"
                 );
             }
@@ -548,22 +548,19 @@ mod tests {
     fn single_thread_does_no_superseded_work() {
         let seq = Seq::dna(&"ATGC".repeat(20)).unwrap();
         let scoring = Scoring::dna_example();
-        let got = find_top_alignments_parallel(&seq, &scoring, 8, 1);
-        assert_eq!(got.superseded_alignments, 0);
+        let (got, rec) = recorded(&seq, &scoring, Search::new(8), 1);
+        assert_eq!(rec.counter(Counter::SupersededWork), 0);
         let want = find_top_alignments(&seq, &scoring, 8);
-        assert_eq!(got.result.alignments, want.alignments);
+        assert_eq!(got.alignments, want.alignments);
         // One worker does exactly the sequential amount of work — the
         // claim accounting must agree with the sequential pop counters.
-        assert_eq!(got.result.stats.alignments, want.stats.alignments);
-        assert_eq!(got.result.stats.stale_pops, want.stats.stale_pops);
-        assert_eq!(got.result.stats.fresh_pops, want.stats.fresh_pops);
+        assert_eq!(got.stats.alignments, want.stats.alignments);
+        assert_eq!(got.stats.stale_pops, want.stats.stale_pops);
+        assert_eq!(got.stats.fresh_pops, want.stats.fresh_pops);
+        assert_eq!(got.stats.shadow_rejections, want.stats.shadow_rejections);
         assert_eq!(
-            got.result.stats.shadow_rejections,
-            want.stats.shadow_rejections
-        );
-        assert_eq!(
-            got.task_claims,
-            got.result.stats.stale_pops + got.result.stats.fresh_pops
+            rec.counter(Counter::TaskClaims),
+            got.stats.stale_pops + got.stats.fresh_pops
         );
     }
 
@@ -571,15 +568,16 @@ mod tests {
     fn claims_and_idle_are_accounted_with_many_threads() {
         let seq = Seq::dna(&"ATGC".repeat(20)).unwrap();
         let scoring = Scoring::dna_example();
-        let got = find_top_alignments_parallel(&seq, &scoring, 8, 4);
+        let (got, rec) = recorded(&seq, &scoring, Search::new(8), 4);
         // Every alignment and every acceptance was claimed by some worker.
         assert_eq!(
-            got.task_claims,
-            got.result.stats.stale_pops + got.result.stats.fresh_pops
+            rec.counter(Counter::TaskClaims),
+            got.stats.stale_pops + got.stats.fresh_pops
         );
-        assert_eq!(got.result.stats.stale_pops, got.result.stats.alignments);
-        assert_eq!(got.result.stats.fresh_pops, got.result.stats.tracebacks);
-        assert!(got.idle_secs >= 0.0);
+        assert_eq!(got.stats.stale_pops, got.stats.alignments);
+        assert_eq!(got.stats.fresh_pops, got.stats.tracebacks);
+        assert_eq!(rec.phase_entries(Phase::WorkerIdle), 1);
+        assert!(rec.phase_secs(Phase::WorkerIdle) >= 0.0);
     }
 
     #[test]
@@ -588,8 +586,8 @@ mod tests {
         for text in ["", "A", "AA"] {
             let seq = Seq::dna(text).unwrap();
             let want = find_top_alignments(&seq, &scoring, 3);
-            let got = find_top_alignments_parallel(&seq, &scoring, 3, 2);
-            assert_eq!(got.result.alignments, want.alignments, "input {text:?}");
+            let got = plain(&seq, &scoring, 3, 2);
+            assert_eq!(got.alignments, want.alignments, "input {text:?}");
         }
     }
 
@@ -597,8 +595,8 @@ mod tests {
     fn count_zero() {
         let seq = Seq::dna("ATGCATGC").unwrap();
         let scoring = Scoring::dna_example();
-        let got = find_top_alignments_parallel(&seq, &scoring, 0, 4);
-        assert!(got.result.alignments.is_empty());
+        let got = plain(&seq, &scoring, 0, 4);
+        assert!(got.alignments.is_empty());
     }
 
     #[test]
@@ -606,8 +604,8 @@ mod tests {
         let seq = Seq::protein("MGEKALVPYRLQHCMGEKALVPYRWWMGEKALVPYR").unwrap();
         let scoring = Scoring::protein_default();
         let want = find_top_alignments(&seq, &scoring, 5);
-        let got = find_top_alignments_parallel(&seq, &scoring, 5, 6);
-        assert_eq!(got.result.alignments, want.alignments);
+        let got = plain(&seq, &scoring, 5, 6);
+        assert_eq!(got.alignments, want.alignments);
     }
 
     #[test]
@@ -616,16 +614,19 @@ mod tests {
         let text = format!("GGTTCCAA{motif}CCAAGGTT{motif}TGCATTGG");
         let seq = Seq::dna(&text).unwrap();
         let scoring = Scoring::dna_example();
-        let want = find_top_alignments_parallel(&seq, &scoring, 6, 2);
+        let want = plain(&seq, &scoring, 6, 2);
         for budget in [Some(0), Some(1 << 20)] {
             for threads in [1, 2, 4] {
-                let got =
-                    find_top_alignments_parallel_checkpointed(&seq, &scoring, 6, threads, budget);
+                let search = Search {
+                    checkpoint_budget: budget,
+                    ..Search::new(6)
+                };
+                let (got, _) = recorded(&seq, &scoring, search, threads);
                 assert_eq!(
-                    got.result.alignments, want.result.alignments,
+                    got.alignments, want.alignments,
                     "budget {budget:?}, {threads} threads"
                 );
-                let s = &got.result.stats;
+                let s = &got.stats;
                 assert!(
                     s.checkpoint_hits + s.checkpoint_misses > 0,
                     "enabled run must account every realignment"
@@ -644,8 +645,12 @@ mod tests {
         let text = format!("GGTTCCAA{motif}CCAAGGTT{motif}TGCATTGG");
         let seq = Seq::dna(&text).unwrap();
         let scoring = Scoring::dna_example();
-        let got = find_top_alignments_parallel_checkpointed(&seq, &scoring, 6, 1, Some(1 << 20));
-        let s = &got.result.stats;
+        let search = Search {
+            checkpoint_budget: Some(1 << 20),
+            ..Search::new(6)
+        };
+        let (got, _) = recorded(&seq, &scoring, search, 1);
+        let s = &got.stats;
         assert!(s.checkpoint_hits > 0, "expected memo/checkpoint hits");
         assert!(s.realign_rows_skipped > 0, "expected skipped rows");
         // Schedule counters are untouched by the incremental layer: one
@@ -671,19 +676,17 @@ mod tests {
                 let want = find_top_alignments(&seq, &scoring, count);
                 for threads in [1, 2, 4] {
                     for budget in [None, Some(1 << 20)] {
-                        let got = find_top_alignments_parallel_seeded(
-                            &seq,
-                            &scoring,
+                        let search = Search {
                             count,
-                            threads,
-                            budget,
-                            Some(SeedConfig::default()),
-                        );
+                            checkpoint_budget: budget,
+                            seed: Some(SeedConfig::default()),
+                        };
+                        let (got, _) = recorded(&seq, &scoring, search, threads);
                         assert_eq!(
-                            got.result.alignments, want.alignments,
+                            got.alignments, want.alignments,
                             "count {count}, {threads} threads, budget {budget:?} on {text}"
                         );
-                        assert_eq!(got.result.triangle, want.triangle);
+                        assert_eq!(got.triangle, want.triangle);
                     }
                 }
             }
@@ -696,15 +699,12 @@ mod tests {
         let text = format!("GGTTCCAACCGGTTAACCAGTGCA{motif}{motif}CAGTCCGGAATTCCGGTAACCGT");
         let seq = Seq::dna(&text).unwrap();
         let scoring = Scoring::dna_example();
-        let got = find_top_alignments_parallel_seeded(
-            &seq,
-            &scoring,
-            1,
-            1,
-            None,
-            Some(SeedConfig::default()),
-        );
-        let s = &got.result.stats;
+        let search = Search {
+            seed: Some(SeedConfig::default()),
+            ..Search::new(1)
+        };
+        let (got, _) = recorded(&seq, &scoring, search, 1);
+        let s = &got.stats;
         assert!(
             s.splits_pruned > 0,
             "expected pruned splits, got {}",
@@ -714,14 +714,14 @@ mod tests {
         assert!((s.splits_pruned as usize) < seq.len() - 1);
         // Unpruned output is preserved.
         let want = find_top_alignments(&seq, &scoring, 1);
-        assert_eq!(got.result.alignments, want.alignments);
+        assert_eq!(got.alignments, want.alignments);
     }
 
     #[test]
     fn exhaustion_terminates_with_threads() {
         let seq = Seq::dna("ACGT").unwrap();
         let scoring = Scoring::dna_example();
-        let got = find_top_alignments_parallel(&seq, &scoring, 10, 4);
-        assert!(got.result.alignments.len() < 10);
+        let got = plain(&seq, &scoring, 10, 4);
+        assert!(got.alignments.len() < 10);
     }
 }

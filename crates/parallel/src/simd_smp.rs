@@ -32,11 +32,10 @@ use parking_lot::{Condvar, Mutex};
 use repro_align::{Score, Scoring, Seq};
 use repro_core::bottom::best_valid_entry_counted;
 use repro_core::{
-    DirtyLog, OverrideTriangle, ScoredSeq, SeedConfig, SplitBounds, Stats, TopAlignment,
-    TopAlignments,
+    DirtyLog, OverrideTriangle, ScoredSeq, Search, SplitBounds, Stats, TopAlignment, TopAlignments,
 };
-use repro_obs::{HistSet, Metric};
-use repro_simd::{GroupIncremental, GroupSweeper, LaneMemo, RealignPlan, SimdSel, SimdStats};
+use repro_obs::{Counter, HistSet, Metric, Recorder};
+use repro_simd::{GroupIncremental, GroupSweeper, LaneMemo, RealignPlan, SimdSel};
 use std::sync::Arc;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -45,33 +44,30 @@ use std::time::Instant;
 /// individually even when sibling lanes must re-sweep.
 type GroupMemo = Option<Vec<LaneMemo>>;
 
-/// Result of the SIMD × SMP engine.
-#[derive(Debug, Clone)]
-pub struct ParallelSimdResult {
-    /// Alignments, stats and triangle — identical alignments to the
-    /// sequential engine.
-    pub result: TopAlignments,
-    /// Number of worker threads used.
-    pub workers: usize,
-    /// The kernel selection every worker's sweeps routed to.
-    pub sel: SimdSel,
-    /// SIMD counters aggregated across workers.
-    pub simd: SimdStats,
-    /// Group sweeps computed against an already-superseded triangle
-    /// version (speculation overhead).
-    pub superseded_sweeps: u64,
-    /// Group tasks (sweeps + acceptances) claimed by workers.
-    pub task_claims: u64,
-    /// Total seconds workers spent blocked waiting for claimable work,
-    /// summed across workers.
-    pub idle_secs: f64,
-    /// Total seconds of acceptance recomputation and traceback (the
-    /// serial master-side step; reported as the `traceback` phase).
-    pub traceback_secs: f64,
-    /// Latency histograms measured across all workers (group sweep
-    /// duration, task round trip, queue wait, resume rows), folded into
-    /// the recorder by the facade.
-    pub hists: HistSet,
+/// Group-sweep counts, tallied under the lock like the rest of
+/// [`Shared`] and folded into the recorder after the workers join.
+#[derive(Default)]
+struct SweepTally {
+    /// Group sweeps performed (narrow and wide combined).
+    group_sweeps: u64,
+    /// Groups whose narrow (`i16`) sweep saturated and was redone wide.
+    saturations: u64,
+    /// Wide (`i32`) promotion sweeps — saturated groups plus every sweep
+    /// of a scoring too large for `i16` altogether.
+    promoted_sweeps: u64,
+}
+
+impl SweepTally {
+    /// One finished sweep, by its [`repro_simd::SweepOutcome`] flags.
+    fn count(&mut self, saturated_narrow: bool, promoted: bool) {
+        self.group_sweeps += 1;
+        if saturated_narrow {
+            self.saturations += 1;
+        }
+        if promoted {
+            self.promoted_sweeps += 1;
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -89,11 +85,19 @@ struct Shared {
     triangle: Arc<OverrideTriangle>,
     tops: Vec<TopAlignment>,
     stats: Stats,
-    simd: SimdStats,
+    simd: SweepTally,
+    /// Group sweeps computed against an already-superseded triangle
+    /// version (speculation overhead).
     superseded: u64,
+    /// Group tasks (sweeps + acceptances) claimed by workers.
     claims: u64,
+    /// Seconds workers spent blocked waiting for claimable work, summed
+    /// across workers.
     idle_secs: f64,
+    /// Seconds of acceptance recomputation and traceback (the serial
+    /// master-side step).
     traceback_secs: f64,
+    /// Group sweep duration, task round trip, queue wait, resume rows.
     hists: HistSet,
     accept_in_progress: bool,
     done: bool,
@@ -134,73 +138,61 @@ struct Engine<'a> {
 
 const NEVER: usize = usize::MAX;
 
-/// Find `count` top alignments with `threads` workers, each realigning
-/// whole groups through the `sel`-dispatched SIMD sweep. Produces
-/// exactly the same alignments as the sequential engine.
+/// Find the top alignments `search` asks for with `threads` workers,
+/// each realigning whole groups through the `sel`-dispatched SIMD sweep.
+/// Produces exactly the same alignments as the sequential engine.
+///
+/// With `search.checkpoint_budget` set the incremental layer is
+/// lane-granular: lanes no accept has straddled since their last sweep
+/// replay from a shared memo under the lock, and the remaining lanes
+/// re-pack into a compacted group resumed from the deepest shared
+/// checkpoint row (see [`repro_simd::resume`]). With `search.seed` set,
+/// every group enters the schedule at the maximum of its members' seed
+/// bounds, and whole lane-packs whose bound stays below every acceptance
+/// are never swept by any worker; bounds are refreshed (only ever
+/// tightening) under the shared lock when a never-swept group is about
+/// to be claimed and [`SplitBounds`] judges the resweep worth it, and
+/// folded straight into the group state. Alignments are bit-identical
+/// with either layer on or off.
+///
+/// `rec` receives, once the workers have joined, what
+/// [`crate::find_top_alignments_parallel`] reports plus the group-sweep,
+/// saturation and promotion counts.
 ///
 /// ```
 /// use repro_parallel::find_top_alignments_parallel_simd;
 /// use repro_align::{Scoring, Seq};
+/// use repro_core::Search;
+/// use repro_obs::{Counter, FlightRecorder};
 /// use repro_simd::select;
 ///
 /// let seq = Seq::dna("ATGCATGCATGC").unwrap();
 /// let sel = select(None, None).unwrap();
-/// let run = find_top_alignments_parallel_simd(&seq, &Scoring::dna_example(), 3, 2, sel);
-/// assert_eq!(run.result.alignments.len(), 3);
-/// assert_eq!(run.workers, 2);
+/// let mut rec = FlightRecorder::new();
+/// let tops = find_top_alignments_parallel_simd(
+///     &seq,
+///     &Scoring::dna_example(),
+///     &Search::new(3),
+///     2,
+///     sel,
+///     &mut rec,
+/// );
+/// assert_eq!(tops.alignments.len(), 3);
+/// assert!(rec.counter(Counter::GroupSweeps) > 0);
 /// ```
-pub fn find_top_alignments_parallel_simd(
+pub fn find_top_alignments_parallel_simd<R: Recorder>(
     seq: &Seq,
     scoring: &Scoring,
-    count: usize,
+    search: &Search,
     threads: usize,
     sel: SimdSel,
-) -> ParallelSimdResult {
-    find_top_alignments_parallel_simd_checkpointed(seq, scoring, count, threads, sel, None)
-}
-
-/// [`find_top_alignments_parallel_simd`] with the incremental layer,
-/// lane-granular: lanes no accept has straddled since their last sweep
-/// replay from a shared memo under the lock, and the remaining lanes
-/// re-pack into a compacted group resumed from the deepest shared
-/// checkpoint row (see [`repro_simd::resume`]). Alignments are
-/// bit-identical either way.
-pub fn find_top_alignments_parallel_simd_checkpointed(
-    seq: &Seq,
-    scoring: &Scoring,
-    count: usize,
-    threads: usize,
-    sel: SimdSel,
-    checkpoint_budget: Option<usize>,
-) -> ParallelSimdResult {
-    find_top_alignments_parallel_simd_seeded(
-        seq,
-        scoring,
+    rec: &mut R,
+) -> TopAlignments {
+    let Search {
         count,
-        threads,
-        sel,
         checkpoint_budget,
-        None,
-    )
-}
-
-/// [`find_top_alignments_parallel_simd_checkpointed`] with seeded split
-/// pruning: every group enters the schedule at the maximum of its
-/// members' seed bounds, and whole lane-packs whose bound stays below
-/// every acceptance are never swept by any worker. Bounds are refreshed
-/// (only ever tightening) under the shared lock when a never-swept
-/// group is about to be claimed and [`SplitBounds`] judges the resweep
-/// worth it, and folded straight into the group state. Alignments are
-/// bit-identical with pruning on or off.
-pub fn find_top_alignments_parallel_simd_seeded(
-    seq: &Seq,
-    scoring: &Scoring,
-    count: usize,
-    threads: usize,
-    sel: SimdSel,
-    checkpoint_budget: Option<usize>,
-    seed: Option<SeedConfig>,
-) -> ParallelSimdResult {
+        seed,
+    } = *search;
     assert!(threads >= 1, "need at least one worker");
     let m = seq.len();
     let splits = m.saturating_sub(1);
@@ -239,7 +231,7 @@ pub fn find_top_alignments_parallel_simd_seeded(
             triangle: Arc::new(OverrideTriangle::new(m)),
             tops: Vec::new(),
             stats,
-            simd: SimdStats::default(),
+            simd: SweepTally::default(),
             superseded: 0,
             claims: 0,
             idle_secs: 0.0,
@@ -270,20 +262,22 @@ pub fn find_top_alignments_parallel_simd_seeded(
         shared.stats.splits_pruned = splits.saturating_sub(shared.first_passes) as u64;
         shared.stats.bound_recomputes = b.recomputes();
     }
-    ParallelSimdResult {
-        result: TopAlignments {
-            alignments: shared.tops,
-            stats: shared.stats,
-            triangle: Arc::try_unwrap(shared.triangle).unwrap_or_else(|a| (*a).clone()),
-        },
-        workers: threads,
-        sel,
-        simd: shared.simd,
-        superseded_sweeps: shared.superseded,
-        task_claims: shared.claims,
-        idle_secs: shared.idle_secs,
-        traceback_secs: shared.traceback_secs,
-        hists: shared.hists,
+    crate::fold_worker_tallies(
+        rec,
+        &shared.stats,
+        shared.claims,
+        shared.superseded,
+        shared.idle_secs,
+        shared.traceback_secs,
+        &shared.hists,
+    );
+    rec.add(Counter::GroupSweeps, shared.simd.group_sweeps);
+    rec.add(Counter::NarrowSaturations, shared.simd.saturations);
+    rec.add(Counter::PromotedSweeps, shared.simd.promoted_sweeps);
+    TopAlignments {
+        alignments: shared.tops,
+        stats: shared.stats,
+        triangle: Arc::try_unwrap(shared.triangle).unwrap_or_else(|a| (*a).clone()),
     }
 }
 
@@ -585,23 +579,11 @@ impl Engine<'_> {
                             shared.incr.commit(&rs_full, Vec::new(), caps, version, &prios);
                             shared.group_memo[gi] = Some(lane_memo);
                         }
-                        shared.simd.group_sweeps += 1;
-                        shared.simd.vector_cells += outcome.vector_cells;
-                        if outcome.saturated_narrow {
-                            shared.simd.saturation_fallbacks += 1;
-                        }
-                        if outcome.promoted {
-                            shared.simd.promoted_sweeps += 1;
-                        }
+                        shared
+                            .simd
+                            .count(outcome.saturated_narrow, outcome.promoted);
                         if let Some(mo) = &masked {
-                            shared.simd.group_sweeps += 1;
-                            shared.simd.vector_cells += mo.vector_cells;
-                            if mo.saturated_narrow {
-                                shared.simd.saturation_fallbacks += 1;
-                            }
-                            if mo.promoted {
-                                shared.simd.promoted_sweeps += 1;
-                            }
+                            shared.simd.count(mo.saturated_narrow, mo.promoted);
                         }
                         shared.first_passes += nl;
                         if stamp != shared.tops.len() {
@@ -717,14 +699,9 @@ impl Engine<'_> {
                                 members[l] = s;
                             }
                         }
-                        shared.simd.group_sweeps += 1;
-                        shared.simd.vector_cells += outcome.vector_cells;
-                        if outcome.saturated_narrow {
-                            shared.simd.saturation_fallbacks += 1;
-                        }
-                        if outcome.promoted {
-                            shared.simd.promoted_sweeps += 1;
-                        }
+                        shared
+                            .simd
+                            .count(outcome.saturated_narrow, outcome.promoted);
                         if stamp != shared.tops.len() {
                             shared.superseded += 1;
                         }
@@ -747,11 +724,37 @@ impl Engine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repro_core::find_top_alignments;
+    use repro_core::{find_top_alignments, SeedConfig};
+    use repro_obs::{FlightRecorder, NoopRecorder};
     use repro_simd::{select, DispatchPath, LaneWidth};
 
     fn sel_for(width: LaneWidth) -> SimdSel {
         select(Some(width), None).unwrap()
+    }
+
+    /// `count` tops, both layers off, nothing recorded.
+    fn plain(
+        seq: &Seq,
+        scoring: &Scoring,
+        count: usize,
+        threads: usize,
+        sel: SimdSel,
+    ) -> TopAlignments {
+        let search = Search::new(count);
+        find_top_alignments_parallel_simd(seq, scoring, &search, threads, sel, &mut NoopRecorder)
+    }
+
+    /// A run under `search` together with the recorder it filled.
+    fn recorded(
+        seq: &Seq,
+        scoring: &Scoring,
+        search: Search,
+        threads: usize,
+        sel: SimdSel,
+    ) -> (TopAlignments, FlightRecorder) {
+        let mut rec = FlightRecorder::new();
+        let tops = find_top_alignments_parallel_simd(seq, scoring, &search, threads, sel, &mut rec);
+        (tops, rec)
     }
 
     #[test]
@@ -761,10 +764,9 @@ mod tests {
         let want = find_top_alignments(&seq, &scoring, 3);
         for threads in [1, 2, 4] {
             for width in [LaneWidth::X4, LaneWidth::X8, LaneWidth::X16] {
-                let got =
-                    find_top_alignments_parallel_simd(&seq, &scoring, 3, threads, sel_for(width));
+                let got = plain(&seq, &scoring, 3, threads, sel_for(width));
                 assert_eq!(
-                    got.result.alignments, want.alignments,
+                    got.alignments, want.alignments,
                     "{threads} threads × {width:?} disagree with sequential"
                 );
             }
@@ -783,18 +785,18 @@ mod tests {
             let seq = Seq::dna(text).unwrap();
             let want = find_top_alignments(&seq, &scoring, 6);
             for threads in [1, 2, 3, 8] {
-                let got = find_top_alignments_parallel_simd(
+                let (got, rec) = recorded(
                     &seq,
                     &scoring,
-                    6,
+                    Search::new(6),
                     threads,
                     sel_for(LaneWidth::X8),
                 );
                 assert_eq!(
-                    got.result.alignments, want.alignments,
+                    got.alignments, want.alignments,
                     "{threads} threads on {text}"
                 );
-                assert!(got.simd.group_sweeps > 0);
+                assert!(rec.counter(Counter::GroupSweeps) > 0);
             }
         }
     }
@@ -805,9 +807,8 @@ mod tests {
         let scoring = Scoring::dna_example();
         let want = find_top_alignments(&seq, &scoring, 5);
         let sel = select(Some(LaneWidth::X16), Some(DispatchPath::Portable)).unwrap();
-        let got = find_top_alignments_parallel_simd(&seq, &scoring, 5, 4, sel);
-        assert_eq!(got.result.alignments, want.alignments);
-        assert_eq!(got.sel, sel);
+        let got = plain(&seq, &scoring, 5, 4, sel);
+        assert_eq!(got.alignments, want.alignments);
     }
 
     #[test]
@@ -818,9 +819,9 @@ mod tests {
             repro_align::GapPenalties::new(2, 1),
         );
         let want = find_top_alignments(&seq, &scoring, 2);
-        let got = find_top_alignments_parallel_simd(&seq, &scoring, 2, 3, sel_for(LaneWidth::X8));
-        assert_eq!(got.result.alignments, want.alignments);
-        assert!(got.simd.saturation_fallbacks > 0);
+        let (got, rec) = recorded(&seq, &scoring, Search::new(2), 3, sel_for(LaneWidth::X8));
+        assert_eq!(got.alignments, want.alignments);
+        assert!(rec.counter(Counter::NarrowSaturations) > 0);
     }
 
     #[test]
@@ -828,17 +829,17 @@ mod tests {
         // One worker never speculates past the sequential fixed point.
         let seq = Seq::dna(&"ATGC".repeat(20)).unwrap();
         let scoring = Scoring::dna_example();
-        let got = find_top_alignments_parallel_simd(&seq, &scoring, 8, 1, sel_for(LaneWidth::X4));
-        assert_eq!(got.superseded_sweeps, 0);
+        let (got, rec) = recorded(&seq, &scoring, Search::new(8), 1, sel_for(LaneWidth::X4));
+        assert_eq!(rec.counter(Counter::SupersededWork), 0);
         let want = find_top_alignments(&seq, &scoring, 8);
-        assert_eq!(got.result.alignments, want.alignments);
+        assert_eq!(got.alignments, want.alignments);
         // Group-level claims: one per sweep, one per acceptance.
         assert_eq!(
-            got.task_claims,
-            got.result.stats.stale_pops + got.result.stats.fresh_pops
+            rec.counter(Counter::TaskClaims),
+            got.stats.stale_pops + got.stats.fresh_pops
         );
-        assert_eq!(got.result.stats.stale_pops, got.simd.group_sweeps);
-        assert_eq!(got.result.stats.fresh_pops, got.result.stats.tracebacks);
+        assert_eq!(got.stats.stale_pops, rec.counter(Counter::GroupSweeps));
+        assert_eq!(got.stats.fresh_pops, got.stats.tracebacks);
     }
 
     #[test]
@@ -847,21 +848,20 @@ mod tests {
         for text in ["", "A", "AA"] {
             let seq = Seq::dna(text).unwrap();
             let want = find_top_alignments(&seq, &scoring, 3);
-            let got =
-                find_top_alignments_parallel_simd(&seq, &scoring, 3, 2, sel_for(LaneWidth::X4));
-            assert_eq!(got.result.alignments, want.alignments, "input {text:?}");
+            let got = plain(&seq, &scoring, 3, 2, sel_for(LaneWidth::X4));
+            assert_eq!(got.alignments, want.alignments, "input {text:?}");
         }
         let seq = Seq::dna("ATGCATGC").unwrap();
-        let got = find_top_alignments_parallel_simd(&seq, &scoring, 0, 4, sel_for(LaneWidth::X8));
-        assert!(got.result.alignments.is_empty());
+        let got = plain(&seq, &scoring, 0, 4, sel_for(LaneWidth::X8));
+        assert!(got.alignments.is_empty());
     }
 
     #[test]
     fn exhaustion_terminates_with_threads() {
         let seq = Seq::dna("ACGT").unwrap();
         let scoring = Scoring::dna_example();
-        let got = find_top_alignments_parallel_simd(&seq, &scoring, 10, 4, sel_for(LaneWidth::X4));
-        assert!(got.result.alignments.len() < 10);
+        let got = plain(&seq, &scoring, 10, 4, sel_for(LaneWidth::X4));
+        assert!(got.alignments.len() < 10);
     }
 
     #[test]
@@ -874,19 +874,16 @@ mod tests {
         for width in [LaneWidth::X4, LaneWidth::X8] {
             for budget in [Some(0), Some(1 << 20)] {
                 for threads in [1, 2, 4] {
-                    let got = find_top_alignments_parallel_simd_checkpointed(
-                        &seq,
-                        &scoring,
-                        6,
-                        threads,
-                        sel_for(width),
-                        budget,
-                    );
+                    let search = Search {
+                        checkpoint_budget: budget,
+                        ..Search::new(6)
+                    };
+                    let (got, _) = recorded(&seq, &scoring, search, threads, sel_for(width));
                     assert_eq!(
-                        got.result.alignments, want.alignments,
+                        got.alignments, want.alignments,
                         "budget {budget:?}, {threads} threads, {width:?}"
                     );
-                    let s = &got.result.stats;
+                    let s = &got.stats;
                     if budget == Some(0) {
                         assert_eq!(s.checkpoint_hits, 0, "budget 0 must always miss");
                         assert_eq!(s.realign_rows_skipped, 0);
@@ -910,20 +907,16 @@ mod tests {
                 let want = find_top_alignments(&seq, &scoring, count);
                 for width in [LaneWidth::X4, LaneWidth::X8] {
                     for threads in [1, 2, 4] {
-                        let got = find_top_alignments_parallel_simd_seeded(
-                            &seq,
-                            &scoring,
-                            count,
-                            threads,
-                            sel_for(width),
-                            None,
-                            Some(SeedConfig::default()),
-                        );
+                        let search = Search {
+                            seed: Some(SeedConfig::default()),
+                            ..Search::new(count)
+                        };
+                        let (got, _) = recorded(&seq, &scoring, search, threads, sel_for(width));
                         assert_eq!(
-                            got.result.alignments, want.alignments,
+                            got.alignments, want.alignments,
                             "count {count}, {threads} threads, {width:?} on {text}"
                         );
-                        assert_eq!(got.result.triangle, want.triangle);
+                        assert_eq!(got.triangle, want.triangle);
                     }
                 }
             }
@@ -936,20 +929,16 @@ mod tests {
         let text = format!("GGTTCCAACCGGTTAACCAGTGCA{motif}{motif}CAGTCCGGAATTCCGGTAACCGT");
         let seq = Seq::dna(&text).unwrap();
         let scoring = Scoring::dna_example();
-        let got = find_top_alignments_parallel_simd_seeded(
-            &seq,
-            &scoring,
-            1,
-            1,
-            sel_for(LaneWidth::X4),
-            None,
-            Some(SeedConfig::default()),
-        );
-        let s = &got.result.stats;
+        let search = Search {
+            seed: Some(SeedConfig::default()),
+            ..Search::new(1)
+        };
+        let (got, _) = recorded(&seq, &scoring, search, 1, sel_for(LaneWidth::X4));
+        let s = &got.stats;
         assert!(s.splits_pruned > 0, "expected pruned lane-packs");
         assert!(s.seed_index_build_ns > 0);
         let want = find_top_alignments(&seq, &scoring, 1);
-        assert_eq!(got.result.alignments, want.alignments);
+        assert_eq!(got.alignments, want.alignments);
     }
 
     #[test]
@@ -958,28 +947,26 @@ mod tests {
         let text = format!("GGTTCCAA{motif}CCAAGGTT{motif}TGCATTGG");
         let seq = Seq::dna(&text).unwrap();
         let scoring = Scoring::dna_example();
-        let plain = find_top_alignments_parallel_simd(&seq, &scoring, 6, 1, sel_for(LaneWidth::X4));
-        let got = find_top_alignments_parallel_simd_checkpointed(
-            &seq,
-            &scoring,
-            6,
-            1,
-            sel_for(LaneWidth::X4),
-            Some(1 << 20),
-        );
-        assert_eq!(got.result.alignments, plain.result.alignments);
-        let s = &got.result.stats;
+        let sel = sel_for(LaneWidth::X4);
+        let (plain, plain_rec) = recorded(&seq, &scoring, Search::new(6), 1, sel);
+        let search = Search {
+            checkpoint_budget: Some(1 << 20),
+            ..Search::new(6)
+        };
+        let (got, rec) = recorded(&seq, &scoring, search, 1, sel);
+        assert_eq!(got.alignments, plain.alignments);
+        let s = &got.stats;
         assert!(s.checkpoint_hits > 0, "expected whole-group skips");
         assert!(s.realign_rows_skipped > 0);
         // Each skip saves a group sweep outright.
         assert_eq!(
-            got.simd.group_sweeps + s.checkpoint_hits,
-            plain.simd.group_sweeps,
+            rec.counter(Counter::GroupSweeps) + s.checkpoint_hits,
+            plain_rec.counter(Counter::GroupSweeps),
         );
         // The schedule itself is untouched.
-        assert_eq!(s.stale_pops, plain.result.stats.stale_pops);
-        assert_eq!(s.fresh_pops, plain.result.stats.fresh_pops);
-        assert_eq!(s.alignments, plain.result.stats.alignments);
-        assert_eq!(s.shadow_rejections, plain.result.stats.shadow_rejections);
+        assert_eq!(s.stale_pops, plain.stats.stale_pops);
+        assert_eq!(s.fresh_pops, plain.stats.fresh_pops);
+        assert_eq!(s.alignments, plain.stats.alignments);
+        assert_eq!(s.shadow_rejections, plain.stats.shadow_rejections);
     }
 }

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use repro_align::{Alphabet, Scoring, Seq};
-use repro_core::find_top_alignments;
+use repro_core::{find_top_alignments, Search};
+use repro_obs::{Counter, FlightRecorder};
 use repro_parallel::find_top_alignments_parallel;
 
 fn arb_dna(max: usize) -> impl Strategy<Value = Seq> {
@@ -21,13 +22,15 @@ proptest! {
     ) {
         let scoring = Scoring::dna_example();
         let want = find_top_alignments(&seq, &scoring, count);
-        let got = find_top_alignments_parallel(&seq, &scoring, count, threads);
-        prop_assert_eq!(&got.result.alignments, &want.alignments,
+        let mut rec = FlightRecorder::new();
+        let got =
+            find_top_alignments_parallel(&seq, &scoring, &Search::new(count), threads, &mut rec);
+        prop_assert_eq!(&got.alignments, &want.alignments,
             "{} threads diverged on {}", threads, seq);
         // A single worker must be speculation-free.
         if threads == 1 {
-            prop_assert_eq!(got.superseded_alignments, 0);
-            prop_assert_eq!(got.result.stats.alignments, want.stats.alignments);
+            prop_assert_eq!(rec.counter(Counter::SupersededWork), 0);
+            prop_assert_eq!(got.stats.alignments, want.stats.alignments);
         }
     }
 }

@@ -59,7 +59,10 @@ fn main() {
     }
 
     for engine in [
-        Engine::Simd(LaneWidth::X8),
+        Engine::SimdDispatch {
+            width: Some(LaneWidth::X8),
+            path: None,
+        },
         Engine::Threads(4),
         Engine::Cluster { workers: 3 },
     ] {

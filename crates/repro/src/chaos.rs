@@ -21,8 +21,8 @@
 //! and the `chaos` bench binary both consume this module, so the sweep
 //! they run is the same.
 
-use crate::{find_top_alignments, Alphabet, Scoring, Seq};
-use repro_cluster::{find_top_alignments_cluster_faulty, ClusterError, ProcOptions};
+use crate::{find_top_alignments, Alphabet, Scoring, Search, Seq};
+use repro_cluster::{run_cluster, run_cluster_proc, ClusterError, ProcOptions};
 use repro_obs::NoopRecorder;
 use repro_xmpi::socket::ProxyFaults;
 use repro_xmpi::thread::FaultPlan;
@@ -180,8 +180,14 @@ pub fn schedules(n: u64) -> impl Iterator<Item = ChaosSchedule> {
 pub fn run_schedule(s: &ChaosSchedule, deadline: Duration) -> Result<ChaosOutcome, String> {
     let scoring = Scoring::dna_example();
     let want = find_top_alignments(&s.seq, &scoring, s.count);
-    match find_top_alignments_cluster_faulty(
-        &s.seq, &scoring, s.count, s.workers, deadline, s.faults,
+    match run_cluster(
+        &s.seq,
+        &scoring,
+        &Search::new(s.count),
+        s.workers,
+        deadline,
+        s.faults,
+        &mut NoopRecorder,
     ) {
         Ok(got) => {
             if got.result.alignments == want.alignments {
@@ -257,10 +263,10 @@ pub fn run_schedule_proc(s: &ChaosSchedule, deadline: Duration) -> Result<ChaosO
         sever_all_after,
         ..ProcOptions::default()
     };
-    match repro_cluster::run_cluster_proc(
+    match run_cluster_proc(
         &s.seq,
         &scoring,
-        s.count,
+        &Search::new(s.count),
         s.workers,
         deadline,
         &opts,

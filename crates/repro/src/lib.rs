@@ -26,15 +26,51 @@
 //! |---|---|
 //! | [`align`] | alignment kernels, alphabets, matrices, FASTA |
 //! | [`core`] | override triangle, bottom rows, task queue, the sequential finder, delineation |
-//! | [`simd`] | 4/8/16-lane interleaved neighbouring-matrix kernels, query profiles, runtime dispatch |
-//! | [`parallel`] | shared-memory speculative engine |
-//! | [`xmpi`] | message-passing substrate (threads + virtual time) |
-//! | [`cluster`] | distributed engine and the DAS-2 simulator |
+//! | [`simd`] | 4/8/16-lane interleaved neighbouring-matrix kernels, query profiles, runtime dispatch; [`find_top_alignments_simd`] |
+//! | [`parallel`] | shared-memory speculative engines: [`find_top_alignments_parallel`], [`find_top_alignments_parallel_simd`] |
+//! | [`xmpi`] | message-passing substrate (threads, sockets, virtual time) |
+//! | [`cluster`] | distributed engines ([`cluster::run_cluster`], [`cluster::run_cluster_proc`], [`cluster::run_hybrid`]) and the DAS-2 simulator |
 //! | [`legacy`] | the old `O(n⁴)` algorithm |
 //! | [`seqgen`] | deterministic workloads (planted repeats, titin-like) |
 //!
 //! Every engine produces **identical** top alignments; they differ only
 //! in how the work is scheduled, exactly as the paper claims.
+//!
+//! ## One entry point per engine
+//!
+//! Below the [`Repro`] facade each engine is one function of one shape:
+//! the shared [`Search`] says *what* to find (count, checkpoint budget,
+//! seeded pruning), the engine's own arguments say *how* (a kernel
+//! selection, a thread count, a worker count and deadline), every tally
+//! is folded into the recorder handed in ([`obs::NoopRecorder`] compiles
+//! all of it out), and the plain [`TopAlignments`] comes back — wrapped,
+//! for the message-passing engines, in a [`cluster::ClusterResult`] that
+//! adds the rank count.
+//!
+//! ```
+//! use repro::obs::{Counter, FlightRecorder, NoopRecorder};
+//! use repro::{find_top_alignments, find_top_alignments_parallel, find_top_alignments_simd};
+//! use repro::{select, Scoring, Search, SeedConfig, Seq};
+//!
+//! let seq = Seq::dna("ATGCATGCATGCATGC")?;
+//! let scoring = Scoring::dna_example();
+//! let oracle = find_top_alignments(&seq, &scoring, 3);
+//!
+//! let search = Search { seed: Some(SeedConfig::default()), ..Search::new(3) };
+//! let mut rec = FlightRecorder::new();
+//! let simd = find_top_alignments_simd(&seq, &scoring, &search, select(None, None)?, &mut rec);
+//! let smp = find_top_alignments_parallel(&seq, &scoring, &search, 2, &mut NoopRecorder);
+//! assert_eq!(simd.alignments, oracle.alignments);
+//! assert_eq!(smp.alignments, oracle.alignments);
+//! assert_eq!(rec.counter(Counter::SplitsPruned), simd.stats.splits_pruned);
+//!
+//! // The message-passing engines: `cluster::{run_cluster, run_cluster_proc, run_hybrid}`.
+//! use repro::cluster::{run_hybrid, DEFAULT_DEADLINE};
+//! let hybrid = run_hybrid(&seq, &scoring, &search, 2, 2, DEFAULT_DEADLINE, &mut NoopRecorder)?;
+//! assert_eq!(hybrid.result.alignments, oracle.alignments);
+//! assert_eq!(hybrid.ranks, 3);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
 
 #![warn(missing_docs)]
 
@@ -55,15 +91,14 @@ pub use repro_xmpi as xmpi;
 pub use repro_align::{Alphabet, ExchangeMatrix, GapPenalties, ScoreRangeError, Scoring, Seq};
 pub use repro_cluster::ClusterError;
 pub use repro_core::{
-    delineate, find_top_alignments, unit_consensus, Consensus, RepeatReport, Stats, TopAlignment,
-    TopAlignments,
+    delineate, find_top_alignments, unit_consensus, Consensus, RepeatReport, Search, Stats,
+    TopAlignment, TopAlignments,
 };
 pub use repro_core::seed::SeedConfig;
 pub use repro_legacy::{find_top_alignments_old, LegacyKernel};
 pub use repro_parallel::{find_top_alignments_parallel, find_top_alignments_parallel_simd};
 pub use repro_simd::{
-    find_top_alignments_simd, find_top_alignments_simd_auto, find_top_alignments_simd_sel, select,
-    DispatchError, DispatchPath, LaneWidth, SimdSel,
+    find_top_alignments_simd, select, DispatchError, DispatchPath, LaneWidth, SimdSel,
 };
 
 pub use report::{
@@ -71,11 +106,12 @@ pub use report::{
     REPORT_SCHEMA_VERSION,
 };
 
+use repro_cluster::{run_cluster, run_cluster_proc, run_hybrid, ProcOptions, DEFAULT_DEADLINE};
+use repro_core::{FinderConfig, TopAlignmentFinder};
 use repro_obs::{
-    Counter, EventRecord, FlightRecorder, Metric, Phase, Progress, ProgressSink, Recorder,
-    DEFAULT_EVENT_CAP,
+    EventRecord, FlightRecorder, Phase, Progress, ProgressSink, Recorder, DEFAULT_EVENT_CAP,
 };
-use std::time::Duration;
+use repro_xmpi::thread::FaultPlan;
 
 /// Why a run could not start or finish: the distributed engine hit an
 /// unrecoverable world, a SIMD kernel request cannot be satisfied on
@@ -126,13 +162,11 @@ impl From<ScoreRangeError> for ReproError {
 pub enum Engine {
     /// The sequential `O(n³)` algorithm (paper §3).
     Sequential,
-    /// Coarse-grained SIMD groups (paper §4.1) at a fixed lane width on
-    /// the fastest dispatch path that supports it (never fails — the
-    /// portable kernels cover every width).
-    Simd(LaneWidth),
-    /// Coarse-grained SIMD with runtime dispatch: `None` means "let the
-    /// CPU probe decide". Surfaces [`DispatchError`] through
-    /// [`Repro::try_run`] when an explicit combination is impossible.
+    /// Coarse-grained SIMD groups (paper §4.1) with runtime dispatch:
+    /// `None` means "let the CPU probe decide". A width alone never
+    /// fails (the portable kernels cover every width); an impossible
+    /// explicit combination surfaces [`DispatchError`] through
+    /// [`Repro::try_run`].
     SimdDispatch {
         /// Lane width, or `None` for the widest the path supports.
         width: Option<LaneWidth>,
@@ -189,13 +223,11 @@ pub enum Transport {
 #[derive(Debug, Clone)]
 pub struct Repro {
     scoring: Scoring,
-    count: usize,
+    search: Search,
     engine: Engine,
     transport: Transport,
     low_memory: bool,
     trace: bool,
-    checkpoint_budget: Option<usize>,
-    seed: Option<repro_core::seed::SeedConfig>,
     progress: Option<ProgressSink>,
 }
 
@@ -225,20 +257,18 @@ impl Repro {
     pub fn new(scoring: Scoring) -> Self {
         Repro {
             scoring,
-            count: 10,
+            search: Search::new(10),
             engine: Engine::Sequential,
             transport: Transport::default(),
             low_memory: false,
             trace: false,
-            checkpoint_budget: None,
-            seed: None,
             progress: None,
         }
     }
 
     /// Set the number of top alignments to search for.
     pub fn top_alignments(mut self, count: usize) -> Self {
-        self.count = count;
+        self.search.count = count;
         self
     }
 
@@ -281,7 +311,7 @@ impl Repro {
     /// honours this; alignments are bit-identical on or off, only the
     /// DP rows actually swept change.
     pub fn checkpoint_budget(mut self, budget: Option<usize>) -> Self {
-        self.checkpoint_budget = budget;
+        self.search.checkpoint_budget = budget;
         self
     }
 
@@ -293,8 +323,8 @@ impl Repro {
     /// bit-identical on or off; only the number of splits swept changes
     /// (see the `splits_pruned` counter). Every engine except
     /// [`Engine::Legacy`] honours this.
-    pub fn seed_config(mut self, seed: Option<repro_core::seed::SeedConfig>) -> Self {
-        self.seed = seed;
+    pub fn seed_config(mut self, seed: Option<SeedConfig>) -> Self {
+        self.search.seed = seed;
         self
     }
 
@@ -319,7 +349,10 @@ impl Repro {
         match self.engine {
             Engine::Sequential if self.low_memory => "sequential-low-memory".into(),
             Engine::Sequential => "sequential".into(),
-            Engine::Simd(width) => format!("simd:{}", width.lanes()),
+            Engine::SimdDispatch {
+                width: Some(width),
+                path: None,
+            } => format!("simd:{}", width.lanes()),
             Engine::SimdDispatch { .. } => "simd-dispatch".into(),
             Engine::SimdThreads { threads, .. } => format!("simd-threads:{threads}"),
             Engine::Threads(threads) => format!("threads:{threads}"),
@@ -368,52 +401,19 @@ impl Repro {
         if let Some(sink) = &self.progress {
             rec.set_progress(sink.clone());
         }
-        let budget = self.checkpoint_budget;
+        let (scoring, search, deadline) = (&self.scoring, &self.search, DEFAULT_DEADLINE);
+        // Every engine folds its own tallies into `rec`.
         let tops = match self.engine {
-            Engine::Sequential if self.low_memory => {
-                let config = repro_core::FinderConfig {
-                    checkpoint_budget: budget,
-                    seed: self.seed,
-                    ..repro_core::FinderConfig::linear_memory(self.count)
-                };
-                repro_core::TopAlignmentFinder::new(seq, &self.scoring, config)
-                    .run_recorded(&mut rec)
-            }
             Engine::Sequential => {
-                let config = repro_core::FinderConfig {
-                    checkpoint_budget: budget,
-                    seed: self.seed,
-                    ..repro_core::FinderConfig::new(self.count)
+                let config = if self.low_memory {
+                    FinderConfig::linear_memory(*search)
+                } else {
+                    FinderConfig::new(*search)
                 };
-                repro_core::TopAlignmentFinder::new(seq, &self.scoring, config)
-                    .run_recorded(&mut rec)
-            }
-            Engine::Simd(width) => {
-                let sel = select(Some(width), None)
-                    .expect("width-only selection always resolves (portable covers every width)");
-                repro_simd::find_top_alignments_simd_seeded(
-                    seq,
-                    &self.scoring,
-                    self.count,
-                    sel,
-                    budget,
-                    self.seed,
-                    &mut rec,
-                )
-                .result
+                TopAlignmentFinder::new(seq, scoring, config).run_recorded(&mut rec)
             }
             Engine::SimdDispatch { width, path } => {
-                let sel = select(width, path)?;
-                repro_simd::find_top_alignments_simd_seeded(
-                    seq,
-                    &self.scoring,
-                    self.count,
-                    sel,
-                    budget,
-                    self.seed,
-                    &mut rec,
-                )
-                .result
+                find_top_alignments_simd(seq, scoring, search, select(width, path)?, &mut rec)
             }
             Engine::SimdThreads {
                 threads,
@@ -421,107 +421,27 @@ impl Repro {
                 path,
             } => {
                 let sel = select(width, path)?;
-                let out = parallel::find_top_alignments_parallel_simd_seeded(
-                    seq,
-                    &self.scoring,
-                    self.count,
-                    threads,
-                    sel,
-                    budget,
-                    self.seed,
-                );
-                // The SMP engines track their own tallies (their workers
-                // outlive any one borrow of the recorder); fold them in.
-                rec.add(Counter::TaskClaims, out.task_claims);
-                rec.add_phase_secs(Phase::WorkerIdle, out.idle_secs);
-                if out.result.stats.tracebacks > 0 {
-                    rec.add_phase_secs(Phase::Traceback, out.traceback_secs);
-                }
-                rec.add(Counter::SupersededWork, out.superseded_sweeps);
-                rec.add(Counter::GroupSweeps, out.simd.group_sweeps);
-                rec.add(Counter::NarrowSaturations, out.simd.saturation_fallbacks);
-                rec.add(Counter::PromotedSweeps, out.simd.promoted_sweeps);
-                for m in Metric::ALL {
-                    rec.observe_hist(m, out.hists.get(m));
-                }
-                fold_checkpoint_counters(&mut rec, &out.result.stats);
-                fold_prune_counters(&mut rec, &out.result.stats);
-                out.result
+                find_top_alignments_parallel_simd(seq, scoring, search, threads, sel, &mut rec)
             }
             Engine::Threads(threads) => {
-                let out = parallel::find_top_alignments_parallel_seeded(
-                    seq,
-                    &self.scoring,
-                    self.count,
-                    threads,
-                    budget,
-                    self.seed,
-                );
-                rec.add(Counter::TaskClaims, out.task_claims);
-                rec.add_phase_secs(Phase::WorkerIdle, out.idle_secs);
-                if out.result.stats.tracebacks > 0 {
-                    rec.add_phase_secs(Phase::Traceback, out.traceback_secs);
-                }
-                rec.add(Counter::SupersededWork, out.superseded_alignments);
-                for m in Metric::ALL {
-                    rec.observe_hist(m, out.hists.get(m));
-                }
-                fold_checkpoint_counters(&mut rec, &out.result.stats);
-                fold_prune_counters(&mut rec, &out.result.stats);
-                out.result
+                find_top_alignments_parallel(seq, scoring, search, threads, &mut rec)
             }
-            Engine::Cluster { workers } => {
-                let out = match self.transport {
-                    Transport::Sim => repro_cluster::find_top_alignments_cluster_seeded(
-                        seq,
-                        &self.scoring,
-                        self.count,
-                        workers,
-                        Duration::from_secs(600),
-                        budget,
-                        self.seed,
-                        &mut rec,
-                    )?,
-                    Transport::Proc => repro_cluster::run_cluster_proc(
-                        seq,
-                        &self.scoring,
-                        self.count,
-                        workers,
-                        Duration::from_secs(600),
-                        &repro_cluster::ProcOptions {
-                            checkpoint_budget: budget,
-                            seed: self.seed,
-                            ..Default::default()
-                        },
-                        &mut rec,
-                    )?,
-                };
-                fold_checkpoint_counters(&mut rec, &out.result.stats);
-                fold_prune_counters(&mut rec, &out.result.stats);
-                out.result
-            }
+            Engine::Cluster { workers } => match self.transport {
+                Transport::Sim => {
+                    let faults = FaultPlan::default();
+                    run_cluster(seq, scoring, search, workers, deadline, faults, &mut rec)?.result
+                }
+                Transport::Proc => {
+                    let opts = ProcOptions::default();
+                    run_cluster_proc(seq, scoring, search, workers, deadline, &opts, &mut rec)?
+                        .result
+                }
+            },
             Engine::Hybrid {
                 nodes,
-                threads_per_node,
-            } => {
-                let out = repro_cluster::find_top_alignments_hybrid_seeded(
-                    seq,
-                    &self.scoring,
-                    self.count,
-                    nodes,
-                    threads_per_node,
-                    Duration::from_secs(600),
-                    budget,
-                    self.seed,
-                    &mut rec,
-                )?;
-                fold_checkpoint_counters(&mut rec, &out.result.stats);
-                fold_prune_counters(&mut rec, &out.result.stats);
-                out.result
-            }
-            Engine::Legacy(kernel) => {
-                find_top_alignments_old(seq, &self.scoring, self.count, kernel)
-            }
+                threads_per_node: tpn,
+            } => run_hybrid(seq, scoring, search, nodes, tpn, deadline, &mut rec)?.result,
+            Engine::Legacy(kernel) => find_top_alignments_old(seq, scoring, search.count, kernel),
         };
         if self.progress.is_some() {
             // End-of-run heartbeat, reconstructed from the final stats
@@ -535,7 +455,7 @@ impl Repro {
                 splits_pruned: pruned,
                 realignments_avoided: tops.stats.pruned_pops + tops.stats.checkpoint_hits,
                 tops_found: tops.alignments.len() as u64,
-                tops_requested: self.count as u64,
+                tops_requested: search.count as u64,
             });
         }
         rec.phase_start(Phase::Delineate);
@@ -544,7 +464,7 @@ impl Repro {
         rec.phase_start(Phase::Consensus);
         let consensus = unit_consensus(seq, &report.units, &self.scoring);
         rec.phase_end(Phase::Consensus);
-        let run = RunReport::capture(self.engine_label(), seq.len(), self.count, &tops, &rec);
+        let run = RunReport::capture(self.engine_label(), seq.len(), search.count, &tops, &rec);
         let events = rec.events().to_vec();
         Ok(Analysis {
             tops,
@@ -556,28 +476,6 @@ impl Repro {
     }
 }
 
-/// Mirror the incremental-realignment tallies of an engine that cannot
-/// hold the recorder itself (its workers outlive any one borrow) into
-/// the flight recorder, keeping the `rec counter == stats field`
-/// invariant the sequential and SIMD engines maintain internally.
-fn fold_checkpoint_counters<R: Recorder>(rec: &mut R, stats: &Stats) {
-    rec.add(Counter::CheckpointHits, stats.checkpoint_hits);
-    rec.add(Counter::CheckpointMisses, stats.checkpoint_misses);
-    rec.add(Counter::RealignRowsSwept, stats.realign_rows_swept);
-    rec.add(Counter::RealignRowsSkipped, stats.realign_rows_skipped);
-    rec.add(Counter::PoolReuses, stats.pool_reuses);
-}
-
-/// Same mirroring for the seeded split-pruning tallies. The sequential
-/// and SIMD engines stamp these into the recorder internally; the SMP
-/// and message-passing engines only carry them in `Stats`.
-fn fold_prune_counters<R: Recorder>(rec: &mut R, stats: &Stats) {
-    rec.add(Counter::SplitsPruned, stats.splits_pruned);
-    rec.add(Counter::PrunedPops, stats.pruned_pops);
-    rec.add(Counter::BoundRecomputes, stats.bound_recomputes);
-    rec.add(Counter::SeedIndexBuildNs, stats.seed_index_build_ns);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -585,7 +483,7 @@ mod tests {
     #[test]
     fn builder_defaults() {
         let r = Repro::new(Scoring::dna_example());
-        assert_eq!(r.count, 10);
+        assert_eq!(r.search, Search::new(10));
         assert_eq!(r.engine, Engine::Sequential);
     }
 
@@ -777,6 +675,7 @@ mod tests {
     fn progress_sink_streams_heartbeats_and_a_final_line() {
         use std::io::Write;
         use std::sync::{Arc, Mutex};
+        use std::time::Duration;
 
         #[derive(Clone, Default)]
         struct SharedBuf(Arc<Mutex<Vec<u8>>>);
@@ -850,37 +749,41 @@ mod tests {
     #[test]
     fn every_engine_agrees_through_the_facade() {
         let seq = Seq::dna("ATGCATGCATGCATGCATGC").unwrap();
+        let simd = |width, path| Engine::SimdDispatch { width, path };
         let engines = [
-            Engine::Sequential,
-            Engine::Simd(LaneWidth::X4),
-            Engine::Simd(LaneWidth::X8),
-            Engine::Simd(LaneWidth::X16),
-            Engine::SimdDispatch {
-                width: None,
-                path: None,
-            },
-            Engine::SimdDispatch {
-                width: Some(LaneWidth::X16),
-                path: Some(DispatchPath::Portable),
-            },
-            Engine::SimdThreads {
-                threads: 2,
-                width: None,
-                path: None,
-            },
-            Engine::Threads(2),
-            Engine::Cluster { workers: 2 },
-            Engine::Hybrid {
-                nodes: 2,
-                threads_per_node: 2,
-            },
-            Engine::Legacy(LegacyKernel::Gotoh),
-            Engine::Legacy(LegacyKernel::Naive),
+            (Engine::Sequential, "sequential"),
+            (simd(Some(LaneWidth::X4), None), "simd:4"),
+            (simd(Some(LaneWidth::X8), None), "simd:8"),
+            (simd(Some(LaneWidth::X16), None), "simd:16"),
+            (simd(None, None), "simd-dispatch"),
+            (
+                simd(Some(LaneWidth::X16), Some(DispatchPath::Portable)),
+                "simd-dispatch",
+            ),
+            (
+                Engine::SimdThreads {
+                    threads: 2,
+                    width: None,
+                    path: None,
+                },
+                "simd-threads:2",
+            ),
+            (Engine::Threads(2), "threads:2"),
+            (Engine::Cluster { workers: 2 }, "cluster:2"),
+            (
+                Engine::Hybrid {
+                    nodes: 2,
+                    threads_per_node: 2,
+                },
+                "hybrid:2x2",
+            ),
+            (Engine::Legacy(LegacyKernel::Gotoh), "legacy:gotoh"),
+            (Engine::Legacy(LegacyKernel::Naive), "legacy:naive"),
         ];
         let base = Repro::new(Scoring::dna_example())
             .top_alignments(4)
             .run(&seq);
-        for engine in engines {
+        for (engine, label) in engines {
             let analysis = Repro::new(Scoring::dna_example())
                 .top_alignments(4)
                 .engine(engine)
@@ -890,6 +793,7 @@ mod tests {
                 "{engine:?} disagrees"
             );
             assert_eq!(analysis.report, base.report, "{engine:?} report disagrees");
+            assert_eq!(analysis.run.engine, label, "{engine:?}");
         }
     }
 }

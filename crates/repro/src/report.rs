@@ -533,14 +533,19 @@ impl RunReport {
 mod tests {
     use super::*;
     use repro_align::{Scoring, Seq};
-    use repro_core::find_top_alignments_recorded;
+    use repro_core::{FinderConfig, Search, TopAlignmentFinder};
     use repro_obs::Recorder;
+
+    /// Three tops of the Figure 4 sequence on the sequential engine.
+    fn recorded_run(seq: &Seq, rec: &mut FlightRecorder) -> TopAlignments {
+        let scoring = Scoring::dna_example();
+        TopAlignmentFinder::new(seq, &scoring, FinderConfig::new(Search::new(3))).run_recorded(rec)
+    }
 
     fn sample() -> RunReport {
         let seq = Seq::dna("ATGCATGCATGC").unwrap();
-        let scoring = Scoring::dna_example();
         let mut rec = FlightRecorder::new();
-        let tops = find_top_alignments_recorded(&seq, &scoring, 3, &mut rec);
+        let tops = recorded_run(&seq, &mut rec);
         RunReport::capture("sequential", seq.len(), 3, &tops, &rec)
     }
 
@@ -614,9 +619,8 @@ mod tests {
         // A recorder with observed batch sizes and resume depths feeds
         // the medians straight into the block.
         let seq = Seq::dna("ATGCATGCATGC").unwrap();
-        let scoring = Scoring::dna_example();
         let mut rec = FlightRecorder::new();
-        let tops = find_top_alignments_recorded(&seq, &scoring, 3, &mut rec);
+        let tops = recorded_run(&seq, &mut rec);
         for size in [1u64, 4, 4] {
             rec.observe(Metric::BatchSize, size);
         }

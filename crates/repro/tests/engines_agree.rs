@@ -6,20 +6,25 @@
 //! the paper's correctness backbone: parallelisation and the `O(n³)`
 //! rewrite change *work*, not *answers*.
 
-use repro::{DispatchPath, Engine, LaneWidth, LegacyKernel, Repro, Scoring, SeedConfig, Seq};
+use repro::obs::json::Json;
+use repro::{
+    DispatchPath, Engine, LaneWidth, LegacyKernel, Repro, Scoring, SeedConfig, Seq, Transport,
+};
 use repro_seqgen::{titin_like, PlantedRepeats, RepeatSpec, Rng};
 
 fn all_engines() -> Vec<Engine> {
-    let mut engines = vec![
-        Engine::Sequential,
-        Engine::Simd(LaneWidth::X4),
-        Engine::Simd(LaneWidth::X8),
-        Engine::Simd(LaneWidth::X16),
-        // Whatever the CPU probe picks (AVX2 where available)…
-        Engine::SimdDispatch {
-            width: None,
-            path: None,
-        },
+    let mut engines = vec![Engine::Sequential];
+    // Each width on the fastest path that has it, then whatever the CPU
+    // probe picks outright (AVX2 ×16 where available)…
+    for width in [
+        Some(LaneWidth::X4),
+        Some(LaneWidth::X8),
+        Some(LaneWidth::X16),
+        None,
+    ] {
+        engines.push(Engine::SimdDispatch { width, path: None });
+    }
+    engines.extend([
         Engine::SimdThreads {
             threads: 3,
             width: None,
@@ -34,7 +39,7 @@ fn all_engines() -> Vec<Engine> {
             threads_per_node: 2,
         },
         Engine::Legacy(LegacyKernel::Gotoh),
-    ];
+    ]);
     // …differenced against the portable kernels at every width.
     for width in [LaneWidth::X4, LaneWidth::X8, LaneWidth::X16] {
         engines.push(Engine::SimdDispatch {
@@ -80,10 +85,7 @@ fn assert_checkpointing_is_transparent(seq: &Seq, scoring: &Scoring, count: usiz
         // engines' work tallies vary with scheduling luck even without
         // checkpointing. Their bit-identical *answers* are still
         // asserted for every engine.
-        let deterministic = matches!(
-            engine,
-            Engine::Sequential | Engine::Simd(_) | Engine::SimdDispatch { .. }
-        );
+        let deterministic = matches!(engine, Engine::Sequential | Engine::SimdDispatch { .. });
         let plain = Repro::new(scoring.clone())
             .top_alignments(count)
             .engine(engine)
@@ -147,6 +149,116 @@ fn assert_pruning_is_transparent(seq: &Seq, scoring: &Scoring, count: usize) {
             "{engine:?} seeded and checkpointed disagrees on {}…",
             &seq.to_text()[..seq.len().min(30)]
         );
+    }
+}
+
+/// What every engine owes its recorder, checked once for all of them on
+/// a checkpointed and seeded run, through the JSON keys the benchmark's
+/// per-layer table reads by string (`benchmark/src/layers.rs`): a key
+/// that goes quiet fails here, not as `missing` in a later benchmark
+/// run. The sockets transport rides along as a sixteenth config.
+#[test]
+fn every_engine_folds_its_tallies_under_the_keys_the_benchmark_reads() {
+    let seq = titin_like(220, 7);
+    assert_eq!(all_engines().len(), 15);
+    let mut configs: Vec<(Engine, Transport)> = all_engines()
+        .into_iter()
+        .map(|e| (e, Transport::Sim))
+        .collect();
+    configs.push((Engine::Cluster { workers: 2 }, Transport::Proc));
+    for (engine, transport) in configs {
+        let analysis = Repro::new(Scoring::protein_default())
+            .top_alignments(5)
+            .engine(engine)
+            .transport(transport)
+            .checkpoint_budget(Some(1 << 20))
+            .seed_config(Some(SeedConfig::default()))
+            .run(&seq);
+        let report = analysis.run.to_json();
+        let at = |path: &[&str]| -> f64 {
+            path.iter()
+                .try_fold(&report, |json, key| json.get(key))
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("{engine:?}: report has no {path:?}"))
+        };
+        let phase = |name: &str, field: &str| -> f64 {
+            let Some(Json::Arr(phases)) = report.get("phases") else {
+                panic!("{engine:?}: report has no phases");
+            };
+            phases
+                .iter()
+                .find(|p| p.get("name").and_then(Json::as_str) == Some(name))
+                .and_then(|p| p.get(field)?.as_f64())
+                .unwrap_or_else(|| panic!("{engine:?}: no phase {name}.{field}"))
+        };
+
+        // The one `Stats`-to-recorder mirror: all nine pairs, and the
+        // report's own copy of the stats field.
+        let s = &analysis.tops.stats;
+        for (name, want) in [
+            ("checkpoint_hits", s.checkpoint_hits),
+            ("checkpoint_misses", s.checkpoint_misses),
+            ("realign_rows_swept", s.realign_rows_swept),
+            ("realign_rows_skipped", s.realign_rows_skipped),
+            ("pool_reuses", s.pool_reuses),
+            ("splits_pruned", s.splits_pruned),
+            ("pruned_pops", s.pruned_pops),
+            ("bound_recomputes", s.bound_recomputes),
+            ("seed_index_build_ns", s.seed_index_build_ns),
+        ] {
+            assert_eq!(
+                at(&["counters", name]),
+                want as f64,
+                "{engine:?} counter {name}"
+            );
+            assert_eq!(at(&["stats", name]), want as f64, "{engine:?} stat {name}");
+        }
+        if matches!(engine, Engine::Legacy(_)) {
+            continue; // the reference algorithm records nothing
+        }
+        let smp = matches!(engine, Engine::Threads(_) | Engine::SimdThreads { .. });
+        let simd = matches!(
+            engine,
+            Engine::SimdDispatch { .. } | Engine::SimdThreads { .. }
+        );
+        let cluster = matches!(engine, Engine::Cluster { .. } | Engine::Hybrid { .. });
+        let hybrid = matches!(engine, Engine::Hybrid { .. });
+        // Each line: what the report shows, and which engines must show it.
+        let check = |shown: bool, wanted: bool, what: &str| {
+            assert_eq!(shown, wanted, "{engine:?}: {what}");
+        };
+        let counted = |name: &str| at(&["counters", name]) > 0.0;
+        let sampled = |metric: &str| at(&["histograms", metric, "count"]) > 0.0;
+        let entered = |name: &str| phase(name, "entries") > 0.0;
+        let accounted = s.checkpoint_hits + s.checkpoint_misses > 0;
+        check(accounted, true, "realignments accounted");
+        check(s.seed_index_build_ns > 0, true, "bounds built");
+        check(sampled("task_round_trip_ns"), true, "round trips");
+        // (The hybrid's node threads ship no telemetry home.)
+        check(sampled("sweep_ns"), !hybrid, "sweep_ns");
+        check(entered("traceback"), true, "traceback phase");
+        check(entered("delineate"), true, "delineate phase");
+        check(entered("consensus"), true, "consensus phase");
+        check(counted("task_claims"), smp, "task_claims");
+        check(entered("worker_idle"), smp, "worker_idle phase");
+        if smp {
+            // Queue waits and idle seconds are sampled at the same site,
+            // and only when a worker actually waited: carried through
+            // together or not at all.
+            let idled = phase("worker_idle", "secs") > 0.0;
+            check(sampled("queue_wait_ns"), idled, "queue_wait_ns");
+            // One worker of a sequential schedule supersedes nothing;
+            // more may, and the key must be there either way.
+            at(&["counters", "superseded_work"]);
+        }
+        check(counted("group_sweeps"), simd, "group_sweeps");
+        // BLOSUM scores on 220 residues never saturate an `i16` lane.
+        check(counted("promoted_sweeps"), false, "promoted_sweeps");
+        check(counted("narrow_saturations"), false, "narrow_saturations");
+        check(entered("recovery"), cluster, "recovery phase");
+        check(at(&["batching", "batches"]) > 0.0, cluster, "batches");
+        let per_trip = at(&["batching", "tasks_per_round_trip"]);
+        check(per_trip > 0.0, cluster, "tasks per round trip");
     }
 }
 

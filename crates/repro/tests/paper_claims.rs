@@ -5,9 +5,10 @@
 //! which are machine-independent, so these shape claims hold in CI
 //! forever.
 
+use repro::obs::NoopRecorder;
 use repro::{
-    find_top_alignments, find_top_alignments_old, find_top_alignments_simd, LaneWidth,
-    LegacyKernel, Scoring,
+    find_top_alignments, find_top_alignments_old, find_top_alignments_simd, select, LaneWidth,
+    LegacyKernel, Scoring, Search,
 };
 use repro_seqgen::titin_like;
 
@@ -65,13 +66,15 @@ fn queue_heuristic_bands() {
 #[test]
 fn simd_speculation_overhead_shrinks_with_size() {
     let scoring = Scoring::protein_default();
+    let sel = select(Some(LaneWidth::X4), None).unwrap();
     let mut overheads = Vec::new();
     for n in [200usize, 400] {
         let seq = titin_like(n, 9);
         let base = find_top_alignments(&seq, &scoring, 10);
-        let simd = find_top_alignments_simd(&seq, &scoring, 10, LaneWidth::X4);
-        assert_eq!(simd.result.alignments, base.alignments);
-        overheads.push(simd.result.stats.alignments as f64 / base.stats.alignments as f64 - 1.0);
+        let simd =
+            find_top_alignments_simd(&seq, &scoring, &Search::new(10), sel, &mut NoopRecorder);
+        assert_eq!(simd.alignments, base.alignments);
+        overheads.push(simd.stats.alignments as f64 / base.stats.alignments as f64 - 1.0);
     }
     assert!(
         overheads[1] < overheads[0],

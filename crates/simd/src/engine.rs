@@ -20,19 +20,19 @@
 //! Results are identical to the sequential engine: acceptance order is
 //! still driven by exact scores under the same deterministic tie-breaks,
 //! only the *work grouping* differs. The extra lane-alignments performed
-//! are reported in [`SimdStats`] (the paper measured < 0.70 % extra).
+//! show in the common `Stats` and the recorder's sweep counters (the
+//! paper measured < 0.70 % extra).
 
-use crate::dispatch::{select, sweep_group_profile_i16_at, sweep_group_wide_at, SimdSel};
+use crate::dispatch::{sweep_group_profile_i16_at, sweep_group_wide_at, SimdSel};
 use crate::group::{GroupCapture, GroupResult, GroupResume};
 use crate::resume::{GroupIncremental, LaneMemo};
-use crate::LaneWidth;
 use repro_align::{QueryProfile, Score, Scoring, Seq};
 use repro_core::bottom::best_valid_entry_counted;
 use repro_core::{
-    BottomRowStore, DirtyLog, OverrideTriangle, ScoredSeq, SeedConfig, SplitBounds, Stats,
+    BottomRowStore, DirtyLog, OverrideTriangle, ScoredSeq, Search, SplitBounds, Stats,
     TopAlignment, TopAlignments,
 };
-use repro_obs::{Counter, Metric, NoopRecorder, Phase, Progress, Recorder};
+use repro_obs::{Counter, Metric, Phase, Progress, Recorder};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::OnceLock;
@@ -42,33 +42,6 @@ use std::time::Instant;
 /// lane untouched by accepts since *its* stamp replays its exact score
 /// even when sibling lanes must re-sweep.
 type GroupMemo = Option<Vec<LaneMemo>>;
-
-/// SIMD-engine-specific counters, on top of the common [`Stats`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SimdStats {
-    /// Group sweeps performed (narrow and wide combined).
-    pub group_sweeps: u64,
-    /// Vector cells computed (including dead lanes, and including the
-    /// wide re-sweep of promoted groups).
-    pub vector_cells: u64,
-    /// Groups whose narrow (`i16`) sweep saturated. Kept under its
-    /// historical name; the remedy is now the wide-lane promotion sweep,
-    /// not a scalar recomputation.
-    pub saturation_fallbacks: u64,
-    /// Wide (`i32`) promotion sweeps performed — saturated groups plus
-    /// every sweep of a scoring too large for `i16` altogether.
-    pub promoted_sweeps: u64,
-}
-
-/// Result of the SIMD engine: the common result plus SIMD counters.
-#[derive(Debug, Clone)]
-pub struct SimdFinderResult {
-    /// Alignments, stats and triangle, exactly as the sequential engine
-    /// reports them.
-    pub result: TopAlignments,
-    /// SIMD-specific counters.
-    pub simd: SimdStats,
-}
 
 /// One group sweep's outcome: the (exact) group result plus how it was
 /// obtained.
@@ -82,8 +55,6 @@ pub struct SweepOutcome {
     /// A wide sweep produced the result (saturation, or a scoring whose
     /// values don't fit `i16`).
     pub promoted: bool,
-    /// Total vector cells across the sweeps performed (narrow + wide).
-    pub vector_cells: u64,
 }
 
 /// Shared, reusable sweep state for one `(sequence, scoring, kernel)`
@@ -142,7 +113,6 @@ impl<'a> GroupSweeper<'a> {
         resume: Option<&GroupResume<'_>>,
         capture_rows: &[usize],
     ) -> (SweepOutcome, Vec<GroupCapture>) {
-        let mut vector_cells = 0;
         let mut saturated_narrow = false;
         let fits_narrow = resume.is_none_or(|res| {
             res.lanes.iter().all(|l| {
@@ -163,14 +133,12 @@ impl<'a> GroupSweeper<'a> {
                     resume,
                     capture_rows,
                 );
-                vector_cells += g.vector_cells;
                 if !g.saturated {
                     return (
                         SweepOutcome {
                             group: g,
                             saturated_narrow: false,
                             promoted: false,
-                            vector_cells,
                         },
                         caps,
                     );
@@ -194,13 +162,11 @@ impl<'a> GroupSweeper<'a> {
         // The wide element wraps exactly like the scalar kernel; a score
         // actually reaching i32::MAX would be wrong scalarly too.
         debug_assert!(!g.saturated);
-        vector_cells += g.vector_cells;
         (
             SweepOutcome {
                 group: g,
                 saturated_narrow,
                 promoted: true,
-                vector_cells,
             },
             caps,
         )
@@ -302,114 +268,54 @@ impl PartialOrd for GroupTask {
     }
 }
 
-/// Find `count` top alignments using lane width `width` on the fastest
-/// available dispatch path; produces the same alignments as
-/// [`repro_core::find_top_alignments`].
+/// Find the top alignments `search` asks for with the `sel` kernel
+/// (obtain one from [`crate::dispatch::select`]); produces the same
+/// alignments as [`repro_core::find_top_alignments`].
+///
+/// With `search.checkpoint_budget` set, a stale group's lanes are
+/// classified individually — clean lanes replay their memoised exact
+/// scores, the rest re-pack into a compacted group swept from the
+/// deepest checkpoint row shared by the pack (see [`crate::resume`]).
+/// With `search.seed` set, every group enters the queue at the maximum
+/// of its members' seed bounds, a never-swept group popped with a stale
+/// bound is requeued at its tightened bound without sweeping (a
+/// group-granular `pruned_pops` entry), and a whole lane-pack whose
+/// bound stays below every acceptance is never swept at all. Alignments
+/// are bit-identical with either layer on or off.
+///
+/// `rec` receives phase spans around the group sweeps and tracebacks,
+/// lane-occupancy counters ([`Counter::LanesActive`] /
+/// [`Counter::LanesPadded`]), sweep, saturation and promotion counts,
+/// and the `Stats` mirror. The recorder is monomorphized: against
+/// [`repro_obs::NoopRecorder`] all of it compiles out.
 ///
 /// ```
-/// use repro_simd::{find_top_alignments_simd, LaneWidth};
+/// use repro_simd::{find_top_alignments_simd, select, LaneWidth};
 /// use repro_align::{Scoring, Seq};
+/// use repro_core::Search;
+/// use repro_obs::{Counter, FlightRecorder};
 ///
 /// let seq = Seq::dna("ATGCATGCATGC").unwrap();
-/// let run = find_top_alignments_simd(&seq, &Scoring::dna_example(), 3, LaneWidth::X8);
-/// assert_eq!(run.result.alignments.len(), 3);
-/// assert!(run.simd.group_sweeps > 0);
+/// let sel = select(Some(LaneWidth::X8), None).unwrap();
+/// let mut rec = FlightRecorder::new();
+/// let tops =
+///     find_top_alignments_simd(&seq, &Scoring::dna_example(), &Search::new(3), sel, &mut rec);
+/// assert_eq!(tops.alignments.len(), 3);
+/// assert!(rec.counter(Counter::GroupSweeps) > 0);
 /// ```
-pub fn find_top_alignments_simd(
-    seq: &Seq,
-    scoring: &Scoring,
-    count: usize,
-    width: LaneWidth,
-) -> SimdFinderResult {
-    let sel = select(Some(width), None)
-        .expect("width-only selection always resolves (portable covers every width)");
-    run(seq, scoring, count, sel, None, None, &mut NoopRecorder)
-}
-
-/// [`find_top_alignments_simd`] with full auto-dispatch: the widest
-/// kernel the running CPU supports.
-pub fn find_top_alignments_simd_auto(
-    seq: &Seq,
-    scoring: &Scoring,
-    count: usize,
-) -> SimdFinderResult {
-    let sel = select(None, None).expect("full auto selection always resolves");
-    run(seq, scoring, count, sel, None, None, &mut NoopRecorder)
-}
-
-/// [`find_top_alignments_simd`] with an explicit, pre-resolved kernel
-/// selection (obtain one from [`crate::dispatch::select`]).
-pub fn find_top_alignments_simd_sel(
-    seq: &Seq,
-    scoring: &Scoring,
-    count: usize,
-    sel: SimdSel,
-) -> SimdFinderResult {
-    run(seq, scoring, count, sel, None, None, &mut NoopRecorder)
-}
-
-/// [`find_top_alignments_simd_sel`] with a recorder: phase spans around
-/// the group sweeps and tracebacks, lane-occupancy counters
-/// ([`Counter::LanesActive`] / [`Counter::LanesPadded`]), sweep counts,
-/// and stale/fresh pop + shadow accounting in the common `Stats`. The
-/// recorder is monomorphized; the plain entry points above compile this
-/// same function against [`NoopRecorder`].
-pub fn find_top_alignments_simd_recorded<R: Recorder>(
-    seq: &Seq,
-    scoring: &Scoring,
-    count: usize,
-    sel: SimdSel,
-    rec: &mut R,
-) -> SimdFinderResult {
-    run(seq, scoring, count, sel, None, None, rec)
-}
-
-/// [`find_top_alignments_simd_recorded`] with the incremental
-/// realignment layer: when `checkpoint_budget` is `Some`, a stale
-/// group's lanes are classified individually — clean lanes replay their
-/// memoised exact scores, the rest re-pack into a compacted group swept
-/// from the deepest checkpoint row shared by the pack (see
-/// [`crate::resume`]). Results are bit-identical either way.
-pub fn find_top_alignments_simd_checkpointed<R: Recorder>(
-    seq: &Seq,
-    scoring: &Scoring,
-    count: usize,
-    sel: SimdSel,
-    checkpoint_budget: Option<usize>,
-    rec: &mut R,
-) -> SimdFinderResult {
-    run(seq, scoring, count, sel, checkpoint_budget, None, rec)
-}
-
-/// [`find_top_alignments_simd_checkpointed`] with seeded split pruning:
-/// every group enters the queue at the maximum of its members' seed
-/// bounds, and a whole lane-pack whose bound stays below every
-/// acceptance is never swept at all. A never-swept group popped with a
-/// stale bound is requeued at its tightened bound without sweeping (a
-/// `pruned_pops` bucket entry, group-granular). Alignments are
-/// bit-identical with pruning on or off.
-pub fn find_top_alignments_simd_seeded<R: Recorder>(
-    seq: &Seq,
-    scoring: &Scoring,
-    count: usize,
-    sel: SimdSel,
-    checkpoint_budget: Option<usize>,
-    seed: Option<SeedConfig>,
-    rec: &mut R,
-) -> SimdFinderResult {
-    run(seq, scoring, count, sel, checkpoint_budget, seed, rec)
-}
-
 #[allow(clippy::needless_range_loop)] // index loops mirror the paper's pseudo code
-fn run<R: Recorder>(
+pub fn find_top_alignments_simd<R: Recorder>(
     seq: &Seq,
     scoring: &Scoring,
-    count: usize,
+    search: &Search,
     sel: SimdSel,
-    checkpoint_budget: Option<usize>,
-    seed: Option<SeedConfig>,
     rec: &mut R,
-) -> SimdFinderResult {
+) -> TopAlignments {
+    let Search {
+        count,
+        checkpoint_budget,
+        seed,
+    } = *search;
     let m = seq.len();
     let splits = m.saturating_sub(1); // splits are 1..=splits
     let lanes = sel.width.lanes();
@@ -425,7 +331,6 @@ fn run<R: Recorder>(
     let mut triangle = OverrideTriangle::new(m);
     let mut bottomstore = BottomRowStore::new(m);
     let mut stats = Stats::new();
-    let mut simd = SimdStats::default();
     let mut alignments: Vec<TopAlignment> = Vec::new();
 
     // Seeded pruning: a group's admissible bound is the max of its
@@ -604,17 +509,13 @@ fn run<R: Recorder>(
             }
             rec.phase_start(sweep_phase);
             let mut count_sweep = |outcome: &SweepOutcome, active: usize| {
-                simd.group_sweeps += 1;
-                simd.vector_cells += outcome.vector_cells;
                 rec.add(Counter::GroupSweeps, 1);
                 rec.add(Counter::LanesActive, active as u64);
                 rec.add(Counter::LanesPadded, (lanes - active) as u64);
                 if outcome.saturated_narrow {
-                    simd.saturation_fallbacks += 1;
                     rec.add(Counter::NarrowSaturations, 1);
                 }
                 if outcome.promoted {
-                    simd.promoted_sweeps += 1;
                     rec.add(Counter::PromotedSweeps, 1);
                 }
             };
@@ -785,39 +686,49 @@ fn run<R: Recorder>(
         }
     }
 
-    if incremental {
-        rec.add(Counter::CheckpointHits, stats.checkpoint_hits);
-        rec.add(Counter::CheckpointMisses, stats.checkpoint_misses);
-        rec.add(Counter::RealignRowsSwept, stats.realign_rows_swept);
-        rec.add(Counter::RealignRowsSkipped, stats.realign_rows_skipped);
-    }
-
     if let Some(b) = &bounds {
         stats.splits_pruned = splits.saturating_sub(first_passes) as u64;
         stats.bound_recomputes = b.recomputes();
-        rec.add(Counter::SplitsPruned, stats.splits_pruned);
-        rec.add(Counter::PrunedPops, stats.pruned_pops);
-        rec.add(Counter::BoundRecomputes, stats.bound_recomputes);
-        rec.add(Counter::SeedIndexBuildNs, stats.seed_index_build_ns);
     }
+    stats.mirror_into(rec);
 
-    SimdFinderResult {
-        result: TopAlignments {
-            alignments,
-            stats,
-            triangle,
-        },
-        simd,
+    TopAlignments {
+        alignments,
+        stats,
+        triangle,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatch::DispatchPath;
-    use repro_core::find_top_alignments;
+    use crate::dispatch::{select, DispatchPath};
+    use crate::LaneWidth;
+    use repro_core::{find_top_alignments, SeedConfig};
+    use repro_obs::{FlightRecorder, NoopRecorder};
 
     const ALL_WIDTHS: [LaneWidth; 3] = [LaneWidth::X4, LaneWidth::X8, LaneWidth::X16];
+
+    fn sel_for(width: LaneWidth) -> SimdSel {
+        select(Some(width), None).unwrap()
+    }
+
+    /// `count` tops through `sel`, both layers off, nothing recorded.
+    fn plain(seq: &Seq, scoring: &Scoring, count: usize, sel: SimdSel) -> TopAlignments {
+        find_top_alignments_simd(seq, scoring, &Search::new(count), sel, &mut NoopRecorder)
+    }
+
+    /// A run under `search` together with the recorder it filled.
+    fn recorded(
+        seq: &Seq,
+        scoring: &Scoring,
+        search: Search,
+        sel: SimdSel,
+    ) -> (TopAlignments, FlightRecorder) {
+        let mut rec = FlightRecorder::new();
+        let tops = find_top_alignments_simd(seq, scoring, &search, sel, &mut rec);
+        (tops, rec)
+    }
 
     #[test]
     fn figure4_example_matches_sequential() {
@@ -825,9 +736,9 @@ mod tests {
         let scoring = Scoring::dna_example();
         let seq_result = find_top_alignments(&seq, &scoring, 3);
         for width in ALL_WIDTHS {
-            let simd = find_top_alignments_simd(&seq, &scoring, 3, width);
+            let simd = plain(&seq, &scoring, 3, sel_for(width));
             assert_eq!(
-                simd.result.alignments, seq_result.alignments,
+                simd.alignments, seq_result.alignments,
                 "{width:?} disagrees with the sequential engine"
             );
         }
@@ -886,11 +797,8 @@ mod tests {
             let seq = Seq::dna(text).unwrap();
             let want = find_top_alignments(&seq, &scoring, 6);
             for width in ALL_WIDTHS {
-                let got = find_top_alignments_simd(&seq, &scoring, 6, width);
-                assert_eq!(
-                    got.result.alignments, want.alignments,
-                    "{width:?} on {text}"
-                );
+                let got = plain(&seq, &scoring, 6, sel_for(width));
+                assert_eq!(got.alignments, want.alignments, "{width:?} on {text}");
             }
         }
     }
@@ -900,8 +808,8 @@ mod tests {
         let seq = Seq::dna("ACGGTACGGTAACGGTTTTTACGGTACGT").unwrap();
         let scoring = Scoring::dna_example();
         let want = find_top_alignments(&seq, &scoring, 5);
-        let got = find_top_alignments_simd_auto(&seq, &scoring, 5);
-        assert_eq!(got.result.alignments, want.alignments);
+        let got = plain(&seq, &scoring, 5, select(None, None).unwrap());
+        assert_eq!(got.alignments, want.alignments);
     }
 
     #[test]
@@ -910,9 +818,9 @@ mod tests {
         let scoring = Scoring::dna_example();
         let want = find_top_alignments(&seq, &scoring, 5);
         for width in ALL_WIDTHS {
-            let sel = crate::dispatch::select(Some(width), Some(DispatchPath::Portable)).unwrap();
-            let got = find_top_alignments_simd_sel(&seq, &scoring, 5, sel);
-            assert_eq!(got.result.alignments, want.alignments, "portable {width:?}");
+            let sel = select(Some(width), Some(DispatchPath::Portable)).unwrap();
+            let got = plain(&seq, &scoring, 5, sel);
+            assert_eq!(got.alignments, want.alignments, "portable {width:?}");
         }
     }
 
@@ -922,8 +830,8 @@ mod tests {
         let scoring = Scoring::protein_default();
         let want = find_top_alignments(&seq, &scoring, 4);
         for width in [LaneWidth::X8, LaneWidth::X16] {
-            let got = find_top_alignments_simd(&seq, &scoring, 4, width);
-            assert_eq!(got.result.alignments, want.alignments, "{width:?}");
+            let got = plain(&seq, &scoring, 4, sel_for(width));
+            assert_eq!(got.alignments, want.alignments, "{width:?}");
         }
     }
 
@@ -935,14 +843,14 @@ mod tests {
         let seq = Seq::dna(&"ATGC".repeat(30)).unwrap();
         let scoring = Scoring::dna_example();
         let seq_result = find_top_alignments(&seq, &scoring, 10);
-        let simd = find_top_alignments_simd(&seq, &scoring, 10, LaneWidth::X4);
-        assert_eq!(simd.result.alignments, seq_result.alignments);
-        let ratio = simd.result.stats.alignments as f64 / seq_result.stats.alignments as f64;
+        let (simd, rec) = recorded(&seq, &scoring, Search::new(10), sel_for(LaneWidth::X4));
+        assert_eq!(simd.alignments, seq_result.alignments);
+        let ratio = simd.stats.alignments as f64 / seq_result.stats.alignments as f64;
         assert!(
             ratio < 4.5,
             "group speculation aligned {ratio}× the sequential count"
         );
-        assert!(simd.simd.group_sweeps > 0);
+        assert!(rec.counter(Counter::GroupSweeps) > 0);
     }
 
     #[test]
@@ -954,13 +862,15 @@ mod tests {
         );
         let want = find_top_alignments(&seq, &scoring, 2);
         for width in ALL_WIDTHS {
-            let got = find_top_alignments_simd(&seq, &scoring, 2, width);
-            assert_eq!(got.result.alignments, want.alignments, "{width:?}");
+            let (got, rec) = recorded(&seq, &scoring, Search::new(2), sel_for(width));
+            assert_eq!(got.alignments, want.alignments, "{width:?}");
             assert!(
-                got.simd.saturation_fallbacks > 0,
+                rec.counter(Counter::NarrowSaturations) > 0,
                 "this workload must exercise the promotion path ({width:?})"
             );
-            assert!(got.simd.promoted_sweeps >= got.simd.saturation_fallbacks);
+            assert!(
+                rec.counter(Counter::PromotedSweeps) >= rec.counter(Counter::NarrowSaturations)
+            );
         }
     }
 
@@ -974,34 +884,24 @@ mod tests {
             repro_align::GapPenalties::new(2, 1),
         );
         let want = find_top_alignments(&seq, &scoring, 3);
-        let got = find_top_alignments_simd(&seq, &scoring, 3, LaneWidth::X8);
-        assert_eq!(got.result.alignments, want.alignments);
-        assert_eq!(got.simd.promoted_sweeps, got.simd.group_sweeps);
-        assert_eq!(got.simd.saturation_fallbacks, 0);
+        let (got, rec) = recorded(&seq, &scoring, Search::new(3), sel_for(LaneWidth::X8));
+        assert_eq!(got.alignments, want.alignments);
+        assert_eq!(
+            rec.counter(Counter::PromotedSweeps),
+            rec.counter(Counter::GroupSweeps)
+        );
+        assert_eq!(rec.counter(Counter::NarrowSaturations), 0);
     }
 
     #[test]
     fn recorded_run_matches_plain_and_counts_lanes() {
-        use repro_obs::FlightRecorder;
         let seq = Seq::dna(&"ATGC".repeat(10)).unwrap(); // 39 splits
         let scoring = Scoring::dna_example();
-        let sel =
-            crate::dispatch::select(Some(LaneWidth::X4), Some(DispatchPath::Portable)).unwrap();
-        let plain = find_top_alignments_simd_sel(&seq, &scoring, 5, sel);
-        let mut rec = FlightRecorder::new();
-        let recorded = find_top_alignments_simd_recorded(&seq, &scoring, 5, sel, &mut rec);
-        assert_eq!(plain.result.alignments, recorded.result.alignments);
-        assert_eq!(plain.result.stats, recorded.result.stats);
-        assert_eq!(plain.simd, recorded.simd);
-        // The recorder's sweep counters mirror SimdStats exactly.
-        assert_eq!(
-            rec.counter(Counter::GroupSweeps),
-            recorded.simd.group_sweeps
-        );
-        assert_eq!(
-            rec.counter(Counter::PromotedSweeps),
-            recorded.simd.promoted_sweeps
-        );
+        let sel = select(Some(LaneWidth::X4), Some(DispatchPath::Portable)).unwrap();
+        let plain = plain(&seq, &scoring, 5, sel);
+        let (got, rec) = recorded(&seq, &scoring, Search::new(5), sel);
+        assert_eq!(plain.alignments, got.alignments);
+        assert_eq!(plain.stats, got.stats);
         // 39 splits in X4 groups: 9 full groups + one 3-lane group. Every
         // sweep of the short group pads one lane.
         let active = rec.counter(Counter::LanesActive);
@@ -1014,18 +914,13 @@ mod tests {
         );
         // Pops: every stale pop is one group sweep; every fresh pop is
         // one acceptance.
-        assert_eq!(recorded.result.stats.stale_pops, recorded.simd.group_sweeps);
-        assert_eq!(
-            recorded.result.stats.fresh_pops,
-            recorded.result.alignments.len() as u64
-        );
-        assert_eq!(
-            rec.phase_entries(Phase::Traceback),
-            recorded.result.stats.tracebacks
-        );
+        let sweeps = rec.counter(Counter::GroupSweeps);
+        assert_eq!(got.stats.stale_pops, sweeps);
+        assert_eq!(got.stats.fresh_pops, got.alignments.len() as u64);
+        assert_eq!(rec.phase_entries(Phase::Traceback), got.stats.tracebacks);
         assert_eq!(
             rec.phase_entries(Phase::FirstSweep) + rec.phase_entries(Phase::Drain),
-            recorded.simd.group_sweeps
+            sweeps
         );
     }
 
@@ -1039,38 +934,34 @@ mod tests {
         let text = format!("GGTTCCAA{motif}CCAAGGTT{motif}TGCATTGG");
         let seq = Seq::dna(&text).unwrap();
         for width in ALL_WIDTHS {
-            let sel = crate::dispatch::select(Some(width), None).unwrap();
-            let plain = find_top_alignments_simd_sel(&seq, &scoring, 8, sel);
+            let sel = sel_for(width);
+            let (plain, plain_rec) = recorded(&seq, &scoring, Search::new(8), sel);
             for budget in [Some(0usize), Some(1 << 20)] {
-                let got = find_top_alignments_simd_checkpointed(
-                    &seq,
-                    &scoring,
-                    8,
-                    sel,
-                    budget,
-                    &mut NoopRecorder,
-                );
+                let search = Search {
+                    checkpoint_budget: budget,
+                    ..Search::new(8)
+                };
+                let (got, rec) = recorded(&seq, &scoring, search, sel);
                 assert_eq!(
-                    got.result.alignments, plain.result.alignments,
+                    got.alignments, plain.alignments,
                     "{width:?} budget {budget:?}"
                 );
-                assert_eq!(got.result.stats.alignments, plain.result.stats.alignments);
-                assert_eq!(got.result.stats.stale_pops, plain.result.stats.stale_pops);
-                assert_eq!(got.result.stats.fresh_pops, plain.result.stats.fresh_pops);
-                assert_eq!(
-                    got.result.stats.shadow_rejections,
-                    plain.result.stats.shadow_rejections
-                );
+                assert_eq!(got.stats.alignments, plain.stats.alignments);
+                assert_eq!(got.stats.stale_pops, plain.stats.stale_pops);
+                assert_eq!(got.stats.fresh_pops, plain.stats.fresh_pops);
+                assert_eq!(got.stats.shadow_rejections, plain.stats.shadow_rejections);
                 if budget == Some(0) {
-                    assert_eq!(got.result.stats.checkpoint_hits, 0);
-                    assert_eq!(got.result.stats.realign_rows_skipped, 0);
+                    assert_eq!(got.stats.checkpoint_hits, 0);
+                    assert_eq!(got.stats.realign_rows_skipped, 0);
                 } else {
                     assert!(
-                        got.result.stats.checkpoint_hits > 0,
+                        got.stats.checkpoint_hits > 0,
                         "{width:?}: no group skip fired"
                     );
-                    assert!(got.result.stats.realign_rows_skipped > 0);
-                    assert!(got.simd.group_sweeps < plain.simd.group_sweeps);
+                    assert!(got.stats.realign_rows_skipped > 0);
+                    assert!(
+                        rec.counter(Counter::GroupSweeps) < plain_rec.counter(Counter::GroupSweeps)
+                    );
                 }
             }
         }
@@ -1082,8 +973,8 @@ mod tests {
         for text in ["", "A", "AA", "ATG"] {
             let seq = Seq::dna(text).unwrap();
             let want = find_top_alignments(&seq, &scoring, 3);
-            let got = find_top_alignments_simd(&seq, &scoring, 3, LaneWidth::X4);
-            assert_eq!(got.result.alignments, want.alignments, "input {text:?}");
+            let got = plain(&seq, &scoring, 3, sel_for(LaneWidth::X4));
+            assert_eq!(got.alignments, want.alignments, "input {text:?}");
         }
     }
 
@@ -1101,22 +992,24 @@ mod tests {
             for count in [1, 5] {
                 let want = find_top_alignments(&seq, &scoring, count);
                 for width in ALL_WIDTHS {
-                    let sel = crate::dispatch::select(Some(width), None).unwrap();
                     for budget in [None, Some(1 << 20)] {
-                        let got = find_top_alignments_simd_seeded(
+                        let search = Search {
+                            count,
+                            checkpoint_budget: budget,
+                            seed: Some(SeedConfig::default()),
+                        };
+                        let got = find_top_alignments_simd(
                             &seq,
                             &scoring,
-                            count,
-                            sel,
-                            budget,
-                            Some(repro_core::SeedConfig::default()),
+                            &search,
+                            sel_for(width),
                             &mut NoopRecorder,
                         );
                         assert_eq!(
-                            got.result.alignments, want.alignments,
+                            got.alignments, want.alignments,
                             "{width:?} count {count} budget {budget:?} on {text}"
                         );
-                        assert_eq!(got.result.triangle, want.triangle);
+                        assert_eq!(got.triangle, want.triangle);
                     }
                 }
             }
@@ -1129,17 +1022,18 @@ mod tests {
         let text = format!("GGTTCCAACCGGTTAACCAGTGCA{motif}{motif}CAGTCCGGAATTCCGGTAACCGT");
         let seq = Seq::dna(&text).unwrap();
         let scoring = Scoring::dna_example();
-        let sel = crate::dispatch::select(Some(LaneWidth::X4), None).unwrap();
-        let got = find_top_alignments_simd_seeded(
+        let search = Search {
+            seed: Some(SeedConfig::default()),
+            ..Search::new(1)
+        };
+        let got = find_top_alignments_simd(
             &seq,
             &scoring,
-            1,
-            sel,
-            None,
-            Some(repro_core::SeedConfig::default()),
+            &search,
+            sel_for(LaneWidth::X4),
             &mut NoopRecorder,
         );
-        let s = &got.result.stats;
+        let s = &got.stats;
         assert!(
             s.splits_pruned > 0,
             "expected whole lane-packs pruned, got {}",
@@ -1149,6 +1043,6 @@ mod tests {
         // groups' worth (the last group may be short).
         assert!(s.seed_index_build_ns > 0);
         let want = find_top_alignments(&seq, &scoring, 1);
-        assert_eq!(got.result.alignments, want.alignments);
+        assert_eq!(got.alignments, want.alignments);
     }
 }

@@ -27,7 +27,12 @@
 //!   neighbouring splits are scheduled through the best-first queue, the
 //!   highest-scoring member sets the group's priority, and results are
 //!   bit-identical to the sequential engine (speculation wastes a little
-//!   work, never changes answers).
+//!   work, never changes answers). One entry point,
+//!   [`find_top_alignments_simd`]`(seq, scoring, &search, sel, rec)`:
+//!   the shared [`repro_core::Search`] says *what*, the [`SimdSel`] from
+//!   [`select`] says which kernel, and the plain
+//!   [`repro_core::TopAlignments`] comes back with every tally already
+//!   folded into `rec`.
 //!
 //! Scores are the paper's 16-bit "shorts": saturating arithmetic, with a
 //! saturation flag. A saturated group is recomputed with wide `i32`
@@ -45,12 +50,7 @@ pub mod resume;
 pub(crate) mod test_support;
 
 pub use dispatch::{auto_path, select, DispatchError, DispatchPath, SimdSel};
-pub use engine::{
-    find_top_alignments_simd, find_top_alignments_simd_auto, find_top_alignments_simd_checkpointed,
-    find_top_alignments_simd_recorded, find_top_alignments_simd_seeded,
-    find_top_alignments_simd_sel, FirstPass, GroupSweeper, SimdFinderResult, SimdStats,
-    SweepOutcome,
-};
+pub use engine::{find_top_alignments_simd, FirstPass, GroupSweeper, SweepOutcome};
 pub use group::{
     align_group, align_group_profile, align_group_striped, group_stripe, GroupCapture,
     GroupResult, GroupResume, LaneResume, DEFAULT_GROUP_STRIPE,

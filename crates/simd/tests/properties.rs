@@ -5,15 +5,15 @@
 
 use proptest::prelude::*;
 use repro_align::{sw_last_row, Alphabet, Score, Scoring, Seq};
-use repro_core::{find_top_alignments, OverrideTriangle, SplitMask};
+use repro_core::{find_top_alignments, OverrideTriangle, Search, SplitMask};
+use repro_obs::NoopRecorder;
 use repro_simd::group::align_group;
 use repro_simd::lanes::{
     I16x16, I16x4, I16x8, I32x16, I32x4, I32x8, NativeI16x4, NativeI16x8, SimdElem, SimdVec,
 };
-use repro_obs::NoopRecorder;
 use repro_simd::{
-    find_top_alignments_simd, find_top_alignments_simd_checkpointed, find_top_alignments_simd_sel,
-    select, DispatchPath, GroupResume, GroupSweeper, LaneResume, LaneWidth,
+    find_top_alignments_simd, select, DispatchPath, GroupResume, GroupSweeper, LaneResume,
+    LaneWidth,
 };
 
 /// Check every `SimdVec` operation of `V` against the scalar element
@@ -179,19 +179,15 @@ proptest! {
     fn engine_equals_sequential(seq in arb_dna(2, 36), count in 1usize..6) {
         let scoring = Scoring::dna_example();
         let want = find_top_alignments(&seq, &scoring, count);
+        let search = Search::new(count);
         for width in [LaneWidth::X4, LaneWidth::X8, LaneWidth::X16] {
-            let got = find_top_alignments_simd(&seq, &scoring, count, width);
-            prop_assert_eq!(
-                &got.result.alignments, &want.alignments,
-                "{:?} diverged", width
-            );
+            let sel = select(Some(width), None).expect("width-only selection always resolves");
+            let got = find_top_alignments_simd(&seq, &scoring, &search, sel, &mut NoopRecorder);
+            prop_assert_eq!(&got.alignments, &want.alignments, "{:?} diverged", width);
             let sel = select(Some(width), Some(DispatchPath::Portable))
                 .expect("portable supports every width");
-            let got = find_top_alignments_simd_sel(&seq, &scoring, count, sel);
-            prop_assert_eq!(
-                &got.result.alignments, &want.alignments,
-                "portable {:?} diverged", width
-            );
+            let got = find_top_alignments_simd(&seq, &scoring, &search, sel, &mut NoopRecorder);
+            prop_assert_eq!(&got.alignments, &want.alignments, "portable {:?} diverged", width);
         }
     }
 
@@ -294,14 +290,13 @@ proptest! {
                 .expect("portable supports every width");
             let mut skipped_at = Vec::new();
             for budget in [0usize, 64 << 10, 1 << 20] {
-                let got = find_top_alignments_simd_checkpointed(
-                    &seq, &scoring, count, sel, Some(budget), &mut NoopRecorder,
-                );
+                let search = Search { checkpoint_budget: Some(budget), ..Search::new(count) };
+                let got = find_top_alignments_simd(&seq, &scoring, &search, sel, &mut NoopRecorder);
                 prop_assert_eq!(
-                    &got.result.alignments, &want.alignments,
+                    &got.alignments, &want.alignments,
                     "{:?} budget {} diverged", width, budget
                 );
-                skipped_at.push(got.result.stats.lanes_skipped);
+                skipped_at.push(got.stats.lanes_skipped);
             }
             prop_assert_eq!(skipped_at[0], 0, "budget 0 must not skip lanes");
             prop_assert!(
