@@ -32,9 +32,7 @@ use crate::protocol::{
 };
 use crate::recovery::{idle_payload, master_loop, RecoveryConfig, BEACON_PERIOD, WORKER_POLL};
 use repro_align::{Score, Scoring, Seq};
-use repro_core::{
-    DirtyLog, IncrementalSweeper, OverrideTriangle, ScoredSeq, Search, TopAlignments,
-};
+use repro_core::{DirtyLog, OverrideTriangle, ScoredSeq, Search, SplitSweeper, TopAlignments};
 use repro_obs::{Counter, FlightRecorder, Metric, Recorder};
 use repro_xmpi::thread::{FaultPlan, ThreadComm};
 use repro_xmpi::{Comm, Message, RecvError, SendError};
@@ -148,10 +146,11 @@ struct Worker<'a, C: Comm> {
     /// ACCEPTED broadcasts applied so far: the replica's version.
     applied: usize,
     rows: HashMap<usize, Vec<Score>>,
-    // Incremental realignment state, tracking this worker's replica:
-    // the dirty log records exactly the ACCEPTED broadcasts applied, so
-    // its version always equals `applied`.
-    incr: Option<IncrementalSweeper>,
+    // The split unit of work and its incremental realignment state,
+    // tracking this worker's replica: the dirty log records exactly the
+    // ACCEPTED broadcasts applied, so its version always equals
+    // `applied`.
+    sweeper: SplitSweeper,
     dirty: DirtyLog,
     /// Every received task item not yet run, in arrival order. An item
     /// runs once the replica has reached its stamp.
@@ -213,7 +212,7 @@ impl<'a, C: Comm> Worker<'a, C> {
             triangle: OverrideTriangle::new(seq.len()),
             applied: 0,
             rows: HashMap::new(),
-            incr: checkpoint_budget.map(IncrementalSweeper::new),
+            sweeper: replica_sweeper(checkpoint_budget),
             dirty: DirtyLog::new(),
             queue: VecDeque::new(),
             frames_seen: 0,
@@ -303,7 +302,7 @@ impl<'a, C: Comm> Worker<'a, C> {
                     for &(p, q) in &acc.pairs {
                         self.triangle.set(p, q);
                     }
-                    if self.incr.is_some() {
+                    if self.sweeper.checkpointing() {
                         self.dirty.record_accept(&acc.pairs);
                     }
                     self.applied += 1;
@@ -357,7 +356,7 @@ impl<'a, C: Comm> Worker<'a, C> {
     /// The next cumulative telemetry frame. The sweeper's pool tally
     /// lives outside the recorder, so its growth is folded in first.
     fn telemetry(&mut self, fin: bool) -> Vec<u8> {
-        let pool = self.incr.as_ref().map_or(0, |s| s.pool_reuses());
+        let pool = self.sweeper.pool_reuses();
         self.wrec.add(Counter::PoolReuses, pool - self.pool_sent);
         self.pool_sent = pool;
         self.tele_seq += 1;
@@ -421,106 +420,59 @@ impl<'a, C: Comm> Worker<'a, C> {
     }
 
     /// Compute one task against the replica as it stands.
-    fn sweep(&mut self, task: TaskItem) -> ResultMsg {
-        let (input, triangle, applied) = (&self.input, &self.triangle, self.applied);
-        if !task.first {
-            if let Some(row) = task.row {
-                self.rows.insert(task.r, row);
-            }
+    fn sweep(&mut self, mut task: TaskItem) -> ResultMsg {
+        if let Some(row) = task.row.take().filter(|_| !task.first) {
+            self.rows.insert(task.r, row);
         }
         let sweep_t0 = Instant::now();
         #[cfg(test)]
         std::thread::sleep(self.sweep_pad);
-        // The incremental path serves realignments, and first passes while
-        // the replica is still pristine. A first pass under a grown replica
-        // — a late one behind the master's seed bounds, or a retransmitted
-        // attempt racing an acceptance — takes the plain path and leaves
-        // the sweeper alone: seeding it there was measured (EXPERIMENTS.md,
-        // PR 13) to buy a few checkpoint hits and no wall time on the
-        // tandem inputs this engine is benchmarked on, for 20–30 % more
-        // resident memory.
-        let use_incr = self.incr.is_some() && (!task.first || applied == 0);
-        let (score, shadow_rejections, cells, incr_tallies, first_row) = if use_incr {
-            let sweeper = self.incr.as_mut().expect("checked incr.is_some()");
-            if task.first {
-                let res = sweeper.first_pass(input, task.r, triangle, 0);
-                let row = res.first_row.expect("first pass returns its row");
-                self.rows.insert(task.r, row.clone());
-                (res.score, 0, res.cells, [0; 4], Some(row))
-            } else {
-                let original = self
-                    .rows
-                    .get(&task.r)
-                    .expect("realignment without cached or attached row");
-                let sweep = sweeper.realign(
-                    input,
-                    task.r,
-                    triangle,
-                    original,
-                    &self.dirty,
-                    applied as u64,
-                );
-                let tallies = [
-                    u64::from(sweep.hit()),
-                    u64::from(!sweep.hit()),
-                    sweep.rows_swept,
-                    sweep.rows_skipped,
-                ];
-                self.wrec.observe(Metric::ResumeRows, sweep.rows_swept);
-                (
-                    sweep.result.score,
-                    sweep.result.shadow_rejections,
-                    sweep.result.cells,
-                    tallies,
-                    None,
-                )
-            }
-        } else if task.first {
-            // Possibly under a grown replica — the master prunes with seed
-            // bounds, so accepts can precede a first pass. The row every
-            // later realignment diffs against must be the CLEAN bottom row;
-            // the score reflects the mask.
-            let res = repro_core::late_first_pass(input, task.r, triangle, None);
-            let row = res.first_row.expect("first pass returns its row");
+        let original = (!task.first).then(|| {
+            let row = self.rows.get(&task.r);
+            &row.expect("realignment without cached or attached row")[..]
+        });
+        let out = self.sweeper.sweep(
+            &self.input,
+            task.r,
+            &self.triangle,
+            original,
+            &self.dirty,
+            None,
+        );
+        if let Some(resume) = &out.resume {
+            self.wrec.observe(Metric::ResumeRows, resume.rows_swept);
+        }
+        // The row every later realignment diffs against is the CLEAN
+        // bottom row, whatever the replica looked like.
+        if let Some(row) = &out.first_row {
             self.rows.insert(task.r, row.clone());
-            (
-                res.score,
-                res.shadow_rejections,
-                res.cells,
-                [0; 4],
-                Some(row),
-            )
-        } else {
-            let original = self
-                .rows
-                .get(&task.r)
-                .expect("realignment without cached or attached row");
-            let res = input.align_task(task.r, triangle, Some(original), None);
-            (res.score, res.shadow_rejections, res.cells, [0; 4], None)
-        };
+        }
         self.wrec
             .observe(Metric::SweepNs, sweep_t0.elapsed().as_nanos() as u64);
         // The shipped bound dominates any score computed at or past the
         // task's stamp (masking monotonicity); a violation would mean the
         // master's seed index is broken.
         debug_assert!(
-            score <= task.bound,
+            out.score <= task.bound,
             "split {}: score {} above shipped bound {}",
             task.r,
-            score,
+            out.score,
             task.bound
         );
-        ResultMsg {
-            r: task.r,
-            stamp: applied,
-            attempt: task.attempt,
-            score,
-            cells,
-            shadow_rejections,
-            incr: incr_tallies,
-            first_row,
-        }
+        ResultMsg::answer(&task, self.applied, out)
     }
+}
+
+/// The split unit of a message-passing worker's replica. The
+/// incremental layer serves realignments, and first passes while the
+/// replica is still pristine. A first pass under a grown replica — a
+/// late one behind the master's seed bounds, or a retransmitted attempt
+/// racing an acceptance — leaves the sweeper alone: seeding it there was
+/// measured (EXPERIMENTS.md, PR 13) to buy a few checkpoint hits and no
+/// wall time on the tandem inputs this engine is benchmarked on, for
+/// 20–30 % more resident memory.
+pub(crate) fn replica_sweeper(checkpoint_budget: Option<usize>) -> SplitSweeper {
+    SplitSweeper::new(checkpoint_budget, false)
 }
 
 #[cfg(test)]

@@ -24,12 +24,12 @@
 //! (retransmission, liveness, reassignment, local fallback), so a dead
 //! node's work migrates to the surviving nodes.
 
-use crate::engine::{ClusterError, ClusterResult};
+use crate::engine::{replica_sweeper, ClusterError, ClusterResult};
 use crate::protocol::{tag, AcceptedMsg, ResultMsg, ResultsMsg, ResyncMsg, TaskItem, TaskMsg};
 use crate::recovery::{idle_payload, master_loop, RecoveryConfig, BEACON_PERIOD, WORKER_POLL};
 use parking_lot::{Condvar, Mutex};
 use repro_align::{Score, Scoring, Seq};
-use repro_core::{DirtyLog, IncrementalSweeper, OverrideTriangle, ScoredSeq, Search};
+use repro_core::{DirtyLog, OverrideTriangle, ScoredSeq, Search, SplitSweeper};
 use repro_obs::Recorder;
 use repro_xmpi::thread::ThreadComm;
 use repro_xmpi::{Comm, RecvError};
@@ -145,6 +145,19 @@ pub fn run_hybrid<R: Recorder>(
     })
 }
 
+/// One worker thread's view of its node: the shared replica and
+/// endpoint, plus the split unit and the incremental state it keeps to
+/// itself. The dirty-log replica is caught up from the node's accept
+/// history at every claim, under the node lock, so its version equals
+/// the `applied` of the snapshot swept.
+struct NodeThread<'a, C: Comm> {
+    input: &'a ScoredSeq<'a>,
+    comm: Arc<Mutex<C>>,
+    shared: Arc<NodeShared>,
+    sweeper: SplitSweeper,
+    dirty: DirtyLog,
+}
+
 fn node_worker<C: Comm>(
     input: &ScoredSeq,
     comm: Arc<Mutex<C>>,
@@ -153,11 +166,13 @@ fn node_worker<C: Comm>(
     deadline: Duration,
     checkpoint_budget: Option<usize>,
 ) {
-    // Per-thread incremental state; the dirty-log replica is caught up
-    // from the node's accept history at every claim, under the node
-    // lock, so its version equals the `applied` of the snapshot swept.
-    let mut incr = checkpoint_budget.map(IncrementalSweeper::new);
-    let mut local_dirty = DirtyLog::new();
+    let mut me = NodeThread {
+        input,
+        comm: Arc::clone(&comm),
+        shared: Arc::clone(&shared),
+        sweeper: replica_sweeper(checkpoint_budget),
+        dirty: DirtyLog::new(),
+    };
     let mut next_beacon = Instant::now(); // fires immediately: first IDLE
     loop {
         // Prefer runnable deferred tasks (their stamp has been reached).
@@ -172,8 +187,8 @@ fn node_worker<C: Comm>(
                     let (_, item) = inner.deferred.swap_remove(pos);
                     let snapshot = Arc::clone(&inner.triangle);
                     let repeat = !inner.sent.insert((item.r, item.attempt));
-                    if incr.is_some() {
-                        sync_dirty(&mut local_dirty, &inner);
+                    if me.sweeper.checkpointing() {
+                        sync_dirty(&mut me.dirty, &inner);
                     }
                     Some((item, snapshot, repeat, applied))
                 }
@@ -181,17 +196,7 @@ fn node_worker<C: Comm>(
             }
         };
         if let Some((item, triangle, repeat, applied)) = runnable {
-            run_task(
-                input,
-                &comm,
-                &shared,
-                &triangle,
-                &mut incr,
-                &local_dirty,
-                applied,
-                item,
-                repeat,
-            );
+            me.run_task(&triangle, applied, item, repeat);
             continue;
         }
 
@@ -260,8 +265,8 @@ fn node_worker<C: Comm>(
                             .iter()
                             .map(|item| !inner.sent.insert((item.r, item.attempt)))
                             .collect();
-                        if incr.is_some() {
-                            sync_dirty(&mut local_dirty, &inner);
+                        if me.sweeper.checkpointing() {
+                            sync_dirty(&mut me.dirty, &inner);
                         }
                         Some((Arc::clone(&inner.triangle), repeats, inner.applied))
                     } else {
@@ -279,17 +284,7 @@ fn node_worker<C: Comm>(
                 };
                 if let Some((triangle, repeats, applied)) = snapshot {
                     for (item, repeat) in task.items.into_iter().zip(repeats) {
-                        run_task(
-                            input,
-                            &comm,
-                            &shared,
-                            &triangle,
-                            &mut incr,
-                            &local_dirty,
-                            applied,
-                            item,
-                            repeat,
-                        );
+                        me.run_task(&triangle, applied, item, repeat);
                     }
                 }
             }
@@ -348,115 +343,56 @@ fn sync_dirty(local: &mut DirtyLog, inner: &NodeInner) {
     }
 }
 
-#[allow(clippy::too_many_arguments)] // per-thread replica state, threaded explicitly
-fn run_task<C: Comm>(
-    input: &ScoredSeq,
-    comm: &Arc<Mutex<C>>,
-    shared: &Arc<NodeShared>,
-    triangle: &OverrideTriangle,
-    incr: &mut Option<IncrementalSweeper>,
-    dirty: &DirtyLog,
-    applied: usize,
-    task: TaskItem,
-    repeat: bool,
-) {
-    // Same routing rule as the flat cluster worker: incremental for
-    // realignments, and for first passes only while the replica is
-    // pristine; a first pass under a grown replica takes the plain
-    // path.
-    let use_incr = incr.is_some() && (!task.first || applied == 0);
-    let (score, shadow_rejections, cells, incr_tallies, first_row) = if use_incr {
-        let sweeper = incr.as_mut().expect("checked incr.is_some()");
-        if task.first {
-            let res = sweeper.first_pass(input, task.r, triangle, 0);
-            let row = Arc::new(res.first_row.expect("first pass returns its row"));
-            shared.inner.lock().rows.insert(task.r, Arc::clone(&row));
-            (res.score, 0, res.cells, [0; 4], Some((*row).clone()))
-        } else {
-            let original = {
-                let mut inner = shared.inner.lock();
-                if let Some(row) = &task.row {
-                    inner.rows.insert(task.r, Arc::new(row.clone()));
-                }
-                Arc::clone(
-                    inner
-                        .rows
-                        .get(&task.r)
-                        .expect("realignment without cached or attached row"),
-                )
-            };
-            let sweep = sweeper.realign(input, task.r, triangle, &original, dirty, applied as u64);
-            let tallies = [
-                u64::from(sweep.hit()),
-                u64::from(!sweep.hit()),
-                sweep.rows_swept,
-                sweep.rows_skipped,
-            ];
-            (
-                sweep.result.score,
-                sweep.result.shadow_rejections,
-                sweep.result.cells,
-                tallies,
-                None,
-            )
-        }
-    } else if task.first {
-        // Possibly under a grown replica (seed pruning lets accepts
-        // precede some first passes): cache and return the CLEAN bottom
-        // row, score under the mask — same as the flat engine's worker.
-        let res = repro_core::late_first_pass(input, task.r, triangle, None);
-        let row = Arc::new(res.first_row.expect("first pass returns its row"));
-        shared.inner.lock().rows.insert(task.r, Arc::clone(&row));
-        (
-            res.score,
-            res.shadow_rejections,
-            res.cells,
-            [0; 4],
-            Some((*row).clone()),
-        )
-    } else {
-        let original = {
-            let mut inner = shared.inner.lock();
+impl<C: Comm> NodeThread<'_, C> {
+    /// Sweep `task` under `triangle`, the node's replica at version
+    /// `applied` (at or past the task's stamp), and send the result.
+    fn run_task(
+        &mut self,
+        triangle: &OverrideTriangle,
+        applied: usize,
+        task: TaskItem,
+        repeat: bool,
+    ) {
+        // The clean row a realignment is filtered against: attached to
+        // the task, or cached node-wide by whoever first-passed it.
+        let original = (!task.first).then(|| {
+            let mut inner = self.shared.inner.lock();
             if let Some(row) = &task.row {
                 inner.rows.insert(task.r, Arc::new(row.clone()));
             }
-            Arc::clone(
-                inner
-                    .rows
-                    .get(&task.r)
-                    .expect("realignment without cached or attached row"),
-            )
-        };
-        let res = input.align_task(task.r, triangle, Some(&original), None);
-        (res.score, res.shadow_rejections, res.cells, [0; 4], None)
-    };
-    debug_assert!(
-        score <= task.bound,
-        "split {}: score {} above shipped bound {}",
-        task.r,
-        score,
-        task.bound
-    );
-    // `applied` is the version of the snapshot swept, at or past the
-    // task's stamp.
-    let res = ResultMsg {
-        r: task.r,
-        stamp: applied,
-        attempt: task.attempt,
-        score,
-        cells,
-        shadow_rejections,
-        incr: incr_tallies,
-        first_row,
-    };
-    let payload = ResultsMsg { items: vec![res] }.encode();
-    // A repeat means the first copy was lost: double-send so a
-    // period-2 loss pattern cannot swallow both copies.
-    for _ in 0..if repeat { 2 } else { 1 } {
-        if comm.lock().send(0, tag::RESULT, payload.clone()).is_err() {
-            // The master is gone; let the node wind down.
-            shared.inner.lock().done = true;
-            return;
+            let row = inner.rows.get(&task.r);
+            Arc::clone(row.expect("realignment without cached or attached row"))
+        });
+        let original = original.as_ref().map(|row| &row[..]);
+        let out = self
+            .sweeper
+            .sweep(self.input, task.r, triangle, original, &self.dirty, None);
+        if let Some(row) = &out.first_row {
+            let row = Arc::new(row.clone());
+            self.shared.inner.lock().rows.insert(task.r, row);
+        }
+        debug_assert!(
+            out.score <= task.bound,
+            "split {}: score {} above shipped bound {}",
+            task.r,
+            out.score,
+            task.bound
+        );
+        let res = ResultMsg::answer(&task, applied, out);
+        let payload = ResultsMsg { items: vec![res] }.encode();
+        // A repeat means the first copy was lost: double-send so a
+        // period-2 loss pattern cannot swallow both copies.
+        for _ in 0..if repeat { 2 } else { 1 } {
+            if self
+                .comm
+                .lock()
+                .send(0, tag::RESULT, payload.clone())
+                .is_err()
+            {
+                // The master is gone; let the node wind down.
+                self.shared.inner.lock().done = true;
+                return;
+            }
         }
     }
 }

@@ -29,7 +29,7 @@
 use crate::protocol::{AcceptedMsg, ResultMsg, TaskItem, TaskMsg};
 use repro_align::{Score, Scoring, Seq};
 use repro_core::{
-    late_first_pass, OverrideTriangle, ScoredSeq, Search, SplitBounds, Stats, TopAlignment,
+    DirtyLog, OverrideTriangle, ScoredSeq, Search, SplitBounds, SplitSweeper, Stats, TopAlignment,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -317,10 +317,7 @@ impl<'a> MasterState<'a> {
         };
         self.stats.record_alignment(res.cells, res.stamp);
         self.stats.shadow_rejections += res.shadow_rejections;
-        self.stats.checkpoint_hits += res.incr[0];
-        self.stats.checkpoint_misses += res.incr[1];
-        self.stats.realign_rows_swept += res.incr[2];
-        self.stats.realign_rows_skipped += res.incr[3];
+        self.stats.record_resume(res.incr);
         if let Some(row) = res.first_row {
             if self.rows[res.r - 1].is_none() {
                 // Exactly one result per split settles with its row
@@ -411,21 +408,8 @@ impl<'a> MasterState<'a> {
             };
             out.append(&mut queue);
             debug_assert_eq!(task.items.len(), 1, "local assignments are single-item");
-            let item = &task.items[0];
-            let (score, cells, shadow_rejections, first_row) = self.compute_local(task.stamp, item);
-            queue = self.result(
-                LOCAL_WORKER,
-                ResultMsg {
-                    r: item.r,
-                    stamp: task.stamp,
-                    attempt: item.attempt,
-                    score,
-                    cells,
-                    shadow_rejections,
-                    incr: [0; 4],
-                    first_row,
-                },
-            );
+            let res = self.compute_local(task.stamp, &task.items[0]);
+            queue = self.result(LOCAL_WORKER, res);
         }
         out.extend(queue);
         out
@@ -433,22 +417,23 @@ impl<'a> MasterState<'a> {
 
     /// Run one task on the master itself. Identical to a worker's
     /// compute, but against the master's own triangle — always at
-    /// version `tops.len()`, which equals every locally issued stamp.
-    fn compute_local(&self, stamp: usize, task: &TaskItem) -> (Score, u64, u64, Option<Vec<Score>>) {
+    /// version `tops.len()`, which equals every locally issued stamp —
+    /// and with no incremental state kept.
+    fn compute_local(&self, stamp: usize, task: &TaskItem) -> ResultMsg {
         debug_assert_eq!(stamp, self.tops.len());
-        if task.first {
-            // Possibly after accepts (under seed pruning): clean row
-            // for the store, masked score.
-            let res = late_first_pass(&self.input, task.r, &self.triangle, None);
-            return (res.score, res.cells, res.shadow_rejections, res.first_row);
-        }
-        let original = self.rows[task.r - 1]
-            .as_deref()
-            .expect("realignment of a split with no stored row");
-        let res = self
-            .input
-            .align_task(task.r, &self.triangle, Some(original), None);
-        (res.score, res.cells, res.shadow_rejections, None)
+        let original = (!task.first).then(|| {
+            let row = self.rows[task.r - 1].as_deref();
+            row.expect("realignment of a split with no stored row")
+        });
+        let out = SplitSweeper::new(None, false).sweep(
+            &self.input,
+            task.r,
+            &self.triangle,
+            original,
+            &DirtyLog::new(),
+            None,
+        );
+        ResultMsg::answer(task, stamp, out)
     }
 
     /// Advance: accept while possible, then hand work to idle workers —

@@ -10,6 +10,7 @@
 //! earlier attempts that were duplicated, delayed or reassigned.
 
 use repro_align::{Alphabet, ExchangeMatrix, GapPenalties, Score, Scoring, Seq};
+use repro_core::SplitOutcome;
 use repro_obs::{Counter, Hist, HistSet, Metric, TelemetrySnapshot};
 use repro_xmpi::wire::{Decoder, Encoder, WireError};
 
@@ -205,6 +206,21 @@ pub struct ResultMsg {
 }
 
 impl ResultMsg {
+    /// The answer to `task`: the split unit's outcome of sweeping it
+    /// under replica version `stamp`.
+    pub fn answer(task: &TaskItem, stamp: usize, out: SplitOutcome) -> Self {
+        ResultMsg {
+            r: task.r,
+            stamp,
+            attempt: task.attempt,
+            score: out.score,
+            cells: out.cells,
+            shadow_rejections: out.shadow_rejections,
+            incr: out.resume.map_or([0; 4], |resume| resume.tallies()),
+            first_row: out.first_row,
+        }
+    }
+
     /// Encoded size of an item without a row: what a frame must still
     /// hold per claimed item.
     const MIN_BYTES: usize = 3 * 8 + 4 + 2 * 8 + 4 * 8 + 8;

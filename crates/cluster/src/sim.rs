@@ -18,7 +18,9 @@
 use crate::master::{MasterAction, MasterState};
 use crate::protocol::{AcceptedMsg, ResultMsg, ResultsMsg, TaskItem, TaskMsg};
 use repro_align::{Score, Scoring, Seq};
-use repro_core::{OverrideTriangle, Search, SplitMask, TopAlignments};
+use repro_core::{
+    DirtyLog, OverrideTriangle, ScoredSeq, Search, SplitOutcome, SplitSweeper, TopAlignments,
+};
 use repro_xmpi::virtual_time::{run, Actor, Ctx, LinkModel};
 use repro_xmpi::Rank;
 use std::cell::RefCell;
@@ -61,17 +63,7 @@ impl CostModel {
 /// every processor count.
 #[derive(Debug, Default)]
 pub struct AlignCache {
-    entries: HashMap<(usize, usize), CachedAlign>,
-}
-
-#[derive(Debug, Clone)]
-struct CachedAlign {
-    score: Score,
-    cells: u64,
-    /// Shadow-filter rejections behind `score` (0 on first passes).
-    shadows: u64,
-    /// First-pass bottom row (version 0 only).
-    row: Option<Vec<Score>>,
+    entries: HashMap<(usize, usize), SplitOutcome>,
 }
 
 impl AlignCache {
@@ -129,8 +121,9 @@ struct MasterSim<'a> {
 }
 
 struct WorkerSim<'a> {
-    seq: &'a Seq,
-    scoring: &'a Scoring,
+    /// The one profiled sequence of the simulation, shared by every
+    /// simulated worker.
+    input: &'a ScoredSeq<'a>,
     cost: CostModel,
     triangle: OverrideTriangle,
     applied: usize,
@@ -185,53 +178,30 @@ impl WorkerSim<'_> {
         let version = self.applied;
         let key = (task.r, version);
         let cached = self.cache.borrow().entries.get(&key).cloned();
-        let (score, cells, shadows, row) = match cached {
-            Some(c) => (c.score, c.cells, c.shadows, c.row),
-            None => {
-                let (prefix, suffix) = self.seq.split(task.r);
-                let mask = SplitMask::new(&self.triangle, task.r);
-                let last = repro_align::sw_last_row(prefix, suffix, self.scoring, mask);
-                let (score, shadows, row) = if task.first {
-                    (last.best_in_row, 0, Some(last.row))
-                } else {
-                    let original = task
-                        .row
-                        .as_deref()
-                        .or_else(|| self.rows.get(&task.r).map(|v| &v[..]))
-                        .expect("realignment without cached or attached row");
-                    let (score, _, shadows) =
-                        repro_core::bottom::best_valid_entry_counted(&last.row, original);
-                    (score, shadows, None)
-                };
-                self.cache.borrow_mut().entries.insert(
-                    key,
-                    CachedAlign {
-                        score,
-                        cells: last.cells,
-                        shadows,
-                        row: row.clone(),
-                    },
-                );
-                (score, last.cells, shadows, row)
-            }
-        };
+        let out = cached.unwrap_or_else(|| {
+            let original = (!task.first).then(|| {
+                let row = task.row.as_ref().or_else(|| self.rows.get(&task.r));
+                &row.expect("realignment without cached or attached row")[..]
+            });
+            // Through the split unit, with no incremental state: the
+            // cache is the simulator's memo.
+            let out = SplitSweeper::new(None, false).sweep(
+                self.input,
+                task.r,
+                &self.triangle,
+                original,
+                &DirtyLog::new(),
+                None,
+            );
+            self.cache.borrow_mut().entries.insert(key, out.clone());
+            out
+        });
         // Cache the row locally for future shadow filtering.
-        if let Some(r) = &row {
-            self.rows.insert(task.r, r.clone());
-        } else if let Some(r) = &task.row {
-            self.rows.insert(task.r, r.clone());
+        if let Some(row) = out.first_row.as_ref().or(task.row.as_ref()) {
+            self.rows.insert(task.r, row.clone());
         }
-        ctx.compute(cells as f64 / self.cost.worker_cells_per_sec);
-        let res = ResultMsg {
-            r: task.r,
-            stamp: version,
-            attempt: task.attempt,
-            score,
-            cells,
-            shadow_rejections: shadows,
-            incr: [0; 4],
-            first_row: row,
-        };
+        ctx.compute(out.cells as f64 / self.cost.worker_cells_per_sec);
+        let res = ResultMsg::answer(&task, version, out);
         ctx.send(0, sim_tag::RESULT, ResultsMsg { items: vec![res] }.encode());
     }
 
@@ -321,6 +291,7 @@ pub fn simulate_cluster(
     assert!(processors >= 2, "need a master and at least one worker");
     let workers = processors - 1;
 
+    let input = ScoredSeq::new(seq, scoring);
     let mut actors: Vec<SimActor> = Vec::with_capacity(processors);
     actors.push(SimActor::Master(Box::new(MasterSim {
         state: MasterState::new(seq, scoring, &Search::new(count)),
@@ -328,8 +299,7 @@ pub fn simulate_cluster(
     })));
     for _ in 0..workers {
         actors.push(SimActor::Worker(WorkerSim {
-            seq,
-            scoring,
+            input: &input,
             cost,
             triangle: OverrideTriangle::new(seq.len()),
             applied: 0,

@@ -14,7 +14,7 @@
 
 use crate::bottom::{best_valid_entry, best_valid_entry_counted, BottomRowStore};
 use crate::dirty::DirtyLog;
-use crate::incremental::{late_first_pass, IncrementalSweeper};
+use crate::incremental::SplitSweeper;
 use crate::seed::{SeedConfig, SplitBounds};
 use crate::split_mask::SplitMask;
 use crate::stats::Stats;
@@ -423,10 +423,10 @@ pub struct TopAlignmentFinder<'a> {
     alignments: Vec<TopAlignment>,
     stats: Stats,
     /// Dirty-bound log feeding the incremental layer (empty while
-    /// `incr` is `None`).
+    /// `config.search.checkpoint_budget` is `None`).
     dirty: DirtyLog,
-    /// `Some` iff `config.search.checkpoint_budget` is set.
-    incr: Option<IncrementalSweeper>,
+    /// The split unit of work: every stale pop's sweep goes through it.
+    sweeper: SplitSweeper,
     /// `Some` iff `config.search.seed` is set: the admissible per-split
     /// bounds.
     bounds: Option<SplitBounds>,
@@ -444,7 +444,7 @@ impl<'a> TopAlignmentFinder<'a> {
             RowMode::Store => Some(BottomRowStore::new(m)),
             RowMode::Recompute => None,
         };
-        let incr = config.search.checkpoint_budget.map(IncrementalSweeper::new);
+        let sweeper = SplitSweeper::new(config.search.checkpoint_budget, true);
         let bounds = config
             .search
             .seed
@@ -466,7 +466,7 @@ impl<'a> TopAlignmentFinder<'a> {
             alignments: Vec::new(),
             stats,
             dirty: DirtyLog::new(),
-            incr,
+            sweeper,
             bounds,
             first_passes: 0,
         }
@@ -480,56 +480,6 @@ impl<'a> TopAlignmentFinder<'a> {
         self.stats.record_row_recompute(last.cells);
         rec.phase_end(Phase::RowRecompute);
         last.row
-    }
-
-    /// The stale-pop sweep routed through the incremental layer:
-    /// first passes sweep fully (and seed memo + checkpoints),
-    /// realignments skip or resume below the dirty boundary.
-    /// Bit-identical to the from-scratch sweep in all cases.
-    fn incremental_sweep<R: Recorder>(
-        &mut self,
-        task: &Task,
-        first_pass: bool,
-        sweep_phase: Phase,
-        rec: &mut R,
-    ) -> TaskResult {
-        // Recompute-mode original row, before borrowing the sweeper.
-        let clean = match self.config.row_mode {
-            RowMode::Recompute if !first_pass => Some(self.recompute_clean_row(task.r, rec)),
-            _ => None,
-        };
-        let version = self.dirty.version();
-        let incr = self.incr.as_mut().expect("caller checked incr.is_some()");
-        rec.phase_start(sweep_phase);
-        let result = if first_pass {
-            incr.first_pass(&self.input, task.r, &self.triangle, version)
-        } else {
-            let original = match &clean {
-                Some(row) => &row[..],
-                None => self
-                    .bottom
-                    .as_ref()
-                    .expect("store mode keeps rows")
-                    .get(task.r)
-                    .expect("realignment implies a stored first-pass row"),
-            };
-            let sweep = incr.realign(
-                &self.input,
-                task.r,
-                &self.triangle,
-                original,
-                &self.dirty,
-                version,
-            );
-            self.stats.checkpoint_hits += u64::from(sweep.hit());
-            self.stats.checkpoint_misses += u64::from(!sweep.hit());
-            self.stats.realign_rows_swept += sweep.rows_swept;
-            self.stats.realign_rows_skipped += sweep.rows_skipped;
-            rec.observe(Metric::ResumeRows, sweep.rows_swept);
-            sweep.result
-        };
-        rec.phase_end(sweep_phase);
-        result
     }
 
     /// Top alignments accepted so far.
@@ -664,7 +614,7 @@ impl<'a> TopAlignmentFinder<'a> {
                 }
             };
             self.stats.record_traceback(cells);
-            if self.incr.is_some() {
+            if self.sweeper.checkpointing() {
                 self.dirty.record_accept(&top.pairs);
             }
             if let Some(bounds) = self.bounds.as_mut() {
@@ -690,58 +640,32 @@ impl<'a> TopAlignmentFinder<'a> {
                 Phase::Drain
             };
             let sweep_t0 = R::ENABLED.then(Instant::now);
-            let result = if self.incr.is_some() {
-                self.incremental_sweep(&task, first_pass, sweep_phase, rec)
-            } else if first_pass && !self.triangle.is_empty() {
-                // Late first pass — only reachable with seed pruning,
-                // which can delay a split's first sweep past an accept.
-                rec.phase_start(sweep_phase);
-                let out = late_first_pass(&self.input, task.r, &self.triangle, self.config.stripe);
-                rec.phase_end(sweep_phase);
-                out
-            } else {
-                match self.config.row_mode {
-                    RowMode::Store => {
-                        let original = self
-                            .bottom
-                            .as_ref()
-                            .expect("store mode keeps rows")
-                            .get(task.r);
-                        debug_assert_eq!(original.is_none(), first_pass);
-                        rec.phase_start(sweep_phase);
-                        let out = self.input.align_task(
-                            task.r,
-                            &self.triangle,
-                            original,
-                            self.config.stripe,
-                        );
-                        rec.phase_end(sweep_phase);
-                        out
-                    }
-                    RowMode::Recompute if first_pass => {
-                        rec.phase_start(sweep_phase);
-                        let out =
-                            self.input
-                                .align_task(task.r, &self.triangle, None, self.config.stripe);
-                        rec.phase_end(sweep_phase);
-                        out
-                    }
-                    RowMode::Recompute => {
-                        let clean = self.recompute_clean_row(task.r, rec);
-                        rec.phase_start(sweep_phase);
-                        let out = self.input.align_task(
-                            task.r,
-                            &self.triangle,
-                            Some(&clean),
-                            self.config.stripe,
-                        );
-                        rec.phase_end(sweep_phase);
-                        out
-                    }
-                }
-            };
+            // The clean row a realignment is shadow-filtered against:
+            // stored, or recomputed on demand (Appendix A).
+            let recomputed = (!first_pass && self.bottom.is_none())
+                .then(|| self.recompute_clean_row(task.r, rec));
+            let original = (!first_pass).then(|| match &self.bottom {
+                Some(bottom) => bottom
+                    .get(task.r)
+                    .expect("realignment implies a stored first-pass row"),
+                None => recomputed.as_deref().expect("just recomputed"),
+            });
+            rec.phase_start(sweep_phase);
+            let result = self.sweeper.sweep(
+                &self.input,
+                task.r,
+                &self.triangle,
+                original,
+                &self.dirty,
+                self.config.stripe,
+            );
+            rec.phase_end(sweep_phase);
             if let Some(t0) = sweep_t0 {
                 rec.observe(Metric::SweepNs, t0.elapsed().as_nanos() as u64);
+            }
+            if let Some(resume) = result.resume {
+                self.stats.record_resume(resume.tallies());
+                rec.observe(Metric::ResumeRows, resume.rows_swept);
             }
             if let Some(row) = result.first_row {
                 if let Some(bottom) = self.bottom.as_mut() {
@@ -750,9 +674,7 @@ impl<'a> TopAlignmentFinder<'a> {
                 // First-pass rows come out of the sweeper's scratch pool
                 // when the incremental layer is on; recycle them once
                 // they have been copied into the store.
-                if let Some(incr) = self.incr.as_mut() {
-                    incr.reclaim(row);
-                }
+                self.sweeper.reclaim(row);
             }
             // Holds for realignments (masking monotonicity) *and* first
             // passes (∞ without seeding; the admissible seed bound with
@@ -784,9 +706,7 @@ impl<'a> TopAlignmentFinder<'a> {
     /// [`Self::run`] with instrumentation (see [`Self::step_recorded`]).
     pub fn run_recorded<R: Recorder>(mut self, rec: &mut R) -> TopAlignments {
         while !matches!(self.step_recorded(rec), Step::Done) {}
-        if let Some(incr) = &self.incr {
-            self.stats.pool_reuses = incr.pool_reuses();
-        }
+        self.stats.pool_reuses = self.sweeper.pool_reuses();
         if let Some(bounds) = &self.bounds {
             let splits = self.input.seq.len().saturating_sub(1);
             self.stats.splits_pruned = splits.saturating_sub(self.first_passes) as u64;

@@ -1,7 +1,17 @@
-//! The checkpointed incremental sweeper.
+//! The split unit of work, and the checkpointed incremental sweeper
+//! behind it.
 //!
-//! [`IncrementalSweeper`] wraps the scalar score-only sweep with three
-//! exact shortcuts, all driven by the [`crate::DirtyLog`]:
+//! [`SplitSweeper::sweep`] is how one split is (re)aligned — clean first
+//! pass, late first pass (clean + masked), memo replay, checkpoint
+//! resume or from-scratch sweep, then the Appendix-A shadow filter —
+//! decided here once for every scheduler: the sequential finder, the
+//! SMP workers, the cluster and hybrid workers, the master's local
+//! fallback and the simulator call it and keep only their own
+//! bookkeeping (row store, result message, phase spans).
+//!
+//! With a checkpoint budget it routes through the private
+//! `IncrementalSweeper`, which wraps the scalar score-only sweep with
+//! three exact shortcuts, all driven by the [`crate::DirtyLog`]:
 //!
 //! 1. **Full skip** — if no pair accepted since the split's previous
 //!    sweep straddles it, the whole matrix (and therefore the sweep's
@@ -42,22 +52,22 @@ struct SweepMemo {
 
 /// What an incremental sweep did, alongside the ordinary [`TaskResult`].
 #[derive(Debug)]
-pub struct IncrementalSweep {
+struct IncrementalSweep {
     /// The sweep outcome, exactly as [`crate::align_task`] would report.
-    pub result: TaskResult,
+    result: TaskResult,
     /// `true` if the whole sweep was served from the memo (zero rows).
-    pub full_skip: bool,
+    full_skip: bool,
     /// Row the DP resumed from (`0` = swept from scratch).
-    pub resumed_at: usize,
+    resumed_at: usize,
     /// Rows actually swept.
-    pub rows_swept: u64,
+    rows_swept: u64,
     /// Rows skipped (memo or checkpoint).
-    pub rows_skipped: u64,
+    rows_skipped: u64,
 }
 
 impl IncrementalSweep {
     /// Did a checkpoint or memo shortcut fire?
-    pub fn hit(&self) -> bool {
+    fn hit(&self) -> bool {
         self.full_skip || self.resumed_at > 0
     }
 }
@@ -69,7 +79,7 @@ impl IncrementalSweep {
 /// in must count the accepts applied to the triangle the sweeps run
 /// under, and the [`DirtyLog`] must contain at least those accepts.
 #[derive(Debug)]
-pub struct IncrementalSweeper {
+struct IncrementalSweeper {
     store: CheckpointStore,
     pool: ScratchPool,
     memo: HashMap<usize, SweepMemo>,
@@ -99,28 +109,12 @@ impl IncrementalSweeper {
     /// A sweeper with the given global checkpoint byte budget. Budget 0
     /// is the degenerate enabled-but-empty configuration: every sweep
     /// runs from scratch and counts as a miss.
-    pub fn new(budget: usize) -> Self {
+    fn new(budget: usize) -> Self {
         IncrementalSweeper {
             store: CheckpointStore::new(budget),
             pool: ScratchPool::new(),
             memo: HashMap::new(),
         }
-    }
-
-    /// Buffers served from the pool instead of the allocator.
-    pub fn pool_reuses(&self) -> u64 {
-        self.pool.reuses()
-    }
-
-    /// Bytes currently pinned by stored checkpoints.
-    pub fn store_used_bytes(&self) -> usize {
-        self.store.used_bytes()
-    }
-
-    /// Return a spent row buffer (e.g. a first-pass bottom row after it
-    /// has been copied into the bottom-row store) to the pool.
-    pub fn reclaim(&mut self, buf: Vec<Score>) {
-        self.pool.give(buf);
     }
 
     /// First sweep of split `r`: always sweeps every row, but seeds the
@@ -142,7 +136,7 @@ impl IncrementalSweeper {
     ///
     /// Bit-identical to a clean `sw_last_row` for the row plus
     /// `align_task(.., Some(&clean_row), None)` for the score.
-    pub fn first_pass(
+    fn first_pass(
         &mut self,
         input: &ScoredSeq,
         r: usize,
@@ -225,7 +219,7 @@ impl IncrementalSweeper {
     /// Bit-identical to
     /// `input.align_task(r, triangle, Some(original), None)`,
     /// but skipping every row the dirty log proves unchanged.
-    pub fn realign(
+    fn realign(
         &mut self,
         input: &ScoredSeq,
         r: usize,
@@ -472,12 +466,11 @@ fn snapshot(pool: &mut ScratchPool, row: usize, stamp: u64, m: &[Score], my: &[S
     }
 }
 
-/// [`IncrementalSweeper::first_pass`] under an already **grown**
-/// triangle for the engines that run without the incremental layer:
-/// the clean bottom row plus the shadow-filtered masked score, nothing
-/// kept. The striped kernel has no mid-matrix entry, so with a `stripe`
-/// both sweeps start at row 0.
-pub fn late_first_pass(
+/// `first_pass` under an already **grown** triangle without an
+/// incremental layer to seed: the clean bottom row plus the
+/// shadow-filtered masked score, nothing kept. The striped kernel has
+/// no mid-matrix entry, so with a `stripe` both sweeps start at row 0.
+fn late_first_pass(
     input: &ScoredSeq,
     r: usize,
     triangle: &OverrideTriangle,
@@ -500,74 +493,250 @@ fn best_valid(current: &[Score], original: &[Score]) -> (Score, Option<usize>, u
     crate::bottom::best_valid_entry_counted(current, original)
 }
 
+/// What the incremental layer did for one realignment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Resume {
+    /// A memo replay or a checkpoint resume fired.
+    pub hit: bool,
+    /// Rows actually swept.
+    pub rows_swept: u64,
+    /// Rows skipped (memo or checkpoint).
+    pub rows_skipped: u64,
+}
+
+impl Resume {
+    /// `[hits, misses, rows swept, rows skipped]`: the order of
+    /// [`crate::Stats::record_resume`] and of the cluster's result
+    /// message.
+    pub fn tallies(&self) -> [u64; 4] {
+        [
+            u64::from(self.hit),
+            u64::from(!self.hit),
+            self.rows_swept,
+            self.rows_skipped,
+        ]
+    }
+}
+
+/// The uniform outcome of [`SplitSweeper::sweep`].
+#[derive(Debug, Clone)]
+pub struct SplitOutcome {
+    /// Best valid (non-shadow) bottom-row score under the triangle; 0
+    /// if none.
+    pub score: Score,
+    /// Bottom-row positions the shadow filter rejected.
+    pub shadow_rejections: u64,
+    /// Cells computed.
+    pub cells: u64,
+    /// The **clean** (empty-triangle) bottom row — first passes only,
+    /// handed over by value for the caller's row store.
+    pub first_row: Option<Vec<Score>>,
+    /// `Some` for a realignment through the incremental layer.
+    pub resume: Option<Resume>,
+}
+
+/// The split unit of work: one split's first pass or realignment under
+/// the caller's triangle replica, routed once for every scheduler (see
+/// the module docs). Holds the replica's incremental state when a
+/// checkpoint budget is set, nothing otherwise.
+#[derive(Debug)]
+pub struct SplitSweeper {
+    incr: Option<IncrementalSweeper>,
+    seed_late: bool,
+}
+
+impl SplitSweeper {
+    /// A sweeper for one triangle replica. `checkpoint_budget` is
+    /// [`crate::Search::checkpoint_budget`]; `seed_late` says whether a
+    /// first pass under an already grown triangle seeds the memo and
+    /// the checkpoint store like a pristine one (it then resumes the
+    /// masked sweep from the clean one's snapshot and keeps both sets
+    /// of checkpoints) or leaves the incremental state alone.
+    pub fn new(checkpoint_budget: Option<usize>, seed_late: bool) -> Self {
+        SplitSweeper {
+            incr: checkpoint_budget.map(IncrementalSweeper::new),
+            seed_late,
+        }
+    }
+
+    /// Whether the incremental layer is on, i.e. whether `sweep` reads
+    /// the dirty log it is handed.
+    pub fn checkpointing(&self) -> bool {
+        self.incr.is_some()
+    }
+
+    /// Row buffers served from the scratch pool instead of the
+    /// allocator.
+    pub fn pool_reuses(&self) -> u64 {
+        self.incr.as_ref().map_or(0, |s| s.pool.reuses())
+    }
+
+    /// Return a spent first-pass row (after it has been copied into a
+    /// row store) to the scratch pool it came from.
+    pub fn reclaim(&mut self, row: Vec<Score>) {
+        if let Some(incr) = self.incr.as_mut() {
+            incr.pool.give(row);
+        }
+    }
+
+    /// Align split `r` under `triangle`: a first pass when `original`
+    /// is `None` (the clean row comes back in the outcome), else a
+    /// realignment shadow-filtered against `original`, the split's
+    /// clean bottom row. Bit-identical to a clean
+    /// [`ScoredSeq::align_task`] for the row and a masked one for the
+    /// score, whichever route is taken.
+    ///
+    /// With the incremental layer on, `dirty` must hold exactly the
+    /// accepts applied to `triangle` (its version stamps the memo and
+    /// the checkpoints) and `stripe` is ignored; with it off, `dirty`
+    /// is not read.
+    pub fn sweep(
+        &mut self,
+        input: &ScoredSeq,
+        r: usize,
+        triangle: &OverrideTriangle,
+        original: Option<&[Score]>,
+        dirty: &DirtyLog,
+        stripe: Option<usize>,
+    ) -> SplitOutcome {
+        let mut resume = None;
+        let result = match (original, self.incr.as_mut()) {
+            (Some(original), Some(incr)) => {
+                let sweep = incr.realign(input, r, triangle, original, dirty, dirty.version());
+                resume = Some(Resume {
+                    hit: sweep.hit(),
+                    rows_swept: sweep.rows_swept,
+                    rows_skipped: sweep.rows_skipped,
+                });
+                sweep.result
+            }
+            (Some(original), None) => input.align_task(r, triangle, Some(original), stripe),
+            (None, Some(incr)) if self.seed_late || triangle.is_empty() => {
+                incr.first_pass(input, r, triangle, dirty.version())
+            }
+            (None, _) if triangle.is_empty() => input.align_task(r, triangle, None, stripe),
+            // Only reachable with seed pruning, which can delay a
+            // split's first sweep past an accept.
+            (None, _) => late_first_pass(input, r, triangle, stripe),
+        };
+        SplitOutcome {
+            score: result.score,
+            shadow_rejections: result.shadow_rejections,
+            cells: result.cells,
+            first_row: result.first_row,
+            resume,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::finder::align_task;
+    use crate::finder::{align_task, find_top_alignments};
     use repro_align::{Scoring, Seq};
 
     fn dna(text: &str) -> Seq {
         Seq::dna(text).unwrap()
     }
 
-    /// Drive a sweeper and a from-scratch oracle through the same accept
-    /// schedule; every realignment must agree bit-for-bit.
+    /// The split unit against the two-sweep oracle, exhaustively in a
+    /// small scope: every split of a 36-nt tandem sequence × every
+    /// prefix of its accept history × budget {none, 0, binding, large}
+    /// × {late first passes seed the sweeper, they do not} ×
+    /// {row-major, striped}. A first pass returns the clean row of an
+    /// empty-triangle `align_task` and the score and shadow count of a
+    /// masked one — resuming the masked sweep at the first straddled
+    /// row — and a realignment after further accepts equals the
+    /// from-scratch one, whatever state the first pass left behind.
     #[test]
-    fn incremental_matches_from_scratch_under_growing_triangle() {
+    fn split_unit_matches_the_two_sweep_oracle_exhaustively() {
         let seq = dna(&"ATGCATGCATGC".repeat(3));
         let scoring = Scoring::dna_example();
         let input = ScoredSeq::new(&seq, &scoring);
         let m = seq.len();
-        for budget in [0usize, 512, 1 << 20] {
-            let mut sweeper = IncrementalSweeper::new(budget);
-            let mut triangle = OverrideTriangle::new(m);
-            let mut dirty = DirtyLog::new();
-            // First passes for a handful of splits.
-            let splits = [4usize, 8, 12, 18, 24, 30];
-            let mut originals = std::collections::HashMap::new();
-            for &r in &splits {
-                let res = sweeper.first_pass(&input, r, &triangle, 0);
-                let oracle = align_task(&seq, &scoring, r, &triangle, None, None);
-                assert_eq!(res.score, oracle.score, "budget {budget} first pass r={r}");
-                assert_eq!(res.first_row, oracle.first_row);
-                originals.insert(r, res.first_row.unwrap());
+        let tops = find_top_alignments(&seq, &scoring, 5).alignments;
+        assert_eq!(tops.len(), 5);
+        // The replica after the first `k` accepts, and its accept log.
+        let replica = |k: usize| {
+            let (mut triangle, mut dirty) = (OverrideTriangle::new(m), DirtyLog::new());
+            dirty.sync_from(&tops[..k]);
+            for &(p, q) in tops[..k].iter().flat_map(|top| &top.pairs) {
+                triangle.set(p, q);
             }
-            // Synthetic accepts, then realign every split after each.
-            let accepts: Vec<Vec<(usize, usize)>> = vec![
-                vec![(0, 4), (1, 5), (2, 6), (3, 7)],
-                vec![(8, 20), (9, 21), (10, 22)],
-                vec![(30, 33), (31, 34)],
-            ];
-            for pairs in &accepts {
-                for &(p, q) in pairs {
-                    triangle.set(p, q);
-                }
-                dirty.record_accept(pairs);
-                let v = dirty.version();
-                for &r in &splits {
-                    let orig = &originals[&r];
-                    let inc = sweeper.realign(&input, r, &triangle, orig, &dirty, v);
-                    let oracle = align_task(&seq, &scoring, r, &triangle, Some(orig), None);
+            (triangle, dirty)
+        };
+        let (empty, _) = replica(0);
+        let later = replica(tops.len());
+        // Guards against a vacuous pass: late first passes, memo
+        // replays and checkpoint resumes must all have occurred.
+        let (mut late, mut replayed, mut resumed) = (0, 0, 0);
+        for prefix in 0..=tops.len() {
+            let (triangle, dirty) = replica(prefix);
+            for (budget, seed_late, stripe) in [None, Some(0), Some(512), Some(1 << 20)]
+                .into_iter()
+                .flat_map(|b| [(b, true), (b, false)])
+                .flat_map(|(b, s)| [(b, s, None), (b, s, Some(3))])
+            {
+                let what = format!("prefix {prefix}, budget {budget:?}, seeds {seed_late}");
+                let mut sweeper = SplitSweeper::new(budget, seed_late);
+                for r in 1..m {
+                    let clean = align_task(&seq, &scoring, r, &empty, None, None);
+                    let clean_row = clean.first_row.unwrap();
+                    let masked = align_task(&seq, &scoring, r, &triangle, Some(&clean_row), None);
+                    let first = sweeper.sweep(&input, r, &triangle, None, &dirty, stripe);
+                    assert_eq!(first.first_row.as_deref(), Some(&clean_row[..]), "{what} {r}");
                     assert_eq!(
-                        (
-                            inc.result.score,
-                            inc.result.col,
-                            inc.result.shadow_rejections
-                        ),
-                        (oracle.score, oracle.col, oracle.shadow_rejections),
-                        "budget {budget} version {v} split {r}"
+                        (first.score, first.shadow_rejections, first.resume),
+                        (masked.score, masked.shadow_rejections, None),
+                        "{what}, first pass of split {r}"
                     );
-                    if budget == 0 {
-                        assert!(!inc.hit(), "budget 0 must always miss");
-                        assert_eq!(inc.rows_skipped, 0);
+                    if stripe.is_none() || budget.is_some() && (seed_late || prefix == 0) {
+                        let below = triangle
+                            .first_straddling_row(r)
+                            .map_or(0, |d| (r - d) * (m - r));
+                        assert_eq!(first.cells, clean.cells + below as u64, "{what} {r}");
+                        late += usize::from(below > 0);
                     }
-                    assert_eq!(inc.rows_swept + inc.rows_skipped, r as u64);
+
+                    let oracle = align_task(&seq, &scoring, r, &later.0, Some(&clean_row), None);
+                    let again =
+                        sweeper.sweep(&input, r, &later.0, Some(&clean_row), &later.1, stripe);
+                    assert_eq!(
+                        (again.score, again.shadow_rejections),
+                        (oracle.score, oracle.shadow_rejections),
+                        "{what}, realignment of split {r}"
+                    );
+                    assert_eq!(again.resume.is_some(), budget.is_some(), "{what} {r}");
+                    let Some(resume) = again.resume else { continue };
+                    assert_eq!(resume.rows_swept + resume.rows_skipped, r as u64);
+                    let dirtied = later.1.dirty_row(r, prefix as u64);
+                    if budget == Some(0) || !(seed_late || prefix == 0) {
+                        // Nothing stored, or a first pass that left the
+                        // sweeper alone: swept from scratch.
+                        assert_eq!((resume.hit, resume.rows_skipped), (false, 0), "{what} {r}");
+                    } else if let Some(d) = dirtied {
+                        assert!(resume.rows_skipped <= d as u64, "{what} {r}: resumed too deep");
+                        // A late first pass left a snapshot at its first
+                        // straddled row: while that stays clean (and the
+                        // budget evicts nothing) the realignment resumes
+                        // there or deeper.
+                        let kept = triangle.first_straddling_row(r).filter(|&s| s <= d);
+                        let kept = kept.filter(|_| budget == Some(1 << 20)).unwrap_or(0);
+                        assert!(resume.rows_skipped >= kept as u64, "{what} {r}");
+                        resumed += usize::from(resume.hit);
+                    } else {
+                        // No accept since the first pass straddles the
+                        // split: served entirely from the memo.
+                        assert_eq!((resume.hit, again.cells), (true, 0), "{what} {r}");
+                        replayed += 1;
+                    }
                 }
-            }
-            if budget > 0 {
-                assert!(sweeper.pool_reuses() > 0, "pool must recycle buffers");
+                if budget.is_some_and(|b| b > 0) {
+                    assert!(sweeper.pool_reuses() > 0, "{what}: pool must recycle buffers");
+                }
             }
         }
+        assert!(late > 0 && replayed > 0 && resumed > 0, "{late} {replayed} {resumed}");
     }
 
     /// A split no accept straddles is served entirely from the memo.
@@ -576,85 +745,23 @@ mod tests {
         let seq = dna("ATGCATGCATGCATGC");
         let scoring = Scoring::dna_example();
         let input = ScoredSeq::new(&seq, &scoring);
-        let mut sweeper = IncrementalSweeper::new(1 << 20);
+        let mut sweeper = SplitSweeper::new(Some(1 << 20), true);
         let mut triangle = OverrideTriangle::new(seq.len());
         let mut dirty = DirtyLog::new();
-        let first = sweeper.first_pass(&input, 4, &triangle, 0);
+        let first = sweeper.sweep(&input, 4, &triangle, None, &dirty, None);
         let orig = first.first_row.unwrap();
         // Accept far away: pairs entirely above split 4? No — straddles
         // need p < 4 ≤ q. Use p ≥ 4 so split 4 stays clean.
         triangle.set(8, 12);
         dirty.record_accept(&[(8, 12)]);
-        let inc = sweeper.realign(&input, 4, &triangle, &orig, &dirty, 1);
-        assert!(inc.full_skip);
-        assert_eq!(inc.result.cells, 0);
-        assert_eq!(inc.rows_skipped, 4);
+        let inc = sweeper.sweep(&input, 4, &triangle, Some(&orig), &dirty, None);
+        let resume = inc.resume.unwrap();
+        assert!(resume.hit);
+        assert_eq!(inc.cells, 0);
+        assert_eq!(resume.rows_skipped, 4);
         let oracle = align_task(&seq, &scoring, 4, &triangle, Some(&orig), None);
-        assert_eq!(inc.result.score, oracle.score);
-        assert_eq!(inc.result.shadow_rejections, oracle.shadow_rejections);
-    }
-
-    /// A first pass under a grown triangle is the clean sweep plus the
-    /// masked `align_task`, bit for bit — with and without a checkpoint
-    /// budget, striped or not — for splits the accepts straddle high,
-    /// low, and not at all; the masked sweep resumes at the first
-    /// straddled row, and the state it leaves serves the next
-    /// realignment exactly.
-    #[test]
-    fn late_first_pass_matches_clean_plus_masked_sweeps() {
-        let seq = dna(&"ATGCATGCATGC".repeat(3));
-        let scoring = Scoring::dna_example();
-        let input = ScoredSeq::new(&seq, &scoring);
-        let mut triangle = OverrideTriangle::new(seq.len());
-        let mut dirty = DirtyLog::new();
-        for pairs in [vec![(8, 20), (9, 21), (10, 22)], vec![(2, 30)]] {
-            for &(p, q) in &pairs {
-                triangle.set(p, q);
-            }
-            dirty.record_accept(&pairs);
-        }
-        let mut grown = triangle.clone();
-        grown.set(12, 26);
-        let mut grown_dirty = dirty.clone();
-        grown_dirty.record_accept(&[(12, 26)]);
-        let empty = OverrideTriangle::new(seq.len());
-        let mut sweeper = IncrementalSweeper::new(1 << 20);
-        for r in 1..seq.len() {
-            let clean = align_task(&seq, &scoring, r, &empty, None, None);
-            let clean_row = clean.first_row.unwrap();
-            let masked = align_task(&seq, &scoring, r, &triangle, Some(&clean_row), None);
-            let first_dirty = triangle.first_straddling_row(r);
-            let resumed = first_dirty.map_or(0, |d| (r - d) * (seq.len() - r));
-            let lates = [
-                ("plain", late_first_pass(&input, r, &triangle, None)),
-                ("striped", late_first_pass(&input, r, &triangle, Some(3))),
-                ("sweeper", sweeper.first_pass(&input, r, &triangle, 2)),
-            ];
-            for (what, late) in lates {
-                assert_eq!(late.first_row.as_deref(), Some(&clean_row[..]), "{what} {r}");
-                assert_eq!(
-                    (late.score, late.col, late.shadow_rejections),
-                    (masked.score, masked.col, masked.shadow_rejections),
-                    "{what} split {r}"
-                );
-                if what != "striped" {
-                    assert_eq!(late.cells, clean.cells + resumed as u64, "{what} split {r}");
-                }
-            }
-            let inc = sweeper.realign(&input, r, &grown, &clean_row, &grown_dirty, 3);
-            let oracle = align_task(&seq, &scoring, r, &grown, Some(&clean_row), None);
-            assert_eq!(
-                (inc.result.score, inc.result.col, inc.result.shadow_rejections),
-                (oracle.score, oracle.col, oracle.shadow_rejections),
-                "realignment after a late first pass, split {r}"
-            );
-            // The late first pass seeded the checkpoints: the new pair
-            // dirties splits 13..=26 from row 12, the snapshot at their
-            // first straddled row (2) is the shallowest one to resume.
-            if (13..=26).contains(&r) {
-                assert!((2..=12).contains(&inc.resumed_at), "split {r}: {}", inc.resumed_at);
-            }
-        }
+        assert_eq!(inc.score, oracle.score);
+        assert_eq!(inc.shadow_rejections, oracle.shadow_rejections);
     }
 
     /// Deep splits resume from a checkpoint instead of row 0 when the
@@ -664,22 +771,22 @@ mod tests {
         let seq = dna(&"ACGT".repeat(16)); // 64 residues
         let scoring = Scoring::dna_example();
         let input = ScoredSeq::new(&seq, &scoring);
-        let mut sweeper = IncrementalSweeper::new(1 << 20);
+        let mut sweeper = SplitSweeper::new(Some(1 << 20), true);
         let mut triangle = OverrideTriangle::new(seq.len());
         let mut dirty = DirtyLog::new();
         let r = 48;
-        let first = sweeper.first_pass(&input, r, &triangle, 0);
+        let first = sweeper.sweep(&input, r, &triangle, None, &dirty, None);
         let orig = first.first_row.unwrap();
         // Dirty only rows ≥ 40 of split 48 (pair p=40 < 48 ≤ q=50).
         triangle.set(40, 50);
         dirty.record_accept(&[(40, 50)]);
-        let inc = sweeper.realign(&input, r, &triangle, &orig, &dirty, 1);
-        assert!(!inc.full_skip);
-        assert!(inc.resumed_at > 0, "expected a checkpoint resume");
-        assert!(inc.resumed_at <= 40, "resume must stay above the dirty row");
+        let inc = sweeper.sweep(&input, r, &triangle, Some(&orig), &dirty, None);
+        let resume = inc.resume.unwrap();
+        assert!(resume.hit && inc.cells > 0, "expected a checkpoint resume");
+        assert!(resume.rows_skipped > 0);
+        assert!(resume.rows_skipped <= 40, "resume must stay above the dirty row");
         let oracle = align_task(&seq, &scoring, r, &triangle, Some(&orig), None);
-        assert_eq!(inc.result.score, oracle.score);
-        assert_eq!(inc.result.col, oracle.col);
-        assert_eq!(inc.result.shadow_rejections, oracle.shadow_rejections);
+        assert_eq!(inc.score, oracle.score);
+        assert_eq!(inc.shadow_rejections, oracle.shadow_rejections);
     }
 }

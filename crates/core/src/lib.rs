@@ -24,10 +24,12 @@
 //!   score bounds from two triangular self-sweeps (forward and
 //!   reversed), refreshed on demand, so splits that cannot hold a top
 //!   are never aligned at all; plus a diagnostic k-mer/diagonal index.
-//! * [`incremental`] — the checkpointed incremental realignment layer:
-//!   budget-capped DP-row snapshots plus sweep memoisation, resuming
-//!   realignments below the dirty boundary (bit-identical by
-//!   construction).
+//! * [`incremental`] — the split unit of work
+//!   ([`SplitSweeper`]: how one split is first-passed or realigned,
+//!   written once for every scheduler) over the checkpointed
+//!   incremental realignment layer: budget-capped DP-row snapshots plus
+//!   sweep memoisation, resuming realignments below the dirty boundary
+//!   (bit-identical by construction).
 //! * [`stats`] — work accounting (alignments, cells, realignment rates:
 //!   the quantities behind the paper's "90–97 % fewer realignments" and
 //!   "3–10 % need realignment" claims).
@@ -57,7 +59,7 @@ pub use finder::{
     align_task, find_top_alignments, FinderConfig, RowMode, ScoredSeq, Search, Step, TaskResult,
     TopAlignment, TopAlignmentFinder, TopAlignments,
 };
-pub use incremental::{late_first_pass, IncrementalSweep, IncrementalSweeper};
+pub use incremental::{Resume, SplitOutcome, SplitSweeper};
 pub use seed::{PairMask, SeedConfig, SplitBounds};
 pub use split_mask::SplitMask;
 pub use stats::Stats;

@@ -113,6 +113,16 @@ impl Stats {
         self.row_recompute_cells += cells;
     }
 
+    /// Record one realignment through the incremental layer, as
+    /// [`crate::Resume::tallies`] orders it: `[hits, misses, rows swept,
+    /// rows skipped]`.
+    pub fn record_resume(&mut self, tallies: [u64; 4]) {
+        self.checkpoint_hits += tallies[0];
+        self.checkpoint_misses += tallies[1];
+        self.realign_rows_swept += tallies[2];
+        self.realign_rows_skipped += tallies[3];
+    }
+
     /// Merge another engine's counters into this one (used by the
     /// parallel engines to sum per-worker stats).
     pub fn merge(&mut self, other: &Stats) {

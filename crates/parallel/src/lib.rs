@@ -15,108 +15,126 @@
 //! (an `Arc` snapshot is swapped on each acceptance), and first-pass
 //! bottom rows are written once and then immutable (`OnceLock`).
 //!
-//! [`simd_smp`] composes this scheme with the SIMD kernels: workers
-//! claim *groups* of neighbouring splits and realign them with the
-//! runtime-dispatched vector sweep — the paper's SIMD × SMP stacking.
-//!
-//! Each engine is one function —
+//! There is **one engine** (the private `engine` module: task table,
+//! `decide`, the worker loop, the end-of-run fold), generic over its
+//! unit of work, and two constructors of it. The paper calls its
+//! accelerations orthogonal — "the SIMD kernel speeds up each
+//! alignment, the SMP and cluster schemes distribute the alignments":
 //! [`find_top_alignments_parallel`]`(seq, scoring, &search, threads, rec)`
-//! and [`find_top_alignments_parallel_simd`]`(.., threads, sel, rec)` —
-//! taking the shared [`repro_core::Search`] and returning plain
-//! [`repro_core::TopAlignments`]. Workers tally under the shared lock
-//! and the engine folds the tallies into `rec` after the thread scope
-//! joins: a worker thread cannot hold the caller's `&mut` recorder.
+//! schedules single splits swept by [`repro_core::SplitSweeper`];
+//! [`find_top_alignments_parallel_simd`]`(.., threads, sel, rec)`
+//! schedules lane packs of neighbouring splits swept by
+//! [`repro_simd::LanePacks`] — the paper's SIMD × SMP stacking. Both
+//! take the shared [`repro_core::Search`] and return plain
+//! [`repro_core::TopAlignments`]; with one thread each is count for
+//! count the sequential engine of its unit. Workers tally under the
+//! shared lock and the engine folds the tallies into `rec` after the
+//! thread scope joins: a worker thread cannot hold the caller's `&mut`
+//! recorder.
 
 #![warn(missing_docs)]
 
+mod engine;
 pub mod simd_smp;
 
 pub use simd_smp::find_top_alignments_parallel_simd;
 
-use parking_lot::{Condvar, Mutex};
+use engine::{Common, Unit};
 use repro_align::{Score, Scoring, Seq};
 use repro_core::{
-    late_first_pass, DirtyLog, IncrementalSweeper, OverrideTriangle, ScoredSeq, Search,
-    SplitBounds, Stats, TopAlignment, TopAlignments,
+    DirtyLog, OverrideTriangle, Search, SplitOutcome, SplitSweeper, Stats, TopAlignment,
+    TopAlignments,
 };
-use repro_obs::{Counter, HistSet, Metric, Phase, Recorder};
-use std::sync::Arc;
-use std::sync::OnceLock;
-use std::time::Instant;
+use repro_obs::{FlightRecorder, Metric, Recorder};
+use std::ops::Range;
 
-/// The end-of-run fold both SMP engines share: the tallies their workers
-/// keep under the shared lock — measured unconditionally, a couple of
-/// clock reads per coarse-grained task — plus the `Stats` mirror, into
-/// the caller's recorder. It runs after the thread scope has joined
-/// because worker threads outlive any one borrow of `rec`.
-fn fold_worker_tallies<R: Recorder>(
-    rec: &mut R,
-    stats: &Stats,
-    claims: u64,
-    superseded: u64,
-    idle_secs: f64,
-    traceback_secs: f64,
-    hists: &HistSet,
-) {
-    rec.add(Counter::TaskClaims, claims);
-    rec.add(Counter::SupersededWork, superseded);
-    rec.add_phase_secs(Phase::WorkerIdle, idle_secs);
-    if stats.tracebacks > 0 {
-        rec.add_phase_secs(Phase::Traceback, traceback_secs);
-    }
-    for m in Metric::ALL {
-        rec.observe_hist(m, hists.get(m));
-    }
-    stats.mirror_into(rec);
-}
-
-#[derive(Debug, Clone, Copy)]
-struct TaskState {
-    score: Score,
-    aligned_with: usize,
-    assigned: bool,
-}
-
-struct Shared {
-    state: Vec<TaskState>, // index r − 1
-    triangle: Arc<OverrideTriangle>,
-    tops: Vec<TopAlignment>,
-    stats: Stats,
-    /// Alignments computed against an already-superseded triangle
-    /// version (the speculation overhead; paper: ≤ 8.4 %).
-    superseded: u64,
-    /// Tasks claimed by workers (acceptances + realignments).
-    claims: u64,
-    /// Seconds workers spent blocked waiting for claimable work, summed
-    /// across workers.
-    idle_secs: f64,
-    /// Seconds of acceptance recomputation and traceback (the serial
-    /// master-side step).
-    traceback_secs: f64,
-    /// Sweep duration, task round trip, queue wait, resume rows.
-    hists: HistSet,
-    accept_in_progress: bool,
-    done: bool,
-    /// `Some` with seeded pruning: the admissible per-split bounds,
-    /// told of each accept and refreshed on demand, under the lock.
-    bounds: Option<SplitBounds>,
-    /// Splits that have completed their first alignment pass.
-    first_passes: usize,
-}
-
-struct Engine<'a> {
-    input: ScoredSeq<'a>,
-    count: usize,
-    /// Incremental realignment layer budget (`None` = off). Each worker
-    /// keeps its own sweeper and dirty-log replica, synced from the
-    /// shared top list under the lock.
+/// The split unit of work: unit `u` is split `u + 1`. Each worker keeps
+/// its own sweeper — its checkpoints and scratch pool — and a dirty-log
+/// replica of the shared accept history, caught up under the lock at
+/// plan time so its version always equals the stamp of the triangle
+/// snapshot the worker sweeps under. Nothing is shared.
+struct SplitUnit {
+    splits: usize,
     checkpoint_budget: Option<usize>,
-    shared: Mutex<Shared>,
-    wake: Condvar,
-    rows: Vec<OnceLock<Vec<Score>>>, // index r − 1, first-pass bottom rows
 }
 
-const NEVER: usize = usize::MAX;
+impl Unit for SplitUnit {
+    type Locked = ();
+    type Local = (SplitSweeper, DirtyLog);
+    /// The split, and the accepts behind the snapshot it is swept under.
+    type Plan = (usize, usize);
+    type Swept = SplitOutcome;
+
+    fn units(&self) -> usize {
+        self.splits
+    }
+
+    fn splits(&self, u: usize) -> Range<usize> {
+        u + 1..u + 2
+    }
+
+    fn local(&self) -> Self::Local {
+        (
+            SplitSweeper::new(self.checkpoint_budget, true),
+            DirtyLog::new(),
+        )
+    }
+
+    fn plan(
+        &self,
+        _: &mut (),
+        (sweeper, dirty): &mut Self::Local,
+        u: usize,
+        _first: bool,
+        tops: &[TopAlignment],
+    ) -> Self::Plan {
+        if sweeper.checkpointing() {
+            dirty.sync_from(tops);
+        }
+        (u + 1, tops.len())
+    }
+
+    fn sweep(
+        &self,
+        common: &Common<'_>,
+        (sweeper, dirty): &mut Self::Local,
+        &(r, _): &Self::Plan,
+        triangle: &OverrideTriangle,
+    ) -> SplitOutcome {
+        let original = common.rows[r - 1].get().map(|row| &row[..]);
+        let mut out = sweeper.sweep(&common.input, r, triangle, original, dirty, None);
+        if let Some(row) = out.first_row.take() {
+            common.set_row(r, row);
+        }
+        out
+    }
+
+    fn commit(
+        &self,
+        _: &mut (),
+        stats: &mut Stats,
+        tally: &mut FlightRecorder,
+        (_, stamp): Self::Plan,
+        swept: Option<SplitOutcome>,
+    ) -> Score {
+        let out = swept.expect("a split is never replayed under the lock");
+        stats.shadow_rejections += out.shadow_rejections;
+        stats.record_alignment(out.cells, stamp);
+        if let Some(resume) = out.resume {
+            stats.record_resume(resume.tallies());
+            tally.observe(Metric::ResumeRows, resume.rows_swept);
+        }
+        out.score
+    }
+
+    fn best_member(&self, _: &(), u: usize, score: Score) -> (usize, Score) {
+        (u + 1, score)
+    }
+
+    fn retire(&self, (sweeper, _): Self::Local, stats: &mut Stats) {
+        stats.pool_reuses += sweeper.pool_reuses();
+    }
+}
 
 /// Find the top alignments `search` asks for using `threads` worker
 /// threads. Produces exactly the same alignments as the sequential
@@ -130,14 +148,15 @@ const NEVER: usize = usize::MAX;
 /// infinity, and never-aligned tasks whose bound stays below every
 /// acceptance are never swept by any worker; bounds are refreshed (only
 /// ever tightening) under the shared lock when a never-aligned task is
-/// about to be claimed and [`SplitBounds`] judges the resweep worth it,
-/// and folded straight into the task state — the in-place analogue of
-/// the sequential engine's bound-refresh pops. Alignments are
-/// bit-identical with either layer on or off.
+/// about to be claimed and [`repro_core::SplitBounds`] judges the
+/// resweep worth it, and folded straight into the task state — the
+/// in-place analogue of the sequential engine's bound-refresh pops.
+/// Alignments are bit-identical with either layer on or off.
 ///
 /// `rec` receives the workers' tallies once they have joined: task
 /// claims, superseded work, the `worker_idle` and `traceback` phases,
-/// the latency histograms and the `Stats` mirror.
+/// the `first_sweep` and `drain` seconds (summed across workers, like
+/// `worker_idle`), the latency histograms and the `Stats` mirror.
 ///
 /// ```
 /// use repro_parallel::find_top_alignments_parallel;
@@ -159,337 +178,18 @@ pub fn find_top_alignments_parallel<R: Recorder>(
     threads: usize,
     rec: &mut R,
 ) -> TopAlignments {
-    assert!(threads >= 1, "need at least one worker");
-    let m = seq.len();
-    let splits = m.saturating_sub(1);
-
-    let bounds = search
-        .seed
-        .map(|sc| SplitBounds::build(seq.codes(), scoring, sc));
-    let state: Vec<TaskState> = (0..splits)
-        .map(|i| TaskState {
-            score: match &bounds {
-                Some(b) => b.bound(i + 1),
-                None => Score::MAX,
-            },
-            aligned_with: NEVER,
-            assigned: false,
-        })
-        .collect();
-    let mut stats = Stats::new();
-    if let Some(b) = &bounds {
-        stats.seed_index_build_ns = b.build_ns();
-    }
-
-    let engine = Engine {
-        input: ScoredSeq::new(seq, scoring),
-        count: search.count,
+    let unit = SplitUnit {
+        splits: seq.len().saturating_sub(1),
         checkpoint_budget: search.checkpoint_budget,
-        shared: Mutex::new(Shared {
-            state,
-            triangle: Arc::new(OverrideTriangle::new(m)),
-            tops: Vec::new(),
-            stats,
-            superseded: 0,
-            claims: 0,
-            idle_secs: 0.0,
-            traceback_secs: 0.0,
-            hists: HistSet::new(),
-            accept_in_progress: false,
-            done: false,
-            bounds,
-            first_passes: 0,
-        }),
-        wake: Condvar::new(),
-        rows: (0..splits).map(|_| OnceLock::new()).collect(),
     };
-
-    if splits > 0 && search.count > 0 {
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| engine.worker());
-            }
-        });
-    }
-
-    let mut shared = engine.shared.into_inner();
-    if let Some(b) = &shared.bounds {
-        shared.stats.splits_pruned = splits.saturating_sub(shared.first_passes) as u64;
-        shared.stats.bound_recomputes = b.recomputes();
-    }
-    fold_worker_tallies(
-        rec,
-        &shared.stats,
-        shared.claims,
-        shared.superseded,
-        shared.idle_secs,
-        shared.traceback_secs,
-        &shared.hists,
-    );
-    TopAlignments {
-        alignments: shared.tops,
-        stats: shared.stats,
-        triangle: Arc::try_unwrap(shared.triangle).unwrap_or_else(|a| (*a).clone()),
-    }
-}
-
-enum Decision {
-    Accept {
-        r: usize,
-        score: Score,
-    },
-    Realign {
-        r: usize,
-        stamp: usize,
-        triangle: Arc<OverrideTriangle>,
-    },
-    Wait,
-    Finished,
-}
-
-impl Engine<'_> {
-    /// Pick the next action under the lock.
-    fn decide(&self, shared: &mut Shared) -> Decision {
-        loop {
-            if shared.done || shared.tops.len() >= self.count {
-                shared.done = true;
-                return Decision::Finished;
-            }
-            let tops_found = shared.tops.len();
-            // Global argmax over ALL tasks (assigned ones hold their stale
-            // upper bound), ties to the smaller split.
-            let mut best: Option<(Score, usize)> = None;
-            for (i, t) in shared.state.iter().enumerate() {
-                if best.is_none_or(|(bs, _)| t.score > bs) {
-                    best = Some((t.score, i));
-                }
-            }
-            let Some((best_score, best_i)) = best else {
-                shared.done = true;
-                return Decision::Finished;
-            };
-            if best_score <= 0 {
-                shared.done = true;
-                return Decision::Finished;
-            }
-            let best_task = shared.state[best_i];
-            if best_task.aligned_with == tops_found && !best_task.assigned {
-                if shared.accept_in_progress {
-                    // Someone is already accepting; speculate below.
-                } else {
-                    shared.accept_in_progress = true;
-                    shared.claims += 1;
-                    shared.stats.fresh_pops += 1;
-                    return Decision::Accept {
-                        r: best_i + 1,
-                        score: best_score,
-                    };
-                }
-            }
-            // Speculate: best stale unassigned task, if any.
-            let mut pick: Option<(Score, usize)> = None;
-            for (i, t) in shared.state.iter().enumerate() {
-                if !t.assigned
-                    && t.aligned_with != tops_found
-                    && t.score > 0
-                    && pick.is_none_or(|(ps, _)| t.score > ps)
-                {
-                    pick = Some((t.score, i));
-                }
-            }
-            let Some((_prior, i)) = pick else {
-                return Decision::Wait;
-            };
-            // A never-aligned pick is about to be swept: the moment the
-            // seed bounds may spend a refresh. If they do, fold them
-            // straight into every never-aligned unassigned task and
-            // decide again under the tightened bounds.
-            if shared.state[i].aligned_with == NEVER {
-                let stake = ((i + 1) * (self.input.seq.len() - i - 1)) as u64;
-                if let Some(bounds) = shared.bounds.as_mut() {
-                    let codes = self.input.seq.codes();
-                    if bounds.refresh_before_sweep(
-                        codes,
-                        self.input.scoring,
-                        &shared.triangle,
-                        stake,
-                    ) {
-                        for (j, t) in shared.state.iter_mut().enumerate() {
-                            if t.aligned_with == NEVER && !t.assigned {
-                                t.score = bounds.bound(j + 1);
-                            }
-                        }
-                        continue;
-                    }
-                }
-            }
-            shared.state[i].assigned = true;
-            shared.claims += 1;
-            shared.stats.stale_pops += 1;
-            return Decision::Realign {
-                r: i + 1,
-                stamp: tops_found,
-                triangle: Arc::clone(&shared.triangle),
-            };
-        }
-    }
-
-    fn worker(&self) {
-        // Worker-private incremental state: the sweeper owns this
-        // worker's checkpoints and scratch pool; the dirty log is a
-        // replica of the shared accept history, appended to under the
-        // lock so its version always equals the stamp of the triangle
-        // snapshot the worker sweeps under.
-        let mut incr = self.checkpoint_budget.map(IncrementalSweeper::new);
-        let mut local_dirty = DirtyLog::new();
-        let mut guard = self.shared.lock();
-        loop {
-            match self.decide(&mut guard) {
-                Decision::Finished => {
-                    if let Some(sweeper) = &incr {
-                        guard.stats.pool_reuses += sweeper.pool_reuses();
-                    }
-                    self.wake.notify_all();
-                    return;
-                }
-                Decision::Wait => {
-                    let t0 = Instant::now();
-                    self.wake.wait(&mut guard);
-                    guard.idle_secs += t0.elapsed().as_secs_f64();
-                    guard
-                        .hists
-                        .observe(Metric::QueueWaitNs, t0.elapsed().as_nanos() as u64);
-                }
-                Decision::Accept { r, score } => {
-                    let claim_t0 = Instant::now();
-                    let index = guard.tops.len();
-                    let mut triangle = (*guard.triangle).clone();
-                    drop(guard);
-
-                    let original = self.rows[r - 1]
-                        .get()
-                        .expect("accepted split must have a first-pass row");
-                    let traceback_t0 = Instant::now();
-                    let (top, cells) =
-                        self.input
-                            .accept_task_with_row(r, score, &mut triangle, original, index);
-                    let traceback_secs = traceback_t0.elapsed().as_secs_f64();
-
-                    guard = self.shared.lock();
-                    guard.traceback_secs += traceback_secs;
-                    guard.stats.record_traceback(cells);
-                    guard.triangle = Arc::new(triangle);
-                    if let Some(bounds) = guard.bounds.as_mut() {
-                        bounds.note_accept(&top.pairs);
-                    }
-                    guard.tops.push(top);
-                    guard.accept_in_progress = false;
-                    guard
-                        .hists
-                        .observe(Metric::TaskRoundTripNs, claim_t0.elapsed().as_nanos() as u64);
-                    // The accepted task keeps its score as an upper bound
-                    // and is now stale (tops count advanced).
-                    self.wake.notify_all();
-                }
-                Decision::Realign { r, stamp, triangle } => {
-                    let claim_t0 = Instant::now();
-                    if incr.is_some() {
-                        // Catch the replica up to the snapshot we are
-                        // about to sweep under: tops is still exactly
-                        // `stamp` long (same lock hold as decide()).
-                        local_dirty.sync_from(&guard.tops);
-                        debug_assert_eq!(local_dirty.version(), stamp as u64);
-                    }
-                    drop(guard);
-
-                    let sweep_t0 = Instant::now();
-                    let is_first = self.rows[r - 1].get().is_none();
-                    // (hit, rows swept, rows skipped) — realignments only.
-                    let mut inc_stats: Option<(bool, u64, u64)> = None;
-                    let (score, shadows, cells) = match (&mut incr, self.rows[r - 1].get()) {
-                        (sweeper, None) => {
-                            // First pass — with seeded pruning possibly a
-                            // late one, after accepts have grown the
-                            // triangle: the stored row is the clean one,
-                            // the score is masked and shadow-filtered.
-                            let res = match sweeper {
-                                Some(sweeper) => {
-                                    sweeper.first_pass(&self.input, r, &triangle, stamp as u64)
-                                }
-                                None => late_first_pass(&self.input, r, &triangle, None),
-                            };
-                            self.rows[r - 1]
-                                .set(res.first_row.expect("first pass returns its row"))
-                                .expect("first pass runs exactly once per split");
-                            (res.score, res.shadow_rejections, res.cells)
-                        }
-                        (Some(sweeper), Some(original)) => {
-                            let sweep = sweeper.realign(
-                                &self.input,
-                                r,
-                                &triangle,
-                                original,
-                                &local_dirty,
-                                stamp as u64,
-                            );
-                            inc_stats = Some((sweep.hit(), sweep.rows_swept, sweep.rows_skipped));
-                            (
-                                sweep.result.score,
-                                sweep.result.shadow_rejections,
-                                sweep.result.cells,
-                            )
-                        }
-                        (None, Some(original)) => {
-                            let res = self.input.align_task(r, &triangle, Some(original), None);
-                            (res.score, res.shadow_rejections, res.cells)
-                        }
-                    };
-
-                    // Measure the unlocked sweep before re-acquiring the
-                    // lock so contention does not inflate the sample.
-                    let sweep_ns = sweep_t0.elapsed().as_nanos() as u64;
-                    guard = self.shared.lock();
-                    guard.hists.observe(Metric::SweepNs, sweep_ns);
-                    if is_first {
-                        guard.first_passes += 1;
-                    }
-                    guard.stats.shadow_rejections += shadows;
-                    guard.stats.record_alignment(cells, stamp);
-                    if let Some((hit, swept, skipped)) = inc_stats {
-                        guard.stats.checkpoint_hits += u64::from(hit);
-                        guard.stats.checkpoint_misses += u64::from(!hit);
-                        guard.stats.realign_rows_swept += swept;
-                        guard.stats.realign_rows_skipped += skipped;
-                        guard.hists.observe(Metric::ResumeRows, swept);
-                    }
-                    if stamp != guard.tops.len() {
-                        guard.superseded += 1;
-                    }
-                    let t = &mut guard.state[r - 1];
-                    // Masking monotonicity for realignments, seed-bound
-                    // admissibility for first passes.
-                    debug_assert!(
-                        score <= t.score,
-                        "sweep of split {r} rose above its upper bound"
-                    );
-                    t.score = score;
-                    t.aligned_with = stamp;
-                    t.assigned = false;
-                    guard
-                        .hists
-                        .observe(Metric::TaskRoundTripNs, claim_t0.elapsed().as_nanos() as u64);
-                    self.wake.notify_all();
-                }
-            }
-        }
-    }
+    engine::run(&unit, (), seq, scoring, search, threads, rec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use repro_core::{find_top_alignments, SeedConfig};
-    use repro_obs::{FlightRecorder, NoopRecorder};
+    use repro_obs::{Counter, FlightRecorder, NoopRecorder, Phase};
 
     /// `count` tops on `threads` workers, both layers off, nothing recorded.
     fn plain(seq: &Seq, scoring: &Scoring, count: usize, threads: usize) -> TopAlignments {

@@ -27,10 +27,11 @@ proptest! {
             find_top_alignments_parallel(&seq, &scoring, &Search::new(count), threads, &mut rec);
         prop_assert_eq!(&got.alignments, &want.alignments,
             "{} threads diverged on {}", threads, seq);
-        // A single worker must be speculation-free.
+        // A single worker must be speculation-free (that it does the
+        // sequential engine's work count for count is `engines_agree`'s
+        // `one_worker_is_the_sequential_engine_count_for_count`).
         if threads == 1 {
             prop_assert_eq!(rec.counter(Counter::SupersededWork), 0);
-            prop_assert_eq!(got.stats.alignments, want.stats.alignments);
         }
     }
 }

@@ -239,6 +239,11 @@ fn every_engine_folds_its_tallies_under_the_keys_the_benchmark_reads() {
         check(entered("traceback"), true, "traceback phase");
         check(entered("delineate"), true, "delineate phase");
         check(entered("consensus"), true, "consensus phase");
+        // The single-threaded engines span their sweeps; the SMP engines
+        // fold their workers' unlocked sweep seconds, by kind.
+        let swept_here = smp || matches!(engine, Engine::Sequential | Engine::SimdDispatch { .. });
+        check(entered("first_sweep"), swept_here, "first_sweep phase");
+        check(entered("drain"), swept_here, "drain phase");
         check(counted("task_claims"), smp, "task_claims");
         check(entered("worker_idle"), smp, "worker_idle phase");
         if smp {
@@ -252,6 +257,7 @@ fn every_engine_folds_its_tallies_under_the_keys_the_benchmark_reads() {
             at(&["counters", "superseded_work"]);
         }
         check(counted("group_sweeps"), simd, "group_sweeps");
+        check(counted("lanes_active"), simd, "lanes_active");
         // BLOSUM scores on 220 residues never saturate an `i16` lane.
         check(counted("promoted_sweeps"), false, "promoted_sweeps");
         check(counted("narrow_saturations"), false, "narrow_saturations");
@@ -259,6 +265,76 @@ fn every_engine_folds_its_tallies_under_the_keys_the_benchmark_reads() {
         check(at(&["batching", "batches"]) > 0.0, cluster, "batches");
         let per_trip = at(&["batching", "tasks_per_round_trip"]);
         check(per_trip > 0.0, cluster, "tasks per round trip");
+    }
+}
+
+/// One SMP worker *is* the sequential engine of the same unit of work,
+/// count for count: `threads:1` against the sequential engine (the
+/// split unit) and `simd-threads:1` against `simd` at every width (the
+/// lane-pack unit), plain, checkpointed under a budget that binds and
+/// one that does not, seeded, and both. The schedulers differ; the tops
+/// and every computed-entry count — what proves the two callers of each
+/// unit share it — may not. (`pruned_pops` is left out: the engines
+/// that scan their task table lower bounds in place, without a pop.)
+#[test]
+fn one_worker_is_the_sequential_engine_count_for_count() {
+    let seq = titin_like(300, 12);
+    let mut pairs = vec![(Engine::Sequential, Engine::Threads(1))];
+    for width in [LaneWidth::X4, LaneWidth::X8, LaneWidth::X16].map(Some) {
+        let path = None;
+        let smp = Engine::SimdThreads {
+            threads: 1,
+            width,
+            path,
+        };
+        pairs.push((Engine::SimdDispatch { width, path }, smp));
+    }
+    let seeded = Some(SeedConfig::default());
+    for (budget, seed) in [
+        (None, None),
+        (Some(16 << 10), None),
+        (Some(1 << 20), None),
+        (None, seeded),
+        (Some(1 << 20), seeded),
+    ] {
+        for &(sequential, one_worker) in &pairs {
+            let [want, got] = [sequential, one_worker].map(|engine| {
+                Repro::new(Scoring::protein_default())
+                    .top_alignments(8)
+                    .engine(engine)
+                    .checkpoint_budget(budget)
+                    .seed_config(seed)
+                    .run(&seq)
+            });
+            let what = format!("{one_worker:?} with budget {budget:?}, seed {seed:?}");
+            assert_eq!(got.tops.alignments, want.tops.alignments, "{what}");
+            let counter = |a: &repro::Analysis, name: &str| {
+                let found = a.run.counters.iter().find(|c| c.0 == name);
+                found.expect("every counter is reported").1
+            };
+            let counts = |a: &repro::Analysis| {
+                let s = &a.tops.stats;
+                [
+                    ("cells", s.cells),
+                    ("alignments", s.alignments),
+                    ("fresh_pops", s.fresh_pops),
+                    ("stale_pops", s.stale_pops),
+                    ("checkpoint_hits", s.checkpoint_hits),
+                    ("checkpoint_misses", s.checkpoint_misses),
+                    ("realign_rows_swept", s.realign_rows_swept),
+                    ("realign_rows_skipped", s.realign_rows_skipped),
+                    ("lanes_skipped", s.lanes_skipped),
+                    ("lanes_compacted", s.lanes_compacted),
+                    ("shadow_rejections", s.shadow_rejections),
+                    ("splits_pruned", s.splits_pruned),
+                    ("bound_recomputes", s.bound_recomputes),
+                    ("group_sweeps", counter(a, "group_sweeps")),
+                ]
+            };
+            assert_eq!(counts(&got), counts(&want), "{what}");
+            // A single worker is speculation-free.
+            assert_eq!(counter(&got, "superseded_work"), 0, "{what}");
+        }
     }
 }
 

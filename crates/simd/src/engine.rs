@@ -25,23 +25,17 @@
 
 use crate::dispatch::{sweep_group_profile_i16_at, sweep_group_wide_at, SimdSel};
 use crate::group::{GroupCapture, GroupResult, GroupResume};
-use crate::resume::{GroupIncremental, LaneMemo};
+use crate::resume::LanePacks;
 use repro_align::{QueryProfile, Score, Scoring, Seq};
-use repro_core::bottom::best_valid_entry_counted;
 use repro_core::{
-    BottomRowStore, DirtyLog, OverrideTriangle, ScoredSeq, Search, SplitBounds, Stats,
-    TopAlignment, TopAlignments,
+    BottomRowStore, OverrideTriangle, ScoredSeq, Search, SplitBounds, Stats, TopAlignment,
+    TopAlignments,
 };
-use repro_obs::{Counter, Metric, Phase, Progress, Recorder};
+use repro_obs::{Metric, Phase, Progress, Recorder};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 use std::time::Instant;
-
-/// Per-group sweep memo: one [`LaneMemo`] per lane. Lane-granular — a
-/// lane untouched by accepts since *its* stamp replays its exact score
-/// even when sibling lanes must re-sweep.
-type GroupMemo = Option<Vec<LaneMemo>>;
 
 /// One group sweep's outcome: the (exact) group result plus how it was
 /// obtained.
@@ -185,8 +179,6 @@ pub struct FirstPass {
     /// Snapshots at the requested capture rows, of the *masked*
     /// recurrence — what realignments resume.
     pub caps: Vec<GroupCapture>,
-    /// Wall time of the clean and of the masked sweep, nanoseconds.
-    pub sweep_ns: (u64, Option<u64>),
 }
 
 impl GroupSweeper<'_> {
@@ -205,7 +197,6 @@ impl GroupSweeper<'_> {
         triangle: &OverrideTriangle,
         capture_rows: &[usize],
     ) -> FirstPass {
-        let t0 = Instant::now();
         let dirty = rs
             .iter()
             .filter_map(|&r| triangle.first_straddling_row(r))
@@ -216,7 +207,6 @@ impl GroupSweeper<'_> {
                 clean,
                 masked: None,
                 caps,
-                sweep_ns: (t0.elapsed().as_nanos() as u64, None),
             };
         };
         let d = dirty.min(rs[0] - 1);
@@ -225,8 +215,6 @@ impl GroupSweeper<'_> {
             clean_rows.push(d);
         }
         let (clean, mut caps) = self.sweep_at(rs, None, None, &clean_rows);
-        let clean_ns = t0.elapsed().as_nanos() as u64;
-        let t1 = Instant::now();
         let masked_rows: Vec<usize> = capture_rows.iter().copied().filter(|&c| c > d).collect();
         let (masked, masked_caps) = {
             let resume = (d > 0).then(|| caps.last().expect("captured at d").as_resume());
@@ -240,7 +228,6 @@ impl GroupSweeper<'_> {
             clean,
             masked: Some(masked),
             caps,
-            sweep_ns: (clean_ns, Some(t1.elapsed().as_nanos() as u64)),
         }
     }
 }
@@ -284,9 +271,9 @@ impl PartialOrd for GroupTask {
 /// are bit-identical with either layer on or off.
 ///
 /// `rec` receives phase spans around the group sweeps and tracebacks,
-/// lane-occupancy counters ([`Counter::LanesActive`] /
-/// [`Counter::LanesPadded`]), sweep, saturation and promotion counts,
-/// and the `Stats` mirror. The recorder is monomorphized: against
+/// lane-occupancy counters ([`repro_obs::Counter::LanesActive`] /
+/// [`repro_obs::Counter::LanesPadded`]), sweep, saturation and promotion
+/// counts, and the `Stats` mirror. The recorder is monomorphized: against
 /// [`repro_obs::NoopRecorder`] all of it compiles out.
 ///
 /// ```
@@ -303,7 +290,6 @@ impl PartialOrd for GroupTask {
 /// assert_eq!(tops.alignments.len(), 3);
 /// assert!(rec.counter(Counter::GroupSweeps) > 0);
 /// ```
-#[allow(clippy::needless_range_loop)] // index loops mirror the paper's pseudo code
 pub fn find_top_alignments_simd<R: Recorder>(
     seq: &Seq,
     scoring: &Scoring,
@@ -318,11 +304,6 @@ pub fn find_top_alignments_simd<R: Recorder>(
     } = *search;
     let m = seq.len();
     let splits = m.saturating_sub(1); // splits are 1..=splits
-    let lanes = sel.width.lanes();
-    let ngroups = splits.div_ceil(lanes.max(1));
-
-    let group_r0 = |gi: usize| 1 + gi * lanes;
-    let group_lanes = |gi: usize| lanes.min(splits - gi * lanes);
 
     let sweeper = GroupSweeper::new(seq, scoring, sel);
     // Acceptance traces back through the scalar full-matrix kernel.
@@ -332,6 +313,8 @@ pub fn find_top_alignments_simd<R: Recorder>(
     let mut bottomstore = BottomRowStore::new(m);
     let mut stats = Stats::new();
     let mut alignments: Vec<TopAlignment> = Vec::new();
+    // The lane-pack unit of work: how a stale group is (re)aligned.
+    let mut packs = LanePacks::new(splits, sel.width.lanes(), checkpoint_budget);
 
     // Seeded pruning: a group's admissible bound is the max of its
     // members' split bounds (a lane-pack is swept as a unit, so the
@@ -340,31 +323,13 @@ pub fn find_top_alignments_simd<R: Recorder>(
     if let Some(b) = &bounds {
         stats.seed_index_build_ns = b.build_ns();
     }
-    let group_bound = |b: &SplitBounds, gi: usize| -> Score {
-        b.max_bound(group_r0(gi)..group_r0(gi) + group_lanes(gi))
-    };
     // Splits (not groups) that have completed a first alignment pass.
     let mut first_passes = 0usize;
 
-    // Last exact member scores per group (valid, shadow-filtered).
-    let mut member_scores: Vec<Vec<Score>> = (0..ngroups)
-        .map(|gi| vec![Score::MAX; group_lanes(gi)])
-        .collect();
-
-    // Incremental layer, lane-granular: clean lanes replay their memo,
-    // dirty lanes re-pack into a compacted group resumed from the
-    // deepest checkpoint row shared by the whole pack. Budget 0 keeps
-    // the accounting but disables every shortcut.
-    let incremental = checkpoint_budget.is_some();
-    let mut incr = GroupIncremental::new(checkpoint_budget.unwrap_or(0));
-    let mut dirty = DirtyLog::new();
-    // Per group: one LaneMemo per lane (stamp + exact score/shadows).
-    let mut group_memo: Vec<GroupMemo> = vec![None; ngroups];
-
-    let mut queue: BinaryHeap<GroupTask> = (0..ngroups)
+    let mut queue: BinaryHeap<GroupTask> = (0..packs.groups())
         .map(|gi| GroupTask {
             score: match &bounds {
-                Some(b) => group_bound(b, gi),
+                Some(b) => b.max_bound(packs.splits_of(gi)),
                 None => Score::MAX,
             },
             gi: Reverse(gi),
@@ -390,6 +355,16 @@ pub fn find_top_alignments_simd<R: Recorder>(
         }
         let Reverse(gi) = task.gi;
         let tops_found = alignments.len();
+        let mut requeue = |score: Score, aligned_with: usize, rec: &mut R| {
+            if let Some(t0) = pop_t0 {
+                rec.observe(Metric::TaskRoundTripNs, t0.elapsed().as_nanos() as u64);
+            }
+            queue.push(GroupTask {
+                score,
+                gi: Reverse(gi),
+                aligned_with,
+            });
+        };
 
         // A never-swept group is where seed bounds act. If its queued
         // bound is still current it is about to be swept — the moment
@@ -400,26 +375,19 @@ pub fn find_top_alignments_simd<R: Recorder>(
         // exact scores must not be replaced by bounds.
         if task.aligned_with == usize::MAX {
             if let Some(b) = bounds.as_mut() {
-                if group_bound(b, gi) >= task.score {
+                let members = packs.splits_of(gi);
+                if b.max_bound(members.clone()) >= task.score {
                     // The stake in *vector* cells (rows × width): one
                     // kernel step each, like a cell of the scalar
                     // resweep it is weighed against.
-                    let rmax = group_r0(gi) + group_lanes(gi) - 1;
-                    let stake = (rmax * (m - group_r0(gi))) as u64;
+                    let stake = ((members.end - 1) * (m - members.start)) as u64;
                     b.refresh_before_sweep(seq.codes(), scoring, &triangle, stake);
                 }
-                let gb = group_bound(b, gi);
+                let gb = b.max_bound(members);
                 if gb < task.score {
                     stats.pruned_pops += 1;
                     rec.observe(Metric::PruneSlack, (task.score - gb) as u64);
-                    if let Some(t0) = pop_t0 {
-                        rec.observe(Metric::TaskRoundTripNs, t0.elapsed().as_nanos() as u64);
-                    }
-                    queue.push(GroupTask {
-                        score: gb,
-                        gi: Reverse(gi),
-                        aligned_with: usize::MAX,
-                    });
+                    requeue(gb, usize::MAX, rec);
                     continue;
                 }
             }
@@ -430,259 +398,54 @@ pub fn find_top_alignments_simd<R: Recorder>(
             rec.phase_start(Phase::Traceback);
             // Fresh group at the head: its best member is the next top
             // alignment (smallest split on ties).
-            let scores = &member_scores[gi];
-            let (best_l, &best_score) = scores
-                .iter()
-                .enumerate()
-                .max_by(|(la, sa), (lb, sb)| sa.cmp(sb).then(lb.cmp(la)))
-                .expect("groups are never empty");
-            let r = group_r0(gi) + best_l;
-            let index = tops_found;
+            let (r, best_score) = packs.best_member(gi);
             let (top, cells) =
-                scalar.accept_task(r, best_score, &mut triangle, &bottomstore, index);
+                scalar.accept_task(r, best_score, &mut triangle, &bottomstore, tops_found);
             stats.record_traceback(cells);
-            if incremental {
-                dirty.record_accept(&top.pairs);
-            }
             // Queued bounds stay admissible as they are; the bounds
             // tighten on demand, when a never-swept group comes up.
             if let Some(b) = bounds.as_mut() {
                 b.note_accept(&top.pairs);
             }
             alignments.push(top);
-            queue.push(GroupTask {
-                score: task.score,
-                gi: Reverse(gi),
-                aligned_with: task.aligned_with,
-            });
             rec.phase_end(Phase::Traceback);
-            if let Some(t0) = pop_t0 {
-                rec.observe(Metric::TaskRoundTripNs, t0.elapsed().as_nanos() as u64);
-            }
+            requeue(task.score, task.aligned_with, rec);
         } else {
             stats.stale_pops += 1;
-            let r0 = group_r0(gi);
-            let nl = group_lanes(gi);
             let first_pass = task.aligned_with == usize::MAX;
             let sweep_phase = if first_pass {
                 Phase::FirstSweep
             } else {
                 Phase::Drain
             };
-            // Per-lane classification: lanes untouched since their memo
-            // stamp replay exactly; the rest re-pack into a compacted
-            // group, resumed from the deepest checkpoint row shared by
-            // the whole pack. All lanes clean = the whole-group skip.
-            let mut plan = (incremental && !first_pass).then(|| {
-                let memo = group_memo[gi]
-                    .as_ref()
-                    .expect("realigned group must have a memo");
-                let stamps: Vec<u64> = memo.iter().map(|lm| lm.stamp).collect();
-                incr.plan(&dirty, r0, nl, &stamps)
-            });
-            let version = dirty.version();
-            if plan.as_ref().is_some_and(|p| p.full_skip()) {
-                rec.phase_start(sweep_phase);
-                let memo = group_memo[gi].as_mut().expect("skip implies a memo");
-                stats.checkpoint_hits += 1;
-                stats.lanes_skipped += nl as u64;
-                rec.add(Counter::LanesSkipped, nl as u64);
-                let mut group_best = 0;
-                for (l, lm) in memo.iter_mut().enumerate() {
-                    lm.stamp = version;
-                    stats.shadow_rejections += lm.shadows;
-                    stats.record_alignment(0, tops_found);
-                    stats.realign_rows_skipped += (r0 + l) as u64;
-                    member_scores[gi][l] = lm.score;
-                    group_best = group_best.max(lm.score);
-                }
-                rec.phase_end(sweep_phase);
-                if let Some(t0) = pop_t0 {
-                    rec.observe(Metric::TaskRoundTripNs, t0.elapsed().as_nanos() as u64);
-                }
-                queue.push(GroupTask {
-                    score: group_best,
-                    gi: Reverse(gi),
-                    aligned_with: tops_found,
-                });
-                continue;
-            }
             rec.phase_start(sweep_phase);
-            let mut count_sweep = |outcome: &SweepOutcome, active: usize| {
-                rec.add(Counter::GroupSweeps, 1);
-                rec.add(Counter::LanesActive, active as u64);
-                rec.add(Counter::LanesPadded, (lanes - active) as u64);
-                if outcome.saturated_narrow {
-                    rec.add(Counter::NarrowSaturations, 1);
-                }
-                if outcome.promoted {
-                    rec.add(Counter::PromotedSweeps, 1);
-                }
-            };
-            let mut group_best = 0;
-            if first_pass {
-                let rs_full: Vec<usize> = (0..nl).map(|l| r0 + l).collect();
-                let capture_rows = if incremental {
-                    incr.first_pass_captures(&dirty, r0, nl)
-                } else {
-                    Vec::new()
-                };
-                // Possibly a late first pass: under seeded pruning a
-                // group's first sweep can happen after accepts have
-                // grown the triangle.
-                let fp = sweeper.first_pass(&rs_full, &triangle, &capture_rows);
-                count_sweep(&fp.clean, nl);
-                if let Some(mo) = &fp.masked {
-                    count_sweep(mo, nl);
-                }
-                if R::ENABLED {
-                    rec.observe(Metric::SweepNs, fp.sweep_ns.0);
-                    if let Some(ns) = fp.sweep_ns.1 {
-                        rec.observe(Metric::SweepNs, ns);
-                    }
-                }
-                let caps = fp.caps;
-                let masked = fp.masked.map(|mo| mo.group);
-                let outcome = fp.clean;
-                let g = outcome.group;
-                let total_cells = g.cells + masked.as_ref().map_or(0, |mg| mg.cells);
-                let per_lane_cells = total_cells / nl as u64;
-                let mut lane_memo: Vec<LaneMemo> = Vec::new();
-                let mut lane_scores: Vec<Score> = Vec::with_capacity(nl);
-                for l in 0..nl {
-                    let r = r0 + l;
-                    bottomstore.store(r, &g.rows[l]);
-                    let mut lane_shadows = 0;
-                    let score = if let Some(mg) = &masked {
-                        let (s, _, shadows) = best_valid_entry_counted(&mg.rows[l], &g.rows[l]);
-                        stats.shadow_rejections += shadows;
-                        lane_shadows = shadows;
-                        s
-                    } else {
-                        g.rows[l].iter().copied().max().unwrap_or(0).max(0)
-                    };
-                    stats.record_alignment(per_lane_cells, tops_found);
-                    if incremental {
-                        lane_memo.push(LaneMemo {
-                            stamp: version,
-                            score,
-                            shadows: lane_shadows,
-                        });
-                    }
-                    lane_scores.push(score);
-                    member_scores[gi][l] = score;
-                    group_best = group_best.max(score);
-                }
-                if incremental {
-                    incr.commit(&rs_full, Vec::new(), caps, version, &lane_scores);
-                    group_memo[gi] = Some(lane_memo);
-                }
-                // The live admissibility check: the bound this pack was
-                // queued with dominates every member's task score.
-                debug_assert!(
-                    group_best <= task.score,
-                    "first sweep of group {gi} rose above its queued bound"
-                );
-                first_passes += nl;
-            } else {
-                let mut p = plan.take().unwrap_or_else(|| {
-                    // Non-incremental runs realign the whole group from
-                    // scratch, exactly as before.
-                    crate::resume::RealignPlan {
-                        clean: Vec::new(),
-                        packed: (0..nl).collect(),
-                        rs: (0..nl).map(|l| r0 + l).collect(),
-                        resume_row: 0,
-                        kept: Vec::new(),
-                        capture_rows: Vec::new(),
-                    }
-                });
-                let npack = p.packed.len();
-                let start = p.resume_row;
+            let plan = packs.plan(gi, first_pass, &alignments);
+            let swept = (!plan.is_replay()).then(|| {
                 let sweep_t0 = R::ENABLED.then(Instant::now);
-                let (outcome, caps) = {
-                    let resume = p.resume();
-                    sweeper.sweep_at(&p.rs, Some(&triangle), resume.as_ref(), &p.capture_rows)
-                };
-                let sweep_ns = sweep_t0.map(|t0| t0.elapsed().as_nanos() as u64);
-                count_sweep(&outcome, npack);
-                if let Some(ns) = sweep_ns {
-                    rec.observe(Metric::SweepNs, ns);
-                }
-                let g = outcome.group;
-                let per_lane_cells = g.cells / npack as u64;
-                let compacted = npack < nl || start > 0;
-                if incremental {
-                    if p.clean.is_empty() && start == 0 {
-                        stats.checkpoint_misses += 1;
-                    }
-                    stats.lanes_skipped += p.clean.len() as u64;
-                    rec.add(Counter::LanesSkipped, p.clean.len() as u64);
-                    if compacted {
-                        stats.lanes_compacted += npack as u64;
-                        rec.add(Counter::LanesCompacted, npack as u64);
-                    }
-                }
-                // Clean lanes: replay their memo verbatim (and bump the
-                // stamp — they were just verified clean up to now).
-                if !p.clean.is_empty() {
-                    let memo = group_memo[gi].as_mut().expect("clean lanes imply a memo");
-                    for &l in &p.clean {
-                        let lm = &mut memo[l];
-                        lm.stamp = version;
-                        stats.shadow_rejections += lm.shadows;
-                        stats.record_alignment(0, tops_found);
-                        stats.realign_rows_skipped += (r0 + l) as u64;
-                        member_scores[gi][l] = lm.score;
-                        group_best = group_best.max(lm.score);
-                    }
-                }
-                // Packed lanes: score the fresh bottom rows.
-                let mut pack_scores: Vec<Score> = Vec::with_capacity(npack);
-                for (i, &l) in p.packed.iter().enumerate() {
-                    let r = r0 + l;
-                    debug_assert_eq!(r, p.rs[i]);
-                    let original = bottomstore
+                let mut swept = plan.sweep(&sweeper, &triangle, |r| {
+                    bottomstore
                         .get(r)
-                        .expect("realigned member must have a stored first-pass row");
-                    let (score, _, shadows) = best_valid_entry_counted(&g.rows[i], original);
-                    stats.shadow_rejections += shadows;
-                    stats.record_alignment(per_lane_cells, tops_found);
-                    if incremental {
-                        stats.realign_rows_swept += (r - start) as u64;
-                        stats.realign_rows_skipped += start as u64;
-                        rec.observe(Metric::ResumeRows, (r - start) as u64);
-                        if let Some(memo) = group_memo[gi].as_mut() {
-                            memo[l] = LaneMemo {
-                                stamp: version,
-                                score,
-                                shadows,
-                            };
-                        }
-                    }
-                    pack_scores.push(score);
-                    member_scores[gi][l] = score;
-                    group_best = group_best.max(score);
+                        .expect("realigned member must have a stored first-pass row")
+                });
+                if let Some(t0) = sweep_t0 {
+                    rec.observe(Metric::SweepNs, t0.elapsed().as_nanos() as u64);
                 }
-                if incremental {
-                    incr.commit(
-                        &p.rs,
-                        std::mem::take(&mut p.kept),
-                        caps,
-                        version,
-                        &pack_scores,
-                    );
+                for (&r, row) in plan.splits().iter().zip(swept.first_rows.drain(..)) {
+                    bottomstore.store(r, &row);
+                    first_passes += 1;
                 }
-            }
-            rec.phase_end(sweep_phase);
-            if let Some(t0) = pop_t0 {
-                rec.observe(Metric::TaskRoundTripNs, t0.elapsed().as_nanos() as u64);
-            }
-            queue.push(GroupTask {
-                score: group_best,
-                gi: Reverse(gi),
-                aligned_with: tops_found,
+                swept
             });
+            let group_best = packs.commit(&mut stats, rec, plan, swept);
+            rec.phase_end(sweep_phase);
+            // Masking monotonicity for realignments; for a first pass
+            // the live admissibility check: the bound the pack was
+            // queued with dominates every member's task score.
+            debug_assert!(
+                group_best <= task.score,
+                "sweep of group {gi} rose above its queued bound"
+            );
+            requeue(group_best, tops_found, rec);
         }
     }
 
@@ -705,7 +468,7 @@ mod tests {
     use crate::dispatch::{select, DispatchPath};
     use crate::LaneWidth;
     use repro_core::{find_top_alignments, SeedConfig};
-    use repro_obs::{FlightRecorder, NoopRecorder};
+    use repro_obs::{Counter, FlightRecorder, NoopRecorder};
 
     const ALL_WIDTHS: [LaneWidth; 3] = [LaneWidth::X4, LaneWidth::X8, LaneWidth::X16];
 

@@ -56,7 +56,7 @@ pub use group::{
     GroupResult, GroupResume, LaneResume, DEFAULT_GROUP_STRIPE,
 };
 pub use lanes::{I16x16, I16x4, I16x8, SimdVec};
-pub use resume::{GroupIncremental, LaneMemo, RealignPlan, SIMD_MAX_CKPTS};
+pub use resume::{group_splits, LanePacks, PackPlan, PackSwept, SIMD_MAX_CKPTS};
 
 /// Lane-width selection: the paper's Table 2 columns (4 = SSE, 8 = SSE2)
 /// extended with the AVX2 width (16).

@@ -1,4 +1,22 @@
-//! Per-lane incremental resume for group sweeps.
+//! The lane-pack unit of work, and the per-lane incremental resume
+//! behind it.
+//!
+//! How one stale group is (re)aligned is decided here once, in three
+//! steps both SIMD engines call on a [`LanePacks`]:
+//!
+//! * **plan** ([`LanePacks::plan`]) — classify the group's lanes from
+//!   their memo stamps and the dirty log, take the packed lanes'
+//!   checkpoints out of the store, pick the capture rows; all lanes
+//!   clean is a replay that needs no sweep;
+//! * **sweep** ([`PackPlan::sweep`]) — a pure function of the plan, a
+//!   triangle snapshot and the clean bottom rows: the kernel sweep(s),
+//!   then the per-lane Appendix-A shadow filter;
+//! * **commit** ([`LanePacks::commit`]) — lane memos (which hold the
+//!   member scores), checkpoint store, `Stats` and the sweep tally.
+//!
+//! [`crate::find_top_alignments_simd`] calls them back to back; the
+//! SMP engine calls plan and commit under its lock and sweep outside
+//! it. The rest of this module is the layer plan and commit stand on.
 //!
 //! The incremental layer used to be group-granular: a stale group was
 //! either replayed whole (every lane clean since its last sweep) or
@@ -27,10 +45,14 @@
 //! checkpoint captured by a narrow sweep, a wide sweep or the scalar
 //! kernel restores into any of them bit-identically.
 
+use crate::engine::{GroupSweeper, SweepOutcome};
 use crate::group::{GroupCapture, GroupResume, LaneResume};
 use repro_align::{Checkpoint, CheckpointStore, Score};
-use repro_core::DirtyLog;
+use repro_core::bottom::best_valid_entry_counted;
+use repro_core::{DirtyLog, OverrideTriangle, Stats, TopAlignment};
+use repro_obs::{Counter, Metric, Recorder};
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// Checkpoints kept per split: a quarter-grid per sweep plus dirty
 /// frontiers accumulates fast across realignments; the shallowest are
@@ -48,15 +70,18 @@ pub const SIMD_MAX_CKPTS: usize = 8;
 pub const MIN_CAPTURE_STRIDE: usize = 64;
 
 /// One lane's sweep memo: the dirty-log version of its last sweep plus
-/// the exact `(score, shadow_rejections)` to replay on a skip.
+/// the exact `(score, shadow_rejections)` to replay on a skip. Lane-
+/// granular — a lane untouched by accepts since *its* stamp replays its
+/// exact score even when sibling lanes must re-sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneMemo {
+struct LaneMemo {
     /// Dirty-log version at the lane's last (re)alignment.
-    pub stamp: u64,
-    /// Exact post-shadow score at that version.
-    pub score: Score,
+    stamp: u64,
+    /// Exact post-shadow score at that version — the member's upper
+    /// bound ever after (`Score::MAX` until the first pass).
+    score: Score,
     /// Shadow rejections counted when that score was computed.
-    pub shadows: u64,
+    shadows: u64,
 }
 
 /// Shared per-run incremental state for the group engines: the
@@ -64,40 +89,24 @@ pub struct LaneMemo {
 /// but disables every shortcut (accounting-only mode, the documented
 /// always-exact fallback).
 #[derive(Debug)]
-pub struct GroupIncremental {
+struct GroupIncremental {
     store: CheckpointStore,
     enabled: bool,
 }
 
 impl GroupIncremental {
     /// A store with the given global byte budget (0 disables shortcuts).
-    pub fn new(budget: usize) -> Self {
+    fn new(budget: usize) -> Self {
         GroupIncremental {
             store: CheckpointStore::new(budget),
             enabled: budget > 0,
         }
     }
 
-    /// Whether skips/resumes/captures are enabled (budget > 0).
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Whole-split evictions performed by the underlying store.
-    pub fn evictions(&self) -> u64 {
-        self.store.evictions()
-    }
-
     /// Classify a stale group's lanes and pull the packed lanes'
     /// checkpoints out of the store. `stamps[l]` is lane `l`'s memo
     /// stamp (its last sweep's dirty-log version).
-    pub fn plan(
-        &mut self,
-        dirty: &DirtyLog,
-        r0: usize,
-        nl: usize,
-        stamps: &[u64],
-    ) -> RealignPlan {
+    fn plan(&mut self, dirty: &DirtyLog, r0: usize, nl: usize, stamps: &[u64]) -> RealignPlan {
         debug_assert_eq!(stamps.len(), nl);
         let mut clean = Vec::new();
         let mut packed = Vec::new();
@@ -164,7 +173,7 @@ impl GroupIncremental {
     /// of the whole group but only the one just below the (future)
     /// frontier ever gets used; realignment sweeps re-checkpoint at the
     /// actual frontier with the full grid.
-    pub fn first_pass_captures(&self, dirty: &DirtyLog, r0: usize, nl: usize) -> Vec<usize> {
+    fn first_pass_captures(&self, dirty: &DirtyLog, r0: usize, nl: usize) -> Vec<usize> {
         if !self.enabled || nl == 0 {
             return Vec::new();
         }
@@ -177,7 +186,7 @@ impl GroupIncremental {
     /// capture entries at lane position `i`; `stamp` is the sweep's
     /// dirty-log version and `priority[i]` the lane's post-sweep score
     /// (the store's eviction key).
-    pub fn commit(
+    fn commit(
         &mut self,
         rs: &[usize],
         kept: Vec<Vec<Checkpoint>>,
@@ -223,27 +232,27 @@ impl GroupIncremental {
 
 /// One stale group's per-lane realignment plan.
 #[derive(Debug)]
-pub struct RealignPlan {
+struct RealignPlan {
     /// Lane indices replayable from their memo (no dirty row).
-    pub clean: Vec<usize>,
+    clean: Vec<usize>,
     /// Lane indices to sweep, ascending.
-    pub packed: Vec<usize>,
+    packed: Vec<usize>,
     /// The packed lanes' splits (parallel to `packed`).
-    pub rs: Vec<usize>,
+    rs: Vec<usize>,
     /// Shared resume row for the packed sweep (0 = from scratch).
-    pub resume_row: usize,
+    resume_row: usize,
     /// Still-valid checkpoints per packed lane (the resume states borrow
     /// from these; `commit` hands them back to the store).
-    pub kept: Vec<Vec<Checkpoint>>,
+    kept: Vec<Vec<Checkpoint>>,
     /// Inter-row capture positions for the packed sweep.
-    pub capture_rows: Vec<usize>,
+    capture_rows: Vec<usize>,
 }
 
 impl RealignPlan {
     /// The resume input for the packed sweep, borrowing the kept
     /// checkpoints at [`RealignPlan::resume_row`]; `None` when sweeping
     /// from scratch.
-    pub fn resume(&self) -> Option<GroupResume<'_>> {
+    fn resume(&self) -> Option<GroupResume<'_>> {
         if self.resume_row == 0 {
             return None;
         }
@@ -268,7 +277,7 @@ impl RealignPlan {
     }
 
     /// Whether every lane was clean — the whole-group skip.
-    pub fn full_skip(&self) -> bool {
+    fn full_skip(&self) -> bool {
         self.packed.is_empty()
     }
 }
@@ -299,6 +308,284 @@ fn plan_captures(dirty: &DirtyLog, rs: &[usize], resume_row: usize, grid: usize)
     rows.into_iter()
         .filter(|&c| c > resume_row && c < rmax)
         .collect()
+}
+
+/// The consecutive splits of group `gi` when splits `1..=splits` are
+/// packed `lanes` to a group (the last group may be short).
+pub fn group_splits(splits: usize, lanes: usize, gi: usize) -> Range<usize> {
+    let r0 = 1 + gi * lanes;
+    r0..r0 + lanes.min(splits + 1 - r0)
+}
+
+/// The lane-pack unit's state for one run: per-lane memos (stamp, exact
+/// score, shadows — the scores double as the groups' member bounds),
+/// the budget-capped checkpoint store and the accept history they are
+/// stamped against. One per engine; the SMP engine keeps it under its
+/// lock.
+#[derive(Debug)]
+pub struct LanePacks {
+    lanes: usize,
+    splits: usize,
+    /// Incremental accounting on (`checkpoint_budget` set; a budget of 0
+    /// counts every realignment as a miss and shortcuts nothing).
+    incremental: bool,
+    incr: GroupIncremental,
+    /// The accepts so far, caught up from the top list at plan time.
+    dirty: DirtyLog,
+    /// Per group, per lane.
+    memo: Vec<Vec<LaneMemo>>,
+}
+
+impl LanePacks {
+    /// The packs of `splits` splits at `lanes` per group.
+    pub fn new(splits: usize, lanes: usize, checkpoint_budget: Option<usize>) -> Self {
+        let never = LaneMemo {
+            stamp: 0,
+            score: Score::MAX,
+            shadows: 0,
+        };
+        LanePacks {
+            lanes,
+            splits,
+            incremental: checkpoint_budget.is_some(),
+            incr: GroupIncremental::new(checkpoint_budget.unwrap_or(0)),
+            dirty: DirtyLog::new(),
+            memo: (0..splits.div_ceil(lanes))
+                .map(|gi| vec![never; group_splits(splits, lanes, gi).len()])
+                .collect(),
+        }
+    }
+
+    /// Number of groups.
+    pub fn groups(&self) -> usize {
+        self.memo.len()
+    }
+
+    /// The splits of group `gi`.
+    pub fn splits_of(&self, gi: usize) -> Range<usize> {
+        group_splits(self.splits, self.lanes, gi)
+    }
+
+    /// The split and score a fresh group `gi` yields as the next top
+    /// alignment: its best member, lowest lane on ties — the smallest
+    /// split, as the sequential engine breaks them.
+    pub fn best_member(&self, gi: usize) -> (usize, Score) {
+        let (l, lm) = self.memo[gi]
+            .iter()
+            .enumerate()
+            .max_by(|(la, a), (lb, b)| a.score.cmp(&b.score).then(lb.cmp(la)))
+            .expect("groups are never empty");
+        (self.splits_of(gi).start + l, lm.score)
+    }
+
+    /// Plan the sweep of stale group `gi` under the triangle `tops`
+    /// built: a first pass sweeps every lane from row 0; a realignment
+    /// sweeps only the lanes an accept has dirtied since their stamp,
+    /// compacted and resumed from the deepest checkpoint row they share.
+    pub fn plan(&mut self, gi: usize, first_pass: bool, tops: &[TopAlignment]) -> PackPlan {
+        if self.incremental {
+            self.dirty.sync_from(tops);
+        }
+        let splits = self.splits_of(gi);
+        let (r0, nl) = (splits.start, splits.len());
+        let lanes = if first_pass {
+            RealignPlan {
+                clean: Vec::new(),
+                packed: (0..nl).collect(),
+                rs: splits.collect(),
+                resume_row: 0,
+                kept: Vec::new(),
+                capture_rows: self.incr.first_pass_captures(&self.dirty, r0, nl),
+            }
+        } else {
+            // With the layer off or at budget 0 nothing is clean and
+            // nothing is stored: the whole group, from scratch.
+            let stamps: Vec<u64> = self.memo[gi].iter().map(|lm| lm.stamp).collect();
+            self.incr.plan(&self.dirty, r0, nl, &stamps)
+        };
+        PackPlan {
+            gi,
+            r0,
+            first_pass,
+            version: tops.len() as u64,
+            lanes,
+        }
+    }
+
+    /// Apply a plan and (unless it was a replay) its sweep: lane memos,
+    /// checkpoint store, `stats`, and into `rec` the sweep, saturation,
+    /// promotion and lane-occupancy counts plus the rows each re-swept
+    /// lane of an incremental realignment covered. Returns the group's
+    /// new score, its best member's.
+    pub fn commit<R: Recorder>(
+        &mut self,
+        stats: &mut Stats,
+        rec: &mut R,
+        plan: PackPlan,
+        swept: Option<PackSwept>,
+    ) -> Score {
+        let PackPlan {
+            gi,
+            r0,
+            first_pass,
+            version,
+            lanes: mut p,
+        } = plan;
+        let stamp = version as usize;
+        let memo = &mut self.memo[gi];
+        // Clean lanes: replay their memo verbatim (and bump the stamp —
+        // they were just verified clean up to now).
+        for &l in &p.clean {
+            let lm = &mut memo[l];
+            lm.stamp = version;
+            stats.shadow_rejections += lm.shadows;
+            stats.record_alignment(0, stamp);
+            stats.realign_rows_skipped += (r0 + l) as u64;
+        }
+        stats.lanes_skipped += p.clean.len() as u64;
+        rec.add(Counter::LanesSkipped, p.clean.len() as u64);
+        let accounted = self.incremental && !first_pass;
+        match swept {
+            // Every lane clean: the whole-group skip.
+            None => stats.checkpoint_hits += 1,
+            Some(swept) => {
+                let npack = p.packed.len();
+                let per_lane_cells = swept.cells / npack as u64;
+                let start = p.resume_row;
+                if accounted && p.clean.is_empty() && start == 0 {
+                    stats.checkpoint_misses += 1;
+                }
+                if accounted && (npack < memo.len() || start > 0) {
+                    stats.lanes_compacted += npack as u64;
+                    rec.add(Counter::LanesCompacted, npack as u64);
+                }
+                for (&l, &(score, shadows)) in p.packed.iter().zip(&swept.scored) {
+                    stats.shadow_rejections += shadows;
+                    stats.record_alignment(per_lane_cells, stamp);
+                    if accounted {
+                        let rows = (r0 + l - start) as u64;
+                        stats.realign_rows_swept += rows;
+                        stats.realign_rows_skipped += start as u64;
+                        rec.observe(Metric::ResumeRows, rows);
+                    }
+                    memo[l] = LaneMemo {
+                        stamp: version,
+                        score,
+                        shadows,
+                    };
+                }
+                let prios: Vec<Score> = swept.scored.iter().map(|&(score, _)| score).collect();
+                let kept = std::mem::take(&mut p.kept);
+                self.incr.commit(&p.rs, kept, swept.caps, version, &prios);
+                for (saturated_narrow, promoted) in swept.kernels {
+                    rec.add(Counter::GroupSweeps, 1);
+                    rec.add(Counter::NarrowSaturations, u64::from(saturated_narrow));
+                    rec.add(Counter::PromotedSweeps, u64::from(promoted));
+                    rec.add(Counter::LanesActive, npack as u64);
+                    rec.add(Counter::LanesPadded, (self.lanes - npack) as u64);
+                }
+            }
+        }
+        memo.iter().map(|lm| lm.score).max().unwrap_or(0)
+    }
+}
+
+/// What [`LanePacks::plan`] decided for one stale group: owned, so the
+/// sweep can run outside whatever lock guards the packs.
+#[derive(Debug)]
+pub struct PackPlan {
+    gi: usize,
+    r0: usize,
+    first_pass: bool,
+    /// Accepts behind the triangle the sweep runs under: the stamp of
+    /// every memo and checkpoint it leaves.
+    version: u64,
+    lanes: RealignPlan,
+}
+
+impl PackPlan {
+    /// Every lane replays its memo: commit without sweeping.
+    pub fn is_replay(&self) -> bool {
+        self.lanes.full_skip()
+    }
+
+    /// The splits [`Self::sweep`] sweeps, ascending.
+    pub fn splits(&self) -> &[usize] {
+        &self.lanes.rs
+    }
+
+    /// Sweep the planned lanes under `triangle` and shadow-filter each
+    /// bottom row against the lane's clean one — `clean_row(r)` for a
+    /// realignment, the sweep's own clean rows for a first pass, which
+    /// under seeded pruning can come after accepts: the pack is then
+    /// swept twice, clean for the shadow store and masked for the
+    /// scores (see [`GroupSweeper::first_pass`]).
+    pub fn sweep<'r>(
+        &self,
+        sweeper: &GroupSweeper<'_>,
+        triangle: &OverrideTriangle,
+        clean_row: impl Fn(usize) -> &'r [Score],
+    ) -> PackSwept {
+        let p = &self.lanes;
+        let flags = |o: &SweepOutcome| (o.saturated_narrow, o.promoted);
+        let (first_rows, current, cells, caps, kernels) = if self.first_pass {
+            let fp = sweeper.first_pass(&p.rs, triangle, &p.capture_rows);
+            let mut kernels = vec![flags(&fp.clean)];
+            let mut cells = fp.clean.group.cells;
+            let masked = fp.masked.map(|mo| {
+                kernels.push(flags(&mo));
+                cells += mo.group.cells;
+                mo.group.rows
+            });
+            (fp.clean.group.rows, masked, cells, fp.caps, kernels)
+        } else {
+            let resume = p.resume();
+            let (outcome, caps) =
+                sweeper.sweep_at(&p.rs, Some(triangle), resume.as_ref(), &p.capture_rows);
+            let kernels = vec![flags(&outcome)];
+            let group = outcome.group;
+            (Vec::new(), Some(group.rows), group.cells, caps, kernels)
+        };
+        let scored = (0..p.rs.len())
+            .map(|i| {
+                let original = first_rows
+                    .get(i)
+                    .map_or_else(|| clean_row(p.rs[i]), |row| &row[..]);
+                match &current {
+                    Some(rows) => {
+                        let (score, _, shadows) = best_valid_entry_counted(&rows[i], original);
+                        (score, shadows)
+                    }
+                    None => (original.iter().copied().max().unwrap_or(0).max(0), 0),
+                }
+            })
+            .collect();
+        PackSwept {
+            first_rows,
+            scored,
+            cells,
+            caps,
+            kernels,
+        }
+    }
+}
+
+/// The outcome of [`PackPlan::sweep`], for [`LanePacks::commit`].
+#[derive(Debug)]
+pub struct PackSwept {
+    /// First pass only: each swept split's clean bottom row, parallel to
+    /// [`PackPlan::splits`] — handed over by value for the caller's row
+    /// store (take them before committing).
+    pub first_rows: Vec<Vec<Score>>,
+    /// Per swept lane: exact post-shadow score and shadow rejections.
+    scored: Vec<(Score, u64)>,
+    /// Logical cells computed, all sweeps and lanes together.
+    cells: u64,
+    caps: Vec<GroupCapture>,
+    /// `(saturated narrow, promoted)` of each kernel sweep run: a narrow
+    /// `i16` sweep that saturated and was redone wide; a wide `i32`
+    /// sweep (saturation, or a scoring too large for `i16`).
+    kernels: Vec<(bool, bool)>,
 }
 
 #[cfg(test)]
