@@ -105,7 +105,7 @@ fn bench_triangle_ops(c: &mut Criterion) {
 }
 
 fn bench_scheduling_structures(c: &mut Criterion) {
-    use repro::core::{BottomRowStore, Task, TaskQueue};
+    use repro::core::{Task, TaskQueue};
     let mut g = c.benchmark_group("scheduling");
     g.measurement_time(Duration::from_secs(2));
     g.sample_size(30);
@@ -125,21 +125,6 @@ fn bench_scheduling_structures(c: &mut Criterion) {
                 }
             }
             black_box(popped)
-        })
-    });
-    g.bench_function("bottom_row_store_1024", |b| {
-        b.iter(|| {
-            let m = 1024;
-            let mut store = BottomRowStore::new(m);
-            for r in 1..m {
-                let row: Vec<i32> = (0..(m - r) as i32).collect();
-                store.store(r, &row);
-            }
-            let mut acc = 0i64;
-            for r in 1..m {
-                acc += store.get(r).unwrap().last().copied().unwrap_or(0) as i64;
-            }
-            black_box(acc)
         })
     });
     g.finish();

@@ -33,6 +33,7 @@
 //!   --gff                      print the repeat units as GFF3
 //!   --consensus                print the repeat-unit consensus
 //!   --low-memory               Appendix A linear-memory configuration
+//!                              (--engine seq only)
 //!   --checkpoint-budget BYTES  enable incremental realignment with a
 //!                              checkpoint store of BYTES (0 = account
 //!                              only; results identical either way)
@@ -310,6 +311,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 )
             }
         }
+    }
+    if opts.low_memory && opts.engine != Engine::Sequential {
+        // Only the sequential engine recomputes rows on demand; any
+        // other would silently store every row.
+        return Err("--low-memory applies only to --engine seq".to_string());
     }
     match (opts.generate.is_some(), positional.len()) {
         (true, 0) => Ok(opts),
@@ -864,6 +870,15 @@ mod tests {
         // Kernel knobs demand a dispatch-capable engine.
         let err = parse_args(&args(&["--engine", "seq", "--lanes", "8", "x.fa"])).unwrap_err();
         assert!(err.contains("simd"), "{err}");
+    }
+
+    #[test]
+    fn low_memory_demands_the_sequential_engine() {
+        assert!(parse_args(&args(&["--low-memory", "x.fa"])).unwrap().low_memory);
+        for engine in ["simd", "simd8", "threads:2", "simd-threads:2", "cluster:2"] {
+            let err = parse_args(&args(&["--engine", engine, "--low-memory", "x.fa"])).unwrap_err();
+            assert_eq!(err, "--low-memory applies only to --engine seq", "{engine}");
+        }
     }
 
     #[test]

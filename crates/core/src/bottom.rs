@@ -1,90 +1,70 @@
 //! The bottom-row store (paper Appendix A).
 //!
-//! After a split matrix is aligned for the *first* time — necessarily
-//! with an empty override triangle, since every task is aligned once
-//! before the first top alignment can be accepted — its bottom row is
-//! stored. Later realignments compare their bottom row entry-by-entry
-//! against the stored one: an entry that changed marks a **shadow
-//! alignment** (artificially rerouted around overridden cells) and is an
-//! invalid top-alignment end point.
+//! After a split matrix is aligned for the *first* time its **clean**
+//! (empty-triangle) bottom row is stored. Later realignments compare
+//! their bottom row entry-by-entry against the stored one: an entry that
+//! changed marks a **shadow alignment** (artificially rerouted around
+//! overridden cells) and is an invalid top-alignment end point.
 //!
 //! Split `r` (1-based, `1 ≤ r ≤ m−1`) has a bottom row of `m − r`
 //! scores; all rows together form a triangle of `m(m−1)/2` scores — the
-//! algorithm's largest data structure.
+//! algorithm's largest data structure. There is one store, [`Common`],
+//! for the inline driver and the SMP engine alike: a unit's sweep moves
+//! each first-pass row in, written once and immutable from then on.
 
-use repro_align::Score;
+use crate::finder::ScoredSeq;
+use repro_align::{Score, Scoring, Seq};
+use std::sync::OnceLock;
 
-/// Triangular store of first-pass bottom rows, one per split.
-#[derive(Debug, Clone)]
-pub struct BottomRowStore {
-    m: usize,
-    /// Flat storage; row of split `r` occupies `offset(r) .. offset(r)+m−r`.
-    data: Vec<Score>,
-    /// Which rows have been stored.
-    present: Vec<bool>,
+/// What every sweep and acceptance reads without a lock: the profiled
+/// sequence (sweeps, and the acceptance traceback through the scalar
+/// full-matrix kernel) and the first-pass bottom rows, written once
+/// each.
+#[derive(Debug)]
+pub struct Common<'a> {
+    /// The sequence under its scoring, profiled once.
+    pub input: ScoredSeq<'a>,
+    /// Index `r − 1`.
+    rows: Vec<OnceLock<Vec<Score>>>,
 }
 
-impl BottomRowStore {
-    /// An empty store for a sequence of length `m`.
-    pub fn new(m: usize) -> Self {
-        let total = m * m.saturating_sub(1) / 2;
-        BottomRowStore {
-            m,
-            data: vec![0; total],
-            present: vec![false; m],
+impl<'a> Common<'a> {
+    /// Profile `seq` and make room for one row per split.
+    pub fn new(seq: &'a Seq, scoring: &'a Scoring) -> Self {
+        Common {
+            input: ScoredSeq::new(seq, scoring),
+            rows: (1..seq.len()).map(|_| OnceLock::new()).collect(),
         }
     }
 
-    #[inline]
-    fn offset(&self, r: usize) -> usize {
-        debug_assert!((1..self.m).contains(&r), "split {r} out of range");
-        // Rows for splits 1..r stacked: lengths (m−1) + (m−2) + ... + (m−r+1).
-        (r - 1) * self.m - (r - 1) * r / 2
+    /// The clean bottom row of a split that has had its first pass.
+    pub fn row(&self, r: usize) -> &[Score] {
+        self.rows[r - 1]
+            .get()
+            .expect("split must have a first-pass row")
     }
 
-    /// Row length for split `r`.
-    #[inline]
-    pub fn row_len(&self, r: usize) -> usize {
-        self.m - r
-    }
-
-    /// Store the first-pass bottom row for split `r`.
+    /// Store the clean bottom row a first pass of `r` returned, by
+    /// value.
     ///
     /// # Panics
-    /// Panics if the row was already stored (first-pass rows are immutable;
-    /// storing twice indicates a scheduling bug) or has the wrong length.
-    pub fn store(&mut self, r: usize, row: &[Score]) {
-        assert!(!self.present[r], "bottom row for split {r} stored twice");
-        assert_eq!(row.len(), self.row_len(r), "bottom row length mismatch");
-        let o = self.offset(r);
-        self.data[o..o + row.len()].copy_from_slice(row);
-        self.present[r] = true;
+    /// Panics if the row was already stored (first-pass rows are
+    /// immutable; storing twice indicates a scheduling bug) or has the
+    /// wrong length.
+    pub fn set_row(&self, r: usize, row: Vec<Score>) {
+        assert_eq!(
+            row.len(),
+            self.rows.len() + 1 - r,
+            "bottom row length mismatch"
+        );
+        let stored = self.rows[r - 1].set(row);
+        assert!(stored.is_ok(), "bottom row for split {r} stored twice");
     }
 
-    /// The stored row for split `r`, or `None` if not yet stored.
-    pub fn get(&self, r: usize) -> Option<&[Score]> {
-        if self.present[r] {
-            let o = self.offset(r);
-            Some(&self.data[o..o + self.row_len(r)])
-        } else {
-            None
-        }
-    }
-
-    /// `true` iff split `r`'s first-pass row has been stored.
-    #[inline]
-    pub fn contains(&self, r: usize) -> bool {
-        self.present[r]
-    }
-
-    /// Number of rows stored so far.
-    pub fn stored_rows(&self) -> usize {
-        self.present.iter().filter(|&&p| p).count()
-    }
-
-    /// Total scores held when full (the `m(m−1)/2` of Appendix A).
-    pub fn capacity_scores(&self) -> usize {
-        self.data.len()
+    /// Drop the row of split `r`: Appendix A's linear-memory option
+    /// keeps a row only while the pop that needs it runs.
+    pub fn forget_row(&mut self, r: usize) {
+        self.rows[r - 1].take();
     }
 }
 
@@ -129,43 +109,35 @@ pub fn best_valid_entry_counted(
 mod tests {
     use super::*;
 
-    #[test]
-    fn offsets_tile_the_triangle_exactly() {
-        let m = 13;
-        let store = BottomRowStore::new(m);
-        let mut expected = 0;
-        for r in 1..m {
-            assert_eq!(store.offset(r), expected);
-            expected += store.row_len(r);
-        }
-        assert_eq!(expected, store.capacity_scores());
-        assert_eq!(expected, m * (m - 1) / 2);
+    fn dna(len: usize) -> Seq {
+        Seq::dna(&"ACGT".repeat(len)[..len]).unwrap()
     }
 
     #[test]
     fn store_and_get_roundtrip() {
-        let mut store = BottomRowStore::new(6);
-        store.store(2, &[5, 0, 3, 9]);
-        store.store(5, &[7]);
-        assert_eq!(store.get(2), Some(&[5, 0, 3, 9][..]));
-        assert_eq!(store.get(5), Some(&[7][..]));
-        assert_eq!(store.get(3), None);
-        assert_eq!(store.stored_rows(), 2);
-        assert!(store.contains(2) && !store.contains(4));
+        let (seq, scoring) = (dna(6), Scoring::dna_example());
+        let mut store = Common::new(&seq, &scoring);
+        store.set_row(2, vec![5, 0, 3, 9]);
+        store.set_row(5, vec![7]);
+        assert_eq!(store.row(2), &[5, 0, 3, 9][..]);
+        assert_eq!(store.row(5), &[7][..]);
+        // A forgotten row may be stored anew.
+        store.forget_row(2);
+        store.set_row(2, vec![1, 1, 1, 1]);
+        assert_eq!(store.row(2), &[1, 1, 1, 1][..]);
     }
 
     #[test]
     fn adjacent_rows_do_not_clobber() {
         let m = 8;
-        let mut store = BottomRowStore::new(m);
+        let (seq, scoring) = (dna(m), Scoring::dna_example());
+        let store = Common::new(&seq, &scoring);
         for r in 1..m {
-            let row: Vec<Score> = (0..store.row_len(r))
-                .map(|x| (r * 100 + x) as Score)
-                .collect();
-            store.store(r, &row);
+            store.set_row(r, (0..m - r).map(|x| (r * 100 + x) as Score).collect());
         }
         for r in 1..m {
-            let row = store.get(r).unwrap();
+            let row = store.row(r);
+            assert_eq!(row.len(), m - r);
             for (x, &v) in row.iter().enumerate() {
                 assert_eq!(v, (r * 100 + x) as Score);
             }
@@ -175,16 +147,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "stored twice")]
     fn double_store_panics() {
-        let mut store = BottomRowStore::new(4);
-        store.store(1, &[1, 2, 3]);
-        store.store(1, &[1, 2, 3]);
+        let (seq, scoring) = (dna(4), Scoring::dna_example());
+        let store = Common::new(&seq, &scoring);
+        store.set_row(1, vec![1, 2, 3]);
+        store.set_row(1, vec![1, 2, 3]);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn wrong_length_panics() {
-        let mut store = BottomRowStore::new(4);
-        store.store(1, &[1]);
+        let (seq, scoring) = (dna(4), Scoring::dna_example());
+        Common::new(&seq, &scoring).set_row(1, vec![1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must have a first-pass row")]
+    fn row_before_store_panics() {
+        let (seq, scoring) = (dna(4), Scoring::dna_example());
+        Common::new(&seq, &scoring).row(2);
     }
 
     #[test]

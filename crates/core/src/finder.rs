@@ -1,30 +1,34 @@
 //! The sequential top-alignment algorithm (paper §3, Figure 5).
 //!
-//! The driver maintains one task per split in a best-first queue. A
-//! task's queued score is an upper bound (scores only drop as the
+//! The driver maintains one task per unit of work in a best-first queue.
+//! A task's queued score is an upper bound (scores only drop as the
 //! override triangle grows — the masking-monotonicity property tested in
 //! `repro-align`), so when the queue's head has been aligned against the
 //! *current* triangle it is provably the next top alignment; otherwise it
 //! is realigned and requeued. This skips the 90–97 % of realignments a
 //! naive per-top full sweep would perform.
 //!
-//! [`ScoredSeq::align_task`] and [`ScoredSeq::accept_task`] are the two
-//! primitives; the shared-memory and distributed engines reuse them with
-//! their own schedulers so all engines produce identical output.
+//! The loop is written once, generic over the [`Unit`] it schedules
+//! (§4.1 changes what a task is, not the loop):
+//! [`TopAlignmentFinder::new`] schedules single splits ([`SplitUnit`]),
+//! `repro_simd::find_top_alignments_simd` lane packs of neighbouring
+//! ones. [`ScoredSeq::align_task`] and
+//! [`ScoredSeq::accept_task_with_row`] are the two primitives every
+//! engine shares, so all engines produce identical output.
 
-use crate::bottom::{best_valid_entry, best_valid_entry_counted, BottomRowStore};
-use crate::dirty::DirtyLog;
-use crate::incremental::SplitSweeper;
+use crate::bottom::{best_valid_entry, best_valid_entry_counted, Common};
 use crate::seed::{SeedConfig, SplitBounds};
 use crate::split_mask::SplitMask;
 use crate::stats::Stats;
-use crate::tasks::{Task, TaskQueue, NEVER_ALIGNED};
+use crate::tasks::{Task, TaskQueue, NEVER_ALIGNED, SCORE_INFINITY};
 use crate::triangle::OverrideTriangle;
+use crate::unit::{SplitUnit, Unit};
 use repro_align::kernel::full::traceback;
 use repro_align::{
     sw_last_row_striped, CellMask, LastRow, NoMask, QueryProfile, Score, Scoring, Seq, Sides,
 };
 use repro_obs::{Metric, NoopRecorder, Phase, Progress, Recorder};
+use std::ops::Range;
 use std::time::Instant;
 
 /// How first-pass bottom rows are kept for shadow filtering.
@@ -78,8 +82,8 @@ impl Search {
     }
 }
 
-/// Configuration of the sequential finder: the shared [`Search`] plus
-/// the two knobs only this engine has.
+/// Configuration of the inline driver: the shared [`Search`] plus the
+/// two knobs only the split constructor sets.
 #[derive(Debug, Clone)]
 pub struct FinderConfig {
     /// What to search for. With checkpointing on, realignments use the
@@ -311,29 +315,13 @@ impl<'a> ScoredSeq<'a> {
 
     /// Accept split `r` as top alignment number `index`: recompute its
     /// matrix under the current triangle, trace back from the best valid
-    /// bottom-row end point, and mark every matched pair in the triangle.
+    /// bottom-row end point against `original` (the split's clean
+    /// first-pass row), and mark every matched pair in the triangle.
     ///
     /// Returns the alignment and the number of cells the traceback pass
     /// computed. The caller must have just verified (via a fresh
-    /// [`Self::align_task`]) that `r` holds the best score; this function
-    /// asserts the score it finds matches `expected_score`.
-    pub fn accept_task(
-        &self,
-        r: usize,
-        expected_score: Score,
-        triangle: &mut OverrideTriangle,
-        bottom: &BottomRowStore,
-        index: usize,
-    ) -> (TopAlignment, u64) {
-        let original = bottom
-            .get(r)
-            .expect("accepted split must have a stored first-pass row");
-        self.accept_task_with_row(r, expected_score, triangle, original, index)
-    }
-
-    /// [`Self::accept_task`] against an explicitly provided first-pass
-    /// bottom row (the parallel engines keep rows in their own shared
-    /// storage).
+    /// sweep) that `r` holds the best score; this function asserts the
+    /// score it finds matches `expected_score`.
     pub fn accept_task_with_row(
         &self,
         r: usize,
@@ -380,28 +368,30 @@ pub fn align_task(
     ScoredSeq::new(seq, scoring).align_task(r, triangle, original, stripe)
 }
 
-/// What one [`TopAlignmentFinder::step`] did.
+/// What one [`TopAlignmentFinder::step`] did. A unit is named by its
+/// first split — for the split unit, the split itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Step {
-    /// A stale task was (re)aligned and requeued with this score.
+    /// A stale unit was (re)aligned and requeued with this score.
     Realigned {
-        /// The split that was realigned.
+        /// The first split of the unit that was realigned.
         r: usize,
-        /// Its new exact score.
+        /// Its new exact score, its best member's.
         score: Score,
     },
-    /// A fresh head task was accepted as the next top alignment.
+    /// A fresh head unit's best member was accepted as the next top
+    /// alignment.
     Accepted {
         /// The split that was accepted.
         r: usize,
         /// The accepted score.
         score: Score,
     },
-    /// A never-aligned head task was requeued with its tightened seed
+    /// A never-aligned head unit was requeued with its tightened seed
     /// bound **without aligning it** — the bound-fresh fast path. Only
     /// produced with [`Search::seed`] set.
     Pruned {
-        /// The split whose bound was tightened.
+        /// The first split of the unit whose bound was tightened.
         r: usize,
         /// The tightened (still admissible) bound it re-entered with.
         bound: Score,
@@ -411,75 +401,91 @@ pub enum Step {
     Done,
 }
 
-/// Incremental driver for the sequential algorithm. [`Self::run`] is the
-/// one-shot entry point; `step` exposes the loop for tests and tools.
-pub struct TopAlignmentFinder<'a> {
-    input: ScoredSeq<'a>,
+/// The inline driver of Figure 5's loop, generic over the [`Unit`] it
+/// schedules. [`Self::run`] is the one-shot entry point; `step` exposes
+/// the loop for tests and tools.
+pub struct TopAlignmentFinder<'a, U: Unit = SplitUnit> {
+    unit: U,
+    common: Common<'a>,
     config: FinderConfig,
+    /// One task per unit; [`Task::r`] holds the unit index, so ties go
+    /// to the lower unit — the smaller split.
     queue: TaskQueue,
     triangle: OverrideTriangle,
-    /// `Some` in [`RowMode::Store`], `None` in [`RowMode::Recompute`].
-    bottom: Option<BottomRowStore>,
     alignments: Vec<TopAlignment>,
     stats: Stats,
-    /// Dirty-bound log feeding the incremental layer (empty while
-    /// `config.search.checkpoint_budget` is `None`).
-    dirty: DirtyLog,
-    /// The split unit of work: every stale pop's sweep goes through it.
-    sweeper: SplitSweeper,
+    locked: U::Locked,
+    local: U::Local,
     /// `Some` iff `config.search.seed` is set: the admissible per-split
     /// bounds.
     bounds: Option<SplitBounds>,
-    /// Splits that have completed their first alignment pass (with
-    /// seeding, not all of them ever do).
+    /// Splits (not units) that have completed their first alignment
+    /// pass (with seeding, not all of them ever do).
     first_passes: usize,
 }
 
 impl<'a> TopAlignmentFinder<'a> {
-    /// Set up a search over `seq`.
+    /// Set up a search over `seq`, one split to a task.
     pub fn new(seq: &'a Seq, scoring: &'a Scoring, config: FinderConfig) -> Self {
-        let m = seq.len();
-        let triangle = OverrideTriangle::new(m);
-        let bottom = match config.row_mode {
-            RowMode::Store => Some(BottomRowStore::new(m)),
-            RowMode::Recompute => None,
+        let unit = SplitUnit {
+            splits: seq.len().saturating_sub(1),
+            checkpoint_budget: config.search.checkpoint_budget,
+            stripe: config.stripe,
         };
-        let sweeper = SplitSweeper::new(config.search.checkpoint_budget, true);
+        TopAlignmentFinder::with_unit(seq, scoring, config, unit)
+    }
+}
+
+impl<'a, U: Unit> TopAlignmentFinder<'a, U> {
+    /// Set up a search over `seq` scheduling the units of `unit`.
+    pub fn with_unit(seq: &'a Seq, scoring: &'a Scoring, config: FinderConfig, unit: U) -> Self {
         let bounds = config
             .search
             .seed
             .map(|sc| SplitBounds::build(seq.codes(), scoring, sc));
-        let queue = match &bounds {
-            Some(b) => TaskQueue::for_sequence_len_bounded(m, b.bounds()),
-            None => TaskQueue::for_sequence_len(m),
-        };
+        // A unit is swept whole, so it enters the queue at the loosest
+        // of its members' bounds.
+        let mut queue = TaskQueue::new();
+        for u in 0..unit.units() {
+            let bound = bounds
+                .as_ref()
+                .map_or(SCORE_INFINITY, |b| b.max_bound(unit.splits(u)));
+            queue.push(Task::initial_bounded(u, bound));
+        }
         let mut stats = Stats::new();
         if let Some(b) = &bounds {
             stats.seed_index_build_ns = b.build_ns();
         }
         TopAlignmentFinder {
-            input: ScoredSeq::new(seq, scoring),
+            common: Common::new(seq, scoring),
             config,
             queue,
-            triangle,
-            bottom,
+            triangle: OverrideTriangle::new(seq.len()),
             alignments: Vec::new(),
             stats,
-            dirty: DirtyLog::new(),
-            sweeper,
+            locked: unit.locked(),
+            local: unit.local(),
+            unit,
             bounds,
             first_passes: 0,
         }
     }
 
-    /// Recompute the clean (empty-triangle) bottom row of split `r` —
-    /// the on-demand path of [`RowMode::Recompute`].
-    fn recompute_clean_row<R: Recorder>(&mut self, r: usize, rec: &mut R) -> Vec<Score> {
-        rec.phase_start(Phase::RowRecompute);
-        let last = self.input.last_row(r, NoMask, self.config.stripe);
-        self.stats.record_row_recompute(last.cells);
-        rec.phase_end(Phase::RowRecompute);
-        last.row
+    /// The one reader of clean rows that may not find them stored: in
+    /// [`RowMode::Recompute`] no row outlives the pop that reads it
+    /// (Appendix A), so the rows of `splits` are recomputed into the
+    /// store here and forgotten when the pop ends.
+    fn recompute_rows<R: Recorder>(&mut self, splits: Range<usize>, rec: &mut R) {
+        if self.config.row_mode == RowMode::Store {
+            return;
+        }
+        for r in splits {
+            rec.phase_start(Phase::RowRecompute);
+            let last = self.common.input.last_row(r, NoMask, self.config.stripe);
+            self.stats.record_row_recompute(last.cells);
+            rec.phase_end(Phase::RowRecompute);
+            self.common.set_row(r, last.row);
+        }
     }
 
     /// Top alignments accepted so far.
@@ -502,22 +508,22 @@ impl<'a> TopAlignmentFinder<'a> {
         self.step_recorded(&mut NoopRecorder)
     }
 
-    /// [`Self::step`] with instrumentation: phase spans around the
-    /// alignment kernels, stale/fresh pop accounting, latency histogram
-    /// samples and a progress heartbeat per pop. The recorder is a
-    /// monomorphized generic — with [`NoopRecorder`] this compiles to
-    /// exactly the uninstrumented loop (the clock reads and snapshot
-    /// construction are gated on [`Recorder::ENABLED`]).
+    /// [`Self::step`] with instrumentation: the `first_sweep`/`drain`
+    /// seconds and the `sweep_ns` sample (one clock pair around exactly
+    /// the unit's sweep, as on the SMP engine), the traceback span,
+    /// stale/fresh pop accounting, a round-trip sample and a progress
+    /// heartbeat per pop. The recorder is a monomorphized generic —
+    /// with [`NoopRecorder`] this compiles to exactly the
+    /// uninstrumented loop (the clock reads and snapshot construction
+    /// are gated on [`Recorder::ENABLED`]).
     pub fn step_recorded<R: Recorder>(&mut self, rec: &mut R) -> Step {
         let t0 = R::ENABLED.then(Instant::now);
         let step = self.step_inner(rec);
-        if R::ENABLED {
-            if let Some(t0) = t0 {
-                if !matches!(step, Step::Done) {
-                    rec.observe(Metric::TaskRoundTripNs, t0.elapsed().as_nanos() as u64);
-                }
+        if let Some(t0) = t0 {
+            if step != Step::Done {
+                rec.observe(Metric::TaskRoundTripNs, t0.elapsed().as_nanos() as u64);
             }
-            let splits_total = self.input.seq.len().saturating_sub(1) as u64;
+            let splits_total = self.common.input.seq.len().saturating_sub(1) as u64;
             rec.progress(&Progress {
                 splits_done: self.first_passes as u64,
                 splits_total,
@@ -543,6 +549,8 @@ impl<'a> TopAlignmentFinder<'a> {
             return Step::Done;
         }
         let tops_found = self.alignments.len();
+        let u = task.r;
+        let splits = self.unit.splits(u);
         // A never-aligned head is the one place seed bounds act. If its
         // queued bound is still the current one it is about to be
         // swept — the moment `SplitBounds` may spend a refresh on the
@@ -550,152 +558,119 @@ impl<'a> TopAlignmentFinder<'a> {
         // below the queued one re-enters the queue without any sweep
         // (the bound-fresh fast path: bounds only ever decrease, so the
         // queued entry was admissible all along; this just avoids
-        // aligning a split the tighter bound may keep buried forever).
+        // aligning a unit the tighter bound may keep buried forever —
+        // a whole lane pack resolved with zero DP work). Only
+        // never-aligned units qualify: exact scores must not be
+        // replaced by bounds.
         if let Some(bounds) = self.bounds.as_mut() {
             if task.aligned_with == NEVER_ALIGNED {
-                if bounds.bound(task.r) >= task.score {
-                    let stake = (task.r * (self.input.seq.len() - task.r)) as u64;
-                    bounds.refresh_before_sweep(
-                        self.input.seq.codes(),
-                        self.input.scoring,
-                        &self.triangle,
-                        stake,
-                    );
+                let input = &self.common.input;
+                // The stake in *vector* cells (rows × width): one kernel
+                // step each, like a cell of the scalar resweep it is
+                // weighed against.
+                let stake = ((splits.end - 1) * (input.seq.len() - splits.start)) as u64;
+                let (codes, scoring) = (input.seq.codes(), input.scoring);
+                let mut bound = bounds.max_bound(splits.clone());
+                if bound >= task.score
+                    && bounds.refresh_before_sweep(codes, scoring, &self.triangle, stake)
+                {
+                    bound = bounds.max_bound(splits.clone());
                 }
-                let bound = bounds.bound(task.r);
                 if bound < task.score {
                     self.stats.pruned_pops += 1;
                     // How far the stale bound overshot the fresh one —
                     // the slack pruning had to work with.
                     rec.observe(Metric::PruneSlack, (task.score - bound) as u64);
-                    self.queue.push(Task {
-                        r: task.r,
-                        score: bound,
-                        aligned_with: NEVER_ALIGNED,
-                    });
-                    return Step::Pruned { r: task.r, bound };
+                    self.queue.push(Task::initial_bounded(u, bound));
+                    return Step::Pruned {
+                        r: splits.start,
+                        bound,
+                    };
                 }
             }
         }
-        if task.is_fresh(tops_found) {
+        let step = if task.is_fresh(tops_found) {
             self.stats.fresh_pops += 1;
-            let index = tops_found;
-            let (top, cells) = match self.config.row_mode {
-                RowMode::Store => {
-                    rec.phase_start(Phase::Traceback);
-                    let original = self
-                        .bottom
-                        .as_ref()
-                        .expect("store mode keeps rows")
-                        .get(task.r)
-                        .expect("accepted split must have a stored row");
-                    let out = self.input.accept_task_with_row(
-                        task.r,
-                        task.score,
-                        &mut self.triangle,
-                        original,
-                        index,
-                    );
-                    rec.phase_end(Phase::Traceback);
-                    out
-                }
-                RowMode::Recompute => {
-                    let clean = self.recompute_clean_row(task.r, rec);
-                    rec.phase_start(Phase::Traceback);
-                    let out = self.input.accept_task_with_row(
-                        task.r,
-                        task.score,
-                        &mut self.triangle,
-                        &clean,
-                        index,
-                    );
-                    rec.phase_end(Phase::Traceback);
-                    out
-                }
-            };
+            // A fresh unit at the head: its best member is the next top
+            // alignment (smallest split on ties).
+            let (r, score) = self.unit.best_member(&self.locked, u, task.score);
+            self.recompute_rows(r..r + 1, rec);
+            rec.phase_start(Phase::Traceback);
+            let (top, cells) = self.common.input.accept_task_with_row(
+                r,
+                score,
+                &mut self.triangle,
+                self.common.row(r),
+                tops_found,
+            );
+            rec.phase_end(Phase::Traceback);
             self.stats.record_traceback(cells);
-            if self.sweeper.checkpointing() {
-                self.dirty.record_accept(&top.pairs);
-            }
+            // Queued bounds stay admissible as they are; the seed bounds
+            // tighten on demand, when a never-aligned unit comes up.
             if let Some(bounds) = self.bounds.as_mut() {
                 bounds.note_accept(&top.pairs);
             }
-            let (r, score) = (top.r, top.score);
             self.alignments.push(top);
             // Requeue (Figure 5 line 20): the task keeps its old score as
             // an upper bound and is stale against the grown triangle.
-            self.queue.push(Task {
-                r: task.r,
-                score: task.score,
-                aligned_with: task.aligned_with,
-            });
+            self.queue.push(task);
             Step::Accepted { r, score }
         } else {
             self.stats.stale_pops += 1;
-            let first_pass = task.aligned_with == NEVER_ALIGNED;
-            self.first_passes += usize::from(first_pass);
-            let sweep_phase = if first_pass {
-                Phase::FirstSweep
+            let first = task.aligned_with == NEVER_ALIGNED;
+            if first {
+                self.first_passes += splits.len();
             } else {
-                Phase::Drain
-            };
-            let sweep_t0 = R::ENABLED.then(Instant::now);
-            // The clean row a realignment is shadow-filtered against:
-            // stored, or recomputed on demand (Appendix A).
-            let recomputed = (!first_pass && self.bottom.is_none())
-                .then(|| self.recompute_clean_row(task.r, rec));
-            let original = (!first_pass).then(|| match &self.bottom {
-                Some(bottom) => bottom
-                    .get(task.r)
-                    .expect("realignment implies a stored first-pass row"),
-                None => recomputed.as_deref().expect("just recomputed"),
-            });
-            rec.phase_start(sweep_phase);
-            let result = self.sweeper.sweep(
-                &self.input,
-                task.r,
-                &self.triangle,
-                original,
-                &self.dirty,
-                self.config.stripe,
+                self.recompute_rows(splits.clone(), rec);
+            }
+            let plan = self.unit.plan(
+                &mut self.locked,
+                &mut self.local,
+                u,
+                first,
+                &self.alignments,
             );
-            rec.phase_end(sweep_phase);
-            if let Some(t0) = sweep_t0 {
-                rec.observe(Metric::SweepNs, t0.elapsed().as_nanos() as u64);
-            }
-            if let Some(resume) = result.resume {
-                self.stats.record_resume(resume.tallies());
-                rec.observe(Metric::ResumeRows, resume.rows_swept);
-            }
-            if let Some(row) = result.first_row {
-                if let Some(bottom) = self.bottom.as_mut() {
-                    bottom.store(task.r, &row);
+            let swept = (!U::is_replay(&plan)).then(|| {
+                let t0 = R::ENABLED.then(Instant::now);
+                let swept = self
+                    .unit
+                    .sweep(&self.common, &mut self.local, &plan, &self.triangle);
+                if let Some(t0) = t0 {
+                    let sweep = t0.elapsed();
+                    let kind = if first {
+                        Phase::FirstSweep
+                    } else {
+                        Phase::Drain
+                    };
+                    rec.add_phase_secs(kind, sweep.as_secs_f64());
+                    rec.observe(Metric::SweepNs, sweep.as_nanos() as u64);
                 }
-                // First-pass rows come out of the sweeper's scratch pool
-                // when the incremental layer is on; recycle them once
-                // they have been copied into the store.
-                self.sweeper.reclaim(row);
-            }
+                swept
+            });
+            let score = self
+                .unit
+                .commit(&mut self.locked, &mut self.stats, rec, plan, swept);
             // Holds for realignments (masking monotonicity) *and* first
             // passes (∞ without seeding; the admissible seed bound with
             // it) — the live end-to-end admissibility check.
             debug_assert!(
-                result.score <= task.score,
-                "sweep of split {} rose above its queued upper bound",
-                task.r
+                score <= task.score,
+                "sweep of unit {u} rose above its queued upper bound"
             );
-            self.stats.shadow_rejections += result.shadow_rejections;
-            self.stats.record_alignment(result.cells, tops_found);
             self.queue.push(Task {
-                r: task.r,
-                score: result.score,
+                r: u,
+                score,
                 aligned_with: tops_found,
             });
             Step::Realigned {
-                r: task.r,
-                score: result.score,
+                r: splits.start,
+                score,
             }
+        };
+        if self.config.row_mode == RowMode::Recompute {
+            splits.for_each(|r| self.common.forget_row(r));
         }
+        step
     }
 
     /// Run to completion and return the result.
@@ -706,9 +681,9 @@ impl<'a> TopAlignmentFinder<'a> {
     /// [`Self::run`] with instrumentation (see [`Self::step_recorded`]).
     pub fn run_recorded<R: Recorder>(mut self, rec: &mut R) -> TopAlignments {
         while !matches!(self.step_recorded(rec), Step::Done) {}
-        self.stats.pool_reuses = self.sweeper.pool_reuses();
+        self.unit.retire(self.local, &mut self.stats);
         if let Some(bounds) = &self.bounds {
-            let splits = self.input.seq.len().saturating_sub(1);
+            let splits = self.common.input.seq.len().saturating_sub(1);
             self.stats.splits_pruned = splits.saturating_sub(self.first_passes) as u64;
             self.stats.bound_recomputes = bounds.recomputes();
         }

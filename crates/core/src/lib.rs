@@ -8,16 +8,22 @@
 //! * [`triangle`] — the **override triangle**: a packed bit-triangle over
 //!   residue-position pairs recording which pairs already belong to a top
 //!   alignment; realignments force those cells to zero.
-//! * [`bottom`] — the **bottom-row store**: the first-pass (empty-triangle)
-//!   bottom row of every split matrix, kept for shadow-alignment rejection
-//!   (the largest data structure, `m(m−1)/2` scores, exactly as App. A).
+//! * [`bottom`] — the **bottom-row store** ([`Common`]): the first-pass
+//!   (empty-triangle) bottom row of every split matrix, kept for
+//!   shadow-alignment rejection (the largest data structure, `m(m−1)/2`
+//!   scores, exactly as App. A) — one store for every shared-memory
+//!   engine.
 //! * [`split_mask`] — adapts the triangle to the kernel-level
 //!   [`repro_align::CellMask`] for a given split.
 //! * [`tasks`] — the best-first task queue of Figure 5: one task per
 //!   split, ordered by (upper-bound) score, with the `AlignedWithTopNum`
 //!   freshness stamp.
-//! * [`finder`] — [`finder::TopAlignmentFinder`], the sequential driver,
-//!   plus the task-alignment primitive shared with the parallel engines.
+//! * [`mod@unit`] — the **unit of work** ([`Unit`]): what a task is — one
+//!   split ([`SplitUnit`]) or a lane pack of neighbours
+//!   (`repro_simd::PackUnit`) — apart from who schedules it.
+//! * [`finder`] — [`finder::TopAlignmentFinder`], Figure 5's loop written
+//!   once as the inline driver generic over the unit, plus the
+//!   task-alignment primitives shared with the parallel engines.
 //! * [`dirty`] — per-accept **dirty bounds**: for each split, where the
 //!   newly overridden pairs can first perturb the DP matrix.
 //! * [`seed`] — seeded split pruning: admissible two-sided per-split
@@ -50,8 +56,9 @@ pub mod split_mask;
 pub mod stats;
 pub mod tasks;
 pub mod triangle;
+pub mod unit;
 
-pub use bottom::{best_valid_entry_counted, BottomRowStore};
+pub use bottom::{best_valid_entry_counted, Common};
 pub use consensus::{unit_consensus, Consensus};
 pub use delineate::{delineate, RepeatReport, RepeatUnit};
 pub use dirty::DirtyLog;
@@ -65,3 +72,4 @@ pub use split_mask::SplitMask;
 pub use stats::Stats;
 pub use tasks::{Task, TaskQueue, NEVER_ALIGNED, SCORE_INFINITY};
 pub use triangle::OverrideTriangle;
+pub use unit::{SplitUnit, Unit};

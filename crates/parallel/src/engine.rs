@@ -2,114 +2,21 @@
 //!
 //! *Who schedules* is written here once: the shared task table, the
 //! best-first [`Engine::decide`], the Accept / Wait / Finished arms and
-//! the end-of-run fold. *How one unit is (re)aligned* is a [`Unit`]:
-//! single splits through `repro_core::SplitSweeper` (`crate::SplitUnit`)
-//! or lane packs through `repro_simd::LanePacks`
-//! (`crate::simd_smp::PackUnit`). The engine is monomorphised over
-//! the two, never `dyn`.
+//! the end-of-run fold. *How one unit is (re)aligned* is a
+//! [`repro_core::Unit`], defined next to the inline driver that shares
+//! it: single splits ([`repro_core::SplitUnit`]) or lane packs
+//! ([`repro_simd::PackUnit`]), with first-pass rows in the one store,
+//! [`repro_core::Common`]. The engine is monomorphised over the two,
+//! never `dyn`.
 
 use parking_lot::{Condvar, Mutex};
 use repro_align::{Score, Scoring, Seq};
 use repro_core::{
-    OverrideTriangle, ScoredSeq, Search, SplitBounds, Stats, TopAlignment, TopAlignments,
+    Common, OverrideTriangle, Search, SplitBounds, Stats, TopAlignment, TopAlignments, Unit,
 };
 use repro_obs::{Counter, FlightRecorder, Metric, Phase, Recorder};
-use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
-
-/// What every worker reads without the lock: the profiled sequence
-/// (sweeps, and the acceptance traceback through the scalar full-matrix
-/// kernel) and the first-pass bottom rows, written once each.
-pub(crate) struct Common<'a> {
-    pub(crate) input: ScoredSeq<'a>,
-    /// Index `r − 1`.
-    pub(crate) rows: Vec<OnceLock<Vec<Score>>>,
-}
-
-impl Common<'_> {
-    /// The clean bottom row of a split that has had its first pass.
-    pub(crate) fn row(&self, r: usize) -> &[Score] {
-        self.rows[r - 1]
-            .get()
-            .expect("split must have a first-pass row")
-    }
-
-    /// Store the clean bottom row a first pass of `r` returned.
-    pub(crate) fn set_row(&self, r: usize, row: Vec<Score>) {
-        self.rows[r - 1]
-            .set(row)
-            .expect("first pass runs exactly once per split");
-    }
-}
-
-/// A unit of work the engine schedules: a contiguous, ordered range of
-/// splits swept together. Units partition the splits in order, so the
-/// deterministic tie-break (lowest unit, then lowest member) selects
-/// the smallest split among the top-scoring ones — the split the
-/// sequential engine accepts.
-///
-/// A claim is **plan** (under the engine's lock: read and take what the
-/// sweep needs out of the shared state), **sweep** (unlocked, on owned
-/// state and the triangle snapshot of the claim) and **commit** (under
-/// the lock again: fold the result back). State every worker shares
-/// lives in `Locked`; state one worker keeps to itself — a scalar
-/// sweeper's checkpoints and its dirty-log replica — in `Local`.
-pub(crate) trait Unit: Sync {
-    /// Shared state, guarded by the engine's lock.
-    type Locked: Send;
-    /// Per-worker state.
-    type Local;
-    /// What plan hands to sweep and commit.
-    type Plan;
-    /// What sweep hands to commit.
-    type Swept;
-
-    /// Number of units.
-    fn units(&self) -> usize;
-    /// The splits of unit `u`.
-    fn splits(&self, u: usize) -> Range<usize>;
-    /// A worker's private state.
-    fn local(&self) -> Self::Local;
-    /// Plan the sweep of `u` under the triangle `tops` built (`first`:
-    /// the unit has never been swept).
-    fn plan(
-        &self,
-        locked: &mut Self::Locked,
-        local: &mut Self::Local,
-        u: usize,
-        first: bool,
-        tops: &[TopAlignment],
-    ) -> Self::Plan;
-    /// The plan needs no sweep: commit it as it is, still under the lock.
-    fn is_replay(_plan: &Self::Plan) -> bool {
-        false
-    }
-    /// Sweep as planned under `triangle`; first passes store their clean
-    /// rows in `common`.
-    fn sweep(
-        &self,
-        common: &Common<'_>,
-        local: &mut Self::Local,
-        plan: &Self::Plan,
-        triangle: &OverrideTriangle,
-    ) -> Self::Swept;
-    /// Fold a sweep (`None`: a replay) into the shared state, `stats`
-    /// and the workers' `tally`; returns the unit's new score, its best
-    /// member's.
-    fn commit(
-        &self,
-        locked: &mut Self::Locked,
-        stats: &mut Stats,
-        tally: &mut FlightRecorder,
-        plan: Self::Plan,
-        swept: Option<Self::Swept>,
-    ) -> Score;
-    /// The split and score a fresh unit `u` of score `score` yields.
-    fn best_member(&self, locked: &Self::Locked, u: usize, score: Score) -> (usize, Score);
-    /// A worker is done: fold what its private state counted.
-    fn retire(&self, _local: Self::Local, _stats: &mut Stats) {}
-}
 
 #[derive(Debug, Clone, Copy)]
 struct UnitState {
@@ -170,13 +77,11 @@ enum Decision {
     Finished,
 }
 
-/// Run `search` over `seq` on `threads` workers claiming `unit`s whose
-/// shared state starts as `locked`. Folds the workers' tally into `rec`
-/// after the thread scope joins: a worker thread cannot hold the
-/// caller's `&mut` recorder.
+/// Run `search` over `seq` on `threads` workers claiming `unit`s. Folds
+/// the workers' tally into `rec` after the thread scope joins: a worker
+/// thread cannot hold the caller's `&mut` recorder.
 pub(crate) fn run<U: Unit, R: Recorder>(
     unit: &U,
-    locked: U::Locked,
     seq: &Seq,
     scoring: &Scoring,
     search: &Search,
@@ -209,10 +114,7 @@ pub(crate) fn run<U: Unit, R: Recorder>(
 
     let engine = Engine {
         unit,
-        common: Common {
-            input: ScoredSeq::new(seq, scoring),
-            rows: (0..splits).map(|_| OnceLock::new()).collect(),
-        },
+        common: Common::new(seq, scoring),
         count: search.count,
         shared: Mutex::new(Shared {
             state,
@@ -224,7 +126,7 @@ pub(crate) fn run<U: Unit, R: Recorder>(
             done: false,
             bounds,
             first_passes: 0,
-            unit: locked,
+            unit: unit.locked(),
         }),
         wake: Condvar::new(),
     };

@@ -13,18 +13,20 @@
 //! Synchronisation mirrors the paper's observations: the coarse-grained
 //! tasks make critical sections negligible, the triangle is read-mostly
 //! (an `Arc` snapshot is swapped on each acceptance), and first-pass
-//! bottom rows are written once and then immutable (`OnceLock`).
+//! bottom rows are written once and then immutable
+//! ([`repro_core::Common`]).
 //!
 //! There is **one engine** (the private `engine` module: task table,
-//! `decide`, the worker loop, the end-of-run fold), generic over its
-//! unit of work, and two constructors of it. The paper calls its
-//! accelerations orthogonal — "the SIMD kernel speeds up each
-//! alignment, the SMP and cluster schemes distribute the alignments":
+//! `decide`, the worker loop, the end-of-run fold), generic over the
+//! [`repro_core::Unit`] it shares with the inline driver, and two
+//! constructors of it. The paper calls its accelerations orthogonal —
+//! "the SIMD kernel speeds up each alignment, the SMP and cluster
+//! schemes distribute the alignments":
 //! [`find_top_alignments_parallel`]`(seq, scoring, &search, threads, rec)`
-//! schedules single splits swept by [`repro_core::SplitSweeper`];
+//! schedules single splits ([`repro_core::SplitUnit`]);
 //! [`find_top_alignments_parallel_simd`]`(.., threads, sel, rec)`
-//! schedules lane packs of neighbouring splits swept by
-//! [`repro_simd::LanePacks`] — the paper's SIMD × SMP stacking. Both
+//! schedules lane packs of neighbouring splits
+//! ([`repro_simd::PackUnit`]) — the paper's SIMD × SMP stacking. Both
 //! take the shared [`repro_core::Search`] and return plain
 //! [`repro_core::TopAlignments`]; with one thread each is count for
 //! count the sequential engine of its unit. Workers tally under the
@@ -39,102 +41,9 @@ pub mod simd_smp;
 
 pub use simd_smp::find_top_alignments_parallel_simd;
 
-use engine::{Common, Unit};
-use repro_align::{Score, Scoring, Seq};
-use repro_core::{
-    DirtyLog, OverrideTriangle, Search, SplitOutcome, SplitSweeper, Stats, TopAlignment,
-    TopAlignments,
-};
-use repro_obs::{FlightRecorder, Metric, Recorder};
-use std::ops::Range;
-
-/// The split unit of work: unit `u` is split `u + 1`. Each worker keeps
-/// its own sweeper — its checkpoints and scratch pool — and a dirty-log
-/// replica of the shared accept history, caught up under the lock at
-/// plan time so its version always equals the stamp of the triangle
-/// snapshot the worker sweeps under. Nothing is shared.
-struct SplitUnit {
-    splits: usize,
-    checkpoint_budget: Option<usize>,
-}
-
-impl Unit for SplitUnit {
-    type Locked = ();
-    type Local = (SplitSweeper, DirtyLog);
-    /// The split, and the accepts behind the snapshot it is swept under.
-    type Plan = (usize, usize);
-    type Swept = SplitOutcome;
-
-    fn units(&self) -> usize {
-        self.splits
-    }
-
-    fn splits(&self, u: usize) -> Range<usize> {
-        u + 1..u + 2
-    }
-
-    fn local(&self) -> Self::Local {
-        (
-            SplitSweeper::new(self.checkpoint_budget, true),
-            DirtyLog::new(),
-        )
-    }
-
-    fn plan(
-        &self,
-        _: &mut (),
-        (sweeper, dirty): &mut Self::Local,
-        u: usize,
-        _first: bool,
-        tops: &[TopAlignment],
-    ) -> Self::Plan {
-        if sweeper.checkpointing() {
-            dirty.sync_from(tops);
-        }
-        (u + 1, tops.len())
-    }
-
-    fn sweep(
-        &self,
-        common: &Common<'_>,
-        (sweeper, dirty): &mut Self::Local,
-        &(r, _): &Self::Plan,
-        triangle: &OverrideTriangle,
-    ) -> SplitOutcome {
-        let original = common.rows[r - 1].get().map(|row| &row[..]);
-        let mut out = sweeper.sweep(&common.input, r, triangle, original, dirty, None);
-        if let Some(row) = out.first_row.take() {
-            common.set_row(r, row);
-        }
-        out
-    }
-
-    fn commit(
-        &self,
-        _: &mut (),
-        stats: &mut Stats,
-        tally: &mut FlightRecorder,
-        (_, stamp): Self::Plan,
-        swept: Option<SplitOutcome>,
-    ) -> Score {
-        let out = swept.expect("a split is never replayed under the lock");
-        stats.shadow_rejections += out.shadow_rejections;
-        stats.record_alignment(out.cells, stamp);
-        if let Some(resume) = out.resume {
-            stats.record_resume(resume.tallies());
-            tally.observe(Metric::ResumeRows, resume.rows_swept);
-        }
-        out.score
-    }
-
-    fn best_member(&self, _: &(), u: usize, score: Score) -> (usize, Score) {
-        (u + 1, score)
-    }
-
-    fn retire(&self, (sweeper, _): Self::Local, stats: &mut Stats) {
-        stats.pool_reuses += sweeper.pool_reuses();
-    }
-}
+use repro_align::{Scoring, Seq};
+use repro_core::{Search, SplitUnit, TopAlignments};
+use repro_obs::Recorder;
 
 /// Find the top alignments `search` asks for using `threads` worker
 /// threads. Produces exactly the same alignments as the sequential
@@ -181,8 +90,9 @@ pub fn find_top_alignments_parallel<R: Recorder>(
     let unit = SplitUnit {
         splits: seq.len().saturating_sub(1),
         checkpoint_budget: search.checkpoint_budget,
+        stripe: None,
     };
-    engine::run(&unit, (), seq, scoring, search, threads, rec)
+    engine::run(&unit, seq, scoring, search, threads, rec)
 }
 
 #[cfg(test)]

@@ -11,98 +11,14 @@
 //!
 //! Correctness carries over unchanged from the split-level proof — the
 //! scheduler is the same code, `crate::engine`, and its tie-break
-//! argument is stated once, at its `Unit` trait. What is particular to
-//! lane packs: the query profiles are built once and shared read-only
-//! across workers. Unseeded, every first pass completes before the
-//! first acceptance (a never-swept group holds score `Score::MAX` and
-//! can never be fresh); with seeded pruning a group's first sweep can
-//! happen after accepts, in which case the worker sweeps twice — clean
-//! for the shadow store, masked (resumed from the pack's first dirty
-//! row) for the exact scores.
+//! argument is stated once, at [`repro_core::Unit`]; what is particular
+//! to lane packs is stated at the unit, [`repro_simd::PackUnit`].
 
-use crate::engine::{self, Common, Unit};
-use repro_align::{Score, Scoring, Seq};
-use repro_core::{OverrideTriangle, Search, Stats, TopAlignment, TopAlignments};
-use repro_obs::{FlightRecorder, Recorder};
-use repro_simd::{group_splits, GroupSweeper, LanePacks, PackPlan, PackSwept, SimdSel};
-use std::ops::Range;
-
-/// The lane-pack unit of work: unit `u` is group `u` of the shared
-/// [`LanePacks`] — lane memos and the budget-capped checkpoint store
-/// live under the engine's lock, where plan takes state out and commit
-/// puts it back; the sweep runs on that owned state through the
-/// [`GroupSweeper`] all workers share read-only. A worker keeps nothing
-/// to itself.
-struct PackUnit<'a> {
-    sweeper: GroupSweeper<'a>,
-    lanes: usize,
-    splits: usize,
-}
-
-impl Unit for PackUnit<'_> {
-    type Locked = LanePacks;
-    type Local = ();
-    type Plan = PackPlan;
-    type Swept = PackSwept;
-
-    fn units(&self) -> usize {
-        self.splits.div_ceil(self.lanes)
-    }
-
-    fn splits(&self, u: usize) -> Range<usize> {
-        group_splits(self.splits, self.lanes, u)
-    }
-
-    fn local(&self) {}
-
-    fn plan(
-        &self,
-        packs: &mut LanePacks,
-        _: &mut (),
-        u: usize,
-        first: bool,
-        tops: &[TopAlignment],
-    ) -> PackPlan {
-        packs.plan(u, first, tops)
-    }
-
-    /// A whole-group skip (every lane clean) is replayed under the lock
-    /// — no DP at all — exactly as the single-threaded SIMD engine.
-    fn is_replay(plan: &PackPlan) -> bool {
-        plan.is_replay()
-    }
-
-    fn sweep(
-        &self,
-        common: &Common<'_>,
-        _: &mut (),
-        plan: &PackPlan,
-        triangle: &OverrideTriangle,
-    ) -> PackSwept {
-        let mut swept = plan.sweep(&self.sweeper, triangle, |r| common.row(r));
-        // A first pass hands its clean rows over by value: moved into
-        // the write-once store, not copied.
-        for (&r, row) in plan.splits().iter().zip(swept.first_rows.drain(..)) {
-            common.set_row(r, row);
-        }
-        swept
-    }
-
-    fn commit(
-        &self,
-        packs: &mut LanePacks,
-        stats: &mut Stats,
-        tally: &mut FlightRecorder,
-        plan: PackPlan,
-        swept: Option<PackSwept>,
-    ) -> Score {
-        packs.commit(stats, tally, plan, swept)
-    }
-
-    fn best_member(&self, packs: &LanePacks, u: usize, _: Score) -> (usize, Score) {
-        packs.best_member(u)
-    }
-}
+use crate::engine;
+use repro_align::{Scoring, Seq};
+use repro_core::{Search, TopAlignments};
+use repro_obs::Recorder;
+use repro_simd::{PackUnit, SimdSel};
 
 /// Find the top alignments `search` asks for with `threads` workers,
 /// each realigning whole groups through the `sel`-dispatched SIMD sweep.
@@ -154,13 +70,8 @@ pub fn find_top_alignments_parallel_simd<R: Recorder>(
     sel: SimdSel,
     rec: &mut R,
 ) -> TopAlignments {
-    let unit = PackUnit {
-        sweeper: GroupSweeper::new(seq, scoring, sel),
-        lanes: sel.width.lanes(),
-        splits: seq.len().saturating_sub(1),
-    };
-    let packs = LanePacks::new(unit.splits, unit.lanes, search.checkpoint_budget);
-    engine::run(&unit, packs, seq, scoring, search, threads, rec)
+    let unit = PackUnit::new(seq, scoring, sel, search.checkpoint_budget);
+    engine::run(&unit, seq, scoring, search, threads, rec)
 }
 
 #[cfg(test)]

@@ -25,8 +25,8 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`align`] | alignment kernels, alphabets, matrices, FASTA |
-//! | [`core`] | override triangle, bottom rows, task queue, the sequential finder, delineation |
-//! | [`simd`] | 4/8/16-lane interleaved neighbouring-matrix kernels, query profiles, runtime dispatch; [`find_top_alignments_simd`] |
+//! | [`core`] | override triangle, the one bottom-row store, task queue, the `Unit` trait and Figure 5's loop generic over it (the inline driver), delineation |
+//! | [`simd`] | 4/8/16-lane interleaved neighbouring-matrix kernels, query profiles, runtime dispatch, the lane-pack unit; [`find_top_alignments_simd`] |
 //! | [`parallel`] | shared-memory speculative engines: [`find_top_alignments_parallel`], [`find_top_alignments_parallel_simd`] |
 //! | [`xmpi`] | message-passing substrate (threads, sockets, virtual time) |
 //! | [`cluster`] | distributed engines ([`cluster::run_cluster`], [`cluster::run_cluster_proc`], [`cluster::run_hybrid`]) and the DAS-2 simulator |

@@ -274,8 +274,9 @@ fn every_engine_folds_its_tallies_under_the_keys_the_benchmark_reads() {
 /// lane-pack unit), plain, checkpointed under a budget that binds and
 /// one that does not, seeded, and both. The schedulers differ; the tops
 /// and every computed-entry count — what proves the two callers of each
-/// unit share it — may not. (`pruned_pops` is left out: the engines
-/// that scan their task table lower bounds in place, without a pop.)
+/// unit share it, and the one row store its rows are moved into — may
+/// not. (`pruned_pops` is left out: the engines that scan their task
+/// table lower bounds in place, without a pop.)
 #[test]
 fn one_worker_is_the_sequential_engine_count_for_count() {
     let seq = titin_like(300, 12);
@@ -328,6 +329,9 @@ fn one_worker_is_the_sequential_engine_count_for_count() {
                     ("shadow_rejections", s.shadow_rejections),
                     ("splits_pruned", s.splits_pruned),
                     ("bound_recomputes", s.bound_recomputes),
+                    ("tracebacks", s.tracebacks),
+                    ("traceback_cells", s.traceback_cells),
+                    ("pool_reuses", s.pool_reuses),
                     ("group_sweeps", counter(a, "group_sweeps")),
                 ]
             };

@@ -8,6 +8,12 @@
 //! scheduled shortly thereafter". A fresh group at the head of the queue
 //! yields its best member as the next top alignment.
 //!
+//! §4.1 changes what a task is, not the loop, so this module holds no
+//! loop: [`PackUnit`] is the lane-pack [`Unit`], and
+//! [`find_top_alignments_simd`] hands it to the one inline driver,
+//! [`repro_core::TopAlignmentFinder`] (`repro-parallel` hands the same
+//! unit to the SMP engine).
+//!
 //! Sweeps go through a [`GroupSweeper`]: the query profiles (narrow
 //! `i16` and wide `i32`) are built once per sequence and shared by all
 //! sweeps, the kernel is the runtime-dispatched selection of
@@ -25,17 +31,15 @@
 
 use crate::dispatch::{sweep_group_profile_i16_at, sweep_group_wide_at, SimdSel};
 use crate::group::{GroupCapture, GroupResult, GroupResume};
-use crate::resume::LanePacks;
+use crate::resume::{group_splits, LanePacks, PackPlan, PackSwept};
 use repro_align::{QueryProfile, Score, Scoring, Seq};
 use repro_core::{
-    BottomRowStore, OverrideTriangle, ScoredSeq, Search, SplitBounds, Stats, TopAlignment,
-    TopAlignments,
+    Common, FinderConfig, OverrideTriangle, Search, Stats, TopAlignment, TopAlignmentFinder,
+    TopAlignments, Unit,
 };
-use repro_obs::{Metric, Phase, Progress, Recorder};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use repro_obs::Recorder;
+use std::ops::Range;
 use std::sync::OnceLock;
-use std::time::Instant;
 
 /// One group sweep's outcome: the (exact) group result plus how it was
 /// obtained.
@@ -232,26 +236,103 @@ impl GroupSweeper<'_> {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct GroupTask {
-    score: Score,
-    /// `Reverse` so equal scores pop the lowest group first, matching the
-    /// sequential engine's smallest-split tie-break.
-    gi: Reverse<usize>,
-    aligned_with: usize,
+/// The lane-pack unit of work: unit `u` is group `u` of the shared
+/// [`LanePacks`] — lane memos and the budget-capped checkpoint store,
+/// which the SMP engine keeps under its lock, where plan takes state out
+/// and commit puts it back; the sweep runs on that owned state through
+/// the [`GroupSweeper`] all workers share read-only. A worker keeps
+/// nothing to itself.
+pub struct PackUnit<'a> {
+    sweeper: GroupSweeper<'a>,
+    lanes: usize,
+    splits: usize,
+    checkpoint_budget: Option<usize>,
 }
 
-impl Ord for GroupTask {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.score
-            .cmp(&other.score)
-            .then_with(|| self.gi.cmp(&other.gi))
+impl<'a> PackUnit<'a> {
+    /// The lane packs of `seq` at `sel`'s width, swept by `sel`'s
+    /// kernel, checkpointing within `checkpoint_budget`.
+    pub fn new(
+        seq: &'a Seq,
+        scoring: &'a Scoring,
+        sel: SimdSel,
+        checkpoint_budget: Option<usize>,
+    ) -> Self {
+        PackUnit {
+            sweeper: GroupSweeper::new(seq, scoring, sel),
+            lanes: sel.width.lanes(),
+            splits: seq.len().saturating_sub(1),
+            checkpoint_budget,
+        }
     }
 }
 
-impl PartialOrd for GroupTask {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+impl Unit for PackUnit<'_> {
+    type Locked = LanePacks;
+    type Local = ();
+    type Plan = PackPlan;
+    type Swept = PackSwept;
+
+    fn units(&self) -> usize {
+        self.splits.div_ceil(self.lanes)
+    }
+
+    fn splits(&self, u: usize) -> Range<usize> {
+        group_splits(self.splits, self.lanes, u)
+    }
+
+    fn locked(&self) -> LanePacks {
+        LanePacks::new(self.splits, self.lanes, self.checkpoint_budget)
+    }
+
+    fn local(&self) {}
+
+    fn plan(
+        &self,
+        packs: &mut LanePacks,
+        _: &mut (),
+        u: usize,
+        first: bool,
+        tops: &[TopAlignment],
+    ) -> PackPlan {
+        packs.plan(u, first, tops)
+    }
+
+    /// A whole-group skip (every lane clean) is replayed without a
+    /// sweep — no DP at all, and on the SMP engine under the lock.
+    fn is_replay(plan: &PackPlan) -> bool {
+        plan.is_replay()
+    }
+
+    fn sweep(
+        &self,
+        common: &Common<'_>,
+        _: &mut (),
+        plan: &PackPlan,
+        triangle: &OverrideTriangle,
+    ) -> PackSwept {
+        let mut swept = plan.sweep(&self.sweeper, triangle, |r| common.row(r));
+        // A first pass hands its clean rows over by value: moved into
+        // the write-once store, not copied.
+        for (&r, row) in plan.splits().iter().zip(swept.first_rows.drain(..)) {
+            common.set_row(r, row);
+        }
+        swept
+    }
+
+    fn commit<R: Recorder>(
+        &self,
+        packs: &mut LanePacks,
+        stats: &mut Stats,
+        rec: &mut R,
+        plan: PackPlan,
+        swept: Option<PackSwept>,
+    ) -> Score {
+        packs.commit(stats, rec, plan, swept)
+    }
+
+    fn best_member(&self, packs: &LanePacks, u: usize, _: Score) -> (usize, Score) {
+        packs.best_member(u)
     }
 }
 
@@ -270,7 +351,8 @@ impl PartialOrd for GroupTask {
 /// bound stays below every acceptance is never swept at all. Alignments
 /// are bit-identical with either layer on or off.
 ///
-/// `rec` receives phase spans around the group sweeps and tracebacks,
+/// `rec` receives what the inline driver records for any unit (see
+/// [`TopAlignmentFinder::step_recorded`]) plus the lane-pack commit's
 /// lane-occupancy counters ([`repro_obs::Counter::LanesActive`] /
 /// [`repro_obs::Counter::LanesPadded`]), sweep, saturation and promotion
 /// counts, and the `Stats` mirror. The recorder is monomorphized: against
@@ -297,169 +379,8 @@ pub fn find_top_alignments_simd<R: Recorder>(
     sel: SimdSel,
     rec: &mut R,
 ) -> TopAlignments {
-    let Search {
-        count,
-        checkpoint_budget,
-        seed,
-    } = *search;
-    let m = seq.len();
-    let splits = m.saturating_sub(1); // splits are 1..=splits
-
-    let sweeper = GroupSweeper::new(seq, scoring, sel);
-    // Acceptance traces back through the scalar full-matrix kernel.
-    let scalar = ScoredSeq::new(seq, scoring);
-
-    let mut triangle = OverrideTriangle::new(m);
-    let mut bottomstore = BottomRowStore::new(m);
-    let mut stats = Stats::new();
-    let mut alignments: Vec<TopAlignment> = Vec::new();
-    // The lane-pack unit of work: how a stale group is (re)aligned.
-    let mut packs = LanePacks::new(splits, sel.width.lanes(), checkpoint_budget);
-
-    // Seeded pruning: a group's admissible bound is the max of its
-    // members' split bounds (a lane-pack is swept as a unit, so the
-    // group enters the queue at the loosest member bound).
-    let mut bounds = seed.map(|sc| SplitBounds::build(seq.codes(), scoring, sc));
-    if let Some(b) = &bounds {
-        stats.seed_index_build_ns = b.build_ns();
-    }
-    // Splits (not groups) that have completed a first alignment pass.
-    let mut first_passes = 0usize;
-
-    let mut queue: BinaryHeap<GroupTask> = (0..packs.groups())
-        .map(|gi| GroupTask {
-            score: match &bounds {
-                Some(b) => b.max_bound(packs.splits_of(gi)),
-                None => Score::MAX,
-            },
-            gi: Reverse(gi),
-            aligned_with: usize::MAX,
-        })
-        .collect();
-
-    while alignments.len() < count {
-        let Some(task) = queue.pop() else { break };
-        if task.score <= 0 {
-            break;
-        }
-        let pop_t0 = R::ENABLED.then(Instant::now);
-        if R::ENABLED {
-            rec.progress(&Progress {
-                splits_done: first_passes as u64,
-                splits_total: splits as u64,
-                splits_pruned: (splits - first_passes) as u64,
-                realignments_avoided: stats.pruned_pops + stats.checkpoint_hits,
-                tops_found: alignments.len() as u64,
-                tops_requested: count as u64,
-            });
-        }
-        let Reverse(gi) = task.gi;
-        let tops_found = alignments.len();
-        let mut requeue = |score: Score, aligned_with: usize, rec: &mut R| {
-            if let Some(t0) = pop_t0 {
-                rec.observe(Metric::TaskRoundTripNs, t0.elapsed().as_nanos() as u64);
-            }
-            queue.push(GroupTask {
-                score,
-                gi: Reverse(gi),
-                aligned_with,
-            });
-        };
-
-        // A never-swept group is where seed bounds act. If its queued
-        // bound is still current it is about to be swept — the moment
-        // the bounds may spend a refresh on the accepts noted since the
-        // last one. A group whose bound now sits below the queued one
-        // is requeued at it without sweeping — a whole lane-pack
-        // resolved with zero DP work. Only never-swept groups qualify:
-        // exact scores must not be replaced by bounds.
-        if task.aligned_with == usize::MAX {
-            if let Some(b) = bounds.as_mut() {
-                let members = packs.splits_of(gi);
-                if b.max_bound(members.clone()) >= task.score {
-                    // The stake in *vector* cells (rows × width): one
-                    // kernel step each, like a cell of the scalar
-                    // resweep it is weighed against.
-                    let stake = ((members.end - 1) * (m - members.start)) as u64;
-                    b.refresh_before_sweep(seq.codes(), scoring, &triangle, stake);
-                }
-                let gb = b.max_bound(members);
-                if gb < task.score {
-                    stats.pruned_pops += 1;
-                    rec.observe(Metric::PruneSlack, (task.score - gb) as u64);
-                    requeue(gb, usize::MAX, rec);
-                    continue;
-                }
-            }
-        }
-
-        if task.aligned_with == tops_found {
-            stats.fresh_pops += 1;
-            rec.phase_start(Phase::Traceback);
-            // Fresh group at the head: its best member is the next top
-            // alignment (smallest split on ties).
-            let (r, best_score) = packs.best_member(gi);
-            let (top, cells) =
-                scalar.accept_task(r, best_score, &mut triangle, &bottomstore, tops_found);
-            stats.record_traceback(cells);
-            // Queued bounds stay admissible as they are; the bounds
-            // tighten on demand, when a never-swept group comes up.
-            if let Some(b) = bounds.as_mut() {
-                b.note_accept(&top.pairs);
-            }
-            alignments.push(top);
-            rec.phase_end(Phase::Traceback);
-            requeue(task.score, task.aligned_with, rec);
-        } else {
-            stats.stale_pops += 1;
-            let first_pass = task.aligned_with == usize::MAX;
-            let sweep_phase = if first_pass {
-                Phase::FirstSweep
-            } else {
-                Phase::Drain
-            };
-            rec.phase_start(sweep_phase);
-            let plan = packs.plan(gi, first_pass, &alignments);
-            let swept = (!plan.is_replay()).then(|| {
-                let sweep_t0 = R::ENABLED.then(Instant::now);
-                let mut swept = plan.sweep(&sweeper, &triangle, |r| {
-                    bottomstore
-                        .get(r)
-                        .expect("realigned member must have a stored first-pass row")
-                });
-                if let Some(t0) = sweep_t0 {
-                    rec.observe(Metric::SweepNs, t0.elapsed().as_nanos() as u64);
-                }
-                for (&r, row) in plan.splits().iter().zip(swept.first_rows.drain(..)) {
-                    bottomstore.store(r, &row);
-                    first_passes += 1;
-                }
-                swept
-            });
-            let group_best = packs.commit(&mut stats, rec, plan, swept);
-            rec.phase_end(sweep_phase);
-            // Masking monotonicity for realignments; for a first pass
-            // the live admissibility check: the bound the pack was
-            // queued with dominates every member's task score.
-            debug_assert!(
-                group_best <= task.score,
-                "sweep of group {gi} rose above its queued bound"
-            );
-            requeue(group_best, tops_found, rec);
-        }
-    }
-
-    if let Some(b) = &bounds {
-        stats.splits_pruned = splits.saturating_sub(first_passes) as u64;
-        stats.bound_recomputes = b.recomputes();
-    }
-    stats.mirror_into(rec);
-
-    TopAlignments {
-        alignments,
-        stats,
-        triangle,
-    }
+    let unit = PackUnit::new(seq, scoring, sel, search.checkpoint_budget);
+    TopAlignmentFinder::with_unit(seq, scoring, FinderConfig::new(*search), unit).run_recorded(rec)
 }
 
 #[cfg(test)]
@@ -468,7 +389,7 @@ mod tests {
     use crate::dispatch::{select, DispatchPath};
     use crate::LaneWidth;
     use repro_core::{find_top_alignments, SeedConfig};
-    use repro_obs::{Counter, FlightRecorder, NoopRecorder};
+    use repro_obs::{Counter, FlightRecorder, NoopRecorder, Phase};
 
     const ALL_WIDTHS: [LaneWidth; 3] = [LaneWidth::X4, LaneWidth::X8, LaneWidth::X16];
 
@@ -505,6 +426,46 @@ mod tests {
                 "{width:?} disagrees with the sequential engine"
             );
         }
+    }
+
+    /// Figure 5's schedule with a lane pack for a task: the ×4 trace of
+    /// the sequence whose split trace `repro_core` pins
+    /// (`figure5_scheduling_golden_trace`). Eleven splits make the packs
+    /// 1–4, 5–8 and 9–11, each named by its first split.
+    #[test]
+    fn figure5_golden_trace_over_lane_packs() {
+        use repro_core::Step::{Accepted, Realigned};
+        let seq = Seq::dna("ATGCATGCATGC").unwrap();
+        let scoring = Scoring::dna_example();
+        let unit = PackUnit::new(&seq, &scoring, sel_for(LaneWidth::X4), None);
+        let config = FinderConfig::new(Search::new(3));
+        let mut finder = TopAlignmentFinder::with_unit(&seq, &scoring, config, unit);
+        let trace: Vec<_> =
+            std::iter::from_fn(|| Some(finder.step()).filter(|s| *s != repro_core::Step::Done))
+                .collect();
+        assert_eq!(
+            trace,
+            vec![
+                // One first pass per pack, lowest pack first among the
+                // equal ∞ priorities; each scores its best member (no
+                // alignment of splits 9–11 ends in their bottom row).
+                Realigned { r: 1, score: 8 },
+                Realigned { r: 5, score: 8 },
+                Realigned { r: 9, score: 0 },
+                // Packs 1 and 5 tie at 8: the lower pack's best member,
+                // split 4, is accepted straight off the sweep, and once
+                // more (the second ATGC block) after one freshness
+                // realignment of its pack.
+                Accepted { r: 4, score: 8 },
+                Realigned { r: 1, score: 8 },
+                Accepted { r: 4, score: 8 },
+                // Split 8, after realigning only the two packs whose
+                // stale bounds tie at 8 — the split trace's 4, 5, 6, 7, 8.
+                Realigned { r: 1, score: 0 },
+                Realigned { r: 5, score: 8 },
+                Accepted { r: 8, score: 8 },
+            ]
+        );
     }
 
     /// A pack's first pass under a grown triangle — clean sweep down to

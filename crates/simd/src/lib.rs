@@ -24,10 +24,12 @@
 //!   bodies, the historical per-cell lookup and the query-profile form
 //!   (one contiguous load per cell, profile built once per sequence).
 //! * [`engine`] — group-granular top-alignment search: groups of
-//!   neighbouring splits are scheduled through the best-first queue, the
-//!   highest-scoring member sets the group's priority, and results are
-//!   bit-identical to the sequential engine (speculation wastes a little
-//!   work, never changes answers). One entry point,
+//!   neighbouring splits are the [`PackUnit`] the one inline driver
+//!   ([`repro_core::TopAlignmentFinder`]) schedules through its
+//!   best-first queue, the highest-scoring member sets the group's
+//!   priority, and results are bit-identical to the sequential engine
+//!   (speculation wastes a little work, never changes answers). One
+//!   entry point,
 //!   [`find_top_alignments_simd`]`(seq, scoring, &search, sel, rec)`:
 //!   the shared [`repro_core::Search`] says *what*, the [`SimdSel`] from
 //!   [`select`] says which kernel, and the plain
@@ -50,13 +52,13 @@ pub mod resume;
 pub(crate) mod test_support;
 
 pub use dispatch::{auto_path, select, DispatchError, DispatchPath, SimdSel};
-pub use engine::{find_top_alignments_simd, FirstPass, GroupSweeper, SweepOutcome};
+pub use engine::{find_top_alignments_simd, FirstPass, GroupSweeper, PackUnit, SweepOutcome};
 pub use group::{
     align_group, align_group_profile, align_group_striped, group_stripe, GroupCapture,
     GroupResult, GroupResume, LaneResume, DEFAULT_GROUP_STRIPE,
 };
 pub use lanes::{I16x16, I16x4, I16x8, SimdVec};
-pub use resume::{group_splits, LanePacks, PackPlan, PackSwept, SIMD_MAX_CKPTS};
+pub use resume::SIMD_MAX_CKPTS;
 
 /// Lane-width selection: the paper's Table 2 columns (4 = SSE, 8 = SSE2)
 /// extended with the AVX2 width (16).
