@@ -108,7 +108,7 @@ fn extract(doc: &Json) -> Vec<MetricVal> {
                     out.push(m(format!("cluster:{workers}w:proc_overhead"), v, false));
                 }
             }
-            for key in ["proc_over_seq", "result_frames_per_task"] {
+            for key in ["proc_over_seq", "proc_over_simd", "result_frames_per_task"] {
                 if let Some(v) = f(doc.get("small_task").and_then(|t| t.get(key))) {
                     out.push(m(format!("cluster:small_task:{key}"), v, false));
                 }

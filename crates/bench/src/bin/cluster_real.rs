@@ -12,10 +12,11 @@
 //!
 //! A second, **small-task** leg runs the shape the engine is worst at:
 //! one `dna_tandem(25, 12)` sequence, 18 tops, two workers, CLI
-//! defaults (seeded pruning, default checkpoint budget) — ~900 tasks of
-//! ~25 µs each, so every frame and every idle round trip shows. It
-//! reports the sequential, simulator and socket wall times, the tasks
-//! settled, and how many result frames carried them home.
+//! defaults (seeded pruning, default checkpoint budget) — a few hundred
+//! lane-pack tasks of well under a millisecond each, so every frame and
+//! every idle round trip shows. It reports the sequential, single-thread
+//! SIMD, simulator and socket wall times, the lane alignments and unit
+//! tasks settled, and how many result frames carried them home.
 //!
 //! Usage: `cargo run --release -p repro-bench --bin cluster_real --
 //! [--scale small|medium|full] [--out BENCH_cluster_real.json]
@@ -55,7 +56,9 @@ const MAX_SMALL_TASK_OVER_SEQ: f64 = 1.55;
 /// Most RESULT frames per settled task tolerated on the small-task leg
 /// under `--check`: 1.0 is one frame per task (wire v4), measured
 /// 0.31–0.36 with a batch's results coalesced. A count, not a time — the
-/// same on any host.
+/// same on any host. Since wire v6 a task is a lane pack and the
+/// denominator counts lanes, so this passes by construction; the frames
+/// per *unit* task are recorded next to it.
 const MAX_RESULT_FRAMES_PER_TASK: f64 = 0.5;
 
 /// Least time the small-task leg's arms are given: at 20–30 ms a run,
@@ -66,23 +69,30 @@ const SMALL_TASK_MIN_BUDGET: Duration = Duration::from_millis(600);
 struct SmallTaskRow {
     residues: usize,
     seq_secs: f64,
+    simd_secs: f64,
     sim_secs: f64,
     proc_secs: f64,
-    /// Tasks the socket run's master settled.
+    /// Lane alignments the socket run's master settled.
     alignments: u64,
-    /// RESULT frames the socket run's master decoded, per settled task.
+    /// RESULT frames the socket run's master decoded, per lane alignment.
     result_frames_per_task: f64,
+    /// The same frames per unit task (lane pack) assigned.
+    result_frames_per_unit_task: f64,
 }
 
-/// One tandem-repeat sequence of sub-30 µs tasks, configured as the
-/// CLI configures a run, on one thread, on two simulator workers and on
-/// two socket workers.
+/// One tandem-repeat sequence of small tasks, configured as the CLI
+/// configures a run, on one scalar thread, on one SIMD thread, on two
+/// simulator workers and on two socket workers.
 fn measure_small_tasks(scoring: &Scoring, timing_budget: Duration) -> SmallTaskRow {
     let seq = PlantedRepeats::generate(&RepeatSpec::dna_tandem(25, 12), 7).seq;
     let sequential = Repro::new(scoring.clone())
         .top_alignments(18)
         .checkpoint_budget(Some(repro::align::checkpoint::DEFAULT_CHECKPOINT_BUDGET))
         .seed_config(Some(SeedConfig::new(6)));
+    let simd = sequential.clone().engine(Engine::SimdDispatch {
+        width: None,
+        path: None,
+    });
     let sim = sequential.clone().engine(Engine::Cluster { workers: 2 });
     let proc = sim.clone().transport(Transport::Proc);
 
@@ -117,13 +127,18 @@ fn measure_small_tasks(scoring: &Scoring, timing_budget: Duration) -> SmallTaskR
     let sim_secs = time_min(timing_budget, || {
         std::hint::black_box(sim.run(&seq));
     });
+    let simd_secs = time_min(timing_budget, || {
+        std::hint::black_box(simd.run(&seq));
+    });
     SmallTaskRow {
         residues: seq.len(),
         seq_secs,
+        simd_secs,
         sim_secs,
         proc_secs,
         alignments: traced.run.alignments,
         result_frames_per_task: frames as f64 / traced.run.alignments.max(1) as f64,
+        result_frames_per_unit_task: frames as f64 / traced.run.stale_pops.max(1) as f64,
     }
 }
 
@@ -222,25 +237,32 @@ fn main() {
 
     let small = measure_small_tasks(&scoring, timing_budget.max(SMALL_TASK_MIN_BUDGET));
     let small_over_seq = small.proc_secs / small.seq_secs.max(1e-12);
+    let small_over_simd = small.proc_secs / small.simd_secs.max(1e-12);
     println!(
         "\nSmall tasks — dna_tandem(25, 12) ({} nt), 18 tops, 2 workers, CLI defaults\n",
         small.residues
     );
     let table = Table::new(&[
         "sequential",
+        "simd",
         "sim",
         "proc (sockets)",
         "proc / seq",
-        "tasks",
-        "frames/task",
+        "proc / simd",
+        "lanes",
+        "frames/lane",
+        "frames/unit",
     ]);
     table.row(&[
         secs(small.seq_secs),
+        secs(small.simd_secs),
         secs(small.sim_secs),
         secs(small.proc_secs),
         format!("{small_over_seq:.2}x"),
+        format!("{small_over_simd:.2}x"),
         small.alignments.to_string(),
         format!("{:.2}", small.result_frames_per_task),
+        format!("{:.2}", small.result_frames_per_unit_task),
     ]);
 
     let doc = Json::Obj(vec![
@@ -304,13 +326,19 @@ fn main() {
                 ("tops".to_string(), Json::Num(18.0)),
                 ("workers".to_string(), Json::Num(2.0)),
                 ("seq_secs".to_string(), Json::Num(small.seq_secs)),
+                ("simd_secs".to_string(), Json::Num(small.simd_secs)),
                 ("sim_secs".to_string(), Json::Num(small.sim_secs)),
                 ("proc_secs".to_string(), Json::Num(small.proc_secs)),
                 ("proc_over_seq".to_string(), Json::Num(small_over_seq)),
+                ("proc_over_simd".to_string(), Json::Num(small_over_simd)),
                 ("alignments".to_string(), Json::Num(small.alignments as f64)),
                 (
                     "result_frames_per_task".to_string(),
                     Json::Num(small.result_frames_per_task),
+                ),
+                (
+                    "result_frames_per_unit_task".to_string(),
+                    Json::Num(small.result_frames_per_unit_task),
                 ),
             ]),
         ),

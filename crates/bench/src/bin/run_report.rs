@@ -270,8 +270,9 @@ fn main() {
 
     // Transport truthfulness: the cluster-wide merged counters must be
     // bit-equal between the simulator and real sockets on the same
-    // deterministic single-worker schedule, and the worker-side pool
-    // counter must actually survive the trip (0 == 0 proves nothing).
+    // deterministic single-worker schedule, and a worker-side counter
+    // only telemetry carries — the workers' group sweeps — must actually
+    // survive the trip (0 == 0 proves nothing).
     let transport_ok = {
         let tseq = repro_seqgen::titin_like(300, 7);
         let base = Repro::new(scoring.clone())
@@ -280,11 +281,16 @@ fn main() {
             .engine(Engine::Cluster { workers: 1 });
         let sim = base.clone().run(&tseq);
         let proc = base.transport(Transport::Proc).run(&tseq);
+        let group_sweeps = |a: &repro::Analysis| {
+            let found = a.run.counters.iter().find(|c| c.0 == "group_sweeps");
+            found.map_or(0, |c| c.1)
+        };
         let pairs = [
             ("alignments", sim.run.alignments, proc.run.alignments),
             ("cells", sim.run.cells, proc.run.cells),
             ("checkpoint_hits", sim.run.checkpoint_hits, proc.run.checkpoint_hits),
             ("pool_reuses", sim.run.pool_reuses, proc.run.pool_reuses),
+            ("group_sweeps", group_sweeps(&sim), group_sweeps(&proc)),
         ];
         let mut ok = sim.tops.alignments == proc.tops.alignments;
         for (name, s, p) in pairs {
@@ -293,15 +299,15 @@ fn main() {
                 ok = false;
             }
         }
-        if sim.run.pool_reuses == 0 {
-            eprintln!("transport: pool_reuses is 0 — worker telemetry went missing");
+        if group_sweeps(&sim) == 0 {
+            eprintln!("transport: group_sweeps is 0 — worker telemetry went missing");
             ok = false;
         }
         println!(
             "\ntransport: sim vs proc merged counters {} \
-             (pool_reuses {} on both)",
+             (group_sweeps {} on both)",
             if ok { "bit-equal" } else { "DIVERGED" },
-            sim.run.pool_reuses,
+            group_sweeps(&sim),
         );
         ok
     };

@@ -441,26 +441,31 @@ fn worker_subcommand_requires_connect() {
 
 /// Spawn the real binary as a worker process against an in-test hub:
 /// the worker must join, take the job greeting, announce IDLE, serve a
-/// first-pass task, and exit 0 on DONE — the full cross-process
-/// protocol, driven from the master's side of the wire.
+/// first-pass task of a lane pack, and exit 0 on DONE — the full
+/// cross-process protocol, driven from the master's side of the wire.
 #[test]
 fn worker_subcommand_serves_a_real_master_over_sockets() {
     use repro::cluster::protocol::{tag, JobMsg, ResultsMsg, TaskItem, TaskMsg};
+    use repro::core::Unit;
+    use repro::simd::PackUnit;
     use repro::xmpi::socket::SocketHub;
     use repro::xmpi::Comm;
-    use repro::{Scoring, Seq};
+    use repro::{select, LaneWidth, Scoring, Seq};
     use std::time::{Duration, Instant};
 
     let seq = Seq::dna("ATGCATGCATGC").unwrap();
     let scoring = Scoring::dna_example();
     let hub = SocketHub::bind("127.0.0.1:0").unwrap();
+    // Packs of four: unit 1 is splits 5–8.
     let job = JobMsg {
         count: 3,
         seq: seq.clone(),
         scoring: scoring.clone(),
         deadline_ms: 10_000,
         checkpoint_budget: None,
+        lanes: LaneWidth::X4,
     };
+    let packs = PackUnit::new(&seq, &scoring, select(Some(job.lanes), None).unwrap(), None);
     let payload = job.encode();
     hub.add_greeting(tag::JOB, &payload);
     hub.add_greeting(tag::JOB, &payload);
@@ -482,22 +487,22 @@ fn worker_subcommand_serves_a_real_master_over_sockets() {
         }
     }
 
-    // Hand it a first-pass task; the result must carry the bottom row.
+    // Hand it a first-pass task; the result must carry the bottom rows.
     let task = TaskMsg::single(
         0,
         TaskItem {
-            r: 4,
+            unit: 1,
             attempt: 1,
             first: true,
             bound: repro::align::Score::MAX,
-            row: None,
+            rows: vec![],
         },
     );
     hub.send(1, tag::TASK, task.encode()).unwrap();
     let res = loop {
         match hub.recv_timeout(Duration::from_millis(200)) {
             Ok(m) if m.tag == tag::RESULT => {
-                let mut frame = ResultsMsg::decode(&m.payload).unwrap();
+                let mut frame = ResultsMsg::decode(&m.payload, &packs).unwrap();
                 assert_eq!(frame.items.len(), 1, "one task, one result");
                 break frame.items.remove(0);
             }
@@ -506,8 +511,13 @@ fn worker_subcommand_serves_a_real_master_over_sockets() {
             Err(e) => panic!("no RESULT from the worker process: {e:?}"),
         }
     };
-    assert_eq!((res.r, res.attempt), (4, 1));
-    assert!(res.first_row.is_some(), "first pass must return its row");
+    assert_eq!((res.unit, res.attempt), (1, 1));
+    let members: Vec<usize> = res.rows.iter().map(|&(r, _)| r).collect();
+    assert_eq!(
+        members,
+        Vec::from_iter(packs.splits(1)),
+        "first pass must return its rows"
+    );
 
     // DONE sends it home; the process exits cleanly.
     hub.send(1, tag::DONE, vec![]).unwrap();

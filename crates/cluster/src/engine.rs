@@ -27,16 +27,18 @@
 //! ACCEPTED broadcast went missing, and watches its own deadline so a
 //! dead master never leaves a thread hanging.
 
+use crate::master::{run_task, MasterState};
 use crate::protocol::{
     tag, AcceptedMsg, ResultMsg, ResultsMsg, ResyncMsg, TaskItem, TaskMsg, TelemetryMsg,
 };
 use crate::recovery::{idle_payload, master_loop, RecoveryConfig, BEACON_PERIOD, WORKER_POLL};
-use repro_align::{Score, Scoring, Seq};
-use repro_core::{DirtyLog, OverrideTriangle, ScoredSeq, Search, SplitSweeper, TopAlignments};
-use repro_obs::{Counter, FlightRecorder, Metric, Recorder};
+use repro_align::{Scoring, Seq};
+use repro_core::{Common, OverrideTriangle, Search, TopAlignment, TopAlignments, Unit};
+use repro_obs::{FlightRecorder, Metric, Recorder};
+use repro_simd::{select, PackUnit, SimdSel};
 use repro_xmpi::thread::{FaultPlan, ThreadComm};
 use repro_xmpi::{Comm, Message, RecvError, SendError};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
 /// Distributed-engine failure modes.
@@ -79,13 +81,15 @@ pub struct ClusterResult {
 /// computation; `faults` injects message faults on every endpoint (the
 /// chaos-test hook — [`FaultPlan::default`] is a clean world).
 ///
-/// With `search.checkpoint_budget` set, each worker keeps a checkpoint
-/// store and a dirty-log replica fed by the ACCEPTED broadcasts it
-/// applies, and its per-task tallies travel home inside [`ResultMsg`].
-/// With `search.seed` set the master — which owns the only seed index —
-/// never assigns a split whose bound stays below the acceptance
-/// frontier; per-task bounds ship inside the [`TaskMsg`]. Alignments
-/// are bit-identical with either layer on or off.
+/// A task is a lane pack ([`PackUnit`]) at the width and on the path
+/// the CPU probe picks (`select(None, None)`, no knob), swept by the
+/// group kernel on every worker. With `search.checkpoint_budget` set,
+/// each worker keeps its packs' lane memos and checkpoints, stamped
+/// against the ACCEPTED broadcasts it applies, and its tallies travel
+/// home inside [`ResultMsg`]. With `search.seed` set the master — which owns the
+/// only seed index — never assigns a pack whose bound stays below the
+/// acceptance frontier; per-task bounds ship inside the [`TaskMsg`].
+/// Alignments are bit-identical with either layer on or off.
 ///
 /// `rec` runs on the master's (calling) thread only, so it needs no
 /// synchronisation: every assign/result/retry/death/resync/fallback
@@ -106,19 +110,27 @@ pub fn run_cluster<R: Recorder>(
     let ranks = workers + 1;
     let mut world = ThreadComm::world_with_faults(ranks, faults);
     let master_comm = world.remove(0);
-    let budget = search.checkpoint_budget;
+    let sel = cluster_sel();
+    let packs = || PackUnit::new(seq, scoring, sel, search.checkpoint_budget);
 
     rec.phase_start(repro_obs::Phase::Recovery);
     let result = std::thread::scope(|scope| {
         for comm in world {
-            scope.spawn(move || worker_loop(seq, scoring, comm, deadline, budget));
+            scope.spawn(move || worker_loop(packs(), seq, scoring, comm, deadline));
         }
         let config = RecoveryConfig::with_overall(deadline);
-        master_loop(seq, scoring, search, master_comm, config, rec)
+        let master = MasterState::with_unit(packs(), seq, scoring, search);
+        master_loop(master, master_comm, config, rec)
     });
     rec.phase_end(repro_obs::Phase::Recovery);
 
     result.map(|r| ClusterResult { result: r, ranks })
+}
+
+/// The cluster engines' kernel: `select(None, None)`, no knob. Its width
+/// cuts the packs; a worker process sweeps them on its own best path.
+pub(crate) fn cluster_sel() -> SimdSel {
+    select(None, None).expect("the automatic selection always resolves")
 }
 
 /// Task frames a worker asks the master to keep with it, each a
@@ -138,20 +150,22 @@ struct Queued {
     item: TaskItem,
 }
 
-/// A worker rank's whole state: replica, caches, run queue, telemetry.
-struct Worker<'a, C: Comm> {
-    input: ScoredSeq<'a>,
+/// A worker rank's whole state: replica, unit state, run queue,
+/// telemetry.
+struct Worker<'a, C: Comm, U: Unit> {
+    unit: U,
+    /// The profiled sequence and every first-pass row this worker has
+    /// computed or been sent.
+    common: Common<'a>,
     comm: C,
     triangle: OverrideTriangle,
-    /// ACCEPTED broadcasts applied so far: the replica's version.
-    applied: usize,
-    rows: HashMap<usize, Vec<Score>>,
-    // The split unit of work and its incremental realignment state,
-    // tracking this worker's replica: the dirty log records exactly the
-    // ACCEPTED broadcasts applied, so its version always equals
-    // `applied`.
-    sweeper: SplitSweeper,
-    dirty: DirtyLog,
+    /// The ACCEPTED broadcasts applied so far, in order: the replica's
+    /// version is their count, and the unit's plan stamps against them.
+    /// (Only the pairs are known here; `r` and `score` are left 0.)
+    accepted: Vec<TopAlignment>,
+    // The unit's state, this worker's own: one thread, no lock.
+    locked: U::Locked,
+    local: U::Local,
     /// Every received task item not yet run, in arrival order. An item
     /// runs once the replica has reached its stamp.
     queue: VecDeque<Queued>,
@@ -172,48 +186,42 @@ struct Worker<'a, C: Comm> {
     sent: HashSet<(usize, u64)>,
     last_master: Instant,
     // This worker's own telemetry: sweep/resume/queue-wait samples and
-    // the scratch-pool tally, shipped home as cumulative snapshots on
-    // the beacon cadence. Pure observability — every frame may be lost
-    // without changing the search result.
+    // the lane counters of its commits, shipped home as cumulative
+    // snapshots on the beacon cadence. Pure observability — every frame
+    // may be lost without changing the search result.
     wrec: FlightRecorder,
     tele_seq: u64,
-    pool_sent: u64,
     idle_since: Instant,
     /// Test hook: extra wall time every sweep takes.
     #[cfg(test)]
     sweep_pad: Duration,
 }
 
-/// The worker body, generic over the transport: the exact same loop
-/// serves a simulator thread (rank = a `ThreadComm` endpoint) and a
-/// worker process (rank = a `SocketPeer`). See the module docs for the
-/// message-order/hold-back/resync discipline.
-pub(crate) fn worker_loop<C: Comm>(
+/// The worker body, generic over the transport and the unit: the exact
+/// same loop serves a simulator thread (rank = a `ThreadComm` endpoint)
+/// and a worker process (rank = a `SocketPeer`). See the module docs for
+/// the message-order/hold-back/resync discipline.
+pub(crate) fn worker_loop<C: Comm, U: Unit>(
+    unit: U,
     seq: &Seq,
     scoring: &Scoring,
     comm: C,
     deadline: Duration,
-    checkpoint_budget: Option<usize>,
 ) {
-    Worker::new(seq, scoring, comm, checkpoint_budget).serve(deadline);
+    Worker::new(unit, seq, scoring, comm).serve(deadline);
 }
 
-impl<'a, C: Comm> Worker<'a, C> {
-    fn new(
-        seq: &'a Seq,
-        scoring: &'a Scoring,
-        comm: C,
-        checkpoint_budget: Option<usize>,
-    ) -> Self {
+impl<'a, C: Comm, U: Unit> Worker<'a, C, U> {
+    fn new(unit: U, seq: &'a Seq, scoring: &'a Scoring, comm: C) -> Self {
         let now = Instant::now();
         Worker {
-            input: ScoredSeq::new(seq, scoring),
+            common: Common::new(seq, scoring),
             comm,
             triangle: OverrideTriangle::new(seq.len()),
-            applied: 0,
-            rows: HashMap::new(),
-            sweeper: replica_sweeper(checkpoint_budget),
-            dirty: DirtyLog::new(),
+            accepted: Vec::new(),
+            locked: unit.locked(),
+            local: unit.local(),
+            unit,
             queue: VecDeque::new(),
             frames_seen: 0,
             held: Vec::new(),
@@ -223,11 +231,15 @@ impl<'a, C: Comm> Worker<'a, C> {
             last_master: now,
             wrec: FlightRecorder::new(),
             tele_seq: 0,
-            pool_sent: 0,
             idle_since: now,
             #[cfg(test)]
             sweep_pad: Duration::ZERO,
         }
+    }
+
+    /// ACCEPTED broadcasts applied so far: the replica's version.
+    fn applied(&self) -> usize {
+        self.accepted.len()
     }
 
     /// Serve the master until DONE, a dead endpoint, or `deadline` of
@@ -235,7 +247,7 @@ impl<'a, C: Comm> Worker<'a, C> {
     fn serve(mut self, deadline: Duration) {
         let mut next_beacon = Instant::now(); // fires immediately: first IDLE
         loop {
-            if let Some(pos) = self.queue.iter().position(|q| q.stamp <= self.applied) {
+            if let Some(pos) = self.queue.iter().position(|q| q.stamp <= self.applied()) {
                 if !self.run(pos) {
                     return; // endpoint (ours or the master's) is dead
                 }
@@ -268,7 +280,7 @@ impl<'a, C: Comm> Worker<'a, C> {
         self.last_master = Instant::now();
         match msg.tag {
             tag::TASK => {
-                let Ok(task) = TaskMsg::decode(&msg.payload) else {
+                let Ok(task) = TaskMsg::decode(&msg.payload, &self.unit) else {
                     return true; // corrupted; the master will retransmit
                 };
                 self.frames_seen += 1;
@@ -296,16 +308,18 @@ impl<'a, C: Comm> Worker<'a, C> {
                 // claiming version k+2 would leave k's override pairs
                 // silently missing — and every score computed under
                 // that replica would be wrongly trusted as fresh.
-                if acc.index > self.applied {
+                if acc.index > self.applied() {
                     let _ = self.request_resync();
-                } else if acc.index == self.applied {
+                } else if acc.index == self.applied() {
                     for &(p, q) in &acc.pairs {
                         self.triangle.set(p, q);
                     }
-                    if self.sweeper.checkpointing() {
-                        self.dirty.record_accept(&acc.pairs);
-                    }
-                    self.applied += 1;
+                    self.accepted.push(TopAlignment {
+                        index: acc.index,
+                        r: 0,
+                        score: 0,
+                        pairs: acc.pairs,
+                    });
                 } // else: duplicate of an already-applied acceptance
             }
             tag::DONE => {
@@ -323,7 +337,7 @@ impl<'a, C: Comm> Worker<'a, C> {
     }
 
     fn request_resync(&self) -> Result<(), SendError> {
-        let applied = self.applied;
+        let applied = self.applied();
         self.comm
             .send(0, tag::RESYNC, ResyncMsg { applied }.encode())
     }
@@ -353,12 +367,8 @@ impl<'a, C: Comm> Worker<'a, C> {
         sent.is_ok() && self.comm.send(0, tag::TELEMETRY, payload).is_ok()
     }
 
-    /// The next cumulative telemetry frame. The sweeper's pool tally
-    /// lives outside the recorder, so its growth is folded in first.
+    /// The next cumulative telemetry frame.
     fn telemetry(&mut self, fin: bool) -> Vec<u8> {
-        let pool = self.sweeper.pool_reuses();
-        self.wrec.add(Counter::PoolReuses, pool - self.pool_sent);
-        self.pool_sent = pool;
         self.tele_seq += 1;
         TelemetryMsg {
             seq: self.tele_seq,
@@ -382,18 +392,18 @@ impl<'a, C: Comm> Worker<'a, C> {
         if !self.held.is_empty() && overdue && !self.flush() {
             return false;
         }
-        self.held_repeat |= !self.sent.insert((item.r, item.attempt));
+        self.held_repeat |= !self.sent.insert((item.unit, item.attempt));
         self.wrec.observe(
             Metric::QueueWaitNs,
             self.idle_since.elapsed().as_nanos() as u64,
         );
         let res = self.sweep(item);
-        // The master cannot accept this split while a higher stale
+        // The master cannot accept this unit while a higher stale
         // bound of the same frame is outstanding, and the frame's slot
         // is not credited before its last item settles: until the score
         // reaches every bound still queued from the frame, holding the
-        // result delays neither this split's acceptance nor the refill.
-        let score = res.score;
+        // result delays neither this unit's acceptance nor the refill.
+        let score = res.best.1;
         let mut rest = self.queue.iter().filter(|q| q.frame == frame);
         let send_now = rest.all(|q| score >= q.item.bound);
         self.held.push(res);
@@ -419,72 +429,81 @@ impl<'a, C: Comm> Worker<'a, C> {
         self.comm.send(0, tag::RESULT, payload).is_ok()
     }
 
-    /// Compute one task against the replica as it stands.
+    /// Compute one task against the replica as it stands, on this
+    /// worker's own unit state.
     fn sweep(&mut self, mut task: TaskItem) -> ResultMsg {
-        if let Some(row) = task.row.take().filter(|_| !task.first) {
-            self.rows.insert(task.r, row);
+        let splits = self.unit.splits(task.unit);
+        for (r, row) in std::mem::take(&mut task.rows) {
+            if !self.common.has_row(r) {
+                self.common.set_row(r, row);
+            }
         }
-        let sweep_t0 = Instant::now();
+        // A first pass this worker already ran — its result was lost and
+        // the master retransmitted the task — is a realignment here: the
+        // rows are stored, and go home again below.
+        let first = task.first;
+        task.first &= !splits.clone().all(|r| self.common.has_row(r));
         #[cfg(test)]
         std::thread::sleep(self.sweep_pad);
-        let original = (!task.first).then(|| {
-            let row = self.rows.get(&task.r);
-            &row.expect("realignment without cached or attached row")[..]
-        });
-        let out = self.sweeper.sweep(
-            &self.input,
-            task.r,
-            &self.triangle,
-            original,
-            &self.dirty,
-            None,
-        );
-        if let Some(resume) = &out.resume {
-            self.wrec.observe(Metric::ResumeRows, resume.rows_swept);
-        }
-        // The row every later realignment diffs against is the CLEAN
-        // bottom row, whatever the replica looked like.
-        if let Some(row) = &out.first_row {
-            self.rows.insert(task.r, row.clone());
-        }
-        self.wrec
-            .observe(Metric::SweepNs, sweep_t0.elapsed().as_nanos() as u64);
+        let state = (&mut self.locked, &mut self.local);
+        let replica = (&self.common, &self.triangle, &self.accepted[..]);
+        let mut res = run_task(&self.unit, state, replica, &task, &mut self.wrec);
         // The shipped bound dominates any score computed at or past the
         // task's stamp (masking monotonicity); a violation would mean the
         // master's seed index is broken.
         debug_assert!(
-            out.score <= task.bound,
-            "split {}: score {} above shipped bound {}",
-            task.r,
-            out.score,
+            res.best.1 <= task.bound,
+            "unit {}: score {} above shipped bound {}",
+            task.unit,
+            res.best.1,
             task.bound
         );
-        ResultMsg::answer(&task, self.applied, out)
+        // The rows every later realignment diffs against are the CLEAN
+        // bottom rows, whatever the replica looked like.
+        if first {
+            res.rows = splits.map(|r| (r, self.common.row(r).to_vec())).collect();
+        }
+        res
     }
 }
 
-/// The split unit of a message-passing worker's replica. The
-/// incremental layer serves realignments, and first passes while the
-/// replica is still pristine. A first pass under a grown replica — a
-/// late one behind the master's seed bounds, or a retransmitted attempt
-/// racing an acceptance — leaves the sweeper alone: seeding it there was
-/// measured (EXPERIMENTS.md, PR 13) to buy a few checkpoint hits and no
-/// wall time on the tandem inputs this engine is benchmarked on, for
-/// 20–30 % more resident memory.
-pub(crate) fn replica_sweeper(checkpoint_budget: Option<usize>) -> SplitSweeper {
-    SplitSweeper::new(checkpoint_budget, false)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::master::MAX_BATCH;
-    use repro_core::{find_top_alignments, SeedConfig};
-    use repro_obs::NoopRecorder;
+    use crate::protocol::Work;
+    use repro_align::Score;
+    use repro_core::{find_top_alignments, ScoredSeq, SeedConfig, SplitUnit, Stats};
+    use repro_obs::{Counter, NoopRecorder};
     use std::cell::RefCell;
+    use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     const DL: Duration = Duration::from_secs(10);
+
+    /// Unrelated flank material, 47 nt.
+    pub(crate) const FLANK: &str = "GGTTCCAACCGGTTAACCAGTGCACAGTCCGGAATTCCGGTAACCGT";
+
+    /// A low-repeat input long enough for seeded pruning to keep whole
+    /// ×16 packs off every worker: three 24-nt copies between two
+    /// 288-nt flanks.
+    pub(crate) fn island() -> Seq {
+        let spec = repro_seqgen::RepeatSpec::dna_sparse_island(24, 3);
+        repro_seqgen::PlantedRepeats::generate(&spec, 7).seq
+    }
+
+    /// The split unit over `seq`: what the scheduling tests below drive,
+    /// so that a batch holds as many tasks as they need.
+    fn splits_of(seq: &Seq) -> SplitUnit {
+        SplitUnit::new(seq, None, None)
+    }
+
+    /// The unit the engine ships, at four lanes: short sequences still
+    /// have the packs a batch needs.
+    fn packs_x4<'s>(seq: &'s Seq, scoring: &'s Scoring) -> PackUnit<'s> {
+        let sel = select(Some(repro_simd::LaneWidth::X4), None).unwrap();
+        PackUnit::new(seq, scoring, sel, None)
+    }
 
     /// `count` tops under `faults`, both layers off, nothing recorded.
     fn faulty(
@@ -560,40 +579,48 @@ mod tests {
     fn checkpointed_matches_plain_and_skips_rows() {
         let motif = "ATGCATGCATGC";
         let text = format!("GGTTCCAA{motif}CCAAGGTT{motif}TGCATTGG");
-        let seq = Seq::dna(&text).unwrap();
+        // A memo hits only on the worker whose packs swept it. At ×16 the
+        // bare core is three packs, so with two workers a hit is a coin
+        // toss; flanks add packs no accept straddles, which hit on any.
+        let flanked = format!("{FLANK}{text}{FLANK}");
         let scoring = Scoring::dna_example();
-        let want = find_top_alignments(&seq, &scoring, 6);
-        for budget in [Some(0), Some(1 << 20)] {
-            for workers in [1, 2] {
-                let search = Search {
-                    checkpoint_budget: budget,
-                    ..Search::new(6)
-                };
-                let got = run_cluster(
-                    &seq,
-                    &scoring,
-                    &search,
-                    workers,
-                    DL,
-                    FaultPlan::default(),
-                    &mut NoopRecorder,
-                )
-                .unwrap();
-                assert_eq!(
-                    got.result.alignments, want.alignments,
-                    "budget {budget:?}, {workers} workers"
-                );
-                let s = &got.result.stats;
-                if budget == Some(0) {
-                    assert_eq!(s.checkpoint_hits, 0, "budget 0 must always miss");
-                    assert_eq!(s.realign_rows_skipped, 0);
-                    assert!(s.checkpoint_misses > 0);
-                } else {
-                    assert!(
-                        s.checkpoint_hits > 0,
-                        "{workers} workers: expected memo/checkpoint hits"
+        for (text, hits_up_to) in [(text, 1), (flanked, 2)] {
+            let seq = Seq::dna(&text).unwrap();
+            let want = find_top_alignments(&seq, &scoring, 6);
+            for budget in [Some(0), Some(1 << 20)] {
+                for workers in [1, 2] {
+                    let search = Search {
+                        checkpoint_budget: budget,
+                        ..Search::new(6)
+                    };
+                    let got = run_cluster(
+                        &seq,
+                        &scoring,
+                        &search,
+                        workers,
+                        DL,
+                        FaultPlan::default(),
+                        &mut NoopRecorder,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        got.result.alignments, want.alignments,
+                        "budget {budget:?}, {workers} workers on {text}"
                     );
-                    assert!(s.realign_rows_skipped > 0);
+                    let s = &got.result.stats;
+                    if budget == Some(0) {
+                        assert_eq!(s.checkpoint_hits, 0, "budget 0 must always miss");
+                        assert_eq!(s.realign_rows_skipped, 0);
+                        assert!(s.checkpoint_misses > 0);
+                    } else {
+                        if workers <= hits_up_to {
+                            assert!(
+                                s.checkpoint_hits > 0,
+                                "{workers} workers on {text}: expected memo/checkpoint hits"
+                            );
+                        }
+                        assert!(s.realign_rows_skipped > 0, "{workers} workers on {text}");
+                    }
                 }
             }
         }
@@ -635,28 +662,35 @@ mod tests {
     fn seeded_cluster_prunes_splits_on_low_repeat_input() {
         let motif = "ATGCATGCATGC";
         let text = format!("GGTTCCAACCGGTTAACCAGTGCA{motif}{motif}CAGTCCGGAATTCCGGTAACCGT");
-        let seq = Seq::dna(&text).unwrap();
+        // A whole pack prunes only behind the first wave of speculative
+        // first passes (two workers' prefetch slots, MAX_BATCH packs
+        // each). At ×16 this input is five packs, all in that wave; the
+        // island has more packs than the wave.
         let scoring = Scoring::dna_example();
-        let want = find_top_alignments(&seq, &scoring, 1);
-        let search = Search {
-            seed: Some(SeedConfig::default()),
-            ..Search::new(1)
-        };
-        let got = run_cluster(
-            &seq,
-            &scoring,
-            &search,
-            2,
-            DL,
-            FaultPlan::default(),
-            &mut NoopRecorder,
-        )
-        .unwrap();
-        assert_eq!(got.result.alignments, want.alignments);
-        let s = &got.result.stats;
-        assert!(s.splits_pruned > 0, "flank splits must never be assigned");
-        assert!((s.splits_pruned as usize) < seq.len() - 1);
-        assert!(s.seed_index_build_ns > 0);
+        for (seq, prunes) in [(Seq::dna(&text).unwrap(), false), (island(), true)] {
+            let want = find_top_alignments(&seq, &scoring, 1);
+            let search = Search {
+                seed: Some(SeedConfig::default()),
+                ..Search::new(1)
+            };
+            let got = run_cluster(
+                &seq,
+                &scoring,
+                &search,
+                2,
+                DL,
+                FaultPlan::default(),
+                &mut NoopRecorder,
+            )
+            .unwrap();
+            assert_eq!(got.result.alignments, want.alignments);
+            let s = &got.result.stats;
+            if prunes {
+                assert!(s.splits_pruned > 0, "flank splits must never be assigned");
+            }
+            assert!((s.splits_pruned as usize) < seq.len() - 1);
+            assert!(s.seed_index_build_ns > 0);
+        }
     }
 
     #[test]
@@ -935,13 +969,16 @@ mod tests {
         )
         .unwrap();
         assert_eq!(got.result.alignments, want.alignments);
-        // The workers' scratch-pool tallies come home: before the
-        // telemetry channel existed they were silently lost on every
-        // cluster transport and reported as 0.
-        assert!(
-            got.result.stats.pool_reuses > 0,
-            "worker pool reuses must survive the wire"
-        );
+        // The workers' lane counters come home: before the telemetry
+        // channel existed worker-side tallies were silently lost on
+        // every cluster transport and reported as 0.
+        for c in [Counter::GroupSweeps, Counter::LanesActive] {
+            assert!(
+                rec.counter(c) > 0,
+                "worker {} must survive the wire",
+                c.name()
+            );
+        }
         // Master-side round trips and worker-side sweep/queue samples
         // all land in the master's merged histograms.
         for m in [Metric::TaskRoundTripNs, Metric::SweepNs, Metric::QueueWaitNs] {
@@ -968,21 +1005,36 @@ mod tests {
     /// every blocking receive — the worker has nothing left it can run —
     /// is served the next scripted message, DONE once the script is
     /// exhausted, and every receive and every RESULT frame is logged in
-    /// order.
-    struct Scripted {
+    /// order. RESULT frames are decoded against `unit`, and their items
+    /// kept whole in `results`.
+    struct Scripted<U> {
+        unit: U,
         script: RefCell<VecDeque<Message>>,
         log: RefCell<Vec<Logged>>,
+        results: RefCell<Vec<ResultMsg>>,
+    }
+
+    impl<U: Unit> Scripted<U> {
+        fn new(unit: U, script: impl IntoIterator<Item = Message>) -> Self {
+            Scripted {
+                unit,
+                script: RefCell::new(script.into_iter().collect()),
+                log: RefCell::new(Vec::new()),
+                results: RefCell::new(Vec::new()),
+            }
+        }
     }
 
     #[derive(Debug, PartialEq)]
     enum Logged {
         /// The worker read a message with this tag.
         Received(u32),
-        /// A RESULT frame went out: `(r, attempt, stamp)` per item.
+        /// A RESULT frame went out: `(r, attempt, stamp)` per item, `r`
+        /// the unit's best member.
         Results(Vec<(usize, u64, usize)>),
     }
 
-    impl Comm for Scripted {
+    impl<U: Unit> Comm for Scripted<U> {
         fn rank(&self) -> usize {
             1
         }
@@ -991,9 +1043,10 @@ mod tests {
         }
         fn send(&self, _to: usize, tag: u32, payload: Vec<u8>) -> Result<(), SendError> {
             if tag == tag::RESULT {
-                let frame = ResultsMsg::decode(&payload).expect("worker frames decode");
-                let items = frame.items.iter().map(|i| (i.r, i.attempt, i.stamp));
+                let frame = ResultsMsg::decode(&payload, &self.unit).expect("worker frames decode");
+                let items = frame.items.iter().map(|i| (i.best.0, i.attempt, i.stamp));
                 self.log.borrow_mut().push(Logged::Results(items.collect()));
+                self.results.borrow_mut().extend(frame.items);
             }
             Ok(())
         }
@@ -1024,11 +1077,11 @@ mod tests {
         };
         let task = |stamp, items: &[(usize, Score)]| {
             let items = items.iter().map(|&(r, bound)| TaskItem {
-                r,
+                unit: r - 1,
                 attempt: 1,
                 first: true,
                 bound,
-                row: None,
+                rows: vec![],
             });
             let payload = TaskMsg {
                 stamp,
@@ -1053,8 +1106,9 @@ mod tests {
         // Split 4's score equals split 8's bound (the sequence is its
         // own mirror image there), so 4's result may not wait for 8.
         assert_eq!(clean(4), clean(8));
-        let comm = Scripted {
-            script: RefCell::new(VecDeque::from([
+        let comm = Scripted::new(
+            splits_of(&seq),
+            [
                 task(0, &[(4, clean(4)), (8, clean(8))]),
                 // The prefetched batch, and the acceptance that lands
                 // behind it while the first batch is being swept.
@@ -1068,10 +1122,9 @@ mod tests {
                 accepted(1),
                 // Behind the replica: reports the version it ran under.
                 task(1, &[(3, Score::MAX)]),
-            ])),
-            log: RefCell::new(Vec::new()),
-        };
-        worker_loop(&seq, &scoring, &comm, DL, None);
+            ],
+        );
+        worker_loop(splits_of(&seq), &seq, &scoring, &comm, DL);
         use Logged::{Received, Results};
         assert_eq!(
             *comm.log.borrow(),
@@ -1095,16 +1148,109 @@ mod tests {
         );
     }
 
+    /// A unit first-passed by one worker and realigned by another:
+    /// worker 2 is handed pack `u` with every member's row attached,
+    /// under a replica two accepts in, its packs never having swept `u`.
+    /// It must sweep every lane — those no accept straddles have no memo
+    /// here to replay — and answer exactly what an inline plan · sweep ·
+    /// commit on fresh packs answers, whose best member the scalar
+    /// kernel confirms.
     #[test]
-    fn slow_sweeps_never_silence_a_worker_past_the_liveness_window() {
-        // Every sweep outlasts a beacon period and a whole frame of them
-        // outlasts the liveness window: a worker that held a frame's
-        // results to its end would be written off at the first retry
-        // check. Results go out between sweeps instead, so the master
-        // keeps hearing from both workers.
-        let seq = Seq::dna(&"ATGC".repeat(5)).unwrap();
+    fn a_unit_first_passed_elsewhere_is_swept_whole_not_replayed() {
+        let motif = "ATGCATGCATGC";
+        let seq = Seq::dna(&format!("GGTTCCAA{motif}CCAAGGTT{motif}TGCATTGG")).unwrap();
         let scoring = Scoring::dna_example();
-        let want = find_top_alignments(&seq, &scoring, 2);
+        let tops = find_top_alignments(&seq, &scoring, 2).alignments;
+        let sel = select(Some(repro_simd::LaneWidth::X4), None).unwrap();
+        let packs = || PackUnit::new(&seq, &scoring, sel, Some(1 << 20));
+        let input = ScoredSeq::new(&seq, &scoring);
+        let empty = OverrideTriangle::new(seq.len());
+        let clean = |r| input.align_task(r, &empty, None, None).first_row.unwrap();
+        let straddled = |r: usize| {
+            let mut pairs = tops.iter().flat_map(|t| &t.pairs);
+            pairs.any(|&(p, q)| p < r && r <= q)
+        };
+        let unit = packs();
+        let u = (0..unit.units())
+            .find(|&u| {
+                let mut s = unit.splits(u);
+                s.clone().any(straddled) && !s.all(straddled)
+            })
+            .expect("a pack the accepts straddle in part");
+        let rows: Vec<_> = unit.splits(u).map(|r| (r, clean(r))).collect();
+        let accepted = |index: usize| Message {
+            from: 0,
+            tag: tag::ACCEPTED,
+            payload: AcceptedMsg {
+                index,
+                pairs: tops[index].pairs.clone(),
+            }
+            .encode(),
+        };
+        let item = TaskItem {
+            unit: u,
+            attempt: 1,
+            first: false,
+            bound: Score::MAX,
+            rows: rows.clone(),
+        };
+        let task = Message {
+            from: 0,
+            tag: tag::TASK,
+            payload: TaskMsg::single(2, item).encode(),
+        };
+        let comm = Scripted::new(packs(), [accepted(0), accepted(1), task]);
+        worker_loop(packs(), &seq, &scoring, &comm, DL);
+
+        // The inline unit of work on fresh packs, from scratch.
+        let common = Common::new(&seq, &scoring);
+        for (r, row) in rows {
+            common.set_row(r, row);
+        }
+        let mut triangle = OverrideTriangle::new(seq.len());
+        for &(p, q) in tops.iter().flat_map(|t| &t.pairs) {
+            triangle.set(p, q);
+        }
+        let (mut locked, mut local) = (unit.locked(), unit.local());
+        let plan = unit.plan(&mut locked, &mut local, u, false, &tops);
+        let swept = unit.sweep(&common, &mut local, &plan, &triangle);
+        let mut grown = Stats::new();
+        let score = unit.commit(
+            &mut locked,
+            &mut grown,
+            &mut NoopRecorder,
+            plan,
+            Some(swept),
+        );
+        let want = ResultMsg {
+            unit: u,
+            stamp: 2,
+            attempt: 1,
+            best: unit.best_member(&locked, u, score),
+            rows: vec![],
+            work: Work::of(&grown),
+        };
+        assert_eq!(*comm.results.borrow(), std::slice::from_ref(&want));
+        let lanes = unit.splits(u).len() as u64;
+        assert_eq!((grown.alignments, grown.lanes_skipped), (lanes, 0));
+        // The best member, lowest on ties, by the scalar kernel.
+        let scalar = unit.splits(u).map(|r| {
+            let score = input
+                .align_task(r, &triangle, Some(common.row(r)), None)
+                .score;
+            (r, score)
+        });
+        let oracle = scalar.reduce(|a, b| if b.1 > a.1 { b } else { a });
+        assert_eq!(Some(want.best), oracle);
+    }
+
+    /// Every sweep outlasts a beacon period and a whole frame of them
+    /// outlasts the liveness window: a worker that held a frame's
+    /// results to its end would be written off at the first retry
+    /// check. Results go out between sweeps instead, so the master
+    /// keeps hearing from both workers.
+    fn slow_sweeps_on<U: Unit>(seq: &Seq, scoring: &Scoring, unit: impl Fn() -> U + Sync) {
+        let want = find_top_alignments(seq, scoring, 2);
         let mut world = ThreadComm::world(3);
         let master_comm = world.remove(0);
         let overall = Duration::from_secs(60);
@@ -1119,19 +1265,15 @@ mod tests {
         assert!(pad >= BEACON_PERIOD && pad * MAX_BATCH as u32 > config.liveness);
         let got = std::thread::scope(|scope| {
             for comm in world {
-                let mut worker = Worker::new(&seq, &scoring, comm, None);
-                worker.sweep_pad = pad;
-                scope.spawn(move || worker.serve(overall));
+                let unit = &unit;
+                scope.spawn(move || {
+                    let mut worker = Worker::new(unit(), seq, scoring, comm);
+                    worker.sweep_pad = pad;
+                    worker.serve(overall)
+                });
             }
-            let search = Search::new(2);
-            master_loop(
-                &seq,
-                &scoring,
-                &search,
-                master_comm,
-                config,
-                &mut NoopRecorder,
-            )
+            let master = MasterState::with_unit(unit(), seq, scoring, &Search::new(2));
+            master_loop(master, master_comm, config, &mut NoopRecorder)
         })
         .unwrap();
         assert_eq!(got.alignments, want.alignments);
@@ -1141,14 +1283,24 @@ mod tests {
         );
     }
 
+    #[test]
+    fn slow_sweeps_never_silence_a_worker_past_the_liveness_window() {
+        let scoring = Scoring::dna_example();
+        let seq = Seq::dna(&"ATGC".repeat(5)).unwrap();
+        slow_sweeps_on(&seq, &scoring, || splits_of(&seq));
+        let seq = Seq::dna(&"ATGC".repeat(10)).unwrap();
+        slow_sweeps_on(&seq, &scoring, || packs_x4(&seq, &scoring));
+    }
+
     /// A worker endpoint that loses every second result frame carrying
-    /// more than one item.
-    struct DropCoalesced {
+    /// more than one item (frames decoded against `unit`).
+    struct DropCoalesced<U> {
+        unit: U,
         inner: ThreadComm,
         coalesced: AtomicU64,
     }
 
-    impl Comm for DropCoalesced {
+    impl<U: Unit> Comm for DropCoalesced<U> {
         fn rank(&self) -> usize {
             self.inner.rank()
         }
@@ -1157,7 +1309,8 @@ mod tests {
         }
         fn send(&self, to: usize, tag: u32, payload: Vec<u8>) -> Result<(), SendError> {
             let coalesced = tag == tag::RESULT
-                && ResultsMsg::decode(&payload).is_ok_and(|frame| frame.items.len() > 1);
+                && ResultsMsg::decode(&payload, &self.unit)
+                    .is_ok_and(|frame| frame.items.len() > 1);
             if coalesced && self.coalesced.fetch_add(1, Ordering::Relaxed) % 2 == 1 {
                 return Ok(()); // lost: invisible to the sender
             }
@@ -1171,16 +1324,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_second_coalesced_result_frame_lost_heals_item_by_item() {
-        let seq = Seq::dna(&"ATGC".repeat(10)).unwrap();
-        let scoring = Scoring::dna_example();
-        let want = find_top_alignments(&seq, &scoring, 5);
+    /// Two workers over [`DropCoalesced`] endpoints, `unit` the task.
+    fn lost_frames_heal_on<U: Unit>(seq: &Seq, scoring: &Scoring, unit: impl Fn() -> U + Sync) {
+        let want = find_top_alignments(seq, scoring, 5);
         let mut world = ThreadComm::world(3);
         let master_comm = world.remove(0);
-        let workers: Vec<DropCoalesced> = world
+        let workers: Vec<DropCoalesced<U>> = world
             .into_iter()
             .map(|inner| DropCoalesced {
+                unit: unit(),
                 inner,
                 coalesced: AtomicU64::new(0),
             })
@@ -1188,18 +1340,12 @@ mod tests {
         let deadline = Duration::from_secs(30);
         let got = std::thread::scope(|scope| {
             for comm in &workers {
-                let (seq, scoring) = (&seq, &scoring);
-                scope.spawn(move || worker_loop(seq, scoring, comm, deadline, None));
+                let unit = &unit;
+                scope.spawn(move || worker_loop(unit(), seq, scoring, comm, deadline));
             }
             let config = RecoveryConfig::with_overall(deadline);
-            master_loop(
-                &seq,
-                &scoring,
-                &Search::new(5),
-                master_comm,
-                config,
-                &mut NoopRecorder,
-            )
+            let master = MasterState::with_unit(unit(), seq, scoring, &Search::new(5));
+            master_loop(master, master_comm, config, &mut NoopRecorder)
         })
         .expect("lost result frames must be healed, not fatal");
         assert_eq!(got.alignments, want.alignments);
@@ -1218,6 +1364,14 @@ mod tests {
             got.stats.cluster_reassignments, 0,
             "no worker was written off"
         );
+    }
+
+    #[test]
+    fn every_second_coalesced_result_frame_lost_heals_item_by_item() {
+        let seq = Seq::dna(&"ATGC".repeat(10)).unwrap();
+        let scoring = Scoring::dna_example();
+        lost_frames_heal_on(&seq, &scoring, || splits_of(&seq));
+        lost_frames_heal_on(&seq, &scoring, || packs_x4(&seq, &scoring));
     }
 
     #[test]

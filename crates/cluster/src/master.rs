@@ -25,13 +25,18 @@
 //!   with every worker gone, the master itself computes the remaining
 //!   tasks against its own (authoritative) triangle, which completes
 //!   the search with the exact sequential result instead of stalling.
+//!
+//! The machine is the third driver of a [`Unit`] (one split, or a lane
+//! pack), next to the inline loop and the SMP engine.
 
-use crate::protocol::{AcceptedMsg, ResultMsg, TaskItem, TaskMsg};
+use crate::protocol::{AcceptedMsg, ResultMsg, TaskItem, TaskMsg, Work};
 use repro_align::{Score, Scoring, Seq};
 use repro_core::{
-    DirtyLog, OverrideTriangle, ScoredSeq, Search, SplitBounds, SplitSweeper, Stats, TopAlignment,
+    Common, OverrideTriangle, Search, SplitBounds, SplitUnit, Stats, TopAlignment, Unit,
 };
+use repro_obs::{Metric, NoopRecorder, Recorder};
 use std::collections::{HashMap, HashSet};
+use std::time::Instant;
 
 /// The worker id the master uses for itself when it falls back to
 /// local computation ([`MasterState::finish_locally`]). Transports must
@@ -71,10 +76,13 @@ struct Assignment {
 
 #[derive(Debug, Clone, Copy)]
 struct TaskState {
+    /// The unit's upper bound: its best member's exact score once swept.
     score: Score,
+    /// That member, as the settling result reported it.
+    best: usize,
     aligned_with: usize,
     assigned: Option<Assignment>,
-    /// Attempts issued so far for this split (monotone).
+    /// Attempts issued so far for this unit (monotone).
     attempts: u64,
 }
 
@@ -88,13 +96,15 @@ impl TaskState {
     }
 }
 
-/// The master's complete state.
-pub struct MasterState<'a> {
-    input: ScoredSeq<'a>,
+/// The master's complete state, scheduling the units of `U`.
+pub struct MasterState<'a, U: Unit = SplitUnit> {
+    unit: U,
+    /// The profiled sequence and the first-pass rows, as the results
+    /// bring them home.
+    common: Common<'a>,
     count: usize,
-    state: Vec<TaskState>, // index r − 1
-    rows: Vec<Option<Vec<Score>>>,
-    /// Which workers hold a cached copy of which rows.
+    state: Vec<TaskState>, // one per unit
+    /// Which workers hold a cached copy of which rows (index r − 1).
     worker_has_row: HashMap<usize, Vec<bool>>,
     /// Workers declared dead; all their later traffic is ignored.
     dead: HashSet<usize>,
@@ -113,7 +123,8 @@ pub struct MasterState<'a> {
     assignable: usize,
     in_flight: usize,
     /// Results discarded because they claimed a replica version the
-    /// master has not reached (only a corrupt frame can).
+    /// master has not reached, or settled a first pass without its
+    /// rows (only a corrupt frame can).
     rejected_results: u64,
     done: bool,
     /// Seed bounds (pruning on): the master owns the only ones in the
@@ -126,23 +137,31 @@ pub struct MasterState<'a> {
 }
 
 impl<'a> MasterState<'a> {
-    /// A master running `search` on `seq`. With `search.seed` set every
-    /// split starts at its seed bound instead of `Score::MAX`, so splits
-    /// whose bound never reaches the acceptance frontier are never
-    /// assigned to any worker at all. (`search.checkpoint_budget` is the
-    /// workers' business; the master never sweeps incrementally.)
+    /// A master running `search` on `seq`, one split to a task (the
+    /// hybrid engine and the simulator).
     pub fn new(seq: &'a Seq, scoring: &'a Scoring, search: &Search) -> Self {
+        MasterState::with_unit(SplitUnit::new(seq, None, None), seq, scoring, search)
+    }
+}
+
+impl<'a, U: Unit> MasterState<'a, U> {
+    /// A master running `search` on `seq`, one unit of `unit` to a task.
+    /// With `search.seed` set every unit starts at its members' loosest
+    /// seed bound instead of `Score::MAX`, so a unit whose bound never
+    /// reaches the acceptance frontier is never assigned at all.
+    pub fn with_unit(unit: U, seq: &'a Seq, scoring: &'a Scoring, search: &Search) -> Self {
         let Search { count, seed, .. } = *search;
-        let m = seq.len();
-        let splits = m.saturating_sub(1);
         let bounds = seed.map(|sc| SplitBounds::build(seq.codes(), scoring, sc));
         let mut stats = Stats::new();
         if let Some(b) = &bounds {
             stats.seed_index_build_ns = b.build_ns();
         }
-        let state: Vec<TaskState> = (0..splits)
-            .map(|i| TaskState {
-                score: bounds.as_ref().map_or(Score::MAX, |b| b.bound(i + 1)),
+        let state: Vec<TaskState> = (0..unit.units())
+            .map(|u| TaskState {
+                score: bounds
+                    .as_ref()
+                    .map_or(Score::MAX, |b| b.max_bound(unit.splits(u))),
+                best: unit.splits(u).start,
                 aligned_with: NEVER,
                 assigned: None,
                 attempts: 0,
@@ -150,13 +169,13 @@ impl<'a> MasterState<'a> {
             .collect();
         let assignable = state.iter().filter(|t| t.assignable(0)).count();
         MasterState {
-            input: ScoredSeq::new(seq, scoring),
+            unit,
+            common: Common::new(seq, scoring),
             count,
             state,
-            rows: vec![None; splits],
             worker_has_row: HashMap::new(),
             dead: HashSet::new(),
-            triangle: OverrideTriangle::new(m),
+            triangle: OverrideTriangle::new(seq.len()),
             tops: Vec::new(),
             stats,
             traceback_secs: 0.0,
@@ -169,6 +188,15 @@ impl<'a> MasterState<'a> {
             bounds,
             first_passes: 0,
         }
+    }
+
+    /// The unit of work tasks and results are decoded against.
+    pub fn unit(&self) -> &U {
+        &self.unit
+    }
+
+    fn splits(&self) -> usize {
+        self.common.input.seq.len().saturating_sub(1)
     }
 
     /// `true` once [`MasterAction::Done`] has been emitted.
@@ -194,7 +222,7 @@ impl<'a> MasterState<'a> {
     }
 
     /// Results discarded for claiming a replica version above the
-    /// master's own acceptance count.
+    /// master's own acceptance count, or a first pass without its rows.
     pub fn rejected_results(&self) -> u64 {
         self.rejected_results
     }
@@ -205,7 +233,7 @@ impl<'a> MasterState<'a> {
     /// converges from above to the final pruned count), and realignments
     /// the workers' checkpoint layers avoided.
     pub fn progress(&self) -> repro_obs::Progress {
-        let total = self.state.len() as u64;
+        let total = self.splits() as u64;
         let done = self.first_passes as u64;
         repro_obs::Progress {
             splits_done: done,
@@ -230,7 +258,7 @@ impl<'a> MasterState<'a> {
     /// Consume the machine, yielding the final result.
     pub fn into_result(mut self) -> repro_core::TopAlignments {
         if let Some(b) = &self.bounds {
-            self.stats.splits_pruned = self.state.len().saturating_sub(self.first_passes) as u64;
+            self.stats.splits_pruned = self.splits().saturating_sub(self.first_passes) as u64;
             self.stats.bound_recomputes = b.recomputes();
         }
         repro_core::TopAlignments {
@@ -283,16 +311,18 @@ impl<'a> MasterState<'a> {
         if self.dead.contains(&worker) {
             return Vec::new(); // zombie: already written off
         }
+        let splits = self.splits();
         self.worker_has_row
             .entry(worker)
-            .or_insert_with(|| vec![false; self.state.len()]);
+            .or_insert_with(|| vec![false; splits]);
         self.credit_idle(worker, slot);
         self.pump()
     }
 
     /// A worker returned a task result.
     pub fn result(&mut self, worker: usize, res: ResultMsg) -> Vec<MasterAction> {
-        if self.dead.contains(&worker) || res.r == 0 || res.r > self.state.len() {
+        let u = res.unit;
+        if self.dead.contains(&worker) || u >= self.state.len() {
             return Vec::new(); // zombie, or a frame that decoded to nonsense
         }
         if res.stamp > self.tops.len() {
@@ -305,34 +335,41 @@ impl<'a> MasterState<'a> {
             self.rejected_results += 1;
             return Vec::new();
         }
-        let current = self.state[res.r - 1].assigned;
+        let current = self.state[u].assigned;
         let Some(a) = current.filter(|a| a.worker == worker && a.attempt == res.attempt) else {
             // Stale: a duplicate delivery, or an attempt that was
             // reassigned before this copy arrived. Discard the content
             // (a late first-pass recompute may have run under a newer
-            // replica, so even its row cannot be trusted as version-0)
+            // replica, so even its rows cannot be trusted as version-0)
             // and credit nothing — the token for this slot was already
             // returned when the first copy settled.
             return Vec::new();
         };
-        self.stats.record_alignment(res.cells, res.stamp);
-        self.stats.shadow_rejections += res.shadow_rejections;
-        self.stats.record_resume(res.incr);
-        if let Some(row) = res.first_row {
-            if self.rows[res.r - 1].is_none() {
-                // Exactly one result per split settles with its row
-                // slot still empty (one assignment per split at a
-                // time), so this counts each first pass once.
-                self.first_passes += 1;
-                self.rows[res.r - 1] = Some(row);
+        // Exactly one result per unit settles its first pass (one
+        // assignment per unit at a time), and it must bring every
+        // member's row — the local fallback's are already stored.
+        let splits = self.unit.splits(u);
+        let first = self.state[u].aligned_with == NEVER;
+        let brought = |r: usize| res.rows.iter().any(|&(q, _)| q == r);
+        if first && !splits.clone().all(|r| self.common.has_row(r) || brought(r)) {
+            self.rejected_results += 1;
+            return Vec::new();
+        }
+        for (r, row) in res.rows {
+            if !self.common.has_row(r) {
+                self.common.set_row(r, row);
             }
             if let Some(flags) = self.worker_has_row.get_mut(&worker) {
-                flags[res.r - 1] = true; // the computing worker caches its row
+                flags[r - 1] = true; // the computing worker caches its rows
             }
         }
+        if first {
+            self.first_passes += splits.len();
+        }
+        res.work.fold_into(&mut self.stats, res.stamp);
         let tops = self.tops.len();
-        let t = &mut self.state[res.r - 1];
-        t.score = res.score;
+        let t = &mut self.state[u];
+        (t.best, t.score) = res.best;
         t.aligned_with = res.stamp;
         t.assigned = None;
         self.assignable += usize::from(t.assignable(tops));
@@ -415,25 +452,17 @@ impl<'a> MasterState<'a> {
         out
     }
 
-    /// Run one task on the master itself. Identical to a worker's
-    /// compute, but against the master's own triangle — always at
-    /// version `tops.len()`, which equals every locally issued stamp —
-    /// and with no incremental state kept.
+    /// Run one task on the master itself, on throwaway unit state,
+    /// against the master's own triangle — always at version
+    /// `tops.len()`, which equals every locally issued stamp. A first
+    /// pass moves its rows straight into the master's store, so the
+    /// result carries none.
     fn compute_local(&self, stamp: usize, task: &TaskItem) -> ResultMsg {
         debug_assert_eq!(stamp, self.tops.len());
-        let original = (!task.first).then(|| {
-            let row = self.rows[task.r - 1].as_deref();
-            row.expect("realignment of a split with no stored row")
-        });
-        let out = SplitSweeper::new(None, false).sweep(
-            &self.input,
-            task.r,
-            &self.triangle,
-            original,
-            &DirtyLog::new(),
-            None,
-        );
-        ResultMsg::answer(task, stamp, out)
+        let unit = &self.unit;
+        let state = (&mut unit.locked(), &mut unit.local());
+        let replica = (&self.common, &self.triangle, &self.tops[..]);
+        run_task(unit, state, replica, task, &mut NoopRecorder)
     }
 
     /// Advance: accept while possible, then hand work to idle workers —
@@ -469,25 +498,28 @@ impl<'a> MasterState<'a> {
     /// engine's).
     fn accept_ready(&mut self, actions: &mut Vec<MasterAction>) {
         while self.tops.len() < self.count {
-            let Some((best_score, best_i)) = self.argmax() else {
+            let Some((best_score, best_u)) = self.argmax() else {
                 break;
             };
             if best_score <= 0 {
                 break;
             }
-            let t = self.state[best_i];
+            let t = self.state[best_u];
             if t.assigned.is_some() || t.aligned_with != self.tops.len() {
                 break;
             }
-            let r = best_i + 1;
-            let index = self.tops.len();
-            let original = self.rows[r - 1]
-                .as_deref()
-                .expect("accepted split must have a stored row");
-            let t0 = std::time::Instant::now();
-            let (top, cells) =
-                self.input
-                    .accept_task_with_row(r, best_score, &mut self.triangle, original, index);
+            // A fresh unit at the head: its best member is the next top
+            // alignment (lowest unit, then lowest member, on ties).
+            let (r, index) = (t.best, self.tops.len());
+            let common = &self.common;
+            let t0 = Instant::now();
+            let (top, cells) = common.input.accept_task_with_row(
+                r,
+                best_score,
+                &mut self.triangle,
+                common.row(r),
+                index,
+            );
             self.traceback_secs += t0.elapsed().as_secs_f64();
             self.stats.record_traceback(cells);
             self.stats.fresh_pops += 1;
@@ -506,38 +538,41 @@ impl<'a> MasterState<'a> {
         }
     }
 
-    /// The next task to hand out. A never-aligned pick is about to be
+    /// The next unit to hand out. A never-aligned pick is about to be
     /// swept: the moment the seed bounds may spend a refresh — if they
-    /// do, every still-seedless unassigned split drops to its tightened
-    /// bound (so splits that fall off the frontier are never assigned)
+    /// do, every still-seedless unassigned unit drops to its tightened
+    /// bound (so units that fall off the frontier are never assigned)
     /// and the pick is made again.
     fn next_assignment(&mut self) -> Option<usize> {
-        let (_, i) = self.best_stale_unassigned()?;
-        if self.state[i].aligned_with == NEVER {
+        let (_, u) = self.best_stale_unassigned()?;
+        if self.state[u].aligned_with == NEVER {
             if let Some(bounds) = self.bounds.as_mut() {
-                let stake = ((i + 1) * (self.input.seq.len() - i - 1)) as u64;
-                let codes = self.input.seq.codes();
-                if bounds.refresh_before_sweep(codes, self.input.scoring, &self.triangle, stake) {
+                // The stake in *vector* cells (rows × width), as the
+                // inline and SMP drivers weigh it: r(m − r) at one lane.
+                let (splits, input) = (self.unit.splits(u), &self.common.input);
+                let stake = ((splits.end - 1) * (input.seq.len() - splits.start)) as u64;
+                let codes = input.seq.codes();
+                if bounds.refresh_before_sweep(codes, input.scoring, &self.triangle, stake) {
                     let tops = self.tops.len();
-                    for (j, t) in self.state.iter_mut().enumerate() {
+                    for (v, t) in self.state.iter_mut().enumerate() {
                         if t.aligned_with == NEVER && t.assigned.is_none() {
                             self.assignable -= usize::from(t.assignable(tops));
-                            t.score = bounds.bound(j + 1);
+                            t.score = bounds.max_bound(self.unit.splits(v));
                             self.assignable += usize::from(t.assignable(tops));
                         }
                     }
-                    return self.best_stale_unassigned().map(|(_, j)| j);
+                    return self.best_stale_unassigned().map(|(_, v)| v);
                 }
             }
         }
-        Some(i)
+        Some(u)
     }
 
     /// Hand the best stale unassigned tasks to idle capacity, up to
     /// MAX_BATCH per slot token. The batch size adapts to the
     /// supply/demand ratio so a thin backlog still spreads across every
     /// idle slot instead of piling onto the first one; each batch is
-    /// sorted by split index so consecutive items land in neighbouring
+    /// sorted by unit so consecutive items land in neighbouring
     /// checkpoint and row-cache state on the worker (bound locality).
     /// Returns `true` if the seed bounds were refreshed on the way.
     fn assign_idle(&mut self, actions: &mut Vec<MasterAction>) -> bool {
@@ -569,39 +604,43 @@ impl<'a> MasterState<'a> {
             let stamp = tops;
             let mut items = Vec::with_capacity(k);
             for _ in 0..k {
-                let Some(i) = self.next_assignment() else {
+                let Some(u) = self.next_assignment() else {
                     break;
                 };
-                let attempt = self.state[i].attempts + 1;
-                self.state[i].attempts = attempt;
-                self.state[i].assigned = Some(Assignment {
+                let t = &mut self.state[u];
+                t.attempts += 1;
+                t.assigned = Some(Assignment {
                     worker,
                     slot,
-                    attempt,
+                    attempt: t.attempts,
                 });
+                let (attempt, bound) = (t.attempts, t.score);
                 self.assignable -= 1;
                 self.in_flight += 1;
                 self.stats.stale_pops += 1;
-                let first = self.rows[i].is_none();
+                // No rows exist before the first pass; after it, ship the
+                // members' rows the worker has no copy of.
+                let first = t.aligned_with == NEVER;
                 let flags = self
                     .worker_has_row
                     .get_mut(&worker)
                     .expect("worker registered at idle time");
-                let row = if first || flags[i] {
-                    None // first pass (no row yet), or worker has it cached
-                } else {
-                    flags[i] = true;
-                    Some(self.rows[i].clone().expect("row checked above"))
-                };
+                let mut rows = Vec::new();
+                for r in self.unit.splits(u).filter(|_| !first) {
+                    if !flags[r - 1] {
+                        flags[r - 1] = true;
+                        rows.push((r, self.common.row(r).to_vec()));
+                    }
+                }
                 items.push(TaskItem {
-                    r: i + 1,
+                    unit: u,
                     attempt,
                     first,
                     // The current upper bound (seed bound for a first
                     // pass, stale score otherwise) rides along so the
                     // worker can sanity-check without a seed index.
-                    bound: self.state[i].score,
-                    row,
+                    bound,
+                    rows,
                 });
             }
             if items.is_empty() {
@@ -610,7 +649,7 @@ impl<'a> MasterState<'a> {
             }
             self.idle.pop();
             self.outstanding.insert((worker, slot), items.len());
-            items.sort_by_key(|it| it.r);
+            items.sort_by_key(|it| it.unit);
             actions.push(MasterAction::Assign {
                 worker,
                 task: TaskMsg { stamp, items },
@@ -641,6 +680,37 @@ impl<'a> MasterState<'a> {
             }
         }
         best
+    }
+}
+
+/// One task as a worker and the local fallback compute it: plan · sweep
+/// · commit of `task.unit` on the caller's unit `state`, against its
+/// `replica` (rows, triangle, and the accepts that built it: the stamp).
+/// A first pass's rows are the caller's to attach.
+pub(crate) fn run_task<U: Unit, R: Recorder>(
+    unit: &U,
+    (locked, local): (&mut U::Locked, &mut U::Local),
+    (common, triangle, tops): (&Common, &OverrideTriangle, &[TopAlignment]),
+    task: &TaskItem,
+    rec: &mut R,
+) -> ResultMsg {
+    let u = task.unit;
+    let plan = unit.plan(locked, local, u, task.first, tops);
+    let swept = (!U::is_replay(&plan)).then(|| {
+        let t0 = Instant::now();
+        let swept = unit.sweep(common, local, &plan, triangle);
+        rec.observe(Metric::SweepNs, t0.elapsed().as_nanos() as u64);
+        swept
+    });
+    let mut grown = Stats::new();
+    let score = unit.commit(locked, &mut grown, rec, plan, swept);
+    ResultMsg {
+        unit: u,
+        stamp: tops.len(),
+        attempt: task.attempt,
+        best: unit.best_member(locked, u, score),
+        rows: Vec::new(),
+        work: Work::of(&grown),
     }
 }
 
@@ -702,13 +772,14 @@ mod tests {
             let Some((w, stamp, task)) = pending.pop_front() else {
                 panic!("master stalled without Done");
             };
+            let r = task.unit + 1;
             // Worker computes with ITS replica (which here is in lockstep
             // with the master; async transports exercise the lag). Later
             // items of a batch may run under a replica that grew past
             // their stamp — the master records those results as stale
             // and reassigns, exactly like lagging remote speculation.
-            let (prefix, suffix) = seq.split(task.r);
-            let mask = SplitMask::new(&worker_triangles[w], task.r);
+            let (prefix, suffix) = seq.split(r);
+            let mask = SplitMask::new(&worker_triangles[w], r);
             let last = repro_align::sw_last_row(prefix, suffix, scoring, mask);
             let (score, shadows, first_row) = if task.first {
                 assert!(
@@ -718,7 +789,7 @@ mod tests {
                     last.best_in_row
                 );
                 if worker_triangles[w].is_empty() {
-                    worker_caches[w].insert(task.r, last.row.clone());
+                    worker_caches[w].insert(r, last.row.clone());
                     (last.best_in_row, 0, Some(last.row))
                 } else {
                     // Late first pass (seeded): store the clean row,
@@ -727,15 +798,15 @@ mod tests {
                         repro_align::sw_last_row(prefix, suffix, scoring, repro_align::NoMask);
                     let (s, _, shadows) =
                         repro_core::bottom::best_valid_entry_counted(&last.row, &clean.row);
-                    worker_caches[w].insert(task.r, clean.row.clone());
+                    worker_caches[w].insert(r, clean.row.clone());
                     (s, shadows, Some(clean.row))
                 }
             } else {
-                if let Some(row) = &task.row {
-                    worker_caches[w].insert(task.r, row.clone());
+                if let Some((_, row)) = task.rows.first() {
+                    worker_caches[w].insert(r, row.clone());
                 }
                 let orig = worker_caches[w]
-                    .get(&task.r)
+                    .get(&r)
                     .expect("realignment without a cached or attached row");
                 let (s, _, shadows) = repro_core::bottom::best_valid_entry_counted(&last.row, orig);
                 (s, shadows, None)
@@ -743,14 +814,17 @@ mod tests {
             actions = master.result(
                 w,
                 ResultMsg {
-                    r: task.r,
+                    unit: task.unit,
                     stamp,
                     attempt: task.attempt,
-                    score,
-                    cells: last.cells,
-                    shadow_rejections: shadows,
-                    incr: [0; 4],
-                    first_row,
+                    best: (r, score),
+                    rows: first_row.map(|row| vec![(r, row)]).unwrap_or_default(),
+                    work: Work::of(&Stats {
+                        alignments: 1,
+                        cells: last.cells,
+                        shadow_rejections: shadows,
+                        ..Stats::default()
+                    }),
                 },
             );
             let _ = tag::IDLE;
@@ -835,7 +909,7 @@ mod tests {
             panic!("reissued task expected");
         };
         let item2 = task2.items[0].clone();
-        assert_eq!(item2.r, item.r);
+        assert_eq!(item2.unit, item.unit);
         assert!(
             item2.attempt > item.attempt,
             "reissue must bump the attempt"
@@ -845,14 +919,16 @@ mod tests {
         let zombie = master.result(
             1,
             ResultMsg {
-                r: item.r,
+                unit: item.unit,
                 stamp: task.stamp,
                 attempt: item.attempt,
-                score: 999_999, // a wrong score that must never be trusted
-                cells: 1,
-                shadow_rejections: 0,
-                incr: [0; 4],
-                first_row: Some(vec![0; seq.len()]),
+                best: (item.unit + 1, 999_999), // a wrong score that must never be trusted
+                rows: vec![(item.unit + 1, vec![0; seq.len() - item.unit - 1])],
+                work: Work::of(&Stats {
+                    alignments: 1,
+                    cells: 1,
+                    ..Stats::default()
+                }),
             },
         );
         assert!(zombie.is_empty(), "dead worker traffic must be ignored");
@@ -873,15 +949,18 @@ mod tests {
             panic!("one idle worker must receive an assignment");
         };
         let item = task.items[0].clone();
+        let r = item.unit + 1;
         let res = ResultMsg {
-            r: item.r,
+            unit: item.unit,
             stamp: task.stamp,
             attempt: item.attempt,
-            score: 0, // keep the split unaccepted so the state is easy to audit
-            cells: 7,
-            shadow_rejections: 0,
-            incr: [0; 4],
-            first_row: Some(vec![0; 4]),
+            best: (r, 0), // keep the split unaccepted so the state is easy to audit
+            rows: vec![(r, vec![0; seq.len() - r])],
+            work: Work::of(&Stats {
+                alignments: 1,
+                cells: 7,
+                ..Stats::default()
+            }),
         };
         let first = master.result(1, res.clone());
         assert!(
@@ -943,15 +1022,18 @@ mod tests {
     /// A settling result for `item` that leaves its split unassignable
     /// (score 0), so the state stays easy to audit.
     fn settled(item: &TaskItem, stamp: usize, len: usize) -> ResultMsg {
+        let r = item.unit + 1;
         ResultMsg {
-            r: item.r,
+            unit: item.unit,
             stamp,
             attempt: item.attempt,
-            score: 0,
-            cells: 1,
-            shadow_rejections: 0,
-            incr: [0; 4],
-            first_row: Some(vec![0; len]),
+            best: (r, 0),
+            rows: vec![(r, vec![0; len - r])],
+            work: Work::of(&Stats {
+                alignments: 1,
+                cells: 1,
+                ..Stats::default()
+            }),
         }
     }
 
@@ -976,7 +1058,9 @@ mod tests {
         let (a, b) = (&a[0], &b[0]);
         assert_eq!((a.items.len(), b.items.len()), (MAX_BATCH, MAX_BATCH));
         assert!(
-            a.items.iter().all(|x| b.items.iter().all(|y| x.r != y.r)),
+            a.items
+                .iter()
+                .all(|x| b.items.iter().all(|y| x.unit != y.unit)),
             "the second batch is queued work, not a copy of the first"
         );
         // Re-announcing either busy slot hands out nothing.
@@ -1015,7 +1099,7 @@ mod tests {
         // as fresh; usize::MAX would size the per-top statistics.
         for stamp in [1, usize::MAX] {
             let mut res = settled(item, stamp, seq.len());
-            res.score = 999_999;
+            res.best.1 = 999_999;
             assert!(master.result(1, res).is_empty());
         }
         assert_eq!(master.rejected_results(), 2);
@@ -1047,7 +1131,7 @@ mod tests {
             "a deep backlog fills the batch to the cap"
         );
         assert!(
-            batch.items.windows(2).all(|w| w[0].r < w[1].r),
+            batch.items.windows(2).all(|w| w[0].unit < w[1].unit),
             "batch items must be distinct splits sorted by r (bound locality)"
         );
         // Every item consumed the same slot: a re-announced IDLE is a

@@ -5,16 +5,16 @@
 //! is identical either way, only process isolation differs).
 //!
 //! The master binds a [`SocketHub`], stores the **job description**
-//! ([`JobMsg`]: sequence, scoring, deadline, checkpoint budget) as a
-//! greeting the hub replays to every joiner, spawns workers pointed at
-//! the hub's address, and then runs the exact same recovery loop as the
-//! thread backend. Workers are **elastic**: any process that connects —
-//! at startup or mid-run — is admitted, handed the job, and registers
-//! with the master through its first IDLE beacon; any worker that
-//! disconnects is declared dead by the first failed send and its
-//! in-flight work is reassigned. When the last worker dies, the master
-//! degrades to local computation, so the answer is still exactly the
-//! sequential one.
+//! ([`JobMsg`]: sequence, scoring, deadline, checkpoint budget, lane
+//! width) as a greeting the hub replays to every joiner, spawns workers
+//! pointed at the hub's address, and then runs the exact same recovery
+//! loop as the thread backend. Workers are **elastic**: any process
+//! that connects — at startup or mid-run — is admitted, handed the job,
+//! and registers with the master through its first IDLE beacon; any
+//! worker that disconnects is declared dead by the first failed send
+//! and its in-flight work is reassigned. When the last worker dies, the
+//! master degrades to local computation, so the answer is still exactly
+//! the sequential one.
 //!
 //! A worker process is launched in one of two ways:
 //!
@@ -33,13 +33,15 @@
 //! [`ProcOptions::sever_all_after`] cuts every connection at once (the
 //! whole-world-death fault).
 
-use crate::engine::{worker_loop, ClusterError, ClusterResult};
+use crate::engine::{cluster_sel, worker_loop, ClusterError, ClusterResult};
+use crate::master::MasterState;
 use crate::protocol::{tag, JobMsg};
 use crate::recovery::{master_loop, RecoveryConfig};
 use parking_lot::Mutex;
 use repro_align::{Scoring, Seq};
 use repro_core::Search;
 use repro_obs::Recorder;
+use repro_simd::{select, PackUnit};
 use repro_xmpi::socket::{ConnectError, FaultProxy, ProxyFaults, SocketHub, SocketPeer};
 use repro_xmpi::{Comm, RecvError};
 use std::process::{Child, Command, Stdio};
@@ -124,7 +126,8 @@ impl std::error::Error for WorkerError {}
 /// The worker-process body: connect to the hub at `addr`, wait for the
 /// job greeting, then run the standard [`crate::engine`] worker loop
 /// over the socket until DONE (or the master goes silent past the
-/// job's deadline).
+/// job's deadline), sweeping the job's lane packs on this process's
+/// best path at the job's width.
 pub fn socket_worker(addr: &str) -> Result<(), WorkerError> {
     let peer = SocketPeer::connect(addr).map_err(WorkerError::Connect)?;
     let job_deadline = Instant::now() + JOB_WAIT;
@@ -147,7 +150,9 @@ pub fn socket_worker(addr: &str) -> Result<(), WorkerError> {
         }
     };
     let deadline = Duration::from_millis(job.deadline_ms.max(1));
-    worker_loop(&job.seq, &job.scoring, peer, deadline, job.checkpoint_budget);
+    let sel = select(Some(job.lanes), None).expect("a width alone always resolves");
+    let packs = PackUnit::new(&job.seq, &job.scoring, sel, job.checkpoint_budget);
+    worker_loop(packs, &job.seq, &job.scoring, peer, deadline);
     Ok(())
 }
 
@@ -220,9 +225,10 @@ fn reap(children: &Arc<Mutex<Vec<Child>>>) {
 /// fails typed. `ranks` in the result counts every worker ever
 /// admitted, so elastic joins are visible to the caller.
 ///
-/// `search.checkpoint_budget` ships to every worker inside the job
-/// greeting; `search.seed` stays on the master, which builds the only
-/// seed index and sends per-task bounds inside its
+/// A task is a lane pack at the width [`crate::run_cluster`] picks; the
+/// width and `search.checkpoint_budget` ship to every worker inside the
+/// job greeting; `search.seed` stays on the master, which builds the
+/// only seed index and sends per-task bounds inside its
 /// [`crate::protocol::TaskMsg`]s.
 pub fn run_cluster_proc<R: Recorder>(
     seq: &Seq,
@@ -238,12 +244,14 @@ pub fn run_cluster_proc<R: Recorder>(
         "need at least one worker, initial or late-joining"
     );
     let hub = SocketHub::bind("127.0.0.1:0").map_err(|_| ClusterError::Stalled)?;
+    let sel = cluster_sel();
     let job = JobMsg {
         count: search.count,
         seq: seq.clone(),
         scoring: scoring.clone(),
         deadline_ms: deadline.as_millis() as u64,
         checkpoint_budget: search.checkpoint_budget,
+        lanes: sel.width,
     };
     let payload = job.encode();
     // The job greeting rides twice back to back: two consecutive
@@ -286,7 +294,11 @@ pub fn run_cluster_proc<R: Recorder>(
 
     rec.phase_start(repro_obs::Phase::Recovery);
     let config = RecoveryConfig::with_overall(deadline);
-    let result = master_loop(seq, scoring, search, &hub, config, rec);
+    // Start with the workers asked for: one pack could finish before the second joins.
+    hub.wait_for_workers(workers, config.join_grace);
+    let packs = PackUnit::new(seq, scoring, sel, search.checkpoint_budget);
+    let master = MasterState::with_unit(packs, seq, scoring, search);
+    let result = master_loop(master, &hub, config, rec);
     rec.phase_end(repro_obs::Phase::Recovery);
 
     // Every admitted worker counts toward `ranks`, late joiners
@@ -303,6 +315,7 @@ pub fn run_cluster_proc<R: Recorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::{island, FLANK};
     use repro_core::{find_top_alignments, SeedConfig};
     use repro_obs::{Counter, FlightRecorder, NoopRecorder};
 
@@ -365,52 +378,65 @@ mod tests {
 
     #[test]
     fn checkpointed_job_ships_over_the_wire() {
-        // The job description (with its checkpoint budget) travels in
-        // the greeting frame; worker-side incremental tallies travel
-        // home in result frames and land in the master's stats.
+        // The job description (with its checkpoint budget and lane
+        // width) travels in the greeting frame; worker-side incremental
+        // tallies travel home in result frames and land in the master's
+        // stats. (Two workers on the bare core's three ×16 packs hit a
+        // memo only by chance; flanked, every run hits.)
         let motif = "ATGCATGCATGC";
         let text = format!("GGTTCCAA{motif}CCAAGGTT{motif}TGCATTGG");
-        let seq = Seq::dna(&text).unwrap();
+        let flanked = format!("{FLANK}{text}{FLANK}");
         let scoring = Scoring::dna_example();
-        let want = find_top_alignments(&seq, &scoring, 6);
-        let search = Search {
-            checkpoint_budget: Some(1 << 20),
-            ..Search::new(6)
-        };
-        let opts = ProcOptions::default();
-        let got =
-            run_cluster_proc(&seq, &scoring, &search, 2, DL, &opts, &mut NoopRecorder).unwrap();
-        assert_eq!(got.result.alignments, want.alignments);
-        assert!(got.result.stats.checkpoint_hits > 0);
-        assert!(got.result.stats.realign_rows_skipped > 0);
-        // The workers' scratch-pool tallies ride the telemetry channel
-        // home even with no recorder attached (they patch the stats,
-        // which must not depend on observability being on).
-        assert!(
-            got.result.stats.pool_reuses > 0,
-            "worker pool reuses must survive the socket transport"
-        );
+        for (text, hits) in [(text, false), (flanked, true)] {
+            let seq = Seq::dna(&text).unwrap();
+            let want = find_top_alignments(&seq, &scoring, 6);
+            let search = Search {
+                checkpoint_budget: Some(1 << 20),
+                ..Search::new(6)
+            };
+            let opts = ProcOptions::default();
+            let mut rec = FlightRecorder::new();
+            let got = run_cluster_proc(&seq, &scoring, &search, 2, DL, &opts, &mut rec).unwrap();
+            assert_eq!(got.result.alignments, want.alignments);
+            if hits {
+                assert!(got.result.stats.checkpoint_hits > 0);
+            }
+            assert!(got.result.stats.realign_rows_skipped > 0);
+            // The workers' lane counters ride the telemetry channel home.
+            for c in [Counter::GroupSweeps, Counter::LanesActive] {
+                assert!(
+                    rec.counter(c) > 0,
+                    "worker {} must survive the socket transport",
+                    c.name()
+                );
+            }
+        }
     }
 
     #[test]
     fn seeded_proc_matches_sequential_and_prunes() {
         let motif = "ATGCATGCATGC";
         let text = format!("GGTTCCAACCGGTTAACCAGTGCA{motif}{motif}CAGTCCGGAATTCCGGTAACCGT");
-        let seq = Seq::dna(&text).unwrap();
+        // Five ×16 packs all go out in the first speculative wave; the
+        // island's packs outnumber it (see the engine's pruning test).
         let scoring = Scoring::dna_example();
-        let want = find_top_alignments(&seq, &scoring, 2);
-        let search = Search {
-            seed: Some(SeedConfig::default()),
-            ..Search::new(2)
-        };
-        let opts = ProcOptions::default();
-        let got =
-            run_cluster_proc(&seq, &scoring, &search, 2, DL, &opts, &mut NoopRecorder).unwrap();
-        assert_eq!(got.result.alignments, want.alignments);
-        assert!(
-            got.result.stats.splits_pruned > 0,
-            "socket workers must never see pruned splits"
-        );
+        for (seq, prunes) in [(Seq::dna(&text).unwrap(), false), (island(), true)] {
+            let want = find_top_alignments(&seq, &scoring, 2);
+            let search = Search {
+                seed: Some(SeedConfig::default()),
+                ..Search::new(2)
+            };
+            let opts = ProcOptions::default();
+            let got =
+                run_cluster_proc(&seq, &scoring, &search, 2, DL, &opts, &mut NoopRecorder).unwrap();
+            assert_eq!(got.result.alignments, want.alignments);
+            if prunes {
+                assert!(
+                    got.result.stats.splits_pruned > 0,
+                    "socket workers must never see pruned splits"
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,11 +8,17 @@
 //! the master bumps it on every (re)issue of a task, which lets it tell
 //! the result of the current assignment from stale deliveries of
 //! earlier attempts that were duplicated, delayed or reassigned.
+//!
+//! A task is one [`Unit`] (wire v6): tasks and results decode against
+//! it, so a frame that does not fit the unit fails typed before anything
+//! is allocated for it.
 
 use repro_align::{Alphabet, ExchangeMatrix, GapPenalties, Score, Scoring, Seq};
-use repro_core::SplitOutcome;
+use repro_core::{SplitOutcome, Stats, Unit};
 use repro_obs::{Counter, Hist, HistSet, Metric, TelemetrySnapshot};
+use repro_simd::LaneWidth;
 use repro_xmpi::wire::{Decoder, Encoder, WireError};
+use std::ops::Range;
 
 /// Message tags.
 pub mod tag {
@@ -46,19 +52,65 @@ pub mod tag {
     pub const TELEMETRY: u32 = 9;
 }
 
-/// One split's assignment inside a (possibly batched) [`TaskMsg`].
+/// First-pass rows of some of a unit's members, `(r, row)`, by `r`.
+pub type MemberRows = Vec<(usize, Vec<Score>)>;
+
+/// The splits of unit `u`, or [`WireError::BadFrame`] if the run has no
+/// such unit.
+fn members(unit: &impl Unit, u: usize) -> Result<Range<usize>, WireError> {
+    let splits = (u < unit.units()).then(|| unit.splits(u));
+    splits.ok_or(WireError::BadFrame)
+}
+
+fn encode_rows(e: Encoder, rows: &[(usize, Vec<Score>)]) -> Encoder {
+    rows.iter().fold(e.usize(rows.len()), |e, (r, row)| {
+        e.usize(*r).i32_slice(row)
+    })
+}
+
+/// Rows of the members `splits` of one of `unit`'s units: at most one
+/// per member, ascending, each `m − r` long. Counts and lengths are
+/// checked against the unit before anything is allocated for them.
+fn decode_rows(
+    d: &mut Decoder<'_>,
+    unit: &impl Unit,
+    splits: Range<usize>,
+) -> Result<MemberRows, WireError> {
+    let n = d.usize()?;
+    if n > splits.len() {
+        return Err(WireError::BadLength { claimed: n });
+    }
+    // The last unit ends at the sequence length.
+    let m = unit.splits(unit.units() - 1).end;
+    let mut rows: MemberRows = Vec::with_capacity(n);
+    for _ in 0..n {
+        let r = d.usize()?;
+        let next = rows.last().map_or(splits.start, |&(q, _)| q + 1);
+        let len = d.usize()?;
+        if !(next..splits.end).contains(&r) {
+            return Err(WireError::BadFrame);
+        } else if len != m - r {
+            return Err(WireError::BadLength { claimed: len });
+        }
+        rows.push((r, (0..len).map(|_| d.i32()).collect::<Result<_, _>>()?));
+    }
+    Ok(rows)
+}
+
+/// One unit's assignment inside a (possibly batched) [`TaskMsg`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskItem {
-    /// Split to (re)align.
-    pub r: usize,
-    /// Assignment attempt for this split, bumped on every (re)issue;
+    /// Unit to (re)align.
+    pub unit: usize,
+    /// Assignment attempt for this unit, bumped on every (re)issue;
     /// echoed back in the result so the master can discard stale ones.
     pub attempt: u64,
-    /// `true` iff this is the split's very first alignment (no stored
-    /// row exists anywhere yet; the worker must return its bottom row).
+    /// `true` iff this is the unit's very first alignment (no stored
+    /// rows exist anywhere yet; the worker must return its members'
+    /// bottom rows).
     pub first: bool,
-    /// The master's current upper bound on this split's score: the
-    /// seed bound for never-aligned splits, the stale score otherwise,
+    /// The master's current upper bound on this unit's score: the
+    /// seed bound for never-aligned units, the stale score otherwise,
     /// and [`Score::MAX`] in unseeded runs. Shipping it with the task
     /// means workers never rebuild the seed index; they may
     /// sanity-check their computed score against it (masking
@@ -70,52 +122,49 @@ pub struct TaskItem {
     /// skewed worlds degrade to typed rejection or retransmission,
     /// never to silently wrong bounds.
     pub bound: Score,
-    /// The stored first-pass bottom row, included when the worker has no
-    /// cached copy; `None` on first passes and for cache hits.
-    pub row: Option<Vec<Score>>,
+    /// The stored first-pass rows of the members the worker holds no
+    /// copy of; empty on first passes and cache hits.
+    pub rows: MemberRows,
 }
 
 impl TaskItem {
-    /// `true` iff `other` is this very assignment (same split, same
+    /// Encoded size of an item without rows.
+    const MIN_BYTES: usize = 3 * 8 + 4 + 8;
+
+    /// `true` iff `other` is this very assignment (same unit, same
     /// attempt) — a retransmitted copy of an item still waiting on a
     /// worker is answered when that one runs, so the copy is dropped.
     pub(crate) fn same_attempt(&self, other: &TaskItem) -> bool {
-        self.r == other.r && self.attempt == other.attempt
+        self.unit == other.unit && self.attempt == other.attempt
     }
 
     fn encode_into(&self, e: Encoder) -> Encoder {
         let e = e
-            .usize(self.r)
+            .usize(self.unit)
             .u64(self.attempt)
             .u64(self.first as u64)
             .i32(self.bound);
-        match &self.row {
-            Some(row) => e.u64(1).i32_slice(row),
-            None => e.u64(0),
-        }
+        encode_rows(e, &self.rows)
     }
 
-    fn decode_from(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let r = d.usize()?;
+    fn decode_from(d: &mut Decoder<'_>, unit: &impl Unit) -> Result<Self, WireError> {
+        let u = d.usize()?;
+        let splits = members(unit, u)?;
         let attempt = d.u64()?;
         let first = d.u64()? == 1;
         let bound = d.i32()?;
-        let row = if d.u64()? == 1 {
-            Some(d.i32_vec()?)
-        } else {
-            None
-        };
+        let rows = decode_rows(d, unit, splits)?;
         Ok(TaskItem {
-            r,
+            unit: u,
             attempt,
             first,
             bound,
-            row,
+            rows,
         })
     }
 }
 
-/// A task assignment: a batch of one or more splits to (re)align under
+/// A task assignment: a batch of one or more units to (re)align under
 /// one triangle version. Batching whole assignments into a single
 /// frame is the wire-v4 layout change ([`repro_xmpi::wire::VERSION`]):
 /// a v3 peer is rejected at hello with a typed version error. Workers
@@ -130,8 +179,8 @@ pub struct TaskMsg {
     /// item back until its replica has reached the stamp, and reports
     /// the version it actually computed against in the result.
     pub stamp: usize,
-    /// The batched assignments, sorted by split index ascending (the
-    /// bound-locality order: consecutive splits share checkpoint and
+    /// The batched assignments, sorted by unit ascending (the
+    /// bound-locality order: consecutive units share checkpoint and
     /// row-cache neighbourhoods on the worker).
     pub items: Vec<TaskItem>,
 }
@@ -155,23 +204,56 @@ impl TaskMsg {
         e.finish_framed()
     }
 
-    /// Decode from a framed payload. An empty batch is rejected as
-    /// malformed: the master never sends one, so it can only be
-    /// corruption that survived the checksum by colliding.
-    pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
+    /// Decode from a framed payload, against the run's `unit`. An empty
+    /// batch is rejected as malformed: the master never sends one, so it
+    /// can only be corruption that survived the checksum by colliding.
+    pub fn decode(payload: &[u8], unit: &impl Unit) -> Result<Self, WireError> {
         let mut d = Decoder::new_framed(payload)?;
         let stamp = d.usize()?;
         let n = d.usize()?;
         // Each item needs at least its fixed fields; reject a hostile
         // count before allocating.
-        if n == 0 || n > 1 << 20 {
+        if n == 0 || n > d.remaining() / TaskItem::MIN_BYTES {
             return Err(WireError::BadLength { claimed: n });
         }
         let items = (0..n)
-            .map(|_| TaskItem::decode_from(&mut d))
+            .map(|_| TaskItem::decode_from(&mut d, unit))
             .collect::<Result<Vec<_>, _>>()?;
         d.expect_exhausted()?;
         Ok(TaskMsg { stamp, items })
+    }
+}
+
+/// What one (re)alignment added to the work counters: the nine fields
+/// of a fresh [`Stats`] a unit's commit grows, in [`Work::of`]'s order.
+/// The master folds it in once, when the result settles.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Work([u64; 9]);
+
+impl Work {
+    /// The growth of `grown`, a [`Stats`] that started fresh.
+    pub fn of(grown: &Stats) -> Self {
+        Work([
+            grown.alignments,
+            grown.cells,
+            grown.shadow_rejections,
+            grown.checkpoint_hits,
+            grown.checkpoint_misses,
+            grown.realign_rows_swept,
+            grown.realign_rows_skipped,
+            grown.lanes_skipped,
+            grown.lanes_compacted,
+        ])
+    }
+
+    /// Fold into `stats` as work done while `stamp` tops existed.
+    pub fn fold_into(&self, stats: &mut Stats, stamp: usize) {
+        let [n, cells, shadows, hits, misses, swept, skipped, lanes_skipped, compacted] = self.0;
+        stats.record_alignments(n, cells, stamp);
+        stats.shadow_rejections += shadows;
+        stats.record_resume([hits, misses, swept, skipped]);
+        stats.lanes_skipped += lanes_skipped;
+        stats.lanes_compacted += compacted;
     }
 }
 
@@ -179,8 +261,8 @@ impl TaskMsg {
 /// alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResultMsg {
-    /// Split that was aligned.
-    pub r: usize,
+    /// Unit that was aligned.
+    pub unit: usize,
     /// Replica version the score was computed against: the ACCEPTED
     /// broadcasts the worker had applied when the sweep started — at or
     /// past the task's stamp, never the task's stamp echoed back. The
@@ -189,82 +271,71 @@ pub struct ResultMsg {
     pub stamp: usize,
     /// The attempt number echoed from the [`TaskItem`].
     pub attempt: u64,
-    /// Valid (shadow-filtered) score.
-    pub score: Score,
-    /// Cells computed (for the master's accounting).
-    pub cells: u64,
-    /// Bottom-row entries the worker's shadow filter rejected (0 on
-    /// first passes; folded into the master's `Stats`).
-    pub shadow_rejections: u64,
-    /// Incremental-realignment tallies from the worker's checkpoint
-    /// layer, folded into the master's `Stats` exactly once (stale
-    /// attempts are discarded wholesale): `(checkpoint hits, misses,
-    /// rows swept, rows skipped)`. All zero when the layer is off.
-    pub incr: [u64; 4],
-    /// First-pass bottom row (only on the first alignment of `r`).
-    pub first_row: Option<Vec<Score>>,
+    /// The unit's best member and its valid (shadow-filtered) score —
+    /// the unit's score; the lowest member on ties.
+    pub best: (usize, Score),
+    /// First-pass bottom rows of the unit's members: all of them when
+    /// the task was the unit's first pass, none otherwise.
+    pub rows: MemberRows,
+    /// What the sweep added to the work counters.
+    pub work: Work,
 }
 
 impl ResultMsg {
-    /// The answer to `task`: the split unit's outcome of sweeping it
-    /// under replica version `stamp`.
+    /// The split unit's answer to `task` (unit `u` is split `u + 1`):
+    /// the outcome of sweeping it under replica version `stamp`.
     pub fn answer(task: &TaskItem, stamp: usize, out: SplitOutcome) -> Self {
+        let r = task.unit + 1;
+        let mut grown = Stats::new();
+        grown.record_alignment(out.cells, stamp);
+        grown.shadow_rejections = out.shadow_rejections;
+        grown.record_resume(out.resume.map_or([0; 4], |resume| resume.tallies()));
         ResultMsg {
-            r: task.r,
+            unit: task.unit,
             stamp,
             attempt: task.attempt,
-            score: out.score,
-            cells: out.cells,
-            shadow_rejections: out.shadow_rejections,
-            incr: out.resume.map_or([0; 4], |resume| resume.tallies()),
-            first_row: out.first_row,
+            best: (r, out.score),
+            rows: out.first_row.map(|row| vec![(r, row)]).unwrap_or_default(),
+            work: Work::of(&grown),
         }
     }
 
-    /// Encoded size of an item without a row: what a frame must still
+    /// Encoded size of an item without rows: what a frame must still
     /// hold per claimed item.
-    const MIN_BYTES: usize = 3 * 8 + 4 + 2 * 8 + 4 * 8 + 8;
+    const MIN_BYTES: usize = 4 * 8 + 4 + 9 * 8 + 8;
 
     fn encode_into(&self, e: Encoder) -> Encoder {
         let e = e
-            .usize(self.r)
+            .usize(self.unit)
             .usize(self.stamp)
             .u64(self.attempt)
-            .i32(self.score)
-            .u64(self.cells)
-            .u64(self.shadow_rejections)
-            .u64(self.incr[0])
-            .u64(self.incr[1])
-            .u64(self.incr[2])
-            .u64(self.incr[3]);
-        match &self.first_row {
-            Some(row) => e.u64(1).i32_slice(row),
-            None => e.u64(0),
-        }
+            .usize(self.best.0)
+            .i32(self.best.1);
+        let e = self.work.0.iter().fold(e, |e, &v| e.u64(v));
+        encode_rows(e, &self.rows)
     }
 
-    fn decode_from(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let r = d.usize()?;
+    fn decode_from(d: &mut Decoder<'_>, unit: &impl Unit) -> Result<Self, WireError> {
+        let u = d.usize()?;
+        let splits = members(unit, u)?;
         let stamp = d.usize()?;
         let attempt = d.u64()?;
-        let score = d.i32()?;
-        let cells = d.u64()?;
-        let shadow_rejections = d.u64()?;
-        let incr = [d.u64()?, d.u64()?, d.u64()?, d.u64()?];
-        let first_row = if d.u64()? == 1 {
-            Some(d.i32_vec()?)
-        } else {
-            None
-        };
+        let best = (d.usize()?, d.i32()?);
+        if !splits.contains(&best.0) {
+            return Err(WireError::BadFrame);
+        }
+        let mut work = Work::default();
+        for v in &mut work.0 {
+            *v = d.u64()?;
+        }
+        let rows = decode_rows(d, unit, splits)?;
         Ok(ResultMsg {
-            r,
+            unit: u,
             stamp,
             attempt,
-            score,
-            cells,
-            shadow_rejections,
-            incr,
-            first_row,
+            best,
+            rows,
+            work,
         })
     }
 }
@@ -294,17 +365,18 @@ impl ResultsMsg {
         e.finish_framed()
     }
 
-    /// Decode from a framed payload. An empty list is malformed (no
-    /// worker sends one), and a count the remaining bytes cannot hold
-    /// is rejected before anything is allocated for it.
-    pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
+    /// Decode from a framed payload, against the run's `unit`. An empty
+    /// list is malformed (no worker sends one), and a count the
+    /// remaining bytes cannot hold is rejected before anything is
+    /// allocated for it.
+    pub fn decode(payload: &[u8], unit: &impl Unit) -> Result<Self, WireError> {
         let mut d = Decoder::new_framed(payload)?;
         let n = d.usize()?;
         if n == 0 || n > d.remaining() / ResultMsg::MIN_BYTES {
             return Err(WireError::BadLength { claimed: n });
         }
         let items = (0..n)
-            .map(|_| ResultMsg::decode_from(&mut d))
+            .map(|_| ResultMsg::decode_from(&mut d, unit))
             .collect::<Result<Vec<_>, _>>()?;
         d.expect_exhausted()?;
         Ok(ResultsMsg { items })
@@ -360,6 +432,10 @@ pub struct JobMsg {
     /// Checkpoint budget for the incremental realignment layer
     /// (`None` = layer off).
     pub checkpoint_budget: Option<usize>,
+    /// Lanes per pack: the width the master's kernel selection picked,
+    /// so every worker cuts the same units (each sweeps them on its own
+    /// best path at that width).
+    pub lanes: LaneWidth,
 }
 
 impl JobMsg {
@@ -386,14 +462,16 @@ impl JobMsg {
             Some(b) => e.u64(1).usize(b),
             None => e.u64(0),
         }
+        .usize(self.lanes.lanes())
         .finish_framed()
     }
 
     /// Decode from a framed payload. The gap penalties are re-validated
-    /// (non-negative open, positive extend), and the scoring against the
-    /// sequence length ([`Scoring::check_range`]), so a frame from a
-    /// buggy peer fails typed instead of tripping an assert — or
-    /// wrapping a score — downstream.
+    /// (non-negative open, positive extend), the scoring against the
+    /// sequence length ([`Scoring::check_range`]) and the lane count
+    /// against the three widths, so a frame from a buggy peer fails
+    /// typed instead of tripping an assert — or wrapping a score —
+    /// downstream.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
         let mut d = Decoder::new_framed(payload)?;
         let count = d.usize()?;
@@ -424,6 +502,7 @@ impl JobMsg {
         } else {
             None
         };
+        let lanes = LaneWidth::from_lanes(d.usize()?).ok_or(WireError::BadFrame)?;
         d.expect_exhausted()?;
         let exchange = ExchangeMatrix::from_fn(alphabet, |a, b| {
             table[a as usize * k + b as usize]
@@ -438,6 +517,7 @@ impl JobMsg {
             scoring,
             deadline_ms,
             checkpoint_budget,
+            lanes,
         })
     }
 }
@@ -534,6 +614,21 @@ impl ResyncMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use repro_simd::{select, PackUnit};
+
+    /// Run `f` against the unit every test frame is decoded with: 12 nt
+    /// in packs of four — units 0, 1, 2 are splits 1–4, 5–8 and 9–11,
+    /// and split `r`'s row is `12 − r` long.
+    fn with_packs<T>(f: impl FnOnce(&PackUnit) -> T) -> T {
+        let seq = Seq::dna("ATGCATGCATGC").unwrap();
+        let scoring = Scoring::dna_example();
+        let sel = select(Some(LaneWidth::X4), None).unwrap();
+        f(&PackUnit::new(&seq, &scoring, sel, None))
+    }
+
+    fn row(r: usize) -> (usize, Vec<Score>) {
+        (r, (0..12 - r as i32).map(|x| x * 3 - 5).collect())
+    }
 
     #[test]
     fn task_roundtrip() {
@@ -541,52 +636,52 @@ mod tests {
             TaskMsg::single(
                 2,
                 TaskItem {
-                    r: 5,
+                    unit: 2,
                     attempt: 1,
                     first: true,
                     bound: Score::MAX,
-                    row: None,
+                    rows: vec![],
                 },
             ),
             TaskMsg::single(
                 0,
                 TaskItem {
-                    r: 1,
+                    unit: 0,
                     attempt: 3,
                     first: false,
                     bound: -17,
-                    row: Some(vec![3, -1, 0, 99]),
+                    rows: vec![row(1), row(2), row(3), row(4)],
                 },
             ),
-            // A mixed batch: first pass, cached realignment, attached row.
+            // A mixed batch: first pass, cached realignment, attached rows.
             TaskMsg {
                 stamp: 4,
                 items: vec![
                     TaskItem {
-                        r: 2,
+                        unit: 0,
                         attempt: 1,
                         first: true,
                         bound: 50,
-                        row: None,
+                        rows: vec![],
                     },
                     TaskItem {
-                        r: 3,
+                        unit: 1,
                         attempt: 2,
                         first: false,
                         bound: 44,
-                        row: None,
+                        rows: vec![],
                     },
                     TaskItem {
-                        r: 7,
+                        unit: 2,
                         attempt: 5,
                         first: false,
                         bound: 9,
-                        row: Some(vec![0, 1, -2]),
+                        rows: vec![row(9), row(11)],
                     },
                 ],
             },
         ] {
-            assert_eq!(TaskMsg::decode(&msg.encode()).unwrap(), msg);
+            with_packs(|u| assert_eq!(TaskMsg::decode(&msg.encode(), u).unwrap(), msg));
         }
     }
 
@@ -594,7 +689,7 @@ mod tests {
     fn empty_task_batch_is_rejected() {
         let framed = Encoder::new().usize(3).usize(0).finish_framed();
         assert!(matches!(
-            TaskMsg::decode(&framed),
+            with_packs(|u| TaskMsg::decode(&framed, u)),
             Err(WireError::BadLength { claimed: 0 })
         ));
     }
@@ -603,34 +698,44 @@ mod tests {
         ResultsMsg {
             items: vec![
                 ResultMsg {
-                    r: 9,
+                    unit: 2,
                     stamp: 4,
                     attempt: 2,
-                    score: 123,
-                    cells: 1 << 40,
-                    shadow_rejections: 7,
-                    incr: [1, 2, 30, 40],
-                    first_row: None,
+                    best: (10, 123),
+                    rows: vec![],
+                    work: Work::of(&Stats {
+                        alignments: 3,
+                        cells: 1 << 40,
+                        shadow_rejections: 7,
+                        checkpoint_hits: 1,
+                        checkpoint_misses: 2,
+                        realign_rows_swept: 30,
+                        realign_rows_skipped: 40,
+                        lanes_skipped: 1,
+                        lanes_compacted: 2,
+                        ..Stats::default()
+                    }),
                 },
                 ResultMsg {
-                    r: 2,
+                    unit: 0,
                     stamp: 0,
                     attempt: 1,
-                    score: 0,
-                    cells: 0,
-                    shadow_rejections: 0,
-                    incr: [0; 4],
-                    first_row: Some(vec![]),
+                    best: (1, 0),
+                    rows: vec![row(1), row(2), row(3), row(4)],
+                    work: Work::default(),
                 },
                 ResultMsg {
-                    r: 3,
+                    unit: 1,
                     stamp: 5,
                     attempt: 7,
-                    score: -4,
-                    cells: 12,
-                    shadow_rejections: 1,
-                    incr: [0; 4],
-                    first_row: Some(vec![3, -1, 0, 99]),
+                    best: (8, -4),
+                    rows: vec![row(5), row(6), row(7), row(8)],
+                    work: Work::of(&Stats {
+                        alignments: 4,
+                        cells: 12,
+                        shadow_rejections: 1,
+                        ..Stats::default()
+                    }),
                 },
             ],
         }
@@ -639,30 +744,141 @@ mod tests {
     #[test]
     fn results_roundtrip() {
         let msg = sample_results();
-        assert_eq!(ResultsMsg::decode(&msg.encode()).unwrap(), msg);
-        for item in msg.items {
-            let one = ResultsMsg { items: vec![item] };
-            assert_eq!(ResultsMsg::decode(&one.encode()).unwrap(), one);
-        }
+        with_packs(|u| {
+            assert_eq!(ResultsMsg::decode(&msg.encode(), u).unwrap(), msg);
+            for item in msg.items {
+                let one = ResultsMsg { items: vec![item] };
+                assert_eq!(ResultsMsg::decode(&one.encode(), u).unwrap(), one);
+            }
+        });
+    }
+
+    #[test]
+    fn work_folds_into_the_stats_it_was_counted_from() {
+        let mut grown = Stats::new();
+        grown.record_alignment(40, 3);
+        grown.record_alignment(2, 3);
+        grown.shadow_rejections = 5;
+        grown.record_resume([1, 0, 9, 4]);
+        grown.lanes_skipped = 2;
+        grown.lanes_compacted = 1;
+        let mut folded = Stats::new();
+        Work::of(&grown).fold_into(&mut folded, 3);
+        assert_eq!(folded, grown);
     }
 
     #[test]
     fn empty_and_hostile_result_counts_are_rejected_before_allocation() {
         let empty = Encoder::new().usize(0).finish_framed();
-        assert_eq!(
-            ResultsMsg::decode(&empty),
-            Err(WireError::BadLength { claimed: 0 })
-        );
-        // A count no allocator could serve, in front of one real item:
-        // rejected on the count alone.
-        let one = sample_results().items.remove(0);
-        for claimed in [2, 1 << 20, usize::MAX] {
-            let frame = one
-                .encode_into(Encoder::new().usize(claimed))
+        with_packs(|u| {
+            assert_eq!(
+                ResultsMsg::decode(&empty, u),
+                Err(WireError::BadLength { claimed: 0 })
+            );
+            // A count no allocator could serve, in front of one real item:
+            // rejected on the count alone.
+            let one = sample_results().items.remove(0);
+            for claimed in [2, 1 << 20, usize::MAX] {
+                let frame = one
+                    .encode_into(Encoder::new().usize(claimed))
+                    .finish_framed();
+                assert_eq!(
+                    ResultsMsg::decode(&frame, u),
+                    Err(WireError::BadLength { claimed })
+                );
+            }
+        });
+    }
+
+    /// Every shape a unit rules out, in a task and in a result: each
+    /// decodes to a typed error, never a panic, and nothing is sized
+    /// from the hostile field.
+    #[test]
+    fn frames_that_do_not_fit_the_unit_fail_typed() {
+        let task = |unit, rows| {
+            let item = TaskItem {
+                unit,
+                attempt: 1,
+                first: false,
+                bound: 9,
+                rows,
+            };
+            TaskMsg::single(0, item).encode()
+        };
+        // Unit 0's first pass, then bent.
+        let result = |bend: fn(&mut ResultMsg)| {
+            let mut res = sample_results().items.remove(1);
+            bend(&mut res);
+            ResultsMsg { items: vec![res] }.encode()
+        };
+        with_packs(|u| {
+            for (what, frame, want) in [
+                ("unit past the last", task(3, vec![]), WireError::BadFrame),
+                (
+                    "more rows than members",
+                    task(2, vec![row(9), row(10), row(11), row(11)]),
+                    WireError::BadLength { claimed: 4 },
+                ),
+                (
+                    "a row of another unit",
+                    task(2, vec![row(8)]),
+                    WireError::BadFrame,
+                ),
+                (
+                    "a member twice",
+                    task(2, vec![row(9), row(9)]),
+                    WireError::BadFrame,
+                ),
+                (
+                    "a row of the wrong length",
+                    task(1, vec![(5, vec![0; 3])]),
+                    WireError::BadLength { claimed: 3 },
+                ),
+            ] {
+                assert_eq!(TaskMsg::decode(&frame, u), Err(want), "task: {what}");
+            }
+            for (what, frame, want) in [
+                (
+                    "unit past the last",
+                    result(|r| r.unit = usize::MAX),
+                    WireError::BadFrame,
+                ),
+                (
+                    "a best member outside the unit",
+                    result(|r| r.best.0 = 5),
+                    WireError::BadFrame,
+                ),
+                (
+                    "more rows than members",
+                    result(|r| r.rows.push(row(4))),
+                    WireError::BadLength { claimed: 5 },
+                ),
+                (
+                    "a row of the wrong length",
+                    result(|r| r.rows[1].1.push(0)),
+                    WireError::BadLength { claimed: 11 },
+                ),
+            ] {
+                assert_eq!(ResultsMsg::decode(&frame, u), Err(want), "result: {what}");
+            }
+        });
+        // A lane count that is none of the three widths.
+        for lanes in [0, 5, 32, usize::MAX] {
+            let payload = Encoder::new()
+                .usize(1)
+                .u32(0)
+                .bytes(&[0, 1, 2, 3])
+                .i32_slice(&[1; 25])
+                .i32(2)
+                .i32(1)
+                .u64(10)
+                .u64(0)
+                .usize(lanes)
                 .finish_framed();
             assert_eq!(
-                ResultsMsg::decode(&frame),
-                Err(WireError::BadLength { claimed })
+                JobMsg::decode(&payload),
+                Err(WireError::BadFrame),
+                "{lanes} lanes"
             );
         }
     }
@@ -688,20 +904,22 @@ mod tests {
             .encode_into(items[0].encode_into(Encoder::new().usize(2)))
             .finish();
         let first_len = items[0].encode_into(Encoder::new().usize(2)).finish().len();
-        for cut in first_len..body.len() {
-            assert!(
-                matches!(
-                    ResultsMsg::decode(&framed(&body[..cut])),
-                    Err(WireError::Truncated { .. } | WireError::BadLength { .. })
-                ),
-                "cut at {cut} decoded"
-            );
-        }
-        // And a frame cut on the wire fails its framing.
-        let frame = sample_results().encode();
-        for cut in 0..frame.len() {
-            assert!(ResultsMsg::decode(&frame[..cut]).is_err());
-        }
+        with_packs(|u| {
+            for cut in first_len..body.len() {
+                assert!(
+                    matches!(
+                        ResultsMsg::decode(&framed(&body[..cut]), u),
+                        Err(WireError::Truncated { .. } | WireError::BadLength { .. })
+                    ),
+                    "cut at {cut} decoded"
+                );
+            }
+            // And a frame cut on the wire fails its framing.
+            let frame = sample_results().encode();
+            for cut in 0..frame.len() {
+                assert!(ResultsMsg::decode(&frame[..cut], u).is_err());
+            }
+        });
     }
 
     #[test]
@@ -784,11 +1002,16 @@ mod tests {
 
     #[test]
     fn job_roundtrip_rebuilds_seq_and_scoring() {
-        for (seq, scoring) in [
-            (Seq::dna("ATGCATGCNN").unwrap(), Scoring::dna_example()),
+        for (seq, scoring, lanes) in [
+            (
+                Seq::dna("ATGCATGCNN").unwrap(),
+                Scoring::dna_example(),
+                LaneWidth::X16,
+            ),
             (
                 Seq::protein("MGEKALVPYRX").unwrap(),
                 Scoring::protein_default(),
+                LaneWidth::X4,
             ),
         ] {
             let msg = JobMsg {
@@ -797,6 +1020,7 @@ mod tests {
                 scoring,
                 deadline_ms: 45_000,
                 checkpoint_budget: Some(1 << 20),
+                lanes,
             };
             let back = JobMsg::decode(&msg.encode()).unwrap();
             assert_eq!(back, msg);
@@ -818,6 +1042,7 @@ mod tests {
             scoring: Scoring::dna_example(),
             deadline_ms: 10,
             checkpoint_budget: None,
+            lanes: LaneWidth::X8,
         };
         assert_eq!(JobMsg::decode(&no_budget.encode()).unwrap(), no_budget);
     }
@@ -832,6 +1057,7 @@ mod tests {
             scoring: Scoring::dna_example(),
             deadline_ms: 10,
             checkpoint_budget: None,
+            lanes: LaneWidth::X16,
         };
         // A zero gap-extend would panic GapPenalties::new if trusted.
         let bad_gaps = Encoder::new()
@@ -843,6 +1069,7 @@ mod tests {
             .i32(0) // extend = 0: invalid
             .u64(10)
             .u64(0)
+            .usize(16)
             .finish_framed();
         assert!(JobMsg::decode(&bad_gaps).is_err());
         // An unknown alphabet id.
@@ -855,6 +1082,7 @@ mod tests {
             .i32(1)
             .u64(10)
             .u64(0)
+            .usize(16)
             .finish_framed();
         assert!(JobMsg::decode(&bad_alpha).is_err());
         // Residue codes outside the alphabet.
@@ -867,6 +1095,7 @@ mod tests {
             .i32(1)
             .u64(10)
             .u64(0)
+            .usize(16)
             .finish_framed();
         assert!(JobMsg::decode(&bad_codes).is_err());
         // A wrong-size exchange table.
@@ -879,6 +1108,7 @@ mod tests {
             .i32(1)
             .u64(10)
             .u64(0)
+            .usize(16)
             .finish_framed();
         assert!(JobMsg::decode(&bad_table).is_err());
         // Scores that would wrap an i32 over this sequence.
@@ -891,6 +1121,7 @@ mod tests {
             .i32(1)
             .u64(10)
             .u64(0)
+            .usize(16)
             .finish_framed();
         assert!(JobMsg::decode(&bad_range).is_err());
     }
@@ -902,18 +1133,18 @@ mod tests {
                 stamp: 1,
                 items: vec![
                     TaskItem {
-                        r: 4,
+                        unit: 1,
                         attempt: 2,
                         first: false,
                         bound: 42,
-                        row: Some(vec![1, 2, 3]),
+                        rows: vec![row(5), row(6), row(7), row(8)],
                     },
                     TaskItem {
-                        r: 5,
+                        unit: 2,
                         attempt: 1,
                         first: true,
                         bound: 42,
-                        row: None,
+                        rows: vec![],
                     },
                 ],
             }
@@ -927,20 +1158,22 @@ mod tests {
             ResyncMsg { applied: 1 }.encode(),
             sample_telemetry().encode(),
         ];
-        for frame in frames {
-            for i in 0..frame.len() {
-                let mut bad = frame.clone();
-                bad[i] ^= 0xA5; // the injector's corruption pattern
-                assert!(
-                    TaskMsg::decode(&bad).is_err()
-                        && ResultsMsg::decode(&bad).is_err()
-                        && AcceptedMsg::decode(&bad).is_err()
-                        && ResyncMsg::decode(&bad).is_err()
-                        && TelemetryMsg::decode(&bad).is_err(),
-                    "byte {i} flip survived decoding"
-                );
+        with_packs(|u| {
+            for frame in frames {
+                for i in 0..frame.len() {
+                    let mut bad = frame.clone();
+                    bad[i] ^= 0xA5; // the injector's corruption pattern
+                    assert!(
+                        TaskMsg::decode(&bad, u).is_err()
+                            && ResultsMsg::decode(&bad, u).is_err()
+                            && AcceptedMsg::decode(&bad).is_err()
+                            && ResyncMsg::decode(&bad).is_err()
+                            && TelemetryMsg::decode(&bad).is_err(),
+                        "byte {i} flip survived decoding"
+                    );
+                }
             }
-        }
+        });
     }
 
     #[test]
@@ -948,16 +1181,18 @@ mod tests {
         let frame = TaskMsg::single(
             0,
             TaskItem {
-                r: 1,
+                unit: 0,
                 attempt: 1,
                 first: true,
                 bound: 9,
-                row: None,
+                rows: vec![],
             },
         )
         .encode();
-        for cut in 0..frame.len() {
-            assert!(TaskMsg::decode(&frame[..cut]).is_err());
-        }
+        with_packs(|u| {
+            for cut in 0..frame.len() {
+                assert!(TaskMsg::decode(&frame[..cut], u).is_err());
+            }
+        });
     }
 }

@@ -27,8 +27,7 @@
 use crate::engine::ClusterError;
 use crate::master::{MasterAction, MasterState};
 use crate::protocol::{tag, ResultsMsg, ResyncMsg, TaskItem, TaskMsg, TelemetryMsg};
-use repro_align::{Scoring, Seq};
-use repro_core::{Search, TopAlignments};
+use repro_core::{TopAlignments, Unit};
 use repro_obs::{Counter, Event, Metric, Phase, Recorder, TelemetrySnapshot};
 use repro_xmpi::{Comm, RecvError, SendError};
 use std::collections::HashMap;
@@ -121,32 +120,27 @@ struct WorkerTelemetry {
 /// The master's fold of every worker's telemetry stream. Counter and
 /// histogram snapshots arrive *cumulative*; the ledger diffs each
 /// against the previous one from that worker, so lost or duplicated
-/// frames cost staleness, never double-counting. The pool-reuse total
-/// is tracked recorder-independently: it patches the result's `Stats`,
-/// which must come out identical whether or not a recorder is attached.
+/// frames cost staleness, never double-counting. What the snapshots
+/// carry — the lane counters of the workers' commits, their sweep,
+/// resume and queue-wait samples — is recorder-only: the work counters
+/// travel in the results.
+#[derive(Default)]
 struct TelemetryLedger {
     per_worker: HashMap<usize, WorkerTelemetry>,
-    pool_reuses: u64,
 }
 
 impl TelemetryLedger {
-    fn new() -> Self {
-        TelemetryLedger {
-            per_worker: HashMap::new(),
-            pool_reuses: 0,
-        }
-    }
-
     /// Fold one snapshot: drop stale sequence numbers, diff against the
-    /// previous snapshot, fold the delta's histograms into the recorder
-    /// and its pool-reuse count into the stats-bound total.
+    /// previous snapshot, fold the delta into the recorder.
     fn fold<R: Recorder>(&mut self, worker: usize, msg: TelemetryMsg, rec: &mut R) {
         let entry = self.per_worker.entry(worker).or_default();
         if entry.last_seq.is_some_and(|s| msg.seq <= s) {
             return; // duplicate or reordered: already folded
         }
         let delta = msg.snap.delta_from(&entry.snap);
-        self.pool_reuses += delta.counter(Counter::PoolReuses);
+        for c in Counter::ALL {
+            rec.add(c, delta.counter(c));
+        }
         for m in Metric::ALL {
             let h = delta.hists.get(m);
             if !h.is_empty() {
@@ -203,15 +197,12 @@ fn drain_final_telemetry<C: Comm, R: Recorder>(
 /// Finish the machine: report its acceptance time as the `traceback`
 /// phase, patch the transport-level recovery tallies into the result's
 /// stats (the state machine itself never sees them) and mirror the
-/// final stats into the recorder. `pool_reuses` is the ledger's fold of
-/// the workers' scratch-pool tallies, which otherwise never leave the
-/// worker ranks.
-fn finalize<R: Recorder>(
-    master: MasterState,
+/// final stats into the recorder.
+fn finalize<U: Unit, R: Recorder>(
+    master: MasterState<U>,
     rec: &mut R,
     retries: u64,
     reassigns: u64,
-    pool_reuses: u64,
 ) -> TopAlignments {
     if !master.alignments().is_empty() {
         rec.add_phase_secs(Phase::Traceback, master.traceback_secs());
@@ -220,7 +211,6 @@ fn finalize<R: Recorder>(
     let mut tops = master.into_result();
     tops.stats.cluster_retries = retries;
     tops.stats.cluster_reassignments = reassigns;
-    tops.stats.pool_reuses += pool_reuses;
     tops.stats.mirror_into(rec);
     tops
 }
@@ -228,8 +218,8 @@ fn finalize<R: Recorder>(
 /// Drain the master's local-fallback actions and return its result.
 /// Emits a [`Event::LocalFallback`] so event logs make the degradation
 /// visible, then the terminal [`Event::Done`].
-fn local_finish<C: Comm, R: Recorder>(
-    mut master: MasterState,
+fn local_finish<U: Unit, C: Comm, R: Recorder>(
+    mut master: MasterState<U>,
     comm: &C,
     rec: &mut R,
     retries: u64,
@@ -260,13 +250,7 @@ fn local_finish<C: Comm, R: Recorder>(
             });
         }
         drain_final_telemetry(comm, ledger, rec);
-        Ok(finalize(
-            master,
-            rec,
-            retries,
-            reassigns,
-            ledger.pool_reuses,
-        ))
+        Ok(finalize(master, rec, retries, reassigns))
     } else {
         // No workers, and the local pass could not finish either
         // (it always can; this is a defensive dead end).
@@ -278,9 +262,9 @@ fn local_finish<C: Comm, R: Recorder>(
 // A failed direct send declares the destination dead on the spot,
 // and the resulting reassignments join the work list.
 #[allow(clippy::too_many_arguments)] // transport loop state, threaded explicitly
-fn act<C: Comm, R: Recorder>(
+fn act<U: Unit, C: Comm, R: Recorder>(
     comm: &C,
-    master: &mut MasterState,
+    master: &mut MasterState<U>,
     flights: &mut HashMap<usize, Flight>,
     config: &RecoveryConfig,
     actions: Vec<MasterAction>,
@@ -299,7 +283,7 @@ fn act<C: Comm, R: Recorder>(
                     for item in &task.items {
                         rec.event(Event::Assign {
                             worker,
-                            r: item.r,
+                            r: master.unit().splits(item.unit).start, // a unit's first split
                             attempt: item.attempt,
                             stamp: task.stamp,
                         });
@@ -312,7 +296,7 @@ fn act<C: Comm, R: Recorder>(
                     Ok(()) => {
                         for item in task.items {
                             flights.insert(
-                                item.r,
+                                item.unit,
                                 Flight {
                                     worker,
                                     stamp: task.stamp,
@@ -327,11 +311,11 @@ fn act<C: Comm, R: Recorder>(
                     }
                     Err(SendError::SelfDead) => return Err(ClusterError::MasterDead),
                     Err(SendError::PeerDead(_)) => {
-                        // Flights these splits still hold are from
+                        // Flights these units still hold are from
                         // assignments that were withdrawn: drop them.
                         let dropped = task.items.len() as u64;
                         for item in &task.items {
-                            flights.remove(&item.r);
+                            flights.remove(&item.unit);
                         }
                         *reassigns += dropped;
                         rec.add(Counter::ClusterReassignments, dropped);
@@ -364,27 +348,25 @@ fn act<C: Comm, R: Recorder>(
     Ok(done)
 }
 
-/// The fault-tolerant master loop: drives [`MasterState`] over `comm`
-/// until the search completes (possibly via local fallback) or the
-/// world is genuinely unrecoverable. Every transport-level incident
-/// (assign, result, retransmit, death, resync, fallback) is mirrored
-/// into `rec` as a structured [`Event`], which is what makes chaos
-/// failures replayable from the JSONL event log.
-pub(crate) fn master_loop<C: Comm, R: Recorder>(
-    seq: &Seq,
-    scoring: &Scoring,
-    search: &Search,
+/// The fault-tolerant master loop: drives `master` over `comm` until
+/// the search completes (possibly via local fallback) or the world is
+/// genuinely unrecoverable. Every transport-level incident (assign,
+/// result, retransmit, death, resync, fallback) is mirrored into `rec`
+/// as a structured [`Event`], which is what makes chaos failures
+/// replayable from the JSONL event log.
+pub(crate) fn master_loop<U: Unit, C: Comm, R: Recorder>(
+    mut master: MasterState<U>,
     comm: C,
     config: RecoveryConfig,
     rec: &mut R,
 ) -> Result<TopAlignments, ClusterError> {
-    let mut master = MasterState::new(seq, scoring, search);
+    // One flight per unit in flight, keyed by unit.
     let mut flights: HashMap<usize, Flight> = HashMap::new();
     let start = Instant::now();
     let mut last_heard: HashMap<usize, Instant> = (1..comm.size()).map(|r| (r, start)).collect();
     let mut retries_total: u64 = 0;
     let mut reassigns_total: u64 = 0;
-    let mut ledger = TelemetryLedger::new();
+    let mut ledger = TelemetryLedger::default();
 
     loop {
         let now = Instant::now();
@@ -423,7 +405,7 @@ pub(crate) fn master_loop<C: Comm, R: Recorder>(
 
         // Retransmit overdue assignments; escalate silent workers.
         let mut newly_dead: Vec<usize> = Vec::new();
-        for (&r, flight) in flights.iter_mut() {
+        for (&u, flight) in flights.iter_mut() {
             if now < flight.retry_at {
                 continue;
             }
@@ -453,7 +435,7 @@ pub(crate) fn master_loop<C: Comm, R: Recorder>(
                     if R::ENABLED {
                         rec.event(Event::Retry {
                             worker: flight.worker,
-                            r,
+                            r: master.unit().splits(u).start,
                             attempt: flight.item.attempt,
                             retries: flight.retries,
                         });
@@ -489,13 +471,7 @@ pub(crate) fn master_loop<C: Comm, R: Recorder>(
                 &mut reassigns_total,
             )? {
                 drain_final_telemetry(&comm, &mut ledger, rec);
-                return Ok(finalize(
-                    master,
-                    rec,
-                    retries_total,
-                    reassigns_total,
-                    ledger.pool_reuses,
-                ));
+                return Ok(finalize(master, rec, retries_total, reassigns_total));
             }
             if master.live_workers() == 0 && !master.is_done() {
                 return local_finish(
@@ -531,16 +507,16 @@ pub(crate) fn master_loop<C: Comm, R: Recorder>(
                 Err(_) => Vec::new(), // corrupted announcement; it repeats
             },
             tag::HEARTBEAT => Vec::new(),
-            tag::RESULT => match ResultsMsg::decode(&msg.payload) {
+            tag::RESULT => match ResultsMsg::decode(&msg.payload, master.unit()) {
                 Ok(frame) => {
                     rec.add(Counter::ClusterResultFrames, 1);
                     let mut acts = Vec::new();
                     for res in frame.items {
                         if flights
-                            .get(&res.r)
+                            .get(&res.unit)
                             .is_some_and(|f| f.worker == msg.from && f.item.attempt == res.attempt)
                         {
-                            let flight = flights.remove(&res.r).expect("checked above");
+                            let flight = flights.remove(&res.unit).expect("checked above");
                             if R::ENABLED {
                                 rec.observe(
                                     Metric::TaskRoundTripNs,
@@ -551,9 +527,9 @@ pub(crate) fn master_loop<C: Comm, R: Recorder>(
                         if R::ENABLED {
                             rec.event(Event::Result {
                                 worker: msg.from,
-                                r: res.r,
+                                r: master.unit().splits(res.unit).start,
                                 attempt: res.attempt,
-                                score: res.score as i64,
+                                score: res.best.1 as i64,
                             });
                         }
                         acts.extend(master.result(msg.from, res));
@@ -605,13 +581,7 @@ pub(crate) fn master_loop<C: Comm, R: Recorder>(
             &mut reassigns_total,
         )? {
             drain_final_telemetry(&comm, &mut ledger, rec);
-            return Ok(finalize(
-                master,
-                rec,
-                retries_total,
-                reassigns_total,
-                ledger.pool_reuses,
-            ));
+            return Ok(finalize(master, rec, retries_total, reassigns_total));
         }
         if master.live_workers() == 0 && !master.is_done() && flights.is_empty() {
             // Every registered worker has been written off.
@@ -644,7 +614,8 @@ pub(crate) fn idle_payload(slot: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repro_core::find_top_alignments;
+    use repro_align::{Scoring, Seq};
+    use repro_core::{find_top_alignments, Search};
     use repro_obs::NoopRecorder;
     use repro_xmpi::thread::ThreadComm;
 
@@ -664,9 +635,7 @@ mod tests {
         config.join_grace = Duration::from_millis(150);
         let start = Instant::now();
         let got = master_loop(
-            &seq,
-            &scoring,
-            &Search::new(3),
+            MasterState::new(&seq, &scoring, &Search::new(3)),
             master,
             config,
             &mut NoopRecorder,

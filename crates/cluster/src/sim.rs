@@ -19,7 +19,8 @@ use crate::master::{MasterAction, MasterState};
 use crate::protocol::{AcceptedMsg, ResultMsg, ResultsMsg, TaskItem, TaskMsg};
 use repro_align::{Score, Scoring, Seq};
 use repro_core::{
-    DirtyLog, OverrideTriangle, ScoredSeq, Search, SplitOutcome, SplitSweeper, TopAlignments,
+    DirtyLog, OverrideTriangle, ScoredSeq, Search, SplitOutcome, SplitSweeper, SplitUnit,
+    TopAlignments,
 };
 use repro_xmpi::virtual_time::{run, Actor, Ctx, LinkModel};
 use repro_xmpi::Rank;
@@ -175,19 +176,20 @@ impl MasterSim<'_> {
 
 impl WorkerSim<'_> {
     fn run_task(&mut self, task: TaskItem, ctx: &mut Ctx) {
-        let version = self.applied;
-        let key = (task.r, version);
+        let (r, version) = (task.unit + 1, self.applied);
+        let key = (r, version);
+        let attached = task.rows.first().map(|(_, row)| row);
         let cached = self.cache.borrow().entries.get(&key).cloned();
         let out = cached.unwrap_or_else(|| {
             let original = (!task.first).then(|| {
-                let row = task.row.as_ref().or_else(|| self.rows.get(&task.r));
+                let row = attached.or_else(|| self.rows.get(&r));
                 &row.expect("realignment without cached or attached row")[..]
             });
             // Through the split unit, with no incremental state: the
             // cache is the simulator's memo.
             let out = SplitSweeper::new(None, false).sweep(
                 self.input,
-                task.r,
+                r,
                 &self.triangle,
                 original,
                 &DirtyLog::new(),
@@ -197,8 +199,8 @@ impl WorkerSim<'_> {
             out
         });
         // Cache the row locally for future shadow filtering.
-        if let Some(row) = out.first_row.as_ref().or(task.row.as_ref()) {
-            self.rows.insert(task.r, row.clone());
+        if let Some(row) = out.first_row.as_ref().or(attached) {
+            self.rows.insert(r, row.clone());
         }
         ctx.compute(out.cells as f64 / self.cost.worker_cells_per_sec);
         let res = ResultMsg::answer(&task, version, out);
@@ -230,7 +232,7 @@ impl Actor for SimActor<'_> {
                 let actions = match tag {
                     sim_tag::IDLE => m.state.worker_idle(from, 0),
                     sim_tag::RESULT => {
-                        let frame = ResultsMsg::decode(payload)
+                        let frame = ResultsMsg::decode(payload, m.state.unit())
                             .expect("simulator transport cannot corrupt frames");
                         frame
                             .items
@@ -244,7 +246,8 @@ impl Actor for SimActor<'_> {
             }
             SimActor::Worker(w) => match tag {
                 sim_tag::TASK => {
-                    let task = TaskMsg::decode(payload)
+                    let splits = SplitUnit::new(w.input.seq, None, None);
+                    let task = TaskMsg::decode(payload, &splits)
                         .expect("simulator transport cannot corrupt frames");
                     let stamp = task.stamp;
                     if stamp <= w.applied {

@@ -6,11 +6,11 @@
 
 use proptest::prelude::*;
 use repro_align::{sw_last_row, Alphabet, Score, Scoring, Seq};
-use repro_cluster::protocol::{ResultMsg, TaskItem};
+use repro_cluster::protocol::{ResultMsg, TaskItem, Work};
 use repro_cluster::{
     run_cluster, simulate_cluster, AlignCache, CostModel, MasterAction, MasterState,
 };
-use repro_core::{find_top_alignments, OverrideTriangle, Search, SplitMask};
+use repro_core::{find_top_alignments, OverrideTriangle, Search, SplitMask, Stats};
 use repro_obs::NoopRecorder;
 use repro_xmpi::thread::FaultPlan;
 use repro_xmpi::virtual_time::LinkModel;
@@ -104,30 +104,34 @@ proptest! {
             stamp: usize,
             task: &TaskItem,
         ) -> ResultMsg {
-            let (prefix, suffix) = seq.split(task.r);
-            let mask = SplitMask::new(triangle, task.r);
+            let r = task.unit + 1;
+            let (prefix, suffix) = seq.split(r);
+            let mask = SplitMask::new(triangle, r);
             let last = sw_last_row(prefix, suffix, scoring, mask);
             let (score, shadow_rejections, first_row) = if task.first {
-                cache.insert(task.r, last.row.clone());
+                cache.insert(r, last.row.clone());
                 (last.best_in_row, 0, Some(last.row))
             } else {
-                if let Some(row) = &task.row {
-                    cache.insert(task.r, row.clone());
+                if let Some((_, row)) = task.rows.first() {
+                    cache.insert(r, row.clone());
                 }
-                let orig = cache.get(&task.r).expect("realignment without a row");
+                let orig = cache.get(&r).expect("realignment without a row");
                 let (score, _, shadows) =
                     repro_core::bottom::best_valid_entry_counted(&last.row, orig);
                 (score, shadows, None)
             };
             ResultMsg {
-                r: task.r,
+                unit: task.unit,
                 stamp,
                 attempt: task.attempt,
-                score,
-                cells: last.cells,
-                shadow_rejections,
-                incr: [0; 4],
-                first_row,
+                best: (r, score),
+                rows: first_row.map(|row| vec![(r, row)]).unwrap_or_default(),
+                work: Work::of(&Stats {
+                    alignments: 1,
+                    cells: last.cells,
+                    shadow_rejections,
+                    ..Stats::default()
+                }),
             }
         }
 
@@ -184,7 +188,7 @@ proptest! {
                     let mut res = compute(
                         &seq, &scoring, &triangles[&w], caches.get_mut(&w).unwrap(), stamp, &task,
                     );
-                    res.score = res.score.saturating_add(1_000_000);
+                    res.best.1 = res.best.1.saturating_add(1_000_000);
                     zombies.push((w, res));
                     triangles.remove(&w);
                     caches.remove(&w);
@@ -203,7 +207,7 @@ proptest! {
                     );
                     actions = master.result(w, res.clone());
                     let mut dup = res;
-                    dup.score = dup.score.saturating_add(1_000_000); // corrupt copy
+                    dup.best.1 = dup.best.1.saturating_add(1_000_000); // corrupt copy
                     actions.extend(master.result(w, dup));
                 }
                 // Honest delivery.

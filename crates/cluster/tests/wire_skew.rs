@@ -1,7 +1,7 @@
-//! Wire-version skew regression: a v4 peer (the protocol before result
-//! frames became lists and result stamps became the computed-against
-//! version) must be rejected with a *typed* [`WireError::Version`] on
-//! its very first frame — never a garbage
+//! Wire-version skew regression: a v5 peer (the protocol before a task
+//! became a unit of work — a lane pack — and results its best member,
+//! member rows and work tallies) must be rejected with a *typed*
+//! [`WireError::Version`] on its very first frame — never a garbage
 //! decode deep inside a message codec — on both transports:
 //!
 //! * the in-process backends (thread simulator, virtual-time sim) hand
@@ -11,8 +11,10 @@
 
 use repro_align::{Scoring, Seq};
 use repro_cluster::protocol::{
-    AcceptedMsg, JobMsg, ResultMsg, ResultsMsg, ResyncMsg, TaskItem, TaskMsg,
+    AcceptedMsg, JobMsg, ResultMsg, ResultsMsg, ResyncMsg, TaskItem, TaskMsg, Work,
 };
+use repro_core::Stats;
+use repro_simd::{select, LaneWidth, PackUnit};
 use repro_xmpi::socket::{envelope, SocketHub, SocketPeer};
 use repro_xmpi::wire::{WireError, VERSION};
 use repro_xmpi::Comm;
@@ -21,10 +23,10 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// The version the skewed peer speaks: the one this build replaced.
-const V4: u32 = 4;
+const V5: u32 = 5;
 const _: () = assert!(
-    VERSION > V4,
-    "the result-frame change must bump the wire version"
+    VERSION > V5,
+    "the unit-of-work change must bump the wire version"
 );
 
 /// Rewrite a framed buffer's version word (bytes 4..8) to `v`. The
@@ -37,20 +39,22 @@ fn reversion(mut frame: Vec<u8>, v: u32) -> Vec<u8> {
 }
 
 #[test]
-fn v4_frames_are_rejected_typed_by_every_message_codec() {
+fn v5_frames_are_rejected_typed_by_every_message_codec() {
     let seq = Seq::dna("ATGCATGC").unwrap();
     let scoring = Scoring::dna_example();
+    let sel = select(Some(LaneWidth::X4), None).unwrap();
+    let packs = PackUnit::new(&seq, &scoring, sel, None);
     let frames: Vec<(&str, Vec<u8>)> = vec![
         (
             "TaskMsg",
             TaskMsg::single(
                 0,
                 TaskItem {
-                    r: 3,
+                    unit: 1,
                     attempt: 1,
                     first: true,
                     bound: 99,
-                    row: None,
+                    rows: vec![],
                 },
             )
             .encode(),
@@ -59,14 +63,16 @@ fn v4_frames_are_rejected_typed_by_every_message_codec() {
             "ResultsMsg",
             ResultsMsg {
                 items: vec![ResultMsg {
-                    r: 3,
+                    unit: 1,
                     stamp: 0,
                     attempt: 1,
-                    score: 7,
-                    cells: 12,
-                    shadow_rejections: 0,
-                    incr: [0; 4],
-                    first_row: Some(vec![0, 1, 2]),
+                    best: (5, 7),
+                    rows: vec![(5, vec![0, 1, 2]), (6, vec![0, 1]), (7, vec![0])],
+                    work: Work::of(&Stats {
+                        alignments: 3,
+                        cells: 12,
+                        ..Stats::default()
+                    }),
                 }],
             }
             .encode(),
@@ -84,41 +90,42 @@ fn v4_frames_are_rejected_typed_by_every_message_codec() {
             "JobMsg",
             JobMsg {
                 count: 1,
-                seq,
-                scoring,
+                seq: seq.clone(),
+                scoring: scoring.clone(),
                 deadline_ms: 1_000,
                 checkpoint_budget: None,
+                lanes: LaneWidth::X4,
             }
             .encode(),
         ),
     ];
     let want = WireError::Version {
-        got: V4,
+        got: V5,
         want: VERSION,
     };
     for (kind, frame) in frames {
-        let stale = reversion(frame, V4);
+        let stale = reversion(frame, V5);
         let got = match kind {
-            "TaskMsg" => TaskMsg::decode(&stale).unwrap_err(),
-            "ResultsMsg" => ResultsMsg::decode(&stale).unwrap_err(),
+            "TaskMsg" => TaskMsg::decode(&stale, &packs).unwrap_err(),
+            "ResultsMsg" => ResultsMsg::decode(&stale, &packs).unwrap_err(),
             "AcceptedMsg" => AcceptedMsg::decode(&stale).unwrap_err(),
             "ResyncMsg" => ResyncMsg::decode(&stale).unwrap_err(),
             "JobMsg" => JobMsg::decode(&stale).unwrap_err(),
             _ => unreachable!(),
         };
-        assert_eq!(got, want, "{kind} did not reject the v4 frame typed");
+        assert_eq!(got, want, "{kind} did not reject the v5 frame typed");
     }
 }
 
 #[test]
-fn v4_worker_hello_is_rejected_at_the_socket_hub() {
+fn v5_worker_hello_is_rejected_at_the_socket_hub() {
     let hub = SocketHub::bind("127.0.0.1:0").expect("bind hub");
     assert_eq!(hub.version_rejects(), 0);
 
     // A stale worker's admission request: a well-formed HELLO envelope
     // (reserved tag 0xFFFF_FF01) whose frame declares the previous
     // protocol version.
-    let hello = reversion(envelope(0xFFFF_FF01, 1, &[]), V4);
+    let hello = reversion(envelope(0xFFFF_FF01, 1, &[]), V5);
     let mut stream = TcpStream::connect(hub.addr()).expect("connect");
     stream.write_all(&hello).expect("send stale hello");
 
@@ -135,7 +142,7 @@ fn v4_worker_hello_is_rejected_at_the_socket_hub() {
     assert_eq!(hub.size(), 1, "a skewed worker must not be admitted");
 
     // The hub stays healthy: a current-version worker is admitted.
-    let peer = SocketPeer::connect(&hub.addr().to_string()).expect("v5 worker admitted");
+    let peer = SocketPeer::connect(&hub.addr().to_string()).expect("v6 worker admitted");
     assert_eq!(peer.rank(), 1);
     assert_eq!(hub.version_rejects(), 1);
 }

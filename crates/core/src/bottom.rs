@@ -44,6 +44,11 @@ impl<'a> Common<'a> {
             .expect("split must have a first-pass row")
     }
 
+    /// Whether the row of split `r` is stored.
+    pub fn has_row(&self, r: usize) -> bool {
+        self.rows[r - 1].get().is_some()
+    }
+
     /// Store the clean bottom row a first pass of `r` returned, by
     /// value.
     ///

@@ -427,11 +427,7 @@ pub struct TopAlignmentFinder<'a, U: Unit = SplitUnit> {
 impl<'a> TopAlignmentFinder<'a> {
     /// Set up a search over `seq`, one split to a task.
     pub fn new(seq: &'a Seq, scoring: &'a Scoring, config: FinderConfig) -> Self {
-        let unit = SplitUnit {
-            splits: seq.len().saturating_sub(1),
-            checkpoint_budget: config.search.checkpoint_budget,
-            stripe: config.stripe,
-        };
+        let unit = SplitUnit::new(seq, config.search.checkpoint_budget, config.stripe);
         TopAlignmentFinder::with_unit(seq, scoring, config, unit)
     }
 }

@@ -90,13 +90,19 @@ impl Stats {
     /// Record one score-only pass of `cells` cells while `tops_found` top
     /// alignments exist.
     pub fn record_alignment(&mut self, cells: u64, tops_found: usize) {
-        self.alignments += 1;
+        self.record_alignments(1, cells, tops_found);
+    }
+
+    /// Record `n` score-only passes of `cells` cells in total while
+    /// `tops_found` top alignments exist.
+    pub fn record_alignments(&mut self, n: u64, cells: u64, tops_found: usize) {
+        self.alignments += n;
         self.cells += cells;
         if self.realignments_per_top.len() <= tops_found {
             self.realignments_per_top.resize(tops_found + 1, 0);
             self.cells_per_top.resize(tops_found + 1, 0);
         }
-        self.realignments_per_top[tops_found] += 1;
+        self.realignments_per_top[tops_found] += n;
         self.cells_per_top[tops_found] += cells;
     }
 

@@ -3,10 +3,11 @@
 //! The paper has one best-first algorithm (Figure 5) and §4.1 changes
 //! only what a task is — one split matrix, or 4/8/16 neighbouring ones
 //! in lock-step lanes. [`Unit`] is that seam. It has two impls —
-//! [`SplitUnit`] here, `repro_simd::PackUnit` over lane packs — and two
-//! drivers: the inline heap loop of [`crate::TopAlignmentFinder`] and
-//! the shared-table SMP engine of `repro-parallel`. Both drivers are
-//! monomorphised over the unit, never `dyn`.
+//! [`SplitUnit`] here, `repro_simd::PackUnit` over lane packs — and three
+//! drivers: the inline heap loop of [`crate::TopAlignmentFinder`], the
+//! shared-table SMP engine of `repro-parallel` and the message-passing
+//! master of `repro-cluster`. Every driver is monomorphised over the
+//! unit, never `dyn`.
 
 use crate::bottom::Common;
 use crate::dirty::DirtyLog;
@@ -14,7 +15,7 @@ use crate::finder::TopAlignment;
 use crate::incremental::{SplitOutcome, SplitSweeper};
 use crate::stats::Stats;
 use crate::triangle::OverrideTriangle;
-use repro_align::Score;
+use repro_align::{Score, Seq};
 use repro_obs::{Metric, Recorder};
 use std::ops::Range;
 
@@ -101,6 +102,18 @@ pub struct SplitUnit {
     pub checkpoint_budget: Option<usize>,
     /// [`crate::FinderConfig::stripe`]; `None` on the SMP engine.
     pub stripe: Option<usize>,
+}
+
+impl SplitUnit {
+    /// One unit per split of `seq`.
+    pub fn new(seq: &Seq, checkpoint_budget: Option<usize>, stripe: Option<usize>) -> Self {
+        let splits = seq.len().saturating_sub(1);
+        SplitUnit {
+            splits,
+            checkpoint_budget,
+            stripe,
+        }
+    }
 }
 
 impl Unit for SplitUnit {

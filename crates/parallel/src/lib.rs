@@ -87,11 +87,7 @@ pub fn find_top_alignments_parallel<R: Recorder>(
     threads: usize,
     rec: &mut R,
 ) -> TopAlignments {
-    let unit = SplitUnit {
-        splits: seq.len().saturating_sub(1),
-        checkpoint_budget: search.checkpoint_budget,
-        stripe: None,
-    };
+    let unit = SplitUnit::new(seq, search.checkpoint_budget, None);
     engine::run(&unit, seq, scoring, search, threads, rec)
 }
 

@@ -621,12 +621,12 @@ mod tests {
 
     #[test]
     fn sim_and_proc_transports_report_identical_merged_counters() {
-        // The regression this pins down: worker-side tallies (scratch-
-        // pool reuses above all) used to be dropped on the floor by
-        // both cluster transports — the report showed 0 where the
-        // sequential engine showed thousands. With telemetry frames the
-        // merged cluster-wide counters must be deterministic and
-        // transport-independent: same seed, same work, same numbers.
+        // The regression this pins down: worker-side tallies used to be
+        // dropped on the floor by both cluster transports — the report
+        // showed 0 where the sequential engine showed thousands. With
+        // telemetry frames the merged cluster-wide counters must be
+        // deterministic and transport-independent: same seed, same
+        // work, same numbers.
         // One worker: with a single claimant the task schedule is
         // deterministic, so *every* merged work counter must agree
         // bit-for-bit (more workers put `alignments` at the mercy of
@@ -654,10 +654,19 @@ mod tests {
             sim.run.pool_reuses, proc.run.pool_reuses,
             "merged pool reuses diverged between transports"
         );
-        assert!(
-            sim.run.pool_reuses > 0,
-            "worker pool reuses must survive the transport (0 == 0 would pass vacuously)"
-        );
+        // Lane counters only worker telemetry can deliver: 0 == 0 would
+        // pass the equalities vacuously.
+        let counter = |a: &Analysis, name: &str| {
+            let found = a.run.counters.iter().find(|c| c.0 == name);
+            found.expect("every counter is reported").1
+        };
+        for name in ["group_sweeps", "lanes_active"] {
+            assert_eq!(counter(&sim, name), counter(&proc, name), "{name} diverged");
+            assert!(
+                counter(&sim, name) > 0,
+                "worker {name} must survive the transport"
+            );
+        }
         // The recorder mirror agrees with the stats field on both.
         for a in [&sim, &proc] {
             let mirrored = a

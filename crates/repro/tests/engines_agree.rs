@@ -217,9 +217,11 @@ fn every_engine_folds_its_tallies_under_the_keys_the_benchmark_reads() {
             continue; // the reference algorithm records nothing
         }
         let smp = matches!(engine, Engine::Threads(_) | Engine::SimdThreads { .. });
+        // Cluster workers sweep lane packs, over either transport; the
+        // hybrid's node threads sweep single splits.
         let simd = matches!(
             engine,
-            Engine::SimdDispatch { .. } | Engine::SimdThreads { .. }
+            Engine::SimdDispatch { .. } | Engine::SimdThreads { .. } | Engine::Cluster { .. }
         );
         let cluster = matches!(engine, Engine::Cluster { .. } | Engine::Hybrid { .. });
         let hybrid = matches!(engine, Engine::Hybrid { .. });

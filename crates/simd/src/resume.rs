@@ -69,13 +69,19 @@ pub const SIMD_MAX_CKPTS: usize = 8;
 /// rows closer than this are not worth storing.
 pub const MIN_CAPTURE_STRIDE: usize = 64;
 
+/// The stamp of a lane memo this [`LanePacks`] never computed. Such a
+/// lane is swept, never replayed: a cluster worker can be handed the
+/// realignment of a group another worker first-passed.
+const UNSWEPT: u64 = u64::MAX;
+
 /// One lane's sweep memo: the dirty-log version of its last sweep plus
 /// the exact `(score, shadow_rejections)` to replay on a skip. Lane-
 /// granular — a lane untouched by accepts since *its* stamp replays its
 /// exact score even when sibling lanes must re-sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LaneMemo {
-    /// Dirty-log version at the lane's last (re)alignment.
+    /// Dirty-log version at the lane's last (re)alignment ([`UNSWEPT`]
+    /// before it).
     stamp: u64,
     /// Exact post-shadow score at that version — the member's upper
     /// bound ever after (`Score::MAX` until the first pass).
@@ -113,7 +119,7 @@ impl GroupIncremental {
         let mut rs = Vec::new();
         for (l, &stamp) in stamps.iter().enumerate() {
             let r = r0 + l;
-            if self.enabled && dirty.dirty_row(r, stamp).is_none() {
+            if self.enabled && stamp != UNSWEPT && dirty.dirty_row(r, stamp).is_none() {
                 clean.push(l);
             } else {
                 packed.push(l);
@@ -340,7 +346,7 @@ impl LanePacks {
     /// The packs of `splits` splits at `lanes` per group.
     pub fn new(splits: usize, lanes: usize, checkpoint_budget: Option<usize>) -> Self {
         let never = LaneMemo {
-            stamp: 0,
+            stamp: UNSWEPT,
             score: Score::MAX,
             shadows: 0,
         };
@@ -354,11 +360,6 @@ impl LanePacks {
                 .map(|gi| vec![never; group_splits(splits, lanes, gi).len()])
                 .collect(),
         }
-    }
-
-    /// Number of groups.
-    pub fn groups(&self) -> usize {
-        self.memo.len()
     }
 
     /// The splits of group `gi`.
@@ -625,6 +626,27 @@ mod tests {
         // Splits 1 and 2: prefix rows 0..r contain no dirty row ⇒ clean.
         assert_eq!(plan.clean, vec![0, 1]);
         assert_eq!(plan.rs, vec![3, 4]);
+    }
+
+    /// A realignment planned on packs that never swept the group — a
+    /// cluster worker handed a unit another worker first-passed — packs
+    /// every lane, even those no accept has straddled: their memos hold
+    /// no score to replay.
+    #[test]
+    fn a_group_these_packs_never_swept_is_swept_not_replayed() {
+        let mut packs = LanePacks::new(40, 4, Some(1 << 20));
+        // Straddles splits 31..=35 only; group 1 is splits 5..=8.
+        let tops = [TopAlignment {
+            index: 0,
+            r: 30,
+            score: 9,
+            pairs: vec![(30, 35), (31, 36)],
+        }];
+        let plan = packs.plan(1, false, &tops);
+        assert!(plan.lanes.clean.is_empty());
+        assert_eq!(plan.lanes.packed, vec![0, 1, 2, 3]);
+        assert_eq!(plan.splits(), &[5, 6, 7, 8]);
+        assert!(!plan.is_replay());
     }
 
     #[test]

@@ -44,7 +44,7 @@
 use crate::chan::{unbounded, Receiver, RecvTimeoutError, Sender};
 use crate::wire::{frame_body_len, Decoder, Encoder, WireError, FRAME_HEADER, FRAME_TRAILER};
 use crate::{Comm, Message, Rank, RecvError, SendError};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -136,6 +136,8 @@ struct HubInner {
     /// removed — a dead worker's rank stays dead (ranks are identities,
     /// not connection slots).
     peers: Mutex<Vec<Arc<PeerSlot>>>,
+    /// Signalled whenever `peers` grows.
+    admitted: Condvar,
     /// Frames every joiner receives right after WELCOME (the job
     /// description), so a late joiner learns what early workers were
     /// told at startup.
@@ -168,6 +170,7 @@ impl SocketHub {
         let (tx, rx) = unbounded();
         let inner = Arc::new(HubInner {
             peers: Mutex::new(Vec::new()),
+            admitted: Condvar::new(),
             greetings: Mutex::new(Vec::new()),
             tx,
             closed: Arc::new(AtomicBool::new(false)),
@@ -220,13 +223,15 @@ impl SocketHub {
     /// not), or `timeout` passes. Returns the admitted count.
     pub fn wait_for_workers(&self, n: usize, timeout: Duration) -> usize {
         let deadline = Instant::now() + timeout;
-        loop {
-            let admitted = self.inner.peers.lock().len();
-            if admitted >= n || Instant::now() >= deadline {
-                return admitted;
+        let mut peers = self.inner.peers.lock();
+        while peers.len() < n {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
             }
-            std::thread::sleep(Duration::from_millis(2));
+            self.inner.admitted.wait_for(&mut peers, left);
         }
+        peers.len()
     }
 
     /// Test hook: tear down the connection to `rank` as if its process
@@ -295,6 +300,7 @@ fn admit(inner: Arc<HubInner>, mut stream: TcpStream) {
         let mut peers = inner.peers.lock();
         rank = peers.len() + 1;
         peers.push(Arc::clone(&slot));
+        inner.admitted.notify_all();
         let welcome = envelope(CTRL_WELCOME, 0, &Encoder::new().usize(rank).finish());
         let mut w = slot.stream.lock();
         if write_frame(&mut w, &welcome).is_err() {

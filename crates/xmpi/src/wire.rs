@@ -36,7 +36,11 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"rpro");
 /// v5: list-valued result frames — `RESULT` carries `{n, items}` and a
 /// result's `stamp` is the replica version it was computed against, so
 /// a v4 peer would mis-frame every result.
-pub const VERSION: u32 = 5;
+/// v6: a task is a unit of work (a lane pack on the cluster engines) —
+/// task items carry `{unit, .., rows}`, results `{unit, best member,
+/// member rows, work tallies}` and the job its lane width, so a v5 peer
+/// would mis-frame every task and result.
+pub const VERSION: u32 = 6;
 
 /// Bytes of frame header (`magic + version + len`) before the payload.
 pub const FRAME_HEADER: usize = 12;
