@@ -108,7 +108,12 @@ fn extract(doc: &Json) -> Vec<MetricVal> {
                     out.push(m(format!("cluster:{workers}w:proc_overhead"), v, false));
                 }
             }
-            for key in ["proc_over_seq", "proc_over_simd", "result_frames_per_task"] {
+            for key in [
+                "proc_over_seq",
+                "proc_over_simd",
+                "lanes_over_simd",
+                "result_frames_per_task",
+            ] {
                 if let Some(v) = f(doc.get("small_task").and_then(|t| t.get(key))) {
                     out.push(m(format!("cluster:small_task:{key}"), v, false));
                 }
@@ -319,7 +324,8 @@ mod tests {
 
         let cluster = doc(
             r#"{"bench":"cluster_real","transports":[{"workers":2,"overhead":1.0}],
-                "small_task":{"proc_over_seq":1.2,"result_frames_per_task":0.4}}"#,
+                "small_task":{"proc_over_seq":1.2,"lanes_over_simd":1.6,
+                "result_frames_per_task":0.4}}"#,
         );
         let names: Vec<String> = extract(&cluster).into_iter().map(|m| m.name).collect();
         assert_eq!(
@@ -327,6 +333,7 @@ mod tests {
             [
                 "cluster:2w:proc_overhead",
                 "cluster:small_task:proc_over_seq",
+                "cluster:small_task:lanes_over_simd",
                 "cluster:small_task:result_frames_per_task"
             ]
         );

@@ -16,16 +16,19 @@
 //! lane-pack tasks of well under a millisecond each, so every frame and
 //! every idle round trip shows. It reports the sequential, single-thread
 //! SIMD, simulator and socket wall times, the lane alignments and unit
-//! tasks settled, and how many result frames carried them home.
+//! tasks settled, how many result frames carried them home, and the
+//! socket run's lane alignments over the SIMD engine's.
 //!
 //! Usage: `cargo run --release -p repro-bench --bin cluster_real --
 //! [--scale small|medium|full] [--out BENCH_cluster_real.json]
 //! [--check]`. Under `--check` the binary additionally exits non-zero
 //! if the socket transport exceeds [`MAX_OVERHEAD`]× the simulator's
 //! wall time at any worker count, or on the small-task leg
-//! [`MAX_SMALL_TASK_OVER_SEQ`]× the sequential engine's or more than
-//! [`MAX_RESULT_FRAMES_PER_TASK`] result frames per task — the gates
-//! that keep the real transport's overhead bounded.
+//! [`MAX_SMALL_TASK_OVER_SEQ`]× the sequential engine's, more than
+//! [`MAX_RESULT_FRAMES_PER_TASK`] result frames per task or more than
+//! [`MAX_LANES_OVER_SIMD`]× the SIMD engine's lane alignments — the
+//! gates that keep the real transport's overhead and the master's
+//! speculation bounded.
 
 use repro::obs::json::Json;
 use repro::{Engine, Repro, Scoring, SeedConfig, Transport};
@@ -57,9 +60,19 @@ const MAX_SMALL_TASK_OVER_SEQ: f64 = 1.55;
 /// under `--check`: 1.0 is one frame per task (wire v4), measured
 /// 0.31–0.36 with a batch's results coalesced. A count, not a time — the
 /// same on any host. Since wire v6 a task is a lane pack and the
-/// denominator counts lanes, so this passes by construction; the frames
-/// per *unit* task are recorded next to it.
+/// denominator counts lanes, so this passes by construction. The frames
+/// per *unit* task are recorded next to it, and read 1.00 by
+/// construction too: a pack batch is one pack, and a one-item frame is
+/// flushed when its item ends.
 const MAX_RESULT_FRAMES_PER_TASK: f64 = 0.5;
+
+/// Most lane alignments the socket run may settle on the small-task leg
+/// under `--check`, as a multiple of the single-thread SIMD engine's on
+/// the same input: the lanes the master's speculation swept at a stamp
+/// an accept then outdated. A count, so the same on any host. Measured
+/// ≈ 4.0 with four packs to a batch, ≈ 1.6 with batches bounded in
+/// lanes (one pack).
+const MAX_LANES_OVER_SIMD: f64 = 2.5;
 
 /// Least time the small-task leg's arms are given: at 20–30 ms a run,
 /// a shorter window leaves a minimum of too few reps to gate on.
@@ -74,6 +87,8 @@ struct SmallTaskRow {
     proc_secs: f64,
     /// Lane alignments the socket run's master settled.
     alignments: u64,
+    /// Lane alignments the single-thread SIMD engine made.
+    simd_alignments: u64,
     /// RESULT frames the socket run's master decoded, per lane alignment.
     result_frames_per_task: f64,
     /// The same frames per unit task (lane pack) assigned.
@@ -98,6 +113,7 @@ fn measure_small_tasks(scoring: &Scoring, timing_budget: Duration) -> SmallTaskR
 
     let want = sequential.run(&seq);
     let traced = proc.run(&seq);
+    let simd_alignments = simd.run(&seq).run.alignments;
     assert_eq!(
         sim.run(&seq).tops.alignments,
         want.tops.alignments,
@@ -137,6 +153,7 @@ fn measure_small_tasks(scoring: &Scoring, timing_budget: Duration) -> SmallTaskR
         sim_secs,
         proc_secs,
         alignments: traced.run.alignments,
+        simd_alignments,
         result_frames_per_task: frames as f64 / traced.run.alignments.max(1) as f64,
         result_frames_per_unit_task: frames as f64 / traced.run.stale_pops.max(1) as f64,
     }
@@ -238,6 +255,7 @@ fn main() {
     let small = measure_small_tasks(&scoring, timing_budget.max(SMALL_TASK_MIN_BUDGET));
     let small_over_seq = small.proc_secs / small.seq_secs.max(1e-12);
     let small_over_simd = small.proc_secs / small.simd_secs.max(1e-12);
+    let lanes_over_simd = small.alignments as f64 / small.simd_alignments.max(1) as f64;
     println!(
         "\nSmall tasks — dna_tandem(25, 12) ({} nt), 18 tops, 2 workers, CLI defaults\n",
         small.residues
@@ -250,6 +268,7 @@ fn main() {
         "proc / seq",
         "proc / simd",
         "lanes",
+        "lanes / simd",
         "frames/lane",
         "frames/unit",
     ]);
@@ -261,6 +280,7 @@ fn main() {
         format!("{small_over_seq:.2}x"),
         format!("{small_over_simd:.2}x"),
         small.alignments.to_string(),
+        format!("{lanes_over_simd:.2}x"),
         format!("{:.2}", small.result_frames_per_task),
         format!("{:.2}", small.result_frames_per_unit_task),
     ]);
@@ -333,6 +353,11 @@ fn main() {
                 ("proc_over_simd".to_string(), Json::Num(small_over_simd)),
                 ("alignments".to_string(), Json::Num(small.alignments as f64)),
                 (
+                    "simd_alignments".to_string(),
+                    Json::Num(small.simd_alignments as f64),
+                ),
+                ("lanes_over_simd".to_string(), Json::Num(lanes_over_simd)),
+                (
                     "result_frames_per_task".to_string(),
                     Json::Num(small.result_frames_per_task),
                 ),
@@ -376,13 +401,22 @@ fn main() {
             );
             ok = false;
         }
+        if lanes_over_simd > MAX_LANES_OVER_SIMD {
+            eprintln!(
+                "CHECK FAIL: two socket workers on small tasks align {lanes_over_simd:.2}x \
+                 the lanes of one SIMD thread (limit {MAX_LANES_OVER_SIMD}x): \
+                 speculation is no longer bounded in lanes"
+            );
+            ok = false;
+        }
         if !ok {
             std::process::exit(1);
         }
         println!(
             "check passed: socket overhead within {MAX_OVERHEAD}x of the simulator at every \
-             worker count, within {MAX_SMALL_TASK_OVER_SEQ}x of sequential and at most \
-             {MAX_RESULT_FRAMES_PER_TASK} result frames per task on small tasks"
+             worker count, within {MAX_SMALL_TASK_OVER_SEQ}x of sequential, at most \
+             {MAX_RESULT_FRAMES_PER_TASK} result frames per task and within \
+             {MAX_LANES_OVER_SIMD}x the SIMD engine's lanes on small tasks"
         );
     }
 }

@@ -136,8 +136,10 @@ pub(crate) fn cluster_sel() -> SimdSel {
 /// Task frames a worker asks the master to keep with it, each a
 /// capacity slot announced by IDLE: one batch being swept and one
 /// waiting in the inbox behind it, so the end of a batch never waits a
-/// master round trip. Depth 3 measured slower than 2 (EXPERIMENTS.md,
-/// PR 15).
+/// master round trip. Depth 3 measured slower than 2; with one pack to
+/// a frame, depth 1 read 1 % slower than 2 on wall time and 6 % lower
+/// on CPU, so 2 stays (EXPERIMENTS.md, "Cluster workers kept fed" and
+/// "Cluster speculation bounded in lanes").
 pub(crate) const PREFETCH_SLOTS: usize = 2;
 
 /// One item of a received task frame, waiting its turn.
@@ -481,8 +483,13 @@ pub(crate) mod tests {
 
     const DL: Duration = Duration::from_secs(10);
 
-    /// Unrelated flank material, 47 nt.
-    pub(crate) const FLANK: &str = "GGTTCCAACCGGTTAACCAGTGCACAGTCCGGAATTCCGGTAACCGT";
+    /// Three copies of a 15-nt motif, 75 nt, 6 tops at a 1 MiB budget:
+    /// the inline `simd` engine hits a memo here, and two cluster workers
+    /// hit at least two in each of 130 runs measured (×16).
+    pub(crate) fn three_copies() -> String {
+        let motif = "GCCAACCGCATTAGC";
+        format!("GTATGAAC{motif}AAAATA{motif}ATGCGAG{motif}TTGGGCGTA")
+    }
 
     /// A low-repeat input long enough for seeded pruning to keep whole
     /// ×16 packs off every worker: three 24-nt copies between two
@@ -579,12 +586,13 @@ pub(crate) mod tests {
     fn checkpointed_matches_plain_and_skips_rows() {
         let motif = "ATGCATGCATGC";
         let text = format!("GGTTCCAA{motif}CCAAGGTT{motif}TGCATTGG");
-        // A memo hits only on the worker whose packs swept it. At ×16 the
-        // bare core is three packs, so with two workers a hit is a coin
-        // toss; flanks add packs no accept straddles, which hit on any.
-        let flanked = format!("{FLANK}{text}{FLANK}");
+        // The hit guard runs only where the inline `simd` engine with the
+        // same budget hits too, so it checks the search and not wasted
+        // speculation. A memo hits only on the worker whose packs swept
+        // it: on the bare core (three ×16 packs) two workers hit in about
+        // half the runs, on three motif copies in every run.
         let scoring = Scoring::dna_example();
-        for (text, hits_up_to) in [(text, 1), (flanked, 2)] {
+        for (text, hits_up_to) in [(text, 1), (three_copies(), 2)] {
             let seq = Seq::dna(&text).unwrap();
             let want = find_top_alignments(&seq, &scoring, 6);
             for budget in [Some(0), Some(1 << 20)] {
@@ -663,9 +671,10 @@ pub(crate) mod tests {
         let motif = "ATGCATGCATGC";
         let text = format!("GGTTCCAACCGGTTAACCAGTGCA{motif}{motif}CAGTCCGGAATTCCGGTAACCGT");
         // A whole pack prunes only behind the first wave of speculative
-        // first passes (two workers' prefetch slots, MAX_BATCH packs
-        // each). At ×16 this input is five packs, all in that wave; the
-        // island has more packs than the wave.
+        // first passes (two workers' prefetch slots, one pack each). At
+        // ×16 this input is five packs, four of them in that wave, and
+        // the fifth is seldom pruned (0 of 20 runs); the island has far
+        // more packs than the wave.
         let scoring = Scoring::dna_example();
         for (seq, prunes) in [(Seq::dna(&text).unwrap(), false), (island(), true)] {
             let want = find_top_alignments(&seq, &scoring, 1);
@@ -883,12 +892,14 @@ pub(crate) mod tests {
     #[test]
     fn recorded_chaos_run_produces_a_replayable_event_log() {
         use repro_obs::{Counter, Event, FlightRecorder, Phase};
-        let seq = Seq::dna(&"ATGC".repeat(8)).unwrap();
+        let seq = Seq::dna(&"ATGC".repeat(32)).unwrap();
         let scoring = Scoring::dna_example();
         let want = find_top_alignments(&seq, &scoring, 4);
         let mut rec = FlightRecorder::with_events(10_000);
         // Crash one of two workers mid-run: the event log must show the
-        // death and the reassignments that healed it.
+        // death and the reassignments that healed it. Its first beacon is
+        // three sends, so it dies sending its first result: the input
+        // must leave it a pack once the other worker's two slots are full.
         let got = run_cluster(
             &seq,
             &scoring,
@@ -1293,7 +1304,8 @@ pub(crate) mod tests {
     }
 
     /// A worker endpoint that loses every second result frame carrying
-    /// more than one item (frames decoded against `unit`).
+    /// more than one item (frames decoded against `unit`). Only split
+    /// frames can: a pack batch is one pack.
     struct DropCoalesced<U> {
         unit: U,
         inner: ThreadComm,
@@ -1324,15 +1336,17 @@ pub(crate) mod tests {
         }
     }
 
-    /// Two workers over [`DropCoalesced`] endpoints, `unit` the task.
-    fn lost_frames_heal_on<U: Unit>(seq: &Seq, scoring: &Scoring, unit: impl Fn() -> U + Sync) {
-        let want = find_top_alignments(seq, scoring, 5);
+    #[test]
+    fn every_second_coalesced_result_frame_lost_heals_item_by_item() {
+        let seq = Seq::dna(&"ATGC".repeat(10)).unwrap();
+        let scoring = Scoring::dna_example();
+        let want = find_top_alignments(&seq, &scoring, 5);
         let mut world = ThreadComm::world(3);
         let master_comm = world.remove(0);
-        let workers: Vec<DropCoalesced<U>> = world
+        let workers: Vec<DropCoalesced<SplitUnit>> = world
             .into_iter()
             .map(|inner| DropCoalesced {
-                unit: unit(),
+                unit: splits_of(&seq),
                 inner,
                 coalesced: AtomicU64::new(0),
             })
@@ -1340,11 +1354,11 @@ pub(crate) mod tests {
         let deadline = Duration::from_secs(30);
         let got = std::thread::scope(|scope| {
             for comm in &workers {
-                let unit = &unit;
-                scope.spawn(move || worker_loop(unit(), seq, scoring, comm, deadline));
+                let (seq, scoring) = (&seq, &scoring);
+                scope.spawn(move || worker_loop(splits_of(seq), seq, scoring, comm, deadline));
             }
             let config = RecoveryConfig::with_overall(deadline);
-            let master = MasterState::with_unit(unit(), seq, scoring, &Search::new(5));
+            let master = MasterState::new(&seq, &scoring, &Search::new(5));
             master_loop(master, master_comm, config, &mut NoopRecorder)
         })
         .expect("lost result frames must be healed, not fatal");
@@ -1364,14 +1378,6 @@ pub(crate) mod tests {
             got.stats.cluster_reassignments, 0,
             "no worker was written off"
         );
-    }
-
-    #[test]
-    fn every_second_coalesced_result_frame_lost_heals_item_by_item() {
-        let seq = Seq::dna(&"ATGC".repeat(10)).unwrap();
-        let scoring = Scoring::dna_example();
-        lost_frames_heal_on(&seq, &scoring, || splits_of(&seq));
-        lost_frames_heal_on(&seq, &scoring, || packs_x4(&seq, &scoring));
     }
 
     #[test]

@@ -30,7 +30,9 @@
 //! * [`master`] — the pure master state machine (no I/O): feed it worker
 //!   events, get back protocol actions. Acceptance fires exactly when
 //!   the globally best upper bound is fresh, so the distributed engine
-//!   emits the same alignments as every other engine.
+//!   emits the same alignments as every other engine. It speculates
+//!   best-first and bounds a batch in lanes, not units: up to four
+//!   splits, or one lane pack.
 //! * [`protocol`] — message tags and payload codecs.
 //! * [`recovery`] — the fault-tolerant transport loop shared by the
 //!   thread-backed engines: per-task deadlines with bounded retry and

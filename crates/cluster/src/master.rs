@@ -43,10 +43,11 @@ use std::time::Instant;
 /// never register a real worker under this id.
 pub const LOCAL_WORKER: usize = usize::MAX;
 
-/// Most assignments a single [`TaskMsg`] batch may carry. Batching
-/// amortises a round trip over several tasks; capping it bounds the
-/// speculation wasted when an acceptance lands mid-batch and keeps a
-/// dead worker's reassignment burst small.
+/// Most lanes (splits) a single [`TaskMsg`] batch may cover; it always
+/// takes one unit. Batching amortises a round trip over several tasks;
+/// capping it in lanes bounds the speculation wasted when an acceptance
+/// lands mid-batch, whatever the unit, and keeps a dead worker's
+/// reassignment burst small: four splits, or one lane pack.
 pub const MAX_BATCH: usize = 4;
 
 /// What the transport must do next, in order.
@@ -538,13 +539,14 @@ impl<'a, U: Unit> MasterState<'a, U> {
         }
     }
 
-    /// The next unit to hand out. A never-aligned pick is about to be
-    /// swept: the moment the seed bounds may spend a refresh — if they
-    /// do, every still-seedless unassigned unit drops to its tightened
-    /// bound (so units that fall off the frontier are never assigned)
-    /// and the pick is made again.
-    fn next_assignment(&mut self) -> Option<usize> {
-        let (_, u) = self.best_stale_unassigned()?;
+    /// The next unit to hand out, if it covers at most `room` lanes. A
+    /// never-aligned pick is about to be swept: the moment the seed
+    /// bounds may spend a refresh — if they do, every still-seedless
+    /// unassigned unit drops to its tightened bound (so units that fall
+    /// off the frontier are never assigned) and the pick is made again.
+    fn next_assignment(&mut self, room: usize) -> Option<usize> {
+        let fits = |m: &Self, u: usize| m.unit.splits(u).len() <= room;
+        let u = self.best_stale_unassigned().filter(|&u| fits(self, u))?;
         if self.state[u].aligned_with == NEVER {
             if let Some(bounds) = self.bounds.as_mut() {
                 // The stake in *vector* cells (rows × width), as the
@@ -561,15 +563,16 @@ impl<'a, U: Unit> MasterState<'a, U> {
                             self.assignable += usize::from(t.assignable(tops));
                         }
                     }
-                    return self.best_stale_unassigned().map(|(_, v)| v);
+                    return self.best_stale_unassigned().filter(|&v| fits(self, v));
                 }
             }
         }
         Some(u)
     }
 
-    /// Hand the best stale unassigned tasks to idle capacity, up to
-    /// MAX_BATCH per slot token. The batch size adapts to the
+    /// Hand the best stale unassigned tasks to idle capacity, one batch
+    /// per slot token: units best-first while their lanes stay within
+    /// MAX_BATCH, and at least one. The item count adapts to the
     /// supply/demand ratio so a thin backlog still spreads across every
     /// idle slot instead of piling onto the first one; each batch is
     /// sorted by unit so consecutive items land in neighbouring
@@ -603,10 +606,13 @@ impl<'a, U: Unit> MasterState<'a, U> {
             };
             let stamp = tops;
             let mut items = Vec::with_capacity(k);
+            let mut room = usize::MAX; // the first unit always fits
             for _ in 0..k {
-                let Some(u) = self.next_assignment() else {
+                let Some(u) = self.next_assignment(room) else {
                     break;
                 };
+                let lanes = self.unit.splits(u).len();
+                room = room.min(MAX_BATCH).saturating_sub(lanes);
                 let t = &mut self.state[u];
                 t.attempts += 1;
                 t.assigned = Some(Assignment {
@@ -668,7 +674,7 @@ impl<'a, U: Unit> MasterState<'a, U> {
         best
     }
 
-    fn best_stale_unassigned(&self) -> Option<(Score, usize)> {
+    fn best_stale_unassigned(&self) -> Option<usize> {
         if self.tops.len() >= self.count {
             return None; // enough tops: stop issuing work
         }
@@ -679,7 +685,7 @@ impl<'a, U: Unit> MasterState<'a, U> {
                 best = Some((t.score, i));
             }
         }
-        best
+        best.map(|(_, i)| i)
     }
 }
 
@@ -1163,6 +1169,103 @@ mod tests {
                 .any(|a| matches!(a, MasterAction::Assign { .. })),
             "freed slot is refilled with the next batch"
         );
+    }
+
+    /// `count` tops on a master of `unit()` with two workers of
+    /// `PREFETCH_SLOTS` slots each, every item computed at once through
+    /// [`run_task`] in assignment order (one replica in lockstep with the
+    /// master serves both). Returns the tops, every batch issued, and the
+    /// most lanes one worker ever held unsettled.
+    fn drive_units<U: Unit>(
+        unit: impl Fn() -> U,
+        seq: &Seq,
+        scoring: &Scoring,
+        count: usize,
+    ) -> (Vec<TopAlignment>, Vec<TaskMsg>, usize) {
+        use crate::engine::PREFETCH_SLOTS;
+        let mut master = MasterState::with_unit(unit(), seq, scoring, &Search::new(count));
+        let worker = unit();
+        let mut state = (worker.locked(), worker.local());
+        let common = Common::new(seq, scoring);
+        let mut triangle = OverrideTriangle::new(seq.len());
+        let mut accepted: Vec<TopAlignment> = Vec::new();
+        let mut pending = std::collections::VecDeque::new();
+        let (mut batches, mut held, mut most) = (Vec::new(), [0; 2], 0);
+        let mut actions = Vec::new();
+        for (w, slot) in (0..2).flat_map(|w| (0..PREFETCH_SLOTS).map(move |s| (w, s))) {
+            actions.extend(master.worker_idle(w, slot));
+        }
+        loop {
+            for a in actions.drain(..) {
+                match a {
+                    MasterAction::Assign { worker: w, task } => {
+                        for item in &task.items {
+                            held[w] += worker.splits(item.unit).len();
+                            pending.push_back((w, item.clone()));
+                        }
+                        most = most.max(held[w]);
+                        batches.push(task);
+                    }
+                    MasterAction::Broadcast(acc) => {
+                        for &(p, q) in &acc.pairs {
+                            triangle.set(p, q);
+                        }
+                        accepted.push(TopAlignment {
+                            index: acc.index,
+                            r: 0,
+                            score: 0,
+                            pairs: acc.pairs,
+                        });
+                    }
+                    MasterAction::Done => {
+                        return (master.into_result().alignments, batches, most);
+                    }
+                }
+            }
+            let (w, item) = pending.pop_front().expect("master stalled without Done");
+            held[w] -= worker.splits(item.unit).len();
+            let replica = (&common, &triangle, &accepted[..]);
+            let (locked, local) = &mut state;
+            let mut res = run_task(&worker, (locked, local), replica, &item, &mut NoopRecorder);
+            if item.first {
+                let rows = worker
+                    .splits(item.unit)
+                    .map(|r| (r, common.row(r).to_vec()));
+                res.rows = rows.collect();
+            }
+            actions = master.result(w, res);
+        }
+    }
+
+    #[test]
+    fn batches_are_bounded_in_lanes() {
+        use crate::engine::PREFETCH_SLOTS;
+        use repro_simd::{select, LaneWidth, PackUnit};
+        let scoring = Scoring::dna_example();
+        let seq = Seq::dna(&"ATGC".repeat(24)).unwrap(); // 95 splits
+        let want = find_top_alignments(&seq, &scoring, 4).alignments;
+        // A split is one lane: a deep backlog still fills a batch.
+        let (tops, batches, most) =
+            drive_units(|| SplitUnit::new(&seq, None, None), &seq, &scoring, 4);
+        assert_eq!(tops, want);
+        assert_eq!(batches[0].items.len(), MAX_BATCH);
+        assert!(batches.iter().all(|b| b.items.len() <= MAX_BATCH));
+        assert!(most <= PREFETCH_SLOTS * MAX_BATCH);
+        // A pack covers at least MAX_BATCH lanes: one per frame.
+        for width in [LaneWidth::X4, LaneWidth::X16] {
+            let sel = select(Some(width), None).unwrap();
+            let packs = || PackUnit::new(&seq, &scoring, sel, None);
+            let (tops, batches, most) = drive_units(packs, &seq, &scoring, 4);
+            assert_eq!(tops, want, "{width:?}");
+            assert!(
+                batches.iter().all(|b| b.items.len() == 1),
+                "{width:?}: a pack batch holds one pack"
+            );
+            assert!(
+                most <= PREFETCH_SLOTS * MAX_BATCH.max(width.lanes()),
+                "{width:?}: {most}"
+            );
+        }
     }
 
     #[test]

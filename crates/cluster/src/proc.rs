@@ -315,7 +315,7 @@ pub fn run_cluster_proc<R: Recorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::tests::{island, FLANK};
+    use crate::engine::tests::{island, three_copies};
     use repro_core::{find_top_alignments, SeedConfig};
     use repro_obs::{Counter, FlightRecorder, NoopRecorder};
 
@@ -382,12 +382,11 @@ mod tests {
         // width) travels in the greeting frame; worker-side incremental
         // tallies travel home in result frames and land in the master's
         // stats. (Two workers on the bare core's three ×16 packs hit a
-        // memo only by chance; flanked, every run hits.)
+        // memo only by chance; on three motif copies, every run hits.)
         let motif = "ATGCATGCATGC";
         let text = format!("GGTTCCAA{motif}CCAAGGTT{motif}TGCATTGG");
-        let flanked = format!("{FLANK}{text}{FLANK}");
         let scoring = Scoring::dna_example();
-        for (text, hits) in [(text, false), (flanked, true)] {
+        for (text, hits) in [(text, false), (three_copies(), true)] {
             let seq = Seq::dna(&text).unwrap();
             let want = find_top_alignments(&seq, &scoring, 6);
             let search = Search {
@@ -417,8 +416,9 @@ mod tests {
     fn seeded_proc_matches_sequential_and_prunes() {
         let motif = "ATGCATGCATGC";
         let text = format!("GGTTCCAACCGGTTAACCAGTGCA{motif}{motif}CAGTCCGGAATTCCGGTAACCGT");
-        // Five ×16 packs all go out in the first speculative wave; the
-        // island's packs outnumber it (see the engine's pruning test).
+        // Four of the five ×16 packs go out in the first speculative
+        // wave; the island's packs outnumber it (see the engine's
+        // pruning test).
         let scoring = Scoring::dna_example();
         for (seq, prunes) in [(Seq::dna(&text).unwrap(), false), (island(), true)] {
             let want = find_top_alignments(&seq, &scoring, 2);
