@@ -3,21 +3,26 @@
 //!
 //! Rank 0 is the sacrificed master (paper §4.3); ranks `1..P` are
 //! workers holding a replicated override triangle and a cache of
-//! first-pass bottom rows. A worker handles its inbox strictly in
-//! arrival order and reads the next message only when nothing it holds
-//! can run: every task item goes into one run queue, and an item
-//! stamped with a triangle version the replica has not reached yet
-//! waits there — an ACCEPTED broadcast and a TASK travel independently,
-//! and a sweep under a too-old triangle is work the master could only
-//! file as stale. What an item is computed against is therefore decided
-//! by the order of the master's messages, never by how their arrival
-//! interleaves with the sweeps, and a result reports that version (the
-//! replica's, at or past the task's stamp): the master trusts a score
-//! as exact only when the version is its own. The worker announces
-//! `PREFETCH_SLOTS` capacity slots, so the next batch is already in its
-//! inbox when the current one ends, and it sends a batch's results in
-//! as few frames as the acceptance rule and the master's liveness clock
-//! allow.
+//! first-pass bottom rows. A worker runs `T` sweep threads over one
+//! replica — one in [`run_cluster`] and in a worker process, a node's
+//! CPUs in [`crate::run_hybrid`] — that share everything but their
+//! unit's private state, and take turns on the rank's endpoint behind a
+//! mutex, as the paper guards its MPI calls.
+//!
+//! A worker reads its inbox in arrival order, and a thread reads the
+//! next message only when nothing queued can run: every task item goes
+//! into one run queue, and an item stamped with a triangle version the
+//! replica has not reached yet waits there — an ACCEPTED broadcast and a
+//! TASK travel independently, and a sweep under a too-old triangle is
+//! work the master could only file as stale. With one thread, what an
+//! item is computed against is therefore decided by the order of the
+//! master's messages, never by how their arrival interleaves with the
+//! sweeps, and a result reports that version (the replica's, at or past
+//! the task's stamp): the master trusts a score as exact only when the
+//! version is its own. The worker announces `PREFETCH_SLOTS` capacity
+//! slots per thread, so the next task is already in its inbox when the
+//! current one ends, and sends every result in its own frame the moment
+//! its item ends.
 //!
 //! The master side runs the recovery loop of [`crate::recovery`]:
 //! per-task deadlines with retransmission and exponential backoff,
@@ -27,18 +32,18 @@
 //! ACCEPTED broadcast went missing, and watches its own deadline so a
 //! dead master never leaves a thread hanging.
 
-use crate::master::{run_task, MasterState};
-use crate::protocol::{
-    tag, AcceptedMsg, ResultMsg, ResultsMsg, ResyncMsg, TaskItem, TaskMsg, TelemetryMsg,
-};
+use crate::master::{Claim, MasterState};
+use crate::protocol::{tag, AcceptedMsg, ResultsMsg, ResyncMsg, TaskItem, TaskMsg, TelemetryMsg};
 use crate::recovery::{idle_payload, master_loop, RecoveryConfig, BEACON_PERIOD, WORKER_POLL};
+use parking_lot::{Mutex, MutexGuard};
 use repro_align::{Scoring, Seq};
 use repro_core::{Common, OverrideTriangle, Search, TopAlignment, TopAlignments, Unit};
 use repro_obs::{FlightRecorder, Metric, Recorder};
 use repro_simd::{select, PackUnit, SimdSel};
 use repro_xmpi::thread::{FaultPlan, ThreadComm};
-use repro_xmpi::{Comm, Message, RecvError, SendError};
+use repro_xmpi::{Comm, Message, RecvError};
 use std::collections::{HashSet, VecDeque};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Distributed-engine failure modes.
@@ -86,10 +91,11 @@ pub struct ClusterResult {
 /// group kernel on every worker. With `search.checkpoint_budget` set,
 /// each worker keeps its packs' lane memos and checkpoints, stamped
 /// against the ACCEPTED broadcasts it applies, and its tallies travel
-/// home inside [`ResultMsg`]. With `search.seed` set the master — which owns the
-/// only seed index — never assigns a pack whose bound stays below the
-/// acceptance frontier; per-task bounds ship inside the [`TaskMsg`].
-/// Alignments are bit-identical with either layer on or off.
+/// home inside [`crate::protocol::ResultMsg`]. With `search.seed` set
+/// the master — which owns the only seed index — never assigns a pack
+/// whose bound stays below the acceptance frontier; per-task bounds ship
+/// inside the [`TaskMsg`]. Alignments are bit-identical with either
+/// layer on or off.
 ///
 /// `rec` runs on the master's (calling) thread only, so it needs no
 /// synchronisation: every assign/result/retry/death/resync/fallback
@@ -107,7 +113,24 @@ pub fn run_cluster<R: Recorder>(
     rec: &mut R,
 ) -> Result<ClusterResult, ClusterError> {
     assert!(workers >= 1, "need at least one worker rank");
-    let ranks = workers + 1;
+    run_ranks(seq, scoring, search, &vec![1; workers], deadline, faults, rec)
+}
+
+/// The thread-backed world both [`run_cluster`] and
+/// [`crate::run_hybrid`] are: a master on the calling thread and one
+/// worker rank per entry of `threads`, with that many sweep threads (a
+/// rank with none never registers), over a [`ThreadComm`] world with
+/// `faults` on every endpoint.
+pub(crate) fn run_ranks<R: Recorder>(
+    seq: &Seq,
+    scoring: &Scoring,
+    search: &Search,
+    threads: &[usize],
+    deadline: Duration,
+    faults: FaultPlan,
+    rec: &mut R,
+) -> Result<ClusterResult, ClusterError> {
+    let ranks = threads.len() + 1;
     let mut world = ThreadComm::world_with_faults(ranks, faults);
     let master_comm = world.remove(0);
     let sel = cluster_sel();
@@ -115,8 +138,8 @@ pub fn run_cluster<R: Recorder>(
 
     rec.phase_start(repro_obs::Phase::Recovery);
     let result = std::thread::scope(|scope| {
-        for comm in world {
-            scope.spawn(move || worker_loop(packs(), seq, scoring, comm, deadline));
+        for (comm, &t) in world.into_iter().zip(threads).filter(|&(_, &t)| t > 0) {
+            scope.spawn(move || worker_loop(packs(), seq, scoring, comm, deadline, t));
         }
         let config = RecoveryConfig::with_overall(deadline);
         let master = MasterState::with_unit(packs(), seq, scoring, search);
@@ -133,240 +156,75 @@ pub(crate) fn cluster_sel() -> SimdSel {
     select(None, None).expect("the automatic selection always resolves")
 }
 
-/// Task frames a worker asks the master to keep with it, each a
-/// capacity slot announced by IDLE: one batch being swept and one
-/// waiting in the inbox behind it, so the end of a batch never waits a
-/// master round trip. Depth 3 measured slower than 2; with one pack to
-/// a frame, depth 1 read 1 % slower than 2 on wall time and 6 % lower
-/// on CPU, so 2 stays (EXPERIMENTS.md, "Cluster workers kept fed" and
-/// "Cluster speculation bounded in lanes").
+/// Task frames a worker asks the master to keep with each of its sweep
+/// threads, each a capacity slot announced by IDLE: one task being swept
+/// and one waiting in the inbox behind it, so the end of a task never
+/// waits a master round trip. Depth 3 measured slower than 2; with one
+/// pack to a frame, depth 1 read 1 % slower than 2 on wall time and 6 %
+/// lower on CPU, so 2 stays (EXPERIMENTS.md, "Cluster workers kept fed"
+/// and "Cluster speculation bounded in lanes").
 pub(crate) const PREFETCH_SLOTS: usize = 2;
 
 /// One item of a received task frame, waiting its turn.
 struct Queued {
     /// Replica version the item must at least run under.
     stamp: usize,
-    /// Which received frame it came in (a worker-local count): results
-    /// are coalesced per task frame.
-    frame: u64,
     item: TaskItem,
 }
 
-/// A worker rank's whole state: replica, unit state, run queue,
-/// telemetry.
-struct Worker<'a, C: Comm, U: Unit> {
+/// A worker rank: what its sweep threads share. The profiled sequence
+/// and its rows (written once each) need no lock, the endpoint has its
+/// own, and everything else sits under one lock in [`Replica`]; a thread
+/// keeps only its unit's private state and its idle clock.
+struct Worker<'a, C, U: Unit> {
     unit: U,
     /// The profiled sequence and every first-pass row this worker has
     /// computed or been sent.
     common: Common<'a>,
-    comm: C,
-    triangle: OverrideTriangle,
+    comm: Mutex<C>,
+    replica: Mutex<Replica<U::Locked>>,
+    threads: usize,
+    /// Test hook: extra wall time every sweep takes.
+    #[cfg(test)]
+    sweep_pad: Duration,
+}
+
+/// A worker's replica, run queue and telemetry, under its lock.
+struct Replica<L> {
+    /// The override triangle: a sweep holds a snapshot, so an ACCEPTED
+    /// copies it only while another thread sweeps.
+    triangle: Arc<OverrideTriangle>,
     /// The ACCEPTED broadcasts applied so far, in order: the replica's
     /// version is their count, and the unit's plan stamps against them.
-    /// (Only the pairs are known here; `r` and `score` are left 0.)
     accepted: Vec<TopAlignment>,
-    // The unit's state, this worker's own: one thread, no lock.
-    locked: U::Locked,
-    local: U::Local,
+    /// The unit's state the threads share.
+    locked: L,
     /// Every received task item not yet run, in arrival order. An item
-    /// runs once the replica has reached its stamp.
+    /// runs once the replica has reached its stamp and no other thread
+    /// sweeps its unit.
     queue: VecDeque<Queued>,
-    frames_seen: u64,
-    /// Results computed and not yet sent, all of the task frame being
-    /// run: a frame's items share one stamp and nothing is read while an
-    /// item can run, so a frame runs to its end once it starts.
-    held: Vec<ResultMsg>,
-    /// Some held result answers an attempt that was answered before.
-    held_repeat: bool,
-    /// When this worker last sent the master a result or a beacon — any
-    /// of its traffic refreshes the master's liveness clock, and held
-    /// results must not stop it.
-    last_sent: Instant,
-    /// Attempts whose result we already sent once: receiving them again
+    /// The units being swept.
+    running: Vec<usize>,
+    /// Attempts whose result already went out once: receiving them again
     /// means that result was lost, so its replacement is sent twice (a
     /// single copy can phase-lock with a deterministic loss pattern).
     sent: HashSet<(usize, u64)>,
     last_master: Instant,
+    next_beacon: Instant,
+    /// DONE, a dead endpoint or a silent master: every thread exits.
+    done: bool,
     // This worker's own telemetry: sweep/resume/queue-wait samples and
     // the lane counters of its commits, shipped home as cumulative
     // snapshots on the beacon cadence. Pure observability — every frame
     // may be lost without changing the search result.
     wrec: FlightRecorder,
     tele_seq: u64,
-    idle_since: Instant,
-    /// Test hook: extra wall time every sweep takes.
-    #[cfg(test)]
-    sweep_pad: Duration,
 }
 
-/// The worker body, generic over the transport and the unit: the exact
-/// same loop serves a simulator thread (rank = a `ThreadComm` endpoint)
-/// and a worker process (rank = a `SocketPeer`). See the module docs for
-/// the message-order/hold-back/resync discipline.
-pub(crate) fn worker_loop<C: Comm, U: Unit>(
-    unit: U,
-    seq: &Seq,
-    scoring: &Scoring,
-    comm: C,
-    deadline: Duration,
-) {
-    Worker::new(unit, seq, scoring, comm).serve(deadline);
-}
-
-impl<'a, C: Comm, U: Unit> Worker<'a, C, U> {
-    fn new(unit: U, seq: &'a Seq, scoring: &'a Scoring, comm: C) -> Self {
-        let now = Instant::now();
-        Worker {
-            common: Common::new(seq, scoring),
-            comm,
-            triangle: OverrideTriangle::new(seq.len()),
-            accepted: Vec::new(),
-            locked: unit.locked(),
-            local: unit.local(),
-            unit,
-            queue: VecDeque::new(),
-            frames_seen: 0,
-            held: Vec::new(),
-            held_repeat: false,
-            last_sent: now,
-            sent: HashSet::new(),
-            last_master: now,
-            wrec: FlightRecorder::new(),
-            tele_seq: 0,
-            idle_since: now,
-            #[cfg(test)]
-            sweep_pad: Duration::ZERO,
-        }
-    }
-
+impl<L> Replica<L> {
     /// ACCEPTED broadcasts applied so far: the replica's version.
     fn applied(&self) -> usize {
         self.accepted.len()
-    }
-
-    /// Serve the master until DONE, a dead endpoint, or `deadline` of
-    /// silence from it.
-    fn serve(mut self, deadline: Duration) {
-        let mut next_beacon = Instant::now(); // fires immediately: first IDLE
-        loop {
-            if let Some(pos) = self.queue.iter().position(|q| q.stamp <= self.applied()) {
-                if !self.run(pos) {
-                    return; // endpoint (ours or the master's) is dead
-                }
-                continue;
-            }
-            let now = Instant::now();
-            if now.duration_since(self.last_master) > deadline {
-                return; // master has gone silent for the whole budget
-            }
-            if now >= next_beacon {
-                if !self.beacon() {
-                    return;
-                }
-                next_beacon = now + BEACON_PERIOD;
-            }
-            match self.comm.recv_timeout(WORKER_POLL) {
-                Ok(msg) => {
-                    if !self.on_message(msg) {
-                        return;
-                    }
-                }
-                Err(RecvError::Timeout) => {}
-                Err(RecvError::Disconnected) => return,
-            }
-        }
-    }
-
-    /// Handle one message from the master. Returns `false` on DONE.
-    fn on_message(&mut self, msg: Message) -> bool {
-        self.last_master = Instant::now();
-        match msg.tag {
-            tag::TASK => {
-                let Ok(task) = TaskMsg::decode(&msg.payload, &self.unit) else {
-                    return true; // corrupted; the master will retransmit
-                };
-                self.frames_seen += 1;
-                for item in task.items {
-                    // A retransmission of an item still waiting here
-                    // will be answered when that one runs.
-                    if !self.queue.iter().any(|q| q.item.same_attempt(&item)) {
-                        self.queue.push_back(Queued {
-                            stamp: task.stamp,
-                            frame: self.frames_seen,
-                            item,
-                        });
-                    }
-                }
-            }
-            tag::ACCEPTED => {
-                let Ok(acc) = AcceptedMsg::decode(&msg.payload) else {
-                    // A corrupted acceptance would leave the replica
-                    // behind forever; ask for it again right away.
-                    let _ = self.request_resync();
-                    return true;
-                };
-                // Acceptances must be applied *in order*: if index k
-                // was lost and k+1 arrives first, applying it and
-                // claiming version k+2 would leave k's override pairs
-                // silently missing — and every score computed under
-                // that replica would be wrongly trusted as fresh.
-                if acc.index > self.applied() {
-                    let _ = self.request_resync();
-                } else if acc.index == self.applied() {
-                    for &(p, q) in &acc.pairs {
-                        self.triangle.set(p, q);
-                    }
-                    self.accepted.push(TopAlignment {
-                        index: acc.index,
-                        r: 0,
-                        score: 0,
-                        pairs: acc.pairs,
-                    });
-                } // else: duplicate of an already-applied acceptance
-            }
-            tag::DONE => {
-                // Final (`fin`) snapshot, sent twice so a period-2 loss
-                // pattern cannot swallow the worker's whole telemetry
-                // tail. Failures are moot: we are exiting either way.
-                let payload = self.telemetry(true);
-                let _ = self.comm.send(0, tag::TELEMETRY, payload.clone());
-                let _ = self.comm.send(0, tag::TELEMETRY, payload);
-                return false;
-            }
-            _ => {} // stray tag: ignore
-        }
-        true
-    }
-
-    fn request_resync(&self) -> Result<(), SendError> {
-        let applied = self.applied();
-        self.comm
-            .send(0, tag::RESYNC, ResyncMsg { applied }.encode())
-    }
-
-    /// The beacon of a worker with nothing to run. Returns `false` when
-    /// a send proves an endpoint dead.
-    fn beacon(&mut self) -> bool {
-        // A free worker re-announces every slot as IDLE (idempotent at
-        // the master — it dedupes per slot — and robust to a lost first
-        // one); a worker whose whole queue waits for acceptances sends
-        // a liveness heartbeat and asks for the ones its replica is
-        // missing.
-        let sent = if self.queue.is_empty() {
-            (0..PREFETCH_SLOTS)
-                .try_for_each(|slot| self.comm.send(0, tag::IDLE, idle_payload(slot)))
-        } else {
-            // Sent as a pair: a lone copy each period can land on
-            // the same phase of a deterministic loss pattern every
-            // time, starving the replica forever. Any received
-            // traffic refreshes liveness at the master, so the
-            // resync request doubles as the heartbeat.
-            self.request_resync().and_then(|()| self.request_resync())
-        };
-        self.last_sent = Instant::now();
-        // Ship the cumulative telemetry snapshot alongside the beacon.
-        let payload = self.telemetry(false);
-        sent.is_ok() && self.comm.send(0, tag::TELEMETRY, payload).is_ok()
     }
 
     /// The next cumulative telemetry frame.
@@ -379,93 +237,230 @@ impl<'a, C: Comm, U: Unit> Worker<'a, C, U> {
         }
         .encode()
     }
+}
 
-    /// Run the queued item at `pos` and hold or send its result.
-    /// Returns `false` when a send proves an endpoint dead (ours or the
-    /// master's), which is the worker's cue to exit; injected drops
-    /// stay invisible and are healed by the master's retransmission.
-    fn run(&mut self, pos: usize) -> bool {
-        let Queued { frame, item, .. } = self.queue.remove(pos).expect("position is in range");
-        // Held results wait only while the master has heard from this
-        // worker within a beacon period: a busy worker sends nothing
-        // else, and a frame of slow sweeps held to its end would look
-        // like a dead rank.
-        let overdue = self.last_sent.elapsed() >= BEACON_PERIOD;
-        if !self.held.is_empty() && overdue && !self.flush() {
-            return false;
+/// The worker body, generic over the transport and the unit: the exact
+/// same loop serves a simulator thread (rank = a `ThreadComm` endpoint),
+/// a worker process (rank = a `SocketPeer`) and a hybrid node, on
+/// `threads` sweep threads (the calling one among them). See the module
+/// docs for the message-order/resync discipline.
+pub(crate) fn worker_loop<C: Comm + Send, U: Unit>(
+    unit: U,
+    seq: &Seq,
+    scoring: &Scoring,
+    comm: C,
+    deadline: Duration,
+    threads: usize,
+) {
+    Worker::new(unit, seq, scoring, comm, threads).serve(deadline);
+}
+
+impl<'a, C: Comm + Send, U: Unit> Worker<'a, C, U> {
+    fn new(unit: U, seq: &'a Seq, scoring: &'a Scoring, comm: C, threads: usize) -> Self {
+        assert!(threads >= 1, "a worker needs a sweep thread");
+        let now = Instant::now();
+        Worker {
+            common: Common::new(seq, scoring),
+            comm: Mutex::new(comm),
+            replica: Mutex::new(Replica {
+                triangle: Arc::new(OverrideTriangle::new(seq.len())),
+                accepted: Vec::new(),
+                locked: unit.locked(),
+                queue: VecDeque::new(),
+                running: Vec::new(),
+                sent: HashSet::new(),
+                last_master: now,
+                next_beacon: now, // fires immediately: first IDLE
+                done: false,
+                wrec: FlightRecorder::new(),
+                tele_seq: 0,
+            }),
+            unit,
+            threads,
+            #[cfg(test)]
+            sweep_pad: Duration::ZERO,
         }
-        self.held_repeat |= !self.sent.insert((item.unit, item.attempt));
-        self.wrec.observe(
-            Metric::QueueWaitNs,
-            self.idle_since.elapsed().as_nanos() as u64,
-        );
-        let res = self.sweep(item);
-        // The master cannot accept this unit while a higher stale
-        // bound of the same frame is outstanding, and the frame's slot
-        // is not credited before its last item settles: until the score
-        // reaches every bound still queued from the frame, holding the
-        // result delays neither this unit's acceptance nor the refill.
-        let score = res.best.1;
-        let mut rest = self.queue.iter().filter(|q| q.frame == frame);
-        let send_now = rest.all(|q| score >= q.item.bound);
-        self.held.push(res);
-        let alive = !send_now || self.flush();
-        self.idle_since = Instant::now();
-        alive
     }
 
-    /// Send the held results as one frame. A repeat among them means an
-    /// earlier copy was lost en route: send two copies back to back so
-    /// a period-2 loss pattern cannot swallow both.
-    fn flush(&mut self) -> bool {
-        self.last_sent = Instant::now();
-        let payload = ResultsMsg {
-            items: std::mem::take(&mut self.held),
-        }
-        .encode();
-        if std::mem::take(&mut self.held_repeat)
-            && self.comm.send(0, tag::RESULT, payload.clone()).is_err()
-        {
-            return false;
-        }
-        self.comm.send(0, tag::RESULT, payload).is_ok()
+    /// Serve the master on every sweep thread until DONE, a dead
+    /// endpoint, or `deadline` of silence from it.
+    fn serve(&self, deadline: Duration) {
+        std::thread::scope(|scope| {
+            for _ in 1..self.threads {
+                scope.spawn(|| self.sweep_thread(deadline));
+            }
+            self.sweep_thread(deadline);
+        });
     }
 
-    /// Compute one task against the replica as it stands, on this
-    /// worker's own unit state.
-    fn sweep(&mut self, mut task: TaskItem) -> ResultMsg {
-        let splits = self.unit.splits(task.unit);
-        for (r, row) in std::mem::take(&mut task.rows) {
-            if !self.common.has_row(r) {
-                self.common.set_row(r, row);
+    /// One sweep thread: run what can run, else beacon when due and take
+    /// a turn on the endpoint.
+    fn sweep_thread(&self, deadline: Duration) {
+        let mut local = self.unit.local();
+        let mut idle_since = Instant::now();
+        loop {
+            let mut replica = self.replica.lock();
+            if replica.done {
+                return;
+            }
+            let (applied, running) = (replica.applied(), &replica.running);
+            let runnable = |q: &Queued| q.stamp <= applied && !running.contains(&q.item.unit);
+            if let Some(pos) = replica.queue.iter().position(runnable) {
+                if !self.run(replica, pos, &mut local, idle_since) {
+                    break; // endpoint (ours or the master's) is dead
+                }
+                idle_since = Instant::now();
+                continue;
+            }
+            let now = Instant::now();
+            if now.duration_since(replica.last_master) > deadline {
+                break; // master has gone silent for the whole budget
+            }
+            let beacon = (now >= replica.next_beacon).then(|| {
+                replica.next_beacon = now + BEACON_PERIOD;
+                self.beacon(&mut replica)
+            });
+            drop(replica);
+            if beacon.is_some_and(|frames| !self.send(frames)) {
+                break;
+            }
+            let msg = self.comm.lock().recv_timeout(WORKER_POLL);
+            let alive = match msg {
+                Ok(msg) => self.on_message(msg),
+                Err(RecvError::Timeout) => true,
+                Err(RecvError::Disconnected) => false,
+            };
+            if !alive {
+                break;
             }
         }
-        // A first pass this worker already ran — its result was lost and
-        // the master retransmitted the task — is a realignment here: the
-        // rows are stored, and go home again below.
-        let first = task.first;
-        task.first &= !splits.clone().all(|r| self.common.has_row(r));
+        // The other threads stop at their next look at the replica.
+        self.replica.lock().done = true;
+    }
+
+    /// Send `frames` to the master in order, stopping at the first
+    /// failure. Returns `false` when a send proves an endpoint dead
+    /// (ours or the master's), which is the worker's cue to exit;
+    /// injected drops stay invisible and are healed by the master's
+    /// retransmission.
+    fn send(&self, frames: Vec<(u32, Vec<u8>)>) -> bool {
+        let comm = self.comm.lock();
+        frames.into_iter().all(|(tag, payload)| comm.send(0, tag, payload).is_ok())
+    }
+
+    /// Handle one message from the master. Returns `false` on DONE.
+    fn on_message(&self, msg: Message) -> bool {
+        let mut replica = self.replica.lock();
+        replica.last_master = Instant::now();
+        match msg.tag {
+            tag::TASK => {
+                let Ok(task) = TaskMsg::decode(&msg.payload, &self.unit) else {
+                    return true; // corrupted; the master will retransmit
+                };
+                for item in task.items {
+                    // A retransmission of an item still waiting here
+                    // will be answered when that one runs.
+                    if !replica.queue.iter().any(|q| q.item.same_attempt(&item)) {
+                        let stamp = task.stamp;
+                        replica.queue.push_back(Queued { stamp, item });
+                    }
+                }
+            }
+            // Acceptances must be applied *in order*: if index k was
+            // lost and k+1 arrives first, applying it and claiming
+            // version k+2 would leave k's override pairs silently
+            // missing — and every score computed under that replica
+            // would be wrongly trusted as fresh. A corrupted one would
+            // leave the replica behind forever. Either way, ask for the
+            // missing ones right away.
+            tag::ACCEPTED => match AcceptedMsg::decode(&msg.payload) {
+                Ok(acc) if acc.index < replica.applied() => {} // a duplicate
+                Ok(acc) if acc.index == replica.applied() => {
+                    let Replica { triangle, accepted, .. } = &mut *replica;
+                    acc.apply(Arc::make_mut(triangle), accepted);
+                }
+                _ => {
+                    let applied = replica.applied();
+                    drop(replica);
+                    let _ = self.send(vec![(tag::RESYNC, ResyncMsg { applied }.encode())]);
+                }
+            },
+            tag::DONE => {
+                // Final (`fin`) snapshot, sent twice so a period-2 loss
+                // pattern cannot swallow the worker's whole telemetry
+                // tail. Failures are moot: we are exiting either way.
+                let payload = replica.telemetry(true);
+                drop(replica);
+                self.send(vec![
+                    (tag::TELEMETRY, payload.clone()),
+                    (tag::TELEMETRY, payload),
+                ]);
+                return false;
+            }
+            _ => {} // stray tag: ignore
+        }
+        true
+    }
+
+    /// The beacon of a thread with nothing to run, and the cumulative
+    /// telemetry snapshot that rides along.
+    fn beacon(&self, replica: &mut Replica<U::Locked>) -> Vec<(u32, Vec<u8>)> {
+        // A worker with an empty queue re-announces every slot as IDLE
+        // (idempotent at the master — it dedupes per slot, so slots busy
+        // on other threads stay busy — and robust to a lost first one);
+        // a worker whose whole queue waits sends a liveness heartbeat
+        // and asks for the acceptances its replica is missing.
+        let mut frames: Vec<_> = if replica.queue.is_empty() {
+            let slots = 0..self.threads * PREFETCH_SLOTS;
+            slots.map(|slot| (tag::IDLE, idle_payload(slot))).collect()
+        } else {
+            // Sent as a pair: a lone copy each period can land on the
+            // same phase of a deterministic loss pattern every time,
+            // starving the replica forever. Any received traffic
+            // refreshes liveness at the master, so the resync request
+            // doubles as the heartbeat.
+            let resync = ResyncMsg { applied: replica.applied() }.encode();
+            vec![(tag::RESYNC, resync.clone()), (tag::RESYNC, resync)]
+        };
+        frames.push((tag::TELEMETRY, replica.telemetry(false)));
+        frames
+    }
+
+    /// Run the queued item at `pos`: plan it under the lock, sweep it
+    /// unlocked against the replica as it stands, commit it under the
+    /// lock again, then send the result. Returns `false` when a send
+    /// proves an endpoint dead.
+    fn run(
+        &self,
+        mut replica: MutexGuard<'_, Replica<U::Locked>>,
+        pos: usize,
+        local: &mut U::Local,
+        idle_since: Instant,
+    ) -> bool {
+        let Queued { item, .. } = replica.queue.remove(pos).expect("position is in range");
+        let (u, repeat) = (item.unit, !replica.sent.insert((item.unit, item.attempt)));
+        replica.running.push(u);
+        let waited = idle_since.elapsed().as_nanos() as u64;
+        replica.wrec.observe(Metric::QueueWaitNs, waited);
+        let Replica { triangle, accepted, locked, .. } = &mut *replica;
+        let mut claim = Claim::new(&self.unit, (locked, local), (&self.common, accepted), item);
+        let triangle = Arc::clone(triangle);
+        drop(replica);
         #[cfg(test)]
         std::thread::sleep(self.sweep_pad);
-        let state = (&mut self.locked, &mut self.local);
-        let replica = (&self.common, &self.triangle, &self.accepted[..]);
-        let mut res = run_task(&self.unit, state, replica, &task, &mut self.wrec);
-        // The shipped bound dominates any score computed at or past the
-        // task's stamp (masking monotonicity); a violation would mean the
-        // master's seed index is broken.
-        debug_assert!(
-            res.best.1 <= task.bound,
-            "unit {}: score {} above shipped bound {}",
-            task.unit,
-            res.best.1,
-            task.bound
-        );
-        // The rows every later realignment diffs against are the CLEAN
-        // bottom rows, whatever the replica looked like.
-        if first {
-            res.rows = splits.map(|r| (r, self.common.row(r).to_vec())).collect();
-        }
-        res
+        claim.sweep(&self.unit, &self.common, local, &triangle);
+        drop(triangle);
+        let mut replica = self.replica.lock();
+        replica.running.retain(|&v| v != u);
+        let Replica { locked, wrec, .. } = &mut *replica;
+        let res = claim.commit(&self.unit, locked, &self.common, wrec);
+        drop(replica);
+        // A repeat means an earlier copy was lost en route: send two
+        // copies back to back so a period-2 loss pattern cannot swallow
+        // both.
+        let payload = ResultsMsg { items: vec![res] }.encode();
+        let copies = if repeat { 2 } else { 1 };
+        self.send(vec![(tag::RESULT, payload); copies])
     }
 }
 
@@ -473,13 +468,12 @@ impl<'a, C: Comm, U: Unit> Worker<'a, C, U> {
 pub(crate) mod tests {
     use super::*;
     use crate::master::MAX_BATCH;
-    use crate::protocol::Work;
+    use crate::protocol::{ResultMsg, Work};
     use repro_align::Score;
     use repro_core::{find_top_alignments, ScoredSeq, SeedConfig, SplitUnit, Stats};
     use repro_obs::{Counter, NoopRecorder};
-    use std::cell::RefCell;
+    use repro_xmpi::SendError;
     use std::collections::HashMap;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     const DL: Duration = Duration::from_secs(10);
 
@@ -1020,18 +1014,18 @@ pub(crate) mod tests {
     /// kept whole in `results`.
     struct Scripted<U> {
         unit: U,
-        script: RefCell<VecDeque<Message>>,
-        log: RefCell<Vec<Logged>>,
-        results: RefCell<Vec<ResultMsg>>,
+        script: Mutex<VecDeque<Message>>,
+        log: Mutex<Vec<Logged>>,
+        results: Mutex<Vec<ResultMsg>>,
     }
 
     impl<U: Unit> Scripted<U> {
         fn new(unit: U, script: impl IntoIterator<Item = Message>) -> Self {
             Scripted {
                 unit,
-                script: RefCell::new(script.into_iter().collect()),
-                log: RefCell::new(Vec::new()),
-                results: RefCell::new(Vec::new()),
+                script: Mutex::new(script.into_iter().collect()),
+                log: Mutex::new(Vec::new()),
+                results: Mutex::new(Vec::new()),
             }
         }
     }
@@ -1056,18 +1050,18 @@ pub(crate) mod tests {
             if tag == tag::RESULT {
                 let frame = ResultsMsg::decode(&payload, &self.unit).expect("worker frames decode");
                 let items = frame.items.iter().map(|i| (i.best.0, i.attempt, i.stamp));
-                self.log.borrow_mut().push(Logged::Results(items.collect()));
-                self.results.borrow_mut().extend(frame.items);
+                self.log.lock().push(Logged::Results(items.collect()));
+                self.results.lock().extend(frame.items);
             }
             Ok(())
         }
         fn recv_timeout(&self, _timeout: Duration) -> Result<Message, RecvError> {
-            let msg = self.script.borrow_mut().pop_front().unwrap_or(Message {
+            let msg = self.script.lock().pop_front().unwrap_or(Message {
                 from: 0,
                 tag: tag::DONE,
                 payload: Vec::new(),
             });
-            self.log.borrow_mut().push(Logged::Received(msg.tag));
+            self.log.lock().push(Logged::Received(msg.tag));
             Ok(msg)
         }
         fn try_recv(&self) -> Option<Message> {
@@ -1115,7 +1109,7 @@ pub(crate) mod tests {
             .encode(),
         };
         // Split 4's score equals split 8's bound (the sequence is its
-        // own mirror image there), so 4's result may not wait for 8.
+        // own mirror image there).
         assert_eq!(clean(4), clean(8));
         let comm = Scripted::new(
             splits_of(&seq),
@@ -1123,7 +1117,6 @@ pub(crate) mod tests {
                 task(0, &[(4, clean(4)), (8, clean(8))]),
                 // The prefetched batch, and the acceptance that lands
                 // behind it while the first batch is being swept.
-                // Unseeded bounds: 2's result waits for 6.
                 task(0, &[(2, Score::MAX), (6, Score::MAX)]),
                 accepted(0),
                 // Ahead of the replica: waits, and its retransmitted
@@ -1135,10 +1128,10 @@ pub(crate) mod tests {
                 task(1, &[(3, Score::MAX)]),
             ],
         );
-        worker_loop(splits_of(&seq), &seq, &scoring, &comm, DL);
+        worker_loop(splits_of(&seq), &seq, &scoring, &comm, DL, 1);
         use Logged::{Received, Results};
         assert_eq!(
-            *comm.log.borrow(),
+            *comm.log.lock(),
             [
                 Received(tag::TASK),
                 Results(vec![(4, 1, 0)]),
@@ -1146,7 +1139,8 @@ pub(crate) mod tests {
                 // Nothing is read while an item can run, so the second
                 // batch runs under its own stamp on every schedule.
                 Received(tag::TASK),
-                Results(vec![(2, 1, 0), (6, 1, 0)]),
+                Results(vec![(2, 1, 0)]),
+                Results(vec![(6, 1, 0)]),
                 Received(tag::ACCEPTED),
                 Received(tag::TASK),
                 Received(tag::TASK),
@@ -1211,7 +1205,7 @@ pub(crate) mod tests {
             payload: TaskMsg::single(2, item).encode(),
         };
         let comm = Scripted::new(packs(), [accepted(0), accepted(1), task]);
-        worker_loop(packs(), &seq, &scoring, &comm, DL);
+        worker_loop(packs(), &seq, &scoring, &comm, DL, 1);
 
         // The inline unit of work on fresh packs, from scratch.
         let common = Common::new(&seq, &scoring);
@@ -1241,7 +1235,7 @@ pub(crate) mod tests {
             rows: vec![],
             work: Work::of(&grown),
         };
-        assert_eq!(*comm.results.borrow(), std::slice::from_ref(&want));
+        assert_eq!(*comm.results.lock(), std::slice::from_ref(&want));
         let lanes = unit.splits(u).len() as u64;
         assert_eq!((grown.alignments, grown.lanes_skipped), (lanes, 0));
         // The best member, lowest on ties, by the scalar kernel.
@@ -1259,11 +1253,10 @@ pub(crate) mod tests {
     /// outlasts the liveness window: a worker that held a frame's
     /// results to its end would be written off at the first retry
     /// check. Results go out between sweeps instead, so the master
-    /// keeps hearing from both workers.
+    /// keeps hearing from both workers — also while every thread of a
+    /// two-thread worker sweeps, when none of them beacons.
     fn slow_sweeps_on<U: Unit>(seq: &Seq, scoring: &Scoring, unit: impl Fn() -> U + Sync) {
         let want = find_top_alignments(seq, scoring, 2);
-        let mut world = ThreadComm::world(3);
-        let master_comm = world.remove(0);
         let overall = Duration::from_secs(60);
         let config = RecoveryConfig {
             retry_base: Duration::from_millis(150),
@@ -1274,24 +1267,28 @@ pub(crate) mod tests {
         };
         let pad = Duration::from_millis(45);
         assert!(pad >= BEACON_PERIOD && pad * MAX_BATCH as u32 > config.liveness);
-        let got = std::thread::scope(|scope| {
-            for comm in world {
-                let unit = &unit;
-                scope.spawn(move || {
-                    let mut worker = Worker::new(unit(), seq, scoring, comm);
-                    worker.sweep_pad = pad;
-                    worker.serve(overall)
-                });
-            }
-            let master = MasterState::with_unit(unit(), seq, scoring, &Search::new(2));
-            master_loop(master, master_comm, config, &mut NoopRecorder)
-        })
-        .unwrap();
-        assert_eq!(got.alignments, want.alignments);
-        assert_eq!(
-            got.stats.cluster_reassignments, 0,
-            "a healthy worker was written off"
-        );
+        for threads in [1, 2] {
+            let mut world = ThreadComm::world(3);
+            let master_comm = world.remove(0);
+            let got = std::thread::scope(|scope| {
+                for comm in world {
+                    let unit = &unit;
+                    scope.spawn(move || {
+                        let mut worker = Worker::new(unit(), seq, scoring, comm, threads);
+                        worker.sweep_pad = pad;
+                        worker.serve(overall)
+                    });
+                }
+                let master = MasterState::with_unit(unit(), seq, scoring, &Search::new(2));
+                master_loop(master, master_comm, config, &mut NoopRecorder)
+            })
+            .unwrap();
+            assert_eq!(got.alignments, want.alignments, "{threads} threads");
+            assert_eq!(
+                got.stats.cluster_reassignments, 0,
+                "{threads} threads: a healthy worker was written off"
+            );
+        }
     }
 
     #[test]
@@ -1301,83 +1298,6 @@ pub(crate) mod tests {
         slow_sweeps_on(&seq, &scoring, || splits_of(&seq));
         let seq = Seq::dna(&"ATGC".repeat(10)).unwrap();
         slow_sweeps_on(&seq, &scoring, || packs_x4(&seq, &scoring));
-    }
-
-    /// A worker endpoint that loses every second result frame carrying
-    /// more than one item (frames decoded against `unit`). Only split
-    /// frames can: a pack batch is one pack.
-    struct DropCoalesced<U> {
-        unit: U,
-        inner: ThreadComm,
-        coalesced: AtomicU64,
-    }
-
-    impl<U: Unit> Comm for DropCoalesced<U> {
-        fn rank(&self) -> usize {
-            self.inner.rank()
-        }
-        fn size(&self) -> usize {
-            self.inner.size()
-        }
-        fn send(&self, to: usize, tag: u32, payload: Vec<u8>) -> Result<(), SendError> {
-            let coalesced = tag == tag::RESULT
-                && ResultsMsg::decode(&payload, &self.unit)
-                    .is_ok_and(|frame| frame.items.len() > 1);
-            if coalesced && self.coalesced.fetch_add(1, Ordering::Relaxed) % 2 == 1 {
-                return Ok(()); // lost: invisible to the sender
-            }
-            self.inner.send(to, tag, payload)
-        }
-        fn recv_timeout(&self, timeout: Duration) -> Result<Message, RecvError> {
-            self.inner.recv_timeout(timeout)
-        }
-        fn try_recv(&self) -> Option<Message> {
-            self.inner.try_recv()
-        }
-    }
-
-    #[test]
-    fn every_second_coalesced_result_frame_lost_heals_item_by_item() {
-        let seq = Seq::dna(&"ATGC".repeat(10)).unwrap();
-        let scoring = Scoring::dna_example();
-        let want = find_top_alignments(&seq, &scoring, 5);
-        let mut world = ThreadComm::world(3);
-        let master_comm = world.remove(0);
-        let workers: Vec<DropCoalesced<SplitUnit>> = world
-            .into_iter()
-            .map(|inner| DropCoalesced {
-                unit: splits_of(&seq),
-                inner,
-                coalesced: AtomicU64::new(0),
-            })
-            .collect();
-        let deadline = Duration::from_secs(30);
-        let got = std::thread::scope(|scope| {
-            for comm in &workers {
-                let (seq, scoring) = (&seq, &scoring);
-                scope.spawn(move || worker_loop(splits_of(seq), seq, scoring, comm, deadline));
-            }
-            let config = RecoveryConfig::with_overall(deadline);
-            let master = MasterState::new(&seq, &scoring, &Search::new(5));
-            master_loop(master, master_comm, config, &mut NoopRecorder)
-        })
-        .expect("lost result frames must be healed, not fatal");
-        assert_eq!(got.alignments, want.alignments);
-        let lost: u64 = workers
-            .iter()
-            .map(|w| w.coalesced.load(Ordering::Relaxed) / 2)
-            .sum();
-        assert!(lost > 0, "the schedule must have lost coalesced frames");
-        assert!(
-            got.stats.cluster_retries >= lost,
-            "each lost frame's items come back through per-item retransmission: \
-             {lost} lost, {} retries",
-            got.stats.cluster_retries
-        );
-        assert_eq!(
-            got.stats.cluster_reassignments, 0,
-            "no worker was written off"
-        );
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! on in-process rank threads,
 //! [`run_cluster_proc`]`(.., workers, deadline, &ProcOptions, rec)` over
 //! real sockets, and
-//! [`run_hybrid`]`(.., nodes, threads_per_node, deadline, rec)` for the
-//! cluster of SMPs. All three drive the same master loop on the calling
-//! thread — which is why the recorder needs no synchronisation: events
+//! [`run_hybrid`]`(.., nodes, threads_per_node, deadline, faults, rec)`
+//! for the cluster of SMPs. All three drive the same master loop on the
+//! calling thread — which is why the recorder needs no synchronisation: events
 //! are recorded live, worker telemetry frames are folded as they arrive
 //! and the final stats are mirrored at the end — and return a
 //! [`ClusterResult`]: the plain top alignments plus the ranks that took
@@ -39,9 +39,12 @@
 //!   exponential backoff, liveness tracking, reassignment away from
 //!   dead workers, and a master-local sequential fallback when the
 //!   whole worker pool is lost.
-//! * [`engine`] — the real backend on [`repro_xmpi::thread`]: one OS
-//!   thread per rank. Injected message loss is healed by retransmission
-//!   and surfaces, at worst, as a typed error — never a hang.
+//! * [`engine`] — the real backend on [`repro_xmpi::thread`], and the
+//!   one worker every transport runs: a rank of `T` sweep threads over
+//!   one replica (one thread in a flat cluster, a node's CPUs in the
+//!   [`hybrid`] configuration). Injected message loss is healed by
+//!   retransmission and surfaces, at worst, as a typed error — never a
+//!   hang.
 //! * [`proc`] — the same protocol over real TCP sockets
 //!   ([`repro_xmpi::socket`]) with workers in their own processes (or
 //!   threads, for tests). Membership is elastic: workers join mid-run

@@ -13,11 +13,12 @@
 //!   allowed to settle the assignment whose attempt it echoes, so
 //!   duplicated, delayed or reassigned-and-then-delivered results are
 //!   recognised as stale and discarded;
-//! * capacity is tracked as **(worker, slot) tokens** — a slot is one
-//!   CPU's worth of capacity (the hybrid engine runs several per rank).
-//!   A token is consumed by an assignment and returned exactly when
-//!   that assignment settles, so duplicated IDLE announcements and
-//!   stale results can never inflate or leak capacity;
+//! * capacity is tracked as **(worker, slot) tokens** — a worker
+//!   announces two slots per sweep thread, and a hybrid node runs
+//!   several threads behind one rank. A token is consumed by an
+//!   assignment and returned exactly when that assignment settles, so
+//!   duplicated IDLE announcements and stale results can never inflate
+//!   or leak capacity;
 //! * [`MasterState::worker_dead`] withdraws a lost worker: its
 //!   in-flight tasks return to the pool for reassignment and any later
 //!   message from it (a zombie) is ignored;
@@ -139,7 +140,7 @@ pub struct MasterState<'a, U: Unit = SplitUnit> {
 
 impl<'a> MasterState<'a> {
     /// A master running `search` on `seq`, one split to a task (the
-    /// hybrid engine and the simulator).
+    /// simulator).
     pub fn new(seq: &'a Seq, scoring: &'a Scoring, search: &Search) -> Self {
         MasterState::with_unit(SplitUnit::new(seq, None, None), seq, scoring, search)
     }
@@ -441,12 +442,13 @@ impl<'a, U: Unit> MasterState<'a, U> {
             let Some(pos) = local else {
                 break;
             };
-            let MasterAction::Assign { task, .. } = queue.remove(pos) else {
+            let MasterAction::Assign { mut task, .. } = queue.remove(pos) else {
                 unreachable!("position matched an Assign");
             };
             out.append(&mut queue);
             debug_assert_eq!(task.items.len(), 1, "local assignments are single-item");
-            let res = self.compute_local(task.stamp, &task.items[0]);
+            let item = task.items.pop().expect("an assignment holds an item");
+            let res = self.compute_local(task.stamp, item);
             queue = self.result(LOCAL_WORKER, res);
         }
         out.extend(queue);
@@ -456,9 +458,9 @@ impl<'a, U: Unit> MasterState<'a, U> {
     /// Run one task on the master itself, on throwaway unit state,
     /// against the master's own triangle — always at version
     /// `tops.len()`, which equals every locally issued stamp. A first
-    /// pass moves its rows straight into the master's store, so the
-    /// result carries none.
-    fn compute_local(&self, stamp: usize, task: &TaskItem) -> ResultMsg {
+    /// pass moves its rows straight into the master's store; the copies
+    /// its result carries are not stored again.
+    fn compute_local(&self, stamp: usize, task: TaskItem) -> ResultMsg {
         debug_assert_eq!(stamp, self.tops.len());
         let unit = &self.unit;
         let state = (&mut unit.locked(), &mut unit.local());
@@ -689,35 +691,116 @@ impl<'a, U: Unit> MasterState<'a, U> {
     }
 }
 
-/// One task as a worker and the local fallback compute it: plan · sweep
-/// · commit of `task.unit` on the caller's unit `state`, against its
-/// `replica` (rows, triangle, and the accepts that built it: the stamp).
-/// A first pass's rows are the caller's to attach.
+/// One task on a replica, in the unit's three steps: [`Claim::new`]
+/// plans it (under a worker's lock), [`Claim::sweep`] sweeps it
+/// (unlocked, against the triangle the claim was planned under) and
+/// [`Claim::commit`] folds it back (under the lock again) into the
+/// result to send. A worker's sweep threads, the local fallback and the
+/// simulator answer every task through these; [`run_task`] is the three
+/// back to back.
+pub(crate) struct Claim<U: Unit> {
+    /// The task, its attached rows already stored.
+    task: TaskItem,
+    /// The replica version planned against: the result's stamp.
+    stamp: usize,
+    plan: U::Plan,
+    /// What the sweep returned (`None`: a replay), and how long it took.
+    swept: Option<(U::Swept, u64)>,
+}
+
+impl<U: Unit> Claim<U> {
+    /// Store the rows `task` brought in `common`, and plan it on the
+    /// caller's unit state under the triangle `tops` built.
+    pub(crate) fn new(
+        unit: &U,
+        (locked, local): (&mut U::Locked, &mut U::Local),
+        (common, tops): (&Common, &[TopAlignment]),
+        mut task: TaskItem,
+    ) -> Self {
+        for (r, row) in std::mem::take(&mut task.rows) {
+            if !common.has_row(r) {
+                common.set_row(r, row);
+            }
+        }
+        // A first pass whose rows are stored here already — its result
+        // was lost and the master retransmitted the task — is a
+        // realignment here: the rows go home again with the result.
+        let fresh = task.first && !unit.splits(task.unit).all(|r| common.has_row(r));
+        let plan = unit.plan(locked, local, task.unit, fresh, tops);
+        Claim { task, stamp: tops.len(), plan, swept: None }
+    }
+
+    /// Sweep as planned under `triangle`, unless the plan is a replay.
+    pub(crate) fn sweep(
+        &mut self,
+        unit: &U,
+        common: &Common,
+        local: &mut U::Local,
+        triangle: &OverrideTriangle,
+    ) {
+        if !U::is_replay(&self.plan) {
+            let t0 = Instant::now();
+            let swept = unit.sweep(common, local, &self.plan, triangle);
+            self.swept = Some((swept, t0.elapsed().as_nanos() as u64));
+        }
+    }
+
+    /// Fold the sweep into the unit state and `rec`: the unit's best
+    /// member, the work it took, and on a first pass every member's
+    /// clean row, which the master stores.
+    pub(crate) fn commit<R: Recorder>(
+        self,
+        unit: &U,
+        locked: &mut U::Locked,
+        common: &Common,
+        rec: &mut R,
+    ) -> ResultMsg {
+        let swept = self.swept.map(|(swept, ns)| {
+            rec.observe(Metric::SweepNs, ns);
+            swept
+        });
+        let mut grown = Stats::new();
+        let score = unit.commit(locked, &mut grown, rec, self.plan, swept);
+        let task = self.task;
+        // The shipped bound dominates any score computed at or past the
+        // task's stamp (masking monotonicity); a violation would mean
+        // the master's seed index is broken.
+        debug_assert!(
+            score <= task.bound,
+            "unit {}: score {score} above shipped bound {}",
+            task.unit,
+            task.bound
+        );
+        let rows = if task.first {
+            let splits = unit.splits(task.unit);
+            splits.map(|r| (r, common.row(r).to_vec())).collect()
+        } else {
+            Vec::new()
+        };
+        ResultMsg {
+            unit: task.unit,
+            stamp: self.stamp,
+            attempt: task.attempt,
+            best: unit.best_member(locked, task.unit, score),
+            rows,
+            work: Work::of(&grown),
+        }
+    }
+}
+
+/// One task as one thread computes it: plan · sweep · commit of
+/// `task.unit` on the caller's unit `state`, against its `replica` (rows,
+/// triangle, and the accepts that built it: the stamp).
 pub(crate) fn run_task<U: Unit, R: Recorder>(
     unit: &U,
     (locked, local): (&mut U::Locked, &mut U::Local),
     (common, triangle, tops): (&Common, &OverrideTriangle, &[TopAlignment]),
-    task: &TaskItem,
+    task: TaskItem,
     rec: &mut R,
 ) -> ResultMsg {
-    let u = task.unit;
-    let plan = unit.plan(locked, local, u, task.first, tops);
-    let swept = (!U::is_replay(&plan)).then(|| {
-        let t0 = Instant::now();
-        let swept = unit.sweep(common, local, &plan, triangle);
-        rec.observe(Metric::SweepNs, t0.elapsed().as_nanos() as u64);
-        swept
-    });
-    let mut grown = Stats::new();
-    let score = unit.commit(locked, &mut grown, rec, plan, swept);
-    ResultMsg {
-        unit: u,
-        stamp: tops.len(),
-        attempt: task.attempt,
-        best: unit.best_member(locked, u, score),
-        rows: Vec::new(),
-        work: Work::of(&grown),
-    }
+    let mut claim = Claim::new(unit, (&mut *locked, &mut *local), (common, tops), task);
+    claim.sweep(unit, common, local, triangle);
+    claim.commit(unit, locked, common, rec)
 }
 
 #[cfg(test)]
@@ -1206,17 +1289,7 @@ mod tests {
                         most = most.max(held[w]);
                         batches.push(task);
                     }
-                    MasterAction::Broadcast(acc) => {
-                        for &(p, q) in &acc.pairs {
-                            triangle.set(p, q);
-                        }
-                        accepted.push(TopAlignment {
-                            index: acc.index,
-                            r: 0,
-                            score: 0,
-                            pairs: acc.pairs,
-                        });
-                    }
+                    MasterAction::Broadcast(acc) => acc.apply(&mut triangle, &mut accepted),
                     MasterAction::Done => {
                         return (master.into_result().alignments, batches, most);
                     }
@@ -1226,13 +1299,7 @@ mod tests {
             held[w] -= worker.splits(item.unit).len();
             let replica = (&common, &triangle, &accepted[..]);
             let (locked, local) = &mut state;
-            let mut res = run_task(&worker, (locked, local), replica, &item, &mut NoopRecorder);
-            if item.first {
-                let rows = worker
-                    .splits(item.unit)
-                    .map(|r| (r, common.row(r).to_vec()));
-                res.rows = rows.collect();
-            }
+            let res = run_task(&worker, (locked, local), replica, item, &mut NoopRecorder);
             actions = master.result(w, res);
         }
     }

@@ -152,7 +152,7 @@ pub fn socket_worker(addr: &str) -> Result<(), WorkerError> {
     let deadline = Duration::from_millis(job.deadline_ms.max(1));
     let sel = select(Some(job.lanes), None).expect("a width alone always resolves");
     let packs = PackUnit::new(&job.seq, &job.scoring, sel, job.checkpoint_budget);
-    worker_loop(packs, &job.seq, &job.scoring, peer, deadline);
+    worker_loop(packs, &job.seq, &job.scoring, peer, deadline, 1);
     Ok(())
 }
 

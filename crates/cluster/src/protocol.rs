@@ -14,7 +14,7 @@
 //! is allocated for it.
 
 use repro_align::{Alphabet, ExchangeMatrix, GapPenalties, Score, Scoring, Seq};
-use repro_core::{SplitOutcome, Stats, Unit};
+use repro_core::{OverrideTriangle, Stats, TopAlignment, Unit};
 use repro_obs::{Counter, Hist, HistSet, Metric, TelemetrySnapshot};
 use repro_simd::LaneWidth;
 use repro_xmpi::wire::{Decoder, Encoder, WireError};
@@ -27,8 +27,7 @@ pub mod tag {
     pub const IDLE: u32 = 1;
     /// Master → worker: a task assignment (or a retransmission of one).
     pub const TASK: u32 = 2;
-    /// Worker → master: the results of one or more items of one task
-    /// frame ([`super::ResultsMsg`]).
+    /// Worker → master: task results ([`super::ResultsMsg`]).
     pub const RESULT: u32 = 3;
     /// Master → all workers: a top alignment was accepted; apply these
     /// pairs to the local triangle replica.
@@ -246,6 +245,11 @@ impl Work {
         ])
     }
 
+    /// Cells swept.
+    pub(crate) fn cells(&self) -> u64 {
+        self.0[1]
+    }
+
     /// Fold into `stats` as work done while `stamp` tops existed.
     pub fn fold_into(&self, stats: &mut Stats, stamp: usize) {
         let [n, cells, shadows, hits, misses, swept, skipped, lanes_skipped, compacted] = self.0;
@@ -282,24 +286,6 @@ pub struct ResultMsg {
 }
 
 impl ResultMsg {
-    /// The split unit's answer to `task` (unit `u` is split `u + 1`):
-    /// the outcome of sweeping it under replica version `stamp`.
-    pub fn answer(task: &TaskItem, stamp: usize, out: SplitOutcome) -> Self {
-        let r = task.unit + 1;
-        let mut grown = Stats::new();
-        grown.record_alignment(out.cells, stamp);
-        grown.shadow_rejections = out.shadow_rejections;
-        grown.record_resume(out.resume.map_or([0; 4], |resume| resume.tallies()));
-        ResultMsg {
-            unit: task.unit,
-            stamp,
-            attempt: task.attempt,
-            best: (r, out.score),
-            rows: out.first_row.map(|row| vec![(r, row)]).unwrap_or_default(),
-            work: Work::of(&grown),
-        }
-    }
-
     /// Encoded size of an item without rows: what a frame must still
     /// hold per claimed item.
     const MIN_BYTES: usize = 4 * 8 + 4 + 9 * 8 + 8;
@@ -340,15 +326,13 @@ impl ResultMsg {
     }
 }
 
-/// The result frame: the results of one or more items of one
-/// [`TaskMsg`], in the order they were computed. Replacing the
-/// one-result frame with this list is the wire-v5 layout change
-/// ([`repro_xmpi::wire::VERSION`]). A worker flushes the frame when the
-/// task frame's last item finishes, or earlier when the score just
-/// computed is at least every bound still queued from that task frame
-/// or the worker has sent nothing for a beacon period (DESIGN.md,
-/// "Batched task assignment"). The master settles each item
-/// on its own `attempt`, so a lost frame is healed item by item.
+/// The result frame: a list of task results. Replacing the one-result
+/// frame with this list is the wire-v5 layout change
+/// ([`repro_xmpi::wire::VERSION`]). A worker sends each result in a
+/// frame of its own the moment its item ends, and a result that answers
+/// a retransmitted attempt twice. The master still decodes frames of
+/// several items and settles each on its own `attempt`, so a lost frame
+/// is healed item by item.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResultsMsg {
     /// The results, at least one.
@@ -393,6 +377,23 @@ pub struct AcceptedMsg {
 }
 
 impl AcceptedMsg {
+    /// Apply to a replica whose `accepted` list holds every earlier
+    /// index: set the pairs in `triangle`, and append the acceptance,
+    /// whose count is the replica's version (only the pairs are known
+    /// here; `r` and `score` are left 0).
+    pub(crate) fn apply(self, triangle: &mut OverrideTriangle, accepted: &mut Vec<TopAlignment>) {
+        debug_assert_eq!(self.index, accepted.len(), "acceptances apply in order");
+        for &(p, q) in &self.pairs {
+            triangle.set(p, q);
+        }
+        accepted.push(TopAlignment {
+            index: self.index,
+            r: 0,
+            score: 0,
+            pairs: self.pairs,
+        });
+    }
+
     /// Encode to a framed payload.
     pub fn encode(&self) -> Vec<u8> {
         Encoder::new()

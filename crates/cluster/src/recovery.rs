@@ -1,5 +1,5 @@
-//! The transport-level recovery loop shared by the thread-backed
-//! engines ([`crate::engine`] and [`crate::hybrid`]).
+//! The transport-level recovery loop every message-passing master runs
+//! (threads, sockets, and the hybrid's nodes).
 //!
 //! [`MasterState`] decides *what* to do;
 //! this module decides *when to stop believing a worker*. It wraps the
@@ -598,8 +598,7 @@ pub(crate) fn master_loop<U: Unit, C: Comm, R: Recorder>(
 }
 
 /// How often a worker beacons (IDLE while free, a paired RESYNC while
-/// it has deferred work) so the master can tell "slow" from "gone" —
-/// and the longest a busy worker holds computed results back.
+/// it has deferred work) so the master can tell "slow" from "gone".
 pub(crate) const BEACON_PERIOD: Duration = Duration::from_millis(40);
 
 /// Worker-side receive poll granularity.

@@ -8,20 +8,21 @@
 //! plus `P − 1` workers reproduces the paper's setup for any `P`,
 //! including 128, on a single machine.
 //!
-//! Because every engine accepts the same top alignments in the same
-//! order regardless of worker count (see `master.rs`), the triangle
-//! state at version `v` is run-invariant — which lets a shared
-//! [`AlignCache`] memoise `(split, version) → result` across the whole
-//! processor/top-count sweep. The first configuration pays for the real
-//! compute; the rest replay it under different schedules.
+//! A simulated worker answers a task exactly as a cluster worker's
+//! sweep thread does (`master::run_task`, one split to a task),
+//! on its own replica. Because every engine accepts the same top
+//! alignments in the same order regardless of worker count (see
+//! `master.rs`), the triangle state at version `v` is run-invariant —
+//! which lets a shared [`AlignCache`] memoise `(unit, version) → result`
+//! across the whole processor/top-count sweep. The first configuration
+//! pays for the real compute; the rest replay it under different
+//! schedules.
 
-use crate::master::{MasterAction, MasterState};
-use crate::protocol::{AcceptedMsg, ResultMsg, ResultsMsg, TaskItem, TaskMsg};
-use repro_align::{Score, Scoring, Seq};
-use repro_core::{
-    DirtyLog, OverrideTriangle, ScoredSeq, Search, SplitOutcome, SplitSweeper, SplitUnit,
-    TopAlignments,
-};
+use crate::master::{run_task, MasterAction, MasterState};
+use crate::protocol::{tag, AcceptedMsg, ResultMsg, ResultsMsg, TaskItem, TaskMsg};
+use repro_align::{Scoring, Seq};
+use repro_core::{Common, OverrideTriangle, Search, SplitUnit, TopAlignment, TopAlignments, Unit};
+use repro_obs::NoopRecorder;
 use repro_xmpi::virtual_time::{run, Actor, Ctx, LinkModel};
 use repro_xmpi::Rank;
 use std::cell::RefCell;
@@ -59,12 +60,12 @@ impl CostModel {
 
 /// Memoised alignment results shared across simulation runs.
 ///
-/// Keyed by `(split, triangle version)`; valid because the acceptance
+/// Keyed by `(unit, triangle version)`; valid because the acceptance
 /// sequence — hence the triangle at each version — is identical for
-/// every processor count.
+/// every processor count. A replay answers its own attempt.
 #[derive(Debug, Default)]
 pub struct AlignCache {
-    entries: HashMap<(usize, usize), SplitOutcome>,
+    entries: HashMap<(usize, usize), ResultMsg>,
 }
 
 impl AlignCache {
@@ -73,7 +74,7 @@ impl AlignCache {
         AlignCache::default()
     }
 
-    /// Number of memoised `(split, version)` results.
+    /// Number of memoised `(unit, version)` results.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -109,9 +110,10 @@ pub struct SimReport {
     pub result: TopAlignments,
 }
 
+// The vector holds one master next to many workers: the master, which
+// dwarfs a worker, is boxed, and the workers stay inline.
+#[allow(clippy::large_enum_variant)]
 enum SimActor<'a> {
-    // Boxed: MasterState dwarfs a worker, and the actor vector holds
-    // one master next to many workers.
     Master(Box<MasterSim<'a>>),
     Worker(WorkerSim<'a>),
 }
@@ -122,24 +124,19 @@ struct MasterSim<'a> {
 }
 
 struct WorkerSim<'a> {
-    /// The one profiled sequence of the simulation, shared by every
-    /// simulated worker.
-    input: &'a ScoredSeq<'a>,
-    cost: CostModel,
+    unit: SplitUnit,
+    /// The split unit's state, this worker's own.
+    state: (<SplitUnit as Unit>::Locked, <SplitUnit as Unit>::Local),
+    /// The profiled sequence, and every first-pass row this worker has
+    /// computed or been sent.
+    common: Common<'a>,
     triangle: OverrideTriangle,
-    applied: usize,
-    rows: HashMap<usize, Vec<Score>>,
+    /// The ACCEPTED broadcasts applied, in order: the replica's version.
+    accepted: Vec<TopAlignment>,
     /// Items whose stamp the replica has not reached, with that stamp.
     deferred: Vec<(usize, TaskItem)>,
+    cost: CostModel,
     cache: Rc<RefCell<AlignCache>>,
-}
-
-mod sim_tag {
-    pub const IDLE: u32 = 1;
-    pub const TASK: u32 = 2;
-    pub const RESULT: u32 = 3;
-    pub const ACCEPTED: u32 = 4;
-    pub const DONE: u32 = 5;
 }
 
 impl MasterSim<'_> {
@@ -147,7 +144,7 @@ impl MasterSim<'_> {
         for action in actions {
             match action {
                 MasterAction::Assign { worker, task } => {
-                    ctx.send(worker, sim_tag::TASK, task.encode());
+                    ctx.send(worker, tag::TASK, task.encode());
                 }
                 MasterAction::Broadcast(acc) => {
                     // The traceback behind this acceptance ran on the
@@ -160,12 +157,12 @@ impl MasterSim<'_> {
                     }
                     let payload = acc.encode();
                     for w in 1..ctx.size() {
-                        ctx.send(w, sim_tag::ACCEPTED, payload.clone());
+                        ctx.send(w, tag::ACCEPTED, payload.clone());
                     }
                 }
                 MasterAction::Done => {
                     for w in 1..ctx.size() {
-                        ctx.send(w, sim_tag::DONE, Vec::new());
+                        ctx.send(w, tag::DONE, Vec::new());
                     }
                     ctx.stop();
                 }
@@ -176,39 +173,37 @@ impl MasterSim<'_> {
 
 impl WorkerSim<'_> {
     fn run_task(&mut self, task: TaskItem, ctx: &mut Ctx) {
-        let (r, version) = (task.unit + 1, self.applied);
-        let key = (r, version);
-        let attached = task.rows.first().map(|(_, row)| row);
+        let key = (task.unit, self.accepted.len());
         let cached = self.cache.borrow().entries.get(&key).cloned();
-        let out = cached.unwrap_or_else(|| {
-            let original = (!task.first).then(|| {
-                let row = attached.or_else(|| self.rows.get(&r));
-                &row.expect("realignment without cached or attached row")[..]
-            });
+        let res = match cached {
+            // Computed in an earlier run: keep the rows the task and the
+            // result bring for future shadow filtering, and answer this
+            // attempt.
+            Some(res) => {
+                for (r, row) in task.rows.into_iter().chain(res.rows.iter().cloned()) {
+                    if !self.common.has_row(r) {
+                        self.common.set_row(r, row);
+                    }
+                }
+                ResultMsg { attempt: task.attempt, ..res }
+            }
             // Through the split unit, with no incremental state: the
             // cache is the simulator's memo.
-            let out = SplitSweeper::new(None, false).sweep(
-                self.input,
-                r,
-                &self.triangle,
-                original,
-                &DirtyLog::new(),
-                None,
-            );
-            self.cache.borrow_mut().entries.insert(key, out.clone());
-            out
-        });
-        // Cache the row locally for future shadow filtering.
-        if let Some(row) = out.first_row.as_ref().or(attached) {
-            self.rows.insert(r, row.clone());
-        }
-        ctx.compute(out.cells as f64 / self.cost.worker_cells_per_sec);
-        let res = ResultMsg::answer(&task, version, out);
-        ctx.send(0, sim_tag::RESULT, ResultsMsg { items: vec![res] }.encode());
+            None => {
+                let (locked, local) = &mut self.state;
+                let replica = (&self.common, &self.triangle, &self.accepted[..]);
+                let res = run_task(&self.unit, (locked, local), replica, task, &mut NoopRecorder);
+                self.cache.borrow_mut().entries.insert(key, res.clone());
+                res
+            }
+        };
+        ctx.compute(res.work.cells() as f64 / self.cost.worker_cells_per_sec);
+        ctx.send(0, tag::RESULT, ResultsMsg { items: vec![res] }.encode());
     }
 
     fn drain_deferred(&mut self, ctx: &mut Ctx) {
-        while let Some(pos) = self.deferred.iter().position(|&(s, _)| s <= self.applied) {
+        let applied = self.accepted.len();
+        while let Some(pos) = self.deferred.iter().position(|&(s, _)| s <= applied) {
             let (_, item) = self.deferred.swap_remove(pos);
             self.run_task(item, ctx);
         }
@@ -220,7 +215,7 @@ impl Actor for SimActor<'_> {
         match self {
             SimActor::Master(_) => {}
             SimActor::Worker(_) => {
-                ctx.send(0, sim_tag::IDLE, Vec::new());
+                ctx.send(0, tag::IDLE, Vec::new());
             }
         }
     }
@@ -230,8 +225,8 @@ impl Actor for SimActor<'_> {
             SimActor::Master(m) => {
                 ctx.compute(m.cost.queue_op_seconds);
                 let actions = match tag {
-                    sim_tag::IDLE => m.state.worker_idle(from, 0),
-                    sim_tag::RESULT => {
+                    tag::IDLE => m.state.worker_idle(from, 0),
+                    tag::RESULT => {
                         let frame = ResultsMsg::decode(payload, m.state.unit())
                             .expect("simulator transport cannot corrupt frames");
                         frame
@@ -245,12 +240,11 @@ impl Actor for SimActor<'_> {
                 m.act(actions, ctx);
             }
             SimActor::Worker(w) => match tag {
-                sim_tag::TASK => {
-                    let splits = SplitUnit::new(w.input.seq, None, None);
-                    let task = TaskMsg::decode(payload, &splits)
+                tag::TASK => {
+                    let task = TaskMsg::decode(payload, &w.unit)
                         .expect("simulator transport cannot corrupt frames");
                     let stamp = task.stamp;
-                    if stamp <= w.applied {
+                    if stamp <= w.accepted.len() {
                         for item in task.items {
                             w.run_task(item, ctx);
                         }
@@ -260,16 +254,13 @@ impl Actor for SimActor<'_> {
                             .extend(task.items.into_iter().map(|item| (stamp, item)));
                     }
                 }
-                sim_tag::ACCEPTED => {
+                tag::ACCEPTED => {
                     let acc = AcceptedMsg::decode(payload)
                         .expect("simulator transport cannot corrupt frames");
-                    for (p, q) in acc.pairs {
-                        w.triangle.set(p, q);
-                    }
-                    w.applied = w.applied.max(acc.index + 1);
+                    acc.apply(&mut w.triangle, &mut w.accepted);
                     w.drain_deferred(ctx);
                 }
-                sim_tag::DONE => {}
+                tag::DONE => {}
                 other => unreachable!("worker got tag {other}"),
             },
         }
@@ -294,20 +285,21 @@ pub fn simulate_cluster(
     assert!(processors >= 2, "need a master and at least one worker");
     let workers = processors - 1;
 
-    let input = ScoredSeq::new(seq, scoring);
     let mut actors: Vec<SimActor> = Vec::with_capacity(processors);
     actors.push(SimActor::Master(Box::new(MasterSim {
         state: MasterState::new(seq, scoring, &Search::new(count)),
         cost,
     })));
     for _ in 0..workers {
+        let unit = SplitUnit::new(seq, None, None);
         actors.push(SimActor::Worker(WorkerSim {
-            input: &input,
-            cost,
+            unit,
+            state: (unit.locked(), unit.local()),
+            common: Common::new(seq, scoring),
             triangle: OverrideTriangle::new(seq.len()),
-            applied: 0,
-            rows: HashMap::new(),
+            accepted: Vec::new(),
             deferred: Vec::new(),
+            cost,
             cache: Rc::clone(&cache),
         }));
     }

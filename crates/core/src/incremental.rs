@@ -4,10 +4,10 @@
 //! [`SplitSweeper::sweep`] is how one split is (re)aligned — clean first
 //! pass, late first pass (clean + masked), memo replay, checkpoint
 //! resume or from-scratch sweep, then the Appendix-A shadow filter —
-//! decided here once for every scheduler: the sequential finder, the
-//! SMP workers, the cluster and hybrid workers, the master's local
-//! fallback and the simulator call it and keep only their own
-//! bookkeeping (row store, result message, phase spans).
+//! decided here once, behind [`crate::SplitUnit`]: every driver of that
+//! unit (the sequential finder, the SMP workers, the Figure 8 simulator's
+//! workers) reaches it only through the unit's sweep. The module is
+//! private; its types surface only as the unit's associated types.
 //!
 //! With a checkpoint budget it routes through the private
 //! `IncrementalSweeper`, which wraps the scalar score-only sweep with
@@ -495,20 +495,19 @@ fn best_valid(current: &[Score], original: &[Score]) -> (Score, Option<usize>, u
 
 /// What the incremental layer did for one realignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Resume {
+pub(crate) struct Resume {
     /// A memo replay or a checkpoint resume fired.
-    pub hit: bool,
+    pub(crate) hit: bool,
     /// Rows actually swept.
-    pub rows_swept: u64,
+    pub(crate) rows_swept: u64,
     /// Rows skipped (memo or checkpoint).
-    pub rows_skipped: u64,
+    pub(crate) rows_skipped: u64,
 }
 
 impl Resume {
     /// `[hits, misses, rows swept, rows skipped]`: the order of
-    /// [`crate::Stats::record_resume`] and of the cluster's result
-    /// message.
-    pub fn tallies(&self) -> [u64; 4] {
+    /// [`crate::Stats::record_resume`].
+    pub(crate) fn tallies(&self) -> [u64; 4] {
         [
             u64::from(self.hit),
             u64::from(!self.hit),
@@ -518,65 +517,55 @@ impl Resume {
     }
 }
 
-/// The uniform outcome of [`SplitSweeper::sweep`].
+/// The uniform outcome of [`SplitSweeper::sweep`]: the split unit's
+/// `Swept`.
 #[derive(Debug, Clone)]
 pub struct SplitOutcome {
     /// Best valid (non-shadow) bottom-row score under the triangle; 0
     /// if none.
-    pub score: Score,
+    pub(crate) score: Score,
     /// Bottom-row positions the shadow filter rejected.
-    pub shadow_rejections: u64,
+    pub(crate) shadow_rejections: u64,
     /// Cells computed.
-    pub cells: u64,
+    pub(crate) cells: u64,
     /// The **clean** (empty-triangle) bottom row — first passes only,
     /// handed over by value for the caller's row store.
-    pub first_row: Option<Vec<Score>>,
+    pub(crate) first_row: Option<Vec<Score>>,
     /// `Some` for a realignment through the incremental layer.
-    pub resume: Option<Resume>,
+    pub(crate) resume: Option<Resume>,
 }
 
-/// The split unit of work: one split's first pass or realignment under
-/// the caller's triangle replica, routed once for every scheduler (see
-/// the module docs). Holds the replica's incremental state when a
-/// checkpoint budget is set, nothing otherwise.
+/// One split's first pass or realignment under the caller's triangle
+/// replica (see the module docs): half of the split unit's `Local`.
+/// Holds the replica's incremental state when a checkpoint budget is
+/// set, nothing otherwise. A first pass under an already grown triangle
+/// seeds the memo and the checkpoint store like a pristine one: it
+/// resumes the masked sweep from the clean one's snapshot and keeps
+/// both sets of checkpoints.
 #[derive(Debug)]
 pub struct SplitSweeper {
     incr: Option<IncrementalSweeper>,
-    seed_late: bool,
 }
 
 impl SplitSweeper {
     /// A sweeper for one triangle replica. `checkpoint_budget` is
-    /// [`crate::Search::checkpoint_budget`]; `seed_late` says whether a
-    /// first pass under an already grown triangle seeds the memo and
-    /// the checkpoint store like a pristine one (it then resumes the
-    /// masked sweep from the clean one's snapshot and keeps both sets
-    /// of checkpoints) or leaves the incremental state alone.
-    pub fn new(checkpoint_budget: Option<usize>, seed_late: bool) -> Self {
+    /// [`crate::Search::checkpoint_budget`].
+    pub(crate) fn new(checkpoint_budget: Option<usize>) -> Self {
         SplitSweeper {
             incr: checkpoint_budget.map(IncrementalSweeper::new),
-            seed_late,
         }
     }
 
     /// Whether the incremental layer is on, i.e. whether `sweep` reads
     /// the dirty log it is handed.
-    pub fn checkpointing(&self) -> bool {
+    pub(crate) fn checkpointing(&self) -> bool {
         self.incr.is_some()
     }
 
     /// Row buffers served from the scratch pool instead of the
     /// allocator.
-    pub fn pool_reuses(&self) -> u64 {
+    pub(crate) fn pool_reuses(&self) -> u64 {
         self.incr.as_ref().map_or(0, |s| s.pool.reuses())
-    }
-
-    /// Return a spent first-pass row (after it has been copied into a
-    /// row store) to the scratch pool it came from.
-    pub fn reclaim(&mut self, row: Vec<Score>) {
-        if let Some(incr) = self.incr.as_mut() {
-            incr.pool.give(row);
-        }
     }
 
     /// Align split `r` under `triangle`: a first pass when `original`
@@ -590,7 +579,7 @@ impl SplitSweeper {
     /// accepts applied to `triangle` (its version stamps the memo and
     /// the checkpoints) and `stripe` is ignored; with it off, `dirty`
     /// is not read.
-    pub fn sweep(
+    pub(crate) fn sweep(
         &mut self,
         input: &ScoredSeq,
         r: usize,
@@ -611,9 +600,7 @@ impl SplitSweeper {
                 sweep.result
             }
             (Some(original), None) => input.align_task(r, triangle, Some(original), stripe),
-            (None, Some(incr)) if self.seed_late || triangle.is_empty() => {
-                incr.first_pass(input, r, triangle, dirty.version())
-            }
+            (None, Some(incr)) => incr.first_pass(input, r, triangle, dirty.version()),
             (None, _) if triangle.is_empty() => input.align_task(r, triangle, None, stripe),
             // Only reachable with seed pruning, which can delay a
             // split's first sweep past an accept.
@@ -642,8 +629,7 @@ mod tests {
     /// The split unit against the two-sweep oracle, exhaustively in a
     /// small scope: every split of a 36-nt tandem sequence × every
     /// prefix of its accept history × budget {none, 0, binding, large}
-    /// × {late first passes seed the sweeper, they do not} ×
-    /// {row-major, striped}. A first pass returns the clean row of an
+    /// × {row-major, striped}. A first pass returns the clean row of an
     /// empty-triangle `align_task` and the score and shadow count of a
     /// masked one — resuming the masked sweep at the first straddled
     /// row — and a realignment after further accepts equals the
@@ -672,13 +658,12 @@ mod tests {
         let (mut late, mut replayed, mut resumed) = (0, 0, 0);
         for prefix in 0..=tops.len() {
             let (triangle, dirty) = replica(prefix);
-            for (budget, seed_late, stripe) in [None, Some(0), Some(512), Some(1 << 20)]
+            for (budget, stripe) in [None, Some(0), Some(512), Some(1 << 20)]
                 .into_iter()
-                .flat_map(|b| [(b, true), (b, false)])
-                .flat_map(|(b, s)| [(b, s, None), (b, s, Some(3))])
+                .flat_map(|b| [(b, None), (b, Some(3))])
             {
-                let what = format!("prefix {prefix}, budget {budget:?}, seeds {seed_late}");
-                let mut sweeper = SplitSweeper::new(budget, seed_late);
+                let what = format!("prefix {prefix}, budget {budget:?}, stripe {stripe:?}");
+                let mut sweeper = SplitSweeper::new(budget);
                 for r in 1..m {
                     let clean = align_task(&seq, &scoring, r, &empty, None, None);
                     let clean_row = clean.first_row.unwrap();
@@ -690,7 +675,7 @@ mod tests {
                         (masked.score, masked.shadow_rejections, None),
                         "{what}, first pass of split {r}"
                     );
-                    if stripe.is_none() || budget.is_some() && (seed_late || prefix == 0) {
+                    if stripe.is_none() || budget.is_some() {
                         let below = triangle
                             .first_straddling_row(r)
                             .map_or(0, |d| (r - d) * (m - r));
@@ -710,9 +695,8 @@ mod tests {
                     let Some(resume) = again.resume else { continue };
                     assert_eq!(resume.rows_swept + resume.rows_skipped, r as u64);
                     let dirtied = later.1.dirty_row(r, prefix as u64);
-                    if budget == Some(0) || !(seed_late || prefix == 0) {
-                        // Nothing stored, or a first pass that left the
-                        // sweeper alone: swept from scratch.
+                    if budget == Some(0) {
+                        // Nothing stored: swept from scratch.
                         assert_eq!((resume.hit, resume.rows_skipped), (false, 0), "{what} {r}");
                     } else if let Some(d) = dirtied {
                         assert!(resume.rows_skipped <= d as u64, "{what} {r}: resumed too deep");
@@ -745,7 +729,7 @@ mod tests {
         let seq = dna("ATGCATGCATGCATGC");
         let scoring = Scoring::dna_example();
         let input = ScoredSeq::new(&seq, &scoring);
-        let mut sweeper = SplitSweeper::new(Some(1 << 20), true);
+        let mut sweeper = SplitSweeper::new(Some(1 << 20));
         let mut triangle = OverrideTriangle::new(seq.len());
         let mut dirty = DirtyLog::new();
         let first = sweeper.sweep(&input, 4, &triangle, None, &dirty, None);
@@ -771,7 +755,7 @@ mod tests {
         let seq = dna(&"ACGT".repeat(16)); // 64 residues
         let scoring = Scoring::dna_example();
         let input = ScoredSeq::new(&seq, &scoring);
-        let mut sweeper = SplitSweeper::new(Some(1 << 20), true);
+        let mut sweeper = SplitSweeper::new(Some(1 << 20));
         let mut triangle = OverrideTriangle::new(seq.len());
         let mut dirty = DirtyLog::new();
         let r = 48;

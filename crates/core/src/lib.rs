@@ -30,12 +30,11 @@
 //!   score bounds from two triangular self-sweeps (forward and
 //!   reversed), refreshed on demand, so splits that cannot hold a top
 //!   are never aligned at all; plus a diagnostic k-mer/diagonal index.
-//! * [`incremental`] — the split unit of work
-//!   ([`SplitSweeper`]: how one split is first-passed or realigned,
-//!   written once for every scheduler) over the checkpointed
-//!   incremental realignment layer: budget-capped DP-row snapshots plus
-//!   sweep memoisation, resuming realignments below the dirty boundary
-//!   (bit-identical by construction).
+//! * `incremental` (private) — how [`SplitUnit`] first-passes or
+//!   realigns one split, over the checkpointed incremental realignment
+//!   layer: budget-capped DP-row snapshots plus sweep memoisation,
+//!   resuming realignments below the dirty boundary (bit-identical by
+//!   construction).
 //! * [`stats`] — work accounting (alignments, cells, realignment rates:
 //!   the quantities behind the paper's "90–97 % fewer realignments" and
 //!   "3–10 % need realignment" claims).
@@ -50,7 +49,7 @@ pub mod consensus;
 pub mod delineate;
 pub mod dirty;
 pub mod finder;
-pub mod incremental;
+mod incremental;
 pub mod seed;
 pub mod split_mask;
 pub mod stats;
@@ -66,7 +65,6 @@ pub use finder::{
     align_task, find_top_alignments, FinderConfig, RowMode, ScoredSeq, Search, Step, TaskResult,
     TopAlignment, TopAlignmentFinder, TopAlignments,
 };
-pub use incremental::{Resume, SplitOutcome, SplitSweeper};
 pub use seed::{PairMask, SeedConfig, SplitBounds};
 pub use split_mask::SplitMask;
 pub use stats::Stats;

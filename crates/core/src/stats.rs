@@ -119,9 +119,8 @@ impl Stats {
         self.row_recompute_cells += cells;
     }
 
-    /// Record one realignment through the incremental layer, as
-    /// [`crate::Resume::tallies`] orders it: `[hits, misses, rows swept,
-    /// rows skipped]`.
+    /// Record one realignment through the incremental layer:
+    /// `[hits, misses, rows swept, rows skipped]`.
     pub fn record_resume(&mut self, tallies: [u64; 4]) {
         self.checkpoint_hits += tallies[0];
         self.checkpoint_misses += tallies[1];

@@ -135,10 +135,7 @@ impl Unit for SplitUnit {
     fn locked(&self) {}
 
     fn local(&self) -> Self::Local {
-        (
-            SplitSweeper::new(self.checkpoint_budget, true),
-            DirtyLog::new(),
-        )
+        (SplitSweeper::new(self.checkpoint_budget), DirtyLog::new())
     }
 
     fn plan(

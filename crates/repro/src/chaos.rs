@@ -4,8 +4,9 @@
 //! generated sequence, a worker count, and a [`FaultPlan`] injecting
 //! message drops, duplicates, delivery delays, payload corruption or a
 //! whole-rank crash. [`run_schedule`] executes the distributed engine
-//! under that plan and classifies the outcome against the sequential
-//! engine:
+//! under that plan ([`run_schedule_proc`] over sockets,
+//! [`run_schedule_hybrid`] on a cluster of two-CPU nodes) and
+//! classifies the outcome against the sequential engine:
 //!
 //! * **identical** — the run completed and its alignments are exactly
 //!   the sequential ones (the recovery layer healed every fault);
@@ -22,7 +23,9 @@
 //! they run is the same.
 
 use crate::{find_top_alignments, Alphabet, Scoring, Search, Seq};
-use repro_cluster::{run_cluster, run_cluster_proc, ClusterError, ProcOptions};
+use repro_cluster::{
+    run_cluster, run_cluster_proc, run_hybrid, ClusterError, ClusterResult, ProcOptions,
+};
 use repro_obs::NoopRecorder;
 use repro_xmpi::socket::ProxyFaults;
 use repro_xmpi::thread::FaultPlan;
@@ -178,41 +181,47 @@ pub fn schedules(n: u64) -> impl Iterator<Item = ChaosSchedule> {
 /// `Err` means the harness caught a real defect: diverged alignments,
 /// or a typed error in a world the engine should have survived.
 pub fn run_schedule(s: &ChaosSchedule, deadline: Duration) -> Result<ChaosOutcome, String> {
-    let scoring = Scoring::dna_example();
-    let want = find_top_alignments(&s.seq, &scoring, s.count);
-    match run_cluster(
-        &s.seq,
-        &scoring,
-        &Search::new(s.count),
-        s.workers,
-        deadline,
-        s.faults,
-        &mut NoopRecorder,
-    ) {
-        Ok(got) => {
-            if got.result.alignments == want.alignments {
-                Ok(ChaosOutcome::Identical)
-            } else {
-                Err(format!(
-                    "seed {}: alignments diverged from sequential under {} \
-                     ({} workers, {} residues)",
-                    s.seed,
-                    s.label,
-                    s.workers,
-                    s.seq.len(),
-                ))
-            }
-        }
-        Err(e) => {
-            if s.faults.crash_rank == Some(0) {
-                Ok(ChaosOutcome::TypedError(e))
-            } else {
-                Err(format!(
-                    "seed {}: '{e}' under {} — a survivable world must not error",
-                    s.seed, s.label,
-                ))
-            }
-        }
+    let search = Search::new(s.count);
+    let (seq, scoring, faults) = (&s.seq, &Scoring::dna_example(), s.faults);
+    let got = run_cluster(seq, scoring, &search, s.workers, deadline, faults, &mut NoopRecorder);
+    classify(s, got, "")
+}
+
+/// [`run_schedule`] on the cluster of SMPs: `s.workers` nodes of two
+/// CPUs each (the master's node lends it one), with the plan injected on
+/// every node's endpoint — a crashed rank takes its whole node down.
+pub fn run_schedule_hybrid(s: &ChaosSchedule, deadline: Duration) -> Result<ChaosOutcome, String> {
+    let search = Search::new(s.count);
+    let (seq, scoring, faults) = (&s.seq, &Scoring::dna_example(), s.faults);
+    let rec = &mut NoopRecorder;
+    let got = run_hybrid(seq, scoring, &search, s.workers, 2, deadline, faults, rec);
+    classify(s, got, " on two-CPU nodes")
+}
+
+/// Classify `got`, the run of `s` (`how` it ran, for the message),
+/// against the sequential engine: identical alignments, or a typed error
+/// where the plan crashed the master.
+fn classify(
+    s: &ChaosSchedule,
+    got: Result<ClusterResult, ClusterError>,
+    how: &str,
+) -> Result<ChaosOutcome, String> {
+    let want = find_top_alignments(&s.seq, &Scoring::dna_example(), s.count);
+    match got {
+        Ok(got) if got.result.alignments == want.alignments => Ok(ChaosOutcome::Identical),
+        Ok(_) => Err(format!(
+            "seed {}: alignments diverged from sequential under {}{how} \
+             ({} workers, {} residues)",
+            s.seed,
+            s.label,
+            s.workers,
+            s.seq.len(),
+        )),
+        Err(e) if s.faults.crash_rank == Some(0) => Ok(ChaosOutcome::TypedError(e)),
+        Err(e) => Err(format!(
+            "seed {}: '{e}' under {}{how} — a survivable world must not error",
+            s.seed, s.label,
+        )),
     }
 }
 
@@ -255,49 +264,15 @@ pub fn socket_faults(plan: &FaultPlan) -> (ProxyFaults, Option<Duration>) {
 /// so for those either a healed identical result *or* a typed error is
 /// legitimate; every other schedule must heal to identical.
 pub fn run_schedule_proc(s: &ChaosSchedule, deadline: Duration) -> Result<ChaosOutcome, String> {
-    let scoring = Scoring::dna_example();
-    let want = find_top_alignments(&s.seq, &scoring, s.count);
     let (faults, sever_all_after) = socket_faults(&s.faults);
     let opts = ProcOptions {
         faults,
         sever_all_after,
         ..ProcOptions::default()
     };
-    match run_cluster_proc(
-        &s.seq,
-        &scoring,
-        &Search::new(s.count),
-        s.workers,
-        deadline,
-        &opts,
-        &mut NoopRecorder,
-    ) {
-        Ok(got) => {
-            if got.result.alignments == want.alignments {
-                Ok(ChaosOutcome::Identical)
-            } else {
-                Err(format!(
-                    "seed {}: alignments diverged from sequential under {} \
-                     over sockets ({} workers, {} residues)",
-                    s.seed,
-                    s.label,
-                    s.workers,
-                    s.seq.len(),
-                ))
-            }
-        }
-        Err(e) => {
-            if s.faults.crash_rank == Some(0) {
-                Ok(ChaosOutcome::TypedError(e))
-            } else {
-                Err(format!(
-                    "seed {}: '{e}' under {} over sockets — a survivable \
-                     world must not error",
-                    s.seed, s.label,
-                ))
-            }
-        }
-    }
+    let (search, scoring, rec) = (Search::new(s.count), Scoring::dna_example(), &mut NoopRecorder);
+    let got = run_cluster_proc(&s.seq, &scoring, &search, s.workers, deadline, &opts, rec);
+    classify(s, got, " over sockets")
 }
 
 #[cfg(test)]

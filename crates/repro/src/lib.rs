@@ -66,7 +66,9 @@
 //!
 //! // The message-passing engines: `cluster::{run_cluster, run_cluster_proc, run_hybrid}`.
 //! use repro::cluster::{run_hybrid, DEFAULT_DEADLINE};
-//! let hybrid = run_hybrid(&seq, &scoring, &search, 2, 2, DEFAULT_DEADLINE, &mut NoopRecorder)?;
+//! use repro::xmpi::thread::FaultPlan;
+//! let clean = FaultPlan::default();
+//! let hybrid = run_hybrid(&seq, &scoring, &search, 2, 2, DEFAULT_DEADLINE, clean, &mut NoopRecorder)?;
 //! assert_eq!(hybrid.result.alignments, oracle.alignments);
 //! assert_eq!(hybrid.ranks, 3);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -440,7 +442,10 @@ impl Repro {
             Engine::Hybrid {
                 nodes,
                 threads_per_node: tpn,
-            } => run_hybrid(seq, scoring, search, nodes, tpn, deadline, &mut rec)?.result,
+            } => {
+                let faults = FaultPlan::default();
+                run_hybrid(seq, scoring, search, nodes, tpn, deadline, faults, &mut rec)?.result
+            }
             Engine::Legacy(kernel) => find_top_alignments_old(seq, scoring, search.count, kernel),
         };
         if self.progress.is_some() {

@@ -11,7 +11,10 @@
 //! the seed — a failing seed replays exactly. The sweep is split into
 //! chunks so the test runner can drive schedules in parallel.
 
-use repro::chaos::{run_schedule, run_schedule_proc, schedule, schedules, ChaosOutcome};
+use repro::chaos::{
+    run_schedule, run_schedule_hybrid, run_schedule_proc, schedule, schedules, ChaosOutcome,
+    ChaosSchedule,
+};
 use std::time::Duration;
 
 /// Far above any observed schedule runtime (worst observed is a few
@@ -23,17 +26,24 @@ const DEADLINE: Duration = Duration::from_secs(45);
 const SWEEP: u64 = 56;
 const CHUNKS: u64 = 4;
 
-fn run_chunk(chunk: u64) -> (u32, u32) {
+type Runner = fn(&ChaosSchedule, Duration) -> Result<ChaosOutcome, String>;
+
+/// Chunk `chunk` of the sweep through `run`: (identical, typed errors).
+fn sweep_chunk(chunk: u64, run: Runner, deadline: Duration) -> (u32, u32) {
     let per = SWEEP / CHUNKS;
     let (mut identical, mut typed) = (0, 0);
     for s in (chunk * per..(chunk + 1) * per).map(schedule) {
-        match run_schedule(&s, DEADLINE) {
+        match run(&s, deadline) {
             Ok(ChaosOutcome::Identical) => identical += 1,
             Ok(ChaosOutcome::TypedError(_)) => typed += 1,
             Err(defect) => panic!("{defect}"),
         }
     }
     (identical, typed)
+}
+
+fn run_chunk(chunk: u64) -> (u32, u32) {
+    sweep_chunk(chunk, run_schedule, DEADLINE)
 }
 
 #[test]
@@ -67,16 +77,7 @@ fn chaos_sweep_chunk_3() {
 const DEADLINE_PROC: Duration = Duration::from_secs(20);
 
 fn run_chunk_proc(chunk: u64) -> (u32, u32) {
-    let per = SWEEP / CHUNKS;
-    let (mut identical, mut typed) = (0, 0);
-    for s in (chunk * per..(chunk + 1) * per).map(schedule) {
-        match run_schedule_proc(&s, DEADLINE_PROC) {
-            Ok(ChaosOutcome::Identical) => identical += 1,
-            Ok(ChaosOutcome::TypedError(_)) => typed += 1,
-            Err(defect) => panic!("{defect}"),
-        }
-    }
-    (identical, typed)
+    sweep_chunk(chunk, run_schedule_proc, DEADLINE_PROC)
 }
 
 #[test]
@@ -100,6 +101,36 @@ fn chaos_sweep_sockets_chunk_2() {
 #[test]
 fn chaos_sweep_sockets_chunk_3() {
     let (identical, _) = run_chunk_proc(3);
+    assert!(identical > 0);
+}
+
+/// The same seeded worlds on the cluster of SMPs: `s.workers` nodes of
+/// two CPUs, the master's node lending it one.
+fn run_chunk_hybrid(chunk: u64) -> (u32, u32) {
+    sweep_chunk(chunk, run_schedule_hybrid, DEADLINE)
+}
+
+#[test]
+fn chaos_sweep_hybrid_chunk_0() {
+    let (identical, _) = run_chunk_hybrid(0);
+    assert!(identical > 0);
+}
+
+#[test]
+fn chaos_sweep_hybrid_chunk_1() {
+    let (identical, _) = run_chunk_hybrid(1);
+    assert!(identical > 0);
+}
+
+#[test]
+fn chaos_sweep_hybrid_chunk_2() {
+    let (identical, _) = run_chunk_hybrid(2);
+    assert!(identical > 0);
+}
+
+#[test]
+fn chaos_sweep_hybrid_chunk_3() {
+    let (identical, _) = run_chunk_hybrid(3);
     assert!(identical > 0);
 }
 

@@ -217,14 +217,14 @@ fn every_engine_folds_its_tallies_under_the_keys_the_benchmark_reads() {
             continue; // the reference algorithm records nothing
         }
         let smp = matches!(engine, Engine::Threads(_) | Engine::SimdThreads { .. });
-        // Cluster workers sweep lane packs, over either transport; the
-        // hybrid's node threads sweep single splits.
-        let simd = matches!(
-            engine,
-            Engine::SimdDispatch { .. } | Engine::SimdThreads { .. } | Engine::Cluster { .. }
-        );
+        // Cluster workers and the hybrid's node threads sweep lane packs,
+        // over either transport.
         let cluster = matches!(engine, Engine::Cluster { .. } | Engine::Hybrid { .. });
-        let hybrid = matches!(engine, Engine::Hybrid { .. });
+        let simd = cluster
+            || matches!(
+                engine,
+                Engine::SimdDispatch { .. } | Engine::SimdThreads { .. }
+            );
         // Each line: what the report shows, and which engines must show it.
         let check = |shown: bool, wanted: bool, what: &str| {
             assert_eq!(shown, wanted, "{engine:?}: {what}");
@@ -236,8 +236,7 @@ fn every_engine_folds_its_tallies_under_the_keys_the_benchmark_reads() {
         check(accounted, true, "realignments accounted");
         check(s.seed_index_build_ns > 0, true, "bounds built");
         check(sampled("task_round_trip_ns"), true, "round trips");
-        // (The hybrid's node threads ship no telemetry home.)
-        check(sampled("sweep_ns"), !hybrid, "sweep_ns");
+        check(sampled("sweep_ns"), true, "sweep_ns");
         check(entered("traceback"), true, "traceback phase");
         check(entered("delineate"), true, "delineate phase");
         check(entered("consensus"), true, "consensus phase");
