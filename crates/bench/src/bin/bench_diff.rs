@@ -118,6 +118,13 @@ fn extract(doc: &Json) -> Vec<MetricVal> {
                     out.push(m(format!("cluster:small_task:{key}"), v, false));
                 }
             }
+            for (key, higher_is_better) in
+                [("roundtrip_16k_over_64", false), ("row_codec_mbps", true)]
+            {
+                if let Some(v) = f(doc.get("wire").and_then(|w| w.get(key))) {
+                    out.push(m(format!("cluster:wire:{key}"), v, higher_is_better));
+                }
+            }
         }
         "simd_sweep" => {
             for k in doc.get("kernels").and_then(Json::as_arr).unwrap_or(&[]) {
@@ -325,18 +332,24 @@ mod tests {
         let cluster = doc(
             r#"{"bench":"cluster_real","transports":[{"workers":2,"overhead":1.0}],
                 "small_task":{"proc_over_seq":1.2,"lanes_over_simd":1.6,
-                "result_frames_per_task":0.4}}"#,
+                "result_frames_per_task":0.4},
+                "wire":{"roundtrip_16k_over_64":2.1,"row_codec_mbps":2500}}"#,
         );
-        let names: Vec<String> = extract(&cluster).into_iter().map(|m| m.name).collect();
+        let got = extract(&cluster);
+        let names: Vec<&str> = got.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(
             names,
             [
                 "cluster:2w:proc_overhead",
                 "cluster:small_task:proc_over_seq",
                 "cluster:small_task:lanes_over_simd",
-                "cluster:small_task:result_frames_per_task"
+                "cluster:small_task:result_frames_per_task",
+                "cluster:wire:roundtrip_16k_over_64",
+                "cluster:wire:row_codec_mbps"
             ]
         );
+        let better: Vec<bool> = got.iter().map(|m| m.higher_is_better).collect();
+        assert_eq!(better, [false, false, false, false, false, true]);
 
         let simd = doc(
             r#"{"bench":"simd_sweep","kernels":[

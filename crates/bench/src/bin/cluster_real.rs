@@ -19,6 +19,12 @@
 //! tasks settled, how many result frames carried them home, and the
 //! socket run's lane alignments over the SIMD engine's.
 //!
+//! A third, **wire** leg prices the transport itself: the median socket
+//! round trip hub → worker → hub for 64-B and 16-KiB messages (a fixed
+//! cost and a per-byte cost, and their ratio), and the MB/s of the frame
+//! that carries most of the bytes, a first-pass RESULT of one ×16 pack's
+//! sixteen bottom rows, through the real codec (encode plus decode).
+//!
 //! Usage: `cargo run --release -p repro-bench --bin cluster_real --
 //! [--scale small|medium|full] [--out BENCH_cluster_real.json]
 //! [--check]`. Under `--check` the binary additionally exits non-zero
@@ -26,15 +32,21 @@
 //! wall time at any worker count, or on the small-task leg
 //! [`MAX_SMALL_TASK_OVER_SEQ`]× the sequential engine's, more than
 //! [`MAX_RESULT_FRAMES_PER_TASK`] result frames per task or more than
-//! [`MAX_LANES_OVER_SIMD`]× the SIMD engine's lane alignments — the
-//! gates that keep the real transport's overhead and the master's
-//! speculation bounded.
+//! [`MAX_LANES_OVER_SIMD`]× the SIMD engine's lane alignments, or when a
+//! 16-KiB round trip costs more than [`MAX_ROUNDTRIP_16K_OVER_64`]× a
+//! 64-B one — the gates that keep the real transport's overhead and the
+//! master's speculation bounded.
 
+use repro::cluster::protocol::{ResultMsg, ResultsMsg, Work};
+use repro::core::Unit;
 use repro::obs::json::Json;
-use repro::{Engine, Repro, Scoring, SeedConfig, Transport};
+use repro::simd::{select, LaneWidth, PackUnit};
+use repro::xmpi::socket::{SocketHub, SocketPeer};
+use repro::xmpi::Comm;
+use repro::{Engine, Repro, Scoring, SeedConfig, Seq, Transport};
 use repro_bench::{secs, time_min, time_min_pair, Scale, Table};
 use repro_seqgen::{PlantedRepeats, RepeatKind, RepeatSpec};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Maximum socket-over-simulator wall-time ratio tolerated per worker
 /// count under `--check`. The socket backend pays for connection
@@ -73,6 +85,19 @@ const MAX_RESULT_FRAMES_PER_TASK: f64 = 0.5;
 /// ≈ 4.0 with four packs to a batch, ≈ 1.6 with batches bounded in
 /// lanes (one pack).
 const MAX_LANES_OVER_SIMD: f64 = 2.5;
+
+/// Most a 16-KiB socket round trip may cost, as a multiple of a 64-B one,
+/// under `--check`: what the transport pays per byte against what it
+/// pays per message. A ratio, so host speed mostly cancels. Measured
+/// 4.2–4.6 with the byte-serial FNV-1a frame checksum, a per-element row
+/// codec and a reader thread on the worker; 1.6–2.1 with the
+/// word-at-a-time checksum, the bulk codec and the worker reading its own
+/// socket.
+const MAX_ROUNDTRIP_16K_OVER_64: f64 = 3.0;
+
+/// Message sizes of the wire leg's round trips.
+const SMALL_MESSAGE: usize = 64;
+const LARGE_MESSAGE: usize = 16 * 1024;
 
 /// Least time the small-task leg's arms are given: at 20–30 ms a run,
 /// a shorter window leaves a minimum of too few reps to gate on.
@@ -159,6 +184,76 @@ fn measure_small_tasks(scoring: &Scoring, timing_budget: Duration) -> SmallTaskR
     }
 }
 
+/// Median µs of a socket round trip, hub → worker → hub, for 64-B and
+/// 16-KiB messages, `round_trips` of each.
+fn socket_round_trips(round_trips: usize) -> (f64, f64) {
+    const ECHO: u32 = 1;
+    const WAIT: Duration = Duration::from_secs(5);
+    let hub = SocketHub::bind("127.0.0.1:0").expect("bind a loopback hub");
+    let addr = hub.addr().to_string();
+    let echo = std::thread::spawn(move || {
+        let peer = SocketPeer::connect(&addr).expect("join the hub");
+        while let Ok(msg) = peer.recv_timeout(WAIT) {
+            if msg.tag != ECHO || peer.send(0, ECHO, msg.payload).is_err() {
+                return;
+            }
+        }
+    });
+    assert_eq!(
+        hub.wait_for_workers(1, WAIT),
+        1,
+        "the echo worker never joined"
+    );
+    let median_us = |bytes: usize, n: usize| {
+        let mut us: Vec<f64> = (0..n)
+            .map(|_| {
+                let t = Instant::now();
+                hub.send(1, ECHO, vec![0x5a; bytes])
+                    .expect("echo worker alive");
+                let reply = hub.recv_timeout(WAIT).expect("echo within the wait");
+                assert_eq!(reply.payload.len(), bytes, "echo returned another message");
+                t.elapsed().as_secs_f64() * 1e6
+            })
+            .collect();
+        us.sort_by(f64::total_cmp);
+        us[n / 2]
+    };
+    median_us(LARGE_MESSAGE, 10); // warm-up
+    let small = median_us(SMALL_MESSAGE, round_trips);
+    let large = median_us(LARGE_MESSAGE, round_trips);
+    let _ = hub.send(1, ECHO + 1, Vec::new());
+    echo.join().expect("echo thread does not panic");
+    (small, large)
+}
+
+/// MB/s of a first-pass RESULT frame through the protocol codec, encode
+/// plus decode: the sixteen bottom rows of `seq`'s first ×16 pack, the
+/// frame that carries most of a cluster run's bytes.
+fn row_codec_mbps(seq: &Seq, scoring: &Scoring, budget: Duration) -> f64 {
+    let sel = select(Some(LaneWidth::X16), None).expect("a width alone always resolves");
+    let packs = PackUnit::new(seq, scoring, sel, None);
+    let m = seq.len();
+    let msg = ResultsMsg {
+        items: vec![ResultMsg {
+            unit: 0,
+            stamp: 0,
+            attempt: 1,
+            best: (1, 0),
+            rows: packs
+                .splits(0)
+                .map(|r| (r, (0..(m - r) as i32).collect()))
+                .collect(),
+            work: Work::default(),
+        }],
+    };
+    let bytes = msg.encode().len();
+    let secs = time_min(budget, || {
+        let back = ResultsMsg::decode(&msg.encode(), &packs).expect("codec round trip");
+        std::hint::black_box(back);
+    });
+    bytes as f64 / secs / 1e6
+}
+
 struct TransportRow {
     workers: usize,
     sim_secs: f64,
@@ -214,10 +309,10 @@ fn main() {
         .unwrap_or_else(|| "BENCH_cluster_real.json".to_string());
 
     let scale = Scale::from_args();
-    let (unit, copies, flank, tops, timing_budget) = match scale {
-        Scale::Small => (12, 3, 40, 4, Duration::from_millis(200)),
-        Scale::Medium => (20, 4, 120, 6, Duration::from_millis(800)),
-        Scale::Full => (30, 6, 300, 10, Duration::from_secs(3)),
+    let (unit, copies, flank, tops, timing_budget, round_trips) = match scale {
+        Scale::Small => (12, 3, 40, 4, Duration::from_millis(200), 300),
+        Scale::Medium => (20, 4, 120, 6, Duration::from_millis(800), 1000),
+        Scale::Full => (30, 6, 300, 10, Duration::from_secs(3), 3000),
     };
     let scoring = Scoring::dna_example();
     let spec = RepeatSpec {
@@ -283,6 +378,19 @@ fn main() {
         format!("{lanes_over_simd:.2}x"),
         format!("{:.2}", small.result_frames_per_task),
         format!("{:.2}", small.result_frames_per_unit_task),
+    ]);
+
+    let (rt_small, rt_large) = socket_round_trips(round_trips);
+    let rt_ratio = rt_large / rt_small.max(1e-12);
+    let tandem = PlantedRepeats::generate(&RepeatSpec::dna_tandem(25, 12), 7).seq;
+    let codec_mbps = row_codec_mbps(&tandem, &scoring, timing_budget);
+    println!("\nWire — socket round trips (median of {round_trips}) and the row codec\n");
+    let table = Table::new(&["64 B", "16 KiB", "16 KiB / 64 B", "row codec"]);
+    table.row(&[
+        format!("{rt_small:.1} µs"),
+        format!("{rt_large:.1} µs"),
+        format!("{rt_ratio:.2}x"),
+        format!("{codec_mbps:.0} MB/s"),
     ]);
 
     let doc = Json::Obj(vec![
@@ -367,6 +475,16 @@ fn main() {
                 ),
             ]),
         ),
+        (
+            "wire".to_string(),
+            Json::Obj(vec![
+                ("round_trips".to_string(), Json::Num(round_trips as f64)),
+                ("socket_roundtrip_64_us".to_string(), Json::Num(rt_small)),
+                ("socket_roundtrip_16k_us".to_string(), Json::Num(rt_large)),
+                ("roundtrip_16k_over_64".to_string(), Json::Num(rt_ratio)),
+                ("row_codec_mbps".to_string(), Json::Num(codec_mbps)),
+            ]),
+        ),
     ]);
     let mut text = doc.to_string_compact();
     text.push('\n');
@@ -409,6 +527,13 @@ fn main() {
             );
             ok = false;
         }
+        if rt_ratio > MAX_ROUNDTRIP_16K_OVER_64 {
+            eprintln!(
+                "CHECK FAIL: a 16-KiB socket round trip costs {rt_ratio:.2}x a 64-B one \
+                 (limit {MAX_ROUNDTRIP_16K_OVER_64}x): the wire pays too much per byte"
+            );
+            ok = false;
+        }
         if !ok {
             std::process::exit(1);
         }
@@ -416,7 +541,8 @@ fn main() {
             "check passed: socket overhead within {MAX_OVERHEAD}x of the simulator at every \
              worker count, within {MAX_SMALL_TASK_OVER_SEQ}x of sequential, at most \
              {MAX_RESULT_FRAMES_PER_TASK} result frames per task and within \
-             {MAX_LANES_OVER_SIMD}x the SIMD engine's lanes on small tasks"
+             {MAX_LANES_OVER_SIMD}x the SIMD engine's lanes on small tasks, and a 16-KiB \
+             round trip within {MAX_ROUNDTRIP_16K_OVER_64}x a 64-B one"
         );
     }
 }

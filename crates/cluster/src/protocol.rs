@@ -91,7 +91,7 @@ fn decode_rows(
         } else if len != m - r {
             return Err(WireError::BadLength { claimed: len });
         }
-        rows.push((r, (0..len).map(|_| d.i32()).collect::<Result<_, _>>()?));
+        rows.push((r, d.i32s(len)?));
     }
     Ok(rows)
 }
@@ -686,6 +686,65 @@ mod tests {
         }
     }
 
+    /// The bulk row decode returns what the per-element decode it
+    /// replaced returned: the same rows from every intact list, and an
+    /// error from every cut of one (a row cut short now reads as
+    /// `BadLength` of its claimed length, where the per-element loop
+    /// reported the element that ran out as `Truncated`).
+    #[test]
+    fn bulk_rows_decode_as_the_per_element_decode_did() {
+        fn per_element(
+            d: &mut Decoder<'_>,
+            unit: &impl Unit,
+            splits: Range<usize>,
+        ) -> Result<MemberRows, WireError> {
+            let n = d.usize()?;
+            if n > splits.len() {
+                return Err(WireError::BadLength { claimed: n });
+            }
+            let m = unit.splits(unit.units() - 1).end;
+            let mut rows: MemberRows = Vec::with_capacity(n);
+            for _ in 0..n {
+                let r = d.usize()?;
+                let next = rows.last().map_or(splits.start, |&(q, _)| q + 1);
+                let len = d.usize()?;
+                if !(next..splits.end).contains(&r) {
+                    return Err(WireError::BadFrame);
+                } else if len != m - r {
+                    return Err(WireError::BadLength { claimed: len });
+                }
+                rows.push((r, (0..len).map(|_| d.i32()).collect::<Result<_, _>>()?));
+            }
+            Ok(rows)
+        }
+        with_packs(|u| {
+            for (unit, rows) in [
+                (0, vec![]),
+                (0, vec![row(1), row(2), row(3), row(4)]),
+                (1, vec![row(6)]),
+                (2, vec![row(9), row(11)]),
+                (2, vec![row(9), row(9)]),
+                (1, vec![(5, vec![0; 3])]),
+            ] {
+                let body = encode_rows(Encoder::new(), &rows).i32(-1).finish();
+                let splits = members(u, unit).unwrap();
+                for cut in 0..=body.len() {
+                    let (mut bulk, mut old) =
+                        (Decoder::new(&body[..cut]), Decoder::new(&body[..cut]));
+                    let got = decode_rows(&mut bulk, u, splits.clone());
+                    match per_element(&mut old, u, splits.clone()) {
+                        Ok(want) => {
+                            assert_eq!(got, Ok(want), "unit {unit} cut {cut}");
+                            assert_eq!(bulk.remaining(), old.remaining());
+                        }
+                        Err(WireError::Truncated { .. }) => assert!(got.is_err(), "cut {cut}"),
+                        Err(e) => assert_eq!(got, Err(e), "unit {unit} cut {cut}"),
+                    }
+                }
+            }
+        });
+    }
+
     #[test]
     fn empty_task_batch_is_rejected() {
         let framed = Encoder::new().usize(3).usize(0).finish_framed();
@@ -886,13 +945,13 @@ mod tests {
 
     /// `payload` in a well-formed frame, as `finish_framed` would.
     fn framed(payload: &[u8]) -> Vec<u8> {
-        use repro_xmpi::wire::{fnv1a64, MAGIC, VERSION};
+        use repro_xmpi::wire::{frame_checksum, MAGIC, VERSION};
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC.to_le_bytes());
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         out.extend_from_slice(payload);
-        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        out.extend_from_slice(&frame_checksum(payload).to_le_bytes());
         out
     }
 

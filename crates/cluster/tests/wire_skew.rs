@@ -1,6 +1,6 @@
-//! Wire-version skew regression: a v5 peer (the protocol before a task
-//! became a unit of work — a lane pack — and results its best member,
-//! member rows and work tallies) must be rejected with a *typed*
+//! Wire-version skew regression: a v6 peer (the protocol before the
+//! frame trailer became the word-at-a-time `frame_checksum`) must be
+//! rejected with a *typed*
 //! [`WireError::Version`] on its very first frame — never a garbage
 //! decode deep inside a message codec — on both transports:
 //!
@@ -23,10 +23,10 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// The version the skewed peer speaks: the one this build replaced.
-const V5: u32 = 5;
+const V6: u32 = 6;
 const _: () = assert!(
-    VERSION > V5,
-    "the unit-of-work change must bump the wire version"
+    VERSION > V6,
+    "the checksum change must bump the wire version"
 );
 
 /// Rewrite a framed buffer's version word (bytes 4..8) to `v`. The
@@ -39,7 +39,7 @@ fn reversion(mut frame: Vec<u8>, v: u32) -> Vec<u8> {
 }
 
 #[test]
-fn v5_frames_are_rejected_typed_by_every_message_codec() {
+fn v6_frames_are_rejected_typed_by_every_message_codec() {
     let seq = Seq::dna("ATGCATGC").unwrap();
     let scoring = Scoring::dna_example();
     let sel = select(Some(LaneWidth::X4), None).unwrap();
@@ -100,11 +100,11 @@ fn v5_frames_are_rejected_typed_by_every_message_codec() {
         ),
     ];
     let want = WireError::Version {
-        got: V5,
+        got: V6,
         want: VERSION,
     };
     for (kind, frame) in frames {
-        let stale = reversion(frame, V5);
+        let stale = reversion(frame, V6);
         let got = match kind {
             "TaskMsg" => TaskMsg::decode(&stale, &packs).unwrap_err(),
             "ResultsMsg" => ResultsMsg::decode(&stale, &packs).unwrap_err(),
@@ -113,19 +113,19 @@ fn v5_frames_are_rejected_typed_by_every_message_codec() {
             "JobMsg" => JobMsg::decode(&stale).unwrap_err(),
             _ => unreachable!(),
         };
-        assert_eq!(got, want, "{kind} did not reject the v5 frame typed");
+        assert_eq!(got, want, "{kind} did not reject the v6 frame typed");
     }
 }
 
 #[test]
-fn v5_worker_hello_is_rejected_at_the_socket_hub() {
+fn v6_worker_hello_is_rejected_at_the_socket_hub() {
     let hub = SocketHub::bind("127.0.0.1:0").expect("bind hub");
     assert_eq!(hub.version_rejects(), 0);
 
     // A stale worker's admission request: a well-formed HELLO envelope
     // (reserved tag 0xFFFF_FF01) whose frame declares the previous
     // protocol version.
-    let hello = reversion(envelope(0xFFFF_FF01, 1, &[]), V5);
+    let hello = reversion(envelope(0xFFFF_FF01, 1, &[]), V6);
     let mut stream = TcpStream::connect(hub.addr()).expect("connect");
     stream.write_all(&hello).expect("send stale hello");
 
@@ -142,7 +142,7 @@ fn v5_worker_hello_is_rejected_at_the_socket_hub() {
     assert_eq!(hub.size(), 1, "a skewed worker must not be admitted");
 
     // The hub stays healthy: a current-version worker is admitted.
-    let peer = SocketPeer::connect(&hub.addr().to_string()).expect("v6 worker admitted");
+    let peer = SocketPeer::connect(&hub.addr().to_string()).expect("v7 worker admitted");
     assert_eq!(peer.rank(), 1);
     assert_eq!(hub.version_rejects(), 1);
 }

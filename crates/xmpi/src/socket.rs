@@ -16,6 +16,16 @@
 //! protocol version fails its very first frame with a typed
 //! [`WireError::Version`].
 //!
+//! **Who reads a socket.** Every reader cuts its byte stream into frames
+//! through one parser (`FrameBuf`): bytes read off the socket wait in a
+//! persistent buffer until a whole frame is in. The hub runs one reader
+//! thread per admitted peer feeding a single inbox, because std offers no
+//! `poll` over many sockets. A [`SocketPeer`] has one socket and no
+//! reader thread: [`Comm::recv_timeout`] reads it on the calling thread,
+//! so a message from the master wakes exactly one thread, and a frame cut
+//! short by the timeout stays buffered until the next call completes it.
+//! The [`FaultProxy`] relays through the same parser.
+//!
 //! **Elastic membership** is native here: the hub's acceptor thread
 //! admits connections at any time, assigns the next free rank, and
 //! replays the stored *greeting* frames (the job description) so a
@@ -45,8 +55,9 @@ use crate::chan::{unbounded, Receiver, RecvTimeoutError, Sender};
 use crate::wire::{frame_body_len, Decoder, Encoder, WireError, FRAME_HEADER, FRAME_TRAILER};
 use crate::{Comm, Message, Rank, RecvError, SendError};
 use parking_lot::{Condvar, Mutex};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -69,14 +80,112 @@ pub fn envelope(tag: u32, from: Rank, payload: &[u8]) -> Vec<u8> {
         .finish_framed()
 }
 
+/// Free space a read is offered at least, and the buffer's first size.
+const READ_ROOM: usize = 64 * 1024;
+
+/// A byte stream cut into frames: the one frame parser of the hub's
+/// reader threads, the worker's endpoint and the fault proxy. Bytes read
+/// off the stream wait in one persistent buffer until their frame is
+/// whole, across reads and across receive timeouts alike.
+struct FrameBuf {
+    buf: Vec<u8>,
+    /// The bytes read and not yet taken are `buf[start..end]`.
+    start: usize,
+    end: usize,
+}
+
+impl FrameBuf {
+    fn new() -> Self {
+        FrameBuf {
+            buf: vec![0; READ_ROOM],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// Length of the frame at the front once its header is in. A header
+    /// that does not validate is an error: a byte stream cannot be
+    /// re-synchronised past it.
+    fn front_len(&self) -> Result<Option<usize>, WireError> {
+        let live = &self.buf[self.start..self.end];
+        if live.len() < FRAME_HEADER {
+            return Ok(None);
+        }
+        Ok(Some(FRAME_HEADER + frame_body_len(&live[..FRAME_HEADER])?))
+    }
+
+    /// Take the frame at the front if all of it has arrived: its range
+    /// in `buf`.
+    fn next(&mut self) -> Result<Option<Range<usize>>, WireError> {
+        Ok(match self.front_len()? {
+            Some(len) if self.end - self.start >= len => {
+                self.start += len;
+                Some(self.start - len..self.start)
+            }
+            _ => None,
+        })
+    }
+
+    /// One read from `src`, into free space that holds at least the rest
+    /// of the front frame. `Ok(0)` is end of stream.
+    fn fill(&mut self, src: &mut impl Read) -> std::io::Result<usize> {
+        let need = self
+            .front_len()
+            .ok()
+            .flatten()
+            .unwrap_or(0)
+            .max(READ_ROOM / 2);
+        if self.buf.len() - self.start < need {
+            let live = self.start..self.end;
+            if self.buf.len() < need {
+                // A zeroed allocation maps no page before bytes land in
+                // it, so a header claiming gigabytes costs nothing yet.
+                let mut grown = vec![0; need + READ_ROOM];
+                grown[..live.len()].copy_from_slice(&self.buf[live.clone()]);
+                self.buf = grown;
+            } else {
+                self.buf.copy_within(live.clone(), 0);
+            }
+            (self.start, self.end) = (0, live.len());
+        }
+        let n = src.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Block until the next whole frame. `Err(None)` is end of stream or
+    /// an I/O error (a read timeout included), `Err(Some(e))` a header
+    /// that does not validate.
+    fn read(&mut self, src: &mut impl Read) -> Result<&mut [u8], Option<WireError>> {
+        let range = loop {
+            if let Some(range) = self.next()? {
+                break range;
+            }
+            match self.fill(src) {
+                Ok(0) => return Err(None),
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return Err(None),
+            }
+        };
+        Ok(&mut self.buf[range])
+    }
+}
+
+/// Verify a frame and unpack its envelope; `None` when the checksum or
+/// the envelope fails (the frame is lost, the stream still usable).
+fn open(frame: &[u8]) -> Option<Message> {
+    let mut dec = Decoder::new_framed(frame).ok()?;
+    let tag = dec.u32().ok()?;
+    let from = dec.usize().ok()?;
+    let payload = dec.bytes_vec().ok()?;
+    Some(Message { from, tag, payload })
+}
+
 /// One frame read off a stream.
 enum FrameRead {
     /// A verified envelope.
-    Msg {
-        tag: u32,
-        from: Rank,
-        payload: Vec<u8>,
-    },
+    Msg(Message),
     /// Framing was intact but the checksum (or envelope decode) failed:
     /// skip this frame, the stream itself is still usable.
     Corrupt,
@@ -85,37 +194,14 @@ enum FrameRead {
     Dead(Option<WireError>),
 }
 
-/// Read exactly one frame from `stream`. Header errors are fatal (a
-/// byte stream with a bad header cannot be re-synchronised); checksum
-/// errors only cost the one frame, because the length came from a
-/// header that validated.
-fn read_frame(stream: &mut TcpStream) -> FrameRead {
-    let mut header = [0u8; FRAME_HEADER];
-    if stream.read_exact(&mut header).is_err() {
-        return FrameRead::Dead(None);
+/// Block until one frame has been read from `stream` through `frames`.
+/// Header errors are fatal; checksum errors only cost the one frame,
+/// because the length came from a header that validated.
+fn read_frame(frames: &mut FrameBuf, stream: &mut TcpStream) -> FrameRead {
+    match frames.read(stream) {
+        Ok(frame) => open(frame).map_or(FrameRead::Corrupt, FrameRead::Msg),
+        Err(e) => FrameRead::Dead(e),
     }
-    let body = match frame_body_len(&header) {
-        Ok(n) => n,
-        Err(e) => return FrameRead::Dead(Some(e)),
-    };
-    let mut frame = vec![0u8; FRAME_HEADER + body];
-    frame[..FRAME_HEADER].copy_from_slice(&header);
-    if stream.read_exact(&mut frame[FRAME_HEADER..]).is_err() {
-        return FrameRead::Dead(None);
-    }
-    let Ok(mut dec) = Decoder::new_framed(&frame) else {
-        return FrameRead::Corrupt;
-    };
-    let Ok(tag) = dec.u32() else {
-        return FrameRead::Corrupt;
-    };
-    let Ok(from) = dec.usize() else {
-        return FrameRead::Corrupt;
-    };
-    let Ok(payload) = dec.bytes_vec() else {
-        return FrameRead::Corrupt;
-    };
-    FrameRead::Msg { tag, from, payload }
 }
 
 /// Write one pre-framed buffer to a stream.
@@ -273,10 +359,11 @@ impl Drop for SocketHub {
 fn admit(inner: Arc<HubInner>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
-    match read_frame(&mut stream) {
-        FrameRead::Msg {
+    let mut frames = FrameBuf::new();
+    match read_frame(&mut frames, &mut stream) {
+        FrameRead::Msg(Message {
             tag: CTRL_HELLO, ..
-        } => {}
+        }) => {}
         FrameRead::Dead(Some(WireError::Version { .. })) => {
             inner.version_rejects.fetch_add(1, Ordering::SeqCst);
             return;
@@ -317,15 +404,11 @@ fn admit(inner: Arc<HubInner>, mut stream: TcpStream) {
     let tx = inner.tx.clone();
     let counters = Arc::clone(&inner);
     std::thread::spawn(move || loop {
-        match read_frame(&mut stream) {
-            FrameRead::Msg { tag, payload, .. } => {
+        match read_frame(&mut frames, &mut stream) {
+            FrameRead::Msg(msg) => {
                 // The connection's rank is authoritative for `from`:
                 // a worker cannot impersonate another rank.
-                let _ = tx.send(Message {
-                    from: rank,
-                    tag,
-                    payload,
-                });
+                let _ = tx.send(Message { from: rank, ..msg });
             }
             FrameRead::Corrupt => {
                 counters.corrupt_drops.fetch_add(1, Ordering::SeqCst);
@@ -424,12 +507,22 @@ impl From<std::io::Error> for ConnectError {
 /// Worker-side endpoint: one connection to the hub. Implements
 /// [`Comm`] for the star topology — `send` only reaches rank 0, and
 /// `size()` is only a lower bound (`rank + 1`), which is all the worker
-/// loop ever needs.
+/// loop ever needs. Receives read the socket on the calling thread.
 pub struct SocketPeer {
     rank: Rank,
+    /// Write half.
     stream: Mutex<TcpStream>,
-    rx: Receiver<Message>,
-    corrupt_drops: Arc<AtomicU64>,
+    inbox: Mutex<PeerInbox>,
+    corrupt_drops: AtomicU64,
+}
+
+/// The read half and the bytes read off it.
+struct PeerInbox {
+    stream: TcpStream,
+    frames: FrameBuf,
+    /// End of stream, a read error or a header that does not validate:
+    /// only the frames already buffered are left to deliver.
+    closed: bool,
 }
 
 impl SocketPeer {
@@ -441,55 +534,94 @@ impl SocketPeer {
         let _ = stream.set_nodelay(true);
         stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
         write_frame(&mut stream, &envelope(CTRL_HELLO, 0, &[]))?;
-        let rank = match read_frame(&mut stream) {
-            FrameRead::Msg {
+        // Greetings may arrive in the WELCOME's read: they stay buffered.
+        let mut frames = FrameBuf::new();
+        let rank = match read_frame(&mut frames, &mut stream) {
+            FrameRead::Msg(Message {
                 tag: CTRL_WELCOME,
                 payload,
                 ..
-            } => {
+            }) => {
                 let mut dec = Decoder::new(&payload);
                 dec.usize().map_err(ConnectError::Wire)?
             }
             FrameRead::Dead(Some(e)) => return Err(ConnectError::Wire(e)),
             FrameRead::Dead(None) => {
                 return Err(ConnectError::Io(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionAborted,
+                    ErrorKind::ConnectionAborted,
                     "hub closed during handshake",
                 )))
             }
             _ => return Err(ConnectError::Protocol),
         };
-        stream.set_read_timeout(None)?;
-        let mut read_half = stream.try_clone()?;
-        let (tx, rx) = unbounded();
-        let corrupt_drops = Arc::new(AtomicU64::new(0));
-        let counters = Arc::clone(&corrupt_drops);
-        // The reader owns the only queue sender: when the hub's
-        // connection dies the sender drops, and a drained queue turns
-        // into `Disconnected` — the worker's cue that the master is
-        // gone for good.
-        std::thread::spawn(move || loop {
-            match read_frame(&mut read_half) {
-                FrameRead::Msg { tag, from, payload } => {
-                    let _ = tx.send(Message { from, tag, payload });
-                }
-                FrameRead::Corrupt => {
-                    counters.fetch_add(1, Ordering::SeqCst);
-                }
-                FrameRead::Dead(_) => return,
-            }
-        });
+        let inbox = PeerInbox {
+            stream: stream.try_clone()?,
+            frames,
+            closed: false,
+        };
         Ok(SocketPeer {
             rank,
             stream: Mutex::new(stream),
-            rx,
-            corrupt_drops,
+            inbox: Mutex::new(inbox),
+            corrupt_drops: AtomicU64::new(0),
         })
     }
 
     /// Frames dropped at this endpoint for failing their checksum.
     pub fn corrupt_drops(&self) -> u64 {
         self.corrupt_drops.load(Ordering::SeqCst)
+    }
+
+    /// The next message, reading the socket on this thread until
+    /// `deadline`. A deadline already past still takes what has arrived,
+    /// without blocking. Buffered frames go out before a closed stream
+    /// reports [`RecvError::Disconnected`].
+    fn recv_until(&self, deadline: Instant) -> Result<Message, RecvError> {
+        let mut inbox = self.inbox.lock();
+        let PeerInbox {
+            stream,
+            frames,
+            closed,
+        } = &mut *inbox;
+        loop {
+            match frames.next() {
+                Ok(Some(range)) => match open(&frames.buf[range]) {
+                    Some(msg) => return Ok(msg),
+                    None => {
+                        self.corrupt_drops.fetch_add(1, Ordering::SeqCst);
+                        continue;
+                    }
+                },
+                Ok(None) => {}
+                Err(_) => *closed = true,
+            }
+            if *closed {
+                return Err(RecvError::Disconnected);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            let read = if left.is_zero() {
+                // The non-blocking flag is shared with the write half:
+                // hold its lock so no send meets it.
+                let _writer = self.stream.lock();
+                stream.set_nonblocking(true).and_then(|()| {
+                    let read = frames.fill(stream);
+                    stream.set_nonblocking(false).and(read)
+                })
+            } else {
+                stream
+                    .set_read_timeout(Some(left))
+                    .and_then(|()| frames.fill(stream))
+            };
+            match read {
+                Ok(0) => *closed = true,
+                Ok(_) => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return Err(RecvError::Timeout)
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => *closed = true,
+            }
+        }
     }
 }
 
@@ -516,15 +648,11 @@ impl Comm for SocketPeer {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Message, RecvError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(m) => Ok(m),
-            Err(RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(RecvError::Disconnected),
-        }
+        self.recv_until(Instant::now() + timeout)
     }
 
     fn try_recv(&self) -> Option<Message> {
-        self.rx.try_recv()
+        self.recv_until(Instant::now()).ok()
     }
 }
 
@@ -688,20 +816,9 @@ impl Drop for FaultProxy {
 fn relay(mut src: TcpStream, mut dst: TcpStream, inner: Arc<ProxyInner>) {
     let plan = inner.faults;
     let mut n: u64 = 0;
-    loop {
-        // Read one whole frame off the source.
-        let mut header = [0u8; FRAME_HEADER];
-        if src.read_exact(&mut header).is_err() {
-            break;
-        }
-        let Ok(body) = frame_body_len(&header) else {
-            break; // unparseable stream: give up on the connection
-        };
-        let mut frame = vec![0u8; FRAME_HEADER + body];
-        frame[..FRAME_HEADER].copy_from_slice(&header);
-        if src.read_exact(&mut frame[FRAME_HEADER..]).is_err() {
-            break;
-        }
+    let mut frames = FrameBuf::new();
+    // An unparseable stream ends the connection like EOF does.
+    while let Ok(frame) = frames.read(&mut src) {
         n += 1;
         inner.frames.fetch_add(1, Ordering::SeqCst);
         if plan.sever_after != 0 && n > plan.sever_after {
@@ -715,7 +832,7 @@ fn relay(mut src: TcpStream, mut dst: TcpStream, inner: Arc<ProxyInner>) {
         if plan.corrupt_every != 0 && n.is_multiple_of(plan.corrupt_every) {
             // Flip a byte in the payload (or, for an empty payload, in
             // the checksum): framing stays intact, verification fails.
-            let payload_len = body - FRAME_TRAILER;
+            let payload_len = frame.len() - FRAME_HEADER - FRAME_TRAILER;
             let at = if payload_len > 0 {
                 FRAME_HEADER + (n as usize) % payload_len
             } else {
@@ -734,7 +851,7 @@ fn relay(mut src: TcpStream, mut dst: TcpStream, inner: Arc<ProxyInner>) {
             1
         };
         for _ in 0..copies {
-            if dst.write_all(&frame).is_err() {
+            if dst.write_all(frame).is_err() {
                 let _ = src.shutdown(Shutdown::Both);
                 return;
             }
@@ -863,6 +980,148 @@ mod tests {
         let m = hub.recv_timeout(DL).unwrap();
         assert_eq!((m.tag, m.payload.as_slice()), (6, &b"good"[..]));
         assert_eq!(hub.corrupt_drops(), 1);
+    }
+
+    /// A peer admitted by a hand-driven hub: the raw hub side of the
+    /// connection, for writing bytes in any pattern.
+    fn raw_hub() -> (SocketPeer, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || SocketPeer::connect(&addr).unwrap());
+        let (mut hub, _) = listener.accept().unwrap();
+        hub.set_nodelay(true).unwrap();
+        let hello = read_frame(&mut FrameBuf::new(), &mut hub);
+        assert!(matches!(
+            hello,
+            FrameRead::Msg(Message {
+                tag: CTRL_HELLO,
+                ..
+            })
+        ));
+        let welcome = envelope(CTRL_WELCOME, 0, &Encoder::new().usize(1).finish());
+        hub.write_all(&welcome).unwrap();
+        (peer.join().unwrap(), hub)
+    }
+
+    #[test]
+    fn a_frame_written_byte_by_byte_arrives_whole_after_timeouts() {
+        let (peer, mut hub) = raw_hub();
+        let frame = envelope(7, 0, &(0..40).collect::<Vec<u8>>());
+        let (last, head) = frame.split_last().unwrap();
+        for &b in head {
+            hub.write_all(&[b]).unwrap();
+            // Each pause is the receive timeout itself.
+            assert_eq!(
+                peer.recv_timeout(Duration::from_millis(1)),
+                Err(RecvError::Timeout)
+            );
+        }
+        hub.write_all(&[*last]).unwrap();
+        let m = peer.recv_timeout(DL).unwrap();
+        assert_eq!((m.from, m.tag), (0, 7));
+        assert_eq!(m.payload, (0..40).collect::<Vec<u8>>());
+        // No desync: the next frame, written whole, follows intact.
+        hub.write_all(&envelope(8, 0, b"next")).unwrap();
+        let m = peer.recv_timeout(DL).unwrap();
+        assert_eq!((m.tag, m.payload.as_slice()), (8, &b"next"[..]));
+        assert_eq!(peer.corrupt_drops(), 0);
+    }
+
+    #[test]
+    fn frames_larger_than_the_read_buffer_arrive_whole() {
+        let (peer, mut hub) = raw_hub();
+        let sizes = [3 * READ_ROOM, 10, READ_ROOM - 1, 2 * READ_ROOM + 7];
+        let payloads: Vec<Vec<u8>> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| (0..n).map(|b| (b * 31 + i) as u8).collect())
+            .collect();
+        let writer = std::thread::spawn(move || {
+            let frames: Vec<_> = (0..)
+                .zip(&payloads)
+                .map(|(t, p)| envelope(t, 0, p))
+                .collect();
+            hub.write_all(&frames.concat()).unwrap();
+            payloads
+        });
+        let got: Vec<Message> = (0..sizes.len())
+            .map(|_| peer.recv_timeout(DL).unwrap())
+            .collect();
+        let payloads = writer.join().unwrap();
+        for (t, (m, p)) in (0..).zip(got.iter().zip(&payloads)) {
+            assert_eq!((m.tag, &m.payload), (t, p));
+        }
+    }
+
+    #[test]
+    fn a_corrupt_frame_is_counted_and_the_next_one_arrives() {
+        let (peer, mut hub) = raw_hub();
+        let mut bad = envelope(5, 0, b"payload");
+        bad[FRAME_HEADER + 3] ^= 0xA5;
+        hub.write_all(&[bad, envelope(6, 0, b"good")].concat())
+            .unwrap();
+        let m = peer.recv_timeout(DL).unwrap();
+        assert_eq!((m.tag, m.payload.as_slice()), (6, &b"good"[..]));
+        assert_eq!(peer.corrupt_drops(), 1);
+    }
+
+    #[test]
+    fn frames_buffered_before_eof_arrive_before_disconnected() {
+        let (peer, mut hub) = raw_hub();
+        let cut = envelope(3, 0, b"never whole");
+        let bytes = [
+            envelope(1, 0, b"a"),
+            envelope(2, 0, b"b"),
+            cut[..9].to_vec(),
+        ]
+        .concat();
+        hub.write_all(&bytes).unwrap();
+        drop(hub);
+        for tag in [1, 2] {
+            assert_eq!(peer.recv_timeout(DL).unwrap().tag, tag);
+        }
+        assert_eq!(peer.recv_timeout(DL), Err(RecvError::Disconnected));
+        assert_eq!(peer.recv_timeout(DL), Err(RecvError::Disconnected));
+        assert_eq!(peer.try_recv(), None);
+    }
+
+    #[test]
+    fn try_recv_never_blocks() {
+        let (peer, mut hub) = raw_hub();
+        let frame = envelope(4, 0, b"late");
+        for bytes in [&[][..], &frame[..10]] {
+            hub.write_all(bytes).unwrap();
+            let t = Instant::now();
+            for _ in 0..100 {
+                assert_eq!(peer.try_recv(), None);
+            }
+            assert!(
+                t.elapsed() < Duration::from_secs(1),
+                "100 probes took {:?}",
+                t.elapsed()
+            );
+        }
+        hub.write_all(&frame[10..]).unwrap();
+        let deadline = Instant::now() + DL;
+        let m = loop {
+            if let Some(m) = peer.try_recv() {
+                break m;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the completed frame never arrived"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert_eq!((m.tag, m.payload.as_slice()), (4, &b"late"[..]));
+        // The descriptor is blocking again: a send and a timed receive work.
+        peer.send(0, 9, vec![1; 100_000]).unwrap();
+        let got = read_frame(&mut FrameBuf::new(), &mut hub);
+        assert!(matches!(got, FrameRead::Msg(Message { tag: 9, .. })));
+        assert_eq!(
+            peer.recv_timeout(Duration::from_millis(5)),
+            Err(RecvError::Timeout)
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   payload is an error value the engine can drop;
 //! * [`Encoder::finish_framed`] / [`Decoder::new_framed`] wrap the
 //!   payload in a `[magic: u32][version: u32][len: u32][payload]
-//!   [fnv1a64 checksum]` frame, so a payload whose *bytes* were flipped
+//!   [frame_checksum]` frame, so a payload whose *bytes* were flipped
 //!   in flight (not just shortened) is detected before any field is
 //!   interpreted;
 //! * the magic word and protocol version at the front mean a peer
@@ -40,12 +40,14 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"rpro");
 /// task items carry `{unit, .., rows}`, results `{unit, best member,
 /// member rows, work tallies}` and the job its lane width, so a v5 peer
 /// would mis-frame every task and result.
-pub const VERSION: u32 = 6;
+/// v7: the trailer is [`frame_checksum`] (word at a time) where it was
+/// byte-serial FNV-1a, so every v6 trailer fails to verify.
+pub const VERSION: u32 = 7;
 
 /// Bytes of frame header (`magic + version + len`) before the payload.
 pub const FRAME_HEADER: usize = 12;
 
-/// Bytes of frame trailer (the fnv1a64 checksum) after the payload.
+/// Bytes of frame trailer (the [`frame_checksum`]) after the payload.
 pub const FRAME_TRAILER: usize = 8;
 
 /// Decoding failure modes. All of them mean "this payload did not come
@@ -110,13 +112,28 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// FNV-1a 64-bit over `bytes` — the frame checksum. Not cryptographic;
-/// it guards against corruption, not adversaries.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Odd multiplier of [`frame_checksum`]'s step: 2⁶⁴ ÷ φ, which is odd.
+const CHECKSUM_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The frame checksum, a word at a time: seeded with the payload length,
+/// then `h = (h ^ w) · P` for every 8-byte little-endian word `w`, the
+/// tail zero-padded to a word. For a fixed `h` each step is a bijection
+/// of `w`, and for a fixed `w` a bijection of `h` (xor, then a multiply
+/// by an odd constant), so any change confined to one aligned word, a
+/// single-byte flip included, always changes the result. Not
+/// cryptographic; it guards against corruption, not adversaries.
+pub fn frame_checksum(payload: &[u8]) -> u64 {
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(CHECKSUM_MUL);
+    let mut words = payload.chunks_exact(8);
+    let mut h = 0xcbf2_9ce4_8422_2325 ^ payload.len() as u64;
+    for w in words.by_ref() {
+        h = step(h, u64::from_le_bytes(w.try_into().unwrap()));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut w = [0u8; 8];
+        w[..tail.len()].copy_from_slice(tail);
+        h = step(h, u64::from_le_bytes(w));
     }
     h
 }
@@ -163,22 +180,25 @@ impl Encoder {
         self
     }
 
-    /// Append a length-prefixed `i32` slice.
-    pub fn i32_slice(mut self, vs: &[i32]) -> Self {
-        self = self.usize(vs.len());
-        for &v in vs {
-            self = self.i32(v);
+    /// Append `vs`, each as its `N` little-endian bytes, in one bulk
+    /// loop.
+    fn words<T: Copy, const N: usize>(mut self, vs: &[T], le: impl Fn(T) -> [u8; N]) -> Self {
+        let at = self.buf.len();
+        self.buf.resize(at + N * vs.len(), 0);
+        for (out, &v) in self.buf[at..].chunks_exact_mut(N).zip(vs) {
+            out.copy_from_slice(&le(v));
         }
         self
     }
 
+    /// Append a length-prefixed `i32` slice.
+    pub fn i32_slice(self, vs: &[i32]) -> Self {
+        self.usize(vs.len()).words(vs, i32::to_le_bytes)
+    }
+
     /// Append a length-prefixed `u64` slice.
-    pub fn u64_slice(mut self, vs: &[u64]) -> Self {
-        self = self.usize(vs.len());
-        for &v in vs {
-            self = self.u64(v);
-        }
-        self
+    pub fn u64_slice(self, vs: &[u64]) -> Self {
+        self.usize(vs.len()).words(vs, u64::to_le_bytes)
     }
 
     /// Append a length-prefixed list of `usize` pairs.
@@ -197,7 +217,7 @@ impl Encoder {
 
     /// Finish as a versioned, checksummed frame:
     /// `[MAGIC: u32 LE][VERSION: u32 LE][len: u32 LE][payload]
-    /// [fnv1a64(payload): u64 LE]`.
+    /// [frame_checksum(payload): u64 LE]`.
     pub fn finish_framed(self) -> Vec<u8> {
         let payload = self.buf;
         let mut out = Vec::with_capacity(payload.len() + FRAME_HEADER + FRAME_TRAILER);
@@ -205,7 +225,7 @@ impl Encoder {
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&payload);
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        out.extend_from_slice(&frame_checksum(&payload).to_le_bytes());
         out
     }
 }
@@ -264,7 +284,7 @@ impl<'a> Decoder<'a> {
         let len = body - FRAME_TRAILER;
         let payload = &buf[FRAME_HEADER..FRAME_HEADER + len];
         let want = u64::from_le_bytes(buf[FRAME_HEADER + len..].try_into().unwrap());
-        if fnv1a64(payload) != want {
+        if frame_checksum(payload) != want {
             return Err(WireError::BadChecksum);
         }
         Ok(Decoder {
@@ -306,15 +326,43 @@ impl<'a> Decoder<'a> {
         Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
+    /// The next `n` elements of `size` bytes each, as one slice. The
+    /// count is checked against the remaining bytes (by division, so
+    /// `n · size` cannot overflow) before anything is allocated for it.
+    fn elements(&mut self, n: usize, size: usize) -> Result<&'a [u8], WireError> {
+        if n > self.remaining() / size {
+            return Err(WireError::BadLength { claimed: n });
+        }
+        self.take(n * size)
+    }
+
+    /// `n` elements of `N` little-endian bytes each: one bounds check,
+    /// then one bulk loop.
+    fn words<T, const N: usize>(
+        &mut self,
+        n: usize,
+        le: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, WireError> {
+        let bytes = self.elements(n, N)?;
+        Ok(bytes
+            .chunks_exact(N)
+            .map(|w| le(w.try_into().unwrap()))
+            .collect())
+    }
+
     /// Read a length-prefixed byte vector (written by
     /// [`Encoder::bytes`]). The claimed length is validated against the
     /// remaining bytes before any allocation.
     pub fn bytes_vec(&mut self) -> Result<Vec<u8>, WireError> {
         let n = self.usize()?;
-        if n > self.buf.len() - self.pos {
-            return Err(WireError::BadLength { claimed: n });
-        }
-        Ok(self.take(n)?.to_vec())
+        Ok(self.elements(n, 1)?.to_vec())
+    }
+
+    /// Read `n` `i32`s with no length prefix (the caller read and
+    /// validated the count), failing with [`WireError::BadLength`]
+    /// before any allocation if the remaining bytes cannot hold them.
+    pub fn i32s(&mut self, n: usize) -> Result<Vec<i32>, WireError> {
+        self.words(n, i32::from_le_bytes)
     }
 
     /// Read a length-prefixed `i32` vector. The claimed length is
@@ -322,31 +370,24 @@ impl<'a> Decoder<'a> {
     /// a corrupted prefix cannot trigger a huge reservation.
     pub fn i32_vec(&mut self) -> Result<Vec<i32>, WireError> {
         let n = self.usize()?;
-        if n > (self.buf.len() - self.pos) / 4 {
-            return Err(WireError::BadLength { claimed: n });
-        }
-        (0..n).map(|_| self.i32()).collect()
+        self.i32s(n)
     }
 
-    /// Read a length-prefixed `u64` vector. The claimed length is
-    /// validated against the remaining bytes before any allocation, so
-    /// a corrupted prefix cannot trigger a huge reservation.
+    /// Read a length-prefixed `u64` vector (length validated as in
+    /// [`Decoder::i32_vec`]).
     pub fn u64_vec(&mut self) -> Result<Vec<u64>, WireError> {
         let n = self.usize()?;
-        if n > (self.buf.len() - self.pos) / 8 {
-            return Err(WireError::BadLength { claimed: n });
-        }
-        (0..n).map(|_| self.u64()).collect()
+        self.words(n, u64::from_le_bytes)
     }
 
     /// Read a length-prefixed list of `usize` pairs (length validated
     /// as in [`Decoder::i32_vec`]).
     pub fn pairs(&mut self) -> Result<Vec<(usize, usize)>, WireError> {
         let n = self.usize()?;
-        if n > (self.buf.len() - self.pos) / 16 {
-            return Err(WireError::BadLength { claimed: n });
-        }
-        (0..n).map(|_| Ok((self.usize()?, self.usize()?))).collect()
+        self.words(n, |w: [u8; 16]| {
+            let half = |i: usize| u64::from_le_bytes(w[i..i + 8].try_into().unwrap()) as usize;
+            (half(0), half(8))
+        })
     }
 
     /// Bytes not yet consumed: the bound a list decoder checks a
@@ -459,6 +500,116 @@ mod tests {
                 Decoder::new_framed(&bad).is_err(),
                 "flip at byte {i} went undetected"
             );
+        }
+    }
+
+    /// A deterministic xorshift stream: test inputs without a dependency.
+    fn noise(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    /// Random payloads of every length 0..=40 (tails of every width
+    /// included): every single-byte flip of the frame, under every xor
+    /// pattern, and every aligned 8-byte burst of the payload and the
+    /// trailer fails to verify.
+    #[test]
+    fn frame_checksum_catches_every_byte_flip_and_aligned_burst() {
+        let mut rng = noise(0x9E37_79B9);
+        for len in 0..=40usize {
+            let payload: Vec<u8> = (0..len).map(|_| rng() as u8).collect();
+            let framed = Encoder { buf: payload }.finish_framed();
+            assert!(Decoder::new_framed(&framed).is_ok());
+            for i in 0..framed.len() {
+                for x in 1..=255u8 {
+                    let mut bad = framed.clone();
+                    bad[i] ^= x;
+                    assert!(
+                        Decoder::new_framed(&bad).is_err(),
+                        "len {len}: byte {i} ^ {x:#04x} went undetected"
+                    );
+                }
+            }
+            // Aligned words of the payload (the last one possibly short),
+            // then the trailer.
+            let words = (0..len).step_by(8).map(|k| (k, (k + 8).min(len)));
+            for (at, end) in words.chain([(len, len + FRAME_TRAILER)]) {
+                let (at, end) = (FRAME_HEADER + at, FRAME_HEADER + end);
+                for _ in 0..64 {
+                    let mut bad = framed.clone();
+                    let burst = rng() | 1; // never all zero
+                    for (b, x) in bad[at..end].iter_mut().zip(burst.to_le_bytes()) {
+                        *b ^= x;
+                    }
+                    assert!(
+                        Decoder::new_framed(&bad).is_err(),
+                        "len {len}: burst {burst:#x} at {at} went undetected"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The bulk row decode returns exactly what the per-element decode
+    /// it replaced returned, on intact rows and on every cut of them.
+    #[test]
+    fn bulk_i32_vec_equals_the_per_element_decode() {
+        fn per_element(d: &mut Decoder<'_>) -> Result<Vec<i32>, WireError> {
+            let n = d.usize()?;
+            if n > (d.buf.len() - d.pos) / 4 {
+                return Err(WireError::BadLength { claimed: n });
+            }
+            (0..n).map(|_| d.i32()).collect()
+        }
+        let mut rng = noise(7);
+        for len in [0usize, 1, 2, 3, 7, 8, 63, 300, 4096] {
+            let row: Vec<i32> = (0..len).map(|_| rng() as i32).collect();
+            let payload = Encoder::new().i32_slice(&row).i32(-1).finish();
+            for cut in (0..=payload.len()).rev().step_by(1 + len / 64) {
+                let bytes = &payload[..cut];
+                let (mut bulk, mut old) = (Decoder::new(bytes), Decoder::new(bytes));
+                assert_eq!(bulk.i32_vec(), per_element(&mut old), "len {len} cut {cut}");
+                assert_eq!(bulk.remaining(), old.remaining());
+            }
+            assert_eq!(Decoder::new(&payload).i32_vec().unwrap(), row);
+        }
+    }
+
+    /// Counts whose byte size overflows, or that the remaining bytes
+    /// cannot hold, fail typed before anything is allocated for them.
+    #[test]
+    fn hostile_counts_fail_before_allocating() {
+        type Read = fn(&mut Decoder<'_>) -> Result<usize, WireError>;
+        // Each bulk read, and whether four of its elements fit in the
+        // sixteen bytes behind the count.
+        let reads: [(&str, bool, Read); 5] = [
+            ("i32_vec", true, |d| d.i32_vec().map(|v| v.len())),
+            ("u64_vec", false, |d| d.u64_vec().map(|v| v.len())),
+            ("pairs", false, |d| d.pairs().map(|v| v.len())),
+            ("bytes_vec", true, |d| d.bytes_vec().map(|v| v.len())),
+            ("i32s", true, |d| {
+                let n = d.usize()?;
+                d.i32s(n).map(|v| v.len())
+            }),
+        ];
+        for n in [usize::MAX, usize::MAX / 4 + 1, usize::MAX / 2, 1 << 40, 4] {
+            let payload = [Encoder::new().usize(n).finish(), vec![0; 16]].concat();
+            for (what, four_fit, read) in reads {
+                let got = read(&mut Decoder::new(&payload));
+                if n == 4 && four_fit {
+                    assert_eq!(got, Ok(4), "{what}");
+                } else {
+                    assert_eq!(
+                        got,
+                        Err(WireError::BadLength { claimed: n }),
+                        "{what}, n {n}"
+                    );
+                }
+            }
         }
     }
 
