@@ -13,9 +13,7 @@
 //! * [`CheckpointStore`] — a global-byte-budget cache of checkpoints,
 //!   keyed by split and evicted whole-split by queue priority (the
 //!   split's current upper-bound score: low-priority splits are popped
-//!   last, so their checkpoints are the least likely to be needed soon);
-//! * [`ScratchPool`] — recycled row buffers, so steady-state
-//!   realignments stop allocating on the hot path.
+//!   last, so their checkpoints are the least likely to be needed soon).
 //!
 //! Validity of a checkpoint (has anything above its row boundary been
 //! dirtied since its stamp?) is the caller's concern — the store treats
@@ -155,62 +153,6 @@ impl CheckpointStore {
     }
 }
 
-/// Recycled `Vec<Score>` row buffers.
-///
-/// Every realignment needs two `O(cols)` vectors (`m` and `maxy`) plus
-/// checkpoint snapshots; at steady state the pool serves them all from
-/// returned buffers, so the hot path performs no allocation.
-#[derive(Debug, Default)]
-pub struct ScratchPool {
-    bufs: Vec<Vec<Score>>,
-    reuses: u64,
-    allocs: u64,
-}
-
-/// Buffers held at most, to bound idle memory.
-const POOL_MAX_HELD: usize = 32;
-
-impl ScratchPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        ScratchPool::default()
-    }
-
-    /// A length-`len` buffer filled with `fill` — recycled when
-    /// possible, freshly allocated otherwise.
-    pub fn take(&mut self, len: usize, fill: Score) -> Vec<Score> {
-        match self.bufs.pop() {
-            Some(mut buf) => {
-                self.reuses += 1;
-                buf.clear();
-                buf.resize(len, fill);
-                buf
-            }
-            None => {
-                self.allocs += 1;
-                vec![fill; len]
-            }
-        }
-    }
-
-    /// Return a buffer for later reuse (dropped if the pool is full).
-    pub fn give(&mut self, buf: Vec<Score>) {
-        if self.bufs.len() < POOL_MAX_HELD && buf.capacity() > 0 {
-            self.bufs.push(buf);
-        }
-    }
-
-    /// Buffers served from the pool instead of the allocator.
-    pub fn reuses(&self) -> u64 {
-        self.reuses
-    }
-
-    /// Buffers that had to be freshly allocated.
-    pub fn allocs(&self) -> u64 {
-        self.allocs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,26 +220,5 @@ mod tests {
         store.put_split(20, 5, vec![ckpt(4, 0, 16)]);
         assert!(!store.take_split(10).is_empty());
         assert!(store.take_split(20).is_empty());
-    }
-
-    #[test]
-    fn pool_recycles_buffers() {
-        let mut pool = ScratchPool::new();
-        let a = pool.take(8, 0);
-        assert_eq!(a, vec![0; 8]);
-        assert_eq!((pool.reuses(), pool.allocs()), (0, 1));
-        pool.give(a);
-        let b = pool.take(4, 7);
-        assert_eq!(b, vec![7; 4]);
-        assert_eq!((pool.reuses(), pool.allocs()), (1, 1));
-    }
-
-    #[test]
-    fn pool_bounds_held_buffers() {
-        let mut pool = ScratchPool::new();
-        for _ in 0..2 * POOL_MAX_HELD {
-            pool.give(vec![0; 4]);
-        }
-        assert!(pool.bufs.len() <= POOL_MAX_HELD);
     }
 }

@@ -68,7 +68,7 @@ pub mod seq;
 
 pub use alignment::{AlignedPair, Alignment, GapSide};
 pub use alphabet::Alphabet;
-pub use checkpoint::{Checkpoint, CheckpointStore, ScratchPool, DEFAULT_CHECKPOINT_BUDGET};
+pub use checkpoint::{Checkpoint, CheckpointStore, DEFAULT_CHECKPOINT_BUDGET};
 pub use fasta::{parse_fasta, read_fasta, write_fasta, FastaRecord};
 pub use kernel::full::{sw_align, sw_full, traceback, FullMatrix};
 pub use kernel::gotoh::{sw_last_row, sw_last_row_resume, sw_score};

@@ -38,9 +38,10 @@
 //! master's speculation bounded.
 
 use repro::cluster::protocol::{ResultMsg, ResultsMsg, Work};
+use repro::core::PackUnit;
 use repro::core::Unit;
 use repro::obs::json::Json;
-use repro::simd::{select, LaneWidth, PackUnit};
+use repro::simd::{select, GroupSweeper, LaneWidth};
 use repro::xmpi::socket::{SocketHub, SocketPeer};
 use repro::xmpi::Comm;
 use repro::{Engine, Repro, Scoring, SeedConfig, Seq, Transport};
@@ -231,7 +232,7 @@ fn socket_round_trips(round_trips: usize) -> (f64, f64) {
 /// frame that carries most of a cluster run's bytes.
 fn row_codec_mbps(seq: &Seq, scoring: &Scoring, budget: Duration) -> f64 {
     let sel = select(Some(LaneWidth::X16), None).expect("a width alone always resolves");
-    let packs = PackUnit::new(seq, scoring, sel, None);
+    let packs = PackUnit::new(GroupSweeper::new(seq, scoring, sel), None);
     let m = seq.len();
     let msg = ResultsMsg {
         items: vec![ResultMsg {

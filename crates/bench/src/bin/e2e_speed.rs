@@ -263,10 +263,6 @@ fn main() {
                                 Json::Num(r.skipped_fraction()),
                             ),
                             (
-                                "pool_reuses".to_string(),
-                                Json::Num(r.stats.pool_reuses as f64),
-                            ),
-                            (
                                 "resume_rows_p50".to_string(),
                                 Json::Num(r.resume_rows_p50 as f64),
                             ),

@@ -288,8 +288,11 @@ fn main() {
         let pairs = [
             ("alignments", sim.run.alignments, proc.run.alignments),
             ("cells", sim.run.cells, proc.run.cells),
-            ("checkpoint_hits", sim.run.checkpoint_hits, proc.run.checkpoint_hits),
-            ("pool_reuses", sim.run.pool_reuses, proc.run.pool_reuses),
+            (
+                "checkpoint_hits",
+                sim.run.checkpoint_hits,
+                proc.run.checkpoint_hits,
+            ),
             ("group_sweeps", group_sweeps(&sim), group_sweeps(&proc)),
         ];
         let mut ok = sim.tops.alignments == proc.tops.alignments;

@@ -446,8 +446,8 @@ fn worker_subcommand_requires_connect() {
 #[test]
 fn worker_subcommand_serves_a_real_master_over_sockets() {
     use repro::cluster::protocol::{tag, JobMsg, ResultsMsg, TaskItem, TaskMsg};
-    use repro::core::Unit;
-    use repro::simd::PackUnit;
+    use repro::core::{PackUnit, Unit};
+    use repro::simd::GroupSweeper;
     use repro::xmpi::socket::SocketHub;
     use repro::xmpi::Comm;
     use repro::{select, LaneWidth, Scoring, Seq};
@@ -465,7 +465,8 @@ fn worker_subcommand_serves_a_real_master_over_sockets() {
         checkpoint_budget: None,
         lanes: LaneWidth::X4,
     };
-    let packs = PackUnit::new(&seq, &scoring, select(Some(job.lanes), None).unwrap(), None);
+    let sweeper = GroupSweeper::new(&seq, &scoring, select(Some(job.lanes), None).unwrap());
+    let packs = PackUnit::new(sweeper, None);
     let payload = job.encode();
     hub.add_greeting(tag::JOB, &payload);
     hub.add_greeting(tag::JOB, &payload);

@@ -37,9 +37,9 @@ use crate::protocol::{tag, AcceptedMsg, ResultsMsg, ResyncMsg, TaskItem, TaskMsg
 use crate::recovery::{idle_payload, master_loop, RecoveryConfig, BEACON_PERIOD, WORKER_POLL};
 use parking_lot::{Mutex, MutexGuard};
 use repro_align::{Scoring, Seq};
-use repro_core::{Common, OverrideTriangle, Search, TopAlignment, TopAlignments, Unit};
+use repro_core::{Common, OverrideTriangle, PackUnit, Search, TopAlignment, TopAlignments, Unit};
 use repro_obs::{FlightRecorder, Metric, Recorder};
-use repro_simd::{select, PackUnit, SimdSel};
+use repro_simd::{select, GroupSweeper, SimdSel};
 use repro_xmpi::thread::{FaultPlan, ThreadComm};
 use repro_xmpi::{Comm, Message, RecvError};
 use std::collections::{HashSet, VecDeque};
@@ -88,7 +88,7 @@ pub struct ClusterResult {
 ///
 /// A task is a lane pack ([`PackUnit`]) at the width and on the path
 /// the CPU probe picks (`select(None, None)`, no knob), swept by the
-/// group kernel on every worker. With `search.checkpoint_budget` set,
+/// group kernel ([`GroupSweeper`]) on every worker. With `search.checkpoint_budget` set,
 /// each worker keeps its packs' lane memos and checkpoints, stamped
 /// against the ACCEPTED broadcasts it applies, and its tallies travel
 /// home inside [`crate::protocol::ResultMsg`]. With `search.seed` set
@@ -134,7 +134,7 @@ pub(crate) fn run_ranks<R: Recorder>(
     let mut world = ThreadComm::world_with_faults(ranks, faults);
     let master_comm = world.remove(0);
     let sel = cluster_sel();
-    let packs = || PackUnit::new(seq, scoring, sel, search.checkpoint_budget);
+    let packs = || PackUnit::new(GroupSweeper::new(seq, scoring, sel), search.checkpoint_budget);
 
     rec.phase_start(repro_obs::Phase::Recovery);
     let result = std::thread::scope(|scope| {
@@ -296,7 +296,6 @@ impl<'a, C: Comm + Send, U: Unit> Worker<'a, C, U> {
     /// One sweep thread: run what can run, else beacon when due and take
     /// a turn on the endpoint.
     fn sweep_thread(&self, deadline: Duration) {
-        let mut local = self.unit.local();
         let mut idle_since = Instant::now();
         loop {
             let mut replica = self.replica.lock();
@@ -306,7 +305,7 @@ impl<'a, C: Comm + Send, U: Unit> Worker<'a, C, U> {
             let (applied, running) = (replica.applied(), &replica.running);
             let runnable = |q: &Queued| q.stamp <= applied && !running.contains(&q.item.unit);
             if let Some(pos) = replica.queue.iter().position(runnable) {
-                if !self.run(replica, pos, &mut local, idle_since) {
+                if !self.run(replica, pos, idle_since) {
                     break; // endpoint (ours or the master's) is dead
                 }
                 idle_since = Instant::now();
@@ -434,7 +433,6 @@ impl<'a, C: Comm + Send, U: Unit> Worker<'a, C, U> {
         &self,
         mut replica: MutexGuard<'_, Replica<U::Locked>>,
         pos: usize,
-        local: &mut U::Local,
         idle_since: Instant,
     ) -> bool {
         let Queued { item, .. } = replica.queue.remove(pos).expect("position is in range");
@@ -443,12 +441,12 @@ impl<'a, C: Comm + Send, U: Unit> Worker<'a, C, U> {
         let waited = idle_since.elapsed().as_nanos() as u64;
         replica.wrec.observe(Metric::QueueWaitNs, waited);
         let Replica { triangle, accepted, locked, .. } = &mut *replica;
-        let mut claim = Claim::new(&self.unit, (locked, local), (&self.common, accepted), item);
+        let mut claim = Claim::new(&self.unit, locked, (&self.common, accepted), item);
         let triangle = Arc::clone(triangle);
         drop(replica);
         #[cfg(test)]
         std::thread::sleep(self.sweep_pad);
-        claim.sweep(&self.unit, &self.common, local, &triangle);
+        claim.sweep(&self.unit, &self.common, &triangle);
         drop(triangle);
         let mut replica = self.replica.lock();
         replica.running.retain(|&v| v != u);
@@ -470,7 +468,7 @@ pub(crate) mod tests {
     use crate::master::MAX_BATCH;
     use crate::protocol::{ResultMsg, Work};
     use repro_align::Score;
-    use repro_core::{find_top_alignments, ScoredSeq, SeedConfig, SplitUnit, Stats};
+    use repro_core::{find_top_alignments, ScoredSeq, SeedConfig, Stats};
     use repro_obs::{Counter, NoopRecorder};
     use repro_xmpi::SendError;
     use std::collections::HashMap;
@@ -493,17 +491,17 @@ pub(crate) mod tests {
         repro_seqgen::PlantedRepeats::generate(&spec, 7).seq
     }
 
-    /// The split unit over `seq`: what the scheduling tests below drive,
-    /// so that a batch holds as many tasks as they need.
-    fn splits_of(seq: &Seq) -> SplitUnit {
-        SplitUnit::new(seq, None, None)
+    /// 1-lane packs under the row kernel: what the scheduling tests
+    /// below drive, so that a batch holds as many tasks as they need.
+    fn rows_of<'s>(seq: &'s Seq, scoring: &'s Scoring) -> PackUnit<ScoredSeq<'s>> {
+        PackUnit::new(ScoredSeq::new(seq, scoring), None)
     }
 
-    /// The unit the engine ships, at four lanes: short sequences still
-    /// have the packs a batch needs.
-    fn packs_x4<'s>(seq: &'s Seq, scoring: &'s Scoring) -> PackUnit<'s> {
+    /// The lane kernel the engine ships, at four lanes: short sequences
+    /// still have the packs a batch needs.
+    fn packs_x4<'s>(seq: &'s Seq, scoring: &'s Scoring) -> PackUnit<GroupSweeper<'s>> {
         let sel = select(Some(repro_simd::LaneWidth::X4), None).unwrap();
-        PackUnit::new(seq, scoring, sel, None)
+        PackUnit::new(GroupSweeper::new(seq, scoring, sel), None)
     }
 
     /// `count` tops under `faults`, both layers off, nothing recorded.
@@ -1077,7 +1075,7 @@ pub(crate) mod tests {
         let input = ScoredSeq::new(&seq, &scoring);
         let clean = |r| {
             input
-                .align_task(r, &OverrideTriangle::new(seq.len()), None, None)
+                .align_task(r, &OverrideTriangle::new(seq.len()), None)
                 .score
         };
         let task = |stamp, items: &[(usize, Score)]| {
@@ -1112,7 +1110,7 @@ pub(crate) mod tests {
         // own mirror image there).
         assert_eq!(clean(4), clean(8));
         let comm = Scripted::new(
-            splits_of(&seq),
+            rows_of(&seq, &scoring),
             [
                 task(0, &[(4, clean(4)), (8, clean(8))]),
                 // The prefetched batch, and the acceptance that lands
@@ -1128,7 +1126,7 @@ pub(crate) mod tests {
                 task(1, &[(3, Score::MAX)]),
             ],
         );
-        worker_loop(splits_of(&seq), &seq, &scoring, &comm, DL, 1);
+        worker_loop(rows_of(&seq, &scoring), &seq, &scoring, &comm, DL, 1);
         use Logged::{Received, Results};
         assert_eq!(
             *comm.log.lock(),
@@ -1167,10 +1165,10 @@ pub(crate) mod tests {
         let scoring = Scoring::dna_example();
         let tops = find_top_alignments(&seq, &scoring, 2).alignments;
         let sel = select(Some(repro_simd::LaneWidth::X4), None).unwrap();
-        let packs = || PackUnit::new(&seq, &scoring, sel, Some(1 << 20));
+        let packs = || PackUnit::new(GroupSweeper::new(&seq, &scoring, sel), Some(1 << 20));
         let input = ScoredSeq::new(&seq, &scoring);
         let empty = OverrideTriangle::new(seq.len());
-        let clean = |r| input.align_task(r, &empty, None, None).first_row.unwrap();
+        let clean = |r| input.align_task(r, &empty, None).first_row.unwrap();
         let straddled = |r: usize| {
             let mut pairs = tops.iter().flat_map(|t| &t.pairs);
             pairs.any(|&(p, q)| p < r && r <= q)
@@ -1216,9 +1214,9 @@ pub(crate) mod tests {
         for &(p, q) in tops.iter().flat_map(|t| &t.pairs) {
             triangle.set(p, q);
         }
-        let (mut locked, mut local) = (unit.locked(), unit.local());
-        let plan = unit.plan(&mut locked, &mut local, u, false, &tops);
-        let swept = unit.sweep(&common, &mut local, &plan, &triangle);
+        let mut locked = unit.locked();
+        let plan = unit.plan(&mut locked, u, false, &tops);
+        let swept = unit.sweep(&common, &plan, &triangle);
         let mut grown = Stats::new();
         let score = unit.commit(
             &mut locked,
@@ -1240,9 +1238,7 @@ pub(crate) mod tests {
         assert_eq!((grown.alignments, grown.lanes_skipped), (lanes, 0));
         // The best member, lowest on ties, by the scalar kernel.
         let scalar = unit.splits(u).map(|r| {
-            let score = input
-                .align_task(r, &triangle, Some(common.row(r)), None)
-                .score;
+            let score = input.align_task(r, &triangle, Some(common.row(r))).score;
             (r, score)
         });
         let oracle = scalar.reduce(|a, b| if b.1 > a.1 { b } else { a });
@@ -1295,7 +1291,7 @@ pub(crate) mod tests {
     fn slow_sweeps_never_silence_a_worker_past_the_liveness_window() {
         let scoring = Scoring::dna_example();
         let seq = Seq::dna(&"ATGC".repeat(5)).unwrap();
-        slow_sweeps_on(&seq, &scoring, || splits_of(&seq));
+        slow_sweeps_on(&seq, &scoring, || rows_of(&seq, &scoring));
         let seq = Seq::dna(&"ATGC".repeat(10)).unwrap();
         slow_sweeps_on(&seq, &scoring, || packs_x4(&seq, &scoring));
     }

@@ -27,13 +27,14 @@
 //!   tasks against its own (authoritative) triangle, which completes
 //!   the search with the exact sequential result instead of stalling.
 //!
-//! The machine is the third driver of a [`Unit`] (one split, or a lane
-//! pack), next to the inline loop and the SMP engine.
+//! The machine is the third driver of a [`Unit`] (a pack of one split
+//! under the row kernel, or of 4/8/16 under the lane kernel), next to
+//! the inline loop and the SMP engine.
 
 use crate::protocol::{AcceptedMsg, ResultMsg, TaskItem, TaskMsg, Work};
 use repro_align::{Score, Scoring, Seq};
 use repro_core::{
-    Common, OverrideTriangle, Search, SplitBounds, SplitUnit, Stats, TopAlignment, Unit,
+    Common, OverrideTriangle, PackUnit, ScoredSeq, Search, SplitBounds, Stats, TopAlignment, Unit,
 };
 use repro_obs::{Metric, NoopRecorder, Recorder};
 use std::collections::{HashMap, HashSet};
@@ -99,7 +100,7 @@ impl TaskState {
 }
 
 /// The master's complete state, scheduling the units of `U`.
-pub struct MasterState<'a, U: Unit = SplitUnit> {
+pub struct MasterState<'a, U: Unit = PackUnit<ScoredSeq<'a>>> {
     unit: U,
     /// The profiled sequence and the first-pass rows, as the results
     /// bring them home.
@@ -139,10 +140,11 @@ pub struct MasterState<'a, U: Unit = SplitUnit> {
 }
 
 impl<'a> MasterState<'a> {
-    /// A master running `search` on `seq`, one split to a task (the
-    /// simulator).
+    /// A master running `search` on `seq`, one split to a task: 1-lane
+    /// packs under the row kernel, no checkpoints (the simulator).
     pub fn new(seq: &'a Seq, scoring: &'a Scoring, search: &Search) -> Self {
-        MasterState::with_unit(SplitUnit::new(seq, None, None), seq, scoring, search)
+        let unit = PackUnit::new(ScoredSeq::new(seq, scoring), None);
+        MasterState::with_unit(unit, seq, scoring, search)
     }
 }
 
@@ -463,9 +465,8 @@ impl<'a, U: Unit> MasterState<'a, U> {
     fn compute_local(&self, stamp: usize, task: TaskItem) -> ResultMsg {
         debug_assert_eq!(stamp, self.tops.len());
         let unit = &self.unit;
-        let state = (&mut unit.locked(), &mut unit.local());
         let replica = (&self.common, &self.triangle, &self.tops[..]);
-        run_task(unit, state, replica, task, &mut NoopRecorder)
+        run_task(unit, &mut unit.locked(), replica, task, &mut NoopRecorder)
     }
 
     /// Advance: accept while possible, then hand work to idle workers —
@@ -713,7 +714,7 @@ impl<U: Unit> Claim<U> {
     /// caller's unit state under the triangle `tops` built.
     pub(crate) fn new(
         unit: &U,
-        (locked, local): (&mut U::Locked, &mut U::Local),
+        locked: &mut U::Locked,
         (common, tops): (&Common, &[TopAlignment]),
         mut task: TaskItem,
     ) -> Self {
@@ -726,21 +727,15 @@ impl<U: Unit> Claim<U> {
         // was lost and the master retransmitted the task — is a
         // realignment here: the rows go home again with the result.
         let fresh = task.first && !unit.splits(task.unit).all(|r| common.has_row(r));
-        let plan = unit.plan(locked, local, task.unit, fresh, tops);
+        let plan = unit.plan(locked, task.unit, fresh, tops);
         Claim { task, stamp: tops.len(), plan, swept: None }
     }
 
     /// Sweep as planned under `triangle`, unless the plan is a replay.
-    pub(crate) fn sweep(
-        &mut self,
-        unit: &U,
-        common: &Common,
-        local: &mut U::Local,
-        triangle: &OverrideTriangle,
-    ) {
+    pub(crate) fn sweep(&mut self, unit: &U, common: &Common, triangle: &OverrideTriangle) {
         if !U::is_replay(&self.plan) {
             let t0 = Instant::now();
-            let swept = unit.sweep(common, local, &self.plan, triangle);
+            let swept = unit.sweep(common, &self.plan, triangle);
             self.swept = Some((swept, t0.elapsed().as_nanos() as u64));
         }
     }
@@ -793,13 +788,13 @@ impl<U: Unit> Claim<U> {
 /// triangle, and the accepts that built it: the stamp).
 pub(crate) fn run_task<U: Unit, R: Recorder>(
     unit: &U,
-    (locked, local): (&mut U::Locked, &mut U::Local),
+    locked: &mut U::Locked,
     (common, triangle, tops): (&Common, &OverrideTriangle, &[TopAlignment]),
     task: TaskItem,
     rec: &mut R,
 ) -> ResultMsg {
-    let mut claim = Claim::new(unit, (&mut *locked, &mut *local), (common, tops), task);
-    claim.sweep(unit, common, local, triangle);
+    let mut claim = Claim::new(unit, locked, (common, tops), task);
+    claim.sweep(unit, common, triangle);
     claim.commit(unit, locked, common, rec)
 }
 
@@ -1268,7 +1263,7 @@ mod tests {
         use crate::engine::PREFETCH_SLOTS;
         let mut master = MasterState::with_unit(unit(), seq, scoring, &Search::new(count));
         let worker = unit();
-        let mut state = (worker.locked(), worker.local());
+        let mut locked = worker.locked();
         let common = Common::new(seq, scoring);
         let mut triangle = OverrideTriangle::new(seq.len());
         let mut accepted: Vec<TopAlignment> = Vec::new();
@@ -1298,8 +1293,7 @@ mod tests {
             let (w, item) = pending.pop_front().expect("master stalled without Done");
             held[w] -= worker.splits(item.unit).len();
             let replica = (&common, &triangle, &accepted[..]);
-            let (locked, local) = &mut state;
-            let res = run_task(&worker, (locked, local), replica, item, &mut NoopRecorder);
+            let res = run_task(&worker, &mut locked, replica, item, &mut NoopRecorder);
             actions = master.result(w, res);
         }
     }
@@ -1307,13 +1301,13 @@ mod tests {
     #[test]
     fn batches_are_bounded_in_lanes() {
         use crate::engine::PREFETCH_SLOTS;
-        use repro_simd::{select, LaneWidth, PackUnit};
+        use repro_simd::{select, GroupSweeper, LaneWidth};
         let scoring = Scoring::dna_example();
         let seq = Seq::dna(&"ATGC".repeat(24)).unwrap(); // 95 splits
         let want = find_top_alignments(&seq, &scoring, 4).alignments;
-        // A split is one lane: a deep backlog still fills a batch.
-        let (tops, batches, most) =
-            drive_units(|| SplitUnit::new(&seq, None, None), &seq, &scoring, 4);
+        // A 1-lane pack is one split: a deep backlog still fills a batch.
+        let rows = || PackUnit::new(ScoredSeq::new(&seq, &scoring), None);
+        let (tops, batches, most) = drive_units(rows, &seq, &scoring, 4);
         assert_eq!(tops, want);
         assert_eq!(batches[0].items.len(), MAX_BATCH);
         assert!(batches.iter().all(|b| b.items.len() <= MAX_BATCH));
@@ -1321,7 +1315,7 @@ mod tests {
         // A pack covers at least MAX_BATCH lanes: one per frame.
         for width in [LaneWidth::X4, LaneWidth::X16] {
             let sel = select(Some(width), None).unwrap();
-            let packs = || PackUnit::new(&seq, &scoring, sel, None);
+            let packs = || PackUnit::new(GroupSweeper::new(&seq, &scoring, sel), None);
             let (tops, batches, most) = drive_units(packs, &seq, &scoring, 4);
             assert_eq!(tops, want, "{width:?}");
             assert!(

@@ -39,9 +39,9 @@ use crate::protocol::{tag, JobMsg};
 use crate::recovery::{master_loop, RecoveryConfig};
 use parking_lot::Mutex;
 use repro_align::{Scoring, Seq};
-use repro_core::Search;
+use repro_core::{PackUnit, Search};
 use repro_obs::Recorder;
-use repro_simd::{select, PackUnit};
+use repro_simd::{select, GroupSweeper};
 use repro_xmpi::socket::{ConnectError, FaultProxy, ProxyFaults, SocketHub, SocketPeer};
 use repro_xmpi::{Comm, RecvError};
 use std::process::{Child, Command, Stdio};
@@ -151,7 +151,8 @@ pub fn socket_worker(addr: &str) -> Result<(), WorkerError> {
     };
     let deadline = Duration::from_millis(job.deadline_ms.max(1));
     let sel = select(Some(job.lanes), None).expect("a width alone always resolves");
-    let packs = PackUnit::new(&job.seq, &job.scoring, sel, job.checkpoint_budget);
+    let sweeper = GroupSweeper::new(&job.seq, &job.scoring, sel);
+    let packs = PackUnit::new(sweeper, job.checkpoint_budget);
     worker_loop(packs, &job.seq, &job.scoring, peer, deadline, 1);
     Ok(())
 }
@@ -296,7 +297,7 @@ pub fn run_cluster_proc<R: Recorder>(
     let config = RecoveryConfig::with_overall(deadline);
     // Start with the workers asked for: one pack could finish before the second joins.
     hub.wait_for_workers(workers, config.join_grace);
-    let packs = PackUnit::new(seq, scoring, sel, search.checkpoint_budget);
+    let packs = PackUnit::new(GroupSweeper::new(seq, scoring, sel), search.checkpoint_budget);
     let master = MasterState::with_unit(packs, seq, scoring, search);
     let result = master_loop(master, &hub, config, rec);
     rec.phase_end(repro_obs::Phase::Recovery);

@@ -615,16 +615,17 @@ impl ResyncMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repro_simd::{select, PackUnit};
+    use repro_core::PackUnit;
+    use repro_simd::{select, GroupSweeper};
 
     /// Run `f` against the unit every test frame is decoded with: 12 nt
     /// in packs of four — units 0, 1, 2 are splits 1–4, 5–8 and 9–11,
     /// and split `r`'s row is `12 − r` long.
-    fn with_packs<T>(f: impl FnOnce(&PackUnit) -> T) -> T {
+    fn with_packs<T>(f: impl FnOnce(&PackUnit<GroupSweeper>) -> T) -> T {
         let seq = Seq::dna("ATGCATGCATGC").unwrap();
         let scoring = Scoring::dna_example();
         let sel = select(Some(LaneWidth::X4), None).unwrap();
-        f(&PackUnit::new(&seq, &scoring, sel, None))
+        f(&PackUnit::new(GroupSweeper::new(&seq, &scoring, sel), None))
     }
 
     fn row(r: usize) -> (usize, Vec<Score>) {

@@ -151,7 +151,6 @@ impl TelemetryLedger {
             rec.event(Event::Telemetry {
                 worker,
                 seq: msg.seq,
-                pool_reuses: msg.snap.counter(Counter::PoolReuses),
             });
         }
         entry.snap = msg.snap;

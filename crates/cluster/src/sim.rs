@@ -9,7 +9,8 @@
 //! including 128, on a single machine.
 //!
 //! A simulated worker answers a task exactly as a cluster worker's
-//! sweep thread does (`master::run_task`, one split to a task),
+//! sweep thread does (`master::run_task`, one split to a task: 1-lane
+//! packs under the row kernel),
 //! on its own replica. Because every engine accepts the same top
 //! alignments in the same order regardless of worker count (see
 //! `master.rs`), the triangle state at version `v` is run-invariant —
@@ -21,7 +22,10 @@
 use crate::master::{run_task, MasterAction, MasterState};
 use crate::protocol::{tag, AcceptedMsg, ResultMsg, ResultsMsg, TaskItem, TaskMsg};
 use repro_align::{Scoring, Seq};
-use repro_core::{Common, OverrideTriangle, Search, SplitUnit, TopAlignment, TopAlignments, Unit};
+use repro_core::{
+    Common, LanePacks, OverrideTriangle, PackUnit, ScoredSeq, Search, TopAlignment, TopAlignments,
+    Unit,
+};
 use repro_obs::NoopRecorder;
 use repro_xmpi::virtual_time::{run, Actor, Ctx, LinkModel};
 use repro_xmpi::Rank;
@@ -124,9 +128,9 @@ struct MasterSim<'a> {
 }
 
 struct WorkerSim<'a> {
-    unit: SplitUnit,
-    /// The split unit's state, this worker's own.
-    state: (<SplitUnit as Unit>::Locked, <SplitUnit as Unit>::Local),
+    unit: PackUnit<ScoredSeq<'a>>,
+    /// The unit's state, this worker's own.
+    packs: LanePacks,
     /// The profiled sequence, and every first-pass row this worker has
     /// computed or been sent.
     common: Common<'a>,
@@ -187,12 +191,12 @@ impl WorkerSim<'_> {
                 }
                 ResultMsg { attempt: task.attempt, ..res }
             }
-            // Through the split unit, with no incremental state: the
-            // cache is the simulator's memo.
+            // Through the unit, with no checkpoints: the cache is the
+            // simulator's memo.
             None => {
-                let (locked, local) = &mut self.state;
                 let replica = (&self.common, &self.triangle, &self.accepted[..]);
-                let res = run_task(&self.unit, (locked, local), replica, task, &mut NoopRecorder);
+                let packs = &mut self.packs;
+                let res = run_task(&self.unit, packs, replica, task, &mut NoopRecorder);
                 self.cache.borrow_mut().entries.insert(key, res.clone());
                 res
             }
@@ -291,10 +295,10 @@ pub fn simulate_cluster(
         cost,
     })));
     for _ in 0..workers {
-        let unit = SplitUnit::new(seq, None, None);
+        let unit = PackUnit::new(ScoredSeq::new(seq, scoring), None);
         actors.push(SimActor::Worker(WorkerSim {
+            packs: unit.locked(),
             unit,
-            state: (unit.locked(), unit.local()),
             common: Common::new(seq, scoring),
             triangle: OverrideTriangle::new(seq.len()),
             accepted: Vec::new(),

@@ -1,5 +1,5 @@
-//! Wire-version skew regression: a v6 peer (the protocol before the
-//! frame trailer became the word-at-a-time `frame_checksum`) must be
+//! Wire-version skew regression: a v7 peer (the protocol before
+//! telemetry frames lost the `pool_reuses` counter word) must be
 //! rejected with a *typed*
 //! [`WireError::Version`] on its very first frame — never a garbage
 //! decode deep inside a message codec — on both transports:
@@ -13,8 +13,8 @@ use repro_align::{Scoring, Seq};
 use repro_cluster::protocol::{
     AcceptedMsg, JobMsg, ResultMsg, ResultsMsg, ResyncMsg, TaskItem, TaskMsg, Work,
 };
-use repro_core::Stats;
-use repro_simd::{select, LaneWidth, PackUnit};
+use repro_core::{PackUnit, Stats};
+use repro_simd::{select, GroupSweeper, LaneWidth};
 use repro_xmpi::socket::{envelope, SocketHub, SocketPeer};
 use repro_xmpi::wire::{WireError, VERSION};
 use repro_xmpi::Comm;
@@ -23,10 +23,10 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// The version the skewed peer speaks: the one this build replaced.
-const V6: u32 = 6;
+const V7: u32 = 7;
 const _: () = assert!(
-    VERSION > V6,
-    "the checksum change must bump the wire version"
+    VERSION > V7,
+    "the telemetry layout change must bump the wire version"
 );
 
 /// Rewrite a framed buffer's version word (bytes 4..8) to `v`. The
@@ -39,11 +39,11 @@ fn reversion(mut frame: Vec<u8>, v: u32) -> Vec<u8> {
 }
 
 #[test]
-fn v6_frames_are_rejected_typed_by_every_message_codec() {
+fn v7_frames_are_rejected_typed_by_every_message_codec() {
     let seq = Seq::dna("ATGCATGC").unwrap();
     let scoring = Scoring::dna_example();
     let sel = select(Some(LaneWidth::X4), None).unwrap();
-    let packs = PackUnit::new(&seq, &scoring, sel, None);
+    let packs = PackUnit::new(GroupSweeper::new(&seq, &scoring, sel), None);
     let frames: Vec<(&str, Vec<u8>)> = vec![
         (
             "TaskMsg",
@@ -100,11 +100,11 @@ fn v6_frames_are_rejected_typed_by_every_message_codec() {
         ),
     ];
     let want = WireError::Version {
-        got: V6,
+        got: V7,
         want: VERSION,
     };
     for (kind, frame) in frames {
-        let stale = reversion(frame, V6);
+        let stale = reversion(frame, V7);
         let got = match kind {
             "TaskMsg" => TaskMsg::decode(&stale, &packs).unwrap_err(),
             "ResultsMsg" => ResultsMsg::decode(&stale, &packs).unwrap_err(),
@@ -113,19 +113,19 @@ fn v6_frames_are_rejected_typed_by_every_message_codec() {
             "JobMsg" => JobMsg::decode(&stale).unwrap_err(),
             _ => unreachable!(),
         };
-        assert_eq!(got, want, "{kind} did not reject the v6 frame typed");
+        assert_eq!(got, want, "{kind} did not reject the v7 frame typed");
     }
 }
 
 #[test]
-fn v6_worker_hello_is_rejected_at_the_socket_hub() {
+fn v7_worker_hello_is_rejected_at_the_socket_hub() {
     let hub = SocketHub::bind("127.0.0.1:0").expect("bind hub");
     assert_eq!(hub.version_rejects(), 0);
 
     // A stale worker's admission request: a well-formed HELLO envelope
     // (reserved tag 0xFFFF_FF01) whose frame declares the previous
     // protocol version.
-    let hello = reversion(envelope(0xFFFF_FF01, 1, &[]), V6);
+    let hello = reversion(envelope(0xFFFF_FF01, 1, &[]), V7);
     let mut stream = TcpStream::connect(hub.addr()).expect("connect");
     stream.write_all(&hello).expect("send stale hello");
 
@@ -142,7 +142,7 @@ fn v6_worker_hello_is_rejected_at_the_socket_hub() {
     assert_eq!(hub.size(), 1, "a skewed worker must not be admitted");
 
     // The hub stays healthy: a current-version worker is admitted.
-    let peer = SocketPeer::connect(&hub.addr().to_string()).expect("v7 worker admitted");
+    let peer = SocketPeer::connect(&hub.addr().to_string()).expect("v8 worker admitted");
     assert_eq!(peer.rank(), 1);
     assert_eq!(hub.version_rejects(), 1);
 }

@@ -10,23 +10,23 @@
 //!
 //! The loop is written once, generic over the [`Unit`] it schedules
 //! (§4.1 changes what a task is, not the loop):
-//! [`TopAlignmentFinder::new`] schedules single splits ([`SplitUnit`]),
+//! [`TopAlignmentFinder::new`] schedules 1-lane packs swept by the
+//! scalar row step ([`PackUnit`] over [`ScoredSeq`]),
 //! `repro_simd::find_top_alignments_simd` lane packs of neighbouring
-//! ones. [`ScoredSeq::align_task`] and
+//! splits. [`ScoredSeq::align_task`] and
 //! [`ScoredSeq::accept_task_with_row`] are the two primitives every
 //! engine shares, so all engines produce identical output.
 
 use crate::bottom::{best_valid_entry, best_valid_entry_counted, Common};
+use crate::pack::PackUnit;
 use crate::seed::{SeedConfig, SplitBounds};
 use crate::split_mask::SplitMask;
 use crate::stats::Stats;
 use crate::tasks::{Task, TaskQueue, NEVER_ALIGNED, SCORE_INFINITY};
 use crate::triangle::OverrideTriangle;
-use crate::unit::{SplitUnit, Unit};
+use crate::unit::Unit;
 use repro_align::kernel::full::traceback;
-use repro_align::{
-    sw_last_row_striped, CellMask, LastRow, NoMask, QueryProfile, Score, Scoring, Seq, Sides,
-};
+use repro_align::{NoMask, QueryProfile, Score, Scoring, Seq, Sides};
 use repro_obs::{Metric, NoopRecorder, Phase, Progress, Recorder};
 use std::ops::Range;
 use std::time::Instant;
@@ -82,27 +82,21 @@ impl Search {
     }
 }
 
-/// Configuration of the inline driver: the shared [`Search`] plus the
-/// two knobs only the split constructor sets.
+/// Configuration of the inline driver: the shared [`Search`] plus how
+/// first-pass rows are kept.
 #[derive(Debug, Clone)]
 pub struct FinderConfig {
-    /// What to search for. With checkpointing on, realignments use the
-    /// plain row-major kernel — `stripe` then only affects the
-    /// clean-row recomputations.
+    /// What to search for.
     pub search: Search,
-    /// Optional cache-aware stripe width for the score kernel
-    /// (`None` = plain row-major; see paper §4.1).
-    pub stripe: Option<usize>,
     /// Bottom-row storage strategy.
     pub row_mode: RowMode,
 }
 
 impl FinderConfig {
-    /// Default settings (stored rows, row-major kernel).
+    /// Default settings (stored rows).
     pub fn new(search: Search) -> Self {
         FinderConfig {
             search,
-            stripe: None,
             row_mode: RowMode::Store,
         }
     }
@@ -253,24 +247,6 @@ impl<'a> ScoredSeq<'a> {
         }
     }
 
-    /// Score-only sweep of split `r` under `mask`: the striped kernel
-    /// (which reads the exchange matrix, not the profile) when a stripe
-    /// width is given, the row-vectorised one otherwise.
-    pub(crate) fn last_row<M: CellMask>(
-        &self,
-        r: usize,
-        mask: M,
-        stripe: Option<usize>,
-    ) -> LastRow {
-        match stripe {
-            Some(w) => {
-                let (prefix, suffix) = self.seq.split(r);
-                sw_last_row_striped(prefix, suffix, self.scoring, mask, w)
-            }
-            None => self.split(r).last_row(mask),
-        }
-    }
-
     /// Score-only (re)alignment of split `r` under `triangle`.
     ///
     /// `original` is the stored first-pass bottom row; pass `None` for the
@@ -283,9 +259,8 @@ impl<'a> ScoredSeq<'a> {
         r: usize,
         triangle: &OverrideTriangle,
         original: Option<&[Score]>,
-        stripe: Option<usize>,
     ) -> TaskResult {
-        let last = self.last_row(r, SplitMask::new(triangle, r), stripe);
+        let last = self.split(r).last_row(SplitMask::new(triangle, r));
         match original {
             None => {
                 debug_assert!(
@@ -363,9 +338,8 @@ pub fn align_task(
     r: usize,
     triangle: &OverrideTriangle,
     original: Option<&[Score]>,
-    stripe: Option<usize>,
 ) -> TaskResult {
-    ScoredSeq::new(seq, scoring).align_task(r, triangle, original, stripe)
+    ScoredSeq::new(seq, scoring).align_task(r, triangle, original)
 }
 
 /// What one [`TopAlignmentFinder::step`] did. A unit is named by its
@@ -404,7 +378,7 @@ pub enum Step {
 /// The inline driver of Figure 5's loop, generic over the [`Unit`] it
 /// schedules. [`Self::run`] is the one-shot entry point; `step` exposes
 /// the loop for tests and tools.
-pub struct TopAlignmentFinder<'a, U: Unit = SplitUnit> {
+pub struct TopAlignmentFinder<'a, U: Unit = PackUnit<ScoredSeq<'a>>> {
     unit: U,
     common: Common<'a>,
     config: FinderConfig,
@@ -415,7 +389,6 @@ pub struct TopAlignmentFinder<'a, U: Unit = SplitUnit> {
     alignments: Vec<TopAlignment>,
     stats: Stats,
     locked: U::Locked,
-    local: U::Local,
     /// `Some` iff `config.search.seed` is set: the admissible per-split
     /// bounds.
     bounds: Option<SplitBounds>,
@@ -425,9 +398,13 @@ pub struct TopAlignmentFinder<'a, U: Unit = SplitUnit> {
 }
 
 impl<'a> TopAlignmentFinder<'a> {
-    /// Set up a search over `seq`, one split to a task.
+    /// Set up a search over `seq`, one split to a task: 1-lane packs
+    /// swept by the scalar row step.
     pub fn new(seq: &'a Seq, scoring: &'a Scoring, config: FinderConfig) -> Self {
-        let unit = SplitUnit::new(seq, config.search.checkpoint_budget, config.stripe);
+        let unit = PackUnit::new(
+            ScoredSeq::new(seq, scoring),
+            config.search.checkpoint_budget,
+        );
         TopAlignmentFinder::with_unit(seq, scoring, config, unit)
     }
 }
@@ -460,7 +437,6 @@ impl<'a, U: Unit> TopAlignmentFinder<'a, U> {
             alignments: Vec::new(),
             stats,
             locked: unit.locked(),
-            local: unit.local(),
             unit,
             bounds,
             first_passes: 0,
@@ -477,7 +453,7 @@ impl<'a, U: Unit> TopAlignmentFinder<'a, U> {
         }
         for r in splits {
             rec.phase_start(Phase::RowRecompute);
-            let last = self.common.input.last_row(r, NoMask, self.config.stripe);
+            let last = self.common.input.split(r).last_row(NoMask);
             self.stats.record_row_recompute(last.cells);
             rec.phase_end(Phase::RowRecompute);
             self.common.set_row(r, last.row);
@@ -619,18 +595,10 @@ impl<'a, U: Unit> TopAlignmentFinder<'a, U> {
             } else {
                 self.recompute_rows(splits.clone(), rec);
             }
-            let plan = self.unit.plan(
-                &mut self.locked,
-                &mut self.local,
-                u,
-                first,
-                &self.alignments,
-            );
+            let plan = self.unit.plan(&mut self.locked, u, first, &self.alignments);
             let swept = (!U::is_replay(&plan)).then(|| {
                 let t0 = R::ENABLED.then(Instant::now);
-                let swept = self
-                    .unit
-                    .sweep(&self.common, &mut self.local, &plan, &self.triangle);
+                let swept = self.unit.sweep(&self.common, &plan, &self.triangle);
                 if let Some(t0) = t0 {
                     let sweep = t0.elapsed();
                     let kind = if first {
@@ -677,7 +645,6 @@ impl<'a, U: Unit> TopAlignmentFinder<'a, U> {
     /// [`Self::run`] with instrumentation (see [`Self::step_recorded`]).
     pub fn run_recorded<R: Recorder>(mut self, rec: &mut R) -> TopAlignments {
         while !matches!(self.step_recorded(rec), Step::Done) {}
-        self.unit.retire(self.local, &mut self.stats);
         if let Some(bounds) = &self.bounds {
             let splits = self.common.input.seq.len().saturating_sub(1);
             self.stats.splits_pruned = splits.saturating_sub(self.first_passes) as u64;
@@ -813,34 +780,6 @@ mod tests {
                 assert!(q < seq.len());
             }
         }
-    }
-
-    #[test]
-    fn striped_kernel_gives_identical_results() {
-        let seq = Seq::dna("ATGCATGCATGCAATTGGCCATGC").unwrap();
-        let plain = find_top_alignments(&seq, &atgc_scoring(), 5);
-        let striped = TopAlignmentFinder::new(
-            &seq,
-            &atgc_scoring(),
-            FinderConfig {
-                stripe: Some(3),
-                ..config(5, None, None)
-            },
-        )
-        .run();
-        assert_eq!(plain.alignments, striped.alignments);
-        // Seeded as well: late first passes go through the striped
-        // kernel too.
-        let seeded = TopAlignmentFinder::new(
-            &seq,
-            &atgc_scoring(),
-            FinderConfig {
-                stripe: Some(3),
-                ..config(5, None, Some(SeedConfig::default()))
-            },
-        )
-        .run();
-        assert_eq!(plain.alignments, seeded.alignments);
     }
 
     /// Golden trace of Figure 5's scheduling on the Figure 4 example:
@@ -1141,7 +1080,6 @@ mod tests {
         assert!(!result.alignments.is_empty());
         assert!(result.stats.checkpoint_hits > 0, "no sweep was served");
         assert!(result.stats.realign_rows_skipped > 0);
-        assert!(result.stats.pool_reuses > 0, "scratch pool never reused");
         assert!(result.stats.rows_skipped_fraction() > 0.0);
     }
 
@@ -1158,21 +1096,6 @@ mod tests {
         assert_eq!(base.alignments, incr.alignments);
         assert_eq!(base.triangle, incr.triangle);
         assert!(incr.stats.row_recomputations > 0);
-    }
-
-    #[test]
-    fn checkpointing_composes_with_striped_config() {
-        // Stripe requests fall back to the plain kernel on the
-        // incremental path; results must stay identical.
-        let scoring = atgc_scoring();
-        let seq = Seq::dna("ATGCATGCATGCAATTGGCCATGC").unwrap();
-        let base = find_top_alignments(&seq, &scoring, 5);
-        let cfg = FinderConfig {
-            stripe: Some(3),
-            ..config(5, Some(repro_align::DEFAULT_CHECKPOINT_BUDGET), None)
-        };
-        let incr = TopAlignmentFinder::new(&seq, &scoring, cfg).run();
-        assert_eq!(base.alignments, incr.alignments);
     }
 
     /// The Figure 4 golden schedule survives checkpointing untouched,
@@ -1208,7 +1131,6 @@ mod tests {
             rec.counter(Counter::RealignRowsSkipped),
             result.stats.realign_rows_skipped
         );
-        assert_eq!(rec.counter(Counter::PoolReuses), result.stats.pool_reuses);
         assert_eq!(
             result.stats.checkpoint_hits + result.stats.checkpoint_misses,
             6,
@@ -1289,10 +1211,6 @@ mod tests {
             ),
             FinderConfig {
                 row_mode: RowMode::Recompute,
-                ..config(4, None, Some(seeded))
-            },
-            FinderConfig {
-                stripe: Some(3),
                 ..config(4, None, Some(seeded))
             },
         ];

@@ -18,9 +18,13 @@
 //! * [`tasks`] — the best-first task queue of Figure 5: one task per
 //!   split, ordered by (upper-bound) score, with the `AlignedWithTopNum`
 //!   freshness stamp.
-//! * [`mod@unit`] — the **unit of work** ([`Unit`]): what a task is — one
-//!   split ([`SplitUnit`]) or a lane pack of neighbours
-//!   (`repro_simd::PackUnit`) — apart from who schedules it.
+//! * [`mod@unit`] — the **unit of work** ([`Unit`]): what a task is,
+//!   apart from who schedules it.
+//! * [`pack`] — its one impl, [`PackUnit`]: a pack of neighbouring
+//!   splits, swept by a [`PackKernel`] — the scalar row step at width 1
+//!   ([`ScoredSeq`]), `repro_simd`'s group kernel at 4/8/16 — with
+//!   lane-granular memo replay and checkpointed mid-matrix resume under
+//!   a budget-capped store (bit-identical by construction).
 //! * [`finder`] — [`finder::TopAlignmentFinder`], Figure 5's loop written
 //!   once as the inline driver generic over the unit, plus the
 //!   task-alignment primitives shared with the parallel engines.
@@ -30,11 +34,6 @@
 //!   score bounds from two triangular self-sweeps (forward and
 //!   reversed), refreshed on demand, so splits that cannot hold a top
 //!   are never aligned at all; plus a diagnostic k-mer/diagonal index.
-//! * `incremental` (private) — how [`SplitUnit`] first-passes or
-//!   realigns one split, over the checkpointed incremental realignment
-//!   layer: budget-capped DP-row snapshots plus sweep memoisation,
-//!   resuming realignments below the dirty boundary (bit-identical by
-//!   construction).
 //! * [`stats`] — work accounting (alignments, cells, realignment rates:
 //!   the quantities behind the paper's "90–97 % fewer realignments" and
 //!   "3–10 % need realignment" claims).
@@ -49,7 +48,7 @@ pub mod consensus;
 pub mod delineate;
 pub mod dirty;
 pub mod finder;
-mod incremental;
+pub mod pack;
 pub mod seed;
 pub mod split_mask;
 pub mod stats;
@@ -65,9 +64,10 @@ pub use finder::{
     align_task, find_top_alignments, FinderConfig, RowMode, ScoredSeq, Search, Step, TaskResult,
     TopAlignment, TopAlignmentFinder, TopAlignments,
 };
+pub use pack::{LanePacks, PackKernel, PackUnit};
 pub use seed::{PairMask, SeedConfig, SplitBounds};
 pub use split_mask::SplitMask;
 pub use stats::Stats;
 pub use tasks::{Task, TaskQueue, NEVER_ALIGNED, SCORE_INFINITY};
 pub use triangle::OverrideTriangle;
-pub use unit::{SplitUnit, Unit};
+pub use unit::Unit;

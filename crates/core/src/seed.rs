@@ -510,14 +510,7 @@ mod tests {
         let sb = SplitBounds::build(seq.codes(), &scoring, SeedConfig::default());
         let (prefix, suffix) = seq.split(r);
         let exact = sw_last_row(prefix, suffix, &scoring, NoMask);
-        let task = align_task(
-            &seq,
-            &scoring,
-            r,
-            &OverrideTriangle::new(seq.len()),
-            None,
-            None,
-        );
+        let task = align_task(&seq, &scoring, r, &OverrideTriangle::new(seq.len()), None);
         assert_eq!((exact.best, exact.best_in_row, task.score), (4, 2, 2));
         assert_eq!((sb.end_bound(r), sb.start_bound(r), sb.bound(r)), (2, 4, 2));
     }

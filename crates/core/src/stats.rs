@@ -59,25 +59,26 @@ pub struct Stats {
     pub cluster_retries: u64,
     /// Cluster tasks reassigned away from a dead worker.
     pub cluster_reassignments: u64,
-    /// Realignment sweeps served by the incremental layer: a memoised
-    /// full skip or a checkpointed mid-matrix resume.
+    /// Realignments of a unit, with checkpointing enabled, that some
+    /// shortcut served: a lane replayed from its memo (every lane: a
+    /// whole-unit skip) or a sweep resumed from a checkpoint below row
+    /// 0. With [`Self::checkpoint_misses`] it counts every realignment
+    /// exactly once.
     pub checkpoint_hits: u64,
-    /// Realignment sweeps that ran from row 0 with checkpointing
-    /// enabled (no valid checkpoint survived, or the budget is 0).
+    /// Realignments of a unit, with checkpointing enabled, that swept
+    /// every lane from row 0 (no lane clean, no valid checkpoint shared,
+    /// or the budget is 0).
     pub checkpoint_misses: u64,
     /// Realignment DP rows actually swept (first passes excluded).
     pub realign_rows_swept: u64,
     /// Realignment DP rows skipped via memo or checkpoint resume.
     pub realign_rows_skipped: u64,
-    /// Row buffers served from the scratch pool instead of the
-    /// allocator.
-    pub pool_reuses: u64,
-    /// SIMD lanes replayed from a per-lane memo instead of swept —
-    /// clean lanes of partially-dirty groups plus every lane of a
-    /// whole-group skip.
+    /// Lanes (splits) replayed from a per-lane memo instead of swept —
+    /// clean lanes of partially-dirty packs plus every lane of a
+    /// whole-pack skip.
     pub lanes_skipped: u64,
-    /// SIMD lanes swept inside a compacted group: a re-packed subset of
-    /// a partially-dirty group, or a full pack resumed above row 0.
+    /// Lanes swept inside a compacted pack: a re-packed subset of a
+    /// partially-dirty pack, or a full pack resumed below row 0.
     pub lanes_compacted: u64,
 }
 
@@ -167,12 +168,11 @@ impl Stats {
         self.checkpoint_misses += other.checkpoint_misses;
         self.realign_rows_swept += other.realign_rows_swept;
         self.realign_rows_skipped += other.realign_rows_skipped;
-        self.pool_reuses += other.pool_reuses;
         self.lanes_skipped += other.lanes_skipped;
         self.lanes_compacted += other.lanes_compacted;
     }
 
-    /// Mirror the nine tallies that are both a `Stats` field and a
+    /// Mirror the eight tallies that are both a `Stats` field and a
     /// recorder [`Counter`] into `rec`. Every engine calls this exactly
     /// once, on its final stats, so a run report's
     /// `counters[name] == stats.name` on every engine by construction.
@@ -182,7 +182,6 @@ impl Stats {
             (Counter::CheckpointMisses, self.checkpoint_misses),
             (Counter::RealignRowsSwept, self.realign_rows_swept),
             (Counter::RealignRowsSkipped, self.realign_rows_skipped),
-            (Counter::PoolReuses, self.pool_reuses),
             (Counter::SplitsPruned, self.splits_pruned),
             (Counter::PrunedPops, self.pruned_pops),
             (Counter::BoundRecomputes, self.bound_recomputes),
@@ -276,7 +275,6 @@ mod tests {
         a.realign_rows_swept = 100;
         b.realign_rows_swept = 50;
         b.realign_rows_skipped = 25;
-        b.pool_reuses = 9;
         a.pruned_pops = 6;
         b.pruned_pops = 4;
         b.splits_pruned = 11;
@@ -296,7 +294,6 @@ mod tests {
         assert_eq!(a.checkpoint_misses, 3);
         assert_eq!(a.realign_rows_swept, 150);
         assert_eq!(a.realign_rows_skipped, 25);
-        assert_eq!(a.pool_reuses, 9);
         assert_eq!(a.pruned_pops, 10);
         assert_eq!(a.splits_pruned, 11);
         assert_eq!(a.bound_recomputes, 2);

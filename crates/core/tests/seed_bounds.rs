@@ -129,12 +129,12 @@ fn reference_sides(
 /// against the clean first-pass row, as every engine computes it.
 fn task_score(seq: &Seq, scoring: &Scoring, r: usize, triangle: &OverrideTriangle) -> Score {
     let empty = OverrideTriangle::new(seq.len());
-    let clean = align_task(seq, scoring, r, &empty, None, None);
+    let clean = align_task(seq, scoring, r, &empty, None);
     if triangle.is_empty() {
         return clean.score;
     }
     let clean_row = clean.first_row.expect("first pass returns its row");
-    align_task(seq, scoring, r, triangle, Some(&clean_row), None).score
+    align_task(seq, scoring, r, triangle, Some(&clean_row)).score
 }
 
 proptest! {

@@ -126,19 +126,16 @@ pub enum Counter {
     /// version it has not reached itself (a corrupt frame that got past
     /// the checksum).
     ClusterRejectedResults,
-    /// Realignment sweeps served by the incremental layer (memoised
-    /// full skip or checkpointed mid-matrix resume).
+    /// Realignments, with checkpointing enabled, that some shortcut
+    /// served: a lane replayed from its memo or a resume below row 0.
     CheckpointHits,
-    /// Realignment sweeps that ran from row 0 despite checkpointing
-    /// being enabled.
+    /// Realignments, with checkpointing enabled, that swept every lane
+    /// from row 0.
     CheckpointMisses,
     /// Realignment DP rows actually swept (first passes excluded).
     RealignRowsSwept,
     /// Realignment DP rows skipped via memo or checkpoint resume.
     RealignRowsSkipped,
-    /// Row buffers served from the scratch pool instead of the
-    /// allocator.
-    PoolReuses,
     /// Splits whose alignment was never computed at all: their seed
     /// bound kept them below every acceptance for the whole run.
     SplitsPruned,
@@ -150,17 +147,17 @@ pub enum Counter {
     BoundRecomputes,
     /// Nanoseconds spent building the seed index and initial bounds.
     SeedIndexBuildNs,
-    /// SIMD lanes replayed from their per-lane memo instead of swept
-    /// (clean lanes, including whole-group skips).
+    /// Lanes (splits) replayed from their per-lane memo instead of
+    /// swept (clean lanes, including whole-pack skips).
     LanesSkipped,
-    /// SIMD lanes swept inside a compacted (re-packed and/or resumed)
-    /// group instead of a full from-scratch group sweep.
+    /// Lanes swept inside a compacted (re-packed and/or resumed) pack
+    /// instead of a full from-scratch pack sweep.
     LanesCompacted,
 }
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 26] = [
+    pub const ALL: [Counter; 25] = [
         Counter::LanesActive,
         Counter::LanesPadded,
         Counter::GroupSweeps,
@@ -180,7 +177,6 @@ impl Counter {
         Counter::CheckpointMisses,
         Counter::RealignRowsSwept,
         Counter::RealignRowsSkipped,
-        Counter::PoolReuses,
         Counter::SplitsPruned,
         Counter::PrunedPops,
         Counter::BoundRecomputes,
@@ -211,7 +207,6 @@ impl Counter {
             Counter::CheckpointMisses => "checkpoint_misses",
             Counter::RealignRowsSwept => "realign_rows_swept",
             Counter::RealignRowsSkipped => "realign_rows_skipped",
-            Counter::PoolReuses => "pool_reuses",
             Counter::SplitsPruned => "splits_pruned",
             Counter::PrunedPops => "pruned_pops",
             Counter::BoundRecomputes => "bound_recomputes",
@@ -295,9 +290,6 @@ pub enum Event {
         /// Monotone snapshot sequence number (gaps mean lost frames;
         /// cumulative snapshots make them harmless).
         seq: u64,
-        /// The worker's cumulative scratch-pool reuse count — the
-        /// counter that used to vanish with the worker process.
-        pool_reuses: u64,
     },
     /// The search finished; DONE was broadcast.
     Done {
@@ -364,15 +356,9 @@ impl Event {
                 vec![("worker", worker as i64), ("applied", applied as i64)]
             }
             Event::LocalFallback => Vec::new(),
-            Event::Telemetry {
-                worker,
-                seq,
-                pool_reuses,
-            } => vec![
-                ("worker", worker as i64),
-                ("seq", seq as i64),
-                ("pool_reuses", pool_reuses as i64),
-            ],
+            Event::Telemetry { worker, seq } => {
+                vec![("worker", worker as i64), ("seq", seq as i64)]
+            }
             Event::Done { tops } => vec![("tops", tops as i64)],
         }
     }
@@ -857,39 +843,32 @@ mod tests {
     #[test]
     fn telemetry_snapshot_delta_covers_counters_and_hists() {
         let mut r = FlightRecorder::new();
-        r.add(Counter::PoolReuses, 5);
+        r.add(Counter::GroupSweeps, 5);
         r.observe(Metric::SweepNs, 100);
         let first = r.telemetry_snapshot();
-        r.add(Counter::PoolReuses, 3);
+        r.add(Counter::GroupSweeps, 3);
         r.observe(Metric::SweepNs, 200);
         r.observe(Metric::ResumeRows, 12);
         let second = r.telemetry_snapshot();
         let delta = second.delta_from(&first);
-        assert_eq!(delta.counter(Counter::PoolReuses), 3);
+        assert_eq!(delta.counter(Counter::GroupSweeps), 3);
         assert_eq!(delta.hists.get(Metric::SweepNs).count(), 1);
         assert_eq!(delta.hists.get(Metric::ResumeRows).count(), 1);
         // A shrunk (restarted-worker) snapshot contributes its whole
         // current histogram, never a bogus delta.
         let restarted = first.delta_from(&second);
         assert_eq!(restarted.hists.get(Metric::SweepNs).count(), 1);
-        assert_eq!(restarted.counter(Counter::PoolReuses), 0);
+        assert_eq!(restarted.counter(Counter::GroupSweeps), 0);
     }
 
     #[test]
     fn progress_event_serializes() {
         let mut r = FlightRecorder::with_events(4);
-        r.event_at(
-            9,
-            Event::Telemetry {
-                worker: 2,
-                seq: 5,
-                pool_reuses: 31,
-            },
-        );
+        r.event_at(9, Event::Telemetry { worker: 2, seq: 5 });
         let line = r.events()[0].to_jsonl();
         assert_eq!(
             line,
-            "{\"t_us\":9,\"ev\":\"telemetry\",\"worker\":2,\"seq\":5,\"pool_reuses\":31}"
+            "{\"t_us\":9,\"ev\":\"telemetry\",\"worker\":2,\"seq\":5}"
         );
     }
 }

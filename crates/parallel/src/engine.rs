@@ -4,10 +4,10 @@
 //! best-first [`Engine::decide`], the Accept / Wait / Finished arms and
 //! the end-of-run fold. *How one unit is (re)aligned* is a
 //! [`repro_core::Unit`], defined next to the inline driver that shares
-//! it: single splits ([`repro_core::SplitUnit`]) or lane packs
-//! ([`repro_simd::PackUnit`]), with first-pass rows in the one store,
-//! [`repro_core::Common`]. The engine is monomorphised over the two,
-//! never `dyn`.
+//! it: packs of neighbouring splits ([`repro_core::PackUnit`]), one
+//! split wide under the row kernel or 4/8/16 under the lane kernel,
+//! with first-pass rows in the one store, [`repro_core::Common`]. The
+//! engine is monomorphised over the unit, never `dyn`.
 
 use parking_lot::{Condvar, Mutex};
 use repro_align::{Score, Scoring, Seq};
@@ -254,12 +254,10 @@ impl<U: Unit> Engine<'_, U> {
     }
 
     fn worker(&self) {
-        let mut local = self.unit.local();
         let mut guard = self.shared.lock();
         loop {
             match self.decide(&mut guard) {
                 Decision::Finished => {
-                    self.unit.retire(local, &mut guard.stats);
                     self.wake.notify_all();
                     return;
                 }
@@ -315,15 +313,13 @@ impl<U: Unit> Engine<'_, U> {
                     // stamps stays correct even if the sweep is later
                     // superseded.
                     let shared = &mut *guard;
-                    let plan = self
-                        .unit
-                        .plan(&mut shared.unit, &mut local, u, first, &shared.tops);
+                    let plan = self.unit.plan(&mut shared.unit, u, first, &shared.tops);
                     let swept = if U::is_replay(&plan) {
                         None
                     } else {
                         drop(guard);
                         let sweep_t0 = Instant::now();
-                        let swept = self.unit.sweep(&self.common, &mut local, &plan, &triangle);
+                        let swept = self.unit.sweep(&self.common, &plan, &triangle);
                         // Measure the unlocked sweep before re-acquiring
                         // the lock so contention does not inflate the
                         // sample.

@@ -23,10 +23,11 @@
 //! "the SIMD kernel speeds up each alignment, the SMP and cluster
 //! schemes distribute the alignments":
 //! [`find_top_alignments_parallel`]`(seq, scoring, &search, threads, rec)`
-//! schedules single splits ([`repro_core::SplitUnit`]);
+//! schedules 1-lane packs swept by the scalar row step;
 //! [`find_top_alignments_parallel_simd`]`(.., threads, sel, rec)`
-//! schedules lane packs of neighbouring splits
-//! ([`repro_simd::PackUnit`]) — the paper's SIMD × SMP stacking. Both
+//! schedules lane packs of neighbouring splits swept by the group
+//! kernel — the paper's SIMD × SMP stacking. Both schedule
+//! [`repro_core::PackUnit`], both
 //! take the shared [`repro_core::Search`] and return plain
 //! [`repro_core::TopAlignments`]; with one thread each is count for
 //! count the sequential engine of its unit. Workers tally under the
@@ -42,17 +43,17 @@ pub mod simd_smp;
 pub use simd_smp::find_top_alignments_parallel_simd;
 
 use repro_align::{Scoring, Seq};
-use repro_core::{Search, SplitUnit, TopAlignments};
+use repro_core::{PackUnit, ScoredSeq, Search, TopAlignments};
 use repro_obs::Recorder;
 
 /// Find the top alignments `search` asks for using `threads` worker
 /// threads. Produces exactly the same alignments as the sequential
 /// engine.
 ///
-/// With `search.checkpoint_budget` set, each worker keeps that many
-/// bytes of DP checkpoints and a private dirty-log replica synced from
-/// the shared top list under the lock, so the stamp a sweep runs under
-/// always matches the triangle snapshot it cloned. With `search.seed`
+/// With `search.checkpoint_budget` set, the packs' lane memos and that
+/// many bytes of DP checkpoints are shared under the lock, stamped
+/// against the shared top list at plan time, so the stamp a sweep runs
+/// under always matches the triangle snapshot it cloned. With `search.seed`
 /// set, every task starts at its admissible seed bound instead of
 /// infinity, and never-aligned tasks whose bound stays below every
 /// acceptance are never swept by any worker; bounds are refreshed (only
@@ -87,7 +88,7 @@ pub fn find_top_alignments_parallel<R: Recorder>(
     threads: usize,
     rec: &mut R,
 ) -> TopAlignments {
-    let unit = SplitUnit::new(seq, search.checkpoint_budget, None);
+    let unit = PackUnit::new(ScoredSeq::new(seq, scoring), search.checkpoint_budget);
     engine::run(&unit, seq, scoring, search, threads, rec)
 }
 

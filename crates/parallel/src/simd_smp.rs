@@ -12,13 +12,13 @@
 //! Correctness carries over unchanged from the split-level proof — the
 //! scheduler is the same code, `crate::engine`, and its tie-break
 //! argument is stated once, at [`repro_core::Unit`]; what is particular
-//! to lane packs is stated at the unit, [`repro_simd::PackUnit`].
+//! to packs is stated at the unit, [`repro_core::PackUnit`].
 
 use crate::engine;
 use repro_align::{Scoring, Seq};
-use repro_core::{Search, TopAlignments};
+use repro_core::{PackUnit, Search, TopAlignments};
 use repro_obs::Recorder;
-use repro_simd::{PackUnit, SimdSel};
+use repro_simd::{GroupSweeper, SimdSel};
 
 /// Find the top alignments `search` asks for with `threads` workers,
 /// each realigning whole groups through the `sel`-dispatched SIMD sweep.
@@ -28,7 +28,7 @@ use repro_simd::{PackUnit, SimdSel};
 /// lane-granular: lanes no accept has straddled since their last sweep
 /// replay from a shared memo under the lock, and the remaining lanes
 /// re-pack into a compacted group resumed from the deepest shared
-/// checkpoint row (see [`repro_simd::resume`]). With `search.seed` set,
+/// checkpoint row (see [`repro_core::pack`]). With `search.seed` set,
 /// every group enters the schedule at the maximum of its members' seed
 /// bounds, and whole lane-packs whose bound stays below every acceptance
 /// are never swept by any worker; bounds are refreshed (only ever
@@ -70,7 +70,10 @@ pub fn find_top_alignments_parallel_simd<R: Recorder>(
     sel: SimdSel,
     rec: &mut R,
 ) -> TopAlignments {
-    let unit = PackUnit::new(seq, scoring, sel, search.checkpoint_budget);
+    let unit = PackUnit::new(
+        GroupSweeper::new(seq, scoring, sel),
+        search.checkpoint_budget,
+    );
     engine::run(&unit, seq, scoring, search, threads, rec)
 }
 
@@ -311,11 +314,18 @@ mod tests {
         let s = &got.stats;
         assert!(s.checkpoint_hits > 0, "expected whole-group skips");
         assert!(s.realign_rows_skipped > 0);
-        // Each skip saves a group sweep outright.
+        // Every realignment (a stale pop past the one first pass of each
+        // pack) is a hit or a miss; a whole-pack replay is a hit that
+        // saves its group sweep outright, a resumed or compacted sweep a
+        // hit that still sweeps.
+        let packs = (seq.len() - 1).div_ceil(LaneWidth::X4.lanes()) as u64;
         assert_eq!(
-            rec.counter(Counter::GroupSweeps) + s.checkpoint_hits,
-            plain_rec.counter(Counter::GroupSweeps),
+            s.checkpoint_hits + s.checkpoint_misses,
+            s.stale_pops - packs
         );
+        let replays = plain_rec.counter(Counter::GroupSweeps) - rec.counter(Counter::GroupSweeps);
+        assert!(replays > 0, "expected whole-pack replays");
+        assert!(replays <= s.checkpoint_hits);
         // The schedule itself is untouched.
         assert_eq!(s.stale_pops, plain.stats.stale_pops);
         assert_eq!(s.fresh_pops, plain.stats.fresh_pops);

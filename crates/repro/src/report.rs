@@ -30,7 +30,11 @@ use repro_obs::{Counter, FlightRecorder, Metric, Phase};
 /// (batches sent, batch-size median, mean tasks per round trip), the
 /// SIMD per-lane skip/compaction counters, and the resume-depth median
 /// (`resume_rows` p50) — the lane-granular resume headline number.
-pub const REPORT_SCHEMA_VERSION: u64 = 5;
+/// Version 6 dropped `pool_reuses` (stats and counters; its scratch
+/// pool went with the split unit) and made a checkpoint hit any
+/// realignment a shortcut served, so `hits + misses` counts every
+/// realignment once.
+pub const REPORT_SCHEMA_VERSION: u64 = 6;
 
 /// One phase's accumulated wall-clock time and entry count.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,18 +139,16 @@ pub struct RunReport {
     pub cluster_retries: u64,
     /// Cluster tasks reassigned away from a dead worker.
     pub cluster_reassignments: u64,
-    /// Realignment sweeps served by the incremental layer (memo skip or
-    /// checkpoint resume).
+    /// Realignments, with checkpointing enabled, that a shortcut served
+    /// (a lane's memo replayed, or a resume below row 0).
     pub checkpoint_hits: u64,
-    /// Realignment sweeps run from row 0 with checkpointing enabled.
+    /// Realignments, with checkpointing enabled, that swept every lane
+    /// from row 0.
     pub checkpoint_misses: u64,
     /// Realignment DP rows actually swept (first passes excluded).
     pub realign_rows_swept: u64,
     /// Realignment DP rows skipped via memo or checkpoint resume.
     pub realign_rows_skipped: u64,
-    /// Row buffers served from the scratch pool instead of the
-    /// allocator.
-    pub pool_reuses: u64,
     /// Splits never aligned at all: their seed bound stayed below every
     /// acceptance for the whole run (0 when seeding is off).
     pub splits_pruned: u64,
@@ -210,7 +212,6 @@ impl RunReport {
             checkpoint_misses: stats.checkpoint_misses,
             realign_rows_swept: stats.realign_rows_swept,
             realign_rows_skipped: stats.realign_rows_skipped,
-            pool_reuses: stats.pool_reuses,
             splits_pruned: stats.splits_pruned,
             pruned_pops: stats.pruned_pops,
             bound_recomputes: stats.bound_recomputes,
@@ -299,7 +300,6 @@ impl RunReport {
                 "realign_rows_skipped",
                 num(self.realign_rows_skipped as f64),
             ),
-            ("pool_reuses", num(self.pool_reuses as f64)),
             ("splits_pruned", num(self.splits_pruned as f64)),
             ("pruned_pops", num(self.pruned_pops as f64)),
             ("bound_recomputes", num(self.bound_recomputes as f64)),
@@ -434,7 +434,6 @@ impl RunReport {
             "checkpoint_misses",
             "realign_rows_swept",
             "realign_rows_skipped",
-            "pool_reuses",
             "splits_pruned",
             "pruned_pops",
             "bound_recomputes",
@@ -591,7 +590,7 @@ mod tests {
         let err = RunReport::validate(&Json::parse(&bad).unwrap()).unwrap_err();
         assert!(err.contains("stale_pops"), "{err}");
         // Wrong schema version.
-        let bad = good.replace("\"schema_version\":5", "\"schema_version\":999");
+        let bad = good.replace("\"schema_version\":6", "\"schema_version\":999");
         let err = RunReport::validate(&Json::parse(&bad).unwrap()).unwrap_err();
         assert!(err.contains("schema_version"), "{err}");
         // Phase renamed.

@@ -170,23 +170,10 @@ pub fn chrome_trace(run: &RunReport, events: &[EventRecord]) -> Json {
                 let tid = name_worker_row(&mut out, worker);
                 out.push(trace_event("worker dead", "i", tid, e.t_us, None, vec![]));
             }
-            Event::Telemetry {
-                worker,
-                seq,
-                pool_reuses,
-            } => {
+            Event::Telemetry { worker, seq } => {
                 let tid = name_worker_row(&mut out, worker);
-                out.push(trace_event(
-                    "telemetry",
-                    "i",
-                    tid,
-                    e.t_us,
-                    None,
-                    vec![
-                        ("seq", num(seq as f64)),
-                        ("pool_reuses", num(pool_reuses as f64)),
-                    ],
-                ));
+                let args = vec![("seq", num(seq as f64))];
+                out.push(trace_event("telemetry", "i", tid, e.t_us, None, args));
             }
             Event::Resync { worker, applied } => {
                 let tid = name_worker_row(&mut out, worker);

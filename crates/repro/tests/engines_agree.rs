@@ -192,7 +192,7 @@ fn every_engine_folds_its_tallies_under_the_keys_the_benchmark_reads() {
                 .unwrap_or_else(|| panic!("{engine:?}: no phase {name}.{field}"))
         };
 
-        // The one `Stats`-to-recorder mirror: all nine pairs, and the
+        // The one `Stats`-to-recorder mirror: all eight pairs, and the
         // report's own copy of the stats field.
         let s = &analysis.tops.stats;
         for (name, want) in [
@@ -200,7 +200,6 @@ fn every_engine_folds_its_tallies_under_the_keys_the_benchmark_reads() {
             ("checkpoint_misses", s.checkpoint_misses),
             ("realign_rows_swept", s.realign_rows_swept),
             ("realign_rows_skipped", s.realign_rows_skipped),
-            ("pool_reuses", s.pool_reuses),
             ("splits_pruned", s.splits_pruned),
             ("pruned_pops", s.pruned_pops),
             ("bound_recomputes", s.bound_recomputes),
@@ -270,9 +269,9 @@ fn every_engine_folds_its_tallies_under_the_keys_the_benchmark_reads() {
 }
 
 /// One SMP worker *is* the sequential engine of the same unit of work,
-/// count for count: `threads:1` against the sequential engine (the
-/// split unit) and `simd-threads:1` against `simd` at every width (the
-/// lane-pack unit), plain, checkpointed under a budget that binds and
+/// count for count: `threads:1` against the sequential engine (1-lane
+/// packs, the row kernel) and `simd-threads:1` against `simd` at every
+/// width (the lane kernel), plain, checkpointed under a budget that binds and
 /// one that does not, seeded, and both. The schedulers differ; the tops
 /// and every computed-entry count — what proves the two callers of each
 /// unit share it, and the one row store its rows are moved into — may
@@ -332,7 +331,6 @@ fn one_worker_is_the_sequential_engine_count_for_count() {
                     ("bound_recomputes", s.bound_recomputes),
                     ("tracebacks", s.tracebacks),
                     ("traceback_cells", s.traceback_cells),
-                    ("pool_reuses", s.pool_reuses),
                     ("group_sweeps", counter(a, "group_sweeps")),
                 ]
             };

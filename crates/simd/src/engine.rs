@@ -9,8 +9,9 @@
 //! yields its best member as the next top alignment.
 //!
 //! §4.1 changes what a task is, not the loop, so this module holds no
-//! loop: [`PackUnit`] is the lane-pack [`Unit`], and
-//! [`find_top_alignments_simd`] hands it to the one inline driver,
+//! loop and no unit: [`GroupSweeper`] is the [`PackKernel`] of the one
+//! unit, [`repro_core::PackUnit`], and [`find_top_alignments_simd`]
+//! hands that unit to the one inline driver,
 //! [`repro_core::TopAlignmentFinder`] (`repro-parallel` hands the same
 //! unit to the SMP engine).
 //!
@@ -31,14 +32,12 @@
 
 use crate::dispatch::{sweep_group_profile_i16_at, sweep_group_wide_at, SimdSel};
 use crate::group::{GroupCapture, GroupResult, GroupResume};
-use crate::resume::{group_splits, LanePacks, PackPlan, PackSwept};
 use repro_align::{QueryProfile, Score, Scoring, Seq};
+use repro_core::pack::PackSweep;
 use repro_core::{
-    Common, FinderConfig, OverrideTriangle, Search, Stats, TopAlignment, TopAlignmentFinder,
-    TopAlignments, Unit,
+    FinderConfig, OverrideTriangle, PackKernel, PackUnit, Search, TopAlignmentFinder, TopAlignments,
 };
 use repro_obs::Recorder;
-use std::ops::Range;
 use std::sync::OnceLock;
 
 /// One group sweep's outcome: the (exact) group result plus how it was
@@ -171,168 +170,31 @@ impl<'a> GroupSweeper<'a> {
     }
 }
 
-/// A lane pack's first sweep, see [`GroupSweeper::first_pass`].
-#[derive(Debug)]
-pub struct FirstPass {
-    /// The clean (unmasked) sweep: its bottom rows are the pack's
-    /// shadow-store originals.
-    pub clean: SweepOutcome,
-    /// The masked resweep holding the current bottom rows; `None` when
-    /// no accepted pair straddles the pack and `clean` is both.
-    pub masked: Option<SweepOutcome>,
-    /// Snapshots at the requested capture rows, of the *masked*
-    /// recurrence — what realignments resume.
-    pub caps: Vec<GroupCapture>,
-}
-
-impl GroupSweeper<'_> {
-    /// First sweep of the ascending lane pack `rs`, capturing at
-    /// `capture_rows`, once accepts may already have grown `triangle`
-    /// (seeded pruning delays first sweeps). The clean sweep feeds the
-    /// shadow store; when an accepted pair straddles a lane, a masked
-    /// resweep yields the exact current rows. The two agree above the
-    /// pack's first dirty row, so the clean sweep takes the captures
-    /// down to it plus a snapshot there — capped below the smallest
-    /// split, where every lane still has state — and the masked sweep
-    /// resumes from that snapshot and takes the rest.
-    pub fn first_pass(
-        &self,
-        rs: &[usize],
-        triangle: &OverrideTriangle,
-        capture_rows: &[usize],
-    ) -> FirstPass {
-        let dirty = rs
-            .iter()
-            .filter_map(|&r| triangle.first_straddling_row(r))
-            .min();
-        let Some(dirty) = dirty else {
-            let (clean, caps) = self.sweep_at(rs, None, None, capture_rows);
-            return FirstPass {
-                clean,
-                masked: None,
-                caps,
-            };
-        };
-        let d = dirty.min(rs[0] - 1);
-        let mut clean_rows: Vec<usize> = capture_rows.iter().copied().filter(|&c| c < d).collect();
-        if d > 0 {
-            clean_rows.push(d);
-        }
-        let (clean, mut caps) = self.sweep_at(rs, None, None, &clean_rows);
-        let masked_rows: Vec<usize> = capture_rows.iter().copied().filter(|&c| c > d).collect();
-        let (masked, masked_caps) = {
-            let resume = (d > 0).then(|| caps.last().expect("captured at d").as_resume());
-            self.sweep_at(rs, Some(triangle), resume.as_ref(), &masked_rows)
-        };
-        if d > 0 && !capture_rows.contains(&d) {
-            caps.pop();
-        }
-        caps.extend(masked_caps);
-        FirstPass {
-            clean,
-            masked: Some(masked),
-            caps,
-        }
-    }
-}
-
-/// The lane-pack unit of work: unit `u` is group `u` of the shared
-/// [`LanePacks`] — lane memos and the budget-capped checkpoint store,
-/// which the SMP engine keeps under its lock, where plan takes state out
-/// and commit puts it back; the sweep runs on that owned state through
-/// the [`GroupSweeper`] all workers share read-only. A worker keeps
-/// nothing to itself.
-pub struct PackUnit<'a> {
-    sweeper: GroupSweeper<'a>,
-    lanes: usize,
-    splits: usize,
-    checkpoint_budget: Option<usize>,
-}
-
-impl<'a> PackUnit<'a> {
-    /// The lane packs of `seq` at `sel`'s width, swept by `sel`'s
-    /// kernel, checkpointing within `checkpoint_budget`.
-    pub fn new(
-        seq: &'a Seq,
-        scoring: &'a Scoring,
-        sel: SimdSel,
-        checkpoint_budget: Option<usize>,
-    ) -> Self {
-        PackUnit {
-            sweeper: GroupSweeper::new(seq, scoring, sel),
-            lanes: sel.width.lanes(),
-            splits: seq.len().saturating_sub(1),
-            checkpoint_budget,
-        }
-    }
-}
-
-impl Unit for PackUnit<'_> {
-    type Locked = LanePacks;
-    type Local = ();
-    type Plan = PackPlan;
-    type Swept = PackSwept;
-
-    fn units(&self) -> usize {
-        self.splits.div_ceil(self.lanes)
+/// The lane kernel: a pack is one interleaved group sweep at the
+/// selection's width.
+impl PackKernel for GroupSweeper<'_> {
+    fn lanes(&self) -> usize {
+        self.sel.width.lanes()
     }
 
-    fn splits(&self, u: usize) -> Range<usize> {
-        group_splits(self.splits, self.lanes, u)
-    }
-
-    fn locked(&self) -> LanePacks {
-        LanePacks::new(self.splits, self.lanes, self.checkpoint_budget)
-    }
-
-    fn local(&self) {}
-
-    fn plan(
-        &self,
-        packs: &mut LanePacks,
-        _: &mut (),
-        u: usize,
-        first: bool,
-        tops: &[TopAlignment],
-    ) -> PackPlan {
-        packs.plan(u, first, tops)
-    }
-
-    /// A whole-group skip (every lane clean) is replayed without a
-    /// sweep — no DP at all, and on the SMP engine under the lock.
-    fn is_replay(plan: &PackPlan) -> bool {
-        plan.is_replay()
+    fn splits(&self) -> usize {
+        self.seq.len().saturating_sub(1)
     }
 
     fn sweep(
         &self,
-        common: &Common<'_>,
-        _: &mut (),
-        plan: &PackPlan,
-        triangle: &OverrideTriangle,
-    ) -> PackSwept {
-        let mut swept = plan.sweep(&self.sweeper, triangle, |r| common.row(r));
-        // A first pass hands its clean rows over by value: moved into
-        // the write-once store, not copied.
-        for (&r, row) in plan.splits().iter().zip(swept.first_rows.drain(..)) {
-            common.set_row(r, row);
-        }
-        swept
-    }
-
-    fn commit<R: Recorder>(
-        &self,
-        packs: &mut LanePacks,
-        stats: &mut Stats,
-        rec: &mut R,
-        plan: PackPlan,
-        swept: Option<PackSwept>,
-    ) -> Score {
-        packs.commit(stats, rec, plan, swept)
-    }
-
-    fn best_member(&self, packs: &LanePacks, u: usize, _: Score) -> (usize, Score) {
-        packs.best_member(u)
+        rs: &[usize],
+        triangle: Option<&OverrideTriangle>,
+        resume: Option<&GroupResume<'_>>,
+        capture_rows: &[usize],
+    ) -> (PackSweep, Vec<GroupCapture>) {
+        let (outcome, caps) = self.sweep_at(rs, triangle, resume, capture_rows);
+        let sweep = PackSweep {
+            rows: outcome.group.rows,
+            cells: outcome.group.cells,
+            vector: Some((outcome.saturated_narrow, outcome.promoted)),
+        };
+        (sweep, caps)
     }
 }
 
@@ -343,7 +205,7 @@ impl Unit for PackUnit<'_> {
 /// With `search.checkpoint_budget` set, a stale group's lanes are
 /// classified individually — clean lanes replay their memoised exact
 /// scores, the rest re-pack into a compacted group swept from the
-/// deepest checkpoint row shared by the pack (see [`crate::resume`]).
+/// deepest checkpoint row shared by the pack (see [`repro_core::pack`]).
 /// With `search.seed` set, every group enters the queue at the maximum
 /// of its members' seed bounds, a never-swept group popped with a stale
 /// bound is requeued at its tightened bound without sweeping (a
@@ -379,7 +241,10 @@ pub fn find_top_alignments_simd<R: Recorder>(
     sel: SimdSel,
     rec: &mut R,
 ) -> TopAlignments {
-    let unit = PackUnit::new(seq, scoring, sel, search.checkpoint_budget);
+    let unit = PackUnit::new(
+        GroupSweeper::new(seq, scoring, sel),
+        search.checkpoint_budget,
+    );
     TopAlignmentFinder::with_unit(seq, scoring, FinderConfig::new(*search), unit).run_recorded(rec)
 }
 
@@ -388,7 +253,8 @@ mod tests {
     use super::*;
     use crate::dispatch::{select, DispatchPath};
     use crate::LaneWidth;
-    use repro_core::{find_top_alignments, SeedConfig};
+    use repro_core::pack::first_pass;
+    use repro_core::{find_top_alignments, ScoredSeq, SeedConfig};
     use repro_obs::{Counter, FlightRecorder, NoopRecorder, Phase};
 
     const ALL_WIDTHS: [LaneWidth; 3] = [LaneWidth::X4, LaneWidth::X8, LaneWidth::X16];
@@ -437,7 +303,10 @@ mod tests {
         use repro_core::Step::{Accepted, Realigned};
         let seq = Seq::dna("ATGCATGCATGC").unwrap();
         let scoring = Scoring::dna_example();
-        let unit = PackUnit::new(&seq, &scoring, sel_for(LaneWidth::X4), None);
+        let unit = PackUnit::new(
+            GroupSweeper::new(&seq, &scoring, sel_for(LaneWidth::X4)),
+            None,
+        );
         let config = FinderConfig::new(Search::new(3));
         let mut finder = TopAlignmentFinder::with_unit(&seq, &scoring, config, unit);
         let trace: Vec<_> =
@@ -470,18 +339,36 @@ mod tests {
 
     /// A pack's first pass under a grown triangle — clean sweep down to
     /// the first dirty row, masked sweep resumed there — returns the
-    /// rows and *every* requested capture of two full sweeps from row 0.
+    /// rows and *every* requested capture of two full sweeps from row 0,
+    /// at width 1 (the row kernel, one split at a time) and ×4/×8/×16.
     #[test]
     fn late_first_pass_equals_two_full_sweeps() {
         let seq = Seq::dna(&"ACGGTACGTTACGGAACGT".repeat(4)).unwrap();
         let scoring = Scoring::dna_example();
-        let sel = select(Some(LaneWidth::X4), Some(DispatchPath::Portable)).unwrap();
-        let sweeper = GroupSweeper::new(&seq, &scoring, sel);
         let rs = [40usize, 41, 42, 43];
         let capture_rows = [5usize, 12, 20, 30, 41];
+        let row = ScoredSeq::new(&seq, &scoring);
+        for r in rs {
+            let own: Vec<usize> = capture_rows.iter().copied().filter(|&c| c < r).collect();
+            check_first_pass_under_grown_triangle(&row, &seq, &[r], &own);
+        }
+        for width in ALL_WIDTHS {
+            let sel = select(Some(width), Some(DispatchPath::Portable)).unwrap();
+            let sweeper = GroupSweeper::new(&seq, &scoring, sel);
+            check_first_pass_under_grown_triangle(&sweeper, &seq, &rs, &capture_rows);
+        }
+    }
+
+    /// The test above for one kernel and pack: the first dirty row
+    /// none, 0, between captures, on a capture, below the smallest split
+    /// (capped to it).
+    fn check_first_pass_under_grown_triangle<K: PackKernel>(
+        kernel: &K,
+        seq: &Seq,
+        rs: &[usize],
+        capture_rows: &[usize],
+    ) {
         let empty = OverrideTriangle::new(seq.len());
-        // First dirty row: none, 0, between captures, on a capture,
-        // below the smallest split (capped to it).
         for pairs in [
             vec![(50, 60)],
             vec![(0, 45), (20, 50)],
@@ -493,17 +380,20 @@ mod tests {
             for &(p, q) in &pairs {
                 triangle.set(p, q);
             }
-            let fp = sweeper.first_pass(&rs, &triangle, &capture_rows);
-            let (clean, _) = sweeper.sweep_at(&rs, Some(&empty), None, &[]);
-            let (masked, caps) = sweeper.sweep_at(&rs, Some(&triangle), None, &capture_rows);
-            assert_eq!(fp.clean.group.rows, clean.group.rows, "{pairs:?}");
-            let straddled = rs.iter().any(|&r| triangle.first_straddling_row(r).is_some());
-            assert_eq!(fp.masked.is_some(), straddled, "{pairs:?}");
+            let what = format!("{pairs:?} on {rs:?}");
+            let fp = first_pass(kernel, rs, &triangle, capture_rows);
+            let (clean, _) = kernel.sweep(rs, Some(&empty), None, &[]);
+            let (masked, caps) = kernel.sweep(rs, Some(&triangle), None, capture_rows);
+            assert_eq!(fp.clean.rows, clean.rows, "{what}");
+            let straddled = rs
+                .iter()
+                .any(|&r| triangle.first_straddling_row(r).is_some());
+            assert_eq!(fp.masked.is_some(), straddled, "{what}");
             let current = fp.masked.as_ref().unwrap_or(&fp.clean);
-            assert_eq!(current.group.rows, masked.group.rows, "{pairs:?}");
-            assert_eq!(fp.caps.len(), caps.len(), "{pairs:?}");
+            assert_eq!(current.rows, masked.rows, "{what}");
+            assert_eq!(fp.caps.len(), caps.len(), "{what}");
             for (got, want) in fp.caps.iter().zip(&caps) {
-                assert_eq!((got.row, &got.lanes), (want.row, &want.lanes), "{pairs:?}");
+                assert_eq!((got.row, &got.lanes), (want.row, &want.lanes), "{what}");
             }
         }
     }

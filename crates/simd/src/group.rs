@@ -56,6 +56,7 @@
 
 use crate::lanes::{SimdElem, SimdVec};
 use repro_align::{stripe_for_bytes, QueryProfile, Score, Scoring};
+pub use repro_core::pack::{GroupCapture, GroupResume, LaneResume};
 use repro_core::OverrideTriangle;
 
 /// Per-lane results of one group alignment.
@@ -79,59 +80,6 @@ pub struct GroupResult {
     /// must recompute the group exactly (promote `i16 → i32`, or fall
     /// back to the scalar kernel).
     pub saturated: bool,
-}
-
-/// One packed lane's restored inter-row state: the kernel's `m` and
-/// `maxy` over the lane's *own* columns (`q ∈ [r, m)`), exactly the
-/// layout of a scalar [`repro_align::Checkpoint`] for that split.
-#[derive(Debug, Clone, Copy)]
-pub struct LaneResume<'a> {
-    /// `M[row−1][x]` for the lane's columns.
-    pub m: &'a [Score],
-    /// Per-column vertical-gap running maxima after row `row−1`.
-    pub maxy: &'a [Score],
-}
-
-/// Resume input for a group sweep: every packed lane's state after rows
-/// `0..row` (one entry per lane, same order as `rs`). All lanes resume
-/// from the same row — the engines pick the deepest checkpoint row that
-/// is valid and present for *every* packed lane.
-#[derive(Debug, Clone)]
-pub struct GroupResume<'a> {
-    /// Rows `0..row` are already reflected in the state (`row ≥ 1`).
-    pub row: usize,
-    /// Per-lane restored state, `lanes[l]` for split `rs[l]`.
-    pub lanes: Vec<LaneResume<'a>>,
-}
-
-/// One inter-row snapshot captured during a group sweep, de-interleaved
-/// back to per-lane scalar state.
-#[derive(Debug, Clone)]
-pub struct GroupCapture {
-    /// The snapshot reflects rows `0..row`.
-    pub row: usize,
-    /// Per packed lane: `(m, maxy)` over the lane's own columns — the
-    /// exact contents of a scalar checkpoint at this row. `None` for
-    /// lanes whose split `rs[l] ≤ row` (their matrix ended above it).
-    pub lanes: Vec<Option<(Vec<Score>, Vec<Score>)>>,
-}
-
-impl GroupCapture {
-    /// This snapshot as the resume input of a later sweep of the same
-    /// pack. Every lane must extend below the captured row.
-    pub fn as_resume(&self) -> GroupResume<'_> {
-        GroupResume {
-            row: self.row,
-            lanes: self
-                .lanes
-                .iter()
-                .map(|lane| {
-                    let (m, maxy) = lane.as_ref().expect("lane ends above the captured row");
-                    LaneResume { m, maxy }
-                })
-                .collect(),
-        }
-    }
 }
 
 /// Stripe width for a group sweep of `lanes` lanes of `elem_bytes`-byte

@@ -23,8 +23,9 @@
 //!   border corrections and lane-uniform override masking; two sweep
 //!   bodies, the historical per-cell lookup and the query-profile form
 //!   (one contiguous load per cell, profile built once per sequence).
-//! * [`engine`] — group-granular top-alignment search: groups of
-//!   neighbouring splits are the [`PackUnit`] the one inline driver
+//! * [`engine`] — group-granular top-alignment search: [`GroupSweeper`]
+//!   is the [`repro_core::PackKernel`] that sweeps the lane packs of the
+//!   one unit, [`repro_core::PackUnit`], which the one inline driver
 //!   ([`repro_core::TopAlignmentFinder`]) schedules through its
 //!   best-first queue, the highest-scoring member sets the group's
 //!   priority, and results are bit-identical to the sequential engine
@@ -47,18 +48,16 @@ pub mod dispatch;
 pub mod engine;
 pub mod group;
 pub mod lanes;
-pub mod resume;
 #[cfg(test)]
 pub(crate) mod test_support;
 
 pub use dispatch::{auto_path, select, DispatchError, DispatchPath, SimdSel};
-pub use engine::{find_top_alignments_simd, FirstPass, GroupSweeper, PackUnit, SweepOutcome};
+pub use engine::{find_top_alignments_simd, GroupSweeper, SweepOutcome};
 pub use group::{
     align_group, align_group_profile, align_group_striped, group_stripe, GroupCapture,
     GroupResult, GroupResume, LaneResume, DEFAULT_GROUP_STRIPE,
 };
 pub use lanes::{I16x16, I16x4, I16x8, SimdVec};
-pub use resume::SIMD_MAX_CKPTS;
 
 /// Lane-width selection: the paper's Table 2 columns (4 = SSE, 8 = SSE2)
 /// extended with the AVX2 width (16).

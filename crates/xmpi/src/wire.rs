@@ -42,7 +42,9 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"rpro");
 /// would mis-frame every task and result.
 /// v7: the trailer is [`frame_checksum`] (word at a time) where it was
 /// byte-serial FNV-1a, so every v6 trailer fails to verify.
-pub const VERSION: u32 = 7;
+/// v8: the `pool_reuses` counter is gone, so a telemetry frame carries
+/// one counter word fewer and a v7 peer would mis-frame every one.
+pub const VERSION: u32 = 8;
 
 /// Bytes of frame header (`magic + version + len`) before the payload.
 pub const FRAME_HEADER: usize = 12;

@@ -9,7 +9,7 @@
 # so the size of each step is a reviewed line.
 total=0
 table=$(
-    for crate in core simd parallel cluster repro cli; do
+    for crate in core simd parallel cluster repro cli align obs xmpi; do
         n=$(find "crates/$crate/src" -name '*.rs' -print0 | xargs -0 awk '
             FNR == 1 { held = 0; done = 0 }
             done { next }
