@@ -39,7 +39,6 @@
 
 use repro::cluster::protocol::{ResultMsg, ResultsMsg, Work};
 use repro::core::PackUnit;
-use repro::core::Unit;
 use repro::obs::json::Json;
 use repro::simd::{select, GroupSweeper, LaneWidth};
 use repro::xmpi::socket::{SocketHub, SocketPeer};

@@ -446,7 +446,7 @@ fn worker_subcommand_requires_connect() {
 #[test]
 fn worker_subcommand_serves_a_real_master_over_sockets() {
     use repro::cluster::protocol::{tag, JobMsg, ResultsMsg, TaskItem, TaskMsg};
-    use repro::core::{PackUnit, Unit};
+    use repro::core::PackUnit;
     use repro::simd::GroupSweeper;
     use repro::xmpi::socket::SocketHub;
     use repro::xmpi::Comm;

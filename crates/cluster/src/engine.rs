@@ -5,8 +5,8 @@
 //! workers holding a replicated override triangle and a cache of
 //! first-pass bottom rows. A worker runs `T` sweep threads over one
 //! replica — one in [`run_cluster`] and in a worker process, a node's
-//! CPUs in [`crate::run_hybrid`] — that share everything but their
-//! unit's private state, and take turns on the rank's endpoint behind a
+//! CPUs in [`crate::run_hybrid`] — that share everything, their packs'
+//! state included, and take turns on the rank's endpoint behind a
 //! mutex, as the paper guards its MPI calls.
 //!
 //! A worker reads its inbox in arrival order, and a thread reads the
@@ -37,7 +37,9 @@ use crate::protocol::{tag, AcceptedMsg, ResultsMsg, ResyncMsg, TaskItem, TaskMsg
 use crate::recovery::{idle_payload, master_loop, RecoveryConfig, BEACON_PERIOD, WORKER_POLL};
 use parking_lot::{Mutex, MutexGuard};
 use repro_align::{Scoring, Seq};
-use repro_core::{Common, OverrideTriangle, PackUnit, Search, TopAlignment, TopAlignments, Unit};
+use repro_core::{
+    Common, LanePacks, OverrideTriangle, PackKernel, PackUnit, Search, TopAlignment, TopAlignments,
+};
 use repro_obs::{FlightRecorder, Metric, Recorder};
 use repro_simd::{select, GroupSweeper, SimdSel};
 use repro_xmpi::thread::{FaultPlan, ThreadComm};
@@ -175,14 +177,14 @@ struct Queued {
 /// A worker rank: what its sweep threads share. The profiled sequence
 /// and its rows (written once each) need no lock, the endpoint has its
 /// own, and everything else sits under one lock in [`Replica`]; a thread
-/// keeps only its unit's private state and its idle clock.
-struct Worker<'a, C, U: Unit> {
-    unit: U,
+/// keeps only its idle clock.
+struct Worker<'a, C, K: PackKernel> {
+    unit: PackUnit<K>,
     /// The profiled sequence and every first-pass row this worker has
     /// computed or been sent.
     common: Common<'a>,
     comm: Mutex<C>,
-    replica: Mutex<Replica<U::Locked>>,
+    replica: Mutex<Replica>,
     threads: usize,
     /// Test hook: extra wall time every sweep takes.
     #[cfg(test)]
@@ -190,7 +192,7 @@ struct Worker<'a, C, U: Unit> {
 }
 
 /// A worker's replica, run queue and telemetry, under its lock.
-struct Replica<L> {
+struct Replica {
     /// The override triangle: a sweep holds a snapshot, so an ACCEPTED
     /// copies it only while another thread sweeps.
     triangle: Arc<OverrideTriangle>,
@@ -198,7 +200,7 @@ struct Replica<L> {
     /// version is their count, and the unit's plan stamps against them.
     accepted: Vec<TopAlignment>,
     /// The unit's state the threads share.
-    locked: L,
+    packs: LanePacks,
     /// Every received task item not yet run, in arrival order. An item
     /// runs once the replica has reached its stamp and no other thread
     /// sweeps its unit.
@@ -221,7 +223,7 @@ struct Replica<L> {
     tele_seq: u64,
 }
 
-impl<L> Replica<L> {
+impl Replica {
     /// ACCEPTED broadcasts applied so far: the replica's version.
     fn applied(&self) -> usize {
         self.accepted.len()
@@ -239,13 +241,13 @@ impl<L> Replica<L> {
     }
 }
 
-/// The worker body, generic over the transport and the unit: the exact
+/// The worker body, generic over the transport and the kernel: the exact
 /// same loop serves a simulator thread (rank = a `ThreadComm` endpoint),
 /// a worker process (rank = a `SocketPeer`) and a hybrid node, on
 /// `threads` sweep threads (the calling one among them). See the module
 /// docs for the message-order/resync discipline.
-pub(crate) fn worker_loop<C: Comm + Send, U: Unit>(
-    unit: U,
+pub(crate) fn worker_loop<C: Comm + Send, K: PackKernel>(
+    unit: PackUnit<K>,
     seq: &Seq,
     scoring: &Scoring,
     comm: C,
@@ -255,8 +257,8 @@ pub(crate) fn worker_loop<C: Comm + Send, U: Unit>(
     Worker::new(unit, seq, scoring, comm, threads).serve(deadline);
 }
 
-impl<'a, C: Comm + Send, U: Unit> Worker<'a, C, U> {
-    fn new(unit: U, seq: &'a Seq, scoring: &'a Scoring, comm: C, threads: usize) -> Self {
+impl<'a, C: Comm + Send, K: PackKernel> Worker<'a, C, K> {
+    fn new(unit: PackUnit<K>, seq: &'a Seq, scoring: &'a Scoring, comm: C, threads: usize) -> Self {
         assert!(threads >= 1, "a worker needs a sweep thread");
         let now = Instant::now();
         Worker {
@@ -265,7 +267,7 @@ impl<'a, C: Comm + Send, U: Unit> Worker<'a, C, U> {
             replica: Mutex::new(Replica {
                 triangle: Arc::new(OverrideTriangle::new(seq.len())),
                 accepted: Vec::new(),
-                locked: unit.locked(),
+                packs: unit.packs(),
                 queue: VecDeque::new(),
                 running: Vec::new(),
                 sent: HashSet::new(),
@@ -403,7 +405,7 @@ impl<'a, C: Comm + Send, U: Unit> Worker<'a, C, U> {
 
     /// The beacon of a thread with nothing to run, and the cumulative
     /// telemetry snapshot that rides along.
-    fn beacon(&self, replica: &mut Replica<U::Locked>) -> Vec<(u32, Vec<u8>)> {
+    fn beacon(&self, replica: &mut Replica) -> Vec<(u32, Vec<u8>)> {
         // A worker with an empty queue re-announces every slot as IDLE
         // (idempotent at the master — it dedupes per slot, so slots busy
         // on other threads stay busy — and robust to a lost first one);
@@ -431,7 +433,7 @@ impl<'a, C: Comm + Send, U: Unit> Worker<'a, C, U> {
     /// proves an endpoint dead.
     fn run(
         &self,
-        mut replica: MutexGuard<'_, Replica<U::Locked>>,
+        mut replica: MutexGuard<'_, Replica>,
         pos: usize,
         idle_since: Instant,
     ) -> bool {
@@ -440,18 +442,18 @@ impl<'a, C: Comm + Send, U: Unit> Worker<'a, C, U> {
         replica.running.push(u);
         let waited = idle_since.elapsed().as_nanos() as u64;
         replica.wrec.observe(Metric::QueueWaitNs, waited);
-        let Replica { triangle, accepted, locked, .. } = &mut *replica;
-        let mut claim = Claim::new(&self.unit, locked, (&self.common, accepted), item);
+        let Replica { triangle, accepted, packs, .. } = &mut *replica;
+        let mut claim = Claim::new(&self.unit, packs, (&self.common, accepted), item);
         let triangle = Arc::clone(triangle);
         drop(replica);
         #[cfg(test)]
         std::thread::sleep(self.sweep_pad);
-        claim.sweep(&self.unit, &self.common, &triangle);
+        claim.sweep(&triangle);
         drop(triangle);
         let mut replica = self.replica.lock();
         replica.running.retain(|&v| v != u);
-        let Replica { locked, wrec, .. } = &mut *replica;
-        let res = claim.commit(&self.unit, locked, &self.common, wrec);
+        let Replica { packs, wrec, .. } = &mut *replica;
+        let res = claim.commit(packs, wrec);
         drop(replica);
         // A repeat means an earlier copy was lost en route: send two
         // copies back to back so a period-2 loss pattern cannot swallow
@@ -949,7 +951,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn telemetry_ships_worker_histograms_and_pool_reuses_home() {
+    fn telemetry_ships_worker_histograms_and_lane_counters_home() {
         use repro_obs::{Event, FlightRecorder, Metric};
         let motif = "ATGCATGCATGC";
         let text = format!("GGTTCCAA{motif}CCAAGGTT{motif}TGCATTGG");
@@ -1010,15 +1012,15 @@ pub(crate) mod tests {
     /// exhausted, and every receive and every RESULT frame is logged in
     /// order. RESULT frames are decoded against `unit`, and their items
     /// kept whole in `results`.
-    struct Scripted<U> {
-        unit: U,
+    struct Scripted<K> {
+        unit: PackUnit<K>,
         script: Mutex<VecDeque<Message>>,
         log: Mutex<Vec<Logged>>,
         results: Mutex<Vec<ResultMsg>>,
     }
 
-    impl<U: Unit> Scripted<U> {
-        fn new(unit: U, script: impl IntoIterator<Item = Message>) -> Self {
+    impl<K: PackKernel> Scripted<K> {
+        fn new(unit: PackUnit<K>, script: impl IntoIterator<Item = Message>) -> Self {
             Scripted {
                 unit,
                 script: Mutex::new(script.into_iter().collect()),
@@ -1037,7 +1039,7 @@ pub(crate) mod tests {
         Results(Vec<(usize, u64, usize)>),
     }
 
-    impl<U: Unit> Comm for Scripted<U> {
+    impl<K: PackKernel> Comm for Scripted<K> {
         fn rank(&self) -> usize {
             1
         }
@@ -1214,22 +1216,16 @@ pub(crate) mod tests {
         for &(p, q) in tops.iter().flat_map(|t| &t.pairs) {
             triangle.set(p, q);
         }
-        let mut locked = unit.locked();
-        let plan = unit.plan(&mut locked, u, false, &tops);
+        let mut packs = unit.packs();
+        let plan = packs.plan(u, false, &tops);
         let swept = unit.sweep(&common, &plan, &triangle);
         let mut grown = Stats::new();
-        let score = unit.commit(
-            &mut locked,
-            &mut grown,
-            &mut NoopRecorder,
-            plan,
-            Some(swept),
-        );
+        packs.commit(&mut grown, &mut NoopRecorder, plan, Some(swept));
         let want = ResultMsg {
             unit: u,
             stamp: 2,
             attempt: 1,
-            best: unit.best_member(&locked, u, score),
+            best: packs.best_member(u),
             rows: vec![],
             work: Work::of(&grown),
         };
@@ -1251,7 +1247,11 @@ pub(crate) mod tests {
     /// check. Results go out between sweeps instead, so the master
     /// keeps hearing from both workers — also while every thread of a
     /// two-thread worker sweeps, when none of them beacons.
-    fn slow_sweeps_on<U: Unit>(seq: &Seq, scoring: &Scoring, unit: impl Fn() -> U + Sync) {
+    fn slow_sweeps_on<K: PackKernel>(
+        seq: &Seq,
+        scoring: &Scoring,
+        unit: impl Fn() -> PackUnit<K> + Sync,
+    ) {
         let want = find_top_alignments(seq, scoring, 2);
         let overall = Duration::from_secs(60);
         let config = RecoveryConfig {

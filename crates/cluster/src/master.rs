@@ -27,14 +27,16 @@
 //!   tasks against its own (authoritative) triangle, which completes
 //!   the search with the exact sequential result instead of stalling.
 //!
-//! The machine is the third driver of a [`Unit`] (a pack of one split
-//! under the row kernel, or of 4/8/16 under the lane kernel), next to
-//! the inline loop and the SMP engine.
+//! The machine is the third driver of a [`PackUnit`] (a pack of one
+//! split under the row kernel, or of 4/8/16 under the lane kernel), next
+//! to the inline loop and the SMP engine.
 
 use crate::protocol::{AcceptedMsg, ResultMsg, TaskItem, TaskMsg, Work};
 use repro_align::{Score, Scoring, Seq};
+use repro_core::pack::{PackPlan, PackSwept};
 use repro_core::{
-    Common, OverrideTriangle, PackUnit, ScoredSeq, Search, SplitBounds, Stats, TopAlignment, Unit,
+    Common, LanePacks, OverrideTriangle, PackKernel, PackUnit, ScoredSeq, Search, SplitBounds,
+    Stats, TopAlignment,
 };
 use repro_obs::{Metric, NoopRecorder, Recorder};
 use std::collections::{HashMap, HashSet};
@@ -99,9 +101,9 @@ impl TaskState {
     }
 }
 
-/// The master's complete state, scheduling the units of `U`.
-pub struct MasterState<'a, U: Unit = PackUnit<ScoredSeq<'a>>> {
-    unit: U,
+/// The master's complete state, scheduling the packs `K` sweeps.
+pub struct MasterState<'a, K: PackKernel = ScoredSeq<'a>> {
+    unit: PackUnit<K>,
     /// The profiled sequence and the first-pass rows, as the results
     /// bring them home.
     common: Common<'a>,
@@ -148,12 +150,17 @@ impl<'a> MasterState<'a> {
     }
 }
 
-impl<'a, U: Unit> MasterState<'a, U> {
+impl<'a, K: PackKernel> MasterState<'a, K> {
     /// A master running `search` on `seq`, one unit of `unit` to a task.
     /// With `search.seed` set every unit starts at its members' loosest
     /// seed bound instead of `Score::MAX`, so a unit whose bound never
     /// reaches the acceptance frontier is never assigned at all.
-    pub fn with_unit(unit: U, seq: &'a Seq, scoring: &'a Scoring, search: &Search) -> Self {
+    pub fn with_unit(
+        unit: PackUnit<K>,
+        seq: &'a Seq,
+        scoring: &'a Scoring,
+        search: &Search,
+    ) -> Self {
         let Search { count, seed, .. } = *search;
         let bounds = seed.map(|sc| SplitBounds::build(seq.codes(), scoring, sc));
         let mut stats = Stats::new();
@@ -195,7 +202,7 @@ impl<'a, U: Unit> MasterState<'a, U> {
     }
 
     /// The unit of work tasks and results are decoded against.
-    pub fn unit(&self) -> &U {
+    pub fn unit(&self) -> &PackUnit<K> {
         &self.unit
     }
 
@@ -252,11 +259,6 @@ impl<'a, U: Unit> MasterState<'a, U> {
     /// Registered workers not declared dead.
     pub fn live_workers(&self) -> usize {
         self.worker_has_row.len()
-    }
-
-    /// `true` iff `worker` has been declared dead.
-    pub fn is_dead(&self, worker: usize) -> bool {
-        self.dead.contains(&worker)
     }
 
     /// Consume the machine, yielding the final result.
@@ -457,16 +459,15 @@ impl<'a, U: Unit> MasterState<'a, U> {
         out
     }
 
-    /// Run one task on the master itself, on throwaway unit state,
+    /// Run one task on the master itself, on throwaway packs,
     /// against the master's own triangle — always at version
     /// `tops.len()`, which equals every locally issued stamp. A first
     /// pass moves its rows straight into the master's store; the copies
     /// its result carries are not stored again.
     fn compute_local(&self, stamp: usize, task: TaskItem) -> ResultMsg {
         debug_assert_eq!(stamp, self.tops.len());
-        let unit = &self.unit;
         let replica = (&self.common, &self.triangle, &self.tops[..]);
-        run_task(unit, &mut unit.locked(), replica, task, &mut NoopRecorder)
+        run_task(&self.unit, &mut self.unit.packs(), replica, task, &mut NoopRecorder)
     }
 
     /// Advance: accept while possible, then hand work to idle workers —
@@ -699,23 +700,25 @@ impl<'a, U: Unit> MasterState<'a, U> {
 /// result to send. A worker's sweep threads, the local fallback and the
 /// simulator answer every task through these; [`run_task`] is the three
 /// back to back.
-pub(crate) struct Claim<U: Unit> {
-    /// The task, its attached rows already stored.
+pub(crate) struct Claim<'u, K> {
+    unit: &'u PackUnit<K>,
+    /// The replica's rows, the task's attached ones already stored.
+    common: &'u Common<'u>,
     task: TaskItem,
     /// The replica version planned against: the result's stamp.
     stamp: usize,
-    plan: U::Plan,
+    plan: PackPlan,
     /// What the sweep returned (`None`: a replay), and how long it took.
-    swept: Option<(U::Swept, u64)>,
+    swept: Option<(PackSwept, u64)>,
 }
 
-impl<U: Unit> Claim<U> {
+impl<'u, K: PackKernel> Claim<'u, K> {
     /// Store the rows `task` brought in `common`, and plan it on the
-    /// caller's unit state under the triangle `tops` built.
+    /// caller's `packs` under the triangle `tops` built.
     pub(crate) fn new(
-        unit: &U,
-        locked: &mut U::Locked,
-        (common, tops): (&Common, &[TopAlignment]),
+        unit: &'u PackUnit<K>,
+        packs: &mut LanePacks,
+        (common, tops): (&'u Common<'u>, &[TopAlignment]),
         mut task: TaskItem,
     ) -> Self {
         for (r, row) in std::mem::take(&mut task.rows) {
@@ -727,35 +730,29 @@ impl<U: Unit> Claim<U> {
         // was lost and the master retransmitted the task — is a
         // realignment here: the rows go home again with the result.
         let fresh = task.first && !unit.splits(task.unit).all(|r| common.has_row(r));
-        let plan = unit.plan(locked, task.unit, fresh, tops);
-        Claim { task, stamp: tops.len(), plan, swept: None }
+        let plan = packs.plan(task.unit, fresh, tops);
+        Claim { unit, common, task, stamp: tops.len(), plan, swept: None }
     }
 
     /// Sweep as planned under `triangle`, unless the plan is a replay.
-    pub(crate) fn sweep(&mut self, unit: &U, common: &Common, triangle: &OverrideTriangle) {
-        if !U::is_replay(&self.plan) {
+    pub(crate) fn sweep(&mut self, triangle: &OverrideTriangle) {
+        if !self.plan.is_replay() {
             let t0 = Instant::now();
-            let swept = unit.sweep(common, &self.plan, triangle);
+            let swept = self.unit.sweep(self.common, &self.plan, triangle);
             self.swept = Some((swept, t0.elapsed().as_nanos() as u64));
         }
     }
 
-    /// Fold the sweep into the unit state and `rec`: the unit's best
-    /// member, the work it took, and on a first pass every member's
-    /// clean row, which the master stores.
-    pub(crate) fn commit<R: Recorder>(
-        self,
-        unit: &U,
-        locked: &mut U::Locked,
-        common: &Common,
-        rec: &mut R,
-    ) -> ResultMsg {
+    /// Fold the sweep into `packs` and `rec`: the unit's best member,
+    /// the work it took, and on a first pass every member's clean row,
+    /// which the master stores.
+    pub(crate) fn commit<R: Recorder>(self, packs: &mut LanePacks, rec: &mut R) -> ResultMsg {
         let swept = self.swept.map(|(swept, ns)| {
             rec.observe(Metric::SweepNs, ns);
             swept
         });
         let mut grown = Stats::new();
-        let score = unit.commit(locked, &mut grown, rec, self.plan, swept);
+        let score = packs.commit(&mut grown, rec, self.plan, swept);
         let task = self.task;
         // The shipped bound dominates any score computed at or past the
         // task's stamp (masking monotonicity); a violation would mean
@@ -767,8 +764,8 @@ impl<U: Unit> Claim<U> {
             task.bound
         );
         let rows = if task.first {
-            let splits = unit.splits(task.unit);
-            splits.map(|r| (r, common.row(r).to_vec())).collect()
+            let splits = self.unit.splits(task.unit);
+            splits.map(|r| (r, self.common.row(r).to_vec())).collect()
         } else {
             Vec::new()
         };
@@ -776,7 +773,7 @@ impl<U: Unit> Claim<U> {
             unit: task.unit,
             stamp: self.stamp,
             attempt: task.attempt,
-            best: unit.best_member(locked, task.unit, score),
+            best: packs.best_member(task.unit),
             rows,
             work: Work::of(&grown),
         }
@@ -784,18 +781,18 @@ impl<U: Unit> Claim<U> {
 }
 
 /// One task as one thread computes it: plan · sweep · commit of
-/// `task.unit` on the caller's unit `state`, against its `replica` (rows,
+/// `task.unit` on the caller's `packs`, against its `replica` (rows,
 /// triangle, and the accepts that built it: the stamp).
-pub(crate) fn run_task<U: Unit, R: Recorder>(
-    unit: &U,
-    locked: &mut U::Locked,
+pub(crate) fn run_task<K: PackKernel, R: Recorder>(
+    unit: &PackUnit<K>,
+    packs: &mut LanePacks,
     (common, triangle, tops): (&Common, &OverrideTriangle, &[TopAlignment]),
     task: TaskItem,
     rec: &mut R,
 ) -> ResultMsg {
-    let mut claim = Claim::new(unit, locked, (common, tops), task);
-    claim.sweep(unit, common, triangle);
-    claim.commit(unit, locked, common, rec)
+    let mut claim = Claim::new(unit, packs, (common, tops), task);
+    claim.sweep(triangle);
+    claim.commit(packs, rec)
 }
 
 #[cfg(test)]
@@ -1254,8 +1251,8 @@ mod tests {
     /// [`run_task`] in assignment order (one replica in lockstep with the
     /// master serves both). Returns the tops, every batch issued, and the
     /// most lanes one worker ever held unsettled.
-    fn drive_units<U: Unit>(
-        unit: impl Fn() -> U,
+    fn drive_units<K: PackKernel>(
+        unit: impl Fn() -> PackUnit<K>,
         seq: &Seq,
         scoring: &Scoring,
         count: usize,
@@ -1263,7 +1260,7 @@ mod tests {
         use crate::engine::PREFETCH_SLOTS;
         let mut master = MasterState::with_unit(unit(), seq, scoring, &Search::new(count));
         let worker = unit();
-        let mut locked = worker.locked();
+        let mut packs = worker.packs();
         let common = Common::new(seq, scoring);
         let mut triangle = OverrideTriangle::new(seq.len());
         let mut accepted: Vec<TopAlignment> = Vec::new();
@@ -1293,7 +1290,7 @@ mod tests {
             let (w, item) = pending.pop_front().expect("master stalled without Done");
             held[w] -= worker.splits(item.unit).len();
             let replica = (&common, &triangle, &accepted[..]);
-            let res = run_task(&worker, &mut locked, replica, item, &mut NoopRecorder);
+            let res = run_task(&worker, &mut packs, replica, item, &mut NoopRecorder);
             actions = master.result(w, res);
         }
     }

@@ -9,12 +9,12 @@
 //! the result of the current assignment from stale deliveries of
 //! earlier attempts that were duplicated, delayed or reassigned.
 //!
-//! A task is one [`Unit`] (wire v6): tasks and results decode against
-//! it, so a frame that does not fit the unit fails typed before anything
-//! is allocated for it.
+//! A task is one unit of a [`PackUnit`] (wire v6): tasks and results
+//! decode against it, so a frame that does not fit the unit fails typed
+//! before anything is allocated for it.
 
 use repro_align::{Alphabet, ExchangeMatrix, GapPenalties, Score, Scoring, Seq};
-use repro_core::{OverrideTriangle, Stats, TopAlignment, Unit};
+use repro_core::{OverrideTriangle, PackKernel, PackUnit, Stats, TopAlignment};
 use repro_obs::{Counter, Hist, HistSet, Metric, TelemetrySnapshot};
 use repro_simd::LaneWidth;
 use repro_xmpi::wire::{Decoder, Encoder, WireError};
@@ -56,7 +56,7 @@ pub type MemberRows = Vec<(usize, Vec<Score>)>;
 
 /// The splits of unit `u`, or [`WireError::BadFrame`] if the run has no
 /// such unit.
-fn members(unit: &impl Unit, u: usize) -> Result<Range<usize>, WireError> {
+fn members(unit: &PackUnit<impl PackKernel>, u: usize) -> Result<Range<usize>, WireError> {
     let splits = (u < unit.units()).then(|| unit.splits(u));
     splits.ok_or(WireError::BadFrame)
 }
@@ -72,7 +72,7 @@ fn encode_rows(e: Encoder, rows: &[(usize, Vec<Score>)]) -> Encoder {
 /// checked against the unit before anything is allocated for them.
 fn decode_rows(
     d: &mut Decoder<'_>,
-    unit: &impl Unit,
+    unit: &PackUnit<impl PackKernel>,
     splits: Range<usize>,
 ) -> Result<MemberRows, WireError> {
     let n = d.usize()?;
@@ -146,7 +146,7 @@ impl TaskItem {
         encode_rows(e, &self.rows)
     }
 
-    fn decode_from(d: &mut Decoder<'_>, unit: &impl Unit) -> Result<Self, WireError> {
+    fn read_from(d: &mut Decoder<'_>, unit: &PackUnit<impl PackKernel>) -> Result<Self, WireError> {
         let u = d.usize()?;
         let splits = members(unit, u)?;
         let attempt = d.u64()?;
@@ -206,7 +206,7 @@ impl TaskMsg {
     /// Decode from a framed payload, against the run's `unit`. An empty
     /// batch is rejected as malformed: the master never sends one, so it
     /// can only be corruption that survived the checksum by colliding.
-    pub fn decode(payload: &[u8], unit: &impl Unit) -> Result<Self, WireError> {
+    pub fn decode(payload: &[u8], unit: &PackUnit<impl PackKernel>) -> Result<Self, WireError> {
         let mut d = Decoder::new_framed(payload)?;
         let stamp = d.usize()?;
         let n = d.usize()?;
@@ -216,7 +216,7 @@ impl TaskMsg {
             return Err(WireError::BadLength { claimed: n });
         }
         let items = (0..n)
-            .map(|_| TaskItem::decode_from(&mut d, unit))
+            .map(|_| TaskItem::read_from(&mut d, unit))
             .collect::<Result<Vec<_>, _>>()?;
         d.expect_exhausted()?;
         Ok(TaskMsg { stamp, items })
@@ -301,7 +301,7 @@ impl ResultMsg {
         encode_rows(e, &self.rows)
     }
 
-    fn decode_from(d: &mut Decoder<'_>, unit: &impl Unit) -> Result<Self, WireError> {
+    fn read_from(d: &mut Decoder<'_>, unit: &PackUnit<impl PackKernel>) -> Result<Self, WireError> {
         let u = d.usize()?;
         let splits = members(unit, u)?;
         let stamp = d.usize()?;
@@ -353,14 +353,14 @@ impl ResultsMsg {
     /// list is malformed (no worker sends one), and a count the
     /// remaining bytes cannot hold is rejected before anything is
     /// allocated for it.
-    pub fn decode(payload: &[u8], unit: &impl Unit) -> Result<Self, WireError> {
+    pub fn decode(payload: &[u8], unit: &PackUnit<impl PackKernel>) -> Result<Self, WireError> {
         let mut d = Decoder::new_framed(payload)?;
         let n = d.usize()?;
         if n == 0 || n > d.remaining() / ResultMsg::MIN_BYTES {
             return Err(WireError::BadLength { claimed: n });
         }
         let items = (0..n)
-            .map(|_| ResultMsg::decode_from(&mut d, unit))
+            .map(|_| ResultMsg::read_from(&mut d, unit))
             .collect::<Result<Vec<_>, _>>()?;
         d.expect_exhausted()?;
         Ok(ResultsMsg { items })
@@ -467,12 +467,12 @@ impl JobMsg {
         .finish_framed()
     }
 
-    /// Decode from a framed payload. The gap penalties are re-validated
-    /// (non-negative open, positive extend), the scoring against the
-    /// sequence length ([`Scoring::check_range`]) and the lane count
-    /// against the three widths, so a frame from a buggy peer fails
-    /// typed instead of tripping an assert — or wrapping a score —
-    /// downstream.
+    /// Decode from a framed payload. The exchange table is re-validated
+    /// (symmetric), the gap penalties (non-negative open, positive
+    /// extend), the scoring against the sequence length
+    /// ([`Scoring::check_range`]) and the lane count against the three
+    /// widths, so a frame from a buggy peer fails typed instead of
+    /// tripping an assert — or wrapping a score — downstream.
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
         let mut d = Decoder::new_framed(payload)?;
         let count = d.usize()?;
@@ -491,6 +491,9 @@ impl JobMsg {
             return Err(WireError::BadLength {
                 claimed: table.len(),
             });
+        }
+        if (0..k).any(|a| (0..a).any(|b| table[a * k + b] != table[b * k + a])) {
+            return Err(WireError::BadFrame);
         }
         let open = d.i32()?;
         let extend = d.i32()?;
@@ -615,7 +618,6 @@ impl ResyncMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use repro_core::PackUnit;
     use repro_simd::{select, GroupSweeper};
 
     /// Run `f` against the unit every test frame is decoded with: 12 nt
@@ -696,7 +698,7 @@ mod tests {
     fn bulk_rows_decode_as_the_per_element_decode_did() {
         fn per_element(
             d: &mut Decoder<'_>,
-            unit: &impl Unit,
+            unit: &PackUnit<impl PackKernel>,
             splits: Range<usize>,
         ) -> Result<MemberRows, WireError> {
             let n = d.usize()?;

@@ -27,7 +27,7 @@
 use crate::engine::ClusterError;
 use crate::master::{MasterAction, MasterState};
 use crate::protocol::{tag, ResultsMsg, ResyncMsg, TaskItem, TaskMsg, TelemetryMsg};
-use repro_core::{TopAlignments, Unit};
+use repro_core::{PackKernel, TopAlignments};
 use repro_obs::{Counter, Event, Metric, Phase, Recorder, TelemetrySnapshot};
 use repro_xmpi::{Comm, RecvError, SendError};
 use std::collections::HashMap;
@@ -197,8 +197,8 @@ fn drain_final_telemetry<C: Comm, R: Recorder>(
 /// phase, patch the transport-level recovery tallies into the result's
 /// stats (the state machine itself never sees them) and mirror the
 /// final stats into the recorder.
-fn finalize<U: Unit, R: Recorder>(
-    master: MasterState<U>,
+fn finalize<K: PackKernel, R: Recorder>(
+    master: MasterState<K>,
     rec: &mut R,
     retries: u64,
     reassigns: u64,
@@ -217,8 +217,8 @@ fn finalize<U: Unit, R: Recorder>(
 /// Drain the master's local-fallback actions and return its result.
 /// Emits a [`Event::LocalFallback`] so event logs make the degradation
 /// visible, then the terminal [`Event::Done`].
-fn local_finish<U: Unit, C: Comm, R: Recorder>(
-    mut master: MasterState<U>,
+fn local_finish<K: PackKernel, C: Comm, R: Recorder>(
+    mut master: MasterState<K>,
     comm: &C,
     rec: &mut R,
     retries: u64,
@@ -261,9 +261,9 @@ fn local_finish<U: Unit, C: Comm, R: Recorder>(
 // A failed direct send declares the destination dead on the spot,
 // and the resulting reassignments join the work list.
 #[allow(clippy::too_many_arguments)] // transport loop state, threaded explicitly
-fn act<U: Unit, C: Comm, R: Recorder>(
+fn act<K: PackKernel, C: Comm, R: Recorder>(
     comm: &C,
-    master: &mut MasterState<U>,
+    master: &mut MasterState<K>,
     flights: &mut HashMap<usize, Flight>,
     config: &RecoveryConfig,
     actions: Vec<MasterAction>,
@@ -353,8 +353,8 @@ fn act<U: Unit, C: Comm, R: Recorder>(
 /// result, retransmit, death, resync, fallback) is mirrored into `rec`
 /// as a structured [`Event`], which is what makes chaos failures
 /// replayable from the JSONL event log.
-pub(crate) fn master_loop<U: Unit, C: Comm, R: Recorder>(
-    mut master: MasterState<U>,
+pub(crate) fn master_loop<K: PackKernel, C: Comm, R: Recorder>(
+    mut master: MasterState<K>,
     comm: C,
     config: RecoveryConfig,
     rec: &mut R,

@@ -24,7 +24,6 @@ use crate::protocol::{tag, AcceptedMsg, ResultMsg, ResultsMsg, TaskItem, TaskMsg
 use repro_align::{Scoring, Seq};
 use repro_core::{
     Common, LanePacks, OverrideTriangle, PackUnit, ScoredSeq, Search, TopAlignment, TopAlignments,
-    Unit,
 };
 use repro_obs::NoopRecorder;
 use repro_xmpi::virtual_time::{run, Actor, Ctx, LinkModel};
@@ -195,8 +194,7 @@ impl WorkerSim<'_> {
             // simulator's memo.
             None => {
                 let replica = (&self.common, &self.triangle, &self.accepted[..]);
-                let packs = &mut self.packs;
-                let res = run_task(&self.unit, packs, replica, task, &mut NoopRecorder);
+                let res = run_task(&self.unit, &mut self.packs, replica, task, &mut NoopRecorder);
                 self.cache.borrow_mut().entries.insert(key, res.clone());
                 res
             }
@@ -297,7 +295,7 @@ pub fn simulate_cluster(
     for _ in 0..workers {
         let unit = PackUnit::new(ScoredSeq::new(seq, scoring), None);
         actors.push(SimActor::Worker(WorkerSim {
-            packs: unit.locked(),
+            packs: unit.packs(),
             unit,
             common: Common::new(seq, scoring),
             triangle: OverrideTriangle::new(seq.len()),

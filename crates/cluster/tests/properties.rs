@@ -2,18 +2,26 @@
 //! virtual-time simulator both reproduce the sequential alignments for
 //! any worker count, the simulator is deterministic, and the master's
 //! retry/reassignment machinery never lets a stale result corrupt the
-//! acceptance sequence.
+//! acceptance sequence; every protocol decoder meets a hostile frame
+//! with a typed error.
 
 use proptest::prelude::*;
 use repro_align::{sw_last_row, Alphabet, Score, Scoring, Seq};
-use repro_cluster::protocol::{ResultMsg, TaskItem, Work};
+use repro_cluster::protocol::{
+    AcceptedMsg, JobMsg, ResultMsg, ResultsMsg, ResyncMsg, TaskItem, TaskMsg, TelemetryMsg, Work,
+};
 use repro_cluster::{
     run_cluster, simulate_cluster, AlignCache, CostModel, MasterAction, MasterState,
 };
-use repro_core::{find_top_alignments, OverrideTriangle, Search, SplitMask, Stats};
-use repro_obs::NoopRecorder;
+use repro_core::{
+    find_top_alignments, OverrideTriangle, PackKernel, PackUnit, ScoredSeq, Search, SplitMask,
+    Stats,
+};
+use repro_obs::{Counter, FlightRecorder, Metric, NoopRecorder, Recorder};
+use repro_simd::{select, GroupSweeper, LaneWidth};
 use repro_xmpi::thread::FaultPlan;
 use repro_xmpi::virtual_time::LinkModel;
+use repro_xmpi::wire::{frame_checksum, WireError, FRAME_HEADER, FRAME_TRAILER};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
@@ -241,5 +249,126 @@ proptest! {
         );
         prop_assert_eq!(&first.result.alignments, &want.alignments);
         prop_assert_eq!(&second.result.alignments, &want.alignments);
+    }
+}
+
+/// One valid frame of every message kind, the unit-typed ones fitted to
+/// `unit`: a batch with a first pass and an attached-rows realignment,
+/// a result carrying every member's row, and the four unit-free frames.
+fn valid_frames(unit: &PackUnit<impl PackKernel>, seq: &Seq, scoring: &Scoring) -> Vec<Vec<u8>> {
+    let last = unit.units() - 1;
+    let splits = unit.splits(last);
+    let rows: Vec<_> = splits.clone().map(|r| (r, vec![3; seq.len() - r])).collect();
+    let item = |u, first, rows| TaskItem { unit: u, attempt: 2, first, bound: 40, rows };
+    let items = vec![item(0, true, vec![]), item(last, false, rows.clone())];
+    let task = TaskMsg { stamp: 3, items };
+    let result = ResultMsg {
+        unit: last,
+        stamp: 3,
+        attempt: 2,
+        best: (splits.start, 7),
+        rows,
+        work: Work::of(&Stats { alignments: 2, cells: 90, ..Stats::default() }),
+    };
+    let job = JobMsg {
+        count: 3,
+        seq: seq.clone(),
+        scoring: scoring.clone(),
+        deadline_ms: 10_000,
+        checkpoint_budget: Some(1 << 20),
+        lanes: LaneWidth::X4,
+    };
+    let mut rec = FlightRecorder::new();
+    rec.add(Counter::GroupSweeps, 5);
+    rec.observe(Metric::SweepNs, 1_234);
+    rec.observe(Metric::QueueWaitNs, 56);
+    let telemetry = TelemetryMsg { seq: 9, fin: false, snap: rec.telemetry_snapshot() };
+    vec![
+        task.encode(),
+        ResultsMsg { items: vec![result] }.encode(),
+        AcceptedMsg { index: 2, pairs: vec![(1, 5), (2, 6)] }.encode(),
+        job.encode(),
+        telemetry.encode(),
+        ResyncMsg { applied: 4 }.encode(),
+    ]
+}
+
+/// `frame` with its payload replaced by `payload`, re-sealed: the length
+/// word and the checksum trailer are rewritten, so a decoder gets past
+/// the frame check and parses the hostile body.
+fn reseal(frame: &[u8], payload: &[u8]) -> Vec<u8> {
+    let mut out = frame[..FRAME_HEADER - 4].to_vec();
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&frame_checksum(payload).to_le_bytes());
+    out
+}
+
+/// Decode `frame` with `decode`: a typed error, or a value whose own
+/// encoding decodes back to it.
+fn typed_or_round_trips<T: PartialEq + std::fmt::Debug>(
+    frame: &[u8],
+    decode: impl Fn(&[u8]) -> Result<T, WireError>,
+    encode: impl Fn(&T) -> Vec<u8>,
+) -> Result<(), TestCaseError> {
+    if let Ok(value) = decode(frame) {
+        prop_assert_eq!(decode(&encode(&value)), Ok(value));
+    }
+    Ok(())
+}
+
+/// Every frame against one unit: the six decoders, each handed every
+/// frame (a frame of another kind is one more hostile body).
+fn decode_all(unit: &PackUnit<impl PackKernel>, frame: &[u8]) -> Result<(), TestCaseError> {
+    typed_or_round_trips(frame, |f| TaskMsg::decode(f, unit), TaskMsg::encode)?;
+    typed_or_round_trips(frame, |f| ResultsMsg::decode(f, unit), ResultsMsg::encode)?;
+    typed_or_round_trips(frame, AcceptedMsg::decode, AcceptedMsg::encode)?;
+    typed_or_round_trips(frame, JobMsg::decode, JobMsg::encode)?;
+    typed_or_round_trips(frame, TelemetryMsg::decode, TelemetryMsg::encode)?;
+    typed_or_round_trips(frame, ResyncMsg::decode, ResyncMsg::encode)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3000))]
+
+    /// A valid frame of any kind, fitted to 1-lane or 4-lane packs, with
+    /// 1–8 payload bytes overwritten, its payload cut short or extended,
+    /// then re-sealed: every decoder, against the units of both widths,
+    /// returns a typed error or a value that survives its own round
+    /// trip — never a panic.
+    #[test]
+    fn hostile_frames_decode_typed_or_round_trip(
+        kind in 0usize..6,
+        built_x4 in any::<bool>(),
+        edit in 0u8..3,
+        bytes in prop::collection::vec(any::<u8>(), 1..=8),
+        at in prop::collection::vec(any::<usize>(), 8),
+        cut in any::<usize>(),
+    ) {
+        let seq = Seq::dna("ATGCATGCATGC").unwrap();
+        let scoring = Scoring::dna_example();
+        let rows = PackUnit::new(ScoredSeq::new(&seq, &scoring), None);
+        let sel = select(Some(LaneWidth::X4), None).unwrap();
+        let packs = PackUnit::new(GroupSweeper::new(&seq, &scoring, sel), None);
+        let frames = if built_x4 {
+            valid_frames(&packs, &seq, &scoring)
+        } else {
+            valid_frames(&rows, &seq, &scoring)
+        };
+        let frame = &frames[kind];
+        let mut payload = frame[FRAME_HEADER..frame.len() - FRAME_TRAILER].to_vec();
+        match edit {
+            0 => {
+                let len = payload.len();
+                for (&b, &i) in bytes.iter().zip(&at) {
+                    payload[i % len] = b;
+                }
+            }
+            1 => payload.truncate(cut % payload.len()),
+            _ => payload.extend_from_slice(&bytes),
+        }
+        let hostile = reseal(frame, &payload);
+        decode_all(&rows, &hostile)?;
+        decode_all(&packs, &hostile)?;
     }
 }

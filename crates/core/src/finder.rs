@@ -8,23 +8,22 @@
 //! is realigned and requeued. This skips the 90–97 % of realignments a
 //! naive per-top full sweep would perform.
 //!
-//! The loop is written once, generic over the [`Unit`] it schedules
-//! (§4.1 changes what a task is, not the loop):
-//! [`TopAlignmentFinder::new`] schedules 1-lane packs swept by the
-//! scalar row step ([`PackUnit`] over [`ScoredSeq`]),
+//! The loop is written once, generic over the [`PackKernel`] that
+//! sweeps the [`PackUnit`]s it schedules (§4.1 changes what a task is,
+//! not the loop): [`TopAlignmentFinder::new`] schedules 1-lane packs
+//! swept by the scalar row step ([`ScoredSeq`]),
 //! `repro_simd::find_top_alignments_simd` lane packs of neighbouring
 //! splits. [`ScoredSeq::align_task`] and
 //! [`ScoredSeq::accept_task_with_row`] are the two primitives every
 //! engine shares, so all engines produce identical output.
 
 use crate::bottom::{best_valid_entry, best_valid_entry_counted, Common};
-use crate::pack::PackUnit;
+use crate::pack::{LanePacks, PackKernel, PackUnit};
 use crate::seed::{SeedConfig, SplitBounds};
 use crate::split_mask::SplitMask;
 use crate::stats::Stats;
 use crate::tasks::{Task, TaskQueue, NEVER_ALIGNED, SCORE_INFINITY};
 use crate::triangle::OverrideTriangle;
-use crate::unit::Unit;
 use repro_align::kernel::full::traceback;
 use repro_align::{NoMask, QueryProfile, Score, Scoring, Seq, Sides};
 use repro_obs::{Metric, NoopRecorder, Phase, Progress, Recorder};
@@ -375,11 +374,11 @@ pub enum Step {
     Done,
 }
 
-/// The inline driver of Figure 5's loop, generic over the [`Unit`] it
-/// schedules. [`Self::run`] is the one-shot entry point; `step` exposes
-/// the loop for tests and tools.
-pub struct TopAlignmentFinder<'a, U: Unit = PackUnit<ScoredSeq<'a>>> {
-    unit: U,
+/// The inline driver of Figure 5's loop, generic over the [`PackKernel`]
+/// whose [`PackUnit`]s it schedules. [`Self::run`] is the one-shot entry
+/// point; `step` exposes the loop for tests and tools.
+pub struct TopAlignmentFinder<'a, K: PackKernel = ScoredSeq<'a>> {
+    unit: PackUnit<K>,
     common: Common<'a>,
     config: FinderConfig,
     /// One task per unit; [`Task::r`] holds the unit index, so ties go
@@ -388,7 +387,7 @@ pub struct TopAlignmentFinder<'a, U: Unit = PackUnit<ScoredSeq<'a>>> {
     triangle: OverrideTriangle,
     alignments: Vec<TopAlignment>,
     stats: Stats,
-    locked: U::Locked,
+    packs: LanePacks,
     /// `Some` iff `config.search.seed` is set: the admissible per-split
     /// bounds.
     bounds: Option<SplitBounds>,
@@ -409,9 +408,14 @@ impl<'a> TopAlignmentFinder<'a> {
     }
 }
 
-impl<'a, U: Unit> TopAlignmentFinder<'a, U> {
+impl<'a, K: PackKernel> TopAlignmentFinder<'a, K> {
     /// Set up a search over `seq` scheduling the units of `unit`.
-    pub fn with_unit(seq: &'a Seq, scoring: &'a Scoring, config: FinderConfig, unit: U) -> Self {
+    pub fn with_unit(
+        seq: &'a Seq,
+        scoring: &'a Scoring,
+        config: FinderConfig,
+        unit: PackUnit<K>,
+    ) -> Self {
         let bounds = config
             .search
             .seed
@@ -436,7 +440,7 @@ impl<'a, U: Unit> TopAlignmentFinder<'a, U> {
             triangle: OverrideTriangle::new(seq.len()),
             alignments: Vec::new(),
             stats,
-            locked: unit.locked(),
+            packs: unit.packs(),
             unit,
             bounds,
             first_passes: 0,
@@ -565,7 +569,7 @@ impl<'a, U: Unit> TopAlignmentFinder<'a, U> {
             self.stats.fresh_pops += 1;
             // A fresh unit at the head: its best member is the next top
             // alignment (smallest split on ties).
-            let (r, score) = self.unit.best_member(&self.locked, u, task.score);
+            let (r, score) = self.packs.best_member(u);
             self.recompute_rows(r..r + 1, rec);
             rec.phase_start(Phase::Traceback);
             let (top, cells) = self.common.input.accept_task_with_row(
@@ -595,8 +599,8 @@ impl<'a, U: Unit> TopAlignmentFinder<'a, U> {
             } else {
                 self.recompute_rows(splits.clone(), rec);
             }
-            let plan = self.unit.plan(&mut self.locked, u, first, &self.alignments);
-            let swept = (!U::is_replay(&plan)).then(|| {
+            let plan = self.packs.plan(u, first, &self.alignments);
+            let swept = (!plan.is_replay()).then(|| {
                 let t0 = R::ENABLED.then(Instant::now);
                 let swept = self.unit.sweep(&self.common, &plan, &self.triangle);
                 if let Some(t0) = t0 {
@@ -611,9 +615,7 @@ impl<'a, U: Unit> TopAlignmentFinder<'a, U> {
                 }
                 swept
             });
-            let score = self
-                .unit
-                .commit(&mut self.locked, &mut self.stats, rec, plan, swept);
+            let score = self.packs.commit(&mut self.stats, rec, plan, swept);
             // Holds for realignments (masking monotonicity) *and* first
             // passes (∞ without seeding; the admissible seed bound with
             // it) — the live end-to-end admissibility check.

@@ -18,15 +18,14 @@
 //! * [`tasks`] — the best-first task queue of Figure 5: one task per
 //!   split, ordered by (upper-bound) score, with the `AlignedWithTopNum`
 //!   freshness stamp.
-//! * [`mod@unit`] — the **unit of work** ([`Unit`]): what a task is,
-//!   apart from who schedules it.
-//! * [`pack`] — its one impl, [`PackUnit`]: a pack of neighbouring
-//!   splits, swept by a [`PackKernel`] — the scalar row step at width 1
-//!   ([`ScoredSeq`]), `repro_simd`'s group kernel at 4/8/16 — with
-//!   lane-granular memo replay and checkpointed mid-matrix resume under
-//!   a budget-capped store (bit-identical by construction).
+//! * [`pack`] — the **unit of work**, [`PackUnit`]: what a task is,
+//!   apart from who schedules it — a pack of neighbouring splits, swept
+//!   by a [`PackKernel`] (the scalar row step at width 1, [`ScoredSeq`];
+//!   `repro_simd`'s group kernel at 4/8/16) with lane-granular memo
+//!   replay and checkpointed mid-matrix resume under a budget-capped
+//!   store (bit-identical by construction).
 //! * [`finder`] — [`finder::TopAlignmentFinder`], Figure 5's loop written
-//!   once as the inline driver generic over the unit, plus the
+//!   once as the inline driver generic over the kernel, plus the
 //!   task-alignment primitives shared with the parallel engines.
 //! * [`dirty`] — per-accept **dirty bounds**: for each split, where the
 //!   newly overridden pairs can first perturb the DP matrix.
@@ -54,7 +53,6 @@ pub mod split_mask;
 pub mod stats;
 pub mod tasks;
 pub mod triangle;
-pub mod unit;
 
 pub use bottom::{best_valid_entry_counted, Common};
 pub use consensus::{unit_consensus, Consensus};
@@ -70,4 +68,3 @@ pub use split_mask::SplitMask;
 pub use stats::Stats;
 pub use tasks::{Task, TaskQueue, NEVER_ALIGNED, SCORE_INFINITY};
 pub use triangle::OverrideTriangle;
-pub use unit::Unit;

@@ -7,7 +7,7 @@
 //! width 1 the scalar row step ([`ScoredSeq`], what `seq`, `threads:N`
 //! and the Figure 8 simulator run), at 4/8/16 `repro_simd`'s group
 //! kernel. How a pack is (re)aligned is decided here once, in the three
-//! steps of [`Unit`] every driver calls, on the unit's [`LanePacks`]:
+//! steps every driver calls, on the unit's [`LanePacks`]:
 //!
 //! * **plan** (`LanePacks::plan`) — classify the pack's lanes from
 //!   their memo stamps and the dirty log, take the packed lanes'
@@ -42,7 +42,6 @@ use crate::finder::{ScoredSeq, TopAlignment};
 use crate::split_mask::SplitMask;
 use crate::stats::Stats;
 use crate::triangle::OverrideTriangle;
-use crate::unit::Unit;
 use repro_align::{Checkpoint, CheckpointStore, NoMask, Score, NEG_INF};
 use repro_obs::{Counter, Metric, Recorder};
 use std::collections::BTreeSet;
@@ -383,7 +382,7 @@ impl LanePacks {
     /// The split and score a fresh pack `gi` yields as the next top
     /// alignment: its best member, lowest lane on ties — the smallest
     /// split, as the sequential loop breaks them.
-    fn best_member(&self, gi: usize) -> (usize, Score) {
+    pub fn best_member(&self, gi: usize) -> (usize, Score) {
         let splits = self.splits_of(gi);
         let (l, lm) = self
             .memos(splits.clone())
@@ -398,7 +397,7 @@ impl LanePacks {
     /// built: a first pass sweeps every lane from row 0; a realignment
     /// sweeps only the lanes an accept has dirtied since their stamp,
     /// compacted and resumed from the deepest checkpoint row they share.
-    fn plan(&mut self, gi: usize, first_pass: bool, tops: &[TopAlignment]) -> PackPlan {
+    pub fn plan(&mut self, gi: usize, first_pass: bool, tops: &[TopAlignment]) -> PackPlan {
         if self.incremental {
             self.dirty.sync_from(tops);
         }
@@ -476,7 +475,7 @@ impl LanePacks {
     /// budget is a hit when any shortcut fired (a replayed lane or a
     /// resume below row 0), else a miss. Returns the pack's new score,
     /// its best member's.
-    fn commit<R: Recorder>(
+    pub fn commit<R: Recorder>(
         &mut self,
         stats: &mut Stats,
         rec: &mut R,
@@ -621,8 +620,9 @@ pub struct PackPlan {
 }
 
 impl PackPlan {
-    /// Every lane replays its memo: commit without sweeping.
-    fn is_replay(&self) -> bool {
+    /// Every lane replays its memo: commit it as it is, without a sweep
+    /// — no DP at all, and on the SMP engine under the lock.
+    pub fn is_replay(&self) -> bool {
         self.rs.is_empty()
     }
 
@@ -732,6 +732,18 @@ pub struct PackSwept {
 /// keeps under its lock, where plan takes state out and commit puts it
 /// back; the sweep runs on that owned state through the kernel all
 /// workers share read-only. A worker keeps nothing to itself.
+///
+/// Units are contiguous, ordered ranges of splits that partition them
+/// in order, so the deterministic tie-break (lowest unit, then lowest
+/// member) selects the smallest split among the top-scoring ones — the
+/// split the paper's sequential loop accepts.
+///
+/// A (re)alignment is **plan** ([`LanePacks::plan`], under the SMP
+/// engine's lock: read and take what the sweep needs out of the shared
+/// state), **sweep** ([`Self::sweep`], unlocked, on the plan and the
+/// triangle snapshot of the claim) and **commit** ([`LanePacks::commit`],
+/// under the lock again: fold the result back); the inline driver calls
+/// the three back to back. All state lives in the [`LanePacks`].
 pub struct PackUnit<K> {
     kernel: K,
     checkpoint_budget: Option<usize>,
@@ -746,43 +758,26 @@ impl<K: PackKernel> PackUnit<K> {
             checkpoint_budget,
         }
     }
-}
 
-impl<K: PackKernel> Unit for PackUnit<K> {
-    type Locked = LanePacks;
-    type Plan = PackPlan;
-    type Swept = PackSwept;
-
-    fn units(&self) -> usize {
+    /// Number of units.
+    pub fn units(&self) -> usize {
         self.kernel.splits().div_ceil(self.kernel.lanes())
     }
 
-    fn splits(&self, u: usize) -> Range<usize> {
+    /// The splits of unit `u`.
+    pub fn splits(&self, u: usize) -> Range<usize> {
         group_splits(self.kernel.splits(), self.kernel.lanes(), u)
     }
 
-    fn locked(&self) -> LanePacks {
+    /// The shared state a run starts with.
+    pub fn packs(&self) -> LanePacks {
         let (splits, lanes) = (self.kernel.splits(), self.kernel.lanes());
         LanePacks::new(splits, lanes, self.checkpoint_budget)
     }
 
-    fn plan(
-        &self,
-        packs: &mut LanePacks,
-        u: usize,
-        first: bool,
-        tops: &[TopAlignment],
-    ) -> PackPlan {
-        packs.plan(u, first, tops)
-    }
-
-    /// A whole-pack skip (every lane clean) is replayed without a sweep
-    /// — no DP at all, and on the SMP engine under the lock.
-    fn is_replay(plan: &PackPlan) -> bool {
-        plan.is_replay()
-    }
-
-    fn sweep(
+    /// Sweep as planned under `triangle`; first passes move their clean
+    /// rows into `common`, realignments read them there.
+    pub fn sweep(
         &self,
         common: &Common<'_>,
         plan: &PackPlan,
@@ -795,21 +790,6 @@ impl<K: PackKernel> Unit for PackUnit<K> {
             common.set_row(r, row);
         }
         swept
-    }
-
-    fn commit<R: Recorder>(
-        &self,
-        packs: &mut LanePacks,
-        stats: &mut Stats,
-        rec: &mut R,
-        plan: PackPlan,
-        swept: Option<PackSwept>,
-    ) -> Score {
-        packs.commit(stats, rec, plan, swept)
-    }
-
-    fn best_member(&self, packs: &LanePacks, u: usize, _: Score) -> (usize, Score) {
-        packs.best_member(u)
     }
 }
 
@@ -851,10 +831,10 @@ mod tests {
         (u, first): (usize, bool),
         (triangle, tops): (&OverrideTriangle, &[TopAlignment]),
     ) -> (Score, Stats) {
-        let plan = unit.plan(packs, u, first, tops);
-        let swept = (!PackUnit::<K>::is_replay(&plan)).then(|| unit.sweep(common, &plan, triangle));
+        let plan = packs.plan(u, first, tops);
+        let swept = (!plan.is_replay()).then(|| unit.sweep(common, &plan, triangle));
         let mut grown = Stats::new();
-        let score = unit.commit(packs, &mut grown, &mut NoopRecorder, plan, swept);
+        let score = packs.commit(&mut grown, &mut NoopRecorder, plan, swept);
         (score, grown)
     }
 
@@ -908,7 +888,7 @@ mod tests {
             for budget in [None, Some(0), Some(512), Some(1 << 20)] {
                 let what = format!("{m} nt, prefix {prefix}, budget {budget:?}");
                 let unit = PackUnit::new(ScoredSeq::new(seq, &scoring), budget);
-                let (mut packs, common) = (unit.locked(), Common::new(seq, &scoring));
+                let (mut packs, common) = (unit.packs(), Common::new(seq, &scoring));
                 for r in 1..m {
                     let state = (&mut packs, &common);
                     let (score, grown) = run(&unit, state, (r - 1, true), (&now, &tops[..prefix]));
@@ -970,7 +950,7 @@ mod tests {
         let seq = dna("ATGCATGCATGCATGC");
         let scoring = Scoring::dna_example();
         let unit = PackUnit::new(ScoredSeq::new(&seq, &scoring), Some(1 << 20));
-        let (mut packs, common) = (unit.locked(), Common::new(&seq, &scoring));
+        let (mut packs, common) = (unit.packs(), Common::new(&seq, &scoring));
         let mut triangle = OverrideTriangle::new(seq.len());
         run(&unit, (&mut packs, &common), (3, true), (&triangle, &[]));
         // Straddling needs p < 4 ≤ q: an accept with p ≥ 4 leaves
@@ -1000,7 +980,7 @@ mod tests {
         let seq = dna(&"ACGT".repeat(64)); // 256 residues
         let scoring = Scoring::dna_example();
         let unit = PackUnit::new(ScoredSeq::new(&seq, &scoring), Some(1 << 20));
-        let (mut packs, common) = (unit.locked(), Common::new(&seq, &scoring));
+        let (mut packs, common) = (unit.packs(), Common::new(&seq, &scoring));
         let mut triangle = OverrideTriangle::new(seq.len());
         let r = 192;
         run(
@@ -1027,6 +1007,61 @@ mod tests {
             (score, s.shadow_rejections),
             (oracle.score, oracle.shadow_rejections)
         );
+    }
+
+    /// A kernel of `lanes` lanes over a sequence of `m` residues, for the
+    /// unit geometry alone: it is never swept.
+    struct Geometry {
+        lanes: usize,
+        m: usize,
+    }
+
+    impl PackKernel for Geometry {
+        fn lanes(&self) -> usize {
+            self.lanes
+        }
+
+        fn splits(&self) -> usize {
+            self.m.saturating_sub(1)
+        }
+
+        fn sweep(
+            &self,
+            _: &[usize],
+            _: Option<&OverrideTriangle>,
+            _: Option<&GroupResume<'_>>,
+            _: &[usize],
+        ) -> (PackSweep, Vec<GroupCapture>) {
+            unreachable!("geometry only")
+        }
+    }
+
+    /// Units partition the splits in order — ascending, contiguous,
+    /// non-empty, at most one pack wide and covering exactly `1..m` — so
+    /// the lowest unit's lowest member is the smallest split, the one the
+    /// paper's sequential loop accepts on a tie.
+    #[test]
+    fn units_partition_the_splits_in_order() {
+        for lanes in [1, 4, 8, 16] {
+            for m in 0..=40 {
+                let unit = PackUnit::new(Geometry { lanes, m }, None);
+                let what = format!("m {m}, width {lanes}");
+                if m <= 1 {
+                    assert_eq!(unit.units(), 0, "{what}");
+                }
+                let mut next = 1;
+                for u in 0..unit.units() {
+                    let splits = unit.splits(u);
+                    assert_eq!(splits.start, next, "{what}, unit {u}");
+                    assert!(
+                        !splits.is_empty() && splits.len() <= lanes,
+                        "{what}, unit {u}"
+                    );
+                    next = splits.end;
+                }
+                assert_eq!(next, m.max(1), "{what}: units cover 1..m");
+            }
+        }
     }
 
     /// Packs whose lane memos hold `stamp` for every split.

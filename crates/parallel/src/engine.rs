@@ -1,18 +1,19 @@
-//! The one SMP engine, generic over its unit of work.
+//! The one SMP engine, generic over the kernel of its unit of work.
 //!
 //! *Who schedules* is written here once: the shared task table, the
 //! best-first [`Engine::decide`], the Accept / Wait / Finished arms and
 //! the end-of-run fold. *How one unit is (re)aligned* is a
-//! [`repro_core::Unit`], defined next to the inline driver that shares
-//! it: packs of neighbouring splits ([`repro_core::PackUnit`]), one
-//! split wide under the row kernel or 4/8/16 under the lane kernel,
-//! with first-pass rows in the one store, [`repro_core::Common`]. The
-//! engine is monomorphised over the unit, never `dyn`.
+//! [`repro_core::PackUnit`], defined next to the inline driver that
+//! shares it: packs of neighbouring splits, one split wide under the
+//! row kernel or 4/8/16 under the lane kernel, with first-pass rows in
+//! the one store, [`repro_core::Common`]. The engine is monomorphised
+//! over the [`repro_core::PackKernel`], never `dyn`.
 
 use parking_lot::{Condvar, Mutex};
 use repro_align::{Score, Scoring, Seq};
 use repro_core::{
-    Common, OverrideTriangle, Search, SplitBounds, Stats, TopAlignment, TopAlignments, Unit,
+    Common, LanePacks, OverrideTriangle, PackKernel, PackUnit, Search, SplitBounds, Stats,
+    TopAlignment, TopAlignments,
 };
 use repro_obs::{Counter, FlightRecorder, Metric, Phase, Recorder};
 use std::sync::Arc;
@@ -26,7 +27,7 @@ struct UnitState {
     assigned: bool,
 }
 
-struct Shared<L> {
+struct Shared {
     state: Vec<UnitState>, // one per unit
     triangle: Arc<OverrideTriangle>,
     tops: Vec<TopAlignment>,
@@ -49,15 +50,15 @@ struct Shared<L> {
     bounds: Option<SplitBounds>,
     /// Splits (not units) that have completed their first pass.
     first_passes: usize,
-    unit: L,
+    packs: LanePacks,
 }
 
-struct Engine<'a, U: Unit> {
-    unit: &'a U,
+struct Engine<'a, K: PackKernel> {
+    unit: &'a PackUnit<K>,
     common: Common<'a>,
     /// Top alignments wanted.
     count: usize,
-    shared: Mutex<Shared<U::Locked>>,
+    shared: Mutex<Shared>,
     wake: Condvar,
 }
 
@@ -80,8 +81,8 @@ enum Decision {
 /// Run `search` over `seq` on `threads` workers claiming `unit`s. Folds
 /// the workers' tally into `rec` after the thread scope joins: a worker
 /// thread cannot hold the caller's `&mut` recorder.
-pub(crate) fn run<U: Unit, R: Recorder>(
-    unit: &U,
+pub(crate) fn run<K: PackKernel, R: Recorder>(
+    unit: &PackUnit<K>,
     seq: &Seq,
     scoring: &Scoring,
     search: &Search,
@@ -126,7 +127,7 @@ pub(crate) fn run<U: Unit, R: Recorder>(
             done: false,
             bounds,
             first_passes: 0,
-            unit: unit.locked(),
+            packs: unit.packs(),
         }),
         wake: Condvar::new(),
     };
@@ -165,9 +166,9 @@ pub(crate) fn run<U: Unit, R: Recorder>(
     }
 }
 
-impl<U: Unit> Engine<'_, U> {
+impl<K: PackKernel> Engine<'_, K> {
     /// Pick the next action under the lock.
-    fn decide(&self, shared: &mut Shared<U::Locked>) -> Decision {
+    fn decide(&self, shared: &mut Shared) -> Decision {
         loop {
             if shared.done || shared.tops.len() >= self.count {
                 shared.done = true;
@@ -184,7 +185,7 @@ impl<U: Unit> Engine<'_, U> {
                     best = Some((t.score, u));
                 }
             }
-            let Some((best_score, best_u)) = best.filter(|&(score, _)| score > 0) else {
+            let Some((_, best_u)) = best.filter(|&(score, _)| score > 0) else {
                 shared.done = true;
                 return Decision::Finished;
             };
@@ -198,7 +199,7 @@ impl<U: Unit> Engine<'_, U> {
                 shared.accept_in_progress = true;
                 shared.tally.add(Counter::TaskClaims, 1);
                 shared.stats.fresh_pops += 1;
-                let (r, score) = self.unit.best_member(&shared.unit, best_u, best_score);
+                let (r, score) = shared.packs.best_member(best_u);
                 return Decision::Accept { r, score };
             }
             // Speculate: best stale unassigned unit, if any.
@@ -313,8 +314,8 @@ impl<U: Unit> Engine<'_, U> {
                     // stamps stays correct even if the sweep is later
                     // superseded.
                     let shared = &mut *guard;
-                    let plan = self.unit.plan(&mut shared.unit, u, first, &shared.tops);
-                    let swept = if U::is_replay(&plan) {
+                    let plan = shared.packs.plan(u, first, &shared.tops);
+                    let swept = if plan.is_replay() {
                         None
                     } else {
                         drop(guard);
@@ -337,13 +338,10 @@ impl<U: Unit> Engine<'_, U> {
                         Some(swept)
                     };
                     let shared = &mut *guard;
-                    let score = self.unit.commit(
-                        &mut shared.unit,
-                        &mut shared.stats,
-                        &mut shared.tally,
-                        plan,
-                        swept,
-                    );
+                    let score =
+                        shared
+                            .packs
+                            .commit(&mut shared.stats, &mut shared.tally, plan, swept);
                     if first {
                         shared.first_passes += self.unit.splits(u).len();
                     }

@@ -18,8 +18,8 @@
 //!
 //! There is **one engine** (the private `engine` module: task table,
 //! `decide`, the worker loop, the end-of-run fold), generic over the
-//! [`repro_core::Unit`] it shares with the inline driver, and two
-//! constructors of it. The paper calls its accelerations orthogonal —
+//! kernel of the [`repro_core::PackUnit`] it shares with the inline
+//! driver, and two constructors of it. The paper calls its accelerations orthogonal —
 //! "the SIMD kernel speeds up each alignment, the SMP and cluster
 //! schemes distribute the alignments":
 //! [`find_top_alignments_parallel`]`(seq, scoring, &search, threads, rec)`

@@ -11,8 +11,7 @@
 //!
 //! Correctness carries over unchanged from the split-level proof — the
 //! scheduler is the same code, `crate::engine`, and its tie-break
-//! argument is stated once, at [`repro_core::Unit`]; what is particular
-//! to packs is stated at the unit, [`repro_core::PackUnit`].
+//! argument is stated once, at the unit, [`repro_core::PackUnit`].
 
 use crate::engine;
 use repro_align::{Scoring, Seq};

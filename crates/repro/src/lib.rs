@@ -25,7 +25,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`align`] | alignment kernels, alphabets, matrices, FASTA |
-//! | [`core`] | override triangle, the one bottom-row store, task queue, the `Unit` trait and Figure 5's loop generic over it (the inline driver), delineation |
+//! | [`core`] | override triangle, the one bottom-row store, task queue, the one unit of work (`PackUnit<K>`) and Figure 5's loop generic over its kernel (the inline driver), delineation |
 //! | [`simd`] | 4/8/16-lane interleaved neighbouring-matrix kernels, query profiles, runtime dispatch, the lane-pack unit; [`find_top_alignments_simd`] |
 //! | [`parallel`] | shared-memory speculative engines: [`find_top_alignments_parallel`], [`find_top_alignments_parallel_simd`] |
 //! | [`xmpi`] | message-passing substrate (threads, sockets, virtual time) |
