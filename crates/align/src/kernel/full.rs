@@ -76,8 +76,8 @@ impl FullMatrix {
         } else {
             self.last_row().to_vec()
         };
-        let (best, best_cell) = match self.best_cell() {
-            Some((y, x, v)) => (v, Some((y, x))),
+        let (best, best_row) = match self.best_cell() {
+            Some((y, _, v)) => (v, Some(y)),
             None => (0, None),
         };
         let mut best_in_row = 0;
@@ -90,7 +90,7 @@ impl FullMatrix {
         }
         LastRow {
             best,
-            best_cell,
+            best_row,
             row,
             best_in_row,
             best_in_row_col,

@@ -93,7 +93,7 @@ impl Sides<'_> {
     /// computed, i.e. with the state after rows `0..y` — exactly what a
     /// later call needs to resume at `start_row = y`.
     ///
-    /// Caveats versus a full sweep: `best`/`best_cell` only cover the swept
+    /// Caveats versus a full sweep: `best`/`best_row` only cover the swept
     /// rows, and `cells` counts only `(rows − start_row) × cols`. The
     /// realignment machinery consumes only `row`/`best_in_row`/
     /// `best_in_row_col`/`cells`, which are exact.
@@ -120,7 +120,7 @@ impl Sides<'_> {
         let body = Body::selected();
         let mut next = vec![0 as Score; cols];
         let mut best = 0;
-        let mut best_cell = None;
+        let mut best_row = None;
         let mut next_capture = 0usize;
 
         for y in start_row..rows {
@@ -129,26 +129,21 @@ impl Sides<'_> {
                 next_capture += 1;
             }
             // The virtual zero column seeds the row.
-            let row_best = body.step(&m, 0, &mut next, maxy, self.scores(y), self.gaps);
-            let mut masked = false;
+            let mut row_best = body.step(&m, 0, &mut next, maxy, self.scores(y), self.gaps);
+            let mut lost_best = false;
             for hit in mask.row_hits(y, 0, cols) {
+                lost_best |= next[hit] == row_best;
                 next[hit] = 0;
-                masked = true;
             }
             std::mem::swap(&mut m, &mut next);
-            // Only a row that raises the best looks for where (its first
-            // such column: the row-major-first tie-break).
+            // Only a zeroed row maximum costs a scan; the best cell's
+            // column is never located (see `LastRow::best_row`).
+            if lost_best && row_best > best {
+                row_best = m.iter().copied().max().unwrap_or(0);
+            }
             if row_best > best {
-                // A cell zeroed after the step may have been its maximum.
-                let row_best = if masked {
-                    m.iter().copied().max().unwrap_or(0)
-                } else {
-                    row_best
-                };
-                if row_best > best {
-                    best = row_best;
-                    best_cell = m.iter().position(|&v| v == best).map(|x| (y, x));
-                }
+                best = row_best;
+                best_row = Some(y);
             }
         }
 
@@ -163,7 +158,7 @@ impl Sides<'_> {
 
         LastRow {
             best,
-            best_cell,
+            best_row,
             row: m,
             best_in_row,
             best_in_row_col,
@@ -175,6 +170,7 @@ impl Sides<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::full::sw_full;
     use crate::mask::{NoMask, SetMask};
     use crate::seq::Seq;
 
@@ -192,7 +188,9 @@ mod tests {
         let r = sw_last_row(v.codes(), h.codes(), &s, NoMask);
         assert_eq!(r.best, 6);
         // The maximum is achieved at the final A–A pair: row 6, col 7.
-        assert_eq!(r.best_cell, Some((6, 7)));
+        assert_eq!(r.best_row, Some(6));
+        let full = sw_full(v.codes(), h.codes(), &s, NoMask);
+        assert_eq!(full.best_cell(), Some((6, 7, 6)));
         assert_eq!(r.cells, 7 * 8);
     }
 
@@ -224,7 +222,9 @@ mod tests {
         let a = Seq::dna("A").unwrap();
         let r = sw_last_row(a.codes(), a.codes(), &s, NoMask);
         assert_eq!(r.best, 2);
-        assert_eq!(r.best_cell, Some((0, 0)));
+        assert_eq!(r.best_row, Some(0));
+        let full = sw_full(a.codes(), a.codes(), &s, NoMask);
+        assert_eq!(full.best_cell(), Some((0, 0, 2)));
     }
 
     #[test]
@@ -234,7 +234,7 @@ mod tests {
         let c = Seq::dna("C").unwrap();
         let r = sw_last_row(a.codes(), c.codes(), &s, NoMask);
         assert_eq!(r.best, 0);
-        assert_eq!(r.best_cell, None);
+        assert_eq!(r.best_row, None);
     }
 
     #[test]
@@ -244,7 +244,9 @@ mod tests {
         let r = sw_last_row(a.codes(), a.codes(), &s, NoMask);
         assert_eq!(r.best, 2 * 10);
         // Perfect diagonal ends at the last cell.
-        assert_eq!(r.best_cell, Some((9, 9)));
+        assert_eq!(r.best_row, Some(9));
+        let full = sw_full(a.codes(), a.codes(), &s, NoMask);
+        assert_eq!(full.best_cell(), Some((9, 9, 20)));
     }
 
     #[test]
@@ -257,7 +259,9 @@ mod tests {
         // its C–C pair: TTGC / TTAC = 3 matches, 1 mismatch = 6 − 1 = 5,
         // sitting at cell (4, 4) of Figure 2.
         assert_eq!(r.best, 5);
-        assert_eq!(r.best_cell, Some((4, 4)));
+        assert_eq!(r.best_row, Some(4));
+        let full = sw_full(v.codes(), h.codes(), &s, &mask);
+        assert_eq!(full.best_cell(), Some((4, 4, 5)));
     }
 
     #[test]
@@ -335,7 +339,7 @@ mod tests {
             &mut |_, _, _| {},
         );
         assert_eq!(resumed.best, full.best);
-        assert_eq!(resumed.best_cell, full.best_cell);
+        assert_eq!(resumed.best_row, full.best_row);
         assert_eq!(resumed.row, full.row);
         assert_eq!(resumed.best_in_row, full.best_in_row);
         assert_eq!(resumed.best_in_row_col, full.best_in_row_col);

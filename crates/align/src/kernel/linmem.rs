@@ -5,7 +5,8 @@
 //! implementation that requires only a linear amount of memory". This
 //! module implements the alignment-side half of that idea:
 //!
-//! 1. a forward score pass (linear memory) locates the best **end** cell;
+//! 1. a forward score pass (linear memory) locates the best **end** cell
+//!    (its row; one more pass down to that row gives the column);
 //! 2. a reverse score pass over the reversed prefixes locates the matching
 //!    **start** cell;
 //! 3. only the bounding box between start and end is materialised for the
@@ -71,10 +72,11 @@ pub fn sw_align_linmem<M: CellMask + Copy>(
     mask: M,
 ) -> Alignment {
     let fwd = sw_last_row(a, b, scoring, mask);
-    let Some((ye, xe)) = fwd.best_cell else {
+    let Some(ye) = fwd.best_row else {
         return Alignment::empty();
     };
     let best = fwd.best;
+    let xe = best_col(&a[..=ye], b, scoring, mask);
 
     // Reverse pass over the prefixes ending at the end cell.
     let ra: Vec<u8> = a[..=ye].iter().rev().copied().collect();
@@ -123,8 +125,8 @@ pub fn sw_align_linmem<M: CellMask + Copy>(
         })
     };
 
-    if let Some((ry, rx)) = rev.best_cell {
-        if let Some(al) = try_start(ry, rx) {
+    if let Some(ry) = rev.best_row {
+        if let Some(al) = try_start(ry, best_col(&ra[..=ry], &rb, scoring, &rmask)) {
             return al;
         }
     }
@@ -139,6 +141,15 @@ pub fn sw_align_linmem<M: CellMask + Copy>(
         }
     }
     unreachable!("some reverse-optimal cell must anchor the optimal path");
+}
+
+/// The leftmost best column of `a`'s bottom row against `b`. Row `y`
+/// depends only on the rows above it, so with `a` cut below a pass's
+/// `best_row` this is that pass's row-major-first best cell.
+fn best_col<M: CellMask>(a: &[u8], b: &[u8], scoring: &Scoring, mask: M) -> usize {
+    sw_last_row(a, b, scoring, mask)
+        .best_in_row_col
+        .expect("a positive best row")
 }
 
 #[cfg(test)]

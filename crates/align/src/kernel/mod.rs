@@ -78,16 +78,17 @@ impl<'a> Sides<'a> {
 ///
 /// Carries exactly what the top-alignment machinery needs (paper App. A):
 /// the **bottom row** of the matrix, the best score in that bottom row, and
-/// (for general use) the best cell anywhere in the matrix. `cells` counts
-/// matrix cells computed, the work unit all experiments report in.
+/// (for general use) the best score anywhere in the matrix and its row.
+/// `cells` counts matrix cells computed, the work unit all experiments report in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LastRow {
     /// Best score anywhere in the matrix (0 if the matrix is empty or all
     /// cells clamp to zero).
     pub best: Score,
-    /// Cell achieving `best`, row-major-first tie-break; `None` iff
-    /// `best == 0`.
-    pub best_cell: Option<(usize, usize)>,
+    /// First row whose maximum (after masking) reaches `best`; `None` iff
+    /// `best == 0`. The column is not tracked: a sweep of the rows down to
+    /// this one has it as `best_in_row_col` ([`crate::sw_align_linmem`]).
+    pub best_row: Option<usize>,
     /// The bottom row `M[rows−1][0..cols]`; empty when either side is empty.
     pub row: Vec<Score>,
     /// Best score within the bottom row.
@@ -104,7 +105,7 @@ impl LastRow {
     pub fn empty(cols: usize) -> Self {
         LastRow {
             best: 0,
-            best_cell: None,
+            best_row: None,
             row: vec![0; cols],
             best_in_row: 0,
             best_in_row_col: None,

@@ -26,7 +26,7 @@ pub fn sw_last_row_naive<M: CellMask>(a: &[u8], b: &[u8], scoring: &Scoring, mas
 
     let mut m = vec![0 as Score; rows * cols];
     let mut best = 0;
-    let mut best_cell = None;
+    let mut best_row = None;
 
     for y in 0..rows {
         let exch_row = scoring.exchange.row(a[y]);
@@ -64,7 +64,7 @@ pub fn sw_last_row_naive<M: CellMask>(a: &[u8], b: &[u8], scoring: &Scoring, mas
             m[y * cols + x] = v;
             if v > best {
                 best = v;
-                best_cell = Some((y, x));
+                best_row = Some(y);
             }
         }
     }
@@ -81,7 +81,7 @@ pub fn sw_last_row_naive<M: CellMask>(a: &[u8], b: &[u8], scoring: &Scoring, mas
 
     LastRow {
         best,
-        best_cell,
+        best_row,
         row,
         best_in_row,
         best_in_row_col,

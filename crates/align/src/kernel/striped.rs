@@ -70,7 +70,7 @@ pub fn sw_last_row_striped<M: CellMask>(
     let mut edge = vec![0 as Score; rows]; // M[y][x0−1] of the previous stripe.
 
     let mut best = 0;
-    let mut best_cell = None;
+    let mut best_row = None;
 
     let mut x0 = 0;
     while x0 < cols {
@@ -98,11 +98,11 @@ pub fn sw_last_row_striped<M: CellMask>(
                 maxx = cand.max(maxx) - ext;
                 maxy[x] = cand.max(maxy[x]) - ext;
                 diag = up;
-                // Stripes visit cells out of row-major order; tie-break
-                // explicitly so `best_cell` matches the row-major kernel.
-                if v > best || (v == best && best_cell.is_some_and(|c| (y, x) < c)) {
+                // Stripes visit rows more than once; tie-break explicitly
+                // so `best_row` matches the row-major kernel.
+                if v > best || (v == best && best_row.is_some_and(|r| y < r)) {
                     best = v;
-                    best_cell = Some((y, x));
+                    best_row = Some(y);
                 }
             }
             maxx_carry[y] = maxx;
@@ -123,7 +123,7 @@ pub fn sw_last_row_striped<M: CellMask>(
 
     LastRow {
         best,
-        best_cell,
+        best_row,
         row: m,
         best_in_row,
         best_in_row_col,

@@ -44,7 +44,7 @@ use repro::simd::{select, GroupSweeper, LaneWidth};
 use repro::xmpi::socket::{SocketHub, SocketPeer};
 use repro::xmpi::Comm;
 use repro::{Engine, Repro, Scoring, SeedConfig, Seq, Transport};
-use repro_bench::{secs, time_min, time_min_pair, Scale, Table};
+use repro_bench::{host, secs, time_min, time_min_pair, Scale, Table};
 use repro_seqgen::{PlantedRepeats, RepeatKind, RepeatSpec};
 use std::time::{Duration, Instant};
 
@@ -399,6 +399,7 @@ fn main() {
             Json::Str("cluster_real".to_string()),
         ),
         ("scale".to_string(), Json::Str(format!("{scale:?}"))),
+        ("host".to_string(), host()),
         (
             "sequence".to_string(),
             Json::Obj(vec![

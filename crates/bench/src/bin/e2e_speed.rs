@@ -31,7 +31,7 @@
 use repro::align::checkpoint::DEFAULT_CHECKPOINT_BUDGET;
 use repro::obs::json::Json;
 use repro::{Engine, Repro, Scoring, Stats};
-use repro_bench::{secs, time_min_pair, Scale, Table};
+use repro_bench::{host, secs, time_min_pair, Scale, Table};
 use repro_seqgen::{PlantedRepeats, RepeatKind, RepeatSpec};
 use std::time::Duration;
 
@@ -211,6 +211,7 @@ fn main() {
     let doc = Json::Obj(vec![
         ("bench".to_string(), Json::Str("e2e_speed".to_string())),
         ("scale".to_string(), Json::Str(format!("{scale:?}"))),
+        ("host".to_string(), host()),
         (
             "sequence".to_string(),
             Json::Obj(vec![

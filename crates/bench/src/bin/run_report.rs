@@ -33,7 +33,7 @@ use repro::core::{FinderConfig, Search, TopAlignmentFinder};
 use repro::obs::json::Json;
 use repro::obs::{FlightRecorder, NoopRecorder, DEFAULT_EVENT_CAP};
 use repro::{Engine, Repro, RunReport, Scoring, SeedConfig, Transport};
-use repro_bench::{secs, time_min, Scale, Table};
+use repro_bench::{host, secs, time_min, Scale, Table};
 use std::time::Duration;
 
 /// Flight recorder wall-time budget relative to the `NoopRecorder`
@@ -327,6 +327,7 @@ fn main() {
     let doc = Json::Obj(vec![
         ("bench".to_string(), Json::Str("run_report".to_string())),
         ("scale".to_string(), Json::Str(format!("{scale:?}"))),
+        ("host".to_string(), host()),
         (
             "sequence".to_string(),
             Json::Obj(vec![

@@ -12,8 +12,10 @@
 //! **chain** legs (what an engine sweeps: every group of one 600-residue
 //! chain through [`GroupSweeper::sweep_at`] — clean, capturing, masked,
 //! resumed — in useful cells/s, where the central-group points above
-//! count vector cells), and the engine-level composition (sequential vs
-//! auto-dispatched SIMD vs SIMD × SMP). Emits `BENCH_simd.json` — the
+//! count vector cells), the **split** legs (the width-1 engines' sweep
+//! of whole splits, `ScoredSeq`'s [`PackKernel::sweep`], against the
+//! bare row loop around the same body), and the engine-level composition
+//! (sequential vs auto-dispatched SIMD vs SIMD × SMP). Emits `BENCH_simd.json` — the
 //! checked-in copy lives under `results/`.
 //!
 //! Usage: `cargo run --release -p repro-bench --bin simd_sweep --
@@ -21,13 +23,16 @@
 //! `--check` exits non-zero if any masked sweep runs below
 //! [`MIN_MASKED_OVER_UNMASKED`] of its unmasked twin, a row-step body
 //! below its floor relative to the per-cell loop
-//! ([`MIN_AVX2_ROW_OVER_CELL`], [`MIN_PORTABLE_ROW_OVER_CELL`]), or a
+//! ([`MIN_AVX2_ROW_OVER_CELL`], [`MIN_PORTABLE_ROW_OVER_CELL`]), a
 //! chain leg below its floor ([`MIN_NARROWEST_OVER_CENTRAL`],
-//! [`MIN_CHAIN_LEG_OVER_CLEAN`]).
+//! [`MIN_CHAIN_LEG_OVER_CLEAN`]), or a split sweep below
+//! [`MIN_SPLIT_OVER_ROW_LOOP`] of the bare row loop.
 
 use repro::align::kernel::row::Body;
 use repro::align::{CellMask, NoMask, QueryProfile, Score, Sides, NEG_INF};
-use repro::core::{find_top_alignments, OverrideTriangle, Search, SplitMask};
+use repro::core::{
+    find_top_alignments, OverrideTriangle, PackKernel, ScoredSeq, Search, SplitMask,
+};
 use repro::obs::NoopRecorder;
 use repro::simd::dispatch::{
     available, max_width, sweep_group_lookup_i16, sweep_group_profile_i16, sweep_group_wide,
@@ -36,7 +41,8 @@ use repro::simd::{
     find_top_alignments_simd, select, DispatchPath, GroupCapture, GroupSweeper, LaneWidth, SimdSel,
 };
 use repro::{find_top_alignments_parallel_simd, Scoring};
-use repro_bench::{time_min, time_min_each, time_min_pair, Scale};
+use repro_bench::{host, time_min, time_min_each, time_min_pair, Scale};
+use repro_seqgen::{PlantedRepeats, RepeatSpec};
 use std::time::Duration;
 
 const PATHS: [DispatchPath; 3] = [
@@ -71,6 +77,13 @@ const MIN_PORTABLE_ROW_OVER_CELL: f64 = 0.95;
 /// next to the clean sweep of the whole chain.
 const MIN_NARROWEST_OVER_CENTRAL: f64 = 0.40;
 const MIN_CHAIN_LEG_OVER_CLEAN: f64 = 0.85;
+
+/// Floor, under `--check`, on a whole-split sweep's cells/s relative to
+/// the bare row loop around the same body, unmasked and masked: the
+/// loop's own bookkeeping (the best score and its row) must stay noise
+/// next to the row step. A per-row scan for the best cell's column read
+/// about 0.73x.
+const MIN_SPLIT_OVER_ROW_LOOP: f64 = 0.85;
 
 /// The score pass as it was before the row step: Figure 3's loop cell
 /// by cell over the segments between a row's overridden columns. Kept
@@ -230,6 +243,79 @@ fn row_legs(scoring: &Scoring, budget: Duration) -> (Vec<RowPoint>, f64, Option<
     (points, worst_portable, worst_avx2)
 }
 
+/// One split-leg measurement, already formatted as a JSON object.
+struct SplitPoint {
+    masked: bool,
+    secs: f64,
+    cells_per_sec: f64,
+}
+
+impl SplitPoint {
+    fn json(&self) -> String {
+        format!(
+            "{{\"masked\": {}, \"secs\": {:e}, \"cells_per_sec\": {:.0}}}",
+            self.masked, self.secs, self.cells_per_sec
+        )
+    }
+}
+
+/// The `split` legs: every split of a 400-nt DNA island (the
+/// `dna_loose_seq` shape, four 50-nt copies between 100-nt flanks,
+/// where chance matches keep raising a matrix's best) through
+/// `ScoredSeq`'s [`PackKernel::sweep`], the sweep of `seq`, `threads:N`
+/// and the Figure 8 simulator, clean and under the first top's
+/// triangle, alternating rep by rep with the bare row loop around the
+/// body the process selected. Returns the points and the worst ratio of
+/// the sweep's cells/s to the loop's.
+fn split_legs(budget: Duration) -> (Vec<SplitPoint>, f64) {
+    let spec = RepeatSpec {
+        flank: 100,
+        ..RepeatSpec::dna_sparse_island(50, 4)
+    };
+    let seq = PlantedRepeats::generate(&spec, 1).seq;
+    let scoring = Scoring::dna_example();
+    let (kernel, m) = (ScoredSeq::new(&seq, &scoring), seq.len());
+    let mut triangle = OverrideTriangle::new(m);
+    for &(p, q) in &find_top_alignments(&seq, &scoring, 1).alignments[0].pairs {
+        triangle.set(p, q);
+    }
+    let splits: Vec<usize> = (1..m).collect();
+    let cells = splits.iter().map(|&r| r * (m - r)).sum::<usize>() as f64;
+    let mut worst = f64::INFINITY;
+    let mut points = Vec::new();
+    for masked in [false, true] {
+        let tri = masked.then_some(&triangle);
+        let bare = || -> Vec<Vec<Score>> {
+            let body = Body::selected();
+            let row = |&r: &usize| match tri {
+                Some(t) => last_row_stepped(body, &kernel.split(r), SplitMask::new(t, r)),
+                None => last_row_stepped(body, &kernel.split(r), NoMask),
+            };
+            splits.iter().map(row).collect()
+        };
+        let sweep = || kernel.sweep(&splits, tri, None, &[]).0.rows;
+        assert_eq!(sweep(), bare(), "the split sweep differs from the loop");
+        let (t_loop, t_split) = time_min_pair(
+            budget,
+            || drop(std::hint::black_box(bare())),
+            || drop(std::hint::black_box(sweep())),
+        );
+        worst = worst.min(t_loop / t_split);
+        eprintln!(
+            "  split{}: {:.0} M cells/s, {:.2}x the bare row loop",
+            if masked { " masked" } else { "" },
+            cells / t_split / 1e6,
+            t_loop / t_split
+        );
+        points.push(SplitPoint {
+            masked,
+            secs: t_split,
+            cells_per_sec: cells / t_split,
+        });
+    }
+    (points, worst)
+}
+
 /// One chain-leg measurement, already formatted as a JSON object.
 struct ChainPoint {
     path: DispatchPath,
@@ -354,27 +440,6 @@ fn chain_legs(sel: SimdSel, scoring: &Scoring, budget: Duration) -> Vec<ChainPoi
         p
     })
     .collect()
-}
-
-/// The x86 features the kernels and the row step dispatch on, as the
-/// running CPU reports them (quoted, for the `host` block).
-fn cpu_features() -> Vec<&'static str> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        [
-            ("\"sse2\"", std::arch::is_x86_feature_detected!("sse2")),
-            ("\"avx2\"", std::arch::is_x86_feature_detected!("avx2")),
-            (
-                "\"avx512bw\"",
-                std::arch::is_x86_feature_detected!("avx512bw"),
-            ),
-        ]
-        .into_iter()
-        .filter_map(|(name, on)| on.then_some(name))
-        .collect()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    Vec::new()
 }
 
 fn out_path() -> String {
@@ -535,8 +600,10 @@ fn main() {
         chain.extend(chain_legs(sel, &scoring, chain_budget));
     }
 
-    // The scalar row step against the per-cell loop.
+    // The scalar row step against the per-cell loop, and whole splits
+    // against the bare row loop.
     let (row_points, portable_over_cell, avx2_over_cell) = row_legs(&scoring, budget);
+    let (split_points, split_over_row_loop) = split_legs(budget);
 
     // Engine-level composition on a smaller instance (full runs are
     // O(m³) per engine).
@@ -643,13 +710,14 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"simd_sweep\",\n  \"scale\": \"{scale:?}\",\n  \
-         \"host\": {{\"nproc\": {}, \"cpu_features\": [{}], \"dispatch\": \"{auto}\"}},\n  \
+         \"host\": {},\n  \
          \"sequence\": {{\"kind\": \"titin_like\", \"residues\": {m}}},\n  \
          \"paths_available\": [{}],\n  \
          \"kernels\": [\n    {}\n  ],\n  \
          \"wide_i32\": [\n    {}\n  ],\n  \
          \"chain\": [\n    {}\n  ],\n  \
          \"row\": [\n    {}\n  ],\n  \
+         \"split\": [\n    {}\n  ],\n  \
          \"engines\": [\n    {}\n  ],\n  \
          \"checks\": {{\n    \"avx2_x16_over_sse2_x8\": {},\n    \
          \"profile_beats_lookup_at_every_width\": {},\n    \
@@ -658,9 +726,9 @@ fn main() {
          \"min_capture_over_clean\": {capture_over_clean:.2}, \
          \"min_masked_over_clean\": {chain_masked_over_clean:.2}, \
          \"min_chain_over_central\": {chain_over_central:.2}}},\n    \
-         \"min_row_over_cell\": {{\"portable\": {:.2}, \"avx2\": {}}}\n  }}\n}}\n",
-        std::thread::available_parallelism().map_or(0, |n| n.get()),
-        cpu_features().join(", "),
+         \"min_row_over_cell\": {{\"portable\": {:.2}, \"avx2\": {}}},\n    \
+         \"min_split_over_row_loop\": {split_over_row_loop:.2}\n  }}\n}}\n",
+        host().to_string_compact(),
         PATHS
             .iter()
             .filter(|&&p| available(p))
@@ -681,6 +749,11 @@ fn main() {
         row_points
             .iter()
             .map(RowPoint::json)
+            .collect::<Vec<_>>()
+            .join(",\n    "),
+        split_points
+            .iter()
+            .map(SplitPoint::json)
             .collect::<Vec<_>>()
             .join(",\n    "),
         engines.join(",\n    "),
@@ -723,6 +796,10 @@ fn main() {
              (floor {MIN_AVX2_ROW_OVER_CELL:.2}x)"
         );
     }
+    eprintln!(
+        "check: slowest split sweep / bare row loop = {split_over_row_loop:.2}x \
+         (floor {MIN_SPLIT_OVER_ROW_LOOP:.2}x)"
+    );
     if std::env::args().any(|a| a == "--check") {
         let mut failed = false;
         if masked_over_unmasked < MIN_MASKED_OVER_UNMASKED {
@@ -741,6 +818,10 @@ fn main() {
             || avx2_over_cell.is_some_and(|r| r < MIN_AVX2_ROW_OVER_CELL)
         {
             eprintln!("CHECK FAILED: a row-step body runs below its floor");
+            failed = true;
+        }
+        if split_over_row_loop < MIN_SPLIT_OVER_ROW_LOOP {
+            eprintln!("CHECK FAILED: a split sweep runs below the bare row loop's floor");
             failed = true;
         }
         if failed {

@@ -58,7 +58,7 @@ use repro::obs::json::Json;
 use repro::obs::Metric;
 use repro::report::HistogramSummary;
 use repro::{Engine, Repro, Scoring, SeedConfig, Stats};
-use repro_bench::{secs, time_min, Scale, Table};
+use repro_bench::{host, secs, time_min, Scale, Table};
 use repro_seqgen::{titin_like, PlantedRepeats, RepeatSpec};
 use std::time::Duration;
 
@@ -237,6 +237,7 @@ fn main() {
     let doc = Json::Obj(vec![
         ("bench".to_string(), Json::Str("split_prune".to_string())),
         ("scale".to_string(), Json::Str(format!("{scale:?}"))),
+        ("host".to_string(), host()),
         (
             "seed_k".to_string(),
             Json::Num(SeedConfig::default().k as f64),

@@ -21,6 +21,7 @@
 
 #![warn(missing_docs)]
 
+use repro::obs::json::{num, obj, str, Json};
 use std::time::{Duration, Instant};
 
 /// Problem-size selector shared by all experiment binaries.
@@ -94,6 +95,31 @@ pub fn time_min_pair(budget: Duration, mut a: impl FnMut(), mut b: impl FnMut())
 /// returning the minimum per-iteration seconds.
 pub fn time_min(budget: Duration, mut f: impl FnMut()) -> f64 {
     time_min_each(budget, &mut [&mut f])[0]
+}
+
+/// The `host` object every `BENCH_*.json` carries: the CPU count, the
+/// x86 features the kernels and the row step dispatch on, and the SIMD
+/// selection the engines make on this machine.
+pub fn host() -> Json {
+    #[cfg(target_arch = "x86_64")]
+    let features = [
+        ("sse2", std::arch::is_x86_feature_detected!("sse2")),
+        ("avx2", std::arch::is_x86_feature_detected!("avx2")),
+        ("avx512bw", std::arch::is_x86_feature_detected!("avx512bw")),
+    ];
+    #[cfg(not(target_arch = "x86_64"))]
+    let features: [(&str, bool); 0] = [];
+    let features = features.into_iter().filter(|&(_, on)| on);
+    let auto = repro::simd::select(None, None).expect("auto selection never fails");
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    obj(vec![
+        ("nproc", num(nproc as f64)),
+        (
+            "cpu_features",
+            Json::Arr(features.map(|(f, _)| str(f)).collect()),
+        ),
+        ("dispatch", str(&auto.to_string())),
+    ])
 }
 
 /// Right-aligned table printer: header once, then rows.

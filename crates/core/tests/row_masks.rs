@@ -9,10 +9,11 @@
 //! walk shows up as a differing matrix.
 
 use repro_align::{
-    sw_full, sw_last_row, sw_last_row_naive, sw_last_row_resume, tri_initial_state,
-    tri_self_sweep_resume, Alphabet, Score, Scoring, Seq, SetMask, NEG_INF,
+    sw_align_linmem, sw_full, sw_last_row, sw_last_row_naive, sw_last_row_resume,
+    tri_initial_state, tri_self_sweep_resume, Alphabet, LastRow, Score, Scoring, Seq, SetMask,
+    NEG_INF,
 };
-use repro_core::{OverrideTriangle, PairMask, SplitMask};
+use repro_core::{find_top_alignments, OverrideTriangle, PairMask, ScoredSeq, SplitMask};
 
 fn rng(seed: &mut u64) -> u64 {
     *seed ^= *seed << 13;
@@ -146,6 +147,69 @@ fn split_kernels_match_naive_on_random_triangles() {
         let t = random_triangle(m, 3 + case * 4, &mut seed);
         for r in 1..m {
             check_split(&seq, &scoring, &t, r);
+        }
+    }
+}
+
+/// Split `r` through the production row loop against the naive kernel,
+/// resumed at every row from 0 to `r`. A resume sweeps rows `y..r` only,
+/// so its `best`/`best_row` are those rows' and its `cells` theirs; the
+/// naive kernel gives each row as the bottom row over the rows above it.
+fn check_every_resume(scored: &ScoredSeq, t: &OverrideTriangle, r: usize) {
+    let (a, b) = scored.seq.split(r);
+    let (cols, cells) = (b.len(), split_cells(t, r));
+    let rows: Vec<LastRow> = (1..=r)
+        .map(|n| sw_last_row_naive(&a[..n], b, scored.scoring, &cells))
+        .collect();
+    let want = &rows[r - 1];
+    let (sides, mask) = (scored.split(r), SplitMask::new(t, r));
+    let capture_rows: Vec<usize> = (1..r).collect();
+    // Resume states: fresh at row 0, captured before rows 1..r, final at r.
+    let mut snaps = vec![(0, vec![0; cols], vec![NEG_INF; cols])];
+    let mut maxy = vec![NEG_INF; cols];
+    let mut keep = |y: usize, m: &[Score], my: &[Score]| snaps.push((y, m.to_vec(), my.to_vec()));
+    let swept = sides.last_row_resume(mask, 0, vec![0; cols], &mut maxy, &capture_rows, &mut keep);
+    snaps.push((r, swept.row, maxy));
+    for (y, m, mut my) in snaps {
+        let best = rows[y..].iter().map(|l| l.best_in_row).max().unwrap_or(0);
+        let first = rows[y..].iter().position(|l| l.best_in_row == best);
+        let expect = LastRow {
+            best,
+            best_row: first.filter(|_| best > 0).map(|k| y + k),
+            cells: ((r - y) * cols) as u64,
+            ..want.clone()
+        };
+        let resumed = sides.last_row_resume(mask, y, m, &mut my, &[], &mut |_, _, _| {});
+        assert_eq!(resumed, expect, "split {r}, resume at {y}, {t:?}");
+    }
+
+    // The linear-memory traceback ends at the full matrix's best cell.
+    let lin = sw_align_linmem(a, b, scored.scoring, mask);
+    let end = lin.pairs.last().map(|p| (p.row, p.col, lin.score));
+    assert_eq!(
+        end,
+        sw_full(a, b, scored.scoring, &cells).best_cell(),
+        "linmem split {r}"
+    );
+}
+
+/// Every `{A,C}` string to length 9, every split, every resume row, under
+/// an empty triangle and under the one the first top leaves.
+#[test]
+fn row_loop_matches_naive_on_every_short_string() {
+    let scoring = Scoring::dna_example();
+    for len in 2..=9 {
+        for bits in 0u32..1 << len {
+            let codes = (0..len).map(|i| (bits >> i & 1) as u8).collect();
+            let seq = Seq::from_codes(Alphabet::Dna, codes);
+            let scored = ScoredSeq::new(&seq, &scoring);
+            let tops = find_top_alignments(&seq, &scoring, 1).alignments;
+            let first = tops.first().map_or(&[][..], |top| &top.pairs[..]);
+            for t in [triangle_of(len, &[]), triangle_of(len, first)] {
+                for r in 1..len {
+                    check_every_resume(&scored, &t, r);
+                }
+            }
         }
     }
 }
