@@ -5,8 +5,13 @@
 //! row is one [`super::row`] step, which owns the per-row horizontal-gap
 //! maximum `MaxX` — and returns the bottom row (all the top-alignment
 //! machinery ever needs, per Appendix A).
+//!
+//! The loop picks its body per sweep: the 16 × `i16` one where [`Sides`]
+//! carry an `i16` profile and [`NarrowBody::exact_for`] holds, else the
+//! `i32` one. Both give the same rows and state bit for bit; the `i16`
+//! state is widened back at every capture and at the end.
 
-use crate::kernel::row::Body;
+use crate::kernel::row::{Body, NarrowBody};
 use crate::kernel::{LastRow, Sides};
 use crate::mask::CellMask;
 use crate::profile::QueryProfile;
@@ -117,35 +122,40 @@ impl Sides<'_> {
         assert_eq!(maxy.len(), cols, "resume state width mismatch");
         debug_assert!(capture_rows.windows(2).all(|w| w[0] < w[1]));
 
-        let body = Body::selected();
-        let mut next = vec![0 as Score; cols];
-        let mut best = 0;
-        let mut best_row = None;
-        let mut next_capture = 0usize;
-
-        for y in start_row..rows {
-            while next_capture < capture_rows.len() && capture_rows[next_capture] == y {
-                capture(y, &m, maxy);
-                next_capture += 1;
+        let (best, best_row) = match self.narrow_body() {
+            Some((body, profile)) => {
+                // Every value fits (`exact_for`) but a `MaxY` no row has
+                // advanced yet, `NEG_INF`, which maps to `i16::MIN`.
+                debug_assert!(m.iter().chain(&*maxy).all(|&v| v < i16::MAX.into()));
+                let narrow = |v: &[Score]| -> Vec<i16> {
+                    v.iter().map(|&v| v.max(i16::MIN.into()) as i16).collect()
+                };
+                let (mut m16, mut maxy16) = (narrow(&m), narrow(maxy));
+                let found = self.sweep_rows(
+                    mask,
+                    start_row,
+                    (&mut m16, &mut maxy16),
+                    capture_rows,
+                    &mut |y, m16, maxy16| {
+                        widen(&mut m, m16);
+                        widen(maxy, maxy16);
+                        capture(y, &m, maxy);
+                    },
+                    |y, prev, out, my| body.step(prev, out, my, profile.row(self.rows[y], self.q0)),
+                );
+                widen(&mut m, &m16);
+                widen(maxy, &maxy16);
+                found
             }
-            // The virtual zero column seeds the row.
-            let mut row_best = body.step(&m, 0, &mut next, maxy, self.scores(y), self.gaps);
-            let mut lost_best = false;
-            for hit in mask.row_hits(y, 0, cols) {
-                lost_best |= next[hit] == row_best;
-                next[hit] = 0;
+            None => {
+                let body = Body::selected();
+                // The virtual zero column seeds the row.
+                let step = |y, prev: &_, out: &mut _, my: &mut _| {
+                    body.step(prev, 0, out, my, self.scores(y), self.gaps)
+                };
+                self.sweep_rows(mask, start_row, (&mut m, maxy), capture_rows, capture, step)
             }
-            std::mem::swap(&mut m, &mut next);
-            // Only a zeroed row maximum costs a scan; the best cell's
-            // column is never located (see `LastRow::best_row`).
-            if lost_best && row_best > best {
-                row_best = m.iter().copied().max().unwrap_or(0);
-            }
-            if row_best > best {
-                best = row_best;
-                best_row = Some(y);
-            }
-        }
+        };
 
         let mut best_in_row = 0;
         let mut best_in_row_col = None;
@@ -164,6 +174,66 @@ impl Sides<'_> {
             best_in_row_col,
             cells: (rows - start_row) as u64 * cols as u64,
         }
+    }
+
+    /// The 16 × `i16` row body and profile [`Self::last_row_resume`] runs
+    /// on this matrix: where the process has the body, the sides carry an
+    /// `i16` profile and [`NarrowBody::exact_for`] holds.
+    pub fn narrow_body(&self) -> Option<(NarrowBody, &QueryProfile<i16>)> {
+        let profile = self.narrow?;
+        let body = Body::selected().narrow(self.gaps)?;
+        let pairs = self.rows.len().min(self.cols());
+        NarrowBody::exact_for(profile.peak(), pairs, self.gaps).then_some((body, profile))
+    }
+
+    /// The row loop at either element width, from the state `(m, maxy)`
+    /// at `start_row`, `step(y, prev, out, maxy)` computing row `y`:
+    /// returns the best over the swept rows and its first row.
+    #[allow(clippy::type_complexity)]
+    fn sweep_rows<T: Copy + Ord + Default + Into<Score>>(
+        &self,
+        mask: impl CellMask,
+        start_row: usize,
+        (m, maxy): (&mut Vec<T>, &mut [T]),
+        capture_rows: &[usize],
+        capture: &mut dyn FnMut(usize, &[T], &[T]),
+        step: impl Fn(usize, &[T], &mut [T], &mut [T]) -> T,
+    ) -> (Score, Option<usize>) {
+        let cols = m.len();
+        let mut next = vec![T::default(); cols];
+        let (mut best, mut best_row) = (T::default(), None);
+        let mut next_capture = 0usize;
+
+        for y in start_row..self.rows.len() {
+            while next_capture < capture_rows.len() && capture_rows[next_capture] == y {
+                capture(y, m, maxy);
+                next_capture += 1;
+            }
+            let mut row_best = step(y, m, &mut next, maxy);
+            let mut lost_best = false;
+            for hit in mask.row_hits(y, 0, cols) {
+                lost_best |= next[hit] == row_best;
+                next[hit] = T::default();
+            }
+            std::mem::swap(m, &mut next);
+            // Only a zeroed row maximum costs a scan; the best cell's
+            // column is never located (see `LastRow::best_row`).
+            if lost_best && row_best > best {
+                row_best = m.iter().copied().max().unwrap_or_default();
+            }
+            if row_best > best {
+                best = row_best;
+                best_row = Some(y);
+            }
+        }
+        (best.into(), best_row)
+    }
+}
+
+/// The `i16` row state back in `i32`, `i16::MIN` as [`NEG_INF`].
+fn widen(to: &mut [Score], from: &[i16]) {
+    for (t, &f) in to.iter_mut().zip(from) {
+        *t = if f == i16::MIN { NEG_INF } else { f.into() };
     }
 }
 
@@ -449,5 +519,126 @@ mod tests {
         let r = sw_last_row(a.codes(), b.codes(), &s, NoMask);
         // matches ACGTA + CGTAC = 10 matches = 20 minus gap(4) = 6 → 14.
         assert_eq!(r.best, 14);
+    }
+
+    /// `rows` against `cols` with both profiles built, and the same sides
+    /// with the `i16` profile withheld (the `i32` body).
+    fn both_sides<'a>(
+        rows: &'a [u8],
+        wide: &'a QueryProfile<Score>,
+        narrow: &'a QueryProfile<i16>,
+        s: &Scoring,
+    ) -> (Sides<'a>, Sides<'a>) {
+        let plain = Sides::whole(rows, wide, s.gaps);
+        let with_narrow = Sides {
+            narrow: Some(narrow),
+            ..plain
+        };
+        (with_narrow, plain)
+    }
+
+    /// A full sweep capturing before every row: the result, the final
+    /// `MaxY` and every capture.
+    #[allow(clippy::type_complexity)]
+    fn sweep_capturing(
+        sides: &Sides,
+        mask: &SetMask,
+    ) -> (LastRow, Vec<Score>, Vec<(usize, Vec<Score>, Vec<Score>)>) {
+        let cols = sides.cols();
+        let capture_rows: Vec<usize> = (0..sides.rows.len()).collect();
+        let mut snaps = Vec::new();
+        let mut maxy = vec![NEG_INF; cols];
+        let last = sides.last_row_resume(
+            mask,
+            0,
+            vec![0; cols],
+            &mut maxy,
+            &capture_rows,
+            &mut |y, m, my| snaps.push((y, m.to_vec(), my.to_vec())),
+        );
+        (last, maxy, snaps)
+    }
+
+    /// The selection flips exactly where `peak · min(rows, cols) + 15 ·
+    /// ext` reaches `i16::MAX`: 1 213 · 27 + 15 = 32 766 runs the `i16`
+    /// body, 27 → 28 pairs does not. At the edge the best cell is 32 751,
+    /// and both bodies give the same result, `MaxY` and captures.
+    #[test]
+    fn narrow_selection_flips_at_the_bound_and_stays_bit_equal() {
+        let s = Scoring::new(
+            crate::ExchangeMatrix::match_mismatch(crate::Alphabet::Dna, 1213, -1),
+            crate::GapPenalties::new(2, 1),
+        );
+        let has_narrow = Body::selected().narrow(s.gaps).is_some();
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        for (rows, cols) in [(27, 27), (27, 40), (40, 27), (28, 28), (28, 40), (40, 28)] {
+            for case in 0..3 {
+                let (a, b) = if case == 0 {
+                    (
+                        Seq::dna(&"A".repeat(rows)).unwrap(),
+                        Seq::dna(&"A".repeat(cols)).unwrap(),
+                    )
+                } else {
+                    (random_dna(rows, &mut seed), random_dna(cols, &mut seed))
+                };
+                // Case 0 is unmasked: its best cell is the whole diagonal.
+                let hits = (0..rows).filter(|y| case > 0 && y % 5 == case);
+                let mask = SetMask::from_cells(hits.map(|y| (y, (y * 3) % cols)));
+                let wide = QueryProfile::new_wide(&s, b.codes());
+                let narrow = QueryProfile::new_narrow(&s, b.codes()).unwrap();
+                let (with_narrow, plain) = both_sides(a.codes(), &wide, &narrow, &s);
+                assert_eq!(
+                    with_narrow.narrow_body().is_some(),
+                    has_narrow && rows.min(cols) <= 27
+                );
+                assert!(plain.narrow_body().is_none());
+                let got = sweep_capturing(&with_narrow, &mask);
+                let want = sweep_capturing(&plain, &mask);
+                assert_eq!(got, want, "{rows} x {cols}, case {case}");
+                if case == 0 && rows.min(cols) == 27 {
+                    assert_eq!(got.0.best, 32_751);
+                }
+            }
+        }
+    }
+
+    /// A checkpoint captured by one body restores into the other, both
+    /// ways, at every row: the resumed sweep equals the uninterrupted
+    /// one (bottom row, row maxima, cells) and leaves the same `MaxY`.
+    #[test]
+    fn checkpoints_cross_between_the_narrow_and_wide_bodies() {
+        let s = Scoring::dna_example();
+        let mut seed = 0x6a09_e667_f3bc_c908u64;
+        for case in 0..10 {
+            let a = random_dna(3 + case * 5, &mut seed);
+            let b = random_dna(1 + case * 7, &mut seed);
+            let (rows, cols) = (a.len(), b.len());
+            let mask = SetMask::from_cells((0..rows).filter_map(|y| {
+                if rng(&mut seed).is_multiple_of(3) {
+                    Some((y, rng(&mut seed) as usize % cols))
+                } else {
+                    None
+                }
+            }));
+            let wide = QueryProfile::new_wide(&s, b.codes());
+            let narrow = QueryProfile::new_narrow(&s, b.codes()).unwrap();
+            let (with_narrow, plain) = both_sides(a.codes(), &wide, &narrow, &s);
+            let (full, full_maxy, snaps) = sweep_capturing(&plain, &mask);
+            assert_eq!(sweep_capturing(&with_narrow, &mask).2, snaps, "case {case}");
+            for (from, to) in [(&with_narrow, &plain), (&plain, &with_narrow)] {
+                let (_, _, caps) = sweep_capturing(from, &mask);
+                for (y, m, mut my) in
+                    caps.into_iter()
+                        .chain([(rows, full.row.clone(), full_maxy.clone())])
+                {
+                    let resumed = to.last_row_resume(&mask, y, m, &mut my, &[], &mut |_, _, _| {});
+                    assert_eq!(resumed.row, full.row, "case {case}, resume at {y}");
+                    assert_eq!(resumed.best_in_row, full.best_in_row);
+                    assert_eq!(resumed.best_in_row_col, full.best_in_row_col);
+                    assert_eq!(resumed.cells, ((rows - y) * cols) as u64);
+                    assert_eq!(my, full_maxy, "case {case}, MaxY after resuming at {y}");
+                }
+            }
+        }
     }
 }

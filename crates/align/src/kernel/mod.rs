@@ -5,7 +5,7 @@
 //!
 //! | module | per-cell cost | memory | role |
 //! |---|---|---|---|
-//! | [`row`] | `O(1)`, vectorised along the row | — | the one recurrence body: a row from the row above it |
+//! | [`row`] | `O(1)`, vectorised along the row | — | the recurrence body, `i32` and (where a bound allows) `i16`: a row from the row above it |
 //! | [`gotoh`] | `O(1)` (Figure 3's `MaxX`/`MaxY`) | two rows | the production score pass |
 //! | [`naive`] | `O(n)` (Equation 1 verbatim) | full matrix | the old-algorithm baseline and a differential oracle |
 //! | [`full`] | `O(1)` | full matrix | traceback |
@@ -16,6 +16,8 @@
 //!
 //! [`gotoh`], [`full`] and [`tri`] are row loops around [`row`]; they
 //! read substitution scores from a [`QueryProfile`] through [`Sides`].
+//! Only [`gotoh`]'s loop also runs the `i16` body (where a bound proves
+//! it exact); [`full`], [`tri`] and [`linmem`] stay `i32`.
 //! Each keeps an `(a, b, scoring, mask)` form that builds a throwaway
 //! profile; whoever sweeps many matrices of one sequence builds the
 //! profile once (`repro_core::ScoredSeq`).
@@ -43,6 +45,9 @@ pub struct Sides<'a> {
     pub rows: &'a [u8],
     /// Wide profile of the sequence the columns are taken from.
     pub profile: &'a QueryProfile<Score>,
+    /// The same profile in `i16`, if built: [`Self::last_row_resume`] then
+    /// runs the `i16` row body where a score bound proves it exact.
+    pub narrow: Option<&'a QueryProfile<i16>>,
     /// First profiled position that is a matrix column; the columns are
     /// positions `q0..profile.len()`.
     pub q0: usize,
@@ -51,11 +56,12 @@ pub struct Sides<'a> {
 }
 
 impl<'a> Sides<'a> {
-    /// `rows` against every profiled position.
+    /// `rows` against every profiled position, in `i32` only.
     pub fn whole(rows: &'a [u8], profile: &'a QueryProfile<Score>, gaps: GapPenalties) -> Self {
         Sides {
             rows,
             profile,
+            narrow: None,
             q0: 0,
             gaps,
         }

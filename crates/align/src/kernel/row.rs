@@ -22,11 +22,14 @@
 //! reads it and the gap state advances from `D` as for any cell, so the
 //! callers run the plain step and write the zero afterwards.
 //!
-//! Two bodies, picked once per process ([`Body::selected`]): a portable
-//! two-pass one (per block, a serial prefix max with a single `max` on
-//! its chain, then an element-wise loop LLVM vectorises) and an AVX2
-//! one (8 × `i32`, in-register log-step scan, broadcast carry). This is *intra*-matrix vectorisation of one
-//! matrix's row; `repro-simd` vectorises *across* neighbouring matrices.
+//! Three bodies. Two in `i32`, picked once per process ([`Body::selected`]):
+//! a portable two-pass one (per block, a serial prefix max with a single
+//! `max` on its chain, then an element-wise loop LLVM vectorises) and an
+//! AVX2 one (8 × `i32`, in-register log-step scan, broadcast carry). The
+//! third, [`NarrowBody`], is the AVX2 one over 16 × `i16`, which the row
+//! loop picks per sweep where a bound proves it exact. This is
+//! *intra*-matrix vectorisation of one matrix's row; `repro-simd`
+//! vectorises *across* neighbouring matrices.
 
 use crate::scoring::GapPenalties;
 use crate::Score;
@@ -38,7 +41,7 @@ enum Kind {
     Avx2,
 }
 
-/// Which of the two row-step bodies runs. A value naming the AVX2 body
+/// Which of the two `i32` row-step bodies runs. A value naming the AVX2 body
 /// exists only after the CPU was probed for it, so [`Body::step`] needs
 /// no further check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,6 +65,21 @@ impl Body {
     pub fn selected() -> Body {
         static SELECTED: std::sync::OnceLock<Body> = std::sync::OnceLock::new();
         *SELECTED.get_or_init(|| Body::avx2().unwrap_or(Body::PORTABLE))
+    }
+
+    /// The 16 × `i16` body next to this one, bound to `gaps`: present
+    /// exactly for the AVX2 body and a `gaps` that passes
+    /// [`GapPenalties::fit_i16`].
+    pub fn narrow(self, gaps: GapPenalties) -> Option<NarrowBody> {
+        match self.0 {
+            _ if !gaps.fit_i16() => None,
+            Kind::Portable => None,
+            // SAFETY: a `Kind::Avx2` body exists only after the AVX2 probe.
+            #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
+            Kind::Avx2 => Some(NarrowBody(NarrowKind::Avx2(unsafe {
+                avx2::consts16(gaps)
+            }))),
+        }
     }
 
     /// `"portable"` or `"avx2"`.
@@ -115,6 +133,49 @@ impl Body {
                 // was asserted just above.
                 unsafe { avx2::step(prev, seed, out, maxy, e, gaps) }
             }
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum NarrowKind {
+    #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
+    Avx2(avx2::Consts16),
+}
+
+/// The 16 × `i16` AVX2 body bound to one gap model ([`Body::narrow`]):
+/// the AVX2 body's recurrence at twice the cells per vector, exact on a
+/// matrix [`Self::exact_for`] admits.
+#[derive(Debug, Clone, Copy)]
+pub struct NarrowBody(NarrowKind);
+
+impl NarrowBody {
+    /// Is this body exact on a matrix of `min(rows, cols) = pairs` under
+    /// exchange scores up to `peak` and `gaps`? A cell is at most `peak⁺ ·
+    /// pairs`, the scan adds up to `15·ext` (DESIGN.md, "Row-vectorised
+    /// recurrence").
+    pub fn exact_for(peak: Score, pairs: usize, gaps: GapPenalties) -> bool {
+        let top = i128::from(peak.max(0)) * pairs as i128 + 15 * i128::from(gaps.extend);
+        gaps.fit_i16() && top < i128::from(i16::MAX)
+    }
+
+    /// [`Body::step`] in `i16` with seed 0 and `i16::MIN` for
+    /// [`crate::NEG_INF`], on a matrix [`Self::exact_for`] admits.
+    ///
+    /// # Panics
+    /// If the four slices differ in length.
+    #[inline]
+    pub fn step(&self, prev: &[i16], out: &mut [i16], maxy: &mut [i16], e: &[i16]) -> i16 {
+        let n = out.len();
+        assert!(
+            prev.len() == n && maxy.len() == n && e.len() == n,
+            "row step over slices of different lengths"
+        );
+        match self.0 {
+            // SAFETY: `Body::narrow` makes this value only on the AVX2
+            // body, for a gap model that fits; the lengths were asserted.
+            #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
+            NarrowKind::Avx2(ref k) => unsafe { avx2::step16(k, prev, out, maxy, e) },
         }
     }
 }
@@ -185,6 +246,7 @@ fn step_portable(
 #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
 mod avx2 {
     use super::{GapPenalties, Score};
+    use crate::NEG_INF;
     use std::arch::x86_64::*;
 
     /// Per-row constants of the chunk computation.
@@ -344,5 +406,224 @@ mod avx2 {
         let half = _mm_max_epi32(half, _mm_shuffle_epi32::<0b01_00_11_10>(half));
         let half = _mm_max_epi32(half, _mm_shuffle_epi32::<0b10_11_00_01>(half));
         _mm_cvtsi128_si32(half)
+    }
+
+    /// The 16-lane [`Consts`] of one gap model.
+    #[derive(Debug, Clone, Copy)]
+    pub(super) struct Consts16 {
+        gaps: GapPenalties,
+        open: __m256i,
+        ext: __m256i,
+        ext16: __m256i,
+        ramp: __m256i,
+        decay: __m256i,
+    }
+
+    /// `gaps` must pass [`GapPenalties::fit_i16`].
+    #[target_feature(enable = "avx2")]
+    pub(super) fn consts16(gaps: GapPenalties) -> Consts16 {
+        let ext = _mm256_set1_epi16(gaps.extend as i16);
+        let open = _mm256_set1_epi16(gaps.open as i16);
+        let lanes = _mm256_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        let ramp = _mm256_sub_epi16(_mm256_mullo_epi16(ext, lanes), ext);
+        let decay = _mm256_add_epi16(_mm256_add_epi16(ramp, ext), open);
+        let ext16 = _mm256_slli_epi16::<4>(ext);
+        Consts16 {
+            gaps,
+            open,
+            ext,
+            ext16,
+            ramp,
+            decay,
+        }
+    }
+
+    /// [`cells8`] over sixteen `i16` cells: three in-half steps of the
+    /// scan and one cross-half step, the gap maxima subtracted saturating.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn cells16(k: &Consts16, chunk: [__m256i; 4], carry: &mut __m256i) -> [__m256i; 2] {
+        let [d, left, my, e] = chunk;
+        let t = _mm256_add_epi16(left, k.ramp);
+        let t = _mm256_max_epi16(t, _mm256_slli_si256::<2>(t));
+        let t = _mm256_max_epi16(t, _mm256_slli_si256::<4>(t));
+        let t = _mm256_max_epi16(t, _mm256_slli_si256::<8>(t));
+        // Each half's last element, broadcast through that half.
+        let halves = _mm256_shuffle_epi8(t, _mm256_set1_epi16(0x0F0E));
+        let scan = _mm256_max_epi16(t, _mm256_permute2x128_si256::<0x08>(halves, halves));
+        let total = _mm256_max_epi16(halves, _mm256_permute2x128_si256::<0x01>(halves, halves));
+        let gapx = _mm256_subs_epi16(_mm256_max_epi16(scan, *carry), k.decay);
+        *carry = _mm256_subs_epi16(_mm256_max_epi16(*carry, total), k.ext16);
+
+        let pred = _mm256_max_epi16(_mm256_max_epi16(d, gapx), my);
+        let v = _mm256_max_epi16(_mm256_adds_epi16(pred, e), _mm256_setzero_si256());
+        let cand = _mm256_subs_epi16(d, k.open);
+        [v, _mm256_subs_epi16(_mm256_max_epi16(cand, my), k.ext)]
+    }
+
+    /// `s[at..at + 16]`; the caller guarantees `at + 16 ≤ s.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load(s: &[i16], at: usize) -> __m256i {
+        _mm256_loadu_si256(s.as_ptr().add(at).cast())
+    }
+
+    /// The 16 × `i16` body: [`step`] with the seed 0; chunk 0's diagonals
+    /// are `prev[0..16]` shifted up one and two elements, zeros filling in.
+    /// The last `n mod 16` cells are the chunk of the last 16 columns: its
+    /// first lanes repeat columns, which the held last full chunk's stores
+    /// overwrite, and its lifted carry holds candidates only they must not
+    /// see. A row under 18 cells runs cell by cell.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, and `prev`, `out`, `maxy` and `e` must
+    /// all have the same length.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn step16(
+        k: &Consts16,
+        prev: &[i16],
+        out: &mut [i16],
+        maxy: &mut [i16],
+        e: &[i16],
+    ) -> i16 {
+        let n = out.len();
+        if n < 18 {
+            // Figure 3's loop cell by cell, in `i32` (the gap maxima can
+            // fall below `i16` there, the cells and `MaxY` cannot).
+            let (open, ext) = (k.gaps.open, k.gaps.extend);
+            let (mut diag, mut maxx, mut best) = (0, NEG_INF, 0);
+            for x in 0..n {
+                let my = Score::from(maxy[x]);
+                let v = (diag.max(maxx).max(my) + Score::from(e[x])).max(0);
+                let cand = diag - open;
+                maxx = cand.max(maxx) - ext;
+                maxy[x] = (cand.max(my) - ext) as i16;
+                (diag, out[x], best) = (Score::from(prev[x]), v as i16, best.max(v));
+            }
+            return best as i16;
+        }
+        let (mut carry, mut best) = (_mm256_setzero_si256(), _mm256_setzero_si256());
+        let full = n - n % 16;
+        let mut held = None;
+        // SAFETY (every load and store below): each chunk `x` has `x + 16
+        // ≤ n`, and `x ≥ 2` where it reads `prev` from `x − 2`.
+        for x in (0..full).step_by(16) {
+            let (d, left) = if x == 0 {
+                let raw = load(prev, 0);
+                let low_up = _mm256_permute2x128_si256::<0x08>(raw, raw);
+                let d = _mm256_alignr_epi8::<14>(raw, low_up);
+                (d, _mm256_alignr_epi8::<12>(raw, low_up))
+            } else {
+                (load(prev, x - 1), load(prev, x - 2))
+            };
+            let [v, my] = cells16(k, [d, left, load(maxy, x), load(e, x)], &mut carry);
+            best = _mm256_max_epi16(best, v);
+            if full < n && x + 16 == full {
+                held = Some((x, v, my));
+            } else {
+                _mm256_storeu_si256(out.as_mut_ptr().add(x).cast(), v);
+                _mm256_storeu_si256(maxy.as_mut_ptr().add(x).cast(), my);
+            }
+        }
+        if let Some((held_x, held_v, held_my)) = held {
+            let (x, repeat) = (n - 16, (16 - n % 16) as i16);
+            let lift = _mm256_mullo_epi16(_mm256_set1_epi16(repeat), k.ext);
+            let mut carry = _mm256_adds_epi16(carry, lift);
+            let (d, left) = (load(prev, x - 1), load(prev, x - 2));
+            let [v, my] = cells16(k, [d, left, load(maxy, x), load(e, x)], &mut carry);
+            for (x, v, my) in [(x, v, my), (held_x, held_v, held_my)] {
+                _mm256_storeu_si256(out.as_mut_ptr().add(x).cast(), v);
+                _mm256_storeu_si256(maxy.as_mut_ptr().add(x).cast(), my);
+            }
+            let lanes = _mm256_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+            let new = _mm256_cmpgt_epi16(lanes, _mm256_set1_epi16(repeat - 1));
+            best = _mm256_max_epi16(best, _mm256_and_si256(v, new));
+        }
+        // The row maximum is non-negative: `MAX − best` is `minpos`'s minimum.
+        let flipped = _mm256_sub_epi16(_mm256_set1_epi16(i16::MAX), best);
+        let half = _mm256_extracti128_si256::<1>(flipped);
+        let half = _mm_min_epu16(_mm256_castsi256_si128(flipped), half);
+        i16::MAX - _mm_extract_epi16::<0>(_mm_minpos_epu16(half)) as i16
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn narrow_body_needs_avx2_and_a_fitting_gap_model() {
+        assert!(Body::PORTABLE.narrow(GapPenalties::new(2, 1)).is_none());
+        if let Some(avx2) = Body::avx2() {
+            assert!(avx2.narrow(GapPenalties::new(32767 - 16, 1)).is_some());
+            assert!(avx2.narrow(GapPenalties::new(32767 - 15, 1)).is_none());
+            assert!(avx2.narrow(GapPenalties::new(0, 2048)).is_none());
+        }
+        let gaps = GapPenalties::new(2, 1);
+        assert!(NarrowBody::exact_for(1213, 27, gaps));
+        assert!(!NarrowBody::exact_for(1213, 28, gaps));
+        assert!(NarrowBody::exact_for(-5, usize::MAX, gaps));
+        assert!(!NarrowBody::exact_for(1, 1, GapPenalties::new(32767, 1)));
+    }
+
+    /// One row through the `i16` body and through the `i32` AVX2 body,
+    /// from arbitrary states a bound admits: every row length through
+    /// four chunks and past, so the cell-by-cell rows (under 18 cells),
+    /// chunk 0 and the overlapping last chunk all run, under gap
+    /// models up to the [`GapPenalties::fit_i16`] edge. Cells, `MaxY`
+    /// (`i16::MIN` read as `NEG_INF`) and the row maximum must agree.
+    #[test]
+    #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
+    fn narrow_body_matches_the_avx2_body_at_every_length() {
+        use crate::NEG_INF;
+        fn rng(seed: &mut u64) -> u64 {
+            *seed ^= *seed << 13;
+            *seed ^= *seed >> 7;
+            *seed ^= *seed << 17;
+            *seed
+        }
+        let Some(wide) = Body::avx2() else { return };
+        let mut seed = 0x51ed_2701_9e37_79b9u64;
+        let models = [(2, 1), (0, 1), (11, 3), (32767 - 32, 2), (5, 2047)];
+        for (open, ext) in models {
+            let gaps = GapPenalties::new(open, ext);
+            let narrow = wide.narrow(gaps).expect("the gap model fits");
+            let top = (i32::from(i16::MAX) - 15 * ext - 64) as u64;
+            for n in (0..=70).chain([127, 128, 129, 200, 257]) {
+                for _ in 0..4 {
+                    let mut draw = |lo: Score, span: u64| lo + (rng(&mut seed) % span) as Score;
+                    let prev: Vec<Score> = (0..n)
+                        .map(|_| match draw(0, 3) {
+                            0 => 0,
+                            _ => draw(0, top),
+                        })
+                        .collect();
+                    let maxy: Vec<Score> = (0..n)
+                        .map(|_| match draw(0, 3) {
+                            0 => NEG_INF,
+                            _ => draw(-open - ext, top + (open + ext) as u64),
+                        })
+                        .collect();
+                    let e: Vec<Score> = (0..n).map(|_| draw(-40, 81)).collect();
+
+                    let (mut out, mut my) = (vec![0; n], maxy.clone());
+                    let best = wide.step(&prev, 0, &mut out, &mut my, &e, gaps);
+                    let narrowed = |v: &[Score]| -> Vec<i16> {
+                        v.iter().map(|&x| x.max(i16::MIN.into()) as i16).collect()
+                    };
+                    let (mut out16, mut my16) = (vec![0i16; n], narrowed(&maxy));
+                    let best16 =
+                        narrow.step(&narrowed(&prev), &mut out16, &mut my16, &narrowed(&e));
+                    let widened = |v: &[i16]| -> Vec<Score> {
+                        v.iter()
+                            .map(|&x| if x == i16::MIN { NEG_INF } else { x.into() })
+                            .collect()
+                    };
+                    assert_eq!(widened(&out16), out, "cells, n = {n}, gaps {gaps:?}");
+                    assert_eq!(widened(&my16), my, "MaxY, n = {n}, gaps {gaps:?}");
+                    assert_eq!(Score::from(best16), best, "row max, n = {n}, gaps {gaps:?}");
+                }
+            }
+        }
     }
 }

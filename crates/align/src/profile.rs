@@ -29,6 +29,8 @@ pub struct QueryProfile<T> {
     m: usize,
     /// `k × m` scores, row-major by residue code.
     data: Vec<T>,
+    /// The largest positive exchange score (0 if none).
+    peak: Score,
 }
 
 impl<T: Copy> QueryProfile<T> {
@@ -46,7 +48,8 @@ impl<T: Copy> QueryProfile<T> {
                 data.push(narrow(row[q as usize])?);
             }
         }
-        Some(QueryProfile { m, data })
+        let peak = scoring.exchange.max_score().max(0);
+        Some(QueryProfile { m, data, peak })
     }
 
     /// The scoring row of residue code `a` against columns `q ∈ [q0, m)`:
@@ -60,6 +63,11 @@ impl<T: Copy> QueryProfile<T> {
     /// Number of columns (the profiled sequence's length).
     pub fn len(&self) -> usize {
         self.m
+    }
+
+    /// The largest positive exchange score (0 if none).
+    pub fn peak(&self) -> Score {
+        self.peak
     }
 
     /// `true` for the profile of an empty sequence.

@@ -36,6 +36,13 @@ impl GapPenalties {
         debug_assert!(g >= 1);
         self.open + self.extend * g as Score
     }
+
+    /// Does the gap model fit the 16-lane `i16` kernels (the row step's
+    /// and the lane kernels')? `open + 16·extend ≤ i16::MAX` keeps every
+    /// gap constant they form exact; else they take the `i32` path.
+    pub fn fit_i16(&self) -> bool {
+        i64::from(self.open) + 16 * i64::from(self.extend) <= i64::from(i16::MAX)
+    }
 }
 
 /// Everything needed to score an alignment: the exchange matrix and the

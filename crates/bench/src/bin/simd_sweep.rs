@@ -8,7 +8,8 @@
 //! holding one diagonal alignment path through the measured group), the
 //! promoted `i32` wide sweeps, the scalar **row step** (one matrix's
 //! row vectorised along the row: its portable and AVX2 bodies against
-//! the per-cell loop it replaced, kept here as the reference), the
+//! the per-cell loop it replaced, kept here as the reference, and its
+//! 16 × `i16` body against the 8 × `i32` AVX2 one), the
 //! **chain** legs (what an engine sweeps: every group of one 600-residue
 //! chain through [`GroupSweeper::sweep_at`] — clean, capturing, masked,
 //! resumed — in useful cells/s, where the central-group points above
@@ -23,12 +24,13 @@
 //! `--check` exits non-zero if any masked sweep runs below
 //! [`MIN_MASKED_OVER_UNMASKED`] of its unmasked twin, a row-step body
 //! below its floor relative to the per-cell loop
-//! ([`MIN_AVX2_ROW_OVER_CELL`], [`MIN_PORTABLE_ROW_OVER_CELL`]), a
+//! ([`MIN_AVX2_ROW_OVER_CELL`], [`MIN_PORTABLE_ROW_OVER_CELL`]), the
+//! `i16` row body below [`MIN_NARROW_ROW_OVER_AVX2`] of the AVX2 one, a
 //! chain leg below its floor ([`MIN_NARROWEST_OVER_CENTRAL`],
 //! [`MIN_CHAIN_LEG_OVER_CLEAN`]), or a split sweep below
 //! [`MIN_SPLIT_OVER_ROW_LOOP`] of the bare row loop.
 
-use repro::align::kernel::row::Body;
+use repro::align::kernel::row::{Body, NarrowBody};
 use repro::align::{CellMask, NoMask, QueryProfile, Score, Sides, NEG_INF};
 use repro::core::{
     find_top_alignments, OverrideTriangle, PackKernel, ScoredSeq, Search, SplitMask,
@@ -66,6 +68,12 @@ const MIN_MASKED_OVER_UNMASKED: f64 = 0.80;
 /// portable body reads 0.53x, and never runs).
 const MIN_AVX2_ROW_OVER_CELL: f64 = 2.0;
 const MIN_PORTABLE_ROW_OVER_CELL: f64 = 0.95;
+
+/// Floor, under `--check`, on the 16 × `i16` row body's cells/s relative
+/// to the 8 × `i32` AVX2 body on the same matrix, where the host has
+/// both: twice the cells per vector must buy at least a quarter more
+/// throughput, or the narrow body does not pay for its bound.
+const MIN_NARROW_ROW_OVER_AVX2: f64 = 1.25;
 
 /// Floors, under `--check`, on the chain legs (useful cells/s, both
 /// sides of each ratio from the same rotation of reps). The narrowest
@@ -142,6 +150,25 @@ fn last_row_stepped<M: CellMask>(body: Body, sides: &Sides, mask: M) -> Vec<Scor
     m
 }
 
+/// The same pass around the 16 × `i16` body, over the `i16` profile the
+/// sides carry (on a matrix [`NarrowBody::exact_for`] admits); returns
+/// the bottom row widened.
+fn last_row_narrow<M: CellMask>(body: &NarrowBody, sides: &Sides, mask: M) -> Vec<Score> {
+    let (cols, profile) = (sides.cols(), sides.narrow.expect("an i16 profile"));
+    let mut m = vec![0i16; cols];
+    let mut next = vec![0i16; cols];
+    let mut maxy = vec![i16::MIN; cols];
+    for y in 0..sides.rows.len() {
+        let e = profile.row(sides.rows[y], sides.q0);
+        body.step(&m, &mut next, &mut maxy, e);
+        for hit in mask.row_hits(y, 0, cols) {
+            next[hit] = 0;
+        }
+        std::mem::swap(&mut m, &mut next);
+    }
+    m.into_iter().map(Score::from).collect()
+}
+
 /// One row-step measurement, already formatted as a JSON object.
 struct RowPoint {
     cols: usize,
@@ -160,22 +187,34 @@ impl RowPoint {
     }
 }
 
+/// The worst ratios of the `row` legs: each `i32` body's to the
+/// per-cell loop, and the `i16` body's to the AVX2 one.
+struct RowRatios {
+    portable_over_cell: f64,
+    avx2_over_cell: Option<f64>,
+    narrow_over_avx2: Option<f64>,
+}
+
 /// The `row` legs: `ROW_LEG_ROWS` rows against 200 and 1 350 columns
 /// of a titin-like sequence, unmasked and under one overridden cell
-/// per row, each body alternating rep by rep with the per-cell loop.
-/// Returns the points and each body's worst ratio to the loop.
-fn row_legs(scoring: &Scoring, budget: Duration) -> (Vec<RowPoint>, f64, Option<f64>) {
+/// per row, each `i32` body alternating rep by rep with the per-cell
+/// loop and the `i16` body with the AVX2 one.
+fn row_legs(scoring: &Scoring, budget: Duration) -> (Vec<RowPoint>, RowRatios) {
     const ROW_LEG_ROWS: usize = 300;
     let mut points = Vec::new();
     let mut worst_portable = f64::INFINITY;
     let mut worst_avx2 = Body::avx2().map(|_| f64::INFINITY);
+    let narrow = Body::avx2().and_then(|b| b.narrow(scoring.gaps));
+    let mut worst_narrow = narrow.map(|_| f64::INFINITY);
     for cols in [200usize, 1350] {
         let len = ROW_LEG_ROWS + cols;
         let seq = repro_seqgen::titin_like(len, 3);
         let profile = QueryProfile::<i32>::new_wide(scoring, seq.codes());
+        let profile16 = QueryProfile::new_narrow(scoring, seq.codes());
         let sides = Sides {
             rows: &seq.codes()[..ROW_LEG_ROWS],
             profile: &profile,
+            narrow: profile16.as_ref(),
             q0: ROW_LEG_ROWS,
             gaps: scoring.gaps,
         };
@@ -229,6 +268,29 @@ fn row_legs(scoring: &Scoring, budget: Duration) -> (Vec<RowPoint>, f64, Option<
                 secs: cell_secs,
                 cells_per_sec: cells / cell_secs,
             });
+            if let (Some(body), Some(avx2)) = (&narrow, Body::avx2()) {
+                let gaps = sides.gaps;
+                let peak = sides.profile.peak();
+                assert!(NarrowBody::exact_for(peak, ROW_LEG_ROWS.min(cols), gaps));
+                let run16 = || match masked {
+                    false => last_row_narrow(body, &sides, NoMask),
+                    true => last_row_narrow(body, &sides, split),
+                };
+                assert_eq!(run16(), want, "i16 row step differs from the loop");
+                let (t_wide, t_narrow) = time_min_pair(
+                    budget,
+                    || drop(std::hint::black_box(run(Some(avx2)))),
+                    || drop(std::hint::black_box(run16())),
+                );
+                worst_narrow = worst_narrow.map(|w| w.min(t_wide / t_narrow));
+                points.push(RowPoint {
+                    cols,
+                    masked,
+                    kernel: "avx2_i16",
+                    secs: t_narrow,
+                    cells_per_sec: cells / t_narrow,
+                });
+            }
         }
     }
     for p in &points {
@@ -240,7 +302,12 @@ fn row_legs(scoring: &Scoring, budget: Duration) -> (Vec<RowPoint>, f64, Option<
             p.cells_per_sec / 1e6
         );
     }
-    (points, worst_portable, worst_avx2)
+    let ratios = RowRatios {
+        portable_over_cell: worst_portable,
+        avx2_over_cell: worst_avx2,
+        narrow_over_avx2: worst_narrow,
+    };
+    (points, ratios)
 }
 
 /// One split-leg measurement, already formatted as a JSON object.
@@ -602,7 +669,12 @@ fn main() {
 
     // The scalar row step against the per-cell loop, and whole splits
     // against the bare row loop.
-    let (row_points, portable_over_cell, avx2_over_cell) = row_legs(&scoring, budget);
+    let (row_points, row_ratios) = row_legs(&scoring, budget);
+    let RowRatios {
+        portable_over_cell,
+        avx2_over_cell,
+        narrow_over_avx2,
+    } = row_ratios;
     let (split_points, split_over_row_loop) = split_legs(budget);
 
     // Engine-level composition on a smaller instance (full runs are
@@ -727,6 +799,7 @@ fn main() {
          \"min_masked_over_clean\": {chain_masked_over_clean:.2}, \
          \"min_chain_over_central\": {chain_over_central:.2}}},\n    \
          \"min_row_over_cell\": {{\"portable\": {:.2}, \"avx2\": {}}},\n    \
+         \"min_i16_row_over_avx2\": {},\n    \
          \"min_split_over_row_loop\": {split_over_row_loop:.2}\n  }}\n}}\n",
         host().to_string_compact(),
         PATHS
@@ -766,6 +839,9 @@ fn main() {
         avx2_over_cell
             .map(|r| format!("{r:.2}"))
             .unwrap_or_else(|| "null".into()),
+        narrow_over_avx2
+            .map(|r| format!("{r:.2}"))
+            .unwrap_or_else(|| "null".into()),
     );
 
     let out = out_path();
@@ -796,6 +872,12 @@ fn main() {
              (floor {MIN_AVX2_ROW_OVER_CELL:.2}x)"
         );
     }
+    if let Some(r) = narrow_over_avx2 {
+        eprintln!(
+            "check: slowest i16 row step / avx2 row step = {r:.2}x \
+             (floor {MIN_NARROW_ROW_OVER_AVX2:.2}x)"
+        );
+    }
     eprintln!(
         "check: slowest split sweep / bare row loop = {split_over_row_loop:.2}x \
          (floor {MIN_SPLIT_OVER_ROW_LOOP:.2}x)"
@@ -816,6 +898,7 @@ fn main() {
         let portable_runs = Body::avx2().is_none();
         if (portable_runs && portable_over_cell < MIN_PORTABLE_ROW_OVER_CELL)
             || avx2_over_cell.is_some_and(|r| r < MIN_AVX2_ROW_OVER_CELL)
+            || narrow_over_avx2.is_some_and(|r| r < MIN_NARROW_ROW_OVER_AVX2)
         {
             eprintln!("CHECK FAILED: a row-step body runs below its floor");
             failed = true;

@@ -34,6 +34,43 @@ fn analyzes_dna_repeat_file() {
     let _ = std::fs::remove_file(path);
 }
 
+/// `--open 40000` passes the score-range check but not the `i16` lane
+/// kernels' gap bound: every engine must answer it (the SIMD ones on
+/// their wide path) exactly as `--engine seq` does.
+#[test]
+fn every_engine_matches_seq_with_a_gap_open_past_i16() {
+    let path = write_fasta("wide-open", ">t\nATGCATGCATGCATGCAATGCATGCCATGCATGCATGC\n");
+    let run = |engine: &str| {
+        let out = repro_bin()
+            .args(["--alphabet", "dna", "--tops", "3", "--open", "40000"])
+            .args(["--engine", engine])
+            .arg(&path)
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "--engine {engine}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        stdout
+            .lines()
+            .filter(|l| !l.starts_with("work:"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let want = run("seq");
+    assert!(want.contains("top   3"), "{want}");
+    let engines = [
+        "simd", "simd4", "simd8", "simd16", "simd-threads:2", "threads:2", "cluster:2",
+        "hybrid:2:2", "legacy",
+    ];
+    for engine in engines {
+        assert_eq!(run(engine), want, "--engine {engine}");
+    }
+    let _ = std::fs::remove_file(path);
+}
+
 #[test]
 fn reads_stdin_with_dash() {
     let mut child = repro_bin()

@@ -212,10 +212,10 @@ pub struct TaskResult {
     pub shadow_rejections: u64,
 }
 
-/// A sequence under a scoring with its wide query profile built: what
-/// the row-vectorised scalar kernels read of the pair. Whoever sweeps
-/// many splits of one sequence — a finder, a worker, an acceptance loop
-/// — builds this once (`O(k·m)`) and hands it to every sweep.
+/// A sequence under a scoring with its query profiles built: what the
+/// row-vectorised scalar kernels read of the pair. Whoever sweeps many
+/// splits of one sequence — a finder, a worker, an acceptance loop —
+/// builds this once (`O(k·m)`) and hands it to every sweep.
 #[derive(Debug, Clone)]
 pub struct ScoredSeq<'a> {
     /// The sequence.
@@ -223,15 +223,19 @@ pub struct ScoredSeq<'a> {
     /// Its scoring scheme.
     pub scoring: &'a Scoring,
     profile: QueryProfile<Score>,
+    /// `None` when an exchange score does not fit `i16`.
+    narrow: Option<QueryProfile<i16>>,
 }
 
 impl<'a> ScoredSeq<'a> {
-    /// Profile `seq` under `scoring`.
+    /// Profile `seq` under `scoring`, in `i32` and, where the exchange
+    /// scores fit, in `i16` for the row loop's narrow body.
     pub fn new(seq: &'a Seq, scoring: &'a Scoring) -> Self {
         ScoredSeq {
             seq,
             scoring,
             profile: QueryProfile::new_wide(scoring, seq.codes()),
+            narrow: QueryProfile::new_narrow(scoring, seq.codes()),
         }
     }
 
@@ -241,6 +245,7 @@ impl<'a> ScoredSeq<'a> {
         Sides {
             rows: &self.seq.codes()[..r],
             profile: &self.profile,
+            narrow: self.narrow.as_ref(),
             q0: r,
             gaps: self.scoring.gaps,
         }

@@ -154,7 +154,7 @@ pub trait PackKernel: Sync {
 }
 
 /// The row kernel: each split through [`repro_align::Sides::last_row_resume`]
-/// in `i32`, which never saturates.
+/// (`i16` where a bound proves it exact, else `i32`), which never saturates.
 impl PackKernel for ScoredSeq<'_> {
     fn lanes(&self) -> usize {
         1

@@ -8,10 +8,11 @@
 //! disagreement between the row index, the split shift and the segment
 //! walk shows up as a differing matrix.
 
+use repro_align::kernel::row::Body;
 use repro_align::{
     sw_align_linmem, sw_full, sw_last_row, sw_last_row_naive, sw_last_row_resume,
-    tri_initial_state, tri_self_sweep_resume, Alphabet, LastRow, Score, Scoring, Seq, SetMask,
-    NEG_INF,
+    tri_initial_state, tri_self_sweep_resume, Alphabet, ExchangeMatrix, GapPenalties, LastRow,
+    Score, Scoring, Seq, SetMask, NEG_INF,
 };
 use repro_core::{find_top_alignments, OverrideTriangle, PairMask, ScoredSeq, SplitMask};
 
@@ -194,24 +195,40 @@ fn check_every_resume(scored: &ScoredSeq, t: &OverrideTriangle, r: usize) {
 }
 
 /// Every `{A,C}` string to length 9, every split, every resume row, under
-/// an empty triangle and under the one the first top leaves.
+/// an empty triangle and under the one the first top leaves, through both
+/// row bodies: the paper's DNA scoring runs the `i16` one on every split
+/// (where the process has it); a scoring 2 500 times larger per match
+/// passes its bound at up to 3 pairs and not at 4, so the `i32` one runs
+/// on the middle splits of the longer strings.
 #[test]
 fn row_loop_matches_naive_on_every_short_string() {
-    let scoring = Scoring::dna_example();
-    for len in 2..=9 {
-        for bits in 0u32..1 << len {
-            let codes = (0..len).map(|i| (bits >> i & 1) as u8).collect();
-            let seq = Seq::from_codes(Alphabet::Dna, codes);
-            let scored = ScoredSeq::new(&seq, &scoring);
-            let tops = find_top_alignments(&seq, &scoring, 1).alignments;
-            let first = tops.first().map_or(&[][..], |top| &top.pairs[..]);
-            for t in [triangle_of(len, &[]), triangle_of(len, first)] {
-                for r in 1..len {
-                    check_every_resume(&scored, &t, r);
+    let scaled = Scoring::new(
+        ExchangeMatrix::match_mismatch(Alphabet::Dna, 5000, -2500),
+        GapPenalties::new(5000, 1000),
+    );
+    let mut splits_per_body = [0usize; 2]; // [i32, i16]
+    for scoring in [Scoring::dna_example(), scaled] {
+        for len in 2..=9 {
+            for bits in 0u32..1 << len {
+                let codes = (0..len).map(|i| (bits >> i & 1) as u8).collect();
+                let seq = Seq::from_codes(Alphabet::Dna, codes);
+                let scored = ScoredSeq::new(&seq, &scoring);
+                let tops = find_top_alignments(&seq, &scoring, 1).alignments;
+                let first = tops.first().map_or(&[][..], |top| &top.pairs[..]);
+                for t in [triangle_of(len, &[]), triangle_of(len, first)] {
+                    for r in 1..len {
+                        splits_per_body[usize::from(scored.split(r).narrow_body().is_some())] += 1;
+                        check_every_resume(&scored, &t, r);
+                    }
                 }
             }
         }
     }
+    let has_narrow = Body::selected().narrow(GapPenalties::new(2, 1)).is_some();
+    assert!(
+        splits_per_body[0] > 0 && (splits_per_body[1] > 0) == has_narrow,
+        "splits per row body [i32, i16]: {splits_per_body:?}"
+    );
 }
 
 /// The triangular self-sweep is the square self-comparison with every

@@ -21,8 +21,10 @@
 //! [`crate::dispatch`], and a sweep whose `i16` lanes saturate is
 //! recomputed with wide `i32` lanes — still vectorised, bit-identical
 //! to the scalar reference — instead of the historical whole-group
-//! scalar fallback. Scorings whose values don't fit `i16` at all skip
-//! the narrow sweep entirely (they used to panic).
+//! scalar fallback. Scorings whose values don't fit `i16` at all — an
+//! exchange score, or a gap model failing
+//! [`repro_align::GapPenalties::fit_i16`] — skip the narrow sweep
+//! entirely (they used to panic).
 //!
 //! Results are identical to the sequential engine: acceptance order is
 //! still driven by exact scores under the same deterministic tie-breaks,
@@ -65,7 +67,8 @@ pub struct GroupSweeper<'a> {
     scoring: &'a Scoring,
     sel: SimdSel,
     /// Narrow profile; `None` when some exchange score exceeds `i16`
-    /// range, in which case every sweep goes straight to the wide path.
+    /// range or the gap model fails [`repro_align::GapPenalties::fit_i16`],
+    /// in which case every sweep goes straight to the wide path.
     prof16: Option<QueryProfile<i16>>,
     /// Wide profile, built lazily on first promotion.
     prof32: OnceLock<QueryProfile<i32>>,
@@ -78,7 +81,11 @@ impl<'a> GroupSweeper<'a> {
             seq,
             scoring,
             sel,
-            prof16: QueryProfile::new_narrow(scoring, seq.codes()),
+            prof16: scoring
+                .gaps
+                .fit_i16()
+                .then(|| QueryProfile::new_narrow(scoring, seq.codes()))
+                .flatten(),
             prof32: OnceLock::new(),
         }
     }
