@@ -6,11 +6,12 @@
 //! is cubic, but the properties quantify over structure, not size.
 
 use proptest::prelude::*;
+use repro_align::fasta::{format_fasta, FastaError};
 use repro_align::kernel::full::{sw_align, sw_full};
 use repro_align::kernel::linmem::sw_align_linmem;
 use repro_align::{
-    sw_last_row, sw_last_row_naive, sw_last_row_striped, Alphabet, ExchangeMatrix, GapPenalties,
-    NoMask, Scoring, Seq, SetMask,
+    parse_fasta, read_fasta, sw_last_row, sw_last_row_naive, sw_last_row_striped, Alphabet,
+    ExchangeMatrix, FastaRecord, GapPenalties, NoMask, Scoring, Seq, SetMask,
 };
 
 fn arb_dna(max_len: usize) -> impl Strategy<Value = Seq> {
@@ -172,6 +173,77 @@ proptest! {
             let self_score = repro_align::nw_score(a.codes(), a.codes(), &s);
             let identity: i32 = a.codes().iter().map(|&c| s.exch(c, c)).sum();
             prop_assert_eq!(self_score, identity);
+        }
+    }
+}
+
+/// Bytes a FASTA reader has to survive: record and line structure
+/// (`>`, LF, CR), NUL, invalid UTF-8 (a lone continuation byte, a cut
+/// two-byte lead, `0xFF`), blanks, residues of both alphabets and a
+/// non-residue, drawn often, plus any byte at all.
+fn arb_hostile_fasta() -> impl Strategy<Value = Vec<u8>> {
+    const PICKS: &[u8] = b">\n\r\0\x80\xC3\xFF \tACGTNMWx9*";
+    prop::collection::vec((0usize..2 * PICKS.len(), any::<u8>()), 0..96).prop_map(|draws| {
+        draws
+            .into_iter()
+            .map(|(i, b)| PICKS.get(i).copied().unwrap_or(b))
+            .collect()
+    })
+}
+
+/// A record [`format_fasta`] writes and the reader must give back: an
+/// id with no surrounding whitespace (the reader trims it) and no line
+/// break, any residues.
+fn arb_record(alphabet: Alphabet) -> impl Strategy<Value = FastaRecord> {
+    let id = prop::collection::vec(0x20u8..0x7F, 0..16)
+        .prop_map(|id| String::from_utf8(id).unwrap().trim().to_string());
+    let codes = prop::collection::vec(0..alphabet.len() as u8, 0..40);
+    (id, codes).prop_map(move |(id, codes)| FastaRecord {
+        id,
+        seq: Seq::from_codes(alphabet, codes),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Arbitrary bytes through `read_fasta` (and their lossy text through
+    /// `parse_fasta`): a typed `FastaError` or records, never a panic,
+    /// and whatever records come back survive `format_fasta` unchanged.
+    #[test]
+    fn hostile_fasta_is_typed_and_what_parses_round_trips(
+        bytes in arb_hostile_fasta(),
+        width in 1usize..70,
+        protein in any::<bool>(),
+    ) {
+        let alphabet = if protein { Alphabet::Protein } else { Alphabet::Dna };
+        let text = String::from_utf8_lossy(&bytes).into_owned();
+        for parsed in [read_fasta(&bytes[..], alphabet), parse_fasta(&text, alphabet)] {
+            match parsed {
+                Ok(records) => {
+                    let again = parse_fasta(&format_fasta(&records, width), alphabet);
+                    prop_assert_eq!(again.unwrap(), records);
+                }
+                Err(FastaError::Io(e)) => {
+                    prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                }
+                Err(FastaError::MissingHeader(line) | FastaError::BadResidue { line, .. }) => {
+                    prop_assert!(line >= 1);
+                }
+            }
+        }
+    }
+
+    /// Valid records round-trip through `format_fasta` at any wrap width.
+    #[test]
+    fn valid_records_round_trip(
+        dna in prop::collection::vec(arb_record(Alphabet::Dna), 0..4),
+        protein in prop::collection::vec(arb_record(Alphabet::Protein), 0..4),
+        width in 1usize..70,
+    ) {
+        for (records, alphabet) in [(dna, Alphabet::Dna), (protein, Alphabet::Protein)] {
+            let text = format_fasta(&records, width);
+            prop_assert_eq!(parse_fasta(&text, alphabet).unwrap(), records);
         }
     }
 }

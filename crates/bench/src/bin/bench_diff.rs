@@ -3,13 +3,18 @@
 //!
 //! Each bench file contributes a set of headline metrics (wall ratios,
 //! speedups, throughputs) with a known good direction; `bench_diff`
-//! matches them by name between the two trees, prints the relative
-//! change, and — under `--check` — exits non-zero when any metric
-//! moved in its *bad* direction by more than the threshold. Metrics
-//! present on only one side (new benches, renamed engines) are listed
-//! but never fail the gate; whole files missing on either side warn
-//! and skip, so the gate degrades gracefully while a bench suite is
-//! being grown.
+//! matches them by name between the two trees and prints the relative
+//! change. Under `--check` it exits non-zero when
+//!
+//! * a baseline metric is absent or non-finite in the fresh run of the
+//!   same suite (a renamed engine, a dropped leg, broken JSON) — always;
+//! * a metric moved in its *bad* direction by more than the threshold —
+//!   only when both files carry the same `host` and `scale` stamps.
+//!   Across hosts or scales the file is compared for structure only.
+//!
+//! Metrics only the fresh run has (new legs) never fail; whole files
+//! missing on either side warn and skip, so a quick gate need not
+//! regenerate every suite.
 //!
 //! Usage: `cargo run --release -p repro-bench --bin bench_diff --
 //! [--fresh DIR] [--baseline DIR] [--threshold PCT] [--check]`
@@ -214,6 +219,27 @@ fn diff(base: &[MetricVal], fresh: &[MetricVal], threshold_pct: f64) -> Vec<Diff
     rows
 }
 
+/// Baseline metrics the fresh run does not carry as a finite number.
+fn missing(base: &[MetricVal], fresh: &[MetricVal]) -> Vec<String> {
+    base.iter()
+        .filter(|b| {
+            !fresh
+                .iter()
+                .any(|f| f.name == b.name && f.value.is_finite())
+        })
+        .map(|b| b.name.clone())
+        .collect()
+}
+
+/// Whether two runs of a suite are comparable by value: both stamped
+/// with the same `host` and the same `scale`. A missing stamp never
+/// matches.
+fn values_comparable(base: &Json, fresh: &Json) -> bool {
+    ["host", "scale"]
+        .iter()
+        .all(|key| base.get(key).is_some() && base.get(key) == fresh.get(key))
+}
+
 fn load(path: &std::path::Path) -> Result<Json, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -241,6 +267,7 @@ fn main() {
     );
 
     let mut regressions = 0usize;
+    let mut lost = 0usize;
     let mut compared = 0usize;
     for file in FILES {
         let base_path = std::path::Path::new(&base_dir).join(file);
@@ -259,12 +286,19 @@ fn main() {
                 continue;
             }
         };
-        let rows = diff(&extract(&base), &extract(&fresh), threshold);
-        if rows.is_empty() {
-            eprintln!("warning: {file}: no comparable metrics");
-            continue;
+        let (base_metrics, fresh_metrics) = (extract(&base), extract(&fresh));
+        let gone = missing(&base_metrics, &fresh_metrics);
+        let gated = values_comparable(&base, &fresh);
+        let rows = diff(&base_metrics, &fresh_metrics, threshold);
+        let scope = if gated {
+            ""
+        } else {
+            " (structure only: host or scale differs)"
+        };
+        println!("\n{file}{scope}");
+        for name in &gone {
+            println!("  {name}: MISSING from the fresh run");
         }
-        println!("\n{file}");
         let table = Table::new(&["metric", "baseline", "fresh", "change"]);
         for r in &rows {
             table.row(&[
@@ -274,15 +308,26 @@ fn main() {
                 format!(
                     "{:+.1}%{}",
                     r.change_pct,
-                    if r.regressed { "  REGRESSED" } else { "" }
+                    if gated && r.regressed {
+                        "  REGRESSED"
+                    } else {
+                        ""
+                    }
                 ),
             ]);
         }
         compared += rows.len();
-        regressions += rows.iter().filter(|r| r.regressed).count();
+        lost += gone.len();
+        if gated {
+            regressions += rows.iter().filter(|r| r.regressed).count();
+        }
     }
 
-    println!("\n{compared} metric(s) compared, {regressions} regression(s)");
+    println!("\n{compared} metric(s) compared, {lost} missing, {regressions} regression(s)");
+    if check && lost > 0 {
+        eprintln!("CHECK FAILED: {lost} baseline metric(s) missing from the fresh run");
+        std::process::exit(1);
+    }
     if check && regressions > 0 {
         eprintln!(
             "CHECK FAILED: {regressions} metric(s) regressed past \
@@ -391,6 +436,44 @@ mod tests {
         let rows = diff(&base, &fresh, 15.0);
         assert!(!rows[0].regressed);
         assert!(rows[1].regressed, "speed -20% must regress");
+    }
+
+    #[test]
+    fn a_baseline_metric_absent_or_non_finite_in_the_fresh_run_is_missing() {
+        let base = vec![
+            m("kept".into(), 1.0, false),
+            m("gone".into(), 1.0, true),
+            m("nan".into(), 1.0, false),
+        ];
+        let fresh = vec![
+            m("kept".into(), 9.0, false),
+            m("nan".into(), f64::NAN, false),
+            m("new".into(), 1.0, false),
+        ];
+        assert_eq!(missing(&base, &fresh), ["gone", "nan"]);
+        // A metric whose JSON value is not a number is absent too.
+        let fresh = extract(&doc(r#"{"bench":"run_report","ablation":{"ratio":null}}"#));
+        let base = extract(&doc(r#"{"bench":"run_report","ablation":{"ratio":1.1}}"#));
+        assert_eq!(missing(&base, &fresh), ["report:ablation_ratio"]);
+        let none = missing(&fresh, &base);
+        assert!(none.is_empty(), "a new metric is never missing");
+    }
+
+    #[test]
+    fn values_are_gated_only_on_the_same_host_and_scale() {
+        let run = |host: &str, scale: &str| {
+            let text = format!(r#"{{"bench":"e2e_speed","host":{host},"scale":"{scale}"}}"#);
+            doc(&text)
+        };
+        let here = r#"{"nproc":2,"dispatch":"avx2x16"}"#;
+        let there = r#"{"nproc":8,"dispatch":"avx2x16"}"#;
+        let base = run(here, "Medium");
+        assert!(values_comparable(&base, &run(here, "Medium")));
+        assert!(!values_comparable(&base, &run(there, "Medium")));
+        assert!(!values_comparable(&base, &run(here, "Small")));
+        // An unstamped baseline (an older file) is structure only.
+        let unstamped = doc(r#"{"bench":"e2e_speed","scale":"Medium"}"#);
+        assert!(!values_comparable(&unstamped, &unstamped));
     }
 
     #[test]

@@ -138,7 +138,7 @@ fn measure_small_tasks(scoring: &Scoring, timing_budget: Duration) -> SmallTaskR
 
     let want = sequential.run(&seq);
     let traced = proc.run(&seq);
-    let simd_alignments = simd.run(&seq).run.alignments;
+    let simd_alignments = simd.run(&seq).run.stats.alignments;
     assert_eq!(
         sim.run(&seq).tops.alignments,
         want.tops.alignments,
@@ -177,10 +177,10 @@ fn measure_small_tasks(scoring: &Scoring, timing_budget: Duration) -> SmallTaskR
         simd_secs,
         sim_secs,
         proc_secs,
-        alignments: traced.run.alignments,
+        alignments: traced.run.stats.alignments,
         simd_alignments,
-        result_frames_per_task: frames as f64 / traced.run.alignments.max(1) as f64,
-        result_frames_per_unit_task: frames as f64 / traced.run.stale_pops.max(1) as f64,
+        result_frames_per_task: frames as f64 / traced.run.stats.alignments.max(1) as f64,
+        result_frames_per_unit_task: frames as f64 / traced.run.stats.stale_pops.max(1) as f64,
     }
 }
 

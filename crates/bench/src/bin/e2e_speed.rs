@@ -69,10 +69,6 @@ struct EngineRow {
     /// Median rows swept per checkpointed realignment (`resume_rows`
     /// p50 from the run report) — the lane-granular resume headline.
     resume_rows_p50: u64,
-    /// Lanes replayed from memo without sweeping.
-    lanes_skipped: u64,
-    /// Lanes re-packed into compacted resume groups.
-    lanes_compacted: u64,
 }
 
 impl EngineRow {
@@ -117,8 +113,6 @@ fn measure(
         off_secs,
         on_secs,
         resume_rows_p50: analysis.run.batching.resume_rows_p50,
-        lanes_skipped: analysis.run.batching.lanes_skipped,
-        lanes_compacted: analysis.run.batching.lanes_compacted,
         stats: analysis.tops.stats,
     }
 }
@@ -269,11 +263,11 @@ fn main() {
                             ),
                             (
                                 "lanes_skipped".to_string(),
-                                Json::Num(r.lanes_skipped as f64),
+                                Json::Num(r.stats.lanes_skipped as f64),
                             ),
                             (
                                 "lanes_compacted".to_string(),
-                                Json::Num(r.lanes_compacted as f64),
+                                Json::Num(r.stats.lanes_compacted as f64),
                             ),
                         ])
                     })

@@ -223,7 +223,7 @@ fn main() {
             },
             format!(
                 "pruned {}, {:.1}% of naive budget avoided",
-                run.splits_pruned,
+                run.stats.splits_pruned,
                 100.0 * avoided_of_naive
             ),
         ]);
@@ -286,12 +286,16 @@ fn main() {
             found.map_or(0, |c| c.1)
         };
         let pairs = [
-            ("alignments", sim.run.alignments, proc.run.alignments),
-            ("cells", sim.run.cells, proc.run.cells),
+            (
+                "alignments",
+                sim.run.stats.alignments,
+                proc.run.stats.alignments,
+            ),
+            ("cells", sim.run.stats.cells, proc.run.stats.cells),
             (
                 "checkpoint_hits",
-                sim.run.checkpoint_hits,
-                proc.run.checkpoint_hits,
+                sim.run.stats.checkpoint_hits,
+                proc.run.stats.checkpoint_hits,
             ),
             ("group_sweeps", group_sweeps(&sim), group_sweeps(&proc)),
         ];

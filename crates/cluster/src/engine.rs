@@ -914,16 +914,7 @@ pub(crate) mod tests {
         assert_eq!(rec.phase_entries(Phase::Recovery), 1);
         assert!(rec.phase_secs(Phase::Recovery) > 0.0);
 
-        // The transport tallies surface both in the recorder and in the
-        // result's stats, and they agree.
-        assert_eq!(
-            rec.counter(Counter::ClusterReassignments),
-            got.result.stats.cluster_reassignments
-        );
-        assert_eq!(
-            rec.counter(Counter::ClusterRetries),
-            got.result.stats.cluster_retries
-        );
+        // The recorder saw the death.
         assert!(rec.counter(Counter::ClusterWorkerDeaths) >= 1);
 
         // The structured event stream tells the story: assignments,

@@ -194,9 +194,8 @@ fn drain_final_telemetry<C: Comm, R: Recorder>(
 }
 
 /// Finish the machine: report its acceptance time as the `traceback`
-/// phase, patch the transport-level recovery tallies into the result's
-/// stats (the state machine itself never sees them) and mirror the
-/// final stats into the recorder.
+/// phase and patch the transport-level recovery tallies into the
+/// result's stats (the state machine itself never sees them).
 fn finalize<K: PackKernel, R: Recorder>(
     master: MasterState<K>,
     rec: &mut R,
@@ -210,7 +209,6 @@ fn finalize<K: PackKernel, R: Recorder>(
     let mut tops = master.into_result();
     tops.stats.cluster_retries = retries;
     tops.stats.cluster_reassignments = reassigns;
-    tops.stats.mirror_into(rec);
     tops
 }
 
@@ -317,7 +315,6 @@ fn act<K: PackKernel, C: Comm, R: Recorder>(
                             flights.remove(&item.unit);
                         }
                         *reassigns += dropped;
-                        rec.add(Counter::ClusterReassignments, dropped);
                         rec.add(Counter::ClusterWorkerDeaths, 1);
                         if R::ENABLED {
                             rec.event(Event::WorkerDead { worker });
@@ -430,7 +427,6 @@ pub(crate) fn master_loop<K: PackKernel, C: Comm, R: Recorder>(
                     flight.backoff = (flight.backoff * 2).min(config.retry_cap);
                     flight.retry_at = now + flight.backoff;
                     retries_total += 1;
-                    rec.add(Counter::ClusterRetries, 1);
                     if R::ENABLED {
                         rec.event(Event::Retry {
                             worker: flight.worker,
@@ -453,7 +449,6 @@ pub(crate) fn master_loop<K: PackKernel, C: Comm, R: Recorder>(
                 flights.retain(|_, f| f.worker != w);
                 let dropped = (before - flights.len()) as u64;
                 reassigns_total += dropped;
-                rec.add(Counter::ClusterReassignments, dropped);
                 rec.add(Counter::ClusterWorkerDeaths, 1);
                 if R::ENABLED {
                     rec.event(Event::WorkerDead { worker: w });

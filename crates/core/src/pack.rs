@@ -503,7 +503,6 @@ impl LanePacks {
             stats.realign_rows_skipped += r as u64;
         }
         stats.lanes_skipped += clean.len() as u64;
-        rec.add(Counter::LanesSkipped, clean.len() as u64);
         let accounted = self.incremental && !first_pass;
         if accounted {
             if clean.is_empty() && start == 0 {
@@ -516,7 +515,6 @@ impl LanePacks {
             let npack = rs.len();
             if accounted && (!clean.is_empty() || start > 0) {
                 stats.lanes_compacted += npack as u64;
-                rec.add(Counter::LanesCompacted, npack as u64);
             }
             let per_lane_cells = swept.cells / npack as u64;
             for (&r, &(score, shadows)) in rs.iter().zip(&swept.scored) {

@@ -7,9 +7,9 @@
 //! of realignments avoided" claim for the task-queue heuristic all reduce
 //! to these counts.
 
-use repro_obs::{Counter, Recorder};
-
-/// Counters accumulated while finding top alignments.
+/// Counters accumulated while finding top alignments: the only home of
+/// every exact work tally. The recorder's `Counter`s hold observations
+/// it alone makes and repeat none of these.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Score-only alignment passes performed (first passes + realignments).
@@ -52,8 +52,10 @@ pub struct Stats {
     pub splits_pruned: u64,
     /// Post-accept seed-bound recomputations (masked resweeps).
     pub bound_recomputes: u64,
-    /// Nanoseconds spent building the seed index and initial bounds
-    /// (0 when seeding is off).
+    /// Nanoseconds spent building the split bounds: the two
+    /// empty-triangle sweeps of `SplitBounds::build` (0 when seeding is
+    /// off). There is no seed index; the name stays because it is the
+    /// report key.
     pub seed_index_build_ns: u64,
     /// Cluster task retransmissions (recovery layer).
     pub cluster_retries: u64,
@@ -172,23 +174,31 @@ impl Stats {
         self.lanes_compacted += other.lanes_compacted;
     }
 
-    /// Mirror the eight tallies that are both a `Stats` field and a
-    /// recorder [`Counter`] into `rec`. Every engine calls this exactly
-    /// once, on its final stats, so a run report's
-    /// `counters[name] == stats.name` on every engine by construction.
-    pub fn mirror_into<R: Recorder>(&self, rec: &mut R) {
-        for (counter, n) in [
-            (Counter::CheckpointHits, self.checkpoint_hits),
-            (Counter::CheckpointMisses, self.checkpoint_misses),
-            (Counter::RealignRowsSwept, self.realign_rows_swept),
-            (Counter::RealignRowsSkipped, self.realign_rows_skipped),
-            (Counter::SplitsPruned, self.splits_pruned),
-            (Counter::PrunedPops, self.pruned_pops),
-            (Counter::BoundRecomputes, self.bound_recomputes),
-            (Counter::SeedIndexBuildNs, self.seed_index_build_ns),
-        ] {
-            rec.add(counter, n);
-        }
+    /// The scalar tallies a run report prints under `stats`, as
+    /// `(name, value)` in report order: the one place their names are
+    /// written (the report's `stats` block and its validation both
+    /// read them from here).
+    pub fn tallies(&self) -> [(&'static str, u64); 18] {
+        [
+            ("alignments", self.alignments),
+            ("cells", self.cells),
+            ("tracebacks", self.tracebacks),
+            ("traceback_cells", self.traceback_cells),
+            ("stale_pops", self.stale_pops),
+            ("fresh_pops", self.fresh_pops),
+            ("shadow_rejections", self.shadow_rejections),
+            ("row_recomputations", self.row_recomputations),
+            ("cluster_retries", self.cluster_retries),
+            ("cluster_reassignments", self.cluster_reassignments),
+            ("checkpoint_hits", self.checkpoint_hits),
+            ("checkpoint_misses", self.checkpoint_misses),
+            ("realign_rows_swept", self.realign_rows_swept),
+            ("realign_rows_skipped", self.realign_rows_skipped),
+            ("splits_pruned", self.splits_pruned),
+            ("pruned_pops", self.pruned_pops),
+            ("bound_recomputes", self.bound_recomputes),
+            ("seed_index_build_ns", self.seed_index_build_ns),
+        ]
     }
 
     /// Fraction of realignment DP rows the incremental layer skipped

@@ -88,9 +88,10 @@ impl Phase {
     }
 }
 
-/// An engine counter. The queue-level counters (stale/fresh pops,
-/// shadow rejections, cluster retries) live in `repro-core`'s `Stats`
-/// so they merge across workers; these cover what `Stats` does not.
+/// An observation only the recorder makes. Every exact work tally
+/// (pops, checkpoint hits, pruned splits, cluster retries, …) lives in
+/// `repro-core`'s `Stats` alone, which merges across workers; no
+/// counter repeats one, so a report never shows one tally twice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
     /// SIMD lanes that carried a live split in a group sweep.
@@ -107,10 +108,6 @@ pub enum Counter {
     TaskClaims,
     /// Speculative work computed against a superseded triangle.
     SupersededWork,
-    /// Cluster task retransmissions.
-    ClusterRetries,
-    /// Cluster tasks reassigned away from a dead worker.
-    ClusterReassignments,
     /// Workers declared dead by the recovery loop.
     ClusterWorkerDeaths,
     /// Replica resync requests served.
@@ -126,38 +123,11 @@ pub enum Counter {
     /// version it has not reached itself (a corrupt frame that got past
     /// the checksum).
     ClusterRejectedResults,
-    /// Realignments, with checkpointing enabled, that some shortcut
-    /// served: a lane replayed from its memo or a resume below row 0.
-    CheckpointHits,
-    /// Realignments, with checkpointing enabled, that swept every lane
-    /// from row 0.
-    CheckpointMisses,
-    /// Realignment DP rows actually swept (first passes excluded).
-    RealignRowsSwept,
-    /// Realignment DP rows skipped via memo or checkpoint resume.
-    RealignRowsSkipped,
-    /// Splits whose alignment was never computed at all: their seed
-    /// bound kept them below every acceptance for the whole run.
-    SplitsPruned,
-    /// Queue pops resolved by tightening a never-aligned task's seed
-    /// bound without aligning it.
-    PrunedPops,
-    /// Post-accept seed-bound recomputations (masked resweeps of the
-    /// bound triangle).
-    BoundRecomputes,
-    /// Nanoseconds spent building the seed index and initial bounds.
-    SeedIndexBuildNs,
-    /// Lanes (splits) replayed from their per-lane memo instead of
-    /// swept (clean lanes, including whole-pack skips).
-    LanesSkipped,
-    /// Lanes swept inside a compacted (re-packed and/or resumed) pack
-    /// instead of a full from-scratch pack sweep.
-    LanesCompacted,
 }
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 25] = [
+    pub const ALL: [Counter; 13] = [
         Counter::LanesActive,
         Counter::LanesPadded,
         Counter::GroupSweeps,
@@ -165,24 +135,12 @@ impl Counter {
         Counter::PromotedSweeps,
         Counter::TaskClaims,
         Counter::SupersededWork,
-        Counter::ClusterRetries,
-        Counter::ClusterReassignments,
         Counter::ClusterWorkerDeaths,
         Counter::ClusterResyncs,
         Counter::ClusterBroadcasts,
         Counter::ClusterLocalFallbacks,
         Counter::ClusterResultFrames,
         Counter::ClusterRejectedResults,
-        Counter::CheckpointHits,
-        Counter::CheckpointMisses,
-        Counter::RealignRowsSwept,
-        Counter::RealignRowsSkipped,
-        Counter::SplitsPruned,
-        Counter::PrunedPops,
-        Counter::BoundRecomputes,
-        Counter::SeedIndexBuildNs,
-        Counter::LanesSkipped,
-        Counter::LanesCompacted,
     ];
 
     /// Stable snake_case name used in reports.
@@ -195,24 +153,12 @@ impl Counter {
             Counter::PromotedSweeps => "promoted_sweeps",
             Counter::TaskClaims => "task_claims",
             Counter::SupersededWork => "superseded_work",
-            Counter::ClusterRetries => "cluster_retries",
-            Counter::ClusterReassignments => "cluster_reassignments",
             Counter::ClusterWorkerDeaths => "cluster_worker_deaths",
             Counter::ClusterResyncs => "cluster_resyncs",
             Counter::ClusterBroadcasts => "cluster_broadcasts",
             Counter::ClusterLocalFallbacks => "cluster_local_fallbacks",
             Counter::ClusterResultFrames => "cluster_result_frames",
             Counter::ClusterRejectedResults => "cluster_rejected_results",
-            Counter::CheckpointHits => "checkpoint_hits",
-            Counter::CheckpointMisses => "checkpoint_misses",
-            Counter::RealignRowsSwept => "realign_rows_swept",
-            Counter::RealignRowsSkipped => "realign_rows_skipped",
-            Counter::SplitsPruned => "splits_pruned",
-            Counter::PrunedPops => "pruned_pops",
-            Counter::BoundRecomputes => "bound_recomputes",
-            Counter::SeedIndexBuildNs => "seed_index_build_ns",
-            Counter::LanesSkipped => "lanes_skipped",
-            Counter::LanesCompacted => "lanes_compacted",
         }
     }
 
@@ -747,9 +693,9 @@ mod tests {
     #[test]
     fn counters_and_external_phase_seconds() {
         let mut r = FlightRecorder::new();
-        r.add(Counter::ClusterRetries, 2);
-        r.add(Counter::ClusterRetries, 3);
-        assert_eq!(r.counter(Counter::ClusterRetries), 5);
+        r.add(Counter::ClusterResyncs, 2);
+        r.add(Counter::ClusterResyncs, 3);
+        assert_eq!(r.counter(Counter::ClusterResyncs), 5);
         r.add_phase_secs(Phase::WorkerIdle, 0.25);
         assert_eq!(r.phase_secs(Phase::WorkerIdle), 0.25);
         assert_eq!(r.phase_entries(Phase::WorkerIdle), 1);

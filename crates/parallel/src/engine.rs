@@ -158,7 +158,6 @@ pub(crate) fn run<K: PackKernel, R: Recorder>(
     for metric in Metric::ALL {
         rec.observe_hist(metric, tally.hist(metric));
     }
-    shared.stats.mirror_into(rec);
     TopAlignments {
         alignments: shared.tops,
         stats: shared.stats,

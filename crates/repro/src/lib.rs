@@ -41,11 +41,12 @@
 //! Below the [`Repro`] facade each engine is one function of one shape:
 //! the shared [`Search`] says *what* to find (count, checkpoint budget,
 //! seeded pruning), the engine's own arguments say *how* (a kernel
-//! selection, a thread count, a worker count and deadline), every tally
-//! is folded into the recorder handed in ([`obs::NoopRecorder`] compiles
-//! all of it out), and the plain [`TopAlignments`] comes back — wrapped,
-//! for the message-passing engines, in a [`cluster::ClusterResult`] that
-//! adds the rank count.
+//! selection, a thread count, a worker count and deadline), what only a
+//! recorder observes goes into the one handed in ([`obs::NoopRecorder`]
+//! compiles all of it out), and the plain [`TopAlignments`] comes back
+//! with every exact work tally in its `stats` — wrapped, for the
+//! message-passing engines, in a [`cluster::ClusterResult`] that adds
+//! the rank count.
 //!
 //! ```
 //! use repro::obs::{Counter, FlightRecorder, NoopRecorder};
@@ -62,7 +63,8 @@
 //! let smp = find_top_alignments_parallel(&seq, &scoring, &search, 2, &mut NoopRecorder);
 //! assert_eq!(simd.alignments, oracle.alignments);
 //! assert_eq!(smp.alignments, oracle.alignments);
-//! assert_eq!(rec.counter(Counter::SplitsPruned), simd.stats.splits_pruned);
+//! assert_eq!(simd.stats.fresh_pops, 3);          // exact work tallies: `stats` only
+//! assert!(rec.counter(Counter::GroupSweeps) > 0);  // what only the recorder observes
 //!
 //! // The message-passing engines: `cluster::{run_cluster, run_cluster_proc, run_hybrid}`.
 //! use repro::cluster::{run_hybrid, DEFAULT_DEADLINE};
@@ -553,7 +555,7 @@ mod tests {
             .run(&seq);
         assert_eq!(a.tops.alignments, b.tops.alignments);
         // Identical acceptance schedule → identical fresh pops.
-        assert_eq!(a.run.fresh_pops, b.run.fresh_pops);
+        assert_eq!(a.run.stats.fresh_pops, b.run.stats.fresh_pops);
         assert_eq!(a.run.engine, "sequential");
         assert_eq!(b.run.engine, "simd-dispatch");
         // The paper-claim ratio agrees across engines. The SIMD engine
@@ -649,12 +651,24 @@ mod tests {
         // Deterministic work counters are bit-equal across transports.
         // (Timing histograms and retry counts are scheduling-dependent
         // and excluded by design.)
-        assert_eq!(sim.run.alignments, proc.run.alignments);
-        assert_eq!(sim.run.cells, proc.run.cells);
-        assert_eq!(sim.run.checkpoint_hits, proc.run.checkpoint_hits);
-        assert_eq!(sim.run.checkpoint_misses, proc.run.checkpoint_misses);
-        assert_eq!(sim.run.realign_rows_swept, proc.run.realign_rows_swept);
-        assert_eq!(sim.run.realign_rows_skipped, proc.run.realign_rows_skipped);
+        assert_eq!(sim.run.stats.alignments, proc.run.stats.alignments);
+        assert_eq!(sim.run.stats.cells, proc.run.stats.cells);
+        assert_eq!(
+            sim.run.stats.checkpoint_hits,
+            proc.run.stats.checkpoint_hits
+        );
+        assert_eq!(
+            sim.run.stats.checkpoint_misses,
+            proc.run.stats.checkpoint_misses
+        );
+        assert_eq!(
+            sim.run.stats.realign_rows_swept,
+            proc.run.stats.realign_rows_swept
+        );
+        assert_eq!(
+            sim.run.stats.realign_rows_skipped,
+            proc.run.stats.realign_rows_skipped
+        );
         // Lane counters only worker telemetry can deliver: 0 == 0 would
         // pass the equalities vacuously.
         let counter = |a: &Analysis, name: &str| {
@@ -772,10 +786,13 @@ mod tests {
             .seed_config(Some(SeedConfig::default()))
             .run(&seq);
         assert_eq!(base.tops.alignments, seeded.tops.alignments);
-        assert_eq!(base.run.splits_pruned, 0);
-        assert!(seeded.run.splits_pruned > 0, "expected pruning on the sparse fixture");
-        assert!(seeded.run.seed_index_build_ns > 0);
-        assert!(seeded.run.alignments < base.run.alignments);
+        assert_eq!(base.run.stats.splits_pruned, 0);
+        assert!(
+            seeded.run.stats.splits_pruned > 0,
+            "expected pruning on the sparse fixture"
+        );
+        assert!(seeded.run.stats.seed_index_build_ns > 0);
+        assert!(seeded.run.stats.alignments < base.run.stats.alignments);
     }
 
     #[test]

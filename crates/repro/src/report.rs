@@ -13,7 +13,7 @@
 //! is what the CI smoke job and the `run_report` bench bin check
 //! emitted files against.
 
-use repro_core::TopAlignments;
+use repro_core::{Stats, TopAlignments};
 use repro_obs::json::{num, obj, str, Json};
 use repro_obs::{Counter, FlightRecorder, Metric, Phase};
 
@@ -33,8 +33,13 @@ use repro_obs::{Counter, FlightRecorder, Metric, Phase};
 /// Version 6 dropped `pool_reuses` (stats and counters; its scratch
 /// pool went with the split unit) and made a checkpoint hit any
 /// realignment a shortcut served, so `hits + misses` counts every
-/// realignment once.
-pub const REPORT_SCHEMA_VERSION: u64 = 6;
+/// realignment once. Version 7 dropped the twelve `counters` keys that
+/// repeated a `stats` or `batching` key (checkpoint hits and misses,
+/// realignment rows swept and skipped, the four pruning tallies, cluster
+/// retries and reassignments, lanes skipped and compacted): every exact
+/// work tally has one key, and `counters` holds recorder observations
+/// only.
+pub const REPORT_SCHEMA_VERSION: u64 = 7;
 
 /// One phase's accumulated wall-clock time and entry count.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,11 +72,12 @@ pub struct HistogramSummary {
     pub p99: u64,
 }
 
-/// Batched-assignment and lane-granular-resume shape of one run: how
-/// tasks were shipped (cluster engines) and how much re-sweep work the
-/// per-lane incremental layer removed (SIMD engines). All zeros for
-/// engines without the corresponding subsystem, so the schema is
-/// identical across engines.
+/// Batched-assignment and lane-granular-resume shape of one run, as the
+/// recorder saw it: how tasks were shipped (cluster engines) and how
+/// deep checkpointed realignments swept. The report's `batching` block
+/// adds the exact lane tallies from [`Stats`]. All zeros for engines
+/// without the corresponding subsystem, so the schema is identical
+/// across engines.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchingSummary {
     /// Task batches shipped by the master (one per `Assign` action).
@@ -81,10 +87,6 @@ pub struct BatchingSummary {
     /// Mean tasks per master→worker round trip (`0.0` when no batches
     /// were sent).
     pub tasks_per_round_trip: f64,
-    /// Lanes replayed from their memo without any sweeping.
-    pub lanes_skipped: u64,
-    /// Lanes re-packed into compacted resume groups.
-    pub lanes_compacted: u64,
     /// Median rows actually swept per checkpointed realignment
     /// (`resume_rows` p50) — the lane-granular resume headline.
     pub resume_rows_p50: u64,
@@ -119,46 +121,8 @@ pub struct RunReport {
     pub tops_found: usize,
     /// Wall-clock seconds from recorder creation to report capture.
     pub elapsed_secs: f64,
-    /// Score-only alignment passes (first sweep + realignments).
-    pub alignments: u64,
-    /// Matrix cells across all score-only passes.
-    pub cells: u64,
-    /// Traceback passes (one per accepted top alignment).
-    pub tracebacks: u64,
-    /// Cells computed by traceback passes.
-    pub traceback_cells: u64,
-    /// Queue pops with a stale bound (each cost a realignment).
-    pub stale_pops: u64,
-    /// Queue pops with a fresh bound (accepted without realignment).
-    pub fresh_pops: u64,
-    /// Bottom-row entries rejected by the shadow filter.
-    pub shadow_rejections: u64,
-    /// On-demand first-pass-row recomputations (linear-memory mode).
-    pub row_recomputations: u64,
-    /// Cluster task retransmissions (recovery layer).
-    pub cluster_retries: u64,
-    /// Cluster tasks reassigned away from a dead worker.
-    pub cluster_reassignments: u64,
-    /// Realignments, with checkpointing enabled, that a shortcut served
-    /// (a lane's memo replayed, or a resume below row 0).
-    pub checkpoint_hits: u64,
-    /// Realignments, with checkpointing enabled, that swept every lane
-    /// from row 0.
-    pub checkpoint_misses: u64,
-    /// Realignment DP rows actually swept (first passes excluded).
-    pub realign_rows_swept: u64,
-    /// Realignment DP rows skipped via memo or checkpoint resume.
-    pub realign_rows_skipped: u64,
-    /// Splits never aligned at all: their seed bound stayed below every
-    /// acceptance for the whole run (0 when seeding is off).
-    pub splits_pruned: u64,
-    /// Queue pops resolved by refreshing a never-aligned task's seed
-    /// bound instead of realigning it.
-    pub pruned_pops: u64,
-    /// Post-accept seed-bound recomputations (masked resweeps).
-    pub bound_recomputes: u64,
-    /// Nanoseconds spent building the seed index and initial bounds.
-    pub seed_index_build_ns: u64,
+    /// The run's work tallies, exactly as the engine returned them.
+    pub stats: Stats,
     /// Every phase's timing, in [`Phase::ALL`] order (zero entries
     /// included so the schema is identical across engines).
     pub phases: Vec<PhaseTiming>,
@@ -187,35 +151,17 @@ impl RunReport {
         tops: &TopAlignments,
         rec: &FlightRecorder,
     ) -> Self {
-        let stats = &tops.stats;
         let splits = seq_len.saturating_sub(1);
         // Prune-aware denominator: pruned splits never entered the
         // realignment budget, so counting them would inflate "avoided".
-        let fraction = stats.realignment_fraction_effective(splits);
+        let fraction = tops.stats.realignment_fraction_effective(splits);
         RunReport {
             engine: engine.into(),
             seq_len,
             tops_requested,
             tops_found: tops.alignments.len(),
             elapsed_secs: rec.elapsed_secs(),
-            alignments: stats.alignments,
-            cells: stats.cells,
-            tracebacks: stats.tracebacks,
-            traceback_cells: stats.traceback_cells,
-            stale_pops: stats.stale_pops,
-            fresh_pops: stats.fresh_pops,
-            shadow_rejections: stats.shadow_rejections,
-            row_recomputations: stats.row_recomputations,
-            cluster_retries: stats.cluster_retries,
-            cluster_reassignments: stats.cluster_reassignments,
-            checkpoint_hits: stats.checkpoint_hits,
-            checkpoint_misses: stats.checkpoint_misses,
-            realign_rows_swept: stats.realign_rows_swept,
-            realign_rows_skipped: stats.realign_rows_skipped,
-            splits_pruned: stats.splits_pruned,
-            pruned_pops: stats.pruned_pops,
-            bound_recomputes: stats.bound_recomputes,
-            seed_index_build_ns: stats.seed_index_build_ns,
+            stats: tops.stats.clone(),
             phases: Phase::ALL
                 .iter()
                 .map(|&p| PhaseTiming {
@@ -253,8 +199,6 @@ impl RunReport {
                     } else {
                         batch.sum() as f64 / batch.count() as f64
                     },
-                    lanes_skipped: stats.lanes_skipped,
-                    lanes_compacted: stats.lanes_compacted,
                     resume_rows_p50: resume.p50(),
                 }
             },
@@ -271,43 +215,21 @@ impl RunReport {
     /// [`PaperClaims::extra_alignment_overhead`] with the relative extra
     /// score-only alignments this run performed versus `baseline`.
     pub fn set_baseline(&mut self, baseline: &RunReport) {
-        if baseline.alignments > 0 {
-            let extra = self.alignments as f64 - baseline.alignments as f64;
-            self.claims.extra_alignment_overhead = Some(extra / baseline.alignments as f64);
+        let base = baseline.stats.alignments;
+        if base > 0 {
+            let extra = self.stats.alignments as f64 - base as f64;
+            self.claims.extra_alignment_overhead = Some(extra / base as f64);
         }
     }
 
     /// Serialize to a JSON value (see the module docs for the layout).
     pub fn to_json(&self) -> Json {
-        let stats = obj(vec![
-            ("alignments", num(self.alignments as f64)),
-            ("cells", num(self.cells as f64)),
-            ("tracebacks", num(self.tracebacks as f64)),
-            ("traceback_cells", num(self.traceback_cells as f64)),
-            ("stale_pops", num(self.stale_pops as f64)),
-            ("fresh_pops", num(self.fresh_pops as f64)),
-            ("shadow_rejections", num(self.shadow_rejections as f64)),
-            ("row_recomputations", num(self.row_recomputations as f64)),
-            ("cluster_retries", num(self.cluster_retries as f64)),
-            (
-                "cluster_reassignments",
-                num(self.cluster_reassignments as f64),
-            ),
-            ("checkpoint_hits", num(self.checkpoint_hits as f64)),
-            ("checkpoint_misses", num(self.checkpoint_misses as f64)),
-            ("realign_rows_swept", num(self.realign_rows_swept as f64)),
-            (
-                "realign_rows_skipped",
-                num(self.realign_rows_skipped as f64),
-            ),
-            ("splits_pruned", num(self.splits_pruned as f64)),
-            ("pruned_pops", num(self.pruned_pops as f64)),
-            ("bound_recomputes", num(self.bound_recomputes as f64)),
-            (
-                "seed_index_build_ns",
-                num(self.seed_index_build_ns as f64),
-            ),
-        ]);
+        let stats = obj(self
+            .stats
+            .tallies()
+            .into_iter()
+            .map(|(name, v)| (name, num(v as f64)))
+            .collect());
         let phases = Json::Arr(
             self.phases
                 .iter()
@@ -351,11 +273,8 @@ impl RunReport {
                 "tasks_per_round_trip",
                 num(self.batching.tasks_per_round_trip),
             ),
-            ("lanes_skipped", num(self.batching.lanes_skipped as f64)),
-            (
-                "lanes_compacted",
-                num(self.batching.lanes_compacted as f64),
-            ),
+            ("lanes_skipped", num(self.stats.lanes_skipped as f64)),
+            ("lanes_compacted", num(self.stats.lanes_compacted as f64)),
             (
                 "resume_rows_p50",
                 num(self.batching.resume_rows_p50 as f64),
@@ -419,26 +338,7 @@ impl RunReport {
             .get("stats")
             .and_then(|j| j.as_obj())
             .ok_or("missing or non-object field `stats`")?;
-        for key in [
-            "alignments",
-            "cells",
-            "tracebacks",
-            "traceback_cells",
-            "stale_pops",
-            "fresh_pops",
-            "shadow_rejections",
-            "row_recomputations",
-            "cluster_retries",
-            "cluster_reassignments",
-            "checkpoint_hits",
-            "checkpoint_misses",
-            "realign_rows_swept",
-            "realign_rows_skipped",
-            "splits_pruned",
-            "pruned_pops",
-            "bound_recomputes",
-            "seed_index_build_ns",
-        ] {
+        for (key, _) in Stats::default().tallies() {
             if !stats.iter().any(|(k, j)| k == key && j.as_f64().is_some()) {
                 return Err(format!("stats: missing or non-numeric field `{key}`"));
             }
@@ -553,8 +453,8 @@ mod tests {
         let report = sample();
         assert_eq!(report.engine, "sequential");
         assert_eq!(report.tops_found, 3);
-        assert_eq!(report.stale_pops, 17);
-        assert_eq!(report.fresh_pops, 3);
+        assert_eq!(report.stats.stale_pops, 17);
+        assert_eq!(report.stats.fresh_pops, 3);
         assert_eq!(report.phases.len(), Phase::ALL.len());
         assert_eq!(report.phases[0].name, "first_sweep");
         assert_eq!(report.phases[0].entries, 11);
@@ -590,7 +490,7 @@ mod tests {
         let err = RunReport::validate(&Json::parse(&bad).unwrap()).unwrap_err();
         assert!(err.contains("stale_pops"), "{err}");
         // Wrong schema version.
-        let bad = good.replace("\"schema_version\":6", "\"schema_version\":999");
+        let bad = good.replace("\"schema_version\":7", "\"schema_version\":999");
         let err = RunReport::validate(&Json::parse(&bad).unwrap()).unwrap_err();
         assert!(err.contains("schema_version"), "{err}");
         // Phase renamed.
@@ -613,7 +513,7 @@ mod tests {
         let report = sample();
         assert_eq!(report.batching.batches, 0);
         assert_eq!(report.batching.tasks_per_round_trip, 0.0);
-        assert_eq!(report.batching.lanes_skipped, 0);
+        assert_eq!(report.stats.lanes_skipped, 0);
 
         // A recorder with observed batch sizes and resume depths feeds
         // the medians straight into the block.
@@ -639,6 +539,52 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(3)
         );
+    }
+
+    /// One home per tally: no recorder counter repeats a `Stats` tally
+    /// or any other key of the `stats` and `batching` blocks, and the
+    /// report still carries every `stats.*` and `batching.*` key the
+    /// benchmark's per-layer table (`benchmark/src/layers.rs`) reads.
+    #[test]
+    fn every_tally_has_one_home_and_the_benchmark_keys_stay() {
+        let parsed = Json::parse(&sample().to_json().to_string_compact()).unwrap();
+        let block = |name: &str| -> Vec<String> {
+            let fields = parsed.get(name).and_then(Json::as_obj).unwrap();
+            fields.iter().map(|(k, _)| k.clone()).collect()
+        };
+        let tallies = Stats::default().tallies().map(|(name, _)| name);
+        for c in Counter::ALL.map(Counter::name) {
+            assert!(!tallies.contains(&c), "counter {c} is a Stats tally");
+            for home in ["stats", "batching"] {
+                let repeated = block(home).iter().any(|k| k == c);
+                assert!(!repeated, "counter {c} repeats {home}.{c}");
+            }
+        }
+        let read = [
+            ("stats", "alignments"),
+            ("stats", "cells"),
+            ("stats", "traceback_cells"),
+            ("stats", "stale_pops"),
+            ("stats", "fresh_pops"),
+            ("stats", "splits_pruned"),
+            ("stats", "pruned_pops"),
+            ("stats", "bound_recomputes"),
+            ("stats", "checkpoint_hits"),
+            ("stats", "checkpoint_misses"),
+            ("stats", "realign_rows_swept"),
+            ("stats", "realign_rows_skipped"),
+            ("stats", "cluster_retries"),
+            ("stats", "cluster_reassignments"),
+            ("batching", "batches"),
+            ("batching", "tasks_per_round_trip"),
+            ("batching", "lanes_skipped"),
+            ("batching", "lanes_compacted"),
+            ("batching", "resume_rows_p50"),
+        ];
+        for (home, key) in read {
+            let value = parsed.get(home).and_then(|b| b.get(key)?.as_f64());
+            assert!(value.is_some(), "report has no {home}.{key}");
+        }
     }
 
     #[test]

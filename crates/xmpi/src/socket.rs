@@ -126,20 +126,22 @@ impl FrameBuf {
         })
     }
 
-    /// One read from `src`, into free space that holds at least the rest
-    /// of the front frame. `Ok(0)` is end of stream.
+    /// One read from `src`, into free space that holds the rest of the
+    /// front frame, up to twice the bytes already waiting: a header
+    /// claiming gigabytes grows the buffer only as its bytes arrive
+    /// (doubling), never past `2 × received + READ_ROOM`. `Ok(0)` is end
+    /// of stream.
     fn fill(&mut self, src: &mut impl Read) -> std::io::Result<usize> {
+        let live = self.start..self.end;
         let need = self
             .front_len()
             .ok()
             .flatten()
             .unwrap_or(0)
+            .min(2 * live.len())
             .max(READ_ROOM / 2);
         if self.buf.len() - self.start < need {
-            let live = self.start..self.end;
             if self.buf.len() < need {
-                // A zeroed allocation maps no page before bytes land in
-                // it, so a header claiming gigabytes costs nothing yet.
                 let mut grown = vec![0; need + READ_ROOM];
                 grown[..live.len()].copy_from_slice(&self.buf[live.clone()]);
                 self.buf = grown;
@@ -1206,5 +1208,142 @@ mod tests {
         };
         assert_eq!(err, RecvError::Disconnected);
         assert!(proxy.severs() >= 1);
+    }
+
+    /// Bytes off a stream in pieces of at most `step`, as a socket hands
+    /// them over.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+        given: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.step.min(out.len()).min(self.bytes.len() - self.given);
+            out[..n].copy_from_slice(&self.bytes[self.given..self.given + n]);
+            self.given += n;
+            Ok(n)
+        }
+    }
+
+    /// Every frame `FrameBuf` cuts from `bytes` (read `step` at a time)
+    /// and how the stream ended, checking after each read that the
+    /// buffer never outgrew the bytes received.
+    fn cut(bytes: &[u8], step: usize) -> (Vec<Vec<u8>>, Option<WireError>) {
+        let mut src = Trickle {
+            bytes,
+            step,
+            given: 0,
+        };
+        let mut frames = FrameBuf::new();
+        let mut got = Vec::new();
+        let end = loop {
+            let read = frames.read(&mut src).map(|f| f.to_vec());
+            assert!(
+                frames.buf.len() <= READ_ROOM + 2 * src.given,
+                "{} bytes buffered for {} received",
+                frames.buf.len(),
+                src.given
+            );
+            match read {
+                Ok(frame) => got.push(frame),
+                Err(end) => break end,
+            }
+        };
+        (got, end)
+    }
+
+    /// A frame the decoders accept is one our encoder sealed: it opens to
+    /// an envelope that re-encodes to the same bytes.
+    fn authentic(frame: &[u8]) -> bool {
+        open(frame).is_some_and(|m| envelope(m.tag, m.from, &m.payload) == frame)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Sealed envelopes with the front one mutated and never
+        /// re-sealed (bytes flipped, cut, extended, a hostile length
+        /// word) or replaced by random bytes, through the three frame
+        /// readers: a typed error or an authentic frame, never a panic,
+        /// and the stream buffer holds no more than twice what arrived.
+        #[test]
+        fn unsealed_frames_fail_typed_and_allocate_only_what_arrived(
+            payloads in proptest::collection::vec(proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..48), 1..4),
+            ops in proptest::collection::vec((0u8..6, proptest::arbitrary::any::<u32>()), 0..4),
+            junk in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..40),
+            step in 1usize..80,
+        ) {
+            let mut front = envelope(0, 1, &payloads[0]);
+            for &(op, arg) in &ops {
+                let pick = |len: usize| arg as usize % len.max(1);
+                match op {
+                    0 => {
+                        let i = pick(front.len());
+                        if let Some(b) = front.get_mut(i) {
+                            *b ^= (arg >> 8) as u8 | 1;
+                        }
+                    }
+                    1 => front.truncate(pick(front.len() + 1)),
+                    2 => front.extend(arg.to_le_bytes()),
+                    3 | 4 if front.len() >= FRAME_HEADER => {
+                        let was = u32::from_le_bytes(front[8..12].try_into().unwrap());
+                        let len = if op == 3 { arg } else { was.wrapping_add(arg % 33).wrapping_sub(16) };
+                        front[8..12].copy_from_slice(&len.to_le_bytes());
+                    }
+                    5 => front = junk.clone(),
+                    _ => {}
+                }
+            }
+            let mut stream = front.clone();
+            for (i, p) in payloads.iter().enumerate().skip(1) {
+                stream.extend(envelope(i as u32, 1, p));
+            }
+
+            // The stateless readers, on every prefix of the stream.
+            for n in 0..=stream.len().min(96) {
+                let head = &stream[..n];
+                if let Ok(body) = frame_body_len(&head[..n.min(FRAME_HEADER)]) {
+                    proptest::prop_assert!(body >= FRAME_TRAILER);
+                }
+                if Decoder::new_framed(head).is_ok() {
+                    proptest::prop_assert!(authentic(head), "a mutated frame was accepted");
+                }
+            }
+
+            // The stream parser: every frame it cuts is delimited by a
+            // header that validates; its checksum decides the rest.
+            let (frames, end) = cut(&stream, step);
+            for frame in &frames {
+                let body = frame_body_len(&frame[..FRAME_HEADER]);
+                proptest::prop_assert_eq!(body, Ok(frame.len() - FRAME_HEADER));
+                if open(frame).is_some() {
+                    proptest::prop_assert!(authentic(frame), "a mutated frame was accepted");
+                }
+            }
+            if ops.is_empty() {
+                proptest::prop_assert_eq!(frames.len(), payloads.len());
+                proptest::prop_assert_eq!(end, None);
+                for (i, (frame, p)) in frames.iter().zip(&payloads).enumerate() {
+                    proptest::prop_assert_eq!(frame, &envelope(i as u32, 1, p));
+                }
+            }
+        }
+    }
+
+    /// A header claiming 4 GiB, then a few hundred KiB of junk: the
+    /// buffer grows with the junk, not with the claim, and the stream
+    /// ends at EOF without a frame.
+    #[test]
+    fn a_hostile_length_word_grows_the_buffer_only_as_bytes_arrive() {
+        let mut stream = envelope(7, 1, &[]);
+        stream[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        stream.extend((0..300_000u32).map(|i| i as u8));
+        for step in [1 << 10, 1 << 16, 1 << 20] {
+            let (frames, end) = cut(&stream, step);
+            assert!(frames.is_empty());
+            assert_eq!(end, None, "end of stream, not a header error");
+        }
     }
 }

@@ -44,7 +44,10 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"rpro");
 /// byte-serial FNV-1a, so every v6 trailer fails to verify.
 /// v8: the `pool_reuses` counter is gone, so a telemetry frame carries
 /// one counter word fewer and a v7 peer would mis-frame every one.
-pub const VERSION: u32 = 8;
+/// v9: the twelve counters that repeated a work tally (which travels in
+/// the results) are gone, so a telemetry frame carries 13 counter words
+/// where a v8 peer sends 25.
+pub const VERSION: u32 = 9;
 
 /// Bytes of frame header (`magic + version + len`) before the payload.
 pub const FRAME_HEADER: usize = 12;
