@@ -153,7 +153,9 @@ impl NarrowBody {
     /// Is this body exact on a matrix of `min(rows, cols) = pairs` under
     /// exchange scores up to `peak` and `gaps`? A cell is at most `peak⁺ ·
     /// pairs`, the scan adds up to `15·ext` (DESIGN.md, "Row-vectorised
-    /// recurrence").
+    /// recurrence"). The lane kernels decide each pack's width with this
+    /// same predicate at the pack's widest lane (`repro_simd::pack_fits_i16`,
+    /// DESIGN.md "Group recurrence bound").
     pub fn exact_for(peak: Score, pairs: usize, gaps: GapPenalties) -> bool {
         let top = i128::from(peak.max(0)) * pairs as i128 + 15 * i128::from(gaps.extend);
         gaps.fit_i16() && top < i128::from(i16::MAX)

@@ -89,9 +89,11 @@ pub use seq::Seq;
 
 /// Scalar score type used by the reference kernels.
 ///
-/// The SIMD kernels in `repro-simd` use saturating `i16` (the paper's
-/// "shorts"); the scalar reference uses `i32` so differential tests can
-/// detect saturation instead of silently agreeing on clamped values.
+/// The SIMD kernels in `repro-simd` sweep a pack in saturating `i16`
+/// (the paper's "shorts") only where a static score bound proves it
+/// exact (`kernel::row::NarrowBody::exact_for`), else in `i32`; the
+/// scalar reference uses `i32`, so differential tests compare against
+/// unclamped values.
 pub type Score = i32;
 
 /// Sentinel for "no predecessor yet" in running gap maxima: `−2²⁹`.

@@ -9,9 +9,9 @@
 //!
 //! Masks are sparse — a few thousand cells in matrices of millions — so
 //! the production kernels never ask about single cells. They ask once per
-//! row for that row's overridden columns ([`CellMask::row_hits`]) and run
-//! the plain recurrence over the segments between them, writing the zero
-//! at each hit. [`CellMask::is_overridden`] is the per-cell contract the
+//! row for that row's overridden columns ([`CellMask::row_hits`]), run
+//! the plain recurrence over the whole row and then write the zero at
+//! each hit. [`CellMask::is_overridden`] is the per-cell contract the
 //! reference kernel, the cold adapters and the default row query rest on;
 //! a mask that can enumerate a row faster than by probing every column
 //! overrides `row_hits`.

@@ -235,8 +235,8 @@ impl ExchangeMatrix {
         &self.table[a as usize * self.k..(a as usize + 1) * self.k]
     }
 
-    /// Largest score in the table (used for score-bound reasoning and for
-    /// the i16 saturation checks in the SIMD kernels).
+    /// Largest score in the table (used for score-bound reasoning, such
+    /// as the `i16` bound of the row and lane kernels).
     pub fn max_score(&self) -> Score {
         self.table.iter().copied().max().unwrap_or(0)
     }

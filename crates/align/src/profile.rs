@@ -16,7 +16,7 @@
 //!
 //! Two element widths exist, mirroring the SIMD kernels: `i16` (the
 //! paper's "shorts", built with a checked narrowing that fails if any
-//! score is out of range) and `i32` (the promotion element, always
+//! score is out of range) and `i32` (the wide element, always
 //! buildable).
 
 use crate::scoring::Scoring;
@@ -79,8 +79,8 @@ impl<T: Copy> QueryProfile<T> {
 impl QueryProfile<i16> {
     /// Build a narrow (16-bit) profile; `None` if any exchange score is
     /// outside `i16` range, in which case callers must use the wide
-    /// profile (the SIMD engines then skip straight to the promotion
-    /// path instead of panicking as the narrow kernels would).
+    /// profile (the SIMD engines then run every pack on wide lanes
+    /// instead of panicking as the narrow kernels would).
     pub fn new_narrow(scoring: &Scoring, codes: &[u8]) -> Option<Self> {
         Self::build(scoring, codes, |s| i16::try_from(s).ok())
     }

@@ -6,8 +6,9 @@
 //! every dispatch path the host CPU supports), each both unmasked (the
 //! first pass) and **masked** (a realignment: an override triangle
 //! holding one diagonal alignment path through the measured group), the
-//! promoted `i32` wide sweeps, the scalar **row step** (one matrix's
-//! row vectorised along the row: its portable and AVX2 bodies against
+//! wide `i32` sweeps (what a pack past the `i16` bound runs), the scalar
+//! **row step** (one matrix's row vectorised along the row: its portable
+//! and AVX2 bodies against
 //! the per-cell loop it replaced, kept here as the reference, and its
 //! 16 × `i16` body against the 8 × `i32` AVX2 one), the
 //! **chain** legs (what an engine sweeps: every group of one 600-residue
@@ -40,7 +41,8 @@ use repro::simd::dispatch::{
     available, max_width, sweep_group_lookup_i16, sweep_group_profile_i16, sweep_group_wide,
 };
 use repro::simd::{
-    find_top_alignments_simd, select, DispatchPath, GroupCapture, GroupSweeper, LaneWidth, SimdSel,
+    find_top_alignments_simd, pack_fits_i16, select, DispatchPath, GroupCapture, GroupSweeper,
+    LaneWidth, SimdSel,
 };
 use repro::{find_top_alignments_parallel_simd, Scoring};
 use repro_bench::{host, time_min, time_min_each, time_min_pair, Scale};
@@ -438,9 +440,12 @@ fn chain_legs(sel: SimdSel, scoring: &Scoring, budget: Duration) -> Vec<ChainPoi
     let mut useful = Vec::with_capacity(groups.len());
     let mut caps: Vec<Option<GroupCapture>> = Vec::with_capacity(groups.len());
     for (rs, rows) in groups.iter().zip(&cap_rows) {
-        let (out, mut cap) = sweeper.sweep_at(rs, None, None, rows);
-        assert!(!out.promoted, "benchmark workload must not saturate");
-        useful.push(out.group.cells as f64);
+        assert!(
+            pack_fits_i16(scoring.exchange.max_score(), m, rs, scoring.gaps),
+            "the i16 bound must admit every benchmark pack"
+        );
+        let (out, _, mut cap) = sweeper.sweep_at(rs, None, None, rows);
+        useful.push(out.cells as f64);
         caps.push(cap.pop());
     }
     let central = groups.len() / 2;
@@ -577,7 +582,14 @@ fn main() {
             let sel = select(Some(width), Some(path)).expect("probed available above");
             let r0 = r_mid - lanes / 2;
             let sample = sweep_group_lookup_i16(sel, seq.codes(), &scoring, r0, lanes, None);
-            assert!(!sample.saturated, "benchmark workload must not saturate");
+            // The i16 sweeps time exact work: the measured group equals
+            // its wide sweep (at `--scale full` the central group is past
+            // the static bound, yet its scores never clamp).
+            let exact = sweep_group_wide(width, seq.codes(), &scoring, &prof32, r0, lanes, None);
+            assert_eq!(
+                sample.rows, exact.rows,
+                "the i16 kernels must be exact here"
+            );
             // `vector_cells` counts vector ops; each covers `lanes` cells.
             let lane_cells = (sample.vector_cells * lanes as u64) as f64;
 
@@ -629,7 +641,7 @@ fn main() {
         }
     }
 
-    // Promoted i32 wide sweeps (always portable lanes).
+    // Wide i32 sweeps (always portable lanes).
     let mut wide: Vec<String> = Vec::new();
     for width in WIDTHS {
         let lanes = width.lanes();

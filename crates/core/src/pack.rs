@@ -126,11 +126,10 @@ pub struct PackSweep {
     /// Logical cells computed: each split's rows below the resume row
     /// times its own columns.
     pub cells: u64,
-    /// A vector kernel's `(saturated narrow, promoted)`: its narrow
-    /// `i16` sweep saturated and was redone wide; a wide `i32` sweep
-    /// produced the rows. `None` from the row kernel, which counts no
-    /// vector sweeps.
-    pub vector: Option<(bool, bool)>,
+    /// A vector kernel's width: `Some(true)` when the pack ran on wide
+    /// `i32` lanes (promoted), `Some(false)` on `i16` lanes. `None` from
+    /// the row kernel, which counts no vector sweeps.
+    pub vector: Option<bool>,
 }
 
 /// What sweeps a pack: at width 1 the scalar row step ([`ScoredSeq`]),
@@ -469,8 +468,8 @@ impl LanePacks {
 
     /// Apply a plan and (unless it was a replay) its sweep: lane memos,
     /// checkpoint store, `stats`, and into `rec` the lanes skipped and
-    /// compacted, a vector kernel's sweep, saturation, promotion and
-    /// lane-occupancy counts, and the rows each re-swept lane of an
+    /// compacted, a vector kernel's sweep, promotion and lane-occupancy
+    /// counts, and the rows each re-swept lane of an
     /// incremental realignment covered. A realignment under a checkpoint
     /// budget is a hit when any shortcut fired (a replayed lane or a
     /// resume below row 0), else a miss. Returns the pack's new score,
@@ -533,9 +532,8 @@ impl LanePacks {
                 };
             }
             self.store_captures(&rs, kept, swept.caps, version);
-            for (saturated_narrow, promoted) in swept.vector {
+            for promoted in swept.vector {
                 rec.add(Counter::GroupSweeps, 1);
-                rec.add(Counter::NarrowSaturations, u64::from(saturated_narrow));
                 rec.add(Counter::PromotedSweeps, u64::from(promoted));
                 rec.add(Counter::LanesActive, npack as u64);
                 rec.add(Counter::LanesPadded, (self.lanes - npack) as u64);
@@ -722,7 +720,7 @@ pub struct PackSwept {
     cells: u64,
     caps: Vec<GroupCapture>,
     /// [`PackSweep::vector`] of each vector-kernel sweep run.
-    vector: Vec<(bool, bool)>,
+    vector: Vec<bool>,
 }
 
 /// The unit of work: unit `u` is pack `u` of the [`LanePacks`] — lane

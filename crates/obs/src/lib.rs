@@ -100,9 +100,12 @@ pub enum Counter {
     LanesPadded,
     /// Group sweeps performed (narrow and wide combined).
     GroupSweeps,
-    /// Narrow `i16` sweeps that saturated and were redone wide.
+    /// Narrow `i16` sweeps that saturated and were redone wide: 0 by
+    /// construction, since each pack's width is decided before its sweep
+    /// from a bound that proves `i16` exact. The key stays in reports
+    /// (and worker telemetry) for their readers.
     NarrowSaturations,
-    /// Wide `i32` promotion sweeps.
+    /// Group sweeps run on wide `i32` lanes: packs past the `i16` bound.
     PromotedSweeps,
     /// Tasks (or groups) claimed by SMP worker threads.
     TaskClaims,

@@ -66,7 +66,8 @@ use repro_obs::Recorder;
 /// `rec` receives the workers' tallies once they have joined: task
 /// claims, superseded work, the `worker_idle` and `traceback` phases,
 /// the `first_sweep` and `drain` seconds (summed across workers, like
-/// `worker_idle`), the latency histograms and the `Stats` mirror.
+/// `worker_idle`) and the latency histograms; every exact work tally
+/// is in the returned `Stats`.
 ///
 /// ```
 /// use repro_parallel::find_top_alignments_parallel;

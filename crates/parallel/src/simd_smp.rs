@@ -38,7 +38,7 @@ use repro_simd::{GroupSweeper, SimdSel};
 ///
 /// `rec` receives, once the workers have joined, what
 /// [`crate::find_top_alignments_parallel`] reports plus the group-sweep,
-/// saturation, promotion and lane-occupancy counts.
+/// promotion (wide pack) and lane-occupancy counts.
 ///
 /// ```
 /// use repro_parallel::find_top_alignments_parallel_simd;
@@ -166,6 +166,8 @@ mod tests {
         assert_eq!(got.alignments, want.alignments);
     }
 
+    /// Past the `i16` bound in its central packs (120 × `A` under match
+    /// 800): those run wide, the edge packs narrow, on every worker.
     #[test]
     fn saturating_workload_promotes_and_stays_exact() {
         let seq = Seq::dna(&"A".repeat(120)).unwrap();
@@ -176,7 +178,12 @@ mod tests {
         let want = find_top_alignments(&seq, &scoring, 2);
         let (got, rec) = recorded(&seq, &scoring, Search::new(2), 3, sel_for(LaneWidth::X8));
         assert_eq!(got.alignments, want.alignments);
-        assert!(rec.counter(Counter::NarrowSaturations) > 0);
+        let (sweeps, wide) = (
+            rec.counter(Counter::GroupSweeps),
+            rec.counter(Counter::PromotedSweeps),
+        );
+        assert!(0 < wide && wide < sweeps, "{wide} of {sweeps} sweeps wide");
+        assert_eq!(rec.counter(Counter::NarrowSaturations), 0);
     }
 
     #[test]

@@ -403,7 +403,7 @@ pub fn sweep_group_lookup_i16(
     }
 }
 
-/// The wide (`i32`) promotion sweep of the `lanes` consecutive splits
+/// The wide (`i32`) sweep of the `lanes` consecutive splits
 /// from `r0`: [`sweep_group_wide_at`] for that pack from row 0 with no
 /// captures.
 pub fn sweep_group_wide(
@@ -419,11 +419,12 @@ pub fn sweep_group_wide(
     sweep_group_wide_at(width, seq, scoring, profile, &rs, triangle, None, &[]).0
 }
 
-/// The wide (`i32`) promotion sweep of an arbitrary ascending split set
-/// with optional mid-matrix resume and inter-row capture: always the
-/// portable kernels (the wrapping `i32` arithmetic autovectorises to
-/// plain `PADDD`/`PMAXSD`), bit-identical to the scalar reference at
-/// any width.
+/// The wide (`i32`) sweep — what a pack past the `i16` bound runs — of
+/// an arbitrary ascending split set with optional mid-matrix resume and
+/// inter-row capture: always the portable kernels, bit-identical to the
+/// scalar reference at any width. They are built for the baseline
+/// target, which has no `i32` `PMAXSD` (SSE4.1), so how much of their max
+/// LLVM vectorises varies.
 #[allow(clippy::too_many_arguments)] // mirrors the kernel's full state
 pub fn sweep_group_wide_at(
     width: LaneWidth,

@@ -18,13 +18,13 @@
 //! Sweeps go through a [`GroupSweeper`]: the query profiles (narrow
 //! `i16` and wide `i32`) are built once per sequence and shared by all
 //! sweeps, the kernel is the runtime-dispatched selection of
-//! [`crate::dispatch`], and a sweep whose `i16` lanes saturate is
-//! recomputed with wide `i32` lanes — still vectorised, bit-identical
-//! to the scalar reference — instead of the historical whole-group
-//! scalar fallback. Scorings whose values don't fit `i16` at all — an
-//! exchange score, or a gap model failing
-//! [`repro_align::GapPenalties::fit_i16`] — skip the narrow sweep
-//! entirely (they used to panic).
+//! [`crate::dispatch`], and each pack's lane width is chosen once,
+//! before it is swept: `i16` lanes where the pack's score bound
+//! ([`pack_fits_i16`]) proves them exact, else wide `i32` lanes — still
+//! vectorised, bit-identical to the scalar reference. Scorings whose
+//! values don't fit `i16` at all — an exchange score, or a gap model
+//! failing [`repro_align::GapPenalties::fit_i16`] — build no narrow
+//! profile and sweep every pack wide (they used to panic).
 //!
 //! Results are identical to the sequential engine: acceptance order is
 //! still driven by exact scores under the same deterministic tie-breaks,
@@ -33,28 +33,14 @@
 //! paper measured < 0.70 % extra).
 
 use crate::dispatch::{sweep_group_profile_i16_at, sweep_group_wide_at, SimdSel};
-use crate::group::{GroupCapture, GroupResult, GroupResume};
-use repro_align::{QueryProfile, Score, Scoring, Seq};
+use crate::group::{pack_fits_i16, GroupCapture, GroupResult, GroupResume};
+use repro_align::{QueryProfile, Scoring, Seq};
 use repro_core::pack::PackSweep;
 use repro_core::{
     FinderConfig, OverrideTriangle, PackKernel, PackUnit, Search, TopAlignmentFinder, TopAlignments,
 };
 use repro_obs::Recorder;
 use std::sync::OnceLock;
-
-/// One group sweep's outcome: the (exact) group result plus how it was
-/// obtained.
-#[derive(Debug)]
-pub struct SweepOutcome {
-    /// Exact per-lane bottom rows — post-promotion if the narrow sweep
-    /// saturated, so always safe to consume.
-    pub group: GroupResult,
-    /// The narrow `i16` sweep saturated and was redone in `i32`.
-    pub saturated_narrow: bool,
-    /// A wide sweep produced the result (saturation, or a scoring whose
-    /// values don't fit `i16`).
-    pub promoted: bool,
-}
 
 /// Shared, reusable sweep state for one `(sequence, scoring, kernel)`
 /// triple: both query profiles plus the dispatch selection.
@@ -68,9 +54,9 @@ pub struct GroupSweeper<'a> {
     sel: SimdSel,
     /// Narrow profile; `None` when some exchange score exceeds `i16`
     /// range or the gap model fails [`repro_align::GapPenalties::fit_i16`],
-    /// in which case every sweep goes straight to the wide path.
+    /// in which case every pack runs wide.
     prof16: Option<QueryProfile<i16>>,
-    /// Wide profile, built lazily on first promotion.
+    /// Wide profile, built lazily by the first pack that runs wide.
     prof32: OnceLock<QueryProfile<i32>>,
 }
 
@@ -96,66 +82,46 @@ impl<'a> GroupSweeper<'a> {
     }
 
     /// Sweep the ascending split pack `rs` exactly, optionally resuming
-    /// mid-matrix and capturing inter-row state.
+    /// mid-matrix and capturing inter-row state; returns the result,
+    /// whether it ran on wide `i32` lanes, and the captures.
     ///
-    /// The chain is: narrow `i16` profile sweep; on saturation (or an
-    /// un-narrowable scoring) the wide `i32` profile sweep, which is the
-    /// scalar recurrence verbatim and cannot clamp.
-    ///
-    /// Resume states above `i16` range force the wide path directly:
-    /// values *below* the narrow range pin to `i16::MIN` on restore,
-    /// which is behaviourally identical (anything under `−open` loses
-    /// every comparison), but values above would clamp downward and
-    /// corrupt — and a checkpointed running `maxy` can exceed `i16::MAX`
-    /// even when every `m` fits, so both arrays are checked. Captures
-    /// from a saturated narrow sweep are discarded (saturated sentinels
-    /// must not be checkpointed); the wide re-sweep recaptures exactly.
+    /// The width is chosen once, before the sweep: narrow `i16` lanes
+    /// when the narrow profile exists and [`pack_fits_i16`] holds for
+    /// `rs`, else wide lanes, which run the scalar recurrence verbatim.
+    /// A resume state obeys its lane's bound whichever kernel captured
+    /// it, so it needs no check of its own, and nothing is checked
+    /// during or after the sweep (DESIGN.md, "Group recurrence bound").
     pub fn sweep_at(
         &self,
         rs: &[usize],
         triangle: Option<&OverrideTriangle>,
         resume: Option<&GroupResume<'_>>,
         capture_rows: &[usize],
-    ) -> (SweepOutcome, Vec<GroupCapture>) {
-        let mut saturated_narrow = false;
-        let fits_narrow = resume.is_none_or(|res| {
-            res.lanes.iter().all(|l| {
-                l.m.iter()
-                    .chain(l.maxy.iter())
-                    .all(|&v| v < i16::MAX as Score)
-            })
-        });
-        if fits_narrow {
-            if let Some(p16) = &self.prof16 {
-                let (g, caps) = sweep_group_profile_i16_at(
-                    self.sel,
-                    self.seq.codes(),
-                    self.scoring,
-                    p16,
-                    rs,
-                    triangle,
-                    resume,
-                    capture_rows,
-                );
-                if !g.saturated {
-                    return (
-                        SweepOutcome {
-                            group: g,
-                            saturated_narrow: false,
-                            promoted: false,
-                        },
-                        caps,
-                    );
-                }
-                saturated_narrow = true;
-            }
+    ) -> (GroupResult, bool, Vec<GroupCapture>) {
+        let (codes, gaps) = (self.seq.codes(), self.scoring.gaps);
+        let narrow = self
+            .prof16
+            .as_ref()
+            .filter(|p16| pack_fits_i16(p16.peak(), codes.len(), rs, gaps));
+        if let Some(p16) = narrow {
+            let (g, caps) = sweep_group_profile_i16_at(
+                self.sel,
+                codes,
+                self.scoring,
+                p16,
+                rs,
+                triangle,
+                resume,
+                capture_rows,
+            );
+            return (g, false, caps);
         }
         let p32 = self
             .prof32
-            .get_or_init(|| QueryProfile::new_wide(self.scoring, self.seq.codes()));
+            .get_or_init(|| QueryProfile::new_wide(self.scoring, codes));
         let (g, caps) = sweep_group_wide_at(
             self.sel.width,
-            self.seq.codes(),
+            codes,
             self.scoring,
             p32,
             rs,
@@ -163,17 +129,7 @@ impl<'a> GroupSweeper<'a> {
             resume,
             capture_rows,
         );
-        // The wide element wraps exactly like the scalar kernel; a score
-        // actually reaching i32::MAX would be wrong scalarly too.
-        debug_assert!(!g.saturated);
-        (
-            SweepOutcome {
-                group: g,
-                saturated_narrow,
-                promoted: true,
-            },
-            caps,
-        )
+        (g, true, caps)
     }
 }
 
@@ -195,11 +151,11 @@ impl PackKernel for GroupSweeper<'_> {
         resume: Option<&GroupResume<'_>>,
         capture_rows: &[usize],
     ) -> (PackSweep, Vec<GroupCapture>) {
-        let (outcome, caps) = self.sweep_at(rs, triangle, resume, capture_rows);
+        let (group, wide, caps) = self.sweep_at(rs, triangle, resume, capture_rows);
         let sweep = PackSweep {
-            rows: outcome.group.rows,
-            cells: outcome.group.cells,
-            vector: Some((outcome.saturated_narrow, outcome.promoted)),
+            rows: group.rows,
+            cells: group.cells,
+            vector: Some(wide),
         };
         (sweep, caps)
     }
@@ -223,9 +179,10 @@ impl PackKernel for GroupSweeper<'_> {
 /// `rec` receives what the inline driver records for any unit (see
 /// [`TopAlignmentFinder::step_recorded`]) plus the lane-pack commit's
 /// lane-occupancy counters ([`repro_obs::Counter::LanesActive`] /
-/// [`repro_obs::Counter::LanesPadded`]), sweep, saturation and promotion
-/// counts, and the `Stats` mirror. The recorder is monomorphized: against
-/// [`repro_obs::NoopRecorder`] all of it compiles out.
+/// [`repro_obs::Counter::LanesPadded`]) and its sweep and promotion (wide
+/// pack) counts; every exact work tally is in the returned `Stats`. The
+/// recorder is monomorphized: against [`repro_obs::NoopRecorder`] all of
+/// it compiles out.
 ///
 /// ```
 /// use repro_simd::{find_top_alignments_simd, select, LaneWidth};
@@ -259,10 +216,12 @@ pub fn find_top_alignments_simd<R: Recorder>(
 mod tests {
     use super::*;
     use crate::dispatch::{select, DispatchPath};
+    use crate::group::LaneResume;
     use crate::LaneWidth;
     use repro_core::pack::first_pass;
     use repro_core::{find_top_alignments, ScoredSeq, SeedConfig};
     use repro_obs::{Counter, FlightRecorder, NoopRecorder, Phase};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     const ALL_WIDTHS: [LaneWidth; 3] = [LaneWidth::X4, LaneWidth::X8, LaneWidth::X16];
 
@@ -474,31 +433,230 @@ mod tests {
         assert!(rec.counter(Counter::GroupSweeps) > 0);
     }
 
+    /// Match `match_score`, mismatch −1, gaps (2, 1): the `i16` bound of
+    /// a pack is `match_score · pairs + 15 < i16::MAX`.
+    fn scaled_match(match_score: repro_align::Score) -> Scoring {
+        Scoring::new(
+            repro_align::ExchangeMatrix::match_mismatch(
+                repro_align::Alphabet::Dna,
+                match_score,
+                -1,
+            ),
+            repro_align::GapPenalties::new(2, 1),
+        )
+    }
+
+    /// Every selectable width × dispatch path on this host.
+    fn every_sel() -> Vec<SimdSel> {
+        [
+            DispatchPath::Portable,
+            DispatchPath::Sse2,
+            DispatchPath::Avx2,
+        ]
+        .into_iter()
+        .flat_map(|path| ALL_WIDTHS.map(|width| select(Some(width), Some(path))))
+        .filter_map(Result::ok)
+        .collect()
+    }
+
+    /// Past the `i16` bound in its central packs: 120 × `A` under match
+    /// 800 runs the packs of splits within 40 of an end narrow and the
+    /// others wide, and the tops stay exact.
     #[test]
     fn saturation_fallback_keeps_results_exact() {
         let seq = Seq::dna(&"A".repeat(120)).unwrap();
-        let scoring = Scoring::new(
-            repro_align::ExchangeMatrix::match_mismatch(repro_align::Alphabet::Dna, 800, -1),
-            repro_align::GapPenalties::new(2, 1),
-        );
+        let scoring = scaled_match(800);
         let want = find_top_alignments(&seq, &scoring, 2);
         for width in ALL_WIDTHS {
             let (got, rec) = recorded(&seq, &scoring, Search::new(2), sel_for(width));
             assert_eq!(got.alignments, want.alignments, "{width:?}");
-            assert!(
-                rec.counter(Counter::NarrowSaturations) > 0,
-                "this workload must exercise the promotion path ({width:?})"
+            let (sweeps, wide) = (
+                rec.counter(Counter::GroupSweeps),
+                rec.counter(Counter::PromotedSweeps),
             );
             assert!(
-                rec.counter(Counter::PromotedSweeps) >= rec.counter(Counter::NarrowSaturations)
+                0 < wide && wide < sweeps,
+                "{width:?}: {wide} of {sweeps} sweeps wide, want some and not all"
             );
+            assert_eq!(rec.counter(Counter::NarrowSaturations), 0);
+        }
+    }
+
+    /// A [`GroupSweeper`] that counts its *crossings*: sweeps resumed
+    /// below row 0 on narrow lanes whose whole pack runs wide, so the
+    /// resume state came from a wide sweep.
+    struct Crossings<'a> {
+        sweeper: GroupSweeper<'a>,
+        seen: &'a AtomicU64,
+    }
+
+    impl PackKernel for Crossings<'_> {
+        fn lanes(&self) -> usize {
+            self.sweeper.lanes()
+        }
+
+        fn splits(&self) -> usize {
+            self.sweeper.splits()
+        }
+
+        fn sweep(
+            &self,
+            rs: &[usize],
+            triangle: Option<&OverrideTriangle>,
+            resume: Option<&GroupResume<'_>>,
+            capture_rows: &[usize],
+        ) -> (PackSweep, Vec<GroupCapture>) {
+            let (sweep, caps) = self.sweeper.sweep(rs, triangle, resume, capture_rows);
+            let lanes = self.lanes();
+            let first = 1 + (rs[0] - 1) / lanes * lanes;
+            let pack: Vec<usize> = (first..(first + lanes).min(self.splits() + 1)).collect();
+            let (m, scoring) = (self.sweeper.seq.len(), self.sweeper.scoring);
+            let pack_wide = !pack_fits_i16(scoring.exchange.max_score(), m, &pack, scoring.gaps);
+            if resume.is_some_and(|res| res.row > 0) && sweep.vector == Some(false) && pack_wide {
+                self.seen.fetch_add(1, Ordering::Relaxed);
+            }
+            (sweep, caps)
+        }
+    }
+
+    /// The width decision at the edge of the `i16` bound, on 180 nt of
+    /// pseudo-random DNA with the 15 nt at 145 copied to 163. Under match
+    /// 800, mismatch −1200, gaps (2000, 320) a pack fits iff `800 · max
+    /// min(r, m − r) + 15 · 320 < i16::MAX`: splits within 34 of an end
+    /// run narrow, the central ones wide, and the straddling packs hold
+    /// both. The repeat is the first top, owned by split 160; accepting
+    /// it dirties lanes 146 on, so at ×16 the straddling pack 145–160
+    /// realigns its fitting lanes 146–160 narrow, resumed from the
+    /// capture its wide first pass took. A second scoring, match 712 and
+    /// extend 1, puts `min(r, m − r) = 46` exactly on the edge (712 · 46 +
+    /// 15 = `i16::MAX`), which runs wide. At every width × path:
+    ///
+    /// * every one-split pack within two pairs of the edge runs the width
+    ///   the bound gives and equals the row kernel; every full pack that
+    ///   straddles the edge runs wide with a capture, and its lanes that
+    ///   fit, resumed from that capture as a compacted pack, run narrow
+    ///   and equal the row kernel resumed from it, captures included;
+    /// * the engine, with seeds and checkpoints each on and off, finds
+    ///   the sequential tops, runs some packs wide and not all, counts no
+    ///   saturation, and at ×16 with checkpoints crosses the edge.
+    #[test]
+    fn width_is_decided_per_pack_at_the_i16_edge() {
+        let dna = repro_align::Alphabet::Dna;
+        let mut rng = repro_seqgen::Rng::new(1);
+        let mut codes = repro_seqgen::random_seq(dna, 180, &mut rng)
+            .codes()
+            .to_vec();
+        codes.copy_within(145..160, 163);
+        // Mismatched flanks: the repeat's alignment is rows 145..160.
+        for k in 1..=3 {
+            codes[145 - k] = (codes[163 - k] + 1) % 4;
+        }
+        for k in 0..2 {
+            codes[160 + k] = (codes[178 + k] + 1) % 4;
+        }
+        let seq = Seq::from_codes(dna, codes);
+        let m = seq.len();
+        let strict = Scoring::new(
+            repro_align::ExchangeMatrix::match_mismatch(dna, 800, -1200),
+            repro_align::GapPenalties::new(2000, 320),
+        );
+        for (scoring, engine) in [(strict, true), (scaled_match(712), false)] {
+            let row_kernel = ScoredSeq::new(&seq, &scoring);
+            let wide_at = |pairs: usize| {
+                let top = i64::from(scoring.exchange.max_score()) * pairs as i64
+                    + 15 * i64::from(scoring.gaps.extend);
+                top >= i64::from(i16::MAX)
+            };
+            let wide_for = |rs: &[usize]| wide_at(rs.iter().map(|&r| r.min(m - r)).max().unwrap());
+            let edge = (0..m).find(|&pairs| wide_at(pairs)).unwrap();
+            let want = find_top_alignments(&seq, &scoring, 5);
+            for sel in every_sel() {
+                let sweeper = GroupSweeper::new(&seq, &scoring, sel);
+                let check = |rs: &[usize], resume: Option<&GroupResume<'_>>, rows: &[usize]| {
+                    let what = format!("{scoring:?} {sel} {rs:?}");
+                    let (got, wide, caps) = sweeper.sweep_at(rs, None, resume, rows);
+                    assert_eq!(wide, wide_for(rs), "{what}: width");
+                    let (exact, exact_caps) = row_kernel.sweep(rs, None, resume, rows);
+                    assert_eq!(got.rows, exact.rows, "{what}");
+                    assert_eq!(got.cells, exact.cells, "{what}");
+                    for (got, exact) in caps.iter().zip(&exact_caps) {
+                        assert_eq!((got.row, &got.lanes), (exact.row, &exact.lanes), "{what}");
+                    }
+                    caps
+                };
+                for r in (1..m).filter(|&r| r.min(m - r).abs_diff(edge) <= 2) {
+                    check(&[r], None, &[]);
+                }
+                let mut straddling = 0;
+                for full in (1..m).collect::<Vec<_>>().chunks(sel.width.lanes()) {
+                    let fit: Vec<usize> =
+                        full.iter().copied().filter(|&r| !wide_for(&[r])).collect();
+                    if fit.is_empty() || fit.len() == full.len() {
+                        continue;
+                    }
+                    straddling += 1;
+                    let row = full[0] / 2;
+                    let caps = check(full, None, &[row]);
+                    let resume = GroupResume {
+                        row,
+                        lanes: full
+                            .iter()
+                            .zip(&caps[0].lanes)
+                            .filter(|(r, _)| fit.contains(r))
+                            .map(|(_, lane)| {
+                                let (m, maxy) = lane.as_ref().expect("captured above the pack");
+                                LaneResume { m, maxy }
+                            })
+                            .collect(),
+                    };
+                    check(&fit, Some(&resume), &[fit[0] - 1]);
+                }
+                assert!(straddling > 0, "{scoring:?} {sel}: no pack straddles");
+                if !engine {
+                    continue;
+                }
+                for seed in [None, Some(SeedConfig::default())] {
+                    for budget in [None, Some(1 << 20)] {
+                        let search = Search {
+                            count: 5,
+                            checkpoint_budget: budget,
+                            seed,
+                        };
+                        let what = format!("{sel} {search:?}");
+                        let seen = AtomicU64::new(0);
+                        let kernel = Crossings {
+                            sweeper: GroupSweeper::new(&seq, &scoring, sel),
+                            seen: &seen,
+                        };
+                        let unit = PackUnit::new(kernel, budget);
+                        let mut rec = FlightRecorder::new();
+                        let got = TopAlignmentFinder::with_unit(
+                            &seq,
+                            &scoring,
+                            FinderConfig::new(search),
+                            unit,
+                        )
+                        .run_recorded(&mut rec);
+                        assert_eq!(got.alignments, want.alignments, "{what}");
+                        let (sweeps, wide) = (
+                            rec.counter(Counter::GroupSweeps),
+                            rec.counter(Counter::PromotedSweeps),
+                        );
+                        assert!(0 < wide && wide < sweeps, "{what}: {wide} of {sweeps} wide");
+                        assert_eq!(rec.counter(Counter::NarrowSaturations), 0, "{what}");
+                        if sel.width == LaneWidth::X16 && budget.is_some() {
+                            assert!(seen.into_inner() > 0, "{what}: no resume crossed the edge");
+                        }
+                    }
+                }
+            }
         }
     }
 
     #[test]
     fn un_narrowable_scoring_skips_straight_to_wide() {
         // Scores beyond i16 range used to panic inside the kernel; now
-        // the narrow profile refuses to build and every sweep promotes.
+        // the narrow profile refuses to build and every pack runs wide.
         let seq = Seq::dna("ATGCATGCATGCATGC").unwrap();
         let scoring = Scoring::new(
             repro_align::ExchangeMatrix::match_mismatch(repro_align::Alphabet::Dna, 40_000, -1),

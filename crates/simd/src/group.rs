@@ -25,7 +25,10 @@
 //!
 //! Both are generic over the lane element: `i16` (saturating, the
 //! paper's "shorts") or `i32` (wrapping, bit-identical to the scalar
-//! reference — the saturation-promotion path).
+//! reference). Nothing here checks for overflow: the `i16` element is
+//! exact on a pack whose score bound fits it, which the caller decides
+//! before the sweep (`GroupSweeper`, DESIGN.md "Group recurrence
+//! bound"), and every other pack runs on the `i32` element.
 //!
 //! Incremental resume ([`align_group_profile_at`]): the kernel can
 //! start at row `start` from restored inter-row state (per-lane `m` /
@@ -47,15 +50,17 @@
 //!   interior;
 //! * **bottom**: lane `l`'s matrix ends at row `rs[l] − 1`; its bottom
 //!   row is captured when that row completes, and deeper rows of the
-//!   lane are dead weight (the paper's speculation cost).
+//!   lane are dead weight (the paper's speculation cost): they feed no
+//!   live cell, bottom row or capture, so an `i16` lane may clamp there.
 //! * **override**: cell `(p, q)` represents sequence pair `(p, q)` in
 //!   *every* lane, so the triangle mask is lane-uniform — one zero
 //!   serves all lanes. The overridden columns of every swept row are
-//!   tabulated once per sweep (`RowHits`); a row then runs the plain
-//!   recurrence over the segments between its hits.
+//!   tabulated once per sweep (`RowHits`); a row runs the plain
+//!   recurrence and then zeroes its hits, as the one-matrix kernels do.
 
 use crate::lanes::{SimdElem, SimdVec};
-use repro_align::{stripe_for_bytes, QueryProfile, Score, Scoring};
+use repro_align::kernel::row::NarrowBody;
+use repro_align::{stripe_for_bytes, GapPenalties, QueryProfile, Score, Scoring};
 pub use repro_core::pack::{GroupCapture, GroupResume, LaneResume};
 use repro_core::OverrideTriangle;
 
@@ -76,10 +81,16 @@ pub struct GroupResult {
     /// Vector-sweep cells (`rows × width`), the actual SIMD work incl.
     /// dead lanes; `cells / (vector_cells × LANES)` is lane utilisation.
     pub vector_cells: u64,
-    /// `true` iff any lane saturated at the element's `MAX`; the caller
-    /// must recompute the group exactly (promote `i16 → i32`, or fall
-    /// back to the scalar kernel).
-    pub saturated: bool,
+}
+
+/// Is the `i16` element exact on the pack `rs` of a length-`m` sequence,
+/// under exchange scores up to `peak` and `gaps`? Every live cell of
+/// lane `r` is at most `peak⁺ · min(r, m − r)`, so this is the row body's
+/// bound ([`NarrowBody::exact_for`]) at the pack's widest lane (DESIGN.md,
+/// "Group recurrence bound").
+pub fn pack_fits_i16(peak: Score, m: usize, rs: &[usize], gaps: GapPenalties) -> bool {
+    let pairs = rs.iter().map(|&r| r.min(m - r)).max().unwrap_or(0);
+    NarrowBody::exact_for(peak, pairs, gaps)
 }
 
 /// Stripe width for a group sweep of `lanes` lanes of `elem_bytes`-byte
@@ -185,7 +196,6 @@ struct SweepState<V: SimdVec> {
     maxx_carry: Vec<V>,
     edge: Vec<V>,
     rows: Vec<Vec<Score>>,
-    sat_acc: V,
     /// Interleaved capture buffers, parallel to `Geom::capture_rows`.
     captures: Vec<(Vec<V>, Vec<V>)>,
 }
@@ -280,8 +290,8 @@ fn sweep_prologue_at<'a, V: SimdVec>(
         bottom[r - 1] = Some(l);
     }
 
-    let (mrow, maxy, init_m, sat_acc) = match resume {
-        None => (vec![zero; width], vec![neg; width], Vec::new(), zero),
+    let (mrow, maxy, init_m) = match resume {
+        None => (vec![zero; width], vec![neg; width], Vec::new()),
         Some(rsm) => {
             assert!(rsm.row >= 1, "resume row must be at least 1");
             assert_eq!(rsm.lanes.len(), lanes, "one resume state per lane");
@@ -305,10 +315,7 @@ fn sweep_prologue_at<'a, V: SimdVec>(
                 }
             }
             let init_m = mrow.clone();
-            // Seed the saturation accumulator from the restored row so a
-            // restored sentinel is never missed.
-            let sat = mrow.iter().fold(zero, |acc, &v| acc.max(v));
-            (mrow, maxy, init_m, sat)
+            (mrow, maxy, init_m)
         }
     };
 
@@ -327,7 +334,6 @@ fn sweep_prologue_at<'a, V: SimdVec>(
         maxx_carry: vec![neg; rmax],
         edge: vec![zero; rmax],
         rows: rs.iter().map(|&r| vec![0; m - r]).collect(),
-        sat_acc,
         captures: capture_rows
             .iter()
             .map(|_| (vec![zero; width], vec![zero; width]))
@@ -381,7 +387,6 @@ fn finish<V: SimdVec>(
     let result = GroupResult {
         r0: geom.r0,
         lanes: geom.rs.len(),
-        saturated: st.sat_acc.any_saturated(),
         rows: st.rows,
         cells,
         vector_cells: (st.rmax - geom.start) as u64 * st.width as u64,
@@ -421,8 +426,7 @@ impl HitCursor for NoHits {
 /// `#[target_feature(enable = "avx2")]` trampolines every `ymm` value is
 /// caller-saved and a call out of AVX code costs a `vzeroupper`, so a
 /// single call per row spills the whole recurrence (gap constants,
-/// carries, the saturation accumulator) and halves the rate even of
-/// rows that have no hit at all.
+/// carries) and halves the rate even of rows that have no hit at all.
 struct RowHits {
     /// Row `i`'s hits are `qi[row_end[i − 1]..row_end[i]]`.
     row_end: Vec<u32>,
@@ -513,15 +517,14 @@ impl<E: SimdElem> Exchange<E> for LookupExchange<'_, E> {
 }
 
 /// What the recurrence carries along a row, plus the sweep-long gap
-/// constants and saturation accumulator: locals of the row loop, so
-/// that inside the trampolines they stay in registers from the first
-/// cell of a segment to the last.
+/// constants: locals of the row loop, so that inside the trampolines
+/// they stay in registers from the first cell of a stripe row to the
+/// last.
 struct RowRegs<V> {
     vopen: V,
     vext: V,
     maxx: V,
     diag: V,
-    sat: V,
 }
 
 impl<V: SimdVec> RowRegs<V> {
@@ -540,21 +543,7 @@ impl<V: SimdVec> RowRegs<V> {
         if let Some(kill) = kill {
             v = kill_dead_lanes(v, kill);
         }
-        self.sat = self.sat.max(v);
         *m = v;
-        self.gaps(y, up);
-    }
-
-    /// An overridden cell: every lane zero (nothing reaches `sat`),
-    /// while the gap maxima and the diagonal advance as for any cell.
-    #[inline(always)]
-    fn overridden(&mut self, m: &mut V, y: &mut V) {
-        let up = std::mem::replace(m, V::splat(V::Elem::ZERO));
-        self.gaps(y, up);
-    }
-
-    #[inline(always)]
-    fn gaps(&mut self, y: &mut V, up: V) {
         let cand = self.diag.subs(self.vopen);
         self.maxx = cand.max(self.maxx).subs(self.vext);
         *y = cand.max(*y).subs(self.vext);
@@ -562,7 +551,7 @@ impl<V: SimdVec> RowRegs<V> {
     }
 }
 
-/// The stripe/row/segment loop every sweep runs — lookup or profile,
+/// The stripe/row loop every sweep runs — lookup or profile,
 /// any element, masked or not, from row 0 or resumed: it is
 /// `#[inline(always)]` all the way down so each `#[target_feature]`
 /// trampoline in [`crate::dispatch`] gets its own monomorphic copy.
@@ -583,7 +572,6 @@ fn sweep_rows<V: SimdVec, H: HitCursor, X: Exchange<V::Elem>>(
         vext: st.vext,
         maxx: zero,
         diag: zero,
-        sat: st.sat_acc,
     };
     let mut x0 = 0;
     while x0 < st.width {
@@ -609,46 +597,41 @@ fn sweep_rows<V: SimdVec, H: HitCursor, X: Exchange<V::Elem>>(
             } else {
                 (st.maxx_carry[p], above_old_edge)
             };
-            // Lane-uniform override masking, monomorphised away on the
-            // first pass: the plain cells up to each hit of this row
-            // inside the stripe, then the hit itself. Each run of plain
-            // cells is its bordered columns, then an interior that
+            // The stripe's bordered columns, then an interior that
             // carries no border test.
-            let mut seg0 = x0;
-            loop {
-                let hit = hits.next_hit(p - start, x1);
-                let stop = hit.unwrap_or(x1);
-                let mut inner = seg0;
-                if seg0 < border {
-                    inner = stop.min(border);
-                    let bordered = mrow[seg0..inner]
-                        .iter_mut()
-                        .zip(&mut maxy[seg0..inner])
-                        .zip(&geom.kill[seg0..inner])
-                        .zip(exch.cells(p, r0 + seg0, r0 + inner));
-                    for (((m, y), &kill), e) in bordered {
-                        regs.cell(m, y, e, Some(kill));
-                    }
-                }
-                let interior = mrow[inner..stop]
+            let inner = border.clamp(x0, x1);
+            if x0 < inner {
+                let bordered = mrow[x0..inner]
                     .iter_mut()
-                    .zip(&mut maxy[inner..stop])
-                    .zip(exch.cells(p, r0 + inner, r0 + stop));
-                for ((m, y), e) in interior {
-                    regs.cell(m, y, e, None);
+                    .zip(&mut maxy[x0..inner])
+                    .zip(&geom.kill[x0..inner])
+                    .zip(exch.cells(p, r0 + x0, r0 + inner));
+                for (((m, y), &kill), e) in bordered {
+                    regs.cell(m, y, e, Some(kill));
                 }
-                if hit.is_none() {
-                    break;
-                }
-                regs.overridden(&mut mrow[stop], &mut maxy[stop]);
-                seg0 = stop + 1;
+            }
+            let interior = mrow[inner..x1]
+                .iter_mut()
+                .zip(&mut maxy[inner..x1])
+                .zip(exch.cells(p, r0 + inner, r0 + x1));
+            for ((m, y), e) in interior {
+                regs.cell(m, y, e, None);
+            }
+            // Lane-uniform override masking, monomorphised away on the
+            // first pass: zero this row's hits inside the stripe after
+            // the fact. No cell of a row reads a value written in that
+            // row (the diagonal and both gap maxima come from the row
+            // above), so the value a hit held reached nothing, and its
+            // gap maxima advanced as for any cell.
+            while let Some(hit) = hits.next_hit(p - start, x1) {
+                mrow[hit] = zero;
             }
             st.maxx_carry[p] = regs.maxx;
             st.edge[p] = mrow[x1 - 1];
             above_old_edge = my_old_edge;
-            // Bottom-border capture for this stripe's segment: row p is
-            // the bottom row of lane l iff rs[l] = p + 1, and segment
-            // values are final once computed. The lane's first own
+            // Bottom-border capture for this stripe's part of the row:
+            // row p is the bottom row of lane l iff rs[l] = p + 1, and
+            // its values are final once its hits are zeroed. The lane's first own
             // column may lie right of this stripe: nothing to copy yet.
             if let Some(l) = geom.bottom[p] {
                 let own = geom.rs[l] - r0;
@@ -670,7 +653,6 @@ fn sweep_rows<V: SimdVec, H: HitCursor, X: Exchange<V::Elem>>(
         }
         x0 = x1;
     }
-    st.sat_acc = regs.sat;
 }
 
 #[inline(always)]
@@ -769,6 +751,12 @@ mod tests {
         }
     }
 
+    /// The engine's width decision for the pack `rs` of a length-`m`
+    /// sequence: the narrow lanes are exact on it.
+    fn fits_i16(m: usize, scoring: &Scoring, rs: &[usize]) -> bool {
+        pack_fits_i16(scoring.exchange.max_score(), m, rs, scoring.gaps)
+    }
+
     #[test]
     fn group_matches_scalar_per_split_unmasked() {
         let seq = Seq::dna("ATGCATGCATGCACGGTTACGT").unwrap();
@@ -804,8 +792,8 @@ mod tests {
     fn eight_lanes_match_scalar() {
         let seq = Seq::protein("MGEKALVPYRLQHCERSTMGEKALVPYRWFND").unwrap();
         let scoring = Scoring::protein_default();
+        assert!(fits_i16(seq.len(), &scoring, &[5, 12]));
         let g = align_group::<I16x8>(seq.codes(), &scoring, 5, 8, None);
-        assert!(!g.saturated);
         for l in 0..8 {
             let want = scalar_row(&seq, &scoring, 5 + l, None);
             assert_eq!(g.rows[l], want, "split {}", 5 + l);
@@ -816,8 +804,8 @@ mod tests {
     fn sixteen_lanes_match_scalar() {
         let seq = Seq::protein("MGEKALVPYRLQHCERSTMGEKALVPYRWFNDAGHTKLMNPQ").unwrap();
         let scoring = Scoring::protein_default();
+        assert!(fits_i16(seq.len(), &scoring, &[7, 22]));
         let g = align_group::<I16x16>(seq.codes(), &scoring, 7, 16, None);
-        assert!(!g.saturated);
         for l in 0..16 {
             let want = scalar_row(&seq, &scoring, 7 + l, None);
             assert_eq!(g.rows[l], want, "split {}", 7 + l);
@@ -855,14 +843,13 @@ mod tests {
             repro_align::GapPenalties::new(2, 1),
         );
         let prof = QueryProfile::new_wide(&scoring, seq.codes());
+        assert!(!fits_i16(seq.len(), &scoring, &[38, 45]));
         let g = align_group_profile::<I32x8>(seq.codes(), &scoring, &prof, 38, 8, None, 64);
-        assert!(!g.saturated);
         for l in 0..8 {
             let want = scalar_row(&seq, &scoring, 38 + l, None);
             assert_eq!(g.rows[l], want, "wide split {}", 38 + l);
         }
         let g16 = align_group_profile::<I32x16>(seq.codes(), &scoring, &prof, 30, 16, None, 64);
-        assert!(!g16.saturated);
         for l in 0..16 {
             let want = scalar_row(&seq, &scoring, 30 + l, None);
             assert_eq!(g16.rows[l], want, "wide x16 split {}", 30 + l);
@@ -902,6 +889,9 @@ mod tests {
         assert_eq!(g.vector_cells, 50);
     }
 
+    /// A pack whose scores overflow `i16` is detected before it is
+    /// swept: the bound rejects it, and the narrow lanes would indeed
+    /// have clamped it.
     #[test]
     fn saturation_is_detected() {
         // A long perfect repeat with huge match scores overflows i16.
@@ -910,10 +900,14 @@ mod tests {
             repro_align::ExchangeMatrix::match_mismatch(repro_align::Alphabet::Dna, 1000, -1),
             repro_align::GapPenalties::new(2, 1),
         );
+        assert!(
+            !fits_i16(seq.len(), &scoring, &[38, 41]),
+            "40 000-ish scores must fail the bound"
+        );
         let g = align_group::<I16x4>(seq.codes(), &scoring, 38, 4, None);
         assert!(
-            g.saturated,
-            "40 000-ish scores must trip the saturation flag"
+            (0..4).any(|l| g.rows[l] != scalar_row(&seq, &scoring, 38 + l, None)),
+            "the narrow lanes clamp this pack"
         );
     }
 
@@ -1069,6 +1063,7 @@ mod tests {
         let p16 = QueryProfile::new_narrow(&scoring, seq.codes()).unwrap();
         let p32 = QueryProfile::new_wide(&scoring, seq.codes());
         let rs = vec![9usize, 13, 22];
+        assert!(fits_i16(seq.len(), &scoring, &rs));
         let (scratch, caps) = align_group_profile_at::<I32x8>(
             seq.codes(),
             &scoring,
@@ -1113,7 +1108,6 @@ mod tests {
                 Some(&resume),
                 &[],
             );
-            assert!(!narrow.saturated);
             assert_eq!(narrow.rows, scratch.rows, "narrow resume at {}", cap.row);
         }
     }
@@ -1126,7 +1120,7 @@ mod tests {
     }
 
     /// Row `rows − 1` of split `r`'s matrix from the per-cell `naive`
-    /// kernel probing a plain cell set — no row index, no segment walk.
+    /// kernel probing a plain cell set — no row index, no hit table.
     fn naive_row(
         seq: &Seq,
         scoring: &Scoring,
@@ -1146,7 +1140,7 @@ mod tests {
     /// Masked sweeps of lane type `V` against the naive oracle: a
     /// consecutive and a compacted split set, a stripe of `STRIPE`
     /// columns, captures at every row and a resume from mid-matrix, on
-    /// triangles built to hit every position the segment walk treats
+    /// triangles built to hit every position the hit table treats
     /// specially, then on random ones.
     fn check_masked_sweeps<V: SimdVec>(
         profile_of: impl Fn(&Scoring, &[u8]) -> QueryProfile<V::Elem>,
@@ -1237,6 +1231,7 @@ mod tests {
                 if rs == &consecutive {
                     assert_eq!(lookup.rows, want, "lookup sweep, triangle {pairs:?}");
                 }
+                assert!(fits_i16(m, &scoring, rs));
                 let capture_rows: Vec<usize> = (1..*rs.last().unwrap()).collect();
                 let (scratch, caps) = align_group_profile_at::<V>(
                     seq.codes(),
@@ -1248,7 +1243,6 @@ mod tests {
                     None,
                     &capture_rows,
                 );
-                assert!(!scratch.saturated);
                 assert_eq!(scratch.rows, want, "splits {rs:?}, triangle {pairs:?}");
                 // Every captured row, not only the bottom ones: the whole
                 // matrix of every lane agrees with the oracle.
@@ -1406,6 +1400,7 @@ mod tests {
         }
 
         for rs in &packs {
+            assert!(fits_i16(m, &scoring, rs));
             let (r0, rmax) = (rs[0], rs[rs.len() - 1]);
             for tri in [None, Some(&triangle)] {
                 // The oracle: every lane's row, and its checkpoint at
@@ -1416,7 +1411,6 @@ mod tests {
                     .map(|&r| scalar_sweep(&seq, &scoring, r, tri, None, &all_rows))
                     .unzip();
                 let check = |g: &GroupResult, caps: &[GroupCapture], rows: &[usize], what: &str| {
-                    assert!(!g.saturated);
                     assert_eq!(g.rows, want_rows, "{what}");
                     assert_eq!(caps.len(), rows.len(), "{what}");
                     for (cap, &row) in caps.iter().zip(rows) {
@@ -1625,14 +1619,16 @@ mod tests {
         }
     }
 
-    /// The only cell that would reach `i16::MAX` is overridden: the
-    /// forced zero, not the value the recurrence would have produced,
-    /// is what the saturation accumulator sees — no promotion sweep.
+    /// The only cell that would pass `i16::MAX` is overridden: the narrow
+    /// lanes write the forced zero, not the value the recurrence would
+    /// have produced there, so nothing clamps and every row is exact —
+    /// while the same pack with that cell live clamps.
     #[test]
     fn overridden_cell_never_trips_saturation() {
         // One exact 8-residue repeat on a single diagonal, 4096 per
-        // match: the running score saturates at the 8th match only,
-        // cell (7, 19), and every other cell stays below 7 × 4096.
+        // match: the running score passes i16::MAX at the 8th match only,
+        // cell (7, 19) in split 8's bottom row, and every other cell
+        // stays below 7 × 4096.
         let seq = Seq::protein("ACDEFGHIKLMNACDEFGHI").unwrap();
         let scoring = Scoring::new(
             repro_align::ExchangeMatrix::match_mismatch(repro_align::Alphabet::Protein, 4096, -1),
@@ -1658,18 +1654,18 @@ mod tests {
         let mut on_it = OverrideTriangle::new(seq.len());
         on_it.set(7, 19);
         for stripe in [4usize, 64] {
-            assert!(
-                sweep(&elsewhere, stripe).saturated,
-                "control: (7, 19) saturates"
+            assert_ne!(
+                sweep(&elsewhere, stripe).rows[0],
+                scalar_row(&seq, &scoring, 8, Some(&elsewhere)),
+                "control: (7, 19) clamps"
             );
             let g = sweep(&on_it, stripe);
-            assert!(!g.saturated, "an overridden cell leaked into sat_acc");
             for (l, &r) in rs.iter().enumerate() {
                 assert_eq!(g.rows[l], scalar_row(&seq, &scoring, r, Some(&on_it)));
             }
             let lookup =
                 align_group_striped::<I16x8>(seq.codes(), &scoring, 8, 5, Some(&on_it), stripe);
-            assert!(!lookup.saturated);
+            assert_eq!(lookup.rows, g.rows);
         }
     }
 

@@ -12,13 +12,13 @@
 //!
 //! Two element disciplines coexist behind [`SimdElem`]:
 //!
-//! * **`i16`** — the paper's "shorts": saturating arithmetic, with
-//!   `i16::MAX` acting as the saturation sentinel that triggers the
-//!   promotion path;
-//! * **`i32`** — the promotion element, matching the scalar reference
+//! * **`i16`** — the paper's "shorts": saturating arithmetic, exact on
+//!   every pack whose score bound fits it (the sweeper decides before
+//!   the sweep; DESIGN.md "Group recurrence bound");
+//! * **`i32`** — the wide element, matching the scalar reference
 //!   kernel's plain (two's-complement) arithmetic bit for bit, so a
-//!   promoted sweep is exactly the scalar recurrence run `N` matrices
-//!   at a time.
+//!   wide sweep is exactly the scalar recurrence run `N` matrices at a
+//!   time.
 //!
 //! Compiling with the `portable-only` cargo feature removes every
 //! `core::arch` kernel, leaving only the portable arrays — CI runs the
@@ -33,12 +33,12 @@ use repro_align::Score;
 pub trait SimdElem: Copy + Ord + std::fmt::Debug + 'static {
     /// Additive identity.
     const ZERO: Self;
-    /// Largest value; for `i16` this doubles as the saturation sentinel.
+    /// Largest value (the left-border kill vectors' dead lanes).
     const MAX: Self;
     /// "No predecessor" sentinel for the running gap maxima. `i16` uses
     /// `i16::MIN` (saturating subtraction keeps it pinned); `i32` uses
     /// [`repro_align::NEG_INF`], the exact constant of the scalar
-    /// kernels, so promoted sweeps match them bit for bit.
+    /// kernels, so wide sweeps match them bit for bit.
     const NEG_INF: Self;
     /// Size in bytes (drives the L1 stripe-width rule).
     const BYTES: usize;
@@ -53,9 +53,9 @@ pub trait SimdElem: Copy + Ord + std::fmt::Debug + 'static {
     /// checkpointed inter-row state: values below the element's range
     /// pin to `Self::NEG_INF`-adjacent (`i16::MIN`), which is
     /// behaviourally identical in the recurrence because any gap maximum
-    /// below `−open` loses every comparison it enters. Values *above*
-    /// the range must be rejected by the caller beforehand (they would
-    /// clamp downward and change results).
+    /// below `−open` loses every comparison it enters. No value *above*
+    /// the range reaches it: a resume state obeys its lane's score
+    /// bound, which the sweeper checked before choosing `i16`.
     fn from_score_sat(s: Score) -> Self;
     /// Widening back to the scalar score type.
     fn to_score(self) -> Score;
@@ -155,12 +155,6 @@ pub trait SimdVec: Copy + std::fmt::Debug {
     /// SSE2 extensions contain a parallel MAX operator, which is not
     /// available in the conventional instruction set").
     fn max(self, o: Self) -> Self;
-
-    /// `true` iff any lane equals `Elem::MAX` (saturation sentinel; only
-    /// meaningful for the saturating `i16` element).
-    fn any_saturated(self) -> bool {
-        self.lanes().contains(&Self::Elem::MAX)
-    }
 }
 
 macro_rules! portable_lanes {
@@ -240,19 +234,19 @@ portable_lanes!(
     I32x4,
     i32,
     4,
-    "Four wide `i32` lanes — the 4-lane promotion element."
+    "Four wide `i32` lanes — the 4-lane wide element."
 );
 portable_lanes!(
     I32x8,
     i32,
     8,
-    "Eight wide `i32` lanes — the 8-lane promotion element."
+    "Eight wide `i32` lanes — the 8-lane wide element."
 );
 portable_lanes!(
     I32x16,
     i32,
     16,
-    "Sixteen wide `i32` lanes — the 16-lane promotion element."
+    "Sixteen wide `i32` lanes — the 16-lane wide element."
 );
 
 /// Explicit SSE2 lanes (x86-64 only): the literal `PADDSW`/`PSUBSW`/
@@ -460,15 +454,6 @@ pub mod avx2 {
             // SAFETY: dispatch guarantees AVX2 before this type is used.
             unsafe { I16x16Avx2(_mm256_max_epi16(self.0, o.0)) }
         }
-
-        #[inline(always)]
-        fn any_saturated(self) -> bool {
-            // SAFETY: dispatch guarantees AVX2 before this type is used.
-            unsafe {
-                let sat = _mm256_cmpeq_epi16(self.0, _mm256_set1_epi16(i16::MAX));
-                _mm256_movemask_epi8(sat) != 0
-            }
-        }
     }
 }
 
@@ -527,7 +512,6 @@ mod tests {
     fn check_saturation<V: SimdVec<Elem = i16>>() {
         let big = V::splat(i16::MAX - 1);
         let sum = big.adds(V::splat(100));
-        assert!(sum.any_saturated());
         for l in 0..V::LANES {
             assert_eq!(sum.lanes()[l], i16::MAX);
         }
@@ -536,7 +520,6 @@ mod tests {
         for l in 0..V::LANES {
             assert_eq!(diff.lanes()[l], i16::MIN);
         }
-        assert!(!V::splat(5).any_saturated());
     }
 
     /// The in-place views are exactly `LANES` long, and a write to one

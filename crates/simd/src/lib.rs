@@ -10,7 +10,8 @@
 //! exactly as in Figure 7.
 //!
 //! * [`lanes`] — saturating `i16` lane vectors at widths 4/8/16 plus
-//!   wide wrapping `i32` vectors (the saturation-promotion element).
+//!   wide wrapping `i32` vectors (the element of packs past the `i16`
+//!   bound).
 //!   Portable array forms at every width; explicit SSE2 (`__m128i`) and
 //!   AVX2 (`__m256i`) kernels on x86-64. Lane width 4 models SSE, 8
 //!   models SSE2 — the paper's two columns of Table 2 — and 16 extends
@@ -37,10 +38,12 @@
 //!   [`repro_core::TopAlignments`] comes back with every tally already
 //!   folded into `rec`.
 //!
-//! Scores are the paper's 16-bit "shorts": saturating arithmetic, with a
-//! saturation flag. A saturated group is recomputed with wide `i32`
-//! lanes — still vectorised, bit-identical to the scalar reference —
-//! instead of the historical whole-group scalar fallback.
+//! Scores are the paper's 16-bit "shorts" wherever they are provably
+//! exact: each pack's width is decided once, before it is swept, from a
+//! static score bound ([`group::pack_fits_i16`], DESIGN.md "Group
+//! recurrence bound"). A pack past the bound runs on wide `i32` lanes —
+//! still vectorised, bit-identical to the scalar reference. Nothing is
+//! detected or re-swept at run time.
 
 #![warn(missing_docs)]
 
@@ -52,10 +55,10 @@ pub mod lanes;
 pub(crate) mod test_support;
 
 pub use dispatch::{auto_path, select, DispatchError, DispatchPath, SimdSel};
-pub use engine::{find_top_alignments_simd, GroupSweeper, SweepOutcome};
+pub use engine::{find_top_alignments_simd, GroupSweeper};
 pub use group::{
-    align_group, align_group_profile, align_group_striped, group_stripe, GroupCapture,
-    GroupResult, GroupResume, LaneResume, DEFAULT_GROUP_STRIPE,
+    align_group, align_group_profile, align_group_striped, group_stripe, pack_fits_i16,
+    GroupCapture, GroupResult, GroupResume, LaneResume, DEFAULT_GROUP_STRIPE,
 };
 pub use lanes::{I16x16, I16x4, I16x8, SimdVec};
 

@@ -1,12 +1,10 @@
-//! Small collective operations over a [`Comm`].
+//! Collective operations over a [`Comm`].
 //!
 //! The paper's engine needs exactly one collective — the master's
-//! acceptance broadcast — but a substrate pretending to be MPI should
-//! offer the usual small set; the distributed engines use
-//! [`broadcast_from`] and the tests exercise the rest.
+//! acceptance broadcast, [`broadcast_from`] — and this module holds only
+//! that one.
 
-use crate::{Comm, Message, RecvError};
-use std::time::Duration;
+use crate::Comm;
 
 /// Send `payload` with `tag` from this rank to every *other* rank.
 /// Returns the number of ranks the message was handed to — dead peers
@@ -22,60 +20,11 @@ pub fn broadcast_from<C: Comm>(comm: &C, tag: u32, payload: &[u8]) -> usize {
     delivered
 }
 
-/// Root side of a gather: collect exactly one message with `tag` from
-/// every other rank (any arrival order; other tags are not consumed —
-/// they are buffered back via the returned `leftovers`).
-pub fn gather_at_root<C: Comm>(
-    comm: &C,
-    tag: u32,
-    timeout: Duration,
-) -> Result<(Vec<Message>, Vec<Message>), RecvError> {
-    let expected = comm.size() - 1;
-    let mut got: Vec<Message> = Vec::with_capacity(expected);
-    let mut leftovers = Vec::new();
-    let mut seen = vec![false; comm.size()];
-    while got.len() < expected {
-        let msg = comm.recv_timeout(timeout)?;
-        if msg.tag == tag && !seen[msg.from] {
-            seen[msg.from] = true;
-            got.push(msg);
-        } else {
-            leftovers.push(msg);
-        }
-    }
-    got.sort_by_key(|m| m.from);
-    Ok((got, leftovers))
-}
-
-/// A two-phase barrier rooted at rank 0 using `tag` (and `tag + 1` for
-/// the release): everyone reports in, root releases everyone. Returns
-/// once this rank is released.
-pub fn barrier<C: Comm>(comm: &C, tag: u32, timeout: Duration) -> Result<(), RecvError> {
-    if comm.rank() == 0 {
-        let (_, leftovers) = gather_at_root(comm, tag, timeout)?;
-        debug_assert!(
-            leftovers.is_empty(),
-            "barrier interleaved with unrelated traffic"
-        );
-        broadcast_from(comm, tag + 1, &[]);
-        Ok(())
-    } else {
-        comm.send(0, tag, Vec::new())
-            .map_err(|_| RecvError::Disconnected)?;
-        loop {
-            let msg = comm.recv_timeout(timeout)?;
-            if msg.tag == tag + 1 {
-                return Ok(());
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::thread::ThreadComm;
-    use crate::Rank;
+    use std::time::Duration;
 
     const DL: Duration = Duration::from_secs(10);
 
@@ -91,53 +40,5 @@ mod tests {
                 assert_eq!((m.from, m.tag, m.payload.as_slice()), (1, 9, &b"hi"[..]));
             }
         }
-    }
-
-    #[test]
-    fn gather_collects_one_per_rank_in_rank_order() {
-        let world = ThreadComm::world(4);
-        world[3].send(0, 5, vec![3]).unwrap();
-        world[1].send(0, 5, vec![1]).unwrap();
-        world[2].send(0, 5, vec![2]).unwrap();
-        let (msgs, leftovers) = gather_at_root(&world[0], 5, DL).unwrap();
-        assert!(leftovers.is_empty());
-        let froms: Vec<Rank> = msgs.iter().map(|m| m.from).collect();
-        assert_eq!(froms, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn gather_buffers_unrelated_tags() {
-        let world = ThreadComm::world(3);
-        world[1].send(0, 7, vec![]).unwrap(); // unrelated tag
-        world[1].send(0, 5, vec![]).unwrap();
-        world[2].send(0, 5, vec![]).unwrap();
-        let (msgs, leftovers) = gather_at_root(&world[0], 5, DL).unwrap();
-        assert_eq!(msgs.len(), 2);
-        assert_eq!(leftovers.len(), 1);
-        assert_eq!(leftovers[0].tag, 7);
-    }
-
-    #[test]
-    fn gather_times_out_when_a_rank_is_silent() {
-        let world = ThreadComm::world(3);
-        world[1].send(0, 5, vec![]).unwrap();
-        let err = gather_at_root(&world[0], 5, Duration::from_millis(30)).unwrap_err();
-        assert_eq!(err, RecvError::Timeout);
-    }
-
-    #[test]
-    fn barrier_synchronises_all_ranks() {
-        let world = ThreadComm::world(4);
-        let released = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for comm in &world {
-                let released = &released;
-                s.spawn(move || {
-                    barrier(comm, 100, DL).unwrap();
-                    released.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(released.load(std::sync::atomic::Ordering::SeqCst), 4);
     }
 }

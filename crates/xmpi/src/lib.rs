@@ -24,6 +24,8 @@
 //!   substitution table).
 //! * [`wire`] — a minimal byte codec for message payloads (the engines
 //!   exchange task ids, scores and bottom rows; no serde needed).
+//! * [`collectives`] — the one collective the engines use, the master's
+//!   acceptance broadcast ([`broadcast_from`]).
 //!
 //! Timeouts are first-class: a blocking receive with a deadline returns
 //! [`RecvError::Timeout`] instead of hanging, so an engine facing a
@@ -39,7 +41,7 @@ pub mod thread;
 pub mod virtual_time;
 pub mod wire;
 
-pub use collectives::{barrier, broadcast_from, gather_at_root};
+pub use collectives::broadcast_from;
 
 /// Process identifier within a world, `0 .. size`.
 pub type Rank = usize;
