@@ -160,23 +160,35 @@ mod tests {
 
     /// Per-split bounds from one triangle sweep: after row i, colmax
     /// holds max over rows 0..=i, so B(i+1) = suffix max over j ≥ i+1.
-    fn bounds_from_sweep<M: CellMask + Copy>(codes: &[u8], scoring: &Scoring, mask: M) -> Vec<Score> {
+    fn bounds_from_sweep<M: CellMask + Copy>(
+        codes: &[u8],
+        scoring: &Scoring,
+        mask: M,
+    ) -> Vec<Score> {
         let len = codes.len();
         let (mut m, mut maxy) = tri_initial_state(len);
         let mut colmax = vec![0 as Score; len];
         let mut bounds = vec![0 as Score; len]; // bounds[r], r in 1..len
-        tri_self_sweep_resume(codes, scoring, mask, 0, &mut m, &mut maxy, &mut |i, row, _| {
-            for j in i + 1..len {
-                colmax[j] = colmax[j].max(row[j]);
-            }
-            let mut best = 0;
-            for j in (i + 1..len).rev() {
-                best = best.max(colmax[j]);
-            }
-            if i + 1 < len {
-                bounds[i + 1] = best;
-            }
-        });
+        tri_self_sweep_resume(
+            codes,
+            scoring,
+            mask,
+            0,
+            &mut m,
+            &mut maxy,
+            &mut |i, row, _| {
+                for j in i + 1..len {
+                    colmax[j] = colmax[j].max(row[j]);
+                }
+                let mut best = 0;
+                for j in (i + 1..len).rev() {
+                    best = best.max(colmax[j]);
+                }
+                if i + 1 < len {
+                    bounds[i + 1] = best;
+                }
+            },
+        );
         bounds
     }
 
@@ -237,12 +249,18 @@ mod tests {
         let (mut m, mut maxy) = tri_initial_state(len);
         let mut snaps: Vec<(usize, Vec<Score>, Vec<Score>)> = Vec::new();
         let mut rows_full: Vec<Vec<Score>> = Vec::new();
-        tri_self_sweep_resume(seq.codes(), &scoring, &pairs, 0, &mut m, &mut maxy, &mut |i,
-                                                                                         row,
-                                                                                         my| {
-            rows_full.push(row.to_vec());
-            snaps.push((i + 1, row.to_vec(), my.to_vec()));
-        });
+        tri_self_sweep_resume(
+            seq.codes(),
+            &scoring,
+            &pairs,
+            0,
+            &mut m,
+            &mut maxy,
+            &mut |i, row, my| {
+                rows_full.push(row.to_vec());
+                snaps.push((i + 1, row.to_vec(), my.to_vec()));
+            },
+        );
         for (start, m0, my0) in snaps {
             if start >= len {
                 continue;
@@ -277,12 +295,15 @@ mod tests {
             let len = seq.len();
             let (mut m, mut maxy) = tri_initial_state(len);
             let mut rows = 0usize;
-            let cells =
-                tri_self_sweep_resume(seq.codes(), &scoring, NoMask, 0, &mut m, &mut maxy, &mut |_,
-                                                                                                 _,
-                                                                                                 _| {
-                    rows += 1
-                });
+            let cells = tri_self_sweep_resume(
+                seq.codes(),
+                &scoring,
+                NoMask,
+                0,
+                &mut m,
+                &mut maxy,
+                &mut |_, _, _| rows += 1,
+            );
             assert_eq!(rows, len);
             assert_eq!(cells, (len * len.saturating_sub(1) / 2) as u64);
         }

@@ -108,7 +108,10 @@ pub const MAX_KMER_K: usize = 12;
 /// # Panics
 /// If `k == 0` or `k > MAX_KMER_K`.
 pub fn kmer_keys(codes: &[u8], k: usize) -> Vec<u64> {
-    assert!((1..=MAX_KMER_K).contains(&k), "k-mer width {k} out of range");
+    assert!(
+        (1..=MAX_KMER_K).contains(&k),
+        "k-mer width {k} out of range"
+    );
     if codes.len() < k {
         return Vec::new();
     }

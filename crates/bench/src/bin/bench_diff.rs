@@ -94,20 +94,12 @@ fn extract(doc: &Json) -> Vec<MetricVal> {
                 let workload = s(r.get("workload"));
                 let engine = s(r.get("engine"));
                 if let Some(v) = f(r.get("wall_ratio")) {
-                    out.push(m(
-                        format!("prune:{workload}:{engine}:wall_ratio"),
-                        v,
-                        false,
-                    ));
+                    out.push(m(format!("prune:{workload}:{engine}:wall_ratio"), v, false));
                 }
             }
         }
         "cluster_real" => {
-            for t in doc
-                .get("transports")
-                .and_then(Json::as_arr)
-                .unwrap_or(&[])
-            {
+            for t in doc.get("transports").and_then(Json::as_arr).unwrap_or(&[]) {
                 let workers = f(t.get("workers")).unwrap_or(0.0) as u64;
                 if let Some(v) = f(t.get("overhead")) {
                     out.push(m(format!("cluster:{workers}w:proc_overhead"), v, false));
@@ -241,18 +233,13 @@ fn values_comparable(base: &Json, fresh: &Json) -> bool {
 }
 
 fn load(path: &std::path::Path) -> Result<Json, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let flag_val = |name: &str| {
-        args.windows(2)
-            .find(|w| w[0] == name)
-            .map(|w| w[1].clone())
-    };
+    let flag_val = |name: &str| args.windows(2).find(|w| w[0] == name).map(|w| w[1].clone());
     let fresh_dir = flag_val("--fresh").unwrap_or_else(|| ".".to_string());
     let base_dir = flag_val("--baseline").unwrap_or_else(|| "results".to_string());
     let threshold: f64 = flag_val("--threshold")
@@ -351,10 +338,8 @@ mod tests {
 
     #[test]
     fn extracts_every_known_bench_kind() {
-        let report = doc(
-            r#"{"bench":"run_report","ablation":{"ratio":0.95},
-                "reports":[{"engine":"sequential","elapsed_secs":1.5}]}"#,
-        );
+        let report = doc(r#"{"bench":"run_report","ablation":{"ratio":0.95},
+                "reports":[{"engine":"sequential","elapsed_secs":1.5}]}"#);
         let got = extract(&report);
         assert_eq!(got.len(), 2);
         assert!(!got[0].higher_is_better);
@@ -365,10 +350,8 @@ mod tests {
         assert_eq!(got[0].name, "e2e:threads:2:speedup");
         assert!(got[0].higher_is_better);
 
-        let prune = doc(
-            r#"{"bench":"split_prune","rows":[
-                {"workload":"sparse_island","engine":"sequential","wall_ratio":0.06}]}"#,
-        );
+        let prune = doc(r#"{"bench":"split_prune","rows":[
+                {"workload":"sparse_island","engine":"sequential","wall_ratio":0.06}]}"#);
         assert_eq!(
             extract(&prune)[0].name,
             "prune:sparse_island:sequential:wall_ratio"
@@ -396,12 +379,10 @@ mod tests {
         let better: Vec<bool> = got.iter().map(|m| m.higher_is_better).collect();
         assert_eq!(better, [false, false, false, false, false, true]);
 
-        let simd = doc(
-            r#"{"bench":"simd_sweep","kernels":[
+        let simd = doc(r#"{"bench":"simd_sweep","kernels":[
                 {"path":"sse2","lanes":8,"kernel":"profile","lane_cells_per_sec":3.0e9}],
                 "chain":[
-                {"path":"avx2","lanes":16,"leg":"narrowest","useful_cells_per_sec":4.0e9}]}"#,
-        );
+                {"path":"avx2","lanes":16,"leg":"narrowest","useful_cells_per_sec":4.0e9}]}"#);
         let names: Vec<String> = extract(&simd).into_iter().map(|m| m.name).collect();
         assert_eq!(
             names,
@@ -416,23 +397,14 @@ mod tests {
 
     #[test]
     fn diff_is_direction_aware() {
-        let base = vec![
-            m("cost".into(), 1.0, false),
-            m("speed".into(), 1.0, true),
-        ];
+        let base = vec![m("cost".into(), 1.0, false), m("speed".into(), 1.0, true)];
         // Cost up 20% = regression; speed up 20% = improvement.
-        let fresh = vec![
-            m("cost".into(), 1.2, false),
-            m("speed".into(), 1.2, true),
-        ];
+        let fresh = vec![m("cost".into(), 1.2, false), m("speed".into(), 1.2, true)];
         let rows = diff(&base, &fresh, 15.0);
         assert!(rows[0].regressed, "cost +20% must regress");
         assert!(!rows[1].regressed, "speed +20% must not regress");
         // And mirrored: cost down is fine, speed down 20% regresses.
-        let fresh = vec![
-            m("cost".into(), 0.8, false),
-            m("speed".into(), 0.8, true),
-        ];
+        let fresh = vec![m("cost".into(), 0.8, false), m("speed".into(), 0.8, true)];
         let rows = diff(&base, &fresh, 15.0);
         assert!(!rows[0].regressed);
         assert!(rows[1].regressed, "speed -20% must regress");

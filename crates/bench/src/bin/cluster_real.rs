@@ -394,10 +394,7 @@ fn main() {
     ]);
 
     let doc = Json::Obj(vec![
-        (
-            "bench".to_string(),
-            Json::Str("cluster_real".to_string()),
-        ),
+        ("bench".to_string(), Json::Str("cluster_real".to_string())),
         ("scale".to_string(), Json::Str(format!("{scale:?}"))),
         ("host".to_string(), host()),
         (
@@ -427,18 +424,9 @@ fn main() {
                                 "overhead".to_string(),
                                 Json::Num(r.proc_secs / r.sim_secs.max(1e-12)),
                             ),
-                            (
-                                "alignments".to_string(),
-                                Json::Num(r.alignments as f64),
-                            ),
-                            (
-                                "identical_to_sim".to_string(),
-                                Json::Bool(true),
-                            ),
-                            (
-                                "ranks".to_string(),
-                                Json::Num(r.ranks_seen as f64),
-                            ),
+                            ("alignments".to_string(), Json::Num(r.alignments as f64)),
+                            ("identical_to_sim".to_string(), Json::Bool(true)),
+                            ("ranks".to_string(), Json::Num(r.ranks_seen as f64)),
                         ])
                     })
                     .collect(),

@@ -216,7 +216,12 @@ fn main() {
         for (workload, seq, scoring, tops) in [
             ("sparse_island", &sparse_seq, &protein_scoring, island_tops),
             ("dna_sparse_island", &dna_seq, &dna_scoring, island_tops),
-            ("protein_island_3copy", &three_seq, &protein_scoring, island_tops),
+            (
+                "protein_island_3copy",
+                &three_seq,
+                &protein_scoring,
+                island_tops,
+            ),
             ("dense_titin", &dense_seq, &protein_scoring, dense_tops),
         ] {
             let row = measure(workload, seq, scoring, tops, *engine, timing_budget);
@@ -291,10 +296,7 @@ fn main() {
                                 "splits_pruned".to_string(),
                                 Json::Num(r.stats.splits_pruned as f64),
                             ),
-                            (
-                                "prune_fraction".to_string(),
-                                Json::Num(r.prune_fraction()),
-                            ),
+                            ("prune_fraction".to_string(), Json::Num(r.prune_fraction())),
                             (
                                 "pruned_pops".to_string(),
                                 Json::Num(r.stats.pruned_pops as f64),

@@ -393,9 +393,7 @@ fn generate(spec: &str) -> Result<(), String> {
             };
             let planted = PlantedRepeats::generate(&spec, num(seed)? as u64);
             FastaRecord {
-                id: format!(
-                    "repeat-island unit={unit} copies={copies} flank={flank} seed={seed}"
-                ),
+                id: format!("repeat-island unit={unit} copies={copies} flank={flank} seed={seed}"),
                 seq: planted.seq,
             }
         }
@@ -874,7 +872,11 @@ mod tests {
 
     #[test]
     fn low_memory_demands_the_sequential_engine() {
-        assert!(parse_args(&args(&["--low-memory", "x.fa"])).unwrap().low_memory);
+        assert!(
+            parse_args(&args(&["--low-memory", "x.fa"]))
+                .unwrap()
+                .low_memory
+        );
         for engine in ["simd", "simd8", "threads:2", "simd-threads:2", "cluster:2"] {
             let err = parse_args(&args(&["--engine", engine, "--low-memory", "x.fa"])).unwrap_err();
             assert_eq!(err, "--low-memory applies only to --engine seq", "{engine}");
@@ -942,9 +944,7 @@ mod tests {
         run(&parse_args(&args(&on)).unwrap()).unwrap();
         run(&parse_args(&args(&off)).unwrap()).unwrap();
         use repro::obs::json::Json;
-        let read = |p: &std::path::Path| {
-            Json::parse(&std::fs::read_to_string(p).unwrap()).unwrap()
-        };
+        let read = |p: &std::path::Path| Json::parse(&std::fs::read_to_string(p).unwrap()).unwrap();
         let on_doc = read(&pruned_report);
         let off_doc = read(&plain_report);
         let tops = |d: &Json| {
@@ -1022,8 +1022,14 @@ mod tests {
     fn parses_progress_and_chrome_paths() {
         let o = parse_args(&args(&["--progress", "-", "x.fa"])).unwrap();
         assert_eq!(o.progress.as_deref(), Some("-"));
-        let o = parse_args(&args(&["--progress", "p.jsonl", "--chrome", "t.json", "x.fa"]))
-            .unwrap();
+        let o = parse_args(&args(&[
+            "--progress",
+            "p.jsonl",
+            "--chrome",
+            "t.json",
+            "x.fa",
+        ]))
+        .unwrap();
         assert_eq!(o.progress.as_deref(), Some("p.jsonl"));
         assert_eq!(o.chrome.as_deref(), Some("t.json"));
         assert!(parse_args(&args(&["x.fa", "--progress"])).is_err());

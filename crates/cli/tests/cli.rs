@@ -62,8 +62,15 @@ fn every_engine_matches_seq_with_a_gap_open_past_i16() {
     let want = run("seq");
     assert!(want.contains("top   3"), "{want}");
     let engines = [
-        "simd", "simd4", "simd8", "simd16", "simd-threads:2", "threads:2", "cluster:2",
-        "hybrid:2:2", "legacy",
+        "simd",
+        "simd4",
+        "simd8",
+        "simd16",
+        "simd-threads:2",
+        "threads:2",
+        "cluster:2",
+        "hybrid:2:2",
+        "legacy",
     ];
     for engine in engines {
         assert_eq!(run(engine), want, "--engine {engine}");

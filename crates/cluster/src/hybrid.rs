@@ -87,8 +87,17 @@ mod tests {
         tpn: usize,
     ) -> ClusterResult {
         let faults = FaultPlan::default();
-        run_hybrid(seq, scoring, &search, nodes, tpn, DL, faults, &mut NoopRecorder)
-            .expect("in-process hybrid cannot stall")
+        run_hybrid(
+            seq,
+            scoring,
+            &search,
+            nodes,
+            tpn,
+            DL,
+            faults,
+            &mut NoopRecorder,
+        )
+        .expect("in-process hybrid cannot stall")
     }
 
     #[test]

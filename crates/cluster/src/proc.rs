@@ -267,10 +267,7 @@ pub fn run_cluster_proc<R: Recorder>(
         let p = FaultProxy::spawn(hub.addr(), opts.faults).map_err(|_| ClusterError::Stalled)?;
         Some(Arc::new(p))
     };
-    let connect_addr = proxy
-        .as_ref()
-        .map_or(hub.addr(), |p| p.addr())
-        .to_string();
+    let connect_addr = proxy.as_ref().map_or(hub.addr(), |p| p.addr()).to_string();
 
     let children: Arc<Mutex<Vec<Child>>> = Arc::new(Mutex::new(Vec::new()));
     for _ in 0..workers {
@@ -297,7 +294,10 @@ pub fn run_cluster_proc<R: Recorder>(
     let config = RecoveryConfig::with_overall(deadline);
     // Start with the workers asked for: one pack could finish before the second joins.
     hub.wait_for_workers(workers, config.join_grace);
-    let packs = PackUnit::new(GroupSweeper::new(seq, scoring, sel), search.checkpoint_budget);
+    let packs = PackUnit::new(
+        GroupSweeper::new(seq, scoring, sel),
+        search.checkpoint_budget,
+    );
     let master = MasterState::with_unit(packs, seq, scoring, search);
     let result = master_loop(master, &hub, config, rec);
     rec.phase_end(repro_obs::Phase::Recovery);

@@ -508,9 +508,7 @@ impl JobMsg {
         };
         let lanes = LaneWidth::from_lanes(d.usize()?).ok_or(WireError::BadFrame)?;
         d.expect_exhausted()?;
-        let exchange = ExchangeMatrix::from_fn(alphabet, |a, b| {
-            table[a as usize * k + b as usize]
-        });
+        let exchange = ExchangeMatrix::from_fn(alphabet, |a, b| table[a as usize * k + b as usize]);
         let scoring = Scoring::new(exchange, GapPenalties::new(open, extend));
         if scoring.check_range(codes.len()).is_err() {
             return Err(WireError::BadFrame);
@@ -571,9 +569,8 @@ impl TelemetryMsg {
         let seq = d.u64()?;
         let fin = d.u64()? == 1;
         let counters_vec = d.u64_vec()?;
-        let counters: [u64; Counter::ALL.len()] = counters_vec
-            .try_into()
-            .map_err(|_| WireError::BadFrame)?;
+        let counters: [u64; Counter::ALL.len()] =
+            counters_vec.try_into().map_err(|_| WireError::BadFrame)?;
         let mut hists = HistSet::new();
         for m in Metric::ALL {
             let count = d.u64()?;

@@ -177,7 +177,10 @@ fn drain_final_telemetry<C: Comm, R: Recorder>(
     let deadline = Instant::now() + TELEMETRY_GRACE;
     while ledger.awaiting_fins() {
         let now = Instant::now();
-        let Some(left) = deadline.checked_duration_since(now).filter(|d| !d.is_zero()) else {
+        let Some(left) = deadline
+            .checked_duration_since(now)
+            .filter(|d| !d.is_zero())
+        else {
             return;
         };
         let msg = match comm.recv_timeout(left) {

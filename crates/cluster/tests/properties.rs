@@ -258,8 +258,17 @@ proptest! {
 fn valid_frames(unit: &PackUnit<impl PackKernel>, seq: &Seq, scoring: &Scoring) -> Vec<Vec<u8>> {
     let last = unit.units() - 1;
     let splits = unit.splits(last);
-    let rows: Vec<_> = splits.clone().map(|r| (r, vec![3; seq.len() - r])).collect();
-    let item = |u, first, rows| TaskItem { unit: u, attempt: 2, first, bound: 40, rows };
+    let rows: Vec<_> = splits
+        .clone()
+        .map(|r| (r, vec![3; seq.len() - r]))
+        .collect();
+    let item = |u, first, rows| TaskItem {
+        unit: u,
+        attempt: 2,
+        first,
+        bound: 40,
+        rows,
+    };
     let items = vec![item(0, true, vec![]), item(last, false, rows.clone())];
     let task = TaskMsg { stamp: 3, items };
     let result = ResultMsg {
@@ -268,7 +277,11 @@ fn valid_frames(unit: &PackUnit<impl PackKernel>, seq: &Seq, scoring: &Scoring) 
         attempt: 2,
         best: (splits.start, 7),
         rows,
-        work: Work::of(&Stats { alignments: 2, cells: 90, ..Stats::default() }),
+        work: Work::of(&Stats {
+            alignments: 2,
+            cells: 90,
+            ..Stats::default()
+        }),
     };
     let job = JobMsg {
         count: 3,
@@ -282,11 +295,22 @@ fn valid_frames(unit: &PackUnit<impl PackKernel>, seq: &Seq, scoring: &Scoring) 
     rec.add(Counter::GroupSweeps, 5);
     rec.observe(Metric::SweepNs, 1_234);
     rec.observe(Metric::QueueWaitNs, 56);
-    let telemetry = TelemetryMsg { seq: 9, fin: false, snap: rec.telemetry_snapshot() };
+    let telemetry = TelemetryMsg {
+        seq: 9,
+        fin: false,
+        snap: rec.telemetry_snapshot(),
+    };
     vec![
         task.encode(),
-        ResultsMsg { items: vec![result] }.encode(),
-        AcceptedMsg { index: 2, pairs: vec![(1, 5), (2, 6)] }.encode(),
+        ResultsMsg {
+            items: vec![result],
+        }
+        .encode(),
+        AcceptedMsg {
+            index: 2,
+            pairs: vec![(1, 5), (2, 6)],
+        }
+        .encode(),
         job.encode(),
         telemetry.encode(),
         ResyncMsg { applied: 4 }.encode(),

@@ -230,8 +230,9 @@ mod tests {
         let bounds = [0, 5, 9, 5, 2];
         let mut q = TaskQueue::for_sequence_len_bounded(5, &bounds);
         assert_eq!(q.len(), 4);
-        let popped: Vec<(usize, Score)> =
-            std::iter::from_fn(|| q.pop()).map(|t| (t.r, t.score)).collect();
+        let popped: Vec<(usize, Score)> = std::iter::from_fn(|| q.pop())
+            .map(|t| (t.r, t.score))
+            .collect();
         assert_eq!(popped, vec![(2, 9), (1, 5), (3, 5), (4, 2)]);
         // All bounded tasks start never-aligned.
         let q = TaskQueue::for_sequence_len_bounded(3, &[0, 7, 7]);

@@ -243,8 +243,16 @@ fn mirror_mapping_on_tiny_sequences() {
             let (f, g) = reference_sides(seq.codes(), &scoring, &triangle);
             for r in 0..=m + 1 {
                 let inside = (1..m).contains(&r);
-                assert_eq!(bounds.end_bound(r), if inside { f[r] } else { 0 }, "{text:?} F({r})");
-                assert_eq!(bounds.start_bound(r), if inside { g[r] } else { 0 }, "{text:?} G({r})");
+                assert_eq!(
+                    bounds.end_bound(r),
+                    if inside { f[r] } else { 0 },
+                    "{text:?} F({r})"
+                );
+                assert_eq!(
+                    bounds.start_bound(r),
+                    if inside { g[r] } else { 0 },
+                    "{text:?} G({r})"
+                );
                 if inside {
                     assert!(bounds.bound(r) >= task_score(&seq, &scoring, r, &triangle));
                 }

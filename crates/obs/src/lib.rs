@@ -655,7 +655,9 @@ impl TelemetrySnapshot {
         let mut hists = HistSet::new();
         for m in Metric::ALL {
             let cur = self.hists.get(m);
-            let d = cur.delta_from(prev.hists.get(m)).unwrap_or_else(|| cur.clone());
+            let d = cur
+                .delta_from(prev.hists.get(m))
+                .unwrap_or_else(|| cur.clone());
             hists.merge_hist(m, &d);
         }
         TelemetrySnapshot { counters, hists }

@@ -183,7 +183,15 @@ pub fn schedules(n: u64) -> impl Iterator<Item = ChaosSchedule> {
 pub fn run_schedule(s: &ChaosSchedule, deadline: Duration) -> Result<ChaosOutcome, String> {
     let search = Search::new(s.count);
     let (seq, scoring, faults) = (&s.seq, &Scoring::dna_example(), s.faults);
-    let got = run_cluster(seq, scoring, &search, s.workers, deadline, faults, &mut NoopRecorder);
+    let got = run_cluster(
+        seq,
+        scoring,
+        &search,
+        s.workers,
+        deadline,
+        faults,
+        &mut NoopRecorder,
+    );
     classify(s, got, "")
 }
 
@@ -270,7 +278,11 @@ pub fn run_schedule_proc(s: &ChaosSchedule, deadline: Duration) -> Result<ChaosO
         sever_all_after,
         ..ProcOptions::default()
     };
-    let (search, scoring, rec) = (Search::new(s.count), Scoring::dna_example(), &mut NoopRecorder);
+    let (search, scoring, rec) = (
+        Search::new(s.count),
+        Scoring::dna_example(),
+        &mut NoopRecorder,
+    );
     let got = run_cluster_proc(&s.seq, &scoring, &search, s.workers, deadline, &opts, rec);
     classify(s, got, " over sockets")
 }

@@ -94,11 +94,11 @@ pub use repro_xmpi as xmpi;
 
 pub use repro_align::{Alphabet, ExchangeMatrix, GapPenalties, ScoreRangeError, Scoring, Seq};
 pub use repro_cluster::ClusterError;
+pub use repro_core::seed::SeedConfig;
 pub use repro_core::{
     delineate, find_top_alignments, unit_consensus, Consensus, RepeatReport, Search, Stats,
     TopAlignment, TopAlignments,
 };
-pub use repro_core::seed::SeedConfig;
 pub use repro_legacy::{find_top_alignments_old, LegacyKernel};
 pub use repro_parallel::{find_top_alignments_parallel, find_top_alignments_parallel_simd};
 pub use repro_simd::{
@@ -106,8 +106,7 @@ pub use repro_simd::{
 };
 
 pub use report::{
-    BatchingSummary, HistogramSummary, PaperClaims, PhaseTiming, RunReport,
-    REPORT_SCHEMA_VERSION,
+    BatchingSummary, HistogramSummary, PaperClaims, PhaseTiming, RunReport, REPORT_SCHEMA_VERSION,
 };
 
 use repro_cluster::{run_cluster, run_cluster_proc, run_hybrid, ProcOptions, DEFAULT_DEADLINE};
@@ -713,7 +712,10 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         // Zero-period sink: the sequential engine offers a snapshot per
         // queue pop, so there are mid-run lines plus the forced final.
-        assert!(lines.len() >= 2, "expected streaming heartbeats, got {lines:?}");
+        assert!(
+            lines.len() >= 2,
+            "expected streaming heartbeats, got {lines:?}"
+        );
         for line in &lines {
             obs::json::Json::parse(line).expect("heartbeat lines are valid JSON");
         }
@@ -731,10 +733,7 @@ mod tests {
             Some(3)
         );
         // The final line reports a finished search: ETA is null.
-        assert!(matches!(
-            last.get("eta_secs"),
-            Some(obs::json::Json::Null)
-        ));
+        assert!(matches!(last.get("eta_secs"), Some(obs::json::Json::Null)));
     }
 
     /// Under a checkpoint budget every realignment is counted exactly
@@ -750,8 +749,21 @@ mod tests {
         let engines = [
             (Engine::Sequential, 1),
             (Engine::Threads(2), 1),
-            (Engine::SimdDispatch { width: Some(LaneWidth::X16), path: None }, 16),
-            (Engine::SimdThreads { threads: 2, width: None, path: None }, auto.lanes()),
+            (
+                Engine::SimdDispatch {
+                    width: Some(LaneWidth::X16),
+                    path: None,
+                },
+                16,
+            ),
+            (
+                Engine::SimdThreads {
+                    threads: 2,
+                    width: None,
+                    path: None,
+                },
+                auto.lanes(),
+            ),
         ];
         for (engine, lanes) in engines {
             let a = Repro::new(Scoring::dna_example())

@@ -265,20 +265,14 @@ impl RunReport {
             .collect());
         let batching = obj(vec![
             ("batches", num(self.batching.batches as f64)),
-            (
-                "batch_size_p50",
-                num(self.batching.batch_size_p50 as f64),
-            ),
+            ("batch_size_p50", num(self.batching.batch_size_p50 as f64)),
             (
                 "tasks_per_round_trip",
                 num(self.batching.tasks_per_round_trip),
             ),
             ("lanes_skipped", num(self.stats.lanes_skipped as f64)),
             ("lanes_compacted", num(self.stats.lanes_compacted as f64)),
-            (
-                "resume_rows_p50",
-                num(self.batching.resume_rows_p50 as f64),
-            ),
+            ("resume_rows_p50", num(self.batching.resume_rows_p50 as f64)),
         ]);
         let claims = obj(vec![
             (
@@ -391,8 +385,7 @@ impl RunReport {
                 .map(|(_, j)| j)
                 .ok_or_else(|| format!("histograms: missing metric `{}`", m.name()))?;
             for key in ["count", "sum", "p50", "p90", "p99"] {
-                req_num(h, key)
-                    .map_err(|e| format!("histograms.{}: {e}", m.name()))?;
+                req_num(h, key).map_err(|e| format!("histograms.{}: {e}", m.name()))?;
             }
         }
         let batching = v.get("batching").ok_or("missing field `batching`")?;
@@ -596,7 +589,10 @@ mod tests {
             .iter()
             .find(|h| h.metric == "sweep_ns")
             .unwrap();
-        assert!(sweep.count > 0, "sequential run must record sweep durations");
+        assert!(
+            sweep.count > 0,
+            "sequential run must record sweep durations"
+        );
         assert!(sweep.sum > 0);
         assert!(sweep.p99 >= sweep.p50);
         let text = report.to_json().to_string_compact();

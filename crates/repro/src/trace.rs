@@ -282,7 +282,10 @@ mod tests {
                     && e.get("tid").and_then(Json::as_u64).unwrap_or(0) >= 1
             })
             .collect();
-        assert!(!worker_spans.is_empty(), "cluster run must yield task spans");
+        assert!(
+            !worker_spans.is_empty(),
+            "cluster run must yield task spans"
+        );
         for s in &worker_spans {
             assert!(s.get("dur").and_then(Json::as_u64).is_some());
             let name = s.get("name").and_then(Json::as_str).unwrap();
@@ -307,7 +310,9 @@ mod tests {
     #[test]
     fn untraced_run_still_exports_the_phase_row() {
         let seq = Seq::dna("ATGCATGCATGC").unwrap();
-        let analysis = Repro::new(Scoring::dna_example()).top_alignments(2).run(&seq);
+        let analysis = Repro::new(Scoring::dna_example())
+            .top_alignments(2)
+            .run(&seq);
         let trace = chrome_trace(&analysis.run, &analysis.events);
         let text = trace.to_string_compact();
         let parsed = Json::parse(&text).unwrap();

@@ -896,7 +896,10 @@ mod tests {
         let peer = connect(&hub);
         peer.send(0, 7, vec![1, 2, 3]).unwrap();
         let m = hub.recv_timeout(DL).unwrap();
-        assert_eq!((m.from, m.tag, m.payload.as_slice()), (1, 7, &[1, 2, 3][..]));
+        assert_eq!(
+            (m.from, m.tag, m.payload.as_slice()),
+            (1, 7, &[1, 2, 3][..])
+        );
         hub.send(1, 9, vec![4, 5]).unwrap();
         let m = peer.recv_timeout(DL).unwrap();
         assert_eq!((m.from, m.tag, m.payload.as_slice()), (0, 9, &[4, 5][..]));

@@ -681,7 +681,10 @@ mod tests {
             WireError::BadFrame
         );
         // Short header slice.
-        assert_eq!(frame_body_len(&framed[..4]).unwrap_err(), WireError::BadFrame);
+        assert_eq!(
+            frame_body_len(&framed[..4]).unwrap_err(),
+            WireError::BadFrame
+        );
     }
 
     #[test]
