@@ -12,7 +12,7 @@
 //! state is widened back at every capture and at the end.
 
 use crate::kernel::row::{Body, NarrowBody};
-use crate::kernel::{LastRow, Sides};
+use crate::kernel::{BottomRow, LastRow, Sides};
 use crate::mask::CellMask;
 use crate::profile::QueryProfile;
 use crate::scoring::Scoring;
@@ -107,55 +107,60 @@ impl Sides<'_> {
         &self,
         mask: M,
         start_row: usize,
-        mut m: Vec<Score>,
+        m: Vec<Score>,
         maxy: &mut [Score],
         capture_rows: &[usize],
         capture: &mut dyn FnMut(usize, &[Score], &[Score]),
     ) -> LastRow {
-        let rows = self.rows.len();
+        self.last_row_at(mask, start_row, m, maxy, (capture_rows, capture), None)
+    }
+
+    /// [`Self::last_row`] plus, row by row, an upper bound on each row's
+    /// maximum (its value before the mask's zeros): what
+    /// [`crate::traceback_in_box`] stops its reverse pass by.
+    pub fn last_row_maxima<M: CellMask>(&self, mask: M) -> (LastRow, Vec<Score>) {
         let cols = self.cols();
+        let mut maxy = vec![NEG_INF; cols];
+        let mut maxima = Vec::with_capacity(self.rows.len());
+        let last = self.last_row_at(
+            mask,
+            0,
+            vec![0; cols],
+            &mut maxy,
+            (&[], &mut |_, _, _| {}),
+            Some(&mut maxima),
+        );
+        (last, maxima)
+    }
+
+    /// The sweep behind [`Self::last_row_resume`] and
+    /// [`Self::last_row_maxima`].
+    #[allow(clippy::type_complexity)]
+    fn last_row_at<M: CellMask>(
+        &self,
+        mask: M,
+        start_row: usize,
+        mut m: Vec<Score>,
+        maxy: &mut [Score],
+        captures: (&[usize], &mut dyn FnMut(usize, &[Score], &[Score])),
+        maxima: Option<&mut Vec<Score>>,
+    ) -> LastRow {
+        let (rows, cols) = (self.rows.len(), self.cols());
         if rows == 0 || cols == 0 {
             return LastRow::empty(cols);
         }
-        assert!(start_row <= rows, "resume row {start_row} past {rows} rows");
-        assert_eq!(m.len(), cols, "resume state width mismatch");
-        assert_eq!(maxy.len(), cols, "resume state width mismatch");
-        debug_assert!(capture_rows.windows(2).all(|w| w[0] < w[1]));
-
-        let (best, best_row) = match self.narrow_body() {
-            Some((body, profile)) => {
-                // Every value fits (`exact_for`) but a `MaxY` no row has
-                // advanced yet, `NEG_INF`, which maps to `i16::MIN`.
-                debug_assert!(m.iter().chain(&*maxy).all(|&v| v < i16::MAX.into()));
-                let narrow = |v: &[Score]| -> Vec<i16> {
-                    v.iter().map(|&v| v.max(i16::MIN.into()) as i16).collect()
-                };
-                let (mut m16, mut maxy16) = (narrow(&m), narrow(maxy));
-                let found = self.sweep_rows(
-                    mask,
-                    start_row,
-                    (&mut m16, &mut maxy16),
-                    capture_rows,
-                    &mut |y, m16, maxy16| {
-                        widen(&mut m, m16);
-                        widen(maxy, maxy16);
-                        capture(y, &m, maxy);
-                    },
-                    |y, prev, out, my| body.step(prev, out, my, profile.row(self.rows[y], self.q0)),
-                );
-                widen(&mut m, &m16);
-                widen(maxy, &maxy16);
-                found
-            }
-            None => {
-                let body = Body::selected();
-                // The virtual zero column seeds the row.
-                let step = |y, prev: &_, out: &mut _, my: &mut _| {
-                    body.step(prev, 0, out, my, self.scores(y), self.gaps)
-                };
-                self.sweep_rows(mask, start_row, (&mut m, maxy), capture_rows, capture, step)
-            }
-        };
+        let (capture_rows, capture) = captures;
+        let (row16, best, best_row) = self.resume_rows(
+            mask,
+            start_row,
+            &mut m,
+            maxy,
+            (capture_rows, capture),
+            maxima,
+        );
+        if let Some(m16) = row16 {
+            widen(&mut m, &m16);
+        }
 
         let mut best_in_row = 0;
         let mut best_in_row_col = None;
@@ -176,6 +181,95 @@ impl Sides<'_> {
         }
     }
 
+    /// [`Self::last_row_resume`]'s bottom row and cell count only, at the
+    /// width the sweep ran: the `i16` body hands its row over as it is,
+    /// never widened.
+    #[allow(clippy::type_complexity)] // the capture hook signature IS the contract
+    pub fn bottom_row_resume<M: CellMask>(
+        &self,
+        mask: M,
+        start_row: usize,
+        mut m: Vec<Score>,
+        maxy: &mut [Score],
+        capture_rows: &[usize],
+        capture: &mut dyn FnMut(usize, &[Score], &[Score]),
+    ) -> (BottomRow, u64) {
+        let (rows, cols) = (self.rows.len(), self.cols());
+        if rows == 0 || cols == 0 {
+            return (BottomRow::Wide(vec![0; cols]), 0);
+        }
+        let (row16, _, _) =
+            self.resume_rows(mask, start_row, &mut m, maxy, (capture_rows, capture), None);
+        let row = row16.map_or(BottomRow::Wide(m), BottomRow::Narrow);
+        (row, (rows - start_row) as u64 * cols as u64)
+    }
+
+    /// The sweep behind both resume forms, on a matrix with rows and
+    /// columns: `Some(row)` when the `i16` body ran (`m` is then stale
+    /// but for captures), else the row is left in `m`; plus the best
+    /// over the swept rows and its first row. `maxy` leaves in `i32`;
+    /// `maxima`, if given, receives each swept row's maximum bound.
+    #[allow(clippy::type_complexity)]
+    fn resume_rows<M: CellMask>(
+        &self,
+        mask: M,
+        start_row: usize,
+        m: &mut Vec<Score>,
+        maxy: &mut [Score],
+        (capture_rows, capture): (&[usize], &mut dyn FnMut(usize, &[Score], &[Score])),
+        maxima: Option<&mut Vec<Score>>,
+    ) -> (Option<Vec<i16>>, Score, Option<usize>) {
+        let (rows, cols) = (self.rows.len(), self.cols());
+        assert!(start_row <= rows, "resume row {start_row} past {rows} rows");
+        assert_eq!(m.len(), cols, "resume state width mismatch");
+        assert_eq!(maxy.len(), cols, "resume state width mismatch");
+        debug_assert!(capture_rows.windows(2).all(|w| w[0] < w[1]));
+
+        match self.narrow_body() {
+            Some((body, profile)) => {
+                // Every value fits (`exact_for`) but a `MaxY` no row has
+                // advanced yet, `NEG_INF`, which maps to `i16::MIN`.
+                debug_assert!(m.iter().chain(&*maxy).all(|&v| v < i16::MAX.into()));
+                let narrow = |v: &[Score]| -> Vec<i16> {
+                    v.iter().map(|&v| v.max(i16::MIN.into()) as i16).collect()
+                };
+                let (mut m16, mut maxy16) = (narrow(m), narrow(maxy));
+                let (best, best_row) = self.sweep_rows(
+                    mask,
+                    start_row,
+                    (&mut m16, &mut maxy16),
+                    capture_rows,
+                    &mut |y, m16, maxy16| {
+                        widen(m, m16);
+                        widen(maxy, maxy16);
+                        capture(y, m, maxy);
+                    },
+                    |y, prev, out, my| body.step(prev, out, my, profile.row(self.rows[y], self.q0)),
+                    maxima,
+                );
+                widen(maxy, &maxy16);
+                (Some(m16), best, best_row)
+            }
+            None => {
+                let body = Body::selected();
+                // The virtual zero column seeds the row.
+                let step = |y, prev: &_, out: &mut _, my: &mut _| {
+                    body.step(prev, 0, out, my, self.scores(y), self.gaps)
+                };
+                let (best, best_row) = self.sweep_rows(
+                    mask,
+                    start_row,
+                    (m, maxy),
+                    capture_rows,
+                    capture,
+                    step,
+                    maxima,
+                );
+                (None, best, best_row)
+            }
+        }
+    }
+
     /// The 16 × `i16` row body and profile [`Self::last_row_resume`] runs
     /// on this matrix: where the process has the body, the sides carry an
     /// `i16` profile and [`NarrowBody::exact_for`] holds.
@@ -188,8 +282,10 @@ impl Sides<'_> {
 
     /// The row loop at either element width, from the state `(m, maxy)`
     /// at `start_row`, `step(y, prev, out, maxy)` computing row `y`:
-    /// returns the best over the swept rows and its first row.
-    #[allow(clippy::type_complexity)]
+    /// returns the best over the swept rows and its first row, and
+    /// pushes each row's maximum (or the bound the step returned, before
+    /// the mask's zeros) onto `maxima`.
+    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
     fn sweep_rows<T: Copy + Ord + Default + Into<Score>>(
         &self,
         mask: impl CellMask,
@@ -198,6 +294,7 @@ impl Sides<'_> {
         capture_rows: &[usize],
         capture: &mut dyn FnMut(usize, &[T], &[T]),
         step: impl Fn(usize, &[T], &mut [T], &mut [T]) -> T,
+        mut maxima: Option<&mut Vec<Score>>,
     ) -> (Score, Option<usize>) {
         let cols = m.len();
         let mut next = vec![T::default(); cols];
@@ -220,6 +317,9 @@ impl Sides<'_> {
             // column is never located (see `LastRow::best_row`).
             if lost_best && row_best > best {
                 row_best = m.iter().copied().max().unwrap_or_default();
+            }
+            if let Some(maxima) = maxima.as_deref_mut() {
+                maxima.push(row_best.into());
             }
             if row_best > best {
                 best = row_best;

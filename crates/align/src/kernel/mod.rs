@@ -120,6 +120,139 @@ impl LastRow {
     }
 }
 
+/// A bottom row at the width its score bound allows: `i16` where
+/// [`row::NarrowBody::exact_for`] holds for the matrix, else `i32`. Every
+/// entry is a matrix value, so non-negative. Rows compare by value,
+/// whatever their widths.
+#[derive(Debug, Clone)]
+pub enum BottomRow {
+    /// Every entry fits `i16` exactly.
+    Narrow(Vec<i16>),
+    /// Entries at the scalar score width.
+    Wide(Vec<Score>),
+}
+
+impl BottomRow {
+    /// Number of entries (the matrix's columns).
+    pub fn len(&self) -> usize {
+        match self {
+            BottomRow::Narrow(v) => v.len(),
+            BottomRow::Wide(v) => v.len(),
+        }
+    }
+
+    /// `true` for the row of a matrix without columns.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Borrow the row at its width.
+    pub fn view(&self) -> RowRef<'_> {
+        match self {
+            BottomRow::Narrow(v) => RowRef::Narrow(v),
+            BottomRow::Wide(v) => RowRef::Wide(v),
+        }
+    }
+
+    /// The largest entry, 0 for an empty row.
+    pub fn max(&self) -> Score {
+        match self {
+            BottomRow::Narrow(v) => v.iter().copied().max().map_or(0, Score::from),
+            BottomRow::Wide(v) => v.iter().copied().max().unwrap_or(0),
+        }
+    }
+
+    /// The row in `i32`, copied.
+    pub fn widened(&self) -> Vec<Score> {
+        match self {
+            BottomRow::Narrow(v) => v.iter().map(|&x| x.into()).collect(),
+            BottomRow::Wide(v) => v.clone(),
+        }
+    }
+
+    /// This row in `i16` when `narrow`, else in `i32`; a row already at
+    /// that width is moved, not copied. `narrow` must come from a bound
+    /// that admits every entry.
+    pub fn at_width(self, narrow: bool) -> BottomRow {
+        match (self, narrow) {
+            (BottomRow::Wide(v), true) => BottomRow::Narrow(
+                v.iter()
+                    .map(|&x| i16::try_from(x).expect("the bound admits every entry"))
+                    .collect(),
+            ),
+            (row @ BottomRow::Narrow(_), false) => BottomRow::Wide(row.widened()),
+            (row, _) => row,
+        }
+    }
+}
+
+impl PartialEq for BottomRow {
+    fn eq(&self, other: &Self) -> bool {
+        self.view() == other.view()
+    }
+}
+
+impl Eq for BottomRow {}
+
+impl PartialEq<Vec<Score>> for BottomRow {
+    fn eq(&self, other: &Vec<Score>) -> bool {
+        self.view() == RowRef::Wide(other)
+    }
+}
+
+impl From<Vec<Score>> for BottomRow {
+    fn from(row: Vec<Score>) -> Self {
+        BottomRow::Wide(row)
+    }
+}
+
+/// A borrowed [`BottomRow`], or any `i32` row.
+#[derive(Debug, Clone, Copy)]
+pub enum RowRef<'a> {
+    /// `i16` entries.
+    Narrow(&'a [i16]),
+    /// `i32` entries.
+    Wide(&'a [Score]),
+}
+
+impl PartialEq for RowRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        fn same<A: Copy + Into<Score>, B: Copy + Into<Score>>(a: &[A], b: &[B]) -> bool {
+            a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| x.into() == y.into())
+        }
+        match (*self, *other) {
+            (RowRef::Narrow(a), RowRef::Narrow(b)) => a == b,
+            (RowRef::Wide(a), RowRef::Wide(b)) => a == b,
+            (RowRef::Narrow(a), RowRef::Wide(b)) => same(a, b),
+            (RowRef::Wide(a), RowRef::Narrow(b)) => same(a, b),
+        }
+    }
+}
+
+impl<'a> From<&'a BottomRow> for RowRef<'a> {
+    fn from(row: &'a BottomRow) -> Self {
+        row.view()
+    }
+}
+
+impl<'a> From<&'a [Score]> for RowRef<'a> {
+    fn from(row: &'a [Score]) -> Self {
+        RowRef::Wide(row)
+    }
+}
+
+impl<'a> From<&'a Vec<Score>> for RowRef<'a> {
+    fn from(row: &'a Vec<Score>) -> Self {
+        RowRef::Wide(row)
+    }
+}
+
+impl<'a, const N: usize> From<&'a [Score; N]> for RowRef<'a> {
+    fn from(row: &'a [Score; N]) -> Self {
+        RowRef::Wide(row)
+    }
+}
+
 #[inline(always)]
 pub(crate) fn max3(a: Score, b: Score, c: Score) -> Score {
     a.max(b).max(c)

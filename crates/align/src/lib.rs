@@ -72,7 +72,7 @@ pub use checkpoint::{Checkpoint, CheckpointStore, DEFAULT_CHECKPOINT_BUDGET};
 pub use fasta::{parse_fasta, read_fasta, write_fasta, FastaRecord};
 pub use kernel::full::{sw_align, sw_full, traceback, FullMatrix};
 pub use kernel::gotoh::{sw_last_row, sw_last_row_resume, sw_score};
-pub use kernel::linmem::sw_align_linmem;
+pub use kernel::linmem::{sw_align_linmem, traceback_in_box};
 pub use kernel::naive::sw_last_row_naive;
 pub use kernel::nw::{nw_align, nw_score, NwAlignment, NwOp};
 pub use kernel::striped::{
@@ -80,7 +80,7 @@ pub use kernel::striped::{
 };
 pub use kernel::tri::{tri_initial_state, tri_self_sweep_resume};
 pub use kernel::waterman_eggert::{is_shadow, waterman_eggert};
-pub use kernel::{LastRow, Sides};
+pub use kernel::{BottomRow, LastRow, RowRef, Sides};
 pub use mask::{CellMask, NoMask, SetMask};
 pub use matrix::ExchangeMatrix;
 pub use profile::{kmer_keys, QueryProfile, MAX_KMER_K};

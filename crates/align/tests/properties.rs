@@ -98,14 +98,17 @@ proptest! {
         }
     }
 
-    /// Linear-memory traceback agrees with the full traceback score.
+    /// Linear-memory traceback returns the full traceback's alignment —
+    /// its pairs, not only its score — masked or not.
     #[test]
     fn linmem_equals_full_score(
         (a, b, s) in (arb_dna(20), arb_dna(20), arb_scoring()),
+        cells in prop::collection::vec((0usize..20, 0usize..20), 0..6),
     ) {
-        let lin = sw_align_linmem(a.codes(), b.codes(), &s, NoMask);
-        let full = sw_align(a.codes(), b.codes(), &s, NoMask);
-        prop_assert_eq!(lin.score, full.score);
+        let mask = SetMask::from_cells(cells);
+        let lin = sw_align_linmem(a.codes(), b.codes(), &s, &mask);
+        let full = sw_align(a.codes(), b.codes(), &s, &mask);
+        prop_assert_eq!(&lin, &full);
         if !lin.is_empty() {
             prop_assert_eq!(lin.rescore(a.codes(), b.codes(), &s), lin.score);
         }

@@ -6,7 +6,8 @@
 //! every dispatch path the host CPU supports), each both unmasked (the
 //! first pass) and **masked** (a realignment: an override triangle
 //! holding one diagonal alignment path through the measured group), the
-//! wide `i32` sweeps (what a pack past the `i16` bound runs), the scalar
+//! wide `i32` sweeps (what a pack past the `i16` bound runs; portable
+//! and inside the AVX2 trampoline), the scalar
 //! **row step** (one matrix's row vectorised along the row: its portable
 //! and AVX2 bodies against
 //! the per-cell loop it replaced, kept here as the reference, and its
@@ -28,8 +29,9 @@
 //! ([`MIN_AVX2_ROW_OVER_CELL`], [`MIN_PORTABLE_ROW_OVER_CELL`]), the
 //! `i16` row body below [`MIN_NARROW_ROW_OVER_AVX2`] of the AVX2 one, a
 //! chain leg below its floor ([`MIN_NARROWEST_OVER_CENTRAL`],
-//! [`MIN_CHAIN_LEG_OVER_CLEAN`]), or a split sweep below
-//! [`MIN_SPLIT_OVER_ROW_LOOP`] of the bare row loop.
+//! [`MIN_CHAIN_LEG_OVER_CLEAN`]), a split sweep below
+//! [`MIN_SPLIT_OVER_ROW_LOOP`] of the bare row loop, or the AVX2 wide
+//! `i32` lanes below [`MIN_WIDE_AVX2_OVER_I16`] of the `i16` sweep.
 
 use repro::align::kernel::row::{Body, NarrowBody};
 use repro::align::{CellMask, NoMask, QueryProfile, Score, Sides, NEG_INF};
@@ -76,6 +78,15 @@ const MIN_PORTABLE_ROW_OVER_CELL: f64 = 0.95;
 /// both: twice the cells per vector must buy at least a quarter more
 /// throughput, or the narrow body does not pay for its bound.
 const MIN_NARROW_ROW_OVER_AVX2: f64 = 1.25;
+
+/// Floor, under `--check`, on the wide `i32` lanes inside the AVX2
+/// trampoline, in lane-cells/s relative to the `i16` profile sweep of
+/// the same pack at the same width, where the host has AVX2. Built for
+/// the baseline target the same lanes read ≈ 0.03–0.05 (no `i32`
+/// `PMAXSD`); inside the trampoline the slowest width reads 0.34–0.46
+/// (×16, half the cells per vector of the `i16` lanes) on a noisy
+/// 2-vCPU host.
+const MIN_WIDE_AVX2_OVER_I16: f64 = 0.15;
 
 /// Floors, under `--check`, on the chain legs (useful cells/s, both
 /// sides of each ratio from the same rotation of reps). The narrowest
@@ -585,7 +596,7 @@ fn main() {
             // The i16 sweeps time exact work: the measured group equals
             // its wide sweep (at `--scale full` the central group is past
             // the static bound, yet its scores never clamp).
-            let exact = sweep_group_wide(width, seq.codes(), &scoring, &prof32, r0, lanes, None);
+            let exact = sweep_group_wide(sel, seq.codes(), &scoring, &prof32, r0, lanes, None);
             assert_eq!(
                 sample.rows, exact.rows,
                 "the i16 kernels must be exact here"
@@ -641,32 +652,51 @@ fn main() {
         }
     }
 
-    // Wide i32 sweeps (always portable lanes).
+    // Wide i32 sweeps: the portable lanes as the baseline target builds
+    // them, and the same lanes inside the AVX2 trampoline.
     let mut wide: Vec<String> = Vec::new();
-    for width in WIDTHS {
-        let lanes = width.lanes();
-        let r0 = r_mid - lanes / 2;
-        let sample = sweep_group_wide(width, seq.codes(), &scoring, &prof32, r0, lanes, None);
-        let lane_cells = (sample.vector_cells * lanes as u64) as f64;
-        let t = time_min(budget, || {
-            std::hint::black_box(sweep_group_wide(
-                width,
-                seq.codes(),
-                &scoring,
-                &prof32,
-                r0,
-                lanes,
-                None,
+    let mut wide_avx2_over_i16: Option<f64> = None;
+    for path in [DispatchPath::Portable, DispatchPath::Avx2] {
+        if !available(path) {
+            continue;
+        }
+        for width in WIDTHS {
+            let lanes = width.lanes();
+            let sel = SimdSel { width, path };
+            let r0 = r_mid - lanes / 2;
+            let sample = sweep_group_wide(sel, seq.codes(), &scoring, &prof32, r0, lanes, None);
+            let lane_cells = (sample.vector_cells * lanes as u64) as f64;
+            let t = time_min(budget, || {
+                std::hint::black_box(sweep_group_wide(
+                    sel,
+                    seq.codes(),
+                    &scoring,
+                    &prof32,
+                    r0,
+                    lanes,
+                    None,
+                ));
+            });
+            eprintln!(
+                "  wide i32 {path} x{lanes}: {:.0} M lane-cells/s",
+                lane_cells / t / 1e6
+            );
+            wide.push(format!(
+                "{{\"path\": \"{path}\", \"lanes\": {lanes}, \"secs\": {t:e}, \"lane_cells_per_sec\": {:.0}}}",
+                lane_cells / t
             ));
-        });
-        eprintln!(
-            "  wide i32 x{lanes}: {:.0} M lane-cells/s",
-            lane_cells / t / 1e6
-        );
-        wide.push(format!(
-            "{{\"lanes\": {lanes}, \"secs\": {t:e}, \"lane_cells_per_sec\": {:.0}}}",
-            lane_cells / t
-        ));
+            if path == DispatchPath::Avx2 {
+                // Against the i16 profile sweep of the same pack on the
+                // fastest path that has this width.
+                let narrow = points
+                    .iter()
+                    .filter(|p| p.lanes == lanes && p.kernel == "profile")
+                    .map(|p| p.lane_cells_per_sec)
+                    .fold(0.0, f64::max);
+                let r = lane_cells / t / narrow;
+                wide_avx2_over_i16 = Some(wide_avx2_over_i16.map_or(r, |w: f64| w.min(r)));
+            }
+        }
     }
 
     // What an engine sweeps: the chain legs, per path at its widest. One
@@ -812,7 +842,8 @@ fn main() {
          \"min_chain_over_central\": {chain_over_central:.2}}},\n    \
          \"min_row_over_cell\": {{\"portable\": {:.2}, \"avx2\": {}}},\n    \
          \"min_i16_row_over_avx2\": {},\n    \
-         \"min_split_over_row_loop\": {split_over_row_loop:.2}\n  }}\n}}\n",
+         \"min_split_over_row_loop\": {split_over_row_loop:.2},\n    \
+         \"min_wide_avx2_over_i16\": {}\n  }}\n}}\n",
         host().to_string_compact(),
         PATHS
             .iter()
@@ -852,6 +883,9 @@ fn main() {
             .map(|r| format!("{r:.2}"))
             .unwrap_or_else(|| "null".into()),
         narrow_over_avx2
+            .map(|r| format!("{r:.2}"))
+            .unwrap_or_else(|| "null".into()),
+        wide_avx2_over_i16
             .map(|r| format!("{r:.2}"))
             .unwrap_or_else(|| "null".into()),
     );
@@ -894,6 +928,12 @@ fn main() {
         "check: slowest split sweep / bare row loop = {split_over_row_loop:.2}x \
          (floor {MIN_SPLIT_OVER_ROW_LOOP:.2}x)"
     );
+    if let Some(r) = wide_avx2_over_i16 {
+        eprintln!(
+            "check: slowest avx2 wide i32 / i16 profile sweep = {r:.2}x \
+             (floor {MIN_WIDE_AVX2_OVER_I16:.2}x)"
+        );
+    }
     if std::env::args().any(|a| a == "--check") {
         let mut failed = false;
         if masked_over_unmasked < MIN_MASKED_OVER_UNMASKED {
@@ -917,6 +957,10 @@ fn main() {
         }
         if split_over_row_loop < MIN_SPLIT_OVER_ROW_LOOP {
             eprintln!("CHECK FAILED: a split sweep runs below the bare row loop's floor");
+            failed = true;
+        }
+        if wide_avx2_over_i16.is_some_and(|r| r < MIN_WIDE_AVX2_OVER_I16) {
+            eprintln!("CHECK FAILED: the AVX2 wide i32 lanes run below their floor");
             failed = true;
         }
         if failed {

@@ -13,19 +13,26 @@
 //! each first-pass row in, written once and immutable from then on.
 
 use crate::finder::ScoredSeq;
-use repro_align::{Score, Scoring, Seq};
+use repro_align::kernel::row::NarrowBody;
+use repro_align::{BottomRow, RowRef, Score, Scoring, Seq};
 use std::sync::OnceLock;
 
 /// What every sweep and acceptance reads without a lock: the profiled
-/// sequence (sweeps, and the acceptance traceback through the scalar
-/// full-matrix kernel) and the first-pass bottom rows, written once
-/// each.
+/// sequence (sweeps, and the acceptance traceback) and the first-pass
+/// bottom rows, written once each.
+///
+/// Split `r`'s row is stored in `i16` where [`NarrowBody::exact_for`]
+/// holds at `min(r, m − r)` pairs — every entry is at most `peak⁺ ·
+/// min(r, m − r)` (DESIGN.md "Group recurrence bound") — and in `i32`
+/// otherwise ([`Self::narrow`]); under BLOSUM62 that is every split
+/// within ≈ 2 950 residues of an end, so the store is about half its
+/// `i32` size up to ≈ 5 900 residues.
 #[derive(Debug)]
 pub struct Common<'a> {
     /// The sequence under its scoring, profiled once.
     pub input: ScoredSeq<'a>,
     /// Index `r − 1`.
-    rows: Vec<OnceLock<Vec<Score>>>,
+    rows: Vec<OnceLock<BottomRow>>,
 }
 
 impl<'a> Common<'a> {
@@ -37,8 +44,14 @@ impl<'a> Common<'a> {
         }
     }
 
+    /// Is split `r`'s row stored in `i16`?
+    pub fn narrow(&self, r: usize) -> bool {
+        let (m, scoring) = (self.input.seq.len(), self.input.scoring);
+        NarrowBody::exact_for(scoring.exchange.max_score(), r.min(m - r), scoring.gaps)
+    }
+
     /// The clean bottom row of a split that has had its first pass.
-    pub fn row(&self, r: usize) -> &[Score] {
+    pub fn row(&self, r: usize) -> &BottomRow {
         self.rows[r - 1]
             .get()
             .expect("split must have a first-pass row")
@@ -50,19 +63,21 @@ impl<'a> Common<'a> {
     }
 
     /// Store the clean bottom row a first pass of `r` returned, by
-    /// value.
+    /// value, at the split's width ([`Self::narrow`]): a row already at
+    /// that width is moved in, not copied.
     ///
     /// # Panics
     /// Panics if the row was already stored (first-pass rows are
     /// immutable; storing twice indicates a scheduling bug) or has the
     /// wrong length.
-    pub fn set_row(&self, r: usize, row: Vec<Score>) {
+    pub fn set_row(&self, r: usize, row: impl Into<BottomRow>) {
+        let row = row.into();
         assert_eq!(
             row.len(),
             self.rows.len() + 1 - r,
             "bottom row length mismatch"
         );
-        let stored = self.rows[r - 1].set(row);
+        let stored = self.rows[r - 1].set(row.at_width(self.narrow(r)));
         assert!(stored.is_ok(), "bottom row for split {r} stored twice");
     }
 
@@ -76,11 +91,15 @@ impl<'a> Common<'a> {
 /// Shadow filter: the best *valid* bottom-row entry of a realignment.
 ///
 /// `current` is the freshly computed bottom row under the active override
-/// triangle; `original` is the stored first-pass row. Valid end points are
-/// the positions where both agree (paper App. A); returns the best valid
-/// score and its (leftmost) column, or `(0, None)` when every positive
-/// entry is shadowed.
-pub fn best_valid_entry(current: &[Score], original: &[Score]) -> (Score, Option<usize>) {
+/// triangle; `original` is the stored first-pass row. Either may be held
+/// in `i16` or `i32` ([`BottomRow`]). Valid end points are the positions
+/// where both agree (paper App. A); returns the best valid score and its
+/// (leftmost) column, or `(0, None)` when every positive entry is
+/// shadowed.
+pub fn best_valid_entry<'c, 'o>(
+    current: impl Into<RowRef<'c>>,
+    original: impl Into<RowRef<'o>>,
+) -> (Score, Option<usize>) {
     let (best, col, _) = best_valid_entry_counted(current, original);
     (best, col)
 }
@@ -89,15 +108,29 @@ pub fn best_valid_entry(current: &[Score], original: &[Score]) -> (Score, Option
 /// number of positions where the realigned row disagrees with the
 /// stored first-pass row. The count feeds
 /// [`crate::Stats::shadow_rejections`].
-pub fn best_valid_entry_counted(
-    current: &[Score],
-    original: &[Score],
+pub fn best_valid_entry_counted<'c, 'o>(
+    current: impl Into<RowRef<'c>>,
+    original: impl Into<RowRef<'o>>,
+) -> (Score, Option<usize>, u64) {
+    match (current.into(), original.into()) {
+        (RowRef::Narrow(c), RowRef::Narrow(o)) => filter(c, o),
+        (RowRef::Narrow(c), RowRef::Wide(o)) => filter(c, o),
+        (RowRef::Wide(c), RowRef::Narrow(o)) => filter(c, o),
+        (RowRef::Wide(c), RowRef::Wide(o)) => filter(c, o),
+    }
+}
+
+/// The shadow filter at one pair of widths.
+fn filter<C: Copy + Into<Score>, O: Copy + Into<Score>>(
+    current: &[C],
+    original: &[O],
 ) -> (Score, Option<usize>, u64) {
     debug_assert_eq!(current.len(), original.len());
     let mut best = 0;
     let mut col = None;
     let mut shadows = 0u64;
     for (x, (&c, &o)) in current.iter().zip(original).enumerate() {
+        let (c, o) = (c.into(), o.into());
         if c == o {
             if c > best {
                 best = c;
@@ -124,12 +157,12 @@ mod tests {
         let mut store = Common::new(&seq, &scoring);
         store.set_row(2, vec![5, 0, 3, 9]);
         store.set_row(5, vec![7]);
-        assert_eq!(store.row(2), &[5, 0, 3, 9][..]);
-        assert_eq!(store.row(5), &[7][..]);
+        assert_eq!(store.row(2).widened(), [5, 0, 3, 9]);
+        assert_eq!(store.row(5).widened(), [7]);
         // A forgotten row may be stored anew.
         store.forget_row(2);
         store.set_row(2, vec![1, 1, 1, 1]);
-        assert_eq!(store.row(2), &[1, 1, 1, 1][..]);
+        assert_eq!(store.row(2).widened(), [1, 1, 1, 1]);
     }
 
     #[test]
@@ -138,12 +171,17 @@ mod tests {
         let (seq, scoring) = (dna(m), Scoring::dna_example());
         let store = Common::new(&seq, &scoring);
         for r in 1..m {
-            store.set_row(r, (0..m - r).map(|x| (r * 100 + x) as Score).collect());
+            store.set_row(
+                r,
+                (0..m - r)
+                    .map(|x| (r * 100 + x) as Score)
+                    .collect::<Vec<Score>>(),
+            );
         }
         for r in 1..m {
             let row = store.row(r);
             assert_eq!(row.len(), m - r);
-            for (x, &v) in row.iter().enumerate() {
+            for (x, &v) in row.widened().iter().enumerate() {
                 assert_eq!(v, (r * 100 + x) as Score);
             }
         }

@@ -42,7 +42,7 @@ use crate::finder::{ScoredSeq, TopAlignment};
 use crate::split_mask::SplitMask;
 use crate::stats::Stats;
 use crate::triangle::OverrideTriangle;
-use repro_align::{Checkpoint, CheckpointStore, NoMask, Score, NEG_INF};
+use repro_align::{BottomRow, Checkpoint, CheckpointStore, NoMask, Score, NEG_INF};
 use repro_obs::{Counter, Metric, Recorder};
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -121,8 +121,9 @@ impl GroupCapture {
 /// One kernel sweep of a pack.
 #[derive(Debug)]
 pub struct PackSweep {
-    /// Exact bottom row of each swept split, in `rs` order.
-    pub rows: Vec<Vec<Score>>,
+    /// Exact bottom row of each swept split, in `rs` order: in `i16`
+    /// from a sweep that ran narrow, never widened on the way out.
+    pub rows: Vec<BottomRow>,
     /// Logical cells computed: each split's rows below the resume row
     /// times its own columns.
     pub cells: u64,
@@ -190,17 +191,17 @@ impl PackKernel for ScoredSeq<'_> {
                 caps[k].lanes[l] = Some((m.to_vec(), maxy.to_vec()));
             };
             let sides = self.split(r);
-            let last = match triangle {
+            let (row, swept) = match triangle {
                 Some(t) => {
                     let mask = SplitMask::new(t, r);
-                    sides.last_row_resume(mask, start, m, &mut maxy, capture_rows, &mut capture)
+                    sides.bottom_row_resume(mask, start, m, &mut maxy, capture_rows, &mut capture)
                 }
                 None => {
-                    sides.last_row_resume(NoMask, start, m, &mut maxy, capture_rows, &mut capture)
+                    sides.bottom_row_resume(NoMask, start, m, &mut maxy, capture_rows, &mut capture)
                 }
             };
-            cells += last.cells;
-            rows.push(last.row);
+            cells += swept;
+            rows.push(row);
         }
         let sweep = PackSweep {
             rows,
@@ -663,7 +664,7 @@ impl PackPlan {
         &self,
         kernel: &K,
         triangle: &OverrideTriangle,
-        clean_row: impl Fn(usize) -> &'r [Score],
+        clean_row: impl Fn(usize) -> &'r BottomRow,
     ) -> PackSwept {
         let rs = &self.rs;
         let (first_rows, current, cells, caps, vector) = if self.first_pass {
@@ -685,15 +686,13 @@ impl PackPlan {
         };
         let scored = (0..rs.len())
             .map(|i| {
-                let original = first_rows
-                    .get(i)
-                    .map_or_else(|| clean_row(rs[i]), |row| &row[..]);
+                let original = first_rows.get(i).unwrap_or_else(|| clean_row(rs[i]));
                 match &current {
                     Some(rows) => {
                         let (score, _, shadows) = best_valid_entry_counted(&rows[i], original);
                         (score, shadows)
                     }
-                    None => (original.iter().copied().max().unwrap_or(0).max(0), 0),
+                    None => (original.max(), 0),
                 }
             })
             .collect();
@@ -713,7 +712,7 @@ pub struct PackSwept {
     /// First pass only: each swept split's clean bottom row, parallel to
     /// `PackPlan::splits` — handed over by value for the row store
     /// (taken before committing).
-    first_rows: Vec<Vec<Score>>,
+    first_rows: Vec<BottomRow>,
     /// Per swept lane: exact post-shadow score and shadow rejections.
     scored: Vec<(Score, u64)>,
     /// Logical cells computed, all sweeps and lanes together.
@@ -891,7 +890,7 @@ mod tests {
                     let clean = align_task(seq, &scoring, r, &empty, None);
                     let clean_row = clean.first_row.unwrap();
                     let masked = align_task(seq, &scoring, r, &now, Some(&clean_row));
-                    assert_eq!(common.row(r), &clean_row[..], "{what} {r}");
+                    assert_eq!(*common.row(r), clean_row, "{what} {r}");
                     assert_eq!(
                         (
                             score,
@@ -959,7 +958,7 @@ mod tests {
             (1, 0, 4)
         );
         assert_eq!(s.lanes_skipped, 1);
-        let oracle = align_task(&seq, &scoring, 4, &triangle, Some(common.row(4)));
+        let oracle = align_task(&seq, &scoring, 4, &triangle, Some(&common.row(4).widened()));
         assert_eq!(
             (score, s.shadow_rejections),
             (oracle.score, oracle.shadow_rejections)
@@ -998,7 +997,7 @@ mod tests {
         assert!(s.cells > 0);
         assert_eq!(s.realign_rows_skipped, 96);
         assert_eq!(s.lanes_compacted, 1);
-        let oracle = align_task(&seq, &scoring, r, &triangle, Some(common.row(r)));
+        let oracle = align_task(&seq, &scoring, r, &triangle, Some(&common.row(r).widened()));
         assert_eq!(
             (score, s.shadow_rejections),
             (oracle.score, oracle.shadow_rejections)

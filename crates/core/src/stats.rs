@@ -16,9 +16,12 @@ pub struct Stats {
     pub alignments: u64,
     /// Matrix cells computed across all score-only passes.
     pub cells: u64,
-    /// Full-matrix traceback passes (one per accepted top alignment).
+    /// Acceptance tracebacks (one per accepted top alignment).
     pub tracebacks: u64,
-    /// Cells computed by traceback passes.
+    /// Cells the acceptances swept: each accept's linear-memory forward
+    /// pass over its split, its end-anchored reverse pass and the
+    /// alignment's box (`repro_align::traceback_in_box`), not the whole
+    /// split matrix.
     pub traceback_cells: u64,
     /// Realignments per accepted top alignment, index = top number
     /// (element 0 counts the initial full sweep).
@@ -212,12 +215,11 @@ impl Stats {
     }
 
     /// Total score-pass cells spent up to (and including) finding top
-    /// alignment `k`, plus the tracebacks — the sequential-time model
-    /// used as Figure 8's baseline numerator.
-    pub fn cells_to_top(&self, k: usize) -> (u64, u64) {
-        let score: u64 = self.cells_per_top.iter().take(k).sum();
-        let trace: u64 = self.traceback_cells_per_top.iter().take(k).sum();
-        (score, trace)
+    /// alignment `k` — the sequential-time model used as Figure 8's
+    /// baseline numerator (which charges the paper's full-matrix
+    /// tracebacks on top).
+    pub fn cells_to_top(&self, k: usize) -> u64 {
+        self.cells_per_top.iter().take(k).sum()
     }
 
     /// Fraction of the naive `tops × splits` realignment budget actually

@@ -30,6 +30,7 @@ use crate::group::{
     align_group_lookup_impl, align_group_profile_at_impl, group_stripe, GroupCapture, GroupResult,
     GroupResume,
 };
+use crate::lanes::SimdVec;
 use crate::LaneWidth;
 use repro_align::{QueryProfile, Scoring};
 use repro_core::OverrideTriangle;
@@ -212,20 +213,22 @@ pub fn select(
 // so the `#[inline(always)]` sweep impls inline into AVX2 codegen.
 // ---------------------------------------------------------------------------
 
+/// The profile sweep of lane type `V` compiled with AVX2 enabled: the
+/// `i16` ×16 lanes and the wide `i32` lanes on the AVX2 path.
 #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)] // mirrors the kernel's full state
-unsafe fn profile_i16_at_avx2(
+pub(crate) unsafe fn profile_at_avx2<V: SimdVec>(
     seq: &[u8],
     scoring: &Scoring,
-    profile: &QueryProfile<i16>,
+    profile: &QueryProfile<V::Elem>,
     rs: &[usize],
     triangle: Option<&OverrideTriangle>,
     stripe: usize,
     resume: Option<&GroupResume<'_>>,
     capture_rows: &[usize],
 ) -> (GroupResult, Vec<GroupCapture>) {
-    align_group_profile_at_impl::<I16x16Avx2>(
+    align_group_profile_at_impl::<V>(
         seq,
         scoring,
         profile,
@@ -348,7 +351,7 @@ pub fn sweep_group_profile_i16_at(
             // by the engines, and tests that build SimdSel by hand gate on
             // the same probe).
             unsafe {
-                profile_i16_at_avx2(
+                profile_at_avx2::<I16x16Avx2>(
                     seq,
                     scoring,
                     profile,
@@ -407,7 +410,7 @@ pub fn sweep_group_lookup_i16(
 /// from `r0`: [`sweep_group_wide_at`] for that pack from row 0 with no
 /// captures.
 pub fn sweep_group_wide(
-    width: LaneWidth,
+    sel: SimdSel,
     seq: &[u8],
     scoring: &Scoring,
     profile: &QueryProfile<i32>,
@@ -416,18 +419,20 @@ pub fn sweep_group_wide(
     triangle: Option<&OverrideTriangle>,
 ) -> GroupResult {
     let rs: Vec<usize> = (r0..r0 + lanes).collect();
-    sweep_group_wide_at(width, seq, scoring, profile, &rs, triangle, None, &[]).0
+    sweep_group_wide_at(sel, seq, scoring, profile, &rs, triangle, None, &[]).0
 }
 
 /// The wide (`i32`) sweep — what a pack past the `i16` bound runs — of
 /// an arbitrary ascending split set with optional mid-matrix resume and
-/// inter-row capture: always the portable kernels, bit-identical to the
-/// scalar reference at any width. They are built for the baseline
-/// target, which has no `i32` `PMAXSD` (SSE4.1), so how much of their max
-/// LLVM vectorises varies.
+/// inter-row capture, at the selection's width: the `I32x4/8/16` lanes,
+/// bit-identical to the scalar reference at any width. On the AVX2 path
+/// they are compiled inside an AVX2 trampoline, where their `i32` max
+/// is one `vpmaxsd`; elsewhere they are built for the baseline target,
+/// which has no `i32` `PMAXSD` (SSE4.1), so how much of their max LLVM
+/// vectorises varies.
 #[allow(clippy::too_many_arguments)] // mirrors the kernel's full state
 pub fn sweep_group_wide_at(
-    width: LaneWidth,
+    sel: SimdSel,
     seq: &[u8],
     scoring: &Scoring,
     profile: &QueryProfile<i32>,
@@ -436,39 +441,82 @@ pub fn sweep_group_wide_at(
     resume: Option<&GroupResume<'_>>,
     capture_rows: &[usize],
 ) -> (GroupResult, Vec<GroupCapture>) {
-    let stripe = group_stripe(width.lanes(), 4);
-    match width {
-        LaneWidth::X4 => align_group_profile_at_impl::<I32x4>(
+    match sel.width {
+        LaneWidth::X4 => wide_at::<I32x4>(
+            sel.path,
             seq,
             scoring,
             profile,
             rs,
             triangle,
-            stripe,
             resume,
             capture_rows,
         ),
-        LaneWidth::X8 => align_group_profile_at_impl::<I32x8>(
+        LaneWidth::X8 => wide_at::<I32x8>(
+            sel.path,
             seq,
             scoring,
             profile,
             rs,
             triangle,
-            stripe,
             resume,
             capture_rows,
         ),
-        LaneWidth::X16 => align_group_profile_at_impl::<I32x16>(
+        LaneWidth::X16 => wide_at::<I32x16>(
+            sel.path,
             seq,
             scoring,
             profile,
             rs,
             triangle,
-            stripe,
             resume,
             capture_rows,
         ),
     }
+}
+
+/// One wide lane type's sweep on `path`: inside the AVX2 trampoline
+/// where that path was selected.
+#[allow(clippy::too_many_arguments)] // mirrors the kernel's full state
+fn wide_at<V: SimdVec<Elem = i32>>(
+    path: DispatchPath,
+    seq: &[u8],
+    scoring: &Scoring,
+    profile: &QueryProfile<i32>,
+    rs: &[usize],
+    triangle: Option<&OverrideTriangle>,
+    resume: Option<&GroupResume<'_>>,
+    capture_rows: &[usize],
+) -> (GroupResult, Vec<GroupCapture>) {
+    let stripe = group_stripe(V::LANES, 4);
+    #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
+    if path == DispatchPath::Avx2 {
+        // SAFETY: a selection names the AVX2 path only after
+        // `available(Avx2)` held, as in `sweep_group_profile_i16_at`.
+        return unsafe {
+            profile_at_avx2::<V>(
+                seq,
+                scoring,
+                profile,
+                rs,
+                triangle,
+                stripe,
+                resume,
+                capture_rows,
+            )
+        };
+    }
+    let _ = path;
+    align_group_profile_at_impl::<V>(
+        seq,
+        scoring,
+        profile,
+        rs,
+        triangle,
+        stripe,
+        resume,
+        capture_rows,
+    )
 }
 
 #[cfg(test)]
@@ -576,9 +624,15 @@ mod tests {
             }
         }
         let wide_prof = QueryProfile::new_wide(&scoring, seq.codes());
-        for width in [LaneWidth::X4, LaneWidth::X8, LaneWidth::X16] {
-            let got = sweep_group_wide(width, seq.codes(), &scoring, &wide_prof, 3, 4, None);
-            assert_eq!(got.rows, reference.rows, "wide x{}", width.lanes());
+        for path in [DispatchPath::Portable, DispatchPath::Avx2] {
+            if !available(path) {
+                continue;
+            }
+            for width in [LaneWidth::X4, LaneWidth::X8, LaneWidth::X16] {
+                let sel = SimdSel { width, path };
+                let got = sweep_group_wide(sel, seq.codes(), &scoring, &wide_prof, 3, 4, None);
+                assert_eq!(got.rows, reference.rows, "wide {sel}");
+            }
         }
     }
 }

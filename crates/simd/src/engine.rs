@@ -120,7 +120,7 @@ impl<'a> GroupSweeper<'a> {
             .prof32
             .get_or_init(|| QueryProfile::new_wide(self.scoring, codes));
         let (g, caps) = sweep_group_wide_at(
-            self.sel.width,
+            self.sel,
             codes,
             self.scoring,
             p32,

@@ -60,7 +60,7 @@
 
 use crate::lanes::{SimdElem, SimdVec};
 use repro_align::kernel::row::NarrowBody;
-use repro_align::{stripe_for_bytes, GapPenalties, QueryProfile, Score, Scoring};
+use repro_align::{stripe_for_bytes, BottomRow, GapPenalties, QueryProfile, Score, Scoring};
 pub use repro_core::pack::{GroupCapture, GroupResume, LaneResume};
 use repro_core::OverrideTriangle;
 
@@ -71,9 +71,10 @@ pub struct GroupResult {
     pub r0: usize,
     /// Number of live lanes (the final group of a sequence may be short).
     pub lanes: usize,
-    /// Per-lane bottom rows, widened to the scalar score type; entry `l`
-    /// is the bottom row of the group's `l`-th split (length `m − r`).
-    pub rows: Vec<Vec<Score>>,
+    /// Per-lane bottom rows at the lane element's width (`i16` from a
+    /// narrow pack, never widened); entry `l` is the bottom row of the
+    /// group's `l`-th split (length `m − r`).
+    pub rows: Vec<BottomRow>,
     /// Logical cells actually computed (sum over lanes of each split's
     /// rows below the resume row × its own columns) — comparable with
     /// the sequential engine's counters.
@@ -195,7 +196,7 @@ struct SweepState<V: SimdVec> {
     maxy: Vec<V>,
     maxx_carry: Vec<V>,
     edge: Vec<V>,
-    rows: Vec<Vec<Score>>,
+    rows: Vec<Vec<V::Elem>>,
     /// Interleaved capture buffers, parallel to `Geom::capture_rows`.
     captures: Vec<(Vec<V>, Vec<V>)>,
 }
@@ -333,7 +334,7 @@ fn sweep_prologue_at<'a, V: SimdVec>(
         // stripe's last-column value (the next stripe's diagonal input).
         maxx_carry: vec![neg; rmax],
         edge: vec![zero; rmax],
-        rows: rs.iter().map(|&r| vec![0; m - r]).collect(),
+        rows: rs.iter().map(|&r| vec![V::Elem::ZERO; m - r]).collect(),
         captures: capture_rows
             .iter()
             .map(|_| (vec![zero; width], vec![zero; width]))
@@ -387,7 +388,7 @@ fn finish<V: SimdVec>(
     let result = GroupResult {
         r0: geom.r0,
         lanes: geom.rs.len(),
-        rows: st.rows,
+        rows: st.rows.into_iter().map(V::Elem::into_row).collect(),
         cells,
         vector_cells: (st.rmax - geom.start) as u64 * st.width as u64,
     };
@@ -638,7 +639,7 @@ fn sweep_rows<V: SimdVec, H: HitCursor, X: Exchange<V::Elem>>(
                 let lo = x0.max(own);
                 if lo < x1 {
                     for (out, v) in st.rows[l][lo - own..x1 - own].iter_mut().zip(&mrow[lo..x1]) {
-                        *out = v.lanes()[l].to_score();
+                        *out = v.lanes()[l];
                     }
                 }
             }
@@ -1137,6 +1138,50 @@ mod tests {
         repro_align::sw_last_row_naive(&prefix[..rows], suffix, scoring, &cells).row
     }
 
+    /// [`align_group_profile_at`], or with `avx2` the same sweep as the
+    /// dispatcher's AVX2 trampoline compiles it (the caller checked the
+    /// CPU).
+    #[allow(clippy::too_many_arguments)] // mirrors the kernel's full state
+    fn sweep_at<V: SimdVec>(
+        avx2: bool,
+        seq: &[u8],
+        scoring: &Scoring,
+        profile: &QueryProfile<V::Elem>,
+        rs: &[usize],
+        triangle: Option<&OverrideTriangle>,
+        stripe: usize,
+        resume: Option<&GroupResume<'_>>,
+        capture_rows: &[usize],
+    ) -> (GroupResult, Vec<GroupCapture>) {
+        #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
+        if avx2 {
+            // SAFETY: `avx2` is set only after `require_avx2` held.
+            return unsafe {
+                crate::dispatch::profile_at_avx2::<V>(
+                    seq,
+                    scoring,
+                    profile,
+                    rs,
+                    triangle,
+                    stripe,
+                    resume,
+                    capture_rows,
+                )
+            };
+        }
+        assert!(!avx2, "no AVX2 trampoline in this build");
+        align_group_profile_at::<V>(
+            seq,
+            scoring,
+            profile,
+            rs,
+            triangle,
+            stripe,
+            resume,
+            capture_rows,
+        )
+    }
+
     /// Masked sweeps of lane type `V` against the naive oracle: a
     /// consecutive and a compacted split set, a stripe of `STRIPE`
     /// columns, captures at every row and a resume from mid-matrix, on
@@ -1144,6 +1189,7 @@ mod tests {
     /// specially, then on random ones.
     fn check_masked_sweeps<V: SimdVec>(
         profile_of: impl Fn(&Scoring, &[u8]) -> QueryProfile<V::Elem>,
+        avx2: bool,
     ) {
         const STRIPE: usize = 5;
         let scoring = Scoring::dna_example();
@@ -1233,7 +1279,8 @@ mod tests {
                 }
                 assert!(fits_i16(m, &scoring, rs));
                 let capture_rows: Vec<usize> = (1..*rs.last().unwrap()).collect();
-                let (scratch, caps) = align_group_profile_at::<V>(
+                let (scratch, caps) = sweep_at::<V>(
+                    avx2,
                     seq.codes(),
                     &scoring,
                     &prof,
@@ -1270,7 +1317,8 @@ mod tests {
                     lanes: state,
                 };
                 for stripe in [STRIPE, usize::MAX] {
-                    let (resumed, _) = align_group_profile_at::<V>(
+                    let (resumed, _) = sweep_at::<V>(
+                        avx2,
                         seq.codes(),
                         &scoring,
                         &prof,
@@ -1357,6 +1405,7 @@ mod tests {
     /// and 3 captures.
     fn check_compacted_sweeps<V: SimdVec>(
         profile_of: impl Fn(&Scoring, &[u8]) -> QueryProfile<V::Elem>,
+        avx2: bool,
     ) {
         let scoring = Scoring::dna_example();
         let mut seed = 0x2545_f491_4f6c_dd1du64 ^ (V::LANES * 8 + V::Elem::BYTES) as u64;
@@ -1427,7 +1476,8 @@ mod tests {
                             tri.is_some()
                         );
                         let rows = pick_rows(&mut seed, 1, rmax, ncap);
-                        let (g, caps) = align_group_profile_at::<V>(
+                        let (g, caps) = sweep_at::<V>(
+                            avx2,
                             seq.codes(),
                             &scoring,
                             &prof,
@@ -1455,7 +1505,8 @@ mod tests {
                             lanes: state,
                         };
                         let rows = pick_rows(&mut seed, start + 1, rmax, ncap);
-                        let (g, caps) = align_group_profile_at::<V>(
+                        let (g, caps) = sweep_at::<V>(
+                            avx2,
                             seq.codes(),
                             &scoring,
                             &prof,
@@ -1474,22 +1525,26 @@ mod tests {
 
     #[test]
     fn compacted_sweeps_match_scalar_at_every_portable_width() {
-        check_compacted_sweeps::<I16x4>(narrow);
-        check_compacted_sweeps::<I16x8>(narrow);
-        check_compacted_sweeps::<I16x16>(narrow);
-        check_compacted_sweeps::<crate::lanes::I32x4>(QueryProfile::new_wide);
-        check_compacted_sweeps::<I32x8>(QueryProfile::new_wide);
-        check_compacted_sweeps::<I32x16>(QueryProfile::new_wide);
+        check_compacted_sweeps::<I16x4>(narrow, false);
+        check_compacted_sweeps::<I16x8>(narrow, false);
+        check_compacted_sweeps::<I16x16>(narrow, false);
+        check_compacted_sweeps::<crate::lanes::I32x4>(QueryProfile::new_wide, false);
+        check_compacted_sweeps::<I32x8>(QueryProfile::new_wide, false);
+        check_compacted_sweeps::<I32x16>(QueryProfile::new_wide, false);
     }
 
     #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
     #[test]
     fn compacted_sweeps_match_scalar_on_core_arch_lanes() {
         use crate::lanes::{avx2::I16x16Avx2, sse2::I16x4Sse2, sse2::I16x8Sse2};
-        check_compacted_sweeps::<I16x4Sse2>(narrow);
-        check_compacted_sweeps::<I16x8Sse2>(narrow);
+        check_compacted_sweeps::<I16x4Sse2>(narrow, false);
+        check_compacted_sweeps::<I16x8Sse2>(narrow, false);
         if crate::test_support::require_avx2("compacted_sweeps_match_scalar_on_core_arch_lanes") {
-            check_compacted_sweeps::<I16x16Avx2>(narrow);
+            check_compacted_sweeps::<I16x16Avx2>(narrow, false);
+            // The wide lanes as the AVX2 path runs them.
+            check_compacted_sweeps::<crate::lanes::I32x4>(QueryProfile::new_wide, true);
+            check_compacted_sweeps::<I32x8>(QueryProfile::new_wide, true);
+            check_compacted_sweeps::<I32x16>(QueryProfile::new_wide, true);
         }
     }
 
@@ -1600,22 +1655,26 @@ mod tests {
 
     #[test]
     fn masked_sweeps_match_naive_at_every_portable_width() {
-        check_masked_sweeps::<I16x4>(narrow);
-        check_masked_sweeps::<I16x8>(narrow);
-        check_masked_sweeps::<I16x16>(narrow);
-        check_masked_sweeps::<crate::lanes::I32x4>(QueryProfile::new_wide);
-        check_masked_sweeps::<I32x8>(QueryProfile::new_wide);
-        check_masked_sweeps::<I32x16>(QueryProfile::new_wide);
+        check_masked_sweeps::<I16x4>(narrow, false);
+        check_masked_sweeps::<I16x8>(narrow, false);
+        check_masked_sweeps::<I16x16>(narrow, false);
+        check_masked_sweeps::<crate::lanes::I32x4>(QueryProfile::new_wide, false);
+        check_masked_sweeps::<I32x8>(QueryProfile::new_wide, false);
+        check_masked_sweeps::<I32x16>(QueryProfile::new_wide, false);
     }
 
     #[cfg(all(target_arch = "x86_64", not(feature = "portable-only")))]
     #[test]
     fn masked_sweeps_match_naive_on_core_arch_lanes() {
         use crate::lanes::{avx2::I16x16Avx2, sse2::I16x4Sse2, sse2::I16x8Sse2};
-        check_masked_sweeps::<I16x4Sse2>(narrow);
-        check_masked_sweeps::<I16x8Sse2>(narrow);
+        check_masked_sweeps::<I16x4Sse2>(narrow, false);
+        check_masked_sweeps::<I16x8Sse2>(narrow, false);
         if crate::test_support::require_avx2("masked_sweeps_match_naive_on_core_arch_lanes") {
-            check_masked_sweeps::<I16x16Avx2>(narrow);
+            check_masked_sweeps::<I16x16Avx2>(narrow, false);
+            // The wide lanes as the AVX2 path runs them.
+            check_masked_sweeps::<crate::lanes::I32x4>(QueryProfile::new_wide, true);
+            check_masked_sweeps::<I32x8>(QueryProfile::new_wide, true);
+            check_masked_sweeps::<I32x16>(QueryProfile::new_wide, true);
         }
     }
 

@@ -25,7 +25,7 @@
 //! whole suite in that configuration to keep both dispatch branches
 //! honest.
 
-use repro_align::Score;
+use repro_align::{BottomRow, Score};
 
 /// A scalar element a lane vector can hold: the score type narrowed
 /// (i16) or kept wide (i32), with the overflow discipline the matching
@@ -59,6 +59,8 @@ pub trait SimdElem: Copy + Ord + std::fmt::Debug + 'static {
     fn from_score_sat(s: Score) -> Self;
     /// Widening back to the scalar score type.
     fn to_score(self) -> Score;
+    /// A bottom row of this element, handed over at its width.
+    fn into_row(row: Vec<Self>) -> BottomRow;
 }
 
 impl SimdElem for i16 {
@@ -91,6 +93,10 @@ impl SimdElem for i16 {
     fn to_score(self) -> Score {
         self as Score
     }
+
+    fn into_row(row: Vec<Self>) -> BottomRow {
+        BottomRow::Narrow(row)
+    }
 }
 
 impl SimdElem for i32 {
@@ -122,6 +128,10 @@ impl SimdElem for i32 {
     #[inline(always)]
     fn to_score(self) -> Score {
         self
+    }
+
+    fn into_row(row: Vec<Self>) -> BottomRow {
+        BottomRow::Wide(row)
     }
 }
 

@@ -143,7 +143,7 @@ proptest! {
         }
         let tri = if use_mask { Some(&t) } else { None };
 
-        let check = |rows: &[Vec<i32>]| -> Result<(), TestCaseError> {
+        let check = |rows: &[repro_align::BottomRow]| -> Result<(), TestCaseError> {
             for (l, row) in rows.iter().enumerate() {
                 let r = r0 + l;
                 let (prefix, suffix) = seq.split(r);
