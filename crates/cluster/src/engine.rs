@@ -1090,24 +1090,30 @@ pub(crate) mod tests {
         let scoring = Scoring::dna_example();
         let tops = find_top_alignments(&seq, &scoring, 2).alignments;
         let input = ScoredSeq::new(&seq, &scoring);
-        let clean = |r| {
-            input
-                .align_task(r, &OverrideTriangle::new(seq.len()), None)
-                .score
-        };
-        let task = |stamp, items: &[(usize, Score)]| {
-            let items = items.iter().map(|&(r, bound)| TaskItem {
+        let clean = |r| input.align_task(r, &OverrideTriangle::new(seq.len()), None);
+        // First passes of `(split, bound)`, and a realignment of split
+        // `r` carrying its clean row.
+        let first = |items: &[(usize, Score)]| {
+            let item = |&(r, bound): &(usize, Score)| TaskItem {
                 unit: r - 1,
                 attempt: 1,
                 first: true,
                 bound,
                 rows: vec![],
-            });
-            let payload = TaskMsg {
-                stamp,
-                items: items.collect(),
-            }
-            .encode();
+            };
+            items.iter().map(item).collect()
+        };
+        let realign = |r: usize| {
+            vec![TaskItem {
+                unit: r - 1,
+                attempt: 1,
+                first: false,
+                bound: Score::MAX,
+                rows: vec![(r, clean(r).first_row.unwrap())],
+            }]
+        };
+        let task = |stamp, items: Vec<TaskItem>| {
+            let payload = TaskMsg { stamp, items }.encode();
             Message {
                 from: 0,
                 tag: tag::TASK,
@@ -1125,22 +1131,22 @@ pub(crate) mod tests {
         };
         // Split 4's score equals split 8's bound (the sequence is its
         // own mirror image there).
-        assert_eq!(clean(4), clean(8));
+        assert_eq!(clean(4).score, clean(8).score);
         let comm = Scripted::new(
             rows_of(&seq, &scoring),
             [
-                task(0, &[(4, clean(4)), (8, clean(8))]),
+                task(0, first(&[(4, clean(4).score), (8, clean(8).score)])),
                 // The prefetched batch, and the acceptance that lands
                 // behind it while the first batch is being swept.
-                task(0, &[(2, Score::MAX), (6, Score::MAX)]),
+                task(0, first(&[(2, Score::MAX), (6, Score::MAX)])),
                 accepted(0),
                 // Ahead of the replica: waits, and its retransmitted
                 // twin is dropped on receipt.
-                task(2, &[(10, Score::MAX)]),
-                task(2, &[(10, Score::MAX)]),
+                task(2, first(&[(10, Score::MAX)])),
+                task(2, first(&[(10, Score::MAX)])),
                 accepted(1),
                 // Behind the replica: reports the version it ran under.
-                task(1, &[(3, Score::MAX)]),
+                task(1, realign(3)),
             ],
         );
         worker_loop(rows_of(&seq, &scoring), &seq, &scoring, &comm, DL, 1);
@@ -1160,7 +1166,9 @@ pub(crate) mod tests {
                 Received(tag::TASK),
                 Received(tag::TASK),
                 Received(tag::ACCEPTED),
-                Results(vec![(10, 1, 2)]),
+                // A first pass both accepts straddle: one clean sweep,
+                // exact under version 0.
+                Results(vec![(10, 1, 0)]),
                 Received(tag::TASK),
                 Results(vec![(3, 1, 2)]),
                 Received(tag::DONE),

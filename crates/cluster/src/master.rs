@@ -375,7 +375,10 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
         res.work.fold_into(&mut self.stats, res.stamp);
         let tops = self.tops.len();
         let t = &mut self.state[u];
-        (t.best, t.score) = res.best;
+        // Exact now, that is the unit's score; stale, the tighter of two
+        // admissible bounds (a late first pass's clean score, or the
+        // refreshed seed bound it was shipped with).
+        (t.best, t.score) = (res.best.0, res.best.1.min(t.score));
         t.aligned_with = res.stamp;
         t.assigned = None;
         self.assignable += usize::from(t.assignable(tops));
@@ -559,10 +562,8 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
         let u = self.best_stale_unassigned().filter(|&u| fits(self, u))?;
         if self.state[u].aligned_with == NEVER {
             if let Some(bounds) = self.bounds.as_mut() {
-                // The stake in *vector* cells (rows × width), as the
-                // inline and SMP drivers weigh it: r(m − r) at one lane.
-                let (splits, input) = (self.unit.splits(u), &self.common.input);
-                let stake = ((splits.end - 1) * (input.seq.len() - splits.start)) as u64;
+                let input = &self.common.input;
+                let stake = self.unit.refresh_stake(u);
                 let codes = input.seq.codes();
                 if bounds.refresh_before_sweep(codes, input.scoring, &self.triangle, stake) {
                     let tops = self.tops.len();
@@ -711,8 +712,8 @@ pub(crate) struct Claim<'u, K> {
     /// The replica's rows, the task's attached ones already stored.
     common: &'u Common<'u>,
     task: TaskItem,
-    /// The replica version planned against: the result's stamp.
-    stamp: usize,
+    /// The replica version planned against.
+    planned_at: usize,
     plan: PackPlan,
     /// What the sweep returned (`None`: a replay), and how long it took.
     swept: Option<(PackSwept, u64)>,
@@ -741,7 +742,7 @@ impl<'u, K: PackKernel> Claim<'u, K> {
             unit,
             common,
             task,
-            stamp: tops.len(),
+            planned_at: tops.len(),
             plan,
             swept: None,
         }
@@ -765,13 +766,15 @@ impl<'u, K: PackKernel> Claim<'u, K> {
             swept
         });
         let mut grown = Stats::new();
+        let stamp = self.plan.version() as usize;
         let score = packs.commit(&mut grown, rec, self.plan, swept);
         let task = self.task;
-        // The shipped bound dominates any score computed at or past the
+        // The shipped bound dominates any score exact at or past the
         // task's stamp (masking monotonicity); a violation would mean
-        // the master's seed index is broken.
+        // the master's seed index is broken. A late first pass's clean
+        // score, exact under version 0, need not sit under it.
         debug_assert!(
-            score <= task.bound,
+            stamp < self.planned_at || score <= task.bound,
             "unit {}: score {score} above shipped bound {}",
             task.unit,
             task.bound
@@ -784,7 +787,7 @@ impl<'u, K: PackKernel> Claim<'u, K> {
         };
         ResultMsg {
             unit: task.unit,
-            stamp: self.stamp,
+            stamp,
             attempt: task.attempt,
             best: packs.best_member(task.unit),
             rows,
@@ -863,7 +866,7 @@ mod tests {
                     MasterAction::Done => return master.into_result(),
                 }
             }
-            let Some((w, stamp, task)) = pending.pop_front() else {
+            let Some((w, mut stamp, task)) = pending.pop_front() else {
                 panic!("master stalled without Done");
             };
             let r = task.unit + 1;
@@ -882,19 +885,15 @@ mod tests {
                     task.bound,
                     last.best_in_row
                 );
-                if worker_triangles[w].is_empty() {
-                    worker_caches[w].insert(r, last.row.clone());
-                    (last.best_in_row, 0, Some(last.row))
-                } else {
-                    // Late first pass (seeded): store the clean row,
-                    // score masked-vs-clean — same as a real worker.
-                    let clean =
-                        repro_align::sw_last_row(prefix, suffix, scoring, repro_align::NoMask);
-                    let (s, _, shadows) =
-                        repro_core::bottom::best_valid_entry_counted(&last.row, &clean.row);
-                    worker_caches[w].insert(r, clean.row.clone());
-                    (s, shadows, Some(clean.row))
+                // One clean sweep, as a real worker's: the clean row
+                // and its maximum, exact under version 0 — the stamp of
+                // a late first pass (seeded) that an accept straddles.
+                let clean = repro_align::sw_last_row(prefix, suffix, scoring, repro_align::NoMask);
+                if worker_triangles[w].iter().any(|(p, q)| p < r && r <= q) {
+                    stamp = 0;
                 }
+                worker_caches[w].insert(r, clean.row.clone());
+                (clean.best_in_row, 0, Some(clean.row))
             } else {
                 if let Some((_, row)) = task.rows.first() {
                     worker_caches[w].insert(r, row.clone());

@@ -267,11 +267,13 @@ impl Work {
 pub struct ResultMsg {
     /// Unit that was aligned.
     pub unit: usize,
-    /// Replica version the score was computed against: the ACCEPTED
-    /// broadcasts the worker had applied when the sweep started — at or
-    /// past the task's stamp, never the task's stamp echoed back. The
-    /// master trusts the score as exact only when this equals its own
-    /// acceptance count.
+    /// The version the score is exact under ([`repro_core::pack::PackPlan::version`]):
+    /// the ACCEPTED broadcasts the worker had applied when the sweep
+    /// started — at or past the task's stamp, never the task's stamp
+    /// echoed back — or 0 for a first pass that an applied accept
+    /// straddles, which sweeps clean. The master trusts the score as
+    /// exact only when this equals its own acceptance count; below it,
+    /// the unit is requeued at the lower of the score and its bound.
     pub stamp: usize,
     /// The attempt number echoed from the [`TaskItem`].
     pub attempt: u64,

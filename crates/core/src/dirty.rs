@@ -9,17 +9,17 @@
 //! straddling `p` is bit-identical to the previous sweep.
 //!
 //! [`DirtyLog`] records the accepted pair lists in commit order and
-//! answers, for any split and any past version, where the dirty region
-//! starts. Because traceback emits pairs in path order, each accept's
-//! list is strictly ascending in *both* coordinates, which makes every
-//! query a binary search: the first pair with `q ≥ r` is simultaneously
-//! the straddling pair with the smallest `p` (row bound) and the
-//! smallest `q` (column bound) — later pairs only have larger `p`.
+//! answers, for any split and any past version, the first row the
+//! dirty region touches. Because traceback emits pairs in path order,
+//! each accept's list is strictly ascending in *both* coordinates,
+//! which makes every query a binary search: the first pair with `q ≥ r`
+//! is the straddling pair with the smallest `p` — later pairs only have
+//! larger `p`.
 
 use crate::finder::TopAlignment;
 
 /// Append-only log of accepted alignments' pair lists, answering
-/// "which rows/columns of split `r` changed since version `v`?".
+/// "where does the mask first touch split `r` since version `v`?".
 ///
 /// The *version* is simply the number of accepts recorded; engines that
 /// replicate the log (SMP workers from the shared top list, cluster
@@ -61,56 +61,25 @@ impl DirtyLog {
         }
     }
 
-    /// The dirty bounds of split `r` relative to version `since`:
-    /// `Some((first_dirty_row, first_dirty_col))` if any pair accepted
-    /// after `since` straddles `r`, else `None` — meaning `r`'s matrix
-    /// (and therefore its realignment result) is unchanged since then.
+    /// Where the mask first touches split `r` since version `since`:
+    /// the first dirty prefix row if any pair accepted after `since`
+    /// straddles `r`, else `None` — meaning `r`'s matrix (and therefore
+    /// its realignment result) is unchanged since then.
     ///
     /// Rows `0..first_dirty_row` of the split matrix are bit-identical
     /// to any sweep at or after `since`, so checkpointed state at or
     /// below that boundary is still exact.
-    pub fn dirty_bounds(&self, r: usize, since: u64) -> Option<(usize, usize)> {
-        let mut best: Option<(usize, usize)> = None;
-        for pairs in &self.accepts[(since as usize).min(self.accepts.len())..] {
-            // First pair with q ≥ r; ascending p means it carries the
-            // minimal p among all pairs with q ≥ r. If even that p is
-            // ≥ r, no pair of this accept straddles r.
-            let i = pairs.partition_point(|&(_, q)| q < r);
-            if let Some(&(p, q)) = pairs.get(i) {
-                if p < r {
-                    let bound = (p, q - r);
-                    best = Some(match best {
-                        Some((bp, bq)) => (bp.min(bound.0), bq.min(bound.1)),
-                        None => bound,
-                    });
-                }
-            }
-        }
-        best
-    }
-
-    /// The first dirty prefix row of split `r` since version `since`
-    /// (see [`Self::dirty_bounds`]).
     pub fn dirty_row(&self, r: usize, since: u64) -> Option<usize> {
-        self.dirty_bounds(r, since).map(|(row, _)| row)
-    }
-
-    /// `true` iff any split in `r_lo..=r_hi` has been dirtied since
-    /// `since` — the whole-group test for the SIMD lane sweeps. A pair
-    /// `(p, q)` straddles some `r` in the range iff `[p+1, q]`
-    /// intersects `[r_lo, r_hi]`.
-    pub fn dirty_in_range(&self, r_lo: usize, r_hi: usize, since: u64) -> bool {
-        if r_lo > r_hi {
-            return false;
-        }
         self.accepts[(since as usize).min(self.accepts.len())..]
             .iter()
-            .any(|pairs| {
-                // Minimal p among pairs with q ≥ r_lo; the pair straddles
-                // some r ∈ [r_lo, r_hi] iff p + 1 ≤ r_hi, i.e. p < r_hi.
-                let i = pairs.partition_point(|&(_, q)| q < r_lo);
-                pairs.get(i).is_some_and(|&(p, _)| p < r_hi)
+            .filter_map(|pairs| {
+                // First pair with q ≥ r; ascending p means it carries the
+                // minimal p among all pairs with q ≥ r. If even that p is
+                // ≥ r, no pair of this accept straddles r.
+                let i = pairs.partition_point(|&(_, q)| q < r);
+                pairs.get(i).map(|&(p, _)| p).filter(|&p| p < r)
             })
+            .min()
     }
 }
 
@@ -122,8 +91,7 @@ mod tests {
     fn empty_log_is_clean_everywhere() {
         let log = DirtyLog::new();
         assert_eq!(log.version(), 0);
-        assert_eq!(log.dirty_bounds(5, 0), None);
-        assert!(!log.dirty_in_range(1, 100, 0));
+        assert_eq!(log.dirty_row(5, 0), None);
     }
 
     #[test]
@@ -133,16 +101,16 @@ mod tests {
         log.record_accept(&[(2, 7), (3, 8), (4, 9)]);
         assert_eq!(log.version(), 1);
         // Split 5: all three pairs straddle (p < 5 ≤ q); the first pair
-        // has the minimal p = 2 and minimal q = 7 → col 7 − 5 = 2.
-        assert_eq!(log.dirty_bounds(5, 0), Some((2, 2)));
-        // Split 8: only pairs with q ≥ 8 qualify → (3, 8): row 3, col 0.
-        assert_eq!(log.dirty_bounds(8, 0), Some((3, 0)));
+        // has the minimal p = 2.
+        assert_eq!(log.dirty_row(5, 0), Some(2));
+        // Split 8: only pairs with q ≥ 8 qualify → (3, 8): row 3.
+        assert_eq!(log.dirty_row(8, 0), Some(3));
         // Split 2: no pair has p < 2.
-        assert_eq!(log.dirty_bounds(2, 0), None);
+        assert_eq!(log.dirty_row(2, 0), None);
         // Split 10: no pair has q ≥ 10.
-        assert_eq!(log.dirty_bounds(10, 0), None);
+        assert_eq!(log.dirty_row(10, 0), None);
         // Since version 1 (after the accept) everything is clean again.
-        assert_eq!(log.dirty_bounds(5, 1), None);
+        assert_eq!(log.dirty_row(5, 1), None);
     }
 
     #[test]
@@ -150,34 +118,20 @@ mod tests {
         let mut log = DirtyLog::new();
         log.record_accept(&[(10, 20)]);
         log.record_accept(&[(3, 30)]);
-        // Split 15: accept 0 gives (10, 5); accept 1 gives (3, 15).
-        assert_eq!(log.dirty_bounds(15, 0), Some((3, 5)));
+        // Split 15: accept 0 dirties row 10, accept 1 row 3.
+        assert_eq!(log.dirty_row(15, 0), Some(3));
         // Relative to version 1 only accept 1 counts.
-        assert_eq!(log.dirty_bounds(15, 1), Some((3, 15)));
-    }
-
-    #[test]
-    fn range_query_matches_per_split_scan() {
+        assert_eq!(log.dirty_row(15, 1), Some(3));
+        // Split 25: only accept 1 straddles it.
+        assert_eq!(log.dirty_row(25, 0), Some(3));
+        // Split 11: accept 0 straddles it, accept 1 (p = 12) does not;
+        // split 13: both do, and the earlier accept's row is the minimum.
         let mut log = DirtyLog::new();
-        log.record_accept(&[(2, 7), (3, 8), (4, 9)]);
-        log.record_accept(&[(12, 15)]);
-        for lo in 1..20 {
-            for hi in lo..20 {
-                let scan = (lo..=hi).any(|r| log.dirty_row(r, 0).is_some());
-                assert_eq!(
-                    log.dirty_in_range(lo, hi, 0),
-                    scan,
-                    "range {lo}..={hi} disagrees with the per-split scan"
-                );
-            }
-        }
-        // And with a nonzero base version.
-        for lo in 1..20 {
-            for hi in lo..20 {
-                let scan = (lo..=hi).any(|r| log.dirty_row(r, 1).is_some());
-                assert_eq!(log.dirty_in_range(lo, hi, 1), scan);
-            }
-        }
+        log.record_accept(&[(10, 20)]);
+        log.record_accept(&[(12, 30)]);
+        assert_eq!(log.dirty_row(11, 0), Some(10));
+        assert_eq!(log.dirty_row(13, 0), Some(10));
+        assert_eq!(log.dirty_row(13, 1), Some(12));
     }
 
     #[test]

@@ -366,7 +366,9 @@ pub enum Step {
     Realigned {
         /// The first split of the unit that was realigned.
         r: usize,
-        /// Its new exact score, its best member's.
+        /// Its best member's score, exact under the version the sweep is
+        /// stamped with; below the current version (a first pass delayed
+        /// past accepts straddling it), capped by the queued bound.
         score: Score,
     },
     /// A fresh head unit's best member was accepted as the next top
@@ -558,10 +560,7 @@ impl<'a, K: PackKernel> TopAlignmentFinder<'a, K> {
         if let Some(bounds) = self.bounds.as_mut() {
             if task.aligned_with == NEVER_ALIGNED {
                 let input = &self.common.input;
-                // The stake in *vector* cells (rows × width): one kernel
-                // step each, like a cell of the scalar resweep it is
-                // weighed against.
-                let stake = ((splits.end - 1) * (input.seq.len() - splits.start)) as u64;
+                let stake = self.unit.refresh_stake(u);
                 let (codes, scoring) = (input.seq.codes(), input.scoring);
                 let mut bound = bounds.max_bound(splits.clone());
                 if bound >= task.score
@@ -632,18 +631,23 @@ impl<'a, K: PackKernel> TopAlignmentFinder<'a, K> {
                 }
                 swept
             });
+            let version = plan.version() as usize;
             let score = self.packs.commit(&mut self.stats, rec, plan, swept);
-            // Holds for realignments (masking monotonicity) *and* first
-            // passes (∞ without seeding; the admissible seed bound with
-            // it) — the live end-to-end admissibility check.
+            // A score exact now holds for realignments (masking
+            // monotonicity) *and* first passes (∞ without seeding; the
+            // admissible seed bound with it) — the live end-to-end
+            // admissibility check.
             debug_assert!(
-                score <= task.score,
+                version < tops_found || score <= task.score,
                 "sweep of unit {u} rose above its queued upper bound"
             );
+            // Exact now, that is the score itself; stale (a late first
+            // pass), the tighter of two admissible bounds.
+            let score = score.min(task.score);
             self.queue.push(Task {
                 r: u,
                 score,
-                aligned_with: tops_found,
+                aligned_with: version,
             });
             Step::Realigned {
                 r: splits.start,

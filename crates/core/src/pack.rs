@@ -11,10 +11,11 @@
 //!
 //! * **plan** (`LanePacks::plan`) — classify the pack's lanes from
 //!   their memo stamps and the dirty log, take the packed lanes'
-//!   checkpoints out of the store, pick the capture rows; all lanes
-//!   clean is a replay that needs no sweep;
+//!   checkpoints out of the store, pick the capture rows and the
+//!   version the result is exact under; all lanes clean is a replay
+//!   that needs no sweep;
 //! * **sweep** (`PackPlan::sweep`) — a pure function of the plan, a
-//!   triangle snapshot and the clean bottom rows: the kernel sweep(s),
+//!   triangle snapshot and the clean bottom rows: one kernel sweep,
 //!   then the per-lane Appendix-A shadow filter;
 //! * **commit** (`LanePacks::commit`) — lane memos (which hold the
 //!   member scores), checkpoint store, `Stats` and the sweep tally.
@@ -30,10 +31,19 @@
 //!   valid **and present for every packed lane** — all lanes of one
 //!   interleaved sweep start at the same row.
 //!
+//! A first pass is always one clean sweep, even when seeded pruning
+//! delays it past accepts that straddle its lanes: it stores the clean
+//! rows, scores each lane by its clean maximum and is stamped at
+//! version 0, under which those scores are exact. A stale score is an
+//! upper bound because masking only lowers cells, so the ordinary
+//! realignment does the masked work if the pack reaches the head again,
+//! resuming from the first pass's captures at the dirty frontiers.
+//!
 //! Checkpoints are the scalar [`Checkpoint`] verbatim — per-lane `m` /
 //! `maxy` over the lane's own columns — so a checkpoint restores into
-//! any kernel bit-identically. A first pass captures once, mid-depth; a
-//! realignment captures at the lanes' dirty frontiers only; no capture
+//! any kernel bit-identically. A first pass captures once, mid-depth,
+//! plus at any dirty frontier; a realignment captures at the lanes'
+//! dirty frontiers only; no capture
 //! lands within `MIN_CAPTURE_STRIDE` (64) rows of the sweep's start.
 
 use crate::bottom::{best_valid_entry_counted, Common};
@@ -212,68 +222,6 @@ impl PackKernel for ScoredSeq<'_> {
     }
 }
 
-/// A pack's first sweep, see [`first_pass`].
-#[derive(Debug)]
-pub struct FirstPass {
-    /// The clean (unmasked) sweep: its bottom rows are the pack's
-    /// shadow-store originals.
-    pub clean: PackSweep,
-    /// The masked resweep holding the current bottom rows; `None` when
-    /// no accepted pair straddles the pack and `clean` is both.
-    pub masked: Option<PackSweep>,
-    /// Snapshots at the requested capture rows, of the *masked*
-    /// recurrence — what realignments resume.
-    pub caps: Vec<GroupCapture>,
-}
-
-/// First sweep of the ascending pack `rs`, capturing at `capture_rows`,
-/// once accepts may already have grown `triangle` (seeded pruning
-/// delays first sweeps). The clean sweep feeds the shadow store; when
-/// an accepted pair straddles a lane, a masked resweep yields the exact
-/// current rows. The two agree above the pack's first dirty row, so the
-/// clean sweep takes the captures down to it plus a snapshot there —
-/// capped below the smallest split, where every lane still has state —
-/// and the masked sweep resumes from that snapshot and takes the rest.
-pub fn first_pass<K: PackKernel>(
-    kernel: &K,
-    rs: &[usize],
-    triangle: &OverrideTriangle,
-    capture_rows: &[usize],
-) -> FirstPass {
-    let dirty = rs
-        .iter()
-        .filter_map(|&r| triangle.first_straddling_row(r))
-        .min();
-    let Some(dirty) = dirty else {
-        let (clean, caps) = kernel.sweep(rs, None, None, capture_rows);
-        return FirstPass {
-            clean,
-            masked: None,
-            caps,
-        };
-    };
-    let d = dirty.min(rs[0] - 1);
-    let mut clean_rows: Vec<usize> = capture_rows.iter().copied().filter(|&c| c < d).collect();
-    if d > 0 {
-        clean_rows.push(d);
-    }
-    let (clean, mut caps) = kernel.sweep(rs, None, None, &clean_rows);
-    let masked_rows: Vec<usize> = capture_rows.iter().copied().filter(|&c| c > d).collect();
-    let (masked, masked_caps) = {
-        let resume = (d > 0).then(|| caps.last().expect("captured at d").as_resume());
-        kernel.sweep(rs, Some(triangle), resume.as_ref(), &masked_rows)
-    };
-    if d > 0 && !capture_rows.contains(&d) {
-        caps.pop();
-    }
-    caps.extend(masked_caps);
-    FirstPass {
-        clean,
-        masked: Some(masked),
-        caps,
-    }
-}
-
 /// One lane's sweep memo: the dirty-log version of its last sweep plus
 /// the exact `(score, shadow_rejections)` to replay on a skip. Lane-
 /// granular — a lane untouched by accepts since *its* stamp replays its
@@ -394,14 +342,21 @@ impl LanePacks {
     }
 
     /// Plan the sweep of stale pack `gi` under the triangle `tops`
-    /// built: a first pass sweeps every lane from row 0; a realignment
-    /// sweeps only the lanes an accept has dirtied since their stamp,
-    /// compacted and resumed from the deepest checkpoint row they share.
+    /// built: a first pass sweeps every lane clean from row 0; a
+    /// realignment sweeps only the lanes an accept has dirtied since
+    /// their stamp, compacted and resumed from the deepest checkpoint
+    /// row they share.
+    ///
+    /// The plan's [`PackPlan::version`] is the one decision about what
+    /// its result is exact under: the current version, except for a
+    /// first pass that an accepted pair straddles (seeded pruning
+    /// delays first passes past accepts), whose clean scores are exact
+    /// under version 0 — the empty triangle.
     pub fn plan(&mut self, gi: usize, first_pass: bool, tops: &[TopAlignment]) -> PackPlan {
-        if self.incremental {
-            self.dirty.sync_from(tops);
-        }
+        self.dirty.sync_from(tops);
         let splits = self.splits_of(gi);
+        let straddled = first_pass && splits.clone().any(|r| self.dirty.dirty_row(r, 0).is_some());
+        let version = if straddled { 0 } else { tops.len() as u64 };
         let shortcuts = self.shortcuts();
         let (mut clean, mut rs) = (Vec::new(), Vec::new());
         for r in splits {
@@ -443,12 +398,13 @@ impl LanePacks {
                 resume_row = row;
             }
         }
-        // The first pass has no dirty frontier to aim at, so it hedges
-        // with a single mid-depth capture (grid 2) — each extra capture
-        // costs a copy of every lane, but only the one just above the
-        // (future) frontier ever gets used. Realignments capture at the
-        // dirty frontiers only (grid 1): accepts cluster, so the
-        // frontier row is where the next resume wants to start.
+        // A first pass hedges with a single mid-depth capture (grid 2)
+        // — each extra capture costs a copy of every lane, but only the
+        // one just above the (future) frontier ever gets used — plus
+        // the frontiers of accepts that already straddle it, where its
+        // realignment resumes. Realignments capture at the dirty
+        // frontiers only (grid 1): accepts cluster, so the frontier row
+        // is where the next resume wants to start.
         let grid = if first_pass { 2 } else { 1 };
         let capture_rows = if shortcuts && !rs.is_empty() {
             plan_captures(&self.dirty, &rs, resume_row, grid)
@@ -458,7 +414,7 @@ impl LanePacks {
         PackPlan {
             gi,
             first_pass,
-            version: tops.len() as u64,
+            version,
             clean,
             rs,
             resume_row,
@@ -533,7 +489,7 @@ impl LanePacks {
                 };
             }
             self.store_captures(&rs, kept, swept.caps, version);
-            for promoted in swept.vector {
+            if let Some(promoted) = swept.vector {
                 rec.add(Counter::GroupSweeps, 1);
                 rec.add(Counter::PromotedSweeps, u64::from(promoted));
                 rec.add(Counter::LanesActive, npack as u64);
@@ -600,8 +556,7 @@ impl LanePacks {
 pub struct PackPlan {
     gi: usize,
     first_pass: bool,
-    /// Accepts behind the triangle the sweep runs under: the stamp of
-    /// every memo and checkpoint it leaves.
+    /// See [`PackPlan::version`].
     version: u64,
     /// Splits replayable from their memo (no dirty row), ascending.
     clean: Vec<usize>,
@@ -654,12 +609,20 @@ impl PackPlan {
         })
     }
 
-    /// Sweep the planned lanes with `kernel` under `triangle` and
-    /// shadow-filter each bottom row against the lane's clean one —
-    /// `clean_row(r)` for a realignment, the sweep's own clean rows for
-    /// a first pass, which under seeded pruning can come after accepts:
-    /// the pack is then swept twice, clean for the shadow store and
-    /// masked for the scores (see [`first_pass`]).
+    /// The dirty-log version the plan's result is exact under: the
+    /// stamp of every memo and checkpoint its commit leaves, and the one
+    /// a driver requeues and reports the result under. Below the current
+    /// version only for a first pass an accept straddles (version 0).
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// Sweep the planned lanes with `kernel` once. A first pass sweeps
+    /// clean, whatever the accepts so far: its rows are the lanes'
+    /// shadow-store originals and each lane scores its clean maximum,
+    /// exact under version 0 and an upper bound ever after, since
+    /// masking only lowers cells. A realignment sweeps under `triangle`
+    /// and shadow-filters each bottom row against `clean_row(r)`.
     fn sweep<'r, K: PackKernel>(
         &self,
         kernel: &K,
@@ -667,41 +630,32 @@ impl PackPlan {
         clean_row: impl Fn(usize) -> &'r BottomRow,
     ) -> PackSwept {
         let rs = &self.rs;
-        let (first_rows, current, cells, caps, vector) = if self.first_pass {
-            let fp = first_pass(kernel, rs, triangle, &self.capture_rows);
-            let mut vector: Vec<_> = fp.clean.vector.into_iter().collect();
-            let mut cells = fp.clean.cells;
-            let masked = fp.masked.map(|masked| {
-                vector.extend(masked.vector);
-                cells += masked.cells;
-                masked.rows
-            });
-            (fp.clean.rows, masked, cells, fp.caps, vector)
-        } else {
-            let resume = self.resume();
-            let (sweep, caps) =
-                kernel.sweep(rs, Some(triangle), resume.as_ref(), &self.capture_rows);
-            let vector = sweep.vector.into_iter().collect();
-            (Vec::new(), Some(sweep.rows), sweep.cells, caps, vector)
-        };
-        let scored = (0..rs.len())
-            .map(|i| {
-                let original = first_rows.get(i).unwrap_or_else(|| clean_row(rs[i]));
-                match &current {
-                    Some(rows) => {
-                        let (score, _, shadows) = best_valid_entry_counted(&rows[i], original);
-                        (score, shadows)
-                    }
-                    None => (original.max(), 0),
-                }
+        if self.first_pass {
+            let (sweep, caps) = kernel.sweep(rs, None, None, &self.capture_rows);
+            return PackSwept {
+                scored: sweep.rows.iter().map(|row| (row.max(), 0)).collect(),
+                first_rows: sweep.rows,
+                cells: sweep.cells,
+                caps,
+                vector: sweep.vector,
+            };
+        }
+        let resume = self.resume();
+        let (sweep, caps) = kernel.sweep(rs, Some(triangle), resume.as_ref(), &self.capture_rows);
+        let scored = rs
+            .iter()
+            .zip(&sweep.rows)
+            .map(|(&r, row)| {
+                let (score, _, shadows) = best_valid_entry_counted(row, clean_row(r));
+                (score, shadows)
             })
             .collect();
         PackSwept {
-            first_rows,
+            first_rows: Vec::new(),
             scored,
-            cells,
+            cells: sweep.cells,
             caps,
-            vector,
+            vector: sweep.vector,
         }
     }
 }
@@ -715,11 +669,11 @@ pub struct PackSwept {
     first_rows: Vec<BottomRow>,
     /// Per swept lane: exact post-shadow score and shadow rejections.
     scored: Vec<(Score, u64)>,
-    /// Logical cells computed, all sweeps and lanes together.
+    /// Logical cells computed, all lanes together.
     cells: u64,
     caps: Vec<GroupCapture>,
-    /// [`PackSweep::vector`] of each vector-kernel sweep run.
-    vector: Vec<bool>,
+    /// The sweep's [`PackSweep::vector`].
+    vector: Option<bool>,
 }
 
 /// The unit of work: unit `u` is pack `u` of the [`LanePacks`] — lane
@@ -762,6 +716,16 @@ impl<K: PackKernel> PackUnit<K> {
     /// The splits of unit `u`.
     pub fn splits(&self, u: usize) -> Range<usize> {
         group_splits(self.kernel.splits(), self.kernel.lanes(), u)
+    }
+
+    /// What a first pass of unit `u` puts at stake when the seed bounds
+    /// weigh a refresh against it ([`crate::SplitBounds::refresh_before_sweep`]):
+    /// `r(m − r)` at one lane, in *vector* cells (rows × width) — one
+    /// kernel step each, like a cell of the scalar resweep it is weighed
+    /// against.
+    pub fn refresh_stake(&self, u: usize) -> u64 {
+        let splits = self.splits(u);
+        ((splits.end - 1) * (self.kernel.splits() + 1 - splits.start)) as u64
     }
 
     /// The shared state a run starts with.
@@ -825,23 +789,26 @@ mod tests {
         (packs, common): (&mut LanePacks, &Common),
         (u, first): (usize, bool),
         (triangle, tops): (&OverrideTriangle, &[TopAlignment]),
-    ) -> (Score, Stats) {
+    ) -> (Score, u64, Stats) {
         let plan = packs.plan(u, first, tops);
+        let version = plan.version();
         let swept = (!plan.is_replay()).then(|| unit.sweep(common, &plan, triangle));
         let mut grown = Stats::new();
         let score = packs.commit(&mut grown, &mut NoopRecorder, plan, swept);
-        (score, grown)
+        (score, version, grown)
     }
 
     /// The 1-lane pack against the two-sweep oracle, exhaustively in a
     /// small scope: every split × every prefix of the accept history ×
-    /// budget {none, 0, binding, large}. A first pass stores the clean
-    /// row of an empty-triangle `align_task` and scores as a masked one
-    /// — resuming the masked sweep at the first straddled row — and a
-    /// realignment after further accepts equals the from-scratch one,
-    /// whatever state the first pass left behind, counted once as a hit
-    /// or a miss. The 36-nt tandem input has no row a capture may take
-    /// (64-row stride); the 136-nt flanked one resumes.
+    /// budget {none, 0, binding, large}. A first pass is one clean sweep
+    /// whatever the prefix: it stores the clean row of an empty-triangle
+    /// `align_task`, scores its clean maximum, costs its cells and is
+    /// stamped at version 0 exactly when a prefix accept straddles the
+    /// split (at the prefix otherwise). The realignment one accept later
+    /// equals the masked oracle, whatever state the first pass left
+    /// behind, counted once as a hit or a miss. The 36-nt tandem
+    /// input has no row a capture may take (64-row stride); the 136-nt
+    /// flanked one resumes.
     #[test]
     fn one_lane_pack_matches_the_two_sweep_oracle_exhaustively() {
         let flank = "GCTAAAGACAATTACATAACATACACGTCAGCACGAAACTTGTTGGCCCAGTGTGAATC\
@@ -854,13 +821,13 @@ mod tests {
             let counts = oracle_check(&dna(&text));
             guards.iter_mut().zip(counts).for_each(|(g, c)| *g += c);
         }
-        // Guards against a vacuous pass: late first passes, memo
+        // Guards against a vacuous pass: straddled first passes, memo
         // replays and checkpoint resumes must all have occurred.
         assert!(guards.iter().all(|&g| g > 0), "{guards:?}");
     }
 
     /// [`one_lane_pack_matches_the_two_sweep_oracle_exhaustively`] on
-    /// one input: `[late first passes, replays, resumes]` seen.
+    /// one input: `[straddled first passes, replays, resumes]` seen.
     fn oracle_check(seq: &Seq) -> [usize; 3] {
         let scoring = Scoring::dna_example();
         let m = seq.len();
@@ -874,39 +841,58 @@ mod tests {
             }
             triangle
         };
-        let (empty, later) = (triangle(0), triangle(tops.len()));
-        let mut log = DirtyLog::new();
-        log.sync_from(&tops);
+        let empty = triangle(0);
         let (mut late, mut replayed, mut resumed) = (0, 0, 0);
         for prefix in 0..=tops.len() {
-            let now = triangle(prefix);
+            // The realignments run one accept later (every split of
+            // these inputs is straddled by some top, so a replay needs
+            // an accept that leaves the split alone).
+            let next = (prefix + 1).min(tops.len());
+            let (now, later) = (triangle(prefix), triangle(next));
+            let mut log = DirtyLog::new();
+            log.sync_from(&tops[..next]);
+            let straddled = |r: usize| {
+                let mut pairs = tops[..prefix].iter().flat_map(|top| &top.pairs);
+                pairs.any(|&(p, q)| p < r && r <= q)
+            };
             for budget in [None, Some(0), Some(512), Some(1 << 20)] {
                 let what = format!("{m} nt, prefix {prefix}, budget {budget:?}");
                 let unit = PackUnit::new(ScoredSeq::new(seq, &scoring), budget);
                 let (mut packs, common) = (unit.packs(), Common::new(seq, &scoring));
+                // Every first pass under the prefix, then every
+                // realignment one accept later: the accepts the packs
+                // see only ever grow, as in a run.
+                let mut stamps = Vec::new();
                 for r in 1..m {
                     let state = (&mut packs, &common);
-                    let (score, grown) = run(&unit, state, (r - 1, true), (&now, &tops[..prefix]));
+                    let (score, stamp, grown) =
+                        run(&unit, state, (r - 1, true), (&now, &tops[..prefix]));
                     let clean = align_task(seq, &scoring, r, &empty, None);
                     let clean_row = clean.first_row.unwrap();
-                    let masked = align_task(seq, &scoring, r, &now, Some(&clean_row));
                     assert_eq!(*common.row(r), clean_row, "{what} {r}");
                     assert_eq!(
                         (
                             score,
                             grown.shadow_rejections,
+                            grown.cells,
                             grown.checkpoint_hits + grown.checkpoint_misses
                         ),
-                        (masked.score, masked.shadow_rejections, 0),
+                        (clean.score, 0, clean.cells, 0),
                         "{what}, first pass of split {r}"
                     );
-                    let below = now.first_straddling_row(r).map_or(0, |d| (r - d) * (m - r));
-                    assert_eq!(grown.cells, clean.cells + below as u64, "{what} {r}");
-                    late += usize::from(below > 0);
-
+                    let late_pass = straddled(r);
+                    let want = if late_pass { 0 } else { prefix as u64 };
+                    assert_eq!(stamp, want, "{what}, stamp of split {r}'s first pass");
+                    late += usize::from(late_pass);
+                    stamps.push(stamp);
+                }
+                for (r, &stamp) in (1..m).zip(&stamps) {
+                    let clean_row = common.row(r).widened();
                     let oracle = align_task(seq, &scoring, r, &later, Some(&clean_row));
                     let state = (&mut packs, &common);
-                    let (score, again) = run(&unit, state, (r - 1, false), (&later, &tops));
+                    let (score, again_stamp, again) =
+                        run(&unit, state, (r - 1, false), (&later, &tops[..next]));
+                    assert_eq!(again_stamp, next as u64, "{what} {r}");
                     assert_eq!(
                         (score, again.shadow_rejections),
                         (oracle.score, oracle.shadow_rejections),
@@ -923,13 +909,13 @@ mod tests {
                     if budget == Some(0) {
                         // Nothing stored: swept from scratch.
                         assert_eq!((hit, skipped), (0, 0), "{what} {r}");
-                    } else if let Some(d) = log.dirty_row(r, prefix as u64) {
+                    } else if let Some(d) = log.dirty_row(r, stamp) {
                         assert!(skipped <= d as u64, "{what} {r}: resumed too deep");
                         assert_eq!(hit, u64::from(skipped > 0), "{what} {r}");
                         resumed += hit as usize;
                     } else {
-                        // No accept since the first pass straddles the
-                        // split: served entirely from the memo.
+                        // No accept since the first pass's stamp
+                        // straddles the split: served from the memo.
                         assert_eq!((hit, again.cells, skipped), (1, 0, r as u64), "{what} {r}");
                         replayed += 1;
                     }
@@ -952,7 +938,7 @@ mod tests {
         // split 4 clean.
         triangle.set(8, 12);
         let tops = [top(&[(8, 12)])];
-        let (score, s) = run(&unit, (&mut packs, &common), (3, false), (&triangle, &tops));
+        let (score, _, s) = run(&unit, (&mut packs, &common), (3, false), (&triangle, &tops));
         assert_eq!(
             (s.checkpoint_hits, s.cells, s.realign_rows_skipped),
             (1, 0, 4)
@@ -987,7 +973,7 @@ mod tests {
         // Dirty only rows ≥ 160 of split 192 (pair p=160 < 192 ≤ q=200).
         triangle.set(160, 200);
         let tops = [top(&[(160, 200)])];
-        let (score, s) = run(
+        let (score, _, s) = run(
             &unit,
             (&mut packs, &common),
             (r - 1, false),

@@ -93,14 +93,18 @@ impl Stats {
         Stats::default()
     }
 
-    /// Record one score-only pass of `cells` cells while `tops_found` top
-    /// alignments exist.
+    /// Record one score-only pass of `cells` cells, exact under version
+    /// `tops_found` (see [`Self::record_alignments`]).
     pub fn record_alignment(&mut self, cells: u64, tops_found: usize) {
         self.record_alignments(1, cells, tops_found);
     }
 
-    /// Record `n` score-only passes of `cells` cells in total while
-    /// `tops_found` top alignments exist.
+    /// Record `n` score-only passes of `cells` cells in total, booked
+    /// under the version their scores are exact under: `tops_found`, the
+    /// number of top alignments behind the triangle they count against.
+    /// That is the number existing when the sweep was planned, except
+    /// for a first pass delayed past accepts straddling it, which sweeps
+    /// clean and books under version 0 — like every paper first pass.
     pub fn record_alignments(&mut self, n: u64, cells: u64, tops_found: usize) {
         self.alignments += n;
         self.cells += cells;

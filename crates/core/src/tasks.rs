@@ -4,10 +4,10 @@
 //! score it can achieve under the current override triangle: either the
 //! real score from its most recent (re)alignment — whose triangle can
 //! only have grown since — or [`SCORE_INFINITY`] if never aligned.
-//! `aligned_with` records how many top alignments existed when the task
-//! was last aligned; a task is *fresh* iff that count equals the current
-//! one, and a fresh task at the head of the queue is by construction the
-//! next top alignment.
+//! `aligned_with` records the version (count of top alignments) its
+//! last (re)alignment is exact under; a task is *fresh* iff that count
+//! equals the current one, and a fresh task at the head of the queue is
+//! by construction the next top alignment.
 //!
 //! ## The bound lattice
 //!
@@ -18,15 +18,21 @@
 //! 1. `SCORE_INFINITY` — the paper's initial bound: trivially
 //!    admissible, totally uninformative.
 //! 2. **seed bound** `bound(r)` — from [`crate::seed::SplitBounds`]
-//!    ([`Task::initial_bounded`] /
-//!    [`TaskQueue::for_sequence_len_bounded`]): admissible by the
-//!    triangular-sweep dominance argument (from both ends of the
-//!    path), finite, and refreshed on demand (only ever tightening)
-//!    as the override triangle grows. A task can re-enter the queue
-//!    with a tighter seed bound without being aligned — that is the
-//!    "pruned pop" fast path.
-//! 3. **exact score** — after a (re)alignment; still an upper bound
-//!    later because masking is monotone.
+//!    ([`Task::initial_bounded`]): admissible by the triangular-sweep
+//!    dominance argument (from both ends of the path), finite, and
+//!    refreshed on demand (only ever tightening) as the override
+//!    triangle grows. A task can re-enter the queue with a tighter
+//!    seed bound without being aligned — that is the "pruned pop" fast
+//!    path.
+//! 3. **exact score** — after a (re)alignment, exact under the version
+//!    the sweep is stamped with; still an upper bound later because
+//!    masking is monotone. A first pass that seeded pruning delayed
+//!    past accepts straddling it sweeps clean and is stamped at
+//!    version 0: its clean score is exact under the empty triangle and
+//!    an upper bound under every later one. It re-enters at the lower
+//!    of that score and its seed bound (both admissible; a refreshed
+//!    seed bound can sit below the clean score), stale, so the next pop
+//!    realigns it under the current triangle.
 //!
 //! Because stale scores at any lattice level are upper bounds, a fresh
 //! task at the head still beats every possible competitor — pruning
@@ -58,8 +64,8 @@ pub struct Task {
     pub r: usize,
     /// Upper bound (stale) or exact (fresh) alignment score.
     pub score: Score,
-    /// Number of top alignments that existed at the last (re)alignment;
-    /// [`NEVER_ALIGNED`] initially.
+    /// The version (number of top alignments) the last (re)alignment's
+    /// score is exact under; [`NEVER_ALIGNED`] initially.
     pub aligned_with: usize,
 }
 
@@ -121,22 +127,6 @@ impl TaskQueue {
         let mut heap = BinaryHeap::with_capacity(m.saturating_sub(1));
         for r in 1..m {
             heap.push(Task::initial(r));
-        }
-        TaskQueue { heap }
-    }
-
-    /// Queue initialised with one [`Task::initial_bounded`] per split,
-    /// taking each split's bound from `bounds[r]` (indexed by `r`,
-    /// entry 0 unused — the layout of
-    /// [`crate::seed::SplitBounds::bounds`]). Splits beyond
-    /// `bounds.len()` fall back to [`SCORE_INFINITY`].
-    pub fn for_sequence_len_bounded(m: usize, bounds: &[Score]) -> Self {
-        let mut heap = BinaryHeap::with_capacity(m.saturating_sub(1));
-        for r in 1..m {
-            match bounds.get(r) {
-                Some(&b) => heap.push(Task::initial_bounded(r, b)),
-                None => heap.push(Task::initial(r)),
-            }
         }
         TaskQueue { heap }
     }
@@ -222,24 +212,6 @@ mod tests {
         let mut splits: Vec<usize> = std::iter::from_fn(|| q.pop()).map(|t| t.r).collect();
         splits.sort();
         assert_eq!(splits, vec![1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn bounded_queue_orders_by_bound_then_split() {
-        // bounds indexed by r; entry 0 unused.
-        let bounds = [0, 5, 9, 5, 2];
-        let mut q = TaskQueue::for_sequence_len_bounded(5, &bounds);
-        assert_eq!(q.len(), 4);
-        let popped: Vec<(usize, Score)> = std::iter::from_fn(|| q.pop())
-            .map(|t| (t.r, t.score))
-            .collect();
-        assert_eq!(popped, vec![(2, 9), (1, 5), (3, 5), (4, 2)]);
-        // All bounded tasks start never-aligned.
-        let q = TaskQueue::for_sequence_len_bounded(3, &[0, 7, 7]);
-        assert!(q.peek().unwrap().aligned_with == NEVER_ALIGNED);
-        // Short bound tables fall back to infinity.
-        let mut q = TaskQueue::for_sequence_len_bounded(4, &[0, 1]);
-        assert_eq!(q.pop().unwrap().score, SCORE_INFINITY);
     }
 
     #[test]

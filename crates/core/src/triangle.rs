@@ -84,13 +84,6 @@ impl OverrideTriangle {
         &row[..row.partition_point(|&q| (q as usize) < hi)]
     }
 
-    /// The first row of split `r`'s matrix the mask touches: the
-    /// smallest `p < r` with an overridden `(p, q)`, `q ≥ r`. Rows above
-    /// it sweep identically with and without the mask.
-    pub fn first_straddling_row(&self, r: usize) -> Option<usize> {
-        (0..r.min(self.m)).find(|&p| self.row(p).last().is_some_and(|&q| q as usize >= r))
-    }
-
     /// Is pair `(p, q)` overridden? Requires `p < q < m`.
     #[inline]
     pub fn get(&self, p: usize, q: usize) -> bool {
@@ -224,22 +217,6 @@ mod tests {
                 .map(|q| q as u32)
                 .collect();
             assert_eq!(t.row_range(p, lo, hi), want, "row_range({p},{lo},{hi})");
-        }
-    }
-
-    #[test]
-    fn first_straddling_row_is_the_minimal_p_across_the_split() {
-        let mut t = OverrideTriangle::new(20);
-        for (p, q) in [(2, 7), (3, 8), (4, 9), (12, 15)] {
-            t.set(p, q);
-        }
-        for r in 0..=21 {
-            let want = t
-                .iter()
-                .filter(|&(p, q)| p < r && r <= q)
-                .map(|(p, _)| p)
-                .min();
-            assert_eq!(t.first_straddling_row(r), want, "split {r}");
         }
     }
 

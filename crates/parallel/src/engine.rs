@@ -222,16 +222,11 @@ impl<K: PackKernel> Engine<'_, K> {
             if shared.state[u].aligned_with == NEVER {
                 if let Some(bounds) = shared.bounds.as_mut() {
                     let input = &self.common.input;
-                    // The stake in *vector* cells (rows × width): one
-                    // kernel step each, like a cell of the scalar
-                    // resweep it is weighed against.
-                    let splits = self.unit.splits(u);
-                    let stake = ((splits.end - 1) * (input.seq.len() - splits.start)) as u64;
                     if bounds.refresh_before_sweep(
                         input.seq.codes(),
                         input.scoring,
                         &shared.triangle,
-                        stake,
+                        self.unit.refresh_stake(u),
                     ) {
                         for (v, t) in shared.state.iter_mut().enumerate() {
                             if t.aligned_with == NEVER && !t.assigned {
@@ -314,6 +309,7 @@ impl<K: PackKernel> Engine<'_, K> {
                     // superseded.
                     let shared = &mut *guard;
                     let plan = shared.packs.plan(u, first, &shared.tops);
+                    let version = plan.version() as usize;
                     let swept = if plan.is_replay() {
                         None
                     } else {
@@ -349,13 +345,16 @@ impl<K: PackKernel> Engine<'_, K> {
                     }
                     let t = &mut shared.state[u];
                     // Masking monotonicity for realignments, seed-bound
-                    // admissibility for first passes.
+                    // admissibility for first passes: every score exact
+                    // under the version it was planned at.
                     debug_assert!(
-                        score <= t.score,
+                        version < stamp || score <= t.score,
                         "sweep of unit {u} rose above its upper bound"
                     );
-                    t.score = score;
-                    t.aligned_with = stamp;
+                    // Exact, that is the score itself; stale (a late
+                    // first pass), the tighter of two admissible bounds.
+                    t.score = score.min(t.score);
+                    t.aligned_with = version;
                     t.assigned = false;
                     shared.tally.observe(
                         Metric::TaskRoundTripNs,

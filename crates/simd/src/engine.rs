@@ -218,7 +218,6 @@ mod tests {
     use crate::dispatch::{select, DispatchPath};
     use crate::group::LaneResume;
     use crate::LaneWidth;
-    use repro_core::pack::first_pass;
     use repro_core::{find_top_alignments, ScoredSeq, SeedConfig};
     use repro_obs::{Counter, FlightRecorder, NoopRecorder, Phase};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -301,67 +300,6 @@ mod tests {
                 Accepted { r: 8, score: 8 },
             ]
         );
-    }
-
-    /// A pack's first pass under a grown triangle — clean sweep down to
-    /// the first dirty row, masked sweep resumed there — returns the
-    /// rows and *every* requested capture of two full sweeps from row 0,
-    /// at width 1 (the row kernel, one split at a time) and ×4/×8/×16.
-    #[test]
-    fn late_first_pass_equals_two_full_sweeps() {
-        let seq = Seq::dna(&"ACGGTACGTTACGGAACGT".repeat(4)).unwrap();
-        let scoring = Scoring::dna_example();
-        let rs = [40usize, 41, 42, 43];
-        let capture_rows = [5usize, 12, 20, 30, 41];
-        let row = ScoredSeq::new(&seq, &scoring);
-        for r in rs {
-            let own: Vec<usize> = capture_rows.iter().copied().filter(|&c| c < r).collect();
-            check_first_pass_under_grown_triangle(&row, &seq, &[r], &own);
-        }
-        for width in ALL_WIDTHS {
-            let sel = select(Some(width), Some(DispatchPath::Portable)).unwrap();
-            let sweeper = GroupSweeper::new(&seq, &scoring, sel);
-            check_first_pass_under_grown_triangle(&sweeper, &seq, &rs, &capture_rows);
-        }
-    }
-
-    /// The test above for one kernel and pack: the first dirty row
-    /// none, 0, between captures, on a capture, below the smallest split
-    /// (capped to it).
-    fn check_first_pass_under_grown_triangle<K: PackKernel>(
-        kernel: &K,
-        seq: &Seq,
-        rs: &[usize],
-        capture_rows: &[usize],
-    ) {
-        let empty = OverrideTriangle::new(seq.len());
-        for pairs in [
-            vec![(50, 60)],
-            vec![(0, 45), (20, 50)],
-            vec![(8, 41)],
-            vec![(12, 70), (13, 71)],
-            vec![(41, 43)],
-        ] {
-            let mut triangle = OverrideTriangle::new(seq.len());
-            for &(p, q) in &pairs {
-                triangle.set(p, q);
-            }
-            let what = format!("{pairs:?} on {rs:?}");
-            let fp = first_pass(kernel, rs, &triangle, capture_rows);
-            let (clean, _) = kernel.sweep(rs, Some(&empty), None, &[]);
-            let (masked, caps) = kernel.sweep(rs, Some(&triangle), None, capture_rows);
-            assert_eq!(fp.clean.rows, clean.rows, "{what}");
-            let straddled = rs
-                .iter()
-                .any(|&r| triangle.first_straddling_row(r).is_some());
-            assert_eq!(fp.masked.is_some(), straddled, "{what}");
-            let current = fp.masked.as_ref().unwrap_or(&fp.clean);
-            assert_eq!(current.rows, masked.rows, "{what}");
-            assert_eq!(fp.caps.len(), caps.len(), "{what}");
-            for (got, want) in fp.caps.iter().zip(&caps) {
-                assert_eq!((got.row, &got.lanes), (want.row, &want.lanes), "{what}");
-            }
-        }
     }
 
     #[test]
