@@ -120,9 +120,9 @@ impl LastRow {
     }
 }
 
-/// A bottom row at the width its score bound allows: `i16` where
-/// [`row::NarrowBody::exact_for`] holds for the matrix, else `i32`. Every
-/// entry is a matrix value, so non-negative. Rows compare by value,
+/// A bottom row as a kernel hands it over: `i16` where its sweep ran the
+/// `i16` body (a bound proved every entry exact there), else `i32`.
+/// Every entry is a matrix value, so non-negative. Rows compare by value,
 /// whatever their widths.
 #[derive(Debug, Clone)]
 pub enum BottomRow {
@@ -135,10 +135,7 @@ pub enum BottomRow {
 impl BottomRow {
     /// Number of entries (the matrix's columns).
     pub fn len(&self) -> usize {
-        match self {
-            BottomRow::Narrow(v) => v.len(),
-            BottomRow::Wide(v) => v.len(),
-        }
+        self.view().len()
     }
 
     /// `true` for the row of a matrix without columns.
@@ -164,25 +161,7 @@ impl BottomRow {
 
     /// The row in `i32`, copied.
     pub fn widened(&self) -> Vec<Score> {
-        match self {
-            BottomRow::Narrow(v) => v.iter().map(|&x| x.into()).collect(),
-            BottomRow::Wide(v) => v.clone(),
-        }
-    }
-
-    /// This row in `i16` when `narrow`, else in `i32`; a row already at
-    /// that width is moved, not copied. `narrow` must come from a bound
-    /// that admits every entry.
-    pub fn at_width(self, narrow: bool) -> BottomRow {
-        match (self, narrow) {
-            (BottomRow::Wide(v), true) => BottomRow::Narrow(
-                v.iter()
-                    .map(|&x| i16::try_from(x).expect("the bound admits every entry"))
-                    .collect(),
-            ),
-            (row @ BottomRow::Narrow(_), false) => BottomRow::Wide(row.widened()),
-            (row, _) => row,
-        }
+        self.view().widened()
     }
 }
 
@@ -206,31 +185,142 @@ impl From<Vec<Score>> for BottomRow {
     }
 }
 
-/// A borrowed [`BottomRow`], or any `i32` row.
+/// A bottom row as the first-pass row store keeps it: each entry as its
+/// difference from its left neighbour (the first from 0) in one byte,
+/// unless some difference falls outside `i8`, in which case the entries
+/// themselves in `i32`. The row decides its form ([`Self::encode`]), so a
+/// row has exactly one, and rows compare by value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StoredRow {
+    /// Every neighbour difference fits `i8`; [`delta_entries`] reads it.
+    Delta(Box<[i8]>),
+    /// Some neighbour difference does not fit `i8`.
+    Plain(Box<[Score]>),
+}
+
+impl StoredRow {
+    /// The one encoder: deltas in one pass, falling back to plain `i32`
+    /// at the first difference outside `i8`.
+    pub fn encode(row: BottomRow) -> StoredRow {
+        fn deltas<T: Copy + Into<Score>>(row: &[T]) -> Option<Box<[i8]>> {
+            let mut out = Vec::with_capacity(row.len());
+            let mut prev: Score = 0;
+            for &x in row {
+                let x = x.into();
+                out.push(i8::try_from(x - prev).ok()?);
+                prev = x;
+            }
+            Some(out.into_boxed_slice())
+        }
+        let coded = match &row {
+            BottomRow::Narrow(v) => deltas(v),
+            BottomRow::Wide(v) => deltas(v),
+        };
+        match (coded, row) {
+            (Some(d), _) => StoredRow::Delta(d),
+            (None, BottomRow::Wide(v)) => StoredRow::Plain(v.into_boxed_slice()),
+            (None, row @ BottomRow::Narrow(_)) => StoredRow::Plain(row.widened().into()),
+        }
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.view().len()
+    }
+
+    /// `true` for the row of a matrix without columns.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes of payload: one per entry as deltas, four as plain.
+    pub fn bytes(&self) -> usize {
+        match self {
+            StoredRow::Delta(v) => std::mem::size_of_val::<[i8]>(v),
+            StoredRow::Plain(v) => std::mem::size_of_val::<[Score]>(v),
+        }
+    }
+
+    /// Borrow the row in its stored form.
+    pub fn view(&self) -> RowRef<'_> {
+        match self {
+            StoredRow::Delta(v) => RowRef::Delta(v),
+            StoredRow::Plain(v) => RowRef::Wide(v),
+        }
+    }
+
+    /// The row in `i32`, decoded (the wire's form).
+    pub fn widened(&self) -> Vec<Score> {
+        self.view().widened()
+    }
+}
+
+impl PartialEq<Vec<Score>> for StoredRow {
+    fn eq(&self, other: &Vec<Score>) -> bool {
+        self.view() == RowRef::Wide(other)
+    }
+}
+
+/// The one decoder of [`StoredRow::Delta`]: its entries, a running sum
+/// of the deltas from 0. Readers fuse it with the loop that reads them.
+pub fn delta_entries(deltas: &[i8]) -> impl Iterator<Item = Score> + '_ {
+    deltas.iter().scan(0, |sum: &mut Score, &d| {
+        *sum += Score::from(d);
+        Some(*sum)
+    })
+}
+
+/// A borrowed [`BottomRow`] or [`StoredRow`], or any `i32` row.
 #[derive(Debug, Clone, Copy)]
 pub enum RowRef<'a> {
     /// `i16` entries.
     Narrow(&'a [i16]),
     /// `i32` entries.
     Wide(&'a [Score]),
+    /// `i8` deltas from the left neighbour, the first from 0
+    /// ([`delta_entries`]).
+    Delta(&'a [i8]),
+}
+
+impl RowRef<'_> {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        match *self {
+            RowRef::Narrow(v) => v.len(),
+            RowRef::Wide(v) => v.len(),
+            RowRef::Delta(v) => v.len(),
+        }
+    }
+
+    /// `true` for the row of a matrix without columns.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The row in `i32`, copied or decoded.
+    pub fn widened(&self) -> Vec<Score> {
+        match *self {
+            RowRef::Narrow(v) => v.iter().map(|&x| x.into()).collect(),
+            RowRef::Wide(v) => v.to_vec(),
+            RowRef::Delta(v) => delta_entries(v).collect(),
+        }
+    }
 }
 
 impl PartialEq for RowRef<'_> {
     fn eq(&self, other: &Self) -> bool {
-        fn same<A: Copy + Into<Score>, B: Copy + Into<Score>>(a: &[A], b: &[B]) -> bool {
-            a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| x.into() == y.into())
-        }
-        match (*self, *other) {
-            (RowRef::Narrow(a), RowRef::Narrow(b)) => a == b,
-            (RowRef::Wide(a), RowRef::Wide(b)) => a == b,
-            (RowRef::Narrow(a), RowRef::Wide(b)) => same(a, b),
-            (RowRef::Wide(a), RowRef::Narrow(b)) => same(a, b),
-        }
+        self.widened() == other.widened()
     }
 }
 
 impl<'a> From<&'a BottomRow> for RowRef<'a> {
     fn from(row: &'a BottomRow) -> Self {
+        row.view()
+    }
+}
+
+impl<'a> From<&'a StoredRow> for RowRef<'a> {
+    fn from(row: &'a StoredRow) -> Self {
         row.view()
     }
 }

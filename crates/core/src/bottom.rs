@@ -11,28 +11,29 @@
 //! algorithm's largest data structure. There is one store, [`Common`],
 //! for the inline driver and the SMP engine alike: a unit's sweep moves
 //! each first-pass row in, written once and immutable from then on.
+//!
+//! A row is stored as one signed byte per entry, its difference from
+//! the entry to its left (the first from 0), unless some difference
+//! falls outside `i8`; then it is stored in plain `i32`
+//! ([`StoredRow::encode`]). The row alone decides, so the form is exact
+//! for every row whatever its scores. The shadow filter and the
+//! accept read a delta row through a running sum inside the loop that
+//! compares ([`best_valid_entry_counted`]); rows leave the store in
+//! `i32` only for the wire ([`StoredRow::widened`]).
 
 use crate::finder::ScoredSeq;
-use repro_align::kernel::row::NarrowBody;
-use repro_align::{BottomRow, RowRef, Score, Scoring, Seq};
+use repro_align::{delta_entries, BottomRow, RowRef, Score, Scoring, Seq, StoredRow};
 use std::sync::OnceLock;
 
 /// What every sweep and acceptance reads without a lock: the profiled
 /// sequence (sweeps, and the acceptance traceback) and the first-pass
-/// bottom rows, written once each.
-///
-/// Split `r`'s row is stored in `i16` where [`NarrowBody::exact_for`]
-/// holds at `min(r, m − r)` pairs — every entry is at most `peak⁺ ·
-/// min(r, m − r)` (DESIGN.md "Group recurrence bound") — and in `i32`
-/// otherwise ([`Self::narrow`]); under BLOSUM62 that is every split
-/// within ≈ 2 950 residues of an end, so the store is about half its
-/// `i32` size up to ≈ 5 900 residues.
+/// bottom rows, written once each, each in its [`StoredRow`] form.
 #[derive(Debug)]
 pub struct Common<'a> {
     /// The sequence under its scoring, profiled once.
     pub input: ScoredSeq<'a>,
     /// Index `r − 1`.
-    rows: Vec<OnceLock<BottomRow>>,
+    rows: Vec<OnceLock<StoredRow>>,
 }
 
 impl<'a> Common<'a> {
@@ -44,14 +45,8 @@ impl<'a> Common<'a> {
         }
     }
 
-    /// Is split `r`'s row stored in `i16`?
-    pub fn narrow(&self, r: usize) -> bool {
-        let (m, scoring) = (self.input.seq.len(), self.input.scoring);
-        NarrowBody::exact_for(scoring.exchange.max_score(), r.min(m - r), scoring.gaps)
-    }
-
     /// The clean bottom row of a split that has had its first pass.
-    pub fn row(&self, r: usize) -> &BottomRow {
+    pub fn row(&self, r: usize) -> &StoredRow {
         self.rows[r - 1]
             .get()
             .expect("split must have a first-pass row")
@@ -62,9 +57,17 @@ impl<'a> Common<'a> {
         self.rows[r - 1].get().is_some()
     }
 
-    /// Store the clean bottom row a first pass of `r` returned, by
-    /// value, at the split's width ([`Self::narrow`]): a row already at
-    /// that width is moved in, not copied.
+    /// Payload bytes of every row stored now ([`StoredRow::bytes`]).
+    pub fn row_bytes(&self) -> usize {
+        self.rows
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(StoredRow::bytes)
+            .sum()
+    }
+
+    /// Store the clean bottom row a first pass of `r` returned, encoded
+    /// ([`StoredRow::encode`]).
     ///
     /// # Panics
     /// Panics if the row was already stored (first-pass rows are
@@ -77,7 +80,7 @@ impl<'a> Common<'a> {
             self.rows.len() + 1 - r,
             "bottom row length mismatch"
         );
-        let stored = self.rows[r - 1].set(row.at_width(self.narrow(r)));
+        let stored = self.rows[r - 1].set(StoredRow::encode(row));
         assert!(stored.is_ok(), "bottom row for split {r} stored twice");
     }
 
@@ -91,11 +94,10 @@ impl<'a> Common<'a> {
 /// Shadow filter: the best *valid* bottom-row entry of a realignment.
 ///
 /// `current` is the freshly computed bottom row under the active override
-/// triangle; `original` is the stored first-pass row. Either may be held
-/// in `i16` or `i32` ([`BottomRow`]). Valid end points are the positions
-/// where both agree (paper App. A); returns the best valid score and its
-/// (leftmost) column, or `(0, None)` when every positive entry is
-/// shadowed.
+/// triangle; `original` is the stored first-pass row. Either may be any
+/// [`RowRef`]. Valid end points are the positions where both agree
+/// (paper App. A); returns the best valid score and its (leftmost)
+/// column, or `(0, None)` when every positive entry is shadowed.
 pub fn best_valid_entry<'c, 'o>(
     current: impl Into<RowRef<'c>>,
     original: impl Into<RowRef<'o>>,
@@ -108,29 +110,45 @@ pub fn best_valid_entry<'c, 'o>(
 /// number of positions where the realigned row disagrees with the
 /// stored first-pass row. The count feeds
 /// [`crate::Stats::shadow_rejections`].
+///
+/// `current` is read as the slice it is (a kernel's row is `i16` or
+/// `i32`), `original` entry by entry in the same loop, a delta row
+/// through [`delta_entries`]. A delta-coded `current` is decoded first.
 pub fn best_valid_entry_counted<'c, 'o>(
     current: impl Into<RowRef<'c>>,
     original: impl Into<RowRef<'o>>,
 ) -> (Score, Option<usize>, u64) {
-    match (current.into(), original.into()) {
-        (RowRef::Narrow(c), RowRef::Narrow(o)) => filter(c, o),
-        (RowRef::Narrow(c), RowRef::Wide(o)) => filter(c, o),
-        (RowRef::Wide(c), RowRef::Narrow(o)) => filter(c, o),
-        (RowRef::Wide(c), RowRef::Wide(o)) => filter(c, o),
+    let original = original.into();
+    match current.into() {
+        RowRef::Narrow(c) => against(c, original),
+        RowRef::Wide(c) => against(c, original),
+        delta @ RowRef::Delta(_) => against(&delta.widened(), original),
     }
 }
 
-/// The shadow filter at one pair of widths.
-fn filter<C: Copy + Into<Score>, O: Copy + Into<Score>>(
+/// The shadow filter of one current row, at the stored row's form.
+fn against<C: Copy + Into<Score>>(
     current: &[C],
-    original: &[O],
+    original: RowRef<'_>,
 ) -> (Score, Option<usize>, u64) {
     debug_assert_eq!(current.len(), original.len());
+    match original {
+        RowRef::Narrow(o) => filter(current, o.iter().map(|&x| x.into())),
+        RowRef::Wide(o) => filter(current, o.iter().copied()),
+        RowRef::Delta(o) => filter(current, delta_entries(o)),
+    }
+}
+
+/// The shadow filter's loop: `original` decodes as it is compared.
+fn filter<C: Copy + Into<Score>>(
+    current: &[C],
+    original: impl Iterator<Item = Score>,
+) -> (Score, Option<usize>, u64) {
     let mut best = 0;
     let mut col = None;
     let mut shadows = 0u64;
-    for (x, (&c, &o)) in current.iter().zip(original).enumerate() {
-        let (c, o) = (c.into(), o.into());
+    for (x, (&c, o)) in current.iter().zip(original).enumerate() {
+        let c = c.into();
         if c == o {
             if c > best {
                 best = c;
@@ -146,6 +164,9 @@ fn filter<C: Copy + Into<Score>, O: Copy + Into<Score>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::finder::{FinderConfig, Search, Step, TopAlignmentFinder};
+    use crate::SplitMask;
+    use repro_align::{ExchangeMatrix, GapPenalties, NoMask};
 
     fn dna(len: usize) -> Seq {
         Seq::dna(&"ACGT".repeat(len)[..len]).unwrap()
@@ -242,5 +263,70 @@ mod tests {
         let current = [7, 0, 7];
         let (score, col) = best_valid_entry(&current, &original);
         assert_eq!((score, col), (7, Some(0)));
+    }
+
+    /// Exhaustive small scope for the stored form: every split of every
+    /// `{A,C}` string up to 10 long, under the paper's scoring (every
+    /// row deltas) and one whose match score exceeds `i8` (both forms).
+    /// Each stored row reads back bit-identical to the kernel's row, from
+    /// its `i32` and its `i16` hand-over alike, and before every step of
+    /// the sequential run the shadow filter of every split's row under
+    /// the triangle of that moment against the stored row equals the
+    /// filter against the plain row.
+    #[test]
+    fn stored_rows_read_back_exactly_and_filter_as_plain_rows() {
+        let wide = Scoring::new(
+            ExchangeMatrix::match_mismatch(repro_align::Alphabet::Dna, 200, -150),
+            GapPenalties::new(40, 20),
+        );
+        // Per scoring: rows stored plain, rows stored as deltas.
+        let mut forms = [[0usize; 2]; 2];
+        for (s, scoring) in [Scoring::dna_example(), wide].iter().enumerate() {
+            for n in 0..=10usize {
+                for bits in 0..1u32 << n {
+                    let text: String = (0..n)
+                        .map(|i| if bits >> i & 1 == 0 { 'A' } else { 'C' })
+                        .collect();
+                    let seq = Seq::dna(&text).unwrap();
+                    let common = Common::new(&seq, scoring);
+                    for r in 1..n {
+                        let row = common.input.split(r).last_row(NoMask).row;
+                        let narrow: Vec<i16> = row.iter().map(|&x| x as i16).collect();
+                        let from_narrow = StoredRow::encode(BottomRow::Narrow(narrow));
+                        common.set_row(r, row.clone());
+                        assert_eq!(common.row(r).widened(), row, "{text} split {r}");
+                        assert_eq!(*common.row(r), from_narrow, "{text} split {r}");
+                        let delta = matches!(common.row(r), StoredRow::Delta(_));
+                        forms[s][usize::from(delta)] += 1;
+                    }
+                    let config = FinderConfig::new(Search::new(n));
+                    let mut finder = TopAlignmentFinder::new(&seq, scoring, config);
+                    loop {
+                        for r in 1..n {
+                            let mask = SplitMask::new(finder.triangle(), r);
+                            let current = common.input.split(r).last_row(mask).row;
+                            let plain = common.row(r).widened();
+                            assert_eq!(
+                                best_valid_entry_counted(&current, common.row(r)),
+                                best_valid_entry_counted(&current, &plain),
+                                "{text} split {r}"
+                            );
+                        }
+                        if finder.step() == Step::Done {
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            forms[0][0], 0,
+            "the paper's scoring stores every row as deltas"
+        );
+        assert!(
+            forms[1][0] > 0 && forms[1][1] > 0,
+            "both forms: {:?}",
+            forms[1]
+        );
     }
 }

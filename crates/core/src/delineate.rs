@@ -101,11 +101,22 @@ fn estimate_period(tops: &[TopAlignment]) -> Option<usize> {
     medians.sort_unstable();
     medians.dedup();
 
-    // All pair offsets, the voting population.
-    let offsets: Vec<i64> = tops
+    // All pair offsets, the voting population, as runs of one offset
+    // and its number of pairs: the offsets of one alignment are nearly
+    // constant, so there are far fewer distinct offsets than pairs.
+    let mut offsets: Vec<i64> = tops
         .iter()
         .flat_map(|t| t.pairs.iter().map(|&(p, q)| (q - p) as i64))
         .collect();
+    let voters = offsets.len() as f64;
+    offsets.sort_unstable();
+    let mut runs: Vec<(i64, f64)> = Vec::new();
+    for o in offsets {
+        match runs.last_mut() {
+            Some((v, n)) if *v == o => *n += 1.0,
+            _ => runs.push((o, 1.0)),
+        }
+    }
 
     let mut candidates: Vec<i64> = Vec::new();
     for (i, &a) in medians.iter().enumerate() {
@@ -129,24 +140,25 @@ fn estimate_period(tops: &[TopAlignment]) -> Option<usize> {
     // Fractional fit: each offset contributes 1 − dev/tol (clamped at
     // zero), so a divisor must *explain* offsets, not merely sit within
     // an absolute slack of them — a binary tolerance would make every
-    // tiny divisor a universal fitter.
+    // tiny divisor a universal fitter. A run contributes its offset's
+    // share once per pair.
     let score = |d: i64| -> f64 {
         let tol = (d as f64 * 0.12).max(1.0);
-        offsets
-            .iter()
-            .map(|&o| {
+        runs.iter()
+            .map(|&(o, n)| {
                 let k = ((o as f64 / d as f64).round() as i64).max(1);
                 let dev = (o - k * d).abs() as f64;
-                (1.0 - dev / tol).max(0.0)
+                n * (1.0 - dev / tol).max(0.0)
             })
             .sum()
     };
-    // The fit is O(offsets) per candidate: score each candidate once.
+    // The fit is O(distinct offsets) per candidate: score each
+    // candidate once.
     let scores: Vec<f64> = candidates.iter().map(|&d| score(d)).collect();
     let best_score = scores.iter().copied().fold(0.0f64, f64::max);
     // Periodicity must explain a substantial share of the offsets, or
     // the offsets simply are not periodic.
-    if best_score < 0.4 * offsets.len() as f64 {
+    if best_score < 0.4 * voters {
         return None;
     }
     // Largest candidate achieving (almost) the best score wins: for an
@@ -411,6 +423,13 @@ mod tests {
         use repro_seqgen::{PlantedRepeats, RepeatSpec};
         let dna = Scoring::dna_example();
         let protein = Scoring::protein_default();
+        let dense = repro_seqgen::titin::TitinParams {
+            families: 1,
+            domain_len: (95, 95),
+            linker_len: (5, 5),
+            substitution_rate: 0.4,
+            ..Default::default()
+        };
         let inputs = [
             (Seq::dna(&"ATGC".repeat(20)).unwrap(), &dna, 12),
             (repro_seqgen::titin_like(240, 1), &protein, 12),
@@ -429,6 +448,18 @@ mod tests {
                 PlantedRepeats::generate(&RepeatSpec::dna_sparse_island(12, 4), 2).seq,
                 &dna,
                 6,
+            ),
+            // The benchmark's dense chain (one family, fixed domain
+            // and linker lengths) and its tandem DNA, at smaller sizes.
+            (
+                repro_seqgen::titin::titin_like_with(200, 3, &dense),
+                &protein,
+                12,
+            ),
+            (
+                PlantedRepeats::generate(&RepeatSpec::dna_tandem(25, 8), 11).seq,
+                &dna,
+                18,
             ),
         ];
         let mut periodic = 0;

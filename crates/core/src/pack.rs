@@ -52,7 +52,7 @@ use crate::finder::{ScoredSeq, TopAlignment};
 use crate::split_mask::SplitMask;
 use crate::stats::Stats;
 use crate::triangle::OverrideTriangle;
-use repro_align::{BottomRow, Checkpoint, CheckpointStore, NoMask, Score, NEG_INF};
+use repro_align::{BottomRow, Checkpoint, CheckpointStore, NoMask, Score, StoredRow, NEG_INF};
 use repro_obs::{Counter, Metric, Recorder};
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -627,7 +627,7 @@ impl PackPlan {
         &self,
         kernel: &K,
         triangle: &OverrideTriangle,
-        clean_row: impl Fn(usize) -> &'r BottomRow,
+        clean_row: impl Fn(usize) -> &'r StoredRow,
     ) -> PackSwept {
         let rs = &self.rs;
         if self.first_pass {
@@ -734,8 +734,8 @@ impl<K: PackKernel> PackUnit<K> {
         LanePacks::new(splits, lanes, self.checkpoint_budget)
     }
 
-    /// Sweep as planned under `triangle`; first passes move their clean
-    /// rows into `common`, realignments read them there.
+    /// Sweep as planned under `triangle`; first passes store their clean
+    /// rows in `common`, realignments read them there.
     pub fn sweep(
         &self,
         common: &Common<'_>,
@@ -743,8 +743,8 @@ impl<K: PackKernel> PackUnit<K> {
         triangle: &OverrideTriangle,
     ) -> PackSwept {
         let mut swept = plan.sweep(&self.kernel, triangle, |r| common.row(r));
-        // A first pass hands its clean rows over by value: moved into
-        // the write-once store, not copied.
+        // A first pass hands its clean rows over by value, to be
+        // encoded into the write-once store.
         for (&r, row) in plan.splits().iter().zip(swept.first_rows.drain(..)) {
             common.set_row(r, row);
         }

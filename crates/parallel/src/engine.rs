@@ -134,8 +134,16 @@ pub(crate) fn run<K: PackKernel, R: Recorder>(
 
     if splits > 0 && search.count > 0 {
         std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| engine.worker());
+            let workers: Vec<_> = (0..threads)
+                .map(|_| scope.spawn(|| engine.worker()))
+                .collect();
+            // Join each OS thread, not only its closure (all the scope
+            // waits for): a worker still exiting holds its malloc arena,
+            // so the next search's workers would each open a new one.
+            for worker in workers {
+                if let Err(panic) = worker.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
     }

@@ -6,6 +6,8 @@
 //! the paper's correctness backbone: parallelisation and the `O(n³)`
 //! rewrite change *work*, not *answers*.
 
+use repro::align::{NoMask, StoredRow};
+use repro::core::Common;
 use repro::obs::json::Json;
 use repro::{
     DispatchPath, Engine, LaneWidth, LegacyKernel, Repro, Scoring, SeedConfig, Seq, Transport,
@@ -422,16 +424,16 @@ fn two_residue_period() {
     assert_all_agree(&seq, &Scoring::dna_example(), 6);
 }
 
-/// A scaled scoring (match 793, mismatch −1 200, gaps 2 000 + 387·k)
-/// puts one 140-nt sequence's first-pass rows on both sides of the
-/// `i16` row-store bound, whose edge it hits exactly (`793 · 34 + 15 ·
-/// 387 = i16::MAX`, not below it): splits within 33 of an end are
-/// stored in `i16`, the others in `i32`. Repeats planted near an end
-/// and in the middle are accepted from both kinds of split, and every
-/// engine, plain and seeded with checkpoints, returns
-/// `find_top_alignments`' tops.
+/// The paper's DNA scoring scaled ×8 (match 40, mismatch −32, gap
+/// open 16, extend 8) puts one 140-nt sequence's first-pass rows in both
+/// stored forms: a row is kept as `i8` deltas unless some neighbour
+/// difference falls outside `i8`, and here rows of both forms occur
+/// along the sequence, the short rows near the right end mostly as
+/// deltas. Repeats planted near an end and in the middle are accepted
+/// from rows of both forms, and every engine, plain and seeded with
+/// checkpoints, returns `find_top_alignments`' tops.
 #[test]
-fn rows_on_both_sides_of_the_i16_store_bound() {
+fn rows_stored_as_deltas_and_plain() {
     let dna = repro::Alphabet::Dna;
     let mut rng = Rng::new(29);
     let mut codes = repro_seqgen::random_seq(dna, 140, &mut rng)
@@ -442,19 +444,20 @@ fn rows_on_both_sides_of_the_i16_store_bound() {
     let seq = Seq::from_codes(dna, codes);
     let m = seq.len();
     let scoring = Scoring::new(
-        repro::ExchangeMatrix::match_mismatch(dna, 793, -1200),
-        repro::GapPenalties::new(2000, 387),
+        repro::ExchangeMatrix::match_mismatch(dna, 40, -32),
+        repro::GapPenalties::new(16, 8),
     );
-    let common = repro::core::Common::new(&seq, &scoring);
-    // Index r − 1: r ≤ 33 and r ≥ m − 33 are narrow, r = 34 and m − 34 not.
-    let narrow: Vec<bool> = (1..m).map(|r| common.narrow(r)).collect();
-    assert!(narrow[..33].iter().all(|&n| n) && !narrow[33]);
-    assert!(narrow[m - 34..].iter().all(|&n| n) && !narrow[m - 35]);
+    let common = Common::new(&seq, &scoring);
+    for r in 1..m {
+        common.set_row(r, common.input.split(r).last_row(NoMask).row);
+    }
+    let delta = |r: usize| matches!(common.row(r), StoredRow::Delta(_));
+    let deltas = (1..m).filter(|&r| delta(r)).count();
+    assert!(deltas > 20 && deltas < m - 21, "{deltas} of {} rows", m - 1);
 
     let want = repro::core::find_top_alignments(&seq, &scoring, 4);
-    let stored_narrow = |r: usize| r.min(m - r) < 34;
-    assert!(want.alignments.iter().any(|t| stored_narrow(t.r)));
-    assert!(want.alignments.iter().any(|t| !stored_narrow(t.r)));
+    assert!(want.alignments.iter().any(|t| delta(t.r)));
+    assert!(want.alignments.iter().any(|t| !delta(t.r)));
     for engine in all_engines() {
         for (seed, budget) in [(None, None), (Some(SeedConfig::default()), Some(1 << 20))] {
             let analysis = Repro::new(scoring.clone())
