@@ -105,26 +105,34 @@ fn bench_triangle_ops(c: &mut Criterion) {
 }
 
 fn bench_scheduling_structures(c: &mut Criterion) {
-    use repro::core::{Task, TaskQueue};
+    use repro::core::{Next, PackUnit, Scheduler, ScoredSeq, Search, Stats};
+    let seq = repro_seqgen::titin_like(2048, 11);
+    let scoring = Scoring::protein_default();
+    let unit = PackUnit::new(ScoredSeq::new(&seq, &scoring), None);
+    let triangle = OverrideTriangle::new(seq.len());
     let mut g = c.benchmark_group("scheduling");
     g.measurement_time(Duration::from_secs(2));
     g.sample_size(30);
-    g.bench_function("task_queue_churn_2048", |b| {
+    g.bench_function("scheduler_churn_2047", |b| {
         b.iter(|| {
-            let mut q = TaskQueue::for_sequence_len(2048);
-            let mut popped = 0u64;
-            // Pop/refresh/requeue cycles, the Figure 5 hot path.
+            let search = Search::new(usize::MAX);
+            let mut sched = Scheduler::new(&unit, &seq, &scoring, &search);
+            let mut stats = Stats::new();
+            // Decide/settle cycles over 2 047 one-split units, the
+            // Figure 5 hot path: every sweep settles lower, and a fresh
+            // head is accepted.
             for round in 0..4096 {
-                if let Some(t) = q.pop() {
-                    popped += 1;
-                    q.push(Task {
-                        r: t.r,
-                        score: (round % 97) - 48,
-                        aligned_with: (round % 7) as usize,
-                    });
+                match sched.next(&mut stats, &triangle, usize::MAX) {
+                    Next::Sweep { u, bound, .. } => {
+                        let score = bound.min((round % 97) - 48);
+                        sched.settle(u, score, sched.version());
+                    }
+                    Next::Accept { .. } => sched.accepted(&[]),
+                    Next::Pruned { .. } => {}
+                    Next::Wait | Next::Done => break,
                 }
             }
-            black_box(popped)
+            black_box(stats.stale_pops + stats.fresh_pops)
         })
     });
     g.finish();

@@ -153,16 +153,34 @@ pub(crate) fn run_ranks<R: Recorder>(
 
     rec.phase_start(repro_obs::Phase::Recovery);
     let result = std::thread::scope(|scope| {
-        for (comm, &t) in world.into_iter().zip(threads).filter(|&(_, &t)| t > 0) {
-            scope.spawn(move || worker_loop(packs(), seq, scoring, comm, deadline, t));
-        }
+        let workers: Vec<_> = world
+            .into_iter()
+            .zip(threads)
+            .filter(|&(_, &t)| t > 0)
+            .map(|(comm, &t)| {
+                scope.spawn(move || worker_loop(packs(), seq, scoring, comm, deadline, t))
+            })
+            .collect();
         let config = RecoveryConfig::with_overall(deadline);
         let master = MasterState::with_unit(packs(), seq, scoring, search);
-        master_loop(master, master_comm, config, rec)
+        let result = master_loop(master, master_comm, config, rec);
+        join_all(workers);
+        result
     });
     rec.phase_end(repro_obs::Phase::Recovery);
 
     result.map(|r| ClusterResult { result: r, ranks })
+}
+
+/// Join each OS thread, not only its closure (all a scope waits for): a
+/// thread still exiting holds its malloc arena, so the next run's
+/// threads would each open a new one. A thread's panic goes on up.
+fn join_all(threads: Vec<std::thread::ScopedJoinHandle<'_, ()>>) {
+    for thread in threads {
+        if let Err(panic) = thread.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
 }
 
 /// The cluster engines' kernel: `select(None, None)`, no knob. Its width
@@ -301,10 +319,11 @@ impl<'a, C: Comm + Send, K: PackKernel> Worker<'a, C, K> {
     /// endpoint, or `deadline` of silence from it.
     fn serve(&self, deadline: Duration) {
         std::thread::scope(|scope| {
-            for _ in 1..self.threads {
-                scope.spawn(|| self.sweep_thread(deadline));
-            }
+            let threads: Vec<_> = (1..self.threads)
+                .map(|_| scope.spawn(|| self.sweep_thread(deadline)))
+                .collect();
             self.sweep_thread(deadline);
+            join_all(threads);
         });
     }
 

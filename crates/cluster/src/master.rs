@@ -29,13 +29,15 @@
 //!
 //! The machine is the third driver of a [`PackUnit`] (a pack of one
 //! split under the row kernel, or of 4/8/16 under the lane kernel), next
-//! to the inline loop and the SMP engine.
+//! to the inline loop and the SMP engine; its side table holds only
+//! what messages add to a claim: the assignment, the attempts issued
+//! and the best member the settling result reported.
 
 use crate::protocol::{AcceptedMsg, ResultMsg, TaskItem, TaskMsg, Work};
 use repro_align::{Score, Scoring, Seq};
 use repro_core::pack::{PackPlan, PackSwept};
 use repro_core::{
-    Common, LanePacks, OverrideTriangle, PackKernel, PackUnit, ScoredSeq, Search, SplitBounds,
+    Common, LanePacks, Next, OverrideTriangle, PackKernel, PackUnit, Scheduler, ScoredSeq, Search,
     Stats, TopAlignment,
 };
 use repro_obs::{Metric, NoopRecorder, Recorder};
@@ -77,28 +79,29 @@ struct Assignment {
     /// The capacity slot this assignment consumed; returned on settle.
     slot: usize,
     attempt: u64,
+    /// The unit was never aligned: its result must bring the rows.
+    first: bool,
 }
 
+/// What the messages add to a unit's claim; its place in the order is
+/// the [`Scheduler`]'s.
 #[derive(Debug, Clone, Copy)]
-struct TaskState {
-    /// The unit's upper bound: its best member's exact score once swept.
-    score: Score,
-    /// That member, as the settling result reported it.
+struct Ticket {
+    /// The unit's best member, as the settling result reported it.
     best: usize,
-    aligned_with: usize,
     assigned: Option<Assignment>,
     /// Attempts issued so far for this unit (monotone).
     attempts: u64,
 }
 
-const NEVER: usize = usize::MAX;
-
-impl TaskState {
-    /// `true` iff this task is work the master could hand out with
-    /// `tops` alignments accepted: unassigned, stale, still positive.
-    fn assignable(&self, tops: usize) -> bool {
-        self.assigned.is_none() && self.aligned_with != tops && self.score > 0
-    }
+/// A batch being filled for one capacity token.
+struct Batch {
+    worker: usize,
+    slot: usize,
+    /// Items it may hold, and lanes it may still cover.
+    items_cap: usize,
+    room: usize,
+    items: Vec<TaskItem>,
 }
 
 /// The master's complete state, scheduling the packs `K` sweeps.
@@ -107,8 +110,11 @@ pub struct MasterState<'a, K: PackKernel = ScoredSeq<'a>> {
     /// The profiled sequence and the first-pass rows, as the results
     /// bring them home.
     common: Common<'a>,
-    count: usize,
-    state: Vec<TaskState>, // one per unit
+    /// The task table and the seed bounds (pruning on: the only ones in
+    /// the cluster; workers receive the per-task bound inside
+    /// [`TaskMsg`]).
+    sched: Scheduler<'a>,
+    tickets: Vec<Ticket>, // one per unit
     /// Which workers hold a cached copy of which rows (index r − 1).
     worker_has_row: HashMap<usize, Vec<bool>>,
     /// Workers declared dead; all their later traffic is ignored.
@@ -123,22 +129,12 @@ pub struct MasterState<'a, K: PackKernel = ScoredSeq<'a>> {
     /// Unsettled assignments per consumed token; a token with no entry
     /// is free or was never announced.
     outstanding: HashMap<(usize, usize), usize>,
-    /// Tasks that are [`TaskState::assignable`] right now, kept in step
-    /// with every change to a task or to `tops`.
-    assignable: usize,
-    in_flight: usize,
     /// Results discarded because they claimed a replica version the
     /// master has not reached, or settled a first pass without its
     /// rows (only a corrupt frame can).
     rejected_results: u64,
     done: bool,
-    /// Seed bounds (pruning on): the master owns the only ones in the
-    /// cluster — told of each accept, refreshed on demand — and workers
-    /// receive the per-task bound inside [`TaskMsg`].
-    bounds: Option<SplitBounds>,
-    /// Splits whose first pass has settled — the complement of the
-    /// splits pruning kept seedless forever.
-    first_passes: usize,
+    count: usize,
 }
 
 impl<'a> MasterState<'a> {
@@ -161,43 +157,29 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
         scoring: &'a Scoring,
         search: &Search,
     ) -> Self {
-        let Search { count, seed, .. } = *search;
-        let bounds = seed.map(|sc| SplitBounds::build(seq.codes(), scoring, sc));
-        let mut stats = Stats::new();
-        if let Some(b) = &bounds {
-            stats.seed_index_build_ns = b.build_ns();
-        }
-        let state: Vec<TaskState> = (0..unit.units())
-            .map(|u| TaskState {
-                score: bounds
-                    .as_ref()
-                    .map_or(Score::MAX, |b| b.max_bound(unit.splits(u))),
+        let tickets = (0..unit.units())
+            .map(|u| Ticket {
                 best: unit.splits(u).start,
-                aligned_with: NEVER,
                 assigned: None,
                 attempts: 0,
             })
             .collect();
-        let assignable = state.iter().filter(|t| t.assignable(0)).count();
         MasterState {
+            sched: Scheduler::new(&unit, seq, scoring, search),
+            tickets,
             unit,
             common: Common::new(seq, scoring),
-            count,
-            state,
             worker_has_row: HashMap::new(),
             dead: HashSet::new(),
             triangle: OverrideTriangle::new(seq.len()),
             tops: Vec::new(),
-            stats,
+            stats: Stats::new(),
             traceback_secs: 0.0,
             idle: Vec::new(),
             outstanding: HashMap::new(),
-            assignable,
-            in_flight: 0,
             rejected_results: 0,
             done: false,
-            bounds,
-            first_passes: 0,
+            count: search.count,
         }
     }
 
@@ -245,7 +227,7 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
     /// the workers' checkpoint layers avoided.
     pub fn progress(&self) -> repro_obs::Progress {
         let total = self.splits() as u64;
-        let done = self.first_passes as u64;
+        let done = self.sched.first_passes() as u64;
         repro_obs::Progress {
             splits_done: done,
             splits_total: total,
@@ -263,10 +245,7 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
 
     /// Consume the machine, yielding the final result.
     pub fn into_result(mut self) -> repro_core::TopAlignments {
-        if let Some(b) = &self.bounds {
-            self.stats.splits_pruned = self.splits().saturating_sub(self.first_passes) as u64;
-            self.stats.bound_recomputes = b.recomputes();
-        }
+        self.sched.finish(&mut self.stats);
         repro_core::TopAlignments {
             alignments: self.tops,
             stats: self.stats,
@@ -294,7 +273,7 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
         let busy = self.outstanding.contains_key(&(worker, slot));
         debug_assert_eq!(
             busy,
-            self.state.iter().any(|t| t
+            self.tickets.iter().any(|t| t
                 .assigned
                 .is_some_and(|a| a.worker == worker && a.slot == slot)),
             "outstanding count of slot ({worker}, {slot}) out of step"
@@ -328,7 +307,7 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
     /// A worker returned a task result.
     pub fn result(&mut self, worker: usize, res: ResultMsg) -> Vec<MasterAction> {
         let u = res.unit;
-        if self.dead.contains(&worker) || u >= self.state.len() {
+        if self.dead.contains(&worker) || u >= self.tickets.len() {
             return Vec::new(); // zombie, or a frame that decoded to nonsense
         }
         if res.stamp > self.tops.len() {
@@ -341,7 +320,7 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
             self.rejected_results += 1;
             return Vec::new();
         }
-        let current = self.state[u].assigned;
+        let current = self.tickets[u].assigned;
         let Some(a) = current.filter(|a| a.worker == worker && a.attempt == res.attempt) else {
             // Stale: a duplicate delivery, or an attempt that was
             // reassigned before this copy arrived. Discard the content
@@ -354,10 +333,13 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
         // Exactly one result per unit settles its first pass (one
         // assignment per unit at a time), and it must bring every
         // member's row — the local fallback's are already stored.
-        let splits = self.unit.splits(u);
-        let first = self.state[u].aligned_with == NEVER;
         let brought = |r: usize| res.rows.iter().any(|&(q, _)| q == r);
-        if first && !splits.clone().all(|r| self.common.has_row(r) || brought(r)) {
+        if a.first
+            && !self
+                .unit
+                .splits(u)
+                .all(|r| self.common.has_row(r) || brought(r))
+        {
             self.rejected_results += 1;
             return Vec::new();
         }
@@ -369,20 +351,10 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
                 flags[r - 1] = true; // the computing worker caches its rows
             }
         }
-        if first {
-            self.first_passes += splits.len();
-        }
         res.work.fold_into(&mut self.stats, res.stamp);
-        let tops = self.tops.len();
-        let t = &mut self.state[u];
-        // Exact now, that is the unit's score; stale, the tighter of two
-        // admissible bounds (a late first pass's clean score, or the
-        // refreshed seed bound it was shipped with).
-        (t.best, t.score) = (res.best.0, res.best.1.min(t.score));
-        t.aligned_with = res.stamp;
-        t.assigned = None;
-        self.assignable += usize::from(t.assignable(tops));
-        self.in_flight -= 1;
+        let t = &mut self.tickets[u];
+        (t.best, t.assigned) = (res.best.0, None);
+        self.sched.settle(u, res.best.1, res.stamp);
         let left = self
             .outstanding
             .get_mut(&(worker, a.slot))
@@ -406,12 +378,10 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
         self.worker_has_row.remove(&worker);
         self.idle.retain(|&(w, _)| w != worker);
         self.outstanding.retain(|&(w, _), _| w != worker);
-        let tops = self.tops.len();
-        for t in &mut self.state {
+        for (u, t) in self.tickets.iter_mut().enumerate() {
             if t.assigned.is_some_and(|a| a.worker == worker) {
                 t.assigned = None;
-                self.in_flight -= 1;
-                self.assignable += usize::from(t.assignable(tops));
+                self.sched.release(u);
             }
         }
     }
@@ -479,224 +449,151 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
         )
     }
 
-    /// Advance: accept while possible, then hand work to idle workers —
-    /// and again if handing out work refreshed the seed bounds, which
-    /// can leave a fresh task at the head.
+    /// Advance: accept while the head is fresh, and hand the best stale
+    /// units to idle capacity tokens, one batch per token — until the
+    /// scheduler has nothing to do, or is done (the target is reached or
+    /// no positive alignment remains, and — for a tidy deterministic
+    /// shutdown — nothing is still in flight).
     fn pump(&mut self) -> Vec<MasterAction> {
         let mut actions = Vec::new();
-        if self.done {
-            return actions;
-        }
-        loop {
-            self.accept_ready(&mut actions);
-            if !self.assign_idle(&mut actions) {
-                break;
+        let mut batch: Option<Batch> = None;
+        while !self.done {
+            if batch.is_none() {
+                batch = self.open_batch();
             }
-        }
-
-        // Finished? The search ends when the target is reached or no
-        // positive alignment remains, and — for a tidy deterministic
-        // shutdown — nothing is still in flight.
-        let exhausted = self.argmax().is_none_or(|(s, _)| s <= 0);
-        if (self.tops.len() >= self.count || exhausted) && self.in_flight == 0 {
-            self.done = true;
-            actions.push(MasterAction::Done);
+            let room = batch.as_ref().map_or(0, |b| b.room);
+            match self.sched.next(&mut self.stats, &self.triangle, room) {
+                Next::Accept { u, score } => {
+                    // The items so far were picked at this stamp: they
+                    // go out before the broadcast that ends it.
+                    self.send(batch.take(), &mut actions);
+                    self.accept(u, score, &mut actions);
+                }
+                Next::Sweep { u, first, bound } => {
+                    let b = batch.as_mut().expect("a pick is offered lanes");
+                    let item = self.assign(b, u, first, bound);
+                    b.items.push(item);
+                    if b.items.len() == b.items_cap {
+                        self.send(batch.take(), &mut actions);
+                    }
+                }
+                Next::Pruned { .. } => {}
+                Next::Wait => match batch.take() {
+                    Some(b) if !b.items.is_empty() => self.send(Some(b), &mut actions),
+                    // Nothing fits, or a refresh dropped every candidate
+                    // off the frontier.
+                    _ => break,
+                },
+                Next::Done => {
+                    self.done = true;
+                    actions.push(MasterAction::Done);
+                }
+            }
         }
         actions
     }
 
-    /// Accept as long as the global argmax is fresh (acceptance can
-    /// make the next argmax fresh too, when a prior realignment already
-    /// ran against the triangle the acceptance produced — impossible by
-    /// monotonicity, but the loop shape matches the sequential
-    /// engine's).
-    fn accept_ready(&mut self, actions: &mut Vec<MasterAction>) {
-        while self.tops.len() < self.count {
-            let Some((best_score, best_u)) = self.argmax() else {
-                break;
-            };
-            if best_score <= 0 {
-                break;
+    /// A batch for the last idle capacity token, if there is work to
+    /// speculate on. Its item count adapts to the supply/demand ratio so
+    /// a thin backlog still spreads across every idle slot instead of
+    /// piling onto the first one; its lanes stay within MAX_BATCH, and
+    /// the first unit always fits.
+    fn open_batch(&self) -> Option<Batch> {
+        let &(worker, slot) = self.idle.last()?;
+        let avail = self.sched.stale_unclaimed();
+        if avail == 0 {
+            return None;
+        }
+        let items_cap = if worker == LOCAL_WORKER {
+            // The local fallback computes at the live stamp, one task at
+            // a time — a batch would go stale mid-loop on the first
+            // acceptance.
+            1
+        } else {
+            (avail / self.idle.len()).clamp(1, MAX_BATCH)
+        };
+        Some(Batch {
+            worker,
+            slot,
+            items_cap,
+            room: usize::MAX,
+            items: Vec::with_capacity(items_cap),
+        })
+    }
+
+    /// Assign claimed unit `u` to `batch`'s token: the next attempt, and
+    /// after its first pass the members' rows the worker has no copy of.
+    fn assign(&mut self, batch: &mut Batch, u: usize, first: bool, bound: Score) -> TaskItem {
+        let splits = self.unit.splits(u);
+        batch.room = batch.room.min(MAX_BATCH).saturating_sub(splits.len());
+        let t = &mut self.tickets[u];
+        t.attempts += 1;
+        t.assigned = Some(Assignment {
+            worker: batch.worker,
+            slot: batch.slot,
+            attempt: t.attempts,
+            first,
+        });
+        let flags = self
+            .worker_has_row
+            .get_mut(&batch.worker)
+            .expect("worker registered at idle time");
+        let mut rows = Vec::new();
+        for r in splits.filter(|_| !first) {
+            if !flags[r - 1] {
+                flags[r - 1] = true;
+                rows.push((r, self.common.row(r).widened()));
             }
-            let t = self.state[best_u];
-            if t.assigned.is_some() || t.aligned_with != self.tops.len() {
-                break;
-            }
-            // A fresh unit at the head: its best member is the next top
-            // alignment (lowest unit, then lowest member, on ties).
-            let (r, index) = (t.best, self.tops.len());
-            let common = &self.common;
-            let t0 = Instant::now();
-            let (top, cells) = common.input.accept_task_with_row(
-                r,
-                best_score,
-                &mut self.triangle,
-                common.row(r),
-                index,
-            );
-            self.traceback_secs += t0.elapsed().as_secs_f64();
-            self.stats.record_traceback(cells);
-            self.stats.fresh_pops += 1;
-            if let Some(bounds) = self.bounds.as_mut() {
-                bounds.note_accept(&top.pairs);
-            }
-            actions.push(MasterAction::Broadcast(AcceptedMsg {
-                index,
-                pairs: top.pairs.clone(),
-            }));
-            self.tops.push(top);
-            // Every task fresh a moment ago is stale now: the one event
-            // that moves the count wholesale.
-            let tops = self.tops.len();
-            self.assignable = self.state.iter().filter(|t| t.assignable(tops)).count();
+        }
+        TaskItem {
+            unit: u,
+            attempt: t.attempts,
+            first,
+            // The current upper bound (seed bound for a first pass,
+            // stale score otherwise) rides along so the worker can
+            // sanity-check without a seed index.
+            bound,
+            rows,
         }
     }
 
-    /// The next unit to hand out, if it covers at most `room` lanes. A
-    /// never-aligned pick is about to be swept: the moment the seed
-    /// bounds may spend a refresh — if they do, every still-seedless
-    /// unassigned unit drops to its tightened bound (so units that fall
-    /// off the frontier are never assigned) and the pick is made again.
-    fn next_assignment(&mut self, room: usize) -> Option<usize> {
-        let fits = |m: &Self, u: usize| m.unit.splits(u).len() <= room;
-        let u = self.best_stale_unassigned().filter(|&u| fits(self, u))?;
-        if self.state[u].aligned_with == NEVER {
-            if let Some(bounds) = self.bounds.as_mut() {
-                let input = &self.common.input;
-                let stake = self.unit.refresh_stake(u);
-                let codes = input.seq.codes();
-                if bounds.refresh_before_sweep(codes, input.scoring, &self.triangle, stake) {
-                    let tops = self.tops.len();
-                    for (v, t) in self.state.iter_mut().enumerate() {
-                        if t.aligned_with == NEVER && t.assigned.is_none() {
-                            self.assignable -= usize::from(t.assignable(tops));
-                            t.score = bounds.max_bound(self.unit.splits(v));
-                            self.assignable += usize::from(t.assignable(tops));
-                        }
-                    }
-                    return self.best_stale_unassigned().filter(|&v| fits(self, v));
-                }
-            }
-        }
-        Some(u)
+    /// Send a filled batch, sorted by unit so consecutive items land in
+    /// neighbouring checkpoint and row-cache state on the worker (bound
+    /// locality); its token stays consumed until every item settles.
+    fn send(&mut self, batch: Option<Batch>, actions: &mut Vec<MasterAction>) {
+        let Some(mut b) = batch.filter(|b| !b.items.is_empty()) else {
+            return;
+        };
+        self.idle.pop();
+        self.outstanding.insert((b.worker, b.slot), b.items.len());
+        b.items.sort_by_key(|it| it.unit);
+        actions.push(MasterAction::Assign {
+            worker: b.worker,
+            task: TaskMsg {
+                stamp: self.tops.len(),
+                items: b.items,
+            },
+        });
     }
 
-    /// Hand the best stale unassigned tasks to idle capacity, one batch
-    /// per slot token: units best-first while their lanes stay within
-    /// MAX_BATCH, and at least one. The item count adapts to the
-    /// supply/demand ratio so a thin backlog still spreads across every
-    /// idle slot instead of piling onto the first one; each batch is
-    /// sorted by unit so consecutive items land in neighbouring
-    /// checkpoint and row-cache state on the worker (bound locality).
-    /// Returns `true` if the seed bounds were refreshed on the way.
-    fn assign_idle(&mut self, actions: &mut Vec<MasterAction>) -> bool {
-        let refreshes = |m: &Self| m.bounds.as_ref().map_or(0, SplitBounds::recomputes);
-        let refreshes_before = refreshes(self);
-        while let Some(&(worker, slot)) = self.idle.last() {
-            let tops = self.tops.len();
-            debug_assert_eq!(
-                self.assignable,
-                self.state.iter().filter(|t| t.assignable(tops)).count(),
-                "assignable count out of step"
-            );
-            let avail = if tops >= self.count {
-                0
-            } else {
-                self.assignable
-            };
-            if avail == 0 {
-                break;
-            }
-            let k = if worker == LOCAL_WORKER {
-                // The local fallback computes at the live stamp, one
-                // task at a time — a batch would go stale mid-loop on
-                // the first acceptance.
-                1
-            } else {
-                (avail / self.idle.len()).clamp(1, MAX_BATCH)
-            };
-            let stamp = tops;
-            let mut items = Vec::with_capacity(k);
-            let mut room = usize::MAX; // the first unit always fits
-            for _ in 0..k {
-                let Some(u) = self.next_assignment(room) else {
-                    break;
-                };
-                let lanes = self.unit.splits(u).len();
-                room = room.min(MAX_BATCH).saturating_sub(lanes);
-                let t = &mut self.state[u];
-                t.attempts += 1;
-                t.assigned = Some(Assignment {
-                    worker,
-                    slot,
-                    attempt: t.attempts,
-                });
-                let (attempt, bound) = (t.attempts, t.score);
-                self.assignable -= 1;
-                self.in_flight += 1;
-                self.stats.stale_pops += 1;
-                // No rows exist before the first pass; after it, ship the
-                // members' rows the worker has no copy of.
-                let first = t.aligned_with == NEVER;
-                let flags = self
-                    .worker_has_row
-                    .get_mut(&worker)
-                    .expect("worker registered at idle time");
-                let mut rows = Vec::new();
-                for r in self.unit.splits(u).filter(|_| !first) {
-                    if !flags[r - 1] {
-                        flags[r - 1] = true;
-                        rows.push((r, self.common.row(r).widened()));
-                    }
-                }
-                items.push(TaskItem {
-                    unit: u,
-                    attempt,
-                    first,
-                    // The current upper bound (seed bound for a first
-                    // pass, stale score otherwise) rides along so the
-                    // worker can sanity-check without a seed index.
-                    bound,
-                    rows,
-                });
-            }
-            if items.is_empty() {
-                // A refresh dropped every candidate off the frontier.
-                break;
-            }
-            self.idle.pop();
-            self.outstanding.insert((worker, slot), items.len());
-            items.sort_by_key(|it| it.unit);
-            actions.push(MasterAction::Assign {
-                worker,
-                task: TaskMsg { stamp, items },
-            });
-        }
-        refreshes(self) != refreshes_before
-    }
-
-    fn argmax(&self) -> Option<(Score, usize)> {
-        let mut best: Option<(Score, usize)> = None;
-        for (i, t) in self.state.iter().enumerate() {
-            if best.is_none_or(|(bs, _)| t.score > bs) {
-                best = Some((t.score, i));
-            }
-        }
-        best
-    }
-
-    fn best_stale_unassigned(&self) -> Option<usize> {
-        if self.tops.len() >= self.count {
-            return None; // enough tops: stop issuing work
-        }
-        let tops = self.tops.len();
-        let mut best: Option<(Score, usize)> = None;
-        for (i, t) in self.state.iter().enumerate() {
-            if t.assignable(tops) && best.is_none_or(|(bs, _)| t.score > bs) {
-                best = Some((t.score, i));
-            }
-        }
-        best.map(|(_, i)| i)
+    /// Accept fresh head unit `u`: its best member, as reported, is the
+    /// next top alignment (lowest unit, then lowest member, on ties).
+    fn accept(&mut self, u: usize, score: Score, actions: &mut Vec<MasterAction>) {
+        let (r, index) = (self.tickets[u].best, self.tops.len());
+        let common = &self.common;
+        let t0 = Instant::now();
+        let (top, cells) =
+            common
+                .input
+                .accept_task_with_row(r, score, &mut self.triangle, common.row(r), index);
+        self.traceback_secs += t0.elapsed().as_secs_f64();
+        self.stats.record_traceback(cells);
+        self.sched.accepted(&top.pairs);
+        actions.push(MasterAction::Broadcast(AcceptedMsg {
+            index,
+            pairs: top.pairs.clone(),
+        }));
+        self.tops.push(top);
     }
 }
 

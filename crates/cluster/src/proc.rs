@@ -44,8 +44,11 @@ use repro_obs::Recorder;
 use repro_simd::{select, GroupSweeper};
 use repro_xmpi::socket::{ConnectError, FaultProxy, ProxyFaults, SocketHub, SocketPeer};
 use repro_xmpi::{Comm, RecvError};
+use std::convert::Infallible;
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Environment variable a re-exec'd worker process reads the hub
@@ -169,13 +172,55 @@ pub fn maybe_run_worker_from_env() -> bool {
     true
 }
 
-/// Launch one worker; [`SpawnMode::CurrentExe`] children are recorded
-/// for reaping.
-fn spawn_worker(mode: SpawnMode, addr: &str, children: &Arc<Mutex<Vec<Child>>>) {
+/// How long [`reap`] waits for what a run started to end on its own.
+const REAP_WAIT: Duration = Duration::from_secs(3);
+
+/// Held by every thread a run starts until its closure returns: [`reap`]
+/// sees the channel close when the last one has.
+type Exit = Sender<Infallible>;
+
+/// Everything a run starts besides its master: worker processes, worker
+/// and helper threads, and what stops a helper still waiting.
+#[derive(Default)]
+struct Spawned {
+    children: Vec<Child>,
+    threads: Vec<JoinHandle<()>>,
+    stops: Vec<Sender<Infallible>>,
+}
+
+/// Run `body` on a thread recorded for [`reap`].
+fn spawn_thread(spawned: &Mutex<Spawned>, exit: &Exit, body: impl FnOnce() + Send + 'static) {
+    let exit = exit.clone();
+    let thread = std::thread::spawn(move || {
+        let _exit = exit;
+        body();
+    });
+    spawned.lock().threads.push(thread);
+}
+
+/// Run `action` on a helper thread `after` into the run, unless the run
+/// ends first.
+fn spawn_later(
+    spawned: &Mutex<Spawned>,
+    exit: &Exit,
+    after: Duration,
+    action: impl FnOnce() + Send + 'static,
+) {
+    let (stop, wait) = mpsc::channel();
+    spawned.lock().stops.push(stop);
+    spawn_thread(spawned, exit, move || {
+        if let Err(RecvTimeoutError::Timeout) = wait.recv_timeout(after) {
+            action();
+        }
+    });
+}
+
+/// Launch one worker, recorded for [`reap`].
+fn spawn_worker(mode: SpawnMode, addr: &str, spawned: &Mutex<Spawned>, exit: &Exit) {
     match mode {
         SpawnMode::Thread => {
             let addr = addr.to_string();
-            std::thread::spawn(move || {
+            spawn_thread(spawned, exit, move || {
                 let _ = socket_worker(&addr);
             });
         }
@@ -190,17 +235,43 @@ fn spawn_worker(mode: SpawnMode, addr: &str, children: &Arc<Mutex<Vec<Child>>>) 
                 .stderr(Stdio::null())
                 .spawn()
             {
-                children.lock().push(child);
+                spawned.lock().children.push(child);
             }
         }
     }
 }
 
-/// Wait briefly for worker processes to exit on their own (they get
-/// DONE, or see the hub close), then kill stragglers.
-fn reap(children: &Arc<Mutex<Vec<Child>>>) {
-    let mut kids = children.lock();
-    let deadline = Instant::now() + Duration::from_secs(3);
+/// End what a run started, within [`REAP_WAIT`]: stop the helpers still
+/// waiting, wait until every thread's closure has returned (`exited`
+/// closes; the caller has dropped its own sender) and join each thread,
+/// then let worker processes exit on their own (they get DONE, or see
+/// the hub close) before killing stragglers. A thread still running at
+/// the deadline is left detached and reported, never waited on forever.
+fn reap(spawned: &Mutex<Spawned>, exited: Receiver<Infallible>) {
+    let deadline = Instant::now() + REAP_WAIT;
+    drop(std::mem::take(&mut spawned.lock().stops));
+    let all_out = matches!(
+        exited.recv_timeout(REAP_WAIT),
+        Err(RecvTimeoutError::Disconnected)
+    );
+    let Spawned {
+        children: mut kids,
+        threads,
+        ..
+    } = std::mem::take(&mut *spawned.lock());
+    let mut detached = 0;
+    for thread in threads {
+        if !all_out && !thread.is_finished() {
+            detached += 1;
+        } else if let Err(panic) = thread.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+    if detached > 0 {
+        eprintln!(
+            "repro: {detached} cluster thread(s) still running after {REAP_WAIT:?}; left detached"
+        );
+    }
     for child in kids.iter_mut() {
         loop {
             match child.try_wait() {
@@ -216,7 +287,6 @@ fn reap(children: &Arc<Mutex<Vec<Child>>>) {
             }
         }
     }
-    kids.clear();
 }
 
 /// Run the distributed engine over real sockets: the multi-process
@@ -269,25 +339,21 @@ pub fn run_cluster_proc<R: Recorder>(
     };
     let connect_addr = proxy.as_ref().map_or(hub.addr(), |p| p.addr()).to_string();
 
-    let children: Arc<Mutex<Vec<Child>>> = Arc::new(Mutex::new(Vec::new()));
+    let (exit, exited) = mpsc::channel();
+    let spawned = Arc::new(Mutex::new(Spawned::default()));
     for _ in 0..workers {
-        spawn_worker(opts.spawn, &connect_addr, &children);
+        spawn_worker(opts.spawn, &connect_addr, &spawned, &exit);
     }
     if let Some(after) = opts.late_join_after {
-        let addr = connect_addr.clone();
-        let kids = Arc::clone(&children);
-        let mode = opts.spawn;
-        std::thread::spawn(move || {
-            std::thread::sleep(after);
-            spawn_worker(mode, &addr, &kids);
+        let (addr, mode) = (connect_addr.clone(), opts.spawn);
+        let (kids, late) = (Arc::clone(&spawned), exit.clone());
+        spawn_later(&spawned, &exit, after, move || {
+            spawn_worker(mode, &addr, &kids, &late)
         });
     }
     if let (Some(after), Some(p)) = (opts.sever_all_after, proxy.as_ref()) {
         let p = Arc::clone(p);
-        std::thread::spawn(move || {
-            std::thread::sleep(after);
-            p.sever_all();
-        });
+        spawn_later(&spawned, &exit, after, move || p.sever_all());
     }
 
     rec.phase_start(repro_obs::Phase::Recovery);
@@ -308,7 +374,8 @@ pub fn run_cluster_proc<R: Recorder>(
     let ranks = hub.size();
     drop(hub);
     drop(proxy);
-    reap(&children);
+    drop(exit);
+    reap(&spawned, exited);
 
     result.map(|r| ClusterResult { result: r, ranks })
 }

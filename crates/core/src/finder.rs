@@ -19,10 +19,10 @@
 
 use crate::bottom::{best_valid_entry, best_valid_entry_counted, Common};
 use crate::pack::{LanePacks, PackKernel, PackUnit};
-use crate::seed::{SeedConfig, SplitBounds};
+use crate::seed::SeedConfig;
 use crate::split_mask::SplitMask;
 use crate::stats::Stats;
-use crate::tasks::{Task, TaskQueue, NEVER_ALIGNED, SCORE_INFINITY};
+use crate::tasks::{Next, Scheduler};
 use crate::triangle::OverrideTriangle;
 use repro_align::{traceback_in_box, NoMask, QueryProfile, RowRef, Score, Scoring, Seq, Sides};
 use repro_obs::{Metric, NoopRecorder, Phase, Progress, Recorder};
@@ -61,7 +61,7 @@ pub struct Search {
     /// Results are bit-identical either way.
     pub checkpoint_budget: Option<usize>,
     /// Seeded split pruning: replace the infinite initial task bounds
-    /// with admissible [`SplitBounds`] so splits that cannot beat the
+    /// with admissible [`SplitBounds`](crate::SplitBounds) so splits that cannot beat the
     /// accepted alignments are never aligned at all. `None` reproduces
     /// the paper's schedule exactly; `Some` keeps the accepted
     /// alignments bit-identical but skips sweeps (the pop-level
@@ -400,19 +400,13 @@ pub struct TopAlignmentFinder<'a, K: PackKernel = ScoredSeq<'a>> {
     unit: PackUnit<K>,
     common: Common<'a>,
     config: FinderConfig,
-    /// One task per unit; [`Task::r`] holds the unit index, so ties go
-    /// to the lower unit — the smaller split.
-    queue: TaskQueue,
+    /// The task table, its order and the seed bounds; nothing is ever
+    /// claimed across a step.
+    sched: Scheduler<'a>,
     triangle: OverrideTriangle,
     alignments: Vec<TopAlignment>,
     stats: Stats,
     packs: LanePacks,
-    /// `Some` iff `config.search.seed` is set: the admissible per-split
-    /// bounds.
-    bounds: Option<SplitBounds>,
-    /// Splits (not units) that have completed their first alignment
-    /// pass (with seeding, not all of them ever do).
-    first_passes: usize,
 }
 
 impl<'a> TopAlignmentFinder<'a> {
@@ -435,34 +429,15 @@ impl<'a, K: PackKernel> TopAlignmentFinder<'a, K> {
         config: FinderConfig,
         unit: PackUnit<K>,
     ) -> Self {
-        let bounds = config
-            .search
-            .seed
-            .map(|sc| SplitBounds::build(seq.codes(), scoring, sc));
-        // A unit is swept whole, so it enters the queue at the loosest
-        // of its members' bounds.
-        let mut queue = TaskQueue::new();
-        for u in 0..unit.units() {
-            let bound = bounds
-                .as_ref()
-                .map_or(SCORE_INFINITY, |b| b.max_bound(unit.splits(u)));
-            queue.push(Task::initial_bounded(u, bound));
-        }
-        let mut stats = Stats::new();
-        if let Some(b) = &bounds {
-            stats.seed_index_build_ns = b.build_ns();
-        }
         TopAlignmentFinder {
             common: Common::new(seq, scoring),
+            sched: Scheduler::new(&unit, seq, scoring, &config.search),
             config,
-            queue,
             triangle: OverrideTriangle::new(seq.len()),
             alignments: Vec::new(),
-            stats,
+            stats: Stats::new(),
             packs: unit.packs(),
             unit,
-            bounds,
-            first_passes: 0,
         }
     }
 
@@ -520,9 +495,9 @@ impl<'a, K: PackKernel> TopAlignmentFinder<'a, K> {
             }
             let splits_total = self.common.input.seq.len().saturating_sub(1) as u64;
             rec.progress(&Progress {
-                splits_done: self.first_passes as u64,
+                splits_done: self.sched.first_passes() as u64,
                 splits_total,
-                splits_pruned: splits_total.saturating_sub(self.first_passes as u64),
+                splits_pruned: splits_total.saturating_sub(self.sched.first_passes() as u64),
                 realignments_avoided: self.stats.pruned_pops + self.stats.checkpoint_hits,
                 tops_found: self.alignments.len() as u64,
                 tops_requested: self.config.search.count as u64,
@@ -532,130 +507,66 @@ impl<'a, K: PackKernel> TopAlignmentFinder<'a, K> {
     }
 
     fn step_inner<R: Recorder>(&mut self, rec: &mut R) -> Step {
-        if self.alignments.len() >= self.config.search.count {
-            return Step::Done;
-        }
-        let Some(task) = self.queue.pop() else {
-            return Step::Done;
-        };
-        if task.score <= 0 {
-            // The head is an upper bound for every queued task: nothing
-            // positive remains anywhere.
-            return Step::Done;
-        }
         let tops_found = self.alignments.len();
-        let u = task.r;
-        let splits = self.unit.splits(u);
-        // A never-aligned head is the one place seed bounds act. If its
-        // queued bound is still the current one it is about to be
-        // swept — the moment `SplitBounds` may spend a refresh on the
-        // accepts noted since the last one. Either way, a bound now
-        // below the queued one re-enters the queue without any sweep
-        // (the bound-fresh fast path: bounds only ever decrease, so the
-        // queued entry was admissible all along; this just avoids
-        // aligning a unit the tighter bound may keep buried forever —
-        // a whole lane pack resolved with zero DP work). Only
-        // never-aligned units qualify: exact scores must not be
-        // replaced by bounds.
-        if let Some(bounds) = self.bounds.as_mut() {
-            if task.aligned_with == NEVER_ALIGNED {
-                let input = &self.common.input;
-                let stake = self.unit.refresh_stake(u);
-                let (codes, scoring) = (input.seq.codes(), input.scoring);
-                let mut bound = bounds.max_bound(splits.clone());
-                if bound >= task.score
-                    && bounds.refresh_before_sweep(codes, scoring, &self.triangle, stake)
-                {
-                    bound = bounds.max_bound(splits.clone());
-                }
-                if bound < task.score {
-                    self.stats.pruned_pops += 1;
-                    // How far the stale bound overshot the fresh one —
-                    // the slack pruning had to work with.
-                    rec.observe(Metric::PruneSlack, (task.score - bound) as u64);
-                    self.queue.push(Task::initial_bounded(u, bound));
-                    return Step::Pruned {
-                        r: splits.start,
-                        bound,
-                    };
-                }
+        let (u, step) = match self.sched.next(&mut self.stats, &self.triangle, usize::MAX) {
+            Next::Done | Next::Wait => return Step::Done,
+            Next::Pruned { u, bound, slack } => {
+                // How far the stale bound overshot the fresh one — the
+                // slack pruning had to work with.
+                rec.observe(Metric::PruneSlack, slack as u64);
+                let r = self.unit.splits(u).start;
+                return Step::Pruned { r, bound };
             }
-        }
-        let step = if task.is_fresh(tops_found) {
-            self.stats.fresh_pops += 1;
-            // A fresh unit at the head: its best member is the next top
-            // alignment (smallest split on ties).
-            let (r, score) = self.packs.best_member(u);
-            self.recompute_rows(r..r + 1, rec);
-            rec.phase_start(Phase::Traceback);
-            let (top, cells) = self.common.input.accept_task_with_row(
-                r,
-                score,
-                &mut self.triangle,
-                self.common.row(r),
-                tops_found,
-            );
-            rec.phase_end(Phase::Traceback);
-            self.stats.record_traceback(cells);
-            // Queued bounds stay admissible as they are; the seed bounds
-            // tighten on demand, when a never-aligned unit comes up.
-            if let Some(bounds) = self.bounds.as_mut() {
-                bounds.note_accept(&top.pairs);
+            Next::Accept { u, score } => {
+                // A fresh unit at the head: its best member is the next
+                // top alignment (smallest split on ties).
+                let (r, best) = self.packs.best_member(u);
+                debug_assert_eq!(best, score, "unit {u}'s queued and exact scores disagree");
+                self.recompute_rows(r..r + 1, rec);
+                rec.phase_start(Phase::Traceback);
+                let (top, cells) = self.common.input.accept_task_with_row(
+                    r,
+                    score,
+                    &mut self.triangle,
+                    self.common.row(r),
+                    tops_found,
+                );
+                rec.phase_end(Phase::Traceback);
+                self.stats.record_traceback(cells);
+                self.sched.accepted(&top.pairs);
+                self.alignments.push(top);
+                (u, Step::Accepted { r, score })
             }
-            self.alignments.push(top);
-            // Requeue (Figure 5 line 20): the task keeps its old score as
-            // an upper bound and is stale against the grown triangle.
-            self.queue.push(task);
-            Step::Accepted { r, score }
-        } else {
-            self.stats.stale_pops += 1;
-            let first = task.aligned_with == NEVER_ALIGNED;
-            if first {
-                self.first_passes += splits.len();
-            } else {
-                self.recompute_rows(splits.clone(), rec);
-            }
-            let plan = self.packs.plan(u, first, &self.alignments);
-            let swept = (!plan.is_replay()).then(|| {
-                let t0 = R::ENABLED.then(Instant::now);
-                let swept = self.unit.sweep(&self.common, &plan, &self.triangle);
-                if let Some(t0) = t0 {
-                    let sweep = t0.elapsed();
-                    let kind = if first {
-                        Phase::FirstSweep
-                    } else {
-                        Phase::Drain
-                    };
-                    rec.add_phase_secs(kind, sweep.as_secs_f64());
-                    rec.observe(Metric::SweepNs, sweep.as_nanos() as u64);
+            Next::Sweep { u, first, .. } => {
+                let splits = self.unit.splits(u);
+                if !first {
+                    self.recompute_rows(splits.clone(), rec);
                 }
-                swept
-            });
-            let version = plan.version() as usize;
-            let score = self.packs.commit(&mut self.stats, rec, plan, swept);
-            // A score exact now holds for realignments (masking
-            // monotonicity) *and* first passes (∞ without seeding; the
-            // admissible seed bound with it) — the live end-to-end
-            // admissibility check.
-            debug_assert!(
-                version < tops_found || score <= task.score,
-                "sweep of unit {u} rose above its queued upper bound"
-            );
-            // Exact now, that is the score itself; stale (a late first
-            // pass), the tighter of two admissible bounds.
-            let score = score.min(task.score);
-            self.queue.push(Task {
-                r: u,
-                score,
-                aligned_with: version,
-            });
-            Step::Realigned {
-                r: splits.start,
-                score,
+                let plan = self.packs.plan(u, first, &self.alignments);
+                let swept = (!plan.is_replay()).then(|| {
+                    let t0 = R::ENABLED.then(Instant::now);
+                    let swept = self.unit.sweep(&self.common, &plan, &self.triangle);
+                    if let Some(t0) = t0 {
+                        let sweep = t0.elapsed();
+                        let kind = if first {
+                            Phase::FirstSweep
+                        } else {
+                            Phase::Drain
+                        };
+                        rec.add_phase_secs(kind, sweep.as_secs_f64());
+                        rec.observe(Metric::SweepNs, sweep.as_nanos() as u64);
+                    }
+                    swept
+                });
+                let version = plan.version() as usize;
+                let score = self.packs.commit(&mut self.stats, rec, plan, swept);
+                let score = self.sched.settle(u, score, version);
+                let r = splits.start;
+                (u, Step::Realigned { r, score })
             }
         };
         if self.config.row_mode == RowMode::Recompute {
-            splits.for_each(|r| self.common.forget_row(r));
+            self.unit.splits(u).for_each(|r| self.common.forget_row(r));
         }
         step
     }
@@ -668,11 +579,7 @@ impl<'a, K: PackKernel> TopAlignmentFinder<'a, K> {
     /// [`Self::run`] with instrumentation (see [`Self::step_recorded`]).
     pub fn run_recorded<R: Recorder>(mut self, rec: &mut R) -> TopAlignments {
         while !matches!(self.step_recorded(rec), Step::Done) {}
-        if let Some(bounds) = &self.bounds {
-            let splits = self.common.input.seq.len().saturating_sub(1);
-            self.stats.splits_pruned = splits.saturating_sub(self.first_passes) as u64;
-            self.stats.bound_recomputes = bounds.recomputes();
-        }
+        self.sched.finish(&mut self.stats);
         TopAlignments {
             alignments: self.alignments,
             stats: self.stats,

@@ -15,9 +15,10 @@
 //!   engine.
 //! * [`split_mask`] — adapts the triangle to the kernel-level
 //!   [`repro_align::CellMask`] for a given split.
-//! * [`tasks`] — the best-first task queue of Figure 5: one task per
-//!   split, ordered by (upper-bound) score, with the `AlignedWithTopNum`
-//!   freshness stamp.
+//! * [`tasks`] — the best-first [`Scheduler`] of Figure 5, the one every
+//!   driver decides with: one entry per unit of work, ordered by
+//!   (upper-bound) score, with the `AlignedWithTopNum` freshness stamp;
+//!   the acceptance rule, the speculative pick and the seed bounds.
 //! * [`pack`] — the **unit of work**, [`PackUnit`]: what a task is,
 //!   apart from who schedules it — a pack of neighbouring splits, swept
 //!   by a [`PackKernel`] (the scalar row step at width 1, [`ScoredSeq`];
@@ -66,5 +67,5 @@ pub use pack::{LanePacks, PackKernel, PackUnit};
 pub use seed::{PairMask, SeedConfig, SplitBounds};
 pub use split_mask::SplitMask;
 pub use stats::Stats;
-pub use tasks::{Task, TaskQueue, NEVER_ALIGNED, SCORE_INFINITY};
+pub use tasks::{Next, Scheduler, TaskQueue};
 pub use triangle::OverrideTriangle;

@@ -240,7 +240,7 @@ struct LaneMemo {
 
 /// The consecutive splits of pack `gi` when splits `1..=splits` are
 /// packed `lanes` to a pack (the last pack may be short).
-fn group_splits(splits: usize, lanes: usize, gi: usize) -> Range<usize> {
+pub(crate) fn group_splits(splits: usize, lanes: usize, gi: usize) -> Range<usize> {
     let r0 = 1 + gi * lanes;
     r0..r0 + lanes.min(splits + 1 - r0)
 }
@@ -718,14 +718,9 @@ impl<K: PackKernel> PackUnit<K> {
         group_splits(self.kernel.splits(), self.kernel.lanes(), u)
     }
 
-    /// What a first pass of unit `u` puts at stake when the seed bounds
-    /// weigh a refresh against it ([`crate::SplitBounds::refresh_before_sweep`]):
-    /// `r(m − r)` at one lane, in *vector* cells (rows × width) — one
-    /// kernel step each, like a cell of the scalar resweep it is weighed
-    /// against.
-    pub fn refresh_stake(&self, u: usize) -> u64 {
-        let splits = self.splits(u);
-        ((splits.end - 1) * (self.kernel.splits() + 1 - splits.start)) as u64
+    /// Splits in a full pack.
+    pub(crate) fn lanes(&self) -> usize {
+        self.kernel.lanes()
     }
 
     /// The shared state a run starts with.

@@ -1,7 +1,7 @@
 //! Seeded split bounds: admissible per-split score ceilings.
 //!
-//! The best-first queue of Figure 5 starts every split at
-//! [`crate::tasks::SCORE_INFINITY`], so even a low-repeat sequence pays
+//! The best-first queue of Figure 5 starts every split at an infinite
+//! bound (`Score::MAX`), so even a low-repeat sequence pays
 //! one full Gotoh sweep per split before the queue learns anything.
 //! This module replaces those infinite initial bounds with **finite
 //! admissible** ones.

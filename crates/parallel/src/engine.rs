@@ -1,8 +1,11 @@
 //! The one SMP engine, generic over the kernel of its unit of work.
 //!
-//! *Who schedules* is written here once: the shared task table, the
-//! best-first [`Engine::decide`], the Accept / Wait / Finished arms and
-//! the end-of-run fold. *How one unit is (re)aligned* is a
+//! *Who runs a claim* is written here: worker threads that take the
+//! shared lock, ask the one [`repro_core::Scheduler`] what to do next
+//! (the best-first table, the acceptance rule and the seed bounds live
+//! there, shared with the inline driver and the cluster master), and
+//! run the Accept / Sweep arms with the lock released around the
+//! traceback and the sweep. *How one unit is (re)aligned* is a
 //! [`repro_core::PackUnit`], defined next to the inline driver that
 //! shares it: packs of neighbouring splits, one split wide under the
 //! row kernel or 4/8/16 under the lane kernel, with first-pass rows in
@@ -10,25 +13,17 @@
 //! over the [`repro_core::PackKernel`], never `dyn`.
 
 use parking_lot::{Condvar, Mutex};
-use repro_align::{Score, Scoring, Seq};
+use repro_align::{Scoring, Seq};
 use repro_core::{
-    Common, LanePacks, OverrideTriangle, PackKernel, PackUnit, Search, SplitBounds, Stats,
+    Common, LanePacks, Next, OverrideTriangle, PackKernel, PackUnit, Scheduler, Search, Stats,
     TopAlignment, TopAlignments,
 };
 use repro_obs::{Counter, FlightRecorder, Metric, Phase, Recorder};
 use std::sync::Arc;
 use std::time::Instant;
 
-#[derive(Debug, Clone, Copy)]
-struct UnitState {
-    /// Best member's upper bound (drives scheduling).
-    score: Score,
-    aligned_with: usize,
-    assigned: bool,
-}
-
-struct Shared {
-    state: Vec<UnitState>, // one per unit
+struct Shared<'a> {
+    sched: Scheduler<'a>,
     triangle: Arc<OverrideTriangle>,
     tops: Vec<TopAlignment>,
     stats: Stats,
@@ -40,42 +35,17 @@ struct Shared {
     /// work, of acceptance recomputation and traceback (the serial
     /// master-side step) and of unlocked first-pass and realignment
     /// sweeps, each summed across workers; sweep duration, task round
-    /// trip, queue wait and resume rows; whatever the unit's commit
-    /// adds.
+    /// trip, queue wait, resume rows and prune slack; whatever the
+    /// unit's commit adds.
     tally: FlightRecorder,
-    accept_in_progress: bool,
-    done: bool,
-    /// `Some` with seeded pruning: the admissible per-split bounds,
-    /// told of each accept and refreshed on demand, under the lock.
-    bounds: Option<SplitBounds>,
-    /// Splits (not units) that have completed their first pass.
-    first_passes: usize,
     packs: LanePacks,
 }
 
 struct Engine<'a, K: PackKernel> {
     unit: &'a PackUnit<K>,
     common: Common<'a>,
-    /// Top alignments wanted.
-    count: usize,
-    shared: Mutex<Shared>,
+    shared: Mutex<Shared<'a>>,
     wake: Condvar,
-}
-
-const NEVER: usize = usize::MAX;
-
-enum Decision {
-    Accept {
-        r: usize,
-        score: Score,
-    },
-    Sweep {
-        u: usize,
-        stamp: usize,
-        triangle: Arc<OverrideTriangle>,
-    },
-    Wait,
-    Finished,
 }
 
 /// Run `search` over `seq` on `threads` workers claiming `unit`s. Folds
@@ -91,48 +61,21 @@ pub(crate) fn run<K: PackKernel, R: Recorder>(
 ) -> TopAlignments {
     assert!(threads >= 1, "need at least one worker");
     let m = seq.len();
-    let splits = m.saturating_sub(1);
-
-    let bounds = search
-        .seed
-        .map(|sc| SplitBounds::build(seq.codes(), scoring, sc));
-    let state = (0..unit.units())
-        .map(|u| UnitState {
-            // A unit's admissible bound is the max of its members'
-            // split bounds (swept as a unit).
-            score: match &bounds {
-                Some(b) => b.max_bound(unit.splits(u)),
-                None => Score::MAX,
-            },
-            aligned_with: NEVER,
-            assigned: false,
-        })
-        .collect();
-    let mut stats = Stats::new();
-    if let Some(b) = &bounds {
-        stats.seed_index_build_ns = b.build_ns();
-    }
-
     let engine = Engine {
         unit,
         common: Common::new(seq, scoring),
-        count: search.count,
         shared: Mutex::new(Shared {
-            state,
+            sched: Scheduler::new(unit, seq, scoring, search),
             triangle: Arc::new(OverrideTriangle::new(m)),
             tops: Vec::new(),
-            stats,
+            stats: Stats::new(),
             tally: FlightRecorder::new(),
-            accept_in_progress: false,
-            done: false,
-            bounds,
-            first_passes: 0,
             packs: unit.packs(),
         }),
         wake: Condvar::new(),
     };
 
-    if splits > 0 && search.count > 0 {
+    if m > 1 && search.count > 0 {
         std::thread::scope(|scope| {
             let workers: Vec<_> = (0..threads)
                 .map(|_| scope.spawn(|| engine.worker()))
@@ -149,10 +92,7 @@ pub(crate) fn run<K: PackKernel, R: Recorder>(
     }
 
     let mut shared = engine.shared.into_inner();
-    if let Some(b) = &shared.bounds {
-        shared.stats.splits_pruned = splits.saturating_sub(shared.first_passes) as u64;
-        shared.stats.bound_recomputes = b.recomputes();
-    }
+    shared.sched.finish(&mut shared.stats);
     let tally = &shared.tally;
     for counter in Counter::ALL {
         rec.add(counter, tally.counter(counter));
@@ -174,97 +114,19 @@ pub(crate) fn run<K: PackKernel, R: Recorder>(
 }
 
 impl<K: PackKernel> Engine<'_, K> {
-    /// Pick the next action under the lock.
-    fn decide(&self, shared: &mut Shared) -> Decision {
-        loop {
-            if shared.done || shared.tops.len() >= self.count {
-                shared.done = true;
-                return Decision::Finished;
-            }
-            let tops_found = shared.tops.len();
-            // Global argmax over ALL units (assigned ones hold their
-            // stale upper bound), ties to the smaller unit — which,
-            // because units partition the splits in order, is the
-            // smaller split.
-            let mut best: Option<(Score, usize)> = None;
-            for (u, t) in shared.state.iter().enumerate() {
-                if best.is_none_or(|(bs, _)| t.score > bs) {
-                    best = Some((t.score, u));
-                }
-            }
-            let Some((_, best_u)) = best.filter(|&(score, _)| score > 0) else {
-                shared.done = true;
-                return Decision::Finished;
-            };
-            let best_task = shared.state[best_u];
-            // A fresh head is the next top alignment — unless someone is
-            // already accepting, in which case speculate below.
-            if best_task.aligned_with == tops_found
-                && !best_task.assigned
-                && !shared.accept_in_progress
-            {
-                shared.accept_in_progress = true;
-                shared.tally.add(Counter::TaskClaims, 1);
-                shared.stats.fresh_pops += 1;
-                let (r, score) = shared.packs.best_member(best_u);
-                return Decision::Accept { r, score };
-            }
-            // Speculate: best stale unassigned unit, if any.
-            let mut pick: Option<(Score, usize)> = None;
-            for (u, t) in shared.state.iter().enumerate() {
-                if !t.assigned
-                    && t.aligned_with != tops_found
-                    && t.score > 0
-                    && pick.is_none_or(|(ps, _)| t.score > ps)
-                {
-                    pick = Some((t.score, u));
-                }
-            }
-            let Some((_, u)) = pick else {
-                return Decision::Wait;
-            };
-            // A never-swept pick is about to be swept: the moment the
-            // seed bounds may spend a refresh. If they do, lower every
-            // never-swept unassigned unit to its new (max-member) bound
-            // and decide again.
-            if shared.state[u].aligned_with == NEVER {
-                if let Some(bounds) = shared.bounds.as_mut() {
-                    let input = &self.common.input;
-                    if bounds.refresh_before_sweep(
-                        input.seq.codes(),
-                        input.scoring,
-                        &shared.triangle,
-                        self.unit.refresh_stake(u),
-                    ) {
-                        for (v, t) in shared.state.iter_mut().enumerate() {
-                            if t.aligned_with == NEVER && !t.assigned {
-                                t.score = bounds.max_bound(self.unit.splits(v));
-                            }
-                        }
-                        continue;
-                    }
-                }
-            }
-            shared.state[u].assigned = true;
-            shared.tally.add(Counter::TaskClaims, 1);
-            shared.stats.stale_pops += 1;
-            return Decision::Sweep {
-                u,
-                stamp: tops_found,
-                triangle: Arc::clone(&shared.triangle),
-            };
-        }
-    }
-
     fn worker(&self) {
         let mut guard = self.shared.lock();
         loop {
-            match self.decide(&mut guard) {
-                Decision::Finished => {
+            let shared = &mut *guard;
+            match shared
+                .sched
+                .next(&mut shared.stats, &shared.triangle, usize::MAX)
+            {
+                Next::Done => {
                     self.wake.notify_all();
                     return;
                 }
-                Decision::Wait => {
+                Next::Wait => {
                     let t0 = Instant::now();
                     self.wake.wait(&mut guard);
                     let idle = t0.elapsed();
@@ -275,10 +137,15 @@ impl<K: PackKernel> Engine<'_, K> {
                         .tally
                         .observe(Metric::QueueWaitNs, idle.as_nanos() as u64);
                 }
-                Decision::Accept { r, score } => {
+                Next::Pruned { slack, .. } => {
+                    shared.tally.observe(Metric::PruneSlack, slack as u64);
+                }
+                Next::Accept { u, score } => {
                     let claim_t0 = Instant::now();
-                    let index = guard.tops.len();
-                    let mut triangle = (*guard.triangle).clone();
+                    shared.tally.add(Counter::TaskClaims, 1);
+                    let (r, _) = shared.packs.best_member(u);
+                    let index = shared.tops.len();
+                    let mut triangle = (*shared.triangle).clone();
                     drop(guard);
 
                     let traceback_t0 = Instant::now();
@@ -292,35 +159,34 @@ impl<K: PackKernel> Engine<'_, K> {
                     let traceback_secs = traceback_t0.elapsed().as_secs_f64();
 
                     guard = self.shared.lock();
-                    guard.tally.add_phase_secs(Phase::Traceback, traceback_secs);
-                    guard.stats.record_traceback(cells);
-                    guard.triangle = Arc::new(triangle);
-                    if let Some(bounds) = guard.bounds.as_mut() {
-                        bounds.note_accept(&top.pairs);
-                    }
-                    guard.tops.push(top);
-                    guard.accept_in_progress = false;
-                    guard.tally.observe(
+                    let shared = &mut *guard;
+                    shared
+                        .tally
+                        .add_phase_secs(Phase::Traceback, traceback_secs);
+                    shared.stats.record_traceback(cells);
+                    shared.triangle = Arc::new(triangle);
+                    shared.sched.accepted(&top.pairs);
+                    shared.tops.push(top);
+                    shared.tally.observe(
                         Metric::TaskRoundTripNs,
                         claim_t0.elapsed().as_nanos() as u64,
                     );
-                    // The accepted unit keeps its score as an upper bound
-                    // and is now stale (tops count advanced).
                     self.wake.notify_all();
                 }
-                Decision::Sweep { u, stamp, triangle } => {
+                Next::Sweep { u, first, .. } => {
                     let claim_t0 = Instant::now();
-                    let first = guard.state[u].aligned_with == NEVER;
-                    // The lock has been held since decide(): `tops` is
-                    // still exactly `stamp` long, so whatever the plan
-                    // stamps stays correct even if the sweep is later
-                    // superseded.
-                    let shared = &mut *guard;
+                    shared.tally.add(Counter::TaskClaims, 1);
+                    // The lock is held from the claim through the plan:
+                    // `tops` is still exactly `stamp` long, so whatever
+                    // the plan stamps stays correct even if the sweep is
+                    // later superseded.
+                    let stamp = shared.tops.len();
                     let plan = shared.packs.plan(u, first, &shared.tops);
                     let version = plan.version() as usize;
                     let swept = if plan.is_replay() {
                         None
                     } else {
+                        let triangle = Arc::clone(&shared.triangle);
                         drop(guard);
                         let sweep_t0 = Instant::now();
                         let swept = self.unit.sweep(&self.common, &plan, &triangle);
@@ -345,25 +211,10 @@ impl<K: PackKernel> Engine<'_, K> {
                         shared
                             .packs
                             .commit(&mut shared.stats, &mut shared.tally, plan, swept);
-                    if first {
-                        shared.first_passes += self.unit.splits(u).len();
-                    }
+                    shared.sched.settle(u, score, version);
                     if stamp != shared.tops.len() {
                         shared.tally.add(Counter::SupersededWork, 1);
                     }
-                    let t = &mut shared.state[u];
-                    // Masking monotonicity for realignments, seed-bound
-                    // admissibility for first passes: every score exact
-                    // under the version it was planned at.
-                    debug_assert!(
-                        version < stamp || score <= t.score,
-                        "sweep of unit {u} rose above its upper bound"
-                    );
-                    // Exact, that is the score itself; stale (a late
-                    // first pass), the tighter of two admissible bounds.
-                    t.score = score.min(t.score);
-                    t.aligned_with = version;
-                    t.assigned = false;
                     shared.tally.observe(
                         Metric::TaskRoundTripNs,
                         claim_t0.elapsed().as_nanos() as u64,

@@ -1,12 +1,14 @@
 //! # repro-parallel — the shared-memory engine (paper §4.2)
 //!
 //! Worker threads share the task state, the override triangle and the
-//! bottom-row store. Each idle worker claims the highest-scoring
-//! *unassigned, stale* task and realigns it speculatively; a top
-//! alignment is accepted exactly when the globally best task (by upper
-//! bound, over assigned and unassigned alike) is *fresh* — the same
-//! fixed point the sequential loop reaches, so all engines emit
-//! identical alignments. Speculative work whose stamp is superseded is
+//! bottom-row store. Each idle worker asks the one
+//! [`repro_core::Scheduler`] — the inline driver's and the cluster
+//! master's too — for its next claim: the highest-scoring *unclaimed,
+//! stale* task, realigned speculatively; a top alignment is accepted
+//! exactly when the globally best task (by upper bound, over claimed
+//! and unclaimed alike) is *fresh* and unclaimed — the same fixed point
+//! the sequential loop reaches, so all engines emit identical
+//! alignments. Speculative work whose stamp is superseded is
 //! not wasted: its (lower) score re-enters the state, pushing the task
 //! down the order, exactly as the paper observes.
 //!
@@ -16,8 +18,9 @@
 //! bottom rows are written once and then immutable
 //! ([`repro_core::Common`]).
 //!
-//! There is **one engine** (the private `engine` module: task table,
-//! `decide`, the worker loop, the end-of-run fold), generic over the
+//! There is **one engine** (the private `engine` module: the worker
+//! loop around the scheduler's decisions, the lock, the post-join tally
+//! fold), generic over the
 //! kernel of the [`repro_core::PackUnit`] it shares with the inline
 //! driver, and two constructors of it. The paper calls its accelerations orthogonal —
 //! "the SIMD kernel speeds up each alignment, the SMP and cluster
@@ -56,12 +59,13 @@ use repro_obs::Recorder;
 /// under always matches the triangle snapshot it cloned. With `search.seed`
 /// set, every task starts at its admissible seed bound instead of
 /// infinity, and never-aligned tasks whose bound stays below every
-/// acceptance are never swept by any worker; bounds are refreshed (only
-/// ever tightening) under the shared lock when a never-aligned task is
-/// about to be claimed and [`repro_core::SplitBounds`] judges the
-/// resweep worth it, and folded straight into the task state — the
-/// in-place analogue of the sequential engine's bound-refresh pops.
-/// Alignments are bit-identical with either layer on or off.
+/// acceptance are never swept by any worker; the scheduler refreshes the
+/// bounds (only ever tightening) under the shared lock when a
+/// never-aligned task is about to be claimed and
+/// [`repro_core::SplitBounds`] judges the resweep worth it, and requeues
+/// a pick whose bound fell without sweeping it — the same pruned pops as
+/// the sequential engine's. Alignments are bit-identical with either
+/// layer on or off.
 ///
 /// `rec` receives the workers' tallies once they have joined: task
 /// claims, superseded work, the `worker_idle` and `traceback` phases,

@@ -271,11 +271,10 @@ fn every_engine_folds_its_tallies_under_the_keys_the_benchmark_reads() {
 /// count for count: `threads:1` against the sequential engine (1-lane
 /// packs, the row kernel) and `simd-threads:1` against `simd` at every
 /// width (the lane kernel), plain, checkpointed under a budget that binds and
-/// one that does not, seeded, and both. The schedulers differ; the tops
-/// and every computed-entry count — what proves the two callers of each
-/// unit share it, and the one row store its rows are moved into — may
-/// not. (`pruned_pops` is left out: the engines that scan their task
-/// table lower bounds in place, without a pop.)
+/// one that does not, seeded, and both. Who runs a claim differs; the
+/// tops and every count — what proves the two callers of each unit
+/// share it, the one row store its rows are moved into, and the one
+/// scheduler that decides, pruned pops included — may not.
 #[test]
 fn one_worker_is_the_sequential_engine_count_for_count() {
     let seq = titin_like(300, 12);
@@ -319,6 +318,7 @@ fn one_worker_is_the_sequential_engine_count_for_count() {
                     ("alignments", s.alignments),
                     ("fresh_pops", s.fresh_pops),
                     ("stale_pops", s.stale_pops),
+                    ("pruned_pops", s.pruned_pops),
                     ("checkpoint_hits", s.checkpoint_hits),
                     ("checkpoint_misses", s.checkpoint_misses),
                     ("realign_rows_swept", s.realign_rows_swept),
