@@ -506,7 +506,7 @@ impl<'a, C: Comm + Send, K: PackKernel> Worker<'a, C, K> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::master::MAX_BATCH;
+    use crate::master::{Timeouts, MAX_BATCH};
     use crate::protocol::{ResultMsg, Work};
     use repro_align::Score;
     use repro_core::{find_top_alignments, ScoredSeq, SeedConfig, Stats};
@@ -786,6 +786,7 @@ pub(crate) mod tests {
         )
         .expect("drop_every=2 must complete, possibly via local fallback");
         assert_eq!(got.result.alignments, want.alignments);
+        assert!(got.result.stats.cluster_retries > 0, "the loss was healed");
     }
 
     #[test]
@@ -948,6 +949,16 @@ pub(crate) mod tests {
         )
         .expect("a crashed worker must not sink the recorded run");
         assert_eq!(got.result.alignments, want.alignments);
+        // The crashed rank held a pack, and every retransmission round
+        // is one `retry` event.
+        let stats = &got.result.stats;
+        assert!(stats.cluster_reassignments >= 1);
+        let retries = rec
+            .events()
+            .iter()
+            .filter(|e| matches!(e.event, Event::Retry { .. }))
+            .count();
+        assert_eq!(stats.cluster_retries, retries as u64);
 
         // The recovery phase wraps the whole run.
         assert_eq!(rec.phase_entries(Phase::Recovery), 1);
@@ -1298,15 +1309,15 @@ pub(crate) mod tests {
     ) {
         let want = find_top_alignments(seq, scoring, 2);
         let overall = Duration::from_secs(60);
-        let config = RecoveryConfig {
+        let config = RecoveryConfig::with_overall(overall);
+        let timeouts = Timeouts {
             retry_base: Duration::from_millis(150),
             max_retries: 0,
             retry_cap: Duration::from_secs(5),
             liveness: Duration::from_millis(120),
-            ..RecoveryConfig::with_overall(overall)
         };
         let pad = Duration::from_millis(45);
-        assert!(pad >= BEACON_PERIOD && pad * MAX_BATCH as u32 > config.liveness);
+        assert!(pad >= BEACON_PERIOD && pad * MAX_BATCH as u32 > timeouts.liveness);
         for threads in [1, 2] {
             let mut world = ThreadComm::world(3);
             let master_comm = world.remove(0);
@@ -1319,7 +1330,8 @@ pub(crate) mod tests {
                         worker.serve(overall)
                     });
                 }
-                let master = MasterState::with_unit(unit(), seq, scoring, &Search::new(2));
+                let master = MasterState::with_unit(unit(), seq, scoring, &Search::new(2))
+                    .with_timeouts(timeouts);
                 master_loop(master, master_comm, config, &mut NoopRecorder)
             })
             .unwrap();

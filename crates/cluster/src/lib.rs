@@ -27,18 +27,20 @@
 //!
 //! The crate is layered so the scheduling logic exists once:
 //!
-//! * [`master`] — the pure master state machine (no I/O): feed it worker
-//!   events, get back protocol actions. Acceptance fires exactly when
-//!   the globally best upper bound is fresh, so the distributed engine
-//!   emits the same alignments as every other engine. It speculates
-//!   best-first and bounds a batch in lanes, not units: up to four
-//!   splits, or one lane pack.
+//! * [`master`] — the pure master state machine (no I/O; time is an
+//!   input): feed it worker events and the clock, get back protocol
+//!   actions. Acceptance fires exactly when the globally best upper
+//!   bound is fresh, so the distributed engine emits the same alignments
+//!   as every other engine. It speculates best-first, bounds a batch in
+//!   lanes, not units (up to four splits, or one lane pack), and owns
+//!   every fault rule: per-task retry with exponential backoff, the
+//!   silent-worker rule, reassignment away from dead workers and the
+//!   master-local sequential fallback.
 //! * [`protocol`] — message tags and payload codecs.
-//! * [`recovery`] — the fault-tolerant transport loop shared by the
-//!   thread-backed engines: per-task deadlines with bounded retry and
-//!   exponential backoff, liveness tracking, reassignment away from
-//!   dead workers, and a master-local sequential fallback when the
-//!   whole worker pool is lost.
+//! * [`recovery`] — the transport loop every message-passing master
+//!   runs: it hands the master the clock and the messages, sends what
+//!   it returns, and owns the run's budget, the event log and the
+//!   worker telemetry.
 //! * [`engine`] — the real backend on [`repro_xmpi::thread`], and the
 //!   one worker every transport runs: a rank of `T` sweep threads over
 //!   one replica (one thread in a flat cluster, a node's CPUs in the
@@ -72,5 +74,5 @@ pub use proc::{
     maybe_run_worker_from_env, run_cluster_proc, socket_worker, ProcOptions, SpawnMode,
     WorkerError, WORKER_ENV,
 };
-pub use recovery::{RecoveryConfig, DEFAULT_DEADLINE};
+pub use recovery::DEFAULT_DEADLINE;
 pub use sim::{simulate_cluster, AlignCache, CostModel, SimReport};

@@ -7,7 +7,12 @@
 //! so the distributed engine's alignments are identical to the
 //! sequential ones, independent of worker count or message timing.
 //!
-//! Fault tolerance lives here too, transport-independently:
+//! Fault tolerance lives here too, transport-independently. The machine
+//! does no I/O, and time is an input: the transport hands in the time
+//! since the run started with every message it hears
+//! ([`MasterState::heard`]), every task it sends ([`MasterState::sent`])
+//! and whenever it wakes ([`MasterState::tick`]); the simulator never
+//! advances it.
 //!
 //! * every assignment carries an **attempt number**; a result is only
 //!   allowed to settle the assignment whose attempt it echoes, so
@@ -19,6 +24,14 @@
 //!   assignment and returned exactly when that assignment settles, so
 //!   duplicated IDLE announcements and stale results can never inflate
 //!   or leak capacity;
+//! * **retransmission with backoff** — an assignment keeps the item as
+//!   shipped and a retry clock started when it was made; an item still
+//!   unanswered when the clock runs out is shipped again, same attempt,
+//!   and the wait doubles up to a cap ([`RETRY_CAP`]). Recomputing is
+//!   idempotent and the attempt number makes late duplicates harmless;
+//! * **liveness** — a worker that owes an overdue result, has used up
+//!   its retransmissions and has not been heard within the liveness
+//!   window is declared dead;
 //! * [`MasterState::worker_dead`] withdraws a lost worker: its
 //!   in-flight tasks return to the pool for reassignment and any later
 //!   message from it (a zombie) is ignored;
@@ -30,8 +43,8 @@
 //! The machine is the third driver of a [`PackUnit`] (a pack of one
 //! split under the row kernel, or of 4/8/16 under the lane kernel), next
 //! to the inline loop and the SMP engine; its side table holds only
-//! what messages add to a claim: the assignment, the attempts issued
-//! and the best member the settling result reported.
+//! what messages add to a claim: the assignment in flight, the attempts
+//! issued and the best member the settling result reported.
 
 use crate::protocol::{AcceptedMsg, ResultMsg, TaskItem, TaskMsg, Work};
 use repro_align::{Score, Scoring, Seq};
@@ -41,8 +54,8 @@ use repro_core::{
     Stats, TopAlignment,
 };
 use repro_obs::{Metric, NoopRecorder, Recorder};
-use std::collections::{HashMap, HashSet};
-use std::time::Instant;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::time::{Duration, Instant};
 
 /// The worker id the master uses for itself when it falls back to
 /// local computation ([`MasterState::finish_locally`]). Transports must
@@ -56,6 +69,27 @@ pub const LOCAL_WORKER: usize = usize::MAX;
 /// reassignment burst small: four splits, or one lane pack.
 pub const MAX_BATCH: usize = 4;
 
+/// First retransmission timeout for an unanswered assignment.
+pub const RETRY_BASE: Duration = Duration::from_millis(60);
+/// Retransmissions before the worker's liveness is questioned.
+pub const MAX_RETRIES: u32 = 3;
+/// Ceiling on the doubling wait between retransmissions: under
+/// sustained loss an uncapped one idles a lossy-but-live world for
+/// minutes, and past the liveness window waiting gains nothing.
+pub const RETRY_CAP: Duration = Duration::from_millis(250);
+/// How long a worker may stay silent before "no result + retries
+/// exhausted" escalates to a death declaration.
+pub const LIVENESS: Duration = Duration::from_millis(400);
+
+/// The four knobs above, set otherwise only by a test.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Timeouts {
+    pub(crate) retry_base: Duration,
+    pub(crate) max_retries: u32,
+    pub(crate) retry_cap: Duration,
+    pub(crate) liveness: Duration,
+}
+
 /// What the transport must do next, in order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MasterAction {
@@ -67,25 +101,50 @@ pub enum MasterAction {
         /// The assignment.
         task: TaskMsg,
     },
+    /// Send this overdue item again, as first shipped (same stamp and
+    /// attempt, same rows).
+    Retry {
+        /// The worker that holds the assignment.
+        worker: usize,
+        /// A single-item batch.
+        task: TaskMsg,
+        /// Retransmissions of this assignment so far, this one included.
+        retries: u32,
+    },
+    /// `worker` was written off: a send to it failed, or it fell silent
+    /// with its retransmissions used up. Its units are back in the pool,
+    /// and the actions that follow reassign them.
+    WorkerDead {
+        /// The worker declared dead.
+        worker: usize,
+    },
     /// Broadcast an acceptance to every worker.
     Broadcast(AcceptedMsg),
     /// Broadcast shutdown; the search is complete.
     Done,
 }
 
-#[derive(Debug, Clone, Copy)]
+/// An assignment in flight.
+#[derive(Debug, Clone)]
 struct Assignment {
     worker: usize,
     /// The capacity slot this assignment consumed; returned on settle.
     slot: usize,
-    attempt: u64,
-    /// The unit was never aligned: its result must bring the rows.
-    first: bool,
+    /// The batch's stamp and this unit's item of it, rows included: what
+    /// a retransmission ships again.
+    stamp: usize,
+    item: TaskItem,
+    /// When it was made, when its result is overdue, the wait after
+    /// that, and the retransmissions so far.
+    sent: Duration,
+    retry_at: Duration,
+    backoff: Duration,
+    retries: u32,
 }
 
 /// What the messages add to a unit's claim; its place in the order is
 /// the [`Scheduler`]'s.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct Ticket {
     /// The unit's best member, as the settling result reported it.
     best: usize,
@@ -126,9 +185,18 @@ pub struct MasterState<'a, K: PackKernel = ScoredSeq<'a>> {
     traceback_secs: f64,
     /// Free capacity tokens: (worker, slot).
     idle: Vec<(usize, usize)>,
-    /// Unsettled assignments per consumed token; a token with no entry
-    /// is free or was never announced.
-    outstanding: HashMap<(usize, usize), usize>,
+    /// The unsettled units of each consumed token's batch; a token with
+    /// no entry is free or was never announced. Every assignment in
+    /// flight is found through here.
+    outstanding: BTreeMap<(usize, usize), Vec<usize>>,
+    timeouts: Timeouts,
+    /// The clock as last handed in: time since the run started.
+    now: Duration,
+    /// When each worker was last heard from.
+    heard: HashMap<usize, Duration>,
+    /// The send-to-settle time of the last settling result, until the
+    /// transport takes it.
+    round_trip: Option<Duration>,
     /// Results discarded because they claimed a replica version the
     /// master has not reached, or settled a first pass without its
     /// rows (only a corrupt frame can).
@@ -176,11 +244,26 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
             stats: Stats::new(),
             traceback_secs: 0.0,
             idle: Vec::new(),
-            outstanding: HashMap::new(),
+            outstanding: BTreeMap::new(),
+            timeouts: Timeouts {
+                retry_base: RETRY_BASE,
+                max_retries: MAX_RETRIES,
+                retry_cap: RETRY_CAP,
+                liveness: LIVENESS,
+            },
+            now: Duration::ZERO,
+            heard: HashMap::new(),
+            round_trip: None,
             rejected_results: 0,
             done: false,
             count: search.count,
         }
+    }
+
+    /// The same master with other retransmission and liveness knobs.
+    #[cfg(test)]
+    pub(crate) fn with_timeouts(self, timeouts: Timeouts) -> Self {
+        MasterState { timeouts, ..self }
     }
 
     /// The unit of work tasks and results are decoded against.
@@ -243,6 +326,11 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
         self.worker_has_row.len()
     }
 
+    /// Workers ever registered, live or written off.
+    pub fn workers_seen(&self) -> usize {
+        self.worker_has_row.len() + self.dead.len()
+    }
+
     /// Consume the machine, yielding the final result.
     pub fn into_result(mut self) -> repro_core::TopAlignments {
         self.sched.finish(&mut self.stats);
@@ -275,6 +363,7 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
             busy,
             self.tickets.iter().any(|t| t
                 .assigned
+                .as_ref()
                 .is_some_and(|a| a.worker == worker && a.slot == slot)),
             "outstanding count of slot ({worker}, {slot}) out of step"
         );
@@ -304,6 +393,90 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
         self.pump()
     }
 
+    /// A message from `worker` arrived at `now`, the time since the run
+    /// started: the worker is alive, and the assignments its handling
+    /// makes start their retry clocks here.
+    pub fn heard(&mut self, worker: usize, now: Duration) {
+        self.now = self.now.max(now);
+        self.heard.insert(worker, now);
+    }
+
+    /// The assignments in flight to remote workers, by token.
+    fn in_flight(&self) -> impl Iterator<Item = &Assignment> + '_ {
+        self.outstanding
+            .iter()
+            .filter(|&(&(w, _), _)| w != LOCAL_WORKER)
+            .flat_map(|(_, units)| units.iter())
+            .map(|&u| self.tickets[u].assigned.as_ref().expect("outstanding"))
+    }
+
+    /// The transport put `action`, an assignment or a retransmission,
+    /// on the wire at `now`: its items' retry clocks restart there, an
+    /// assignment's round trip starts there, and a retransmission is
+    /// counted. Until then the clocks run from when the master made it.
+    pub fn sent(&mut self, action: &MasterAction, now: Duration) {
+        let (MasterAction::Assign { task, .. } | MasterAction::Retry { task, .. }) = action else {
+            return;
+        };
+        let retry = matches!(action, MasterAction::Retry { .. });
+        self.stats.cluster_retries += u64::from(retry);
+        self.now = self.now.max(now);
+        for item in &task.items {
+            let a = self.tickets[item.unit].assigned.as_mut();
+            if let Some(a) = a.filter(|a| a.item.attempt == item.attempt) {
+                a.retry_at = now + a.backoff;
+                a.sent = if retry { a.sent } else { now };
+            }
+        }
+    }
+
+    /// When the next result in flight falls overdue: the transport waits
+    /// for traffic no longer than this before it calls
+    /// [`MasterState::tick`].
+    pub fn next_deadline(&self) -> Option<Duration> {
+        self.in_flight().map(|a| a.retry_at).min()
+    }
+
+    /// The clock reads `now`: write off every worker that owes an
+    /// overdue result, has used up its retransmissions and has not been
+    /// heard within the liveness window (its units are reassigned as
+    /// [`MasterState::worker_dead`] does), and ship every other overdue
+    /// item again, the wait after it doubled up to the cap (counted once
+    /// [`MasterState::sent`] reports it out). [`LOCAL_WORKER`] never
+    /// retransmits.
+    pub fn tick(&mut self, now: Duration) -> Vec<MasterAction> {
+        self.now = self.now.max(now);
+        let (now, t) = (self.now, self.timeouts);
+        let silent = |w| self.heard.get(&w).is_none_or(|&h| now - h >= t.liveness);
+        let hopeless = |a: &Assignment| a.retries >= t.max_retries && silent(a.worker);
+        let due: Vec<_> = self
+            .in_flight()
+            .filter(|a| a.retry_at <= now)
+            .map(|a| (a.worker, a.item.unit, hopeless(a)))
+            .collect();
+        let mut actions = Vec::new();
+        for &(worker, ..) in due.iter().filter(|d| d.2) {
+            actions.extend(self.worker_dead(worker)); // once per worker
+        }
+        for (worker, u, _) in due.into_iter().filter(|d| !self.dead.contains(&d.0)) {
+            let a = self.tickets[u].assigned.as_mut().expect("in flight");
+            a.retries += 1;
+            a.backoff = (a.backoff * 2).min(t.retry_cap);
+            a.retry_at = now + a.backoff;
+            actions.push(MasterAction::Retry {
+                worker,
+                task: TaskMsg::single(a.stamp, a.item.clone()),
+                retries: a.retries,
+            });
+        }
+        actions
+    }
+
+    /// The send-to-settle time of the result just settled, once.
+    pub(crate) fn take_round_trip(&mut self) -> Option<Duration> {
+        self.round_trip.take()
+    }
+
     /// A worker returned a task result.
     pub fn result(&mut self, worker: usize, res: ResultMsg) -> Vec<MasterAction> {
         let u = res.unit;
@@ -320,8 +493,9 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
             self.rejected_results += 1;
             return Vec::new();
         }
-        let current = self.tickets[u].assigned;
-        let Some(a) = current.filter(|a| a.worker == worker && a.attempt == res.attempt) else {
+        let current = self.tickets[u].assigned.as_ref();
+        let Some(a) = current.filter(|a| a.worker == worker && a.item.attempt == res.attempt)
+        else {
             // Stale: a duplicate delivery, or an attempt that was
             // reassigned before this copy arrived. Discard the content
             // (a late first-pass recompute may have run under a newer
@@ -333,8 +507,9 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
         // Exactly one result per unit settles its first pass (one
         // assignment per unit at a time), and it must bring every
         // member's row — the local fallback's are already stored.
+        let (slot, sent) = (a.slot, a.sent);
         let brought = |r: usize| res.rows.iter().any(|&(q, _)| q == r);
-        if a.first
+        if a.item.first
             && !self
                 .unit
                 .splits(u)
@@ -355,43 +530,55 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
         let t = &mut self.tickets[u];
         (t.best, t.assigned) = (res.best.0, None);
         self.sched.settle(u, res.best.1, res.stamp);
+        self.round_trip = Some(self.now - sent);
         let left = self
             .outstanding
-            .get_mut(&(worker, a.slot))
+            .get_mut(&(worker, slot))
             .expect("a settling assignment holds its slot");
-        *left -= 1;
-        if *left == 0 {
+        left.retain(|&v| v != u);
+        if left.is_empty() {
             // The batch's last item: only now is the slot's token back.
-            self.outstanding.remove(&(worker, a.slot));
-            self.credit_idle(worker, a.slot);
+            self.outstanding.remove(&(worker, slot));
+            self.credit_idle(worker, slot);
         }
         self.pump()
     }
 
-    /// Withdraw `worker` without rescheduling (shared by
-    /// [`MasterState::worker_dead`] and [`MasterState::finish_locally`]).
-    fn mark_dead(&mut self, worker: usize) {
-        if self.dead.contains(&worker) {
-            return;
+    /// Withdraw `worker` without rescheduling (shared by the death
+    /// declarations and [`MasterState::finish_locally`]): the units it
+    /// held, or `None` if it was already dead.
+    fn mark_dead(&mut self, worker: usize) -> Option<u64> {
+        if !self.dead.insert(worker) {
+            return None;
         }
-        self.dead.insert(worker);
         self.worker_has_row.remove(&worker);
         self.idle.retain(|&(w, _)| w != worker);
-        self.outstanding.retain(|&(w, _), _| w != worker);
-        for (u, t) in self.tickets.iter_mut().enumerate() {
-            if t.assigned.is_some_and(|a| a.worker == worker) {
-                t.assigned = None;
-                self.sched.release(u);
+        let mut withdrawn = 0;
+        self.outstanding.retain(|&(w, _), units| {
+            if w == worker {
+                for &u in units.iter() {
+                    self.tickets[u].assigned = None;
+                    self.sched.release(u);
+                }
+                withdrawn += units.len() as u64;
             }
-        }
+            w != worker
+        });
+        Some(withdrawn)
     }
 
-    /// Declare `worker` dead: drop its idle slots and row-cache flags,
-    /// return its in-flight tasks to the pool, and reassign them to
-    /// whoever is idle. Any message it sends later is ignored.
+    /// Declare `worker` dead, once: drop its idle slots and row-cache
+    /// flags, return its in-flight tasks to the pool (counted as
+    /// reassignments), and reassign them to whoever is idle. Any message
+    /// it sends later is ignored.
     pub fn worker_dead(&mut self, worker: usize) -> Vec<MasterAction> {
-        self.mark_dead(worker);
-        self.pump()
+        let Some(withdrawn) = self.mark_dead(worker) else {
+            return Vec::new();
+        };
+        self.stats.cluster_reassignments += withdrawn;
+        let mut actions = vec![MasterAction::WorkerDead { worker }];
+        actions.extend(self.pump());
+        actions
     }
 
     /// Graceful degradation: every remote worker is written off and the
@@ -408,7 +595,7 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
             .filter(|&w| w != LOCAL_WORKER)
             .collect();
         for w in workers {
-            self.mark_dead(w);
+            let _ = self.mark_dead(w);
         }
         let mut out = Vec::new();
         let mut queue = self.worker_idle(LOCAL_WORKER, 0);
@@ -526,14 +713,6 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
     fn assign(&mut self, batch: &mut Batch, u: usize, first: bool, bound: Score) -> TaskItem {
         let splits = self.unit.splits(u);
         batch.room = batch.room.min(MAX_BATCH).saturating_sub(splits.len());
-        let t = &mut self.tickets[u];
-        t.attempts += 1;
-        t.assigned = Some(Assignment {
-            worker: batch.worker,
-            slot: batch.slot,
-            attempt: t.attempts,
-            first,
-        });
         let flags = self
             .worker_has_row
             .get_mut(&batch.worker)
@@ -545,7 +724,9 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
                 rows.push((r, self.common.row(r).widened()));
             }
         }
-        TaskItem {
+        let t = &mut self.tickets[u];
+        t.attempts += 1;
+        let item = TaskItem {
             unit: u,
             attempt: t.attempts,
             first,
@@ -554,7 +735,19 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
             // sanity-check without a seed index.
             bound,
             rows,
-        }
+        };
+        let retry_base = self.timeouts.retry_base;
+        t.assigned = Some(Assignment {
+            worker: batch.worker,
+            slot: batch.slot,
+            stamp: self.tops.len(),
+            item: item.clone(),
+            sent: self.now,
+            retry_at: self.now + retry_base,
+            backoff: retry_base,
+            retries: 0,
+        });
+        item
     }
 
     /// Send a filled batch, sorted by unit so consecutive items land in
@@ -565,8 +758,9 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
             return;
         };
         self.idle.pop();
-        self.outstanding.insert((b.worker, b.slot), b.items.len());
         b.items.sort_by_key(|it| it.unit);
+        let units = b.items.iter().map(|it| it.unit).collect();
+        self.outstanding.insert((b.worker, b.slot), units);
         actions.push(MasterAction::Assign {
             worker: b.worker,
             task: TaskMsg {
@@ -761,6 +955,9 @@ mod tests {
                         }
                     }
                     MasterAction::Done => return master.into_result(),
+                    MasterAction::Retry { .. } | MasterAction::WorkerDead { .. } => {
+                        unreachable!("no clock, no deaths")
+                    }
                 }
             }
             let Some((w, mut stamp, task)) = pending.pop_front() else {
@@ -1193,6 +1390,9 @@ mod tests {
                     MasterAction::Broadcast(acc) => acc.apply(&mut triangle, &mut accepted),
                     MasterAction::Done => {
                         return (master.into_result().alignments, batches, most);
+                    }
+                    MasterAction::Retry { .. } | MasterAction::WorkerDead { .. } => {
+                        unreachable!("no clock, no deaths")
                     }
                 }
             }

@@ -1,36 +1,35 @@
-//! The transport-level recovery loop every message-passing master runs
-//! (threads, sockets, and the hybrid's nodes).
+//! The transport loop every message-passing master runs (threads,
+//! sockets, and the hybrid's nodes): the I/O around [`MasterState`].
 //!
-//! [`MasterState`] decides *what* to do;
-//! this module decides *when to stop believing a worker*. It wraps the
-//! state machine with:
+//! The state machine decides everything about the work: when to
+//! retransmit, how long to wait and when a silent worker is dead. This
+//! loop hands it the clock and the messages and carries out what it
+//! returns:
 //!
-//! * **per-task deadlines with bounded retry** — every assignment is
-//!   remembered; if its result does not arrive in time the identical
-//!   task (same attempt number) is retransmitted under exponential
-//!   backoff. Recomputing is idempotent and the attempt number makes
-//!   late duplicates harmless;
-//! * **liveness tracking** — any traffic from a rank (results, IDLE
-//!   re-announcements, heartbeats, resync requests) refreshes its
-//!   last-heard time. A worker whose retries are exhausted *and* whose
-//!   beacons stopped is declared dead; a send that fails with
-//!   [`SendError::PeerDead`] declares it dead immediately;
-//! * **reassignment** — a dead worker's in-flight tasks return to the
-//!   master's pool and are reissued (with a bumped attempt) to the
-//!   surviving workers;
-//! * **graceful degradation** — when every worker is lost, or the
-//!   overall budget runs out with work still undone, the master
-//!   finishes the search locally against its own triangle. The result
-//!   is still exactly the sequential one; [`ClusterError::Stalled`] is
-//!   reserved for worlds where not even that is possible.
+//! * **the clock** — the time since the run started, read after every
+//!   receive ([`MasterState::heard`]), at every task sent
+//!   ([`MasterState::sent`]) and on every wake-up
+//!   ([`MasterState::tick`]); a receive never waits past the master's
+//!   next retry deadline;
+//! * **sends** — tasks, retransmissions (in back-to-back pairs) and
+//!   broadcasts; a send that fails with [`SendError::PeerDead`] declares
+//!   the worker dead on the spot;
+//! * **graceful degradation** — when every worker of the world is
+//!   lost, none is live past the join grace, or the overall budget runs
+//!   out with work still undone, the master finishes the search locally
+//!   against its own triangle. The result is still exactly the
+//!   sequential one; [`ClusterError::Stalled`] is reserved for worlds
+//!   where not even that is possible;
+//! * **observability** — every incident as a structured event, and the
+//!   workers' telemetry folded as it arrives.
 
 use crate::engine::ClusterError;
 use crate::master::{MasterAction, MasterState};
-use crate::protocol::{tag, ResultsMsg, ResyncMsg, TaskItem, TaskMsg, TelemetryMsg};
+use crate::protocol::{tag, ResultsMsg, ResyncMsg, TelemetryMsg};
 use repro_core::{PackKernel, TopAlignments};
 use repro_obs::{Counter, Event, Metric, Phase, Recorder, TelemetrySnapshot};
-use repro_xmpi::{Comm, RecvError, SendError};
-use std::collections::HashMap;
+use repro_xmpi::{Comm, Message, RecvError, SendError};
+use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 /// The overall budget a run gets when its caller has no reason to pick
@@ -38,64 +37,28 @@ use std::time::{Duration, Instant};
 /// real run, so only a genuinely stuck world ever meets it.
 pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(600);
 
-/// Knobs for the recovery loop. The defaults are tuned for in-process
-/// test worlds (short timeouts); `overall` is set per run.
+/// The loop's budgets; the retransmission and liveness knobs are the
+/// master's ([`crate::master::RETRY_BASE`] and the three after it).
 #[derive(Debug, Clone, Copy)]
-pub struct RecoveryConfig {
-    /// First retransmission timeout for an unanswered assignment.
-    pub retry_base: Duration,
-    /// Retransmissions before the worker's liveness is questioned.
-    pub max_retries: u32,
-    /// Ceiling on the exponential backoff between retransmissions.
-    /// Under *sustained* loss (every task needs several retransmits)
-    /// an uncapped doubling turns a lossy-but-live world into minutes
-    /// of idle waiting; past the point where liveness would catch a
-    /// dead worker there is nothing to gain from waiting longer.
-    pub retry_cap: Duration,
-    /// How long a rank may stay silent before "no result + retries
-    /// exhausted" escalates to a death declaration.
-    pub liveness: Duration,
+pub(crate) struct RecoveryConfig {
     /// Hard budget for the whole run; when it expires the master stops
     /// waiting and finishes the remaining work locally.
-    pub overall: Duration,
-    /// How long the master waits for a *first* worker to register
-    /// before giving up on the cluster and finishing locally. Without
-    /// this, a world where no worker ever announces itself — none
-    /// spawned, all crashed before their first IDLE, or (on the socket
-    /// backend) none connected — would spin silently until `overall`
-    /// (minutes at production budgets) with zero in-flight work to
-    /// retry. The audit: a master with no live workers *and* no flights
-    /// past this grace must degrade, never idle.
-    pub join_grace: Duration,
+    pub(crate) overall: Duration,
+    /// How long a master with no live worker waits before it finishes
+    /// locally: a world where none ever announces itself (none spawned,
+    /// all crashed before their first IDLE, none connected) must
+    /// degrade, not idle until `overall`.
+    pub(crate) join_grace: Duration,
 }
 
 impl RecoveryConfig {
     /// Defaults with the given overall budget.
-    pub fn with_overall(overall: Duration) -> Self {
+    pub(crate) fn with_overall(overall: Duration) -> Self {
         RecoveryConfig {
-            retry_base: Duration::from_millis(60),
-            max_retries: 3,
-            retry_cap: Duration::from_millis(250),
-            liveness: Duration::from_millis(400),
             overall,
             join_grace: Duration::from_secs(2).min(overall),
         }
     }
-}
-
-/// An assignment the master is still waiting on.
-struct Flight {
-    worker: usize,
-    /// The batch's stamp and this flight's item of it: re-shipped alone
-    /// (and only then encoded) if the result does not arrive in time.
-    stamp: usize,
-    item: TaskItem,
-    retry_at: Instant,
-    backoff: Duration,
-    retries: u32,
-    /// When the task was first handed to the transport; the round-trip
-    /// histogram samples `sent_at → accepted result`.
-    sent_at: Instant,
 }
 
 /// Receive poll granularity when no retransmit deadline is nearer.
@@ -176,16 +139,12 @@ fn drain_final_telemetry<C: Comm, R: Recorder>(
 ) {
     let deadline = Instant::now() + TELEMETRY_GRACE;
     while ledger.awaiting_fins() {
-        let now = Instant::now();
-        let Some(left) = deadline
-            .checked_duration_since(now)
-            .filter(|d| !d.is_zero())
-        else {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
             return;
-        };
-        let msg = match comm.recv_timeout(left) {
-            Ok(m) => m,
-            Err(_) => return,
+        }
+        let Ok(msg) = comm.recv_timeout(left) else {
+            return;
         };
         if msg.tag == tag::TELEMETRY {
             if let Ok(t) = TelemetryMsg::decode(&msg.payload) {
@@ -196,61 +155,38 @@ fn drain_final_telemetry<C: Comm, R: Recorder>(
     }
 }
 
-/// Finish the machine: report its acceptance time as the `traceback`
-/// phase and patch the transport-level recovery tallies into the
-/// result's stats (the state machine itself never sees them).
-fn finalize<K: PackKernel, R: Recorder>(
+/// Finish the machine once DONE went out: fold the workers' final
+/// telemetry, and report its acceptance time as the `traceback` phase
+/// and its rejected results.
+fn finish<K: PackKernel, C: Comm, R: Recorder>(
     master: MasterState<K>,
+    comm: &C,
+    ledger: &mut TelemetryLedger,
     rec: &mut R,
-    retries: u64,
-    reassigns: u64,
 ) -> TopAlignments {
+    drain_final_telemetry(comm, ledger, rec);
     if !master.alignments().is_empty() {
         rec.add_phase_secs(Phase::Traceback, master.traceback_secs());
     }
     rec.add(Counter::ClusterRejectedResults, master.rejected_results());
-    let mut tops = master.into_result();
-    tops.stats.cluster_retries = retries;
-    tops.stats.cluster_reassignments = reassigns;
-    tops
+    master.into_result()
 }
 
-/// Drain the master's local-fallback actions and return its result.
+/// Finish the search on the master itself and return its result.
 /// Emits a [`Event::LocalFallback`] so event logs make the degradation
-/// visible, then the terminal [`Event::Done`].
+/// visible, then forwards the leftover broadcasts and DONE.
 fn local_finish<K: PackKernel, C: Comm, R: Recorder>(
     mut master: MasterState<K>,
     comm: &C,
     rec: &mut R,
-    retries: u64,
-    reassigns: u64,
     ledger: &mut TelemetryLedger,
+    start: Instant,
 ) -> Result<TopAlignments, ClusterError> {
     rec.add(Counter::ClusterLocalFallbacks, 1);
     rec.event(Event::LocalFallback);
-    for action in master.finish_locally() {
-        match action {
-            MasterAction::Broadcast(acc) => {
-                rec.add(Counter::ClusterBroadcasts, 1);
-                if R::ENABLED {
-                    rec.event(Event::Broadcast { index: acc.index });
-                }
-                repro_xmpi::broadcast_from(comm, tag::ACCEPTED, &acc.encode());
-            }
-            MasterAction::Done => {
-                repro_xmpi::broadcast_from(comm, tag::DONE, &[]);
-            }
-            MasterAction::Assign { .. } => unreachable!("local assigns are internal"),
-        }
-    }
-    if master.is_done() {
-        if R::ENABLED {
-            rec.event(Event::Done {
-                tops: master.alignments().len(),
-            });
-        }
-        drain_final_telemetry(comm, ledger, rec);
-        Ok(finalize(master, rec, retries, reassigns))
+    let actions = master.finish_locally();
+    if act(comm, &mut master, actions, rec, start)? {
+        Ok(finish(master, comm, ledger, rec))
     } else {
         // No workers, and the local pass could not finish either
         // (it always can; this is a defensive dead end).
@@ -258,73 +194,47 @@ fn local_finish<K: PackKernel, C: Comm, R: Recorder>(
     }
 }
 
-// Execute master actions; returns Ok(true) when DONE was emitted.
-// A failed direct send declares the destination dead on the spot,
-// and the resulting reassignments join the work list.
-#[allow(clippy::too_many_arguments)] // transport loop state, threaded explicitly
+// Carry out the master's actions, in order; returns Ok(true) once DONE
+// went out. Each task that went out is reported to the master with the
+// time since `start`; a send that fails because its worker is gone
+// declares the worker dead on the spot, and the reassignments join the
+// queue.
 fn act<K: PackKernel, C: Comm, R: Recorder>(
     comm: &C,
     master: &mut MasterState<K>,
-    flights: &mut HashMap<usize, Flight>,
-    config: &RecoveryConfig,
     actions: Vec<MasterAction>,
     rec: &mut R,
-    reassigns: &mut u64,
+    start: Instant,
 ) -> Result<bool, ClusterError> {
-    let mut queue: std::collections::VecDeque<MasterAction> = actions.into();
+    let mut queue: VecDeque<MasterAction> = actions.into();
     let mut done = false;
     while let Some(action) = queue.pop_front() {
-        match action {
+        let (worker, task, retries) = match &action {
             MasterAction::Assign { worker, task } => {
-                let payload = task.encode();
-                let now = Instant::now();
                 if R::ENABLED {
                     rec.observe(Metric::BatchSize, task.items.len() as u64);
                     for item in &task.items {
                         rec.event(Event::Assign {
-                            worker,
+                            worker: *worker,
                             r: master.unit().splits(item.unit).start, // a unit's first split
                             attempt: item.attempt,
                             stamp: task.stamp,
                         });
                     }
                 }
-                match comm.send(worker, tag::TASK, payload) {
-                    // One flight per batched item: an unanswered item is
-                    // re-shipped alone, so a partially-answered batch is
-                    // healed piecewise and settled items never recompute.
-                    Ok(()) => {
-                        for item in task.items {
-                            flights.insert(
-                                item.unit,
-                                Flight {
-                                    worker,
-                                    stamp: task.stamp,
-                                    item,
-                                    retry_at: now + config.retry_base,
-                                    backoff: config.retry_base,
-                                    retries: 0,
-                                    sent_at: now,
-                                },
-                            );
-                        }
-                    }
-                    Err(SendError::SelfDead) => return Err(ClusterError::MasterDead),
-                    Err(SendError::PeerDead(_)) => {
-                        // Flights these units still hold are from
-                        // assignments that were withdrawn: drop them.
-                        let dropped = task.items.len() as u64;
-                        for item in &task.items {
-                            flights.remove(&item.unit);
-                        }
-                        *reassigns += dropped;
-                        rec.add(Counter::ClusterWorkerDeaths, 1);
-                        if R::ENABLED {
-                            rec.event(Event::WorkerDead { worker });
-                        }
-                        queue.extend(master.worker_dead(worker));
-                    }
+                (*worker, task, None)
+            }
+            MasterAction::Retry {
+                worker,
+                task,
+                retries,
+            } => (*worker, task, Some(*retries)),
+            &MasterAction::WorkerDead { worker } => {
+                rec.add(Counter::ClusterWorkerDeaths, 1);
+                if R::ENABLED {
+                    rec.event(Event::WorkerDead { worker });
                 }
+                continue;
             }
             MasterAction::Broadcast(acc) => {
                 rec.add(Counter::ClusterBroadcasts, 1);
@@ -332,6 +242,7 @@ fn act<K: PackKernel, C: Comm, R: Recorder>(
                     rec.event(Event::Broadcast { index: acc.index });
                 }
                 repro_xmpi::broadcast_from(comm, tag::ACCEPTED, &acc.encode());
+                continue;
             }
             MasterAction::Done => {
                 if R::ENABLED {
@@ -341,10 +252,113 @@ fn act<K: PackKernel, C: Comm, R: Recorder>(
                 }
                 repro_xmpi::broadcast_from(comm, tag::DONE, &[]);
                 done = true;
+                continue;
             }
+        };
+        let payload = task.encode();
+        let at = start.elapsed();
+        let sent = match retries {
+            // Retransmit in back-to-back pairs: a deterministic loss
+            // pattern with a short period can phase-lock with the
+            // loop's regular cadence and swallow every single-copy
+            // retransmission; two consecutive copies straddle any
+            // period-2 lock, and recomputation is idempotent anyway.
+            Some(_) => comm
+                .send(worker, tag::TASK, payload.clone())
+                .and_then(|()| comm.send(worker, tag::TASK, payload)),
+            None => comm.send(worker, tag::TASK, payload),
+        };
+        match sent {
+            Ok(()) => {
+                if let Some(retries) = retries.filter(|_| R::ENABLED) {
+                    let item = &task.items[0]; // a retransmission is one item
+                    rec.event(Event::Retry {
+                        worker,
+                        r: master.unit().splits(item.unit).start,
+                        attempt: item.attempt,
+                        retries,
+                    });
+                }
+                master.sent(&action, at);
+            }
+            Err(SendError::SelfDead) => return Err(ClusterError::MasterDead),
+            Err(SendError::PeerDead(_)) => queue.extend(master.worker_dead(worker)),
         }
     }
     Ok(done)
+}
+
+/// What one received message asks of the master. RESYNC replies and
+/// telemetry are handled here; they never change the schedule.
+fn dispatch<K: PackKernel, C: Comm, R: Recorder>(
+    comm: &C,
+    master: &mut MasterState<K>,
+    msg: Message,
+    rec: &mut R,
+    ledger: &mut TelemetryLedger,
+) -> Vec<MasterAction> {
+    match msg.tag {
+        tag::IDLE => match ResyncMsg::decode(&msg.payload) {
+            // IDLE carries the announcing slot in `applied`'s place.
+            Ok(m) => master.worker_idle(msg.from, m.applied),
+            Err(_) => Vec::new(), // corrupted announcement; it repeats
+        },
+        tag::HEARTBEAT => Vec::new(),
+        tag::RESULT => match ResultsMsg::decode(&msg.payload, master.unit()) {
+            Ok(frame) => {
+                rec.add(Counter::ClusterResultFrames, 1);
+                let mut acts = Vec::new();
+                for res in frame.items {
+                    if R::ENABLED {
+                        rec.event(Event::Result {
+                            worker: msg.from,
+                            r: master.unit().splits(res.unit).start,
+                            attempt: res.attempt,
+                            score: res.best.1 as i64,
+                        });
+                    }
+                    acts.extend(master.result(msg.from, res));
+                    if let Some(round_trip) = master.take_round_trip() {
+                        rec.observe(Metric::TaskRoundTripNs, round_trip.as_nanos() as u64);
+                    }
+                }
+                if R::ENABLED {
+                    rec.progress(&master.progress());
+                }
+                acts
+            }
+            Err(_) => Vec::new(), // corrupted in flight; retry recovers
+        },
+        tag::RESYNC => {
+            if let Ok(m) = ResyncMsg::decode(&msg.payload) {
+                rec.add(Counter::ClusterResyncs, 1);
+                if R::ENABLED {
+                    rec.event(Event::Resync {
+                        worker: msg.from,
+                        applied: m.applied,
+                    });
+                }
+                for acc in master.accepted_since(m.applied) {
+                    // Paired: the reply is retransmission traffic,
+                    // and a single copy per round can phase-lock
+                    // with a deterministic loss pattern.
+                    let payload = acc.encode();
+                    let _ = comm.send(msg.from, tag::ACCEPTED, payload.clone());
+                    let _ = comm.send(msg.from, tag::ACCEPTED, payload);
+                }
+            }
+            Vec::new()
+        }
+        tag::TELEMETRY => {
+            // Pure observability: folded into the ledger (and the
+            // recorder's histograms), never into scheduling state.
+            if let Ok(t) = TelemetryMsg::decode(&msg.payload) {
+                ledger.fold(msg.from, t, rec);
+            }
+            Vec::new()
+        }
+        _ => Vec::new(), // stray tag: ignore rather than crash
+    }
 }
 
 /// The fault-tolerant master loop: drives `master` over `comm` until
@@ -359,237 +373,45 @@ pub(crate) fn master_loop<K: PackKernel, C: Comm, R: Recorder>(
     config: RecoveryConfig,
     rec: &mut R,
 ) -> Result<TopAlignments, ClusterError> {
-    // One flight per unit in flight, keyed by unit.
-    let mut flights: HashMap<usize, Flight> = HashMap::new();
     let start = Instant::now();
-    let mut last_heard: HashMap<usize, Instant> = (1..comm.size()).map(|r| (r, start)).collect();
-    let mut retries_total: u64 = 0;
-    let mut reassigns_total: u64 = 0;
     let mut ledger = TelemetryLedger::default();
-
     loop {
-        let now = Instant::now();
-        if now.duration_since(start) >= config.overall {
-            // Budget exhausted with the search unfinished: stop
+        let now = start.elapsed();
+        if now >= config.overall || (master.live_workers() == 0 && now >= config.join_grace) {
+            // The budget is spent with the search unfinished, or no
+            // worker ever registered (or every registered one was
+            // written off): waiting longer cannot make progress, so stop
             // believing the cluster and compute the rest ourselves.
             repro_xmpi::broadcast_from(&comm, tag::DONE, &[]);
-            return local_finish(
-                master,
-                &comm,
-                rec,
-                retries_total,
-                reassigns_total,
-                &mut ledger,
-            );
+            return local_finish(master, &comm, rec, &mut ledger, start);
         }
-        if master.live_workers() == 0
-            && flights.is_empty()
-            && !master.is_done()
-            && now.duration_since(start) >= config.join_grace
-        {
-            // No worker ever registered (or every registered one was
-            // already written off) and nothing is in flight to retry:
-            // waiting longer cannot make progress, so degrade now
-            // instead of idling out the whole overall budget.
-            repro_xmpi::broadcast_from(&comm, tag::DONE, &[]);
-            return local_finish(
-                master,
-                &comm,
-                rec,
-                retries_total,
-                reassigns_total,
-                &mut ledger,
-            );
-        }
-
-        // Retransmit overdue assignments; escalate silent workers.
-        let mut newly_dead: Vec<usize> = Vec::new();
-        for (&u, flight) in flights.iter_mut() {
-            if now < flight.retry_at {
-                continue;
-            }
-            let heard = last_heard
-                .get(&flight.worker)
-                .is_some_and(|&t| now.duration_since(t) < config.liveness);
-            if flight.retries >= config.max_retries && !heard {
-                newly_dead.push(flight.worker);
-                continue;
-            }
-            // Retransmit in back-to-back pairs: a deterministic loss
-            // pattern with a short period can phase-lock with the
-            // loop's regular cadence and swallow every single-copy
-            // retransmission; two consecutive copies straddle any
-            // period-2 lock, and recomputation is idempotent anyway.
-            let payload = TaskMsg::single(flight.stamp, flight.item.clone()).encode();
-            let fate = comm
-                .send(flight.worker, tag::TASK, payload.clone())
-                .and_then(|()| comm.send(flight.worker, tag::TASK, payload));
-            match fate {
-                Ok(()) => {
-                    flight.retries += 1;
-                    flight.backoff = (flight.backoff * 2).min(config.retry_cap);
-                    flight.retry_at = now + flight.backoff;
-                    retries_total += 1;
-                    if R::ENABLED {
-                        rec.event(Event::Retry {
-                            worker: flight.worker,
-                            r: master.unit().splits(u).start,
-                            attempt: flight.item.attempt,
-                            retries: flight.retries,
-                        });
-                    }
+        let due = master.tick(now);
+        let actions = if !due.is_empty() {
+            due
+        } else {
+            // Wait for traffic, but never past the next retry deadline.
+            let wait = master
+                .next_deadline()
+                .map_or(TICK, |at| at.saturating_sub(now).min(TICK));
+            let msg = match comm.recv_timeout(wait.max(Duration::from_millis(1))) {
+                Ok(m) => m,
+                Err(RecvError::Timeout) => continue,
+                Err(RecvError::Disconnected) => {
+                    // Our own endpoint crashed (or the world tore down
+                    // beneath us): the master cannot produce a result.
+                    return Err(ClusterError::MasterDead);
                 }
-                Err(SendError::SelfDead) => return Err(ClusterError::MasterDead),
-                Err(SendError::PeerDead(_)) => newly_dead.push(flight.worker),
-            }
-        }
-        if !newly_dead.is_empty() {
-            newly_dead.sort_unstable();
-            newly_dead.dedup();
-            let mut actions = Vec::new();
-            for w in newly_dead {
-                let before = flights.len();
-                flights.retain(|_, f| f.worker != w);
-                let dropped = (before - flights.len()) as u64;
-                reassigns_total += dropped;
-                rec.add(Counter::ClusterWorkerDeaths, 1);
-                if R::ENABLED {
-                    rec.event(Event::WorkerDead { worker: w });
-                }
-                actions.extend(master.worker_dead(w));
-            }
-            if act(
-                &comm,
-                &mut master,
-                &mut flights,
-                &config,
-                actions,
-                rec,
-                &mut reassigns_total,
-            )? {
-                drain_final_telemetry(&comm, &mut ledger, rec);
-                return Ok(finalize(master, rec, retries_total, reassigns_total));
-            }
-            if master.live_workers() == 0 && !master.is_done() {
-                return local_finish(
-                    master,
-                    &comm,
-                    rec,
-                    retries_total,
-                    reassigns_total,
-                    &mut ledger,
-                );
-            }
-        }
-
-        // Wait for traffic, but never past the next retransmit due time.
-        let mut timeout = TICK;
-        if let Some(next) = flights.values().map(|f| f.retry_at).min() {
-            timeout = timeout.min(next.saturating_duration_since(now));
-        }
-        let msg = match comm.recv_timeout(timeout.max(Duration::from_millis(1))) {
-            Ok(m) => m,
-            Err(RecvError::Timeout) => continue,
-            Err(RecvError::Disconnected) => {
-                // Our own endpoint crashed (or the world tore down
-                // beneath us): the master cannot produce a result.
-                return Err(ClusterError::MasterDead);
-            }
+            };
+            master.heard(msg.from, start.elapsed());
+            dispatch(&comm, &mut master, msg, rec, &mut ledger)
         };
-        last_heard.insert(msg.from, Instant::now());
-        let actions = match msg.tag {
-            tag::IDLE => match ResyncMsg::decode(&msg.payload) {
-                // IDLE carries the announcing slot in `applied`'s place.
-                Ok(m) => master.worker_idle(msg.from, m.applied),
-                Err(_) => Vec::new(), // corrupted announcement; it repeats
-            },
-            tag::HEARTBEAT => Vec::new(),
-            tag::RESULT => match ResultsMsg::decode(&msg.payload, master.unit()) {
-                Ok(frame) => {
-                    rec.add(Counter::ClusterResultFrames, 1);
-                    let mut acts = Vec::new();
-                    for res in frame.items {
-                        if flights
-                            .get(&res.unit)
-                            .is_some_and(|f| f.worker == msg.from && f.item.attempt == res.attempt)
-                        {
-                            let flight = flights.remove(&res.unit).expect("checked above");
-                            if R::ENABLED {
-                                rec.observe(
-                                    Metric::TaskRoundTripNs,
-                                    flight.sent_at.elapsed().as_nanos() as u64,
-                                );
-                            }
-                        }
-                        if R::ENABLED {
-                            rec.event(Event::Result {
-                                worker: msg.from,
-                                r: master.unit().splits(res.unit).start,
-                                attempt: res.attempt,
-                                score: res.best.1 as i64,
-                            });
-                        }
-                        acts.extend(master.result(msg.from, res));
-                    }
-                    if R::ENABLED {
-                        rec.progress(&master.progress());
-                    }
-                    acts
-                }
-                Err(_) => Vec::new(), // corrupted in flight; retry recovers
-            },
-            tag::RESYNC => {
-                if let Ok(m) = ResyncMsg::decode(&msg.payload) {
-                    rec.add(Counter::ClusterResyncs, 1);
-                    if R::ENABLED {
-                        rec.event(Event::Resync {
-                            worker: msg.from,
-                            applied: m.applied,
-                        });
-                    }
-                    for acc in master.accepted_since(m.applied) {
-                        // Paired: the reply is retransmission traffic,
-                        // and a single copy per round can phase-lock
-                        // with a deterministic loss pattern.
-                        let payload = acc.encode();
-                        let _ = comm.send(msg.from, tag::ACCEPTED, payload.clone());
-                        let _ = comm.send(msg.from, tag::ACCEPTED, payload);
-                    }
-                }
-                Vec::new()
-            }
-            tag::TELEMETRY => {
-                // Pure observability: folded into the ledger (and the
-                // recorder's histograms), never into scheduling state.
-                if let Ok(t) = TelemetryMsg::decode(&msg.payload) {
-                    ledger.fold(msg.from, t, rec);
-                }
-                Vec::new()
-            }
-            _ => Vec::new(), // stray tag: ignore rather than crash
-        };
-        if act(
-            &comm,
-            &mut master,
-            &mut flights,
-            &config,
-            actions,
-            rec,
-            &mut reassigns_total,
-        )? {
-            drain_final_telemetry(&comm, &mut ledger, rec);
-            return Ok(finalize(master, rec, retries_total, reassigns_total));
+        if act(&comm, &mut master, actions, rec, start)? {
+            return Ok(finish(master, &comm, &mut ledger, rec));
         }
-        if master.live_workers() == 0 && !master.is_done() && flights.is_empty() {
-            // Every registered worker has been written off.
-            return local_finish(
-                master,
-                &comm,
-                rec,
-                retries_total,
-                reassigns_total,
-                &mut ledger,
-            );
+        if master.live_workers() == 0 && master.workers_seen() + 1 >= comm.size() {
+            // Every worker of the world registered and was written off;
+            // one still to register is waited for until the join grace.
+            return local_finish(master, &comm, rec, &mut ledger, start);
         }
     }
 }

@@ -179,6 +179,9 @@ impl MasterSim<'_> {
                     }
                     ctx.stop();
                 }
+                MasterAction::Retry { .. } | MasterAction::WorkerDead { .. } => {
+                    unreachable!("the simulator's clock never moves and no worker dies")
+                }
             }
         }
     }

@@ -23,7 +23,8 @@ use repro_xmpi::thread::FaultPlan;
 use repro_xmpi::virtual_time::LinkModel;
 use repro_xmpi::wire::{frame_checksum, WireError, FRAME_HEADER, FRAME_TRAILER};
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -174,6 +175,8 @@ proptest! {
                         }
                     }
                     MasterAction::Done => break 'world,
+                    MasterAction::WorkerDead { .. } => {}
+                    MasterAction::Retry { .. } => unreachable!("this world has no clock"),
                 }
             }
             let Some((w, stamp, task)) = pending.pop_front() else {
@@ -250,6 +253,353 @@ proptest! {
         prop_assert_eq!(&first.result.alignments, &want.alignments);
         prop_assert_eq!(&second.result.alignments, &want.alignments);
     }
+}
+
+proptest! {
+    // One case is a few hundred virtual-time events and no threads.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The pure master over a virtual-time network that drops,
+    /// duplicates and delays deliveries both ways, with workers that
+    /// fall silent for a while or crash for good, driven only through
+    /// `heard` and `tick`: every run reaches Done with the sequential
+    /// tops, no retransmission names anything but a live assignment,
+    /// retransmissions back off as the timeouts say, and no worker heard
+    /// within the liveness window is written off.
+    #[test]
+    fn lossy_virtual_time_never_retransmits_settled_work_or_kills_a_heard_worker(
+        seq in arb_dna(18),
+        count in 1usize..4,
+        workers in 1usize..4,
+        chaos in prop::collection::vec(any::<u8>(), 64..256),
+    ) {
+        lossy_world(&seq, count, workers, &chaos);
+    }
+}
+
+/// A message in the virtual network of [`lossy_world`].
+#[derive(Clone)]
+enum Msg {
+    Task(TaskMsg),
+    Accepted(AcceptedMsg),
+    Idle(usize),
+    Result(ResultMsg),
+    Resync(usize),
+    /// A worker's own beacon timer.
+    Beacon,
+}
+
+/// The virtual network of [`lossy_world`], and its adversary: it drops
+/// one copy in eight, duplicates one in eight and delays every copy by
+/// 1 to 113 ms, about twice the first retry timeout. A worker's beacon
+/// timer always fires on time.
+struct Net<I> {
+    chaos: I,
+    /// Deliveries by time, then by the order they were posted.
+    queue: BinaryHeap<Reverse<(Duration, u64)>>,
+    msgs: HashMap<u64, (usize, usize, Msg)>,
+    posted: u64,
+    beacon: Duration,
+}
+
+impl<I: Iterator<Item = u8>> Net<I> {
+    fn post(&mut self, at: Duration, from: usize, to: usize, msg: Msg) {
+        let b = self.chaos.next().unwrap();
+        let timer = matches!(msg, Msg::Beacon);
+        let copies = match b % 8 {
+            _ if timer => 1,
+            0 => 0,
+            1 => 2,
+            _ => 1,
+        };
+        for k in 0..copies {
+            let delay = match timer {
+                true => self.beacon,
+                false => Duration::from_millis(1 + u64::from(b / 8 % 8) * 16 + k),
+            };
+            self.posted += 1;
+            self.msgs.insert(self.posted, (from, to, msg.clone()));
+            self.queue.push(Reverse((at + delay, self.posted)));
+        }
+    }
+}
+
+/// A worker of [`lossy_world`]: a replica, its first-pass rows, the items
+/// waiting for acceptances it has not applied, and its health.
+struct LossyWorker {
+    triangle: OverrideTriangle,
+    applied: usize,
+    pairs: Vec<Vec<(usize, usize)>>,
+    rows: HashMap<usize, Vec<Score>>,
+    waiting: Vec<(usize, TaskItem)>,
+    silent_until: Duration,
+    crashed: bool,
+}
+
+/// An assignment in flight as the transport saw it go out.
+struct Shipped {
+    worker: usize,
+    stamp: usize,
+    item: TaskItem,
+    /// When it went out or was last retransmitted, and how often it was.
+    last: Duration,
+    retries: u32,
+}
+
+/// What an honest worker answers for `item` on its replica: a first pass
+/// is one clean sweep (exact under version 0 when an accepted alignment
+/// straddles the split), a realignment masks the stored row.
+fn answer(seq: &Seq, scoring: &Scoring, w: &mut LossyWorker, item: &TaskItem) -> ResultMsg {
+    let r = item.unit + 1;
+    let (prefix, suffix) = seq.split(r);
+    let last = sw_last_row(prefix, suffix, scoring, SplitMask::new(&w.triangle, r));
+    for (q, row) in &item.rows {
+        w.rows.insert(*q, row.clone());
+    }
+    let mut stamp = w.applied;
+    let (score, rows) = if item.first {
+        let clean = sw_last_row(prefix, suffix, scoring, repro_align::NoMask);
+        if w.triangle.iter().any(|(p, q)| p < r && r <= q) {
+            stamp = 0;
+        }
+        w.rows.insert(r, clean.row.clone());
+        (clean.best_in_row, vec![(r, clean.row)])
+    } else {
+        let orig = w.rows.get(&r).expect("a realignment finds its row");
+        (
+            repro_core::bottom::best_valid_entry_counted(&last.row, orig).0,
+            Vec::new(),
+        )
+    };
+    ResultMsg {
+        unit: item.unit,
+        stamp,
+        attempt: item.attempt,
+        best: (r, score),
+        rows,
+        work: Work::of(&Stats {
+            alignments: 1,
+            cells: last.cells,
+            ..Stats::default()
+        }),
+    }
+}
+
+/// One run of the property above. Rank 0 is the master, ranks
+/// `1..=workers` the workers; the last worker only ever falls silent,
+/// so the run can always finish.
+fn lossy_world(seq: &Seq, count: usize, workers: usize, chaos: &[u8]) {
+    use repro_cluster::master::{LIVENESS, RETRY_BASE, RETRY_CAP};
+    use std::collections::BTreeMap;
+    let ms = Duration::from_millis;
+    let beacon = ms(40);
+    let scoring = Scoring::dna_example();
+    let want = find_top_alignments(seq, &scoring, count);
+    let mut master = MasterState::new(seq, &scoring, &Search::new(count));
+    let mut ws: Vec<LossyWorker> = (0..=workers)
+        .map(|_| LossyWorker {
+            triangle: OverrideTriangle::new(seq.len()),
+            applied: 0,
+            pairs: Vec::new(),
+            rows: HashMap::new(),
+            waiting: Vec::new(),
+            silent_until: Duration::ZERO,
+            crashed: false,
+        })
+        .collect();
+    let mut net = Net {
+        chaos: chaos.iter().copied().cycle(),
+        queue: BinaryHeap::new(),
+        msgs: HashMap::new(),
+        posted: 0,
+        beacon,
+    };
+    for w in 1..=workers {
+        net.post(Duration::ZERO, w, w, Msg::Beacon);
+    }
+
+    let mut shipped: BTreeMap<usize, Shipped> = BTreeMap::new();
+    let mut heard: HashMap<usize, Duration> = HashMap::new();
+    let (mut broadcasts, mut retries, mut done) = (0usize, 0u64, false);
+    let mut now = Duration::ZERO;
+    let mut actions: VecDeque<MasterAction> = VecDeque::new();
+    while !done {
+        prop_assert!(
+            now < Duration::from_secs(120),
+            "no Done after 120 s of virtual time"
+        );
+        // Carry out what the master asked, checking each retransmission
+        // against the assignment the transport saw go out.
+        while let Some(action) = actions.pop_front() {
+            let (worker, task) = match &action {
+                &MasterAction::Assign { worker, ref task } => {
+                    for item in &task.items {
+                        let old = shipped.insert(
+                            item.unit,
+                            Shipped {
+                                worker,
+                                stamp: task.stamp,
+                                item: item.clone(),
+                                last: now,
+                                retries: 0,
+                            },
+                        );
+                        prop_assert!(old.is_none(), "unit {} assigned twice", item.unit);
+                    }
+                    (worker, task)
+                }
+                &MasterAction::Retry {
+                    worker,
+                    ref task,
+                    retries: n,
+                } => {
+                    let item = &task.items[0];
+                    let Some(s) = shipped.get_mut(&item.unit) else {
+                        panic!("retransmitted unit {} is not assigned", item.unit);
+                    };
+                    prop_assert_eq!(
+                        (s.worker, s.stamp, &s.item),
+                        (worker, task.stamp, item),
+                        "a retransmission re-ships its assignment"
+                    );
+                    let wait = RETRY_BASE
+                        .saturating_mul(1 << (n - 1).min(20))
+                        .min(RETRY_CAP);
+                    prop_assert_eq!(
+                        (n, now - s.last),
+                        (s.retries + 1, wait),
+                        "backoff of unit {}",
+                        item.unit
+                    );
+                    (s.last, s.retries) = (now, n);
+                    (worker, task)
+                }
+                &MasterAction::WorkerDead { worker } => {
+                    shipped.retain(|_, s| s.worker != worker);
+                    continue;
+                }
+                MasterAction::Broadcast(acc) => {
+                    prop_assert_eq!(acc.index, broadcasts, "a top accepted twice or skipped");
+                    broadcasts += 1;
+                    for w in 1..=workers {
+                        net.post(now, 0, w, Msg::Accepted(acc.clone()));
+                    }
+                    continue;
+                }
+                MasterAction::Done => {
+                    done = true;
+                    continue;
+                }
+            };
+            if ws[worker].crashed {
+                // The send fails: the transport writes the worker off.
+                actions.extend(master.worker_dead(worker));
+            } else {
+                retries += u64::from(matches!(action, MasterAction::Retry { .. }));
+                net.post(now, 0, worker, Msg::Task(task.clone()));
+                master.sent(&action, now);
+            }
+        }
+        if done {
+            break;
+        }
+        if master.live_workers() == 0 && !heard.is_empty() {
+            // Every registered worker is written off: finish locally.
+            actions.extend(master.finish_locally());
+            prop_assert!(matches!(actions.back(), Some(MasterAction::Done)));
+            continue;
+        }
+        // Advance the clock to the next delivery or retry deadline.
+        let Some(&Reverse((at, id))) = net.queue.peek() else {
+            panic!("the network went quiet");
+        };
+        now = master.next_deadline().map_or(at, |d| d.min(at)).max(now);
+        for action in master.tick(now) {
+            if let MasterAction::WorkerDead { worker } = action {
+                let quiet = heard.get(&worker).is_none_or(|&h| now - h >= LIVENESS);
+                prop_assert!(quiet, "worker {} written off while heard", worker);
+            }
+            actions.push_back(action);
+        }
+        if at > now || !actions.is_empty() {
+            continue;
+        }
+        net.queue.pop();
+        let (from, to, msg) = net.msgs.remove(&id).expect("posted");
+        if to == 0 {
+            master.heard(from, now);
+            heard.insert(from, now);
+            match msg {
+                Msg::Idle(slot) => actions.extend(master.worker_idle(from, slot)),
+                Msg::Result(res) => {
+                    if shipped
+                        .get(&res.unit)
+                        .is_some_and(|s| s.worker == from && s.item.attempt == res.attempt)
+                    {
+                        shipped.remove(&res.unit);
+                    }
+                    actions.extend(master.result(from, res));
+                }
+                Msg::Resync(have) => {
+                    for acc in master.accepted_since(have) {
+                        net.post(now, 0, from, Msg::Accepted(acc));
+                    }
+                }
+                _ => unreachable!("workers send no such thing"),
+            }
+            continue;
+        }
+        let w = &mut ws[to];
+        let b = net.chaos.next().unwrap();
+        if w.crashed || now < w.silent_until {
+            if matches!(msg, Msg::Beacon) && !w.crashed {
+                net.post(now, to, to, Msg::Beacon);
+            }
+            continue;
+        }
+        let mut out = Vec::new();
+        match msg {
+            Msg::Beacon => {
+                if b % 32 == 0 && to < workers {
+                    w.crashed = true;
+                } else if b % 16 == 1 {
+                    w.silent_until = now + ms(100 * u64::from(b % 8 + 1));
+                } else if w.waiting.is_empty() {
+                    out.extend([Msg::Idle(0), Msg::Idle(1)]);
+                } else {
+                    out.push(Msg::Resync(w.applied));
+                }
+                net.post(now, to, to, Msg::Beacon);
+            }
+            Msg::Task(task) => w
+                .waiting
+                .extend(task.items.into_iter().map(|item| (task.stamp, item))),
+            Msg::Accepted(acc) if acc.index == w.applied => {
+                for &(p, q) in &acc.pairs {
+                    w.triangle.set(p, q);
+                }
+                w.pairs.push(acc.pairs);
+                w.applied += 1;
+            }
+            Msg::Accepted(acc) if acc.index > w.applied => out.push(Msg::Resync(w.applied)),
+            Msg::Accepted(_) => {} // a duplicate
+            _ => unreachable!("the master sends no such thing"),
+        }
+        // Run every item the replica has caught up with.
+        let (ready, later): (Vec<_>, Vec<_>) = std::mem::take(&mut w.waiting)
+            .into_iter()
+            .partition(|&(s, _)| s <= w.applied);
+        w.waiting = later;
+        for (_, item) in ready {
+            out.push(Msg::Result(answer(seq, &scoring, w, &item)));
+        }
+        for m in out {
+            net.post(now, to, 0, m);
+        }
+    }
+    prop_assert_eq!(master.stats().cluster_retries, retries);
+    let tops = master.into_result().alignments;
+    prop_assert_eq!(&tops, &want.alignments);
 }
 
 /// One valid frame of every message kind, the unit-typed ones fitted to

@@ -60,7 +60,7 @@ pub struct Stats {
     /// off). There is no seed index; the name stays because it is the
     /// report key.
     pub seed_index_build_ns: u64,
-    /// Cluster task retransmissions (recovery layer).
+    /// Cluster task retransmissions that went out, one per item and round.
     pub cluster_retries: u64,
     /// Cluster tasks reassigned away from a dead worker.
     pub cluster_reassignments: u64,
