@@ -2,50 +2,30 @@
 //! [`repro_xmpi::thread`] channels.
 //!
 //! Rank 0 is the sacrificed master (paper §4.3); ranks `1..P` are
-//! workers holding a replicated override triangle and a cache of
-//! first-pass bottom rows. A worker runs `T` sweep threads over one
-//! replica — one in [`run_cluster`] and in a worker process, a node's
-//! CPUs in [`crate::run_hybrid`] — that share everything, their packs'
-//! state included, and take turns on the rank's endpoint behind a
-//! mutex, as the paper guards its MPI calls.
-//!
-//! A worker reads its inbox in arrival order, and a thread reads the
-//! next message only when nothing queued can run: every task item goes
-//! into one run queue, and an item stamped with a triangle version the
-//! replica has not reached yet waits there — an ACCEPTED broadcast and a
-//! TASK travel independently, and a sweep under a too-old triangle is
-//! work the master could only file as stale. With one thread, what an
-//! item is computed against is therefore decided by the order of the
-//! master's messages, never by how their arrival interleaves with the
-//! sweeps, and a result reports that version (the replica's, at or past
-//! the task's stamp): the master trusts a score as exact only when the
-//! version is its own. The worker announces `PREFETCH_SLOTS` capacity
-//! slots per thread, so the next task is already in its inbox when the
-//! current one ends, and sends every result in its own frame the moment
-//! its item ends.
+//! workers, each one [`WorkerState`] driven by `T` sweep threads (one in
+//! [`run_cluster`] and in a worker process, a node's CPUs in
+//! [`crate::run_hybrid`]). The threads share the state behind one lock,
+//! planning and committing under it and sweeping outside it, and take
+//! turns on the rank's endpoint behind another, as the paper guards its
+//! MPI calls. A worker announces `PREFETCH_SLOTS` capacity slots per
+//! thread, so the next task is already in its inbox when the current one
+//! ends, and sends every result the moment its item ends.
 //!
 //! The master side runs the recovery loop of [`crate::recovery`]:
-//! per-task deadlines with retransmission and exponential backoff,
-//! liveness tracking from worker beacons, reassignment away from dead
-//! workers, and a master-local fallback when every worker is lost. The
-//! worker side beacons IDLE/RESYNC, requests replica resyncs when an
-//! ACCEPTED broadcast went missing, and watches its own deadline so a
-//! dead master never leaves a thread hanging.
+//! retransmission with backoff, liveness, reassignment away from dead
+//! workers and a master-local fallback. A worker thread beacons, and
+//! watches its own deadline so a dead master never leaves it hanging.
 
-use crate::master::{Claim, MasterState};
-use crate::protocol::{tag, AcceptedMsg, ResultsMsg, ResyncMsg, TaskItem, TaskMsg, TelemetryMsg};
-use crate::recovery::{idle_payload, master_loop, RecoveryConfig, BEACON_PERIOD, WORKER_POLL};
-use parking_lot::{Mutex, MutexGuard};
+use crate::master::MasterState;
+use crate::recovery::{master_loop, RecoveryConfig};
+use crate::worker::{Frame, WorkerState};
+use parking_lot::Mutex;
 use repro_align::{Scoring, Seq};
-use repro_core::{
-    Common, LanePacks, OverrideTriangle, PackKernel, PackUnit, Search, TopAlignment, TopAlignments,
-};
-use repro_obs::{FlightRecorder, Metric, Recorder};
+use repro_core::{Common, PackKernel, PackUnit, Search, TopAlignments};
+use repro_obs::Recorder;
 use repro_simd::{select, GroupSweeper, SimdSel};
 use repro_xmpi::thread::{FaultPlan, ThreadComm};
-use repro_xmpi::{Comm, Message, RecvError};
-use std::collections::{HashSet, VecDeque};
-use std::sync::Arc;
+use repro_xmpi::{Comm, RecvError};
 use std::time::{Duration, Instant};
 
 /// Distributed-engine failure modes.
@@ -96,8 +76,8 @@ pub struct ClusterResult {
 /// home inside [`crate::protocol::ResultMsg`]. With `search.seed` set
 /// the master — which owns the only seed index — never assigns a pack
 /// whose bound stays below the acceptance frontier; per-task bounds ship
-/// inside the [`TaskMsg`]. Alignments are bit-identical with either
-/// layer on or off.
+/// inside the [`crate::protocol::TaskMsg`]. Alignments are
+/// bit-identical with either layer on or off.
 ///
 /// `rec` runs on the master's (calling) thread only, so it needs no
 /// synchronisation: every assign/result/retry/death/resync/fallback
@@ -198,85 +178,26 @@ pub(crate) fn cluster_sel() -> SimdSel {
 /// and "Cluster speculation bounded in lanes").
 pub(crate) const PREFETCH_SLOTS: usize = 2;
 
-/// One item of a received task frame, waiting its turn.
-struct Queued {
-    /// Replica version the item must at least run under.
-    stamp: usize,
-    item: TaskItem,
-}
+/// How long a sweep thread waits on the endpoint per look.
+const WORKER_POLL: Duration = Duration::from_millis(15);
 
-/// A worker rank: what its sweep threads share. The profiled sequence
-/// and its rows (written once each) need no lock, the endpoint has its
-/// own, and everything else sits under one lock in [`Replica`]; a thread
-/// keeps only its idle clock.
-struct Worker<'a, C, K: PackKernel> {
-    unit: PackUnit<K>,
-    /// The profiled sequence and every first-pass row this worker has
-    /// computed or been sent.
-    common: Common<'a>,
+/// A worker rank: its sweep threads, the [`WorkerState`] they share
+/// under one lock, and the endpoint under its own.
+struct Worker<'w, C, K> {
     comm: Mutex<C>,
-    replica: Mutex<Replica>,
+    state: Mutex<WorkerState<'w, K>>,
     threads: usize,
+    /// The worker's clock starts here.
+    start: Instant,
     /// Test hook: extra wall time every sweep takes.
     #[cfg(test)]
     sweep_pad: Duration,
 }
 
-/// A worker's replica, run queue and telemetry, under its lock.
-struct Replica {
-    /// The override triangle: a sweep holds a snapshot, so an ACCEPTED
-    /// copies it only while another thread sweeps.
-    triangle: Arc<OverrideTriangle>,
-    /// The ACCEPTED broadcasts applied so far, in order: the replica's
-    /// version is their count, and the unit's plan stamps against them.
-    accepted: Vec<TopAlignment>,
-    /// The unit's state the threads share.
-    packs: LanePacks,
-    /// Every received task item not yet run, in arrival order. An item
-    /// runs once the replica has reached its stamp and no other thread
-    /// sweeps its unit.
-    queue: VecDeque<Queued>,
-    /// The units being swept.
-    running: Vec<usize>,
-    /// Attempts whose result already went out once: receiving them again
-    /// means that result was lost, so its replacement is sent twice (a
-    /// single copy can phase-lock with a deterministic loss pattern).
-    sent: HashSet<(usize, u64)>,
-    last_master: Instant,
-    next_beacon: Instant,
-    /// DONE, a dead endpoint or a silent master: every thread exits.
-    done: bool,
-    // This worker's own telemetry: sweep/resume/queue-wait samples and
-    // the lane counters of its commits, shipped home as cumulative
-    // snapshots on the beacon cadence. Pure observability — every frame
-    // may be lost without changing the search result.
-    wrec: FlightRecorder,
-    tele_seq: u64,
-}
-
-impl Replica {
-    /// ACCEPTED broadcasts applied so far: the replica's version.
-    fn applied(&self) -> usize {
-        self.accepted.len()
-    }
-
-    /// The next cumulative telemetry frame.
-    fn telemetry(&mut self, fin: bool) -> Vec<u8> {
-        self.tele_seq += 1;
-        TelemetryMsg {
-            seq: self.tele_seq,
-            fin,
-            snap: self.wrec.telemetry_snapshot(),
-        }
-        .encode()
-    }
-}
-
-/// The worker body, generic over the transport and the kernel: the exact
-/// same loop serves a simulator thread (rank = a `ThreadComm` endpoint),
-/// a worker process (rank = a `SocketPeer`) and a hybrid node, on
-/// `threads` sweep threads (the calling one among them). See the module
-/// docs for the message-order/resync discipline.
+/// The worker body, generic over the transport and the kernel: a rank
+/// thread (a `ThreadComm` endpoint), a worker process (a `SocketPeer`)
+/// or a hybrid node, on `threads` sweep threads, the calling one among
+/// them.
 pub(crate) fn worker_loop<C: Comm + Send, K: PackKernel>(
     unit: PackUnit<K>,
     seq: &Seq,
@@ -285,31 +206,18 @@ pub(crate) fn worker_loop<C: Comm + Send, K: PackKernel>(
     deadline: Duration,
     threads: usize,
 ) {
-    Worker::new(unit, seq, scoring, comm, threads).serve(deadline);
+    let common = Common::new(seq, scoring);
+    Worker::new(&unit, &common, comm, threads).serve(deadline);
 }
 
-impl<'a, C: Comm + Send, K: PackKernel> Worker<'a, C, K> {
-    fn new(unit: PackUnit<K>, seq: &'a Seq, scoring: &'a Scoring, comm: C, threads: usize) -> Self {
+impl<'w, C: Comm + Send, K: PackKernel> Worker<'w, C, K> {
+    fn new(unit: &'w PackUnit<K>, common: &'w Common<'w>, comm: C, threads: usize) -> Self {
         assert!(threads >= 1, "a worker needs a sweep thread");
-        let now = Instant::now();
         Worker {
-            common: Common::new(seq, scoring),
             comm: Mutex::new(comm),
-            replica: Mutex::new(Replica {
-                triangle: Arc::new(OverrideTriangle::new(seq.len())),
-                accepted: Vec::new(),
-                packs: unit.packs(),
-                queue: VecDeque::new(),
-                running: Vec::new(),
-                sent: HashSet::new(),
-                last_master: now,
-                next_beacon: now, // fires immediately: first IDLE
-                done: false,
-                wrec: FlightRecorder::new(),
-                tele_seq: 0,
-            }),
-            unit,
+            state: Mutex::new(WorkerState::new(unit, common, threads * PREFETCH_SLOTS)),
             threads,
+            start: Instant::now(),
             #[cfg(test)]
             sweep_pad: Duration::ZERO,
         }
@@ -327,179 +235,62 @@ impl<'a, C: Comm + Send, K: PackKernel> Worker<'a, C, K> {
         });
     }
 
-    /// One sweep thread: run what can run, else beacon when due and take
-    /// a turn on the endpoint.
+    /// One sweep thread: run what can run — plan and commit under the
+    /// lock, the sweep outside it — else beacon when due and take a turn
+    /// on the endpoint.
     fn sweep_thread(&self, deadline: Duration) {
         let mut idle_since = Instant::now();
         loop {
-            let mut replica = self.replica.lock();
-            if replica.done {
+            let mut state = self.state.lock();
+            if state.done {
                 return;
             }
-            let (applied, running) = (replica.applied(), &replica.running);
-            let runnable = |q: &Queued| q.stamp <= applied && !running.contains(&q.item.unit);
-            if let Some(pos) = replica.queue.iter().position(runnable) {
-                if !self.run(replica, pos, idle_since) {
+            if let Some(mut claimed) = state.claim(idle_since.elapsed()) {
+                drop(state);
+                #[cfg(test)]
+                std::thread::sleep(self.sweep_pad);
+                claimed.sweep();
+                let frames = self.state.lock().finish(claimed);
+                if !self.send(frames) {
                     break; // endpoint (ours or the master's) is dead
                 }
                 idle_since = Instant::now();
                 continue;
             }
-            let now = Instant::now();
-            if now.duration_since(replica.last_master) > deadline {
+            let now = self.start.elapsed();
+            if state.silent_for(now) > deadline {
                 break; // master has gone silent for the whole budget
             }
-            let beacon = (now >= replica.next_beacon).then(|| {
-                replica.next_beacon = now + BEACON_PERIOD;
-                self.beacon(&mut replica)
-            });
-            drop(replica);
-            if beacon.is_some_and(|frames| !self.send(frames)) {
+            let beacon = state.beacon(now);
+            drop(state);
+            if !self.send(beacon) {
                 break;
             }
             let msg = self.comm.lock().recv_timeout(WORKER_POLL);
-            let alive = match msg {
-                Ok(msg) => self.on_message(msg),
-                Err(RecvError::Timeout) => true,
-                Err(RecvError::Disconnected) => false,
+            let replies = match msg {
+                Ok(msg) => self
+                    .state
+                    .lock()
+                    .receive(msg.tag, &msg.payload, self.start.elapsed()),
+                Err(RecvError::Timeout) => continue,
+                Err(RecvError::Disconnected) => break,
             };
-            if !alive {
+            if !self.send(replies) {
                 break;
             }
         }
-        // The other threads stop at their next look at the replica.
-        self.replica.lock().done = true;
+        // The other threads stop at their next look at the state.
+        self.state.lock().done = true;
     }
 
-    /// Send `frames` to the master in order, stopping at the first
-    /// failure. Returns `false` when a send proves an endpoint dead
-    /// (ours or the master's), which is the worker's cue to exit;
-    /// injected drops stay invisible and are healed by the master's
-    /// retransmission.
-    fn send(&self, frames: Vec<(u32, Vec<u8>)>) -> bool {
+    /// Send `frames` to the master in order: `false` when a send proves
+    /// an endpoint (ours or the master's) dead, the cue to exit. Injected
+    /// drops stay invisible; the master's retransmission heals them.
+    fn send(&self, frames: Vec<Frame>) -> bool {
         let comm = self.comm.lock();
         frames
             .into_iter()
             .all(|(tag, payload)| comm.send(0, tag, payload).is_ok())
-    }
-
-    /// Handle one message from the master. Returns `false` on DONE.
-    fn on_message(&self, msg: Message) -> bool {
-        let mut replica = self.replica.lock();
-        replica.last_master = Instant::now();
-        match msg.tag {
-            tag::TASK => {
-                let Ok(task) = TaskMsg::decode(&msg.payload, &self.unit) else {
-                    return true; // corrupted; the master will retransmit
-                };
-                for item in task.items {
-                    // A retransmission of an item still waiting here
-                    // will be answered when that one runs.
-                    if !replica.queue.iter().any(|q| q.item.same_attempt(&item)) {
-                        let stamp = task.stamp;
-                        replica.queue.push_back(Queued { stamp, item });
-                    }
-                }
-            }
-            // Acceptances must be applied *in order*: if index k was
-            // lost and k+1 arrives first, applying it and claiming
-            // version k+2 would leave k's override pairs silently
-            // missing — and every score computed under that replica
-            // would be wrongly trusted as fresh. A corrupted one would
-            // leave the replica behind forever. Either way, ask for the
-            // missing ones right away.
-            tag::ACCEPTED => match AcceptedMsg::decode(&msg.payload) {
-                Ok(acc) if acc.index < replica.applied() => {} // a duplicate
-                Ok(acc) if acc.index == replica.applied() => {
-                    let Replica {
-                        triangle, accepted, ..
-                    } = &mut *replica;
-                    acc.apply(Arc::make_mut(triangle), accepted);
-                }
-                _ => {
-                    let applied = replica.applied();
-                    drop(replica);
-                    let _ = self.send(vec![(tag::RESYNC, ResyncMsg { applied }.encode())]);
-                }
-            },
-            tag::DONE => {
-                // Final (`fin`) snapshot, sent twice so a period-2 loss
-                // pattern cannot swallow the worker's whole telemetry
-                // tail. Failures are moot: we are exiting either way.
-                let payload = replica.telemetry(true);
-                drop(replica);
-                self.send(vec![
-                    (tag::TELEMETRY, payload.clone()),
-                    (tag::TELEMETRY, payload),
-                ]);
-                return false;
-            }
-            _ => {} // stray tag: ignore
-        }
-        true
-    }
-
-    /// The beacon of a thread with nothing to run, and the cumulative
-    /// telemetry snapshot that rides along.
-    fn beacon(&self, replica: &mut Replica) -> Vec<(u32, Vec<u8>)> {
-        // A worker with an empty queue re-announces every slot as IDLE
-        // (idempotent at the master — it dedupes per slot, so slots busy
-        // on other threads stay busy — and robust to a lost first one);
-        // a worker whose whole queue waits sends a liveness heartbeat
-        // and asks for the acceptances its replica is missing.
-        let mut frames: Vec<_> = if replica.queue.is_empty() {
-            let slots = 0..self.threads * PREFETCH_SLOTS;
-            slots.map(|slot| (tag::IDLE, idle_payload(slot))).collect()
-        } else {
-            // Sent as a pair: a lone copy each period can land on the
-            // same phase of a deterministic loss pattern every time,
-            // starving the replica forever. Any received traffic
-            // refreshes liveness at the master, so the resync request
-            // doubles as the heartbeat.
-            let resync = ResyncMsg {
-                applied: replica.applied(),
-            }
-            .encode();
-            vec![(tag::RESYNC, resync.clone()), (tag::RESYNC, resync)]
-        };
-        frames.push((tag::TELEMETRY, replica.telemetry(false)));
-        frames
-    }
-
-    /// Run the queued item at `pos`: plan it under the lock, sweep it
-    /// unlocked against the replica as it stands, commit it under the
-    /// lock again, then send the result. Returns `false` when a send
-    /// proves an endpoint dead.
-    fn run(&self, mut replica: MutexGuard<'_, Replica>, pos: usize, idle_since: Instant) -> bool {
-        let Queued { item, .. } = replica.queue.remove(pos).expect("position is in range");
-        let (u, repeat) = (item.unit, !replica.sent.insert((item.unit, item.attempt)));
-        replica.running.push(u);
-        let waited = idle_since.elapsed().as_nanos() as u64;
-        replica.wrec.observe(Metric::QueueWaitNs, waited);
-        let Replica {
-            triangle,
-            accepted,
-            packs,
-            ..
-        } = &mut *replica;
-        let mut claim = Claim::new(&self.unit, packs, (&self.common, accepted), item);
-        let triangle = Arc::clone(triangle);
-        drop(replica);
-        #[cfg(test)]
-        std::thread::sleep(self.sweep_pad);
-        claim.sweep(&triangle);
-        drop(triangle);
-        let mut replica = self.replica.lock();
-        replica.running.retain(|&v| v != u);
-        let Replica { packs, wrec, .. } = &mut *replica;
-        let res = claim.commit(packs, wrec);
-        drop(replica);
-        // A repeat means an earlier copy was lost en route: send two
-        // copies back to back so a period-2 loss pattern cannot swallow
-        // both.
-        let payload = ResultsMsg { items: vec![res] }.encode();
-        let copies = if repeat { 2 } else { 1 };
-        self.send(vec![(tag::RESULT, payload); copies])
     }
 }
 
@@ -507,11 +298,11 @@ impl<'a, C: Comm + Send, K: PackKernel> Worker<'a, C, K> {
 pub(crate) mod tests {
     use super::*;
     use crate::master::{Timeouts, MAX_BATCH};
-    use crate::protocol::{ResultMsg, Work};
+    use crate::protocol::{tag, AcceptedMsg, ResultMsg, ResultsMsg, TaskItem, TaskMsg, Work};
+    use crate::worker::BEACON_PERIOD;
     use repro_align::Score;
-    use repro_core::{find_top_alignments, ScoredSeq, SeedConfig, Stats};
+    use repro_core::{find_top_alignments, OverrideTriangle, ScoredSeq, SeedConfig, Stats};
     use repro_obs::{Counter, NoopRecorder};
-    use repro_xmpi::SendError;
     use std::collections::HashMap;
 
     const DL: Duration = Duration::from_secs(10);
@@ -1051,30 +842,6 @@ pub(crate) mod tests {
         assert!(folds > 0, "telemetry events must appear in the log");
     }
 
-    /// A scripted master end for `worker_loop`, run on the test thread:
-    /// every blocking receive — the worker has nothing left it can run —
-    /// is served the next scripted message, DONE once the script is
-    /// exhausted, and every receive and every RESULT frame is logged in
-    /// order. RESULT frames are decoded against `unit`, and their items
-    /// kept whole in `results`.
-    struct Scripted<K> {
-        unit: PackUnit<K>,
-        script: Mutex<VecDeque<Message>>,
-        log: Mutex<Vec<Logged>>,
-        results: Mutex<Vec<ResultMsg>>,
-    }
-
-    impl<K: PackKernel> Scripted<K> {
-        fn new(unit: PackUnit<K>, script: impl IntoIterator<Item = Message>) -> Self {
-            Scripted {
-                unit,
-                script: Mutex::new(script.into_iter().collect()),
-                log: Mutex::new(Vec::new()),
-                results: Mutex::new(Vec::new()),
-            }
-        }
-    }
-
     #[derive(Debug, PartialEq)]
     enum Logged {
         /// The worker read a message with this tag.
@@ -1084,34 +851,36 @@ pub(crate) mod tests {
         Results(Vec<(usize, u64, usize)>),
     }
 
-    impl<K: PackKernel> Comm for Scripted<K> {
-        fn rank(&self) -> usize {
-            1
-        }
-        fn size(&self) -> usize {
-            2
-        }
-        fn send(&self, _to: usize, tag: u32, payload: Vec<u8>) -> Result<(), SendError> {
-            if tag == tag::RESULT {
-                let frame = ResultsMsg::decode(&payload, &self.unit).expect("worker frames decode");
+    /// Drive a one-thread worker of `unit` on the test thread as a sweep
+    /// thread does — run what can run, else read the next message — on a
+    /// master that serves `script`, then DONE. Returns every read and
+    /// every RESULT frame in order, and the results whole.
+    fn scripted<K: PackKernel>(
+        unit: &PackUnit<K>,
+        common: &Common,
+        script: impl IntoIterator<Item = Frame>,
+    ) -> (Vec<Logged>, Vec<ResultMsg>) {
+        let (mut log, mut results) = (Vec::new(), Vec::new());
+        let mut state = WorkerState::new(unit, common, PREFETCH_SLOTS);
+        let mut script = script.into_iter();
+        let mut out = |frames: Vec<Frame>, log: &mut Vec<Logged>| {
+            for (_, payload) in frames.iter().filter(|f| f.0 == tag::RESULT) {
+                let frame = ResultsMsg::decode(payload, unit).expect("worker frames decode");
                 let items = frame.items.iter().map(|i| (i.best.0, i.attempt, i.stamp));
-                self.log.lock().push(Logged::Results(items.collect()));
-                self.results.lock().extend(frame.items);
+                log.push(Logged::Results(items.collect()));
+                results.extend(frame.items);
             }
-            Ok(())
+        };
+        while !state.done {
+            while let Some(mut claimed) = state.claim(Duration::ZERO) {
+                claimed.sweep();
+                out(state.finish(claimed), &mut log);
+            }
+            let (tag, payload) = script.next().unwrap_or((tag::DONE, Vec::new()));
+            log.push(Logged::Received(tag));
+            out(state.receive(tag, &payload, Duration::ZERO), &mut log);
         }
-        fn recv_timeout(&self, _timeout: Duration) -> Result<Message, RecvError> {
-            let msg = self.script.lock().pop_front().unwrap_or(Message {
-                from: 0,
-                tag: tag::DONE,
-                payload: Vec::new(),
-            });
-            self.log.lock().push(Logged::Received(msg.tag));
-            Ok(msg)
-        }
-        fn try_recv(&self) -> Option<Message> {
-            None
-        }
+        (log, results)
     }
 
     #[test]
@@ -1144,26 +913,19 @@ pub(crate) mod tests {
         };
         let task = |stamp, items: Vec<TaskItem>| {
             let payload = TaskMsg { stamp, items }.encode();
-            Message {
-                from: 0,
-                tag: tag::TASK,
-                payload,
-            }
+            (tag::TASK, payload)
         };
-        let accepted = |index: usize| Message {
-            from: 0,
-            tag: tag::ACCEPTED,
-            payload: AcceptedMsg {
-                index,
-                pairs: tops[index].pairs.clone(),
-            }
-            .encode(),
+        let accepted = |index: usize| {
+            let pairs = tops[index].pairs.clone();
+            (tag::ACCEPTED, AcceptedMsg { index, pairs }.encode())
         };
         // Split 4's score equals split 8's bound (the sequence is its
         // own mirror image there).
         assert_eq!(clean(4).score, clean(8).score);
-        let comm = Scripted::new(
-            rows_of(&seq, &scoring),
+        let unit = rows_of(&seq, &scoring);
+        let (log, _) = scripted(
+            &unit,
+            &Common::new(&seq, &scoring),
             [
                 task(0, first(&[(4, clean(4).score), (8, clean(8).score)])),
                 // The prefetched batch, and the acceptance that lands
@@ -1179,10 +941,9 @@ pub(crate) mod tests {
                 task(1, realign(3)),
             ],
         );
-        worker_loop(rows_of(&seq, &scoring), &seq, &scoring, &comm, DL, 1);
         use Logged::{Received, Results};
         assert_eq!(
-            *comm.log.lock(),
+            log,
             [
                 Received(tag::TASK),
                 Results(vec![(4, 1, 0)]),
@@ -1236,14 +997,9 @@ pub(crate) mod tests {
             })
             .expect("a pack the accepts straddle in part");
         let rows: Vec<_> = unit.splits(u).map(|r| (r, clean(r))).collect();
-        let accepted = |index: usize| Message {
-            from: 0,
-            tag: tag::ACCEPTED,
-            payload: AcceptedMsg {
-                index,
-                pairs: tops[index].pairs.clone(),
-            }
-            .encode(),
+        let accepted = |index: usize| {
+            let pairs = tops[index].pairs.clone();
+            (tag::ACCEPTED, AcceptedMsg { index, pairs }.encode())
         };
         let item = TaskItem {
             unit: u,
@@ -1252,13 +1008,9 @@ pub(crate) mod tests {
             bound: Score::MAX,
             rows: rows.clone(),
         };
-        let task = Message {
-            from: 0,
-            tag: tag::TASK,
-            payload: TaskMsg::single(2, item).encode(),
-        };
-        let comm = Scripted::new(packs(), [accepted(0), accepted(1), task]);
-        worker_loop(packs(), &seq, &scoring, &comm, DL, 1);
+        let task = (tag::TASK, TaskMsg::single(2, item).encode());
+        let worker = Common::new(&seq, &scoring);
+        let (_, results) = scripted(&unit, &worker, [accepted(0), accepted(1), task]);
 
         // The inline unit of work on fresh packs, from scratch.
         let common = Common::new(&seq, &scoring);
@@ -1282,7 +1034,7 @@ pub(crate) mod tests {
             rows: vec![],
             work: Work::of(&grown),
         };
-        assert_eq!(*comm.results.lock(), std::slice::from_ref(&want));
+        assert_eq!(results, std::slice::from_ref(&want));
         let lanes = unit.splits(u).len() as u64;
         assert_eq!((grown.alignments, grown.lanes_skipped), (lanes, 0));
         // The best member, lowest on ties, by the scalar kernel.
@@ -1325,7 +1077,8 @@ pub(crate) mod tests {
                 for comm in world {
                     let unit = &unit;
                     scope.spawn(move || {
-                        let mut worker = Worker::new(unit(), seq, scoring, comm, threads);
+                        let (unit, common) = (unit(), Common::new(seq, scoring));
+                        let mut worker = Worker::new(&unit, &common, comm, threads);
                         worker.sweep_pad = pad;
                         worker.serve(overall)
                     });

@@ -41,20 +41,24 @@
 //!   runs: it hands the master the clock and the messages, sends what
 //!   it returns, and owns the run's budget, the event log and the
 //!   worker telemetry.
+//! * [`worker`] — the pure worker state machine (no I/O; time is an
+//!   input): the replica, the run queue and the record of what it
+//!   answered, so no item is swept twice. Feed it the master's frames
+//!   and the clock, get back frames to send.
 //! * [`engine`] — the real backend on [`repro_xmpi::thread`], and the
-//!   one worker every transport runs: a rank of `T` sweep threads over
-//!   one replica (one thread in a flat cluster, a node's CPUs in the
-//!   [`hybrid`] configuration). Injected message loss is healed by
-//!   retransmission and surfaces, at worst, as a typed error — never a
-//!   hang.
+//!   driver every transport runs the worker with: `T` sweep threads
+//!   over one [`WorkerState`] (one thread in a flat cluster, a node's
+//!   CPUs in the [`hybrid`] configuration). Injected message loss is
+//!   healed by retransmission and surfaces, at worst, as a typed error
+//!   — never a hang.
 //! * [`proc`] — the same protocol over real TCP sockets
 //!   ([`repro_xmpi::socket`]) with workers in their own processes (or
 //!   threads, for tests). Membership is elastic: workers join mid-run
 //!   via the hub's greeting replay and leave by dying; socket-level
 //!   chaos rides through a frame-aware fault proxy.
-//! * [`sim`] — the same protocol on [`repro_xmpi::virtual_time`]: real
-//!   alignment computations, virtual clocks, calibrated per-cell costs
-//!   and a Myrinet-class link model. This regenerates Figure 8 on one
+//! * [`sim`] — the same protocol on [`repro_xmpi::virtual_time`]: the
+//!   same worker, virtual clocks, calibrated per-cell costs and a
+//!   Myrinet-class link model. This regenerates Figure 8 on one
 //!   machine, for any processor count (see DESIGN.md, substitutions).
 
 #![warn(missing_docs)]
@@ -66,6 +70,7 @@ pub mod proc;
 pub mod protocol;
 pub mod recovery;
 pub mod sim;
+pub mod worker;
 
 pub use engine::{run_cluster, ClusterError, ClusterResult};
 pub use hybrid::run_hybrid;
@@ -76,3 +81,4 @@ pub use proc::{
 };
 pub use recovery::DEFAULT_DEADLINE;
 pub use sim::{simulate_cluster, AlignCache, CostModel, SimReport};
+pub use worker::WorkerState;

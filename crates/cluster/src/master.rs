@@ -46,7 +46,7 @@
 //! what messages add to a claim: the assignment in flight, the attempts
 //! issued and the best member the settling result reported.
 
-use crate::protocol::{AcceptedMsg, ResultMsg, TaskItem, TaskMsg, Work};
+use crate::protocol::{AcceptedMsg, MemberRows, ResultMsg, TaskItem, TaskMsg, Work};
 use repro_align::{Score, Scoring, Seq};
 use repro_core::pack::{PackPlan, PackSwept};
 use repro_core::{
@@ -626,14 +626,10 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
     /// its result carries are not stored again.
     fn compute_local(&self, stamp: usize, task: TaskItem) -> ResultMsg {
         debug_assert_eq!(stamp, self.tops.len());
-        let replica = (&self.common, &self.triangle, &self.tops[..]);
-        run_task(
-            &self.unit,
-            &mut self.unit.packs(),
-            replica,
-            task,
-            &mut NoopRecorder,
-        )
+        let mut packs = self.unit.packs();
+        let mut claim = Claim::new(&self.unit, &mut packs, (&self.common, &self.tops), task);
+        claim.sweep(&self.triangle);
+        claim.commit(&mut packs, &mut NoopRecorder)
     }
 
     /// Advance: accept while the head is fresh, and hand the best stale
@@ -795,14 +791,13 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
 /// plans it (under a worker's lock), [`Claim::sweep`] sweeps it
 /// (unlocked, against the triangle the claim was planned under) and
 /// [`Claim::commit`] folds it back (under the lock again) into the
-/// result to send. A worker's sweep threads, the local fallback and the
-/// simulator answer every task through these; [`run_task`] is the three
-/// back to back.
+/// result to send. Every task is answered through these: on a
+/// [`crate::WorkerState`], whichever drives it, or by the local fallback.
 pub(crate) struct Claim<'u, K> {
     unit: &'u PackUnit<K>,
     /// The replica's rows, the task's attached ones already stored.
     common: &'u Common<'u>,
-    task: TaskItem,
+    pub(crate) task: TaskItem,
     /// The replica version planned against.
     planned_at: usize,
     plan: PackPlan,
@@ -870,11 +865,9 @@ impl<'u, K: PackKernel> Claim<'u, K> {
             task.unit,
             task.bound
         );
-        let rows = if task.first {
-            let splits = self.unit.splits(task.unit);
-            splits.map(|r| (r, self.common.row(r).widened())).collect()
-        } else {
-            Vec::new()
+        let rows = match task.first {
+            true => member_rows(self.unit, self.common, task.unit),
+            false => Vec::new(),
         };
         ResultMsg {
             unit: task.unit,
@@ -887,19 +880,14 @@ impl<'u, K: PackKernel> Claim<'u, K> {
     }
 }
 
-/// One task as one thread computes it: plan · sweep · commit of
-/// `task.unit` on the caller's `packs`, against its `replica` (rows,
-/// triangle, and the accepts that built it: the stamp).
-pub(crate) fn run_task<K: PackKernel, R: Recorder>(
+/// Every member's first-pass row of unit `u`, for the wire.
+pub(crate) fn member_rows<K: PackKernel>(
     unit: &PackUnit<K>,
-    packs: &mut LanePacks,
-    (common, triangle, tops): (&Common, &OverrideTriangle, &[TopAlignment]),
-    task: TaskItem,
-    rec: &mut R,
-) -> ResultMsg {
-    let mut claim = Claim::new(unit, packs, (common, tops), task);
-    claim.sweep(triangle);
-    claim.commit(packs, rec)
+    common: &Common,
+    u: usize,
+) -> MemberRows {
+    let splits = unit.splits(u);
+    splits.map(|r| (r, common.row(r).widened())).collect()
 }
 
 #[cfg(test)]
@@ -907,6 +895,20 @@ mod tests {
     use super::*;
     use crate::protocol::tag;
     use repro_core::{find_top_alignments, SeedConfig, SplitMask};
+
+    /// One task as one thread computes it: plan · sweep · commit of
+    /// `task.unit` on `packs`, against a replica (rows, triangle, and
+    /// the accepts that built it: the stamp).
+    fn run_task<K: PackKernel>(
+        unit: &PackUnit<K>,
+        packs: &mut LanePacks,
+        (common, triangle, tops): (&Common, &OverrideTriangle, &[TopAlignment]),
+        task: TaskItem,
+    ) -> ResultMsg {
+        let mut claim = Claim::new(unit, packs, (common, tops), task);
+        claim.sweep(triangle);
+        claim.commit(packs, &mut NoopRecorder)
+    }
 
     /// Drive the state machine synchronously with a perfect in-process
     /// "worker" that computes results immediately — a transport-free
@@ -1399,7 +1401,7 @@ mod tests {
             let (w, item) = pending.pop_front().expect("master stalled without Done");
             held[w] -= worker.splits(item.unit).len();
             let replica = (&common, &triangle, &accepted[..]);
-            let res = run_task(&worker, &mut packs, replica, item, &mut NoopRecorder);
+            let res = run_task(&worker, &mut packs, replica, item);
             actions = master.result(w, res);
         }
     }

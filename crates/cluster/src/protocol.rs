@@ -130,13 +130,6 @@ impl TaskItem {
     /// Encoded size of an item without rows.
     const MIN_BYTES: usize = 3 * 8 + 4 + 8;
 
-    /// `true` iff `other` is this very assignment (same unit, same
-    /// attempt) — a retransmitted copy of an item still waiting on a
-    /// worker is answered when that one runs, so the copy is dropped.
-    pub(crate) fn same_attempt(&self, other: &TaskItem) -> bool {
-        self.unit == other.unit && self.attempt == other.attempt
-    }
-
     fn encode_into(&self, e: Encoder) -> Encoder {
         let e = e
             .usize(self.unit)

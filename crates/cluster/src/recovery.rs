@@ -416,19 +416,6 @@ pub(crate) fn master_loop<K: PackKernel, C: Comm, R: Recorder>(
     }
 }
 
-/// How often a worker beacons (IDLE while free, a paired RESYNC while
-/// it has deferred work) so the master can tell "slow" from "gone".
-pub(crate) const BEACON_PERIOD: Duration = Duration::from_millis(40);
-
-/// Worker-side receive poll granularity.
-pub(crate) const WORKER_POLL: Duration = Duration::from_millis(15);
-
-/// Encode a worker's IDLE announcement (the slot rides in the
-/// [`ResyncMsg`] frame — both are a single `usize`).
-pub(crate) fn idle_payload(slot: usize) -> Vec<u8> {
-    ResyncMsg { applied: slot }.encode()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,29 +8,28 @@
 //! plus `P − 1` workers reproduces the paper's setup for any `P`,
 //! including 128, on a single machine.
 //!
-//! A simulated worker answers a task exactly as a cluster worker's
-//! sweep thread does (`master::run_task`, one split to a task: 1-lane
-//! packs under the row kernel),
-//! on its own replica. Because every engine accepts the same top
-//! alignments in the same order regardless of worker count (see
-//! `master.rs`), the triangle state at version `v` is run-invariant —
-//! which lets a shared [`AlignCache`] memoise `(unit, version) → result`
-//! across the whole processor/top-count sweep. The first configuration
-//! pays for the real compute; the rest replay it under different
-//! schedules.
+//! A simulated worker is the cluster worker itself, a
+//! [`WorkerState`] over 1-lane packs under the row kernel, with one
+//! capacity slot; the simulator only charges its sweeps to the cost
+//! model. Because every engine accepts the same top alignments in the
+//! same order regardless of worker count (see `master.rs`), the triangle
+//! state at version `v` is run-invariant — which lets a shared
+//! [`AlignCache`] memoise `(unit, version) → result` across the whole
+//! processor/top-count sweep and stand in for a worker's sweep. The
+//! first configuration pays for the real compute; the rest replay it
+//! under different schedules.
 
-use crate::master::{run_task, MasterAction, MasterState};
-use crate::protocol::{tag, AcceptedMsg, ResultMsg, ResultsMsg, TaskItem, TaskMsg};
+use crate::master::{MasterAction, MasterState};
+use crate::protocol::{tag, ResultMsg, ResultsMsg};
+use crate::worker::{Frame, WorkerState};
 use repro_align::{Scoring, Seq};
-use repro_core::{
-    Common, LanePacks, OverrideTriangle, PackUnit, ScoredSeq, Search, TopAlignment, TopAlignments,
-};
-use repro_obs::NoopRecorder;
+use repro_core::{Common, PackUnit, ScoredSeq, Search, TopAlignments};
 use repro_xmpi::virtual_time::{run, Actor, Ctx, LinkModel};
 use repro_xmpi::Rank;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::time::Duration;
 
 /// Per-processor compute rates, calibrated against the paper's measured
 /// Pentium III numbers (§5: 5.2 s for a 17175² matrix conventionally;
@@ -137,17 +136,7 @@ fn paper_traceback_cells(m: usize, r: usize) -> u64 {
 }
 
 struct WorkerSim<'a> {
-    unit: PackUnit<ScoredSeq<'a>>,
-    /// The unit's state, this worker's own.
-    packs: LanePacks,
-    /// The profiled sequence, and every first-pass row this worker has
-    /// computed or been sent.
-    common: Common<'a>,
-    triangle: OverrideTriangle,
-    /// The ACCEPTED broadcasts applied, in order: the replica's version.
-    accepted: Vec<TopAlignment>,
-    /// Items whose stamp the replica has not reached, with that stamp.
-    deferred: Vec<(usize, TaskItem)>,
+    state: WorkerState<'a, ScoredSeq<'a>>,
     cost: CostModel,
     cache: Rc<RefCell<AlignCache>>,
 }
@@ -188,64 +177,48 @@ impl MasterSim<'_> {
 }
 
 impl WorkerSim<'_> {
-    fn run_task(&mut self, task: TaskItem, ctx: &mut Ctx) {
-        let key = (task.unit, self.accepted.len());
-        let cached = self.cache.borrow().entries.get(&key).cloned();
-        let res = match cached {
-            // Computed in an earlier run: keep the rows the task and the
-            // result bring for future shadow filtering, and answer this
-            // attempt.
-            Some(res) => {
-                for (r, row) in task.rows.into_iter().chain(res.rows.iter().cloned()) {
-                    if !self.common.has_row(r) {
-                        self.common.set_row(r, row);
-                    }
-                }
-                ResultMsg {
-                    attempt: task.attempt,
-                    ..res
-                }
-            }
-            // Through the unit, with no checkpoints: the cache is the
-            // simulator's memo.
-            None => {
-                let replica = (&self.common, &self.triangle, &self.accepted[..]);
-                let res = run_task(
-                    &self.unit,
-                    &mut self.packs,
-                    replica,
-                    task,
-                    &mut NoopRecorder,
-                );
-                self.cache.borrow_mut().entries.insert(key, res.clone());
-                res
-            }
-        };
-        ctx.compute(res.work.cells() as f64 / self.cost.worker_cells_per_sec);
-        ctx.send(0, tag::RESULT, ResultsMsg { items: vec![res] }.encode());
+    /// Send `frames` to the master.
+    fn send(frames: Vec<Frame>, ctx: &mut Ctx) {
+        for (tag, payload) in frames {
+            ctx.send(0, tag, payload);
+        }
     }
 
-    fn drain_deferred(&mut self, ctx: &mut Ctx) {
-        let applied = self.accepted.len();
-        while let Some(pos) = self.deferred.iter().position(|&(s, _)| s <= applied) {
-            let (_, item) = self.deferred.swap_remove(pos);
-            self.run_task(item, ctx);
+    /// Run every item that can run, in arrival order: a cached result
+    /// answers in place of the sweep, under this attempt.
+    fn run(&mut self, ctx: &mut Ctx) {
+        while let Some(mut claimed) = self.state.claim(Duration::ZERO) {
+            let key = (claimed.task().unit, self.state.applied());
+            let cached = self.cache.borrow().entries.get(&key).cloned();
+            let res = match cached {
+                Some(res) => ResultMsg {
+                    attempt: claimed.task().attempt,
+                    ..res
+                },
+                None => {
+                    claimed.sweep();
+                    let res = self.state.commit(claimed);
+                    self.cache.borrow_mut().entries.insert(key, res.clone());
+                    res
+                }
+            };
+            ctx.compute(res.work.cells() as f64 / self.cost.worker_cells_per_sec);
+            Self::send(self.state.answer(res), ctx);
         }
     }
 }
 
 impl Actor for SimActor<'_> {
     fn on_start(&mut self, ctx: &mut Ctx) {
-        match self {
-            SimActor::Master(_) => {}
-            SimActor::Worker(_) => {
-                ctx.send(0, tag::IDLE, Vec::new());
-            }
+        if let SimActor::Worker(w) = self {
+            WorkerSim::send(w.state.beacon(Duration::ZERO), ctx);
         }
     }
 
     fn on_message(&mut self, from: Rank, tag: u32, payload: &[u8], ctx: &mut Ctx) {
         match self {
+            // Telemetry is observability, outside the cost model.
+            SimActor::Master(_) if tag == tag::TELEMETRY => {}
             SimActor::Master(m) => {
                 ctx.compute(m.cost.queue_op_seconds);
                 let actions = match tag {
@@ -263,30 +236,11 @@ impl Actor for SimActor<'_> {
                 };
                 m.act(actions, ctx);
             }
-            SimActor::Worker(w) => match tag {
-                tag::TASK => {
-                    let task = TaskMsg::decode(payload, &w.unit)
-                        .expect("simulator transport cannot corrupt frames");
-                    let stamp = task.stamp;
-                    if stamp <= w.accepted.len() {
-                        for item in task.items {
-                            w.run_task(item, ctx);
-                        }
-                    } else {
-                        // One stamp per frame: all-run-or-all-defer.
-                        w.deferred
-                            .extend(task.items.into_iter().map(|item| (stamp, item)));
-                    }
-                }
-                tag::ACCEPTED => {
-                    let acc = AcceptedMsg::decode(payload)
-                        .expect("simulator transport cannot corrupt frames");
-                    acc.apply(&mut w.triangle, &mut w.accepted);
-                    w.drain_deferred(ctx);
-                }
-                tag::DONE => {}
-                other => unreachable!("worker got tag {other}"),
-            },
+            SimActor::Worker(w) => {
+                let now = Duration::from_secs_f64(ctx.now());
+                WorkerSim::send(w.state.receive(tag, payload, now), ctx);
+                w.run(ctx);
+            }
         }
     }
 }
@@ -315,15 +269,11 @@ pub fn simulate_cluster(
         cost,
         m: seq.len(),
     })));
-    for _ in 0..workers {
-        let unit = PackUnit::new(ScoredSeq::new(seq, scoring), None);
+    let unit = PackUnit::new(ScoredSeq::new(seq, scoring), None);
+    let commons: Vec<_> = (0..workers).map(|_| Common::new(seq, scoring)).collect();
+    for common in &commons {
         actors.push(SimActor::Worker(WorkerSim {
-            packs: unit.packs(),
-            unit,
-            common: Common::new(seq, scoring),
-            triangle: OverrideTriangle::new(seq.len()),
-            accepted: Vec::new(),
-            deferred: Vec::new(),
+            state: WorkerState::new(&unit, common, 1),
             cost,
             cache: Rc::clone(&cache),
         }));

@@ -8,14 +8,15 @@
 use proptest::prelude::*;
 use repro_align::{sw_last_row, Alphabet, Score, Scoring, Seq};
 use repro_cluster::protocol::{
-    AcceptedMsg, JobMsg, ResultMsg, ResultsMsg, ResyncMsg, TaskItem, TaskMsg, TelemetryMsg, Work,
+    tag, AcceptedMsg, JobMsg, ResultMsg, ResultsMsg, ResyncMsg, TaskItem, TaskMsg, TelemetryMsg,
+    Work,
 };
 use repro_cluster::{
-    run_cluster, simulate_cluster, AlignCache, CostModel, MasterAction, MasterState,
+    run_cluster, simulate_cluster, AlignCache, CostModel, MasterAction, MasterState, WorkerState,
 };
 use repro_core::{
-    find_top_alignments, OverrideTriangle, PackKernel, PackUnit, ScoredSeq, Search, SplitMask,
-    Stats,
+    find_top_alignments, Common, OverrideTriangle, PackKernel, PackUnit, ScoredSeq, Search,
+    SplitMask, Stats,
 };
 use repro_obs::{Counter, FlightRecorder, Metric, NoopRecorder, Recorder};
 use repro_simd::{select, GroupSweeper, LaneWidth};
@@ -277,15 +278,11 @@ proptest! {
     }
 }
 
-/// A message in the virtual network of [`lossy_world`].
+/// A message in the virtual network of [`lossy_world`]: a frame, or a
+/// worker's own beacon timer.
 #[derive(Clone)]
 enum Msg {
-    Task(TaskMsg),
-    Accepted(AcceptedMsg),
-    Idle(usize),
-    Result(ResultMsg),
-    Resync(usize),
-    /// A worker's own beacon timer.
+    Frame(u32, Vec<u8>),
     Beacon,
 }
 
@@ -324,18 +321,6 @@ impl<I: Iterator<Item = u8>> Net<I> {
     }
 }
 
-/// A worker of [`lossy_world`]: a replica, its first-pass rows, the items
-/// waiting for acceptances it has not applied, and its health.
-struct LossyWorker {
-    triangle: OverrideTriangle,
-    applied: usize,
-    pairs: Vec<Vec<(usize, usize)>>,
-    rows: HashMap<usize, Vec<Score>>,
-    waiting: Vec<(usize, TaskItem)>,
-    silent_until: Duration,
-    crashed: bool,
-}
-
 /// An assignment in flight as the transport saw it go out.
 struct Shipped {
     worker: usize,
@@ -346,67 +331,26 @@ struct Shipped {
     retries: u32,
 }
 
-/// What an honest worker answers for `item` on its replica: a first pass
-/// is one clean sweep (exact under version 0 when an accepted alignment
-/// straddles the split), a realignment masks the stored row.
-fn answer(seq: &Seq, scoring: &Scoring, w: &mut LossyWorker, item: &TaskItem) -> ResultMsg {
-    let r = item.unit + 1;
-    let (prefix, suffix) = seq.split(r);
-    let last = sw_last_row(prefix, suffix, scoring, SplitMask::new(&w.triangle, r));
-    for (q, row) in &item.rows {
-        w.rows.insert(*q, row.clone());
-    }
-    let mut stamp = w.applied;
-    let (score, rows) = if item.first {
-        let clean = sw_last_row(prefix, suffix, scoring, repro_align::NoMask);
-        if w.triangle.iter().any(|(p, q)| p < r && r <= q) {
-            stamp = 0;
-        }
-        w.rows.insert(r, clean.row.clone());
-        (clean.best_in_row, vec![(r, clean.row)])
-    } else {
-        let orig = w.rows.get(&r).expect("a realignment finds its row");
-        (
-            repro_core::bottom::best_valid_entry_counted(&last.row, orig).0,
-            Vec::new(),
-        )
-    };
-    ResultMsg {
-        unit: item.unit,
-        stamp,
-        attempt: item.attempt,
-        best: (r, score),
-        rows,
-        work: Work::of(&Stats {
-            alignments: 1,
-            cells: last.cells,
-            ..Stats::default()
-        }),
-    }
-}
-
 /// One run of the property above. Rank 0 is the master, ranks
-/// `1..=workers` the workers; the last worker only ever falls silent,
-/// so the run can always finish.
+/// `1..=workers` the workers: the cluster's [`WorkerState`] over 1-lane
+/// packs under the row kernel, two slots each. The last worker only
+/// ever falls silent, so the run can always finish.
 fn lossy_world(seq: &Seq, count: usize, workers: usize, chaos: &[u8]) {
     use repro_cluster::master::{LIVENESS, RETRY_BASE, RETRY_CAP};
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, HashSet};
     let ms = Duration::from_millis;
     let beacon = ms(40);
     let scoring = Scoring::dna_example();
     let want = find_top_alignments(seq, &scoring, count);
     let mut master = MasterState::new(seq, &scoring, &Search::new(count));
-    let mut ws: Vec<LossyWorker> = (0..=workers)
-        .map(|_| LossyWorker {
-            triangle: OverrideTriangle::new(seq.len()),
-            applied: 0,
-            pairs: Vec::new(),
-            rows: HashMap::new(),
-            waiting: Vec::new(),
-            silent_until: Duration::ZERO,
-            crashed: false,
-        })
+    let unit = PackUnit::new(ScoredSeq::new(seq, &scoring), None);
+    let commons: Vec<_> = (0..=workers).map(|_| Common::new(seq, &scoring)).collect();
+    let mut ws: Vec<_> = commons
+        .iter()
+        .map(|c| WorkerState::new(&unit, c, 2))
         .collect();
+    // Per worker: silent until, and crashed for good.
+    let mut health = vec![(Duration::ZERO, false); workers + 1];
     let mut net = Net {
         chaos: chaos.iter().copied().cycle(),
         queue: BinaryHeap::new(),
@@ -420,6 +364,7 @@ fn lossy_world(seq: &Seq, count: usize, workers: usize, chaos: &[u8]) {
 
     let mut shipped: BTreeMap<usize, Shipped> = BTreeMap::new();
     let mut heard: HashMap<usize, Duration> = HashMap::new();
+    let mut swept: HashSet<(usize, usize, u64)> = HashSet::new();
     let (mut broadcasts, mut retries, mut done) = (0usize, 0u64, false);
     let mut now = Duration::ZERO;
     let mut actions: VecDeque<MasterAction> = VecDeque::new();
@@ -482,7 +427,7 @@ fn lossy_world(seq: &Seq, count: usize, workers: usize, chaos: &[u8]) {
                     prop_assert_eq!(acc.index, broadcasts, "a top accepted twice or skipped");
                     broadcasts += 1;
                     for w in 1..=workers {
-                        net.post(now, 0, w, Msg::Accepted(acc.clone()));
+                        net.post(now, 0, w, Msg::Frame(tag::ACCEPTED, acc.encode()));
                     }
                     continue;
                 }
@@ -491,12 +436,12 @@ fn lossy_world(seq: &Seq, count: usize, workers: usize, chaos: &[u8]) {
                     continue;
                 }
             };
-            if ws[worker].crashed {
+            if health[worker].1 {
                 // The send fails: the transport writes the worker off.
                 actions.extend(master.worker_dead(worker));
             } else {
                 retries += u64::from(matches!(action, MasterAction::Retry { .. }));
-                net.post(now, 0, worker, Msg::Task(task.clone()));
+                net.post(now, 0, worker, Msg::Frame(tag::TASK, task.encode()));
                 master.sent(&action, now);
             }
         }
@@ -529,72 +474,73 @@ fn lossy_world(seq: &Seq, count: usize, workers: usize, chaos: &[u8]) {
         if to == 0 {
             master.heard(from, now);
             heard.insert(from, now);
-            match msg {
-                Msg::Idle(slot) => actions.extend(master.worker_idle(from, slot)),
-                Msg::Result(res) => {
-                    if shipped
-                        .get(&res.unit)
-                        .is_some_and(|s| s.worker == from && s.item.attempt == res.attempt)
-                    {
-                        shipped.remove(&res.unit);
-                    }
-                    actions.extend(master.result(from, res));
+            let Msg::Frame(tag, payload) = msg else {
+                unreachable!("the master has no timer")
+            };
+            match tag {
+                tag::IDLE => {
+                    let slot = ResyncMsg::decode(&payload).unwrap().applied;
+                    actions.extend(master.worker_idle(from, slot));
                 }
-                Msg::Resync(have) => {
+                tag::RESULT => {
+                    for res in ResultsMsg::decode(&payload, master.unit()).unwrap().items {
+                        if shipped
+                            .get(&res.unit)
+                            .is_some_and(|s| s.worker == from && s.item.attempt == res.attempt)
+                        {
+                            shipped.remove(&res.unit);
+                        }
+                        actions.extend(master.result(from, res));
+                    }
+                }
+                tag::RESYNC => {
+                    let have = ResyncMsg::decode(&payload).unwrap().applied;
                     for acc in master.accepted_since(have) {
-                        net.post(now, 0, from, Msg::Accepted(acc));
+                        net.post(now, 0, from, Msg::Frame(tag::ACCEPTED, acc.encode()));
                     }
                 }
-                _ => unreachable!("workers send no such thing"),
+                tag::TELEMETRY => {}
+                other => unreachable!("workers send no tag {other}"),
             }
             continue;
         }
-        let w = &mut ws[to];
+        let (w, (silent_until, crashed)) = (&mut ws[to], &mut health[to]);
         let b = net.chaos.next().unwrap();
-        if w.crashed || now < w.silent_until {
-            if matches!(msg, Msg::Beacon) && !w.crashed {
+        if *crashed || now < *silent_until {
+            if matches!(msg, Msg::Beacon) && !*crashed {
                 net.post(now, to, to, Msg::Beacon);
             }
             continue;
         }
-        let mut out = Vec::new();
-        match msg {
+        let mut out = match msg {
             Msg::Beacon => {
-                if b % 32 == 0 && to < workers {
-                    w.crashed = true;
-                } else if b % 16 == 1 {
-                    w.silent_until = now + ms(100 * u64::from(b % 8 + 1));
-                } else if w.waiting.is_empty() {
-                    out.extend([Msg::Idle(0), Msg::Idle(1)]);
-                } else {
-                    out.push(Msg::Resync(w.applied));
-                }
                 net.post(now, to, to, Msg::Beacon);
-            }
-            Msg::Task(task) => w
-                .waiting
-                .extend(task.items.into_iter().map(|item| (task.stamp, item))),
-            Msg::Accepted(acc) if acc.index == w.applied => {
-                for &(p, q) in &acc.pairs {
-                    w.triangle.set(p, q);
+                if b % 32 == 0 && to < workers {
+                    *crashed = true;
+                    continue;
+                } else if b % 16 == 1 {
+                    *silent_until = now + ms(100 * u64::from(b % 8 + 1));
+                    Vec::new()
+                } else {
+                    w.beacon(now)
                 }
-                w.pairs.push(acc.pairs);
-                w.applied += 1;
             }
-            Msg::Accepted(acc) if acc.index > w.applied => out.push(Msg::Resync(w.applied)),
-            Msg::Accepted(_) => {} // a duplicate
-            _ => unreachable!("the master sends no such thing"),
+            Msg::Frame(tag, payload) => w.receive(tag, &payload, now),
+        };
+        // Run every item the replica has caught up with, each once.
+        while let Some(mut claimed) = w.claim(Duration::ZERO) {
+            let key = (to, claimed.task().unit, claimed.task().attempt);
+            prop_assert!(
+                swept.insert(key),
+                "worker {} swept {:?} twice",
+                to,
+                (key.1, key.2)
+            );
+            claimed.sweep();
+            out.extend(w.finish(claimed));
         }
-        // Run every item the replica has caught up with.
-        let (ready, later): (Vec<_>, Vec<_>) = std::mem::take(&mut w.waiting)
-            .into_iter()
-            .partition(|&(s, _)| s <= w.applied);
-        w.waiting = later;
-        for (_, item) in ready {
-            out.push(Msg::Result(answer(seq, &scoring, w, &item)));
-        }
-        for m in out {
-            net.post(now, to, 0, m);
+        for (tag, payload) in out {
+            net.post(now, to, 0, Msg::Frame(tag, payload));
         }
     }
     prop_assert_eq!(master.stats().cluster_retries, retries);
