@@ -12,7 +12,7 @@
 //! state is widened back at every capture and at the end.
 
 use crate::kernel::row::{Body, NarrowBody};
-use crate::kernel::{BottomRow, LastRow, Sides};
+use crate::kernel::{LastRow, Sides};
 use crate::mask::CellMask;
 use crate::profile::QueryProfile;
 use crate::scoring::Scoring;
@@ -150,7 +150,7 @@ impl Sides<'_> {
             return LastRow::empty(cols);
         }
         let (capture_rows, capture) = captures;
-        let (row16, best, best_row) = self.resume_rows(
+        let (best, best_row) = self.resume_rows(
             mask,
             start_row,
             &mut m,
@@ -158,18 +158,13 @@ impl Sides<'_> {
             (capture_rows, capture),
             maxima,
         );
-        if let Some(m16) = row16 {
-            widen(&mut m, &m16);
-        }
 
-        let mut best_in_row = 0;
-        let mut best_in_row_col = None;
-        for (x, &v) in m.iter().enumerate() {
-            if v > best_in_row {
-                best_in_row = v;
-                best_in_row_col = Some(x);
-            }
-        }
+        // Two vectorisable passes: the maximum, then its first column.
+        let best_in_row = m.iter().copied().max().unwrap_or(0).max(0);
+        let best_in_row_col = m
+            .iter()
+            .position(|&v| v == best_in_row)
+            .filter(|_| best_in_row > 0);
 
         LastRow {
             best,
@@ -181,34 +176,10 @@ impl Sides<'_> {
         }
     }
 
-    /// [`Self::last_row_resume`]'s bottom row and cell count only, at the
-    /// width the sweep ran: the `i16` body hands its row over as it is,
-    /// never widened.
-    #[allow(clippy::type_complexity)] // the capture hook signature IS the contract
-    pub fn bottom_row_resume<M: CellMask>(
-        &self,
-        mask: M,
-        start_row: usize,
-        mut m: Vec<Score>,
-        maxy: &mut [Score],
-        capture_rows: &[usize],
-        capture: &mut dyn FnMut(usize, &[Score], &[Score]),
-    ) -> (BottomRow, u64) {
-        let (rows, cols) = (self.rows.len(), self.cols());
-        if rows == 0 || cols == 0 {
-            return (BottomRow::Wide(vec![0; cols]), 0);
-        }
-        let (row16, _, _) =
-            self.resume_rows(mask, start_row, &mut m, maxy, (capture_rows, capture), None);
-        let row = row16.map_or(BottomRow::Wide(m), BottomRow::Narrow);
-        (row, (rows - start_row) as u64 * cols as u64)
-    }
-
-    /// The sweep behind both resume forms, on a matrix with rows and
-    /// columns: `Some(row)` when the `i16` body ran (`m` is then stale
-    /// but for captures), else the row is left in `m`; plus the best
-    /// over the swept rows and its first row. `maxy` leaves in `i32`;
-    /// `maxima`, if given, receives each swept row's maximum bound.
+    /// The sweep behind [`Self::last_row_at`], on a matrix with rows and
+    /// columns: leaves the bottom row in `m` and `maxy` in `i32`, and
+    /// returns the best over the swept rows and its first row; `maxima`,
+    /// if given, receives each swept row's maximum bound.
     #[allow(clippy::type_complexity)]
     fn resume_rows<M: CellMask>(
         &self,
@@ -218,7 +189,7 @@ impl Sides<'_> {
         maxy: &mut [Score],
         (capture_rows, capture): (&[usize], &mut dyn FnMut(usize, &[Score], &[Score])),
         maxima: Option<&mut Vec<Score>>,
-    ) -> (Option<Vec<i16>>, Score, Option<usize>) {
+    ) -> (Score, Option<usize>) {
         let (rows, cols) = (self.rows.len(), self.cols());
         assert!(start_row <= rows, "resume row {start_row} past {rows} rows");
         assert_eq!(m.len(), cols, "resume state width mismatch");
@@ -247,8 +218,9 @@ impl Sides<'_> {
                     |y, prev, out, my| body.step(prev, out, my, profile.row(self.rows[y], self.q0)),
                     maxima,
                 );
+                widen(m, &m16);
                 widen(maxy, &maxy16);
-                (Some(m16), best, best_row)
+                (best, best_row)
             }
             None => {
                 let body = Body::selected();
@@ -256,7 +228,7 @@ impl Sides<'_> {
                 let step = |y, prev: &_, out: &mut _, my: &mut _| {
                     body.step(prev, 0, out, my, self.scores(y), self.gaps)
                 };
-                let (best, best_row) = self.sweep_rows(
+                self.sweep_rows(
                     mask,
                     start_row,
                     (m, maxy),
@@ -264,8 +236,7 @@ impl Sides<'_> {
                     capture,
                     step,
                     maxima,
-                );
-                (None, best, best_row)
+                )
             }
         }
     }

@@ -120,76 +120,13 @@ impl LastRow {
     }
 }
 
-/// A bottom row as a kernel hands it over: `i16` where its sweep ran the
-/// `i16` body (a bound proved every entry exact there), else `i32`.
-/// Every entry is a matrix value, so non-negative. Rows compare by value,
-/// whatever their widths.
-#[derive(Debug, Clone)]
-pub enum BottomRow {
-    /// Every entry fits `i16` exactly.
-    Narrow(Vec<i16>),
-    /// Entries at the scalar score width.
-    Wide(Vec<Score>),
-}
-
-impl BottomRow {
-    /// Number of entries (the matrix's columns).
-    pub fn len(&self) -> usize {
-        self.view().len()
-    }
-
-    /// `true` for the row of a matrix without columns.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Borrow the row at its width.
-    pub fn view(&self) -> RowRef<'_> {
-        match self {
-            BottomRow::Narrow(v) => RowRef::Narrow(v),
-            BottomRow::Wide(v) => RowRef::Wide(v),
-        }
-    }
-
-    /// The largest entry, 0 for an empty row.
-    pub fn max(&self) -> Score {
-        match self {
-            BottomRow::Narrow(v) => v.iter().copied().max().map_or(0, Score::from),
-            BottomRow::Wide(v) => v.iter().copied().max().unwrap_or(0),
-        }
-    }
-
-    /// The row in `i32`, copied.
-    pub fn widened(&self) -> Vec<Score> {
-        self.view().widened()
-    }
-}
-
-impl PartialEq for BottomRow {
-    fn eq(&self, other: &Self) -> bool {
-        self.view() == other.view()
-    }
-}
-
-impl Eq for BottomRow {}
-
-impl PartialEq<Vec<Score>> for BottomRow {
-    fn eq(&self, other: &Vec<Score>) -> bool {
-        self.view() == RowRef::Wide(other)
-    }
-}
-
-impl From<Vec<Score>> for BottomRow {
-    fn from(row: Vec<Score>) -> Self {
-        BottomRow::Wide(row)
-    }
-}
-
-/// A bottom row as the first-pass row store keeps it: each entry as its
-/// difference from its left neighbour (the first from 0) in one byte,
-/// unless some difference falls outside `i8`, in which case the entries
-/// themselves in `i32`. The row decides its form ([`Self::encode`]), so a
-/// row has exactly one, and rows compare by value.
+/// A bottom row as the first-pass row store, the shadow filter, the
+/// accept and the wire hold it: each entry as its difference from its
+/// left neighbour (the first from 0) in one byte, unless some difference
+/// falls outside `i8`, in which case the entries themselves in `i32`.
+/// The row decides its form ([`Self::encode`]), so a row has exactly
+/// one, and rows compare by value. A kernel hands its row over as the
+/// `Vec<Score>` it computed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoredRow {
     /// Every neighbour difference fits `i8`; [`delta_entries`] reads it.
@@ -201,31 +138,25 @@ pub enum StoredRow {
 impl StoredRow {
     /// The one encoder: deltas in one pass, falling back to plain `i32`
     /// at the first difference outside `i8`.
-    pub fn encode(row: BottomRow) -> StoredRow {
-        fn deltas<T: Copy + Into<Score>>(row: &[T]) -> Option<Box<[i8]>> {
-            let mut out = Vec::with_capacity(row.len());
-            let mut prev: Score = 0;
-            for &x in row {
-                let x = x.into();
-                out.push(i8::try_from(x - prev).ok()?);
-                prev = x;
+    pub fn encode(row: &[Score]) -> StoredRow {
+        let mut deltas = Vec::with_capacity(row.len());
+        let mut prev: Score = 0;
+        for &x in row {
+            match i8::try_from(x - prev) {
+                Ok(d) => deltas.push(d),
+                Err(_) => return StoredRow::Plain(row.into()),
             }
-            Some(out.into_boxed_slice())
+            prev = x;
         }
-        let coded = match &row {
-            BottomRow::Narrow(v) => deltas(v),
-            BottomRow::Wide(v) => deltas(v),
-        };
-        match (coded, row) {
-            (Some(d), _) => StoredRow::Delta(d),
-            (None, BottomRow::Wide(v)) => StoredRow::Plain(v.into_boxed_slice()),
-            (None, row @ BottomRow::Narrow(_)) => StoredRow::Plain(row.widened().into()),
-        }
+        StoredRow::Delta(deltas.into_boxed_slice())
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.view().len()
+        match self {
+            StoredRow::Delta(v) => v.len(),
+            StoredRow::Plain(v) => v.len(),
+        }
     }
 
     /// `true` for the row of a matrix without columns.
@@ -241,23 +172,14 @@ impl StoredRow {
         }
     }
 
-    /// Borrow the row in its stored form.
-    pub fn view(&self) -> RowRef<'_> {
-        match self {
-            StoredRow::Delta(v) => RowRef::Delta(v),
-            StoredRow::Plain(v) => RowRef::Wide(v),
-        }
-    }
-
-    /// The row in `i32`, decoded (the wire's form).
+    /// The row in `i32`, decoded: for tests and tools, which compare
+    /// against a kernel's row. Readers on a run's path decode as they
+    /// compare ([`delta_entries`]).
     pub fn widened(&self) -> Vec<Score> {
-        self.view().widened()
-    }
-}
-
-impl PartialEq<Vec<Score>> for StoredRow {
-    fn eq(&self, other: &Vec<Score>) -> bool {
-        self.view() == RowRef::Wide(other)
+        match self {
+            StoredRow::Delta(v) => delta_entries(v).collect(),
+            StoredRow::Plain(v) => v.to_vec(),
+        }
     }
 }
 
@@ -268,79 +190,6 @@ pub fn delta_entries(deltas: &[i8]) -> impl Iterator<Item = Score> + '_ {
         *sum += Score::from(d);
         Some(*sum)
     })
-}
-
-/// A borrowed [`BottomRow`] or [`StoredRow`], or any `i32` row.
-#[derive(Debug, Clone, Copy)]
-pub enum RowRef<'a> {
-    /// `i16` entries.
-    Narrow(&'a [i16]),
-    /// `i32` entries.
-    Wide(&'a [Score]),
-    /// `i8` deltas from the left neighbour, the first from 0
-    /// ([`delta_entries`]).
-    Delta(&'a [i8]),
-}
-
-impl RowRef<'_> {
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        match *self {
-            RowRef::Narrow(v) => v.len(),
-            RowRef::Wide(v) => v.len(),
-            RowRef::Delta(v) => v.len(),
-        }
-    }
-
-    /// `true` for the row of a matrix without columns.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The row in `i32`, copied or decoded.
-    pub fn widened(&self) -> Vec<Score> {
-        match *self {
-            RowRef::Narrow(v) => v.iter().map(|&x| x.into()).collect(),
-            RowRef::Wide(v) => v.to_vec(),
-            RowRef::Delta(v) => delta_entries(v).collect(),
-        }
-    }
-}
-
-impl PartialEq for RowRef<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.widened() == other.widened()
-    }
-}
-
-impl<'a> From<&'a BottomRow> for RowRef<'a> {
-    fn from(row: &'a BottomRow) -> Self {
-        row.view()
-    }
-}
-
-impl<'a> From<&'a StoredRow> for RowRef<'a> {
-    fn from(row: &'a StoredRow) -> Self {
-        row.view()
-    }
-}
-
-impl<'a> From<&'a [Score]> for RowRef<'a> {
-    fn from(row: &'a [Score]) -> Self {
-        RowRef::Wide(row)
-    }
-}
-
-impl<'a> From<&'a Vec<Score>> for RowRef<'a> {
-    fn from(row: &'a Vec<Score>) -> Self {
-        RowRef::Wide(row)
-    }
-}
-
-impl<'a, const N: usize> From<&'a [Score; N]> for RowRef<'a> {
-    fn from(row: &'a [Score; N]) -> Self {
-        RowRef::Wide(row)
-    }
 }
 
 #[inline(always)]

@@ -80,7 +80,7 @@ pub use kernel::striped::{
 };
 pub use kernel::tri::{tri_initial_state, tri_self_sweep_resume};
 pub use kernel::waterman_eggert::{is_shadow, waterman_eggert};
-pub use kernel::{delta_entries, BottomRow, LastRow, RowRef, Sides, StoredRow};
+pub use kernel::{delta_entries, LastRow, Sides, StoredRow};
 pub use mask::{CellMask, NoMask, SetMask};
 pub use matrix::ExchangeMatrix;
 pub use profile::{kmer_keys, QueryProfile, MAX_KMER_K};

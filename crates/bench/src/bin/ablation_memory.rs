@@ -55,7 +55,8 @@ fn main() -> ExitCode {
     // Every first-pass row, stored as the engines store it.
     let common = Common::new(&seq, &scoring);
     for r in 1..m {
-        common.set_row(r, common.input.split(r).last_row(NoMask).row);
+        let row = common.input.split(r).last_row(NoMask).row;
+        common.set_row(r, StoredRow::encode(&row));
     }
     let entries = m * (m - 1) / 2;
     let row_bytes = common.row_bytes();

@@ -23,7 +23,8 @@
 //! round trip hub → worker → hub for 64-B and 16-KiB messages (a fixed
 //! cost and a per-byte cost, and their ratio), and the MB/s of the frame
 //! that carries most of the bytes, a first-pass RESULT of one ×16 pack's
-//! sixteen bottom rows, through the real codec (encode plus decode).
+//! sixteen bottom rows as stored (`i8` deltas), through the real codec
+//! (encode plus decode).
 //!
 //! Usage: `cargo run --release -p repro-bench --bin cluster_real --
 //! [--scale small|medium|full] [--out BENCH_cluster_real.json]
@@ -37,7 +38,8 @@
 //! 64-B one — the gates that keep the real transport's overhead and the
 //! master's speculation bounded.
 
-use repro::cluster::protocol::{ResultMsg, ResultsMsg, Work};
+use repro::align::StoredRow;
+use repro::cluster::protocol::{ResultMsg, Work};
 use repro::core::PackUnit;
 use repro::obs::json::Json;
 use repro::simd::{select, GroupSweeper, LaneWidth};
@@ -62,20 +64,19 @@ const MAX_OVERHEAD: f64 = 12.0;
 /// fall. Measured 1.08–1.22× on the 2-vCPU sandbox as a ratio of
 /// per-arm minima (1.29–1.46× before workers prefetched a second batch
 /// and coalesced result frames); the ceiling leaves the slowest of
-/// those 27 % of headroom — which admits the old engine too, so
-/// this gate bounds the transport's tax and
-/// [`MAX_RESULT_FRAMES_PER_TASK`] is the one that notices coalescing
-/// gone.
+/// those 27 % of headroom, which admits the engine before prefetching
+/// too: this gate bounds the transport's tax, not the batching.
 const MAX_SMALL_TASK_OVER_SEQ: f64 = 1.55;
 
-/// Most RESULT frames per settled task tolerated on the small-task leg
-/// under `--check`: 1.0 is one frame per task (wire v4), measured
-/// 0.31–0.36 with a batch's results coalesced. A count, not a time — the
-/// same on any host. Since wire v6 a task is a lane pack and the
-/// denominator counts lanes, so this passes by construction. The frames
-/// per *unit* task are recorded next to it, and read 1.00 by
-/// construction too: a pack batch is one pack, and a one-item frame is
-/// flushed when its item ends.
+/// Most RESULT frames per settled lane tolerated on the small-task leg
+/// under `--check`. A count, not a time — the same on any host. It was
+/// written to notice coalesced result frames gone (wire v4 sent one
+/// frame per task; 0.31–0.36 was measured with a batch's results
+/// coalesced). Since wire v6 a task is a lane pack and the denominator
+/// counts lanes, so this passes by construction and notices nothing:
+/// every result travels in a frame of its own (since wire v10 a RESULT
+/// frame holds exactly one), and a pack has four or more lanes. The
+/// frames per *unit* task are recorded next to it and read 1.00.
 const MAX_RESULT_FRAMES_PER_TASK: f64 = 0.5;
 
 /// Most lane alignments the socket run may settle on the small-task leg
@@ -227,28 +228,25 @@ fn socket_round_trips(round_trips: usize) -> (f64, f64) {
 }
 
 /// MB/s of a first-pass RESULT frame through the protocol codec, encode
-/// plus decode: the sixteen bottom rows of `seq`'s first ×16 pack, the
-/// frame that carries most of a cluster run's bytes.
+/// plus decode: sixteen bottom rows the length of `seq`'s first ×16
+/// pack's, stored as deltas, the frame that carries most of a cluster
+/// run's bytes.
 fn row_codec_mbps(seq: &Seq, scoring: &Scoring, budget: Duration) -> f64 {
     let sel = select(Some(LaneWidth::X16), None).expect("a width alone always resolves");
     let packs = PackUnit::new(GroupSweeper::new(seq, scoring, sel), None);
     let m = seq.len();
-    let msg = ResultsMsg {
-        items: vec![ResultMsg {
-            unit: 0,
-            stamp: 0,
-            attempt: 1,
-            best: (1, 0),
-            rows: packs
-                .splits(0)
-                .map(|r| (r, (0..(m - r) as i32).collect()))
-                .collect(),
-            work: Work::default(),
-        }],
+    let row = |r: usize| StoredRow::encode(&(0..(m - r) as i32).collect::<Vec<_>>());
+    let msg = ResultMsg {
+        unit: 0,
+        stamp: 0,
+        attempt: 1,
+        best: (1, 0),
+        rows: packs.splits(0).map(|r| (r, row(r))).collect(),
+        work: Work::default(),
     };
     let bytes = msg.encode().len();
     let secs = time_min(budget, || {
-        let back = ResultsMsg::decode(&msg.encode(), &packs).expect("codec round trip");
+        let back = ResultMsg::decode(&msg.encode(), &packs).expect("codec round trip");
         std::hint::black_box(back);
     });
     bytes as f64 / secs / 1e6

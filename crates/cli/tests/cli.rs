@@ -489,8 +489,9 @@ fn worker_subcommand_requires_connect() {
 /// cross-process protocol, driven from the master's side of the wire.
 #[test]
 fn worker_subcommand_serves_a_real_master_over_sockets() {
-    use repro::cluster::protocol::{tag, JobMsg, ResultsMsg, TaskItem, TaskMsg};
-    use repro::core::PackUnit;
+    use repro::align::{NoMask, StoredRow};
+    use repro::cluster::protocol::{tag, JobMsg, ResultMsg, TaskItem, TaskMsg};
+    use repro::core::{PackUnit, ScoredSeq};
     use repro::simd::GroupSweeper;
     use repro::xmpi::socket::SocketHub;
     use repro::xmpi::Comm;
@@ -532,7 +533,8 @@ fn worker_subcommand_serves_a_real_master_over_sockets() {
         }
     }
 
-    // Hand it a first-pass task; the result must carry the bottom rows.
+    // Hand it a first-pass task; its RESULT frame holds the one result,
+    // which must carry the bottom rows as stored.
     let task = TaskMsg::single(
         0,
         TaskItem {
@@ -546,23 +548,17 @@ fn worker_subcommand_serves_a_real_master_over_sockets() {
     hub.send(1, tag::TASK, task.encode()).unwrap();
     let res = loop {
         match hub.recv_timeout(Duration::from_millis(200)) {
-            Ok(m) if m.tag == tag::RESULT => {
-                let mut frame = ResultsMsg::decode(&m.payload, &packs).unwrap();
-                assert_eq!(frame.items.len(), 1, "one task, one result");
-                break frame.items.remove(0);
-            }
+            Ok(m) if m.tag == tag::RESULT => break ResultMsg::decode(&m.payload, &packs).unwrap(),
             Ok(_) => {}
             Err(_) if Instant::now() < deadline => {}
             Err(e) => panic!("no RESULT from the worker process: {e:?}"),
         }
     };
     assert_eq!((res.unit, res.attempt), (1, 1));
-    let members: Vec<usize> = res.rows.iter().map(|&(r, _)| r).collect();
-    assert_eq!(
-        members,
-        Vec::from_iter(packs.splits(1)),
-        "first pass must return its rows"
-    );
+    let input = ScoredSeq::new(&seq, &scoring);
+    let clean = |r| StoredRow::encode(&input.split(r).last_row(NoMask).row);
+    let want: Vec<_> = packs.splits(1).map(|r| (r, clean(r))).collect();
+    assert_eq!(res.rows, want, "first pass must return its rows");
 
     // DONE sends it home; the process exits cleanly.
     hub.send(1, tag::DONE, vec![]).unwrap();

@@ -298,7 +298,7 @@ impl<'w, C: Comm + Send, K: PackKernel> Worker<'w, C, K> {
 pub(crate) mod tests {
     use super::*;
     use crate::master::{Timeouts, MAX_BATCH};
-    use crate::protocol::{tag, AcceptedMsg, ResultMsg, ResultsMsg, TaskItem, TaskMsg, Work};
+    use crate::protocol::{tag, AcceptedMsg, ResultMsg, TaskItem, TaskMsg, Work};
     use crate::worker::BEACON_PERIOD;
     use repro_align::Score;
     use repro_core::{find_top_alignments, OverrideTriangle, ScoredSeq, SeedConfig, Stats};
@@ -865,10 +865,9 @@ pub(crate) mod tests {
         let mut script = script.into_iter();
         let mut out = |frames: Vec<Frame>, log: &mut Vec<Logged>| {
             for (_, payload) in frames.iter().filter(|f| f.0 == tag::RESULT) {
-                let frame = ResultsMsg::decode(payload, unit).expect("worker frames decode");
-                let items = frame.items.iter().map(|i| (i.best.0, i.attempt, i.stamp));
-                log.push(Logged::Results(items.collect()));
-                results.extend(frame.items);
+                let res = ResultMsg::decode(payload, unit).expect("worker frames decode");
+                log.push(Logged::Results(vec![(res.best.0, res.attempt, res.stamp)]));
+                results.push(res);
             }
         };
         while !state.done {
@@ -1039,9 +1038,7 @@ pub(crate) mod tests {
         assert_eq!((grown.alignments, grown.lanes_skipped), (lanes, 0));
         // The best member, lowest on ties, by the scalar kernel.
         let scalar = unit.splits(u).map(|r| {
-            let score = input
-                .align_task(r, &triangle, Some(&common.row(r).widened()))
-                .score;
+            let score = input.align_task(r, &triangle, Some(common.row(r))).score;
             (r, score)
         });
         let oracle = scalar.reduce(|a, b| if b.1 > a.1 { b } else { a });

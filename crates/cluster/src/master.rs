@@ -717,7 +717,7 @@ impl<'a, K: PackKernel> MasterState<'a, K> {
         for r in splits.filter(|_| !first) {
             if !flags[r - 1] {
                 flags[r - 1] = true;
-                rows.push((r, self.common.row(r).widened()));
+                rows.push((r, self.common.row(r).clone()));
             }
         }
         let t = &mut self.tickets[u];
@@ -880,21 +880,27 @@ impl<'u, K: PackKernel> Claim<'u, K> {
     }
 }
 
-/// Every member's first-pass row of unit `u`, for the wire.
+/// Every member's first-pass row of unit `u`, for the wire, as stored.
 pub(crate) fn member_rows<K: PackKernel>(
     unit: &PackUnit<K>,
     common: &Common,
     u: usize,
 ) -> MemberRows {
     let splits = unit.splits(u);
-    splits.map(|r| (r, common.row(r).widened())).collect()
+    splits.map(|r| (r, common.row(r).clone())).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::tag;
+    use repro_align::StoredRow;
     use repro_core::{find_top_alignments, SeedConfig, SplitMask};
+
+    /// A stored row of `len` zeros.
+    fn zeros(len: usize) -> StoredRow {
+        StoredRow::encode(&vec![0; len])
+    }
 
     /// One task as one thread computes it: plan · sweep · commit of
     /// `task.unit` on `packs`, against a replica (rows, triangle, and
@@ -932,7 +938,7 @@ mod tests {
         let mut worker_triangles: Vec<OverrideTriangle> = (0..workers)
             .map(|_| OverrideTriangle::new(seq.len()))
             .collect();
-        let mut worker_caches: Vec<std::collections::HashMap<usize, Vec<Score>>> =
+        let mut worker_caches: Vec<std::collections::HashMap<usize, StoredRow>> =
             vec![std::collections::HashMap::new(); workers];
         let mut pending: std::collections::VecDeque<(usize, usize, TaskItem)> =
             std::collections::VecDeque::new();
@@ -988,8 +994,9 @@ mod tests {
                 if worker_triangles[w].iter().any(|(p, q)| p < r && r <= q) {
                     stamp = 0;
                 }
-                worker_caches[w].insert(r, clean.row.clone());
-                (clean.best_in_row, 0, Some(clean.row))
+                let row = StoredRow::encode(&clean.row);
+                worker_caches[w].insert(r, row.clone());
+                (clean.best_in_row, 0, Some(row))
             } else {
                 if let Some((_, row)) = task.rows.first() {
                     worker_caches[w].insert(r, row.clone());
@@ -1112,7 +1119,7 @@ mod tests {
                 stamp: task.stamp,
                 attempt: item.attempt,
                 best: (item.unit + 1, 999_999), // a wrong score that must never be trusted
-                rows: vec![(item.unit + 1, vec![0; seq.len() - item.unit - 1])],
+                rows: vec![(item.unit + 1, zeros(seq.len() - item.unit - 1))],
                 work: Work::of(&Stats {
                     alignments: 1,
                     cells: 1,
@@ -1144,7 +1151,7 @@ mod tests {
             stamp: task.stamp,
             attempt: item.attempt,
             best: (r, 0), // keep the split unaccepted so the state is easy to audit
-            rows: vec![(r, vec![0; seq.len() - r])],
+            rows: vec![(r, zeros(seq.len() - r))],
             work: Work::of(&Stats {
                 alignments: 1,
                 cells: 7,
@@ -1217,7 +1224,7 @@ mod tests {
             stamp,
             attempt: item.attempt,
             best: (r, 0),
-            rows: vec![(r, vec![0; len - r])],
+            rows: vec![(r, zeros(len - r))],
             work: Work::of(&Stats {
                 alignments: 1,
                 cells: 1,

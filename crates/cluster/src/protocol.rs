@@ -11,9 +11,11 @@
 //!
 //! A task is one unit of a [`PackUnit`] (wire v6): tasks and results
 //! decode against it, so a frame that does not fit the unit fails typed
-//! before anything is allocated for it.
+//! before anything is allocated for it. First-pass rows travel as the
+//! row store holds them (wire v10): a [`StoredRow`], `i8` deltas or
+//! plain `i32` entries, stored by the receiver exactly as it arrived.
 
-use repro_align::{Alphabet, ExchangeMatrix, GapPenalties, Score, Scoring, Seq};
+use repro_align::{Alphabet, ExchangeMatrix, GapPenalties, Score, Scoring, Seq, StoredRow};
 use repro_core::{OverrideTriangle, PackKernel, PackUnit, Stats, TopAlignment};
 use repro_obs::{Counter, Hist, HistSet, Metric, TelemetrySnapshot};
 use repro_simd::LaneWidth;
@@ -27,15 +29,13 @@ pub mod tag {
     pub const IDLE: u32 = 1;
     /// Master → worker: a task assignment (or a retransmission of one).
     pub const TASK: u32 = 2;
-    /// Worker → master: task results ([`super::ResultsMsg`]).
+    /// Worker → master: one task's result ([`super::ResultMsg`]).
     pub const RESULT: u32 = 3;
     /// Master → all workers: a top alignment was accepted; apply these
     /// pairs to the local triangle replica.
     pub const ACCEPTED: u32 = 4;
     /// Master → all workers: search finished, shut down.
     pub const DONE: u32 = 5;
-    /// Worker → master: liveness beacon, sent while waiting for work.
-    pub const HEARTBEAT: u32 = 6;
     /// Worker → master: "my replica is at version `applied`; re-send
     /// the acceptances I am missing" (recovers from a lost ACCEPTED).
     pub const RESYNC: u32 = 7;
@@ -52,7 +52,12 @@ pub mod tag {
 }
 
 /// First-pass rows of some of a unit's members, `(r, row)`, by `r`.
-pub type MemberRows = Vec<(usize, Vec<Score>)>;
+pub type MemberRows = Vec<(usize, StoredRow)>;
+
+/// A row's form byte on the wire: [`StoredRow::Delta`].
+const DELTA: u8 = 0;
+/// A row's form byte on the wire: [`StoredRow::Plain`].
+const PLAIN: u8 = 1;
 
 /// The splits of unit `u`, or [`WireError::BadFrame`] if the run has no
 /// such unit.
@@ -61,15 +66,19 @@ fn members(unit: &PackUnit<impl PackKernel>, u: usize) -> Result<Range<usize>, W
     splits.ok_or(WireError::BadFrame)
 }
 
-fn encode_rows(e: Encoder, rows: &[(usize, Vec<Score>)]) -> Encoder {
-    rows.iter().fold(e.usize(rows.len()), |e, (r, row)| {
-        e.usize(*r).i32_slice(row)
-    })
+/// Each row as `r`, its form byte, then its length-prefixed entries.
+fn encode_rows(e: Encoder, rows: &[(usize, StoredRow)]) -> Encoder {
+    rows.iter()
+        .fold(e.usize(rows.len()), |e, (r, row)| match row {
+            StoredRow::Delta(v) => e.usize(*r).u8(DELTA).i8_slice(v),
+            StoredRow::Plain(v) => e.usize(*r).u8(PLAIN).i32_slice(v),
+        })
 }
 
 /// Rows of the members `splits` of one of `unit`'s units: at most one
-/// per member, ascending, each `m − r` long. Counts and lengths are
-/// checked against the unit before anything is allocated for them.
+/// per member, ascending, each of a known form and `m − r` long. Counts,
+/// members, forms and lengths are checked against the unit before
+/// anything is allocated for them.
 fn decode_rows(
     d: &mut Decoder<'_>,
     unit: &PackUnit<impl PackKernel>,
@@ -84,14 +93,19 @@ fn decode_rows(
     let mut rows: MemberRows = Vec::with_capacity(n);
     for _ in 0..n {
         let r = d.usize()?;
-        let next = rows.last().map_or(splits.start, |&(q, _)| q + 1);
+        let next = rows.last().map_or(splits.start, |(q, _)| q + 1);
+        let form = d.u8()?;
         let len = d.usize()?;
-        if !(next..splits.end).contains(&r) {
+        if !(next..splits.end).contains(&r) || form > PLAIN {
             return Err(WireError::BadFrame);
         } else if len != m - r {
             return Err(WireError::BadLength { claimed: len });
         }
-        rows.push((r, d.i32s(len)?));
+        let row = match form {
+            DELTA => StoredRow::Delta(d.i8s(len)?.into()),
+            _ => StoredRow::Plain(d.i32s(len)?.into()),
+        };
+        rows.push((r, row));
     }
     Ok(rows)
 }
@@ -160,10 +174,10 @@ impl TaskItem {
 /// one triangle version. Batching whole assignments into a single
 /// frame is the wire-v4 layout change ([`repro_xmpi::wire::VERSION`]):
 /// a v3 peer is rejected at hello with a typed version error. Workers
-/// answer in [`ResultsMsg`] frames holding one or more of the batch's
-/// results, and a retransmission may re-ship any subset of the original
-/// batch as smaller `TaskMsg`s — the per-item `attempt` numbers, not
-/// batch boundaries, are what results are matched on.
+/// answer each item in a [`ResultMsg`] frame of its own, and a
+/// retransmission may re-ship any subset of the original batch as
+/// smaller `TaskMsg`s — the per-item `attempt` numbers, not batch
+/// boundaries, are what results are matched on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskMsg {
     /// Triangle version (top alignments accepted so far) every item in
@@ -254,8 +268,9 @@ impl Work {
     }
 }
 
-/// One task's result. Results travel in [`ResultsMsg`] frames, never
-/// alone.
+/// One task's result, in a RESULT frame of its own (wire v10; v5–v9
+/// framed a counted list of them). A worker sends it the moment its
+/// item ends, and again when a retransmitted attempt asks for it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResultMsg {
     /// Unit that was aligned.
@@ -281,22 +296,21 @@ pub struct ResultMsg {
 }
 
 impl ResultMsg {
-    /// Encoded size of an item without rows: what a frame must still
-    /// hold per claimed item.
-    const MIN_BYTES: usize = 4 * 8 + 4 + 9 * 8 + 8;
-
-    fn encode_into(&self, e: Encoder) -> Encoder {
-        let e = e
+    /// Encode to a framed payload.
+    pub fn encode(&self) -> Vec<u8> {
+        let e = Encoder::new()
             .usize(self.unit)
             .usize(self.stamp)
             .u64(self.attempt)
             .usize(self.best.0)
             .i32(self.best.1);
         let e = self.work.0.iter().fold(e, |e, &v| e.u64(v));
-        encode_rows(e, &self.rows)
+        encode_rows(e, &self.rows).finish_framed()
     }
 
-    fn read_from(d: &mut Decoder<'_>, unit: &PackUnit<impl PackKernel>) -> Result<Self, WireError> {
+    /// Decode from a framed payload, against the run's `unit`.
+    pub fn decode(payload: &[u8], unit: &PackUnit<impl PackKernel>) -> Result<Self, WireError> {
+        let mut d = Decoder::new_framed(payload)?;
         let u = d.usize()?;
         let splits = members(unit, u)?;
         let stamp = d.usize()?;
@@ -309,7 +323,8 @@ impl ResultMsg {
         for v in &mut work.0 {
             *v = d.u64()?;
         }
-        let rows = decode_rows(d, unit, splits)?;
+        let rows = decode_rows(&mut d, unit, splits)?;
+        d.expect_exhausted()?;
         Ok(ResultMsg {
             unit: u,
             stamp,
@@ -318,47 +333,6 @@ impl ResultMsg {
             rows,
             work,
         })
-    }
-}
-
-/// The result frame: a list of task results. Replacing the one-result
-/// frame with this list is the wire-v5 layout change
-/// ([`repro_xmpi::wire::VERSION`]). A worker sends each result in a
-/// frame of its own the moment its item ends, and a result that answers
-/// a retransmitted attempt twice. The master still decodes frames of
-/// several items and settles each on its own `attempt`, so a lost frame
-/// is healed item by item.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResultsMsg {
-    /// The results, at least one.
-    pub items: Vec<ResultMsg>,
-}
-
-impl ResultsMsg {
-    /// Encode to a framed payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new().usize(self.items.len());
-        for item in &self.items {
-            e = item.encode_into(e);
-        }
-        e.finish_framed()
-    }
-
-    /// Decode from a framed payload, against the run's `unit`. An empty
-    /// list is malformed (no worker sends one), and a count the
-    /// remaining bytes cannot hold is rejected before anything is
-    /// allocated for it.
-    pub fn decode(payload: &[u8], unit: &PackUnit<impl PackKernel>) -> Result<Self, WireError> {
-        let mut d = Decoder::new_framed(payload)?;
-        let n = d.usize()?;
-        if n == 0 || n > d.remaining() / ResultMsg::MIN_BYTES {
-            return Err(WireError::BadLength { claimed: n });
-        }
-        let items = (0..n)
-            .map(|_| ResultMsg::read_from(&mut d, unit))
-            .collect::<Result<Vec<_>, _>>()?;
-        d.expect_exhausted()?;
-        Ok(ResultsMsg { items })
     }
 }
 
@@ -610,7 +584,10 @@ impl ResyncMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use repro_align::{ExchangeMatrix, GapPenalties, NoMask};
+    use repro_core::{Common, ScoredSeq};
     use repro_simd::{select, GroupSweeper};
+    use repro_xmpi::wire::{FRAME_HEADER, FRAME_TRAILER};
 
     /// Run `f` against the unit every test frame is decoded with: 12 nt
     /// in packs of four — units 0, 1, 2 are splits 1–4, 5–8 and 9–11,
@@ -622,8 +599,18 @@ mod tests {
         f(&PackUnit::new(GroupSweeper::new(&seq, &scoring, sel), None))
     }
 
-    fn row(r: usize) -> (usize, Vec<Score>) {
-        (r, (0..12 - r as i32).map(|x| x * 3 - 5).collect())
+    /// Split `r`'s row of the 12-nt unit, stored as deltas.
+    fn row(r: usize) -> (usize, StoredRow) {
+        let entries: Vec<Score> = (0..12 - r as i32).map(|x| x * 3 - 5).collect();
+        (r, StoredRow::encode(&entries))
+    }
+
+    /// Split `r`'s row of the 12-nt unit, stored plain.
+    fn plain_row(r: usize) -> (usize, StoredRow) {
+        let entries: Vec<Score> = (1..=12 - r as i32).map(|x| x * 300).collect();
+        let row = StoredRow::encode(&entries);
+        assert!(matches!(row, StoredRow::Plain(_)));
+        (r, row)
     }
 
     #[test]
@@ -646,7 +633,7 @@ mod tests {
                     attempt: 3,
                     first: false,
                     bound: -17,
-                    rows: vec![row(1), row(2), row(3), row(4)],
+                    rows: vec![row(1), plain_row(2), row(3), plain_row(4)],
                 },
             ),
             // A mixed batch: first pass, cached realignment, attached rows.
@@ -681,11 +668,11 @@ mod tests {
         }
     }
 
-    /// The bulk row decode returns what the per-element decode it
-    /// replaced returned: the same rows from every intact list, and an
-    /// error from every cut of one (a row cut short now reads as
-    /// `BadLength` of its claimed length, where the per-element loop
-    /// reported the element that ran out as `Truncated`).
+    /// The bulk row decode returns what a per-element decode returns:
+    /// the same rows from every intact list, in both forms, and an error
+    /// from every cut of one (a row cut short reads as `BadLength` of its
+    /// claimed length, where the per-element loop reports the element
+    /// that ran out as `Truncated`).
     #[test]
     fn bulk_rows_decode_as_the_per_element_decode_did() {
         fn per_element(
@@ -701,25 +688,33 @@ mod tests {
             let mut rows: MemberRows = Vec::with_capacity(n);
             for _ in 0..n {
                 let r = d.usize()?;
-                let next = rows.last().map_or(splits.start, |&(q, _)| q + 1);
-                let len = d.usize()?;
-                if !(next..splits.end).contains(&r) {
+                let next = rows.last().map_or(splits.start, |(q, _)| q + 1);
+                let (form, len) = (d.u8()?, d.usize()?);
+                if !(next..splits.end).contains(&r) || form > PLAIN {
                     return Err(WireError::BadFrame);
                 } else if len != m - r {
                     return Err(WireError::BadLength { claimed: len });
                 }
-                rows.push((r, (0..len).map(|_| d.i32()).collect::<Result<_, _>>()?));
+                let row = if form == DELTA {
+                    let deltas = (0..len).map(|_| d.u8().map(|b| b as i8));
+                    StoredRow::Delta(deltas.collect::<Result<_, _>>()?)
+                } else {
+                    StoredRow::Plain((0..len).map(|_| d.i32()).collect::<Result<_, _>>()?)
+                };
+                rows.push((r, row));
             }
             Ok(rows)
         }
         with_packs(|u| {
             for (unit, rows) in [
                 (0, vec![]),
-                (0, vec![row(1), row(2), row(3), row(4)]),
+                (0, vec![row(1), plain_row(2), row(3), row(4)]),
                 (1, vec![row(6)]),
-                (2, vec![row(9), row(11)]),
+                (1, vec![plain_row(6)]),
+                (2, vec![row(9), plain_row(11)]),
                 (2, vec![row(9), row(9)]),
-                (1, vec![(5, vec![0; 3])]),
+                (1, vec![(5, StoredRow::encode(&[0; 3]))]),
+                (1, vec![(5, StoredRow::Plain(vec![0; 3].into()))]),
             ] {
                 let body = encode_rows(Encoder::new(), &rows).i32(-1).finish();
                 let splits = members(u, unit).unwrap();
@@ -749,61 +744,56 @@ mod tests {
         ));
     }
 
-    fn sample_results() -> ResultsMsg {
-        ResultsMsg {
-            items: vec![
-                ResultMsg {
-                    unit: 2,
-                    stamp: 4,
-                    attempt: 2,
-                    best: (10, 123),
-                    rows: vec![],
-                    work: Work::of(&Stats {
-                        alignments: 3,
-                        cells: 1 << 40,
-                        shadow_rejections: 7,
-                        checkpoint_hits: 1,
-                        checkpoint_misses: 2,
-                        realign_rows_swept: 30,
-                        realign_rows_skipped: 40,
-                        lanes_skipped: 1,
-                        lanes_compacted: 2,
-                        ..Stats::default()
-                    }),
-                },
-                ResultMsg {
-                    unit: 0,
-                    stamp: 0,
-                    attempt: 1,
-                    best: (1, 0),
-                    rows: vec![row(1), row(2), row(3), row(4)],
-                    work: Work::default(),
-                },
-                ResultMsg {
-                    unit: 1,
-                    stamp: 5,
-                    attempt: 7,
-                    best: (8, -4),
-                    rows: vec![row(5), row(6), row(7), row(8)],
-                    work: Work::of(&Stats {
-                        alignments: 4,
-                        cells: 12,
-                        shadow_rejections: 1,
-                        ..Stats::default()
-                    }),
-                },
-            ],
-        }
+    fn sample_results() -> Vec<ResultMsg> {
+        vec![
+            ResultMsg {
+                unit: 2,
+                stamp: 4,
+                attempt: 2,
+                best: (10, 123),
+                rows: vec![],
+                work: Work::of(&Stats {
+                    alignments: 3,
+                    cells: 1 << 40,
+                    shadow_rejections: 7,
+                    checkpoint_hits: 1,
+                    checkpoint_misses: 2,
+                    realign_rows_swept: 30,
+                    realign_rows_skipped: 40,
+                    lanes_skipped: 1,
+                    lanes_compacted: 2,
+                    ..Stats::default()
+                }),
+            },
+            ResultMsg {
+                unit: 0,
+                stamp: 0,
+                attempt: 1,
+                best: (1, 0),
+                rows: vec![row(1), row(2), row(3), row(4)],
+                work: Work::default(),
+            },
+            ResultMsg {
+                unit: 1,
+                stamp: 5,
+                attempt: 7,
+                best: (8, -4),
+                rows: vec![plain_row(5), row(6), plain_row(7), row(8)],
+                work: Work::of(&Stats {
+                    alignments: 4,
+                    cells: 12,
+                    shadow_rejections: 1,
+                    ..Stats::default()
+                }),
+            },
+        ]
     }
 
     #[test]
     fn results_roundtrip() {
-        let msg = sample_results();
         with_packs(|u| {
-            assert_eq!(ResultsMsg::decode(&msg.encode(), u).unwrap(), msg);
-            for item in msg.items {
-                let one = ResultsMsg { items: vec![item] };
-                assert_eq!(ResultsMsg::decode(&one.encode(), u).unwrap(), one);
+            for msg in sample_results() {
+                assert_eq!(ResultMsg::decode(&msg.encode(), u).unwrap(), msg);
             }
         });
     }
@@ -820,29 +810,6 @@ mod tests {
         let mut folded = Stats::new();
         Work::of(&grown).fold_into(&mut folded, 3);
         assert_eq!(folded, grown);
-    }
-
-    #[test]
-    fn empty_and_hostile_result_counts_are_rejected_before_allocation() {
-        let empty = Encoder::new().usize(0).finish_framed();
-        with_packs(|u| {
-            assert_eq!(
-                ResultsMsg::decode(&empty, u),
-                Err(WireError::BadLength { claimed: 0 })
-            );
-            // A count no allocator could serve, in front of one real item:
-            // rejected on the count alone.
-            let one = sample_results().items.remove(0);
-            for claimed in [2, 1 << 20, usize::MAX] {
-                let frame = one
-                    .encode_into(Encoder::new().usize(claimed))
-                    .finish_framed();
-                assert_eq!(
-                    ResultsMsg::decode(&frame, u),
-                    Err(WireError::BadLength { claimed })
-                );
-            }
-        });
     }
 
     /// Every shape a unit rules out, in a task and in a result: each
@@ -862,9 +829,9 @@ mod tests {
         };
         // Unit 0's first pass, then bent.
         let result = |bend: fn(&mut ResultMsg)| {
-            let mut res = sample_results().items.remove(1);
+            let mut res = sample_results().remove(1);
             bend(&mut res);
-            ResultsMsg { items: vec![res] }.encode()
+            res.encode()
         };
         with_packs(|u| {
             for (what, frame, want) in [
@@ -886,7 +853,7 @@ mod tests {
                 ),
                 (
                     "a row of the wrong length",
-                    task(1, vec![(5, vec![0; 3])]),
+                    task(1, vec![(5, StoredRow::encode(&[0; 3]))]),
                     WireError::BadLength { claimed: 3 },
                 ),
             ] {
@@ -910,11 +877,11 @@ mod tests {
                 ),
                 (
                     "a row of the wrong length",
-                    result(|r| r.rows[1].1.push(0)),
+                    result(|r| r.rows[1].1 = StoredRow::encode(&[0; 11])),
                     WireError::BadLength { claimed: 11 },
                 ),
             ] {
-                assert_eq!(ResultsMsg::decode(&frame, u), Err(want), "result: {what}");
+                assert_eq!(ResultMsg::decode(&frame, u), Err(want), "result: {what}");
             }
         });
         // A lane count that is none of the three widths.
@@ -952,29 +919,195 @@ mod tests {
 
     #[test]
     fn truncated_result_item_is_rejected() {
-        // Two items claimed and the second cut short at every length,
-        // re-framed so the checksum holds: the item decoder must fail.
-        let items = sample_results().items;
-        let body = items[1]
-            .encode_into(items[0].encode_into(Encoder::new().usize(2)))
-            .finish();
-        let first_len = items[0].encode_into(Encoder::new().usize(2)).finish().len();
+        // A result with rows in both forms cut short at every length,
+        // re-framed so the checksum holds: the decoder must fail typed.
+        let res = sample_results().remove(2);
+        let frame = res.encode();
+        let body = &frame[FRAME_HEADER..frame.len() - FRAME_TRAILER];
         with_packs(|u| {
-            for cut in first_len..body.len() {
+            for cut in 0..body.len() {
                 assert!(
                     matches!(
-                        ResultsMsg::decode(&framed(&body[..cut]), u),
+                        ResultMsg::decode(&framed(&body[..cut]), u),
                         Err(WireError::Truncated { .. } | WireError::BadLength { .. })
                     ),
                     "cut at {cut} decoded"
                 );
             }
             // And a frame cut on the wire fails its framing.
-            let frame = sample_results().encode();
             for cut in 0..frame.len() {
-                assert!(ResultsMsg::decode(&frame[..cut], u).is_err());
+                assert!(ResultMsg::decode(&frame[..cut], u).is_err());
             }
         });
+    }
+
+    /// Hostile rows in a task and in a result, after every valid fixed
+    /// field: each ends in the typed error named, never a panic, and a
+    /// claimed length is checked against the unit before anything is
+    /// allocated for it (`usize::MAX` entries would abort an allocation).
+    #[test]
+    fn hostile_rows_fail_typed_before_allocation() {
+        // A valid frame's body, less its trailing row count, for unit 2
+        // (splits 9, 10, 11; split r's row is 12 − r long).
+        let prefix = |frame: Vec<u8>| {
+            let body = &frame[FRAME_HEADER..frame.len() - FRAME_TRAILER];
+            body[..body.len() - 8].to_vec()
+        };
+        let item = TaskItem {
+            unit: 2,
+            attempt: 1,
+            first: false,
+            bound: 9,
+            rows: vec![],
+        };
+        let task = prefix(TaskMsg::single(0, item).encode());
+        let result = prefix(sample_results().remove(0).encode());
+        let rows = |n: usize| Encoder::new().usize(n);
+        let delta = |e: Encoder, r: usize, len: usize| e.usize(r).u8(DELTA).i8_slice(&vec![1; len]);
+        let plain =
+            |e: Encoder, r: usize, len: usize| e.usize(r).u8(PLAIN).i32_slice(&vec![1; len]);
+        let claims = |e: Encoder, r: usize, form: u8, len: usize| e.usize(r).u8(form).usize(len);
+        use WireError::{BadFrame, BadLength};
+        let cases = [
+            ("unknown form byte", claims(rows(1), 9, 2, 3), BadFrame),
+            (
+                "form byte 0xFF",
+                claims(rows(1), 9, 0xFF, 3).i32(0),
+                BadFrame,
+            ),
+            (
+                "delta row too long",
+                delta(rows(1), 9, 4),
+                BadLength { claimed: 4 },
+            ),
+            (
+                "delta row too short",
+                delta(rows(1), 10, 1),
+                BadLength { claimed: 1 },
+            ),
+            (
+                "plain row too long",
+                plain(rows(1), 11, 2),
+                BadLength { claimed: 2 },
+            ),
+            (
+                "plain row too short",
+                plain(rows(1), 9, 2),
+                BadLength { claimed: 2 },
+            ),
+            (
+                "delta row claiming usize::MAX entries",
+                claims(rows(1), 9, DELTA, usize::MAX),
+                BadLength {
+                    claimed: usize::MAX,
+                },
+            ),
+            (
+                "plain row claiming 2^40 entries",
+                claims(rows(1), 9, PLAIN, 1 << 40),
+                BadLength { claimed: 1 << 40 },
+            ),
+            ("a split of another unit", delta(rows(1), 8, 4), BadFrame),
+            ("the split past the last", delta(rows(1), 12, 0), BadFrame),
+            ("out of order", delta(delta(rows(2), 10, 2), 9, 3), BadFrame),
+            ("a split twice", delta(delta(rows(2), 9, 3), 9, 3), BadFrame),
+            (
+                "more rows than members",
+                rows(usize::MAX),
+                BadLength {
+                    claimed: usize::MAX,
+                },
+            ),
+            (
+                "truncated deltas",
+                claims(rows(1), 9, DELTA, 3).u8(1).u8(1),
+                BadLength { claimed: 3 },
+            ),
+            (
+                "truncated plain entries",
+                claims(rows(1), 10, PLAIN, 2).i32(1),
+                BadLength { claimed: 2 },
+            ),
+        ];
+        with_packs(|u| {
+            for (what, hostile, want) in cases {
+                let hostile = hostile.finish();
+                let frame = |prefix: &[u8]| framed(&[prefix, &hostile].concat());
+                assert_eq!(TaskMsg::decode(&frame(&task), u), Err(want), "task: {what}");
+                let got = ResultMsg::decode(&frame(&result), u);
+                assert_eq!(got, Err(want), "result: {what}");
+            }
+        });
+    }
+
+    /// Unit `u`'s stored rows in a task and in a result, encoded and
+    /// decoded: both come back unchanged.
+    fn ship(unit: &PackUnit<impl PackKernel>, common: &Common, u: usize) {
+        let splits = unit.splits(u);
+        let rows: MemberRows = splits.clone().map(|r| (r, common.row(r).clone())).collect();
+        let item = TaskItem {
+            unit: u,
+            attempt: 1,
+            first: false,
+            bound: 0,
+            rows: rows.clone(),
+        };
+        let task = TaskMsg::single(0, item);
+        assert_eq!(TaskMsg::decode(&task.encode(), unit), Ok(task));
+        let res = ResultMsg {
+            unit: u,
+            stamp: 0,
+            attempt: 1,
+            best: (splits.start, 0),
+            rows,
+            work: Work::default(),
+        };
+        assert_eq!(ResultMsg::decode(&res.encode(), unit), Ok(res));
+    }
+
+    /// Every split's stored row survives a task and a result, encode to
+    /// decode, unchanged: every `{A,C}` string up to 10 long, in units of
+    /// one split and of four, under the paper's scoring (every row
+    /// deltas) and the match/mismatch 40/−32 one (both forms).
+    #[test]
+    fn every_stored_row_survives_the_wire_in_both_forms() {
+        let scaled = Scoring::new(
+            ExchangeMatrix::match_mismatch(Alphabet::Dna, 40, -32),
+            GapPenalties::new(16, 8),
+        );
+        // Per scoring: rows shipped plain, rows shipped as deltas.
+        let mut forms = [[0usize; 2]; 2];
+        for (s, scoring) in [Scoring::dna_example(), scaled].iter().enumerate() {
+            for n in 2..=10usize {
+                for bits in 0..1u32 << n {
+                    let text: String = (0..n)
+                        .map(|i| if bits >> i & 1 == 0 { 'A' } else { 'C' })
+                        .collect();
+                    let seq = Seq::dna(&text).unwrap();
+                    let common = Common::new(&seq, scoring);
+                    for r in 1..n {
+                        let row = common.input.split(r).last_row(NoMask).row;
+                        common.set_row(r, StoredRow::encode(&row));
+                        let delta = matches!(common.row(r), StoredRow::Delta(_));
+                        forms[s][usize::from(delta)] += 1;
+                    }
+                    let sel = select(Some(LaneWidth::X4), None).unwrap();
+                    let one = PackUnit::new(ScoredSeq::new(&seq, scoring), None);
+                    let four = PackUnit::new(GroupSweeper::new(&seq, scoring, sel), None);
+                    (0..one.units()).for_each(|u| ship(&one, &common, u));
+                    (0..four.units()).for_each(|u| ship(&four, &common, u));
+                }
+            }
+        }
+        assert_eq!(
+            forms[0][0], 0,
+            "the paper's scoring ships every row as deltas"
+        );
+        assert!(
+            forms[1][0] > 0 && forms[1][1] > 0,
+            "both forms: {:?}",
+            forms[1]
+        );
     }
 
     #[test]
@@ -1192,7 +1325,7 @@ mod tests {
                         attempt: 2,
                         first: false,
                         bound: 42,
-                        rows: vec![row(5), row(6), row(7), row(8)],
+                        rows: vec![row(5), plain_row(6), row(7), row(8)],
                     },
                     TaskItem {
                         unit: 2,
@@ -1204,7 +1337,7 @@ mod tests {
                 ],
             }
             .encode(),
-            sample_results().encode(),
+            sample_results()[2].encode(),
             AcceptedMsg {
                 index: 0,
                 pairs: vec![(1, 2)],
@@ -1220,7 +1353,7 @@ mod tests {
                     bad[i] ^= 0xA5; // the injector's corruption pattern
                     assert!(
                         TaskMsg::decode(&bad, u).is_err()
-                            && ResultsMsg::decode(&bad, u).is_err()
+                            && ResultMsg::decode(&bad, u).is_err()
                             && AcceptedMsg::decode(&bad).is_err()
                             && ResyncMsg::decode(&bad).is_err()
                             && TelemetryMsg::decode(&bad).is_err(),

@@ -25,7 +25,7 @@
 
 use crate::engine::ClusterError;
 use crate::master::{MasterAction, MasterState};
-use crate::protocol::{tag, ResultsMsg, ResyncMsg, TelemetryMsg};
+use crate::protocol::{tag, ResultMsg, ResyncMsg, TelemetryMsg};
 use repro_core::{PackKernel, TopAlignments};
 use repro_obs::{Counter, Event, Metric, Phase, Recorder, TelemetrySnapshot};
 use repro_xmpi::{Comm, Message, RecvError, SendError};
@@ -303,24 +303,20 @@ fn dispatch<K: PackKernel, C: Comm, R: Recorder>(
             Ok(m) => master.worker_idle(msg.from, m.applied),
             Err(_) => Vec::new(), // corrupted announcement; it repeats
         },
-        tag::HEARTBEAT => Vec::new(),
-        tag::RESULT => match ResultsMsg::decode(&msg.payload, master.unit()) {
-            Ok(frame) => {
+        tag::RESULT => match ResultMsg::decode(&msg.payload, master.unit()) {
+            Ok(res) => {
                 rec.add(Counter::ClusterResultFrames, 1);
-                let mut acts = Vec::new();
-                for res in frame.items {
-                    if R::ENABLED {
-                        rec.event(Event::Result {
-                            worker: msg.from,
-                            r: master.unit().splits(res.unit).start,
-                            attempt: res.attempt,
-                            score: res.best.1 as i64,
-                        });
-                    }
-                    acts.extend(master.result(msg.from, res));
-                    if let Some(round_trip) = master.take_round_trip() {
-                        rec.observe(Metric::TaskRoundTripNs, round_trip.as_nanos() as u64);
-                    }
+                if R::ENABLED {
+                    rec.event(Event::Result {
+                        worker: msg.from,
+                        r: master.unit().splits(res.unit).start,
+                        attempt: res.attempt,
+                        score: res.best.1 as i64,
+                    });
+                }
+                let acts = master.result(msg.from, res);
+                if let Some(round_trip) = master.take_round_trip() {
+                    rec.observe(Metric::TaskRoundTripNs, round_trip.as_nanos() as u64);
                 }
                 if R::ENABLED {
                     rec.progress(&master.progress());

@@ -20,7 +20,7 @@
 //! under different schedules.
 
 use crate::master::{MasterAction, MasterState};
-use crate::protocol::{tag, ResultMsg, ResultsMsg};
+use crate::protocol::{tag, ResultMsg};
 use crate::worker::{Frame, WorkerState};
 use repro_align::{Scoring, Seq};
 use repro_core::{Common, PackUnit, ScoredSeq, Search, TopAlignments};
@@ -224,13 +224,9 @@ impl Actor for SimActor<'_> {
                 let actions = match tag {
                     tag::IDLE => m.state.worker_idle(from, 0),
                     tag::RESULT => {
-                        let frame = ResultsMsg::decode(payload, m.state.unit())
+                        let res = ResultMsg::decode(payload, m.state.unit())
                             .expect("simulator transport cannot corrupt frames");
-                        frame
-                            .items
-                            .into_iter()
-                            .flat_map(|res| m.state.result(from, res))
-                            .collect()
+                        m.state.result(from, res)
                     }
                     other => unreachable!("master got tag {other}"),
                 };

@@ -16,7 +16,7 @@
 
 use crate::master::{member_rows, Claim};
 use crate::protocol::TelemetryMsg;
-use crate::protocol::{tag, AcceptedMsg, ResultMsg, ResultsMsg, ResyncMsg, TaskItem, TaskMsg};
+use crate::protocol::{tag, AcceptedMsg, ResultMsg, ResyncMsg, TaskItem, TaskMsg};
 use repro_core::{Common, LanePacks, OverrideTriangle, PackKernel, PackUnit, TopAlignment};
 use repro_obs::{FlightRecorder, Metric, Recorder};
 use std::collections::{HashMap, VecDeque};
@@ -274,9 +274,9 @@ impl<'w, K: PackKernel> WorkerState<'w, K> {
     }
 }
 
-/// `res` in a RESULT frame of its own.
+/// `res` in a RESULT frame.
 fn result_frame(res: ResultMsg) -> Frame {
-    (tag::RESULT, ResultsMsg { items: vec![res] }.encode())
+    (tag::RESULT, res.encode())
 }
 
 #[cfg(test)]

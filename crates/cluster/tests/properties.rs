@@ -6,10 +6,9 @@
 //! with a typed error.
 
 use proptest::prelude::*;
-use repro_align::{sw_last_row, Alphabet, Score, Scoring, Seq};
+use repro_align::{sw_last_row, Alphabet, Score, Scoring, Seq, StoredRow};
 use repro_cluster::protocol::{
-    tag, AcceptedMsg, JobMsg, ResultMsg, ResultsMsg, ResyncMsg, TaskItem, TaskMsg, TelemetryMsg,
-    Work,
+    tag, AcceptedMsg, JobMsg, ResultMsg, ResyncMsg, TaskItem, TaskMsg, TelemetryMsg, Work,
 };
 use repro_cluster::{
     run_cluster, simulate_cluster, AlignCache, CostModel, MasterAction, MasterState, WorkerState,
@@ -98,7 +97,7 @@ proptest! {
         // compute scores that are inflated relative to its stamp.
         let mut lockstep = OverrideTriangle::new(seq.len());
         let mut triangles: HashMap<usize, OverrideTriangle> = HashMap::new();
-        let mut caches: HashMap<usize, HashMap<usize, Vec<Score>>> = HashMap::new();
+        let mut caches: HashMap<usize, HashMap<usize, StoredRow>> = HashMap::new();
         // Assignments arrive as batches sharing one stamp; the scheduler
         // adversary interleaves them item by item.
         let mut pending: VecDeque<(usize, usize, TaskItem)> = VecDeque::new();
@@ -110,7 +109,7 @@ proptest! {
             seq: &Seq,
             scoring: &Scoring,
             triangle: &OverrideTriangle,
-            cache: &mut HashMap<usize, Vec<Score>>,
+            cache: &mut HashMap<usize, StoredRow>,
             stamp: usize,
             task: &TaskItem,
         ) -> ResultMsg {
@@ -119,8 +118,9 @@ proptest! {
             let mask = SplitMask::new(triangle, r);
             let last = sw_last_row(prefix, suffix, scoring, mask);
             let (score, shadow_rejections, first_row) = if task.first {
-                cache.insert(r, last.row.clone());
-                (last.best_in_row, 0, Some(last.row))
+                let row = StoredRow::encode(&last.row);
+                cache.insert(r, row.clone());
+                (last.best_in_row, 0, Some(row))
             } else {
                 if let Some((_, row)) = task.rows.first() {
                     cache.insert(r, row.clone());
@@ -483,15 +483,14 @@ fn lossy_world(seq: &Seq, count: usize, workers: usize, chaos: &[u8]) {
                     actions.extend(master.worker_idle(from, slot));
                 }
                 tag::RESULT => {
-                    for res in ResultsMsg::decode(&payload, master.unit()).unwrap().items {
-                        if shipped
-                            .get(&res.unit)
-                            .is_some_and(|s| s.worker == from && s.item.attempt == res.attempt)
-                        {
-                            shipped.remove(&res.unit);
-                        }
-                        actions.extend(master.result(from, res));
+                    let res = ResultMsg::decode(&payload, master.unit()).unwrap();
+                    if shipped
+                        .get(&res.unit)
+                        .is_some_and(|s| s.worker == from && s.item.attempt == res.attempt)
+                    {
+                        shipped.remove(&res.unit);
                     }
+                    actions.extend(master.result(from, res));
                 }
                 tag::RESYNC => {
                     let have = ResyncMsg::decode(&payload).unwrap().applied;
@@ -550,13 +549,18 @@ fn lossy_world(seq: &Seq, count: usize, workers: usize, chaos: &[u8]) {
 
 /// One valid frame of every message kind, the unit-typed ones fitted to
 /// `unit`: a batch with a first pass and an attached-rows realignment,
-/// a result carrying every member's row, and the four unit-free frames.
+/// a result carrying every member's row (in both stored forms, where
+/// the unit has two members), and the four unit-free frames.
 fn valid_frames(unit: &PackUnit<impl PackKernel>, seq: &Seq, scoring: &Scoring) -> Vec<Vec<u8>> {
     let last = unit.units() - 1;
     let splits = unit.splits(last);
     let rows: Vec<_> = splits
         .clone()
-        .map(|r| (r, vec![3; seq.len() - r]))
+        .map(|r| {
+            let step = if r % 2 == 0 { 3 } else { 300 };
+            let entries: Vec<Score> = (0..seq.len() - r).map(|x| x as Score * step).collect();
+            (r, StoredRow::encode(&entries))
+        })
         .collect();
     let item = |u, first, rows| TaskItem {
         unit: u,
@@ -598,10 +602,7 @@ fn valid_frames(unit: &PackUnit<impl PackKernel>, seq: &Seq, scoring: &Scoring) 
     };
     vec![
         task.encode(),
-        ResultsMsg {
-            items: vec![result],
-        }
-        .encode(),
+        result.encode(),
         AcceptedMsg {
             index: 2,
             pairs: vec![(1, 5), (2, 6)],
@@ -641,7 +642,7 @@ fn typed_or_round_trips<T: PartialEq + std::fmt::Debug>(
 /// frame (a frame of another kind is one more hostile body).
 fn decode_all(unit: &PackUnit<impl PackKernel>, frame: &[u8]) -> Result<(), TestCaseError> {
     typed_or_round_trips(frame, |f| TaskMsg::decode(f, unit), TaskMsg::encode)?;
-    typed_or_round_trips(frame, |f| ResultsMsg::decode(f, unit), ResultsMsg::encode)?;
+    typed_or_round_trips(frame, |f| ResultMsg::decode(f, unit), ResultMsg::encode)?;
     typed_or_round_trips(frame, AcceptedMsg::decode, AcceptedMsg::encode)?;
     typed_or_round_trips(frame, JobMsg::decode, JobMsg::encode)?;
     typed_or_round_trips(frame, TelemetryMsg::decode, TelemetryMsg::encode)?;

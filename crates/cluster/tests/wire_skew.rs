@@ -1,6 +1,7 @@
-//! Wire-version skew regression: a v8 peer (the protocol before
-//! telemetry frames lost the twelve counter words that repeated a work
-//! tally) must be rejected with a *typed*
+//! Wire-version skew regression: a v9 peer (the protocol before rows
+//! travelled as stored — a form byte, then `i8` deltas or `i32`
+//! entries, where v9 widened every row to `i32` — and before a RESULT
+//! frame held exactly one result) must be rejected with a *typed*
 //! [`WireError::Version`] on its very first frame — never a garbage
 //! decode deep inside a message codec — on both transports:
 //!
@@ -9,9 +10,9 @@
 //! * the socket backend rejects the skewed worker at its HELLO, before
 //!   it is ever admitted to a rank.
 
-use repro_align::{Scoring, Seq};
+use repro_align::{Scoring, Seq, StoredRow};
 use repro_cluster::protocol::{
-    AcceptedMsg, JobMsg, ResultMsg, ResultsMsg, ResyncMsg, TaskItem, TaskMsg, Work,
+    AcceptedMsg, JobMsg, ResultMsg, ResyncMsg, TaskItem, TaskMsg, TelemetryMsg, Work,
 };
 use repro_core::{PackUnit, Stats};
 use repro_simd::{select, GroupSweeper, LaneWidth};
@@ -23,10 +24,10 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// The version the skewed peer speaks: the one this build replaced.
-const V8: u32 = 8;
+const V9: u32 = 9;
 const _: () = assert!(
-    VERSION > V8,
-    "the telemetry layout change must bump the wire version"
+    VERSION > V9,
+    "the row and result layout change must bump the wire version"
 );
 
 /// Rewrite a framed buffer's version word (bytes 4..8) to `v`. The
@@ -39,7 +40,7 @@ fn reversion(mut frame: Vec<u8>, v: u32) -> Vec<u8> {
 }
 
 #[test]
-fn v8_frames_are_rejected_typed_by_every_message_codec() {
+fn v9_frames_are_rejected_typed_by_every_message_codec() {
     let seq = Seq::dna("ATGCATGC").unwrap();
     let scoring = Scoring::dna_example();
     let sel = select(Some(LaneWidth::X4), None).unwrap();
@@ -52,28 +53,26 @@ fn v8_frames_are_rejected_typed_by_every_message_codec() {
                 TaskItem {
                     unit: 1,
                     attempt: 1,
-                    first: true,
+                    first: false,
                     bound: 99,
-                    rows: vec![],
+                    rows: vec![(5, row(&[0, 1, 2])), (6, row(&[0, 200]))],
                 },
             )
             .encode(),
         ),
         (
-            "ResultsMsg",
-            ResultsMsg {
-                items: vec![ResultMsg {
-                    unit: 1,
-                    stamp: 0,
-                    attempt: 1,
-                    best: (5, 7),
-                    rows: vec![(5, vec![0, 1, 2]), (6, vec![0, 1]), (7, vec![0])],
-                    work: Work::of(&Stats {
-                        alignments: 3,
-                        cells: 12,
-                        ..Stats::default()
-                    }),
-                }],
+            "ResultMsg",
+            ResultMsg {
+                unit: 1,
+                stamp: 0,
+                attempt: 1,
+                best: (5, 7),
+                rows: vec![(5, row(&[0, 1, 2])), (6, row(&[0, 1])), (7, row(&[0]))],
+                work: Work::of(&Stats {
+                    alignments: 3,
+                    cells: 12,
+                    ..Stats::default()
+                }),
             }
             .encode(),
         ),
@@ -86,6 +85,15 @@ fn v8_frames_are_rejected_typed_by_every_message_codec() {
             .encode(),
         ),
         ("ResyncMsg", ResyncMsg { applied: 2 }.encode()),
+        (
+            "TelemetryMsg",
+            TelemetryMsg {
+                seq: 1,
+                fin: false,
+                snap: Default::default(),
+            }
+            .encode(),
+        ),
         (
             "JobMsg",
             JobMsg {
@@ -100,32 +108,38 @@ fn v8_frames_are_rejected_typed_by_every_message_codec() {
         ),
     ];
     let want = WireError::Version {
-        got: V8,
+        got: V9,
         want: VERSION,
     };
     for (kind, frame) in frames {
-        let stale = reversion(frame, V8);
+        let stale = reversion(frame, V9);
         let got = match kind {
             "TaskMsg" => TaskMsg::decode(&stale, &packs).unwrap_err(),
-            "ResultsMsg" => ResultsMsg::decode(&stale, &packs).unwrap_err(),
+            "ResultMsg" => ResultMsg::decode(&stale, &packs).unwrap_err(),
             "AcceptedMsg" => AcceptedMsg::decode(&stale).unwrap_err(),
             "ResyncMsg" => ResyncMsg::decode(&stale).unwrap_err(),
+            "TelemetryMsg" => TelemetryMsg::decode(&stale).unwrap_err(),
             "JobMsg" => JobMsg::decode(&stale).unwrap_err(),
             _ => unreachable!(),
         };
-        assert_eq!(got, want, "{kind} did not reject the v8 frame typed");
+        assert_eq!(got, want, "{kind} did not reject the v9 frame typed");
     }
 }
 
+/// `entries` as the row store holds them.
+fn row(entries: &[i32]) -> StoredRow {
+    StoredRow::encode(entries)
+}
+
 #[test]
-fn v8_worker_hello_is_rejected_at_the_socket_hub() {
+fn v9_worker_hello_is_rejected_at_the_socket_hub() {
     let hub = SocketHub::bind("127.0.0.1:0").expect("bind hub");
     assert_eq!(hub.version_rejects(), 0);
 
     // A stale worker's admission request: a well-formed HELLO envelope
     // (reserved tag 0xFFFF_FF01) whose frame declares the previous
     // protocol version.
-    let hello = reversion(envelope(0xFFFF_FF01, 1, &[]), V8);
+    let hello = reversion(envelope(0xFFFF_FF01, 1, &[]), V9);
     let mut stream = TcpStream::connect(hub.addr()).expect("connect");
     stream.write_all(&hello).expect("send stale hello");
 
@@ -142,7 +156,7 @@ fn v8_worker_hello_is_rejected_at_the_socket_hub() {
     assert_eq!(hub.size(), 1, "a skewed worker must not be admitted");
 
     // The hub stays healthy: a current-version worker is admitted.
-    let peer = SocketPeer::connect(&hub.addr().to_string()).expect("v9 worker admitted");
+    let peer = SocketPeer::connect(&hub.addr().to_string()).expect("v10 worker admitted");
     assert_eq!(peer.rank(), 1);
     assert_eq!(hub.version_rejects(), 1);
 }

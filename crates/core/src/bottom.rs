@@ -12,17 +12,18 @@
 //! for the inline driver and the SMP engine alike: a unit's sweep moves
 //! each first-pass row in, written once and immutable from then on.
 //!
-//! A row is stored as one signed byte per entry, its difference from
-//! the entry to its left (the first from 0), unless some difference
-//! falls outside `i8`; then it is stored in plain `i32`
-//! ([`StoredRow::encode`]). The row alone decides, so the form is exact
-//! for every row whatever its scores. The shadow filter and the
-//! accept read a delta row through a running sum inside the loop that
-//! compares ([`best_valid_entry_counted`]); rows leave the store in
-//! `i32` only for the wire ([`StoredRow::widened`]).
+//! A row has two forms. A kernel computes it as a `Vec<Score>`; the
+//! store keeps it as a [`StoredRow`]: one signed byte per entry, its
+//! difference from the entry to its left (the first from 0), unless
+//! some difference falls outside `i8`, then plain `i32`
+//! ([`StoredRow::encode`], the one encoder). The row alone decides, so
+//! the form is exact for every row whatever its scores. The shadow
+//! filter and the accept read a delta row through a running sum inside
+//! the loop that compares ([`best_valid_entry_counted`]), and the
+//! cluster wire carries the row as stored.
 
 use crate::finder::ScoredSeq;
-use repro_align::{delta_entries, BottomRow, RowRef, Score, Scoring, Seq, StoredRow};
+use repro_align::{delta_entries, Score, Scoring, Seq, StoredRow};
 use std::sync::OnceLock;
 
 /// What every sweep and acceptance reads without a lock: the profiled
@@ -66,21 +67,20 @@ impl<'a> Common<'a> {
             .sum()
     }
 
-    /// Store the clean bottom row a first pass of `r` returned, encoded
-    /// ([`StoredRow::encode`]).
+    /// Store the clean bottom row of split `r`, as encoded by a first
+    /// pass ([`StoredRow::encode`]) or as it arrived over the wire.
     ///
     /// # Panics
     /// Panics if the row was already stored (first-pass rows are
     /// immutable; storing twice indicates a scheduling bug) or has the
     /// wrong length.
-    pub fn set_row(&self, r: usize, row: impl Into<BottomRow>) {
-        let row = row.into();
+    pub fn set_row(&self, r: usize, row: StoredRow) {
         assert_eq!(
             row.len(),
             self.rows.len() + 1 - r,
             "bottom row length mismatch"
         );
-        let stored = self.rows[r - 1].set(StoredRow::encode(row));
+        let stored = self.rows[r - 1].set(row);
         assert!(stored.is_ok(), "bottom row for split {r} stored twice");
     }
 
@@ -94,14 +94,11 @@ impl<'a> Common<'a> {
 /// Shadow filter: the best *valid* bottom-row entry of a realignment.
 ///
 /// `current` is the freshly computed bottom row under the active override
-/// triangle; `original` is the stored first-pass row. Either may be any
-/// [`RowRef`]. Valid end points are the positions where both agree
-/// (paper App. A); returns the best valid score and its (leftmost)
-/// column, or `(0, None)` when every positive entry is shadowed.
-pub fn best_valid_entry<'c, 'o>(
-    current: impl Into<RowRef<'c>>,
-    original: impl Into<RowRef<'o>>,
-) -> (Score, Option<usize>) {
+/// triangle; `original` is the stored first-pass row. Valid end points
+/// are the positions where both agree (paper App. A); returns the best
+/// valid score and its (leftmost) column, or `(0, None)` when every
+/// positive entry is shadowed.
+pub fn best_valid_entry(current: &[Score], original: &StoredRow) -> (Score, Option<usize>) {
     let (best, col, _) = best_valid_entry_counted(current, original);
     (best, col)
 }
@@ -109,46 +106,25 @@ pub fn best_valid_entry<'c, 'o>(
 /// [`best_valid_entry`] that also counts the shadow rejections: the
 /// number of positions where the realigned row disagrees with the
 /// stored first-pass row. The count feeds
-/// [`crate::Stats::shadow_rejections`].
-///
-/// `current` is read as the slice it is (a kernel's row is `i16` or
-/// `i32`), `original` entry by entry in the same loop, a delta row
-/// through [`delta_entries`]. A delta-coded `current` is decoded first.
-pub fn best_valid_entry_counted<'c, 'o>(
-    current: impl Into<RowRef<'c>>,
-    original: impl Into<RowRef<'o>>,
-) -> (Score, Option<usize>, u64) {
-    let original = original.into();
-    match current.into() {
-        RowRef::Narrow(c) => against(c, original),
-        RowRef::Wide(c) => against(c, original),
-        delta @ RowRef::Delta(_) => against(&delta.widened(), original),
-    }
-}
-
-/// The shadow filter of one current row, at the stored row's form.
-fn against<C: Copy + Into<Score>>(
-    current: &[C],
-    original: RowRef<'_>,
+/// [`crate::Stats::shadow_rejections`]. A delta row decodes through
+/// [`delta_entries`] in the loop that compares.
+pub fn best_valid_entry_counted(
+    current: &[Score],
+    original: &StoredRow,
 ) -> (Score, Option<usize>, u64) {
     debug_assert_eq!(current.len(), original.len());
     match original {
-        RowRef::Narrow(o) => filter(current, o.iter().map(|&x| x.into())),
-        RowRef::Wide(o) => filter(current, o.iter().copied()),
-        RowRef::Delta(o) => filter(current, delta_entries(o)),
+        StoredRow::Delta(o) => filter(current, delta_entries(o)),
+        StoredRow::Plain(o) => filter(current, o.iter().copied()),
     }
 }
 
 /// The shadow filter's loop: `original` decodes as it is compared.
-fn filter<C: Copy + Into<Score>>(
-    current: &[C],
-    original: impl Iterator<Item = Score>,
-) -> (Score, Option<usize>, u64) {
+fn filter(current: &[Score], original: impl Iterator<Item = Score>) -> (Score, Option<usize>, u64) {
     let mut best = 0;
     let mut col = None;
     let mut shadows = 0u64;
     for (x, (&c, o)) in current.iter().zip(original).enumerate() {
-        let c = c.into();
         if c == o {
             if c > best {
                 best = c;
@@ -172,17 +148,21 @@ mod tests {
         Seq::dna(&"ACGT".repeat(len)[..len]).unwrap()
     }
 
+    fn stored(row: &[Score]) -> StoredRow {
+        StoredRow::encode(row)
+    }
+
     #[test]
     fn store_and_get_roundtrip() {
         let (seq, scoring) = (dna(6), Scoring::dna_example());
         let mut store = Common::new(&seq, &scoring);
-        store.set_row(2, vec![5, 0, 3, 9]);
-        store.set_row(5, vec![7]);
+        store.set_row(2, stored(&[5, 0, 3, 9]));
+        store.set_row(5, stored(&[7]));
         assert_eq!(store.row(2).widened(), [5, 0, 3, 9]);
         assert_eq!(store.row(5).widened(), [7]);
         // A forgotten row may be stored anew.
         store.forget_row(2);
-        store.set_row(2, vec![1, 1, 1, 1]);
+        store.set_row(2, stored(&[1, 1, 1, 1]));
         assert_eq!(store.row(2).widened(), [1, 1, 1, 1]);
     }
 
@@ -192,12 +172,8 @@ mod tests {
         let (seq, scoring) = (dna(m), Scoring::dna_example());
         let store = Common::new(&seq, &scoring);
         for r in 1..m {
-            store.set_row(
-                r,
-                (0..m - r)
-                    .map(|x| (r * 100 + x) as Score)
-                    .collect::<Vec<Score>>(),
-            );
+            let row: Vec<Score> = (0..m - r).map(|x| (r * 100 + x) as Score).collect();
+            store.set_row(r, stored(&row));
         }
         for r in 1..m {
             let row = store.row(r);
@@ -213,15 +189,15 @@ mod tests {
     fn double_store_panics() {
         let (seq, scoring) = (dna(4), Scoring::dna_example());
         let store = Common::new(&seq, &scoring);
-        store.set_row(1, vec![1, 2, 3]);
-        store.set_row(1, vec![1, 2, 3]);
+        store.set_row(1, stored(&[1, 2, 3]));
+        store.set_row(1, stored(&[1, 2, 3]));
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn wrong_length_panics() {
         let (seq, scoring) = (dna(4), Scoring::dna_example());
-        Common::new(&seq, &scoring).set_row(1, vec![1]);
+        Common::new(&seq, &scoring).set_row(1, stored(&[1]));
     }
 
     #[test]
@@ -236,7 +212,7 @@ mod tests {
         let original = [3, 9, 7, 0, 5];
         // Entry 1 dropped (shadow), entry 2 unchanged, entry 4 unchanged.
         let current = [3, 4, 7, 0, 5];
-        let (score, col) = best_valid_entry(&current, &original);
+        let (score, col) = best_valid_entry(&current, &stored(&original));
         assert_eq!(score, 7);
         assert_eq!(col, Some(2));
     }
@@ -245,7 +221,7 @@ mod tests {
     fn counted_variant_tallies_disagreements() {
         let original = [3, 9, 7, 0, 5];
         let current = [3, 4, 7, 1, 5];
-        let (score, col, shadows) = best_valid_entry_counted(&current, &original);
+        let (score, col, shadows) = best_valid_entry_counted(&current, &stored(&original));
         assert_eq!((score, col), (7, Some(2)));
         assert_eq!(shadows, 2);
     }
@@ -254,25 +230,24 @@ mod tests {
     fn best_valid_entry_all_shadowed() {
         let original = [5, 6];
         let current = [4, 5];
-        assert_eq!(best_valid_entry(&current, &original), (0, None));
+        assert_eq!(best_valid_entry(&current, &stored(&original)), (0, None));
     }
 
     #[test]
     fn best_valid_entry_prefers_leftmost_tie() {
         let original = [7, 1, 7];
         let current = [7, 0, 7];
-        let (score, col) = best_valid_entry(&current, &original);
+        let (score, col) = best_valid_entry(&current, &stored(&original));
         assert_eq!((score, col), (7, Some(0)));
     }
 
     /// Exhaustive small scope for the stored form: every split of every
     /// `{A,C}` string up to 10 long, under the paper's scoring (every
     /// row deltas) and one whose match score exceeds `i8` (both forms).
-    /// Each stored row reads back bit-identical to the kernel's row, from
-    /// its `i32` and its `i16` hand-over alike, and before every step of
-    /// the sequential run the shadow filter of every split's row under
-    /// the triangle of that moment against the stored row equals the
-    /// filter against the plain row.
+    /// Each stored row reads back bit-identical to the kernel's row, and
+    /// before every step of the sequential run the shadow filter of every
+    /// split's row under the triangle of that moment against the stored
+    /// row equals the filter against the row stored plain.
     #[test]
     fn stored_rows_read_back_exactly_and_filter_as_plain_rows() {
         let wide = Scoring::new(
@@ -291,11 +266,8 @@ mod tests {
                     let common = Common::new(&seq, scoring);
                     for r in 1..n {
                         let row = common.input.split(r).last_row(NoMask).row;
-                        let narrow: Vec<i16> = row.iter().map(|&x| x as i16).collect();
-                        let from_narrow = StoredRow::encode(BottomRow::Narrow(narrow));
-                        common.set_row(r, row.clone());
+                        common.set_row(r, stored(&row));
                         assert_eq!(common.row(r).widened(), row, "{text} split {r}");
-                        assert_eq!(*common.row(r), from_narrow, "{text} split {r}");
                         let delta = matches!(common.row(r), StoredRow::Delta(_));
                         forms[s][usize::from(delta)] += 1;
                     }
@@ -305,7 +277,7 @@ mod tests {
                         for r in 1..n {
                             let mask = SplitMask::new(finder.triangle(), r);
                             let current = common.input.split(r).last_row(mask).row;
-                            let plain = common.row(r).widened();
+                            let plain = StoredRow::Plain(common.row(r).widened().into());
                             assert_eq!(
                                 best_valid_entry_counted(&current, common.row(r)),
                                 best_valid_entry_counted(&current, &plain),

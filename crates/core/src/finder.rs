@@ -24,7 +24,7 @@ use crate::split_mask::SplitMask;
 use crate::stats::Stats;
 use crate::tasks::{Next, Scheduler};
 use crate::triangle::OverrideTriangle;
-use repro_align::{traceback_in_box, NoMask, QueryProfile, RowRef, Score, Scoring, Seq, Sides};
+use repro_align::{traceback_in_box, NoMask, QueryProfile, Score, Scoring, Seq, Sides, StoredRow};
 use repro_obs::{Metric, NoopRecorder, Phase, Progress, Recorder};
 use std::ops::Range;
 use std::time::Instant;
@@ -203,8 +203,9 @@ pub struct TaskResult {
     pub score: Score,
     /// Column of that score, if positive.
     pub col: Option<usize>,
-    /// The bottom row — returned only for first passes, for storage.
-    pub first_row: Option<Vec<Score>>,
+    /// The bottom row, encoded — returned only for first passes, for
+    /// storage.
+    pub first_row: Option<StoredRow>,
     /// Cells computed.
     pub cells: u64,
     /// Bottom-row positions the shadow filter rejected (always 0 for a
@@ -262,7 +263,7 @@ impl<'a> ScoredSeq<'a> {
         &self,
         r: usize,
         triangle: &OverrideTriangle,
-        original: Option<&[Score]>,
+        original: Option<&StoredRow>,
     ) -> TaskResult {
         let last = self.split(r).last_row(SplitMask::new(triangle, r));
         match original {
@@ -275,7 +276,7 @@ impl<'a> ScoredSeq<'a> {
                     score: last.best_in_row,
                     col: last.best_in_row_col,
                     cells: last.cells,
-                    first_row: Some(last.row),
+                    first_row: Some(StoredRow::encode(&last.row)),
                     shadow_rejections: 0,
                 }
             }
@@ -304,12 +305,12 @@ impl<'a> ScoredSeq<'a> {
     /// must have just verified (via a fresh sweep) that `r` holds the
     /// best score; this function asserts the score it finds matches
     /// `expected_score`.
-    pub fn accept_task_with_row<'o>(
+    pub fn accept_task_with_row(
         &self,
         r: usize,
         expected_score: Score,
         triangle: &mut OverrideTriangle,
-        original: impl Into<RowRef<'o>>,
+        original: &StoredRow,
         index: usize,
     ) -> (TopAlignment, u64) {
         let (prefix, suffix) = self.seq.split(r);
@@ -353,7 +354,7 @@ pub fn align_task(
     scoring: &Scoring,
     r: usize,
     triangle: &OverrideTriangle,
-    original: Option<&[Score]>,
+    original: Option<&StoredRow>,
 ) -> TaskResult {
     ScoredSeq::new(seq, scoring).align_task(r, triangle, original)
 }
@@ -454,7 +455,7 @@ impl<'a, K: PackKernel> TopAlignmentFinder<'a, K> {
             let last = self.common.input.split(r).last_row(NoMask);
             self.stats.record_row_recompute(last.cells);
             rec.phase_end(Phase::RowRecompute);
-            self.common.set_row(r, last.row);
+            self.common.set_row(r, StoredRow::encode(&last.row));
         }
     }
 
@@ -1194,6 +1195,7 @@ mod tests {
                             Step::Accepted { r, score } => {
                                 let full = input.split(r).full(SplitMask::new(&before, r));
                                 let clean = input.split(r).last_row(NoMask).row;
+                                let clean = StoredRow::encode(&clean);
                                 let (s, col) = best_valid_entry(full.last_row(), &clean);
                                 assert_eq!(s, score, "{text} split {r}");
                                 let (prefix, suffix) = seq.split(r);

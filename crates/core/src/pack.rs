@@ -16,7 +16,10 @@
 //!   that needs no sweep;
 //! * **sweep** (`PackPlan::sweep`) — a pure function of the plan, a
 //!   triangle snapshot and the clean bottom rows: one kernel sweep,
-//!   then the per-lane Appendix-A shadow filter;
+//!   which hands each lane's bottom row over in `i32`, then the
+//!   per-lane Appendix-A shadow filter against the stored row; a first
+//!   pass's rows are encoded into the row store instead
+//!   ([`StoredRow::encode`]);
 //! * **commit** (`LanePacks::commit`) — lane memos (which hold the
 //!   member scores), checkpoint store, `Stats` and the sweep tally.
 //!
@@ -52,7 +55,7 @@ use crate::finder::{ScoredSeq, TopAlignment};
 use crate::split_mask::SplitMask;
 use crate::stats::Stats;
 use crate::triangle::OverrideTriangle;
-use repro_align::{BottomRow, Checkpoint, CheckpointStore, NoMask, Score, StoredRow, NEG_INF};
+use repro_align::{Checkpoint, CheckpointStore, NoMask, Score, StoredRow, NEG_INF};
 use repro_obs::{Counter, Metric, Recorder};
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -131,9 +134,8 @@ impl GroupCapture {
 /// One kernel sweep of a pack.
 #[derive(Debug)]
 pub struct PackSweep {
-    /// Exact bottom row of each swept split, in `rs` order: in `i16`
-    /// from a sweep that ran narrow, never widened on the way out.
-    pub rows: Vec<BottomRow>,
+    /// Exact bottom row of each swept split, in `rs` order.
+    pub rows: Vec<Vec<Score>>,
     /// Logical cells computed: each split's rows below the resume row
     /// times its own columns.
     pub cells: u64,
@@ -164,7 +166,8 @@ pub trait PackKernel: Sync {
 }
 
 /// The row kernel: each split through [`repro_align::Sides::last_row_resume`]
-/// (`i16` where a bound proves it exact, else `i32`), which never saturates.
+/// (the `i16` body where a bound proves it exact, else `i32`), which
+/// never saturates.
 impl PackKernel for ScoredSeq<'_> {
     fn lanes(&self) -> usize {
         1
@@ -201,17 +204,17 @@ impl PackKernel for ScoredSeq<'_> {
                 caps[k].lanes[l] = Some((m.to_vec(), maxy.to_vec()));
             };
             let sides = self.split(r);
-            let (row, swept) = match triangle {
+            let last = match triangle {
                 Some(t) => {
                     let mask = SplitMask::new(t, r);
-                    sides.bottom_row_resume(mask, start, m, &mut maxy, capture_rows, &mut capture)
+                    sides.last_row_resume(mask, start, m, &mut maxy, capture_rows, &mut capture)
                 }
                 None => {
-                    sides.bottom_row_resume(NoMask, start, m, &mut maxy, capture_rows, &mut capture)
+                    sides.last_row_resume(NoMask, start, m, &mut maxy, capture_rows, &mut capture)
                 }
             };
-            cells += swept;
-            rows.push(row);
+            cells += last.cells;
+            rows.push(last.row);
         }
         let sweep = PackSweep {
             rows,
@@ -633,7 +636,11 @@ impl PackPlan {
         if self.first_pass {
             let (sweep, caps) = kernel.sweep(rs, None, None, &self.capture_rows);
             return PackSwept {
-                scored: sweep.rows.iter().map(|row| (row.max(), 0)).collect(),
+                scored: sweep
+                    .rows
+                    .iter()
+                    .map(|row| (row.iter().copied().max().unwrap_or(0), 0))
+                    .collect(),
                 first_rows: sweep.rows,
                 cells: sweep.cells,
                 caps,
@@ -664,9 +671,8 @@ impl PackPlan {
 #[derive(Debug)]
 pub struct PackSwept {
     /// First pass only: each swept split's clean bottom row, parallel to
-    /// `PackPlan::splits` — handed over by value for the row store
-    /// (taken before committing).
-    first_rows: Vec<BottomRow>,
+    /// `PackPlan::splits`, for the row store (taken before committing).
+    first_rows: Vec<Vec<Score>>,
     /// Per swept lane: exact post-shadow score and shadow rejections.
     scored: Vec<(Score, u64)>,
     /// Logical cells computed, all lanes together.
@@ -738,10 +744,9 @@ impl<K: PackKernel> PackUnit<K> {
         triangle: &OverrideTriangle,
     ) -> PackSwept {
         let mut swept = plan.sweep(&self.kernel, triangle, |r| common.row(r));
-        // A first pass hands its clean rows over by value, to be
-        // encoded into the write-once store.
+        // A first pass's clean rows go into the write-once store.
         for (&r, row) in plan.splits().iter().zip(swept.first_rows.drain(..)) {
-            common.set_row(r, row);
+            common.set_row(r, StoredRow::encode(&row));
         }
         swept
     }
@@ -863,8 +868,7 @@ mod tests {
                     let (score, stamp, grown) =
                         run(&unit, state, (r - 1, true), (&now, &tops[..prefix]));
                     let clean = align_task(seq, &scoring, r, &empty, None);
-                    let clean_row = clean.first_row.unwrap();
-                    assert_eq!(*common.row(r), clean_row, "{what} {r}");
+                    assert_eq!(Some(common.row(r)), clean.first_row.as_ref(), "{what} {r}");
                     assert_eq!(
                         (
                             score,
@@ -882,8 +886,7 @@ mod tests {
                     stamps.push(stamp);
                 }
                 for (r, &stamp) in (1..m).zip(&stamps) {
-                    let clean_row = common.row(r).widened();
-                    let oracle = align_task(seq, &scoring, r, &later, Some(&clean_row));
+                    let oracle = align_task(seq, &scoring, r, &later, Some(common.row(r)));
                     let state = (&mut packs, &common);
                     let (score, again_stamp, again) =
                         run(&unit, state, (r - 1, false), (&later, &tops[..next]));
@@ -939,7 +942,7 @@ mod tests {
             (1, 0, 4)
         );
         assert_eq!(s.lanes_skipped, 1);
-        let oracle = align_task(&seq, &scoring, 4, &triangle, Some(&common.row(4).widened()));
+        let oracle = align_task(&seq, &scoring, 4, &triangle, Some(common.row(4)));
         assert_eq!(
             (score, s.shadow_rejections),
             (oracle.score, oracle.shadow_rejections)
@@ -978,7 +981,7 @@ mod tests {
         assert!(s.cells > 0);
         assert_eq!(s.realign_rows_skipped, 96);
         assert_eq!(s.lanes_compacted, 1);
-        let oracle = align_task(&seq, &scoring, r, &triangle, Some(&common.row(r).widened()));
+        let oracle = align_task(&seq, &scoring, r, &triangle, Some(common.row(r)));
         assert_eq!(
             (score, s.shadow_rejections),
             (oracle.score, oracle.shadow_rejections)

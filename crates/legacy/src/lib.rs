@@ -24,7 +24,7 @@
 #![warn(missing_docs)]
 
 use repro_align::kernel::full::{sw_full, traceback};
-use repro_align::{sw_last_row, sw_last_row_naive, NoMask, Score, Scoring, Seq};
+use repro_align::{sw_last_row, sw_last_row_naive, NoMask, Score, Scoring, Seq, StoredRow};
 use repro_core::{SplitMask, Stats, TopAlignment, TopAlignments};
 
 /// Inner-loop choice for the old algorithm.
@@ -85,7 +85,8 @@ pub fn find_top_alignments_old(
                 // accept only end points whose scores agree.
                 let clean = align(prefix, suffix, None);
                 stats.record_alignment(clean.cells, tops_found);
-                repro_core::bottom::best_valid_entry(&masked.row, &clean.row)
+                let clean = StoredRow::encode(&clean.row);
+                repro_core::bottom::best_valid_entry(&masked.row, &clean)
             };
             if let Some(col) = col {
                 if best.is_none_or(|(bs, _, _)| score > bs) {

@@ -449,7 +449,8 @@ fn rows_stored_as_deltas_and_plain() {
     );
     let common = Common::new(&seq, &scoring);
     for r in 1..m {
-        common.set_row(r, common.input.split(r).last_row(NoMask).row);
+        let row = common.input.split(r).last_row(NoMask).row;
+        common.set_row(r, StoredRow::encode(&row));
     }
     let delta = |r: usize| matches!(common.row(r), StoredRow::Delta(_));
     let deltas = (1..m).filter(|&r| delta(r)).count();

@@ -97,8 +97,8 @@ proptest! {
                 &scoring,
                 SplitMask::new(&triangle, top.r),
             );
-            let (valid, _) =
-                repro::core::bottom::best_valid_entry(&masked.row, &clean.row);
+            let clean = repro::align::StoredRow::encode(&clean.row);
+            let (valid, _) = repro::core::bottom::best_valid_entry(&masked.row, &clean);
             prop_assert_eq!(valid, top.score, "replayed score differs at r={}", top.r);
             for &(p, q) in &top.pairs {
                 triangle.set(p, q);

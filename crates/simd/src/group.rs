@@ -60,7 +60,7 @@
 
 use crate::lanes::{SimdElem, SimdVec};
 use repro_align::kernel::row::NarrowBody;
-use repro_align::{stripe_for_bytes, BottomRow, GapPenalties, QueryProfile, Score, Scoring};
+use repro_align::{stripe_for_bytes, GapPenalties, QueryProfile, Score, Scoring};
 pub use repro_core::pack::{GroupCapture, GroupResume, LaneResume};
 use repro_core::OverrideTriangle;
 
@@ -71,10 +71,9 @@ pub struct GroupResult {
     pub r0: usize,
     /// Number of live lanes (the final group of a sequence may be short).
     pub lanes: usize,
-    /// Per-lane bottom rows at the lane element's width (`i16` from a
-    /// narrow pack, never widened); entry `l` is the bottom row of the
-    /// group's `l`-th split (length `m − r`).
-    pub rows: Vec<BottomRow>,
+    /// Per-lane bottom rows; entry `l` is the bottom row of the group's
+    /// `l`-th split (length `m − r`).
+    pub rows: Vec<Vec<Score>>,
     /// Logical cells actually computed (sum over lanes of each split's
     /// rows below the resume row × its own columns) — comparable with
     /// the sequential engine's counters.
@@ -196,7 +195,9 @@ struct SweepState<V: SimdVec> {
     maxy: Vec<V>,
     maxx_carry: Vec<V>,
     edge: Vec<V>,
-    rows: Vec<Vec<V::Elem>>,
+    /// Per-lane bottom rows, written in `i32` as each stripe of a lane's
+    /// bottom row completes.
+    rows: Vec<Vec<Score>>,
     /// Interleaved capture buffers, parallel to `Geom::capture_rows`.
     captures: Vec<(Vec<V>, Vec<V>)>,
 }
@@ -334,7 +335,7 @@ fn sweep_prologue_at<'a, V: SimdVec>(
         // stripe's last-column value (the next stripe's diagonal input).
         maxx_carry: vec![neg; rmax],
         edge: vec![zero; rmax],
-        rows: rs.iter().map(|&r| vec![V::Elem::ZERO; m - r]).collect(),
+        rows: rs.iter().map(|&r| vec![0; m - r]).collect(),
         captures: capture_rows
             .iter()
             .map(|_| (vec![zero; width], vec![zero; width]))
@@ -388,7 +389,7 @@ fn finish<V: SimdVec>(
     let result = GroupResult {
         r0: geom.r0,
         lanes: geom.rs.len(),
-        rows: st.rows.into_iter().map(V::Elem::into_row).collect(),
+        rows: st.rows,
         cells,
         vector_cells: (st.rmax - geom.start) as u64 * st.width as u64,
     };
@@ -639,7 +640,7 @@ fn sweep_rows<V: SimdVec, H: HitCursor, X: Exchange<V::Elem>>(
                 let lo = x0.max(own);
                 if lo < x1 {
                     for (out, v) in st.rows[l][lo - own..x1 - own].iter_mut().zip(&mrow[lo..x1]) {
-                        *out = v.lanes()[l];
+                        *out = v.lanes()[l].to_score();
                     }
                 }
             }

@@ -47,7 +47,11 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"rpro");
 /// v9: the twelve counters that repeated a work tally (which travels in
 /// the results) are gone, so a telemetry frame carries 13 counter words
 /// where a v8 peer sends 25.
-pub const VERSION: u32 = 9;
+/// v10: first-pass rows travel as stored — a form byte, then `i8`
+/// deltas or plain `i32` entries — where v9 widened every row to `i32`,
+/// and a `RESULT` frame carries one result where v5–v9 carried a
+/// counted list, so a v9 peer would mis-frame every row and result.
+pub const VERSION: u32 = 10;
 
 /// Bytes of frame header (`magic + version + len`) before the payload.
 pub const FRAME_HEADER: usize = 12;
@@ -161,6 +165,12 @@ impl Encoder {
         self
     }
 
+    /// Append a `u8`.
+    pub fn u8(mut self, v: u8) -> Self {
+        self.buf.push(v);
+        self
+    }
+
     /// Append a `u32`.
     pub fn u32(mut self, v: u32) -> Self {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -199,6 +209,11 @@ impl Encoder {
     /// Append a length-prefixed `i32` slice.
     pub fn i32_slice(self, vs: &[i32]) -> Self {
         self.usize(vs.len()).words(vs, i32::to_le_bytes)
+    }
+
+    /// Append a length-prefixed `i8` slice.
+    pub fn i8_slice(self, vs: &[i8]) -> Self {
+        self.usize(vs.len()).words(vs, i8::to_le_bytes)
     }
 
     /// Append a length-prefixed `u64` slice.
@@ -321,6 +336,11 @@ impl<'a> Decoder<'a> {
         Ok(self.u64()? as usize)
     }
 
+    /// Read a `u8`.
+    pub fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.take(1)?[0])
+    }
+
     /// Read a `u32`.
     pub fn u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
@@ -368,6 +388,12 @@ impl<'a> Decoder<'a> {
     /// before any allocation if the remaining bytes cannot hold them.
     pub fn i32s(&mut self, n: usize) -> Result<Vec<i32>, WireError> {
         self.words(n, i32::from_le_bytes)
+    }
+
+    /// Read `n` `i8`s with no length prefix, checked as in
+    /// [`Decoder::i32s`].
+    pub fn i8s(&mut self, n: usize) -> Result<Vec<i8>, WireError> {
+        self.words(n, i8::from_le_bytes)
     }
 
     /// Read a length-prefixed `i32` vector. The claimed length is
